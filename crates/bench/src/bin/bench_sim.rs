@@ -22,6 +22,11 @@
 //! per-level hit rates, MSHR merges/stalls, interconnect bank
 //! conflicts, and the telemetry overhead on the cache-enabled path.
 //!
+//! Also measures a low-occupancy run (`DESIGN.md` §13): the `bvh` path
+//! tracer's μ-kernel variant to completion, where most SMs have nothing
+//! to issue most cycles, so the cost of the cycle loop itself — what
+//! sleeping SMs remove — is a recorded number with its own CI floor.
+//!
 //! Also measures campaign-mode throughput (`DESIGN.md` §12): the full
 //! 12-artifact `repro campaign` matrix at test scale with 1 worker
 //! process vs N, plus the warm-cache round trip, so the coordination and
@@ -46,6 +51,7 @@
 
 use experiments::{gpu_for, gpu_for_with, Scale, Variant};
 use raytrace::scenes;
+use rt_kernels::pt_render::PtSetup;
 use rt_kernels::render::RenderSetup;
 use simt_sim::{Gpu, Snapshot, TelemetrySpec};
 use std::process::ExitCode;
@@ -63,15 +69,70 @@ struct BenchRun {
     idle_sm_cycles: u64,
     /// Total SM-cycles simulated (`cycles × num_sms`).
     sm_cycles: u64,
+    /// SM-cycles the loop never stepped because the SM was asleep.
+    slept_sm_cycles: u64,
 }
 
 impl BenchRun {
+    /// Times `gpu.run(budget)` on a machine with a launch registered.
+    fn measure(gpu: &mut Gpu, parallel: usize, budget: u64) -> BenchRun {
+        let start = Instant::now();
+        let summary = gpu.run(budget).expect("fault-free benchmark run");
+        BenchRun {
+            parallel,
+            cycles: summary.stats.cycles,
+            wall_seconds: start.elapsed().as_secs_f64(),
+            skipped_cycles: gpu.skipped_cycles(),
+            skip_events: gpu.skip_events(),
+            idle_sm_cycles: summary.stats.idle_sm_cycles,
+            sm_cycles: summary.stats.cycles * gpu.config().num_sms as u64,
+            slept_sm_cycles: gpu.slept_sm_cycles(),
+        }
+    }
+
     fn cycles_per_second(&self) -> f64 {
         if self.wall_seconds > 0.0 {
             self.cycles as f64 / self.wall_seconds
         } else {
             0.0
         }
+    }
+
+    fn ratio(part: u64, whole: u64) -> f64 {
+        if whole > 0 {
+            part as f64 / whole as f64
+        } else {
+            0.0
+        }
+    }
+
+    fn skip_fraction(&self) -> f64 {
+        Self::ratio(self.skipped_cycles, self.cycles)
+    }
+
+    fn sm_occupancy(&self) -> f64 {
+        1.0 - Self::ratio(self.idle_sm_cycles, self.sm_cycles)
+    }
+
+    /// The `"skipped_cycles": …, … "slept_share": …` fields shared by the
+    /// `event_loop` and `low_occupancy` sections.
+    fn event_loop_fields(&self) -> String {
+        format!(
+            "\"cycles\": {}, \"skipped_cycles\": {}, \"skip_events\": {}, \
+             \"skip_fraction\": {:.4}, \"idle_sm_cycles\": {}, \"sm_cycles\": {}, \
+             \"sm_occupancy\": {:.4}, \"slept_sm_cycles\": {}, \
+             \"stepped_sm_cycles\": {}, \"slept_share\": {:.4}",
+            self.cycles,
+            self.skipped_cycles,
+            self.skip_events,
+            self.skip_fraction(),
+            self.idle_sm_cycles,
+            self.sm_cycles,
+            self.sm_occupancy(),
+            self.slept_sm_cycles,
+            self.sm_cycles - self.slept_sm_cycles,
+            Self::ratio(self.slept_sm_cycles, self.sm_cycles)
+        )
     }
 }
 
@@ -92,17 +153,24 @@ fn run_once(parallel: usize, scale: Scale, telemetry: TelemetrySpec, cached: boo
     let scene = scenes::conference(scale.scene);
     let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
     setup.launch_ukernel(&mut gpu, scale.threads_per_block);
-    let start = Instant::now();
-    let summary = gpu.run(scale.cycles).expect("fault-free benchmark run");
-    BenchRun {
-        parallel,
-        cycles: summary.stats.cycles,
-        wall_seconds: start.elapsed().as_secs_f64(),
-        skipped_cycles: gpu.skipped_cycles(),
-        skip_events: gpu.skip_events(),
-        idle_sm_cycles: summary.stats.idle_sm_cycles,
-        sm_cycles: summary.stats.cycles * gpu.config().num_sms as u64,
-    }
+    BenchRun::measure(&mut gpu, parallel, scale.cycles)
+}
+
+/// The `bvh` workload's μ-kernel render at `scale`, serial, run to
+/// completion: a few warps on a 30-SM chip, so most SM-cycles are idle.
+/// Fastest of three runs (each is a fraction of a second).
+fn bench_low_occupancy(scale: Scale) -> BenchRun {
+    let scene = scenes::conference(scale.scene);
+    let edge = experiments::workload::bvh::resolution(scale);
+    (0..3)
+        .map(|_| {
+            let mut gpu = gpu_for(Variant::Dynamic);
+            let setup = PtSetup::upload(&mut gpu, &scene, edge, edge);
+            setup.launch_ukernel(&mut gpu, scale.threads_per_block);
+            BenchRun::measure(&mut gpu, 1, u64::MAX)
+        })
+        .min_by(|a, b| a.wall_seconds.total_cmp(&b.wall_seconds))
+        .expect("three runs")
 }
 
 /// Interleaved A/B telemetry-overhead measurement: one untimed warm-up
@@ -570,26 +638,30 @@ fn main() -> ExitCode {
     // fully idle (skipped in bulk) vs occupied, from the parallel-1 run
     // (the simulated numbers are bit-identical across parallelism).
     if let Some(r) = runs.first() {
-        let skip_fraction = if r.cycles > 0 {
-            r.skipped_cycles as f64 / r.cycles as f64
-        } else {
-            0.0
-        };
-        let occupancy = if r.sm_cycles > 0 {
-            1.0 - r.idle_sm_cycles as f64 / r.sm_cycles as f64
-        } else {
-            0.0
-        };
         eprintln!(
             "bench_sim: event loop: {} of {} cycles skipped ({:.1}% skip fraction, {} jumps), \
-             SM occupancy {:.1}%",
+             SM occupancy {:.1}%, {} of {} SM-cycles slept",
             r.skipped_cycles,
             r.cycles,
-            skip_fraction * 100.0,
+            r.skip_fraction() * 100.0,
             r.skip_events,
-            occupancy * 100.0
+            r.sm_occupancy() * 100.0,
+            r.slept_sm_cycles,
+            r.sm_cycles
         );
     }
+
+    eprintln!("bench_sim: low-occupancy run (bvh μ-kernels to completion, parallel 1) ...");
+    let low = bench_low_occupancy(scale);
+    eprintln!(
+        "  {} cycles in {:.3} s  ({:.0} cycles/s), SM occupancy {:.1}%, {} of {} SM-cycles slept",
+        low.cycles,
+        low.wall_seconds,
+        low.cycles_per_second(),
+        low.sm_occupancy() * 100.0,
+        low.slept_sm_cycles,
+        low.sm_cycles
+    );
 
     // Hand-rolled JSON: the offline serde shim has no serializer.
     let mut json = String::new();
@@ -622,29 +694,18 @@ fn main() -> ExitCode {
         }
     }
     if let Some(r) = runs.first() {
-        let skip_fraction = if r.cycles > 0 {
-            r.skipped_cycles as f64 / r.cycles as f64
-        } else {
-            0.0
-        };
-        let occupancy = if r.sm_cycles > 0 {
-            1.0 - r.idle_sm_cycles as f64 / r.sm_cycles as f64
-        } else {
-            0.0
-        };
         json.push_str(&format!(
-            "  \"event_loop\": {{\"cycles\": {}, \"skipped_cycles\": {}, \
-             \"skip_events\": {}, \"skip_fraction\": {:.4}, \
-             \"idle_sm_cycles\": {}, \"sm_cycles\": {}, \"sm_occupancy\": {:.4}}},\n",
-            r.cycles,
-            r.skipped_cycles,
-            r.skip_events,
-            skip_fraction,
-            r.idle_sm_cycles,
-            r.sm_cycles,
-            occupancy
+            "  \"event_loop\": {{{}}},\n",
+            r.event_loop_fields()
         ));
     }
+    json.push_str(&format!(
+        "  \"low_occupancy\": {{\"workload\": \"bvh\", \"parallel\": 1, \
+         \"wall_seconds\": {:.6}, \"sim_cycles_per_second\": {:.1}, {}}},\n",
+        low.wall_seconds,
+        low.cycles_per_second(),
+        low.event_loop_fields()
+    ));
     json.push_str(&format!(
         "  \"telemetry\": {{\"off_seconds\": {tel_off:.6}, \"on_seconds\": {tel_on:.6}, \
          \"enabled_overhead_pct\": {tel_overhead_pct:.2}}},\n",

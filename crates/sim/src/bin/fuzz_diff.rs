@@ -1,7 +1,8 @@
 //! Differential fuzzer: random programs through the cycle-level `Gpu`
 //! (parallel 1 and 4, spawn-bank conflicts on and off, both spawn
-//! policies) versus the functional `RefMachine`, comparing final global
-//! memory and thread-lifecycle counters.
+//! policies, sleeping SMs and forced ticking) versus the functional
+//! `RefMachine`, comparing final global memory and thread-lifecycle
+//! counters.
 //!
 //! ```text
 //! fuzz_diff [--iterations N] [--seed S] [--time-budget-secs T]

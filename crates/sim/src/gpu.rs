@@ -18,13 +18,14 @@
 //! runs in fixed SM-id order, the simulation is bit-identical at every
 //! parallelism level — the worker threads change wall-clock time only.
 //!
-//! The loop is **event-driven**: after a cycle in which nothing happened
-//! (no dispatch, no issue, no fault), the machine state is a pure
-//! function of time until the earliest warp wake-up, so `now` jumps
-//! straight to `min(next wake, cycle limit, watchdog deadline)` with the
-//! skipped idle cycles recorded in bulk — byte-identical to ticking
-//! through them (see DESIGN.md §13). [`GpuBuilder::force_tick`] disables
-//! the skip for differential testing.
+//! The loop is **event-driven**, one SM at a time: an SM that finds
+//! nothing to issue sleeps until its earliest warp wake-up, and every
+//! phase passes over it with one compare until that cycle arrives or
+//! dispatch admits a warp into it; the idle cycles it slept through are
+//! recorded in bulk when it wakes — byte-identical to ticking through
+//! them (see DESIGN.md §13). With no SM awake, `now` jumps straight to
+//! `min(earliest wake, cycle limit, watchdog deadline)`.
+//! [`GpuBuilder::force_tick`] disables sleeping for differential testing.
 
 use crate::checkpoint::{self, RestoreError, Snapshot};
 use crate::config::{GpuConfig, SchedulingModel};
@@ -124,12 +125,12 @@ pub struct Gpu {
     faults: Vec<Fault>,
     /// Worker threads used for phase A (1 = step SMs inline).
     parallel: usize,
-    /// Debug knob: tick every cycle even when the loop could skip ahead.
+    /// Debug knob: step every SM every cycle even when it could sleep.
     force_tick: bool,
-    /// Idle cycles the event-driven loop skipped over (diagnostic; not
-    /// part of [`SimStats`], not serialized).
+    /// Cycles the loop jumped over because no SM was awake (diagnostic;
+    /// not part of [`SimStats`], not serialized).
     skipped_cycles: u64,
-    /// Number of skip jumps taken (diagnostic).
+    /// Number of such jumps taken (diagnostic).
     skip_events: u64,
     /// Reusable request buffer for the hierarchy's batched phase B
     /// (always empty between cycles; not serialized).
@@ -170,6 +171,9 @@ impl WorkerPool {
                     let mut faults = Vec::new();
                     let mut issued = 0u64;
                     for sm in &mut chunk {
+                        if sm.asleep(now) {
+                            continue;
+                        }
                         match sm.step(now, ctx, view, injector) {
                             Ok(true) => issued += 1,
                             Ok(false) => {}
@@ -272,10 +276,11 @@ impl GpuBuilder {
         self
     }
 
-    /// Debug knob: force the cycle loop to tick every cycle instead of
-    /// skipping ahead over fully idle spans. Results are byte-identical
-    /// either way (that equivalence is what the differential tests
-    /// assert); forcing ticks only costs wall-clock time.
+    /// Debug knob: force the cycle loop to step every SM every cycle
+    /// instead of letting idle SMs sleep (and jumping over cycles in which
+    /// none is awake). Results are byte-identical either way (that
+    /// equivalence is what the differential tests assert); forcing ticks
+    /// only costs wall-clock time.
     pub fn force_tick(mut self, on: bool) -> Self {
         self.force_tick = on;
         self
@@ -448,16 +453,24 @@ impl Gpu {
         self.now
     }
 
-    /// Idle cycles the event-driven loop jumped over instead of ticking
+    /// Cycles the event-driven loop jumped over because no SM was awake
     /// (cumulative; zero with [`GpuBuilder::force_tick`] or an installed
     /// injector). Diagnostic only — not part of [`SimStats`].
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
     }
 
-    /// Number of skip jumps the event-driven loop took (diagnostic).
+    /// Number of such jumps the event-driven loop took (diagnostic).
     pub fn skip_events(&self) -> u64 {
         self.skip_events
+    }
+
+    /// SM-steps the loop never ran because the SM was asleep, summed over
+    /// SMs — jumped-over cycles included (cumulative; zero with
+    /// [`GpuBuilder::force_tick`] or an installed injector). Diagnostic
+    /// only — not part of [`SimStats`], not serialized.
+    pub fn slept_sm_cycles(&self) -> u64 {
+        self.sms.iter().map(Sm::slept_cycles).sum()
     }
 
     /// Late load results dropped on warps killed mid-flight, summed over
@@ -706,8 +719,14 @@ impl Gpu {
                     };
                     while block.next_tid < block.end_tid {
                         let n = cfg.warp_size.min(block.end_tid - block.next_tid);
-                        let tids: Vec<u32> = (block.next_tid..block.next_tid + n).collect();
-                        sm.admit_launch_warp(&tids, launch.entry_pc, Some(block.id), now, ctx);
+                        sm.admit_launch_warp(
+                            block.next_tid,
+                            n,
+                            launch.entry_pc,
+                            Some(block.id),
+                            now,
+                            ctx,
+                        );
                         block.next_tid += n;
                         active = true;
                     }
@@ -723,8 +742,7 @@ impl Gpu {
                     if !sm.fits_warp(n, launch.regs_per_thread, true) {
                         break;
                     }
-                    let tids: Vec<u32> = (front.next_tid..front.next_tid + n).collect();
-                    sm.admit_launch_warp(&tids, launch.entry_pc, None, now, ctx);
+                    sm.admit_launch_warp(front.next_tid, n, launch.entry_pc, None, now, ctx);
                     front.next_tid += n;
                     active = true;
                     if front.next_tid == front.end_tid {
@@ -765,19 +783,6 @@ impl Gpu {
             }
         }
         true
-    }
-
-    /// A monotone counter that advances whenever the machine makes forward
-    /// progress in the thread-retirement sense (used by the watchdog).
-    /// Sums the merged base stats plus every SM's live shard.
-    fn progress_count(&self) -> u64 {
-        let mut count =
-            self.stats.threads_retired + self.stats.threads_spawned + self.stats.threads_killed;
-        for sm in &self.sms {
-            let s = sm.stats();
-            count += s.threads_retired + s.threads_spawned + s.threads_killed;
-        }
-        count
     }
 
     /// Merges every SM's statistics shard into the base stats and
@@ -835,6 +840,10 @@ impl Gpu {
                     rtab,
                     regs_per_thread: *regs_per_thread,
                     ntid: *ntid,
+                    // An injector keys events off absolute cycle numbers,
+                    // so every SM must step every cycle for
+                    // `fires(_, now)` to be observed.
+                    sleep: !self.force_tick && self.injector.is_none(),
                 };
                 let view = self.mem.view();
                 let injector = self.injector.clone();
@@ -878,34 +887,54 @@ impl Gpu {
         })
     }
 
-    /// Phase B on a hierarchy machine: stage the first `commit` SMs'
-    /// requests (applying functional ops in SM-id order, like the legacy
-    /// drain), arbitrate the whole batch through the banked interconnect
-    /// and L2, then scatter ready times back and commit. Both the
-    /// fault-free path (`commit == num_sms`) and the abort path
-    /// (`commit == fault.sm + 1`) share this, so a faulting cycle can
-    /// never leak committed traffic past the interconnect accounting.
-    fn hierarchy_drain(&mut self, now: u64, ctx: &ExecCtx<'_>, commit: usize) {
-        let mut batch = std::mem::take(&mut self.batch_buf);
+    /// Phase B over the first `commit` SMs, in SM-id order — the only
+    /// place off-chip functional state mutates. A fault-free cycle commits
+    /// every SM; an aborting one only those at or before the faulting SM
+    /// (under the serial model the rest never reached memory), through the
+    /// same machinery, so a faulting cycle can never leak committed traffic
+    /// past the interconnect accounting. Sleeping SMs issued nothing this
+    /// cycle and are passed over. Returns the warps reaped and the
+    /// forward-progress events collected from the SMs that were awake.
+    ///
+    /// The flat machine services each SM's queue directly. The hierarchy
+    /// machine stages every SM's requests (applying functional ops),
+    /// arbitrates the whole batch through the banked interconnect and L2,
+    /// then scatters ready times back and commits.
+    fn drain(&mut self, now: u64, ctx: &ExecCtx<'_>, commit: usize) -> (usize, u64) {
+        let hierarchy = self.cfg.mem.hierarchy_enabled();
+        if hierarchy {
+            let mut batch = std::mem::take(&mut self.batch_buf);
+            for sm in &mut self.sms[..commit] {
+                if !sm.asleep(now) {
+                    sm.stage_pending(now, &mut self.mem, &mut batch);
+                }
+            }
+            let ready = self.mem.service_batch(now, &batch);
+            for (b, &r) in batch.iter().zip(&ready) {
+                self.sms[b.sm].note_access_ready(b.access, r);
+            }
+            batch.clear();
+            self.batch_buf = batch;
+        }
+        let (mut reaped, mut progress) = (0, 0);
         for sm in &mut self.sms[..commit] {
-            sm.stage_pending(now, &mut self.mem, &mut batch);
+            if sm.asleep(now) {
+                continue;
+            }
+            if hierarchy {
+                sm.commit_staged();
+            } else {
+                sm.drain_pending(now, &mut self.mem);
+            }
+            reaped += sm.reap_finished(now, ctx);
+            progress += sm.take_progress();
         }
-        let ready = self.mem.service_batch(now, &batch);
-        for (b, &r) in batch.iter().zip(&ready) {
-            self.sms[b.sm].note_access_ready(b.access, r);
-        }
-        for sm in &mut self.sms[..commit] {
-            sm.commit_staged();
-            sm.reap_finished(now, ctx);
-        }
-        batch.clear();
-        self.batch_buf = batch;
+        (reaped, progress)
     }
 
-    /// The cycle loop: dispatch, phase A (possibly across the worker
-    /// pool), fault handling, phase B, watchdog — and, after a fully idle
-    /// cycle, a jump straight to the next cycle where anything can happen.
-    #[allow(clippy::expect_used)]
+    /// Runs the cycle loop, then wakes every sleeping SM so the idle spans
+    /// they were holding are recorded before anything can read statistics,
+    /// telemetry or a checkpoint: sleep state never outlives a `run`.
     fn run_cycles(
         &mut self,
         max_cycles: u64,
@@ -914,12 +943,37 @@ impl Gpu {
         injector: Option<&Injector>,
         pool: Option<&WorkerPool>,
     ) -> Result<RunOutcome, SimError> {
+        let result = self.cycle_loop(max_cycles, ctx, view, injector, pool);
+        // Sleepers idled through every cycle whose phase A ran: all of
+        // them below `now`, plus — on an abort, which leaves `now` on the
+        // faulting cycle — that cycle itself.
+        let idled_to = self.now + u64::from(result.is_err());
+        for sm in &mut self.sms {
+            sm.wake(idled_to);
+        }
+        result
+    }
+
+    /// The cycle loop: dispatch, phase A (possibly across the worker
+    /// pool), fault handling, phase B, watchdog — each passing over the
+    /// SMs that are asleep — and, when none is awake, a jump straight to
+    /// the next cycle where anything can happen.
+    #[allow(clippy::expect_used)]
+    fn cycle_loop(
+        &mut self,
+        max_cycles: u64,
+        ctx: &ExecCtx<'_>,
+        view: &FabricView,
+        injector: Option<&Injector>,
+        pool: Option<&WorkerPool>,
+    ) -> Result<RunOutcome, SimError> {
         let start = self.now;
+        // The watchdog counts from here; progress made before this run is
+        // not this run's.
         let mut last_progress = self.now;
-        let mut last_count = self.progress_count();
-        // An injector keys events off absolute cycle numbers, so every
-        // cycle must actually tick for `fires(_, now)` to be observed.
-        let can_skip = !self.force_tick && injector.is_none();
+        for sm in &mut self.sms {
+            sm.take_progress();
+        }
         // Launch-queue generation for the dispatch gate below: bumped
         // whenever the block queue's observable front `(len, next_tid)`
         // changes. An SM whose own state is clean *and* which already saw
@@ -928,8 +982,12 @@ impl Gpu {
         // every `run_cycles` call dispatches unconditionally.
         let mut blocks_gen: u64 = 1;
         let mut dispatch_seen: Vec<u64> = vec![0; self.sms.len()];
+        // All work can only drain in a cycle that dispatched (emptying the
+        // block queue or the formation unit) or reaped a warp, so
+        // `is_done` is re-evaluated only after such a cycle.
+        let mut check_done = true;
         loop {
-            let done = self.is_done();
+            let done = check_done && self.is_done();
             if done || self.now - start >= max_cycles {
                 return Ok(if done {
                     RunOutcome::Completed
@@ -949,10 +1007,14 @@ impl Gpu {
                 // (`!dispatch_dirty`) and has already seen the current
                 // block-queue generation would therefore get a no-op call
                 // returning `false` — skipping it leaves `dispatched` and
-                // all state exactly as the call would have.
+                // all state exactly as the call would have. A sleeping SM
+                // is clean by construction, so it is called only when the
+                // queue moved; a call that admits a warp wakes it.
                 let gate = injector.is_none();
-                for k in 0..n {
-                    let i = (self.rr_sm + k) % n;
+                let mut next = self.rr_sm;
+                for _ in 0..n {
+                    let i = next;
+                    next = if i + 1 == n { 0 } else { i + 1 };
                     if gate && !self.sms[i].dispatch_dirty() && dispatch_seen[i] == blocks_gen {
                         continue;
                     }
@@ -960,7 +1022,7 @@ impl Gpu {
                         launch.blocks.len(),
                         launch.blocks.front().map(|b| b.next_tid),
                     );
-                    dispatched |= Self::dispatch_for_sm(
+                    let admitted = Self::dispatch_for_sm(
                         &mut self.sms[i],
                         launch,
                         &self.cfg,
@@ -969,6 +1031,10 @@ impl Gpu {
                         self.now,
                         ctx,
                     );
+                    if admitted {
+                        dispatched = true;
+                        self.sms[i].wake(self.now);
+                    }
                     let after = (
                         launch.blocks.len(),
                         launch.blocks.front().map(|b| b.next_tid),
@@ -980,14 +1046,18 @@ impl Gpu {
                     dispatch_seen[i] = blocks_gen;
                 }
             }
-            // Phase A: every SM steps against private state only, queueing
-            // off-chip work. Faults come back in SM-id order either way.
+            // Phase A: every SM that is awake steps against private state
+            // only, queueing off-chip work. Faults come back in SM-id
+            // order either way.
             let (faults, issued) = match pool {
                 Some(pool) => pool.step_all(self.now, &mut self.sms),
                 None => {
                     let mut faults = Vec::new();
                     let mut issued = 0u64;
                     for sm in &mut self.sms {
+                        if sm.asleep(self.now) {
+                            continue;
+                        }
                         match sm.step(self.now, ctx, view, injector) {
                             Ok(true) => issued += 1,
                             Ok(false) => {}
@@ -1017,43 +1087,19 @@ impl Gpu {
                     }
                 }
             }
-            // Phase B: the fabric drains pending queues serially in SM-id
-            // order — the only place off-chip functional state mutates.
             if let Some(fault) = abort {
-                // Commit only SMs at or before the faulting one; under the
-                // serial model the rest never reached memory this cycle.
-                // The committed SMs go through the same phase-B machinery
-                // as a fault-free cycle (batched interconnect/L2 on the
-                // hierarchy machine), so post-fault fabric state never
-                // diverges from what the normal drain would have produced.
                 for i in (fault.sm + 1)..n {
                     self.sms[i].discard_pending();
                 }
-                if self.cfg.mem.hierarchy_enabled() {
-                    self.hierarchy_drain(self.now, ctx, fault.sm + 1);
-                } else {
-                    for i in 0..=fault.sm {
-                        self.sms[i].drain_pending(self.now, &mut self.mem);
-                        self.sms[i].reap_finished(self.now, ctx);
-                    }
-                }
+                self.drain(self.now, ctx, fault.sm + 1);
                 return Err(SimError::Fault(fault));
             }
-            let now = self.now;
-            if self.cfg.mem.hierarchy_enabled() {
-                self.hierarchy_drain(now, ctx, n);
-            } else {
-                for sm in &mut self.sms {
-                    sm.drain_pending(now, &mut self.mem);
-                    sm.reap_finished(now, ctx);
-                }
-            }
+            let (reaped, progress) = self.drain(self.now, ctx, n);
+            check_done = dispatched || reaped > 0;
             self.rr_sm = (self.rr_sm + 1) % n.max(1);
             self.now += 1;
 
-            let count = self.progress_count();
-            if count != last_count {
-                last_count = count;
+            if progress > 0 {
                 last_progress = self.now;
             }
             if self.now - last_progress >= self.cfg.watchdog_cycles {
@@ -1063,34 +1109,23 @@ impl Gpu {
                 });
             }
 
-            // Event-driven skip. The cycle just executed was fully idle —
-            // nothing was dispatched, issued, or faulted — so until some
-            // warp's `ready_at` arrives the machine is frozen: dispatch
-            // preconditions can only change when a warp retires, pending
-            // queues drain the same cycle they fill (the fabric retires
-            // requests at service time, so it holds no in-flight state),
-            // and every idle cycle does identical per-SM bookkeeping.
-            // Jump `now` to the earliest of next warp wake-up, the cycle
-            // limit, and the watchdog deadline, recording the idle span
-            // in bulk. Byte-identical to ticking through it (DESIGN.md
-            // §13); `force_tick` disables this for differential testing.
-            if can_skip && !dispatched && issued == 0 && !had_faults {
-                let wake = self
-                    .sms
-                    .iter_mut()
-                    .filter_map(Sm::next_issue_at)
-                    .min()
-                    .unwrap_or(u64::MAX);
+            // No SM awake. Nothing was dispatched, issued, or faulted, so
+            // every SM went (or stayed) to sleep, and until the earliest
+            // of them wakes the machine is frozen: dispatch preconditions
+            // can only change when a warp retires, and pending queues
+            // drain the same cycle they fill (the fabric retires requests
+            // at service time, so it holds no in-flight state). Jump `now`
+            // to the earliest of that wake cycle, the cycle limit, and the
+            // watchdog deadline; the sleepers record the span when they
+            // wake. An SM kept awake by an owed reap reads `wake_at() ==
+            // 0`, which keeps the loop ticking.
+            if ctx.sleep && !dispatched && issued == 0 && !had_faults {
+                let wake = self.sms.iter().map(Sm::wake_at).min().unwrap_or(u64::MAX);
                 let target = wake
-                    .max(self.now)
                     .min(start + max_cycles)
                     .min(last_progress + self.cfg.watchdog_cycles);
                 if target > self.now {
                     let k = target - self.now;
-                    let from = self.now;
-                    for sm in &mut self.sms {
-                        sm.record_idle_span(from, k);
-                    }
                     self.rr_sm = ((self.rr_sm as u64 + k) % n.max(1) as u64) as usize;
                     self.now = target;
                     self.skipped_cycles += k;
@@ -1576,15 +1611,106 @@ mod tests {
         assert_eq!(resumed.stats(), gpu.stats());
     }
 
-    /// The event-driven skip must be invisible: a memory-latency kernel
-    /// under the real (non-ideal) fabric parks every warp on loads, the
-    /// loop jumps over the stall spans, and stats, traffic, memory, and
-    /// outcome must be byte-identical to forced per-cycle ticking — at
-    /// several parallelism levels and with a cycle budget that lands in
-    /// the middle of a skipped span.
+    /// Everything a run leaves behind that a caller can observe, rendered
+    /// for comparison: the run result (outcome or error, statistics with
+    /// the divergence timeline, traffic, μ-kernel counters, fault log),
+    /// the resident statistics, the telemetry CSV (windowed counters plus
+    /// the divergence mirror), the clock, device memory, and the
+    /// checkpoint bytes.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        result: String,
+        stats: String,
+        metrics_csv: String,
+        now: u64,
+        words: Vec<u32>,
+        snapshot: Vec<u8>,
+    }
+
+    fn observe(gpu: &Gpu, result: &Result<RunSummary, SimError>, words: u32) -> Observed {
+        use crate::telemetry::{CsvMetricsSink, TraceSink};
+        Observed {
+            result: format!("{result:?}"),
+            stats: format!("{:?}", gpu.stats()),
+            metrics_csv: CsvMetricsSink.render(&gpu.telemetry_report()),
+            now: gpu.now(),
+            words: (0..words)
+                .map(|t| gpu.mem().read_u32(simt_isa::Space::Global, t * 4))
+                .collect(),
+            snapshot: gpu.checkpoint().expect("encodable").to_bytes(),
+        }
+    }
+
+    /// One sleep-vs-tick differential case.
+    struct SleepCase {
+        name: &'static str,
+        src: &'static str,
+        cfg: GpuConfig,
+        threads: u32,
+        /// Cycle budget of the first leg: the run stops here, mid-flight,
+        /// and is checkpointed before it continues to the end.
+        first_leg: u64,
+        /// What the finished run's result must show, so the case keeps
+        /// exercising what it is named for.
+        expect: &'static str,
+        /// Whether every SM is asleep at once at some point, so the loop
+        /// jumps — false only where one SM issues every cycle.
+        jumps: bool,
+    }
+
+    /// Runs `case` in two legs — to `first_leg` cycles, then to the end —
+    /// observing the machine after each, and once more from a restore of
+    /// the first leg's checkpoint.
+    fn run_case(
+        case: &SleepCase,
+        force_tick: bool,
+        parallel: usize,
+    ) -> (Observed, Observed, Observed, Gpu) {
+        let program = assemble_named(case.name, case.src).unwrap();
+        let mut gpu = Gpu::builder(case.cfg.clone())
+            .parallelism(parallel)
+            .force_tick(force_tick)
+            .telemetry(TelemetrySpec::metrics().with_window(64))
+            .build();
+        gpu.mem_mut().alloc_global(case.threads * 4, "buf");
+        gpu.launch(Launch {
+            program,
+            entry: "main".into(),
+            num_threads: case.threads,
+            threads_per_block: 8,
+        })
+        .expect("launch accepted");
+        let r = gpu.run(case.first_leg);
+        let mid = observe(&gpu, &r, case.threads);
+        let snapshot = Snapshot::from_bytes(&mid.snapshot).expect("frame intact");
+        let mut resumed = Gpu::restore(&snapshot)
+            .expect("restores")
+            .with_parallelism(parallel);
+        let r = resumed.run(1_000_000);
+        let resumed = observe(&resumed, &r, case.threads);
+        let r = gpu.run(1_000_000);
+        let end = observe(&gpu, &r, case.threads);
+        (mid, end, resumed, gpu)
+    }
+
+    /// Sleeping must be invisible. Each case runs with sleeping SMs (the
+    /// default) and with forced per-cycle ticking, and everything
+    /// observable — results, statistics, both divergence timelines, the
+    /// metrics CSV, memory, and the checkpoint bytes taken at a cycle
+    /// limit that lands while SMs are asleep — must be byte-identical,
+    /// mid-run, at the end, and after resuming from the mid-run snapshot.
+    ///
+    /// The dense case parks every warp on loads, so the whole machine
+    /// idles and the loop jumps. The others run fewer warps than a 4-SM
+    /// machine holds, with trip counts skewed by thread id, so some SMs
+    /// sleep (for good, or between memory stalls) while others issue: on
+    /// the flat fabric and the cache hierarchy, with a trap that kills a
+    /// warp, with a trap that aborts the run while other SMs sleep, with
+    /// a livelocked warp that trips the watchdog, and with partial dynamic
+    /// warps that dispatch forces out of a sleeping SM's formation unit.
     #[test]
     fn skip_to_next_event_is_bit_identical_to_forced_tick() {
-        let src = r#"
+        const CHAIN: &str = r#"
             .kernel main
             main:
                 mov.u32 r1, %tid
@@ -1597,37 +1723,257 @@ mod tests {
                 st.global.u32 [r2+0], r4
                 exit
         "#;
-        let run_at = |force_tick: bool, parallel: usize, budget: u64| {
-            let program = assemble_named("chain", src).unwrap();
-            let mut gpu = Gpu::builder(GpuConfig::tiny())
-                .parallelism(parallel)
-                .force_tick(force_tick)
-                .build();
-            gpu.mem_mut().alloc_global(64 * 4, "buf");
-            gpu.launch(Launch {
-                program,
-                entry: "main".into(),
-                num_threads: 64,
-                threads_per_block: 8,
-            })
-            .expect("launch accepted");
-            let summary = gpu.run(budget).expect("fault-free");
-            let words: Vec<u32> = (0..64u32)
-                .map(|t| gpu.mem().read_u32(simt_isa::Space::Global, t * 4))
-                .collect();
-            (summary, words, gpu.skipped_cycles())
+        // tid/4 + 1 load-add-store round trips: warp 0 finishes first.
+        const SKEWED: &str = r#"
+            .kernel main
+            main:
+                mov.u32 r1, %tid
+                mul.lo.s32 r2, r1, 4
+                shr.u32 r5, r1, 2
+                add.s32 r5, r5, 1
+            loop:
+                ld.global.u32 r3, [r2+0]
+                add.s32 r3, r3, 1
+                st.global.u32 [r2+0], r3
+                sub.s32 r5, r5, 1
+                setp.gt.s32 p0, r5, 0
+                @p0 bra loop
+                exit
+        "#;
+        // As SKEWED, then thread 9 — alone after its warp's loop, long
+        // after warps 0 and 1 retired — loads from a misaligned address.
+        const TRAPPING: &str = r#"
+            .kernel main
+            main:
+                mov.u32 r1, %tid
+                mul.lo.s32 r2, r1, 4
+                shr.u32 r5, r1, 2
+                add.s32 r5, r5, 1
+            loop:
+                ld.global.u32 r3, [r2+0]
+                add.s32 r3, r3, 1
+                st.global.u32 [r2+0], r3
+                sub.s32 r5, r5, 1
+                setp.gt.s32 p0, r5, 0
+                @p0 bra loop
+                setp.eq.s32 p1, r1, 9
+                @p1 ld.global.u32 r3, [r2+2]
+                exit
+        "#;
+        // Warp 0 spins forever; the rest store and exit.
+        const LIVELOCK: &str = r#"
+            .kernel main
+            main:
+                mov.u32 r1, %tid
+                mul.lo.s32 r2, r1, 4
+                st.global.u32 [r2+0], r1
+                setp.lt.s32 p0, r1, 4
+            spin:
+                @p0 bra spin
+                exit
+        "#;
+        // Every thread spawns a child; 13 threads leave partial warps in
+        // the formation units for dispatch to force out.
+        const SPAWNING: &str = r#"
+            .kernel main
+            .kernel child
+            .spawnstate 16
+            main:
+                mov.u32 r1, %tid
+                mov.u32 r2, %spawnmem
+                st.spawn.u32 [r2+0], r1
+                spawn $child, r2
+                exit
+            child:
+                mov.u32 r2, %spawnmem
+                ld.spawn.u32 r2, [r2+0]
+                ld.spawn.u32 r1, [r2+0]
+                mul.lo.s32 r3, r1, 3
+                mul.lo.s32 r4, r1, 4
+                ld.global.u32 r5, [r4+0]
+                add.s32 r3, r3, r5
+                st.global.u32 [r4+0], r3
+                exit
+        "#;
+        // Threads 0..8 fill SM 0, spawn children to three μ-kernels in
+        // groups of 3, 3 and 2 — partial warps only, holding all eight
+        // state records — and exit: SM 0 sleeps with nothing resident,
+        // unable to take launch work. The other 32 threads loop over loads
+        // on SMs 1..3; when the last of them is dispatched the block queue
+        // empties, and dispatch forces SM 0's partial warps out, waking it.
+        const STRANDED: &str = r#"
+            .kernel main
+            .kernel c0
+            .kernel c1
+            .kernel c2
+            .spawnstate 16
+            main:
+                mov.u32 r1, %tid
+                mul.lo.s32 r2, r1, 4
+                setp.lt.s32 p3, r1, 8
+                @p3 bra spawner
+                mov.u32 r5, 2
+            loop:
+                ld.global.u32 r3, [r2+0]
+                add.s32 r3, r3, 1
+                st.global.u32 [r2+0], r3
+                sub.s32 r5, r5, 1
+                setp.gt.s32 p0, r5, 0
+                @p0 bra loop
+                exit
+            spawner:
+                mov.u32 r6, %spawnmem
+                st.spawn.u32 [r6+0], r1
+                rem.s32 r3, r1, 3
+                setp.eq.s32 p0, r3, 0
+                setp.eq.s32 p1, r3, 1
+                setp.eq.s32 p2, r3, 2
+                @p0 spawn $c0, r6
+                @p1 spawn $c1, r6
+                @p2 spawn $c2, r6
+                exit
+            c0:
+                mov.u32 r7, 100
+                bra child
+            c1:
+                mov.u32 r7, 200
+                bra child
+            c2:
+                mov.u32 r7, 300
+            child:
+                mov.u32 r6, %spawnmem
+                ld.spawn.u32 r6, [r6+0]
+                ld.spawn.u32 r1, [r6+0]
+                mul.lo.s32 r4, r1, 4
+                add.s32 r7, r7, r1
+                st.global.u32 [r4+0], r7
+                exit
+        "#;
+        // Two warps per SM: 12 threads occupy SM 0 and half of SM 1.
+        let four_sms = || GpuConfig {
+            num_sms: 4,
+            max_threads_per_sm: 8,
+            ..GpuConfig::tiny()
         };
-        for parallel in [1, 2] {
-            for budget in [1_000_000u64, 37] {
-                let (st, wt, ticked_skips) = run_at(true, parallel, budget);
-                let (ss, ws, skipped) = run_at(false, parallel, budget);
-                let what = format!("parallel={parallel} budget={budget}");
-                assert_eq!(st.stats, ss.stats, "stats diverged ({what})");
-                assert_eq!(st.traffic, ss.traffic, "traffic diverged ({what})");
-                assert_eq!(st.outcome, ss.outcome, "outcome diverged ({what})");
-                assert_eq!(wt, ws, "memory diverged ({what})");
-                assert_eq!(ticked_skips, 0, "force_tick must never skip");
-                assert!(skipped > 0, "the loop actually skipped ({what})");
+        let cases = [
+            SleepCase {
+                name: "dense",
+                src: CHAIN,
+                cfg: GpuConfig::tiny(),
+                threads: 64,
+                first_leg: 37,
+                expect: "outcome: Completed",
+                jumps: true,
+            },
+            SleepCase {
+                name: "low-occupancy flat",
+                src: SKEWED,
+                cfg: four_sms(),
+                threads: 12,
+                first_leg: 300,
+                expect: "outcome: Completed",
+                jumps: true,
+            },
+            SleepCase {
+                name: "low-occupancy cached",
+                src: SKEWED,
+                cfg: GpuConfig {
+                    mem: MemConfig::fx5800_cached(),
+                    ..four_sms()
+                },
+                threads: 12,
+                first_leg: 120,
+                expect: "outcome: Completed",
+                jumps: true,
+            },
+            SleepCase {
+                name: "kill-warp",
+                src: TRAPPING,
+                cfg: GpuConfig {
+                    fault_policy: FaultPolicy::KillWarp,
+                    ..four_sms()
+                },
+                threads: 12,
+                first_leg: 300,
+                expect: "warps_killed: 1",
+                jumps: true,
+            },
+            SleepCase {
+                name: "abort while others sleep",
+                src: TRAPPING,
+                cfg: four_sms(),
+                threads: 12,
+                first_leg: 300,
+                expect: "Err(Fault(",
+                jumps: true,
+            },
+            SleepCase {
+                name: "watchdog deadlock",
+                src: LIVELOCK,
+                cfg: GpuConfig {
+                    watchdog_cycles: 400,
+                    ..four_sms()
+                },
+                threads: 12,
+                first_leg: 150,
+                expect: "outcome: Deadlock",
+                jumps: false,
+            },
+            SleepCase {
+                name: "forced-out partial warps",
+                src: SPAWNING,
+                cfg: GpuConfig {
+                    dmk: Some(DmkConfig {
+                        threads_per_sm: 8,
+                        ..tiny_dmk()
+                    }),
+                    ..four_sms()
+                },
+                threads: 13,
+                first_leg: 20,
+                expect: "partial_warps_forced: 1",
+                jumps: true,
+            },
+            SleepCase {
+                name: "dispatch wakes a sleeper",
+                src: STRANDED,
+                cfg: GpuConfig {
+                    dmk: Some(DmkConfig {
+                        threads_per_sm: 8,
+                        ..tiny_dmk()
+                    }),
+                    ..four_sms()
+                },
+                threads: 40,
+                first_leg: 100,
+                expect: "partial_warps_forced: 3",
+                jumps: true,
+            },
+        ];
+        for case in &cases {
+            for parallel in [1, 2] {
+                let what = format!("{} parallel={parallel}", case.name);
+                let (tick_mid, tick_end, tick_resumed, ticked) = run_case(case, true, parallel);
+                let (mid, end, resumed, slept) = run_case(case, false, parallel);
+                assert_eq!(mid.now, case.first_leg, "the limit lands mid-run ({what})");
+                assert!(
+                    end.result.contains(case.expect),
+                    "expected `{}` ({what}): {}",
+                    case.expect,
+                    end.result
+                );
+                assert_eq!(tick_mid, mid, "diverged at the cycle limit ({what})");
+                assert_eq!(tick_end, end, "diverged at the end ({what})");
+                assert_eq!(tick_resumed, resumed, "diverged after restore ({what})");
+                assert_eq!(end, resumed, "resume is not the uninterrupted run ({what})");
+                assert_eq!(ticked.skipped_cycles(), 0, "force_tick must never skip");
+                assert_eq!(ticked.slept_sm_cycles(), 0, "force_tick must never sleep");
+                assert!(slept.slept_sm_cycles() > 0, "SMs actually slept ({what})");
+                assert_eq!(
+                    slept.skipped_cycles() > 0,
+                    case.jumps,
+                    "whole-machine jumps ({what})"
+                );
             }
         }
     }

@@ -3,9 +3,10 @@
 //! Each generated program (see `simt_isa::gen`) is executed on the
 //! functional reference machine once and on the cycle-level simulator
 //! under a matrix of timing variants — parallel execution levels 1 and 4,
-//! spawn-bank-conflict modelling on and off, and both spawn policies.
-//! Timing knobs must never change functional results, so every variant is
-//! compared against the *same* reference run:
+//! spawn-bank-conflict modelling on and off, both spawn policies, and
+//! sleeping SMs vs. forced per-cycle ticking. Timing knobs must never
+//! change functional results, so every variant is compared against the
+//! *same* reference run:
 //!
 //! * the final global-memory image (output region + per-slot scratch);
 //! * under [`SpawnPolicy::Always`], the four lifecycle counters
@@ -48,51 +49,75 @@ pub struct Variant {
     pub bank_conflicts: bool,
     /// Spawn policy under test.
     pub policy: SpawnPolicy,
+    /// Step every SM every cycle instead of letting idle SMs sleep
+    /// ([`crate::GpuBuilder::force_tick`]).
+    pub force_tick: bool,
 }
 
 impl fmt::Display for Variant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "parallel={} banks={} policy={:?}",
+            "parallel={} banks={} policy={:?} loop={}",
             self.parallel,
             if self.bank_conflicts { "on" } else { "off" },
-            self.policy
+            self.policy,
+            if self.force_tick { "tick" } else { "sleep" }
         )
     }
 }
 
 /// The variant matrix every case runs through.
-pub const VARIANTS: [Variant; 6] = [
+pub const VARIANTS: [Variant; 8] = [
     Variant {
         parallel: 1,
         bank_conflicts: false,
         policy: SpawnPolicy::Always,
+        force_tick: false,
     },
     Variant {
         parallel: 4,
         bank_conflicts: false,
         policy: SpawnPolicy::Always,
+        force_tick: false,
     },
     Variant {
         parallel: 1,
         bank_conflicts: true,
         policy: SpawnPolicy::Always,
+        force_tick: false,
     },
     Variant {
         parallel: 4,
         bank_conflicts: true,
         policy: SpawnPolicy::Always,
+        force_tick: false,
     },
     Variant {
         parallel: 1,
         bank_conflicts: false,
         policy: SpawnPolicy::OnDivergence,
+        force_tick: false,
     },
     Variant {
         parallel: 4,
         bank_conflicts: false,
         policy: SpawnPolicy::OnDivergence,
+        force_tick: false,
+    },
+    // The ticking machine is the differential reference for sleeping
+    // SMs: one arm per spawn policy, on the timing-richest settings.
+    Variant {
+        parallel: 1,
+        bank_conflicts: true,
+        policy: SpawnPolicy::Always,
+        force_tick: true,
+    },
+    Variant {
+        parallel: 1,
+        bank_conflicts: false,
+        policy: SpawnPolicy::OnDivergence,
+        force_tick: true,
     },
 ];
 
@@ -260,6 +285,7 @@ fn gpu_config(cfg: &GenConfig, v: Variant) -> GpuConfig {
 fn run_variant(gp: &GenProgram, v: Variant, reference: &RefRun) -> Option<Mismatch> {
     let mut gpu = Gpu::builder(gpu_config(&gp.cfg, v))
         .parallelism(v.parallel)
+        .force_tick(v.force_tick)
         .build();
     gpu.mem_mut().alloc_global(gp.cfg.global_bytes(), "oracle");
     setup_const(gpu.mem_mut(), &gp.cfg);

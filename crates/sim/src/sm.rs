@@ -6,7 +6,7 @@ use crate::fault::{Fault, FaultKind, InjectedFault, Injector, SmSnapshot, WarpSn
 use crate::ready::ReadySet;
 use crate::stats::SimStats;
 use crate::telemetry::{SmTelemetry, TelemetrySpec};
-use crate::thread::ThreadCtx;
+use crate::thread::LaneState;
 use crate::warp::Warp;
 use dmk_core::{CompletedWarp, SpawnError, SpawnMemoryLayout, WarpFormation};
 use simt_isa::codec::{CodecError, Decoder, Encoder};
@@ -48,6 +48,10 @@ pub(crate) struct ExecCtx<'a> {
     pub regs_per_thread: u32,
     /// Total launch threads (`%ntid`).
     pub ntid: u32,
+    /// Whether an SM with nothing to issue may sleep until its next wake
+    /// cycle (off under `force_tick` or an installed injector, which need
+    /// every SM stepped every cycle).
+    pub sleep: bool,
 }
 
 /// One streaming multiprocessor.
@@ -124,6 +128,24 @@ pub struct Sm {
     /// Scratch partitions of a texture access (cached / uncached lanes).
     tex_cached: Vec<u32>,
     tex_uncached: Vec<u32>,
+    /// Sleep state (DESIGN.md §13). `0` while awake. Otherwise the SM
+    /// found nothing issuable at cycle `idle_from` and nothing on it can
+    /// change before cycle `wake_at` — the earliest live `ready_at`,
+    /// floored by `issue_blocked_until`; `u64::MAX` with no live warps —
+    /// unless dispatch admits a warp first, so every phase of the cycle
+    /// loop passes over it. Derived state: not serialized, and every
+    /// [`crate::Gpu::run`] returns with all SMs awake.
+    wake_at: u64,
+    /// First cycle of the idle span a sleeping SM has not yet recorded;
+    /// [`Sm::wake`] credits it in one [`Sm::record_idle_span`].
+    idle_from: u64,
+    /// SM-steps sleeping avoided. Diagnostic counter, not part of
+    /// [`SimStats`] and not serialized.
+    slept_cycles: u64,
+    /// Threads retired, spawned or killed here that the cycle loop has
+    /// not counted yet — the watchdog's progress signal, collected each
+    /// cycle from the SMs that were awake ([`Sm::take_progress`]).
+    progress: u64,
 }
 
 impl Sm {
@@ -178,6 +200,10 @@ impl Sm {
             addr_scratch: Vec::new(),
             tex_cached: Vec::new(),
             tex_uncached: Vec::new(),
+            wake_at: 0,
+            idle_from: 0,
+            slept_cycles: 0,
+            progress: 0,
         }
     }
 
@@ -286,8 +312,8 @@ impl Sm {
         true
     }
 
-    /// Admits a launch-time warp whose threads have ids `tids`, starting at
-    /// `entry_pc`.
+    /// Admits a launch-time warp of `count` threads with consecutive ids
+    /// from `first_tid`, starting at `entry_pc`.
     ///
     /// # Panics
     ///
@@ -296,40 +322,38 @@ impl Sm {
     #[allow(clippy::expect_used)]
     pub(crate) fn admit_launch_warp(
         &mut self,
-        tids: &[u32],
+        first_tid: u32,
+        count: u32,
         entry_pc: usize,
         block_id: Option<usize>,
         now: u64,
         ctx: &ExecCtx<'_>,
     ) {
-        assert!(self.fits_warp(tids.len() as u32, ctx.regs_per_thread, true));
-        let mut threads = Vec::with_capacity(tids.len());
-        for &tid in tids {
-            let mut t = ThreadCtx::new(tid, ctx.regs_per_thread);
-            if self.formation.is_some() {
+        assert!(self.fits_warp(count, ctx.regs_per_thread, true));
+        let mut lanes = LaneState::admit(self.warp_size, ctx.regs_per_thread, first_tid, count);
+        if self.formation.is_some() {
+            for lane in 0..count as usize {
                 let slot = self
                     .free_state_slots
                     .pop()
                     .expect("state slots checked in fits_warp");
                 // Launch threads address their state record directly
                 // (paper §IV-A1).
-                t.spawn_mem_addr = slot;
-                t.state_slot = Some(slot);
+                lanes.set_spawn_mem_addr(lane, slot);
+                lanes.set_state_slot(lane, slot);
             }
-            threads.push(t);
         }
-        let n = threads.len() as u32;
         let wid = self.next_warp_id;
-        let mut w = Warp::new(wid, self.warp_size, entry_pc, threads);
+        let mut w = Warp::from_lanes(wid, entry_pc, lanes);
         self.next_warp_id += 1;
         w.block_id = block_id;
         if let Some(b) = block_id {
             *self.blocks.entry(b).or_insert(0) += 1;
         }
-        self.threads_used += n;
-        self.regs_used += n * ctx.regs_per_thread;
-        self.stats.threads_launched += u64::from(n);
-        self.telemetry.on_warp_birth(now, wid, false, n);
+        self.threads_used += count;
+        self.regs_used += count * ctx.regs_per_thread;
+        self.stats.threads_launched += u64::from(count);
+        self.telemetry.on_warp_birth(now, wid, false, count);
         self.dispatch_dirty = true;
         self.ready.mark_ready(self.warps.len());
         self.warps.push(w);
@@ -355,15 +379,12 @@ impl Sm {
     ) {
         assert!(self.fits_warp(cw.count, ctx.regs_per_thread, false));
         let spawn_mem = self.spawn_mem.as_ref().expect("dmk enabled");
-        let mut threads = Vec::with_capacity(cw.count as usize);
+        let mut lanes = LaneState::admit(self.warp_size, ctx.regs_per_thread, *next_tid, cw.count);
+        *next_tid += cw.count;
         for lane in 0..cw.count {
             let slot_addr = cw.base_addr + 4 * lane;
-            let state_ptr = spawn_mem.read(slot_addr);
-            let mut t = ThreadCtx::new(*next_tid, ctx.regs_per_thread);
-            *next_tid += 1;
-            t.spawn_mem_addr = slot_addr;
-            t.state_slot = Some(state_ptr);
-            threads.push(t);
+            lanes.set_spawn_mem_addr(lane as usize, slot_addr);
+            lanes.set_state_slot(lane as usize, spawn_mem.read(slot_addr));
         }
         // Optionally charge the admission stage's state-pointer read-back
         // like any other spawn-space access (one word per admitted lane,
@@ -384,7 +405,7 @@ impl Sm {
         }
         let n = cw.count;
         let wid = self.next_warp_id;
-        let mut w = Warp::new(wid, self.warp_size, cw.pc, threads);
+        let mut w = Warp::from_lanes(wid, cw.pc, lanes);
         self.next_warp_id += 1;
         w.is_dynamic = true;
         w.formation_block = Some(cw.base_addr);
@@ -539,6 +560,9 @@ impl Sm {
     /// Returns `Ok(true)` if something issued (or productively stalled),
     /// `Ok(false)` on an idle cycle, and `Err` when the issuing warp
     /// trapped (the caller applies the configured [`crate::FaultPolicy`]).
+    /// With nothing to issue the SM goes to sleep (see [`Sm::idle`]): the
+    /// cycle loop then does not call this again while [`Sm::asleep`], and
+    /// the first step after a sleep records the idle span slept through.
     ///
     /// Takes only `&FabricView` — no shared mutable state — so the GPU may
     /// run this concurrently for different SMs with bit-identical results.
@@ -549,14 +573,16 @@ impl Sm {
         view: &FabricView,
         injector: Option<&Injector>,
     ) -> Result<bool, Fault> {
+        debug_assert!(!self.asleep(now), "the cycle loop passes over sleepers");
+        self.wake(now);
         if now < self.issue_blocked_until {
             // Issue port consumed by bank-conflict replays.
-            self.record_idle(now);
+            self.idle(now, ctx);
             return Ok(false);
         }
         let n = self.warps.len();
         if n == 0 {
-            self.record_idle(now);
+            self.idle(now, ctx);
             return Ok(false);
         }
         // Wake parked warps whose cycle has arrived, then take the first
@@ -568,7 +594,7 @@ impl Sm {
         }
         loop {
             let Some(idx) = self.ready.first_from(self.rr, n) else {
-                self.record_idle(now);
+                self.idle(now, ctx);
                 return Ok(false);
             };
             // Bitset entries are lazy too: commit leaves a warp with a
@@ -599,18 +625,75 @@ impl Sm {
         }
     }
 
-    /// Records one idle SM-cycle across stats and telemetry.
-    fn record_idle(&mut self, now: u64) {
-        self.stats.idle_sm_cycles += 1;
-        self.stats.divergence.record_idle(now);
-        self.telemetry.on_idle(now);
+    /// Cycle `now` found nothing to issue. Ticking, that is one idle
+    /// SM-cycle recorded now. Sleeping, the SM instead notes where the
+    /// idle span starts and when it can next issue, and records the whole
+    /// span when it wakes. A reap still owed (first cycle after a restore
+    /// or an abort) keeps the SM awake: phase B has work here this cycle.
+    // Out of line: three call sites in `step`, whose issue path stays
+    // compact without three copies of the wake-cycle scan.
+    #[inline(never)]
+    fn idle(&mut self, now: u64, ctx: &ExecCtx<'_>) {
+        if ctx.sleep && !self.reap_dirty {
+            self.idle_from = now;
+            self.wake_at = self.next_issue_at().unwrap_or(u64::MAX);
+            debug_assert!(self.wake_at > now, "an issuable warp was passed over");
+        } else {
+            self.stats.idle_sm_cycles += 1;
+            self.stats.divergence.record_idle(now);
+            self.telemetry.on_idle(now);
+        }
     }
 
-    /// Records `count` idle SM-cycles starting at `from` in one bulk
-    /// update — byte-identical to calling the per-cycle path once per
-    /// cycle (the event-driven loop uses this when it skips over a fully
-    /// idle span).
-    pub(crate) fn record_idle_span(&mut self, from: u64, count: u64) {
+    /// Whether the cycle loop can pass over this SM at cycle `now`.
+    #[inline]
+    pub(crate) fn asleep(&self, now: u64) -> bool {
+        now < self.wake_at
+    }
+
+    /// The cycle a sleeping SM must step again (`0` while awake).
+    pub(crate) fn wake_at(&self) -> u64 {
+        self.wake_at
+    }
+
+    /// Ends a sleep at cycle `now` — its wake cycle arrived, dispatch
+    /// admitted a warp, or the run is returning — recording the idle
+    /// cycles `idle_from..now` exactly as ticking through them would
+    /// have. No-op on an SM that is awake.
+    #[inline]
+    pub(crate) fn wake(&mut self, now: u64) {
+        if self.wake_at != 0 {
+            self.end_sleep(now);
+        }
+    }
+
+    /// The body of [`Sm::wake`], out of line so the every-step guard
+    /// above inlines to one compare.
+    #[inline(never)]
+    fn end_sleep(&mut self, now: u64) {
+        debug_assert!(now > self.idle_from, "slept through no cycle");
+        let idle = now - self.idle_from;
+        self.record_idle_span(self.idle_from, idle);
+        // The span's first cycle was a real step: the one that found
+        // nothing to issue.
+        self.slept_cycles += idle - 1;
+        self.wake_at = 0;
+    }
+
+    /// SM-steps this SM slept through (diagnostic; cumulative).
+    pub fn slept_cycles(&self) -> u64 {
+        self.slept_cycles
+    }
+
+    /// Threads retired, spawned or killed here since the last call.
+    pub(crate) fn take_progress(&mut self) -> u64 {
+        std::mem::take(&mut self.progress)
+    }
+
+    /// Records `count` idle SM-cycles starting at `from` across stats and
+    /// telemetry in one bulk update — byte-identical to recording them
+    /// one cycle at a time.
+    fn record_idle_span(&mut self, from: u64, count: u64) {
         self.stats.idle_sm_cycles += count;
         self.stats.divergence.record_idle_span(from, count);
         self.telemetry.on_idle_span(from, count);
@@ -618,9 +701,8 @@ impl Sm {
 
     /// The earliest future cycle at which this SM could issue a
     /// warp-instruction, or `None` if no resident warp will ever become
-    /// ready (the SM is idle until new work is dispatched to it). Used by
-    /// the event-driven cycle loop to skip over fully idle spans.
-    pub(crate) fn next_issue_at(&mut self) -> Option<u64> {
+    /// ready (the SM is idle until new work is dispatched to it).
+    fn next_issue_at(&mut self) -> Option<u64> {
         let mut min: Option<u64> = None;
         for i in 0..self.warps.len() {
             if self.warps[i].is_finished() {
@@ -845,6 +927,7 @@ impl Sm {
         }
         self.stats.warps_killed += 1;
         self.stats.threads_killed += u64::from(mask.count_ones());
+        self.progress += u64::from(mask.count_ones());
         self.warps[widx].exit_lanes(mask);
         self.reap_dirty = true;
         self.dispatch_dirty = true;
@@ -1002,6 +1085,7 @@ impl Sm {
                         w.lanes.set_spawned_child(lane);
                     }
                     self.stats.threads_spawned += u64::from(n_active);
+                    self.progress += u64::from(n_active);
                     let wid = self.warps[widx].id;
                     self.telemetry.on_spawn(now, wid, target, n_active);
                     // The metadata write is a store: charged, not waited on.
@@ -1154,6 +1238,7 @@ impl Sm {
             let lane = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             self.stats.threads_retired += 1;
+            self.progress += 1;
             let w = &mut self.warps[widx];
             if !w.lanes.spawned_child(lane) {
                 self.stats.lineages_completed += 1;

@@ -159,6 +159,40 @@ impl LaneState {
         1u64 << lane
     }
 
+    /// Lane state for a freshly admitted warp of `count` threads with
+    /// consecutive ids from `first_tid`: `regs_per_thread` zeroed
+    /// registers each, predicates clear, nothing exited or spawned, no
+    /// state record yet (see [`LaneState::set_state_slot`]). Lanes
+    /// `count..warp_size` stay unpopulated. Equal to
+    /// [`LaneState::from_threads`] over `count` [`ThreadCtx::new`]
+    /// records, without building them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` exceeds `warp_size`.
+    pub fn admit(warp_size: u32, regs_per_thread: u32, first_tid: u32, count: u32) -> Self {
+        assert!(count <= warp_size, "more threads than lanes");
+        let n = warp_size as usize;
+        let mut tid = vec![0; n];
+        for (lane, t) in tid[..count as usize].iter_mut().enumerate() {
+            *t = first_tid + lane as u32;
+        }
+        LaneState {
+            warp_size,
+            regs_stride: regs_per_thread,
+            populated: if count == 64 { !0 } else { (1u64 << count) - 1 },
+            exited: 0,
+            spawned: 0,
+            has_slot: 0,
+            tid,
+            pred_planes: [0; 8],
+            spawn_mem_addr: vec![0; n],
+            state_slot: vec![0; n],
+            instructions: vec![0; n],
+            regs: vec![0; n * regs_per_thread as usize],
+        }
+    }
+
     /// Builds lane state from admission-time thread records. Lanes
     /// `threads.len()..warp_size` stay unpopulated.
     ///
@@ -208,6 +242,11 @@ impl LaneState {
             }
         }
         s
+    }
+
+    /// The machine warp width this state was sized for.
+    pub fn warp_size(&self) -> u32 {
+        self.warp_size
     }
 
     /// Lanes that hold a thread (exited or not).
@@ -263,6 +302,12 @@ impl LaneState {
     /// Lane `lane`'s spawn-memory state record, if it still owns one.
     pub fn state_slot(&self, lane: usize) -> Option<u32> {
         (self.has_slot & Self::bit(lane) != 0).then(|| self.state_slot[lane])
+    }
+
+    /// Gives lane `lane` the spawn-memory state record `slot`.
+    pub fn set_state_slot(&mut self, lane: usize, slot: u32) {
+        self.has_slot |= Self::bit(lane);
+        self.state_slot[lane] = slot;
     }
 
     /// Takes lane `lane`'s state record (freeing it is the caller's job).
@@ -784,6 +829,29 @@ mod tests {
         l.add_instruction(0b0001);
         assert_eq!(l.instructions(0), 2);
         assert_eq!(l.instructions(1), 1);
+    }
+
+    #[test]
+    fn admit_equals_from_threads_over_fresh_records() {
+        let bytes = |l: &LaneState| {
+            let mut enc = Encoder::new();
+            l.encode_state(&mut enc);
+            enc.into_bytes()
+        };
+        for (warp_size, count) in [(4u32, 3u32), (4, 4), (64, 64)] {
+            let threads = (0..count).map(|i| ThreadCtx::new(100 + i, 5)).collect();
+            let built = LaneState::from_threads(warp_size, threads);
+            let admitted = LaneState::admit(warp_size, 5, 100, count);
+            assert_eq!(bytes(&admitted), bytes(&built), "{count} of {warp_size}");
+        }
+        let mut with_slot = ThreadCtx::new(7, 1);
+        with_slot.state_slot = Some(0x40);
+        with_slot.spawn_mem_addr = 0x40;
+        let built = LaneState::from_threads(4, vec![with_slot]);
+        let mut admitted = LaneState::admit(4, 1, 7, 1);
+        admitted.set_state_slot(0, 0x40);
+        admitted.set_spawn_mem_addr(0, 0x40);
+        assert_eq!(bytes(&admitted), bytes(&built));
     }
 
     #[test]

@@ -59,14 +59,24 @@ impl Warp {
     ///
     /// Panics if more threads than `warp_size` are supplied or no thread is.
     pub fn new(id: usize, warp_size: u32, entry_pc: usize, threads: Vec<ThreadCtx>) -> Self {
-        assert!(!threads.is_empty(), "a warp needs at least one thread");
         assert!(
             threads.len() <= warp_size as usize,
             "warp of {} exceeds width {warp_size}",
             threads.len()
         );
-        let lanes = LaneState::from_threads(warp_size, threads);
+        Self::from_lanes(id, entry_pc, LaneState::from_threads(warp_size, threads))
+    }
+
+    /// Creates a warp over prebuilt lane state, its populated lanes
+    /// starting at `entry_pc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no lane is populated.
+    pub fn from_lanes(id: usize, entry_pc: usize, lanes: LaneState) -> Self {
         let mask = lanes.populated_mask();
+        assert!(mask != 0, "a warp needs at least one thread");
+        let warp_size = lanes.warp_size();
         Warp {
             id,
             warp_size,

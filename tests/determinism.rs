@@ -4,7 +4,7 @@
 use usimt::dmk::DmkConfig;
 use usimt::kernels::render::RenderSetup;
 use usimt::raytrace::scenes::{self, SceneScale};
-use usimt::sim::{Gpu, GpuConfig, RunSummary};
+use usimt::sim::{CsvMetricsSink, Gpu, GpuConfig, RunSummary, Snapshot, TelemetrySpec, TraceSink};
 
 fn run_once(dynamic: bool) -> (RunSummary, Vec<Option<usimt::raytrace::Hit>>) {
     let scene = scenes::fairyforest(SceneScale::Tiny);
@@ -43,6 +43,54 @@ fn dynamic_runs_are_bit_identical() {
     assert_eq!(a.stats.threads_spawned, b.stats.threads_spawned);
     assert_eq!(a.dmk, b.dmk);
     assert_eq!(img_a, img_b);
+}
+
+/// A 16×16 frame is 8 warps on 30 SMs: most of the chip sleeps while a
+/// few SMs issue. Sleeping must be invisible next to forced per-cycle
+/// ticking — statistics, traffic, the metrics CSV with its divergence
+/// timeline, the image, and the checkpoint bytes at a cycle limit that
+/// lands mid-frame — and a machine restored from that mid-sleep snapshot
+/// must finish the frame the same way.
+#[test]
+fn sleeping_sms_are_bit_identical_to_forced_tick_through_a_checkpoint() {
+    const FIRST_LEG: u64 = 1_500;
+    let scene = scenes::fairyforest(SceneScale::Tiny);
+    let finish = |mut gpu: Gpu, setup: &RenderSetup| {
+        let summary = gpu.run(100_000_000).expect("fault-free run");
+        (
+            format!("{summary:?}"),
+            CsvMetricsSink.render(&gpu.telemetry_report()),
+            setup.device_results(&gpu),
+        )
+    };
+    let first_leg = |force_tick: bool| {
+        let mut gpu = Gpu::builder(GpuConfig::fx5800_dmk(DmkConfig::paper()))
+            .force_tick(force_tick)
+            .telemetry(TelemetrySpec::metrics())
+            .build();
+        let setup = RenderSetup::upload(&mut gpu, &scene, 16, 16);
+        setup.launch_ukernel(&mut gpu, 32);
+        gpu.run(FIRST_LEG).expect("fault-free first leg");
+        assert_eq!(gpu.now(), FIRST_LEG, "the limit lands mid-frame");
+        let snapshot = gpu.checkpoint().expect("encodable").to_bytes();
+        (gpu, setup, snapshot)
+    };
+    let (ticked, setup, tick_snapshot) = first_leg(true);
+    let (slept, _, snapshot) = first_leg(false);
+    assert_eq!(ticked.slept_sm_cycles(), 0, "force_tick never sleeps");
+    assert!(
+        slept.slept_sm_cycles() > 20 * FIRST_LEG,
+        "the SMs without a warp slept through the first leg"
+    );
+    assert!(
+        tick_snapshot == snapshot,
+        "mid-sleep checkpoint bytes diverged"
+    );
+    let resumed =
+        Gpu::restore(&Snapshot::from_bytes(&snapshot).expect("frame intact")).expect("restores");
+    let tick_end = finish(ticked, &setup);
+    assert!(tick_end == finish(slept, &setup), "sleeping diverged");
+    assert!(tick_end == finish(resumed, &setup), "resume diverged");
 }
 
 #[test]
