@@ -385,7 +385,7 @@ mod tests {
         let l1 = MemLevel::L1Only.mem_config();
         assert!(l1.l1_enabled() && !l1.l2_enabled());
         let full = MemLevel::L1L2.mem_config();
-        assert!(full.l1_enabled() && full.l2_enabled() && full.hierarchy_enabled());
+        assert!(full.l1_enabled() && full.l2_enabled());
     }
 
     #[test]

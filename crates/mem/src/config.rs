@@ -54,8 +54,8 @@ pub struct MemConfig {
     pub tex_ways: usize,
     /// Texture-cache hit latency in cycles.
     pub tex_hit_latency: u32,
-    /// Per-SM L1 data-cache capacity in bytes; 0 disables the L1 and
-    /// keeps the legacy flat fabric (the paper's Table I machine).
+    /// Per-SM L1 data-cache capacity in bytes; 0 disables the L1 (the
+    /// paper's Table I machine has none).
     ///
     /// The L1 is a timing-only model: functional values always flow
     /// through the fabric backing stores in phase B, so the cache is
@@ -208,12 +208,6 @@ impl MemConfig {
         self.l2_bytes > 0 && !self.ideal
     }
 
-    /// Whether phase B must run the batched interconnect-arbitration
-    /// drain instead of the legacy per-request path.
-    pub fn hierarchy_enabled(&self) -> bool {
-        self.l2_enabled()
-    }
-
     /// Number of memory partitions (one L2 slice + interconnect bank in
     /// front of each DRAM module).
     pub fn partitions(&self) -> usize {
@@ -282,11 +276,11 @@ mod tests {
     #[test]
     fn caches_default_off_and_toggle_on() {
         let c = MemConfig::fx5800();
-        assert!(!c.l1_enabled() && !c.l2_enabled() && !c.hierarchy_enabled());
+        assert!(!c.l1_enabled() && !c.l2_enabled());
         let c = MemConfig::fx5800().with_l1(16 * 1024);
-        assert!(c.l1_enabled() && !c.hierarchy_enabled());
+        assert!(c.l1_enabled() && !c.l2_enabled());
         let c = MemConfig::fx5800_cached();
-        assert!(c.l1_enabled() && c.l2_enabled() && c.hierarchy_enabled());
+        assert!(c.l1_enabled() && c.l2_enabled());
         // Ideal memory short-circuits every level.
         assert!(!MemConfig::fx5800_cached().with_ideal(true).l1_enabled());
     }

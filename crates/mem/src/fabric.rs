@@ -1,15 +1,16 @@
 //! The shared memory fabric: functional backing for the off-chip spaces
-//! plus the address-interleaved module timing model.
+//! plus the off-chip timing model — the address-interleaved DRAM modules
+//! and, when configured, the banked interconnect and the L2 in front of
+//! them.
 //!
 //! In the two-phase simulator pipeline the fabric is the *phase-B* side of
 //! the split: every SM's [`crate::SmMemFrontend`] coalesces and validates
-//! accesses privately during phase A, then the fabric drains the resulting
-//! [`FabricRequest`]s and [`FunctionalOp`]s in deterministic SM-id order.
+//! accesses privately during phase A, then the fabric applies the resulting
+//! [`FunctionalOp`]s and services the cycle's [`BatchRequest`]s through one
+//! entry, [`MemoryFabric::service_batch`], in deterministic SM-id order.
 
 use crate::backing::{LocalStore, WordStore};
-use crate::banks::conflict_degree_span;
 use crate::cache::ReadOnlyCache;
-use crate::coalesce::coalesce_segments;
 use crate::config::MemConfig;
 use crate::frontend::FabricView;
 use crate::traffic::TrafficStats;
@@ -87,23 +88,6 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
-/// One warp-level memory access presented to the timing model.
-///
-/// `addresses` contains the byte address of every *active* lane (inactive
-/// lanes make no request). For the `local` space, addresses must already be
-/// physical (translated per thread via [`MemoryFabric::local_physical`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarpAccess {
-    /// Address space accessed.
-    pub space: Space,
-    /// `true` for stores.
-    pub is_store: bool,
-    /// Bytes moved per lane (4 for scalar, 16 for `v4`).
-    pub bytes_per_lane: u32,
-    /// Byte addresses of the active lanes.
-    pub addresses: Vec<u32>,
-}
-
 /// A coalesced off-chip request emitted by an SM during phase A, serviced
 /// by the fabric's memory modules during phase B.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,7 +100,7 @@ pub struct FabricRequest {
     pub segments: Vec<u32>,
 }
 
-/// One request of a hierarchy phase-B batch: a [`FabricRequest`] tagged
+/// One request of a cycle's phase-B batch: a [`FabricRequest`] tagged
 /// with its issuing SM (for round-robin arbitration) and the index of the
 /// pending access it belongs to within that SM (so the GPU can scatter
 /// per-request ready times back onto warp wake-ups).
@@ -124,7 +108,7 @@ pub struct FabricRequest {
 pub struct BatchRequest {
     /// Issuing SM id.
     pub sm: usize,
-    /// Index of the owning access in the SM's staged queue this cycle.
+    /// Index of the owning access in the SM's pending queue this cycle.
     pub access: usize,
     /// The coalesced request.
     pub request: FabricRequest,
@@ -174,43 +158,6 @@ fn l2_space_tag(space: Space) -> u8 {
     }
 }
 
-/// Times one on-chip access against a caller-owned port; shared by the
-/// per-SM frontend and the fabric's compatibility path so both report the
-/// exact same latencies and conflict counts.
-pub(crate) fn time_onchip(
-    config: &MemConfig,
-    traffic: &mut TrafficStats,
-    now: u64,
-    req: &WarpAccess,
-    port_free: &mut u64,
-) -> (u64, u32) {
-    assert!(req.space.is_on_chip(), "access_onchip expects shared/spawn");
-    if req.addresses.is_empty() {
-        return (now + 1, 1);
-    }
-    let requested = req.addresses.len() as u64 * u64::from(req.bytes_per_lane);
-    let model_conflicts = req.space != Space::Spawn || config.spawn_bank_conflicts;
-    let degree = if model_conflicts {
-        let words_per_lane = (req.bytes_per_lane / 4).max(1);
-        conflict_degree_span(&req.addresses, words_per_lane, config.shared_banks)
-    } else {
-        1
-    };
-    traffic.record(req.space, req.is_store, requested, 0);
-    if degree > 1 {
-        traffic.record_conflicts(req.space, u64::from(degree - 1));
-    }
-    if config.ideal {
-        return (now + 1, 1);
-    }
-    let start = now.max(*port_free);
-    *port_free = start + u64::from(degree);
-    (
-        start + u64::from(degree) + u64::from(config.shared_latency),
-        degree,
-    )
-}
-
 /// The chip-wide memory fabric: functional backing for the off-chip spaces
 /// plus the shared timing state (the 8 address-interleaved DRAM modules of
 /// paper Table I).
@@ -231,12 +178,12 @@ pub struct MemoryFabric {
     /// Cumulative (fractional) DRAM cycles each module spent servicing
     /// segments — the telemetry view of module pressure.
     module_busy: Vec<f64>,
-    traffic: TrafficStats,
     /// Global-memory regions marked cacheable by per-SM read-only caches
     /// ("texture bindings").
     read_only_regions: Vec<(u32, u32)>,
     /// Shared L2, one slice per memory partition (in front of the DRAM
-    /// module with the same index). Empty on the legacy flat fabric.
+    /// module with the same index). Empty when no L2 is configured, which
+    /// also means no interconnect is modelled (the Table I machine).
     /// Timing-only, like the L1: loads probe, stores write through.
     l2: Vec<ReadOnlyCache>,
     /// Cycle at which each SM↔partition interconnect bank becomes free.
@@ -247,18 +194,12 @@ pub struct MemoryFabric {
     icnt_rr: Vec<u32>,
     /// Grants that queued behind another SM's flit in the same cycle.
     icnt_conflicts: u64,
+    /// Scratch of [`MemoryFabric::service_batch`], kept across calls so the
+    /// per-cycle batch does not allocate: the ready times it returns, and
+    /// the per-bank grant queues of `(batch index, segment)`.
+    ready: Vec<u64>,
+    queues: Vec<Vec<(usize, u32)>>,
 }
-
-/// Compatibility alias: the pre-split name of [`MemoryFabric`].
-///
-/// The split gave each side an explicit name: host-side/functional/phase-B
-/// code talks to the [`MemoryFabric`], per-SM phase-A timing lives in
-/// [`crate::SmMemFrontend`]. Use whichever side you mean; this alias is
-/// kept for one release for downstream code.
-#[deprecated(
-    note = "use `MemoryFabric` (shared fabric / host side) or `SmMemFrontend` (per-SM side)"
-)]
-pub type MemorySystem = MemoryFabric;
 
 impl MemoryFabric {
     /// Creates a memory fabric with empty contents.
@@ -285,13 +226,14 @@ impl MemoryFabric {
             local: LocalStore::new(0),
             module_free: vec![0.0; modules],
             module_busy: vec![0.0; modules],
-            traffic: TrafficStats::new(),
             read_only_regions: Vec::new(),
             l2,
             icnt_free: vec![0; partitions],
             icnt_busy: vec![0; partitions],
             icnt_rr: vec![0; partitions],
             icnt_conflicts: 0,
+            ready: Vec::new(),
+            queues: vec![Vec::new(); partitions],
         }
     }
 
@@ -510,25 +452,18 @@ impl MemoryFabric {
         }
     }
 
-    /// Services one coalesced request against the address-interleaved
-    /// memory modules at cycle `now`: each segment queues on its module
-    /// ([`MemConfig::module_of`]) and occupies it for
+    /// The DRAM stage: services one coalesced request against the
+    /// address-interleaved memory modules from cycle `now`. Each segment
+    /// queues on its module ([`MemConfig::module_of`]) and occupies it for
     /// [`MemConfig::segment_service_cycles`]. Returns the cycle at which
     /// the last segment's data is available.
     ///
-    /// Within a cycle the simulator drains requests in fixed SM-id order,
-    /// so module arbitration is deterministic regardless of how many
-    /// threads ran phase A.
+    /// Modules are independent, so only the order of requests that share a
+    /// module is visible in the result.
     pub fn service(&mut self, now: u64, req: &FabricRequest) -> u64 {
-        let service = self.config.segment_service_cycles();
         let mut ready = now + 1;
         for &seg in &req.segments {
-            let module = self.config.module_of(seg);
-            let start = (now as f64).max(self.module_free[module]);
-            self.module_free[module] = start + service;
-            self.module_busy[module] += service;
-            let done = (start + service).ceil() as u64 + u64::from(self.config.dram_latency);
-            ready = ready.max(done);
+            ready = ready.max(self.queue_module(now, self.config.module_of(seg)));
         }
         ready
     }
@@ -543,39 +478,53 @@ impl MemoryFabric {
         (start + service).ceil() as u64 + u64::from(self.config.dram_latency)
     }
 
-    /// Services one cycle's worth of requests through the cache/
-    /// interconnect hierarchy: every segment traverses the banked
-    /// SM↔partition interconnect (one bank per partition, round-robin
-    /// arbitration across SMs, per-bank busy accounting), probes its
-    /// partition's L2 slice, and on an L2 miss queues on the DRAM module
-    /// behind it. Returns one ready cycle per batch request.
+    /// Phase B's one timing entry: services one cycle's worth of requests
+    /// and returns one ready cycle per batch request, in batch order (the
+    /// slice is scratch owned by the fabric, valid until the next call).
     ///
     /// `batch` must be ordered by SM id (within an SM, by issue order) —
     /// the order the GPU's phase B stages requests in — so arbitration is
     /// deterministic at any phase-A parallelism.
     ///
-    /// Round-robin fairness: each bank remembers the SM after the last
-    /// one it granted in the previous cycle and starts this cycle's grant
-    /// sweep there, so a low-numbered SM cannot starve the others the way
-    /// fixed-priority (SM-id-ordered) servicing would.
-    pub fn service_batch(&mut self, now: u64, batch: &[BatchRequest]) -> Vec<u64> {
-        let mut ready = vec![now + 1; batch.len()];
+    /// With an L2 configured, every segment traverses the banked
+    /// SM↔partition interconnect (one bank per partition, round-robin
+    /// arbitration across SMs, per-bank busy accounting), probes its
+    /// partition's L2 slice, and on an L2 miss queues on the DRAM module
+    /// behind it. Round-robin fairness: each bank remembers the SM after
+    /// the last one it granted in the previous cycle and starts this
+    /// cycle's grant sweep there, so a low-numbered SM cannot starve the
+    /// others the way fixed-priority (SM-id-ordered) servicing would.
+    ///
+    /// Without one (the paper's Table I machine, with or without an L1)
+    /// there is no slice to probe and no interconnect is modelled: the
+    /// hierarchy has nothing in it, and each request goes straight to the
+    /// DRAM stage at `now`, in batch order — no flit, no latency, no
+    /// rotation, no interconnect accounting.
+    pub fn service_batch(&mut self, now: u64, batch: &[BatchRequest]) -> &[u64] {
+        self.ready.clear();
         if batch.is_empty() {
-            return ready;
+            return &self.ready;
         }
-        let partitions = self.config.partitions();
+        if self.l2.is_empty() {
+            for b in batch {
+                let done = self.service(now, &b.request);
+                self.ready.push(done);
+            }
+            return &self.ready;
+        }
+        self.ready.resize(batch.len(), now + 1);
         let flit = u64::from(self.config.icnt_flit_cycles.max(1));
         let latency = u64::from(self.config.icnt_latency);
         let l2_hit = u64::from(self.config.l2_hit_latency);
         // Split the batch into per-bank grant queues (batch order = SM-id
         // order is preserved within each queue).
-        let mut queues: Vec<Vec<(usize, u32)>> = vec![Vec::new(); partitions];
+        let mut queues = std::mem::take(&mut self.queues);
         for (i, b) in batch.iter().enumerate() {
             for &seg in &b.request.segments {
                 queues[self.config.module_of(seg)].push((i, seg));
             }
         }
-        for (bank, queue) in queues.into_iter().enumerate() {
+        for (bank, queue) in queues.iter_mut().enumerate() {
             if queue.is_empty() {
                 continue;
             }
@@ -588,7 +537,7 @@ impl MemoryFabric {
             let distinct_sms = {
                 let mut n = 0u64;
                 let mut last = usize::MAX;
-                for &(i, _) in &queue {
+                for &(i, _) in queue.iter() {
                     if batch[i].sm != last {
                         n += 1;
                         last = batch[i].sm;
@@ -620,13 +569,15 @@ impl MemoryFabric {
                 } else {
                     self.queue_module(arrival, bank)
                 };
-                ready[i] = ready[i].max(done);
+                self.ready[i] = self.ready[i].max(done);
             }
             let last_sm = batch[queue[(start + queue.len() - 1) % queue.len()].0].sm;
             self.icnt_free[bank] = t;
             self.icnt_rr[bank] = last_sm as u32 + 1;
+            queue.clear();
         }
-        ready
+        self.queues = queues;
+        &self.ready
     }
 
     /// Aggregate `(hits, misses)` over the L2 slices, if the L2 is
@@ -643,7 +594,7 @@ impl MemoryFabric {
     }
 
     /// Cumulative cycles each interconnect bank spent moving flits,
-    /// indexed by partition. All zeros on the legacy flat fabric.
+    /// indexed by partition. All zeros when no interconnect is modelled.
     pub fn icnt_busy(&self) -> &[u64] {
         &self.icnt_busy
     }
@@ -661,91 +612,11 @@ impl MemoryFabric {
         &self.module_busy
     }
 
-    /// Times one warp access starting at cycle `now`; returns the cycle at
-    /// which the data is available (loads) or retired (stores), and records
-    /// traffic.
-    ///
-    /// This is the pre-split single-call path, kept for host-side tools and
-    /// tests; the simulator itself goes through
-    /// [`crate::SmMemFrontend::request_offchip`] + [`MemoryFabric::service`]
-    /// so that only phase B touches the shared module state. Both paths
-    /// produce identical timing.
-    pub fn access(&mut self, now: u64, req: &WarpAccess) -> u64 {
-        if req.addresses.is_empty() {
-            return now + 1;
-        }
-        let requested = req.addresses.len() as u64 * u64::from(req.bytes_per_lane);
-        // Constant memory is served by the (always-present) constant cache:
-        // broadcast reads at near-register latency, no DRAM bandwidth.
-        if req.space == Space::Const {
-            self.traffic.record(req.space, req.is_store, requested, 0);
-            if self.config.ideal {
-                return now + 1;
-            }
-            return now + u64::from(self.config.tex_hit_latency.max(1));
-        }
-        if req.space.is_on_chip() {
-            let mut port = now; // un-tracked port: no cross-access contention
-            return self.access_onchip(now, req, &mut port).0;
-        }
-
-        // Off-chip: coalesce, then queue segments on modules.
-        let result = coalesce_segments(
-            &req.addresses,
-            req.bytes_per_lane,
-            self.config.segment_bytes,
-        );
-        self.traffic.record(
-            req.space,
-            req.is_store,
-            requested,
-            result.transactions() as u64,
-        );
-        if self.config.ideal {
-            return now + 1;
-        }
-        self.service(
-            now,
-            &FabricRequest {
-                space: req.space,
-                is_store: req.is_store,
-                segments: result.segments,
-            },
-        )
-    }
-
-    /// Times one **on-chip** warp access (shared or spawn space) against a
-    /// caller-owned port: `port_free` is the cycle at which that SM's
-    /// load-store port becomes free. Bank-conflict serialization occupies
-    /// the port for one pass per conflicting word set, so conflicting
-    /// accesses also delay *other* warps on the same SM — the pipeline
-    /// stalls the paper observes in Fig. 9.
-    ///
-    /// `v4` accesses are expanded to word granularity before computing the
-    /// conflict degree (each lane touches four consecutive banks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the space is not on-chip.
-    pub fn access_onchip(&mut self, now: u64, req: &WarpAccess, port_free: &mut u64) -> (u64, u32) {
-        time_onchip(&self.config, &mut self.traffic, now, req, port_free)
-    }
-
-    /// Accumulated traffic statistics.
-    ///
-    /// In the split pipeline this covers only accesses made through the
-    /// fabric's own compatibility paths; the simulator aggregates per-SM
-    /// frontend traffic on top (see `Gpu::run`'s summary).
-    pub fn traffic(&self) -> &TrafficStats {
-        &self.traffic
-    }
-
-    /// Resets timing state (module queues, busy accounting) and traffic,
-    /// keeping contents.
+    /// Resets timing state (module queues, busy accounting, L2 and
+    /// interconnect), keeping contents.
     pub fn reset_timing(&mut self) {
         self.module_free.iter_mut().for_each(|m| *m = 0.0);
         self.module_busy.iter_mut().for_each(|m| *m = 0.0);
-        self.traffic = TrafficStats::new();
         self.l2.iter_mut().for_each(ReadOnlyCache::reset);
         self.icnt_free.iter_mut().for_each(|b| *b = 0);
         self.icnt_busy.iter_mut().for_each(|b| *b = 0);
@@ -759,10 +630,11 @@ impl MemoryFabric {
     }
 
     /// Serializes the fabric's complete mutable state — backing stores,
-    /// per-module timing, traffic, and texture bindings — for a simulator
-    /// checkpoint. Requests never persist across cycles (each
-    /// [`MemoryFabric::service`] call retires immediately, leaving only the
-    /// fractional `module_free` timestamps), so this captures everything.
+    /// per-module timing, L2 and interconnect state, and texture bindings —
+    /// for a simulator checkpoint. Requests never persist across cycles
+    /// (each [`MemoryFabric::service_batch`] call retires immediately,
+    /// leaving only the `module_free`/`icnt_free` timestamps), so this
+    /// captures everything.
     pub fn encode_state(&self, enc: &mut Encoder) {
         self.global.encode_state(enc);
         self.constant.encode_state(enc);
@@ -774,7 +646,10 @@ impl MemoryFabric {
         for &m in &self.module_busy {
             enc.put_f64(m);
         }
-        self.traffic.encode_state(enc);
+        // Snapshot v4 carries a traffic block here, written by the removed
+        // single-call timing path; the simulator's traffic lives in the
+        // per-SM frontend shards, so the slot is always zero.
+        TrafficStats::new().encode_state(enc);
         enc.put_usize(self.read_only_regions.len());
         for &(base, bytes) in &self.read_only_regions {
             enc.put_u32(base);
@@ -821,7 +696,7 @@ impl MemoryFabric {
         for m in &mut self.module_busy {
             *m = dec.take_f64()?;
         }
-        self.traffic.restore_state(dec)?;
+        TrafficStats::new().restore_state(dec)?;
         let regions = dec.take_len(8)?;
         self.read_only_regions = (0..regions)
             .map(|_| Ok((dec.take_u32()?, dec.take_u32()?)))
@@ -856,15 +731,6 @@ impl MemoryFabric {
 mod tests {
     use super::*;
 
-    fn coalesced_warp(base: u32) -> WarpAccess {
-        WarpAccess {
-            space: Space::Global,
-            is_store: false,
-            bytes_per_lane: 4,
-            addresses: (0..32).map(|i| base + i * 4).collect(),
-        }
-    }
-
     #[test]
     fn functional_global_roundtrip() {
         let mut m = MemoryFabric::new(MemConfig::fx5800());
@@ -880,97 +746,38 @@ mod tests {
         m.write_u32(Space::Const, 0, 1);
     }
 
-    #[test]
-    fn coalesced_access_is_fast_scattered_is_slow() {
-        let mut m = MemoryFabric::new(MemConfig::fx5800());
-        let t_coalesced = m.access(0, &coalesced_warp(0));
-        m.reset_timing();
-        let scattered = WarpAccess {
+    fn load(segments: Vec<u32>) -> FabricRequest {
+        FabricRequest {
             space: Space::Global,
             is_store: false,
-            bytes_per_lane: 4,
-            addresses: (0..32).map(|i| i * 4096).collect(),
-        };
-        let t_scattered = m.access(0, &scattered);
-        assert!(
-            t_scattered > t_coalesced,
-            "scattered {t_scattered} <= coalesced {t_coalesced}"
-        );
+            segments,
+        }
     }
 
     #[test]
     fn module_queueing_backs_up() {
-        let mut m = MemoryFabric::new(MemConfig::fx5800());
-        // Same segment repeatedly: same module, so queueing accrues.
-        let a = WarpAccess {
-            space: Space::Global,
-            is_store: false,
-            bytes_per_lane: 4,
-            addresses: vec![0; 1].into_iter().collect(),
-        };
-        let t1 = m.access(0, &a);
-        let t2 = m.access(0, &a);
-        assert!(t2 > t1, "second access must queue behind the first");
-    }
-
-    #[test]
-    fn ideal_memory_is_single_cycle() {
-        let mut m = MemoryFabric::new(MemConfig::fx5800().with_ideal(true));
-        assert_eq!(m.access(10, &coalesced_warp(0)), 11);
-        let spawn = WarpAccess {
-            space: Space::Spawn,
-            is_store: true,
-            bytes_per_lane: 16,
-            addresses: (0..32).map(|i| i * 64).collect(),
-        };
-        assert_eq!(m.access(10, &spawn), 11);
-    }
-
-    #[test]
-    fn spawn_conflicts_toggle() {
-        // Stride of 16 words on 16 banks: degree 8 for 8 lanes.
-        let addrs: Vec<u32> = (0..8).map(|i| i * 64).collect();
-        let req = WarpAccess {
-            space: Space::Spawn,
-            is_store: false,
-            bytes_per_lane: 4,
-            addresses: addrs,
-        };
-        let mut without = MemoryFabric::new(MemConfig::fx5800().with_spawn_bank_conflicts(false));
-        let mut with = MemoryFabric::new(MemConfig::fx5800().with_spawn_bank_conflicts(true));
-        let t_without = without.access(0, &req);
-        let t_with = with.access(0, &req);
-        assert!(t_with > t_without);
-        assert_eq!(with.traffic().space(Space::Spawn).bank_conflict_passes, 7);
+        let cfg = MemConfig::fx5800();
+        let mut m = MemoryFabric::new(cfg.clone());
+        // Same segment repeatedly: same module, so queueing accrues by one
+        // (fractional) service time per request.
+        let service = cfg.segment_service_cycles();
+        let latency = u64::from(cfg.dram_latency);
         assert_eq!(
-            without.traffic().space(Space::Spawn).bank_conflict_passes,
-            0
+            m.service(0, &load(vec![0])),
+            service.ceil() as u64 + latency
         );
-    }
-
-    #[test]
-    fn shared_conflicts_always_modeled() {
-        let addrs: Vec<u32> = (0..8).map(|i| i * 64).collect();
-        let req = WarpAccess {
-            space: Space::Shared,
-            is_store: false,
-            bytes_per_lane: 4,
-            addresses: addrs,
-        };
-        let mut m = MemoryFabric::new(MemConfig::fx5800().with_spawn_bank_conflicts(false));
-        let base = u64::from(m.config().shared_latency);
-        // Degree 8: the access occupies the port for 8 passes.
-        assert_eq!(m.access(0, &req), base + 8);
-    }
-
-    #[test]
-    fn traffic_recorded_per_space() {
-        let mut m = MemoryFabric::new(MemConfig::fx5800());
-        m.access(0, &coalesced_warp(0));
-        let g = m.traffic().space(Space::Global);
-        assert_eq!(g.bytes_read, 128);
-        assert_eq!(g.transactions, 4); // 128 B over 32 B segments
-        assert_eq!(g.accesses, 1);
+        assert_eq!(
+            m.service(0, &load(vec![0])),
+            (2.0 * service).ceil() as u64 + latency,
+            "second request must queue behind the first"
+        );
+        // A different module is untouched by that queue.
+        assert_eq!(
+            m.service(0, &load(vec![cfg.segment_bytes])),
+            service.ceil() as u64 + latency
+        );
+        // A request without segments retires next cycle.
+        assert_eq!(m.service(5, &load(Vec::new())), 6);
     }
 
     #[test]
@@ -987,52 +794,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_access_is_noop() {
+    fn reset_timing_clears_queues() {
         let mut m = MemoryFabric::new(MemConfig::fx5800());
-        let req = WarpAccess {
-            space: Space::Global,
-            is_store: false,
-            bytes_per_lane: 4,
-            addresses: Vec::new(),
-        };
-        assert_eq!(m.access(5, &req), 6);
-        assert_eq!(m.traffic().space(Space::Global).accesses, 0);
-    }
-
-    #[test]
-    fn reset_timing_clears_queues_and_traffic() {
-        let mut m = MemoryFabric::new(MemConfig::fx5800());
-        let t1 = m.access(0, &coalesced_warp(0));
+        let req = load((0..4).map(|i| i * 32).collect());
+        let t1 = m.service(0, &req);
+        assert!(m.module_busy().iter().sum::<f64>() > 0.0);
         m.reset_timing();
-        let t2 = m.access(0, &coalesced_warp(0));
-        assert_eq!(t1, t2);
-        assert_eq!(m.traffic().space(Space::Global).accesses, 1);
-    }
-
-    #[test]
-    fn service_matches_access_timing() {
-        // The split request path (frontend coalesce + fabric service) must
-        // time exactly like the single-call compatibility path.
-        let req = WarpAccess {
-            space: Space::Global,
-            is_store: false,
-            bytes_per_lane: 4,
-            addresses: (0..32).map(|i| i * 256).collect(),
-        };
-        let mut direct = MemoryFabric::new(MemConfig::fx5800());
-        let t_direct = direct.access(7, &req);
-
-        let mut split = MemoryFabric::new(MemConfig::fx5800());
-        let result = coalesce_segments(&req.addresses, req.bytes_per_lane, 32);
-        let t_split = split.service(
-            7,
-            &FabricRequest {
-                space: req.space,
-                is_store: req.is_store,
-                segments: result.segments,
-            },
-        );
-        assert_eq!(t_direct, t_split);
+        assert!(m.module_busy().iter().all(|&b| b == 0.0));
+        assert_eq!(m.service(0, &req), t1);
     }
 
     #[test]
@@ -1078,9 +847,11 @@ mod tests {
     #[test]
     fn l2_hit_is_faster_than_miss_and_counted() {
         let mut m = MemoryFabric::new(MemConfig::fx5800_cached());
-        let cold = m.service_batch(0, &[batch(0, 0, false, vec![0])]);
+        let cold = m.service_batch(0, &[batch(0, 0, false, vec![0])]).to_vec();
         // Far enough ahead that the bank and module are idle again.
-        let warm = m.service_batch(10_000, &[batch(0, 0, false, vec![0])]);
+        let warm = m
+            .service_batch(10_000, &[batch(0, 0, false, vec![0])])
+            .to_vec();
         assert!(
             warm[0] - 10_000 < cold[0],
             "L2 hit ({}) not faster than DRAM miss ({})",
@@ -1136,10 +907,12 @@ mod tests {
         // but live on different L2 lines, so both miss and queue on DRAM —
         // grant order is visible in the ready times.
         let mut m = MemoryFabric::new(MemConfig::fx5800_cached());
-        let r = m.service_batch(
-            0,
-            &[batch(0, 0, false, vec![0]), batch(1, 0, false, vec![256])],
-        );
+        let r = m
+            .service_batch(
+                0,
+                &[batch(0, 0, false, vec![0]), batch(1, 0, false, vec![256])],
+            )
+            .to_vec();
         assert!(r[0] < r[1], "fresh pointer grants SM 0 first");
         assert_eq!(m.icnt_conflicts(), 1);
         // SM 1 was granted last, so the pointer now favors... SM 2+; with
@@ -1147,19 +920,71 @@ mod tests {
         // instead, then re-contend: SM 1 must go first this time.
         let mut m = MemoryFabric::new(MemConfig::fx5800_cached());
         m.service_batch(0, &[batch(0, 0, false, vec![0])]);
-        let r = m.service_batch(
-            10_000,
-            &[batch(0, 0, false, vec![512]), batch(1, 0, false, vec![768])],
-        );
+        let r = m
+            .service_batch(
+                10_000,
+                &[batch(0, 0, false, vec![512]), batch(1, 0, false, vec![768])],
+            )
+            .to_vec();
         assert!(r[1] < r[0], "pointer past SM 0 grants SM 1 first");
         assert!(m.icnt_busy().iter().sum::<u64>() > 0);
     }
 
+    /// The machine without an L2 is the batch path with nothing in it:
+    /// a multi-SM batch must time exactly like the same requests handed to
+    /// the DRAM stage one by one, and touch no interconnect or L2 state —
+    /// with or without an L1 in front (the L1 lives in the frontends).
     #[test]
-    fn flat_fabric_has_no_l2_and_batch_still_services() {
-        let m = MemoryFabric::new(MemConfig::fx5800());
-        assert_eq!(m.l2_stats(), None);
-        assert!(m.icnt_busy().iter().all(|&b| b == 0));
+    fn flat_batch_equals_per_request_service() {
+        for cfg in [MemConfig::fx5800(), MemConfig::fx5800().with_l1(16 * 1024)] {
+            let mut batched = MemoryFabric::new(cfg.clone());
+            let mut looped = MemoryFabric::new(cfg.clone());
+            // Seeded LCG: a few cycles of batches from 6 SMs, 0-2 accesses
+            // each, mixed loads/stores and spaces, 0-5 segments drawn from
+            // a small range so modules are shared and queues build up.
+            let mut state = 0x2545_f491_4f6c_dd1du64;
+            let mut next = |n: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) % n
+            };
+            for cycle in 0..40u64 {
+                let now = cycle * 3;
+                let mut reqs = Vec::new();
+                for sm in 0..6 {
+                    for access in 0..next(3) as usize {
+                        let segments = (0..next(6))
+                            .map(|_| next(64) as u32 * cfg.segment_bytes)
+                            .collect();
+                        reqs.push(BatchRequest {
+                            sm,
+                            access,
+                            request: FabricRequest {
+                                space: if next(4) == 0 {
+                                    Space::Local
+                                } else {
+                                    Space::Global
+                                },
+                                is_store: next(3) == 0,
+                                segments,
+                            },
+                        });
+                    }
+                }
+                let want: Vec<u64> = reqs
+                    .iter()
+                    .map(|b| looped.service(now, &b.request))
+                    .collect();
+                assert_eq!(batched.service_batch(now, &reqs), want, "cycle {cycle}");
+            }
+            assert_eq!(batched.module_free, looped.module_free);
+            assert_eq!(batched.module_busy(), looped.module_busy());
+            assert!(batched.module_busy().iter().sum::<f64>() > 0.0);
+            assert!(batched.icnt_busy().iter().all(|&b| b == 0));
+            assert_eq!(batched.icnt_conflicts(), 0);
+            assert_eq!(batched.l2_stats(), None);
+        }
     }
 
     #[test]

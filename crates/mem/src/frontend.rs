@@ -8,10 +8,11 @@
 //! state until the serial phase B, which is what makes phase A safe to run
 //! on many OS threads with bit-identical results.
 
+use crate::banks::conflict_degree_span;
 use crate::cache::ReadOnlyCache;
 use crate::coalesce::coalesce_segments;
 use crate::config::MemConfig;
-use crate::fabric::{time_onchip, FabricRequest, FunctionalOp, MemFault, WarpAccess};
+use crate::fabric::{FabricRequest, FunctionalOp, MemFault};
 use crate::mshr::MshrTable;
 use crate::traffic::TrafficStats;
 use simt_isa::codec::{CodecError, Decoder, Encoder};
@@ -163,8 +164,10 @@ impl FabricView {
 /// One warp's deferred memory work for the cycle: functional ops to apply
 /// and coalesced module requests to service, both in issue order.
 ///
-/// Queued per-SM during phase A; the simulator drains all SMs' queues in
-/// SM-id order during phase B.
+/// Queued per-SM during phase A. Phase B stages it in place, in SM-id
+/// order: the ops are applied, the requests move into the cycle's batch,
+/// the batch's ready times come back into `ready`, and the commit stamps
+/// the fills and wakes the warp.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingAccess {
     /// The issuing warp's SM-local id.
@@ -188,6 +191,9 @@ pub struct PendingAccess {
     /// L1 lines this access merged into (outstanding MSHR fills it must
     /// wait for on top of its own requests).
     pub merge_lines: Vec<u32>,
+    /// Latest ready time among this access's serviced requests; set in
+    /// phase B, never read before.
+    pub ready: u64,
 }
 
 /// Per-probe summary of one warp access routed through the L1.
@@ -215,7 +221,7 @@ pub struct SmMemFrontend {
     lsu_free: u64,
     tex: Option<ReadOnlyCache>,
     /// Per-SM L1 data cache (global loads only; timing-only, see
-    /// [`MemConfig::l1_bytes`]). `None` on the legacy flat fabric.
+    /// [`MemConfig::l1_bytes`]). `None` when no L1 is configured.
     l1: Option<ReadOnlyCache>,
     /// Outstanding-fill table of the L1.
     mshr: MshrTable,
@@ -337,6 +343,11 @@ impl SmMemFrontend {
         self.mshr.wait_floor(lines)
     }
 
+    /// Whether no MSHR entry is still waiting for its fill time.
+    pub fn mshr_all_resolved(&self) -> bool {
+        self.mshr.all_resolved()
+    }
+
     /// Drops MSHR entries whose fill was never stamped (abort path: the
     /// owning accesses were discarded).
     pub fn mshr_discard_unresolved(&mut self) {
@@ -344,27 +355,68 @@ impl SmMemFrontend {
     }
 
     /// Times one on-chip (shared/spawn) warp access against this SM's
-    /// load-store port. Returns `(ready_cycle, conflict_degree)`.
+    /// load-store port. `addresses` holds the byte address of every
+    /// *active* lane (inactive lanes make no request). Returns
+    /// `(ready_cycle, conflict_degree)`.
+    ///
+    /// Bank-conflict serialization occupies the port for one pass per
+    /// conflicting word set, so conflicting accesses also delay *other*
+    /// warps on the same SM — the pipeline stalls the paper observes in
+    /// Fig. 9. `v4` accesses are expanded to word granularity before
+    /// computing the conflict degree (each lane touches four consecutive
+    /// banks).
     ///
     /// On-chip backing data is SM-private, so unlike off-chip accesses the
     /// functional transfer happens immediately in phase A; only the shared
     /// fabric is deferred.
-    pub fn access_onchip(&mut self, now: u64, req: &WarpAccess) -> (u64, u32) {
-        let mut port = self.lsu_free;
-        let r = time_onchip(&self.config, &mut self.traffic, now, req, &mut port);
-        self.lsu_free = port;
-        r
+    ///
+    /// # Panics
+    ///
+    /// Panics if the space is not on-chip.
+    pub fn access_onchip(
+        &mut self,
+        now: u64,
+        space: Space,
+        is_store: bool,
+        bytes_per_lane: u32,
+        addresses: &[u32],
+    ) -> (u64, u32) {
+        assert!(space.is_on_chip(), "access_onchip expects shared/spawn");
+        if addresses.is_empty() {
+            return (now + 1, 1);
+        }
+        let requested = addresses.len() as u64 * u64::from(bytes_per_lane);
+        let model_conflicts = space != Space::Spawn || self.config.spawn_bank_conflicts;
+        let degree = if model_conflicts {
+            let words_per_lane = (bytes_per_lane / 4).max(1);
+            conflict_degree_span(addresses, words_per_lane, self.config.shared_banks)
+        } else {
+            1
+        };
+        self.traffic.record(space, is_store, requested, 0);
+        if degree > 1 {
+            self.traffic.record_conflicts(space, u64::from(degree - 1));
+        }
+        if self.config.ideal {
+            return (now + 1, 1);
+        }
+        let start = now.max(self.lsu_free);
+        self.lsu_free = start + u64::from(degree);
+        (
+            start + u64::from(degree) + u64::from(self.config.shared_latency),
+            degree,
+        )
     }
 
     /// Coalesces one off-chip warp access and records traffic. Returns the
-    /// phase-A completion estimate plus the module request (if any) to hand
-    /// to [`crate::MemoryFabric::service`] in phase B:
+    /// phase-A completion estimate plus the request (if any) that phase B
+    /// batches into [`crate::MemoryFabric::service_batch`]:
     ///
     /// * empty access → next cycle, no request, no traffic;
     /// * `const` → served by the constant cache at hit latency, no request;
     /// * ideal memory → next cycle, no request (traffic still recorded);
     /// * otherwise → next cycle as a floor; phase B raises the warp's
-    ///   wake-up to the module completion time.
+    ///   wake-up to the request's ready time.
     pub fn request_offchip(
         &mut self,
         now: u64,
@@ -618,30 +670,45 @@ mod tests {
     use super::*;
     use crate::fabric::MemoryFabric;
 
+    /// One off-chip global load through both halves: the frontend's floor
+    /// and the DRAM stage's completion.
+    fn offchip_load(fe: &mut SmMemFrontend, fabric: &mut MemoryFabric, addrs: &[u32]) -> u64 {
+        let (floor, req) = fe.request_offchip(0, Space::Global, false, 4, addrs);
+        floor.max(fabric.service(0, &req.expect("non-ideal global access emits a request")))
+    }
+
     #[test]
-    fn request_then_service_matches_monolithic_access() {
+    fn coalesced_access_is_fast_scattered_is_slow() {
         let cfg = MemConfig::fx5800();
-        let addrs: Vec<u32> = (0..32).map(|i| i * 128).collect();
-
-        let mut mono = MemoryFabric::new(cfg.clone());
-        let t_mono = mono.access(
-            3,
-            &WarpAccess {
-                space: Space::Global,
-                is_store: false,
-                bytes_per_lane: 4,
-                addresses: addrs.clone(),
-            },
-        );
-
         let mut fe = SmMemFrontend::new(cfg.clone());
-        let mut fabric = MemoryFabric::new(cfg);
-        let (floor, req) = fe.request_offchip(3, Space::Global, false, 4, &addrs);
-        let t_split = fabric.service(3, &req.expect("non-ideal global access emits a request"));
-        assert_eq!(t_mono, floor.max(t_split));
-        // Traffic landed in the frontend shard, not the fabric.
+        let coalesced: Vec<u32> = (0..32).map(|i| i * 4).collect();
+        let scattered: Vec<u32> = (0..32).map(|i| i * 4096).collect();
+        let t_coalesced = offchip_load(&mut fe, &mut MemoryFabric::new(cfg.clone()), &coalesced);
+        let t_scattered = offchip_load(&mut fe, &mut MemoryFabric::new(cfg), &scattered);
+        assert!(
+            t_scattered > t_coalesced,
+            "scattered {t_scattered} <= coalesced {t_coalesced}"
+        );
+    }
+
+    #[test]
+    fn traffic_recorded_per_space_and_reset() {
+        let mut fe = SmMemFrontend::new(MemConfig::fx5800());
+        let addrs: Vec<u32> = (0..32).map(|i| i * 4).collect();
+        let (_, req) = fe.request_offchip(0, Space::Global, false, 4, &addrs);
+        assert_eq!(req.expect("emits a request").segments.len(), 4);
+        let g = fe.traffic().space(Space::Global);
+        assert_eq!(g.bytes_read, 128);
+        assert_eq!(g.transactions, 4); // 128 B over 32 B segments
+        assert_eq!(g.accesses, 1);
+        // An access with no active lane is a no-op: no request, no traffic.
+        assert_eq!(
+            fe.request_offchip(5, Space::Global, false, 4, &[]),
+            (6, None)
+        );
         assert_eq!(fe.traffic().space(Space::Global).accesses, 1);
-        assert_eq!(fabric.traffic().space(Space::Global).accesses, 0);
+        fe.reset_timing();
+        assert_eq!(fe.traffic().space(Space::Global).accesses, 0);
     }
 
     #[test]
@@ -656,23 +723,42 @@ mod tests {
         assert!(req.is_none());
         assert_eq!(t, 6);
         assert_eq!(ideal.traffic().space(Space::Global).bytes_written, 4);
+        // Ideal on-chip accesses are single-cycle too, conflicts or not.
+        let spawn: Vec<u32> = (0..32).map(|i| i * 64).collect();
+        assert_eq!(
+            ideal.access_onchip(10, Space::Spawn, true, 16, &spawn),
+            (11, 1)
+        );
+    }
+
+    #[test]
+    fn spawn_conflicts_toggle() {
+        // Stride of 16 words on 16 banks: degree 8 for 8 lanes.
+        let addrs: Vec<u32> = (0..8).map(|i| i * 64).collect();
+        let mut without = SmMemFrontend::new(MemConfig::fx5800().with_spawn_bank_conflicts(false));
+        let mut with = SmMemFrontend::new(MemConfig::fx5800().with_spawn_bank_conflicts(true));
+        let (t_without, d_without) = without.access_onchip(0, Space::Spawn, false, 4, &addrs);
+        let (t_with, d_with) = with.access_onchip(0, Space::Spawn, false, 4, &addrs);
+        assert_eq!((d_without, d_with), (1, 8));
+        assert!(t_with > t_without);
+        assert_eq!(with.traffic().space(Space::Spawn).bank_conflict_passes, 7);
+        assert_eq!(
+            without.traffic().space(Space::Spawn).bank_conflict_passes,
+            0
+        );
     }
 
     #[test]
     fn onchip_port_serializes_conflicting_accesses() {
-        let cfg = MemConfig::fx5800();
+        // Shared-space conflicts are modeled whatever the spawn toggle says.
+        let cfg = MemConfig::fx5800().with_spawn_bank_conflicts(false);
         let mut fe = SmMemFrontend::new(cfg.clone());
-        let conflicted = WarpAccess {
-            space: Space::Shared,
-            is_store: false,
-            bytes_per_lane: 4,
-            addresses: (0..8).map(|i| i * 64).collect(),
-        };
-        let (t1, d1) = fe.access_onchip(0, &conflicted);
+        let conflicted: Vec<u32> = (0..8).map(|i| i * 64).collect();
+        let (t1, d1) = fe.access_onchip(0, Space::Shared, false, 4, &conflicted);
         assert_eq!(d1, 8);
         assert_eq!(t1, u64::from(cfg.shared_latency) + 8);
         // A second warp in the same cycle queues behind the port.
-        let (t2, _) = fe.access_onchip(0, &conflicted);
+        let (t2, _) = fe.access_onchip(0, Space::Shared, false, 4, &conflicted);
         assert!(t2 > t1);
     }
 

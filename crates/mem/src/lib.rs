@@ -5,7 +5,10 @@
 //!
 //! * **off-chip device memory** (`global`, `local`, `const` spaces) served by
 //!   8 memory modules at 8 bytes/cycle each, accessed through warp-level
-//!   coalescing into 64-byte segments, with per-module queueing delay;
+//!   coalescing into 32-byte segments, with per-module queueing delay;
+//! * an optional **cache hierarchy** in front of it — a per-SM L1 with
+//!   MSHRs, and a partition-sliced L2 behind a banked interconnect — off
+//!   on the Table I machine;
 //! * **on-chip scratchpads** (`shared` and the paper's new `spawn` space),
 //!   banked, with conflict serialization;
 //! * an **ideal memory** mode (zero latency) used for the paper's Fig. 10
@@ -14,10 +17,13 @@
 //!
 //! Functional state and timing are deliberately separated, and the model is
 //! split along the chip's own boundary for the simulator's two-phase cycle:
-//! each SM owns an [`SmMemFrontend`] (coalescer, read-only cache, on-chip
-//! port, traffic shard) it can drive in parallel with other SMs, while the
-//! single shared [`MemoryFabric`] (DRAM modules + off-chip backing) drains
-//! the resulting [`FabricRequest`]s serially in SM-id order.
+//! each SM owns an [`SmMemFrontend`] (coalescer, read-only cache, L1,
+//! on-chip port, traffic shard) it can drive in parallel with other SMs,
+//! while the single shared [`MemoryFabric`] (off-chip backing, DRAM modules,
+//! L2 and interconnect) takes the resulting [`FabricRequest`]s serially, one
+//! cycle's batch at a time in SM-id order, through its one timing entry,
+//! [`MemoryFabric::service_batch`]. A machine without an L2 is that same
+//! path with nothing in it: the batch goes straight to the DRAM modules.
 //!
 //! ## Example
 //!
@@ -49,9 +55,7 @@ pub use banks::{conflict_degree, conflict_degree_span, OnChipMemory};
 pub use cache::ReadOnlyCache;
 pub use coalesce::{coalesce_segments, CoalesceResult};
 pub use config::MemConfig;
-#[allow(deprecated)]
-pub use fabric::MemorySystem;
-pub use fabric::{BatchRequest, FabricRequest, FunctionalOp, MemFault, MemoryFabric, WarpAccess};
+pub use fabric::{BatchRequest, FabricRequest, FunctionalOp, MemFault, MemoryFabric};
 pub use frontend::{FabricView, L1Probe, PendingAccess, SmMemFrontend};
 pub use mshr::{MshrTable, FILL_UNRESOLVED};
 pub use traffic::{SpaceTraffic, TrafficStats};

@@ -10,11 +10,12 @@
 //!
 //! Fill times are resolved in phase B: an entry is allocated during phase
 //! A with [`FILL_UNRESOLVED`], then stamped with the servicing request's
-//! completion cycle when the owning access drains. Entries whose fill has
+//! ready time when the owning access commits. Entries whose fill has
 //! completed are purged lazily at the next probe. Merges always reference
 //! an entry allocated by an *earlier* access (earlier cycle, or earlier in
-//! issue order within the same cycle), so draining accesses in issue order
-//! guarantees every merge reads a concrete fill time.
+//! issue order within the same cycle), so stamping every fill of the cycle
+//! before reading any merge floor guarantees every merge reads a concrete
+//! fill time — the same one stamping in issue order would give it.
 
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 
@@ -128,6 +129,12 @@ impl MshrTable {
             }
         }
         floor
+    }
+
+    /// Whether every entry carries a concrete fill time — the state phase
+    /// B must leave the table in.
+    pub fn all_resolved(&self) -> bool {
+        self.entries.iter().all(|e| e.fill_ready != FILL_UNRESOLVED)
     }
 
     /// Drops unresolved entries (abort path: the owning accesses were

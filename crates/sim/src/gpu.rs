@@ -11,8 +11,10 @@
 //!   so it is embarrassingly parallel: with [`GpuBuilder::parallelism`]
 //!   the SM array is sharded across a pool of OS threads.
 //! * **Phase B** — the shared [`MemoryFabric`](simt_mem::MemoryFabric)
-//!   drains every SM's queue serially in SM-id order, applying the
-//!   functional ops and arbitrating the DRAM modules deterministically.
+//!   takes every SM's queue serially in SM-id order: the functional ops
+//!   are applied, the cycle's requests are serviced as one batch, and the
+//!   ready times scatter back onto warp wake-ups — one path for every
+//!   memory configuration (see DESIGN.md §8).
 //!
 //! Because phase A touches no shared mutable state and phase B always
 //! runs in fixed SM-id order, the simulation is bit-identical at every
@@ -132,8 +134,8 @@ pub struct Gpu {
     skipped_cycles: u64,
     /// Number of such jumps taken (diagnostic).
     skip_events: u64,
-    /// Reusable request buffer for the hierarchy's batched phase B
-    /// (always empty between cycles; not serialized).
+    /// Reusable request buffer for phase B's batch (always empty between
+    /// cycles; not serialized).
     batch_buf: Vec<simt_mem::BatchRequest>,
 }
 
@@ -405,17 +407,10 @@ impl Gpu {
     /// Aggregate L1 `(hits, misses, mshr_merges, mshr_stalls)` summed
     /// over the SMs, if the machine models an L1.
     pub fn l1_stats(&self) -> Option<(u64, u64, u64, u64)> {
-        if !self.cfg.mem.l1_enabled() {
-            return None;
-        }
-        Some(
-            self.sms
-                .iter()
-                .filter_map(Sm::l1_stats)
-                .fold((0, 0, 0, 0), |(h, m, mg, st), (h2, m2, mg2, st2)| {
-                    (h + h2, m + m2, mg + mg2, st + st2)
-                }),
-        )
+        self.sms
+            .iter()
+            .filter_map(Sm::l1_stats)
+            .reduce(|(h, m, mg, st), (h2, m2, mg2, st2)| (h + h2, m + m2, mg + mg2, st + st2))
     }
 
     /// Every warp trap recorded so far.
@@ -474,7 +469,7 @@ impl Gpu {
     }
 
     /// Late load results dropped on warps killed mid-flight, summed over
-    /// SMs (see `Sm::drain_pending`); zero on any fault-free run.
+    /// SMs (see `Sm::stage_pending`); zero on any fault-free run.
     pub fn late_write_drops(&self) -> u64 {
         self.sms.iter().map(Sm::late_write_drops).sum()
     }
@@ -874,7 +869,7 @@ impl Gpu {
                 dmk.spawn_stalls += s.spawn_stalls;
             }
         }
-        let mut traffic = self.mem.traffic().clone();
+        let mut traffic = TrafficStats::new();
         for sm in &self.sms {
             traffic.merge(sm.traffic());
         }
@@ -887,48 +882,49 @@ impl Gpu {
         })
     }
 
-    /// Phase B over the first `commit` SMs, in SM-id order — the only
-    /// place off-chip functional state mutates. A fault-free cycle commits
-    /// every SM; an aborting one only those at or before the faulting SM
-    /// (under the serial model the rest never reached memory), through the
-    /// same machinery, so a faulting cycle can never leak committed traffic
-    /// past the interconnect accounting. Sleeping SMs issued nothing this
+    /// Phase B, the same for every memory configuration — the only place
+    /// off-chip functional state mutates. The first `commit` SMs, in SM-id
+    /// order, apply their functional ops and stage their requests; the
+    /// fabric services the cycle's batch; ready times scatter back; and
+    /// each SM stamps its MSHR fills, wakes its warps and reaps. A
+    /// fault-free cycle commits every SM; an aborting one only those at or
+    /// before the faulting SM, and drops the others' queued work (under
+    /// the serial model they never reached memory), so a faulting cycle
+    /// goes through the same machinery. Sleeping SMs issued nothing this
     /// cycle and are passed over. Returns the warps reaped and the
     /// forward-progress events collected from the SMs that were awake.
-    ///
-    /// The flat machine services each SM's queue directly. The hierarchy
-    /// machine stages every SM's requests (applying functional ops),
-    /// arbitrates the whole batch through the banked interconnect and L2,
-    /// then scatters ready times back and commits.
     fn drain(&mut self, now: u64, ctx: &ExecCtx<'_>, commit: usize) -> (usize, u64) {
-        let hierarchy = self.cfg.mem.hierarchy_enabled();
-        if hierarchy {
-            let mut batch = std::mem::take(&mut self.batch_buf);
-            for sm in &mut self.sms[..commit] {
-                if !sm.asleep(now) {
-                    sm.stage_pending(now, &mut self.mem, &mut batch);
-                }
-            }
-            let ready = self.mem.service_batch(now, &batch);
-            for (b, &r) in batch.iter().zip(&ready) {
-                self.sms[b.sm].note_access_ready(b.access, r);
-            }
-            batch.clear();
-            self.batch_buf = batch;
+        for sm in &mut self.sms[commit..] {
+            sm.discard_pending();
         }
+        for sm in &mut self.sms[..commit] {
+            if !sm.asleep(now) {
+                sm.stage_pending(now, &mut self.mem, &mut self.batch_buf);
+            }
+        }
+        let ready = self.mem.service_batch(now, &self.batch_buf);
+        debug_assert_eq!(
+            ready.len(),
+            self.batch_buf.len(),
+            "every staged request gets exactly one ready time"
+        );
+        for (b, &r) in self.batch_buf.iter().zip(ready) {
+            self.sms[b.sm].note_access_ready(b.access, r);
+        }
+        self.batch_buf.clear();
         let (mut reaped, mut progress) = (0, 0);
         for sm in &mut self.sms[..commit] {
             if sm.asleep(now) {
                 continue;
             }
-            if hierarchy {
-                sm.commit_staged();
-            } else {
-                sm.drain_pending(now, &mut self.mem);
-            }
+            sm.commit_staged();
             reaped += sm.reap_finished(now, ctx);
             progress += sm.take_progress();
         }
+        debug_assert!(
+            self.sms.iter().all(Sm::pending_is_empty),
+            "phase B left off-chip work queued"
+        );
         (reaped, progress)
     }
 
@@ -1088,9 +1084,6 @@ impl Gpu {
                 }
             }
             if let Some(fault) = abort {
-                for i in (fault.sm + 1)..n {
-                    self.sms[i].discard_pending();
-                }
                 self.drain(self.now, ctx, fault.sm + 1);
                 return Err(SimError::Fault(fault));
             }

@@ -3,10 +3,11 @@
 //! Each generated program (see `simt_isa::gen`) is executed on the
 //! functional reference machine once and on the cycle-level simulator
 //! under a matrix of timing variants — parallel execution levels 1 and 4,
-//! spawn-bank-conflict modelling on and off, both spawn policies, and
-//! sleeping SMs vs. forced per-cycle ticking. Timing knobs must never
-//! change functional results, so every variant is compared against the
-//! *same* reference run:
+//! spawn-bank-conflict modelling on and off, both spawn policies,
+//! sleeping SMs vs. forced per-cycle ticking, and every memory machine
+//! (flat, L1-only, L1+L2 behind the interconnect, ideal). Timing knobs
+//! must never change functional results, so every variant is compared
+//! against the *same* reference run:
 //!
 //! * the final global-memory image (output region + per-slot scratch);
 //! * under [`SpawnPolicy::Always`], the four lifecycle counters
@@ -40,6 +41,20 @@ const MAX_CYCLES: u64 = 5_000_000;
 /// per-SM scratchpad the generator's addresses wrap inside.
 const REF_SHARED_BYTES: u32 = 16 * 1024;
 
+/// The memory machine a variant times its accesses on. All of them share
+/// one phase-B path, so they may differ in cycles only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemPreset {
+    /// Paper Table I: DRAM modules only ([`MemConfig::fx5800`]).
+    Flat,
+    /// A per-SM L1 with MSHRs in front of the flat fabric.
+    L1Only,
+    /// L1, banked interconnect and L2 ([`MemConfig::fx5800_cached`]).
+    Cached,
+    /// Every access completes next cycle.
+    Ideal,
+}
+
 /// One timing variant of the cycle-level machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Variant {
@@ -52,72 +67,89 @@ pub struct Variant {
     /// Step every SM every cycle instead of letting idle SMs sleep
     /// ([`crate::GpuBuilder::force_tick`]).
     pub force_tick: bool,
+    /// Memory machine.
+    pub mem: MemPreset,
 }
 
 impl fmt::Display for Variant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "parallel={} banks={} policy={:?} loop={}",
+            "parallel={} banks={} policy={:?} loop={} mem={:?}",
             self.parallel,
             if self.bank_conflicts { "on" } else { "off" },
             self.policy,
-            if self.force_tick { "tick" } else { "sleep" }
+            if self.force_tick { "tick" } else { "sleep" },
+            self.mem
         )
     }
 }
 
+/// The variant the matrix is spelled against: each arm names only what it
+/// changes.
+const BASE: Variant = Variant {
+    parallel: 1,
+    bank_conflicts: false,
+    policy: SpawnPolicy::Always,
+    force_tick: false,
+    mem: MemPreset::Flat,
+};
+
 /// The variant matrix every case runs through.
-pub const VARIANTS: [Variant; 8] = [
-    Variant {
-        parallel: 1,
-        bank_conflicts: false,
-        policy: SpawnPolicy::Always,
-        force_tick: false,
-    },
+pub const VARIANTS: [Variant; 11] = [
+    BASE,
     Variant {
         parallel: 4,
-        bank_conflicts: false,
-        policy: SpawnPolicy::Always,
-        force_tick: false,
+        ..BASE
     },
     Variant {
-        parallel: 1,
         bank_conflicts: true,
-        policy: SpawnPolicy::Always,
-        force_tick: false,
+        ..BASE
     },
     Variant {
         parallel: 4,
         bank_conflicts: true,
-        policy: SpawnPolicy::Always,
-        force_tick: false,
+        ..BASE
     },
     Variant {
-        parallel: 1,
-        bank_conflicts: false,
         policy: SpawnPolicy::OnDivergence,
-        force_tick: false,
+        ..BASE
     },
     Variant {
         parallel: 4,
-        bank_conflicts: false,
         policy: SpawnPolicy::OnDivergence,
-        force_tick: false,
+        ..BASE
     },
     // The ticking machine is the differential reference for sleeping
     // SMs: one arm per spawn policy, on the timing-richest settings.
     Variant {
-        parallel: 1,
         bank_conflicts: true,
-        policy: SpawnPolicy::Always,
         force_tick: true,
+        ..BASE
     },
     Variant {
-        parallel: 1,
-        bank_conflicts: false,
         policy: SpawnPolicy::OnDivergence,
         force_tick: true,
+        ..BASE
+    },
+    // The other memory machines: functional results must not move when
+    // only the timing behind phase B's batch does. Serial arms: the worker
+    // pool is the costly part of a case, and the arms above already take
+    // it through the same phase B.
+    Variant {
+        bank_conflicts: true,
+        mem: MemPreset::L1Only,
+        ..BASE
+    },
+    Variant {
+        bank_conflicts: true,
+        mem: MemPreset::Cached,
+        ..BASE
+    },
+    Variant {
+        policy: SpawnPolicy::OnDivergence,
+        mem: MemPreset::Ideal,
+        ..BASE
     },
 ];
 
@@ -262,10 +294,14 @@ fn entry_pc(gp: &GenProgram, name: &str) -> Result<usize, String> {
 }
 
 fn gpu_config(cfg: &GenConfig, v: Variant) -> GpuConfig {
-    let mut mem = MemConfig::fx5800();
-    mem.spawn_bank_conflicts = v.bank_conflicts;
+    let mem = match v.mem {
+        MemPreset::Flat => MemConfig::fx5800(),
+        MemPreset::L1Only => MemConfig::fx5800().with_l1(16 * 1024),
+        MemPreset::Cached => MemConfig::fx5800_cached(),
+        MemPreset::Ideal => MemConfig::fx5800().with_ideal(true),
+    };
     GpuConfig {
-        mem,
+        mem: mem.with_spawn_bank_conflicts(v.bank_conflicts),
         spawn_policy: v.policy,
         dmk: if cfg.spawn_levels > 0 {
             Some(DmkConfig {

@@ -12,30 +12,10 @@ use dmk_core::{CompletedWarp, SpawnError, SpawnMemoryLayout, WarpFormation};
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::{Instr, Program, ReconvergenceTable, Space, Width};
 use simt_mem::{
-    BatchRequest, FabricView, FunctionalOp, MemFault, MemoryFabric, OnChipMemory, PendingAccess,
-    SmMemFrontend, TrafficStats, WarpAccess,
+    BatchRequest, FabricRequest, FabricView, FunctionalOp, MemFault, MemoryFabric, OnChipMemory,
+    PendingAccess, SmMemFrontend, TrafficStats,
 };
 use std::collections::HashMap;
-
-/// One access mid-flight through the hierarchy's batched phase B: its
-/// functional ops were applied at staging, its fabric requests were tagged
-/// into the interconnect batch, and its wake-up waits for the arbitrated
-/// ready times to scatter back (see [`Sm::stage_pending`]).
-#[derive(Debug)]
-struct StagedAccess {
-    /// Warp slot validated at staging (`None` if the warp died).
-    slot: Option<usize>,
-    /// Whether the warp waits for the ready time (loads).
-    wait: bool,
-    /// Whether the access contributed requests to the batch.
-    had_requests: bool,
-    /// L1 lines whose MSHR fill this access's requests complete.
-    fill_lines: Vec<u32>,
-    /// Outstanding fills this access merged into.
-    merge_lines: Vec<u32>,
-    /// Latest arbitrated ready time among this access's requests.
-    ready: u64,
-}
 
 /// Execution context shared by all SMs for the current launch.
 #[derive(Debug)]
@@ -86,14 +66,10 @@ pub struct Sm {
     /// This SM's statistics shard. Phase A runs SMs on separate threads,
     /// so counters accumulate here and are merged by the GPU at run end.
     stats: SimStats,
-    /// Off-chip work emitted during phase A, drained by the GPU against
-    /// the shared fabric in SM-id order during phase B.
-    pending: Vec<PendingAccess>,
-    /// Accesses staged for the hierarchy's batched phase B: functional ops
-    /// already applied, requests handed to the interconnect batch, wake-up
-    /// held until [`Sm::commit_staged`] scatters the ready times back.
+    /// Off-chip work emitted during phase A, staged and committed by the
+    /// GPU against the shared fabric in SM-id order during phase B.
     /// Always empty between cycles.
-    staged: Vec<StagedAccess>,
+    pending: Vec<PendingAccess>,
     /// This SM's telemetry shard, written like `stats` during phase A and
     /// merged by the GPU in SM-id order (see [`crate::telemetry`]).
     telemetry: SmTelemetry,
@@ -120,7 +96,7 @@ pub struct Sm {
     /// release. Derived state: not serialized, set after restore.
     dispatch_dirty: bool,
     /// Pooled op buffers recycled between [`Sm::exec_memory`] and
-    /// [`Sm::drain_pending`], so the per-access `Vec` churn of the load
+    /// [`Sm::stage_pending`], so the per-access `Vec` churn of the load
     /// path does not hit the allocator in steady state.
     op_pool: Vec<Vec<FunctionalOp>>,
     /// Scratch address buffer for [`Sm::exec_memory`] (reused per access).
@@ -185,7 +161,6 @@ impl Sm {
             issue_blocked_until: 0,
             stats: SimStats::new(cfg.divergence_window, cfg.warp_size),
             pending: Vec::new(),
-            staged: Vec::new(),
             telemetry: SmTelemetry::new(
                 id,
                 &TelemetrySpec::off(),
@@ -392,13 +367,9 @@ impl Sm {
         // the cache configuration — so cache ablations compare caches only
         // and the default machines keep the legacy free admission.
         if self.frontend.config().spawn_admission_reads {
-            let req = WarpAccess {
-                space: Space::Spawn,
-                is_store: false,
-                bytes_per_lane: 4,
-                addresses: (0..cw.count).map(|l| cw.base_addr + 4 * l).collect(),
-            };
-            self.frontend.access_onchip(now, &req);
+            let slots: Vec<u32> = (0..cw.count).map(|l| cw.base_addr + 4 * l).collect();
+            self.frontend
+                .access_onchip(now, Space::Spawn, false, 4, &slots);
             if let Some(f) = self.formation.as_mut() {
                 f.note_admission_reads(cw.count);
             }
@@ -714,13 +685,21 @@ impl Sm {
         min.map(|m| m.max(self.issue_blocked_until))
     }
 
-    /// Phase B: applies this SM's deferred functional transfers and services
-    /// its module requests against the shared fabric. The GPU calls this
-    /// serially in SM-id order, which reproduces exactly the memory
-    /// interleaving of the old fully-serial cycle loop.
-    pub(crate) fn drain_pending(&mut self, now: u64, fabric: &mut MemoryFabric) {
-        for mut pa in self.pending.drain(..) {
-            // Slots are stable between phase A and this drain (see
+    /// Phase B, pass 1: applies this SM's deferred functional transfers
+    /// and moves its requests into the chip-wide `batch`, tagged with this
+    /// SM's id and the access's index in the pending queue. The GPU calls
+    /// this in SM-id order, which reproduces exactly the memory
+    /// interleaving of a fully serial cycle loop and hands
+    /// [`simt_mem::MemoryFabric::service_batch`] a batch already sorted by
+    /// SM.
+    pub(crate) fn stage_pending(
+        &mut self,
+        now: u64,
+        fabric: &mut MemoryFabric,
+        batch: &mut Vec<BatchRequest>,
+    ) {
+        for (access, pa) in self.pending.iter_mut().enumerate() {
+            // Slots are stable between phase A and phase B (see
             // `PendingAccess::slot`); the id check guards the impossible.
             let slot = match self.warps.get(pa.slot) {
                 Some(w) if w.id == pa.warp_id => Some(pa.slot),
@@ -735,7 +714,7 @@ impl Sm {
                         continue;
                     };
                     // The warp is parked until at least `now + 1`, so this
-                    // late register write is indistinguishable from the old
+                    // late register write is indistinguishable from an
                     // at-issue write — unless the warp died between issue
                     // and phase B (a KillWarp trap this cycle). A result
                     // for a dead warp or an exited lane is dropped
@@ -748,41 +727,64 @@ impl Sm {
                     }
                 }
             }
-            let mut ready = now + 1;
-            for req in &pa.requests {
-                ready = ready.max(fabric.service(now, req));
-            }
-            // L1 bookkeeping (no-ops on the flat machine): this access's
-            // serviced requests complete the fills it allocated, and
-            // accesses that merged instead wait for the earlier access's
-            // fill — which is already stamped, because the allocating
-            // access drained earlier in this same issue-ordered queue (or
-            // in a previous cycle).
-            if !pa.fill_lines.is_empty() {
-                self.frontend.mshr_set_fill(&pa.fill_lines, ready);
-            }
-            if !pa.merge_lines.is_empty() {
-                ready = ready.max(self.frontend.mshr_wait_floor(&pa.merge_lines));
-            }
-            if pa.wait && (!pa.requests.is_empty() || !pa.merge_lines.is_empty()) {
-                if let Some(i) = slot {
-                    // Push the wake cycle out; the ready-set entry
-                    // (bitset or heap) is revalidated lazily.
-                    let w = &mut self.warps[i];
-                    w.ready_at = w.ready_at.max(ready);
-                }
-            }
             // Recycle the op buffer for the next access instead of
             // freeing it (bounded pool: one buffer per in-flight access).
             pa.ops.clear();
             if self.op_pool.len() < 16 {
                 self.op_pool.push(std::mem::take(&mut pa.ops));
             }
+            batch.extend(pa.requests.drain(..).map(|request| BatchRequest {
+                sm: self.id,
+                access,
+                request,
+            }));
+            // A warp that is gone has nothing to wake.
+            pa.wait &= slot.is_some();
+            pa.ready = now + 1;
         }
     }
 
+    /// Phase B, pass 2 (scatter): raises pending access `access`'s ready
+    /// time to that of one of its serviced requests.
+    pub(crate) fn note_access_ready(&mut self, access: usize, ready: u64) {
+        let pa = &mut self.pending[access];
+        pa.ready = pa.ready.max(ready);
+    }
+
+    /// Phase B, pass 3: stamps MSHR fills and raises warp wake-ups from the
+    /// scattered ready times (the ready-set entry is revalidated lazily),
+    /// leaving the pending queue empty. Fills resolve for *all* accesses
+    /// before any merge floor is read: a merge only ever references a fill
+    /// allocated by an earlier access, so it reads the same time it would
+    /// if fills were stamped one access at a time in issue order.
+    pub(crate) fn commit_staged(&mut self) {
+        for pa in &self.pending {
+            self.frontend.mshr_set_fill(&pa.fill_lines, pa.ready);
+        }
+        debug_assert!(
+            self.frontend.mshr_all_resolved(),
+            "an MSHR entry left phase B without a fill time"
+        );
+        for pa in &self.pending {
+            // An access that had neither requests nor merges carries
+            // `now + 1`, which its warp's `ready_at` already is at least
+            // (see `Sm::commit`), so raising to it is a no-op.
+            if pa.wait {
+                let floor = self.frontend.mshr_wait_floor(&pa.merge_lines);
+                let w = &mut self.warps[pa.slot];
+                w.ready_at = w.ready_at.max(pa.ready).max(floor);
+            }
+        }
+        self.pending.clear();
+    }
+
+    /// Whether phase B left nothing queued (it must, every cycle).
+    pub(crate) fn pending_is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
     /// Late load results dropped on dead warps/lanes (see
-    /// [`Sm::drain_pending`]); zero on any fault-free run.
+    /// [`Sm::stage_pending`]); zero on any fault-free run.
     pub fn late_write_drops(&self) -> u64 {
         self.late_write_drops
     }
@@ -794,99 +796,6 @@ impl Sm {
     pub(crate) fn discard_pending(&mut self) {
         self.pending.clear();
         self.frontend.mshr_discard_unresolved();
-    }
-
-    /// Phase B, hierarchy machine, pass 1: applies this SM's deferred
-    /// functional transfers (exactly like [`Sm::drain_pending`]) and moves
-    /// its requests into the chip-wide interconnect `batch`, tagged with
-    /// this SM's id and a per-SM access index. The GPU calls this in SM-id
-    /// order, so functional application order matches the legacy path and
-    /// the batch arrives at [`simt_mem::MemoryFabric::service_batch`]
-    /// already sorted by SM.
-    pub(crate) fn stage_pending(
-        &mut self,
-        now: u64,
-        fabric: &mut MemoryFabric,
-        batch: &mut Vec<BatchRequest>,
-    ) {
-        debug_assert!(self.staged.is_empty(), "staged accesses left uncommitted");
-        for mut pa in self.pending.drain(..) {
-            let slot = match self.warps.get(pa.slot) {
-                Some(w) if w.id == pa.warp_id => Some(pa.slot),
-                _ => None,
-            };
-            let live = slot.map_or(0u64, |i| self.warps[i].lanes.live_mask());
-            for op in &pa.ops {
-                if let Some(v) = fabric.apply(op) {
-                    let FunctionalOp::Load { lane, reg, .. } = op else {
-                        continue;
-                    };
-                    match slot {
-                        Some(i) if (live >> *lane) & 1 == 1 => {
-                            self.warps[i].lanes.set_reg(*lane, *reg, v);
-                        }
-                        _ => self.late_write_drops += 1,
-                    }
-                }
-            }
-            pa.ops.clear();
-            if self.op_pool.len() < 16 {
-                self.op_pool.push(std::mem::take(&mut pa.ops));
-            }
-            let access = self.staged.len();
-            let had_requests = !pa.requests.is_empty();
-            for request in pa.requests.drain(..) {
-                batch.push(BatchRequest {
-                    sm: self.id,
-                    access,
-                    request,
-                });
-            }
-            self.staged.push(StagedAccess {
-                slot,
-                wait: pa.wait,
-                had_requests,
-                fill_lines: std::mem::take(&mut pa.fill_lines),
-                merge_lines: std::mem::take(&mut pa.merge_lines),
-                ready: now + 1,
-            });
-        }
-    }
-
-    /// Phase B, hierarchy machine, pass 2 (scatter): raises staged access
-    /// `access`'s ready floor to one of its requests' arbitrated service
-    /// times.
-    pub(crate) fn note_access_ready(&mut self, access: usize, ready: u64) {
-        let s = &mut self.staged[access];
-        s.ready = s.ready.max(ready);
-    }
-
-    /// Phase B, hierarchy machine, pass 3: stamps MSHR fills and applies
-    /// warp wake-ups from the arbitrated ready times. Fills resolve for
-    /// *all* staged accesses before any merge floor is read — a merge
-    /// always references an entry allocated by an earlier access, which on
-    /// this path may sit later in the same staged queue's fill loop, but
-    /// never in a later cycle.
-    pub(crate) fn commit_staged(&mut self) {
-        for s in &self.staged {
-            if !s.fill_lines.is_empty() {
-                self.frontend.mshr_set_fill(&s.fill_lines, s.ready);
-            }
-        }
-        for s in &self.staged {
-            if !s.wait || (!s.had_requests && s.merge_lines.is_empty()) {
-                continue;
-            }
-            let mut wake = s.ready;
-            if !s.merge_lines.is_empty() {
-                wake = wake.max(self.frontend.mshr_wait_floor(&s.merge_lines));
-            }
-            if let Some(i) = s.slot {
-                let w = &mut self.warps[i];
-                w.ready_at = w.ready_at.max(wake);
-            }
-        }
-        self.staged.clear();
     }
 
     /// Builds a trap record for warp slot `widx`.
@@ -1026,15 +935,9 @@ impl Sm {
                             w.lanes.set_spawn_mem_addr(lane, slot);
                             slots.push(slot);
                         }
-                        let (_, degree) = self.frontend.access_onchip(
-                            now,
-                            &WarpAccess {
-                                space: Space::Spawn,
-                                is_store: true,
-                                bytes_per_lane: 4,
-                                addresses: slots,
-                            },
-                        );
+                        let (_, degree) =
+                            self.frontend
+                                .access_onchip(now, Space::Spawn, true, 4, &slots);
                         self.block_issue_for_replays(now, degree);
                         self.stats.spawn_elisions += 1;
                         let wid = self.warps[widx].id;
@@ -1089,15 +992,9 @@ impl Sm {
                     let wid = self.warps[widx].id;
                     self.telemetry.on_spawn(now, wid, target, n_active);
                     // The metadata write is a store: charged, not waited on.
-                    let (_, degree) = self.frontend.access_onchip(
-                        now,
-                        &WarpAccess {
-                            space: Space::Spawn,
-                            is_store: true,
-                            bytes_per_lane: 4,
-                            addresses: out.thread_slots,
-                        },
-                    );
+                    let (_, degree) =
+                        self.frontend
+                            .access_onchip(now, Space::Spawn, true, 4, &out.thread_slots);
                     self.block_issue_for_replays(now, degree);
                     self.commit(widx, pc, mask, now, now + 1);
                     self.warps[widx].set_pc(pc + 1);
@@ -1338,15 +1235,11 @@ impl Sm {
                     }
                 }
             }
-            let req = WarpAccess {
-                space,
-                is_store,
-                bytes_per_lane: width.bytes(),
-                addresses,
-            };
-            let (ready, degree) = self.frontend.access_onchip(now, &req);
+            let (ready, degree) =
+                self.frontend
+                    .access_onchip(now, space, is_store, width.bytes(), &addresses);
             self.block_issue_for_replays(now, degree);
-            self.addr_scratch = req.addresses;
+            self.addr_scratch = addresses;
             return Ok(ready);
         }
 
@@ -1384,6 +1277,7 @@ impl Sm {
                             requests: Vec::new(),
                             fill_lines: Vec::new(),
                             merge_lines: Vec::new(),
+                            ready: 0,
                         });
                     }
                     return Err(fault);
@@ -1414,8 +1308,15 @@ impl Sm {
             };
             addresses.push(timing_addr);
         }
-        // Texture-bound global loads go through the per-SM read-only cache.
-        if !is_store && space == Space::Global && !view.config().ideal && self.frontend.has_tex() {
+        let global_load = !is_store && space == Space::Global;
+        let mut requests = Vec::new();
+        let (ready, fill_lines, merge_lines) = if global_load
+            && !view.config().ideal
+            && self.frontend.has_tex()
+        {
+            // Texture-bound global loads go through the per-SM
+            // read-only cache; the rest of the warp's lanes take the
+            // plain global-load route below.
             let mut cached = std::mem::take(&mut self.tex_cached);
             let mut uncached = std::mem::take(&mut self.tex_uncached);
             cached.clear();
@@ -1428,100 +1329,44 @@ impl Sm {
                 }
             }
             let miss_lines = self.frontend.tex_probe(&cached, width.bytes());
-            let line = view.config().tex_line_bytes;
             let mut ready = now + u64::from(view.config().tex_hit_latency);
-            let mut requests = Vec::new();
-            let mut fill_lines = Vec::new();
-            let mut merge_lines = Vec::new();
             if !miss_lines.is_empty() {
-                // Texture fills skip the L1 (separate tag array on the real
-                // chip); they still cross the interconnect/L2 in phase B.
+                // Texture fills skip the L1 (separate tag array on the
+                // real chip); they still cross the fabric in phase B.
+                let line = view.config().tex_line_bytes;
                 let (floor, req) =
                     self.frontend
                         .request_offchip(now, Space::Global, false, line, &miss_lines);
                 ready = ready.max(floor);
                 requests.extend(req);
             }
-            if !uncached.is_empty() {
-                if view.config().l1_enabled() {
-                    let (floor, req, fills, merges, probe) =
-                        self.frontend.l1_request(now, width.bytes(), &uncached);
-                    ready = ready.max(floor);
-                    requests.extend(req);
-                    fill_lines = fills;
-                    merge_lines = merges;
-                    if self.telemetry.is_on() {
-                        self.telemetry.on_l1(now, warp_id, &probe);
-                    }
-                } else {
-                    let (floor, req) = self.frontend.request_offchip(
-                        now,
-                        Space::Global,
-                        false,
-                        width.bytes(),
-                        &uncached,
-                    );
-                    ready = ready.max(floor);
-                    requests.extend(req);
-                }
-            }
-            if self.telemetry.is_on() {
-                if !cached.is_empty() {
-                    self.telemetry.on_tex(
-                        now,
-                        warp_id,
-                        cached.len() as u32,
-                        miss_lines.len() as u32,
-                    );
-                }
-                if !requests.is_empty() {
-                    let segments = requests.iter().map(|r| r.segments.len() as u32).sum();
-                    self.telemetry
-                        .on_offchip(now, warp_id, addresses.len() as u32, segments);
-                }
-            }
-            if !ops.is_empty() || !requests.is_empty() || !merge_lines.is_empty() {
-                self.pending.push(PendingAccess {
-                    warp_id,
-                    slot: widx,
-                    wait: true,
-                    ops,
-                    requests,
-                    fill_lines,
-                    merge_lines,
-                });
+            let (fill_lines, merge_lines) = if uncached.is_empty() {
+                (Vec::new(), Vec::new())
             } else {
-                self.op_pool.push(ops);
+                let (floor, fills, merges) =
+                    self.global_load_request(now, warp_id, width.bytes(), &uncached, &mut requests);
+                ready = ready.max(floor);
+                (fills, merges)
+            };
+            if self.telemetry.is_on() && !cached.is_empty() {
+                self.telemetry
+                    .on_tex(now, warp_id, cached.len() as u32, miss_lines.len() as u32);
             }
             self.tex_cached = cached;
             self.tex_uncached = uncached;
-            self.addr_scratch = addresses;
-            return Ok(ready);
-        }
-
-        // Global loads go through the L1 when modeled; stores write
-        // through without allocating, and local/const keep the flat path
-        // (one tag array cannot alias local-physical and global
-        // addresses).
-        let (ready, requests, fill_lines, merge_lines) =
-            if !is_store && space == Space::Global && view.config().l1_enabled() {
-                let (ready, req, fills, merges, probe) =
-                    self.frontend.l1_request(now, width.bytes(), &addresses);
-                if self.telemetry.is_on() {
-                    self.telemetry.on_l1(now, warp_id, &probe);
-                }
-                (ready, req.into_iter().collect::<Vec<_>>(), fills, merges)
-            } else {
-                let (ready, req) =
-                    self.frontend
-                        .request_offchip(now, space, is_store, width.bytes(), &addresses);
-                (
-                    ready,
-                    req.into_iter().collect::<Vec<_>>(),
-                    Vec::new(),
-                    Vec::new(),
-                )
-            };
+            (ready, fill_lines, merge_lines)
+        } else if global_load {
+            self.global_load_request(now, warp_id, width.bytes(), &addresses, &mut requests)
+        } else {
+            // Stores write through without allocating, and local/const
+            // bypass the L1 (one tag array cannot alias local-physical
+            // and global addresses).
+            let (ready, req) =
+                self.frontend
+                    .request_offchip(now, space, is_store, width.bytes(), &addresses);
+            requests.extend(req);
+            (ready, Vec::new(), Vec::new())
+        };
         if self.telemetry.is_on() && !requests.is_empty() {
             let segments = requests.iter().map(|r| r.segments.len() as u32).sum();
             self.telemetry
@@ -1536,12 +1381,42 @@ impl Sm {
                 requests,
                 fill_lines,
                 merge_lines,
+                ready: 0,
             });
         } else {
             self.op_pool.push(ops);
         }
         self.addr_scratch = addresses;
         Ok(ready)
+    }
+
+    /// Routes the addresses of a global load that the read-only cache does
+    /// not serve: through the L1 when one is modelled, else straight to
+    /// the coalescer. Appends the fabric request (if any) to `requests` and
+    /// returns the phase-A completion floor with the access's MSHR fill and
+    /// merge lines (both empty without an L1).
+    fn global_load_request(
+        &mut self,
+        now: u64,
+        warp_id: usize,
+        width_bytes: u32,
+        addresses: &[u32],
+        requests: &mut Vec<FabricRequest>,
+    ) -> (u64, Vec<u32>, Vec<u32>) {
+        if !self.frontend.has_l1() {
+            let (ready, req) =
+                self.frontend
+                    .request_offchip(now, Space::Global, false, width_bytes, addresses);
+            requests.extend(req);
+            return (ready, Vec::new(), Vec::new());
+        }
+        let (ready, req, fills, merges, probe) =
+            self.frontend.l1_request(now, width_bytes, addresses);
+        requests.extend(req);
+        if self.telemetry.is_on() {
+            self.telemetry.on_l1(now, warp_id, &probe);
+        }
+        (ready, fills, merges)
     }
 
     /// Bank-conflict replays steal issue slots: a degree-`d` access
@@ -1582,7 +1457,7 @@ impl Sm {
     /// the phase-A pending queue is drained (it is every cycle).
     pub(crate) fn encode_state(&self, enc: &mut Encoder) {
         debug_assert!(
-            self.pending.is_empty() && self.staged.is_empty(),
+            self.pending.is_empty(),
             "checkpoint only at the cycle barrier"
         );
         enc.put_usize(self.warps.len());
@@ -1658,7 +1533,6 @@ impl Sm {
         self.stats.restore_state(dec)?;
         self.telemetry.restore_state(dec)?;
         self.pending.clear();
-        self.staged.clear();
         // Derived issue-stage structures are rebuilt, not stored: a warp
         // parked at cycle 0 wakes on the first post-restore step anyway.
         let warps = &self.warps;

@@ -59,8 +59,8 @@ fn words(gpu: &Gpu) -> Vec<u32> {
         .collect()
 }
 
-/// With the hierarchy enabled, the batched phase-B path must stay
-/// bit-identical at every phase-A parallelism level — stats, cache
+/// With the hierarchy enabled, phase B must stay bit-identical at every
+/// phase-A parallelism level — stats, cache
 /// counters, interconnect accounting, and memory contents.
 #[test]
 fn cached_execution_is_bit_identical_across_parallelism() {
@@ -207,78 +207,99 @@ fn cached_resume_commutes_with_parallelism() {
 }
 
 /// On a faulting cycle under `FaultPolicy::Abort`, the committed SMs'
-/// phase-B work must still flow through the banked interconnect and the
-/// L2 — not the legacy flat-fabric drain. The witness is conservation:
-/// every coalesced global transaction the frontends recorded must have
-/// paid its flit traversal on some interconnect bank, including the
-/// transactions issued on the very cycle the fault aborted the run.
+/// phase-B work must still flow through the one batch path — DRAM modules
+/// on the flat and L1-only machines, the banked interconnect and the L2 in
+/// front of them on the cached one — and the discarded SMs' work must not.
+/// The witness is conservation: every coalesced global transaction the
+/// frontends recorded must have paid its DRAM service (stores bypass both
+/// caches) and, where an interconnect is modelled, its flit traversal on
+/// some bank, including the transactions issued on the very cycle the
+/// fault aborted the run. Debug builds also run the drain's own
+/// conservation asserts on that cycle.
 #[test]
 fn abort_cycle_commits_through_the_banked_interconnect() {
     use simt_isa::Space;
     use simt_sim::SimError;
 
-    // SM 0's warps store every issue slot; SM 1's warps spin `k`
-    // iterations, then issue a misaligned store (trapped at validation,
-    // so it records no traffic of its own). Sweeping `k` shifts the
-    // fault cycle across the store loop's phase, so at least one run
-    // aborts with an SM 0 store staged in that same cycle.
-    for k in [4u32, 5, 6, 7] {
-        let src = format!(
-            r#"
-            .kernel main
-            main:
-                mov.u32 r1, %tid
-                mov.u32 r2, 0
-                setp.gt.s32 p0, r1, 31
-                @p0 bra delay
-            store:
-                st.global.u32 [r2+0], r1
-                st.global.u32 [r2+0], r1
-                st.global.u32 [r2+0], r1
-                bra store
-            delay:
-                mov.u32 r6, {k}
-            wait:
-                sub.s32 r6, r6, 1
-                setp.gt.s32 p0, r6, 0
-                @p0 bra wait
-                mov.u32 r3, 1
-                st.global.u32 [r3+0], r1
-                exit
-        "#
-        );
-        let cfg = cached_config();
-        let flit = u64::from(cfg.mem.icnt_flit_cycles.max(1));
-        let mut gpu = Gpu::builder(cfg).build();
-        gpu.mem_mut().alloc_global(64, "buf");
-        // `tiny` admits 32 threads per SM, so warp-granular dispatch
-        // fills SM 0 with the store-loop warps (tids 0..32) and SM 1
-        // with the delay warps (tids 32..64).
-        gpu.launch(Launch {
-            program: assemble_named("abort-icnt", &src).unwrap(),
-            entry: "main".into(),
-            num_threads: 64,
-            threads_per_block: 32,
-        })
-        .expect("launch accepted");
+    let flat = GpuConfig::tiny();
+    let mut l1_only = GpuConfig::tiny();
+    l1_only.mem = l1_only.mem.with_l1(4 * 1024);
+    for (machine, cfg) in [
+        ("flat", flat),
+        ("l1-only", l1_only),
+        ("cached", cached_config()),
+    ] {
+        // SM 0's warps store every issue slot; SM 1's warps spin `k`
+        // iterations, then issue a misaligned store (trapped at validation,
+        // so it records no traffic of its own). Sweeping `k` shifts the
+        // fault cycle across the store loop's phase, so at least one run
+        // aborts with an SM 0 store staged in that same cycle.
+        for k in [4u32, 5, 6, 7] {
+            let src = format!(
+                r#"
+                .kernel main
+                main:
+                    mov.u32 r1, %tid
+                    mov.u32 r2, 0
+                    setp.gt.s32 p0, r1, 31
+                    @p0 bra delay
+                store:
+                    st.global.u32 [r2+0], r1
+                    st.global.u32 [r2+0], r1
+                    st.global.u32 [r2+0], r1
+                    bra store
+                delay:
+                    mov.u32 r6, {k}
+                wait:
+                    sub.s32 r6, r6, 1
+                    setp.gt.s32 p0, r6, 0
+                    @p0 bra wait
+                    mov.u32 r3, 1
+                    st.global.u32 [r3+0], r1
+                    exit
+            "#
+            );
+            let what = format!("{machine}, k={k}");
+            let flit = u64::from(cfg.mem.icnt_flit_cycles.max(1));
+            let service = cfg.mem.segment_service_cycles();
+            let interconnect = cfg.mem.l2_enabled();
+            let mut gpu = Gpu::builder(cfg.clone()).build();
+            gpu.mem_mut().alloc_global(64, "buf");
+            // `tiny` admits 32 threads per SM, so warp-granular dispatch
+            // fills SM 0 with the store-loop warps (tids 0..32) and SM 1
+            // with the delay warps (tids 32..64).
+            gpu.launch(Launch {
+                program: assemble_named("abort-icnt", &src).unwrap(),
+                entry: "main".into(),
+                num_threads: 64,
+                threads_per_block: 32,
+            })
+            .expect("launch accepted");
 
-        let err = gpu.run(50_000).expect_err("misaligned store must abort");
-        let SimError::Fault(fault) = err else {
-            panic!("expected a fault, got {err}");
-        };
-        assert_eq!(fault.sm, 1, "delay warps should land on SM 1 (k={k})");
+            let err = gpu.run(50_000).expect_err("misaligned store must abort");
+            let SimError::Fault(fault) = err else {
+                panic!("expected a fault, got {err}");
+            };
+            assert_eq!(fault.sm, 1, "delay warps should land on SM 1 ({what})");
 
-        let mut transactions = gpu.mem().traffic().space(Space::Global).transactions;
-        for sm in gpu.sms() {
-            transactions += sm.traffic().space(Space::Global).transactions;
+            let transactions: u64 = gpu
+                .sms()
+                .iter()
+                .map(|sm| sm.traffic().space(Space::Global).transactions)
+                .sum();
+            assert!(transactions > 0, "store loop should have issued ({what})");
+            let dram: f64 = gpu.mem().module_busy().iter().sum();
+            assert!(
+                (dram - service * transactions as f64).abs() < 1e-6,
+                "every recorded transaction must occupy a DRAM module ({what})"
+            );
+            let busy: u64 = gpu.mem().icnt_busy().iter().sum();
+            assert_eq!(
+                busy,
+                if interconnect { flit * transactions } else { 0 },
+                "every recorded transaction must traverse an icnt bank ({what})"
+            );
         }
-        assert!(transactions > 0, "store loop should have issued (k={k})");
-        let busy: u64 = gpu.mem().icnt_busy().iter().sum();
-        assert_eq!(
-            busy,
-            flit * transactions,
-            "every recorded transaction must traverse an icnt bank (k={k})"
-        );
     }
 }
 

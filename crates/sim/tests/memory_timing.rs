@@ -1,9 +1,13 @@
 //! Timing-model behaviour visible at the pipeline level: texture-cache
-//! hits, constant-cache broadcasts, stack coalescing, and sequential
-//! launches.
+//! hits, constant-cache broadcasts, stack coalescing, sequential
+//! launches, and closed-form checks of the one phase-B path — wake-up
+//! cycles of hand-computable programs, derived from `MemConfig` fields.
 
-use simt_isa::assemble_named;
-use simt_sim::{Gpu, GpuConfig, Launch, LaunchError, RunOutcome};
+use simt_isa::{assemble_named, Instr};
+use simt_mem::MemConfig;
+use simt_sim::{
+    Gpu, GpuConfig, Launch, LaunchError, RunOutcome, TelemetrySpec, TraceEvent, TraceEventKind,
+};
 
 fn run_src(src: &str, threads: u32, mark_read_only: Option<(u32, u32)>) -> u64 {
     let program = assemble_named("t", src).unwrap();
@@ -154,4 +158,170 @@ fn relaunch_before_completion_is_rejected() {
         threads_per_block: 8,
     });
     assert_eq!(second, Err(LaunchError::LaunchActive));
+}
+
+/// Runs `src` as 4-thread warps on a `tiny` machine holding
+/// `warps_per_sm` of them per SM, with the given memory configuration,
+/// tracing every issue. Returns the pc of the kernel's load with it.
+fn traced(
+    src: &str,
+    threads: u32,
+    warps_per_sm: u32,
+    mem: MemConfig,
+) -> (Gpu, Vec<TraceEvent>, usize) {
+    let program = assemble_named("t", src).unwrap();
+    let ld_pc = program
+        .instrs()
+        .iter()
+        .position(|i| matches!(i.op, Instr::Ld { .. }))
+        .expect("the kernel loads");
+    let cfg = GpuConfig {
+        mem,
+        max_threads_per_sm: 4 * warps_per_sm,
+        ..GpuConfig::tiny()
+    };
+    let mut gpu = Gpu::builder(cfg).telemetry(TelemetrySpec::trace()).build();
+    gpu.mem_mut().alloc_global(1 << 12, "buf");
+    gpu.launch(Launch {
+        program,
+        entry: "main".into(),
+        num_threads: threads,
+        threads_per_block: 4,
+    })
+    .expect("launch accepted");
+    let s = gpu.run(1_000_000).expect("fault-free");
+    assert_eq!(s.outcome, RunOutcome::Completed);
+    let events = gpu.telemetry_report().events;
+    (gpu, events, ld_pc)
+}
+
+/// The cycle at which warp `warp` of SM `sm` issued the instruction at
+/// `pc` (each is issued once in these kernels).
+fn issued_at(events: &[TraceEvent], sm: usize, warp: usize, pc: usize) -> u64 {
+    let mut hits = events.iter().filter(|e| {
+        e.sm == sm && matches!(e.kind, TraceEventKind::Issue { warp: w, pc: p, .. } if w == warp && p == pc)
+    });
+    let cycle = hits.next().expect("the instruction issued").cycle;
+    assert!(hits.next().is_none(), "issued more than once");
+    cycle
+}
+
+/// Every lane loads word 0: one segment, one module.
+const ONE_SEGMENT_SRC: &str = r#"
+    .kernel main
+    main:
+        mov.u32 r2, 0
+        ld.global.u32 r3, [r2+0]
+        exit
+"#;
+
+/// One warp, one segment, an idle flat machine: the segment occupies its
+/// module for the (fractional) service time from the issue cycle, and the
+/// data is there `dram_latency` after the cycle that completes in.
+#[test]
+fn single_segment_load_wakes_after_service_plus_dram_latency() {
+    let mem = MemConfig::fx5800();
+    let (_, events, ld) = traced(ONE_SEGMENT_SRC, 4, 1, mem.clone());
+    let expected = mem.segment_service_cycles().ceil() as u64 + u64::from(mem.dram_latency);
+    assert_eq!(
+        issued_at(&events, 0, 0, ld + 1) - issued_at(&events, 0, 0, ld),
+        expected
+    );
+}
+
+/// Two SMs send the same segment to one module in the same cycle: the
+/// batch is serviced in SM-id order, so SM 1's segment starts when SM 0's
+/// leaves the module and its data is one service time later.
+#[test]
+fn same_cycle_requests_to_one_module_queue_in_sm_order() {
+    let mem = MemConfig::fx5800();
+    // Two warps, one per SM.
+    let (_, events, ld) = traced(ONE_SEGMENT_SRC, 8, 1, mem.clone());
+    let issue = issued_at(&events, 0, 0, ld);
+    assert_eq!(issued_at(&events, 1, 0, ld), issue, "both load together");
+    let service = mem.segment_service_cycles();
+    let latency = u64::from(mem.dram_latency);
+    assert_eq!(
+        issued_at(&events, 0, 0, ld + 1) - issue,
+        service.ceil() as u64 + latency
+    );
+    assert_eq!(
+        issued_at(&events, 1, 0, ld + 1) - issue,
+        (2.0 * service).ceil() as u64 + latency
+    );
+}
+
+/// L1-only machine, two warps of one SM missing the same line in adjacent
+/// cycles (an SM issues one warp-instruction per cycle, so that is as close
+/// as two misses get): the first fetches the line — one request, one
+/// segment per 32 B of it, each on its own idle module — and the second
+/// merges into the outstanding fill instead of queueing a request of its
+/// own behind it. Both are ready at the same fill time and leave through
+/// the single issue port one cycle apart.
+#[test]
+fn second_miss_to_an_in_flight_line_merges_and_wakes_at_the_same_fill() {
+    let mem = MemConfig::fx5800().with_l1(16 * 1024);
+    // Two warps, both on SM 0.
+    let (gpu, events, ld) = traced(ONE_SEGMENT_SRC, 8, 2, mem.clone());
+
+    let first = issued_at(&events, 0, 0, ld);
+    assert_eq!(issued_at(&events, 0, 1, ld), first + 1);
+    let fill = first + mem.segment_service_cycles().ceil() as u64 + u64::from(mem.dram_latency);
+    let mut wakes = [
+        issued_at(&events, 0, 0, ld + 1),
+        issued_at(&events, 0, 1, ld + 1),
+    ];
+    wakes.sort_unstable();
+    assert_eq!(wakes, [fill, fill + 1]);
+    let (hits, misses, merges, stalls) = gpu.l1_stats().expect("L1 modelled");
+    assert_eq!((misses, merges, stalls), (2, 1, 0));
+    assert_eq!(hits, 6, "the other lanes ride their warp's line");
+    let segments = u64::from(mem.l1_line_bytes / mem.segment_bytes);
+    assert_eq!(
+        gpu.sms()[0]
+            .traffic()
+            .space(simt_isa::Space::Global)
+            .transactions,
+        segments,
+        "one line fetched once"
+    );
+}
+
+/// `fx5800_cached`: SM 0 misses a line all the way to DRAM, which leaves
+/// it in the L2; SM 1 loads it once that round trip is long over. Its own
+/// L1 misses, each segment crosses an idle interconnect bank (one flit,
+/// then the traversal latency) and hits its partition's slice.
+#[test]
+fn l2_hit_costs_flit_plus_interconnect_plus_hit_latency() {
+    // Warp 0 (SM 0) loads at once; warp 1 (SM 1) spins first.
+    const SRC: &str = r#"
+        .kernel main
+        main:
+            mov.u32 r1, %tid
+            mov.u32 r2, 0
+            mov.u32 r6, 200
+            setp.lt.s32 p0, r1, 4
+            @p0 bra load
+        wait:
+            sub.s32 r6, r6, 1
+            setp.gt.s32 p1, r6, 0
+            @p1 bra wait
+        load:
+            ld.global.u32 r3, [r2+0]
+            exit
+    "#;
+    let mem = MemConfig::fx5800_cached();
+    let (gpu, events, ld) = traced(SRC, 8, 1, mem.clone());
+    let cold = issued_at(&events, 0, 0, ld);
+    let warm = issued_at(&events, 1, 0, ld);
+    assert!(
+        warm > issued_at(&events, 0, 0, ld + 1),
+        "SM 1 loads after SM 0's fill landed ({cold} .. {warm})"
+    );
+    let expected = u64::from(mem.icnt_flit_cycles.max(1))
+        + u64::from(mem.icnt_latency)
+        + u64::from(mem.l2_hit_latency);
+    assert_eq!(issued_at(&events, 1, 0, ld + 1) - warm, expected);
+    let segments = u64::from(mem.l1_line_bytes / mem.segment_bytes);
+    assert_eq!(gpu.mem().l2_stats(), Some((segments, segments)));
 }

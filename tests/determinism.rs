@@ -3,6 +3,7 @@
 
 use usimt::dmk::DmkConfig;
 use usimt::kernels::render::RenderSetup;
+use usimt::mem::MemConfig;
 use usimt::raytrace::scenes::{self, SceneScale};
 use usimt::sim::{CsvMetricsSink, Gpu, GpuConfig, RunSummary, Snapshot, TelemetrySpec, TraceSink};
 
@@ -50,7 +51,9 @@ fn dynamic_runs_are_bit_identical() {
 /// ticking — statistics, traffic, the metrics CSV with its divergence
 /// timeline, the image, and the checkpoint bytes at a cycle limit that
 /// lands mid-frame — and a machine restored from that mid-sleep snapshot
-/// must finish the frame the same way.
+/// must finish the frame the same way. Every memory machine goes through
+/// the same phase B, so each is a row: the image must also not move from
+/// one row to the next.
 #[test]
 fn sleeping_sms_are_bit_identical_to_forced_tick_through_a_checkpoint() {
     const FIRST_LEG: u64 = 1_500;
@@ -63,34 +66,56 @@ fn sleeping_sms_are_bit_identical_to_forced_tick_through_a_checkpoint() {
             setup.device_results(&gpu),
         )
     };
-    let first_leg = |force_tick: bool| {
-        let mut gpu = Gpu::builder(GpuConfig::fx5800_dmk(DmkConfig::paper()))
-            .force_tick(force_tick)
-            .telemetry(TelemetrySpec::metrics())
-            .build();
-        let setup = RenderSetup::upload(&mut gpu, &scene, 16, 16);
-        setup.launch_ukernel(&mut gpu, 32);
-        gpu.run(FIRST_LEG).expect("fault-free first leg");
-        assert_eq!(gpu.now(), FIRST_LEG, "the limit lands mid-frame");
-        let snapshot = gpu.checkpoint().expect("encodable").to_bytes();
-        (gpu, setup, snapshot)
-    };
-    let (ticked, setup, tick_snapshot) = first_leg(true);
-    let (slept, _, snapshot) = first_leg(false);
-    assert_eq!(ticked.slept_sm_cycles(), 0, "force_tick never sleeps");
+    let mut images = Vec::new();
+    for (machine, mem) in [
+        ("flat", MemConfig::fx5800()),
+        ("l1-only", MemConfig::fx5800().with_l1(16 * 1024)),
+        ("cached", MemConfig::fx5800_cached()),
+    ] {
+        let first_leg = |force_tick: bool| {
+            let cfg = GpuConfig {
+                mem: mem.clone(),
+                ..GpuConfig::fx5800_dmk(DmkConfig::paper())
+            };
+            let mut gpu = Gpu::builder(cfg)
+                .force_tick(force_tick)
+                .telemetry(TelemetrySpec::metrics())
+                .build();
+            let setup = RenderSetup::upload(&mut gpu, &scene, 16, 16);
+            setup.launch_ukernel(&mut gpu, 32);
+            gpu.run(FIRST_LEG).expect("fault-free first leg");
+            assert_eq!(gpu.now(), FIRST_LEG, "the limit lands mid-frame");
+            let snapshot = gpu.checkpoint().expect("encodable").to_bytes();
+            (gpu, setup, snapshot)
+        };
+        let (ticked, setup, tick_snapshot) = first_leg(true);
+        let (slept, _, snapshot) = first_leg(false);
+        assert_eq!(ticked.slept_sm_cycles(), 0, "force_tick never sleeps");
+        assert!(
+            slept.slept_sm_cycles() > 20 * FIRST_LEG,
+            "the SMs without a warp slept through the first leg ({machine})"
+        );
+        assert!(
+            tick_snapshot == snapshot,
+            "mid-sleep checkpoint bytes diverged ({machine})"
+        );
+        let resumed = Gpu::restore(&Snapshot::from_bytes(&snapshot).expect("frame intact"))
+            .expect("restores");
+        let tick_end = finish(ticked, &setup);
+        assert!(
+            tick_end == finish(slept, &setup),
+            "sleeping diverged ({machine})"
+        );
+        assert!(
+            tick_end == finish(resumed, &setup),
+            "resume diverged ({machine})"
+        );
+        images.push(tick_end.2);
+    }
     assert!(
-        slept.slept_sm_cycles() > 20 * FIRST_LEG,
-        "the SMs without a warp slept through the first leg"
+        images.windows(2).all(|w| w[0] == w[1]),
+        "the image depends on the memory machine"
     );
-    assert!(
-        tick_snapshot == snapshot,
-        "mid-sleep checkpoint bytes diverged"
-    );
-    let resumed =
-        Gpu::restore(&Snapshot::from_bytes(&snapshot).expect("frame intact")).expect("restores");
-    let tick_end = finish(ticked, &setup);
-    assert!(tick_end == finish(slept, &setup), "sleeping diverged");
-    assert!(tick_end == finish(resumed, &setup), "resume diverged");
 }
 
 #[test]
