@@ -40,11 +40,12 @@ pub mod chaos;
 pub mod manifest;
 pub mod worker;
 
-use crate::runner::{run_fingerprint, Scale};
+use crate::runner::{run_fingerprint_by_name, Scale};
 use crate::workload::{RenderError, ScenarioSpec};
 use chaos::Chaos;
 use manifest::{JobOutcome, JobRecord, Manifest};
 use simt_isa::codec::{fnv1a64, Encoder};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
@@ -92,9 +93,9 @@ pub fn scenario_fingerprint(spec: &ScenarioSpec, json: bool) -> u64 {
     enc.put_str("usimt-campaign-fp-v1");
     enc.put_str(spec.name());
     enc.put_bool(json);
-    for scene in raytrace::scenes::all(spec.scale.scene) {
+    for scene in raytrace::scenes::NAMES {
         for variant in crate::configs::Variant::ALL {
-            enc.put_u64(run_fingerprint(&scene, variant, spec.scale));
+            enc.put_u64(run_fingerprint_by_name(scene, variant, spec.scale));
         }
     }
     if let Ok(w) = spec.resolve() {
@@ -453,6 +454,10 @@ pub struct Coordinator {
     hb_dir: PathBuf,
     ckpt_root: PathBuf,
     jobs: Vec<Job>,
+    /// Index in `jobs` of the latest job submitted under each
+    /// fingerprint. At most one job per fingerprint is unfinished (a
+    /// resubmission attaches to it), and that one is always the latest.
+    by_fingerprint: HashMap<u64, usize>,
     running: Vec<Running>,
     counters: ExecCounters,
 }
@@ -480,6 +485,7 @@ impl Coordinator {
             hb_dir,
             ckpt_root,
             jobs: Vec::new(),
+            by_fingerprint: HashMap::new(),
             running: Vec::new(),
             counters: ExecCounters::default(),
         })
@@ -499,12 +505,10 @@ impl Coordinator {
     pub fn submit(&mut self, spec: JobSpec) -> Result<usize, String> {
         spec.scenario.resolve().map_err(|e| e.to_string())?;
         let fingerprint = spec.fingerprint();
-        if let Some(idx) = self
-            .jobs
-            .iter()
-            .position(|j| j.fingerprint == fingerprint && !j.is_done())
-        {
-            return Ok(idx);
+        if let Some(&idx) = self.by_fingerprint.get(&fingerprint) {
+            if !self.jobs[idx].is_done() {
+                return Ok(idx);
+            }
         }
         let now = Instant::now();
         let mut job = Job {
@@ -541,8 +545,10 @@ impl Coordinator {
             }
             cache::Probe::Miss => {}
         }
+        let idx = self.jobs.len();
         self.jobs.push(job);
-        Ok(self.jobs.len() - 1)
+        self.by_fingerprint.insert(fingerprint, idx);
+        Ok(idx)
     }
 
     /// All jobs, in submission order.
@@ -553,6 +559,14 @@ impl Coordinator {
     /// One job by index.
     pub fn job(&self, idx: usize) -> Option<&Job> {
         self.jobs.get(idx)
+    }
+
+    /// The latest job submitted under `fingerprint` (the public job id
+    /// of `repro serve`).
+    pub fn job_by_fingerprint(&self, fingerprint: u64) -> Option<&Job> {
+        self.by_fingerprint
+            .get(&fingerprint)
+            .map(|&idx| &self.jobs[idx])
     }
 
     /// Aggregate degradation counters.

@@ -8,6 +8,7 @@ use serde::{Deserialize, Serialize};
 use simt_isa::codec::{fnv1a64, Decoder, Encoder};
 use simt_sim::{ChromeTraceSink, CsvMetricsSink, Gpu, RunSummary, TelemetryReport, TraceSink};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Experiment scale: resolution, simulated-cycle budget, scene size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -110,6 +111,22 @@ impl fmt::Display for FaultHealth {
     }
 }
 
+/// Digest of the embedded kernel a variant runs (μ-kernel or traditional
+/// program). The sources are compile-time constants, so each is assembled
+/// and digested once per process.
+fn kernel_digest(variant: Variant) -> u64 {
+    static UKERNEL: OnceLock<u64> = OnceLock::new();
+    static TRADITIONAL: OnceLock<u64> = OnceLock::new();
+    let digest = |program: simt_isa::Program| {
+        simt_sim::program_digest(&program).expect("embedded kernels encode losslessly")
+    };
+    if variant.is_dynamic() {
+        *UKERNEL.get_or_init(|| digest(rt_kernels::ukernel::program()))
+    } else {
+        *TRADITIONAL.get_or_init(|| digest(rt_kernels::traditional::program()))
+    }
+}
+
 /// Deterministic identity of one render-run, for checkpoint/result-cache
 /// keying: FNV-1a-64 over the kernel program bytes, the scene (name and
 /// triangle-count scale), the full [`simt_sim::GpuConfig`], the
@@ -118,9 +135,20 @@ impl fmt::Display for FaultHealth {
 /// results, so a checkpoint or cached result stamped with a different
 /// fingerprint must never be trusted for this run.
 pub fn run_fingerprint(scene: &Scene, variant: Variant, scale: Scale) -> u64 {
+    run_fingerprint_by_name(scene.name, variant, scale)
+}
+
+/// [`run_fingerprint`] from the scene's name alone (one of
+/// [`raytrace::scenes::NAMES`]): the name is all of a scene the identity
+/// reads — its geometry is a pure function of name and [`Scale::scene`]
+/// — so job identities are computed without generating any. The
+/// telemetry spec and the variant's configuration are process state
+/// (`--trace`, `--metrics-every`) or cheap, and are read on every call;
+/// only the digests of the embedded kernels are kept between calls.
+pub fn run_fingerprint_by_name(scene_name: &str, variant: Variant, scale: Scale) -> u64 {
     let mut enc = Encoder::new();
     enc.put_str("usimt-run-fp-v1");
-    enc.put_str(scene.name);
+    enc.put_str(scene_name);
     enc.put_str(&format!("{variant:?}"));
     enc.put_u32(scale.resolution);
     enc.put_u64(scale.cycles);
@@ -135,13 +163,7 @@ pub fn run_fingerprint(scene: &Scene, variant: Variant, scale: Scale) -> u64 {
     enc.put_bool(spec.trace);
     enc.put_u64(spec.metrics_window);
     enc.put_u64(simt_sim::config_digest(&configs::config_for(variant)));
-    let program = if variant.is_dynamic() {
-        rt_kernels::ukernel::program()
-    } else {
-        rt_kernels::traditional::program()
-    };
-    let digest = simt_sim::program_digest(&program).expect("embedded kernels encode losslessly");
-    enc.put_u64(digest);
+    enc.put_u64(kernel_digest(variant));
     fnv1a64(&enc.into_bytes())
 }
 

@@ -81,13 +81,14 @@ pub fn request(addr: &str, method: &str, path: &str, body: &str) -> Result<Respo
     stream
         .set_read_timeout(Some(Duration::from_secs(45)))
         .map_err(|e| format!("timeout: {e}"))?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    let _ = stream.set_nodelay(true);
+    // Head and body in one write: one segment for a small request.
+    let message = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
     stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body.as_bytes()))
+        .write_all(message.as_bytes())
         .map_err(|e| format!("send: {e}"))?;
     read_response(&mut stream)
 }

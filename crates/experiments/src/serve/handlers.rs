@@ -5,7 +5,7 @@
 //! | `POST /jobs` | admission control → 202 (accepted, body carries the job id) / 429 (typed shed + `Retry-After-Ms`) / 400 / 503 (draining) |
 //! | `GET /jobs/<id>` | job status; `?wait_ms=N` long-polls until terminal or the wait expires |
 //! | `GET /jobs/<id>/output` | the rendered artifact bytes |
-//! | `GET /healthz` | queue depth, shed counts, worker liveness, journal lag, degradation counters |
+//! | `GET /healthz` | queue depth, shed counts, worker liveness, journal lag, degradation counters, per-route request counts and handler time |
 //! | `GET /readyz` | 200 while admitting, 503 once draining |
 //! | `POST /drain` | begin graceful drain |
 //!
@@ -46,7 +46,7 @@ pub fn handle(shared: &Shared, stream: &mut TcpStream) {
 /// Dispatches one parsed request to `(status, body, retry_after_ms)`.
 fn route(shared: &Shared, req: &http::Request) -> (u16, String, Option<u64>) {
     match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/jobs") => submit(shared, req),
+        ("POST", "/jobs") => shared.routes.post_jobs.timed(|| submit(shared, req)),
         ("GET", "/healthz") => (200, healthz(shared), None),
         ("GET", "/readyz") => {
             if shared.lock().draining {
@@ -60,16 +60,18 @@ fn route(shared: &Shared, req: &http::Request) -> (u16, String, Option<u64>) {
             }
         }
         ("POST", "/drain") => {
-            shared.lock().draining = true;
-            shared.cv.notify_all();
+            shared.begin_drain();
             eprintln!("serve: drain requested");
             (200, "{\"draining\": true}\n".to_string(), None)
         }
         ("GET", path) => {
             if let Some(rest) = path.strip_prefix("/jobs/") {
                 match rest.strip_suffix("/output") {
-                    Some(id) => job_output(shared, id),
-                    None => job_status(shared, rest, req),
+                    Some(id) => shared.routes.get_output.timed(|| job_output(shared, id)),
+                    None => shared
+                        .routes
+                        .get_status
+                        .timed(|| job_status(shared, rest, req)),
                 }
             } else {
                 (404, "{\"error\": \"no such route\"}\n".to_string(), None)
@@ -174,7 +176,7 @@ fn job_status(shared: &Shared, id: &str, req: &http::Request) -> (u16, String, O
     let deadline = Instant::now() + wait;
     let mut inner = shared.lock();
     loop {
-        match inner.jobs_by_fingerprint(fingerprint) {
+        match inner.coord.job_by_fingerprint(fingerprint) {
             None => {
                 // Unknown here — possibly completed and retired before a
                 // restart. The client contract: resubmit (idempotent; a
@@ -208,7 +210,7 @@ fn job_output(shared: &Shared, id: &str) -> (u16, String, Option<u64>) {
         return (400, "{\"error\": \"bad job id\"}\n".to_string(), None);
     };
     let inner = shared.lock();
-    match inner.jobs_by_fingerprint(fingerprint) {
+    match inner.coord.job_by_fingerprint(fingerprint) {
         Some(job) => match job.output() {
             Some(bytes) => match std::str::from_utf8(bytes) {
                 Ok(text) => (200, text.to_string(), None),
@@ -231,6 +233,9 @@ fn job_output(shared: &Shared, id: &str) -> (u16, String, Option<u64>) {
 fn healthz(shared: &Shared) -> String {
     let inner = shared.lock();
     let counters = inner.coord.counters();
+    let (post_requests, post_us) = shared.routes.post_jobs.read();
+    let (status_requests, status_us) = shared.routes.get_status.read();
+    let (output_requests, output_us) = shared.routes.get_output.read();
     format!(
         "{{\"incarnation\": {}, \"draining\": {}, \
          \"queue_depth\": {}, \"queue_capacity\": {}, \"in_flight\": {}, \
@@ -238,7 +243,10 @@ fn healthz(shared: &Shared) -> String {
          \"shed_queue_full\": {}, \"shed_rate_limited\": {}, \"shed_draining\": {}, \"shed_total\": {}, \
          \"journal_lag\": {}, \"journal_quarantined\": {}, \
          \"cache_hits\": {}, \"fresh_completions\": {}, \
-         \"quarantined\": {}, \"retried_attempts\": {}, \"sigkills\": {}, \"deadline_kills\": {}}}\n",
+         \"quarantined\": {}, \"retried_attempts\": {}, \"sigkills\": {}, \"deadline_kills\": {}, \
+         \"post_jobs_requests\": {post_requests}, \"post_jobs_handler_us\": {post_us}, \
+         \"get_status_requests\": {status_requests}, \"get_status_handler_us\": {status_us}, \
+         \"get_output_requests\": {output_requests}, \"get_output_handler_us\": {output_us}}}\n",
         inner.incarnation,
         inner.draining,
         inner.coord.backlog(),

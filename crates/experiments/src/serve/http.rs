@@ -127,8 +127,10 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response and flushes. `retry_after_ms` adds the
-/// `Retry-After-Ms` hint header sheds carry.
+/// Writes one response and flushes: head and body leave in one write, so
+/// a small response is one segment and never waits on the peer's delayed
+/// ACK of its head. `retry_after_ms` adds the `Retry-After-Ms` hint
+/// header sheds carry.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -145,8 +147,9 @@ pub fn write_response(
         head.push_str(&format!("Retry-After-Ms: {ms}\r\n"));
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 

@@ -40,10 +40,16 @@
 //!   loop provably converges to byte-identical artifacts.
 //!
 //! `/healthz` reports queue depth, shed counts by reason, worker
-//! liveness, journal lag, and the engine's degradation counters
-//! (quarantines, retries, SIGKILLs); `/readyz` flips unready the moment
+//! liveness, journal lag, the engine's degradation counters
+//! (quarantines, retries, SIGKILLs), and per-route request counts and
+//! handler time; `/readyz` flips unready the moment
 //! draining starts. Long-poll job status (`GET /jobs/<id>?wait_ms=N`)
 //! carries the worker's latest `SnapshotSink`-style progress pulse.
+//!
+//! No request waits on a timer: the accept thread blocks in `accept()`
+//! (and is woken for shutdown by one loopback connect), the pump parks
+//! on a condvar that admission and drain signal, and a job's identity is
+//! computed from constants before the server-wide lock is taken.
 
 pub mod admission;
 pub mod client;
@@ -59,10 +65,22 @@ use crate::runner::Scale;
 use admission::{ShedCounters, ShedReason, TokenBucket};
 use journal::{Journal, JournalEntry};
 use std::collections::HashMap;
-use std::net::TcpListener;
+use std::io::ErrorKind;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Longest the pump parks between passes: the bound on noticing a file
+/// in the drop directory, a worker's exit or heartbeat, and a deadline.
+/// Admission and drain wake it at once.
+const PUMP_TICK: Duration = Duration::from_millis(10);
+
+/// How long the accept thread stays away from `accept()` after it failed
+/// for want of a descriptor or a buffer, which an immediate retry would
+/// only fail on again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Serve configuration, built by the `repro serve` argument parser.
 #[derive(Debug, Clone)]
@@ -145,6 +163,50 @@ pub struct Inner {
     pub incarnation: u64,
     /// Requests admitted (journaled + acked) this incarnation.
     pub admitted: u64,
+    /// Set with [`Shared::pump`] signaled: the pump has work and must not
+    /// park before its next pass.
+    pub pump_due: bool,
+}
+
+/// Traffic of one route since boot: requests handled and the time their
+/// handlers took, from parsed request to response body (socket reads and
+/// writes excluded; a long-poll's parked time included).
+#[derive(Debug, Default)]
+pub struct RouteStat {
+    requests: AtomicU64,
+    handler_us: AtomicU64,
+}
+
+impl RouteStat {
+    /// Runs one request's handler, counting it and its duration.
+    pub fn timed<T>(&self, handler: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = handler();
+        // Statistics only: nothing is published through these.
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.handler_us
+            .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+        out
+    }
+
+    /// `(requests, cumulative handler microseconds)`.
+    pub fn read(&self) -> (u64, u64) {
+        (
+            self.requests.load(Ordering::Relaxed),
+            self.handler_us.load(Ordering::Relaxed),
+        )
+    }
+}
+
+/// [`RouteStat`]s of the three routes a job's round trip takes.
+#[derive(Debug, Default)]
+pub struct RouteStats {
+    /// `POST /jobs`.
+    pub post_jobs: RouteStat,
+    /// `GET /jobs/<id>`.
+    pub get_status: RouteStat,
+    /// `GET /jobs/<id>/output`.
+    pub get_output: RouteStat,
 }
 
 /// State shared between the pump loop, the accept loop, and connection
@@ -157,6 +219,12 @@ pub struct Shared {
     /// Signaled whenever a job reaches a terminal state (long-poll
     /// wake-up) and on drain.
     pub cv: Condvar,
+    /// Signaled, with [`Inner::pump_due`] set, when the pump has work
+    /// that should not wait out [`PUMP_TICK`]: a cold job admitted, a
+    /// drain begun.
+    pub pump: Condvar,
+    /// Per-route traffic, reported by `/healthz`.
+    pub routes: RouteStats,
 }
 
 impl Shared {
@@ -167,6 +235,20 @@ impl Shared {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Has the pump run a pass now instead of at its next tick.
+    fn wake_pump(&self, inner: &mut Inner) {
+        inner.pump_due = true;
+        self.pump.notify_one();
+    }
+
+    /// Stops admission and starts the graceful drain.
+    pub fn begin_drain(&self) {
+        let mut inner = self.lock();
+        inner.draining = true;
+        self.wake_pump(&mut inner);
+        self.cv.notify_all();
     }
 }
 
@@ -194,11 +276,13 @@ pub enum Admission {
 /// validation first (a garbage request never consumes a token), then
 /// draining, rate limit, queue bound, then the durable journal append,
 /// then coordinator submission — the 202 is only earned once the entry
-/// is journaled.
+/// is journaled. The fingerprint reads no server state, so it is
+/// computed before the server-wide lock is taken.
 pub fn admit(shared: &Shared, spec: JobSpec, now: Instant) -> Admission {
     if let Err(e) = spec.scenario.resolve() {
         return Admission::Rejected(e.to_string());
     }
+    let fingerprint = spec.fingerprint();
     let mut inner = shared.lock();
     if inner.draining {
         inner.sheds.count(ShedReason::Draining);
@@ -214,12 +298,12 @@ pub fn admit(shared: &Shared, spec: JobSpec, now: Instant) -> Admission {
             retry_after_ms: (wait.as_millis() as u64).max(1),
         };
     }
-    let fingerprint = spec.fingerprint();
     // An identical job already admitted (or already terminal) is free:
     // idempotent by fingerprint, no new queue slot, no new journal entry.
     let attached = inner
-        .jobs_by_fingerprint(fingerprint)
-        .map(|job| job.is_done());
+        .coord
+        .job_by_fingerprint(fingerprint)
+        .map(Job::is_done);
     if let Some(done) = attached {
         return Admission::Accepted {
             fingerprint,
@@ -251,6 +335,9 @@ pub fn admit(shared: &Shared, spec: JobSpec, now: Instant) -> Admission {
             let warm = inner.coord.jobs()[idx].is_done();
             if warm {
                 shared.cv.notify_all();
+            } else {
+                // A worker slot may be free: start the job now.
+                shared.wake_pump(&mut inner);
             }
             Admission::Accepted { fingerprint, warm }
         }
@@ -262,16 +349,6 @@ pub fn admit(shared: &Shared, spec: JobSpec, now: Instant) -> Admission {
             }
             Admission::Rejected(e)
         }
-    }
-}
-
-impl Inner {
-    /// Finds the job for a public id.
-    pub fn jobs_by_fingerprint(&self, fingerprint: u64) -> Option<&Job> {
-        self.coord
-            .jobs()
-            .iter()
-            .find(|j| j.fingerprint() == fingerprint)
     }
 }
 
@@ -352,9 +429,6 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
     simt_sim::write_atomic(
         &cfg.serve_dir.join("endpoint"),
         format!("{addr}\n").as_bytes(),
@@ -380,8 +454,11 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
             stop: false,
             incarnation,
             admitted: 0,
+            pump_due: false,
         }),
         cv: Condvar::new(),
+        pump: Condvar::new(),
+        routes: RouteStats::default(),
         cfg,
     });
 
@@ -419,29 +496,48 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
         }
     }
 
-    // Accept loop: non-blocking accept, one handler thread per
+    // Accept loop: blocks in `accept()`, one handler thread per
     // connection (requests are small and short-lived except long-polls,
-    // which park on the condvar).
+    // which park on the condvar). It ends on the first connection it
+    // accepts after `stop` is set — the one `run` makes below.
     let accept_shared = Arc::clone(&shared);
     let accept_thread = std::thread::spawn(move || loop {
         match listener.accept() {
             Ok((mut stream, _)) => {
+                if accept_shared.lock().stop {
+                    return;
+                }
                 let shared = Arc::clone(&accept_shared);
                 std::thread::spawn(move || {
+                    let _ = stream.set_nodelay(true);
                     let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
                     let _ = stream.set_write_timeout(Some(Duration::from_secs(60)));
                     handlers::handle(&shared, &mut stream);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if accept_shared.lock().stop {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // The peer gave up during the handshake, or a signal arrived:
+            // the next client in the backlog is unaffected.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::ConnectionAborted | ErrorKind::Interrupted
+                ) => {}
+            // Out of descriptors or buffers. The connection stays in the
+            // backlog and `accept()` would fail on it again at once, so
+            // park — where a finished job or the stop flag still reaches
+            // this thread — and retry.
             Err(e) => {
                 eprintln!("serve: accept: {e}");
-                std::thread::sleep(Duration::from_millis(50));
+                let inner = accept_shared.lock();
+                if inner.stop {
+                    return;
+                }
+                drop(
+                    accept_shared
+                        .cv
+                        .wait_timeout(inner, ACCEPT_BACKOFF)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner),
+                );
             }
         }
     });
@@ -452,6 +548,7 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
     loop {
         {
             let mut inner = shared.lock();
+            inner.pump_due = false;
             let finished = inner.coord.poll()?;
             // Retire journal entries whose jobs reached a terminal state
             // (their results are banked in the cache or recorded as typed
@@ -460,7 +557,12 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
                 .pending
                 .keys()
                 .copied()
-                .filter(|fp| inner.jobs_by_fingerprint(*fp).is_some_and(|j| j.is_done()))
+                .filter(|fp| {
+                    inner
+                        .coord
+                        .job_by_fingerprint(*fp)
+                        .is_some_and(Job::is_done)
+                })
                 .collect();
             for fp in terminal {
                 if let Some(entry) = inner.pending.remove(&fp) {
@@ -491,13 +593,42 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
             }
         }
         ingest_drop_dir(&shared, &drop_dir);
-        std::thread::sleep(Duration::from_millis(10));
+        let inner = shared.lock();
+        if !inner.pump_due {
+            drop(
+                shared
+                    .pump
+                    .wait_timeout(inner, PUMP_TICK)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            );
+        }
     }
-    accept_thread
-        .join()
-        .map_err(|_| "accept thread panicked".to_string())?;
+    // The accept thread is blocked in `accept()`: hand it one connection
+    // to see `stop` by. (A client's connection may have got there first,
+    // in which case the thread is gone and the listener with it.) If it
+    // cannot be woken it cannot be joined either; the process is about
+    // to exit and takes it along.
+    match TcpStream::connect_timeout(&loopback(addr), Duration::from_secs(1)) {
+        Err(e) if !accept_thread.is_finished() => {
+            eprintln!("warning: serve: cannot wake the accept thread: {e}");
+        }
+        _ => accept_thread
+            .join()
+            .map_err(|_| "accept thread panicked".to_string())?,
+    }
     eprintln!("serve: drained; exiting");
     Ok(())
+}
+
+/// The address to reach a listener bound to `bound` from this host: a
+/// wildcard bind (`0.0.0.0`, `::`) is not a destination, loopback is.
+fn loopback(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// Writes the end-of-drain manifest (same format as a batch campaign's).
@@ -530,8 +661,7 @@ fn ingest_drop_dir(shared: &Shared, drop_dir: &std::path::Path) {
         if path.file_name().and_then(|n| n.to_str()) == Some("drain") {
             let _ = std::fs::remove_file(&path);
             eprintln!("serve: drain requested via drop directory");
-            shared.lock().draining = true;
-            shared.cv.notify_all();
+            shared.begin_drain();
             continue;
         }
         if path.extension().and_then(|e| e.to_str()) != Some("json") {

@@ -407,3 +407,118 @@ fn drop_directory_ingress_accepts_and_responds() {
     server.drain();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Result-cache entries written by the binary of the commit before job
+/// fingerprints were computed from constants (`repro campaign --scale
+/// test --only table3,fig2,fig7`), copied into a fresh server's cache.
+const PARENT_CACHE: [&str; 3] = ["table3", "fig2", "fig7"];
+
+fn seed_parent_cache(serve_dir: &Path) {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_cache");
+    let cache = serve_dir.join("cache");
+    std::fs::create_dir_all(&cache).expect("cache dir");
+    let mut copied = 0;
+    for item in std::fs::read_dir(&fixtures).expect("fixture dir").flatten() {
+        std::fs::copy(item.path(), cache.join(item.file_name())).expect("copy fixture");
+        copied += 1;
+    }
+    assert_eq!(copied, PARENT_CACHE.len(), "one entry per fixture artifact");
+}
+
+/// An idle server's accept thread is blocked in `accept()` with nobody
+/// connecting; drain must still get it out.
+#[test]
+fn drain_on_an_idle_server_exits_promptly() {
+    let dir = temp_dir("idle-drain");
+    let mut server = Server::start(&dir, &[]);
+    let opts = server.opts(&[]);
+    let resp = client::request(&opts.server, "POST", "/drain", "").expect("drain reachable");
+    assert_eq!(resp.status, 200);
+    let asked = Instant::now();
+    let status = loop {
+        if let Some(status) = server.child.try_wait().expect("server waitable") {
+            break status;
+        }
+        assert!(
+            asked.elapsed() < Duration::from_secs(2),
+            "an idle server is still running 2 s after POST /drain"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(status.success(), "drained server exits 0, got {status}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cache directory the parent binary wrote is this build's cache: every
+/// entry is found under the same key and comes back `cached`, byte for
+/// byte the serial render.
+#[test]
+fn a_cache_written_by_the_parent_binary_is_served_as_hits() {
+    let dir = temp_dir("parent-cache");
+    seed_parent_cache(&dir);
+    let server = Server::start(&dir, &[]);
+    let opts = server.opts(&[]);
+    for artifact in PARENT_CACHE {
+        let job = client::run_job(&opts, artifact).expect("trip completes");
+        assert_eq!(job.outcome, "cached", "{artifact} was recomputed");
+        assert_eq!(
+            job.output.as_deref(),
+            Some(serial_bytes(artifact).as_slice()),
+            "{artifact}: cached bytes == serial bytes"
+        );
+    }
+    let health = healthz(&opts);
+    assert_eq!(json::get_num(&health, "cache_hits"), Some(3), "{health:?}");
+    assert_eq!(json::get_num(&health, "fresh_completions"), Some(0));
+    // One POST, one status and one output request per trip, each timed.
+    for route in ["post_jobs", "get_status", "get_output"] {
+        assert_eq!(
+            json::get_num(&health, &format!("{route}_requests")),
+            Some(3),
+            "{route}: {health:?}"
+        );
+        assert!(json::get_num(&health, &format!("{route}_handler_us")).is_some());
+    }
+    server.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Warm hits wait on no timer: the median of 50 POST → status → output
+/// trips stays under 5 ms — a third of what three exchanges cost when
+/// each waited out a 5 ms accept tick, ten times what they cost now, so
+/// it trips on a reintroduced tick and not on a busy host — and a peer
+/// that connects and then says nothing holds up nobody else.
+#[test]
+fn warm_trips_are_not_quantised_and_a_silent_peer_delays_nobody() {
+    let dir = temp_dir("warm-trips");
+    seed_parent_cache(&dir);
+    let server = Server::start(&dir, &[]);
+    let opts = server.opts(&[]);
+    // Load each result from disk into the server's memory.
+    for artifact in PARENT_CACHE {
+        let job = client::run_job(&opts, artifact).expect("priming trip");
+        assert_eq!(job.outcome, "cached");
+    }
+    // Connected, accepted, handed to a handler thread that now waits for
+    // a request line that never comes.
+    let silent = std::net::TcpStream::connect(&opts.server).expect("silent peer connects");
+    let mut trips_ms = Vec::new();
+    for i in 0..50 {
+        let start = Instant::now();
+        let job = client::run_job(&opts, PARENT_CACHE[i % PARENT_CACHE.len()]).expect("warm trip");
+        trips_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(job.outcome, "cached");
+        assert_eq!((job.sheds, job.resubmits), (0, 0));
+    }
+    drop(silent);
+    trips_ms.sort_by(f64::total_cmp);
+    let median = trips_ms[trips_ms.len() / 2];
+    assert!(
+        median < 5.0,
+        "median warm trip {median:.2} ms (fastest {:.2}, slowest {:.2})",
+        trips_ms[0],
+        trips_ms[trips_ms.len() - 1]
+    );
+    server.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -263,9 +263,17 @@ pub fn conference(scale: SceneScale) -> Scene {
     }
 }
 
+/// Names of the benchmark scenes, in the paper's Table III order: what
+/// [`all`] generates, for callers that key on a scene's identity and
+/// have no use for its geometry.
+pub const NAMES: [&str; 3] = ["fairyforest", "atrium", "conference"];
+
 /// All three benchmark scenes at `scale`, in the paper's Table III order.
 pub fn all(scale: SceneScale) -> Vec<Scene> {
-    vec![fairyforest(scale), atrium(scale), conference(scale)]
+    NAMES
+        .iter()
+        .map(|name| by_name(name, scale).expect("every listed scene has a generator"))
+        .collect()
 }
 
 /// Looks a scene up by name.
