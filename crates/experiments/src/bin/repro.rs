@@ -47,10 +47,11 @@
 //!
 //! The checkpoint flags drive the supervised runner (`DESIGN.md` §9):
 //! `--checkpoint-every N` snapshots every N simulated cycles,
-//! `--checkpoint-dir D` persists the snapshots to `D/<job>.ckpt`, and
-//! `--resume` restores each job from its last on-disk snapshot before
-//! running — bit-identical to an uninterrupted run. `--max-retries`
-//! bounds fault/deadlock rollback retries per phase.
+//! `--checkpoint-dir D` persists the snapshots that hold progress to
+//! `D/<job>.ckpt` (not the one taken at launch, nor a just-resumed
+//! state), and `--resume` restores each job from its last on-disk
+//! snapshot before running — bit-identical to an uninterrupted run.
+//! `--max-retries` bounds fault/deadlock rollback retries per phase.
 //! `--kill-after-checkpoints N` is a deterministic test hook that exits
 //! the process (code 42) after N snapshot writes, so CI can rehearse a
 //! mid-campaign kill without timing races.

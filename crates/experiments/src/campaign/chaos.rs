@@ -34,8 +34,8 @@ pub struct Chaos {
 
 impl Chaos {
     /// Decides whether attempt `attempt` (0-based) of `job` is killed,
-    /// and if so after how many checkpoint writes. Returns `None` for a
-    /// clean attempt.
+    /// and if so after how many checkpoint writes (progress-bearing ones:
+    /// see `supervisor::persist`). Returns `None` for a clean attempt.
     ///
     /// The schedule never touches attempts at or past `retry_budget`:
     /// the final allowed attempt of every job is always clean, so chaos
@@ -52,9 +52,11 @@ impl Chaos {
         enc.put_u32(attempt);
         let h = fnv1a64(&enc.into_bytes());
         if h.is_multiple_of(self.kill_every) {
-            // Die after 2–4 checkpoint writes: late enough that the job
-            // has made real progress past its phase-entry snapshot, early
-            // enough that short jobs still get killed mid-flight.
+            // Die after 2–4 checkpoint writes. Only snapshots that hold
+            // progress are written (the launch and a just-resumed state
+            // are not), so every killed attempt leaves its successor at
+            // least two slices further on; early enough that short jobs
+            // still get killed mid-flight.
             Some(2 + (h >> 32) % 3)
         } else {
             None

@@ -17,23 +17,84 @@ use super::admission::ShedReason;
 use super::{admit, http, json, spec_from_request, Admission, JobState, Shared};
 use crate::campaign::manifest::escape;
 use crate::campaign::Job;
+use std::io::{BufReader, Read};
 use std::net::TcpStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Longest allowed long-poll parking time.
 const MAX_WAIT: Duration = Duration::from_secs(30);
 
-/// Handles one connection: parse, route, respond, close.
-pub fn handle(shared: &Shared, stream: &mut TcpStream) {
-    let request = match http::read_request(stream) {
-        Ok(r) => r,
-        Err(e) => {
-            let body = format!("{{\"error\": \"{}\"}}\n", escape(&e));
-            let _ = http::write_response(stream, 400, "application/json", body.as_bytes(), None);
-            return;
+/// How long the accept thread waits for a connection's request. A client
+/// that writes its request once connected has it here well inside this;
+/// a peer that has not gets a thread of its own to be slow on.
+const PROMPT: Duration = Duration::from_millis(2);
+
+/// Socket timeouts of a connection that has its own thread.
+const PATIENT: Duration = Duration::from_secs(60);
+
+/// The most of a request the accept thread reads: a job submission is a
+/// few hundred bytes.
+const FIRST_READ: usize = 4096;
+
+/// `(status, body, retry_after_ms)` of one response.
+type Answer = (u16, String, Option<u64>);
+
+/// Serves one accepted connection: parse, route, respond, close. Called
+/// on the accept thread, and done there when that holds the next
+/// connection up by no more than the handler's own work: the request
+/// arrived whole within [`PROMPT`] and its handler has no need to park
+/// (the response, an artifact's text at most, is one write that a fresh
+/// socket's buffer takes without waiting for the peer). Starting and
+/// ending a thread costs more than any such request. Everything else — a
+/// peer yet to send, a request in pieces or malformed, a long-poll on an
+/// unfinished job — moves to a thread of its own.
+pub fn serve(shared: &Arc<Shared>, mut stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_write_timeout(Some(PATIENT));
+    let _ = stream.set_read_timeout(Some(PROMPT));
+    let mut seen = vec![0u8; FIRST_READ];
+    match stream.read(&mut seen) {
+        // Hung up without a word: nobody to answer.
+        Ok(0) => return,
+        Ok(n) => seen.truncate(n),
+        Err(_) => seen.clear(),
+    }
+    let request = http::read_request(&mut seen.as_slice()).ok();
+    if let Some(request) = &request {
+        // A handler that panics takes its connection along, not the
+        // accept thread.
+        match catch_unwind(AssertUnwindSafe(|| route(shared, request, false))) {
+            Ok(Some(answer)) => return respond(&mut stream, answer),
+            Ok(None) => {}
+            Err(_) => return,
         }
-    };
-    let (status, body, retry_after) = route(shared, &request);
+    }
+    let shared = Arc::clone(shared);
+    std::thread::spawn(move || {
+        let _ = stream.set_read_timeout(Some(PATIENT));
+        let request = match request {
+            Some(whole) => Ok(whole),
+            None => stream
+                .try_clone()
+                .map_err(|e| format!("clone: {e}"))
+                .and_then(|rest| {
+                    http::read_request(&mut BufReader::new(seen.as_slice().chain(rest)))
+                }),
+        };
+        let answer = match request {
+            Ok(request) => route(&shared, &request, true),
+            Err(e) => Some((400, format!("{{\"error\": \"{}\"}}\n", escape(&e)), None)),
+        };
+        if let Some(answer) = answer {
+            respond(&mut stream, answer);
+        }
+    });
+}
+
+/// Writes `answer`; the connection closes when the stream is dropped.
+fn respond(stream: &mut TcpStream, (status, body, retry_after): Answer) {
     let _ = http::write_response(
         stream,
         status,
@@ -43,50 +104,47 @@ pub fn handle(shared: &Shared, stream: &mut TcpStream) {
     );
 }
 
-/// Dispatches one parsed request to `(status, body, retry_after_ms)`.
-fn route(shared: &Shared, req: &http::Request) -> (u16, String, Option<u64>) {
+/// Dispatches one parsed request. `None` only when `may_park` is false
+/// and answering means waiting (a long-poll on an unfinished job):
+/// nothing has been done or counted, ask again from a thread that may.
+fn route(shared: &Shared, req: &http::Request, may_park: bool) -> Option<Answer> {
+    let routes = &shared.routes;
     match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/jobs") => shared.routes.post_jobs.timed(|| submit(shared, req)),
-        ("GET", "/healthz") => (200, healthz(shared), None),
-        ("GET", "/readyz") => {
-            if shared.lock().draining {
-                (
-                    503,
-                    "{\"ready\": false, \"reason\": \"draining\"}\n".to_string(),
-                    None,
-                )
-            } else {
-                (200, "{\"ready\": true}\n".to_string(), None)
-            }
-        }
+        ("POST", "/jobs") => routes.post_jobs.timed(|| Some(submit(shared, req))),
+        ("GET", "/healthz") => Some((200, healthz(shared), None)),
+        ("GET", "/readyz") => Some(if shared.lock().draining {
+            (
+                503,
+                "{\"ready\": false, \"reason\": \"draining\"}\n".to_string(),
+                None,
+            )
+        } else {
+            (200, "{\"ready\": true}\n".to_string(), None)
+        }),
         ("POST", "/drain") => {
             shared.begin_drain();
             eprintln!("serve: drain requested");
-            (200, "{\"draining\": true}\n".to_string(), None)
+            Some((200, "{\"draining\": true}\n".to_string(), None))
         }
-        ("GET", path) => {
-            if let Some(rest) = path.strip_prefix("/jobs/") {
-                match rest.strip_suffix("/output") {
-                    Some(id) => shared.routes.get_output.timed(|| job_output(shared, id)),
-                    None => shared
-                        .routes
-                        .get_status
-                        .timed(|| job_status(shared, rest, req)),
-                }
-            } else {
-                (404, "{\"error\": \"no such route\"}\n".to_string(), None)
-            }
-        }
-        _ => (
+        ("GET", path) => match path.strip_prefix("/jobs/") {
+            Some(rest) => match rest.strip_suffix("/output") {
+                Some(id) => routes.get_output.timed(|| Some(job_output(shared, id))),
+                None => routes
+                    .get_status
+                    .timed(|| job_status(shared, rest, req, may_park)),
+            },
+            None => Some((404, "{\"error\": \"no such route\"}\n".to_string(), None)),
+        },
+        _ => Some((
             405,
             "{\"error\": \"method not allowed\"}\n".to_string(),
             None,
-        ),
+        )),
     }
 }
 
 /// `POST /jobs`.
-fn submit(shared: &Shared, req: &http::Request) -> (u16, String, Option<u64>) {
+fn submit(shared: &Shared, req: &http::Request) -> Answer {
     let parsed = std::str::from_utf8(&req.body)
         .map_err(|_| "body is not UTF-8".to_string())
         .and_then(json::parse_flat)
@@ -162,10 +220,11 @@ fn status_json(job: &Job) -> String {
     s
 }
 
-/// `GET /jobs/<id>` with optional `wait_ms` long-poll.
-fn job_status(shared: &Shared, id: &str, req: &http::Request) -> (u16, String, Option<u64>) {
+/// `GET /jobs/<id>` with optional `wait_ms` long-poll; `None` when the
+/// poll would have to wait and `may_park` forbids it.
+fn job_status(shared: &Shared, id: &str, req: &http::Request, may_park: bool) -> Option<Answer> {
     let Some(fingerprint) = parse_id(id) else {
-        return (400, "{\"error\": \"bad job id\"}\n".to_string(), None);
+        return Some((400, "{\"error\": \"bad job id\"}\n".to_string(), None));
     };
     let wait = req
         .query_param("wait_ms")
@@ -181,18 +240,21 @@ fn job_status(shared: &Shared, id: &str, req: &http::Request) -> (u16, String, O
                 // Unknown here — possibly completed and retired before a
                 // restart. The client contract: resubmit (idempotent; a
                 // banked result is a free warm hit).
-                return (
+                return Some((
                     404,
                     "{\"error\": \"unknown job (resubmit; accepted work is idempotent by fingerprint)\"}\n"
                         .to_string(),
                     None,
-                );
+                ));
             }
-            Some(job) if job.is_done() => return (200, status_json(job), None),
+            Some(job) if job.is_done() => return Some((200, status_json(job), None)),
             Some(job) => {
                 let now = Instant::now();
                 if now >= deadline {
-                    return (200, status_json(job), None);
+                    return Some((200, status_json(job), None));
+                }
+                if !may_park {
+                    return None;
                 }
                 let (next, _) = shared
                     .cv
@@ -205,7 +267,7 @@ fn job_status(shared: &Shared, id: &str, req: &http::Request) -> (u16, String, O
 }
 
 /// `GET /jobs/<id>/output`.
-fn job_output(shared: &Shared, id: &str) -> (u16, String, Option<u64>) {
+fn job_output(shared: &Shared, id: &str) -> Answer {
     let Some(fingerprint) = parse_id(id) else {
         return (400, "{\"error\": \"bad job id\"}\n".to_string(), None);
     };

@@ -38,14 +38,16 @@ impl Request {
     }
 }
 
-/// Reads one CRLF- (or LF-) terminated line, bounded.
+/// Reads one CRLF- (or LF-) terminated line, bounded. A stream that ends
+/// before the terminator is an error, not a short line: what was read so
+/// far may be the front of a longer message.
 fn read_line(r: &mut impl BufRead) -> Result<String, String> {
     let mut line = Vec::new();
     let mut byte = [0u8; 1];
     loop {
         let mut one = r.take(1);
         match one.read(&mut byte) {
-            Ok(0) => break,
+            Ok(0) => return Err("stream ended mid-line".to_string()),
             Ok(_) => {
                 if byte[0] == b'\n' {
                     break;
@@ -64,15 +66,16 @@ fn read_line(r: &mut impl BufRead) -> Result<String, String> {
     String::from_utf8(line).map_err(|_| "non-UTF-8 header line".to_string())
 }
 
-/// Parses one request off the stream.
+/// Parses one request off `reader`: a connection's buffered read half, or
+/// bytes already read from one (an `Err` then also means "not all here
+/// yet").
 ///
 /// # Errors
 ///
-/// Malformed framing, over-limit sizes, or I/O trouble — the caller
-/// answers 400 and closes.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
-    let start = read_line(&mut reader)?;
+/// Malformed or truncated framing, over-limit sizes, or I/O trouble — the
+/// caller answers 400 and closes.
+pub fn read_request(reader: &mut impl BufRead) -> Result<Request, String> {
+    let start = read_line(reader)?;
     let mut parts = start.split_ascii_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
     let target = parts.next().ok_or("request line missing target")?;
@@ -82,7 +85,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     };
     let mut content_length = 0usize;
     for _ in 0..MAX_HEADERS {
-        let line = read_line(&mut reader)?;
+        let line = read_line(reader)?;
         if line.is_empty() {
             let mut body = vec![0u8; content_length];
             if content_length > 0 {
@@ -222,7 +225,8 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         let server = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().expect("accept");
-            let req = read_request(&mut s).expect("parse request");
+            let req = read_request(&mut BufReader::new(s.try_clone().expect("clone")))
+                .expect("parse request");
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/jobs");
             assert_eq!(req.query_param("wait_ms"), Some("250"));
@@ -249,5 +253,24 @@ mod tests {
         assert_eq!(resp.retry_after_ms, Some(50));
         assert_eq!(resp.body, b"{\"shed\":true}");
         server.join().expect("server thread");
+    }
+
+    /// Bytes that stop short of a whole request never parse as a shorter
+    /// one: the server's accept thread relies on it to tell "all here"
+    /// from "more to come".
+    #[test]
+    fn a_truncated_request_is_an_error_not_a_shorter_request() {
+        let whole = b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello";
+        let req = read_request(&mut &whole[..]).expect("whole request parses");
+        assert_eq!(
+            (req.path.as_str(), req.body.as_slice()),
+            ("/jobs", &b"hello"[..])
+        );
+        for cut in 0..whole.len() {
+            assert!(
+                read_request(&mut &whole[..cut]).is_err(),
+                "the first {cut} bytes parsed as a request"
+            );
+        }
     }
 }

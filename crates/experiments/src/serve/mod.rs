@@ -49,7 +49,10 @@
 //! No request waits on a timer: the accept thread blocks in `accept()`
 //! (and is woken for shutdown by one loopback connect), the pump parks
 //! on a condvar that admission and drain signal, and a job's identity is
-//! computed from constants before the server-wide lock is taken.
+//! computed from constants before the server-wide lock is taken. Nor
+//! does a short one wait on a thread: the accept thread answers what is
+//! whole and will not park, and only the rest — slow peers, long-polls —
+//! gets a thread of its own ([`handlers::serve`]).
 
 pub mod admission;
 pub mod client;
@@ -178,15 +181,16 @@ pub struct RouteStat {
 }
 
 impl RouteStat {
-    /// Runs one request's handler, counting it and its duration.
-    pub fn timed<T>(&self, handler: impl FnOnce() -> T) -> T {
+    /// Runs one request's handler, counting it and its duration — unless
+    /// it declines (`None`: nothing done, the request comes round again).
+    pub fn timed<T>(&self, handler: impl FnOnce() -> Option<T>) -> Option<T> {
         let start = Instant::now();
-        let out = handler();
+        let out = handler()?;
         // Statistics only: nothing is published through these.
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.handler_us
             .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-        out
+        Some(out)
     }
 
     /// `(requests, cumulative handler microseconds)`.
@@ -496,24 +500,18 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
         }
     }
 
-    // Accept loop: blocks in `accept()`, one handler thread per
-    // connection (requests are small and short-lived except long-polls,
-    // which park on the condvar). It ends on the first connection it
+    // Accept loop: blocks in `accept()` and answers each connection
+    // itself, or on a thread of its own when answering could hold the
+    // next one up (`handlers::serve`). It ends on the first connection it
     // accepts after `stop` is set — the one `run` makes below.
     let accept_shared = Arc::clone(&shared);
     let accept_thread = std::thread::spawn(move || loop {
         match listener.accept() {
-            Ok((mut stream, _)) => {
+            Ok((stream, _)) => {
                 if accept_shared.lock().stop {
                     return;
                 }
-                let shared = Arc::clone(&accept_shared);
-                std::thread::spawn(move || {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(60)));
-                    handlers::handle(&shared, &mut stream);
-                });
+                handlers::serve(&accept_shared, stream);
             }
             // The peer gave up during the handshake, or a signal arrived:
             // the next client in the backlog is unaffected.

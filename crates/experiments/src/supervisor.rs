@@ -2,8 +2,9 @@
 //!
 //! The experiment drivers run every render through [`run_to_target`],
 //! which slices the simulation at a configurable checkpoint interval and
-//! keeps the last good [`Snapshot`] (in memory, and on disk when a
-//! checkpoint directory is configured). When a run raises a typed
+//! keeps the last good [`Snapshot`] (in memory always; on disk, when a
+//! checkpoint directory is configured, each one that holds progress over
+//! what the directory already has for the job). When a run raises a typed
 //! [`simt_sim::Fault`] under `FaultPolicy::Abort` or the watchdog reports
 //! [`RunOutcome::Deadlock`], the supervisor rolls the machine back to the
 //! last good snapshot and retries with an exponentially grown slice
@@ -24,6 +25,7 @@
 
 use crate::configs::parallelism;
 use simt_sim::{Gpu, ProgressPulse, RunOutcome, RunSummary, Snapshot};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,8 +52,8 @@ pub struct Policy {
     /// Rollback/retry interventions allowed per phase before giving up.
     pub max_retries: u32,
     /// Test hook: exit the process with [`KILL_EXIT_CODE`] after this
-    /// many on-disk snapshot writes, simulating a mid-campaign kill at a
-    /// deterministic point.
+    /// many on-disk snapshot writes — each one progress a resume keeps —
+    /// simulating a mid-campaign kill at a deterministic point.
     pub kill_after_checkpoints: Option<u64>,
     /// Chaos variant of the kill hook: when set, the hook dies by
     /// [`std::process::abort`] (an uncatchable, signal-style death)
@@ -84,6 +86,21 @@ static POLICY: Mutex<Option<Policy>> = Mutex::new(None);
 
 /// Count of on-disk snapshot writes, for the kill test hook.
 static DISK_WRITES: AtomicU64 = AtomicU64::new(0);
+
+/// Per job in flight, the cycle of the newest snapshot the checkpoint
+/// directory holds for it, as far as this process can know: the cycle
+/// [`persist`] first saw the job at (a launch, which a restart rebuilds,
+/// or the state a resume just read back from the directory), then every
+/// cycle it wrote. [`clear`] forgets the job.
+static PERSISTED: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+
+/// Locks [`PERSISTED`], recovering from poison like [`policy_slot`]: each
+/// entry stands alone, so a panic under the lock leaves nothing half-done.
+fn persisted_cycles() -> std::sync::MutexGuard<'static, BTreeMap<String, u64>> {
+    PERSISTED
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Latest progress pulse published by `run_to_target`, rendered to its
 /// one-line form. Campaign workers poll this to relay live progress in
@@ -175,13 +192,24 @@ fn snapshot_path(dir: &std::path::Path, job: &str) -> PathBuf {
     dir.join(format!("{safe}.ckpt"))
 }
 
-/// Persists `snap` for `job` when a checkpoint directory is configured.
+/// Persists `snap`, taken at `cycle`, for `job` when a checkpoint
+/// directory is configured and the snapshot holds progress: its cycle is
+/// past the newest one [`PERSISTED`] has for the job. The first snapshot
+/// of a job therefore never reaches the disk — it is the launch, or the
+/// very state `--resume` restored — and neither does the first of a run
+/// that starts over behind what an earlier run of the same job persisted.
 /// Write failures are reported and tolerated: losing a checkpoint must
 /// never fail the job it protects. Honours the deterministic kill hook.
-fn persist(job: &str, snap: &Snapshot, pol: &Policy) {
+fn persist(job: &str, snap: &Snapshot, cycle: u64, pol: &Policy) {
     let Some(dir) = &pol.checkpoint_dir else {
         return;
     };
+    let mut persisted = persisted_cycles();
+    let newest = persisted.entry(job.to_string()).or_insert(cycle);
+    if cycle <= *newest {
+        *newest = cycle;
+        return;
+    }
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: {job}: cannot create {}: {e}", dir.display());
         return;
@@ -191,6 +219,8 @@ fn persist(job: &str, snap: &Snapshot, pol: &Policy) {
         eprintln!("warning: {job}: checkpoint write failed: {e}");
         return;
     }
+    *newest = cycle;
+    drop(persisted);
     let written = DISK_WRITES.fetch_add(1, Ordering::Relaxed) + 1;
     if let Some(kill_after) = pol.kill_after_checkpoints {
         if written >= kill_after {
@@ -243,6 +273,7 @@ pub fn try_resume(job: &str) -> Option<Snapshot> {
 /// Removes the on-disk snapshot for `job` (called once a job finishes so
 /// a later `--resume` does not replay a completed job).
 pub fn clear(job: &str) {
+    persisted_cycles().remove(job);
     let pol = policy();
     let Some(dir) = &pol.checkpoint_dir else {
         return;
@@ -256,8 +287,9 @@ pub fn clear(job: &str) {
 }
 
 /// Takes a snapshot tagged with `meta`, remembers it as the last good
-/// state, and persists it when configured. Snapshot failures are
-/// reported and tolerated (the phase simply loses rollback coverage).
+/// state, and persists it when configured and it holds progress (see
+/// [`persist`]). Snapshot failures are reported and tolerated (the phase
+/// simply loses rollback coverage).
 fn take_snapshot(
     gpu: &Gpu,
     job: &str,
@@ -268,7 +300,7 @@ fn take_snapshot(
     match gpu.checkpoint() {
         Ok(mut snap) => {
             snap.set_meta(meta.to_vec());
-            persist(job, &snap, pol);
+            persist(job, &snap, gpu.now(), pol);
             *last_good = Some(snap);
         }
         Err(e) => eprintln!("warning: {job}: checkpoint failed: {e}"),
@@ -414,6 +446,17 @@ mod tests {
     use super::*;
     use simt_sim::{FaultPolicy, GpuConfig, InjectedFault, Injector, Launch};
 
+    /// The policy is process-wide and `cargo test` runs these tests on
+    /// parallel threads: each test that installs or depends on one holds
+    /// this for its whole body.
+    static POLICY_IN_USE: Mutex<()> = Mutex::new(());
+
+    fn policy_in_use() -> std::sync::MutexGuard<'static, ()> {
+        POLICY_IN_USE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn small_gpu() -> Gpu {
         let mut gpu = Gpu::builder(GpuConfig::tiny()).build();
         gpu.mem_mut().alloc_global(256, "out");
@@ -442,6 +485,7 @@ mod tests {
 
     #[test]
     fn policy_lock_recovers_from_poison() {
+        let _policy = policy_in_use();
         // A job that panics while holding the policy lock poisons it;
         // later jobs in the same campaign worker must keep working.
         let _ = std::thread::spawn(|| {
@@ -457,6 +501,7 @@ mod tests {
 
     #[test]
     fn clean_run_needs_no_intervention() {
+        let _policy = policy_in_use();
         let mut gpu = small_gpu();
         let s = run_to_target(&mut gpu, 10_000, "test-clean", &[]);
         assert_eq!(s.interventions, 0);
@@ -466,6 +511,7 @@ mod tests {
 
     #[test]
     fn sliced_run_matches_unsliced() {
+        let _policy = policy_in_use();
         // A run sliced at a checkpoint interval is bit-identical to an
         // uninterrupted run of the same machine.
         let mut reference = small_gpu();
@@ -492,6 +538,7 @@ mod tests {
 
     #[test]
     fn deterministic_fault_exhausts_retries_and_gives_up() {
+        let _policy = policy_in_use();
         // An injected trap under Abort recurs on every deterministic
         // retry; the supervisor must bound the retries and give up with
         // figures from the last good snapshot instead of panicking.
@@ -533,23 +580,56 @@ mod tests {
         assert!(gpu.now() < 4);
     }
 
+    /// File state of `job`'s checkpoint under `dir`: the cycle it restores
+    /// to, or `None` when there is no file.
+    fn persisted_cycle(dir: &std::path::Path, job: &str) -> Option<u64> {
+        let path = snapshot_path(dir, job);
+        path.exists().then(|| {
+            let snap = Snapshot::read_from(&path).expect("persisted snapshot reads back");
+            Gpu::restore(&snap).expect("restores").now()
+        })
+    }
+
     #[test]
-    fn snapshot_files_roundtrip_and_clear() {
+    fn only_progress_reaches_the_checkpoint_directory() {
+        let _policy = policy_in_use();
+        const JOB: &str = "test-disk";
         let dir = std::env::temp_dir().join(format!("sup-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         set_policy(Policy {
             checkpoint_every: 5,
             checkpoint_dir: Some(dir.clone()),
             resume: true,
             ..Policy::default()
         });
+        // Phase entry at launch: kept in memory, not written — a restart
+        // rebuilds cycle 0 — and the phase ends at its target unwritten.
         let mut gpu = small_gpu();
-        let _ = run_to_target(&mut gpu, 12, "test-disk", b"meta-bytes");
-        let resumed = try_resume("test-disk").expect("snapshot on disk");
-        assert_eq!(resumed.meta(), b"meta-bytes");
-        let restored = Gpu::restore(&resumed).expect("restores");
-        assert!(restored.now() <= gpu.now());
-        clear("test-disk");
-        assert!(try_resume("test-disk").is_none());
+        let _ = run_to_target(&mut gpu, 5, JOB, b"phase-0");
+        assert_eq!(gpu.now(), 5);
+        assert_eq!(persisted_cycle(&dir, JOB), None);
+        assert!(try_resume(JOB).is_none());
+        // The next phase's entry is progress, and so is each boundary.
+        let _ = run_to_target(&mut gpu, 12, JOB, b"phase-1");
+        assert_eq!(persisted_cycle(&dir, JOB), Some(10));
+        let resumed = try_resume(JOB).expect("snapshot on disk");
+        assert_eq!(resumed.meta(), b"phase-1");
+        // A process that resumes (it has seen nothing of the job) enters
+        // on the very state the directory holds: not written again.
+        persisted_cycles().remove(JOB);
+        std::fs::remove_file(snapshot_path(&dir, JOB)).expect("removable");
+        let mut restored = Gpu::restore(&resumed).expect("restores");
+        let _ = run_to_target(&mut restored, 11, JOB, b"phase-1");
+        assert_eq!(restored.now(), 11);
+        assert_eq!(persisted_cycle(&dir, JOB), None);
+        // The same job started over (no `clear` in between) is a new run:
+        // its launch is not written, its first boundary is — behind what
+        // the earlier run reached.
+        let mut again = small_gpu();
+        let _ = run_to_target(&mut again, 7, JOB, b"again");
+        assert_eq!(persisted_cycle(&dir, JOB), Some(5));
+        clear(JOB);
+        assert!(try_resume(JOB).is_none());
         set_policy(Policy::default());
         let _ = std::fs::remove_dir_all(&dir);
     }

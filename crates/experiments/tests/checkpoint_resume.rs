@@ -3,14 +3,21 @@
 //! restored, and run to the original budget must be **bit-identical** to
 //! an uninterrupted run — statistics, memory traffic, fault log,
 //! windowed telemetry metrics, and the rendered image — at every phase-A
-//! parallelism level.
+//! parallelism level. The same through the `repro` binary's kill hook:
+//! killed at every checkpoint it persists and resumed each time, a job
+//! ends on the uninterrupted run's bytes, and what it persists is
+//! progress only — nothing at launch, never the same cycle twice.
 
 use experiments::{gpu_for, Variant};
 use raytrace::scenes::{self, SceneScale};
 use rt_kernels::render::RenderSetup;
 use rt_kernels::RESULT_RECORD_BYTES;
 use simt_isa::codec::fnv1a64;
-use simt_sim::{CsvMetricsSink, Gpu, Snapshot, TraceSink};
+use simt_sim::{seal_frame, CsvMetricsSink, Gpu, Snapshot, TraceSink, SNAPSHOT_MAGIC};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
 const RESOLUTION: u32 = 16;
 const BUDGET: u64 = 20_000;
@@ -97,4 +104,123 @@ fn resume_is_bit_identical_serial() {
 fn resume_is_bit_identical_parallel_4() {
     assert_resume_matches(Variant::Dynamic, 4, 7_301);
     assert_resume_matches(Variant::PdomWarp, 4, 4_097);
+}
+
+/// A dense encoding of the test-scale fig-7 machine is 4.1 MB, 97 % of it
+/// zeros; zero-run elision brings a mid-run snapshot to ≈ 0.3 MB. A block
+/// that goes back to dense shows here before it shows as seconds of
+/// `fsync` in a campaign.
+#[test]
+fn mid_run_snapshot_stays_under_a_megabyte() {
+    let scene = scenes::conference(SceneScale::Tiny);
+    let mut gpu = gpu_for(Variant::Dynamic);
+    let setup = RenderSetup::upload(&mut gpu, &scene, RESOLUTION, RESOLUTION);
+    launch(Variant::Dynamic, &setup, &mut gpu);
+    gpu.run(7_301).expect("fault-free partial run");
+    let bytes = gpu.checkpoint().expect("snapshot encodes").to_bytes();
+    assert!(
+        bytes.len() < 1_000_000,
+        "mid-run fig7 test-scale snapshot is {} bytes",
+        bytes.len()
+    );
+}
+
+/// `fig3 --scale test` is one supervised job, `conference-PdomWarp-16`:
+/// warm-up to cycle 20 000, steady state to 40 000.
+const FIG3_JOB: &str = "conference-PdomWarp-16";
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("ckpt-e2e-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    std::fs::create_dir_all(&d).expect("temp dir");
+    d
+}
+
+/// `repro fig3 --scale test` checkpointing into `dir` every `every`
+/// cycles, plus `extra` flags.
+fn fig3(dir: &Path, every: u64, extra: &[&str]) -> Output {
+    Command::new(REPRO)
+        .args(["fig3", "--scale", "test", "--checkpoint-every"])
+        .arg(every.to_string())
+        .arg("--checkpoint-dir")
+        .arg(dir)
+        .args(extra)
+        .output()
+        .expect("repro binary runs")
+}
+
+fn fig3_uninterrupted() -> Vec<u8> {
+    let out = Command::new(REPRO)
+        .args(["fig3", "--scale", "test"])
+        .output()
+        .expect("repro binary runs");
+    assert!(out.status.success());
+    out.stdout
+}
+
+/// The cycle the job's persisted snapshot restores to.
+fn persisted_cycle(dir: &Path) -> u64 {
+    let snap = Snapshot::read_from(&dir.join(format!("{FIG3_JOB}.ckpt")))
+        .expect("the killed run left a valid snapshot");
+    Gpu::restore(&snap).expect("restores").now()
+}
+
+/// Resume from the directory, and die at the first write into it.
+const RESUME_AND_DIE_AT_FIRST_WRITE: [&str; 3] = ["--resume", "--kill-after-checkpoints", "1"];
+
+#[test]
+fn first_persisted_snapshot_is_the_first_progress_not_the_launch() {
+    let dir = temp_dir("first");
+    // One slice per phase, as the served matrix runs: the hook counts
+    // writes, so had the launch snapshot been written the process would
+    // have died holding a cycle-0 file. It dies at the phase-1 entry.
+    let killed = fig3(&dir, BUDGET, &RESUME_AND_DIE_AT_FIRST_WRITE);
+    assert_eq!(killed.status.code(), Some(42), "kill hook fired");
+    assert_eq!(persisted_cycle(&dir), BUDGET);
+    // Resumed at the phase boundary it writes nothing more (the state it
+    // enters on is the one on disk) and finishes on the same bytes.
+    let resumed = fig3(&dir, BUDGET, &RESUME_AND_DIE_AT_FIRST_WRITE);
+    assert!(resumed.status.success(), "no write left to die at");
+    assert_eq!(resumed.stdout, fig3_uninterrupted());
+    assert!(!dir.join(format!("{FIG3_JOB}.ckpt")).exists(), "cleared");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn killed_at_every_write_persisted_cycles_strictly_increase() {
+    let dir = temp_dir("ladder");
+    let mut cycles = Vec::new();
+    let finished = loop {
+        let out = fig3(&dir, 7_000, &RESUME_AND_DIE_AT_FIRST_WRITE);
+        if out.status.code() != Some(42) {
+            break out;
+        }
+        cycles.push(persisted_cycle(&dir));
+        assert!(cycles.len() <= 8, "no progress between kills: {cycles:?}");
+    };
+    // Mid-phase boundaries and the phase-1 entry, each once; never the
+    // launch, never the state a resume had just read.
+    assert_eq!(cycles, [7_000, 14_000, 20_000, 27_000, 34_000]);
+    assert!(finished.status.success());
+    assert_eq!(finished.stdout, fig3_uninterrupted());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_v4_checkpoint_is_refused_by_version_and_the_job_restarts() {
+    let dir = temp_dir("v4");
+    // What a pre-v5 build left behind: a sound frame of the previous
+    // version. There is no reader for it.
+    let frame = seal_frame(&SNAPSHOT_MAGIC, 4, b"phase meta", &[0u8; 4096]);
+    std::fs::write(dir.join(format!("{FIG3_JOB}.ckpt")), frame).expect("writable");
+    let out = fig3(&dir, BUDGET, &["--resume"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("ignoring unusable checkpoint")
+            && stderr.contains("unsupported snapshot version 4"),
+        "the refusal is reported: {stderr}"
+    );
+    assert!(out.status.success());
+    assert_eq!(out.stdout, fig3_uninterrupted());
+    let _ = std::fs::remove_dir_all(&dir);
 }

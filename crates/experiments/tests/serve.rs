@@ -4,7 +4,7 @@
 //! served artifacts with serial renders.
 
 use experiments::serve::client::{self, ClientOpts};
-use experiments::serve::json;
+use experiments::serve::{http, json};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -519,6 +519,55 @@ fn warm_trips_are_not_quantised_and_a_silent_peer_delays_nobody() {
         trips_ms[0],
         trips_ms[trips_ms.len() - 1]
     );
+    server.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What the accept thread cannot answer at once gets a thread of its own
+/// and the same answer: a request that arrives in two pieces a pause
+/// apart (the thread goes on from the bytes already read), and a
+/// long-poll on a job that is still running, during which other peers
+/// are served.
+#[test]
+fn a_request_in_pieces_and_a_parked_poll_leave_the_accept_thread_free() {
+    use std::io::Write;
+    let dir = temp_dir("slow-paths");
+    let server = Server::start(&dir, &[]);
+    let opts = server.opts(&[]);
+    let body = "{\"artifact\": \"fig7\", \"scale\": \"test\", \"json\": false}";
+    let message = format!(
+        "POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    // Cut inside the body: the head alone says more is to come.
+    let (front, back) = message.split_at(message.len() - 10);
+    let mut peer = std::net::TcpStream::connect(&opts.server).expect("peer connects");
+    peer.write_all(front.as_bytes()).expect("front sent");
+    std::thread::sleep(Duration::from_millis(50));
+    peer.write_all(back.as_bytes()).expect("back sent");
+    let resp = http::read_response(&mut peer).expect("answered");
+    let text = String::from_utf8_lossy(&resp.body).into_owned();
+    assert_eq!(resp.status, 202, "{text}");
+    let accepted = json::parse_flat(&text).expect("202 body parses");
+    let job = json::get_str(&accepted, "job").expect("job id").to_string();
+
+    let addr = opts.server.clone();
+    let poll = std::thread::spawn(move || {
+        client::request(&addr, "GET", &format!("/jobs/{job}?wait_ms=20000"), "")
+    });
+    let asked = Instant::now();
+    let ready = client::request(&opts.server, "GET", "/readyz", "").expect("readyz reachable");
+    assert_eq!(ready.status, 200);
+    assert!(
+        asked.elapsed() < Duration::from_secs(2),
+        "readyz waited {:?} behind a long-poll",
+        asked.elapsed()
+    );
+    let status = poll.join().expect("poll thread").expect("poll answered");
+    assert_eq!(status.status, 200);
+    let text = String::from_utf8_lossy(&status.body).into_owned();
+    let map = json::parse_flat(&text).expect("status body parses");
+    assert_eq!(json::get_str(&map, "state"), Some("done"), "{text}");
     server.drain();
     let _ = std::fs::remove_dir_all(&dir);
 }

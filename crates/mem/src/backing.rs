@@ -1,7 +1,7 @@
 //! Functional backing stores: word-addressed memories with bump allocation.
 
 use serde::{Deserialize, Serialize};
-use simt_isa::codec::{CodecError, Decoder, Encoder};
+use simt_isa::codec::{CodecError, Decoder, Encoder, SPARSE_MAX_WORDS};
 
 /// A flat, word-addressed memory image with a bump allocator.
 ///
@@ -92,10 +92,10 @@ impl WordStore {
         (0..n).map(|i| self.read(addr + 4 * i as u32)).collect()
     }
 
-    /// Serializes the complete store (contents, bump pointer, allocation
-    /// table) for a simulator checkpoint.
+    /// Serializes the complete store (contents with their zero runs
+    /// elided, bump pointer, allocation table) for a simulator checkpoint.
     pub fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_u32_slice(&self.words);
+        enc.put_u32_sparse(&self.words);
         enc.put_u32(self.next_free);
         enc.put_usize(self.allocations.len());
         for (label, base, size) in &self.allocations {
@@ -111,7 +111,7 @@ impl WordStore {
     ///
     /// Returns a [`CodecError`] on truncated or malformed input.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        self.words = dec.take_u32_vec()?;
+        self.words = dec.take_u32_sparse(SPARSE_MAX_WORDS)?;
         self.next_free = dec.take_u32()?;
         let n = dec.take_len(9)?;
         self.allocations = (0..n)
@@ -184,10 +184,11 @@ impl LocalStore {
         self.words[i] = value;
     }
 
-    /// Serializes the store (stride and contents) for a simulator checkpoint.
+    /// Serializes the store (stride, and contents with their zero runs
+    /// elided) for a simulator checkpoint.
     pub fn encode_state(&self, enc: &mut Encoder) {
         enc.put_u32(self.stride_bytes);
-        enc.put_u32_slice(&self.words);
+        enc.put_u32_sparse(&self.words);
     }
 
     /// Restores state previously written by [`LocalStore::encode_state`].
@@ -197,7 +198,7 @@ impl LocalStore {
     /// Returns a [`CodecError`] on truncated or malformed input.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         self.stride_bytes = dec.take_u32()?;
-        self.words = dec.take_u32_vec()?;
+        self.words = dec.take_u32_sparse(SPARSE_MAX_WORDS)?;
         Ok(())
     }
 }

@@ -168,10 +168,11 @@ impl OnChipMemory {
         conflict_degree(addresses, self.banks)
     }
 
-    /// Serializes the scratchpad contents for a simulator checkpoint (the
-    /// bank count is configuration, re-derived on restore).
+    /// Serializes the scratchpad contents, zero runs elided, for a
+    /// simulator checkpoint (the bank count is configuration, re-derived
+    /// on restore).
     pub fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_u32_slice(&self.words);
+        enc.put_u32_sparse(&self.words);
     }
 
     /// Restores contents previously written by
@@ -182,9 +183,10 @@ impl OnChipMemory {
     ///
     /// Returns a [`CodecError`] on truncated input or a
     /// [`CodecError::BadLength`] when the word count disagrees with this
-    /// scratchpad's capacity.
+    /// scratchpad's capacity (a larger one is refused before it is
+    /// allocated).
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let words = dec.take_u32_vec()?;
+        let words = dec.take_u32_sparse(self.words.len())?;
         if words.len() != self.words.len() {
             return Err(CodecError::BadLength {
                 len: words.len() as u64,

@@ -149,13 +149,6 @@ impl ReadOnlyCache {
         }
     }
 
-    /// Clears contents and counters.
-    pub fn reset(&mut self) {
-        self.tags.iter_mut().for_each(Vec::clear);
-        self.hits = 0;
-        self.misses = 0;
-    }
-
     /// Serializes the cache contents (per-set tag stacks, MRU order
     /// preserved) and hit/miss counters for a simulator checkpoint.
     /// Geometry is configuration and is re-derived on restore.
@@ -228,16 +221,6 @@ mod tests {
         assert!(!c.access(0)); // set 0
         assert!(!c.access(64)); // set 1
         assert!(c.access(0), "set 1 fill must not evict set 0");
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut c = ReadOnlyCache::new(1024, 64, 4);
-        c.access(0);
-        c.access(0);
-        c.reset();
-        assert_eq!(c.hits + c.misses, 0);
-        assert!(!c.access(0));
     }
 
     #[test]

@@ -13,7 +13,6 @@ use crate::backing::{LocalStore, WordStore};
 use crate::cache::ReadOnlyCache;
 use crate::config::MemConfig;
 use crate::frontend::FabricView;
-use crate::traffic::TrafficStats;
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::Space;
 use std::fmt;
@@ -607,21 +606,9 @@ impl MemoryFabric {
 
     /// Cumulative (fractional) DRAM cycles each module has spent servicing
     /// segments, indexed by module id. Telemetry's view of per-module
-    /// pressure; reset together with the timing state.
+    /// pressure.
     pub fn module_busy(&self) -> &[f64] {
         &self.module_busy
-    }
-
-    /// Resets timing state (module queues, busy accounting, L2 and
-    /// interconnect), keeping contents.
-    pub fn reset_timing(&mut self) {
-        self.module_free.iter_mut().for_each(|m| *m = 0.0);
-        self.module_busy.iter_mut().for_each(|m| *m = 0.0);
-        self.l2.iter_mut().for_each(ReadOnlyCache::reset);
-        self.icnt_free.iter_mut().for_each(|b| *b = 0);
-        self.icnt_busy.iter_mut().for_each(|b| *b = 0);
-        self.icnt_rr.iter_mut().for_each(|b| *b = 0);
-        self.icnt_conflicts = 0;
     }
 
     /// Bytes of global memory allocated so far.
@@ -646,10 +633,6 @@ impl MemoryFabric {
         for &m in &self.module_busy {
             enc.put_f64(m);
         }
-        // Snapshot v4 carries a traffic block here, written by the removed
-        // single-call timing path; the simulator's traffic lives in the
-        // per-SM frontend shards, so the slot is always zero.
-        TrafficStats::new().encode_state(enc);
         enc.put_usize(self.read_only_regions.len());
         for &(base, bytes) in &self.read_only_regions {
             enc.put_u32(base);
@@ -696,7 +679,6 @@ impl MemoryFabric {
         for m in &mut self.module_busy {
             *m = dec.take_f64()?;
         }
-        TrafficStats::new().restore_state(dec)?;
         let regions = dec.take_len(8)?;
         self.read_only_regions = (0..regions)
             .map(|_| Ok((dec.take_u32()?, dec.take_u32()?)))
@@ -791,17 +773,6 @@ mod tests {
             m.local_physical(1, 4),
             388 + 4 /* thread 1's bank, word offset 4 (stride rounds to 388) */
         );
-    }
-
-    #[test]
-    fn reset_timing_clears_queues() {
-        let mut m = MemoryFabric::new(MemConfig::fx5800());
-        let req = load((0..4).map(|i| i * 32).collect());
-        let t1 = m.service(0, &req);
-        assert!(m.module_busy().iter().sum::<f64>() > 0.0);
-        m.reset_timing();
-        assert!(m.module_busy().iter().all(|&b| b == 0.0));
-        assert_eq!(m.service(0, &req), t1);
     }
 
     #[test]

@@ -587,22 +587,6 @@ impl SmMemFrontend {
         (ready.max(floor), req, miss_lines, merge_lines, probe)
     }
 
-    /// Resets timing state (port, cache contents, MSHR) and the traffic
-    /// shard.
-    pub fn reset_timing(&mut self) {
-        self.lsu_free = 0;
-        self.traffic = TrafficStats::new();
-        if let Some(t) = self.tex.as_mut() {
-            t.reset();
-        }
-        if let Some(c) = self.l1.as_mut() {
-            c.reset();
-        }
-        self.mshr.reset();
-        self.l1_hits = 0;
-        self.l1_misses = 0;
-    }
-
     /// Serializes the frontend's mutable state — traffic shard, load-store
     /// port timestamp, and read-only cache contents — for a simulator
     /// checkpoint. The configuration (and hence cache geometry) is restored
@@ -692,7 +676,7 @@ mod tests {
     }
 
     #[test]
-    fn traffic_recorded_per_space_and_reset() {
+    fn traffic_recorded_per_space() {
         let mut fe = SmMemFrontend::new(MemConfig::fx5800());
         let addrs: Vec<u32> = (0..32).map(|i| i * 4).collect();
         let (_, req) = fe.request_offchip(0, Space::Global, false, 4, &addrs);
@@ -707,8 +691,6 @@ mod tests {
             (6, None)
         );
         assert_eq!(fe.traffic().space(Space::Global).accesses, 1);
-        fe.reset_timing();
-        assert_eq!(fe.traffic().space(Space::Global).accesses, 0);
     }
 
     #[test]

@@ -143,13 +143,6 @@ impl MshrTable {
         self.entries.retain(|e| e.fill_ready != FILL_UNRESOLVED);
     }
 
-    /// Clears entries and counters.
-    pub fn reset(&mut self) {
-        self.entries.clear();
-        self.merges = 0;
-        self.stalls = 0;
-    }
-
     /// Serializes the outstanding entries and counters for a simulator
     /// checkpoint. Capacity is configuration and is re-derived on restore.
     pub fn encode_state(&self, enc: &mut Encoder) {

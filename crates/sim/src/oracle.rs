@@ -4,10 +4,12 @@
 //! functional reference machine once and on the cycle-level simulator
 //! under a matrix of timing variants — parallel execution levels 1 and 4,
 //! spawn-bank-conflict modelling on and off, both spawn policies,
-//! sleeping SMs vs. forced per-cycle ticking, and every memory machine
-//! (flat, L1-only, L1+L2 behind the interconnect, ideal). Timing knobs
-//! must never change functional results, so every variant is compared
-//! against the *same* reference run:
+//! sleeping SMs vs. forced per-cycle ticking, every memory machine
+//! (flat, L1-only, L1+L2 behind the interconnect, ideal), and a run cut
+//! at a mid-run cycle and carried through the snapshot format. Timing
+//! knobs must never change functional results, and neither may a
+//! checkpoint, so every variant is compared against the *same*
+//! reference run:
 //!
 //! * the final global-memory image (output region + per-slot scratch);
 //! * under [`SpawnPolicy::Always`], the four lifecycle counters
@@ -23,6 +25,7 @@
 //! and dumped as a self-contained `.s` repro (source plus a
 //! `; gen-config:` header that [`parse_repro`] reads back).
 
+use crate::checkpoint::Snapshot;
 use crate::config::{GpuConfig, SpawnPolicy};
 use crate::gpu::{Gpu, Launch, RunOutcome};
 use crate::interp::RefMachine;
@@ -69,18 +72,23 @@ pub struct Variant {
     pub force_tick: bool,
     /// Memory machine.
     pub mem: MemPreset,
+    /// Stop at a seed-derived cycle inside the run, carry the machine
+    /// through `checkpoint → to_bytes → from_bytes → restore`, and finish
+    /// on the restored one.
+    pub restore: bool,
 }
 
 impl fmt::Display for Variant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "parallel={} banks={} policy={:?} loop={} mem={:?}",
+            "parallel={} banks={} policy={:?} loop={} mem={:?}{}",
             self.parallel,
             if self.bank_conflicts { "on" } else { "off" },
             self.policy,
             if self.force_tick { "tick" } else { "sleep" },
-            self.mem
+            self.mem,
+            if self.restore { " restore=mid-run" } else { "" }
         )
     }
 }
@@ -93,11 +101,19 @@ const BASE: Variant = Variant {
     policy: SpawnPolicy::Always,
     force_tick: false,
     mem: MemPreset::Flat,
+    restore: false,
 };
 
 /// The variant matrix every case runs through.
-pub const VARIANTS: [Variant; 11] = [
+pub const VARIANTS: [Variant; 12] = [
     BASE,
+    // `BASE` again through a snapshot. It runs second because it cuts at
+    // a fraction of the cycles `BASE` just took: the same machine, so the
+    // cut always falls inside its run.
+    Variant {
+        restore: true,
+        ..BASE
+    },
     Variant {
         parallel: 4,
         ..BASE
@@ -318,35 +334,48 @@ fn gpu_config(cfg: &GenConfig, v: Variant) -> GpuConfig {
     }
 }
 
-fn run_variant(gp: &GenProgram, v: Variant, reference: &RefRun) -> Option<Mismatch> {
+/// The restore arm's detour: runs `gpu` to a cycle in `1..base_cycles`
+/// picked by the case's seed, and returns the machine rebuilt from the
+/// serialized snapshot. The one the cut came from is dropped, so
+/// everything the rest of the run needs must have crossed the format.
+fn cut_and_restore(mut gpu: Gpu, seed: u64, base_cycles: u64) -> Result<Gpu, String> {
+    let cut = 1 + seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) % base_cycles.saturating_sub(1).max(1);
+    gpu.run(cut).map_err(|e| e.to_string())?;
+    let bytes = gpu.checkpoint().map_err(|e| e.to_string())?.to_bytes();
+    drop(gpu);
+    let snapshot = Snapshot::from_bytes(&bytes).map_err(|e| e.to_string())?;
+    Gpu::restore(&snapshot).map_err(|e| e.to_string())
+}
+
+/// Runs `gp` under `v` and compares it with `reference`; `Ok` carries the
+/// cycles the run took (`base_cycles` is what [`BASE`] returned, for the
+/// restore arm's cut).
+fn run_variant(
+    gp: &GenProgram,
+    v: Variant,
+    reference: &RefRun,
+    base_cycles: u64,
+) -> Result<u64, Mismatch> {
+    let gpu_error = |detail: String| Mismatch::GpuError { variant: v, detail };
     let mut gpu = Gpu::builder(gpu_config(&gp.cfg, v))
         .parallelism(v.parallel)
         .force_tick(v.force_tick)
         .build();
     gpu.mem_mut().alloc_global(gp.cfg.global_bytes(), "oracle");
     setup_const(gpu.mem_mut(), &gp.cfg);
-    if let Err(e) = gpu.launch(Launch {
+    gpu.launch(Launch {
         program: gp.program.clone(),
         entry: "main".to_string(),
         num_threads: gp.cfg.ntid,
         threads_per_block: 8,
-    }) {
-        return Some(Mismatch::GpuError {
-            variant: v,
-            detail: e.to_string(),
-        });
+    })
+    .map_err(|e| gpu_error(e.to_string()))?;
+    if v.restore {
+        gpu = cut_and_restore(gpu, gp.cfg.seed, base_cycles).map_err(gpu_error)?;
     }
-    let summary = match gpu.run(MAX_CYCLES) {
-        Ok(s) => s,
-        Err(e) => {
-            return Some(Mismatch::GpuError {
-                variant: v,
-                detail: e.to_string(),
-            })
-        }
-    };
+    let summary = gpu.run(MAX_CYCLES).map_err(|e| gpu_error(e.to_string()))?;
     if summary.outcome != RunOutcome::Completed {
-        return Some(Mismatch::NotCompleted {
+        return Err(Mismatch::NotCompleted {
             variant: v,
             outcome: format!("{:?}", summary.outcome),
         });
@@ -356,7 +385,7 @@ fn run_variant(gp: &GenProgram, v: Variant, reference: &RefRun) -> Option<Mismat
         .host_read_global(0, gp.cfg.global_bytes() as usize / 4);
     for (word, (&g, &r)) in global.iter().zip(reference.global.iter()).enumerate() {
         if g != r {
-            return Some(Mismatch::Global {
+            return Err(Mismatch::Global {
                 variant: v,
                 word,
                 gpu: g,
@@ -378,7 +407,7 @@ fn run_variant(gp: &GenProgram, v: Variant, reference: &RefRun) -> Option<Mismat
         ];
         for (counter, g, r) in pairs {
             if g != r {
-                return Some(Mismatch::Counter {
+                return Err(Mismatch::Counter {
                     variant: v,
                     counter,
                     gpu: g,
@@ -387,7 +416,7 @@ fn run_variant(gp: &GenProgram, v: Variant, reference: &RefRun) -> Option<Mismat
             }
         }
     }
-    None
+    Ok(gpu.now())
 }
 
 /// Runs one differential case: the reference once, then every variant in
@@ -408,9 +437,19 @@ pub fn run_case(cfg: &GenConfig) -> CaseReport {
             }
         }
     };
-    let mismatch = VARIANTS
-        .iter()
-        .find_map(|&v| run_variant(&gp, v, &reference));
+    let mut base_cycles = 0;
+    let mismatch =
+        VARIANTS
+            .iter()
+            .find_map(|&v| match run_variant(&gp, v, &reference, base_cycles) {
+                Ok(cycles) => {
+                    if v == BASE {
+                        base_cycles = cycles;
+                    }
+                    None
+                }
+                Err(mismatch) => Some(mismatch),
+            });
     CaseReport {
         cfg: cfg.clone(),
         mismatch,

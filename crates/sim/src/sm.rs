@@ -1441,7 +1441,6 @@ impl Sm {
         }
         let w = &mut self.warps[widx];
         w.ready_at = ready.max(now + 1);
-        w.lanes.add_instruction(mask);
         let until = w.ready_at;
         // Back-to-back ready (the common case): the warp is already in
         // the ready bitset — leave it there instead of a heap round-trip.

@@ -37,8 +37,6 @@ pub struct ThreadCtx {
     pub spawned_child: bool,
     /// Whether the thread has retired.
     pub exited: bool,
-    /// Dynamic instruction count executed by this thread.
-    pub instructions: u64,
 }
 
 impl ThreadCtx {
@@ -52,7 +50,6 @@ impl ThreadCtx {
             state_slot: None,
             spawned_child: false,
             exited: false,
-            instructions: 0,
         }
     }
 
@@ -137,20 +134,18 @@ pub struct LaneState {
     /// Predicate registers stored as bit-planes: `pred_planes[p]` holds
     /// predicate `p` of every lane, one bit per lane. A guard mask is then
     /// a single AND against the active mask instead of a per-lane bit
-    /// test. The checkpoint codec still reads/writes one `u8` per lane
-    /// (gathered/scattered at the boundary) so snapshot bytes are
-    /// unchanged.
+    /// test. The checkpoint codec reads/writes one `u8` per lane
+    /// (gathered/scattered at the boundary), half the planes' bytes.
     pred_planes: [u64; 8],
     spawn_mem_addr: Vec<u32>,
     state_slot: Vec<u32>,
-    instructions: Vec<u64>,
     /// Flat register file in *register-major* order: register `r` of lane
     /// `i` lives at `regs[r * warp_size + i]`. A warp-wide operation then
     /// reads each operand from one contiguous `warp_size`-word plane
     /// (cache-dense, auto-vectorizable) instead of striding `stride`
     /// words between lanes, and growing the stride appends fresh planes
-    /// without re-packing. The checkpoint codec still writes lane-major
-    /// bytes (gathered at the boundary) so snapshot bytes are unchanged.
+    /// without re-packing. The checkpoint codec writes the planes in this
+    /// order, zero runs elided: a never-written register is one run.
     regs: Vec<u32>,
 }
 
@@ -188,7 +183,6 @@ impl LaneState {
             pred_planes: [0; 8],
             spawn_mem_addr: vec![0; n],
             state_slot: vec![0; n],
-            instructions: vec![0; n],
             regs: vec![0; n * regs_per_thread as usize],
         }
     }
@@ -218,7 +212,6 @@ impl LaneState {
             pred_planes: [0; 8],
             spawn_mem_addr: vec![0; n],
             state_slot: vec![0; n],
-            instructions: vec![0; n],
             regs: vec![0; n * regs_stride as usize],
         };
         for (lane, t) in threads.into_iter().enumerate() {
@@ -236,7 +229,6 @@ impl LaneState {
                 s.has_slot |= Self::bit(lane);
                 s.state_slot[lane] = slot;
             }
-            s.instructions[lane] = t.instructions;
             for (r, &v) in t.regs.iter().enumerate() {
                 s.regs[r * n + lane] = v;
             }
@@ -315,28 +307,6 @@ impl LaneState {
         let slot = self.state_slot(lane);
         self.has_slot &= !Self::bit(lane);
         slot
-    }
-
-    /// Dynamic instruction count executed by lane `lane`'s thread.
-    pub fn instructions(&self, lane: usize) -> u64 {
-        self.instructions[lane]
-    }
-
-    /// Charges one executed instruction to every lane in `mask`.
-    pub fn add_instruction(&mut self, mask: u64) {
-        let mut m = mask & self.populated;
-        if m == self.populated && self.populated.count_ones() as usize == self.instructions.len() {
-            // Full warp (the common case): one contiguous pass.
-            for v in &mut self.instructions {
-                *v += 1;
-            }
-            return;
-        }
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.instructions[lane] += 1;
-        }
     }
 
     /// Reads register `r` of lane `lane` (beyond the file reads 0, like
@@ -621,9 +591,8 @@ impl LaneState {
         }
     }
 
-    /// Serializes the lane arrays for a simulator checkpoint (snapshot
-    /// format v3: one SoA block per warp instead of per-lane
-    /// `Option<ThreadCtx>` records).
+    /// Serializes the lane arrays for a simulator checkpoint: one SoA
+    /// block per warp, the register file register-major as it is held.
     pub(crate) fn encode_state(&self, enc: &mut Encoder) {
         enc.put_u32(self.warp_size);
         enc.put_u32(self.regs_stride);
@@ -637,20 +606,7 @@ impl LaneState {
         }
         enc.put_u32_slice(&self.spawn_mem_addr);
         enc.put_u32_slice(&self.state_slot);
-        for &i in &self.instructions {
-            enc.put_u64(i);
-        }
-        // Snapshot bytes stay lane-major (format v3) regardless of the
-        // in-memory register-major layout.
-        let n = self.warp_size as usize;
-        let st = self.regs_stride as usize;
-        let mut lane_major = Vec::with_capacity(n * st);
-        for lane in 0..n {
-            for r in 0..st {
-                lane_major.push(self.regs[r * n + lane]);
-            }
-        }
-        enc.put_u32_slice(&lane_major);
+        enc.put_u32_sparse(&self.regs);
     }
 
     /// Rebuilds lane state written by [`LaneState::encode_state`].
@@ -662,7 +618,14 @@ impl LaneState {
                 tag: u64::from(warp_size),
             });
         }
+        // Registers are named by a `u8`, so no file is wider than 256.
         let regs_stride = dec.take_u32()?;
+        if regs_stride > 256 {
+            return Err(CodecError::BadTag {
+                what: "lane-state register stride",
+                tag: u64::from(regs_stride),
+            });
+        }
         let populated = dec.take_u64()?;
         let exited = dec.take_u64()?;
         let spawned = dec.take_u64()?;
@@ -675,39 +638,24 @@ impl LaneState {
         }
         let spawn_mem_addr = dec.take_u32_vec()?;
         let state_slot = dec.take_u32_vec()?;
-        let mut instructions = Vec::with_capacity(n);
-        for _ in 0..n {
-            instructions.push(dec.take_u64()?);
-        }
-        let regs = dec.take_u32_vec()?;
-        for (what, len) in [
-            ("lane-state tids", tid.len()),
-            ("lane-state spawn addrs", spawn_mem_addr.len()),
-            ("lane-state slots", state_slot.len()),
+        let regs = dec.take_u32_sparse(n * regs_stride as usize)?;
+        for (what, len, want) in [
+            ("lane-state tids", tid.len(), n),
+            ("lane-state spawn addrs", spawn_mem_addr.len(), n),
+            ("lane-state slots", state_slot.len(), n),
+            (
+                "lane-state register block",
+                regs.len(),
+                n * regs_stride as usize,
+            ),
         ] {
-            if len != n {
+            if len != want {
                 return Err(CodecError::BadTag {
                     what,
                     tag: len as u64,
                 });
             }
         }
-        if regs.len() != n * regs_stride as usize {
-            return Err(CodecError::BadTag {
-                what: "lane-state register block",
-                tag: regs.len() as u64,
-            });
-        }
-        // Snapshot bytes are lane-major; scatter into the in-memory
-        // register-major layout.
-        let st = regs_stride as usize;
-        let mut reg_major = vec![0u32; regs.len()];
-        for lane in 0..n {
-            for r in 0..st {
-                reg_major[r * n + lane] = regs[lane * st + r];
-            }
-        }
-        let regs = reg_major;
         let mut s = LaneState {
             warp_size,
             regs_stride,
@@ -719,7 +667,6 @@ impl LaneState {
             pred_planes: [0; 8],
             spawn_mem_addr,
             state_slot,
-            instructions,
             regs,
         };
         for (lane, &byte) in pred_bytes.iter().enumerate() {
@@ -818,17 +765,13 @@ mod tests {
     }
 
     #[test]
-    fn lane_state_slots_and_instruction_counts() {
+    fn lane_state_slots_are_taken_once() {
         let mut threads = vec![ThreadCtx::new(0, 1), ThreadCtx::new(1, 1)];
         threads[1].state_slot = Some(0x40);
         let mut l = LaneState::from_threads(4, threads);
         assert_eq!(l.state_slot(0), None);
         assert_eq!(l.take_state_slot(1), Some(0x40));
         assert_eq!(l.take_state_slot(1), None, "slot taken once");
-        l.add_instruction(0b1111); // only populated lanes are charged
-        l.add_instruction(0b0001);
-        assert_eq!(l.instructions(0), 2);
-        assert_eq!(l.instructions(1), 1);
     }
 
     #[test]
@@ -861,7 +804,6 @@ mod tests {
         l.set_spawned_child(0);
         l.set_spawn_mem_addr(2, 0x80);
         l.set_pred(0, Pred(2), true);
-        l.add_instruction(0b0101);
         let mut enc = Encoder::new();
         l.encode_state(&mut enc);
         let bytes = enc.into_bytes();
@@ -873,7 +815,6 @@ mod tests {
         assert!(r.spawned_child(0));
         assert_eq!(r.spawn_mem_addr(2), 0x80);
         assert!(r.pred(0, Pred(2)));
-        assert_eq!(r.instructions(0), 1);
         assert_eq!(r.reg(2, Reg(1)), 20);
     }
 
@@ -887,6 +828,26 @@ mod tests {
         bad[0] = 0xFF;
         let mut dec = Decoder::new(&bad);
         assert!(LaneState::restore_state(&mut dec).is_err());
+        // A register stride no program can name would size the register
+        // block from the input: refused before the block is read.
+        let mut bad = good.clone();
+        bad[4..8].copy_from_slice(&257u32.to_le_bytes());
+        assert!(matches!(
+            LaneState::restore_state(&mut Decoder::new(&bad)),
+            Err(CodecError::BadTag {
+                what: "lane-state register stride",
+                ..
+            })
+        ));
+        // A register block longer than warp size x stride is refused by
+        // its declared length (4 lanes x 2 registers here).
+        let block = good.len() - (8 + 8 + 3 * 4);
+        let mut bad = good.clone();
+        bad[block..block + 8].copy_from_slice(&9u64.to_le_bytes());
+        assert!(matches!(
+            LaneState::restore_state(&mut Decoder::new(&bad)),
+            Err(CodecError::BadLength { len: 9, .. })
+        ));
         // Truncation is also an error, not a partial decode.
         let mut dec = Decoder::new(&good[..good.len() - 3]);
         assert!(LaneState::restore_state(&mut dec).is_err());
