@@ -78,7 +78,7 @@ pub fn render_artifact(name: &str, scale: Scale, json: bool) -> Option<Result<St
 
 /// Identity fingerprint of one campaign job: FNV-1a-64 over the
 /// scenario's canonical job name, output mode, and the
-/// [`run_fingerprint`] of every (scene × variant) render the matrix can
+/// [`crate::run_fingerprint`] of every (scene × variant) render the matrix can
 /// touch at this scale — which folds in the kernel program bytes, the
 /// full `GpuConfig` per variant, the scene identities, the [`Scale`],
 /// and the telemetry spec. Workloads with private inputs (extra kernel

@@ -44,7 +44,7 @@ type Answer = (u16, String, Option<u64>);
 /// Serves one accepted connection: parse, route, respond, close. Called
 /// on the accept thread, and done there when that holds the next
 /// connection up by no more than the handler's own work: the request
-/// arrived whole within [`PROMPT`] and its handler has no need to park
+/// arrived whole within `PROMPT` and its handler has no need to park
 /// (the response, an artifact's text at most, is one write that a fresh
 /// socket's buffer takes without waiting for the peer). Starting and
 /// ending a thread costs more than any such request. Everything else — a

@@ -10,7 +10,7 @@
 //! token-bucket rate limit, typed 429 sheds with retry-after hints), is
 //! made durable in the write-ahead [`journal`] *before* the 202
 //! acknowledgment, and is then submitted to the shared
-//! [`campaign::Coordinator`] — which dedups it against the
+//! [`crate::campaign::Coordinator`] — which dedups it against the
 //! content-addressed result cache by job fingerprint (a warm hit
 //! completes instantly), fans cold work across supervised worker
 //! processes, and enforces the deadline by SIGKILL.
@@ -44,7 +44,7 @@
 //! (quarantines, retries, SIGKILLs), and per-route request counts and
 //! handler time; `/readyz` flips unready the moment
 //! draining starts. Long-poll job status (`GET /jobs/<id>?wait_ms=N`)
-//! carries the worker's latest `SnapshotSink`-style progress pulse.
+//! carries the worker's latest `ProgressPulse`.
 //!
 //! No request waits on a timer: the accept thread blocks in `accept()`
 //! (and is woken for shutdown by one loopback connect), the pump parks
@@ -224,7 +224,7 @@ pub struct Shared {
     /// wake-up) and on drain.
     pub cv: Condvar,
     /// Signaled, with [`Inner::pump_due`] set, when the pump has work
-    /// that should not wait out [`PUMP_TICK`]: a cold job admitted, a
+    /// that should not wait out `PUMP_TICK`: a cold job admitted, a
     /// drain begun.
     pub pump: Condvar,
     /// Per-route traffic, reported by `/healthz`.

@@ -343,7 +343,7 @@ fn summarize(gpu: &mut Gpu, job: &str) -> RunSummary {
 ///
 /// The run is sliced at [`Policy::checkpoint_every`] cycles; each slice
 /// boundary snapshots the machine (the only safe point — see
-/// `DESIGN.md` §9). On a [`SimError::Fault`] or a watchdog
+/// `DESIGN.md` §9). On a [`simt_sim::SimError::Fault`] or a watchdog
 /// [`RunOutcome::Deadlock`] the machine rolls back to the last good
 /// snapshot and the slice budget doubles (`checkpoint_every << retries`)
 /// so a retry is not re-interrupted at the same boundary; after

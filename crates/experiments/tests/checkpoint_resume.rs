@@ -207,17 +207,17 @@ fn killed_at_every_write_persisted_cycles_strictly_increase() {
 }
 
 #[test]
-fn a_v4_checkpoint_is_refused_by_version_and_the_job_restarts() {
-    let dir = temp_dir("v4");
-    // What a pre-v5 build left behind: a sound frame of the previous
+fn a_v5_checkpoint_is_refused_by_version_and_the_job_restarts() {
+    let dir = temp_dir("v5");
+    // What a pre-v6 build left behind: a sound frame of the previous
     // version. There is no reader for it.
-    let frame = seal_frame(&SNAPSHOT_MAGIC, 4, b"phase meta", &[0u8; 4096]);
+    let frame = seal_frame(&SNAPSHOT_MAGIC, 5, b"phase meta", &[0u8; 4096]);
     std::fs::write(dir.join(format!("{FIG3_JOB}.ckpt")), frame).expect("writable");
     let out = fig3(&dir, BUDGET, &["--resume"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("ignoring unusable checkpoint")
-            && stderr.contains("unsupported snapshot version 4"),
+            && stderr.contains("unsupported snapshot version 5"),
         "the refusal is reported: {stderr}"
     );
     assert!(out.status.success());

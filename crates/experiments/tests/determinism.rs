@@ -127,9 +127,9 @@ fn injected_fault_log_is_identical_across_parallelism() {
     assert_eq!(stats1, stats4);
 }
 
-/// One fully traced render: the rendered Chrome-trace JSON, the rendered
-/// metrics CSV, and the `SimStats` divergence CSV for cross-checking.
-fn traced_render_at(parallel: usize) -> (String, String, String) {
+/// One fully traced render: the rendered Chrome-trace JSON and the
+/// rendered metrics CSV.
+fn traced_render_at(parallel: usize) -> (String, String) {
     let scale = Scale::test();
     let scene = scenes::conference(SceneScale::Tiny);
     let mut gpu = gpu_for_with(Variant::Dynamic, TelemetrySpec::trace()).with_parallelism(parallel);
@@ -140,7 +140,6 @@ fn traced_render_at(parallel: usize) -> (String, String, String) {
     (
         ChromeTraceSink.render(&report),
         CsvMetricsSink.render(&report),
-        gpu.stats().divergence.to_csv(),
     )
 }
 
@@ -149,28 +148,12 @@ fn traced_render_at(parallel: usize) -> (String, String, String) {
 /// statistics — must be byte-identical at every parallelism level.
 #[test]
 fn telemetry_artifacts_are_identical_across_parallelism() {
-    let (trace1, csv1, _) = traced_render_at(1);
-    let (trace4, csv4, _) = traced_render_at(4);
+    let (trace1, csv1) = traced_render_at(1);
+    let (trace4, csv4) = traced_render_at(4);
     assert!(
         trace1.contains("\"traceEvents\""),
         "trace JSON looks malformed: {trace1:.120}"
     );
     assert_eq!(trace1, trace4, "Chrome trace diverged across parallelism");
     assert_eq!(csv1, csv4, "metrics CSV diverged across parallelism");
-}
-
-/// The CSV sink's divergence section is defined to be byte-identical to
-/// `SimStats::divergence.to_csv()` — the figures that moved onto the
-/// telemetry pipeline must keep printing exactly the numbers they did
-/// when they scraped `SimStats` directly.
-#[test]
-fn telemetry_csv_divergence_section_matches_sim_stats() {
-    let (_, csv, stats_csv) = traced_render_at(1);
-    let section = CsvMetricsSink::divergence_section(&csv)
-        .expect("metrics CSV has a divergence timeline section");
-    assert_eq!(section, stats_csv, "telemetry divergence != SimStats");
-    assert!(
-        stats_csv.lines().count() > 1,
-        "divergence timeline is non-trivial"
-    );
 }

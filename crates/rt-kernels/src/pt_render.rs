@@ -6,7 +6,7 @@
 //! simulator's ALU is plain Rust `f32` arithmetic), so device results
 //! must match it **bit for bit** and the [`image_hash`] of both sides
 //! is equal. Both kernel variants embed the same
-//! [`crate::pt_common`] fragments, so Traditional and Dynamic produce
+//! `crate::pt_common` fragments, so Traditional and Dynamic produce
 //! the same image too.
 
 use crate::pt_layout::{PtDeviceScene, PtResult, PT_LEAF_BIT};

@@ -34,7 +34,7 @@
 //! | 10   | current segment tmin |
 //! | 11   | xorshift RNG state |
 //!
-//! Register conventions follow [`crate::pt_common`]; throughput,
+//! Register conventions follow `crate::pt_common`; throughput,
 //! radiance and the segment count live in the per-ray path record in
 //! global memory (only the bounce step touches them).
 

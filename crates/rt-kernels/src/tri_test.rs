@@ -136,7 +136,7 @@ mod tests {
     use raytrace::{Ray, Triangle, Vec3, WaldTriangle};
     use simt_isa::{assemble_named, Space};
     use simt_mem::{MemConfig, MemoryFabric};
-    use simt_sim::interpret_thread;
+    use simt_sim::RefMachine;
 
     /// Drives the snippet standalone: wald record at global 0, ray in
     /// registers, result at global 1024.
@@ -194,7 +194,9 @@ mod tests {
         mem.alloc_global(2048, "all");
         let w = WaldTriangle::new(tri).expect("non-degenerate");
         mem.host_write_global(0, &w.to_words());
-        interpret_thread(&program, 0, 0, 1, &mut mem).expect("runs");
+        RefMachine::new(&program, 1, 0, 0)
+            .run(&mut mem, 0)
+            .expect("runs");
         let id = mem.read_u32(Space::Global, 1028);
         (id == 7).then(|| f32::from_bits(mem.read_u32(Space::Global, 1024)))
     }

@@ -78,8 +78,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DMKSNAP\0";
 /// 5 — the large word arrays (backing stores, on-chip memories, register
 /// files) are written with their zero runs elided, register files
 /// register-major as they are held; the fabric's always-zero traffic
-/// block and the per-lane instruction counts nothing read are gone.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// block and the per-lane instruction counts nothing read are gone;
+/// 6 — the per-SM telemetry shard no longer carries a second copy of the
+/// divergence timeline (the statistics block holds the only one).
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why a snapshot could not be restored.
 ///

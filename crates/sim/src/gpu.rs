@@ -35,7 +35,7 @@ use crate::fault::{
     DeadlockDiagnostics, Fault, FaultPolicy, InjectedFault, Injector, LaunchError, SimError,
 };
 use crate::sm::{ExecCtx, Sm};
-use crate::stats::{DivergenceTimeline, SimStats};
+use crate::stats::SimStats;
 use crate::telemetry::{TelemetryReport, TelemetrySpec};
 use dmk_core::DmkStats;
 use simt_isa::codec::{CodecError, Decoder, Encoder};
@@ -237,8 +237,7 @@ impl WorkerPool {
 ///     .telemetry(TelemetrySpec::metrics())
 ///     .build();
 /// assert_eq!(gpu.parallelism(), 4);
-/// // Recording requires the (default-on) `telemetry` feature.
-/// assert_eq!(gpu.telemetry_enabled(), cfg!(feature = "telemetry"));
+/// assert!(gpu.telemetry_enabled());
 /// ```
 #[derive(Debug)]
 pub struct GpuBuilder {
@@ -367,21 +366,22 @@ impl Gpu {
     /// once, through [`GpuBuilder::telemetry`].
     pub fn set_telemetry(&mut self, spec: &TelemetrySpec) {
         for sm in &mut self.sms {
-            sm.set_telemetry(spec, self.cfg.divergence_window, self.cfg.warp_size);
+            sm.set_telemetry(spec, self.cfg.divergence_window);
         }
     }
 
-    /// Whether telemetry is recording (compiled in *and* enabled at
-    /// runtime).
+    /// Whether telemetry is recording.
     pub fn telemetry_enabled(&self) -> bool {
         self.sms.first().is_some_and(|sm| sm.telemetry().is_on())
     }
 
     /// Merges every SM's telemetry shard — in SM-id order, like the
     /// statistics shards — into one [`TelemetryReport`], and attaches the
-    /// fabric's per-DRAM-module busy time. Unlike stats, telemetry stays
-    /// resident: the report is cumulative over the machine's lifetime and
-    /// taking it does not reset anything.
+    /// machine's divergence timeline (statistics shards are merged
+    /// whenever [`Gpu::run`] returns, so it is complete) and the fabric's
+    /// per-DRAM-module busy time. Unlike stats, telemetry stays resident:
+    /// the report is cumulative over the machine's lifetime and taking it
+    /// does not reset anything.
     pub fn telemetry_report(&self) -> TelemetryReport {
         let metrics_window = self.sms.first().map_or(self.cfg.divergence_window, |sm| {
             sm.telemetry().metrics_window()
@@ -389,7 +389,7 @@ impl Gpu {
         let mut report = TelemetryReport {
             warp_size: self.cfg.warp_size,
             metrics_window,
-            divergence: DivergenceTimeline::new(self.cfg.divergence_window, self.cfg.warp_size),
+            divergence: self.stats.divergence.clone(),
             windows: Vec::new(),
             events: Vec::new(),
             dropped: 0,
@@ -491,9 +491,8 @@ impl Gpu {
     /// state: it is not captured, and a restored machine starts at the
     /// default (serial) setting — re-apply it with
     /// [`Gpu::with_parallelism`]. Telemetry *metrics* (windowed counters,
-    /// the divergence mirror, per-warp PDOM depths) are machine state and
-    /// are captured; trace rings are not, so traces restart empty after a
-    /// resume.
+    /// per-warp PDOM depths) are machine state and are captured; trace
+    /// rings are not, so traces restart empty after a resume.
     ///
     /// # Errors
     ///

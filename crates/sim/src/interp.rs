@@ -1,22 +1,104 @@
-//! Functional single-thread interpreter.
+//! The functional reference machine.
 //!
-//! Runs one thread's instruction stream to completion against the
-//! functional memory image, with no timing. Used as a correctness oracle
-//! for the cycle-level pipeline, to count per-thread dynamic instructions
-//! for the MIMD-theoretical model (paper Fig. 10), and by the bandwidth
-//! analytics behind Table IV.
+//! [`RefMachine`] runs a program's threads one after another to completion
+//! against the functional memory image, with no timing and no lockstep. It
+//! is the one independent executor every cross-check in the tree reads:
+//! the lockstep differential oracle ([`crate::oracle`], `fuzz_diff`)
+//! compares the cycle-level [`crate::Gpu`] against it, the random-program
+//! equivalence suite and `rt-kernels`' Wald-test cases run on it, and the
+//! MIMD-theoretical model of paper Fig. 10 ([`crate::mimd_theoretical`])
+//! takes its per-thread dynamic instruction counts from it.
+//!
+//! It keeps its own per-thread state representation (`ThreadCtx`, one
+//! register vector per thread) on purpose: the machine holds lanes
+//! struct-of-arrays in [`crate::LaneState`], and an oracle that shared
+//! that code would share its bugs.
 
-use crate::thread::ThreadCtx;
-use simt_isa::{eval_alu, eval_cmp, Instr, Program, Reg, Space};
+use simt_isa::{eval_alu, eval_cmp, Instr, Operand, Pred, Program, Reg, Space, Special};
 use simt_mem::MemoryFabric;
 use std::fmt;
+
+/// Architectural state of one reference thread: registers, predicates and
+/// the special registers the paper's programming model exposes.
+#[derive(Debug, Clone)]
+struct ThreadCtx {
+    /// Global thread id (unique across the launch, including dynamically
+    /// created threads).
+    tid: u32,
+    /// General-purpose register file (sized to the program's requirement).
+    regs: Vec<u32>,
+    /// Predicate registers, one bit each.
+    preds: u8,
+    /// The `%spawnmem` special register (paper §IV-A1).
+    spawn_mem_addr: u32,
+    /// Whether this thread has spawned a child (its lineage continues).
+    spawned_child: bool,
+}
+
+impl ThreadCtx {
+    /// Creates a fresh thread with `num_regs` zeroed registers.
+    fn new(tid: u32, num_regs: u32) -> Self {
+        ThreadCtx {
+            tid,
+            regs: vec![0; num_regs as usize],
+            preds: 0,
+            spawn_mem_addr: 0,
+            spawned_child: false,
+        }
+    }
+
+    /// Reads register `r` (unwritten registers read 0 even beyond the
+    /// allocated file, for robustness).
+    fn reg(&self, r: Reg) -> u32 {
+        self.regs.get(r.0 as usize).copied().unwrap_or(0)
+    }
+
+    /// Writes register `r`, growing the file if the program under-declared.
+    fn set_reg(&mut self, r: Reg, v: u32) {
+        let i = r.0 as usize;
+        if self.regs.len() <= i {
+            self.regs.resize(i + 1, 0);
+        }
+        self.regs[i] = v;
+    }
+
+    fn pred(&self, p: Pred) -> bool {
+        (self.preds >> p.0) & 1 == 1
+    }
+
+    fn set_pred(&mut self, p: Pred, v: bool) {
+        if v {
+            self.preds |= 1 << p.0;
+        } else {
+            self.preds &= !(1 << p.0);
+        }
+    }
+
+    fn operand(&self, o: Operand) -> u32 {
+        match o {
+            Operand::Reg(r) => self.reg(r),
+            Operand::Imm(v) => v,
+        }
+    }
+
+    /// Evaluates a special register. Lane/warp/SM coordinates are a
+    /// machine artefact; the reference reports 0 (comparable programs do
+    /// not read them).
+    fn special(&self, s: Special, ntid: u32) -> u32 {
+        match s {
+            Special::Tid => self.tid,
+            Special::LaneId | Special::WarpId | Special::SmId => 0,
+            Special::NTid => ntid,
+            Special::SpawnMem => self.spawn_mem_addr,
+        }
+    }
+}
 
 /// Why interpretation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InterpError {
-    /// The thread executed `spawn`, which has no meaning for a lone
-    /// functional thread (the paper's MIMD/PDOM baselines run the
-    /// traditional, spawn-free kernel).
+    /// The program contains a `spawn` where the caller needs a spawn-free
+    /// one (the paper's MIMD bound is taken on the traditional kernel).
     SpawnUnsupported {
         /// PC of the spawn instruction.
         pc: usize,
@@ -56,185 +138,6 @@ impl fmt::Display for InterpError {
 
 impl std::error::Error for InterpError {}
 
-/// Result of interpreting one thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct InterpResult {
-    /// Dynamic instructions executed.
-    pub instructions: u64,
-    /// Load instructions executed.
-    pub loads: u64,
-    /// Store instructions executed.
-    pub stores: u64,
-    /// Bytes read (all spaces).
-    pub bytes_read: u64,
-    /// Bytes written (all spaces).
-    pub bytes_written: u64,
-}
-
-/// A functional interpreter bound to a program and memory image.
-#[derive(Debug)]
-pub struct ThreadInterp<'a> {
-    program: &'a Program,
-    /// Per-thread scratch standing in for shared memory (functional only).
-    shared_scratch: Vec<u32>,
-    /// Instruction budget per thread.
-    pub budget: u64,
-    /// `%ntid` value reported to the thread.
-    pub ntid: u32,
-}
-
-impl<'a> ThreadInterp<'a> {
-    /// Creates an interpreter for `program`.
-    pub fn new(program: &'a Program, ntid: u32) -> Self {
-        ThreadInterp {
-            program,
-            shared_scratch: vec![0; 4096],
-            budget: 50_000_000,
-            ntid,
-        }
-    }
-
-    /// Runs thread `tid` from `entry_pc` to `exit`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterpError::SpawnUnsupported`] on `spawn` and
-    /// [`InterpError::Runaway`] if the budget is exceeded.
-    pub fn run_thread(
-        &mut self,
-        tid: u32,
-        entry_pc: usize,
-        mem: &mut MemoryFabric,
-    ) -> Result<InterpResult, InterpError> {
-        let mut t = ThreadCtx::new(tid, self.program.resource_usage().registers.max(1));
-        let mut pc = entry_pc;
-        let mut res = InterpResult::default();
-        loop {
-            if res.instructions >= self.budget {
-                return Err(InterpError::Runaway {
-                    budget: self.budget,
-                });
-            }
-            let instr = self.program.fetch(pc);
-            res.instructions += 1;
-            let pass = match instr.guard {
-                None => true,
-                Some(g) => t.pred(g.pred) != g.negate,
-            };
-            match instr.op {
-                Instr::Alu { op, d, a, b, c } => {
-                    if pass {
-                        let v = eval_alu(op, t.operand(a), t.operand(b), t.operand(c));
-                        t.set_reg(d, v);
-                    }
-                    pc += 1;
-                }
-                Instr::Setp { cmp, p, a, b } => {
-                    if pass {
-                        let v = eval_cmp(cmp, t.operand(a), t.operand(b));
-                        t.set_pred(p, v);
-                    }
-                    pc += 1;
-                }
-                Instr::Selp { d, a, b, p } => {
-                    if pass {
-                        let v = if t.pred(p) {
-                            t.operand(a)
-                        } else {
-                            t.operand(b)
-                        };
-                        t.set_reg(d, v);
-                    }
-                    pc += 1;
-                }
-                Instr::Mov { d, a } => {
-                    if pass {
-                        let v = t.operand(a);
-                        t.set_reg(d, v);
-                    }
-                    pc += 1;
-                }
-                Instr::ReadSpecial { d, s } => {
-                    if pass {
-                        let v = t.special(s, 0, 0, 0, self.ntid);
-                        t.set_reg(d, v);
-                    }
-                    pc += 1;
-                }
-                Instr::Ld {
-                    space,
-                    d,
-                    addr,
-                    offset,
-                    width,
-                } => {
-                    if pass {
-                        let base = t.reg(addr).wrapping_add(offset as u32);
-                        for i in 0..width.regs() as u32 {
-                            let a = base + 4 * i;
-                            let trap = |fault| InterpError::Memory { pc, fault };
-                            let v = match space {
-                                Space::Global | Space::Const => {
-                                    mem.try_read_u32(space, a).map_err(trap)?
-                                }
-                                Space::Local => mem.try_read_local(tid, a).map_err(trap)?,
-                                Space::Shared | Space::Spawn => {
-                                    self.shared_scratch
-                                        [(a as usize / 4) % self.shared_scratch.len()]
-                                }
-                            };
-                            t.set_reg(Reg(d.0 + i as u8), v);
-                        }
-                        res.loads += 1;
-                        res.bytes_read += u64::from(width.bytes());
-                    }
-                    pc += 1;
-                }
-                Instr::St {
-                    space,
-                    a,
-                    addr,
-                    offset,
-                    width,
-                } => {
-                    if pass {
-                        let base = t.reg(addr).wrapping_add(offset as u32);
-                        for i in 0..width.regs() as u32 {
-                            let ad = base + 4 * i;
-                            let v = t.reg(Reg(a.0 + i as u8));
-                            let trap = |fault| InterpError::Memory { pc, fault };
-                            match space {
-                                Space::Global | Space::Const => {
-                                    mem.try_write_u32(space, ad, v).map_err(trap)?
-                                }
-                                Space::Local => mem.try_write_local(tid, ad, v).map_err(trap)?,
-                                Space::Shared | Space::Spawn => {
-                                    let n = self.shared_scratch.len();
-                                    self.shared_scratch[(ad as usize / 4) % n] = v;
-                                }
-                            }
-                        }
-                        res.stores += 1;
-                        res.bytes_written += u64::from(width.bytes());
-                    }
-                    pc += 1;
-                }
-                Instr::Bra { target } => {
-                    pc = if pass { target } else { pc + 1 };
-                }
-                Instr::Exit => {
-                    if pass {
-                        return Ok(res);
-                    }
-                    pc += 1;
-                }
-                Instr::Spawn { .. } => return Err(InterpError::SpawnUnsupported { pc }),
-                Instr::Nop => pc += 1,
-            }
-        }
-    }
-}
-
 /// A spawned child thread awaiting depth-first execution.
 #[derive(Debug, Clone, Copy)]
 struct PendingChild {
@@ -244,14 +147,11 @@ struct PendingChild {
 
 /// A full-ISA functional reference machine.
 ///
-/// Unlike [`ThreadInterp`] (one isolated thread, private scratch, `spawn`
-/// rejected), `RefMachine` models the *machine-level* state a program's
-/// threads share — a flat shared-memory store, a flat spawn-memory store
-/// with launch-time state records and bump-allocated formation slots, and
-/// a work-list of spawned children executed depth-first after their
-/// parent retires — while staying completely timing-free. It is the
-/// independent oracle the lockstep differential harness (`sim::oracle`)
-/// compares the cycle-level [`crate::Gpu`] against.
+/// `RefMachine` models the *machine-level* state a program's threads
+/// share — a flat shared-memory store, a flat spawn-memory store with
+/// launch-time state records and bump-allocated formation slots, and a
+/// work-list of spawned children executed depth-first after their parent
+/// retires — while staying completely timing-free.
 ///
 /// Reference spawn semantics, mirroring the hardware's dataflow:
 ///
@@ -292,6 +192,9 @@ pub struct RefMachine<'a> {
     pub lineages_completed: u64,
     /// Total dynamic instructions across all threads.
     pub instructions: u64,
+    /// Dynamic instructions of the longest single thread (the critical
+    /// path of the MIMD-theoretical bound).
+    pub longest_thread: u64,
 }
 
 impl<'a> RefMachine<'a> {
@@ -314,6 +217,7 @@ impl<'a> RefMachine<'a> {
             threads_retired: 0,
             lineages_completed: 0,
             instructions: 0,
+            longest_thread: 0,
         }
     }
 
@@ -434,10 +338,7 @@ impl<'a> RefMachine<'a> {
                 }
                 Instr::ReadSpecial { d, s } => {
                     if pass {
-                        // Lane/warp/SM coordinates are a machine artefact;
-                        // the reference reports 0 (comparable programs do
-                        // not read them).
-                        let v = t.special(s, 0, 0, 0, self.ntid);
+                        let v = t.special(s, self.ntid);
                         t.set_reg(d, v);
                     }
                     pc += 1;
@@ -527,6 +428,7 @@ impl<'a> RefMachine<'a> {
                         if !t.spawned_child {
                             self.lineages_completed += 1;
                         }
+                        self.longest_thread = self.longest_thread.max(executed);
                         return Ok(());
                     }
                     pc += 1;
@@ -558,26 +460,49 @@ impl<'a> RefMachine<'a> {
     }
 }
 
-/// Convenience wrapper: interprets a single thread of `program`.
-///
-/// # Errors
-///
-/// See [`ThreadInterp::run_thread`].
-pub fn interpret_thread(
-    program: &Program,
-    tid: u32,
-    entry_pc: usize,
-    ntid: u32,
-    mem: &mut MemoryFabric,
-) -> Result<InterpResult, InterpError> {
-    ThreadInterp::new(program, ntid).run_thread(tid, entry_pc, mem)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simt_isa::assemble;
     use simt_mem::MemConfig;
+
+    #[test]
+    fn registers_default_to_zero_and_grow() {
+        let mut t = ThreadCtx::new(7, 4);
+        assert_eq!(t.reg(Reg(2)), 0);
+        assert_eq!(t.reg(Reg(60)), 0, "beyond file also reads zero");
+        t.set_reg(Reg(1), 5);
+        assert_eq!(t.reg(Reg(1)), 5);
+        t.set_reg(Reg(10), 9);
+        assert_eq!(t.reg(Reg(10)), 9);
+        assert_eq!(t.operand(Operand::Reg(Reg(10))), 9);
+        assert_eq!(t.operand(Operand::Imm(5)), 5);
+    }
+
+    #[test]
+    fn predicates_are_independent_bits() {
+        let mut t = ThreadCtx::new(0, 1);
+        t.set_pred(Pred(0), true);
+        t.set_pred(Pred(3), true);
+        assert!(t.pred(Pred(0)));
+        assert!(!t.pred(Pred(1)));
+        assert!(t.pred(Pred(3)));
+        t.set_pred(Pred(0), false);
+        assert!(!t.pred(Pred(0)));
+        assert!(t.pred(Pred(3)));
+    }
+
+    #[test]
+    fn specials_resolve_with_zero_machine_coordinates() {
+        let mut t = ThreadCtx::new(42, 1);
+        t.spawn_mem_addr = 0x100;
+        assert_eq!(t.special(Special::Tid, 960), 42);
+        assert_eq!(t.special(Special::LaneId, 960), 0);
+        assert_eq!(t.special(Special::WarpId, 960), 0);
+        assert_eq!(t.special(Special::SmId, 960), 0);
+        assert_eq!(t.special(Special::NTid, 960), 960);
+        assert_eq!(t.special(Special::SpawnMem, 960), 0x100);
+    }
 
     #[test]
     fn loop_trip_count_matches() {
@@ -600,12 +525,14 @@ mod tests {
         .unwrap();
         let mut mem = MemoryFabric::new(MemConfig::fx5800());
         mem.alloc_global(64, "out");
+        let mut m = RefMachine::new(&p, 16, 1024, 0);
+        m.run(&mut mem, 0).unwrap();
         for tid in 0..16 {
-            let r = interpret_thread(&p, tid, 0, 16, &mut mem).unwrap();
-            assert!(r.instructions > 0);
-            assert_eq!(r.stores, 1);
             assert_eq!(mem.read_u32(Space::Global, tid * 4), tid % 8 + 1);
         }
+        // 4 prologue + 4 per trip + 3 epilogue, trips = tid % 8 + 1.
+        assert_eq!(m.instructions, 16 * 7 + 4 * 2 * 36);
+        assert_eq!(m.longest_thread, 7 + 4 * 8);
     }
 
     #[test]
@@ -623,58 +550,14 @@ mod tests {
         )
         .unwrap();
         let mut mem = MemoryFabric::new(MemConfig::fx5800());
-        let short = interpret_thread(&p, 0, 0, 8, &mut mem).unwrap();
-        let long = interpret_thread(&p, 7, 0, 8, &mut mem).unwrap();
-        assert!(long.instructions > short.instructions);
-    }
-
-    #[test]
-    fn spawn_is_rejected() {
-        let p = assemble(
-            r#"
-            .kernel main
-            .kernel child
-            main:
-                spawn $child, r1
-                exit
-            child:
-                exit
-            "#,
-        )
-        .unwrap();
-        let mut mem = MemoryFabric::new(MemConfig::fx5800());
-        let err = interpret_thread(&p, 0, 0, 1, &mut mem).unwrap_err();
-        assert_eq!(err, InterpError::SpawnUnsupported { pc: 0 });
-    }
-
-    #[test]
-    fn runaway_guard_fires() {
-        let p = assemble("spin:\nbra spin").unwrap();
-        let mut mem = MemoryFabric::new(MemConfig::fx5800());
-        let mut interp = ThreadInterp::new(&p, 1);
-        interp.budget = 1000;
-        let err = interp.run_thread(0, 0, &mut mem).unwrap_err();
-        assert_eq!(err, InterpError::Runaway { budget: 1000 });
-    }
-
-    #[test]
-    fn byte_accounting() {
-        let p = assemble(
-            r#"
-            mov.u32 r1, 0
-            ld.global.v4 r4, [r1+0]
-            st.global.u32 [r1+64], r4
-            exit
-            "#,
-        )
-        .unwrap();
-        let mut mem = MemoryFabric::new(MemConfig::fx5800());
-        mem.alloc_global(128, "buf");
-        let r = interpret_thread(&p, 0, 0, 1, &mut mem).unwrap();
-        assert_eq!(r.bytes_read, 16);
-        assert_eq!(r.bytes_written, 4);
-        assert_eq!(r.loads, 1);
-        assert_eq!(r.stores, 1);
+        let mut count = |ntid| {
+            let mut m = RefMachine::new(&p, ntid, 1024, 0);
+            m.run(&mut mem, 0).unwrap();
+            (m.instructions, m.longest_thread)
+        };
+        // Thread `tid` loops `tid + 1` times: 3 + 3 * (tid + 1).
+        assert_eq!(count(1), (6, 6));
+        assert_eq!(count(8), (8 * 3 + 3 * 36, 27));
     }
 
     /// Parent writes a state record, spawns; child loads the record via

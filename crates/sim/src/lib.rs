@@ -23,9 +23,9 @@
 //! scheduling** (whole thread blocks, FX5800 behaviour) and **thread/warp
 //! scheduling** (individual warps, required by dynamic μ-kernels).
 //!
-//! The crate also contains a functional single-thread interpreter used as
-//! a correctness oracle and to drive the MIMD-theoretical model of paper
-//! Fig. 10.
+//! The crate also contains a timing-free functional reference machine
+//! ([`RefMachine`]) used as the correctness oracle and to drive the
+//! MIMD-theoretical model of paper Fig. 10.
 //!
 //! ## Example
 //!
@@ -104,14 +104,14 @@ pub use fault::{
     SimError, SmSnapshot, WarpSnapshot,
 };
 pub use gpu::{Gpu, GpuBuilder, Launch, RunOutcome, RunSummary};
-pub use interp::{interpret_thread, InterpError, InterpResult, RefMachine, ThreadInterp};
+pub use interp::{InterpError, RefMachine};
 pub use mimd::{mimd_theoretical, MimdReport};
 pub use oracle::{run_case, shrink, CaseReport, Mismatch};
 pub use sm::Sm;
 pub use stats::{DivergenceTimeline, SimStats, OCCUPANCY_BUCKETS};
 pub use telemetry::{
-    ChromeTraceSink, CsvMetricsSink, ProgressPulse, SnapshotSink, TelemetryReport, TelemetrySpec,
-    TraceEvent, TraceEventKind, TraceSink, WindowCounters,
+    ChromeTraceSink, CsvMetricsSink, ProgressPulse, TelemetryReport, TelemetrySpec, TraceEvent,
+    TraceEventKind, TraceSink, WindowCounters,
 };
-pub use thread::{LaneState, ThreadCtx};
+pub use thread::LaneState;
 pub use warp::{StackEntry, Warp, WarpState};

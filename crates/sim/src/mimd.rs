@@ -7,7 +7,7 @@
 //! bounded below by the longest single thread (critical path).
 
 use crate::config::GpuConfig;
-use crate::interp::{InterpError, ThreadInterp};
+use crate::interp::{InterpError, RefMachine};
 use simt_isa::Program;
 use simt_mem::MemoryFabric;
 
@@ -36,14 +36,17 @@ impl MimdReport {
     }
 }
 
-/// Runs every thread functionally and derives the MIMD-theoretical bound.
+/// Runs every thread on the functional [`RefMachine`] and derives the
+/// MIMD-theoretical bound.
 ///
 /// The paper generates its MIMD numbers from the original (traditional)
-/// kernel, which must therefore be spawn-free.
+/// kernel, so a program that can spawn is refused before anything runs.
 ///
 /// # Errors
 ///
-/// Propagates [`InterpError`] from any thread (spawn use, runaway loop).
+/// [`InterpError::SpawnUnsupported`] for a program with a `spawn` in it;
+/// otherwise propagates [`InterpError`] from any thread (runaway loop,
+/// illegal access).
 pub fn mimd_theoretical(
     program: &Program,
     entry_pc: usize,
@@ -51,14 +54,13 @@ pub fn mimd_theoretical(
     cfg: &GpuConfig,
     mem: &mut MemoryFabric,
 ) -> Result<MimdReport, InterpError> {
-    let mut interp = ThreadInterp::new(program, num_threads);
-    let mut total = 0u64;
-    let mut longest = 0u64;
-    for tid in 0..num_threads {
-        let r = interp.run_thread(tid, entry_pc, mem)?;
-        total += r.instructions;
-        longest = longest.max(r.instructions);
+    if let Some(&pc) = program.spawn_sites().first() {
+        return Err(InterpError::SpawnUnsupported { pc });
     }
+    // No spawn-state records: nothing here can spawn.
+    let mut machine = RefMachine::new(program, num_threads, cfg.shared_mem_per_sm, 0);
+    machine.run(mem, entry_pc)?;
+    let (total, longest) = (machine.instructions, machine.longest_thread);
     let peak = cfg.peak_ipc();
     let cycles = (total.div_ceil(peak)).max(longest).max(1);
     Ok(MimdReport {
@@ -117,6 +119,26 @@ mod tests {
         // Thread 1 loops twice: 2 + 3*2 + 1 = 9 instructions.
         assert_eq!(r.longest_thread, 9);
         assert_eq!(r.cycles, 9, "critical path dominates a 2-thread launch");
+    }
+
+    #[test]
+    fn a_program_that_can_spawn_is_refused_up_front() {
+        let p = assemble(
+            r#"
+            .kernel main
+            .kernel child
+            main:
+                exit
+                spawn $child, r1
+            child:
+                exit
+            "#,
+        )
+        .unwrap();
+        let mut mem = MemoryFabric::new(MemConfig::fx5800());
+        let err = mimd_theoretical(&p, 0, 1, &GpuConfig::tiny(), &mut mem).unwrap_err();
+        // Refused by inspection: this thread would have exited before it.
+        assert_eq!(err, InterpError::SpawnUnsupported { pc: 1 });
     }
 
     #[test]

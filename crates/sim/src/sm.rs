@@ -161,12 +161,7 @@ impl Sm {
             issue_blocked_until: 0,
             stats: SimStats::new(cfg.divergence_window, cfg.warp_size),
             pending: Vec::new(),
-            telemetry: SmTelemetry::new(
-                id,
-                &TelemetrySpec::off(),
-                cfg.divergence_window,
-                cfg.warp_size,
-            ),
+            telemetry: SmTelemetry::new(id, &TelemetrySpec::off(), cfg.divergence_window),
             ready: ReadySet::default(),
             late_write_drops: 0,
             reap_dirty: false,
@@ -184,13 +179,8 @@ impl Sm {
 
     /// Replaces this SM's telemetry shard with a fresh one configured by
     /// `spec` (recordings restart from zero).
-    pub(crate) fn set_telemetry(
-        &mut self,
-        spec: &TelemetrySpec,
-        divergence_window: u64,
-        warp_size: u32,
-    ) {
-        self.telemetry = SmTelemetry::new(self.id, spec, divergence_window, warp_size);
+    pub(crate) fn set_telemetry(&mut self, spec: &TelemetrySpec, divergence_window: u64) {
+        self.telemetry = SmTelemetry::new(self.id, spec, divergence_window);
     }
 
     /// This SM's telemetry shard.
@@ -612,7 +602,6 @@ impl Sm {
         } else {
             self.stats.idle_sm_cycles += 1;
             self.stats.divergence.record_idle(now);
-            self.telemetry.on_idle(now);
         }
     }
 
@@ -661,13 +650,11 @@ impl Sm {
         std::mem::take(&mut self.progress)
     }
 
-    /// Records `count` idle SM-cycles starting at `from` across stats and
-    /// telemetry in one bulk update — byte-identical to recording them
-    /// one cycle at a time.
+    /// Records `count` idle SM-cycles starting at `from` in one bulk
+    /// update — byte-identical to recording them one cycle at a time.
     fn record_idle_span(&mut self, from: u64, count: u64) {
         self.stats.idle_sm_cycles += count;
         self.stats.divergence.record_idle_span(from, count);
-        self.telemetry.on_idle_span(from, count);
     }
 
     /// The earliest future cycle at which this SM could issue a
@@ -784,7 +771,7 @@ impl Sm {
     }
 
     /// Late load results dropped on dead warps/lanes (see
-    /// [`Sm::stage_pending`]); zero on any fault-free run.
+    /// `Sm::stage_pending`); zero on any fault-free run.
     pub fn late_write_drops(&self) -> u64 {
         self.late_write_drops
     }

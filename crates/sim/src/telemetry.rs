@@ -11,8 +11,8 @@
 //!
 //! # Determinism
 //!
-//! Every probe writes into the *per-SM* [`SmTelemetry`] shard owned by
-//! the SM that observed the event, during phase A — the same discipline
+//! Every probe writes into the *per-SM* telemetry shard owned by the SM
+//! that observed the event, during phase A — the same discipline
 //! as the [`crate::SimStats`] shards. [`crate::Gpu::telemetry_report`]
 //! merges the shards in SM-id order, so the merged event stream, the
 //! windowed counters, and the rendered sink output are bit-identical at
@@ -22,14 +22,14 @@
 //!
 //! # Cost
 //!
-//! Compiled out entirely without the `telemetry` cargo feature (every
-//! probe folds to a constant-false branch). With the feature on (the
-//! default) but telemetry disabled at runtime — the default for
+//! With telemetry disabled at runtime — the default for
 //! [`crate::Gpu::builder`] — each probe is a single boolean test.
-//! Metrics mode allocates one windowed-counter vector and one divergence
-//! timeline per SM; trace mode additionally fills a fixed-capacity ring
-//! buffer per SM (oldest events drop first, counted in
-//! [`TelemetryReport::dropped`]).
+//! Metrics mode allocates one windowed-counter vector per SM; trace mode
+//! additionally fills a fixed-capacity ring buffer per SM (oldest events
+//! drop first, counted in [`TelemetryReport::dropped`]).
+//!
+//! The divergence breakdown is not a probe: [`crate::SimStats`] records it
+//! on every run, and [`TelemetryReport::divergence`] is that timeline.
 
 use crate::stats::DivergenceTimeline;
 use simt_isa::codec::{CodecError, Decoder, Encoder};
@@ -44,7 +44,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
 /// [`crate::gpu::GpuBuilder::telemetry`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetrySpec {
-    /// Record windowed metrics and the divergence mirror.
+    /// Record windowed metrics.
     pub metrics: bool,
     /// Additionally record per-event traces into the per-SM rings
     /// (implies nothing about `metrics`; sinks want both on).
@@ -73,8 +73,7 @@ impl TelemetrySpec {
         }
     }
 
-    /// Windowed metrics only — counters and the divergence mirror, no
-    /// per-event ring.
+    /// Windowed metrics only — counters, no per-event ring.
     pub fn metrics() -> Self {
         TelemetrySpec {
             metrics: true,
@@ -272,6 +271,9 @@ pub struct WindowCounters {
 }
 
 impl WindowCounters {
+    /// Bytes one row occupies in a checkpoint: every field is a `u64`.
+    const ENCODED_BYTES: usize = std::mem::size_of::<WindowCounters>();
+
     /// CSV column names, matching [`WindowCounters::csv_row`].
     pub fn csv_header() -> &'static str {
         "issues,thread_instructions,warps_born,warps_retired,spawn_instructions,\
@@ -381,9 +383,6 @@ pub(crate) struct SmTelemetry {
     trace: bool,
     window: u64,
     trace_capacity: usize,
-    /// Divergence mirror, always at the machine's `divergence_window` so
-    /// the CSV sink reproduces `SimStats::divergence` exactly.
-    divergence: DivergenceTimeline,
     windows: Vec<WindowCounters>,
     events: VecDeque<TraceEvent>,
     dropped: u64,
@@ -401,12 +400,7 @@ pub(crate) struct SmTelemetry {
 }
 
 impl SmTelemetry {
-    pub(crate) fn new(
-        sm: usize,
-        spec: &TelemetrySpec,
-        divergence_window: u64,
-        warp_size: u32,
-    ) -> Self {
+    pub(crate) fn new(sm: usize, spec: &TelemetrySpec, divergence_window: u64) -> Self {
         SmTelemetry {
             sm,
             metrics: spec.metrics,
@@ -417,7 +411,6 @@ impl SmTelemetry {
                 spec.metrics_window
             },
             trace_capacity: spec.trace_capacity.max(1),
-            divergence: DivergenceTimeline::new(divergence_window, warp_size),
             windows: Vec::new(),
             events: VecDeque::new(),
             dropped: 0,
@@ -427,16 +420,10 @@ impl SmTelemetry {
         }
     }
 
-    /// Whether any probe records anything. Folds to `false` when the
-    /// `telemetry` cargo feature is compiled out.
+    /// Whether any probe records anything.
     #[inline]
     pub(crate) fn is_on(&self) -> bool {
-        cfg!(feature = "telemetry") && self.metrics
-    }
-
-    #[inline]
-    fn trace_on(&self) -> bool {
-        cfg!(feature = "telemetry") && self.trace
+        self.metrics
     }
 
     #[inline]
@@ -469,7 +456,7 @@ impl SmTelemetry {
     }
 
     fn push_event(&mut self, cycle: u64, kind: TraceEventKind) {
-        if !self.trace_on() {
+        if !self.trace {
             return;
         }
         if self.events.len() >= self.trace_capacity {
@@ -490,7 +477,6 @@ impl SmTelemetry {
         if !self.is_on() {
             return;
         }
-        self.divergence.record_issue(now, active);
         let idx = self.slot_idx(now);
         let w = &mut self.windows[idx];
         w.issues += 1;
@@ -507,23 +493,6 @@ impl SmTelemetry {
             self.push_event(now, TraceEventKind::PdomPop { warp, depth });
         }
         self.push_event(now, TraceEventKind::Issue { warp, pc, active });
-    }
-
-    /// An SM-cycle with no warp ready.
-    pub(crate) fn on_idle(&mut self, now: u64) {
-        if !self.is_on() {
-            return;
-        }
-        self.divergence.record_idle(now);
-    }
-
-    /// `count` consecutive idle SM-cycles starting at `from` — byte-identical
-    /// to `count` individual [`SmTelemetry::on_idle`] calls.
-    pub(crate) fn on_idle_span(&mut self, from: u64, count: u64) {
-        if !self.is_on() {
-            return;
-        }
-        self.divergence.record_idle_span(from, count);
     }
 
     /// A warp was admitted (launch or formation output).
@@ -658,7 +627,6 @@ impl SmTelemetry {
     /// Merges this shard into an accumulating report (SM-id order is the
     /// caller's responsibility).
     pub(crate) fn merge_into(&self, report: &mut TelemetryReport) {
-        report.divergence.merge(&self.divergence);
         if report.windows.len() < self.windows.len() {
             report
                 .windows
@@ -671,16 +639,15 @@ impl SmTelemetry {
         report.dropped += self.dropped;
     }
 
-    /// Serializes enablement, windowed counters, the divergence mirror,
-    /// and the per-warp depth map for a machine checkpoint. The trace
-    /// ring is deliberately *not* captured: metrics survive a
-    /// checkpoint/resume bit-identically, traces restart empty.
+    /// Serializes enablement, windowed counters and the per-warp depth
+    /// map for a machine checkpoint. The trace ring is deliberately *not*
+    /// captured: metrics survive a checkpoint/resume bit-identically,
+    /// traces restart empty.
     pub(crate) fn encode_state(&self, enc: &mut Encoder) {
         enc.put_bool(self.metrics);
         enc.put_bool(self.trace);
         enc.put_u64(self.window);
         enc.put_usize(self.trace_capacity);
-        self.divergence.encode_state(enc);
         enc.put_usize(self.windows.len());
         for w in &self.windows {
             w.encode(enc);
@@ -702,8 +669,7 @@ impl SmTelemetry {
         self.trace = dec.take_bool()?;
         self.window = dec.take_u64()?;
         self.trace_capacity = dec.take_usize()?.max(1);
-        self.divergence.restore_state(dec)?;
-        let n = dec.take_len(14 * 8)?;
+        let n = dec.take_len(WindowCounters::ENCODED_BYTES)?;
         self.windows = (0..n)
             .map(|_| WindowCounters::decode(dec))
             .collect::<Result<_, _>>()?;
@@ -732,8 +698,8 @@ pub struct TelemetryReport {
     pub warp_size: u32,
     /// Metrics window width in cycles.
     pub metrics_window: u64,
-    /// Divergence mirror — identical to `SimStats::divergence` for the
-    /// same run, rebuilt from the telemetry probes.
+    /// The machine's divergence timeline: [`crate::SimStats::divergence`]
+    /// at the time of the report, whether or not telemetry is on.
     pub divergence: DivergenceTimeline,
     /// Windowed counters indexed by `cycle / metrics_window`.
     pub windows: Vec<WindowCounters>,
@@ -894,8 +860,8 @@ impl TraceSink for ChromeTraceSink {
 }
 
 /// Windowed-metrics CSV: a counters section, the divergence timeline
-/// (byte-identical to `SimStats::divergence.to_csv()`), and per-module
-/// DRAM busy time. Sections are separated by `# `-prefixed headers.
+/// (`SimStats::divergence.to_csv()`), and per-module DRAM busy time.
+/// Sections are separated by `# `-prefixed headers.
 pub struct CsvMetricsSink;
 
 impl TraceSink for CsvMetricsSink {
@@ -933,30 +899,8 @@ impl TraceSink for CsvMetricsSink {
     }
 }
 
-impl CsvMetricsSink {
-    /// Extracts the divergence-timeline section of a rendered metrics
-    /// CSV (the bytes between the divergence header and the next
-    /// section), for comparison against `SimStats::divergence.to_csv()`.
-    pub fn divergence_section(rendered: &str) -> Option<&str> {
-        let start = rendered.find("# divergence timeline\n")? + "# divergence timeline\n".len();
-        let rest = &rendered[start..];
-        let end = rest.find("# ").unwrap_or(rest.len());
-        Some(&rest[..end])
-    }
-}
-
-/// One human-readable status line, for periodic snapshots of long
-/// supervised runs.
-pub struct SnapshotSink;
-
-impl TraceSink for SnapshotSink {
-    fn render(&self, report: &TelemetryReport) -> String {
-        ProgressPulse::collect(0, report).vitals()
-    }
-}
-
 /// A point-in-time machine-vitals snapshot of a running simulation: the
-/// cycle counter plus the `SnapshotSink` aggregates. The supervisor
+/// cycle counter plus the report's aggregates. The supervisor
 /// publishes one at every healthy slice boundary; campaign workers relay
 /// the latest pulse in their heartbeat files so the coordinator — and
 /// the `repro serve` status endpoint above it — can report live per-job
@@ -1027,8 +971,8 @@ impl ProgressPulse {
         }
     }
 
-    /// The vitals tail — exactly the bytes `SnapshotSink` has always
-    /// rendered (downstream log parsers depend on this format).
+    /// The vitals tail, one line (downstream log parsers depend on this
+    /// format).
     pub fn vitals(&self) -> String {
         format!(
             "issues {}, mean active lanes {:.1}, warps born {} / retired {}, \
@@ -1054,15 +998,12 @@ impl fmt::Display for ProgressPulse {
     }
 }
 
-// The recording tests need the probes compiled in; `disabled_probes_
-// record_nothing` covers the runtime-off path, and a `--no-default-
-// features` build checks the compiled-off path by construction.
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
     fn shard() -> SmTelemetry {
-        SmTelemetry::new(0, &TelemetrySpec::trace(), 10, 32)
+        SmTelemetry::new(0, &TelemetrySpec::trace(), 10)
     }
 
     fn report_of(shards: &[SmTelemetry]) -> TelemetryReport {
@@ -1086,18 +1027,16 @@ mod tests {
 
     #[test]
     fn disabled_probes_record_nothing() {
-        let mut t = SmTelemetry::new(0, &TelemetrySpec::off(), 10, 32);
+        let mut t = SmTelemetry::new(0, &TelemetrySpec::off(), 10);
         t.on_issue(5, 1, 0, 32, 1);
-        t.on_idle(6);
         t.on_warp_birth(7, 1, false, 32);
         assert!(t.windows.is_empty());
         assert!(t.events.is_empty());
-        assert!(t.divergence.windows().is_empty());
     }
 
     #[test]
     fn metrics_mode_keeps_counters_but_no_events() {
-        let mut t = SmTelemetry::new(0, &TelemetrySpec::metrics(), 10, 32);
+        let mut t = SmTelemetry::new(0, &TelemetrySpec::metrics(), 10);
         t.on_issue(5, 1, 0, 32, 1);
         assert_eq!(t.windows[0].issues, 1);
         assert_eq!(t.windows[0].thread_instructions, 32);
@@ -1121,7 +1060,7 @@ mod tests {
     #[test]
     fn ring_drops_oldest_and_counts() {
         let spec = TelemetrySpec::trace().with_trace_capacity(4);
-        let mut t = SmTelemetry::new(0, &spec, 10, 32);
+        let mut t = SmTelemetry::new(0, &spec, 10);
         for c in 0..10 {
             t.on_issue(c, 1, c as usize, 32, 1);
         }
@@ -1133,22 +1072,9 @@ mod tests {
     }
 
     #[test]
-    fn divergence_mirror_matches_direct_timeline() {
-        let mut t = shard();
-        let mut direct = DivergenceTimeline::new(10, 32);
-        for (c, lanes) in [(0, 32), (1, 7), (2, 1), (15, 20)] {
-            t.on_issue(c, 1, 0, lanes, 1);
-            direct.record_issue(c, lanes);
-        }
-        t.on_idle(3);
-        direct.record_idle(3);
-        assert_eq!(t.divergence, direct);
-    }
-
-    #[test]
     fn merge_is_sm_order_deterministic() {
         let mut a = shard();
-        let mut b = SmTelemetry::new(1, &TelemetrySpec::trace(), 10, 32);
+        let mut b = SmTelemetry::new(1, &TelemetrySpec::trace(), 10);
         a.on_issue(0, 0, 0, 32, 1);
         b.on_issue(0, 0, 0, 8, 1);
         let r1 = report_of(&[a.clone(), b.clone()]);
@@ -1183,20 +1109,25 @@ mod tests {
     fn csv_divergence_section_is_verbatim_timeline() {
         let mut t = shard();
         t.on_issue(0, 1, 0, 32, 1);
-        t.on_idle(12);
-        let report = report_of(&[t]);
+        let mut report = report_of(&[t]);
+        report.divergence.record_issue(0, 32);
+        report.divergence.record_idle(12);
         let csv = CsvMetricsSink.render(&report);
-        let section = CsvMetricsSink::divergence_section(&csv).expect("has divergence section");
-        assert_eq!(section, report.divergence.to_csv());
+        let section = "# divergence timeline\n".to_string() + &report.divergence.to_csv();
+        assert!(csv.contains(&section), "{csv}");
     }
 
     #[test]
-    fn snapshot_line_is_single_line() {
+    fn vitals_line_is_single_line() {
         let mut t = shard();
         t.on_issue(0, 1, 0, 32, 1);
-        let line = SnapshotSink.render(&report_of(&[t]));
-        assert!(!line.contains('\n'));
-        assert!(line.contains("issues 1"));
+        let mut report = report_of(&[t]);
+        report.divergence.record_issue(0, 32);
+        assert_eq!(
+            ProgressPulse::collect(0, &report).vitals(),
+            "issues 1, mean active lanes 30.5, warps born 0 / retired 0, \
+             threads spawned 0, spawn stalls 0, dropped events 0"
+        );
     }
 
     #[test]
@@ -1208,15 +1139,36 @@ mod tests {
         let mut enc = Encoder::new();
         t.encode_state(&mut enc);
         let bytes = enc.into_bytes();
-        let mut back = SmTelemetry::new(0, &TelemetrySpec::off(), 10, 32);
+        let mut back = SmTelemetry::new(0, &TelemetrySpec::off(), 10);
         let mut dec = Decoder::new(&bytes);
         back.restore_state(&mut dec).expect("restores");
         assert!(dec.is_finished());
         assert_eq!(back.windows, t.windows);
-        assert_eq!(back.divergence, t.divergence);
         assert_eq!(back.depths, t.depths);
         assert!(back.metrics && back.trace);
         // The ring does not survive: traces restart after resume.
         assert!(back.events.is_empty());
+    }
+
+    #[test]
+    fn a_window_count_the_frame_cannot_hold_is_refused_by_its_length() {
+        let mut enc = Encoder::new();
+        enc.put_bool(true);
+        enc.put_bool(false);
+        enc.put_u64(10);
+        enc.put_usize(DEFAULT_TRACE_CAPACITY);
+        // One window claimed, 130 bytes behind the claim: room for a row
+        // of 14 counters (112 bytes), not for one of 18 (144).
+        enc.put_usize(1);
+        let mut bytes = enc.into_bytes();
+        bytes.extend([0u8; 130]);
+        let mut back = SmTelemetry::new(0, &TelemetrySpec::off(), 10);
+        assert_eq!(
+            back.restore_state(&mut Decoder::new(&bytes)),
+            Err(CodecError::BadLength {
+                len: 1,
+                remaining: 130
+            })
+        );
     }
 }

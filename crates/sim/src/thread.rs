@@ -17,107 +17,20 @@ enum Src {
     Zero,
 }
 
-/// Architectural state of one thread: registers, predicates and the
-/// special registers the paper's programming model exposes.
-#[derive(Debug, Clone)]
-pub struct ThreadCtx {
-    /// Global thread id (unique across the launch, including dynamically
-    /// created threads).
-    pub tid: u32,
-    /// General-purpose register file (sized to the program's requirement).
-    regs: Vec<u32>,
-    /// Predicate registers, one bit each.
-    preds: u8,
-    /// The `%spawnmem` special register (paper §IV-A1).
-    pub spawn_mem_addr: u32,
-    /// The spawn-memory *state record* this thread's lineage owns; freed
-    /// when the thread exits without having spawned a child.
-    pub state_slot: Option<u32>,
-    /// Whether this thread has spawned a child (its lineage continues).
-    pub spawned_child: bool,
-    /// Whether the thread has retired.
-    pub exited: bool,
-}
-
-impl ThreadCtx {
-    /// Creates a fresh thread with `num_regs` zeroed registers.
-    pub fn new(tid: u32, num_regs: u32) -> Self {
-        ThreadCtx {
-            tid,
-            regs: vec![0; num_regs as usize],
-            preds: 0,
-            spawn_mem_addr: 0,
-            state_slot: None,
-            spawned_child: false,
-            exited: false,
-        }
-    }
-
-    /// Reads register `r` (unwritten registers read 0 even beyond the
-    /// allocated file, for robustness).
-    pub fn reg(&self, r: Reg) -> u32 {
-        self.regs.get(r.0 as usize).copied().unwrap_or(0)
-    }
-
-    /// Writes register `r`, growing the file if the program under-declared.
-    pub fn set_reg(&mut self, r: Reg, v: u32) {
-        let i = r.0 as usize;
-        if self.regs.len() <= i {
-            self.regs.resize(i + 1, 0);
-        }
-        self.regs[i] = v;
-    }
-
-    /// Reads predicate `p`.
-    pub fn pred(&self, p: Pred) -> bool {
-        (self.preds >> p.0) & 1 == 1
-    }
-
-    /// Writes predicate `p`.
-    pub fn set_pred(&mut self, p: Pred, v: bool) {
-        if v {
-            self.preds |= 1 << p.0;
-        } else {
-            self.preds &= !(1 << p.0);
-        }
-    }
-
-    /// Evaluates an operand against this context.
-    pub fn operand(&self, o: Operand) -> u32 {
-        match o {
-            Operand::Reg(r) => self.reg(r),
-            Operand::Imm(v) => v,
-        }
-    }
-
-    /// Evaluates a special register given the lane's machine coordinates.
-    pub fn special(&self, s: Special, lane: u32, warp_id: u32, sm_id: u32, ntid: u32) -> u32 {
-        match s {
-            Special::Tid => self.tid,
-            Special::LaneId => lane,
-            Special::WarpId => warp_id,
-            Special::SmId => sm_id,
-            Special::NTid => ntid,
-            Special::SpawnMem => self.spawn_mem_addr,
-        }
-    }
-}
-
 /// Struct-of-arrays per-lane thread state for one warp.
 ///
 /// The hot loops of [`crate::sm::Sm`] — guard-mask evaluation, ALU
 /// execution, address generation — walk the lanes of a warp every issued
-/// instruction. Storing lanes as `Vec<Option<ThreadCtx>>` made every one
-/// of those walks chase an `Option` discriminant and a heap pointer per
-/// lane; here the same state lives in dense parallel arrays indexed by
-/// lane, with populated/exited/spawned lane *sets* kept as bitmasks so
-/// the inner loops iterate set bits instead of testing discriminants.
+/// instruction. A vector of per-thread records would make every one of
+/// those walks chase an `Option` discriminant and a heap pointer per
+/// lane; here the state lives in dense parallel arrays indexed by lane,
+/// with populated/exited/spawned lane *sets* kept as bitmasks so the
+/// inner loops iterate set bits instead of testing discriminants.
 ///
 /// Registers are a single flat `lanes × stride` array. The stride starts
 /// at the program's declared register count; a write beyond it (programs
 /// may under-declare) re-packs the block to a larger stride for the whole
-/// warp. Reads beyond the stride return 0, exactly like
-/// [`ThreadCtx::reg`] beyond the file.
+/// warp. Reads beyond the stride return 0.
 #[derive(Debug, Clone)]
 pub struct LaneState {
     warp_size: u32,
@@ -158,9 +71,7 @@ impl LaneState {
     /// consecutive ids from `first_tid`: `regs_per_thread` zeroed
     /// registers each, predicates clear, nothing exited or spawned, no
     /// state record yet (see [`LaneState::set_state_slot`]). Lanes
-    /// `count..warp_size` stay unpopulated. Equal to
-    /// [`LaneState::from_threads`] over `count` [`ThreadCtx::new`]
-    /// records, without building them.
+    /// `count..warp_size` stay unpopulated.
     ///
     /// # Panics
     ///
@@ -185,55 +96,6 @@ impl LaneState {
             state_slot: vec![0; n],
             regs: vec![0; n * regs_per_thread as usize],
         }
-    }
-
-    /// Builds lane state from admission-time thread records. Lanes
-    /// `threads.len()..warp_size` stay unpopulated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more threads than `warp_size` are supplied.
-    pub fn from_threads(warp_size: u32, threads: Vec<ThreadCtx>) -> Self {
-        let n = warp_size as usize;
-        assert!(threads.len() <= n, "more threads than lanes");
-        let regs_stride = threads
-            .iter()
-            .map(|t| t.regs.len() as u32)
-            .max()
-            .unwrap_or(0);
-        let mut s = LaneState {
-            warp_size,
-            regs_stride,
-            populated: 0,
-            exited: 0,
-            spawned: 0,
-            has_slot: 0,
-            tid: vec![0; n],
-            pred_planes: [0; 8],
-            spawn_mem_addr: vec![0; n],
-            state_slot: vec![0; n],
-            regs: vec![0; n * regs_stride as usize],
-        };
-        for (lane, t) in threads.into_iter().enumerate() {
-            s.populated |= Self::bit(lane);
-            if t.exited {
-                s.exited |= Self::bit(lane);
-            }
-            if t.spawned_child {
-                s.spawned |= Self::bit(lane);
-            }
-            s.tid[lane] = t.tid;
-            s.scatter_preds(lane, t.preds);
-            s.spawn_mem_addr[lane] = t.spawn_mem_addr;
-            if let Some(slot) = t.state_slot {
-                s.has_slot |= Self::bit(lane);
-                s.state_slot[lane] = slot;
-            }
-            for (r, &v) in t.regs.iter().enumerate() {
-                s.regs[r * n + lane] = v;
-            }
-        }
-        s
     }
 
     /// The machine warp width this state was sized for.
@@ -309,8 +171,7 @@ impl LaneState {
         slot
     }
 
-    /// Reads register `r` of lane `lane` (beyond the file reads 0, like
-    /// [`ThreadCtx::reg`]).
+    /// Reads register `r` of lane `lane` (beyond the file reads 0).
     pub fn reg(&self, lane: usize, r: Reg) -> u32 {
         let i = r.0 as u32;
         if i >= self.regs_stride {
@@ -362,7 +223,7 @@ impl LaneState {
     }
 
     /// Gathers lane `lane`'s predicates into the packed per-thread byte
-    /// the checkpoint codec (and `ThreadCtx`) uses.
+    /// the checkpoint codec uses.
     fn gather_preds(&self, lane: usize) -> u8 {
         let mut byte = 0u8;
         for (p, plane) in self.pred_planes.iter().enumerate() {
@@ -680,64 +541,13 @@ impl LaneState {
 mod tests {
     use super::*;
 
-    #[test]
-    fn registers_default_to_zero() {
-        let t = ThreadCtx::new(7, 4);
-        assert_eq!(t.reg(Reg(2)), 0);
-        assert_eq!(t.reg(Reg(60)), 0, "beyond file also reads zero");
-    }
-
-    #[test]
-    fn register_roundtrip_and_growth() {
-        let mut t = ThreadCtx::new(0, 2);
-        t.set_reg(Reg(1), 5);
-        assert_eq!(t.reg(Reg(1)), 5);
-        t.set_reg(Reg(10), 9);
-        assert_eq!(t.reg(Reg(10)), 9);
-    }
-
-    #[test]
-    fn predicates_are_independent_bits() {
-        let mut t = ThreadCtx::new(0, 1);
-        t.set_pred(Pred(0), true);
-        t.set_pred(Pred(3), true);
-        assert!(t.pred(Pred(0)));
-        assert!(!t.pred(Pred(1)));
-        assert!(t.pred(Pred(3)));
-        t.set_pred(Pred(0), false);
-        assert!(!t.pred(Pred(0)));
-        assert!(t.pred(Pred(3)));
-    }
-
-    #[test]
-    fn specials_resolve() {
-        let mut t = ThreadCtx::new(42, 1);
-        t.spawn_mem_addr = 0x100;
-        assert_eq!(t.special(Special::Tid, 3, 2, 1, 960), 42);
-        assert_eq!(t.special(Special::LaneId, 3, 2, 1, 960), 3);
-        assert_eq!(t.special(Special::WarpId, 3, 2, 1, 960), 2);
-        assert_eq!(t.special(Special::SmId, 3, 2, 1, 960), 1);
-        assert_eq!(t.special(Special::NTid, 3, 2, 1, 960), 960);
-        assert_eq!(t.special(Special::SpawnMem, 3, 2, 1, 960), 0x100);
-    }
-
-    #[test]
-    fn operand_evaluation() {
-        let mut t = ThreadCtx::new(0, 4);
-        t.set_reg(Reg(2), 77);
-        assert_eq!(t.operand(Operand::Reg(Reg(2))), 77);
-        assert_eq!(t.operand(Operand::Imm(5)), 5);
-    }
-
     fn partial_warp() -> LaneState {
         // 3 threads in a 4-lane warp; lane 3 unpopulated.
-        let mut threads = Vec::new();
-        for tid in 0..3u32 {
-            let mut t = ThreadCtx::new(tid, 2);
-            t.set_reg(Reg(1), tid * 10);
-            threads.push(t);
+        let mut l = LaneState::admit(4, 2, 0, 3);
+        for lane in 0..3 {
+            l.set_reg(lane, Reg(1), lane as u32 * 10);
         }
-        LaneState::from_threads(4, threads)
+        l
     }
 
     #[test]
@@ -766,35 +576,29 @@ mod tests {
 
     #[test]
     fn lane_state_slots_are_taken_once() {
-        let mut threads = vec![ThreadCtx::new(0, 1), ThreadCtx::new(1, 1)];
-        threads[1].state_slot = Some(0x40);
-        let mut l = LaneState::from_threads(4, threads);
+        let mut l = LaneState::admit(4, 1, 0, 2);
+        l.set_state_slot(1, 0x40);
         assert_eq!(l.state_slot(0), None);
         assert_eq!(l.take_state_slot(1), Some(0x40));
         assert_eq!(l.take_state_slot(1), None, "slot taken once");
     }
 
     #[test]
-    fn admit_equals_from_threads_over_fresh_records() {
-        let bytes = |l: &LaneState| {
-            let mut enc = Encoder::new();
-            l.encode_state(&mut enc);
-            enc.into_bytes()
-        };
+    fn admit_builds_fresh_lanes_with_consecutive_tids() {
         for (warp_size, count) in [(4u32, 3u32), (4, 4), (64, 64)] {
-            let threads = (0..count).map(|i| ThreadCtx::new(100 + i, 5)).collect();
-            let built = LaneState::from_threads(warp_size, threads);
-            let admitted = LaneState::admit(warp_size, 5, 100, count);
-            assert_eq!(bytes(&admitted), bytes(&built), "{count} of {warp_size}");
+            let l = LaneState::admit(warp_size, 5, 100, count);
+            let populated = if count == 64 { !0 } else { (1u64 << count) - 1 };
+            assert_eq!(l.populated_mask(), populated, "{count} of {warp_size}");
+            assert_eq!(l.live_mask(), populated);
+            for lane in 0..count as usize {
+                assert_eq!(l.tid(lane), 100 + lane as u32);
+                assert_eq!(l.state_slot(lane), None);
+                assert_eq!(l.spawn_mem_addr(lane), 0);
+                assert!(!l.spawned_child(lane));
+                assert!((0..5).all(|r| l.reg(lane, Reg(r)) == 0));
+                assert!((0..8).all(|p| !l.pred(lane, Pred(p))));
+            }
         }
-        let mut with_slot = ThreadCtx::new(7, 1);
-        with_slot.state_slot = Some(0x40);
-        with_slot.spawn_mem_addr = 0x40;
-        let built = LaneState::from_threads(4, vec![with_slot]);
-        let mut admitted = LaneState::admit(4, 1, 7, 1);
-        admitted.set_state_slot(0, 0x40);
-        admitted.set_spawn_mem_addr(0, 0x40);
-        assert_eq!(bytes(&admitted), bytes(&built));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Warps and the PDOM reconvergence stack.
 
-use crate::thread::{LaneState, ThreadCtx};
+use crate::thread::LaneState;
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::RECONVERGE_AT_EXIT;
 
@@ -53,20 +53,6 @@ pub struct Warp {
 }
 
 impl Warp {
-    /// Creates a warp whose populated lanes start at `entry_pc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more threads than `warp_size` are supplied or no thread is.
-    pub fn new(id: usize, warp_size: u32, entry_pc: usize, threads: Vec<ThreadCtx>) -> Self {
-        assert!(
-            threads.len() <= warp_size as usize,
-            "warp of {} exceeds width {warp_size}",
-            threads.len()
-        );
-        Self::from_lanes(id, entry_pc, LaneState::from_threads(warp_size, threads))
-    }
-
     /// Creates a warp over prebuilt lane state, its populated lanes
     /// starting at `entry_pc`.
     ///
@@ -298,8 +284,7 @@ mod tests {
     use super::*;
 
     fn warp4(pc: usize) -> Warp {
-        let threads = (0..4).map(|i| ThreadCtx::new(i, 8)).collect();
-        Warp::new(0, 4, pc, threads)
+        Warp::from_lanes(0, pc, LaneState::admit(4, 8, 0, 4))
     }
 
     #[test]
@@ -314,8 +299,7 @@ mod tests {
 
     #[test]
     fn partial_warp_mask_covers_population() {
-        let threads = (0..2).map(|i| ThreadCtx::new(i, 8)).collect();
-        let mut w = Warp::new(0, 4, 0, threads);
+        let mut w = Warp::from_lanes(0, 0, LaneState::admit(4, 8, 0, 2));
         assert_eq!(w.current().unwrap().mask, 0b0011);
         assert_eq!(w.population(), 2);
     }
@@ -407,8 +391,7 @@ mod tests {
         proptest! {
             #[test]
             fn pdom_stack_invariants_hold(actions in proptest::collection::vec(arb_action(), 1..40)) {
-                let threads = (0..8).map(|i| ThreadCtx::new(i, 4)).collect();
-                let mut w = Warp::new(0, 8, 100, threads);
+                let mut w = Warp::from_lanes(0, 100, LaneState::admit(8, 4, 0, 8));
                 let populated = 0xFFu64;
                 let mut next_rpc = 1000usize;
                 for a in actions {
@@ -445,8 +428,7 @@ mod tests {
 
             #[test]
             fn full_reconvergence_restores_union_mask(split in 1u64..255) {
-                let threads = (0..8).map(|i| ThreadCtx::new(i, 4)).collect();
-                let mut w = Warp::new(0, 8, 0, threads);
+                let mut w = Warp::from_lanes(0, 0, LaneState::admit(8, 4, 0, 8));
                 let taken = split & 0xFF;
                 let not_taken = 0xFF & !split;
                 prop_assume!(taken != 0 && not_taken != 0);

@@ -1,5 +1,5 @@
 //! Differential testing: the cycle-level SIMT pipeline and the functional
-//! single-thread interpreter must compute identical results on randomly
+//! reference machine must compute identical results on randomly
 //! generated programs (straight-line prologues, data-dependent loops,
 //! predicated code). This cross-validates the PDOM stack, guard handling,
 //! and the lane datapath against an independent executor.
@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use simt_isa::assemble_named;
 use simt_mem::{MemConfig, MemoryFabric};
-use simt_sim::{interpret_thread, Gpu, GpuConfig, Launch};
+use simt_sim::{Gpu, GpuConfig, Launch, RefMachine};
 
 const N_THREADS: u32 = 16;
 const WORDS_PER_THREAD: u32 = 4;
@@ -145,9 +145,9 @@ fn run_on_interpreter(src: &str) -> Vec<u32> {
     let program = assemble_named("rand-interp", src).expect("assembles");
     let mut mem = MemoryFabric::new(MemConfig::fx5800());
     mem.alloc_global(N_THREADS * WORDS_PER_THREAD * 4, "out");
-    for tid in 0..N_THREADS {
-        interpret_thread(&program, tid, 0, N_THREADS, &mut mem).expect("interprets");
-    }
+    RefMachine::new(&program, N_THREADS, 0, 0)
+        .run(&mut mem, 0)
+        .expect("interprets");
     mem.host_read_global(0, (N_THREADS * WORDS_PER_THREAD) as usize)
 }
 
@@ -251,9 +251,9 @@ fn divergent_nested_control_flow_matches() {
 
     let mut mem = MemoryFabric::new(MemConfig::fx5800());
     mem.alloc_global(32 * 8, "out");
-    for tid in 0..32 {
-        interpret_thread(&program, tid, 0, 32, &mut mem).unwrap();
-    }
+    RefMachine::new(&program, 32, 0, 0)
+        .run(&mut mem, 0)
+        .unwrap();
     assert_eq!(
         gpu.mem().host_read_global(0, 64),
         mem.host_read_global(0, 64)

@@ -118,6 +118,41 @@ fn sleeping_sms_are_bit_identical_to_forced_tick_through_a_checkpoint() {
     );
 }
 
+/// The divergence breakdown has one writer, the statistics block: the
+/// telemetry report hands out that timeline — with telemetry off too —
+/// and a run cut mid-frame and carried through a snapshot ends with the
+/// timeline of the run that never stopped.
+#[test]
+fn the_report_reads_the_machines_divergence_timeline_through_a_checkpoint() {
+    let scene = scenes::fairyforest(SceneScale::Tiny);
+    let launch = || {
+        let mut gpu = Gpu::builder(GpuConfig::fx5800_dmk(DmkConfig::paper())).build();
+        let setup = RenderSetup::upload(&mut gpu, &scene, 16, 16);
+        setup.launch_ukernel(&mut gpu, 32);
+        gpu
+    };
+    let mut whole = launch();
+    whole.run(100_000_000).expect("fault-free run");
+
+    let mut first_leg = launch();
+    first_leg.run(1_500).expect("fault-free first leg");
+    assert_eq!(first_leg.now(), 1_500, "the limit lands mid-frame");
+    let snapshot = first_leg.checkpoint().expect("encodable").to_bytes();
+    let mut resumed =
+        Gpu::restore(&Snapshot::from_bytes(&snapshot).expect("frame intact")).expect("restores");
+    assert_eq!(
+        resumed.telemetry_report().divergence,
+        first_leg.stats().divergence
+    );
+    resumed.run(100_000_000).expect("fault-free run");
+
+    assert!(!resumed.telemetry_enabled());
+    let timeline = resumed.telemetry_report().divergence;
+    assert!(timeline.mean_active_lanes() > 0.0, "the frame issued");
+    assert_eq!(timeline, resumed.stats().divergence);
+    assert_eq!(timeline, whole.telemetry_report().divergence);
+}
+
 #[test]
 fn scene_generation_is_deterministic_across_calls() {
     let a = scenes::conference(SceneScale::Small);

@@ -5,6 +5,9 @@
 use usimt::experiments::fig3::divergence_figure;
 use usimt::experiments::runner::Scale;
 use usimt::experiments::Variant;
+use usimt::kernels::render::RenderSetup;
+use usimt::raytrace::scenes;
+use usimt::sim::{mimd_theoretical, Gpu, GpuConfig};
 
 fn scale() -> Scale {
     // Small-but-meaningful: 48x48 rays on the full 30-SM machine.
@@ -96,4 +99,26 @@ fn table4_dynamic_bandwidth_blowup_matches_paper_direction() {
     let t = usimt::experiments::table4::run(Scale::test());
     assert!(t.mean_read_increase() > 1.5);
     assert!(t.mean_total_increase() > t.mean_read_increase());
+}
+
+/// Fig. 10 prints the MIMD bound's IPC rounded to an integer, so the golden
+/// files cannot see a small drift in the reference machine's instruction
+/// counts. These are the counts behind the test-scale figure (the
+/// quick-scale frame: 24 469 529 / 27 595; the paper's: 741 458 473 /
+/// 69 183 — the longest ray is a thirtieth of the per-thread budget).
+#[test]
+fn mimd_theoretical_counts_are_pinned_at_test_scale() {
+    let scale = Scale::test();
+    let scene = scenes::conference(scale.scene);
+    let cfg = GpuConfig::fx5800_warp_sched();
+    let mut gpu = Gpu::builder(cfg.clone()).build();
+    let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
+    let program = usimt::kernels::traditional::program();
+    let entry = program.entry("main").expect("main entry").pc;
+    let r = mimd_theoretical(&program, entry, setup.dev.num_rays, &cfg, gpu.mem_mut())
+        .expect("traditional kernel is spawn-free");
+    assert_eq!(
+        (r.total_instructions, r.longest_thread, r.cycles, r.threads),
+        (674_525, 8_345, 8_345, 256)
+    );
 }
