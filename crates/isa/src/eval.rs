@@ -16,6 +16,25 @@ fn b(v: f32) -> u32 {
     v.to_bits()
 }
 
+/// A commutative float operation with its NaN propagation spelled out: a
+/// NaN operand comes back quieted, the *first* one when both are NaN.
+///
+/// That is what the hardware instruction does with its operands in source
+/// order — but `x + y` leaves the compiler free to swap them, and it
+/// decides per inlined copy, so without this the payload of `NaN + NaN`
+/// depended on which caller's copy of [`eval_alu`] ran (the pipeline's
+/// lane loops and the reference machine disagreed on it).
+#[inline]
+fn commutative(av: u32, bv: u32, op: impl Fn(f32, f32) -> f32) -> u32 {
+    const QUIET: u32 = 0x0040_0000;
+    let (x, y) = (f(av), f(bv));
+    if x.is_nan() | y.is_nan() {
+        (if x.is_nan() { av } else { bv }) | QUIET
+    } else {
+        b(op(x, y))
+    }
+}
+
 /// Evaluates an ALU operation over raw 32-bit register values.
 ///
 /// Unary operations ignore `bv`; only `FFma`/`IMad` read `cv`.
@@ -35,6 +54,12 @@ fn b(v: f32) -> u32 {
 ///   saturates at `u32::MAX` (so `-0.5` → `0`, matching
 ///   round-toward-zero).
 /// * `FRcp`/`FDiv` follow IEEE-754: `1/±0 → ±inf`, `0/0 → NaN`.
+/// * `FAdd`/`FMul` return a NaN operand quieted, payload kept — the first
+///   operand's when both are NaN. `FMin`/`FMax` return the other operand
+///   when one is NaN; which payload comes back when *both* are (and from
+///   `FFma` with more than one NaN operand) is a NaN but otherwise
+///   unspecified — `f32::min`/`max`/`mul_add` do not say, and no rule is
+///   imposed on them here.
 #[inline]
 pub fn eval_alu(op: AluOp, av: u32, bv: u32, cv: u32) -> u32 {
     match op {
@@ -77,9 +102,9 @@ pub fn eval_alu(op: AluOp, av: u32, bv: u32, cv: u32) -> u32 {
             }
         }
         AluOp::ShrS => ((av as i32) >> bv.min(31)) as u32,
-        AluOp::FAdd => b(f(av) + f(bv)),
+        AluOp::FAdd => commutative(av, bv, |x, y| x + y),
         AluOp::FSub => b(f(av) - f(bv)),
-        AluOp::FMul => b(f(av) * f(bv)),
+        AluOp::FMul => commutative(av, bv, |x, y| x * y),
         AluOp::FDiv => b(f(av) / f(bv)),
         AluOp::FMin => b(f(av).min(f(bv))),
         AluOp::FMax => b(f(av).max(f(bv))),
@@ -215,6 +240,29 @@ mod tests {
         );
         assert_eq!(eval_alu(AluOp::FNeg, one, 0, 0), (-1.0f32).to_bits());
         assert_eq!(eval_alu(AluOp::FFloor, 1.75f32.to_bits(), 0, 0), one);
+    }
+
+    /// `FAdd`/`FMul` hand a NaN operand back quieted with its payload, the
+    /// first operand's when both are NaN — whichever way round the
+    /// compiler chose to feed the hardware in this copy of `eval_alu`.
+    #[test]
+    fn commutative_float_ops_propagate_the_first_nan() {
+        let (n1, n2) = (0xffff_ff91u32, 0xffff_ffe3u32);
+        let signalling = 0x7f80_0001u32;
+        let two = 2.0f32.to_bits();
+        for op in [AluOp::FAdd, AluOp::FMul] {
+            assert_eq!(eval_alu(op, n1, n2, 0), n1, "{op:?}");
+            assert_eq!(eval_alu(op, n2, n1, 0), n2, "{op:?}");
+            assert_eq!(eval_alu(op, two, n2, 0), n2, "{op:?}");
+            assert_eq!(eval_alu(op, n1, two, 0), n1, "{op:?}");
+            assert_eq!(eval_alu(op, signalling, n1, 0), 0x7fc0_0001, "{op:?}");
+        }
+        // No NaN in: whatever the hardware makes of it.
+        let inf = f32::INFINITY.to_bits();
+        assert!(
+            f32::from_bits(eval_alu(AluOp::FAdd, inf, f32::NEG_INFINITY.to_bits(), 0)).is_nan()
+        );
+        assert!(f32::from_bits(eval_alu(AluOp::FMul, inf, 0, 0)).is_nan());
     }
 
     #[test]

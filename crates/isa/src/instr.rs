@@ -383,7 +383,7 @@ impl Instruction {
             Instr::St { a, addr, width, .. } => {
                 out.push(*addr);
                 for i in 0..width.regs() {
-                    out.push(Reg(a.0 + i));
+                    out.push(Reg(a.0.wrapping_add(i)));
                 }
             }
             Instr::Spawn { ptr, .. } => out.push(*ptr),
@@ -399,7 +399,9 @@ impl Instruction {
             | Instr::Selp { d, .. }
             | Instr::Mov { d, .. }
             | Instr::ReadSpecial { d, .. } => vec![*d],
-            Instr::Ld { d, width, .. } => (0..width.regs()).map(|i| Reg(d.0 + i)).collect(),
+            Instr::Ld { d, width, .. } => (0..width.regs())
+                .map(|i| Reg(d.0.wrapping_add(i)))
+                .collect(),
             _ => Vec::new(),
         }
     }

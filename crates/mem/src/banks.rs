@@ -136,14 +136,15 @@ impl OnChipMemory {
         self.words[self.wrap(addr as usize / 4)]
     }
 
-    /// Word-index wraparound. Real capacities are powers of two, where the
-    /// modulo reduces to a mask — worth special-casing because this sits
-    /// under every word of every on-chip access.
+    /// Word-index wraparound. An index inside the scratchpad — every
+    /// access of a well-behaved kernel — needs no reduction at all, which
+    /// matters because this sits under every word of every on-chip access
+    /// and spawn memory is not a power of two.
     #[inline]
     fn wrap(&self, idx: usize) -> usize {
         let n = self.words.len();
-        if n.is_power_of_two() {
-            idx & (n - 1)
+        if idx < n {
+            idx
         } else {
             idx % n
         }
@@ -161,6 +162,46 @@ impl OnChipMemory {
         );
         let i = self.wrap(addr as usize / 4);
         self.words[i] = value;
+    }
+
+    /// Reads `out.len()` consecutive words starting at byte address
+    /// `addr`: word `i` is [`OnChipMemory::read`] of
+    /// `addr.wrapping_add(4 * i)`, so a span wraps at the capacity and at
+    /// the top of the address space exactly as its words would one by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on unaligned access.
+    pub fn read_span(&self, addr: u32, out: &mut [u32]) {
+        let first = addr as usize / 4;
+        match self.words.get(first..first + out.len()) {
+            Some(words) if addr.is_multiple_of(4) => out.copy_from_slice(words),
+            _ => {
+                for (i, word) in out.iter_mut().enumerate() {
+                    *word = self.read(addr.wrapping_add(4 * i as u32));
+                }
+            }
+        }
+    }
+
+    /// Writes `values` to consecutive words starting at byte address
+    /// `addr`, in order: word `i` is [`OnChipMemory::write`] at
+    /// `addr.wrapping_add(4 * i)` (when a span laps a tiny scratchpad the
+    /// last writer of a word wins, as it does word by word).
+    ///
+    /// # Panics
+    ///
+    /// Panics on unaligned access.
+    pub fn write_span(&mut self, addr: u32, values: &[u32]) {
+        let first = addr as usize / 4;
+        match self.words.get_mut(first..first + values.len()) {
+            Some(words) if addr.is_multiple_of(4) => words.copy_from_slice(values),
+            _ => {
+                for (i, &value) in values.iter().enumerate() {
+                    self.write(addr.wrapping_add(4 * i as u32), value);
+                }
+            }
+        }
     }
 
     /// Conflict degree of a warp access to this memory.
@@ -242,7 +283,63 @@ mod tests {
         assert_eq!(m.read(100 * 4), 7);
     }
 
+    #[test]
+    fn spans_wrap_at_capacity_and_at_the_top_of_the_address_space() {
+        // 12 words: not a power of two, like spawn memory.
+        let mut m = OnChipMemory::new(48, 16);
+        m.write_span(40, &[1, 2, 3, 4]);
+        let mut words = [0; 12];
+        m.read_span(0, &mut words);
+        assert_eq!(words, [3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2]);
+        // 0xfffffff8 is word 0x3ffffffe = 10 mod 13, the next 11 mod 13;
+        // the span's third word is address 0 — word 0, where an index
+        // that kept counting (0x40000000 = 12 mod 13) would not land.
+        let mut m = OnChipMemory::new(52, 16);
+        m.write_span(0xffff_fff8, &[5, 6, 7, 8]);
+        let mut words = [0; 13];
+        m.read_span(0, &mut words);
+        assert_eq!(words, [7, 8, 0, 0, 0, 0, 0, 0, 0, 0, 5, 6, 0]);
+        let mut back = [0; 4];
+        m.read_span(0xffff_fff8, &mut back);
+        assert_eq!(back, [5, 6, 7, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned")]
+    fn unaligned_span_panics_like_an_unaligned_word() {
+        OnChipMemory::new(64, 16).read_span(2, &mut [0; 2]);
+    }
+
     proptest! {
+        /// A span is its words one by one, for power-of-two and other
+        /// capacities, spans longer than the scratchpad included.
+        #[test]
+        fn span_transfers_equal_word_transfers(
+            words in 1u32..40,
+            base in any::<u32>(),
+            near_top in any::<bool>(),
+            values in proptest::collection::vec(any::<u32>(), 0..6),
+        ) {
+            let addr = if near_top { 0xffff_fff0 | (base & 0xc) } else { base & !3 };
+            let mut spanned = OnChipMemory::new(words * 4, 16);
+            let mut worded = spanned.clone();
+            for i in 0..words {
+                spanned.write(i * 4, i + 1);
+                worded.write(i * 4, i + 1);
+            }
+            spanned.write_span(addr, &values);
+            for (i, &v) in values.iter().enumerate() {
+                worded.write(addr.wrapping_add(4 * i as u32), v);
+            }
+            prop_assert_eq!(&spanned.words, &worded.words);
+            let mut got = vec![0; values.len() + 2];
+            spanned.read_span(addr, &mut got);
+            let want: Vec<u32> = (0..got.len())
+                .map(|i| worded.read(addr.wrapping_add(4 * i as u32)))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+
         #[test]
         fn degree_bounds(addrs in proptest::collection::vec(0u32..65_536, 1..32), banks in 1usize..33) {
             let aligned: Vec<u32> = addrs.iter().map(|a| a & !3).collect();

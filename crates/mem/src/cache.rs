@@ -69,7 +69,8 @@ impl ReadOnlyCache {
     /// numerically identical to the historical untagged keys, keeping
     /// snapshot payloads stable.
     fn line_key(&self, tag: u8, addr: u32) -> u64 {
-        u64::from(addr / self.line_bytes) | (u64::from(tag) << 32)
+        // `line_bytes` is a power of two (checked in `new`).
+        u64::from(addr >> self.line_bytes.trailing_zeros()) | (u64::from(tag) << 32)
     }
 
     /// Looks up the line containing `addr`, filling it on a miss.
@@ -121,12 +122,16 @@ impl ReadOnlyCache {
     fn lookup(&mut self, key: u64) -> bool {
         let set = (key as u32 as usize) % self.sets;
         let entries = &mut self.tags[set];
-        if let Some(pos) = entries.iter().position(|&t| t == key) {
-            let t = entries.remove(pos);
-            entries.insert(0, t);
-            return true;
+        match entries.iter().position(|&t| t == key) {
+            // Already most recently used: nothing to reorder.
+            Some(0) => true,
+            Some(pos) => {
+                let t = entries.remove(pos);
+                entries.insert(0, t);
+                true
+            }
+            None => false,
         }
-        false
     }
 
     /// Installs `key` as MRU, evicting the set's LRU line if full.

@@ -50,7 +50,7 @@ pub fn coalesce_segments(
     let mut segments: Vec<u32> = Vec::with_capacity(addresses.len());
     for &a in addresses {
         let first = a & mask;
-        let last = (a + bytes_per_lane - 1) & mask;
+        let last = a.wrapping_add(bytes_per_lane - 1) & mask;
         segments.push(first);
         if last != first {
             segments.push(last);

@@ -5,9 +5,11 @@
 //!
 //! In the two-phase simulator pipeline the fabric is the *phase-B* side of
 //! the split: every SM's [`crate::SmMemFrontend`] coalesces and validates
-//! accesses privately during phase A, then the fabric applies the resulting
-//! [`FunctionalOp`]s and services the cycle's [`BatchRequest`]s through one
-//! entry, [`MemoryFabric::service_batch`], in deterministic SM-id order.
+//! accesses privately during phase A, then the fabric applies the deferred
+//! stores ([`FunctionalOp`]), serves the deferred lane-span loads
+//! ([`MemoryFabric::read_span`]) and services the cycle's
+//! [`BatchRequest`]s through one entry, [`MemoryFabric::service_batch`], in
+//! deterministic SM-id order.
 
 use crate::backing::{LocalStore, WordStore};
 use crate::cache::ReadOnlyCache;
@@ -113,26 +115,13 @@ pub struct BatchRequest {
     pub request: FabricRequest,
 }
 
-/// One deferred functional word transfer, applied by the fabric in phase B.
+/// One deferred functional word store, applied by the fabric in phase B.
 ///
-/// Loads carry their destination (`lane`, `reg`) so the owning SM can write
-/// the loaded value back into the parked warp; the warp cannot re-issue
-/// before the next cycle, so the late register write is unobservable.
+/// Loads defer too, but as one span per lane
+/// ([`LaneLoad`](crate::LaneLoad)) that phase B reads through
+/// [`MemoryFabric::read_span`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FunctionalOp {
-    /// Word load from an off-chip space into a lane register.
-    Load {
-        /// Address space (global, const, or local).
-        space: Space,
-        /// Issuing thread id (local-space bank selection).
-        tid: u32,
-        /// Byte address (per-thread offset for local).
-        addr: u32,
-        /// Destination lane within the warp.
-        lane: usize,
-        /// Destination register.
-        reg: simt_isa::Reg,
-    },
     /// Word store to an off-chip space.
     Store {
         /// Address space (global or local).
@@ -286,7 +275,8 @@ impl MemoryFabric {
     /// Translates a per-thread local byte offset to a physical address used
     /// for coalescing/timing.
     pub fn local_physical(&self, tid: u32, addr: u32) -> u32 {
-        tid.wrapping_mul(self.local.stride_bytes()) + addr
+        tid.wrapping_mul(self.local.stride_bytes())
+            .wrapping_add(addr)
     }
 
     /// Checked functional word read from an off-chip space.
@@ -416,38 +406,49 @@ impl MemoryFabric {
         self.local.write(tid, addr, value)
     }
 
-    /// Applies one deferred functional op in phase B. Loads return the
-    /// loaded value for the SM to write back; stores return `None`.
+    /// Applies one deferred store in phase B.
     ///
     /// Ops were validated against a [`FabricView`] at issue, so illegal
     /// accesses cannot reach this point.
     ///
     /// # Panics
     ///
-    /// Panics on an op the frontend should have rejected (on-chip space,
-    /// misalignment, store to const).
-    pub fn apply(&mut self, op: &FunctionalOp) -> Option<u32> {
-        match *op {
-            FunctionalOp::Load {
-                space, tid, addr, ..
-            } => Some(match space {
-                Space::Global | Space::Const => self.read_u32(space, addr),
-                Space::Local => self.read_local(tid, addr),
-                _ => panic!("on-chip op deferred to the fabric"),
-            }),
-            FunctionalOp::Store {
-                space,
-                tid,
-                addr,
-                value,
-            } => {
-                match space {
-                    Space::Global => self.write_u32(space, addr, value),
-                    Space::Local => self.write_local(tid, addr, value),
-                    _ => panic!("non-global/local store deferred to the fabric"),
-                }
-                None
-            }
+    /// Panics on an op the frontend should have rejected (on-chip or const
+    /// space, misalignment).
+    pub fn apply(&mut self, op: &FunctionalOp) {
+        let FunctionalOp::Store {
+            space,
+            tid,
+            addr,
+            value,
+        } = *op;
+        match space {
+            Space::Global => self.write_u32(space, addr, value),
+            Space::Local => self.write_local(tid, addr, value),
+            _ => panic!("non-global/local store deferred to the fabric"),
+        }
+    }
+
+    /// Reads one lane's deferred load in phase B: `out.len()` consecutive
+    /// words of `space` from byte address `base` (thread `tid`'s private
+    /// offset for local), word `i` at `base.wrapping_add(4 * i)`.
+    ///
+    /// Every word was validated against a [`FabricView`] at issue, so
+    /// illegal accesses cannot reach this point.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a span the frontend should have rejected (on-chip space,
+    /// misalignment, local offset past the stride).
+    pub fn read_span(&self, space: Space, tid: u32, base: u32, out: &mut [u32]) {
+        for (i, word) in out.iter_mut().enumerate() {
+            let addr = base.wrapping_add(4 * i as u32);
+            *word = match space {
+                Space::Global => self.global.read(addr),
+                Space::Const => self.constant.read(addr),
+                Space::Local => self.local.read(tid, addr),
+                _ => panic!("on-chip load deferred to the fabric"),
+            };
         }
     }
 
@@ -776,9 +777,11 @@ mod tests {
     }
 
     #[test]
-    fn apply_performs_deferred_ops() {
+    fn deferred_stores_apply_and_spans_read_them_back() {
         let mut m = MemoryFabric::new(MemConfig::fx5800());
         m.alloc_global(64, "t");
+        let c = m.alloc_const(8, "c");
+        m.host_write_const(c + 4, 77);
         m.configure_local(16);
         m.apply(&FunctionalOp::Store {
             space: Space::Global,
@@ -786,14 +789,9 @@ mod tests {
             addr: 8,
             value: 123,
         });
-        let v = m.apply(&FunctionalOp::Load {
-            space: Space::Global,
-            tid: 0,
-            addr: 8,
-            lane: 0,
-            reg: simt_isa::Reg(1),
-        });
-        assert_eq!(v, Some(123));
+        let mut span = [u32::MAX; 3];
+        m.read_span(Space::Global, 0, 4, &mut span);
+        assert_eq!(span, [0, 123, 0]);
         m.apply(&FunctionalOp::Store {
             space: Space::Local,
             tid: 3,
@@ -801,6 +799,16 @@ mod tests {
             value: 9,
         });
         assert_eq!(m.read_local(3, 4), 9);
+        let mut span = [u32::MAX; 2];
+        m.read_span(Space::Local, 3, 4, &mut span);
+        assert_eq!(span, [9, 0], "thread 3's words, not thread 0's");
+        m.read_span(Space::Const, 0, c, &mut span);
+        assert_eq!(span, [0, 77]);
+        // A span wraps at the top of the address space like its words.
+        m.write_u32(Space::Global, 0, 5);
+        let mut span = [u32::MAX; 4];
+        m.read_span(Space::Global, 0, 0xffff_fff8, &mut span);
+        assert_eq!(span, [0, 0, 5, 0]);
     }
 
     fn batch(sm: usize, access: usize, is_store: bool, segments: Vec<u32>) -> BatchRequest {

@@ -108,7 +108,7 @@ impl FabricView {
     /// Translates a per-thread local byte offset to a physical address used
     /// for coalescing/timing.
     pub fn local_physical(&self, tid: u32, addr: u32) -> u32 {
-        tid.wrapping_mul(self.local_stride) + addr
+        tid.wrapping_mul(self.local_stride).wrapping_add(addr)
     }
 
     fn check_local(&self, addr: u32) -> Result<(), MemFault> {
@@ -161,13 +161,29 @@ impl FabricView {
     }
 }
 
-/// One warp's deferred memory work for the cycle: functional ops to apply
-/// and coalesced module requests to service, both in issue order.
+/// One lane's deferred off-chip load: `words` consecutive words from byte
+/// address `base` (word `i` at `base.wrapping_add(4 * i)`), every one of
+/// them validated at issue. A lane that trapped part-way through its span
+/// carries only the words before the trap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneLoad {
+    /// Destination lane within the warp.
+    pub lane: u8,
+    /// Validated words to transfer (1..=4).
+    pub words: u8,
+    /// Issuing thread id (local-space bank selection).
+    pub tid: u32,
+    /// Byte address of the first word (per-thread offset for local).
+    pub base: u32,
+}
+
+/// One warp's deferred memory work for the cycle: functional transfers to
+/// perform and coalesced module requests to service, both in issue order.
 ///
 /// Queued per-SM during phase A. Phase B stages it in place, in SM-id
-/// order: the ops are applied, the requests move into the cycle's batch,
-/// the batch's ready times come back into `ready`, and the commit stamps
-/// the fills and wakes the warp.
+/// order: the stores are applied and the load spans read, the requests
+/// move into the cycle's batch, the batch's ready times come back into
+/// `ready`, and the commit stamps the fills and wakes the warp.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingAccess {
     /// The issuing warp's SM-local id.
@@ -181,8 +197,15 @@ pub struct PendingAccess {
     /// Whether the warp's `ready_at` must be raised to the service
     /// completion time (loads wait; stores are fire-and-forget).
     pub wait: bool,
-    /// Deferred functional word transfers, in lane/word issue order.
+    /// Address space of the access.
+    pub space: Space,
+    /// First register of the access: lane load `l` fills `l.words`
+    /// registers from here (register numbers wrap at 255).
+    pub reg: simt_isa::Reg,
+    /// Deferred word stores, in lane/word issue order (empty for a load).
     pub ops: Vec<FunctionalOp>,
+    /// Deferred lane-span loads, in lane issue order (empty for a store).
+    pub loads: Vec<LaneLoad>,
     /// Coalesced off-chip requests for the modules.
     pub requests: Vec<FabricRequest>,
     /// L1 lines whose MSHR fill completes when this access's requests are
@@ -473,7 +496,7 @@ impl SmMemFrontend {
         self.line_scratch.clear();
         for &a in addresses {
             let first = a & !(line - 1);
-            let last = (a + width_bytes - 1) & !(line - 1);
+            let last = a.wrapping_add(width_bytes - 1) & !(line - 1);
             let mut l = first;
             loop {
                 if !tex.access(l) {
@@ -520,7 +543,7 @@ impl SmMemFrontend {
         let mut probe = L1Probe::default();
         for &a in addresses {
             let first = a & !(line - 1);
-            let last = (a + width_bytes - 1) & !(line - 1);
+            let last = a.wrapping_add(width_bytes - 1) & !(line - 1);
             let mut l = first;
             loop {
                 probe.lines += 1;
@@ -775,20 +798,28 @@ mod tests {
         cfg.tex_cache_bytes = 64;
         cfg.tex_ways = 2;
         let mut fe = SmMemFrontend::new(cfg.clone());
-        // Deliberately unsorted, with revisits forcing eviction re-misses.
-        let addrs: Vec<u32> = vec![256, 0, 128, 64, 0, 192, 256, 32];
-        let got = fe.tex_probe(&addrs, 4);
+        // Deliberately unsorted, with revisits forcing eviction re-misses
+        // and runs of lanes sharing their neighbour's line (hits at way 0,
+        // which reorder nothing).
+        let probes: [&[u32]; 2] = [
+            &[256, 260, 0, 0, 128, 64, 0, 192, 256, 32, 36, 40],
+            &[32, 256, 256, 0],
+        ];
         // Reference: the historical algorithm, verbatim.
         let mut tex = ReadOnlyCache::new(cfg.tex_cache_bytes, cfg.tex_line_bytes, cfg.tex_ways);
         let line = cfg.tex_line_bytes;
-        let mut want: Vec<u32> = Vec::new();
-        for &a in &addrs {
-            let l = a & !(line - 1);
-            if !tex.access(l) && !want.contains(&l) {
-                want.push(l);
+        for addrs in probes {
+            let got = fe.tex_probe(addrs, 4);
+            let mut want: Vec<u32> = Vec::new();
+            for &a in addrs {
+                let l = a & !(line - 1);
+                if !tex.access(l) && !want.contains(&l) {
+                    want.push(l);
+                }
             }
+            assert_eq!(got, want);
+            assert_eq!(fe.tex_stats(), Some((tex.hits, tex.misses)));
         }
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -56,6 +56,6 @@ pub use cache::ReadOnlyCache;
 pub use coalesce::{coalesce_segments, CoalesceResult};
 pub use config::MemConfig;
 pub use fabric::{BatchRequest, FabricRequest, FunctionalOp, MemFault, MemoryFabric};
-pub use frontend::{FabricView, L1Probe, PendingAccess, SmMemFrontend};
+pub use frontend::{FabricView, L1Probe, LaneLoad, PendingAccess, SmMemFrontend};
 pub use mshr::{MshrTable, FILL_UNRESOLVED};
 pub use traffic::{SpaceTraffic, TrafficStats};

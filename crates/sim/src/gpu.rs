@@ -468,7 +468,7 @@ impl Gpu {
         self.sms.iter().map(Sm::slept_cycles).sum()
     }
 
-    /// Late load results dropped on warps killed mid-flight, summed over
+    /// Words of late load results dropped on warps killed mid-flight, summed over
     /// SMs (see `Sm::stage_pending`); zero on any fault-free run.
     pub fn late_write_drops(&self) -> u64 {
         self.sms.iter().map(Sm::late_write_drops).sum()
@@ -2043,6 +2043,69 @@ mod tests {
             1,
             "exactly lane 0's in-flight load was dropped"
         );
+    }
+
+    /// What an imprecise trap leaves behind is counted in words: lane 0's
+    /// `v4` fits its 32-byte local stride, lane 1's (from offset 24) runs
+    /// past it in its third word, so four words plus two were validated
+    /// before the trap and lanes 2 and 3 were never looked at. The load's
+    /// six results arrive for a killed warp and are dropped one by one;
+    /// the store's six words — and no others — are in local memory.
+    #[test]
+    fn a_partially_validated_vector_access_keeps_exactly_its_validated_words() {
+        let run = |access: &str| {
+            let src = format!(
+                r#"
+                .kernel main
+                .local 32
+                main:
+                    mov.u32 r1, %tid
+                    mul.lo.s32 r2, r1, 24
+                    mad.lo.s32 r4, r1, 16, 1
+                    add.s32 r5, r4, 1
+                    add.s32 r6, r4, 2
+                    add.s32 r7, r4, 3
+                    {access}
+                    exit
+                "#
+            );
+            let mut cfg = GpuConfig::tiny();
+            cfg.fault_policy = FaultPolicy::KillWarp;
+            let mut gpu = Gpu::builder(cfg).build();
+            gpu.launch(Launch {
+                program: assemble_named("partial", &src).unwrap(),
+                entry: "main".into(),
+                num_threads: 4,
+                threads_per_block: 4,
+            })
+            .expect("launch accepted");
+            let summary = gpu.run(1_000_000).expect("KillWarp absorbs the trap");
+            assert_eq!(summary.outcome, RunOutcome::Completed);
+            assert_eq!(summary.stats.faults, 1);
+            assert!(matches!(
+                summary.faults[0].kind,
+                crate::FaultKind::Memory(simt_mem::MemFault::LocalOob { addr: 32, .. })
+            ));
+            assert_eq!(summary.stats.threads_killed, 4);
+            gpu
+        };
+
+        let gpu = run("ld.local.v4 r8, [r2+0]");
+        assert_eq!(
+            gpu.late_write_drops(),
+            6,
+            "four words of lane 0, two of lane 1"
+        );
+
+        let gpu = run("st.local.v4 [r2+0], r4");
+        assert_eq!(gpu.late_write_drops(), 0);
+        let local: Vec<Vec<u32>> = (0..4)
+            .map(|tid| (0..8).map(|w| gpu.mem().read_local(tid, 4 * w)).collect())
+            .collect();
+        assert_eq!(local[0], [1, 2, 3, 4, 0, 0, 0, 0]);
+        assert_eq!(local[1], [0, 0, 0, 0, 0, 0, 17, 18]);
+        assert_eq!(local[2], [0; 8]);
+        assert_eq!(local[3], [0; 8]);
     }
 
     /// Running the same launch twice at the same parallelism is also

@@ -353,7 +353,7 @@ impl<'a> RefMachine<'a> {
                     if pass {
                         let base = t.reg(addr).wrapping_add(offset as u32);
                         for i in 0..width.regs() as u32 {
-                            let a = base + 4 * i;
+                            let a = base.wrapping_add(4 * i);
                             let trap = |fault| InterpError::Memory { pc, fault };
                             let v = match space {
                                 Space::Global | Space::Const => {
@@ -376,7 +376,7 @@ impl<'a> RefMachine<'a> {
                                     self.spawn_mem[i]
                                 }
                             };
-                            t.set_reg(Reg(d.0 + i as u8), v);
+                            t.set_reg(Reg(d.0.wrapping_add(i as u8)), v);
                         }
                     }
                     pc += 1;
@@ -391,8 +391,8 @@ impl<'a> RefMachine<'a> {
                     if pass {
                         let base = t.reg(addr).wrapping_add(offset as u32);
                         for i in 0..width.regs() as u32 {
-                            let ad = base + 4 * i;
-                            let v = t.reg(Reg(a.0 + i as u8));
+                            let ad = base.wrapping_add(4 * i);
+                            let v = t.reg(Reg(a.0.wrapping_add(i as u8)));
                             let trap = |fault| InterpError::Memory { pc, fault };
                             match space {
                                 Space::Global | Space::Const => {

@@ -12,8 +12,8 @@ use dmk_core::{CompletedWarp, SpawnError, SpawnMemoryLayout, WarpFormation};
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::{Instr, Program, ReconvergenceTable, Space, Width};
 use simt_mem::{
-    BatchRequest, FabricRequest, FabricView, FunctionalOp, MemFault, MemoryFabric, OnChipMemory,
-    PendingAccess, SmMemFrontend, TrafficStats,
+    BatchRequest, FabricRequest, FabricView, FunctionalOp, LaneLoad, MemFault, MemoryFabric,
+    OnChipMemory, PendingAccess, SmMemFrontend, TrafficStats,
 };
 use std::collections::HashMap;
 
@@ -73,11 +73,11 @@ pub struct Sm {
     /// This SM's telemetry shard, written like `stats` during phase A and
     /// merged by the GPU in SM-id order (see [`crate::telemetry`]).
     telemetry: SmTelemetry,
-    /// Ready/parked partition over warp slots: the issue stage wakes and
-    /// scans only warps that can actually issue (see [`crate::ready`]).
+    /// Wake cycle of every warp slot, which the issue stage scans from the
+    /// round-robin cursor (see [`crate::ready`]).
     ready: ReadySet,
-    /// Late load results dropped because the destination warp or lane was
-    /// dead by phase B (killed mid-flight). Diagnostic counter, not part
+    /// Words of late load results dropped because the destination warp or
+    /// lane was dead by phase B (killed mid-flight). Diagnostic counter, not part
     /// of [`SimStats`] and not serialized.
     late_write_drops: u64,
     /// A warp may have finished since the last reap. Warps only finish
@@ -95,10 +95,12 @@ pub struct Sm {
     /// every admission, exit, kill, reap, spawn, and formation-block
     /// release. Derived state: not serialized, set after restore.
     dispatch_dirty: bool,
-    /// Pooled op buffers recycled between [`Sm::exec_memory`] and
-    /// [`Sm::stage_pending`], so the per-access `Vec` churn of the load
-    /// path does not hit the allocator in steady state.
+    /// Pooled store-op and lane-load buffers recycled between
+    /// [`Sm::exec_memory`] and [`Sm::stage_pending`], so the per-access
+    /// `Vec` churn of the off-chip path does not hit the allocator in
+    /// steady state.
     op_pool: Vec<Vec<FunctionalOp>>,
+    load_pool: Vec<Vec<LaneLoad>>,
     /// Scratch address buffer for [`Sm::exec_memory`] (reused per access).
     addr_scratch: Vec<u32>,
     /// Scratch partitions of a texture access (cached / uncached lanes).
@@ -167,6 +169,7 @@ impl Sm {
             reap_dirty: false,
             dispatch_dirty: true,
             op_pool: Vec::new(),
+            load_pool: Vec::new(),
             addr_scratch: Vec::new(),
             tex_cached: Vec::new(),
             tex_uncached: Vec::new(),
@@ -320,7 +323,7 @@ impl Sm {
         self.stats.threads_launched += u64::from(count);
         self.telemetry.on_warp_birth(now, wid, false, count);
         self.dispatch_dirty = true;
-        self.ready.mark_ready(self.warps.len());
+        self.ready.push(w.ready_at);
         self.warps.push(w);
     }
 
@@ -374,7 +377,7 @@ impl Sm {
         self.regs_used += n * ctx.regs_per_thread;
         self.telemetry.on_warp_birth(now, wid, true, n);
         self.dispatch_dirty = true;
-        self.ready.mark_ready(self.warps.len());
+        self.ready.push(w.ready_at);
         self.warps.push(w);
     }
 
@@ -430,11 +433,9 @@ impl Sm {
         }
         if reaped > 0 {
             self.dispatch_dirty = true;
-            // Slot indices shifted: rebuild the ready/parked partition
-            // from the surviving warps.
-            let warps = &self.warps;
-            self.ready
-                .rebuild(now, warps.iter().enumerate().map(|(i, w)| (i, w.ready_at)));
+            // Slot indices shifted: rebuild the wake array from the
+            // surviving warps.
+            self.ready.rebuild(self.warps.iter().map(|w| w.ready_at));
         }
         reaped
     }
@@ -546,35 +547,22 @@ impl Sm {
             self.idle(now, ctx);
             return Ok(false);
         }
-        // Wake parked warps whose cycle has arrived, then take the first
-        // ready slot in rotation order — the same candidate the old
-        // linear `(rr + k) % n` scan would have picked.
-        {
-            let warps = &self.warps;
-            self.ready.wake(now, |slot| warps[slot].ready_at);
-        }
+        // The first slot in rotation order whose wake cycle has arrived —
+        // the candidate a linear `(rr + k) % n` scan over the warps'
+        // `ready_at` would pick.
         loop {
-            let Some(idx) = self.ready.first_from(self.rr, n) else {
+            let Some(idx) = self.ready.first_from(self.rr, now) else {
                 self.idle(now, ctx);
                 return Ok(false);
             };
-            // Bitset entries are lazy too: commit leaves a warp with a
-            // next-cycle wake in the set (the common case) rather than
-            // round-tripping it through the heap, and phase B may then
-            // push its `ready_at` out. Validate here, exactly like the
-            // heap pop does, and park the stragglers.
-            let at = self.warps[idx].ready_at;
-            if at > now {
-                self.ready.park(idx, at);
-                continue;
-            }
+            debug_assert!(self.warps[idx].ready_at <= now, "wake array out of date");
             let Some(entry) = self.warps[idx].current() else {
                 // Finished warp not yet reaped: it can never issue again,
-                // drop it from the ready set and keep scanning.
-                self.ready.remove(idx);
+                // park it for good and keep scanning.
+                self.ready.retire(idx);
                 continue;
             };
-            self.rr = (idx + 1) % n;
+            self.rr = if idx + 1 == n { 0 } else { idx + 1 };
             if let Some(inj) = injector {
                 if inj.fires(InjectedFault::Trap, now) {
                     self.stats.injected_events += 1;
@@ -672,8 +660,9 @@ impl Sm {
         min.map(|m| m.max(self.issue_blocked_until))
     }
 
-    /// Phase B, pass 1: applies this SM's deferred functional transfers
-    /// and moves its requests into the chip-wide `batch`, tagged with this
+    /// Phase B, pass 1: applies this SM's deferred stores, reads its
+    /// deferred lane-span loads into the waiting warps' registers, and
+    /// moves its requests into the chip-wide `batch`, tagged with this
     /// SM's id and the access's index in the pending queue. The GPU calls
     /// this in SM-id order, which reproduces exactly the memory
     /// interleaving of a fully serial cycle loop and hands
@@ -696,29 +685,36 @@ impl Sm {
             // nothing in phase B changes lane population or exit state.
             let live = slot.map_or(0u64, |i| self.warps[i].lanes.live_mask());
             for op in &pa.ops {
-                if let Some(v) = fabric.apply(op) {
-                    let FunctionalOp::Load { lane, reg, .. } = op else {
-                        continue;
-                    };
-                    // The warp is parked until at least `now + 1`, so this
-                    // late register write is indistinguishable from an
-                    // at-issue write — unless the warp died between issue
-                    // and phase B (a KillWarp trap this cycle). A result
-                    // for a dead warp or an exited lane is dropped
-                    // explicitly and counted, never applied blindly.
-                    match slot {
-                        Some(i) if (live >> *lane) & 1 == 1 => {
-                            self.warps[i].lanes.set_reg(*lane, *reg, v);
-                        }
-                        _ => self.late_write_drops += 1,
+                fabric.apply(op);
+            }
+            for ld in &pa.loads {
+                let (lane, words) = (usize::from(ld.lane), usize::from(ld.words));
+                // The warp is parked until at least `now + 1`, so this
+                // late register write is indistinguishable from an
+                // at-issue write — unless the warp died between issue
+                // and phase B (a KillWarp trap this cycle). A result
+                // for a dead warp or an exited lane is dropped
+                // explicitly and counted word by word, never applied
+                // blindly.
+                match slot {
+                    Some(i) if (live >> lane) & 1 == 1 => {
+                        let mut span = [0u32; 4];
+                        let span = &mut span[..words];
+                        fabric.read_span(pa.space, ld.tid, ld.base, span);
+                        self.warps[i].lanes.write_regs(lane, pa.reg, span);
                     }
+                    _ => self.late_write_drops += words as u64,
                 }
             }
-            // Recycle the op buffer for the next access instead of
-            // freeing it (bounded pool: one buffer per in-flight access).
+            // Recycle the buffers for the next access instead of freeing
+            // them (bounded pools: one buffer per in-flight access).
             pa.ops.clear();
-            if self.op_pool.len() < 16 {
+            if pa.ops.capacity() > 0 && self.op_pool.len() < 16 {
                 self.op_pool.push(std::mem::take(&mut pa.ops));
+            }
+            pa.loads.clear();
+            if pa.loads.capacity() > 0 && self.load_pool.len() < 16 {
+                self.load_pool.push(std::mem::take(&mut pa.loads));
             }
             batch.extend(pa.requests.drain(..).map(|request| BatchRequest {
                 sm: self.id,
@@ -738,9 +734,9 @@ impl Sm {
         pa.ready = pa.ready.max(ready);
     }
 
-    /// Phase B, pass 3: stamps MSHR fills and raises warp wake-ups from the
-    /// scattered ready times (the ready-set entry is revalidated lazily),
-    /// leaving the pending queue empty. Fills resolve for *all* accesses
+    /// Phase B, pass 3: stamps MSHR fills and raises warp wake-ups (and
+    /// their wake-array entries) from the scattered ready times, leaving
+    /// the pending queue empty. Fills resolve for *all* accesses
     /// before any merge floor is read: a merge only ever references a fill
     /// allocated by an earlier access, so it reads the same time it would
     /// if fills were stamped one access at a time in issue order.
@@ -760,6 +756,7 @@ impl Sm {
                 let floor = self.frontend.mshr_wait_floor(&pa.merge_lines);
                 let w = &mut self.warps[pa.slot];
                 w.ready_at = w.ready_at.max(pa.ready).max(floor);
+                self.ready.set(pa.slot, w.ready_at);
             }
         }
         self.pending.clear();
@@ -770,7 +767,7 @@ impl Sm {
         self.pending.is_empty()
     }
 
-    /// Late load results dropped on dead warps/lanes (see
+    /// Words of late load results dropped on dead warps/lanes (see
     /// `Sm::stage_pending`); zero on any fault-free run.
     pub fn late_write_drops(&self) -> u64 {
         self.late_write_drops
@@ -909,7 +906,8 @@ impl Sm {
                     }
                     if let Some(block) = self.warps[widx].elision_block {
                         let spawn_mem = self.spawn_mem.as_mut().expect("dmk enabled");
-                        let mut slots = Vec::with_capacity(pass.count_ones() as usize);
+                        let mut slots = std::mem::take(&mut self.addr_scratch);
+                        slots.clear();
                         let mut idx = 0u32;
                         let mut bits = pass;
                         while bits != 0 {
@@ -925,6 +923,7 @@ impl Sm {
                         let (_, degree) =
                             self.frontend
                                 .access_onchip(now, Space::Spawn, true, 4, &slots);
+                        self.addr_scratch = slots;
                         self.block_issue_for_replays(now, degree);
                         self.stats.spawn_elisions += 1;
                         let wid = self.warps[widx].id;
@@ -1006,7 +1005,7 @@ impl Sm {
                     let wid = self.warps[widx].id;
                     self.telemetry.on_spawn_stall(now, wid);
                     self.warps[widx].ready_at = now + 4;
-                    self.ready.park(widx, now + 4);
+                    self.ready.set(widx, now + 4);
                 }
             }
             return Ok(());
@@ -1137,12 +1136,14 @@ impl Sm {
     /// Executes one warp memory instruction in phase A. On-chip accesses
     /// (shared/spawn) transfer immediately — their backing is SM-private.
     /// Off-chip accesses are *validated* against the fabric view, then
-    /// deferred as functional ops + coalesced module requests for phase B;
-    /// the returned data-ready cycle is a floor that phase B may raise.
+    /// deferred — word stores, lane-span loads, coalesced module requests —
+    /// for phase B; the returned data-ready cycle is a floor that phase B
+    /// may raise.
     ///
-    /// On a fault, lanes already validated keep their effects (imprecise
-    /// trap): their ops are flushed to the pending queue without a timing
-    /// request, exactly as the serial model left partial transfers applied.
+    /// On a fault, the words already validated keep their effects
+    /// (imprecise trap): they are flushed to the pending queue without a
+    /// timing request, exactly as the serial model left partial transfers
+    /// applied.
     #[allow(clippy::too_many_arguments)]
     // Lane expects are backed by the caller passing live-lane masks only.
     #[allow(clippy::expect_used)]
@@ -1159,28 +1160,34 @@ impl Sm {
         now: u64,
         view: &FabricView,
     ) -> Result<u64, MemFault> {
-        let nwords = width.regs() as u32;
+        let nwords = usize::from(width.regs());
         let warp_id = self.warps[widx].id;
         let mut addresses = std::mem::take(&mut self.addr_scratch);
         addresses.clear();
         addresses.reserve(pass.count_ones() as usize);
+        // One lane's words in flight between registers and memory.
+        let mut span = [0u32; 4];
+        let span = &mut span[..nwords];
 
         if space.is_on_chip() {
             // On-chip spaces wrap modulo capacity like the banked hardware,
             // but misalignment is still a trap, and a spawn-space access
             // without μ-kernel hardware has no backing at all. Both checks
-            // hoist out of the word loop: every word of a stride-4 span
+            // sit outside the word transfer: every word of a stride-4 span
             // shares the base's alignment (so word 0 is always the first
-            // misaligned word), and the spawn backing cannot change
+            // misaligned word), and the backing store cannot change
             // mid-instruction — so once lane checks pass, no word of that
             // lane can fault, exactly like the per-word order.
-            let spawn_unbacked = space == Space::Spawn && self.spawn_mem.is_none();
             let Sm {
                 warps,
                 shared,
                 spawn_mem,
                 ..
             } = self;
+            let mut backing = match space {
+                Space::Shared => Some(shared),
+                _ => spawn_mem.as_mut(),
+            };
             let lanes = &mut warps[widx].lanes;
             let mut bits = pass;
             while bits != 0 {
@@ -1190,25 +1197,17 @@ impl Sm {
                 if !base.is_multiple_of(4) {
                     return Err(MemFault::Misaligned { space, addr: base });
                 }
-                if spawn_unbacked {
+                let Some(mem) = backing.as_deref_mut() else {
                     return Err(MemFault::Unmapped { space });
-                }
+                };
+                // Stores stay lane-major: where lanes overlap, the last
+                // writer wins.
                 if is_store {
-                    for i in 0..nwords {
-                        let v = lanes.reg(lane, simt_isa::Reg(reg.0 + i as u8));
-                        match space {
-                            Space::Shared => shared.write(base + 4 * i, v),
-                            _ => spawn_mem.as_mut().expect("checked").write(base + 4 * i, v),
-                        }
-                    }
+                    lanes.read_regs(lane, reg, span);
+                    mem.write_span(base, span);
                 } else {
-                    for i in 0..nwords {
-                        let v = match space {
-                            Space::Shared => shared.read(base + 4 * i),
-                            _ => spawn_mem.as_ref().expect("checked").read(base + 4 * i),
-                        };
-                        lanes.set_reg(lane, simt_isa::Reg(reg.0 + i as u8), v);
-                    }
+                    mem.read_span(base, span);
+                    lanes.write_regs(lane, reg, span);
                 }
                 addresses.push(base);
             }
@@ -1232,60 +1231,76 @@ impl Sm {
 
         // Off-chip: validate word by word in lane order (mirroring the
         // order the serial model performed the transfers in), capturing
-        // deferred ops. Store values are read from the register file *now*,
-        // at issue, so phase B applies exactly what the lane held.
-        let mut ops: Vec<FunctionalOp> = self.op_pool.pop().unwrap_or_default();
+        // the deferred transfers: a store per word, its value read from
+        // the register file *now*, at issue, so phase B applies exactly
+        // what the lane held; one span per loading lane.
+        let (mut ops, mut loads): (Vec<FunctionalOp>, Vec<LaneLoad>) = if is_store {
+            (self.op_pool.pop().unwrap_or_default(), Vec::new())
+        } else {
+            (Vec::new(), self.load_pool.pop().unwrap_or_default())
+        };
         let mut bits = pass;
         while bits != 0 {
             let lane = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let (tid, base) = {
-                let lanes = &self.warps[widx].lanes;
-                (
-                    lanes.tid(lane),
-                    lanes.reg(lane, addr_reg).wrapping_add(offset as u32),
-                )
-            };
-            for i in 0..nwords {
-                let a = base + 4 * i;
-                let r = simt_isa::Reg(reg.0 + i as u8);
+            let lanes = &self.warps[widx].lanes;
+            let tid = lanes.tid(lane);
+            let base = lanes.reg(lane, addr_reg).wrapping_add(offset as u32);
+            if is_store {
+                lanes.read_regs(lane, reg, span);
+            }
+            let mut words = 0u8;
+            let mut trap = None;
+            // (A load's span holds no values yet; only its length counts.)
+            for &value in span.iter() {
+                let addr = base.wrapping_add(4 * u32::from(words));
                 let checked = if is_store {
-                    view.check_store(space, a)
+                    view.check_store(space, addr)
                 } else {
-                    view.check_load(space, a)
+                    view.check_load(space, addr)
                 };
                 if let Err(fault) = checked {
-                    if !ops.is_empty() {
-                        self.pending.push(PendingAccess {
-                            warp_id,
-                            slot: widx,
-                            wait: false,
-                            ops,
-                            requests: Vec::new(),
-                            fill_lines: Vec::new(),
-                            merge_lines: Vec::new(),
-                            ready: 0,
-                        });
-                    }
-                    return Err(fault);
+                    trap = Some(fault);
+                    break;
                 }
                 if is_store {
-                    let v = self.warps[widx].lanes.reg(lane, r);
                     ops.push(FunctionalOp::Store {
                         space,
                         tid,
-                        addr: a,
-                        value: v,
-                    });
-                } else {
-                    ops.push(FunctionalOp::Load {
-                        space,
-                        tid,
-                        addr: a,
-                        lane,
-                        reg: r,
+                        addr,
+                        value,
                     });
                 }
+                words += 1;
+            }
+            if !is_store && words > 0 {
+                loads.push(LaneLoad {
+                    lane: lane as u8,
+                    words,
+                    tid,
+                    base,
+                });
+            }
+            if let Some(fault) = trap {
+                // Imprecise trap: the lanes before this one keep their
+                // whole transfers and this one the words that validated;
+                // they reach phase B without a timing request.
+                if !ops.is_empty() || !loads.is_empty() {
+                    self.pending.push(PendingAccess {
+                        warp_id,
+                        slot: widx,
+                        wait: false,
+                        space,
+                        reg,
+                        ops,
+                        loads,
+                        requests: Vec::new(),
+                        fill_lines: Vec::new(),
+                        merge_lines: Vec::new(),
+                        ready: 0,
+                    });
+                }
+                return Err(fault);
             }
             // Timing address: local uses the per-thread physical mapping.
             let timing_addr = if space == Space::Local {
@@ -1359,19 +1374,24 @@ impl Sm {
             self.telemetry
                 .on_offchip(now, warp_id, addresses.len() as u32, segments);
         }
-        if !ops.is_empty() || !requests.is_empty() || !merge_lines.is_empty() {
+        if !ops.is_empty() || !loads.is_empty() || !requests.is_empty() || !merge_lines.is_empty() {
             self.pending.push(PendingAccess {
                 warp_id,
                 slot: widx,
                 wait: !is_store,
+                space,
+                reg,
                 ops,
+                loads,
                 requests,
                 fill_lines,
                 merge_lines,
                 ready: 0,
             });
-        } else {
+        } else if is_store {
             self.op_pool.push(ops);
+        } else {
+            self.load_pool.push(loads);
         }
         self.addr_scratch = addresses;
         Ok(ready)
@@ -1426,16 +1446,9 @@ impl Sm {
             let depth = self.warps[widx].stack_depth() as u32;
             self.telemetry.on_issue(now, wid, pc, active, depth);
         }
-        let w = &mut self.warps[widx];
-        w.ready_at = ready.max(now + 1);
-        let until = w.ready_at;
-        // Back-to-back ready (the common case): the warp is already in
-        // the ready bitset — leave it there instead of a heap round-trip.
-        // `Sm::step` revalidates `ready_at` before issuing, so a phase-B
-        // wake-up pushed past `now + 1` still parks the warp lazily.
-        if until > now + 1 {
-            self.ready.park(widx, until);
-        }
+        let until = ready.max(now + 1);
+        self.warps[widx].ready_at = until;
+        self.ready.set(widx, until);
     }
 
     /// Serializes this SM's complete mutable state for a simulator
@@ -1519,11 +1532,8 @@ impl Sm {
         self.stats.restore_state(dec)?;
         self.telemetry.restore_state(dec)?;
         self.pending.clear();
-        // Derived issue-stage structures are rebuilt, not stored: a warp
-        // parked at cycle 0 wakes on the first post-restore step anyway.
-        let warps = &self.warps;
-        self.ready
-            .rebuild(0, warps.iter().enumerate().map(|(i, w)| (i, w.ready_at)));
+        // Derived issue-stage structures are rebuilt, not stored.
+        self.ready.rebuild(self.warps.iter().map(|w| w.ready_at));
         self.late_write_drops = 0;
         // Conservative: force one reap scan after restore rather than
         // prove no restored warp is already finished.

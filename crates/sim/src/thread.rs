@@ -190,6 +190,43 @@ impl LaneState {
         self.regs[i as usize * self.warp_size as usize + lane] = v;
     }
 
+    /// Reads `out.len()` consecutive registers of lane `lane` starting at
+    /// `first`: element `i` is [`LaneState::reg`] of register
+    /// `first + i`, the register number wrapping at 255.
+    pub fn read_regs(&self, lane: usize, first: Reg, out: &mut [u32]) {
+        let ws = self.warp_size as usize;
+        if first.0 as usize + out.len() <= self.regs_stride as usize {
+            let mut at = first.0 as usize * ws + lane;
+            for v in out {
+                *v = self.regs[at];
+                at += ws;
+            }
+        } else {
+            for (i, v) in out.iter_mut().enumerate() {
+                *v = self.reg(lane, Reg(first.0.wrapping_add(i as u8)));
+            }
+        }
+    }
+
+    /// Writes `values` to consecutive registers of lane `lane` starting at
+    /// `first`, in order: element `i` is [`LaneState::set_reg`] of register
+    /// `first + i`, the register number wrapping at 255 and the file
+    /// widening as `set_reg` widens it.
+    pub fn write_regs(&mut self, lane: usize, first: Reg, values: &[u32]) {
+        let ws = self.warp_size as usize;
+        if first.0 as usize + values.len() <= self.regs_stride as usize {
+            let mut at = first.0 as usize * ws + lane;
+            for &v in values {
+                self.regs[at] = v;
+                at += ws;
+            }
+        } else {
+            for (i, &v) in values.iter().enumerate() {
+                self.set_reg(lane, Reg(first.0.wrapping_add(i as u8)), v);
+            }
+        }
+    }
+
     /// Widens the register file (rare: only when a program writes a
     /// register it never declared). Register-major layout makes this an
     /// append of fresh zeroed planes; existing planes stay in place.
@@ -328,6 +365,37 @@ impl LaneState {
 
     /// Executes `op d, a, b, c` on every populated lane in `mask`.
     pub fn alu_warp(&mut self, mask: u64, op: AluOp, d: Reg, a: Operand, b: Operand, c: Operand) {
+        // One dispatch per warp instruction: each arm's lane loop is
+        // compiled for its own operation, so `eval_alu` with a constant
+        // `op` folds to the operation itself instead of re-entering its
+        // jump table once per lane.
+        macro_rules! lanes_of {
+            ($($v:ident)*) => {
+                match op {
+                    $(AluOp::$v => self.alu_lanes(mask, d, a, b, c, |x, y, z| {
+                        eval_alu(AluOp::$v, x, y, z)
+                    }),)*
+                }
+            };
+        }
+        lanes_of!(
+            IAdd ISub IMul IMad IMin IMax IDiv IRem And Or Xor Not Shl ShrU ShrS
+            FAdd FSub FMul FDiv FMin FMax FFma FSqrt FRcp FAbs FNeg FFloor
+            I2F F2I U2F F2U
+        );
+    }
+
+    /// The lane loop of [`LaneState::alu_warp`] for one operation `f`.
+    #[inline]
+    fn alu_lanes(
+        &mut self,
+        mask: u64,
+        d: Reg,
+        a: Operand,
+        b: Operand,
+        c: Operand,
+        f: impl Fn(u32, u32, u32) -> u32,
+    ) {
         let mut bits = mask & self.populated;
         if bits == 0 {
             return;
@@ -336,8 +404,7 @@ impl LaneState {
         let (sa, sb, sc) = (self.resolve(a), self.resolve(b), self.resolve(c));
         if self.is_full(bits) {
             for lane in 0..self.warp_size as usize {
-                let r = eval_alu(
-                    op,
+                let r = f(
                     self.load(lane, sa),
                     self.load(lane, sb),
                     self.load(lane, sc),
@@ -349,8 +416,7 @@ impl LaneState {
         while bits != 0 {
             let lane = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let r = eval_alu(
-                op,
+            let r = f(
                 self.load(lane, sa),
                 self.load(lane, sb),
                 self.load(lane, sc),
@@ -361,6 +427,29 @@ impl LaneState {
 
     /// Executes `setp.cmp p, a, b` on every populated lane in `mask`.
     pub fn setp_warp(&mut self, mask: u64, cmp: CmpOp, p: Pred, a: Operand, b: Operand) {
+        // As in `alu_warp`: one lane loop per comparison.
+        macro_rules! lanes_of {
+            ($($v:ident)*) => {
+                match cmp {
+                    $(CmpOp::$v => {
+                        self.setp_lanes(mask, p, a, b, |x, y| eval_cmp(CmpOp::$v, x, y))
+                    })*
+                }
+            };
+        }
+        lanes_of!(EqS NeS LtS LeS GtS GeS LtU LeU GtU GeU EqF NeF LtF LeF GtF GeF);
+    }
+
+    /// The lane loop of [`LaneState::setp_warp`] for one comparison `f`.
+    #[inline]
+    fn setp_lanes(
+        &mut self,
+        mask: u64,
+        p: Pred,
+        a: Operand,
+        b: Operand,
+        f: impl Fn(u32, u32) -> bool,
+    ) {
         let mut bits = mask & self.populated;
         if bits == 0 {
             return;
@@ -373,7 +462,7 @@ impl LaneState {
             // operand reads (no per-lane masking of the old plane needed).
             plane = 0;
             for lane in 0..self.warp_size as usize {
-                let r = eval_cmp(cmp, self.load(lane, sa), self.load(lane, sb));
+                let r = f(self.load(lane, sa), self.load(lane, sb));
                 plane |= u64::from(r) << lane;
             }
             self.pred_planes[pi] = plane;
@@ -382,7 +471,7 @@ impl LaneState {
         while bits != 0 {
             let lane = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let r = eval_cmp(cmp, self.load(lane, sa), self.load(lane, sb));
+            let r = f(self.load(lane, sa), self.load(lane, sb));
             let bit = Self::bit(lane);
             plane = (plane & !bit) | (u64::from(r) << lane);
         }
@@ -572,6 +661,35 @@ mod tests {
         assert_eq!(l.reg(1, Reg(7)), 99);
         assert_eq!(l.reg(2, Reg(1)), 20, "re-pack preserved other lanes");
         assert_eq!(l.reg(0, Reg(7)), 0);
+    }
+
+    /// `read_regs`/`write_regs` against `reg`/`set_reg` one register at a
+    /// time, for spans inside the file, straddling its end (reads beyond
+    /// it are 0, a write widens it for the whole warp) and wrapping at
+    /// register 255.
+    #[test]
+    fn register_spans_equal_single_register_accesses() {
+        for first in [0u8, 1, 2, 5, 253, 255] {
+            for len in 0..=4usize {
+                let mut spanned = partial_warp();
+                spanned.set_reg(2, Reg(0), 7);
+                let mut single = spanned.clone();
+
+                let mut got = [u32::MAX; 4];
+                spanned.read_regs(2, Reg(first), &mut got[..len]);
+                for (i, &v) in got[..len].iter().enumerate() {
+                    assert_eq!(v, single.reg(2, Reg(first.wrapping_add(i as u8))));
+                }
+
+                let values = [91, 92, 93, 94];
+                spanned.write_regs(1, Reg(first), &values[..len]);
+                for (i, &v) in values[..len].iter().enumerate() {
+                    single.set_reg(1, Reg(first.wrapping_add(i as u8)), v);
+                }
+                assert_eq!(spanned.regs_stride, single.regs_stride, "{first}+{len}");
+                assert_eq!(spanned.regs, single.regs, "{first}+{len}");
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,13 @@ pub struct Warp {
     /// Per-lane thread state, struct-of-arrays (unpopulated lanes of
     /// partial warps are absent from the populated mask).
     pub lanes: LaneState,
-    stack: Vec<StackEntry>,
+    /// The PDOM stack's top entry, held inline so the every-issue
+    /// `current`/`set_pc` pair touches no heap line; `None` once the stack
+    /// is empty.
+    top: Option<StackEntry>,
+    /// The entries under `top`, bottom first (allocated on the first
+    /// divergence; empty whenever `top` is `None`).
+    below: Vec<StackEntry>,
     /// Earliest cycle at which this warp may issue again.
     pub ready_at: u64,
     /// Thread block this warp belongs to (launch warps under block
@@ -67,11 +73,12 @@ impl Warp {
             id,
             warp_size,
             lanes,
-            stack: vec![StackEntry {
+            top: Some(StackEntry {
                 pc: entry_pc,
                 mask,
                 rpc: RECONVERGE_AT_EXIT,
-            }],
+            }),
+            below: Vec::new(),
             ready_at: 0,
             block_id: None,
             formation_block: None,
@@ -86,20 +93,26 @@ impl Warp {
     }
 
     /// Pops exhausted/reconverged stack entries; returns the live top.
-    fn sync_stack(&mut self) -> Option<&StackEntry> {
-        while let Some(top) = self.stack.last() {
+    #[inline]
+    fn sync_stack(&mut self) -> Option<&mut StackEntry> {
+        while let Some(top) = self.top {
             if top.mask == 0 || top.pc == top.rpc {
-                self.stack.pop();
+                self.top = self.below.pop();
             } else {
                 break;
             }
         }
-        self.stack.last()
+        self.top.as_mut()
+    }
+
+    /// Pushes `e` over the current top.
+    fn push(&mut self, e: StackEntry) {
+        self.below.extend(self.top.replace(e));
     }
 
     /// The entry that will issue next, after stack maintenance.
     pub fn current(&mut self) -> Option<StackEntry> {
-        self.sync_stack().copied()
+        self.sync_stack().map(|e| *e)
     }
 
     /// Whether all lanes have retired.
@@ -129,8 +142,7 @@ impl Warp {
     // Documented panic contract: callers operate on unfinished warps.
     #[allow(clippy::expect_used)]
     pub fn set_pc(&mut self, pc: usize) {
-        self.sync_stack();
-        self.stack.last_mut().expect("set_pc on finished warp").pc = pc;
+        self.sync_stack().expect("set_pc on finished warp").pc = pc;
     }
 
     /// Applies a divergent branch outcome at the current top entry.
@@ -153,57 +165,48 @@ impl Warp {
         fallthrough: usize,
         rpc: usize,
     ) {
-        self.sync_stack();
-        let top = *self.stack.last().expect("diverge on finished warp");
+        let top = self.sync_stack().expect("diverge on finished warp");
         assert_eq!(
             taken | not_taken,
             top.mask,
             "divergence masks must partition"
         );
         assert_eq!(taken & not_taken, 0, "divergence masks must be disjoint");
-        if rpc == RECONVERGE_AT_EXIT {
+        let rpc = if rpc == RECONVERGE_AT_EXIT {
             // No rejoin point before exit: both sides inherit the parent's
             // reconvergence PC and the parent entry is consumed.
             let parent_rpc = top.rpc;
-            self.stack.pop();
-            self.stack.push(StackEntry {
-                pc: fallthrough,
-                mask: not_taken,
-                rpc: parent_rpc,
-            });
-            self.stack.push(StackEntry {
-                pc: target,
-                mask: taken,
-                rpc: parent_rpc,
-            });
+            self.top = self.below.pop();
+            parent_rpc
         } else {
             // Parent becomes the reconvergence entry.
-            self.stack.last_mut().expect("checked").pc = rpc;
-            self.stack.push(StackEntry {
-                pc: fallthrough,
-                mask: not_taken,
-                rpc,
-            });
-            self.stack.push(StackEntry {
-                pc: target,
-                mask: taken,
-                rpc,
-            });
-        }
+            top.pc = rpc;
+            rpc
+        };
+        self.push(StackEntry {
+            pc: fallthrough,
+            mask: not_taken,
+            rpc,
+        });
+        self.push(StackEntry {
+            pc: target,
+            mask: taken,
+            rpc,
+        });
     }
 
     /// Retires the lanes in `mask`: marks their threads exited and removes
     /// them from every stack entry.
     pub fn exit_lanes(&mut self, mask: u64) {
         self.lanes.exit_lanes(mask);
-        for e in &mut self.stack {
+        for e in self.top.iter_mut().chain(&mut self.below) {
             e.mask &= !mask;
         }
     }
 
     /// Current stack depth (diagnostics).
     pub fn stack_depth(&self) -> usize {
-        self.stack.len()
+        self.below.len() + usize::from(self.top.is_some())
     }
 
     /// Serializes the warp — lanes, reconvergence stack, timing, and
@@ -212,8 +215,9 @@ impl Warp {
         enc.put_usize(self.id);
         enc.put_u32(self.warp_size);
         self.lanes.encode_state(enc);
-        enc.put_usize(self.stack.len());
-        for e in &self.stack {
+        // Bottom to top: the entries below, then the inline top.
+        enc.put_usize(self.stack_depth());
+        for e in self.below.iter().chain(&self.top) {
             enc.put_usize(e.pc);
             enc.put_u64(e.mask);
             enc.put_usize(e.rpc);
@@ -240,7 +244,7 @@ impl Warp {
         let warp_size = dec.take_u32()?;
         let lanes = LaneState::restore_state(dec)?;
         let depth = dec.take_len(24)?;
-        let stack = (0..depth)
+        let mut below: Vec<StackEntry> = (0..depth)
             .map(|_| {
                 Ok(StackEntry {
                     pc: dec.take_usize()?,
@@ -249,6 +253,7 @@ impl Warp {
                 })
             })
             .collect::<Result<_, CodecError>>()?;
+        let top = below.pop();
         let ready_at = dec.take_u64()?;
         let block_id = if dec.take_bool()? {
             Some(dec.take_usize()?)
@@ -269,7 +274,8 @@ impl Warp {
             id,
             warp_size,
             lanes,
-            stack,
+            top,
+            below,
             ready_at,
             block_id,
             formation_block,
@@ -426,6 +432,46 @@ mod tests {
                 prop_assert_eq!(w.active_lanes(), 0);
             }
 
+            /// The inline-top stack against the plain `Vec<StackEntry>`
+            /// it replaced, lazy pops included: the same current entry
+            /// after every action, and the same checkpoint bytes.
+            #[test]
+            fn inline_top_matches_a_vec_stack(actions in proptest::collection::vec(arb_action(), 1..40)) {
+                let lanes = LaneState::admit(8, 4, 0, 8);
+                let mut w = Warp::from_lanes(3, 100, lanes.clone());
+                let mut model = VecStack::new(100, 0xFF);
+                let mut next_rpc = 1000usize;
+                for a in actions {
+                    prop_assert_eq!(w.current(), model.current());
+                    let Some(top) = model.current() else { break };
+                    match a {
+                        Action::Diverge { split, rpc_offset } => {
+                            let (taken, not_taken) = (top.mask & split, top.mask & !split);
+                            if taken == 0 || not_taken == 0 {
+                                continue;
+                            }
+                            // Every third divergence has no rejoin point.
+                            next_rpc += rpc_offset;
+                            let rpc = if rpc_offset % 3 == 0 { RECONVERGE_AT_EXIT } else { next_rpc };
+                            w.diverge(taken, not_taken, top.pc + 1, top.pc + 2, rpc);
+                            model.diverge(taken, not_taken, top.pc + 1, top.pc + 2, rpc);
+                        }
+                        Action::Reconverge => {
+                            let pc = if top.rpc == RECONVERGE_AT_EXIT { top.pc + 1 } else { top.rpc };
+                            w.set_pc(pc);
+                            model.set_pc(pc);
+                        }
+                        Action::Exit { lanes } => {
+                            w.exit_lanes(lanes & top.mask);
+                            model.exit_lanes(lanes & top.mask);
+                        }
+                    }
+                    // Not synced first: a checkpoint sees lazy entries.
+                    prop_assert_eq!(w.stack_depth(), model.0.len());
+                    prop_assert_eq!(encoded(&w), model.encoded(&w));
+                }
+            }
+
             #[test]
             fn full_reconvergence_restores_union_mask(split in 1u64..255) {
                 let mut w = Warp::from_lanes(0, 0, LaneState::admit(8, 4, 0, 8));
@@ -441,6 +487,108 @@ mod tests {
                 prop_assert_eq!(top.pc, 20);
             }
         }
+    }
+
+    /// The stack as it was held before the top moved inline — the
+    /// reference the inline-top [`Warp`] is checked against.
+    struct VecStack(Vec<StackEntry>);
+
+    impl VecStack {
+        fn new(pc: usize, mask: u64) -> Self {
+            VecStack(vec![StackEntry {
+                pc,
+                mask,
+                rpc: RECONVERGE_AT_EXIT,
+            }])
+        }
+
+        fn current(&mut self) -> Option<StackEntry> {
+            while let Some(top) = self.0.last() {
+                if top.mask == 0 || top.pc == top.rpc {
+                    self.0.pop();
+                } else {
+                    break;
+                }
+            }
+            self.0.last().copied()
+        }
+
+        fn set_pc(&mut self, pc: usize) {
+            self.current();
+            self.0.last_mut().unwrap().pc = pc;
+        }
+
+        fn diverge(&mut self, taken: u64, not_taken: u64, target: usize, fall: usize, rpc: usize) {
+            let top = self.current().unwrap();
+            let rpc = if rpc == RECONVERGE_AT_EXIT {
+                self.0.pop();
+                top.rpc
+            } else {
+                self.0.last_mut().unwrap().pc = rpc;
+                rpc
+            };
+            for (pc, mask) in [(fall, not_taken), (target, taken)] {
+                self.0.push(StackEntry { pc, mask, rpc });
+            }
+        }
+
+        fn exit_lanes(&mut self, mask: u64) {
+            for e in &mut self.0 {
+                e.mask &= !mask;
+            }
+        }
+
+        /// `w`'s checkpoint bytes with this stack in place of its own.
+        fn encoded(&self, w: &Warp) -> Vec<u8> {
+            let mut enc = Encoder::new();
+            enc.put_usize(w.id);
+            enc.put_u32(w.warp_size);
+            w.lanes.encode_state(&mut enc);
+            enc.put_usize(self.0.len());
+            for e in &self.0 {
+                enc.put_usize(e.pc);
+                enc.put_u64(e.mask);
+                enc.put_usize(e.rpc);
+            }
+            enc.put_u64(w.ready_at);
+            for _ in 0..3 {
+                enc.put_bool(false);
+            }
+            enc.put_bool(w.is_dynamic);
+            enc.into_bytes()
+        }
+    }
+
+    fn encoded(w: &Warp) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        w.encode_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Checkpoint bytes at stack depths 0, 1 and 3 are the bytes of the
+    /// `Vec` stack, and restoring them rebuilds the same warp.
+    #[test]
+    fn checkpoint_bytes_equal_the_vec_stacks_at_depth_0_1_and_3() {
+        let mut w = warp4(5);
+        let mut model = VecStack::new(5, 0b1111);
+        let check = |w: &Warp, model: &VecStack, depth: usize| {
+            assert_eq!(w.stack_depth(), depth);
+            let bytes = encoded(w);
+            assert_eq!(bytes, model.encoded(w), "depth {depth}");
+            let mut restored = Warp::restore_state(&mut Decoder::new(&bytes)).unwrap();
+            assert_eq!(encoded(&restored), bytes, "depth {depth} round-trips");
+            assert_eq!(restored.current(), w.clone().current());
+        };
+        check(&w, &model, 1);
+        w.diverge(0b0011, 0b1100, 10, 6, 20);
+        model.diverge(0b0011, 0b1100, 10, 6, 20);
+        check(&w, &model, 3);
+        w.exit_lanes(0b1111);
+        model.exit_lanes(0b1111);
+        check(&w, &model, 3);
+        assert!(w.is_finished());
+        assert!(model.current().is_none());
+        check(&w, &model, 0);
     }
 
     #[test]

@@ -325,3 +325,100 @@ fn l2_hit_costs_flit_plus_interconnect_plus_hit_latency() {
     let segments = u64::from(mem.l1_line_bytes / mem.segment_bytes);
     assert_eq!(gpu.mem().l2_stats(), Some((segments, segments)));
 }
+
+/// Spawn-memory conflict replays on the Fig. 9 machine (bank conflicts
+/// modelled, `shared_banks` banks): all 32 lanes of a warp move a `v4` at
+/// the 12-word state-record stride. Lane `l` covers words `12l..12l+4`;
+/// four consecutive lanes start on banks 0, 12, 8, 4 and so cover each of
+/// the 16 banks once, which puts 128 / 16 = 8 distinct words on every
+/// bank: degree 8, seven replays. The replays hold the SM's one issue
+/// port, so nothing issues for seven cycles — not even the other warp,
+/// which is spinning on ALU work — and the access occupies the load-store
+/// port for eight. A load's warp waits for the data, `shared_latency`
+/// after the last pass; a store's warp does not, and takes the first
+/// issue slot the rotation gives it once the port opens.
+#[test]
+fn spawn_v4_at_the_state_record_stride_replays_seven_times() {
+    let mem = MemConfig::fx5800().with_spawn_bank_conflicts(true);
+    assert_eq!(mem.shared_banks, 16, "the stride's bank pattern assumes it");
+    let (lanes, words, stride_words) = (32u64, 4u64, 12u64);
+    assert!((0..4).all(|l| [0, 12, 8, 4][l as usize] == l * stride_words % 16));
+    let degree = lanes * words / mem.shared_banks as u64;
+    assert_eq!(degree, 8);
+
+    for (access, is_store) in [
+        ("ld.spawn.v4 r4, [r7+0]", false),
+        ("st.spawn.v4 [r7+0], r4", true),
+    ] {
+        // Warp 0 makes the access; warp 1 spins without touching memory.
+        let src = format!(
+            r#"
+            .kernel main
+            main:
+                mov.u32 r1, %tid
+                mov.u32 r3, %laneid
+                mul.lo.s32 r7, r3, {stride_bytes}
+                setp.ge.s32 p0, r1, 32
+                @p0 bra spin
+                {access}
+                nop
+                exit
+            spin:
+                mov.u32 r2, 40
+            loop:
+                sub.s32 r2, r2, 1
+                setp.gt.s32 p1, r2, 0
+                @p1 bra loop
+                exit
+            "#,
+            stride_bytes = 4 * stride_words
+        );
+        let program = assemble_named("t", &src).unwrap();
+        let pc = program
+            .instrs()
+            .iter()
+            .position(|i| matches!(i.op, Instr::Ld { .. } | Instr::St { .. }))
+            .expect("the kernel accesses spawn memory");
+        let cfg = GpuConfig {
+            num_sms: 1,
+            mem: mem.clone(),
+            ..GpuConfig::fx5800_dmk(dmk_core::DmkConfig::paper())
+        };
+        let mut gpu = Gpu::builder(cfg).telemetry(TelemetrySpec::trace()).build();
+        gpu.launch(Launch {
+            program,
+            entry: "main".into(),
+            num_threads: 64,
+            threads_per_block: 32,
+        })
+        .expect("launch accepted");
+        let s = gpu.run(1_000_000).expect("fault-free");
+        assert_eq!(s.outcome, RunOutcome::Completed);
+        let events = gpu.telemetry_report().events;
+
+        let spawn = *gpu.sms()[0].traffic().space(simt_isa::Space::Spawn);
+        assert_eq!(spawn.accesses, 1, "{access}");
+        assert_eq!(spawn.bank_conflict_passes, degree - 1, "{access}");
+
+        let now = issued_at(&events, 0, 0, pc);
+        let next_issue = events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceEventKind::Issue { .. }) && e.cycle > now)
+            .map(|e| e.cycle)
+            .min()
+            .expect("the spinning warp issues again");
+        assert_eq!(next_issue, now + (degree - 1), "{access}: port time");
+        let resumed = issued_at(&events, 0, 0, pc + 1);
+        if is_store {
+            // The port opens on the spinning warp's turn; the store's
+            // warp, awake since `now + 1`, is next.
+            assert_eq!(resumed, now + degree, "{access}");
+        } else {
+            assert_eq!(
+                resumed,
+                now + degree + u64::from(mem.shared_latency),
+                "{access}"
+            );
+        }
+    }
+}

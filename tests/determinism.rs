@@ -153,6 +153,45 @@ fn the_report_reads_the_machines_divergence_timeline_through_a_checkpoint() {
     assert_eq!(timeline, whole.telemetry_report().divergence);
 }
 
+/// A Fig. 7 frame at test scale — the conference scene, 16×16, dynamic
+/// μ-kernels, 32-thread blocks — with every count the cycle loop keeps
+/// pinned to what the simulator printed before its issue path was cut
+/// down (ISSUE 21): a faster loop may not issue, idle, sleep or skip one
+/// cycle differently.
+#[test]
+fn a_fig7_test_scale_frame_keeps_its_cycle_loop_counts() {
+    let scene = scenes::conference(SceneScale::Tiny);
+    let mut gpu = Gpu::builder(GpuConfig::fx5800_dmk(DmkConfig::paper())).build();
+    let setup = RenderSetup::upload(&mut gpu, &scene, 16, 16);
+    setup.launch_ukernel(&mut gpu, 32);
+    let s = gpu.run(100_000_000).expect("fault-free run");
+    let stats = &s.stats;
+    assert_eq!(
+        (
+            stats.cycles,
+            stats.warp_issues,
+            stats.thread_instructions,
+            stats.idle_sm_cycles,
+        ),
+        (124_720, 45_173, 933_840, 3_696_427)
+    );
+    assert_eq!(
+        (gpu.skipped_cycles(), gpu.slept_sm_cycles()),
+        (76_481, 3_693_332)
+    );
+    // Idle SM-cycles, then issues by active-lane bucket, per 25k cycles.
+    assert_eq!(
+        stats.divergence.windows(),
+        [
+            [729_674, 960, 1_081, 687, 817, 865, 927, 486, 14_503],
+            [743_388, 527, 510, 417, 395, 347, 652, 553, 3_211],
+            [745_886, 276, 323, 312, 162, 237, 392, 427, 1_985],
+            [745_166, 915, 510, 370, 243, 455, 328, 598, 1_415],
+            [732_313, 5_727, 1_485, 653, 374, 512, 362, 132, 42],
+        ]
+    );
+}
+
 #[test]
 fn scene_generation_is_deterministic_across_calls() {
     let a = scenes::conference(SceneScale::Small);

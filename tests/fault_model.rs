@@ -372,3 +372,84 @@ fn injector_draws_are_deterministic_across_runs() {
     };
     assert_eq!(run_once(), run_once(), "same seed, same schedule");
 }
+
+/// A vector access whose address span runs off the top of the address
+/// space — `0xfffffff8`, `…c`, `0`, `4` — wraps like the 32-bit address
+/// adder it models, in every space: the on-chip scratchpads take it
+/// modulo their capacity, a global load reads the (zero) top words and
+/// the first two of the heap, and the spaces with bounds answer with
+/// their typed fault. The host never overflows.
+#[test]
+fn a_vector_access_wrapping_the_address_space_is_a_result_or_a_typed_fault() {
+    let run = |access: &str| {
+        let src = format!(
+            r#"
+            .kernel main
+            main:
+                mov.u32 r1, 0xfffffff8
+                mov.u32 r4, 7
+                {access}
+                mov.u32 r2, 16
+                st.global.v4 [r2+0], r4
+                exit
+            "#
+        );
+        let mut gpu = Gpu::builder(GpuConfig::tiny()).build();
+        let buf = gpu.mem_mut().alloc_global(32, "buf");
+        gpu.mem_mut().host_write_global(buf, &[11, 22]);
+        gpu.launch(Launch {
+            program: assemble_named("wild", &src).unwrap(),
+            entry: "main".into(),
+            num_threads: 4,
+            threads_per_block: 4,
+        })
+        .expect("launch accepted");
+        let result = gpu.run(1_000_000);
+        (gpu, result)
+    };
+    let completed = |access: &str| {
+        let (gpu, result) = run(access);
+        let s = result.unwrap_or_else(|e| panic!("`{access}` faulted: {e}"));
+        assert_eq!(s.outcome, RunOutcome::Completed, "{access}");
+        gpu.mem().host_read_global(16, 4)
+    };
+    let fault_of = |access: &str| match run(access).1 {
+        Err(SimError::Fault(fault)) => fault.kind,
+        other => panic!("`{access}` must trap, got {other:?}"),
+    };
+
+    assert_eq!(completed("ld.global.v4 r4, [r1+0]"), [0, 0, 11, 22]);
+    assert_eq!(completed("ld.shared.v4 r4, [r1+0]"), [0; 4]);
+    // The store laps the 16 KiB scratchpad; the load finds it there.
+    assert_eq!(
+        completed("st.shared.v4 [r1+0], r4\n ld.shared.v4 r4, [r1+0]"),
+        [7, 0, 0, 0]
+    );
+    assert!(matches!(
+        fault_of("st.global.v4 [r1+0], r4"),
+        FaultKind::Memory(MemFault::GlobalStoreOob {
+            addr: 0xffff_fff8,
+            ..
+        })
+    ));
+    for access in ["ld.local.v4 r4, [r1+0]", "st.local.v4 [r1+0], r4"] {
+        assert!(matches!(
+            fault_of(access),
+            FaultKind::Memory(MemFault::LocalOob {
+                addr: 0xffff_fff8,
+                ..
+            })
+        ));
+    }
+    // A register span running past r255 never reaches the machine: the
+    // assembler refuses it with a typed error.
+    assert!(matches!(
+        assemble_named(
+            "wild-reg",
+            ".kernel main\nmain:\n ld.global.v4 r254, [r1+0]\n exit"
+        ),
+        Err(usimt::isa::AsmError::Invalid(
+            usimt::isa::ValidateError::RegisterOutOfRange { .. }
+        ))
+    ));
+}
