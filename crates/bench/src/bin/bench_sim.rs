@@ -40,10 +40,12 @@
 //! numbers next to the wall-clock ones.
 //!
 //! Also measures `repro serve` front-door overhead (`DESIGN.md` §14):
-//! cold request throughput through admission + journal + coordinator,
-//! then warm-cache hit latency (p50/p99 of the full submit → status →
-//! fetch round trip) at 1 client and at N concurrent clients. Skipped
-//! (recorded as `null`) under the same condition as the campaign bench.
+//! cold request throughput through admission + journal + coordinator
+//! (and, from the server's own stage clocks, how long a finished worker
+//! waited to be reaped), then warm-cache hit latency (p50/p99 of the
+//! full submit → status → fetch round trip) at 1 client and at N
+//! concurrent clients. Skipped (recorded as `null`) under the same
+//! condition as the campaign bench.
 //!
 //! ```text
 //! bench_sim [--scale paper|quick|test] [--out PATH]
@@ -389,6 +391,9 @@ struct ServeBench {
     clients: usize,
     cold_jobs: usize,
     cold_seconds: f64,
+    /// Mean time a finished worker waited for the pump to reap it, over
+    /// the cold jobs (`/healthz`: `exit_seen_lag_us / jobs_spawned`).
+    exit_seen_lag_mean_us: f64,
     warm_requests: usize,
     warm_p50_ms: f64,
     warm_p99_ms: f64,
@@ -422,6 +427,7 @@ impl Drop for ServerGuard {
 /// when the `repro` binary is not installed next to `bench_sim`.
 fn bench_serve(host_cpus: usize) -> Option<ServeBench> {
     use experiments::serve::client::{self, ClientOpts};
+    use experiments::serve::json;
     let repro = std::env::current_exe().ok()?.with_file_name("repro");
     if !repro.exists() {
         eprintln!(
@@ -462,6 +468,12 @@ fn bench_serve(host_cpus: usize) -> Option<ServeBench> {
     let start = Instant::now();
     client::run_workload(&opts).ok()?;
     let cold_seconds = start.elapsed().as_secs_f64();
+    let deadline = Instant::now() + std::time::Duration::from_secs(30);
+    let health = client::request_retry(&opts, "GET", "/healthz", "", deadline).ok()?;
+    let health = json::parse_flat(&String::from_utf8_lossy(&health.body)).ok()?;
+    let spawned = json::get_num(&health, "jobs_spawned")?;
+    let exit_seen_lag_mean_us =
+        json::get_num(&health, "exit_seen_lag_us")? as f64 / spawned.max(1) as f64;
 
     // Warm, 1 client: per-request submit → status → fetch latency on
     // cache hits; the sample feeds the percentiles.
@@ -494,6 +506,7 @@ fn bench_serve(host_cpus: usize) -> Option<ServeBench> {
         clients,
         cold_jobs: artifacts.len(),
         cold_seconds,
+        exit_seen_lag_mean_us,
         warm_requests,
         warm_p50_ms: percentile(&latencies_ms, 0.50),
         warm_p99_ms: percentile(&latencies_ms, 0.99),
@@ -610,11 +623,12 @@ fn main() -> ExitCode {
     let serve = bench_serve(host_cpus);
     if let Some(s) = &serve {
         eprintln!(
-            "  cold {:.3} s ({:.2} jobs/s, {} clients); warm hit p50 {:.1} ms / p99 {:.1} ms, \
+            "  cold {:.3} s ({:.2} jobs/s, {} clients, a finished worker reaped after {:.0} us); warm hit p50 {:.1} ms / p99 {:.1} ms, \
              1 client {:.2} req/s, {} clients {:.2} req/s",
             s.cold_seconds,
             s.cold_jobs as f64 / s.cold_seconds,
             s.clients,
+            s.exit_seen_lag_mean_us,
             s.warm_p50_ms,
             s.warm_p99_ms,
             s.warm_requests as f64 / s.warm_one_client_seconds,
@@ -776,6 +790,7 @@ fn main() -> ExitCode {
         Some(s) => json.push_str(&format!(
             "  \"serve\": {{\"scale\": \"test\", \"clients\": {}, \
              \"cold_jobs\": {}, \"cold_seconds\": {:.6}, \"cold_jobs_per_second\": {:.3}, \
+             \"exit_seen_lag_mean_us\": {:.1}, \
              \"warm_requests\": {}, \"warm_hit_p50_ms\": {:.3}, \"warm_hit_p99_ms\": {:.3}, \
              \"warm_one_client_requests_per_second\": {:.3}, \
              \"warm_n_client_requests_per_second\": {:.3}}}\n",
@@ -783,6 +798,7 @@ fn main() -> ExitCode {
             s.cold_jobs,
             s.cold_seconds,
             s.cold_jobs as f64 / s.cold_seconds,
+            s.exit_seen_lag_mean_us,
             s.warm_requests,
             s.warm_p50_ms,
             s.warm_p99_ms,

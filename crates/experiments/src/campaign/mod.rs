@@ -26,7 +26,14 @@
 //! performs one non-blocking supervision pass (reap, liveness, deadline,
 //! spawn), so the batch [`run`] loop and the long-running `repro serve`
 //! front-end (`crate::serve`) drive the identical scheduling code —
-//! serve just keeps submitting while it pumps.
+//! serve just keeps submitting while it pumps. A worker's exit is an
+//! event, not something a pass has to come round to: each worker's stdout
+//! is a pipe nobody writes to, a watcher thread blocks on it until
+//! end-of-file — which is the process going, however it went — and calls
+//! the [`Waker`] the coordinator's owner installed, so the owner runs the
+//! pass that reaps it at once. What only looking can find (a heartbeat
+//! gone stale, a wall-clock or deadline expiry, a back-off run out) is
+//! still found by the owner's periodic pass.
 //!
 //! Because each job's simulation is deterministic and checkpoint resume
 //! is bit-identical, a completed campaign's artifact bytes are the same
@@ -47,8 +54,19 @@ use manifest::{JobOutcome, JobRecord, Manifest};
 use simt_isa::codec::{fnv1a64, Encoder};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::process::{Child, Command, ExitStatus, Stdio};
+use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+/// Longest the batch [`run`] loop waits between supervision passes, and
+/// how long after a worker's stdout closed a pass will wait for it to
+/// become reapable.
+const TICK: Duration = Duration::from_millis(10);
+
+/// Called from a worker's watcher thread the moment that worker's stdout
+/// reaches end-of-file; has the coordinator's owner run a
+/// [`Coordinator::poll`] now. It must not wait on that pass.
+pub type Waker = Arc<dyn Fn() + Send + Sync>;
 
 /// The paper-group artifacts of a full campaign, in canonical
 /// presentation order (the order `repro all` runs them). Delegates to
@@ -419,6 +437,18 @@ pub struct ExecCounters {
     pub cache_hits: u32,
     /// Jobs completed by a worker this coordinator ran (not cached).
     pub fresh_completions: u32,
+    /// Worker processes started (one per attempt).
+    pub jobs_spawned: u32,
+    /// Cumulative time attempts waited for a worker slot: from admission
+    /// (or the end of a retry's back-off) to the spawn.
+    pub queue_wait_us: u64,
+    /// Cumulative time from a worker's spawn to its exit being seen: its
+    /// stdout closing, or the pass that reaped or killed it when that
+    /// came first.
+    pub worker_run_us: u64,
+    /// Cumulative time from a worker's exit being seen to the pass that
+    /// reaped it: what a completion waits for the coordinator's owner.
+    pub exit_seen_lag_us: u64,
 }
 
 /// One live worker process.
@@ -430,6 +460,48 @@ struct Running {
     out_path: PathBuf,
     last_hb: Vec<u8>,
     last_hb_change: Instant,
+    /// When the watcher thread saw the worker's stdout close. Stays empty
+    /// if no watcher could be started; the owner's periodic pass finds
+    /// the exit then.
+    exit_seen: Arc<OnceLock<Instant>>,
+}
+
+/// How a supervision pass found a worker it is about to remove.
+enum Fate {
+    Exited(ExitStatus),
+    WaitFailed(std::io::Error),
+    Kill {
+        why: &'static str,
+        deadline_hit: bool,
+    },
+}
+
+/// Starts the thread that turns a worker's exit into an event: it drains
+/// the worker's stdout to end-of-file, stamps `exit_seen` and calls
+/// `waker`. The worker holds the only write end and never writes to it
+/// (see [`worker::run_worker`]), so the read returns exactly when the
+/// process is gone — exit, `abort()` or SIGKILL alike — and the thread
+/// ends with its worker. It is not joined: `poll` may run under a lock
+/// the waker takes. If the thread cannot be started the pipe closes here,
+/// and the exit is found by the owner's next periodic pass.
+fn watch_exit(
+    name: &str,
+    mut stdout: ChildStdout,
+    exit_seen: Arc<OnceLock<Instant>>,
+    waker: Option<Waker>,
+) {
+    let watcher = std::thread::Builder::new()
+        .name(format!("exit-watch-{name}"))
+        .spawn(move || {
+            let _ = std::io::copy(&mut stdout, &mut std::io::sink());
+            let _ = exit_seen.set(Instant::now());
+            if let Some(wake) = waker {
+                wake();
+            }
+        });
+    if let Err(e) = watcher {
+        eprintln!("warning: campaign: {name}: no exit watcher ({e}); exit found by polling");
+    }
 }
 
 /// Human description of a worker exit status.
@@ -460,6 +532,7 @@ pub struct Coordinator {
     by_fingerprint: HashMap<u64, usize>,
     running: Vec<Running>,
     counters: ExecCounters,
+    waker: Option<Waker>,
 }
 
 impl Coordinator {
@@ -488,7 +561,14 @@ impl Coordinator {
             by_fingerprint: HashMap::new(),
             running: Vec::new(),
             counters: ExecCounters::default(),
+            waker: None,
         })
+    }
+
+    /// Installs the callback that workers spawned from now on make when
+    /// they exit. Without one an exit waits for the owner's next pass.
+    pub fn set_waker(&mut self, waker: Waker) {
+        self.waker = Some(waker);
     }
 
     /// Submits a job. Probes the result cache first: a warm hit
@@ -589,9 +669,11 @@ impl Coordinator {
         self.jobs.iter().filter(|j| !j.is_done()).count()
     }
 
-    /// One non-blocking supervision pass: reap exited workers, police
-    /// heartbeat liveness, wall-clock timeouts, and per-job deadlines,
-    /// then fill free worker slots with ready jobs in submission order.
+    /// One supervision pass: reap exited workers, police heartbeat
+    /// liveness, wall-clock timeouts, and per-job deadlines, then fill
+    /// free worker slots with ready jobs in submission order. It waits on
+    /// nothing but a worker that is already on its way out: one whose
+    /// stdout has just closed and whose status is microseconds behind.
     /// Returns how many jobs reached a terminal state during the pass.
     ///
     /// # Errors
@@ -603,101 +685,62 @@ impl Coordinator {
         // Reap finished workers and police liveness + deadlines.
         let mut i = 0;
         while i < self.running.len() {
-            let now = Instant::now();
-            let r = &mut self.running[i];
-            match r.child.try_wait() {
-                Ok(Some(status)) => {
-                    let r = self.running.swap_remove(i);
-                    let job = &mut self.jobs[r.job];
-                    job.in_flight = false;
-                    if status.success() {
-                        complete_from_frame(
-                            &self.cfg,
-                            &mut self.counters,
-                            job,
-                            &r.out_path,
-                            &self.ckpt_root,
-                        );
+            let Some(fate) = self.fate(i) else {
+                i += 1;
+                continue;
+            };
+            let mut r = self.running.swap_remove(i);
+            if !matches!(fate, Fate::Exited(_)) {
+                let _ = r.child.kill();
+                let _ = r.child.wait();
+            }
+            let reaped = Instant::now();
+            // A worker reaped or killed before its watcher got to stamp
+            // the exit waited for nobody.
+            let seen = r.exit_seen.get().copied().unwrap_or(reaped).min(reaped);
+            self.counters.worker_run_us += (seen - r.started).as_micros() as u64;
+            self.counters.exit_seen_lag_us += (reaped - seen).as_micros() as u64;
+            let job = &mut self.jobs[r.job];
+            job.in_flight = false;
+            match fate {
+                Fate::Exited(status) if status.success() => complete_from_frame(
+                    &self.cfg,
+                    &mut self.counters,
+                    job,
+                    &r.out_path,
+                    &self.ckpt_root,
+                ),
+                Fate::Exited(status) => worker_died(
+                    &self.cfg,
+                    &mut self.counters,
+                    job,
+                    &describe_exit(status),
+                    false,
+                ),
+                Fate::WaitFailed(e) => worker_died(
+                    &self.cfg,
+                    &mut self.counters,
+                    job,
+                    &format!("wait failed: {e}"),
+                    false,
+                ),
+                Fate::Kill { why, deadline_hit } => {
+                    self.counters.sigkills += 1;
+                    if deadline_hit {
+                        expire_deadline(&mut self.counters, job);
                     } else {
                         worker_died(
                             &self.cfg,
                             &mut self.counters,
                             job,
-                            &describe_exit(status),
-                            false,
+                            &format!("SIGKILL after {why}"),
+                            true,
                         );
                     }
-                    if job.is_done() {
-                        finished += 1;
-                    }
                 }
-                Ok(None) => {
-                    if let Ok(hb) = std::fs::read(&r.hb_path) {
-                        if !hb.is_empty() && hb != r.last_hb {
-                            r.last_hb = hb;
-                            r.last_hb_change = now;
-                            // Heartbeat line 2 (when present) is the
-                            // worker's latest progress pulse.
-                            if let Some(pulse) = std::str::from_utf8(&r.last_hb)
-                                .ok()
-                                .and_then(|s| s.lines().nth(1))
-                            {
-                                self.jobs[r.job].progress = Some(pulse.to_string());
-                            }
-                        }
-                    }
-                    let deadline_hit = self.jobs[r.job].deadline_at.is_some_and(|d| now >= d);
-                    let reason = if deadline_hit {
-                        Some("deadline expired")
-                    } else if now.duration_since(r.started) > self.cfg.job_timeout {
-                        Some("wall-clock timeout")
-                    } else if now.duration_since(r.last_hb_change) > self.cfg.heartbeat_timeout {
-                        Some("stale heartbeat")
-                    } else {
-                        None
-                    };
-                    if let Some(why) = reason {
-                        let mut r = self.running.swap_remove(i);
-                        let _ = r.child.kill();
-                        let _ = r.child.wait();
-                        let job = &mut self.jobs[r.job];
-                        job.in_flight = false;
-                        self.counters.sigkills += 1;
-                        if deadline_hit {
-                            expire_deadline(&mut self.counters, job);
-                        } else {
-                            worker_died(
-                                &self.cfg,
-                                &mut self.counters,
-                                job,
-                                &format!("SIGKILL after {why}"),
-                                true,
-                            );
-                        }
-                        if job.is_done() {
-                            finished += 1;
-                        }
-                    } else {
-                        i += 1;
-                    }
-                }
-                Err(e) => {
-                    let mut r = self.running.swap_remove(i);
-                    let _ = r.child.kill();
-                    let _ = r.child.wait();
-                    let job = &mut self.jobs[r.job];
-                    job.in_flight = false;
-                    worker_died(
-                        &self.cfg,
-                        &mut self.counters,
-                        job,
-                        &format!("wait failed: {e}"),
-                        false,
-                    );
-                    if job.is_done() {
-                        finished += 1;
-                    }
-                }
+            }
+            if job.is_done() {
+                finished += 1;
             }
         }
         // Queued jobs whose deadline already expired never get a worker.
@@ -725,11 +768,66 @@ impl Coordinator {
                 &self.out_dir,
                 &self.hb_dir,
                 &self.ckpt_root,
+                self.waker.clone(),
             )?;
+            self.counters.jobs_spawned += 1;
+            self.counters.queue_wait_us += (r.started - self.jobs[idx].ready_at).as_micros() as u64;
             self.jobs[idx].in_flight = true;
             self.running.push(r);
         }
         Ok(finished)
+    }
+
+    /// Looks at live worker `i` once: has it exited, and if not, is it
+    /// still within its heartbeat, wall-clock and deadline bounds? `None`
+    /// for a worker that stays.
+    fn fate(&mut self, i: usize) -> Option<Fate> {
+        let now = Instant::now();
+        let r = &mut self.running[i];
+        let mut status = r.child.try_wait();
+        if let Some(&seen) = r.exit_seen.get() {
+            // The kernel closes an exiting process's descriptors a moment
+            // before it makes the process waitable, and the watcher can
+            // get this pass started inside that moment. The exit belongs
+            // to this pass, not to the next tick, so look again until it
+            // shows — microseconds. The bound is for a worker that closed
+            // its stdout and lives on: it holds its owner up for one tick
+            // after the close, once, and is policed like any other.
+            while matches!(status, Ok(None)) && seen.elapsed() < TICK {
+                std::thread::yield_now();
+                status = r.child.try_wait();
+            }
+        }
+        match status {
+            Ok(Some(status)) => return Some(Fate::Exited(status)),
+            Err(e) => return Some(Fate::WaitFailed(e)),
+            Ok(None) => {}
+        }
+        if let Ok(hb) = std::fs::read(&r.hb_path) {
+            if !hb.is_empty() && hb != r.last_hb {
+                r.last_hb = hb;
+                r.last_hb_change = now;
+                // Heartbeat line 2 (when present) is the worker's latest
+                // progress pulse.
+                if let Some(pulse) = std::str::from_utf8(&r.last_hb)
+                    .ok()
+                    .and_then(|s| s.lines().nth(1))
+                {
+                    self.jobs[r.job].progress = Some(pulse.to_string());
+                }
+            }
+        }
+        let deadline_hit = self.jobs[r.job].deadline_at.is_some_and(|d| now >= d);
+        let why = if deadline_hit {
+            "deadline expired"
+        } else if now.duration_since(r.started) > self.cfg.job_timeout {
+            "wall-clock timeout"
+        } else if now.duration_since(r.last_hb_change) > self.cfg.heartbeat_timeout {
+            "stale heartbeat"
+        } else {
+            return None;
+        };
+        Some(Fate::Kill { why, deadline_hit })
     }
 
     /// SIGKILLs every live worker, leaving their checkpoints on disk (a
@@ -794,9 +892,22 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
             })?;
         }
     }
-    while !coord.all_done() {
+    // A worker's exit arrives as a message; the timeout is for what a
+    // pass can only find by looking (heartbeats, timeouts, back-offs).
+    let (wake, woken) = std::sync::mpsc::channel();
+    coord.set_waker(Arc::new(move || {
+        let _ = wake.send(());
+    }));
+    loop {
         coord.poll()?;
-        std::thread::sleep(Duration::from_millis(10));
+        #[cfg(test)]
+        tests::RUN_LOOP.with(|c| c.set((c.get().0 + 1, c.get().1)));
+        if coord.all_done() {
+            break;
+        }
+        let _ = woken.recv_timeout(TICK);
+        #[cfg(test)]
+        tests::RUN_LOOP.with(|c| c.set((c.get().0, c.get().1 + 1)));
     }
 
     let jobs = coord.into_jobs();
@@ -948,6 +1059,7 @@ fn spawn_attempt(
     out_dir: &std::path::Path,
     hb_dir: &std::path::Path,
     ckpt_root: &std::path::Path,
+    waker: Option<Waker>,
 ) -> Result<Running, String> {
     let out_path = out_dir.join(format!("{}.result", job.key));
     let hb_path = hb_dir.join(format!("{}.hb", job.key));
@@ -987,7 +1099,9 @@ fn spawn_attempt(
         .arg(&job.spec.scenario.scale_name)
         .args(&cfg.passthrough)
         .stdin(Stdio::null())
-        .stdout(Stdio::null());
+        // Nothing is written to it: it is how the exit is heard (see
+        // `watch_exit`).
+        .stdout(Stdio::piped());
     if job.spec.json && !cfg.passthrough.iter().any(|f| f == "--json") {
         cmd.arg("--json");
     }
@@ -1009,7 +1123,7 @@ fn spawn_attempt(
     if cfg.test_hang_job.as_deref() == Some(job.spec.name()) && job.attempts == 0 {
         cmd.arg("--worker-test-hang");
     }
-    let child = cmd.spawn().map_err(|e| {
+    let mut child = cmd.spawn().map_err(|e| {
         format!(
             "cannot spawn worker {} for {}: {e}",
             cfg.worker_exe.display(),
@@ -1023,6 +1137,10 @@ fn spawn_attempt(
         child.id()
     );
     let now = Instant::now();
+    let exit_seen = Arc::new(OnceLock::new());
+    if let Some(stdout) = child.stdout.take() {
+        watch_exit(job.spec.name(), stdout, Arc::clone(&exit_seen), waker);
+    }
     Ok(Running {
         child,
         job: idx,
@@ -1031,12 +1149,40 @@ fn spawn_attempt(
         out_path,
         last_hb: Vec::new(),
         last_hb_change: now,
+        exit_seen,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// `(passes, waits)` of the [`run`] loop on this thread.
+        pub(super) static RUN_LOOP: std::cell::Cell<(u32, u32)> =
+            const { std::cell::Cell::new((0, 0)) };
+    }
+
+    #[test]
+    fn run_returns_from_the_pass_that_finished_the_last_job() {
+        // `true` stands in for the worker: it exits 0 having written no
+        // result frame, which with no retries left finishes the job as
+        // GaveUp in the pass that reaps it.
+        let dir = std::env::temp_dir().join(format!("coord-run-{}", std::process::id()));
+        let mut cfg = CampaignConfig::new(Scale::test(), "test");
+        cfg.cache_dir = dir.join("cache");
+        cfg.work_dir = dir.clone();
+        cfg.worker_exe = PathBuf::from("true");
+        cfg.artifacts = vec!["table1".to_string()];
+        cfg.workers = 1;
+        cfg.max_retries = 0;
+        let outcome = run(&cfg).expect("campaign runs");
+        assert_eq!(outcome.manifest.gave_up(), 1);
+        let (passes, waits) = RUN_LOOP.with(std::cell::Cell::get);
+        assert!(passes >= 2, "one pass spawns, a later one reaps");
+        assert_eq!(waits, passes - 1, "no wait follows the last pass");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn job_fingerprint_keys_on_artifact_scale_and_mode() {

@@ -15,7 +15,9 @@
 //!
 //! Any other exit (chaos abort inside the supervisor's kill hook, a
 //! crash, a coordinator SIGKILL after a timeout) leaves no result frame,
-//! which is exactly how the coordinator knows to reschedule.
+//! which is exactly how the coordinator knows to reschedule. However it
+//! exits, the coordinator hears of it at once: the worker's stdout is a
+//! pipe it never writes to, and its closing is the exit.
 
 use super::cache::{seal_result, ResultMeta};
 use super::render_artifact;
@@ -78,6 +80,13 @@ fn start_heartbeat(path: PathBuf) {
 /// Runs one campaign job to a sealed result frame. The process-wide
 /// supervisor policy, scale, parallelism, and trace switches must
 /// already be installed by the caller (the `repro` argument parser).
+///
+/// Nothing under here may write to stdout — diagnostics go to stderr, the
+/// result to its frame. Stdout is a pipe the coordinator only listens on
+/// for end-of-file (`campaign::watch_exit`), and once the coordinator has
+/// been `kill -9`ed it has no reader: a `println!` would then panic this
+/// orphan on `EPIPE` halfway through a job the restarted server expects
+/// to find finished or checkpointed.
 pub fn run_worker(args: &WorkerArgs, scale: Scale) -> ExitCode {
     if args.test_hang {
         // Deliberately wedge with no heartbeat: the coordinator must

@@ -5,7 +5,7 @@
 //! | `POST /jobs` | admission control → 202 (accepted, body carries the job id) / 429 (typed shed + `Retry-After-Ms`) / 400 / 503 (draining) |
 //! | `GET /jobs/<id>` | job status; `?wait_ms=N` long-polls until terminal or the wait expires |
 //! | `GET /jobs/<id>/output` | the rendered artifact bytes |
-//! | `GET /healthz` | queue depth, shed counts, worker liveness, journal lag, degradation counters, per-route request counts and handler time |
+//! | `GET /healthz` | queue depth, shed counts, worker liveness, journal lag, degradation counters, cumulative job stage clocks (queue wait, worker run, exit-seen lag), per-route request counts and handler time |
 //! | `GET /readyz` | 200 while admitting, 503 once draining |
 //! | `POST /drain` | begin graceful drain |
 //!
@@ -305,6 +305,7 @@ fn healthz(shared: &Shared) -> String {
          \"shed_queue_full\": {}, \"shed_rate_limited\": {}, \"shed_draining\": {}, \"shed_total\": {}, \
          \"journal_lag\": {}, \"journal_quarantined\": {}, \
          \"cache_hits\": {}, \"fresh_completions\": {}, \
+         \"jobs_spawned\": {}, \"queue_wait_us\": {}, \"worker_run_us\": {}, \"exit_seen_lag_us\": {}, \
          \"quarantined\": {}, \"retried_attempts\": {}, \"sigkills\": {}, \"deadline_kills\": {}, \
          \"post_jobs_requests\": {post_requests}, \"post_jobs_handler_us\": {post_us}, \
          \"get_status_requests\": {status_requests}, \"get_status_handler_us\": {status_us}, \
@@ -323,6 +324,10 @@ fn healthz(shared: &Shared) -> String {
         inner.journal.quarantined,
         counters.cache_hits,
         counters.fresh_completions,
+        counters.jobs_spawned,
+        counters.queue_wait_us,
+        counters.worker_run_us,
+        counters.exit_seen_lag_us,
         counters.quarantined,
         counters.retried_attempts,
         counters.sigkills,

@@ -48,8 +48,10 @@
 //!
 //! No request waits on a timer: the accept thread blocks in `accept()`
 //! (and is woken for shutdown by one loopback connect), the pump parks
-//! on a condvar that admission and drain signal, and a job's identity is
-//! computed from constants before the server-wide lock is taken. Nor
+//! on a condvar that admission, drain and a worker's exit signal (the
+//! last through the coordinator's [`crate::campaign::Waker`]), and a
+//! job's identity is computed from constants before the server-wide lock
+//! is taken. Nor
 //! does a short one wait on a thread: the accept thread answers what is
 //! whole and will not park, and only the rest — slow peers, long-polls —
 //! gets a thread of its own ([`handlers::serve`]).
@@ -75,9 +77,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Longest the pump parks between passes: the bound on noticing a file
-/// in the drop directory, a worker's exit or heartbeat, and a deadline.
-/// Admission and drain wake it at once.
+/// Longest the pump parks between passes: the bound on noticing what it
+/// can only learn by looking — a file in the drop directory, a stale
+/// heartbeat, a wall-clock or deadline expiry, a back-off run out.
+/// Admission, drain and a worker's exit wake it at once.
 const PUMP_TICK: Duration = Duration::from_millis(10);
 
 /// How long the accept thread stays away from `accept()` after it failed
@@ -225,7 +228,7 @@ pub struct Shared {
     pub cv: Condvar,
     /// Signaled, with [`Inner::pump_due`] set, when the pump has work
     /// that should not wait out `PUMP_TICK`: a cold job admitted, a
-    /// drain begun.
+    /// worker exited, a drain begun.
     pub pump: Condvar,
     /// Per-route traffic, reported by `/healthz`.
     pub routes: RouteStats,
@@ -465,6 +468,15 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
         routes: RouteStats::default(),
         cfg,
     });
+
+    // A worker's exit wakes the pump. Weak: a watcher thread must not
+    // keep a server that is going away alive.
+    let waking = Arc::downgrade(&shared);
+    shared.lock().coord.set_waker(Arc::new(move || {
+        if let Some(shared) = waking.upgrade() {
+            shared.wake_pump(&mut shared.lock());
+        }
+    }));
 
     // Replay journaled requests in admission order. Replay bypasses
     // admission control (they were already admitted — shedding them now

@@ -6,8 +6,14 @@
 //! exhausts its retry budget must be reported `GaveUp` in the manifest
 //! without taking the rest of the campaign down.
 
+use experiments::campaign::manifest::JobOutcome;
+use experiments::campaign::{cache, CampaignConfig, Coordinator, JobSpec};
+use experiments::Scale;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::Arc;
+use std::time::Duration;
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
@@ -306,5 +312,154 @@ fn exhausted_retries_gave_up_without_aborting_the_campaign() {
         "summary counts the casualty: {m}"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker's stdout is the pipe its coordinator hears the exit on. When
+/// the coordinator has been `kill -9`ed the read end is gone, and a worker
+/// that printed anything would die of `EPIPE` instead of finishing the
+/// job its successor's replay is waiting for: it must not write there.
+#[test]
+fn an_orphaned_worker_finishes_without_a_reader_on_its_stdout() {
+    let dir = temp_dir("orphan");
+    let out = dir.join("fig3.result");
+    let mut child = Command::new(REPRO)
+        .args(["__worker", "fig3", "--scale", "test", "--worker-out"])
+        .arg(&out)
+        .args(["--worker-fingerprint", "00000000000000aa"])
+        .args(["--checkpoint-every", "2000", "--checkpoint-dir"])
+        .arg(dir.join("ckpt"))
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("worker spawns");
+    drop(child.stdout.take());
+    let status = child.wait().expect("worker waitable");
+    assert!(status.success(), "orphaned worker exits 0, got {status}");
+    let frame = std::fs::read(&out).expect("result frame written");
+    let (meta, output) = cache::open_result(&frame).expect("frame opens");
+    assert!(meta.ok, "{}", meta.error);
+    assert_eq!((meta.artifact.as_str(), meta.fingerprint), ("fig3", 0xaa));
+    assert_eq!(output, serial_bytes(&["fig3"]));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A one-worker engine over `dir` whose waker sends on the returned
+/// channel, so a test can block until a worker's exit has been heard
+/// instead of sleeping and looking.
+fn woken_engine(dir: &Path, tune: impl FnOnce(&mut CampaignConfig)) -> (Coordinator, Receiver<()>) {
+    let mut cfg = CampaignConfig::new(Scale::test(), "test");
+    cfg.work_dir = dir.to_path_buf();
+    cfg.cache_dir = dir.join("cache");
+    cfg.worker_exe = PathBuf::from(REPRO);
+    cfg.workers = 1;
+    tune(&mut cfg);
+    let mut coord = Coordinator::new(cfg.exec()).expect("engine builds");
+    let (wake, woken) = channel();
+    coord.set_waker(Arc::new(move || {
+        let _ = wake.send(());
+    }));
+    (coord, woken)
+}
+
+/// The cheapest job there is: no simulation, a worker that lives 2 ms.
+fn table1() -> JobSpec {
+    JobSpec::new("table1", Scale::test(), "test", false)
+}
+
+/// Far longer than any worker here lives: the bound on a wake that never
+/// comes, not a wait the tests time anything by.
+const NEVER: Duration = Duration::from_secs(120);
+
+#[test]
+fn a_workers_exit_wakes_the_owner_and_the_very_next_pass_reaps_it() {
+    // Clean exit: one pass spawns, the wake arrives, one pass completes.
+    let dir = temp_dir("wake-exit");
+    let (mut coord, woken) = woken_engine(&dir, |_| {});
+    let idx = coord.submit(table1()).expect("submits");
+    assert_eq!(coord.poll().expect("spawns"), 0);
+    assert_eq!(coord.in_flight(), 1);
+    woken.recv_timeout(NEVER).expect("exit heard");
+    assert_eq!(
+        coord.poll().expect("reaps"),
+        1,
+        "reaped by the pass the wake asked for"
+    );
+    assert_eq!(coord.jobs()[idx].outcome(), Some(&JobOutcome::Completed));
+    let clocks = coord.counters();
+    assert_eq!(clocks.jobs_spawned, 1);
+    assert!(clocks.worker_run_us > 0, "{clocks:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Death by signal (`abort()`, as `--chaos-abort` dies): the same one
+    // pass consumes the attempt and schedules the retry.
+    let dir = temp_dir("wake-abort");
+    let (mut coord, woken) = woken_engine(&dir, |cfg| {
+        cfg.test_fail_job = Some("table1".to_string());
+    });
+    let idx = coord.submit(table1()).expect("submits");
+    assert_eq!(coord.poll().expect("spawns"), 0);
+    woken.recv_timeout(NEVER).expect("death heard");
+    assert_eq!(coord.poll().expect("reaps"), 0);
+    let job = &coord.jobs()[idx];
+    assert_eq!(
+        (job.attempts(), job.is_done()),
+        (1, false),
+        "attempt consumed, retry pending"
+    );
+    assert_eq!(coord.in_flight(), 0, "backing off, not left running");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn coordinator_kills_still_work_with_a_watcher_on_the_worker() {
+    // A worker that wedges is found by looking, not by its watcher — and
+    // the watcher then reports the SIGKILL like any other exit, so the
+    // thread ends with its worker.
+    let dir = temp_dir("wake-hang");
+    let (mut coord, woken) = woken_engine(&dir, |cfg| {
+        cfg.test_hang_job = Some("table1".to_string());
+        cfg.heartbeat_timeout = Duration::from_millis(300);
+        cfg.backoff_base = Duration::from_millis(1);
+    });
+    let idx = coord.submit(table1()).expect("submits");
+    while !coord.all_done() {
+        coord.poll().expect("pass");
+        let _ = woken.recv_timeout(Duration::from_millis(10));
+    }
+    assert_eq!(coord.jobs()[idx].outcome(), Some(&JobOutcome::Resumed(1)));
+    let counters = coord.counters();
+    assert_eq!(
+        (counters.sigkills, counters.jobs_spawned),
+        (1, 2),
+        "{counters:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A deadline on a wedged worker: killed at the deadline, no retry,
+    // and the kill is heard.
+    let dir = temp_dir("wake-deadline");
+    let (mut coord, woken) = woken_engine(&dir, |cfg| {
+        cfg.test_hang_job = Some("table1".to_string());
+    });
+    let mut spec = table1();
+    spec.deadline = Some(Duration::from_millis(200));
+    let idx = coord.submit(spec).expect("submits");
+    assert_eq!(coord.poll().expect("spawns"), 0);
+    assert!(
+        woken.recv_timeout(Duration::from_millis(100)).is_err(),
+        "a live worker wakes nobody"
+    );
+    while !coord.all_done() {
+        std::thread::sleep(Duration::from_millis(10));
+        coord.poll().expect("pass");
+    }
+    assert_eq!(
+        coord.jobs()[idx].outcome(),
+        Some(&JobOutcome::DeadlineExceeded)
+    );
+    assert_eq!(coord.counters().deadline_kills, 1);
+    woken
+        .recv_timeout(NEVER)
+        .expect("the kill is heard: the watcher ended with its worker");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -523,6 +523,71 @@ fn warm_trips_are_not_quantised_and_a_silent_peer_delays_nobody() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A cold job waits on no timer either: the pump is woken when the
+/// worker's stdout closes, so five distinct cheap jobs, posted one after
+/// another, each go from POST to `state: done` in what the worker process
+/// takes (4–5 ms here) — where learning of an exit at the next
+/// `PUMP_TICK`, which starts at the spawn, made every one of them at least
+/// 10 ms. The stage clocks in `/healthz` say the same from inside: a
+/// finished worker waits for the pump for microseconds, not half a tick.
+///
+/// The bound is on time a worker process takes, which the sibling tests'
+/// simulations double while they share the host's cores; so the trips are
+/// made up to three times, each on a fresh server, and one quiet round is
+/// enough. A timer back on the path fails all three by construction.
+#[test]
+fn cold_trips_are_not_quantised_to_the_pump_tick() {
+    const CHEAP: [&str; 5] = ["table1", "table2", "table3", "table4", "fig2"];
+    let mut rounds = Vec::new();
+    for round in 0..3 {
+        let dir = temp_dir(&format!("cold-trips-{round}"));
+        let server = Server::start(&dir, &[]);
+        let opts = server.opts(&[]);
+        let mut trips_ms = Vec::new();
+        for artifact in CHEAP {
+            let body = format!("{{\"artifact\": \"{artifact}\", \"scale\": \"test\"}}");
+            let start = Instant::now();
+            let accept =
+                client::request(&opts.server, "POST", "/jobs", &body).expect("POST answered");
+            assert_eq!(accept.status, 202);
+            let accepted =
+                json::parse_flat(&String::from_utf8_lossy(&accept.body)).expect("202 body parses");
+            assert_eq!(json::get_bool(&accepted, "warm"), Some(false), "{artifact}");
+            let job = json::get_str(&accepted, "job").expect("job id");
+            let poll = format!("/jobs/{job}?wait_ms=20000");
+            let status = client::request(&opts.server, "GET", &poll, "").expect("poll answered");
+            trips_ms.push(start.elapsed().as_secs_f64() * 1e3);
+            let text = String::from_utf8_lossy(&status.body).into_owned();
+            let map = json::parse_flat(&text).expect("status body parses");
+            assert_eq!(json::get_str(&map, "state"), Some("done"), "{text}");
+            assert_eq!(json::get_str(&map, "outcome"), Some("completed"), "{text}");
+        }
+        let health = healthz(&opts);
+        let spawned = json::get_num(&health, "jobs_spawned").expect("jobs_spawned");
+        assert_eq!(spawned, CHEAP.len() as i64, "{health:?}");
+        let lag_us = json::get_num(&health, "exit_seen_lag_us").expect("exit_seen_lag_us");
+        assert!(
+            lag_us / spawned < 2000,
+            "a finished worker waited {} us for the pump on average: {health:?}",
+            lag_us / spawned
+        );
+        for clock in ["queue_wait_us", "worker_run_us"] {
+            assert!(
+                json::get_num(&health, clock).is_some_and(|us| us > 0),
+                "{clock}: {health:?}"
+            );
+        }
+        server.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+        rounds.push(trips_ms.clone());
+        trips_ms.sort_by(f64::total_cmp);
+        if trips_ms[trips_ms.len() / 2] < 8.0 {
+            return;
+        }
+    }
+    panic!("median cold trip of 8 ms or more in every round: {rounds:.2?}");
+}
+
 /// What the accept thread cannot answer at once gets a thread of its own
 /// and the same answer: a request that arrives in two pieces a pause
 /// apart (the thread goes on from the bytes already read), and a
