@@ -1,10 +1,8 @@
 //! `bench_sim` — wall-clock benchmark of the two-phase simulator.
 //!
 //! Times a fixed fig-7 run (dynamic μ-kernel render of the conference
-//! scene) at phase-A parallelism 1 and at every host core, then writes
-//! `BENCH_sim.json` with simulated cycles, wall seconds, and simulation
-//! throughput for each run. Simulated results are bit-identical across
-//! the runs — only wall-clock time changes.
+//! scene), then writes `BENCH_sim.json` with its simulated cycles, wall
+//! seconds, and simulation throughput.
 //!
 //! Also measures checkpoint overhead (`DESIGN.md` §9): snapshot encode,
 //! disk write, and read + restore of a mid-run machine state, so the
@@ -60,7 +58,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 struct BenchRun {
-    parallel: usize,
     cycles: u64,
     wall_seconds: f64,
     /// Idle cycles the event-driven loop jumped over instead of ticking.
@@ -77,11 +74,10 @@ struct BenchRun {
 
 impl BenchRun {
     /// Times `gpu.run(budget)` on a machine with a launch registered.
-    fn measure(gpu: &mut Gpu, parallel: usize, budget: u64) -> BenchRun {
+    fn measure(gpu: &mut Gpu, budget: u64) -> BenchRun {
         let start = Instant::now();
         let summary = gpu.run(budget).expect("fault-free benchmark run");
         BenchRun {
-            parallel,
             cycles: summary.stats.cycles,
             wall_seconds: start.elapsed().as_secs_f64(),
             skipped_cycles: gpu.skipped_cycles(),
@@ -142,7 +138,7 @@ impl BenchRun {
 /// the `Gpu::run` call only (scene build and upload are untimed).
 /// `cached` swaps the flat fabric for the L1+L2 hierarchy
 /// (`MemConfig::fx5800_cached` knobs: 16 KiB L1, 512 KiB L2).
-fn run_once(parallel: usize, scale: Scale, telemetry: TelemetrySpec, cached: bool) -> BenchRun {
+fn run_once(scale: Scale, telemetry: TelemetrySpec, cached: bool) -> BenchRun {
     let mut gpu = if cached {
         let mut cfg = experiments::config_for(Variant::Dynamic);
         cfg.mem.l1_bytes = 16 * 1024;
@@ -150,15 +146,14 @@ fn run_once(parallel: usize, scale: Scale, telemetry: TelemetrySpec, cached: boo
         Gpu::builder(cfg).telemetry(telemetry).build()
     } else {
         gpu_for_with(Variant::Dynamic, telemetry)
-    }
-    .with_parallelism(parallel);
+    };
     let scene = scenes::conference(scale.scene);
     let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
     setup.launch_ukernel(&mut gpu, scale.threads_per_block);
-    BenchRun::measure(&mut gpu, parallel, scale.cycles)
+    BenchRun::measure(&mut gpu, scale.cycles)
 }
 
-/// The `bvh` workload's μ-kernel render at `scale`, serial, run to
+/// The `bvh` workload's μ-kernel render at `scale`, run to
 /// completion: a few warps on a 30-SM chip, so most SM-cycles are idle.
 /// Fastest of three runs (each is a fraction of a second).
 fn bench_low_occupancy(scale: Scale) -> BenchRun {
@@ -169,7 +164,7 @@ fn bench_low_occupancy(scale: Scale) -> BenchRun {
             let mut gpu = gpu_for(Variant::Dynamic);
             let setup = PtSetup::upload(&mut gpu, &scene, edge, edge);
             setup.launch_ukernel(&mut gpu, scale.threads_per_block);
-            BenchRun::measure(&mut gpu, 1, u64::MAX)
+            BenchRun::measure(&mut gpu, u64::MAX)
         })
         .min_by(|a, b| a.wall_seconds.total_cmp(&b.wall_seconds))
         .expect("three runs")
@@ -182,11 +177,11 @@ fn bench_low_occupancy(scale: Scale) -> BenchRun {
 /// The old sequential best-of-3 (all off runs, then all on runs, no
 /// warm-up) routinely measured telemetry-on *faster* than off.
 fn telemetry_ab(scale: Scale, cached: bool) -> (f64, f64) {
-    let _warmup = run_once(1, scale, TelemetrySpec::metrics(), cached);
+    let _warmup = run_once(scale, TelemetrySpec::metrics(), cached);
     let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..3 {
-        off = off.min(run_once(1, scale, TelemetrySpec::off(), cached).wall_seconds);
-        on = on.min(run_once(1, scale, TelemetrySpec::metrics(), cached).wall_seconds);
+        off = off.min(run_once(scale, TelemetrySpec::off(), cached).wall_seconds);
+        on = on.min(run_once(scale, TelemetrySpec::metrics(), cached).wall_seconds);
     }
     (off, on)
 }
@@ -549,31 +544,14 @@ fn main() -> ExitCode {
     let scale = Scale::parse(&scale_name).expect("validated above");
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
-    let mut parallelisms = vec![1];
-    if host_cpus > 1 {
-        parallelisms.push(host_cpus);
-    }
-    let mut runs = Vec::new();
-    for &p in &parallelisms {
-        eprintln!("bench_sim: fig7 conference/dynamic, scale {scale_name}, parallel {p} ...");
-        let r = run_once(p, scale, TelemetrySpec::metrics(), false);
-        eprintln!(
-            "  {} simulated cycles in {:.3} s  ({:.0} cycles/s)",
-            r.cycles,
-            r.wall_seconds,
-            r.cycles_per_second()
-        );
-        runs.push(r);
-    }
-    // A 1-core host runs only the serial configuration: there is no
-    // parallel measurement to compare, so the speedup is *unknown*, not
-    // 1.000 — report `null` plus the reason instead of a fake ratio.
-    let speedup = match (runs.first(), runs.last()) {
-        (Some(base), Some(top)) if base.wall_seconds > 0.0 && runs.len() > 1 => {
-            Some(base.wall_seconds / top.wall_seconds)
-        }
-        _ => None,
-    };
+    eprintln!("bench_sim: fig7 conference/dynamic, scale {scale_name} ...");
+    let run = run_once(scale, TelemetrySpec::metrics(), false);
+    eprintln!(
+        "  {} simulated cycles in {:.3} s  ({:.0} cycles/s)",
+        run.cycles,
+        run.wall_seconds,
+        run.cycles_per_second()
+    );
 
     eprintln!("bench_sim: telemetry overhead (runtime-off vs windowed metrics) ...");
     let (tel_off, tel_on) = telemetry_ab(scale, false);
@@ -649,23 +627,20 @@ fn main() -> ExitCode {
     }
 
     // Where the event-driven speedup comes from: how much of the run was
-    // fully idle (skipped in bulk) vs occupied, from the parallel-1 run
-    // (the simulated numbers are bit-identical across parallelism).
-    if let Some(r) = runs.first() {
-        eprintln!(
-            "bench_sim: event loop: {} of {} cycles skipped ({:.1}% skip fraction, {} jumps), \
-             SM occupancy {:.1}%, {} of {} SM-cycles slept",
-            r.skipped_cycles,
-            r.cycles,
-            r.skip_fraction() * 100.0,
-            r.skip_events,
-            r.sm_occupancy() * 100.0,
-            r.slept_sm_cycles,
-            r.sm_cycles
-        );
-    }
+    // fully idle (skipped in bulk) vs occupied.
+    eprintln!(
+        "bench_sim: event loop: {} of {} cycles skipped ({:.1}% skip fraction, {} jumps), \
+         SM occupancy {:.1}%, {} of {} SM-cycles slept",
+        run.skipped_cycles,
+        run.cycles,
+        run.skip_fraction() * 100.0,
+        run.skip_events,
+        run.sm_occupancy() * 100.0,
+        run.slept_sm_cycles,
+        run.sm_cycles
+    );
 
-    eprintln!("bench_sim: low-occupancy run (bvh μ-kernels to completion, parallel 1) ...");
+    eprintln!("bench_sim: low-occupancy run (bvh μ-kernels to completion) ...");
     let low = bench_low_occupancy(scale);
     eprintln!(
         "  {} cycles in {:.3} s  ({:.0} cycles/s), SM occupancy {:.1}%, {} of {} SM-cycles slept",
@@ -683,38 +658,19 @@ fn main() -> ExitCode {
     json.push_str("  \"benchmark\": \"fig7-conference-dynamic\",\n");
     json.push_str(&format!("  \"scale\": \"{scale_name}\",\n"));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"parallel\": {}, \"cycles\": {}, \"wall_seconds\": {:.6}, \
-             \"sim_cycles_per_second\": {:.1}}}{}\n",
-            r.parallel,
-            r.cycles,
-            r.wall_seconds,
-            r.cycles_per_second(),
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    match speedup {
-        Some(s) => json.push_str(&format!("  \"speedup\": {s:.3},\n")),
-        None => {
-            json.push_str("  \"speedup\": null,\n");
-            json.push_str(&format!(
-                "  \"skipped_reason\": \"host has {host_cpus} cpu(s); \
-                 only the serial configuration ran, so there is no parallel \
-                 run to compare\",\n"
-            ));
-        }
-    }
-    if let Some(r) = runs.first() {
-        json.push_str(&format!(
-            "  \"event_loop\": {{{}}},\n",
-            r.event_loop_fields()
-        ));
-    }
     json.push_str(&format!(
-        "  \"low_occupancy\": {{\"workload\": \"bvh\", \"parallel\": 1, \
+        "  \"runs\": [\n    {{\"cycles\": {}, \"wall_seconds\": {:.6}, \
+         \"sim_cycles_per_second\": {:.1}}}\n  ],\n",
+        run.cycles,
+        run.wall_seconds,
+        run.cycles_per_second()
+    ));
+    json.push_str(&format!(
+        "  \"event_loop\": {{{}}},\n",
+        run.event_loop_fields()
+    ));
+    json.push_str(&format!(
+        "  \"low_occupancy\": {{\"workload\": \"bvh\", \
          \"wall_seconds\": {:.6}, \"sim_cycles_per_second\": {:.1}, {}}},\n",
         low.wall_seconds,
         low.cycles_per_second(),

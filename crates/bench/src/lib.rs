@@ -1,1 +1,1 @@
-//! Criterion benchmark harness (bench targets live in `benches/`).
+//! Home of the `bench_sim` binary (`src/bin/bench_sim.rs`); no library API.

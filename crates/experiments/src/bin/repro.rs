@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro <artifact> [--scale paper|quick|test] [--json] [--parallel N|ncpu]
+//! repro <artifact> [--scale paper|quick|test] [--json]
 //!                  [--trace] [--metrics-every N]
 //!                  [--checkpoint-every N] [--checkpoint-dir D] [--resume]
 //!                  [--max-retries N] [--kill-after-checkpoints N]
@@ -33,10 +33,6 @@
 //! `workload@variant` job names (e.g. `repro bvh@dynamic`); `repro all`
 //! remains exactly the twelve paper artifacts, byte-identical to every
 //! release before the registry existed.
-//!
-//! `--parallel` sets the simulator's phase-A worker-thread count (`ncpu`
-//! = all host cores). Results are bit-identical at every setting; it
-//! changes wall-clock time only.
 //!
 //! `--trace` turns on the telemetry event rings and writes a Chrome-trace
 //! JSON (`<job>.trace.json`, loadable in Perfetto / `chrome://tracing`)
@@ -77,7 +73,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: repro <workload[@variant]|all|list|campaign|serve|client> \
          (`repro list` prints the workload catalog) \
-         [--scale paper|quick|test] [--json] [--parallel N|ncpu] \
+         [--scale paper|quick|test] [--json] \
          [--trace] [--metrics-every N] \
          [--checkpoint-every N] [--checkpoint-dir D] [--resume] \
          [--max-retries N] [--kill-after-checkpoints N]\n\
@@ -233,21 +229,6 @@ fn main() -> ExitCode {
                     }
                     _ => return usage(),
                 }
-            }
-            "--parallel" => {
-                i += 1;
-                let n = match args.get(i).map(String::as_str) {
-                    Some("ncpu") => std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1),
-                    Some(s) => match s.parse::<usize>() {
-                        Ok(n) if n >= 1 => n,
-                        _ => return usage(),
-                    },
-                    None => return usage(),
-                };
-                experiments::set_parallelism(n);
-                passthrough.extend(["--parallel".to_string(), n.to_string()]);
             }
             "--workers" => {
                 i += 1;

@@ -167,7 +167,7 @@ pub struct CampaignConfig {
     /// Deterministic process-level chaos (kill rate + seed).
     pub chaos: Option<Chaos>,
     /// Extra `repro` flags forwarded verbatim to every worker
-    /// (`--json`, `--parallel`, `--trace`, ...).
+    /// (`--json`, `--trace`, `--metrics-every`, ...).
     pub passthrough: Vec<String>,
     /// Test hook: this job's workers abort on every attempt (drives the
     /// job to `GaveUp` while the rest of the campaign completes).

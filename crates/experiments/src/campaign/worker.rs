@@ -78,8 +78,8 @@ fn start_heartbeat(path: PathBuf) {
 }
 
 /// Runs one campaign job to a sealed result frame. The process-wide
-/// supervisor policy, scale, parallelism, and trace switches must
-/// already be installed by the caller (the `repro` argument parser).
+/// supervisor policy, scale, and trace switches must already be
+/// installed by the caller (the `repro` argument parser).
 ///
 /// Nothing under here may write to stdout — diagnostics go to stderr, the
 /// result to its frame. Stdout is a pipe the coordinator only listens on

@@ -3,13 +3,7 @@
 use dmk_core::DmkConfig;
 use simt_sim::{Gpu, GpuConfig, TelemetrySpec};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-
-/// Process-wide phase-A parallelism applied to every GPU built by
-/// [`gpu_for`]. Results are bit-identical at every setting (see
-/// `simt_sim::GpuBuilder::parallelism`); this trades wall-clock time
-/// only, so a plain process-global is safe for the experiment drivers.
-static PARALLELISM: AtomicUsize = AtomicUsize::new(1);
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Process-wide trace switch (`repro --trace`): machines built by
 /// [`gpu_for`] additionally fill per-SM event rings, and the drivers
@@ -19,16 +13,6 @@ static TRACE: AtomicBool = AtomicBool::new(false);
 /// Process-wide metrics window override in cycles (`repro
 /// --metrics-every N`); 0 means the machine's divergence window.
 static METRICS_EVERY: AtomicU64 = AtomicU64::new(0);
-
-/// Sets the phase-A worker-thread count used by [`gpu_for`] (clamped ≥ 1).
-pub fn set_parallelism(n: usize) {
-    PARALLELISM.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The current phase-A worker-thread count used by [`gpu_for`].
-pub fn parallelism() -> usize {
-    PARALLELISM.load(Ordering::Relaxed)
-}
 
 /// Enables event tracing on every GPU built by [`gpu_for`].
 pub fn set_trace(on: bool) {
@@ -153,7 +137,7 @@ pub fn config_for(variant: Variant) -> GpuConfig {
 }
 
 /// Builds the simulated GPU for a variant (paper Table I machine), with
-/// the process-wide parallelism and telemetry settings applied.
+/// the process-wide telemetry settings applied.
 pub fn gpu_for(variant: Variant) -> Gpu {
     gpu_for_with(variant, telemetry_spec())
 }
@@ -162,7 +146,6 @@ pub fn gpu_for(variant: Variant) -> Gpu {
 /// harness uses this to compare telemetry-off against telemetry-on).
 pub fn gpu_for_with(variant: Variant, telemetry: TelemetrySpec) -> Gpu {
     Gpu::builder(config_for(variant))
-        .parallelism(parallelism())
         .telemetry(telemetry)
         .build()
 }

@@ -54,8 +54,8 @@ pub mod table4;
 pub mod workload;
 
 pub use configs::{
-    config_for, gpu_for, gpu_for_with, metrics_every, parallelism, set_metrics_every,
-    set_parallelism, set_trace, telemetry_spec, trace, Variant,
+    config_for, gpu_for, gpu_for_with, metrics_every, set_metrics_every, set_trace, telemetry_spec,
+    trace, Variant,
 };
 pub use runner::{run_fingerprint, RenderRun, Scale};
 pub use supervisor::{JobStatus, Policy};

@@ -1,6 +1,6 @@
 //! Shared run machinery: scales and the standard render-run wrapper.
 
-use crate::configs::{self, gpu_for, parallelism, Variant};
+use crate::configs::{self, gpu_for, Variant};
 use crate::supervisor::{self, JobStatus};
 use raytrace::scenes::{Scene, SceneScale};
 use rt_kernels::render::RenderSetup;
@@ -231,7 +231,6 @@ fn resume_state(job: &str, fingerprint: u64) -> Option<(Gpu, PhaseMeta)> {
     }
     match Gpu::restore(&snap) {
         Ok(gpu) => {
-            let gpu = gpu.with_parallelism(parallelism());
             eprintln!(
                 "note: {job}: resuming from checkpoint at cycle {}",
                 gpu.now()

@@ -23,7 +23,6 @@
 //! restores each job from its last snapshot and continues, bit-identical
 //! to an uninterrupted run (see `DESIGN.md` §9).
 
-use crate::configs::parallelism;
 use simt_sim::{Gpu, ProgressPulse, RunOutcome, RunSummary, Snapshot};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -37,7 +36,7 @@ use std::sync::Mutex;
 pub const KILL_EXIT_CODE: u8 = 42;
 
 /// Supervisor policy, set once from the `repro` command line and read by
-/// every job. Like the parallelism knob in [`crate::configs`], this is a
+/// every job. Like the trace switch in [`crate::configs`], this is a
 /// process-global: it never changes simulated results (checkpointing at
 /// a slice boundary is transparent), only how runs are supervised.
 #[derive(Debug, Clone)]
@@ -316,7 +315,7 @@ fn rollback(gpu: &mut Gpu, job: &str, last_good: &Option<Snapshot>) -> bool {
     };
     match Gpu::restore(snap) {
         Ok(restored) => {
-            *gpu = restored.with_parallelism(parallelism());
+            *gpu = restored;
             true
         }
         Err(e) => {

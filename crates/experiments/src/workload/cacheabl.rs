@@ -19,10 +19,9 @@
 //! deviation between levels is a bug in the cache layer, reported as a
 //! job-level error. The figure reports cycles plus per-level hit rates,
 //! MSHR merges, and interconnect bank conflicts, and is deterministic:
-//! CI renders it twice and `cmp`s the outputs.
+//! CI `cmp`s it against `results/cacheabl_quick.txt`.
 
 use super::{microdiv, page, Group, Workload};
-use crate::configs::parallelism;
 use crate::runner::Scale;
 use rt_kernels::pt_render::{exact_mismatches, image_hash, PtSetup};
 use rt_kernels::render::{compare, RenderSetup};
@@ -76,7 +75,7 @@ impl MemLevel {
 fn machine(level: MemLevel) -> Gpu {
     let mut cfg = GpuConfig::fx5800_warp_sched();
     cfg.mem = level.mem_config();
-    Gpu::builder(cfg).parallelism(parallelism()).build()
+    Gpu::builder(cfg).build()
 }
 
 /// kd-tree image edge at `scale`: half the paper figures' resolution —

@@ -2,11 +2,11 @@
 //! arbitrary cycle, serialized through the on-disk snapshot format,
 //! restored, and run to the original budget must be **bit-identical** to
 //! an uninterrupted run — statistics, memory traffic, fault log,
-//! windowed telemetry metrics, and the rendered image — at every phase-A
-//! parallelism level. The same through the `repro` binary's kill hook:
-//! killed at every checkpoint it persists and resumed each time, a job
-//! ends on the uninterrupted run's bytes, and what it persists is
-//! progress only — nothing at launch, never the same cycle twice.
+//! windowed telemetry metrics, and the rendered image. The same through
+//! the `repro` binary's kill hook: killed at every checkpoint it persists
+//! and resumed each time, a job ends on the uninterrupted run's bytes,
+//! and what it persists is progress only — nothing at launch, never the
+//! same cycle twice.
 
 use experiments::{gpu_for, Variant};
 use raytrace::scenes::{self, SceneScale};
@@ -46,15 +46,15 @@ fn image_hash(gpu: &Gpu, setup: &RenderSetup) -> u64 {
 /// Runs `variant` uninterrupted and interrupted-at-`interrupt_at` (with a
 /// full serialize → deserialize → restore cycle in between) and asserts
 /// the two machines end bit-identical.
-fn assert_resume_matches(variant: Variant, parallel: usize, interrupt_at: u64) {
+fn assert_resume_matches(variant: Variant, interrupt_at: u64) {
     let scene = scenes::conference(SceneScale::Tiny);
 
-    let mut reference = gpu_for(variant).with_parallelism(parallel);
+    let mut reference = gpu_for(variant);
     let ref_setup = RenderSetup::upload(&mut reference, &scene, RESOLUTION, RESOLUTION);
     launch(variant, &ref_setup, &mut reference);
     let want = reference.run(BUDGET).expect("fault-free reference run");
 
-    let mut gpu = gpu_for(variant).with_parallelism(parallel);
+    let mut gpu = gpu_for(variant);
     let setup = RenderSetup::upload(&mut gpu, &scene, RESOLUTION, RESOLUTION);
     launch(variant, &setup, &mut gpu);
     gpu.run(interrupt_at).expect("fault-free partial run");
@@ -62,14 +62,12 @@ fn assert_resume_matches(variant: Variant, parallel: usize, interrupt_at: u64) {
     drop(gpu); // everything must come back from the serialized bytes
 
     let snap = Snapshot::from_bytes(&bytes).expect("snapshot frame is valid");
-    let mut restored = Gpu::restore(&snap)
-        .expect("snapshot restores")
-        .with_parallelism(parallel);
+    let mut restored = Gpu::restore(&snap).expect("snapshot restores");
     let got = restored
         .run(BUDGET - interrupt_at)
         .expect("fault-free resumed run");
 
-    let tag = format!("{variant:?} parallel={parallel} interrupt@{interrupt_at}");
+    let tag = format!("{variant:?} interrupt@{interrupt_at}");
     assert_eq!(got.outcome, want.outcome, "{tag}: outcome");
     assert_eq!(got.stats, want.stats, "{tag}: stats");
     assert_eq!(got.traffic, want.traffic, "{tag}: traffic");
@@ -95,15 +93,9 @@ fn assert_resume_matches(variant: Variant, parallel: usize, interrupt_at: u64) {
 }
 
 #[test]
-fn resume_is_bit_identical_serial() {
-    assert_resume_matches(Variant::Dynamic, 1, 7_301);
-    assert_resume_matches(Variant::PdomWarp, 1, 4_097);
-}
-
-#[test]
-fn resume_is_bit_identical_parallel_4() {
-    assert_resume_matches(Variant::Dynamic, 4, 7_301);
-    assert_resume_matches(Variant::PdomWarp, 4, 4_097);
+fn resume_is_bit_identical() {
+    assert_resume_matches(Variant::Dynamic, 7_301);
+    assert_resume_matches(Variant::PdomWarp, 4_097);
 }
 
 /// A dense encoding of the test-scale fig-7 machine is 4.1 MB, 97 % of it

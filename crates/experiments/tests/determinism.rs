@@ -1,7 +1,6 @@
 //! Determinism regression tests for the two-phase pipeline: the same
-//! launch must produce bit-identical statistics, traffic, fault logs,
-//! telemetry artifacts, and output images at every phase-A parallelism
-//! level, and across repeated runs at the same level.
+//! launch, run twice, must produce bit-identical statistics, traffic,
+//! fault logs, telemetry artifacts, and output images.
 
 use dmk_core::DmkConfig;
 use experiments::{gpu_for, gpu_for_with, Scale, Variant};
@@ -33,23 +32,19 @@ fn image_hash(results: &[Option<raytrace::Hit>]) -> u64 {
     h
 }
 
-/// One fully rendered frame at the given parallelism.
+/// One fully rendered μ-kernel frame.
 struct Frame {
     summary: RunSummary,
     stats: SimStats,
     image: u64,
 }
 
-fn render_at(variant: Variant, parallel: usize) -> Frame {
+fn render() -> Frame {
     let scale = Scale::test();
     let scene = scenes::conference(SceneScale::Tiny);
-    let mut gpu = gpu_for(variant).with_parallelism(parallel);
+    let mut gpu = gpu_for(Variant::Dynamic);
     let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
-    if variant.is_dynamic() {
-        setup.launch_ukernel(&mut gpu, scale.threads_per_block);
-    } else {
-        setup.launch_traditional(&mut gpu, scale.threads_per_block);
-    }
+    setup.launch_ukernel(&mut gpu, scale.threads_per_block);
     let summary = gpu.run(1_000_000).expect("fault-free run");
     Frame {
         image: image_hash(&setup.device_results(&gpu)),
@@ -77,36 +72,22 @@ fn assert_frames_identical(a: &Frame, b: &Frame, what: &str) {
 }
 
 #[test]
-fn dynamic_render_is_identical_across_parallelism() {
-    let serial = render_at(Variant::Dynamic, 1);
-    let par4 = render_at(Variant::Dynamic, 4);
-    assert_frames_identical(&serial, &par4, "dynamic parallel 1 vs 4");
-    assert!(serial.stats.threads_spawned > 0, "render actually spawned");
-}
-
-#[test]
-fn traditional_render_is_identical_across_parallelism() {
-    let serial = render_at(Variant::PdomWarp, 1);
-    let par4 = render_at(Variant::PdomWarp, 4);
-    assert_frames_identical(&serial, &par4, "traditional parallel 1 vs 4");
-}
-
-#[test]
-fn repeated_runs_at_same_parallelism_are_identical() {
-    let a = render_at(Variant::Dynamic, 4);
-    let b = render_at(Variant::Dynamic, 4);
-    assert_frames_identical(&a, &b, "dynamic parallel 4, run twice");
+fn repeated_renders_are_identical() {
+    let a = render();
+    let b = render();
+    assert_frames_identical(&a, &b, "dynamic, run twice");
+    assert!(a.stats.threads_spawned > 0, "render actually spawned");
 }
 
 /// Injected warp traps under `KillWarp` must land on the same warps at the
-/// same cycles regardless of how many worker threads step phase A.
+/// same cycles on every run: the injector draws from its seed and the
+/// cycle, nothing else.
 #[test]
-fn injected_fault_log_is_identical_across_parallelism() {
-    let run_at = |parallel: usize| {
+fn injected_fault_log_is_reproducible() {
+    let run = || {
         let mut cfg = GpuConfig::fx5800_dmk(DmkConfig::paper());
         cfg.fault_policy = FaultPolicy::KillWarp;
         let mut gpu = Gpu::builder(cfg)
-            .parallelism(parallel)
             .injector(Injector::new(7).force_with_probability(
                 InjectedFault::Trap,
                 500..4_000,
@@ -120,19 +101,19 @@ fn injected_fault_log_is_identical_across_parallelism() {
         let summary = gpu.run(scale.cycles).expect("KillWarp never aborts");
         (summary.faults.clone(), summary.stats.clone())
     };
-    let (faults1, stats1) = run_at(1);
-    let (faults4, stats4) = run_at(4);
-    assert!(!faults1.is_empty(), "the injector actually trapped warps");
-    assert_eq!(faults1, faults4, "fault logs diverged across parallelism");
-    assert_eq!(stats1, stats4);
+    let (faults_a, stats_a) = run();
+    let (faults_b, stats_b) = run();
+    assert!(!faults_a.is_empty(), "the injector actually trapped warps");
+    assert_eq!(faults_a, faults_b, "fault logs diverged between runs");
+    assert_eq!(stats_a, stats_b);
 }
 
 /// One fully traced render: the rendered Chrome-trace JSON and the
 /// rendered metrics CSV.
-fn traced_render_at(parallel: usize) -> (String, String) {
+fn traced_render() -> (String, String) {
     let scale = Scale::test();
     let scene = scenes::conference(SceneScale::Tiny);
-    let mut gpu = gpu_for_with(Variant::Dynamic, TelemetrySpec::trace()).with_parallelism(parallel);
+    let mut gpu = gpu_for_with(Variant::Dynamic, TelemetrySpec::trace());
     let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
     setup.launch_ukernel(&mut gpu, scale.threads_per_block);
     gpu.run(1_000_000).expect("fault-free run");
@@ -145,15 +126,15 @@ fn traced_render_at(parallel: usize) -> (String, String) {
 
 /// Telemetry is produced in per-SM shards during phase A and merged in
 /// SM-id order, so the rendered artifacts — not just the aggregate
-/// statistics — must be byte-identical at every parallelism level.
+/// statistics — must be byte-identical from run to run.
 #[test]
-fn telemetry_artifacts_are_identical_across_parallelism() {
-    let (trace1, csv1) = traced_render_at(1);
-    let (trace4, csv4) = traced_render_at(4);
+fn telemetry_artifacts_are_reproducible() {
+    let (trace_a, csv_a) = traced_render();
+    let (trace_b, csv_b) = traced_render();
     assert!(
-        trace1.contains("\"traceEvents\""),
-        "trace JSON looks malformed: {trace1:.120}"
+        trace_a.contains("\"traceEvents\""),
+        "trace JSON looks malformed: {trace_a:.120}"
     );
-    assert_eq!(trace1, trace4, "Chrome trace diverged across parallelism");
-    assert_eq!(csv1, csv4, "metrics CSV diverged across parallelism");
+    assert_eq!(trace_a, trace_b, "Chrome trace diverged between runs");
+    assert_eq!(csv_a, csv_b, "metrics CSV diverged between runs");
 }

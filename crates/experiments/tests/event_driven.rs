@@ -1,11 +1,11 @@
 //! Differential tests for the event-driven cycle loop at render scale:
 //! sleeping SMs must be observationally invisible. The same render jobs
 //! run with sleeping on (the default) and with the forced
-//! tick-every-cycle debug mode, at `--parallel 1` and `4`, and every
-//! artifact — `SimStats`, the rendered metrics CSV, the fault log, the
-//! output image hash, and the checkpoint taken where the first leg stops
-//! — must be byte-identical. A 16×16 frame is 8 warps on a 30-SM chip,
-//! so most SMs sleep throughout while a few issue.
+//! tick-every-cycle debug mode, and every artifact — `SimStats`, the
+//! rendered metrics CSV, the fault log, the output image hash, and the
+//! checkpoint taken where the first leg stops — must be byte-identical.
+//! A 16×16 frame is 8 warps on a 30-SM chip, so most SMs sleep
+//! throughout while a few issue.
 
 use experiments::{config_for, Scale, Variant};
 use raytrace::scenes::{self, SceneScale};
@@ -45,31 +45,18 @@ struct Frame {
     snapshot: Vec<u8>,
 }
 
-fn render(variant: Variant, parallel: usize, force_tick: bool) -> Frame {
-    render_on(
-        variant,
-        MemConfig::fx5800(),
-        parallel,
-        force_tick,
-        1_000_000,
-    )
+fn render(variant: Variant, force_tick: bool) -> Frame {
+    render_on(variant, MemConfig::fx5800(), force_tick, 1_000_000)
 }
 
 /// Renders in two legs — `first_leg` cycles, a checkpoint, then to the
 /// end — on a machine with memory configuration `mem`.
-fn render_on(
-    variant: Variant,
-    mem: MemConfig,
-    parallel: usize,
-    force_tick: bool,
-    first_leg: u64,
-) -> Frame {
+fn render_on(variant: Variant, mem: MemConfig, force_tick: bool, first_leg: u64) -> Frame {
     let scale = Scale::test();
     let scene = scenes::conference(SceneScale::Tiny);
     let mut cfg = config_for(variant);
     cfg.mem = mem;
     let mut gpu = Gpu::builder(cfg)
-        .parallelism(parallel)
         .telemetry(TelemetrySpec::metrics())
         .force_tick(force_tick)
         .build();
@@ -120,23 +107,19 @@ fn assert_frames_identical(tick: &Frame, skip: &Frame, what: &str) {
 }
 
 #[test]
-fn dynamic_render_matrix_skip_vs_forced_tick() {
-    for parallel in [1usize, 4] {
-        let tick = render(Variant::Dynamic, parallel, true);
-        let skip = render(Variant::Dynamic, parallel, false);
-        assert_frames_identical(&tick, &skip, &format!("dynamic parallel {parallel}"));
-        assert_eq!(tick.skipped_cycles, 0, "force_tick must never skip");
-        assert!(skip.stats.threads_spawned > 0, "render actually spawned");
-    }
+fn dynamic_render_skip_vs_forced_tick() {
+    let tick = render(Variant::Dynamic, true);
+    let skip = render(Variant::Dynamic, false);
+    assert_frames_identical(&tick, &skip, "dynamic");
+    assert_eq!(tick.skipped_cycles, 0, "force_tick must never skip");
+    assert!(skip.stats.threads_spawned > 0, "render actually spawned");
 }
 
 #[test]
-fn traditional_render_matrix_skip_vs_forced_tick() {
-    for parallel in [1usize, 4] {
-        let tick = render(Variant::PdomWarp, parallel, true);
-        let skip = render(Variant::PdomWarp, parallel, false);
-        assert_frames_identical(&tick, &skip, &format!("traditional parallel {parallel}"));
-    }
+fn traditional_render_skip_vs_forced_tick() {
+    let tick = render(Variant::PdomWarp, true);
+    let skip = render(Variant::PdomWarp, false);
+    assert_frames_identical(&tick, &skip, "traditional");
 }
 
 /// The first leg stops mid-frame, while most of the chip is asleep: the
@@ -149,8 +132,8 @@ fn mid_sleep_checkpoint_matches_forced_tick_flat_and_cached() {
         ("flat", MemConfig::fx5800()),
         ("cached", MemConfig::fx5800_cached()),
     ] {
-        let tick = render_on(Variant::Dynamic, mem.clone(), 1, true, 1_500);
-        let skip = render_on(Variant::Dynamic, mem, 1, false, 1_500);
+        let tick = render_on(Variant::Dynamic, mem.clone(), true, 1_500);
+        let skip = render_on(Variant::Dynamic, mem, false, 1_500);
         assert_frames_identical(&tick, &skip, name);
         assert!(
             skip.summary.stats.cycles > 1_500,

@@ -2,8 +2,8 @@
 //! list` catalog, typed unknown-workload errors at the CLI and over
 //! `repro serve`, extended workloads (`bvh`, `microdiv`) running
 //! through the campaign engine with ground-truth validation,
-//! variant-qualified job names, parallelism-independent `repro all`
-//! bytes, and replay of journal entries written in the pre-registry
+//! variant-qualified job names, the usage path for a flag `repro` does
+//! not have, and replay of journal entries written in the pre-registry
 //! bare-name format.
 
 use experiments::campaign;
@@ -92,18 +92,16 @@ fn unknown_workloads_are_typed_cli_errors() {
     );
 }
 
-/// Satellite 4: `repro all` stdout must not depend on the phase-A
-/// simulator parallelism.
+/// `--parallel` was a flag once; like any other flag `repro` does not
+/// have, it is refused with the usage text rather than swallowed.
 #[test]
-fn repro_all_is_byte_identical_across_parallelism() {
-    let p1 = repro(&["all", "--scale", "quick", "--parallel", "1"]);
-    assert!(p1.status.success(), "repro all --parallel 1 succeeds");
-    let p4 = repro(&["all", "--scale", "quick", "--parallel", "4"]);
-    assert!(p4.status.success(), "repro all --parallel 4 succeeds");
-    assert_eq!(
-        p1.stdout, p4.stdout,
-        "repro all bytes are parallelism-independent"
-    );
+fn the_removed_parallel_flag_takes_the_usage_path() {
+    let out = repro(&["fig3", "--scale", "test", "--parallel", "2"]);
+    assert_eq!(out.status.code(), Some(2), "an unknown flag exits 2");
+    assert!(out.stdout.is_empty(), "nothing is rendered");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("usage: repro"), "usage on stderr: {err}");
+    assert!(!err.contains("--parallel"), "usage no longer offers it");
 }
 
 /// The extended workloads run through the full campaign engine: sharded

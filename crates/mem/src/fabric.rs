@@ -153,8 +153,8 @@ fn l2_space_tag(space: Space) -> u8 {
 /// On-chip backing data (shared/spawn contents) is owned per-SM by the
 /// simulator, and per-SM timing (caches, coalescing, on-chip ports) lives
 /// in [`crate::SmMemFrontend`]. The fabric is the only cross-SM memory
-/// state, which is what makes the simulator's phase A embarrassingly
-/// parallel.
+/// state, which is what lets the simulator's phase A step each SM without
+/// reference to any other.
 #[derive(Debug, Clone)]
 pub struct MemoryFabric {
     config: MemConfig,
@@ -246,8 +246,8 @@ impl MemoryFabric {
     /// An owned snapshot of the metadata phase-A validation needs. All of
     /// it is static while a launch runs (allocation, local stride, and
     /// texture bindings only change from host code between runs), so the
-    /// view stays valid for a whole [`crate::MemoryFabric`] run and can be
-    /// shared freely across SM worker threads.
+    /// view stays valid for a whole [`crate::MemoryFabric`] run and is
+    /// shared by every SM's step.
     pub fn view(&self) -> FabricView {
         FabricView::new(
             self.config.clone(),
@@ -483,8 +483,8 @@ impl MemoryFabric {
     /// slice is scratch owned by the fabric, valid until the next call).
     ///
     /// `batch` must be ordered by SM id (within an SM, by issue order) —
-    /// the order the GPU's phase B stages requests in — so arbitration is
-    /// deterministic at any phase-A parallelism.
+    /// the order the GPU's phase B stages requests in — which is what
+    /// makes arbitration deterministic.
     ///
     /// With an L2 configured, every segment traverses the banked
     /// SM↔partition interconnect (one bank per partition, round-robin

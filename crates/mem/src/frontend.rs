@@ -5,8 +5,8 @@
 //! and a private traffic shard. During phase A an SM validates addresses
 //! against an immutable [`FabricView`] and turns off-chip accesses into
 //! [`FabricRequest`](crate::FabricRequest)s; no SM touches shared memory
-//! state until the serial phase B, which is what makes phase A safe to run
-//! on many OS threads with bit-identical results.
+//! state until phase B, which applies every SM's work in SM-id order —
+//! the machine's memory ordering.
 
 use crate::banks::conflict_degree_span;
 use crate::cache::ReadOnlyCache;
@@ -67,7 +67,7 @@ impl LineSet {
 ///
 /// Everything here is static while a launch runs (heap size, local stride
 /// and texture bindings only change from host code between runs), so one
-/// view can be shared read-only across all SM worker threads.
+/// view serves every SM's step for a whole run.
 #[derive(Debug, Clone)]
 pub struct FabricView {
     config: MemConfig,

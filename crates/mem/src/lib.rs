@@ -18,7 +18,7 @@
 //! Functional state and timing are deliberately separated, and the model is
 //! split along the chip's own boundary for the simulator's two-phase cycle:
 //! each SM owns an [`SmMemFrontend`] (coalescer, read-only cache, L1,
-//! on-chip port, traffic shard) it can drive in parallel with other SMs,
+//! on-chip port, traffic shard) it drives independently of other SMs,
 //! while the single shared [`MemoryFabric`] (off-chip backing, DRAM modules,
 //! L2 and interconnect) takes the resulting [`FabricRequest`]s serially, one
 //! cycle's batch at a time in SM-id order, through its one timing entry,

@@ -1,8 +1,8 @@
 //! Differential fuzzer: random programs through the cycle-level `Gpu`
-//! (parallel 1 and 4, spawn-bank conflicts on and off, both spawn
-//! policies, sleeping SMs and forced ticking) versus the functional
-//! `RefMachine`, comparing final global memory and thread-lifecycle
-//! counters.
+//! (the nine arms of `oracle::VARIANTS`: spawn-bank conflicts on and off,
+//! both spawn policies, sleeping SMs and forced ticking, four memory
+//! machines, a mid-run restore) versus the functional `RefMachine`,
+//! comparing final global memory and thread-lifecycle counters.
 //!
 //! ```text
 //! fuzz_diff [--iterations N] [--seed S] [--time-budget-secs T]

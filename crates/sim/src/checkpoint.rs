@@ -8,7 +8,7 @@
 //! machine configuration and the active launch (program, pending blocks,
 //! dynamic-tid counter). Restoring a snapshot yields a [`crate::Gpu`]
 //! whose subsequent execution is bit-identical to the machine that was
-//! checkpointed, at every phase-A parallelism level.
+//! checkpointed.
 //!
 //! Snapshots may only be taken between cycles (the inter-`run` barrier):
 //! that is the one point where no phase-A work is queued, no fabric

@@ -7,18 +7,17 @@
 //!   (warps, on-chip memories, read-only cache, coalescer) plus an
 //!   immutable [`FabricView`] of device-memory metadata, *emitting*
 //!   deferred functional ops and coalesced module requests into its
-//!   private pending queue. No SM can observe another SM in this phase,
-//!   so it is embarrassingly parallel: with [`GpuBuilder::parallelism`]
-//!   the SM array is sharded across a pool of OS threads.
+//!   private pending queue. No SM can observe another SM in this phase.
 //! * **Phase B** — the shared [`MemoryFabric`](simt_mem::MemoryFabric)
-//!   takes every SM's queue serially in SM-id order: the functional ops
-//!   are applied, the cycle's requests are serviced as one batch, and the
+//!   takes every SM's queue in SM-id order: the functional ops are
+//!   applied, the cycle's requests are serviced as one batch, and the
 //!   ready times scatter back onto warp wake-ups — one path for every
 //!   memory configuration (see DESIGN.md §8).
 //!
-//! Because phase A touches no shared mutable state and phase B always
-//! runs in fixed SM-id order, the simulation is bit-identical at every
-//! parallelism level — the worker threads change wall-clock time only.
+//! Deferring every cross-SM effect to phase B, in SM-id order, is the
+//! machine's memory ordering: an SM's step depends on nothing another SM
+//! did this cycle, which is what makes per-SM sleep, between-cycle
+//! snapshots and a fault's truncation of the cycle well-defined.
 //!
 //! The loop is **event-driven**, one SM at a time: an SM that finds
 //! nothing to issue sleeps until its earliest warp wake-up, and every
@@ -42,8 +41,6 @@ use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::{EncodeError, Program, ReconvergenceTable};
 use simt_mem::{FabricView, MemoryFabric, TrafficStats};
 use std::collections::VecDeque;
-use std::sync::mpsc;
-use std::thread;
 
 /// A kernel launch request.
 #[derive(Debug, Clone)]
@@ -125,8 +122,6 @@ pub struct Gpu {
     rr_sm: usize,
     injector: Option<Injector>,
     faults: Vec<Fault>,
-    /// Worker threads used for phase A (1 = step SMs inline).
-    parallel: usize,
     /// Debug knob: step every SM every cycle even when it could sleep.
     force_tick: bool,
     /// Cycles the loop jumped over because no SM was awake (diagnostic;
@@ -139,121 +134,40 @@ pub struct Gpu {
     batch_buf: Vec<simt_mem::BatchRequest>,
 }
 
-/// A pool of phase-A worker threads, alive for the duration of one
-/// [`Gpu::run`]. Each worker owns a job channel; SM chunks are shuttled
-/// to it by value every cycle and handed back with any faults the chunk
-/// raised. Workers exit when the pool (and thus every job sender) drops,
-/// and the enclosing [`thread::scope`] joins them.
-/// One worker's phase-A report: its SM chunk handed back, the faults the
-/// chunk raised, and how many of its SMs issued an instruction.
-type WorkerReport = (Vec<Sm>, Vec<Fault>, u64);
-
-struct WorkerPool {
-    jobs: Vec<mpsc::Sender<(u64, Vec<Sm>)>>,
-    results: mpsc::Receiver<(usize, Vec<Sm>, Vec<Fault>, u64)>,
-}
-
-impl WorkerPool {
-    /// Spawns `nworkers` scoped threads stepping SM chunks against the
-    /// shared read-only execution context.
-    fn spawn<'scope, 'env>(
-        scope: &'scope thread::Scope<'scope, 'env>,
-        nworkers: usize,
-        ctx: &'env ExecCtx<'env>,
-        view: &'env FabricView,
-        injector: Option<&'env Injector>,
-    ) -> Self {
-        let (res_tx, results) = mpsc::channel();
-        let mut jobs = Vec::with_capacity(nworkers);
-        for w in 0..nworkers {
-            let (tx, rx) = mpsc::channel::<(u64, Vec<Sm>)>();
-            let res_tx = res_tx.clone();
-            scope.spawn(move || {
-                while let Ok((now, mut chunk)) = rx.recv() {
-                    let mut faults = Vec::new();
-                    let mut issued = 0u64;
-                    for sm in &mut chunk {
-                        if sm.asleep(now) {
-                            continue;
-                        }
-                        match sm.step(now, ctx, view, injector) {
-                            Ok(true) => issued += 1,
-                            Ok(false) => {}
-                            Err(f) => faults.push(f),
-                        }
-                    }
-                    if res_tx.send((w, chunk, faults, issued)).is_err() {
-                        break;
-                    }
-                }
-            });
-            jobs.push(tx);
-        }
-        WorkerPool { jobs, results }
-    }
-
-    /// Steps every SM once for cycle `now` across the pool. SMs are split
-    /// into contiguous chunks (so chunk→worker assignment is a pure
-    /// function of the SM count) and reassembled in SM-id order, as are
-    /// the faults — results are byte-identical to the inline loop.
-    #[allow(clippy::expect_used)]
-    fn step_all(&self, now: u64, sms: &mut Vec<Sm>) -> (Vec<Fault>, u64) {
-        let nw = self.jobs.len();
-        let per = sms.len().div_ceil(nw);
-        let mut rest = std::mem::take(sms);
-        for job in &self.jobs {
-            let take = per.min(rest.len());
-            let tail = rest.split_off(take);
-            let chunk = std::mem::replace(&mut rest, tail);
-            job.send((now, chunk)).expect("phase-A worker alive");
-        }
-        let mut slots: Vec<Option<WorkerReport>> = (0..nw).map(|_| None).collect();
-        for _ in 0..nw {
-            let (w, chunk, faults, issued) = self.results.recv().expect("phase-A worker alive");
-            slots[w] = Some((chunk, faults, issued));
-        }
-        let mut faults = Vec::new();
-        let mut issued = 0u64;
-        for slot in slots {
-            let (chunk, f, i) = slot.expect("every worker reports exactly once");
-            sms.extend(chunk);
-            faults.extend(f);
-            issued += i;
-        }
-        (faults, issued)
-    }
-}
-
-/// Fluent constructor for [`Gpu`]: configuration, phase-A parallelism,
-/// fault policy, fault injection, and telemetry in one facade, so every
-/// caller — experiments, benches, examples, tests — builds the machine
-/// the same way.
+/// Fluent constructor for [`Gpu`]: configuration, fault policy, fault
+/// injection, and telemetry in one facade, so every caller —
+/// experiments, benches, examples, tests — builds the machine the same
+/// way.
 ///
 /// ```
 /// use simt_sim::{Gpu, GpuConfig, TelemetrySpec};
 ///
 /// let gpu = Gpu::builder(GpuConfig::tiny())
-///     .parallelism(4)
 ///     .telemetry(TelemetrySpec::metrics())
 ///     .build();
-/// assert_eq!(gpu.parallelism(), 4);
 /// assert!(gpu.telemetry_enabled());
 /// ```
 #[derive(Debug)]
 pub struct GpuBuilder {
     cfg: GpuConfig,
-    parallelism: usize,
     injector: Option<Injector>,
     telemetry: TelemetrySpec,
     force_tick: bool,
 }
 
 impl GpuBuilder {
-    /// Number of phase-A worker threads (clamped to ≥ 1; 1 = step SMs
-    /// inline). Simulation results are bit-identical at every setting —
-    /// this changes wall-clock time only.
-    pub fn parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n.max(1);
+    /// Accepted and ignored: SMs are stepped on the calling thread, one
+    /// after another. The method remains only because the benchmark under
+    /// `ledger/` calls it, and leaves with that call (ROADMAP 3e).
+    ///
+    /// ```
+    /// use simt_sim::{Gpu, GpuConfig};
+    ///
+    /// let through = Gpu::builder(GpuConfig::tiny()).parallelism(4).build();
+    /// let without = Gpu::builder(GpuConfig::tiny()).build();
+    /// assert_eq!(through.checkpoint().unwrap(), without.checkpoint().unwrap());
+    /// ```
+    pub fn parallelism(self, _n: usize) -> Self {
         self
     }
 
@@ -295,7 +209,6 @@ impl GpuBuilder {
     /// [`GpuConfig::validate`]).
     pub fn build(self) -> Gpu {
         let mut gpu = Gpu::from_config(self.cfg);
-        gpu.parallel = self.parallelism;
         gpu.injector = self.injector;
         gpu.force_tick = self.force_tick;
         if self.telemetry.metrics {
@@ -311,7 +224,6 @@ impl Gpu {
     pub fn builder(cfg: GpuConfig) -> GpuBuilder {
         GpuBuilder {
             cfg,
-            parallelism: 1,
             injector: None,
             telemetry: TelemetrySpec::off(),
             force_tick: false,
@@ -333,7 +245,6 @@ impl Gpu {
             rr_sm: 0,
             injector: None,
             faults: Vec::new(),
-            parallel: 1,
             force_tick: false,
             skipped_cycles: 0,
             skip_events: 0,
@@ -345,20 +256,6 @@ impl Gpu {
     /// any previously installed injector.
     pub fn set_injector(&mut self, injector: Injector) {
         self.injector = Some(injector);
-    }
-
-    /// Consuming form of the parallelism knob, for machines that were not
-    /// built through [`GpuBuilder`] — typically one rebuilt by
-    /// [`Gpu::restore`], which always starts serial.
-    #[must_use]
-    pub fn with_parallelism(mut self, n: usize) -> Self {
-        self.parallel = n.max(1);
-        self
-    }
-
-    /// The configured phase-A parallelism.
-    pub fn parallelism(&self) -> usize {
-        self.parallel
     }
 
     /// Reconfigures telemetry, replacing every SM's shard with a fresh
@@ -484,15 +381,11 @@ impl Gpu {
     /// Checkpoints are only possible between [`Gpu::run`] calls — the
     /// inter-cycle barrier where no phase-A work is queued and no fabric
     /// request is in flight — so a machine restored from the snapshot and
-    /// run onward is bit-identical to one that was never interrupted, at
-    /// every phase-A parallelism level.
+    /// run onward is bit-identical to one that was never interrupted.
     ///
-    /// The phase-A parallelism is a host-side tuning knob, not machine
-    /// state: it is not captured, and a restored machine starts at the
-    /// default (serial) setting — re-apply it with
-    /// [`Gpu::with_parallelism`]. Telemetry *metrics* (windowed counters,
-    /// per-warp PDOM depths) are machine state and are captured; trace
-    /// rings are not, so traces restart empty after a resume.
+    /// Telemetry *metrics* (windowed counters, per-warp PDOM depths) are
+    /// machine state and are captured; trace rings are not, so traces
+    /// restart empty after a resume.
     ///
     /// # Errors
     ///
@@ -818,10 +711,10 @@ impl Gpu {
     /// simulation with [`SimError::Fault`]. The machine state is left at
     /// the faulting cycle for inspection.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, SimError> {
-        // Clone the immutable per-launch context out of `self` so worker
-        // threads can borrow it while the cycle loop mutates the rest of
-        // the machine. A `Program` is a few kilobytes; this happens once
-        // per run, not per cycle.
+        // Clone the immutable per-launch context out of `self` so `ExecCtx`
+        // can borrow it while the cycle loop mutates the rest of the
+        // machine (dispatch pops blocks off `self.launch`). A `Program` is
+        // a few kilobytes; this happens once per run, not per cycle.
         let per_launch = self
             .launch
             .as_ref()
@@ -841,15 +734,7 @@ impl Gpu {
                 };
                 let view = self.mem.view();
                 let injector = self.injector.clone();
-                let nworkers = self.parallel.min(self.sms.len()).max(1);
-                if nworkers <= 1 {
-                    self.run_cycles(max_cycles, &ctx, &view, injector.as_ref(), None)
-                } else {
-                    thread::scope(|s| {
-                        let pool = WorkerPool::spawn(s, nworkers, &ctx, &view, injector.as_ref());
-                        self.run_cycles(max_cycles, &ctx, &view, injector.as_ref(), Some(&pool))
-                    })
-                }
+                self.run_cycles(max_cycles, &ctx, &view, injector.as_ref())
             }
         };
         self.finish_run();
@@ -936,9 +821,8 @@ impl Gpu {
         ctx: &ExecCtx<'_>,
         view: &FabricView,
         injector: Option<&Injector>,
-        pool: Option<&WorkerPool>,
     ) -> Result<RunOutcome, SimError> {
-        let result = self.cycle_loop(max_cycles, ctx, view, injector, pool);
+        let result = self.cycle_loop(max_cycles, ctx, view, injector);
         // Sleepers idled through every cycle whose phase A ran: all of
         // them below `now`, plus — on an abort, which leaves `now` on the
         // faulting cycle — that cycle itself.
@@ -949,10 +833,10 @@ impl Gpu {
         result
     }
 
-    /// The cycle loop: dispatch, phase A (possibly across the worker
-    /// pool), fault handling, phase B, watchdog — each passing over the
-    /// SMs that are asleep — and, when none is awake, a jump straight to
-    /// the next cycle where anything can happen.
+    /// The cycle loop: dispatch, phase A, fault handling, phase B,
+    /// watchdog — each passing over the SMs that are asleep — and, when
+    /// none is awake, a jump straight to the next cycle where anything can
+    /// happen.
     #[allow(clippy::expect_used)]
     fn cycle_loop(
         &mut self,
@@ -960,7 +844,6 @@ impl Gpu {
         ctx: &ExecCtx<'_>,
         view: &FabricView,
         injector: Option<&Injector>,
-        pool: Option<&WorkerPool>,
     ) -> Result<RunOutcome, SimError> {
         let start = self.now;
         // The watchdog counts from here; progress made before this run is
@@ -1006,10 +889,17 @@ impl Gpu {
                 // is clean by construction, so it is called only when the
                 // queue moved; a call that admits a warp wakes it.
                 let gate = injector.is_none();
-                let mut next = self.rr_sm;
-                for _ in 0..n {
-                    let i = next;
-                    next = if i + 1 == n { 0 } else { i + 1 };
+                // The rotated index comes from the loop counter, not from a
+                // second loop-carried variable: on a mostly sleeping chip
+                // this scan is the cycle's cost, and a carried index that
+                // the compiler spills doubles it.
+                let first = self.rr_sm;
+                for k in 0..n {
+                    let i = if k < n - first {
+                        first + k
+                    } else {
+                        first + k - n
+                    };
                     if gate && !self.sms[i].dispatch_dirty() && dispatch_seen[i] == blocks_gen {
                         continue;
                     }
@@ -1042,26 +932,19 @@ impl Gpu {
                 }
             }
             // Phase A: every SM that is awake steps against private state
-            // only, queueing off-chip work. Faults come back in SM-id
-            // order either way.
-            let (faults, issued) = match pool {
-                Some(pool) => pool.step_all(self.now, &mut self.sms),
-                None => {
-                    let mut faults = Vec::new();
-                    let mut issued = 0u64;
-                    for sm in &mut self.sms {
-                        if sm.asleep(self.now) {
-                            continue;
-                        }
-                        match sm.step(self.now, ctx, view, injector) {
-                            Ok(true) => issued += 1,
-                            Ok(false) => {}
-                            Err(f) => faults.push(f),
-                        }
-                    }
-                    (faults, issued)
+            // only, queueing off-chip work. Faults collect in SM-id order.
+            let mut faults = Vec::new();
+            let mut issued = 0u64;
+            for sm in &mut self.sms {
+                if sm.asleep(self.now) {
+                    continue;
                 }
-            };
+                match sm.step(self.now, ctx, view, injector) {
+                    Ok(true) => issued += 1,
+                    Ok(false) => {}
+                    Err(f) => faults.push(f),
+                }
+            }
             let had_faults = !faults.is_empty();
             let mut abort: Option<Fault> = None;
             for fault in faults {
@@ -1395,58 +1278,6 @@ mod tests {
         assert!(summary.stats.ipc() > 0.0);
     }
 
-    /// A load/store kernel with divergence, run at several phase-A
-    /// parallelism levels: stats, traffic, and memory contents must be
-    /// bit-identical (the tentpole determinism claim).
-    #[test]
-    fn parallel_execution_is_bit_identical_to_serial() {
-        let src = r#"
-            .kernel main
-            main:
-                mov.u32 r1, %tid
-                mul.lo.s32 r2, r1, 4
-                ld.global.u32 r3, [r2+0]
-                and.b32 r4, r1, 3
-                setp.gt.s32 p0, r4, 1
-                @p0 add.s32 r3, r3, 100
-                add.s32 r3, r3, 1
-                st.global.u32 [r2+0], r3
-                ld.global.u32 r4, [r2+0]
-                st.global.u32 [r2+0], r4
-                exit
-        "#;
-        let run_at = |parallel: usize| {
-            let program = assemble_named("mix", src).unwrap();
-            let mut gpu = Gpu::builder(GpuConfig::tiny())
-                .parallelism(parallel)
-                .build();
-            gpu.mem_mut().alloc_global(128 * 4, "buf");
-            gpu.launch(Launch {
-                program,
-                entry: "main".into(),
-                num_threads: 128,
-                threads_per_block: 8,
-            })
-            .expect("launch accepted");
-            let summary = gpu.run(1_000_000).expect("fault-free");
-            let words: Vec<u32> = (0..128u32)
-                .map(|t| gpu.mem().read_u32(simt_isa::Space::Global, t * 4))
-                .collect();
-            (summary, words)
-        };
-        let (s1, w1) = run_at(1);
-        for parallel in [2, 4] {
-            let (sp, wp) = run_at(parallel);
-            assert_eq!(s1.stats, sp.stats, "stats diverged at parallel={parallel}");
-            assert_eq!(
-                s1.traffic, sp.traffic,
-                "traffic diverged at parallel={parallel}"
-            );
-            assert_eq!(w1, wp, "memory diverged at parallel={parallel}");
-            assert_eq!(s1.outcome, sp.outcome);
-        }
-    }
-
     /// Interrupting a run at an arbitrary cycle, checkpointing, restoring,
     /// and continuing must be bit-identical to the uninterrupted run —
     /// stats, traffic, fault log, and memory contents.
@@ -1653,14 +1484,9 @@ mod tests {
     /// Runs `case` in two legs — to `first_leg` cycles, then to the end —
     /// observing the machine after each, and once more from a restore of
     /// the first leg's checkpoint.
-    fn run_case(
-        case: &SleepCase,
-        force_tick: bool,
-        parallel: usize,
-    ) -> (Observed, Observed, Observed, Gpu) {
+    fn run_case(case: &SleepCase, force_tick: bool) -> (Observed, Observed, Observed, Gpu) {
         let program = assemble_named(case.name, case.src).unwrap();
         let mut gpu = Gpu::builder(case.cfg.clone())
-            .parallelism(parallel)
             .force_tick(force_tick)
             .telemetry(TelemetrySpec::metrics().with_window(64))
             .build();
@@ -1675,9 +1501,7 @@ mod tests {
         let r = gpu.run(case.first_leg);
         let mid = observe(&gpu, &r, case.threads);
         let snapshot = Snapshot::from_bytes(&mid.snapshot).expect("frame intact");
-        let mut resumed = Gpu::restore(&snapshot)
-            .expect("restores")
-            .with_parallelism(parallel);
+        let mut resumed = Gpu::restore(&snapshot).expect("restores");
         let r = resumed.run(1_000_000);
         let resumed = observe(&resumed, &r, case.threads);
         let r = gpu.run(1_000_000);
@@ -1943,30 +1767,28 @@ mod tests {
             },
         ];
         for case in &cases {
-            for parallel in [1, 2] {
-                let what = format!("{} parallel={parallel}", case.name);
-                let (tick_mid, tick_end, tick_resumed, ticked) = run_case(case, true, parallel);
-                let (mid, end, resumed, slept) = run_case(case, false, parallel);
-                assert_eq!(mid.now, case.first_leg, "the limit lands mid-run ({what})");
-                assert!(
-                    end.result.contains(case.expect),
-                    "expected `{}` ({what}): {}",
-                    case.expect,
-                    end.result
-                );
-                assert_eq!(tick_mid, mid, "diverged at the cycle limit ({what})");
-                assert_eq!(tick_end, end, "diverged at the end ({what})");
-                assert_eq!(tick_resumed, resumed, "diverged after restore ({what})");
-                assert_eq!(end, resumed, "resume is not the uninterrupted run ({what})");
-                assert_eq!(ticked.skipped_cycles(), 0, "force_tick must never skip");
-                assert_eq!(ticked.slept_sm_cycles(), 0, "force_tick must never sleep");
-                assert!(slept.slept_sm_cycles() > 0, "SMs actually slept ({what})");
-                assert_eq!(
-                    slept.skipped_cycles() > 0,
-                    case.jumps,
-                    "whole-machine jumps ({what})"
-                );
-            }
+            let what = case.name;
+            let (tick_mid, tick_end, tick_resumed, ticked) = run_case(case, true);
+            let (mid, end, resumed, slept) = run_case(case, false);
+            assert_eq!(mid.now, case.first_leg, "the limit lands mid-run ({what})");
+            assert!(
+                end.result.contains(case.expect),
+                "expected `{}` ({what}): {}",
+                case.expect,
+                end.result
+            );
+            assert_eq!(tick_mid, mid, "diverged at the cycle limit ({what})");
+            assert_eq!(tick_end, end, "diverged at the end ({what})");
+            assert_eq!(tick_resumed, resumed, "diverged after restore ({what})");
+            assert_eq!(end, resumed, "resume is not the uninterrupted run ({what})");
+            assert_eq!(ticked.skipped_cycles(), 0, "force_tick must never skip");
+            assert_eq!(ticked.slept_sm_cycles(), 0, "force_tick must never sleep");
+            assert!(slept.slept_sm_cycles() > 0, "SMs actually slept ({what})");
+            assert_eq!(
+                slept.skipped_cycles() > 0,
+                case.jumps,
+                "whole-machine jumps ({what})"
+            );
         }
     }
 
@@ -2108,13 +1930,13 @@ mod tests {
         assert_eq!(local[3], [0; 8]);
     }
 
-    /// Running the same launch twice at the same parallelism is also
-    /// reproducible (no hidden nondeterminism from thread scheduling).
+    /// Running the same launch twice is reproducible: nothing in the
+    /// machine reads a clock, an address or a hash-map order.
     #[test]
-    fn repeated_parallel_runs_are_reproducible() {
+    fn repeated_runs_are_reproducible() {
         let run_once = || {
             let program = assemble_named("double", DOUBLE_SRC).unwrap();
-            let mut gpu = Gpu::builder(GpuConfig::tiny()).parallelism(2).build();
+            let mut gpu = Gpu::builder(GpuConfig::tiny()).build();
             gpu.mem_mut().alloc_global(64 * 4, "out");
             gpu.launch(Launch {
                 program,

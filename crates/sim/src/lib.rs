@@ -73,8 +73,8 @@
 //! captured with [`Gpu::checkpoint`] into a versioned, checksummed
 //! [`Snapshot`] (serializable to disk) and rebuilt with [`Gpu::restore`];
 //! the restored machine's continuation is bit-identical to never having
-//! stopped, at every parallelism level. Corrupt or truncated snapshots
-//! are rejected with a typed [`RestoreError`].
+//! stopped. Corrupt or truncated snapshots are rejected with a typed
+//! [`RestoreError`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

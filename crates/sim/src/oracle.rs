@@ -2,12 +2,11 @@
 //!
 //! Each generated program (see `simt_isa::gen`) is executed on the
 //! functional reference machine once and on the cycle-level simulator
-//! under a matrix of timing variants — parallel execution levels 1 and 4,
-//! spawn-bank-conflict modelling on and off, both spawn policies,
-//! sleeping SMs vs. forced per-cycle ticking, every memory machine
-//! (flat, L1-only, L1+L2 behind the interconnect, ideal), and a run cut
-//! at a mid-run cycle and carried through the snapshot format. Timing
-//! knobs must never change functional results, and neither may a
+//! under a matrix of timing variants — spawn-bank-conflict modelling on
+//! and off, both spawn policies, sleeping SMs vs. forced per-cycle
+//! ticking, every memory machine (flat, L1-only, L1+L2 behind the
+//! interconnect, ideal), and a run cut at a mid-run cycle and carried
+//! through the snapshot format. Timing knobs must never change functional results, and neither may a
 //! checkpoint, so every variant is compared against the *same*
 //! reference run:
 //!
@@ -61,8 +60,6 @@ pub enum MemPreset {
 /// One timing variant of the cycle-level machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Variant {
-    /// Host threads driving the SMs (`--parallel`).
-    pub parallel: usize,
     /// Model spawn-memory bank conflicts.
     pub bank_conflicts: bool,
     /// Spawn policy under test.
@@ -82,8 +79,7 @@ impl fmt::Display for Variant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "parallel={} banks={} policy={:?} loop={} mem={:?}{}",
-            self.parallel,
+            "banks={} policy={:?} loop={} mem={:?}{}",
             if self.bank_conflicts { "on" } else { "off" },
             self.policy,
             if self.force_tick { "tick" } else { "sleep" },
@@ -96,7 +92,6 @@ impl fmt::Display for Variant {
 /// The variant the matrix is spelled against: each arm names only what it
 /// changes.
 const BASE: Variant = Variant {
-    parallel: 1,
     bank_conflicts: false,
     policy: SpawnPolicy::Always,
     force_tick: false,
@@ -105,7 +100,7 @@ const BASE: Variant = Variant {
 };
 
 /// The variant matrix every case runs through.
-pub const VARIANTS: [Variant; 12] = [
+pub const VARIANTS: [Variant; 9] = [
     BASE,
     // `BASE` again through a snapshot. It runs second because it cuts at
     // a fraction of the cycles `BASE` just took: the same machine, so the
@@ -115,24 +110,10 @@ pub const VARIANTS: [Variant; 12] = [
         ..BASE
     },
     Variant {
-        parallel: 4,
-        ..BASE
-    },
-    Variant {
         bank_conflicts: true,
         ..BASE
     },
     Variant {
-        parallel: 4,
-        bank_conflicts: true,
-        ..BASE
-    },
-    Variant {
-        policy: SpawnPolicy::OnDivergence,
-        ..BASE
-    },
-    Variant {
-        parallel: 4,
         policy: SpawnPolicy::OnDivergence,
         ..BASE
     },
@@ -149,9 +130,7 @@ pub const VARIANTS: [Variant; 12] = [
         ..BASE
     },
     // The other memory machines: functional results must not move when
-    // only the timing behind phase B's batch does. Serial arms: the worker
-    // pool is the costly part of a case, and the arms above already take
-    // it through the same phase B.
+    // only the timing behind phase B's batch does.
     Variant {
         bank_conflicts: true,
         mem: MemPreset::L1Only,
@@ -358,7 +337,6 @@ fn run_variant(
 ) -> Result<u64, Mismatch> {
     let gpu_error = |detail: String| Mismatch::GpuError { variant: v, detail };
     let mut gpu = Gpu::builder(gpu_config(&gp.cfg, v))
-        .parallelism(v.parallel)
         .force_tick(v.force_tick)
         .build();
     gpu.mem_mut().alloc_global(gp.cfg.global_bytes(), "oracle");

@@ -63,7 +63,7 @@ pub struct Sm {
     /// instruction replays (GT200-style: a conflicting access re-issues
     /// once per extra pass, stealing issue slots from every warp).
     issue_blocked_until: u64,
-    /// This SM's statistics shard. Phase A runs SMs on separate threads,
+    /// This SM's statistics shard. Phase A touches SM-private state only,
     /// so counters accumulate here and are merged by the GPU at run end.
     stats: SimStats,
     /// Off-chip work emitted during phase A, staged and committed by the
@@ -526,8 +526,8 @@ impl Sm {
     /// cycle loop then does not call this again while [`Sm::asleep`], and
     /// the first step after a sleep records the idle span slept through.
     ///
-    /// Takes only `&FabricView` — no shared mutable state — so the GPU may
-    /// run this concurrently for different SMs with bit-identical results.
+    /// Takes only `&FabricView` — no shared mutable state — so no SM's
+    /// step can depend on another SM's step in the same cycle.
     pub(crate) fn step(
         &mut self,
         now: u64,

@@ -237,10 +237,10 @@ impl DivergenceTimeline {
 /// Aggregate counters for one simulation run.
 ///
 /// During a run each SM accumulates into its own `SimStats` shard (phase A
-/// runs SMs on separate threads, so shared counters would race); the GPU
-/// merges the shards into its base stats with [`SimStats::merge`]. All
-/// counters are sums, so the merge is exact regardless of SM count or
-/// thread count — the basis of the determinism regression tests.
+/// touches SM-private state only); the GPU merges the shards into its base
+/// stats with [`SimStats::merge`]. All counters are sums, so the merge is
+/// exact regardless of SM count — the basis of the determinism regression
+/// tests.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimStats {
     /// Cycles simulated.

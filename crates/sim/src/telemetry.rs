@@ -15,9 +15,8 @@
 //! that observed the event, during phase A — the same discipline
 //! as the [`crate::SimStats`] shards. [`crate::Gpu::telemetry_report`]
 //! merges the shards in SM-id order, so the merged event stream, the
-//! windowed counters, and the rendered sink output are bit-identical at
-//! every phase-A parallelism level. Events within one SM are recorded in
-//! program order; across SMs the merged stream is ordered by SM id (sort
+//! windowed counters, and the rendered sink output are the same bytes on
+//! every run. Events within one SM are recorded in program order; across SMs the merged stream is ordered by SM id (sort
 //! by `cycle` downstream if a global timeline is wanted — Perfetto does).
 //!
 //! # Cost
@@ -690,8 +689,7 @@ impl SmTelemetry {
 }
 
 /// Merged whole-machine telemetry, produced by
-/// [`crate::Gpu::telemetry_report`]. Shards merge in SM-id order, so the
-/// report is bit-identical at every phase-A parallelism level.
+/// [`crate::Gpu::telemetry_report`]. Shards merge in SM-id order.
 #[derive(Debug, Clone)]
 pub struct TelemetryReport {
     /// Machine warp size (for labelling).

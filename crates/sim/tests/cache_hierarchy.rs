@@ -1,6 +1,6 @@
-//! Pipeline-level behaviour of the L1/L2 cache hierarchy: determinism
-//! across phase-A parallelism, end-to-end stats conservation between the
-//! cache levels, and snapshot-v4 kill/resume with caches enabled.
+//! Pipeline-level behaviour of the L1/L2 cache hierarchy: end-to-end
+//! stats conservation between the cache levels, and kill/resume with
+//! caches enabled.
 
 use simt_isa::assemble_named;
 use simt_sim::{Gpu, GpuConfig, Launch, RunOutcome, Snapshot};
@@ -39,9 +39,9 @@ fn cached_config() -> GpuConfig {
     cfg
 }
 
-fn build(cfg: GpuConfig, parallelism: usize) -> Gpu {
+fn build(cfg: GpuConfig) -> Gpu {
     let program = assemble_named("mix", MIX_SRC).unwrap();
-    let mut gpu = Gpu::builder(cfg).parallelism(parallelism).build();
+    let mut gpu = Gpu::builder(cfg).build();
     gpu.mem_mut().alloc_global(N_THREADS * 4, "buf");
     gpu.launch(Launch {
         program,
@@ -59,44 +59,6 @@ fn words(gpu: &Gpu) -> Vec<u32> {
         .collect()
 }
 
-/// With the hierarchy enabled, phase B must stay bit-identical at every
-/// phase-A parallelism level — stats, cache
-/// counters, interconnect accounting, and memory contents.
-#[test]
-fn cached_execution_is_bit_identical_across_parallelism() {
-    let run = |parallelism: usize| {
-        let mut gpu = build(cached_config(), parallelism);
-        let summary = gpu.run(50_000_000).expect("fault-free");
-        assert_eq!(summary.outcome, RunOutcome::Completed);
-        (
-            summary.stats,
-            summary.traffic,
-            gpu.l1_stats(),
-            gpu.mem().l2_stats(),
-            gpu.mem().icnt_conflicts(),
-            gpu.mem().icnt_busy().to_vec(),
-            words(&gpu),
-        )
-    };
-    let serial = run(1);
-    for parallelism in [2usize, 4] {
-        let parallel = run(parallelism);
-        assert_eq!(serial.0, parallel.0, "stats at parallelism {parallelism}");
-        assert_eq!(serial.1, parallel.1, "traffic at parallelism {parallelism}");
-        assert_eq!(serial.2, parallel.2, "L1 at parallelism {parallelism}");
-        assert_eq!(serial.3, parallel.3, "L2 at parallelism {parallelism}");
-        assert_eq!(
-            serial.4, parallel.4,
-            "icnt conflicts at parallelism {parallelism}"
-        );
-        assert_eq!(
-            serial.5, parallel.5,
-            "icnt busy at parallelism {parallelism}"
-        );
-        assert_eq!(serial.6, parallel.6, "memory at parallelism {parallelism}");
-    }
-}
-
 /// The kernel was built to exercise every L1 path — make sure it does,
 /// and that the per-level counters conserve: every probed line is a hit
 /// or a miss, and the L2 sees exactly the fetches the L1 could not merge
@@ -106,7 +68,7 @@ fn cached_execution_is_bit_identical_across_parallelism() {
 fn cache_level_stats_conserve() {
     let mut cfg = cached_config();
     cfg.mem.l1_line_bytes = cfg.mem.segment_bytes;
-    let mut gpu = build(cfg, 1);
+    let mut gpu = build(cfg);
     let summary = gpu.run(50_000_000).expect("fault-free");
     assert_eq!(summary.outcome, RunOutcome::Completed);
 
@@ -133,7 +95,7 @@ fn cache_level_stats_conserve() {
 /// all — the knobs are off, not zeroed.
 #[test]
 fn flat_machine_reports_no_hierarchy_stats() {
-    let mut gpu = build(GpuConfig::tiny(), 1);
+    let mut gpu = build(GpuConfig::tiny());
     let summary = gpu.run(50_000_000).expect("fault-free");
     assert_eq!(summary.outcome, RunOutcome::Completed);
     assert_eq!(gpu.l1_stats(), None);
@@ -146,7 +108,7 @@ fn flat_machine_reports_no_hierarchy_stats() {
 /// while fills were outstanding — must continue bit-identically.
 #[test]
 fn cached_checkpoint_resume_is_bit_identical() {
-    let mut reference = build(cached_config(), 1);
+    let mut reference = build(cached_config());
     let ref_summary = reference.run(50_000_000).expect("fault-free");
     assert_eq!(ref_summary.outcome, RunOutcome::Completed);
     let (ref_hits, ref_misses, ref_merges, ref_stalls) = reference.l1_stats().expect("L1 enabled");
@@ -154,7 +116,7 @@ fn cached_checkpoint_resume_is_bit_identical() {
     // Interrupt points straddle the first DRAM round trip so at least one
     // snapshot is taken while MSHR fills are outstanding.
     for interrupt_at in [1u64, 30, 150, 700] {
-        let mut gpu = build(cached_config(), 1);
+        let mut gpu = build(cached_config());
         gpu.run(interrupt_at).expect("fault-free prefix");
         let bytes = gpu.checkpoint().expect("encodable").to_bytes();
         let snapshot = Snapshot::from_bytes(&bytes).expect("frame intact");
@@ -187,19 +149,18 @@ fn cached_checkpoint_resume_is_bit_identical() {
     }
 }
 
-/// Resuming at a different phase-A parallelism than the killed run is
-/// also bit-identical — the snapshot carries machine state only.
+/// The in-memory form of the same resume: a `Snapshot` handed straight to
+/// `Gpu::restore`, without the byte round trip — what a supervisor's
+/// rollback does.
 #[test]
-fn cached_resume_commutes_with_parallelism() {
-    let mut reference = build(cached_config(), 1);
+fn cached_resume_from_an_in_memory_snapshot_is_bit_identical() {
+    let mut reference = build(cached_config());
     let ref_summary = reference.run(50_000_000).expect("fault-free");
 
-    let mut gpu = build(cached_config(), 4);
+    let mut gpu = build(cached_config());
     gpu.run(300).expect("fault-free prefix");
     let snapshot = gpu.checkpoint().expect("encodable");
-    let mut resumed = Gpu::restore(&snapshot)
-        .expect("restores")
-        .with_parallelism(2);
+    let mut resumed = Gpu::restore(&snapshot).expect("restores");
     let summary = resumed.run(50_000_000).expect("fault-free tail");
     assert_eq!(summary.stats, ref_summary.stats);
     assert_eq!(resumed.l1_stats(), reference.l1_stats());
@@ -307,7 +268,7 @@ fn abort_cycle_commits_through_the_banked_interconnect() {
 /// parser — never silently restored into a half-initialised machine.
 #[test]
 fn corrupt_and_truncated_snapshots_are_rejected() {
-    let mut gpu = build(cached_config(), 1);
+    let mut gpu = build(cached_config());
     gpu.run(200).expect("fault-free prefix");
     let bytes = gpu.checkpoint().expect("encodable").to_bytes();
     assert!(Snapshot::from_bytes(&bytes).is_ok());
@@ -336,7 +297,7 @@ fn corrupt_and_truncated_snapshots_are_rejected() {
 /// the hierarchy the snapshot was taken with.
 #[test]
 fn restored_machine_keeps_the_snapshot_config() {
-    let mut gpu = build(cached_config(), 1);
+    let mut gpu = build(cached_config());
     gpu.run(100).expect("fault-free prefix");
     let snapshot = gpu.checkpoint().expect("encodable");
     let resumed = Gpu::restore(&snapshot).expect("restores");

@@ -1,7 +1,7 @@
 //! Lockstep differential oracle suite: generated programs must produce
-//! identical functional results on the cycle-level `Gpu` (parallel 1 and
-//! 4, spawn-bank conflicts on and off, both spawn policies, sleeping SMs
-//! and forced ticking) and the independent `RefMachine`.
+//! identical functional results on the cycle-level `Gpu` (spawn-bank
+//! conflicts on and off, both spawn policies, sleeping SMs and forced
+//! ticking) and the independent `RefMachine`.
 //!
 //! The deterministic corpus plus the proptest sweep keep the oracle
 //! honest in `cargo test`; the `fuzz_diff` bin runs the same comparison
