@@ -58,6 +58,24 @@ impl WordStore {
         self.words.get((addr / 4) as usize).copied().unwrap_or(0)
     }
 
+    /// Reads `N` consecutive words starting at byte address `addr`: word
+    /// `i` is [`WordStore::read`] of `addr.wrapping_add(4 * i)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not 4-byte aligned.
+    #[inline]
+    pub fn read_n<const N: usize>(&self, addr: u32) -> [u32; N] {
+        assert!(addr.is_multiple_of(4), "unaligned word read at {addr:#x}");
+        let inside = self.words.get(addr as usize / 4..);
+        match inside.and_then(<[u32]>::first_chunk::<N>) {
+            Some(run) => *run,
+            // Off the end of the image, or across the top of the address
+            // space: word by word.
+            None => std::array::from_fn(|i| self.read(addr.wrapping_add(4 * i as u32))),
+        }
+    }
+
     /// Writes the word at byte address `addr`, growing the store if needed.
     ///
     /// # Panics

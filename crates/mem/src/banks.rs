@@ -164,40 +164,49 @@ impl OnChipMemory {
         self.words[i] = value;
     }
 
-    /// Reads `out.len()` consecutive words starting at byte address
-    /// `addr`: word `i` is [`OnChipMemory::read`] of
-    /// `addr.wrapping_add(4 * i)`, so a span wraps at the capacity and at
-    /// the top of the address space exactly as its words would one by one.
+    /// Reads `N` consecutive words starting at byte address `addr`: word
+    /// `i` is [`OnChipMemory::read`] of `addr.wrapping_add(4 * i)`, so a
+    /// transfer wraps at the capacity and at the top of the address space
+    /// exactly as its words would one by one. `N` is the instruction's
+    /// width, fixed where the instruction is decoded, so the common case —
+    /// the whole transfer inside the scratchpad — is one bounds check and
+    /// `N` register moves.
     ///
     /// # Panics
     ///
     /// Panics on unaligned access.
-    pub fn read_span(&self, addr: u32, out: &mut [u32]) {
-        let first = addr as usize / 4;
-        match self.words.get(first..first + out.len()) {
-            Some(words) if addr.is_multiple_of(4) => out.copy_from_slice(words),
-            _ => {
-                for (i, word) in out.iter_mut().enumerate() {
-                    *word = self.read(addr.wrapping_add(4 * i as u32));
-                }
-            }
+    #[inline]
+    pub fn read_n<const N: usize>(&self, addr: u32) -> [u32; N] {
+        let inside = self.words.get(addr as usize / 4..);
+        match inside.and_then(<[u32]>::first_chunk::<N>) {
+            Some(words) if addr.is_multiple_of(4) => *words,
+            // A transfer that wraps, or an unaligned one on its way to
+            // the panic: word by word.
+            _ => std::array::from_fn(|i| self.read(addr.wrapping_add(4 * i as u32))),
         }
     }
 
     /// Writes `values` to consecutive words starting at byte address
     /// `addr`, in order: word `i` is [`OnChipMemory::write`] at
-    /// `addr.wrapping_add(4 * i)` (when a span laps a tiny scratchpad the
-    /// last writer of a word wins, as it does word by word).
+    /// `addr.wrapping_add(4 * i)` (when a transfer laps a tiny scratchpad
+    /// the last writer of a word wins, as it does word by word).
     ///
     /// # Panics
     ///
     /// Panics on unaligned access.
-    pub fn write_span(&mut self, addr: u32, values: &[u32]) {
-        let first = addr as usize / 4;
-        match self.words.get_mut(first..first + values.len()) {
-            Some(words) if addr.is_multiple_of(4) => words.copy_from_slice(values),
+    #[inline]
+    pub fn write_n<const N: usize>(&mut self, addr: u32, values: [u32; N]) {
+        let inside = self.words.get_mut(addr as usize / 4..);
+        match inside.and_then(<[u32]>::first_chunk_mut::<N>) {
+            // (Word by word: the run arrives in registers, and copying it
+            // as a block would round-trip it through the stack first.)
+            Some(words) if addr.is_multiple_of(4) => {
+                for (word, value) in words.iter_mut().zip(values) {
+                    *word = value;
+                }
+            }
             _ => {
-                for (i, &value) in values.iter().enumerate() {
+                for (i, value) in values.into_iter().enumerate() {
                     self.write(addr.wrapping_add(4 * i as u32), value);
                 }
             }
@@ -284,60 +293,74 @@ mod tests {
     }
 
     #[test]
-    fn spans_wrap_at_capacity_and_at_the_top_of_the_address_space() {
+    fn transfers_wrap_at_capacity_and_at_the_top_of_the_address_space() {
         // 12 words: not a power of two, like spawn memory.
         let mut m = OnChipMemory::new(48, 16);
-        m.write_span(40, &[1, 2, 3, 4]);
-        let mut words = [0; 12];
-        m.read_span(0, &mut words);
-        assert_eq!(words, [3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2]);
+        m.write_n(40, [1, 2, 3, 4]);
+        assert_eq!(m.words, [3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2]);
         // 0xfffffff8 is word 0x3ffffffe = 10 mod 13, the next 11 mod 13;
-        // the span's third word is address 0 — word 0, where an index
+        // the transfer's third word is address 0 — word 0, where an index
         // that kept counting (0x40000000 = 12 mod 13) would not land.
         let mut m = OnChipMemory::new(52, 16);
-        m.write_span(0xffff_fff8, &[5, 6, 7, 8]);
-        let mut words = [0; 13];
-        m.read_span(0, &mut words);
-        assert_eq!(words, [7, 8, 0, 0, 0, 0, 0, 0, 0, 0, 5, 6, 0]);
-        let mut back = [0; 4];
-        m.read_span(0xffff_fff8, &mut back);
-        assert_eq!(back, [5, 6, 7, 8]);
+        m.write_n(0xffff_fff8, [5, 6, 7, 8]);
+        assert_eq!(m.words, [7, 8, 0, 0, 0, 0, 0, 0, 0, 0, 5, 6, 0]);
+        assert_eq!(m.read_n::<4>(0xffff_fff8), [5, 6, 7, 8]);
     }
 
     #[test]
     #[should_panic(expected = "unaligned")]
-    fn unaligned_span_panics_like_an_unaligned_word() {
-        OnChipMemory::new(64, 16).read_span(2, &mut [0; 2]);
+    fn an_unaligned_transfer_panics_like_an_unaligned_word() {
+        OnChipMemory::new(64, 16).read_n::<4>(2);
+    }
+
+    /// `read_n`/`write_n` at width `N` against `read`/`write` word by
+    /// word on a scratchpad of `words` words holding 1, 2, 3, ….
+    fn check_width<const N: usize>(words: u32, addr: u32, values: [u32; N]) {
+        let mut wide = OnChipMemory::new(words * 4, 16);
+        for i in 0..words {
+            wide.write(i * 4, i + 1);
+        }
+        let mut worded = wide.clone();
+        let at = |i: usize| addr.wrapping_add(4 * i as u32);
+        assert_eq!(
+            wide.read_n::<N>(addr),
+            std::array::from_fn(|i| worded.read(at(i)))
+        );
+        wide.write_n(addr, values);
+        for (i, &v) in values.iter().enumerate() {
+            worded.write(at(i), v);
+        }
+        assert_eq!(wide.words, worded.words);
+        assert_eq!(
+            wide.read_n::<N>(addr),
+            std::array::from_fn(|i| worded.read(at(i)))
+        );
     }
 
     proptest! {
-        /// A span is its words one by one, for power-of-two and other
-        /// capacities, spans longer than the scratchpad included.
+        /// A fixed-width transfer is its words one by one, at both widths
+        /// the ISA has, for power-of-two and other capacities (scratchpads
+        /// smaller than the transfer included), wrapping at the capacity
+        /// and at `u32::MAX`.
         #[test]
-        fn span_transfers_equal_word_transfers(
+        fn fixed_width_transfers_equal_word_transfers(
             words in 1u32..40,
+            pow2 in any::<bool>(),
             base in any::<u32>(),
             near_top in any::<bool>(),
-            values in proptest::collection::vec(any::<u32>(), 0..6),
+            near_end in any::<bool>(),
+            values in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
         ) {
-            let addr = if near_top { 0xffff_fff0 | (base & 0xc) } else { base & !3 };
-            let mut spanned = OnChipMemory::new(words * 4, 16);
-            let mut worded = spanned.clone();
-            for i in 0..words {
-                spanned.write(i * 4, i + 1);
-                worded.write(i * 4, i + 1);
-            }
-            spanned.write_span(addr, &values);
-            for (i, &v) in values.iter().enumerate() {
-                worded.write(addr.wrapping_add(4 * i as u32), v);
-            }
-            prop_assert_eq!(&spanned.words, &worded.words);
-            let mut got = vec![0; values.len() + 2];
-            spanned.read_span(addr, &mut got);
-            let want: Vec<u32> = (0..got.len())
-                .map(|i| worded.read(addr.wrapping_add(4 * i as u32)))
-                .collect();
-            prop_assert_eq!(got, want);
+            let words = if pow2 { words.next_power_of_two() } else { words };
+            let addr = if near_top {
+                0xffff_fff0 | (base & 0xc)
+            } else if near_end {
+                (words * 4).saturating_sub((base % 20) & !3)
+            } else {
+                base & !3
+            };
+            check_width::<1>(words, addr, [values.0]);
+            check_width::<4>(words, addr, [values.0, values.1, values.2, values.3]);
         }
 
         #[test]

@@ -16,14 +16,20 @@
 use serde::{Deserialize, Serialize};
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 
+/// A tag-array slot holding no line. No key equals it: keys are a 32-bit
+/// line number under an 8-bit space tag.
+const EMPTY: u64 = u64::MAX;
+
 /// A set-associative read-only cache model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReadOnlyCache {
     line_bytes: u32,
     sets: usize,
     ways: usize,
-    /// Per set: resident line addresses, most-recently-used first.
-    tags: Vec<Vec<u64>>,
+    /// The tag array, `sets × ways`: set `s` is `tags[s * ways..][..ways]`,
+    /// its resident line keys most-recently-used first and then
+    /// [`EMPTY`] slots — the valid entries are always a prefix.
+    tags: Vec<u64>,
     /// Hits observed.
     pub hits: u64,
     /// Misses observed.
@@ -51,7 +57,7 @@ impl ReadOnlyCache {
             line_bytes,
             sets,
             ways,
-            tags: vec![Vec::new(); sets],
+            tags: vec![EMPTY; sets * ways],
             hits: 0,
             misses: 0,
         }
@@ -118,16 +124,25 @@ impl ReadOnlyCache {
         self.install(key);
     }
 
+    /// The ways of the set `key` maps to, MRU first.
+    #[inline]
+    fn set_of(&mut self, key: u64) -> &mut [u64] {
+        // (A mask for power-of-two set counts — every preset's — measured
+        // no faster than the division on the ledger.)
+        let set = key as u32 as usize % self.sets;
+        &mut self.tags[set * self.ways..][..self.ways]
+    }
+
     /// MRU-refreshing lookup of `key`; `true` on a hit.
     fn lookup(&mut self, key: u64) -> bool {
-        let set = (key as u32 as usize) % self.sets;
-        let entries = &mut self.tags[set];
-        match entries.iter().position(|&t| t == key) {
-            // Already most recently used: nothing to reorder.
-            Some(0) => true,
+        let set = self.set_of(key);
+        match set.iter().position(|&t| t == key) {
             Some(pos) => {
-                let t = entries.remove(pos);
-                entries.insert(0, t);
+                // Move to the front (already there, more often than not).
+                for way in (0..pos).rev() {
+                    set[way + 1] = set[way];
+                }
+                set[0] = key;
                 true
             }
             None => false,
@@ -136,12 +151,13 @@ impl ReadOnlyCache {
 
     /// Installs `key` as MRU, evicting the set's LRU line if full.
     fn install(&mut self, key: u64) {
-        let set = (key as u32 as usize) % self.sets;
-        let entries = &mut self.tags[set];
-        entries.insert(0, key);
-        if entries.len() > self.ways {
-            entries.pop();
+        let set = self.set_of(key);
+        // Everything moves one way down; what falls off the end is the
+        // LRU line of a full set, else an `EMPTY` slot.
+        for way in (1..set.len()).rev() {
+            set[way] = set[way - 1];
         }
+        set[0] = key;
     }
 
     /// Hit rate so far.
@@ -154,13 +170,15 @@ impl ReadOnlyCache {
         }
     }
 
-    /// Serializes the cache contents (per-set tag stacks, MRU order
-    /// preserved) and hit/miss counters for a simulator checkpoint.
-    /// Geometry is configuration and is re-derived on restore.
+    /// Serializes the cache contents (per set, the resident keys as a
+    /// length-prefixed list, MRU order preserved) and hit/miss counters
+    /// for a simulator checkpoint. Geometry is configuration and is
+    /// re-derived on restore.
     pub fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_usize(self.tags.len());
-        for set in &self.tags {
-            enc.put_u64_slice(set);
+        enc.put_usize(self.sets);
+        for set in self.tags.chunks_exact(self.ways) {
+            let resident = set.iter().position(|&t| t == EMPTY).unwrap_or(self.ways);
+            enc.put_u64_slice(&set[..resident]);
         }
         enc.put_u64(self.hits);
         enc.put_u64(self.misses);
@@ -171,18 +189,40 @@ impl ReadOnlyCache {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncated input or when the set count
-    /// disagrees with this cache's geometry.
+    /// Returns a [`CodecError`] on truncated input, when the set count
+    /// disagrees with this cache's geometry, when a set lists more lines
+    /// than it has ways ([`CodecError::BadLength`]), or when it lists one
+    /// twice, a key no access produces or a line that maps to another set
+    /// and so could never hit ([`CodecError::BadTag`]) — a machine that
+    /// would model a cache this configuration does not have.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         let sets = dec.take_len(8)?;
-        if sets != self.tags.len() {
+        if sets != self.sets {
             return Err(CodecError::BadLength {
                 len: sets as u64,
-                remaining: self.tags.len(),
+                remaining: self.sets,
             });
         }
-        for set in &mut self.tags {
-            *set = dec.take_u64_vec()?;
+        for (index, set) in self.tags.chunks_exact_mut(self.ways).enumerate() {
+            let resident = dec.take_len(8)?;
+            if resident > set.len() {
+                return Err(CodecError::BadLength {
+                    len: resident as u64,
+                    remaining: set.len(),
+                });
+            }
+            set.fill(EMPTY);
+            for way in 0..resident {
+                let key = dec.take_u64()?;
+                let home = key as u32 as usize % sets;
+                if key >> 40 != 0 || home != index || set[..way].contains(&key) {
+                    return Err(CodecError::BadTag {
+                        what: "cache set line key",
+                        tag: key,
+                    });
+                }
+                set[way] = key;
+            }
         }
         self.hits = dec.take_u64()?;
         self.misses = dec.take_u64()?;
@@ -191,8 +231,211 @@ impl ReadOnlyCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The tag array as it was before it was flat — one `Vec` of keys per
+    /// set, MRU first, a `%` per probe — kept as the literal model the
+    /// flat array must match step for step and byte for byte.
+    struct Model {
+        line_bytes: u32,
+        ways: usize,
+        sets: Vec<Vec<u64>>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl Model {
+        fn new(capacity_bytes: u32, line_bytes: u32, ways: usize) -> Self {
+            let sets = (capacity_bytes / line_bytes) as usize / ways;
+            Model {
+                line_bytes,
+                ways,
+                sets: vec![Vec::new(); sets],
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn key(&self, tag: u8, addr: u32) -> u64 {
+            u64::from(addr / self.line_bytes) | (u64::from(tag) << 32)
+        }
+
+        fn lookup(&mut self, key: u64) -> bool {
+            let n = self.sets.len();
+            let set = &mut self.sets[key as u32 as usize % n];
+            let found = set.iter().position(|&t| t == key);
+            if let Some(pos) = found {
+                let t = set.remove(pos);
+                set.insert(0, t);
+            }
+            self.hits += u64::from(found.is_some());
+            self.misses += u64::from(found.is_none());
+            found.is_some()
+        }
+
+        fn install(&mut self, key: u64) {
+            let n = self.sets.len();
+            let set = &mut self.sets[key as u32 as usize % n];
+            set.insert(0, key);
+            set.truncate(self.ways);
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            encode_sets(&self.sets, self.hits, self.misses)
+        }
+    }
+
+    /// The checkpoint bytes of a cache whose sets hold `sets`.
+    pub(crate) fn encode_sets(sets: &[Vec<u64>], hits: u64, misses: u64) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_usize(sets.len());
+        for set in sets {
+            enc.put_u64_slice(set);
+        }
+        enc.put_u64(hits);
+        enc.put_u64(misses);
+        enc.into_bytes()
+    }
+
+    /// `payload` — a component's checkpoint bytes holding a cache of
+    /// `sets` sets that nothing has touched yet (the first such, if it has
+    /// several) — with that cache's set `set` listing `keys` instead: what
+    /// a resealed, hand-edited snapshot hands a `restore_state`.
+    pub(crate) fn with_set(payload: &[u8], sets: usize, set: usize, keys: &[u64]) -> Vec<u8> {
+        let mut lists = vec![Vec::new(); sets];
+        let fresh = encode_sets(&lists, 0, 0);
+        let at = payload
+            .windows(fresh.len())
+            .position(|w| w == fresh)
+            .expect("an untouched cache of that geometry");
+        lists[set] = keys.to_vec();
+        let edited = encode_sets(&lists, 0, 0);
+        [&payload[..at], &edited, &payload[at + fresh.len()..]].concat()
+    }
+
+    /// The three edits every holder of a cache is tested with: set 1 of a
+    /// `sets × ways` cache holding fewer lines than ways (legal), one more
+    /// than ways, and one line twice.
+    pub(crate) fn edited_sets(sets: usize, ways: usize) -> [(Vec<u64>, bool); 3] {
+        let lines = |n: usize| (0..n).map(|i| (1 + i * sets) as u64).collect::<Vec<_>>();
+        let mut twice = lines(ways);
+        twice[ways - 1] = twice[0];
+        [
+            (lines(ways - 1), true),
+            (lines(ways + 1), false),
+            (twice, false),
+        ]
+    }
+
+    fn encoded(c: &ReadOnlyCache) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        c.encode_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    proptest! {
+        /// Seeded `access` / `access_tagged` / `probe` (+ `fill` on a
+        /// miss, the only way the simulator fills) sequences over few
+        /// enough lines that sets fill, evict and reorder: every verdict,
+        /// both counters and the checkpoint bytes after every step equal
+        /// the `Vec<Vec<u64>>` model's, for a power-of-two set count and
+        /// another — and the bytes of a cache
+        /// with partially filled sets restore to a cache that encodes the
+        /// same bytes and answers the same from there on.
+        #[test]
+        fn the_flat_tag_array_matches_the_vec_of_vecs_model(
+            pow2 in any::<bool>(),
+            ops in proptest::collection::vec((0u8..4, 0u32..48, 0u8..3), 1..120),
+        ) {
+            // 8 sets x 2 ways, or 6 sets x 2 ways, of 64 B lines.
+            let capacity = if pow2 { 1024 } else { 768 };
+            let mut flat = ReadOnlyCache::new(capacity, 64, 2);
+            let mut model = Model::new(capacity, 64, 2);
+            let mut restored = ReadOnlyCache::new(capacity, 64, 2);
+            let restore_at = ops.len() / 2;
+            for (step, &(op, line, tag)) in ops.iter().enumerate() {
+                if step == restore_at {
+                    restored
+                        .restore_state(&mut Decoder::new(&encoded(&flat)))
+                        .expect("its own bytes restore");
+                }
+                let addr = line * 64 + 4 * u32::from(tag);
+                let apply = |c: &mut ReadOnlyCache| match op {
+                    0 => c.access(addr),
+                    1 => c.access_tagged(tag, addr),
+                    _ => {
+                        let hit = c.probe(addr);
+                        if !hit && op == 3 {
+                            c.fill(addr);
+                        }
+                        hit
+                    }
+                };
+                let got = apply(&mut flat);
+                let key = model.key(if op == 1 { tag } else { 0 }, addr);
+                let want = model.lookup(key);
+                if !want && op != 2 {
+                    model.install(key);
+                }
+                prop_assert_eq!(got, want, "step {}", step);
+                prop_assert_eq!((flat.hits, flat.misses), (model.hits, model.misses));
+                prop_assert_eq!(encoded(&flat), model.encode(), "step {}", step);
+                if step >= restore_at {
+                    prop_assert_eq!(apply(&mut restored), want, "restored, step {}", step);
+                    prop_assert_eq!(encoded(&restored), model.encode());
+                }
+            }
+        }
+    }
+
+    /// A resealed, mutated snapshot must not restore a cache the
+    /// configuration does not describe: a set with more lines than ways
+    /// (which would model a bigger cache from then on), a line listed
+    /// twice or in a set it does not map to (a smaller one: the way it
+    /// holds can never hit), or a key no access can produce.
+    #[test]
+    fn restore_rejects_sets_no_access_sequence_produces() {
+        // 2 sets x 2 ways.
+        let mut c = ReadOnlyCache::new(256, 64, 2);
+        let restore = |c: &mut ReadOnlyCache, sets: &[Vec<u64>]| {
+            c.restore_state(&mut Decoder::new(&encode_sets(sets, 0, 0)))
+        };
+        assert!(restore(&mut c, &[vec![2, 0], vec![1]]).is_ok());
+        assert!(c.access(128) && c.access(0) && c.access(64) && !c.access(192));
+        assert!(matches!(
+            restore(&mut c, &[vec![0, 2, 4], vec![]]),
+            Err(CodecError::BadLength {
+                len: 3,
+                remaining: 2
+            })
+        ));
+        assert!(matches!(
+            restore(&mut c, &[vec![], vec![3, 3]]),
+            Err(CodecError::BadTag { tag: 3, .. })
+        ));
+        assert!(matches!(
+            restore(&mut c, &[vec![0, 1], vec![]]),
+            Err(CodecError::BadTag { tag: 1, .. })
+        ));
+        assert!(matches!(
+            restore(&mut c, &[vec![], vec![(1 << 32) | 2]]),
+            Err(CodecError::BadTag { .. })
+        ));
+        assert!(restore(&mut c, &[vec![], vec![(1 << 32) | 3]]).is_ok());
+        assert!(matches!(
+            restore(&mut c, &[vec![EMPTY], vec![]]),
+            Err(CodecError::BadTag { tag: EMPTY, .. })
+        ));
+        assert!(matches!(
+            restore(&mut c, &[vec![0], vec![1], vec![]]),
+            Err(CodecError::BadLength {
+                len: 3,
+                remaining: 2
+            })
+        ));
+    }
 
     #[test]
     fn repeated_access_hits() {

@@ -6,8 +6,8 @@
 //! In the two-phase simulator pipeline the fabric is the *phase-B* side of
 //! the split: every SM's [`crate::SmMemFrontend`] coalesces and validates
 //! accesses privately during phase A, then the fabric applies the deferred
-//! stores ([`FunctionalOp`]), serves the deferred lane-span loads
-//! ([`MemoryFabric::read_span`]) and services the cycle's
+//! stores ([`FunctionalOp`]), serves the deferred lane loads
+//! ([`MemoryFabric::read_n`]) and services the cycle's
 //! [`BatchRequest`]s through one entry, [`MemoryFabric::service_batch`], in
 //! deterministic SM-id order.
 
@@ -18,6 +18,7 @@ use crate::frontend::FabricView;
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::Space;
 use std::fmt;
+use std::sync::Arc;
 
 /// A typed functional-memory fault.
 ///
@@ -117,9 +118,9 @@ pub struct BatchRequest {
 
 /// One deferred functional word store, applied by the fabric in phase B.
 ///
-/// Loads defer too, but as one span per lane
+/// Global and local loads defer too, but as one run of words per lane
 /// ([`LaneLoad`](crate::LaneLoad)) that phase B reads through
-/// [`MemoryFabric::read_span`].
+/// [`MemoryFabric::read_n`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FunctionalOp {
     /// Word store to an off-chip space.
@@ -159,7 +160,10 @@ fn l2_space_tag(space: Space) -> u8 {
 pub struct MemoryFabric {
     config: MemConfig,
     global: WordStore,
-    constant: WordStore,
+    /// Constant memory, shared copy-on-write with the views phase A
+    /// holds ([`MemoryFabric::view`]): the host writes it in place between
+    /// runs, when no view is alive, and taking a view copies nothing.
+    constant: Arc<WordStore>,
     local: LocalStore,
     /// (Fractional) cycle at which each off-chip module becomes free.
     module_free: Vec<f64>,
@@ -210,7 +214,7 @@ impl MemoryFabric {
         MemoryFabric {
             config,
             global: WordStore::new(),
-            constant: WordStore::new(),
+            constant: Arc::new(WordStore::new()),
             local: LocalStore::new(0),
             module_free: vec![0.0; modules],
             module_busy: vec![0.0; modules],
@@ -243,17 +247,19 @@ impl MemoryFabric {
         &self.config
     }
 
-    /// An owned snapshot of the metadata phase-A validation needs. All of
-    /// it is static while a launch runs (allocation, local stride, and
-    /// texture bindings only change from host code between runs), so the
-    /// view stays valid for a whole [`crate::MemoryFabric`] run and is
-    /// shared by every SM's step.
+    /// An owned snapshot of what phase A needs: the metadata its
+    /// validation checks against, and constant memory (shared, not
+    /// copied). All of it is static while a launch runs (allocation, local
+    /// stride, texture bindings and constant memory only change from host
+    /// code between runs), so the view stays valid for a whole
+    /// [`crate::MemoryFabric`] run and is shared by every SM's step.
     pub fn view(&self) -> FabricView {
         FabricView::new(
             self.config.clone(),
             self.global.allocated_bytes(),
             self.local.stride_bytes(),
             self.read_only_regions.clone(),
+            Arc::clone(&self.constant),
         )
     }
 
@@ -264,7 +270,7 @@ impl MemoryFabric {
 
     /// Allocates a labeled region of constant memory; returns the base address.
     pub fn alloc_const(&mut self, bytes: u32, label: &str) -> u32 {
-        self.constant.alloc(bytes, label)
+        Arc::make_mut(&mut self.constant).alloc(bytes, label)
     }
 
     /// Gives every thread `stride_bytes` of private local memory.
@@ -347,7 +353,7 @@ impl MemoryFabric {
 
     /// Host-side write to constant memory (kernel launch setup).
     pub fn host_write_const(&mut self, addr: u32, value: u32) {
-        self.constant.write(addr, value);
+        Arc::make_mut(&mut self.constant).write(addr, value);
     }
 
     /// Host-side bulk write to global memory.
@@ -429,26 +435,29 @@ impl MemoryFabric {
         }
     }
 
-    /// Reads one lane's deferred load in phase B: `out.len()` consecutive
-    /// words of `space` from byte address `base` (thread `tid`'s private
-    /// offset for local), word `i` at `base.wrapping_add(4 * i)`.
+    /// Reads one lane's deferred load in phase B: `N` consecutive words of
+    /// `space` from byte address `base` (thread `tid`'s private offset for
+    /// local), word `i` at `base.wrapping_add(4 * i)` — what
+    /// [`MemoryFabric::try_read_u32`] / [`MemoryFabric::try_read_local`]
+    /// return for each, one by one.
     ///
     /// Every word was validated against a [`FabricView`] at issue, so
     /// illegal accesses cannot reach this point.
     ///
     /// # Panics
     ///
-    /// Panics on a span the frontend should have rejected (on-chip space,
-    /// misalignment, local offset past the stride).
-    pub fn read_span(&self, space: Space, tid: u32, base: u32, out: &mut [u32]) {
-        for (i, word) in out.iter_mut().enumerate() {
-            let addr = base.wrapping_add(4 * i as u32);
-            *word = match space {
-                Space::Global => self.global.read(addr),
-                Space::Const => self.constant.read(addr),
-                Space::Local => self.local.read(tid, addr),
-                _ => panic!("on-chip load deferred to the fabric"),
-            };
+    /// Panics on a transfer the frontend should have rejected or never
+    /// deferred (on-chip or constant space, misalignment, local offset
+    /// past the stride).
+    #[inline]
+    pub fn read_n<const N: usize>(&self, space: Space, tid: u32, base: u32) -> [u32; N] {
+        match space {
+            Space::Global => self.global.read_n(base),
+            // Bounded by the stride word by word, and rare beside global.
+            Space::Local => {
+                std::array::from_fn(|i| self.local.read(tid, base.wrapping_add(4 * i as u32)))
+            }
+            _ => panic!("only global and local loads defer to the fabric"),
         }
     }
 
@@ -665,7 +674,7 @@ impl MemoryFabric {
     /// disagrees with this fabric's configuration.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         self.global.restore_state(dec)?;
-        self.constant.restore_state(dec)?;
+        Arc::make_mut(&mut self.constant).restore_state(dec)?;
         self.local.restore_state(dec)?;
         let modules = dec.take_len(8)?;
         if modules != self.module_free.len() {
@@ -713,6 +722,7 @@ impl MemoryFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn functional_global_roundtrip() {
@@ -777,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn deferred_stores_apply_and_spans_read_them_back() {
+    fn deferred_stores_apply_and_loads_read_them_back() {
         let mut m = MemoryFabric::new(MemConfig::fx5800());
         m.alloc_global(64, "t");
         let c = m.alloc_const(8, "c");
@@ -789,9 +799,7 @@ mod tests {
             addr: 8,
             value: 123,
         });
-        let mut span = [u32::MAX; 3];
-        m.read_span(Space::Global, 0, 4, &mut span);
-        assert_eq!(span, [0, 123, 0]);
+        assert_eq!(m.read_n::<4>(Space::Global, 0, 4), [0, 123, 0, 0]);
         m.apply(&FunctionalOp::Store {
             space: Space::Local,
             tid: 3,
@@ -799,16 +807,95 @@ mod tests {
             value: 9,
         });
         assert_eq!(m.read_local(3, 4), 9);
-        let mut span = [u32::MAX; 2];
-        m.read_span(Space::Local, 3, 4, &mut span);
-        assert_eq!(span, [9, 0], "thread 3's words, not thread 0's");
-        m.read_span(Space::Const, 0, c, &mut span);
-        assert_eq!(span, [0, 77]);
-        // A span wraps at the top of the address space like its words.
-        m.write_u32(Space::Global, 0, 5);
-        let mut span = [u32::MAX; 4];
-        m.read_span(Space::Global, 0, 0xffff_fff8, &mut span);
-        assert_eq!(span, [0, 0, 5, 0]);
+        assert_eq!(
+            m.read_n::<1>(Space::Local, 3, 4),
+            [9],
+            "thread 3's word, not thread 0's"
+        );
+        // A view's constant words are the fabric's as it was taken: a
+        // later host write is seen by the next view, not by this one.
+        let before = m.view();
+        m.host_write_const(c, 5);
+        assert_eq!(before.read_const_n::<4>(c), [0, 77, 0, 0]);
+        assert_eq!(m.view().read_const_n::<4>(c), [5, 77, 0, 0]);
+    }
+
+    /// A fabric with every off-chip space populated: 6 words of global
+    /// heap, 3 of constant memory, 16 bytes of local memory a thread.
+    fn populated() -> MemoryFabric {
+        let mut m = MemoryFabric::new(MemConfig::fx5800());
+        let g = m.alloc_global(24, "g");
+        m.host_write_global(g, &[11, 12, 13, 14, 15, 16]);
+        let c = m.alloc_const(12, "c");
+        for i in 0..3 {
+            m.host_write_const(c + 4 * i, 21 + i);
+        }
+        m.configure_local(16);
+        for tid in 0..3 {
+            for w in 0..4 {
+                m.write_local(tid, 4 * w, 100 * tid + w + 1);
+            }
+        }
+        m
+    }
+
+    /// A read at width `N` against the checked word reads, for one base
+    /// every word of which is legal: phase B's `read_n` for a global or
+    /// local load, the view's `read_const_n` for a constant one.
+    fn check_read_n<const N: usize>(m: &MemoryFabric, space: Space, tid: u32, base: u32) {
+        let want: [u32; N] = std::array::from_fn(|i| {
+            let addr = base.wrapping_add(4 * i as u32);
+            match space {
+                Space::Local => m.try_read_local(tid, addr),
+                _ => m.try_read_u32(space, addr),
+            }
+            .expect("a legal word")
+        });
+        let got = match space {
+            Space::Const => m.view().read_const_n::<N>(base),
+            _ => m.read_n::<N>(space, tid, base),
+        };
+        assert_eq!(got, want, "{space} {base:#x}");
+    }
+
+    /// No constant load reaches phase B, so the deferred read does not
+    /// serve constant memory.
+    #[test]
+    #[should_panic(expected = "only global and local loads defer")]
+    fn a_constant_load_is_never_deferred() {
+        populated().read_n::<1>(Space::Const, 0, 0);
+    }
+
+    proptest! {
+        /// A fixed-width read — phase B's of a deferred global or local
+        /// load, phase A's of constant memory through the view — is its
+        /// words one by one through `try_read_u32` / `try_read_local`, at
+        /// both widths the ISA has: inside the image, running off its end
+        /// (uninitialised DRAM reads 0), far past it, and across
+        /// `u32::MAX` back to word 0.
+        #[test]
+        fn fixed_width_reads_equal_checked_word_reads(
+            word in 0u32..12,
+            far in any::<u32>(),
+            place in 0u8..3,
+            tid in 0u32..4,
+        ) {
+            let m = populated();
+            let base = match place {
+                0 => 4 * word,
+                1 => far & !3,
+                _ => 0xffff_fff0 | (far & 0xc),
+            };
+            for space in [Space::Global, Space::Const] {
+                check_read_n::<1>(&m, space, tid, base);
+                check_read_n::<4>(&m, space, tid, base);
+            }
+            // Local words are bounded by the stride: only runs inside it
+            // are legal (thread 3 was never written and reads 0).
+            let offset = 4 * (word % 4);
+            check_read_n::<1>(&m, Space::Local, tid, offset);
+            check_read_n::<4>(&m, Space::Local, tid, 0);
+        }
     }
 
     fn batch(sm: usize, access: usize, is_store: bool, segments: Vec<u32>) -> BatchRequest {
@@ -995,6 +1082,25 @@ mod tests {
             flat.restore_state(&mut Decoder::new(&bytes)).is_err(),
             "flat fabric must reject a cached snapshot"
         );
+    }
+
+    /// ROADMAP 4(e): the same for an L2 slice (see the frontend's
+    /// `restore_refuses_a_tex_or_l1_set_the_geometry_cannot_hold`).
+    #[test]
+    fn restore_refuses_an_l2_set_the_geometry_cannot_hold() {
+        use crate::cache::tests::{edited_sets, with_set};
+        let cfg = MemConfig::fx5800_cached();
+        let slice_bytes = cfg.l2_bytes / cfg.partitions() as u32;
+        let sets = (slice_bytes / cfg.l2_line_bytes) as usize / cfg.l2_ways;
+        let mut enc = Encoder::new();
+        MemoryFabric::new(cfg.clone()).encode_state(&mut enc);
+        let honest = enc.into_bytes();
+        for (keys, legal) in edited_sets(sets, cfg.l2_ways) {
+            let payload = with_set(&honest, sets, 1, &keys);
+            let restored =
+                MemoryFabric::new(cfg.clone()).restore_state(&mut Decoder::new(&payload));
+            assert_eq!(restored.is_ok(), legal, "{keys:?}");
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! state until phase B, which applies every SM's work in SM-id order —
 //! the machine's memory ordering.
 
+use crate::backing::WordStore;
 use crate::banks::conflict_degree_span;
 use crate::cache::ReadOnlyCache;
 use crate::coalesce::coalesce_segments;
@@ -17,6 +18,7 @@ use crate::mshr::MshrTable;
 use crate::traffic::TrafficStats;
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::Space;
+use std::sync::Arc;
 
 /// An order-preserving line-address set: lines come out in first-push
 /// order (what timing emission needs, bit-identical to the historical
@@ -63,17 +65,24 @@ impl LineSet {
     }
 }
 
-/// An immutable snapshot of the fabric metadata phase-A validation needs.
+/// An immutable snapshot of what phase A needs of the fabric: the
+/// metadata its validation checks against, and the contents of constant
+/// memory.
 ///
-/// Everything here is static while a launch runs (heap size, local stride
-/// and texture bindings only change from host code between runs), so one
-/// view serves every SM's step for a whole run.
+/// Everything here is static while a launch runs (heap size, local stride,
+/// texture bindings and constant memory only change from host code
+/// between runs; a device store to constant memory traps), so one view
+/// serves every SM's step for a whole run.
 #[derive(Debug, Clone)]
 pub struct FabricView {
     config: MemConfig,
     global_allocated: u32,
     local_stride: u32,
     read_only_regions: Vec<(u32, u32)>,
+    /// Constant memory as the fabric held it when the view was taken,
+    /// shared with it rather than copied (a host write while a view is
+    /// alive would copy first, and leave the view what it was).
+    constant: Arc<WordStore>,
 }
 
 impl FabricView {
@@ -84,12 +93,14 @@ impl FabricView {
         global_allocated: u32,
         local_stride: u32,
         read_only_regions: Vec<(u32, u32)>,
+        constant: Arc<WordStore>,
     ) -> Self {
         FabricView {
             config,
             global_allocated,
             local_stride,
             read_only_regions,
+            constant,
         }
     }
 
@@ -100,15 +111,38 @@ impl FabricView {
 
     /// Whether a global address falls inside a read-only (texture) region.
     pub fn is_read_only(&self, addr: u32) -> bool {
+        self.read_only_region(addr).is_some()
+    }
+
+    /// The bounds `[base, end)` of the first read-only (texture) region
+    /// holding global address `addr`, if any does: every address inside
+    /// them is read-only too, so a warp's lanes can be range-checked
+    /// against one lookup.
+    pub fn read_only_region(&self, addr: u32) -> Option<(u32, u32)> {
         self.read_only_regions
             .iter()
-            .any(|&(b, n)| addr >= b && addr < b.saturating_add(n))
+            .map(|&(b, n)| (b, b.saturating_add(n)))
+            .find(|&(base, end)| addr >= base && addr < end)
     }
 
     /// Translates a per-thread local byte offset to a physical address used
     /// for coalescing/timing.
     pub fn local_physical(&self, tid: u32, addr: u32) -> u32 {
         tid.wrapping_mul(self.local_stride).wrapping_add(addr)
+    }
+
+    /// `N` consecutive words of constant memory from byte address `addr`
+    /// — what [`crate::MemoryFabric::try_read_u32`] reads there, word by
+    /// word, for as long as this view is valid, which is what lets a
+    /// constant load complete at issue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not 4-byte aligned
+    /// ([`FabricView::check_load`] first).
+    #[inline]
+    pub fn read_const_n<const N: usize>(&self, addr: u32) -> [u32; N] {
+        self.constant.read_n(addr)
     }
 
     fn check_local(&self, addr: u32) -> Result<(), MemFault> {
@@ -163,8 +197,8 @@ impl FabricView {
 
 /// One lane's deferred off-chip load: `words` consecutive words from byte
 /// address `base` (word `i` at `base.wrapping_add(4 * i)`), every one of
-/// them validated at issue. A lane that trapped part-way through its span
-/// carries only the words before the trap.
+/// them validated at issue. A lane that trapped part-way through its
+/// vector carries only the words before the trap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneLoad {
     /// Destination lane within the warp.
@@ -204,7 +238,7 @@ pub struct PendingAccess {
     pub reg: simt_isa::Reg,
     /// Deferred word stores, in lane/word issue order (empty for a load).
     pub ops: Vec<FunctionalOp>,
-    /// Deferred lane-span loads, in lane issue order (empty for a store).
+    /// Deferred lane loads, in lane issue order (empty for a store).
     pub loads: Vec<LaneLoad>,
     /// Coalesced off-chip requests for the modules.
     pub requests: Vec<FabricRequest>,
@@ -931,6 +965,32 @@ mod tests {
         // A frontend without an L1 rejects the snapshot.
         let mut flat = SmMemFrontend::new(MemConfig::fx5800());
         assert!(flat.restore_state(&mut Decoder::new(&bytes)).is_err());
+    }
+
+    /// ROADMAP 4(e): a resealed, edited snapshot must not hand the texture
+    /// cache or the L1 a set their geometry cannot hold.
+    #[test]
+    fn restore_refuses_a_tex_or_l1_set_the_geometry_cannot_hold() {
+        use crate::cache::tests::{edited_sets, with_set};
+        let flat = MemConfig::fx5800();
+        let cached = MemConfig::fx5800_cached();
+        let tex_sets = (flat.tex_cache_bytes / flat.tex_line_bytes) as usize / flat.tex_ways;
+        let l1_sets = (cached.l1_bytes / cached.l1_line_bytes) as usize / cached.l1_ways;
+        assert_ne!(tex_sets, l1_sets, "the edit finds the L1 by its set count");
+        for (cfg, sets, ways) in [
+            (flat.clone(), tex_sets, flat.tex_ways),
+            (cached.clone(), l1_sets, cached.l1_ways),
+        ] {
+            let mut enc = Encoder::new();
+            SmMemFrontend::new(cfg.clone()).encode_state(&mut enc);
+            let honest = enc.into_bytes();
+            for (keys, legal) in edited_sets(sets, ways) {
+                let payload = with_set(&honest, sets, 1, &keys);
+                let restored =
+                    SmMemFrontend::new(cfg.clone()).restore_state(&mut Decoder::new(&payload));
+                assert_eq!(restored.is_ok(), legal, "{sets} sets: {keys:?}");
+            }
+        }
     }
 
     #[test]

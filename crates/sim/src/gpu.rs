@@ -1867,6 +1867,121 @@ mod tests {
         );
     }
 
+    /// The same trap on a constant load drops nothing: lane 0's word was
+    /// in its register when the instruction issued, so no result is in
+    /// flight when the warp dies.
+    #[test]
+    fn a_killed_warp_has_no_constant_load_in_flight() {
+        let src = r#"
+            .kernel main
+            main:
+                mov.u32 r1, %tid
+                mul.lo.s32 r2, r1, 2
+                ld.const.u32 r3, [r2+0]
+                exit
+        "#;
+        let mut cfg = GpuConfig::tiny();
+        cfg.fault_policy = FaultPolicy::KillWarp;
+        let mut gpu = Gpu::builder(cfg).build();
+        gpu.mem_mut().alloc_const(16, "params");
+        gpu.launch(Launch {
+            program: assemble_named("oob", src).unwrap(),
+            entry: "main".into(),
+            num_threads: 4,
+            threads_per_block: 4,
+        })
+        .expect("launch accepted");
+        let summary = gpu.run(1_000_000).expect("KillWarp absorbs the trap");
+        assert_eq!(summary.outcome, RunOutcome::Completed);
+        assert_eq!(summary.stats.faults, 1);
+        assert!(matches!(
+            summary.faults[0].kind,
+            crate::FaultKind::Memory(simt_mem::MemFault::Misaligned {
+                space: simt_isa::Space::Const,
+                addr: 2
+            })
+        ));
+        assert_eq!(summary.stats.threads_killed, 4);
+        assert_eq!(gpu.late_write_drops(), 0);
+    }
+
+    /// Constant memory is fixed for a run, not for a machine: what the
+    /// host writes between two runs is what the second run's loads see.
+    #[test]
+    fn a_host_write_to_constant_memory_between_runs_is_seen_by_the_next() {
+        let src = r#"
+            .kernel main
+            main:
+                mov.u32 r1, %tid
+                mul.lo.s32 r2, r1, 4
+                mov.u32 r3, 0
+                ld.const.u32 r4, [r3+4]
+                st.global.u32 [r2+0], r4
+                exit
+        "#;
+        let mut gpu = Gpu::builder(GpuConfig::tiny()).build();
+        gpu.mem_mut().alloc_global(32, "out");
+        gpu.mem_mut().alloc_const(8, "params");
+        for value in [7, 9] {
+            gpu.mem_mut().host_write_const(4, value);
+            gpu.launch(Launch {
+                program: assemble_named("param", src).unwrap(),
+                entry: "main".into(),
+                num_threads: 8,
+                threads_per_block: 4,
+            })
+            .expect("launch accepted");
+            let summary = gpu.run(1_000_000).expect("fault-free");
+            assert_eq!(summary.outcome, RunOutcome::Completed);
+            assert_eq!(gpu.mem().host_read_global(0, 8), vec![value; 8]);
+        }
+    }
+
+    /// One `ld.global` whose lanes read a texture binding *and* plain
+    /// global memory still splits lane by lane — whichever kind the first
+    /// lane is: the bound lanes probe the read-only cache (two lanes, one
+    /// 32-byte line: a miss and a hit), the others go to the coalescer.
+    #[test]
+    fn a_warp_reading_bound_and_unbound_addresses_splits_lane_by_lane() {
+        for bound_first in [true, false] {
+            // Two lanes read words 0 and 1 (bound), two read from 1024 on.
+            let src = format!(
+                r#"
+                .kernel main
+                main:
+                    mov.u32 r1, %tid
+                    mul.lo.s32 r2, r1, 4
+                    setp.{cmp}.s32 p0, r1, 2
+                    @p0 add.s32 r2, r2, 1024
+                    @!p0 and.b32 r2, r2, 4
+                    ld.global.u32 r3, [r2+0]
+                    exit
+                "#,
+                cmp = if bound_first { "ge" } else { "lt" }
+            );
+            let mut gpu = Gpu::builder(GpuConfig::tiny()).build();
+            gpu.mem_mut().alloc_global(2048, "buf");
+            gpu.mem_mut().mark_read_only(0, 64);
+            gpu.launch(Launch {
+                program: assemble_named("mixed", &src).unwrap(),
+                entry: "main".into(),
+                num_threads: 4,
+                threads_per_block: 4,
+            })
+            .expect("launch accepted");
+            let summary = gpu.run(1_000_000).expect("fault-free");
+            assert_eq!(summary.outcome, RunOutcome::Completed);
+            assert_eq!(gpu.sms()[0].tex_stats(), Some((1, 1)), "{bound_first}");
+            let global = *gpu.sms()[0].traffic().space(simt_isa::Space::Global);
+            // The line fill and the two unbound lanes' one segment.
+            assert_eq!(
+                (global.accesses, global.transactions),
+                (2, 2),
+                "{bound_first}"
+            );
+        }
+    }
+
     /// What an imprecise trap leaves behind is counted in words: lane 0's
     /// `v4` fits its 32-byte local stride, lane 1's (from offset 24) runs
     /// past it in its third word, so four words plus two were validated

@@ -190,40 +190,59 @@ impl LaneState {
         self.regs[i as usize * self.warp_size as usize + lane] = v;
     }
 
-    /// Reads `out.len()` consecutive registers of lane `lane` starting at
-    /// `first`: element `i` is [`LaneState::reg`] of register
-    /// `first + i`, the register number wrapping at 255.
-    pub fn read_regs(&self, lane: usize, first: Reg, out: &mut [u32]) {
+    /// Reads `N` consecutive registers of lane `lane` starting at `first`:
+    /// element `i` is [`LaneState::reg`] of register `first + i`, the
+    /// register number wrapping at 255. `N` is the instruction's width.
+    // Forced inline (as `set_reg_n` is): called per lane of every memory
+    // instruction, and out of line the run crosses the call through the
+    // stack, word by word on one side and as a vector on the other.
+    #[inline(always)]
+    pub fn reg_n<const N: usize>(&self, lane: usize, first: Reg) -> [u32; N] {
         let ws = self.warp_size as usize;
-        if first.0 as usize + out.len() <= self.regs_stride as usize {
-            let mut at = first.0 as usize * ws + lane;
-            for v in out {
-                *v = self.regs[at];
-                at += ws;
+        // (Plain loops, and both arms in line: a result that `from_fn` or
+        // a called function builds in memory is read back from there as
+        // one vector, which stalls on the word stores that wrote it.)
+        let mut run = [0; N];
+        if first.0 as usize + N <= self.regs_stride as usize {
+            let at = first.0 as usize * ws + lane;
+            for (i, v) in run.iter_mut().enumerate() {
+                *v = self.regs[at + i * ws];
             }
         } else {
-            for (i, v) in out.iter_mut().enumerate() {
+            for (i, v) in run.iter_mut().enumerate() {
                 *v = self.reg(lane, Reg(first.0.wrapping_add(i as u8)));
             }
         }
+        run
     }
 
     /// Writes `values` to consecutive registers of lane `lane` starting at
     /// `first`, in order: element `i` is [`LaneState::set_reg`] of register
     /// `first + i`, the register number wrapping at 255 and the file
     /// widening as `set_reg` widens it.
-    pub fn write_regs(&mut self, lane: usize, first: Reg, values: &[u32]) {
+    #[inline(always)]
+    pub fn set_reg_n<const N: usize>(&mut self, lane: usize, first: Reg, values: [u32; N]) {
         let ws = self.warp_size as usize;
-        if first.0 as usize + values.len() <= self.regs_stride as usize {
-            let mut at = first.0 as usize * ws + lane;
-            for &v in values {
-                self.regs[at] = v;
-                at += ws;
+        if first.0 as usize + N <= self.regs_stride as usize {
+            let at = first.0 as usize * ws + lane;
+            for (i, v) in values.into_iter().enumerate() {
+                self.regs[at + i * ws] = v;
             }
         } else {
-            for (i, &v) in values.iter().enumerate() {
-                self.set_reg(lane, Reg(first.0.wrapping_add(i as u8)), v);
-            }
+            self.set_reg_n_past_the_file(lane, first, values);
+        }
+    }
+
+    /// [`LaneState::set_reg_n`] for a run that leaves the declared file.
+    #[cold]
+    fn set_reg_n_past_the_file<const N: usize>(
+        &mut self,
+        lane: usize,
+        first: Reg,
+        values: [u32; N],
+    ) {
+        for (i, v) in values.into_iter().enumerate() {
+            self.set_reg(lane, Reg(first.0.wrapping_add(i as u8)), v);
         }
     }
 
@@ -629,6 +648,7 @@ impl LaneState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn partial_warp() -> LaneState {
         // 3 threads in a 4-lane warp; lane 3 unpopulated.
@@ -663,32 +683,51 @@ mod tests {
         assert_eq!(l.reg(0, Reg(7)), 0);
     }
 
-    /// `read_regs`/`write_regs` against `reg`/`set_reg` one register at a
-    /// time, for spans inside the file, straddling its end (reads beyond
-    /// it are 0, a write widens it for the whole warp) and wrapping at
-    /// register 255.
-    #[test]
-    fn register_spans_equal_single_register_accesses() {
-        for first in [0u8, 1, 2, 5, 253, 255] {
-            for len in 0..=4usize {
-                let mut spanned = partial_warp();
-                spanned.set_reg(2, Reg(0), 7);
-                let mut single = spanned.clone();
-
-                let mut got = [u32::MAX; 4];
-                spanned.read_regs(2, Reg(first), &mut got[..len]);
-                for (i, &v) in got[..len].iter().enumerate() {
-                    assert_eq!(v, single.reg(2, Reg(first.wrapping_add(i as u8))));
-                }
-
-                let values = [91, 92, 93, 94];
-                spanned.write_regs(1, Reg(first), &values[..len]);
-                for (i, &v) in values[..len].iter().enumerate() {
-                    single.set_reg(1, Reg(first.wrapping_add(i as u8)), v);
-                }
-                assert_eq!(spanned.regs_stride, single.regs_stride, "{first}+{len}");
-                assert_eq!(spanned.regs, single.regs, "{first}+{len}");
+    /// `reg_n`/`set_reg_n` at width `N` against `reg`/`set_reg` one
+    /// register at a time, from register `first` of a 3-register file.
+    fn check_register_run<const N: usize>(first: u8, values: [u32; N]) {
+        let mut wide = LaneState::admit(4, 3, 0, 3);
+        for lane in 0..3 {
+            for r in 0..3 {
+                wide.set_reg(lane, Reg(r), 100 * lane as u32 + u32::from(r) + 1);
             }
+        }
+        let mut single = wide.clone();
+        let at = |i: usize| Reg(first.wrapping_add(i as u8));
+
+        assert_eq!(
+            wide.reg_n::<N>(2, Reg(first)),
+            std::array::from_fn(|i| single.reg(2, at(i))),
+            "{first}+{N}"
+        );
+        wide.set_reg_n(1, Reg(first), values);
+        for (i, &v) in values.iter().enumerate() {
+            single.set_reg(1, at(i), v);
+        }
+        assert_eq!(wide.regs_stride, single.regs_stride, "{first}+{N}");
+        assert_eq!(wide.regs, single.regs, "{first}+{N}");
+    }
+
+    proptest! {
+        /// A register run is its registers one by one, at both widths the
+        /// ISA has: inside the declared file, crossing its end (reads
+        /// beyond it are 0, a write widens it for the whole warp) and
+        /// wrapping at register 255.
+        #[test]
+        fn register_runs_equal_single_register_accesses(
+            first in any::<u8>(),
+            near in 0u8..3,
+            values in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        ) {
+            // Half the cases start within a run's length of the file's end
+            // or of register 255, where the two forms could differ.
+            let first = match near {
+                0 => first % 6,
+                1 => 250 + first % 6,
+                _ => first,
+            };
+            check_register_run::<1>(first, [values.0]);
+            check_register_run::<4>(first, [values.0, values.1, values.2, values.3]);
         }
     }
 

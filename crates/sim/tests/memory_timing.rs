@@ -422,3 +422,85 @@ fn spawn_v4_at_the_state_record_stride_replays_seven_times() {
         }
     }
 }
+
+/// Streaming loads on the flat machine run at DRAM bandwidth (ROADMAP
+/// 4c). Eight full warps of one SM each load 32 consecutive `v4`s — 512
+/// contiguous bytes, 16 segments, which the round-robin interleave deals
+/// `16 / num_modules` to every module — one warp a cycle. That is more
+/// than a module serves in a cycle, so from the first load's issue every
+/// module transfers back to back and the modules stay level: warp `j`'s
+/// last segment leaves each module after `(j + 1) * 16 / num_modules`
+/// service times, and its data is there `dram_latency` after the cycle
+/// that completes in. Nothing else competes for the issue port by then,
+/// so that is the cycle the warp's next instruction issues.
+#[test]
+fn streaming_loads_run_at_dram_bandwidth() {
+    const WARPS: usize = 8;
+    let mem = MemConfig::fx5800();
+    let per_module = 32 * 16 / mem.segment_bytes as usize / mem.num_modules;
+    assert_eq!(
+        per_module * mem.num_modules * mem.segment_bytes as usize,
+        512
+    );
+    assert!(
+        per_module as f64 * mem.segment_service_cycles() > 1.0,
+        "a warp a cycle must outrun the modules"
+    );
+    let program = assemble_named(
+        "stream",
+        r#"
+        .kernel main
+        main:
+            mov.u32 r1, %tid
+            mul.lo.s32 r2, r1, 16
+            ld.global.v4 r4, [r2+0]
+            exit
+        "#,
+    )
+    .unwrap();
+    let ld = 2;
+    assert!(matches!(program.instrs()[ld].op, Instr::Ld { .. }));
+    let cfg = GpuConfig {
+        num_sms: 1,
+        mem: mem.clone(),
+        ..GpuConfig::fx5800_warp_sched()
+    };
+    let mut gpu = Gpu::builder(cfg).telemetry(TelemetrySpec::trace()).build();
+    gpu.mem_mut().alloc_global(512 * WARPS as u32, "stream");
+    gpu.launch(Launch {
+        program,
+        entry: "main".into(),
+        num_threads: 32 * WARPS as u32,
+        threads_per_block: 32,
+    })
+    .expect("launch accepted");
+    let s = gpu.run(1_000_000).expect("fault-free");
+    assert_eq!(s.outcome, RunOutcome::Completed);
+    let events = gpu.telemetry_report().events;
+
+    let first = issued_at(&events, 0, 0, ld);
+    // A module's clock: free from the first load's issue, then one
+    // (fractional) service time a segment, never idle.
+    let mut module_free = first as f64;
+    for warp in 0..WARPS {
+        assert_eq!(issued_at(&events, 0, warp, ld), first + warp as u64);
+        for _ in 0..per_module {
+            module_free += mem.segment_service_cycles();
+        }
+        assert_eq!(
+            issued_at(&events, 0, warp, ld + 1),
+            module_free.ceil() as u64 + u64::from(mem.dram_latency),
+            "warp {warp}"
+        );
+    }
+    // All of it moved, once, at the coalescer's best: a transaction a
+    // segment.
+    let global = *gpu.sms()[0].traffic().space(simt_isa::Space::Global);
+    assert_eq!(global.bytes_read, 512 * WARPS as u64);
+    assert_eq!(
+        global.transactions,
+        (per_module * mem.num_modules * WARPS) as u64
+    );
+    // The run ends when the last warp's `exit` has issued.
+    assert_eq!(s.stats.cycles, issued_at(&events, 0, WARPS - 1, ld + 1) + 1);
+}

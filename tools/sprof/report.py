@@ -2,6 +2,7 @@
 """Attributes an sprof sample file to symbols and source lines.
 
     report.py SPROF_OUT [--top N] [--lines N] [--repo DIR]
+    report.py --diff BEFORE AFTER [--wall S S] [--top N]
 
 Each sampled address in an executable mapping is resolved with
 `addr2line -f -i -C -a` against the mapped file. A sample counts once for
@@ -9,6 +10,13 @@ its *outermost* symbol (the function that was actually called; everything
 inlined into it is folded in) and once for its *innermost line under the
 repository* (where the time is spent in code we can change). Needs a
 binary with debug info: the workspace's release profile has `debug = true`.
+
+`--diff` prints the outermost-symbol table of two sample files side by
+side — each symbol's share of its file's samples and, with `--wall` (the
+`wall_s` a rep of each side measured *without* the sampler), that share
+of the wall-clock in seconds — sorted by the larger of the two shares:
+the before/after table ROADMAP item 1 keeps. Inlining moves time between
+symbols, so read rows that moved together as one row.
 """
 
 import argparse
@@ -53,16 +61,9 @@ def resolve(binary, offsets):
     return frames
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("samples")
-    ap.add_argument("--top", type=int, default=25, help="outer symbols to print")
-    ap.add_argument("--lines", type=int, default=25, help="repository lines to print")
-    ap.add_argument("--repo", default=os.getcwd(), help="repository root for the line table")
-    args = ap.parse_args()
-    repo = os.path.realpath(args.repo) + os.sep
-
-    addrs, maps = parse(args.samples)
+def attribute(samples, repo):
+    """(samples, unmapped, outermost-symbol counts, innermost-line counts)."""
+    addrs, maps = parse(samples)
     # addr2line wants link-time addresses: for a position-independent file
     # that is the distance from where its first byte was mapped.
     base = {}
@@ -102,8 +103,49 @@ def main():
                 if src.startswith(repo):
                     inner[f"{src[len(repo):]}:{line}"] += n
                     break
+    return len(addrs), unmapped, outer, inner
 
-    total = len(addrs)
+
+def diff(before, after, wall, top, repo):
+    sides = [attribute(path, repo) for path in (before, after)]
+    shares = [{name: n / total for name, n in outer.items()} for total, _, outer, _ in sides]
+    names = sorted(
+        set(shares[0]) | set(shares[1]),
+        key=lambda name: -max(side.get(name, 0) for side in shares),
+    )
+
+    def cell(side, name):
+        share = shares[side].get(name)
+        if share is None:
+            return "—"
+        text = f"{100 * share:5.1f} %"
+        return text + (f" · {share * wall[side]:.2f} s" if wall else "")
+
+    width = max(len(cell(side, name)) for side in (0, 1) for name in names[:top])
+    for side, label in enumerate(("before", "after")):
+        wall_s = f", wall_s {wall[side]:g} s a rep" if wall else ""
+        print(f"{label}: {sides[side][0]} samples{wall_s}  ({(before, after)[side]})")
+    print(f"\n{'before':>{width}}  {'after':>{width}}  outermost symbol")
+    for name in names[:top]:
+        print(f"{cell(0, name):>{width}}  {cell(1, name):>{width}}  {name}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("samples", nargs="?")
+    ap.add_argument("--diff", nargs=2, metavar=("BEFORE", "AFTER"), help="two sample files, side by side")
+    ap.add_argument("--wall", nargs=2, type=float, metavar=("S", "S"), help="with --diff: wall_s of each side")
+    ap.add_argument("--top", type=int, default=25, help="outer symbols to print")
+    ap.add_argument("--lines", type=int, default=25, help="repository lines to print")
+    ap.add_argument("--repo", default=os.getcwd(), help="repository root for the line table")
+    args = ap.parse_args()
+    repo = os.path.realpath(args.repo) + os.sep
+    if args.diff:
+        return diff(args.diff[0], args.diff[1], args.wall, args.top, repo)
+    if not args.samples or args.wall:
+        ap.error("give one sample file, or --diff BEFORE AFTER [--wall S S]")
+
+    total, unmapped, outer, inner = attribute(args.samples, repo)
     print(f"{total} samples ({unmapped} outside any file mapping)")
     print(f"\n-- outermost symbol, top {args.top}")
     for name, n in outer.most_common(args.top):
