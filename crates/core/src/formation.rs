@@ -67,29 +67,31 @@ impl fmt::Display for SpawnError {
 
 impl std::error::Error for SpawnError {}
 
-/// Counters exposed by the formation unit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DmkStats {
-    /// Warp-level `spawn` instructions processed.
-    pub spawn_instructions: u64,
-    /// Threads created.
-    pub threads_spawned: u64,
-    /// Full warps formed.
-    pub warps_completed: u64,
-    /// Partial warps forced out by the scheduler.
-    pub partial_warps_forced: u64,
-    /// Threads inside forced partial warps.
-    pub partial_threads_forced: u64,
-    /// High-water mark of the new-warp FIFO.
-    pub max_fifo_depth: usize,
-    /// High-water mark of formation blocks in use.
-    pub max_blocks_in_use: u32,
-    /// Spawn stalls due to formation/FIFO back-pressure.
-    pub spawn_stalls: u64,
-    /// Spawn-memory words the admission stage read back (one state
-    /// pointer per admitted lane). Only accounted when the
-    /// `spawn_admission_reads` memory knob is enabled; zero otherwise.
-    pub admission_reads: u64,
+simt_isa::counters! {
+    /// Counters exposed by the formation unit.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct DmkStats {
+        /// Warp-level `spawn` instructions processed.
+        pub spawn_instructions: u64 = sum,
+        /// Threads created.
+        pub threads_spawned: u64 = sum,
+        /// Full warps formed.
+        pub warps_completed: u64 = sum,
+        /// Partial warps forced out by the scheduler.
+        pub partial_warps_forced: u64 = sum,
+        /// Threads inside forced partial warps.
+        pub partial_threads_forced: u64 = sum,
+        /// High-water mark of the new-warp FIFO.
+        pub max_fifo_depth: usize = max,
+        /// High-water mark of formation blocks in use.
+        pub max_blocks_in_use: u32 = max,
+        /// Spawn stalls due to formation/FIFO back-pressure.
+        pub spawn_stalls: u64 = sum,
+        /// Spawn-memory words the admission stage read back (one state
+        /// pointer per admitted lane). Only accounted when the
+        /// `spawn_admission_reads` memory knob is enabled; zero otherwise.
+        pub admission_reads: u64 = sum,
+    }
 }
 
 /// One SM's warp-formation unit.
@@ -339,15 +341,7 @@ impl WarpFormation {
             enc.put_u32(w.base_addr);
             enc.put_u32(w.count);
         }
-        enc.put_u64(self.stats.spawn_instructions);
-        enc.put_u64(self.stats.threads_spawned);
-        enc.put_u64(self.stats.warps_completed);
-        enc.put_u64(self.stats.partial_warps_forced);
-        enc.put_u64(self.stats.partial_threads_forced);
-        enc.put_usize(self.stats.max_fifo_depth);
-        enc.put_u32(self.stats.max_blocks_in_use);
-        enc.put_u64(self.stats.spawn_stalls);
-        enc.put_u64(self.stats.admission_reads);
+        self.stats.encode_state(enc);
     }
 
     /// Restores state previously written by
@@ -386,16 +380,7 @@ impl WarpFormation {
                 })
             })
             .collect::<Result<_, CodecError>>()?;
-        self.stats.spawn_instructions = dec.take_u64()?;
-        self.stats.threads_spawned = dec.take_u64()?;
-        self.stats.warps_completed = dec.take_u64()?;
-        self.stats.partial_warps_forced = dec.take_u64()?;
-        self.stats.partial_threads_forced = dec.take_u64()?;
-        self.stats.max_fifo_depth = dec.take_usize()?;
-        self.stats.max_blocks_in_use = dec.take_u32()?;
-        self.stats.spawn_stalls = dec.take_u64()?;
-        self.stats.admission_reads = dec.take_u64()?;
-        Ok(())
+        self.stats.restore_state(dec)
     }
 }
 
@@ -582,6 +567,44 @@ mod tests {
         assert!(out.thread_slots.is_empty());
         assert!(wf.lut().is_empty());
         assert_eq!(wf.stats().spawn_instructions, 0);
+    }
+
+    fn stats_from(bytes: &[u8]) -> Result<DmkStats, CodecError> {
+        let mut s = DmkStats::default();
+        s.restore_state(&mut Decoder::new(bytes)).map(|()| s)
+    }
+
+    fn stats_bytes(s: &DmkStats) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        s.encode_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    proptest::proptest! {
+        /// The declared codec and merge: restore of encode is the identity
+        /// (bytes with every high bit clear, so two of them never overflow
+        /// a sum), a merge sums every counter and keeps the larger of the
+        /// two high-water marks, and a truncated payload is a typed error.
+        #[test]
+        fn dmk_stats_roundtrip_and_merge_field_by_field(
+            a in proptest::collection::vec(0u8..0x80, DmkStats::ENCODED_BYTES..DmkStats::ENCODED_BYTES + 1),
+            b in proptest::collection::vec(0u8..0x80, DmkStats::ENCODED_BYTES..DmkStats::ENCODED_BYTES + 1),
+        ) {
+            let (x, y) = (stats_from(&a).unwrap(), stats_from(&b).unwrap());
+            proptest::prop_assert_eq!(stats_bytes(&x), a.clone());
+            let mut m = x;
+            m.merge(&y);
+            for (i, name) in DmkStats::NAMES.iter().enumerate() {
+                let (p, q) = (x.values()[i], y.values()[i]);
+                let want = if name.starts_with("max_") { p.max(q) } else { p + q };
+                proptest::prop_assert_eq!(m.values()[i], want, "{}", name);
+            }
+            proptest::prop_assert_eq!(stats_from(&stats_bytes(&m)).unwrap(), m);
+            proptest::prop_assert!(matches!(
+                stats_from(&a[..a.len() - 1]),
+                Err(CodecError::UnexpectedEof { .. })
+            ));
+        }
     }
 
     #[test]

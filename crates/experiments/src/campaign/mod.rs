@@ -419,36 +419,39 @@ impl Job {
     }
 }
 
-/// Aggregate degradation counters across everything a [`Coordinator`]
-/// has supervised, for end-of-run summaries and the serve `/healthz`
-/// endpoint — degradation must be visible, never silent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecCounters {
-    /// Worker attempts consumed by retries (deaths, hangs, timeouts).
-    pub retried_attempts: u32,
-    /// SIGKILLs delivered by the coordinator (wall-clock timeout, stale
-    /// heartbeat, or deadline expiry).
-    pub sigkills: u32,
-    /// Subset of `sigkills` delivered for per-job deadline expiry.
-    pub deadline_kills: u32,
-    /// Corrupt cache entries quarantined.
-    pub quarantined: u32,
-    /// Jobs served from the content-addressed cache.
-    pub cache_hits: u32,
-    /// Jobs completed by a worker this coordinator ran (not cached).
-    pub fresh_completions: u32,
-    /// Worker processes started (one per attempt).
-    pub jobs_spawned: u32,
-    /// Cumulative time attempts waited for a worker slot: from admission
-    /// (or the end of a retry's back-off) to the spawn.
-    pub queue_wait_us: u64,
-    /// Cumulative time from a worker's spawn to its exit being seen: its
-    /// stdout closing, or the pass that reaped or killed it when that
-    /// came first.
-    pub worker_run_us: u64,
-    /// Cumulative time from a worker's exit being seen to the pass that
-    /// reaped it: what a completion waits for the coordinator's owner.
-    pub exit_seen_lag_us: u64,
+simt_isa::counters! {
+    /// Aggregate degradation counters across everything a [`Coordinator`]
+    /// has supervised, for end-of-run summaries and the serve `/healthz`
+    /// endpoint — degradation must be visible, never silent. `/healthz`
+    /// prints them in declaration order under their field names.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ExecCounters {
+        /// Jobs served from the content-addressed cache.
+        pub cache_hits: u32 = sum,
+        /// Jobs completed by a worker this coordinator ran (not cached).
+        pub fresh_completions: u32 = sum,
+        /// Worker processes started (one per attempt).
+        pub jobs_spawned: u32 = sum,
+        /// Cumulative time attempts waited for a worker slot: from admission
+        /// (or the end of a retry's back-off) to the spawn.
+        pub queue_wait_us: u64 = sum,
+        /// Cumulative time from a worker's spawn to its exit being seen: its
+        /// stdout closing, or the pass that reaped or killed it when that
+        /// came first.
+        pub worker_run_us: u64 = sum,
+        /// Cumulative time from a worker's exit being seen to the pass that
+        /// reaped it: what a completion waits for the coordinator's owner.
+        pub exit_seen_lag_us: u64 = sum,
+        /// Corrupt cache entries quarantined.
+        pub quarantined: u32 = sum,
+        /// Worker attempts consumed by retries (deaths, hangs, timeouts).
+        pub retried_attempts: u32 = sum,
+        /// SIGKILLs delivered by the coordinator (wall-clock timeout, stale
+        /// heartbeat, or deadline expiry).
+        pub sigkills: u32 = sum,
+        /// Subset of `sigkills` delivered for per-job deadline expiry.
+        pub deadline_kills: u32 = sum,
+    }
 }
 
 /// One live worker process.
@@ -1182,6 +1185,50 @@ mod tests {
         assert!(passes >= 2, "one pass spawns, a later one reaps");
         assert_eq!(waits, passes - 1, "no wait follows the last pass");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The declared codec and merge of [`ExecCounters`], over 1000 seeded
+    /// draws of bytes with every high bit clear (so two never overflow a
+    /// sum): restore of encode is the identity, a merge sums field by
+    /// field, and a truncated payload is a typed error.
+    #[test]
+    fn exec_counters_roundtrip_and_merge_field_by_field() {
+        use simt_isa::codec::{CodecError, Decoder, Encoder};
+        let decode = |bytes: &[u8]| {
+            let mut c = ExecCounters::default();
+            c.restore_state(&mut Decoder::new(bytes)).map(|()| c)
+        };
+        let encode = |c: &ExecCounters| {
+            let mut enc = Encoder::new();
+            c.encode_state(&mut enc);
+            enc.into_bytes()
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = || -> Vec<u8> {
+            (0..ExecCounters::ENCODED_BYTES)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state & 0x7f) as u8
+                })
+                .collect()
+        };
+        for _ in 0..1000 {
+            let (a, b) = (draw(), draw());
+            let (x, y) = (decode(&a).unwrap(), decode(&b).unwrap());
+            assert_eq!(encode(&x), a);
+            let mut m = x;
+            m.merge(&y);
+            for ((s, p), q) in m.values().into_iter().zip(x.values()).zip(y.values()) {
+                assert_eq!(s, p + q);
+            }
+            assert_eq!(decode(&encode(&m)).unwrap(), m);
+            assert!(matches!(
+                decode(&a[..a.len() - 1]),
+                Err(CodecError::UnexpectedEof { .. })
+            ));
+        }
     }
 
     #[test]

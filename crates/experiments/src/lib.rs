@@ -3,8 +3,7 @@
 //! One runner per artifact of Steffen & Zambreno's evaluation (§VI–VII).
 //! Each runner returns a serializable result and implements `Display`,
 //! printing the same rows/series the paper reports. The `repro` binary
-//! dispatches them from the command line; the `bench` crate wraps them in
-//! Criterion benchmarks.
+//! dispatches them from the command line; `ledger/` times them.
 //!
 //! | runner | paper artifact |
 //! |--------|----------------|

@@ -16,7 +16,7 @@
 use super::admission::ShedReason;
 use super::{admit, http, json, spec_from_request, Admission, JobState, Shared};
 use crate::campaign::manifest::escape;
-use crate::campaign::Job;
+use crate::campaign::{ExecCounters, Job};
 use std::io::{BufReader, Read};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -295,6 +295,11 @@ fn job_output(shared: &Shared, id: &str) -> Answer {
 fn healthz(shared: &Shared) -> String {
     let inner = shared.lock();
     let counters = inner.coord.counters();
+    let counters: String = ExecCounters::NAMES
+        .iter()
+        .zip(counters.values())
+        .map(|(name, v)| format!("\"{name}\": {v}, "))
+        .collect();
     let (post_requests, post_us) = shared.routes.post_jobs.read();
     let (status_requests, status_us) = shared.routes.get_status.read();
     let (output_requests, output_us) = shared.routes.get_output.read();
@@ -304,9 +309,7 @@ fn healthz(shared: &Shared) -> String {
          \"admitted\": {}, \
          \"shed_queue_full\": {}, \"shed_rate_limited\": {}, \"shed_draining\": {}, \"shed_total\": {}, \
          \"journal_lag\": {}, \"journal_quarantined\": {}, \
-         \"cache_hits\": {}, \"fresh_completions\": {}, \
-         \"jobs_spawned\": {}, \"queue_wait_us\": {}, \"worker_run_us\": {}, \"exit_seen_lag_us\": {}, \
-         \"quarantined\": {}, \"retried_attempts\": {}, \"sigkills\": {}, \"deadline_kills\": {}, \
+         {counters}\
          \"post_jobs_requests\": {post_requests}, \"post_jobs_handler_us\": {post_us}, \
          \"get_status_requests\": {status_requests}, \"get_status_handler_us\": {status_us}, \
          \"get_output_requests\": {output_requests}, \"get_output_handler_us\": {output_us}}}\n",
@@ -322,15 +325,5 @@ fn healthz(shared: &Shared) -> String {
         inner.sheds.total(),
         inner.journal.lag(),
         inner.journal.quarantined,
-        counters.cache_hits,
-        counters.fresh_completions,
-        counters.jobs_spawned,
-        counters.queue_wait_us,
-        counters.worker_run_us,
-        counters.exit_seen_lag_us,
-        counters.quarantined,
-        counters.retried_attempts,
-        counters.sigkills,
-        counters.deadline_kills,
     )
 }

@@ -241,16 +241,6 @@ impl Workload for BvhPathTracer {
             );
         }
     }
-
-    fn simd_efficiency(&self, scale: Scale) -> Option<Vec<(String, f64)>> {
-        let fig = run(scale, None).ok()?;
-        Some(
-            fig.runs
-                .iter()
-                .map(|r| (r.variant.wire_name().to_string(), r.efficiency))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]

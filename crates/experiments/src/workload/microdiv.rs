@@ -470,20 +470,6 @@ impl Workload for Microdiv {
             enc.put_str(&spawn_source(pattern, cap, 0));
         }
     }
-
-    fn simd_efficiency(&self, scale: Scale) -> Option<Vec<(String, f64)>> {
-        let fig = run(scale, None).ok()?;
-        let mut out = Vec::new();
-        for row in &fig.rows {
-            for m in &row.measured {
-                out.push((
-                    format!("{}/{}", row.pattern, m.variant.wire_name()),
-                    m.efficiency,
-                ));
-            }
-        }
-        Some(out)
-    }
 }
 
 #[cfg(test)]

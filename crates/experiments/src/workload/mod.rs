@@ -75,14 +75,6 @@ pub trait Workload: Sync {
     /// which keeps the paper artifacts' fingerprints — and therefore
     /// every existing cache entry and journal id — byte-identical.
     fn extend_fingerprint(&self, _enc: &mut Encoder, _scale: Scale) {}
-
-    /// Per-variant SIMD efficiency of this workload at `scale`, for the
-    /// benchmark report's per-workload section. `None` when the
-    /// workload has no standalone efficiency story (the paper artifacts
-    /// report theirs inside their figures).
-    fn simd_efficiency(&self, _scale: Scale) -> Option<Vec<(String, f64)>> {
-        None
-    }
 }
 
 impl fmt::Debug for dyn Workload {

@@ -3,6 +3,7 @@
 //! admission control, per-request deadlines, and byte-identity of
 //! served artifacts with serial renders.
 
+use experiments::campaign::ExecCounters;
 use experiments::serve::client::{self, ClientOpts};
 use experiments::serve::{http, json};
 use std::path::{Path, PathBuf};
@@ -577,6 +578,14 @@ fn cold_trips_are_not_quantised_to_the_pump_tick() {
                 "{clock}: {health:?}"
             );
         }
+        // Every degradation counter is there under its field name.
+        for name in ExecCounters::NAMES {
+            assert!(json::get_num(&health, name).is_some(), "{name}: {health:?}");
+        }
+        assert_eq!(
+            json::get_num(&health, "fresh_completions"),
+            Some(CHEAP.len() as i64)
+        );
         server.drain();
         let _ = std::fs::remove_dir_all(&dir);
         rounds.push(trips_ms.clone());

@@ -22,6 +22,10 @@
 //!   the bytes follow what was written, not what was allocated;
 //! - map-like state (e.g. per-block thread counts) is emitted sorted by key
 //!   so identical machine states always produce identical bytes.
+//!
+//! Counter sets — statistics that are zeroed, summed, snapshotted and
+//! printed — are declared once with [`counters!`](crate::counters), which
+//! generates all four from the field list.
 
 use std::fmt;
 
@@ -411,6 +415,158 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_extend(FNV1A64_INIT, bytes)
 }
 
+/// Declares a counter set once: a struct of `u64`, `u32` or `usize`
+/// fields, each tagged `= sum` or `= max` for how two sets combine.
+///
+/// From that one declaration it generates the struct (attributes, field
+/// docs and visibilities as written) and, in declaration order:
+///
+/// - `NAMES`, the field names, and `values()`, the values widened to
+///   `u64` — what every printer (CSV header and rows, `/healthz`, a stats
+///   block) reads;
+/// - `merge(&other)`: `+=` for `sum` fields, `max` for `max` fields;
+/// - `encode_state`/`restore_state`, one fixed-width put/take per field
+///   (`u64`, `u32` and `usize` as [`Encoder::put_u64`],
+///   [`Encoder::put_u32`] and [`Encoder::put_usize`]), and
+///   `ENCODED_BYTES`, what they occupy;
+/// - `Default`, all zeros.
+///
+/// A set that also owns non-counter state declares it after the struct in
+/// a `members { … }` block. Each member must have `merge(&mut self, &T)`,
+/// `encode_state` and `restore_state` of its own: `merge` and the codec
+/// run it after the counters, `NAMES`/`values` leave it out, and in place
+/// of `Default` the set gets `with_members(…)`, zeroed counters around the
+/// members given. Adding a counter is one line here; nothing else names it.
+///
+/// ```
+/// simt_isa::counters! {
+///     /// Work done by one unit.
+///     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///     pub struct UnitStats {
+///         /// Requests served.
+///         pub served: u64 = sum,
+///         /// Deepest the queue ever got.
+///         pub max_depth: u32 = max,
+///     }
+/// }
+///
+/// let mut a = UnitStats { served: 3, max_depth: 7 };
+/// a.merge(&UnitStats { served: 4, max_depth: 2 });
+/// assert_eq!(UnitStats::NAMES, ["served", "max_depth"]);
+/// assert_eq!(a.values(), [7, 7]);
+///
+/// let mut enc = simt_isa::codec::Encoder::new();
+/// a.encode_state(&mut enc);
+/// let bytes = enc.into_bytes();
+/// assert_eq!(bytes.len(), UnitStats::ENCODED_BYTES);
+/// let mut back = UnitStats::default();
+/// back.restore_state(&mut simt_isa::codec::Decoder::new(&bytes))?;
+/// assert_eq!(back, a);
+/// # Ok::<(), simt_isa::codec::CodecError>(())
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (@merge sum, $a:expr, $b:expr) => { $a += $b };
+    (@merge max, $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@put $enc:ident, u64, $v:expr) => { $enc.put_u64($v) };
+    (@put $enc:ident, u32, $v:expr) => { $enc.put_u32($v) };
+    (@put $enc:ident, usize, $v:expr) => { $enc.put_usize($v) };
+    (@take $dec:ident, u64) => { $dec.take_u64()? };
+    (@take $dec:ident, u32) => { $dec.take_u32()? };
+    (@take $dec:ident, usize) => { $dec.take_usize()? };
+    (@bytes u64) => { 8 };
+    (@bytes u32) => { 4 };
+    (@bytes usize) => { 8 };
+    (@wide u64, $v:expr) => { $v };
+    (@wide u32, $v:expr) => { u64::from($v) };
+    (@wide usize, $v:expr) => { $v as u64 };
+    (@impl $name:ident [$($field:ident $fty:ident $merge:ident)*] [$($member:ident)*]) => {
+        impl $name {
+            /// Counter names, in declaration order (members excluded).
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($field)),*];
+
+            /// Bytes the counters occupy in a snapshot (members excluded).
+            pub const ENCODED_BYTES: usize = 0 $(+ $crate::counters!(@bytes $fty))*;
+
+            /// Counter values as `u64`, in [`Self::NAMES`] order.
+            pub fn values(&self) -> [u64; Self::NAMES.len()] {
+                [$($crate::counters!(@wide $fty, self.$field)),*]
+            }
+
+            /// Adds `other` in, field by field: sums add, high-water marks
+            /// keep the larger; then merges each member.
+            pub fn merge(&mut self, other: &Self) {
+                $($crate::counters!(@merge $merge, self.$field, other.$field);)*
+                $(self.$member.merge(&other.$member);)*
+            }
+
+            /// Writes every counter in declaration order, then each member.
+            pub fn encode_state(&self, enc: &mut $crate::codec::Encoder) {
+                $($crate::counters!(@put enc, $fty, self.$field);)*
+                $(self.$member.encode_state(enc);)*
+            }
+
+            /// Restores what [`Self::encode_state`] wrote.
+            ///
+            /// # Errors
+            ///
+            /// A [`CodecError`]($crate::codec::CodecError) on truncated
+            /// input, or whatever a member's restore refuses.
+            pub fn restore_state(
+                &mut self,
+                dec: &mut $crate::codec::Decoder<'_>,
+            ) -> Result<(), $crate::codec::CodecError> {
+                $(self.$field = $crate::counters!(@take dec, $fty);)*
+                $(self.$member.restore_state(dec)?;)*
+                Ok(())
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $fty:ident = $merge:ident),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $fty,)*
+        }
+
+        impl Default for $name {
+            fn default() -> Self {
+                $name { $($field: 0),* }
+            }
+        }
+
+        $crate::counters!(@impl $name [$($field $fty $merge)*] []);
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $fty:ident = $merge:ident),* $(,)?
+        }
+        members {
+            $($(#[$mmeta:meta])* $mvis:vis $member:ident: $mty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $fty,)*
+            $($(#[$mmeta])* $mvis $member: $mty,)*
+        }
+
+        impl $name {
+            /// Zeroed counters around the members given.
+            $vis fn with_members($($member: $mty),*) -> Self {
+                $name { $($field: 0,)* $($member,)* }
+            }
+        }
+
+        $crate::counters!(@impl $name [$($field $fty $merge)*] [$($member)*]);
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,6 +645,79 @@ mod tests {
         // Hashing in pieces is hashing the whole.
         let pieces = fnv1a64_extend(fnv1a64_extend(FNV1A64_INIT, b"foo"), b"bar");
         assert_eq!(pieces, fnv1a64(b"foobar"));
+    }
+
+    /// A member for the `counters!` test: a list whose merge appends.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Log(Vec<u64>);
+
+    impl Log {
+        fn merge(&mut self, other: &Log) {
+            self.0.extend(&other.0);
+        }
+
+        fn encode_state(&self, enc: &mut Encoder) {
+            enc.put_u64_slice(&self.0);
+        }
+
+        fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
+            self.0 = dec.take_u64_vec()?;
+            Ok(())
+        }
+    }
+
+    crate::counters! {
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct Mixed {
+            wide: u64 = sum,
+            narrow: u32 = max,
+            size: usize = max,
+            count: u32 = sum,
+        }
+        members {
+            log: Log,
+        }
+    }
+
+    #[test]
+    fn counters_generate_declared_names_merge_and_bytes() {
+        let mut a = Mixed::with_members(Log(vec![1]));
+        assert_eq!(a.values(), [0; 4]);
+        (a.wide, a.narrow, a.size, a.count) = (10, 7, 2, 3);
+        a.merge(&Mixed {
+            wide: 5,
+            narrow: 9,
+            size: 1,
+            count: 4,
+            log: Log(vec![2, 3]),
+        });
+        assert_eq!(Mixed::NAMES, ["wide", "narrow", "size", "count"]);
+        assert_eq!(a.values(), [15, 9, 2, 7]);
+        assert_eq!(a.log, Log(vec![1, 2, 3]));
+        // Declaration order, each field at its own width, then the member.
+        let mut want = Encoder::new();
+        want.put_u64(15);
+        want.put_u32(9);
+        want.put_usize(2);
+        want.put_u32(7);
+        assert_eq!(want.len(), Mixed::ENCODED_BYTES);
+        want.put_u64_slice(&[1, 2, 3]);
+        let want = want.into_bytes();
+        let mut enc = Encoder::new();
+        a.encode_state(&mut enc);
+        assert_eq!(enc.into_bytes(), want);
+        let mut back = Mixed::with_members(Log(Vec::new()));
+        let mut dec = Decoder::new(&want);
+        back.restore_state(&mut dec).unwrap();
+        assert!(dec.is_finished());
+        assert_eq!(back, a);
+        // Every truncation is a typed error, in the counters or the member.
+        for len in 0..want.len() {
+            assert!(
+                back.restore_state(&mut Decoder::new(&want[..len])).is_err(),
+                "truncated to {len}"
+            );
+        }
     }
 
     fn sparse_bytes(words: &[u32]) -> Vec<u8> {

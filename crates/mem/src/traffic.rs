@@ -5,19 +5,21 @@ use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::Space;
 use std::fmt;
 
-/// Byte and transaction counters for one address space.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpaceTraffic {
-    /// Bytes requested by loads.
-    pub bytes_read: u64,
-    /// Bytes requested by stores.
-    pub bytes_written: u64,
-    /// Coalesced transactions issued to memory modules (off-chip spaces).
-    pub transactions: u64,
-    /// Warp-level accesses.
-    pub accesses: u64,
-    /// Extra serialization passes caused by bank conflicts (on-chip spaces).
-    pub bank_conflict_passes: u64,
+simt_isa::counters! {
+    /// Byte and transaction counters for one address space.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct SpaceTraffic {
+        /// Bytes requested by loads.
+        pub bytes_read: u64 = sum,
+        /// Bytes requested by stores.
+        pub bytes_written: u64 = sum,
+        /// Coalesced transactions issued to memory modules (off-chip spaces).
+        pub transactions: u64 = sum,
+        /// Warp-level accesses.
+        pub accesses: u64 = sum,
+        /// Extra serialization passes caused by bank conflicts (on-chip spaces).
+        pub bank_conflict_passes: u64 = sum,
+    }
 }
 
 impl SpaceTraffic {
@@ -99,12 +101,7 @@ impl TrafficStats {
     /// [`Space::ALL`] order.
     pub fn encode_state(&self, enc: &mut Encoder) {
         for s in Space::ALL {
-            let t = self.space(s);
-            enc.put_u64(t.bytes_read);
-            enc.put_u64(t.bytes_written);
-            enc.put_u64(t.transactions);
-            enc.put_u64(t.accesses);
-            enc.put_u64(t.bank_conflict_passes);
+            self.space(s).encode_state(enc);
         }
     }
 
@@ -116,12 +113,7 @@ impl TrafficStats {
     /// Returns a [`CodecError`] on truncated input.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         for s in Space::ALL {
-            let t = self.space_mut(s);
-            t.bytes_read = dec.take_u64()?;
-            t.bytes_written = dec.take_u64()?;
-            t.transactions = dec.take_u64()?;
-            t.accesses = dec.take_u64()?;
-            t.bank_conflict_passes = dec.take_u64()?;
+            self.space_mut(s).restore_state(dec)?;
         }
         Ok(())
     }
@@ -129,13 +121,7 @@ impl TrafficStats {
     /// Merges another statistics object into this one.
     pub fn merge(&mut self, other: &TrafficStats) {
         for s in Space::ALL {
-            let dst = self.space_mut(s);
-            let src = other.space(s);
-            dst.bytes_read += src.bytes_read;
-            dst.bytes_written += src.bytes_written;
-            dst.transactions += src.transactions;
-            dst.accesses += src.accesses;
-            dst.bank_conflict_passes += src.bank_conflict_passes;
+            self.space_mut(s).merge(other.space(s));
         }
     }
 }
@@ -191,6 +177,42 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.space(Space::Shared).bytes_read, 12);
         assert_eq!(a.space(Space::Spawn).bank_conflict_passes, 3);
+    }
+
+    fn traffic_from(bytes: &[u8]) -> Result<SpaceTraffic, CodecError> {
+        let mut t = SpaceTraffic::default();
+        t.restore_state(&mut Decoder::new(bytes)).map(|()| t)
+    }
+
+    fn traffic_bytes(t: &SpaceTraffic) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        t.encode_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    proptest::proptest! {
+        /// The declared codec and merge: restore of encode is the identity
+        /// (bytes with every high bit clear, so two of them never overflow
+        /// a sum), a merge sums field by field, and a truncated payload is
+        /// a typed error.
+        #[test]
+        fn space_traffic_roundtrips_and_merges_field_by_field(
+            a in proptest::collection::vec(0u8..0x80, SpaceTraffic::ENCODED_BYTES..SpaceTraffic::ENCODED_BYTES + 1),
+            b in proptest::collection::vec(0u8..0x80, SpaceTraffic::ENCODED_BYTES..SpaceTraffic::ENCODED_BYTES + 1),
+        ) {
+            let (x, y) = (traffic_from(&a).unwrap(), traffic_from(&b).unwrap());
+            proptest::prop_assert_eq!(traffic_bytes(&x), a.clone());
+            let mut m = x;
+            m.merge(&y);
+            for ((s, p), q) in m.values().into_iter().zip(x.values()).zip(y.values()) {
+                proptest::prop_assert_eq!(s, p + q);
+            }
+            proptest::prop_assert_eq!(traffic_from(&traffic_bytes(&m)).unwrap(), m);
+            proptest::prop_assert!(matches!(
+                traffic_from(&a[..a.len() - 1]),
+                Err(CodecError::UnexpectedEof { .. })
+            ));
+        }
     }
 
     #[test]

@@ -740,21 +740,11 @@ impl Gpu {
         self.finish_run();
         let outcome = result?;
         let mut dmk = DmkStats::default();
-        for sm in &self.sms {
-            if let Some(f) = sm.formation() {
-                let s = f.stats();
-                dmk.spawn_instructions += s.spawn_instructions;
-                dmk.threads_spawned += s.threads_spawned;
-                dmk.warps_completed += s.warps_completed;
-                dmk.partial_warps_forced += s.partial_warps_forced;
-                dmk.partial_threads_forced += s.partial_threads_forced;
-                dmk.max_fifo_depth = dmk.max_fifo_depth.max(s.max_fifo_depth);
-                dmk.max_blocks_in_use = dmk.max_blocks_in_use.max(s.max_blocks_in_use);
-                dmk.spawn_stalls += s.spawn_stalls;
-            }
-        }
         let mut traffic = TrafficStats::new();
         for sm in &self.sms {
+            if let Some(f) = sm.formation() {
+                dmk.merge(f.stats());
+            }
             traffic.merge(sm.traffic());
         }
         Ok(RunSummary {
@@ -1133,31 +1123,32 @@ mod tests {
         assert!(w > 0, "expected divergent issues");
     }
 
-    #[test]
-    fn spawn_chain_continues_lineage() {
-        // Launch threads save tid to their state record and spawn `child`;
-        // child loads the state and writes tid*3 to global memory.
-        let src = r#"
-            .kernel main
-            .kernel child
-            .spawnstate 16
-            main:
-                mov.u32 r1, %tid
-                mov.u32 r2, %spawnmem     ; launch: state address directly
-                st.spawn.u32 [r2+0], r1
-                spawn $child, r2
-                exit
-            child:
-                mov.u32 r2, %spawnmem     ; dynamic: formation slot
-                ld.spawn.u32 r2, [r2+0]   ; -> state pointer
-                ld.spawn.u32 r1, [r2+0]   ; restore tid
-                mul.lo.s32 r3, r1, 3
-                mul.lo.s32 r4, r1, 4
-                st.global.u32 [r4+0], r3
-                exit
-        "#;
-        let program = assemble_named("spawny", src).unwrap();
-        let mut cfg = GpuConfig::tiny();
+    /// Launch threads save tid to their state record and spawn `child`;
+    /// child loads the state and writes tid*3 to global memory.
+    const SPAWN_CHAIN_SRC: &str = r#"
+        .kernel main
+        .kernel child
+        .spawnstate 16
+        main:
+            mov.u32 r1, %tid
+            mov.u32 r2, %spawnmem     ; launch: state address directly
+            st.spawn.u32 [r2+0], r1
+            spawn $child, r2
+            exit
+        child:
+            mov.u32 r2, %spawnmem     ; dynamic: formation slot
+            ld.spawn.u32 r2, [r2+0]   ; -> state pointer
+            ld.spawn.u32 r1, [r2+0]   ; restore tid
+            mul.lo.s32 r3, r1, 3
+            mul.lo.s32 r4, r1, 4
+            st.global.u32 [r4+0], r3
+            exit
+    "#;
+
+    /// Runs [`SPAWN_CHAIN_SRC`] over 64 threads on `cfg` with μ-kernel
+    /// hardware fitted.
+    fn run_spawn_chain(mut cfg: GpuConfig) -> (Gpu, RunSummary) {
+        let program = assemble_named("spawny", SPAWN_CHAIN_SRC).unwrap();
         cfg.dmk = Some(tiny_dmk());
         let mut gpu = Gpu::builder(cfg).build();
         gpu.mem_mut().alloc_global(64 * 4, "out");
@@ -1170,6 +1161,12 @@ mod tests {
         .expect("launch accepted");
         let summary = gpu.run(2_000_000).expect("fault-free");
         assert_eq!(summary.outcome, RunOutcome::Completed);
+        (gpu, summary)
+    }
+
+    #[test]
+    fn spawn_chain_continues_lineage() {
+        let (gpu, summary) = run_spawn_chain(GpuConfig::tiny());
         for tid in 0..64u32 {
             assert_eq!(
                 gpu.mem().read_u32(simt_isa::Space::Global, tid * 4),
@@ -1184,6 +1181,21 @@ mod tests {
         assert_eq!(summary.stats.lineages_completed, 64);
         assert_eq!(summary.dmk.threads_spawned, 64);
         assert!(summary.dmk.warps_completed + summary.dmk.partial_warps_forced > 0);
+    }
+
+    #[test]
+    fn the_run_summary_carries_every_sms_admission_reads() {
+        let mut cfg = GpuConfig::tiny();
+        cfg.mem = cfg.mem.with_spawn_admission_reads(true);
+        let (gpu, summary) = run_spawn_chain(cfg);
+        let per_sm: u64 = gpu
+            .sms()
+            .iter()
+            .filter_map(Sm::formation)
+            .map(|f| f.stats().admission_reads)
+            .sum();
+        assert!(per_sm > 0, "admission reads are charged with the knob on");
+        assert_eq!(summary.dmk.admission_reads, per_sm);
     }
 
     #[test]

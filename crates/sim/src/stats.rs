@@ -234,140 +234,62 @@ impl DivergenceTimeline {
     }
 }
 
-/// Aggregate counters for one simulation run.
-///
-/// During a run each SM accumulates into its own `SimStats` shard (phase A
-/// touches SM-private state only); the GPU merges the shards into its base
-/// stats with [`SimStats::merge`]. All counters are sums, so the merge is
-/// exact regardless of SM count — the basis of the determinism regression
-/// tests.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SimStats {
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// Committed thread-instructions (the paper's IPC numerator).
-    pub thread_instructions: u64,
-    /// Warp-instructions issued.
-    pub warp_issues: u64,
-    /// SM-cycles with no warp ready to issue.
-    pub idle_sm_cycles: u64,
-    /// Launch-time threads created.
-    pub threads_launched: u64,
-    /// Dynamically spawned threads.
-    pub threads_spawned: u64,
-    /// Threads retired (launch + dynamic).
-    pub threads_retired: u64,
-    /// Lineages completed: a thread retired without spawning a child. For
-    /// the ray-tracing kernels this equals *rays completed* under both the
-    /// traditional and the μ-kernel formulation.
-    pub lineages_completed: u64,
-    /// Spawn instructions that had to retry due to back-pressure.
-    pub spawn_stall_cycles: u64,
-    /// Spawns elided into in-place branches (`SpawnPolicy::OnDivergence`).
-    pub spawn_elisions: u64,
-    /// Runtime warp traps recorded (illegal accesses, exhausted spawn LUT,
-    /// injected faults) — under both fault policies.
-    pub faults: u64,
-    /// Warps killed under [`crate::FaultPolicy::KillWarp`].
-    pub warps_killed: u64,
-    /// Live threads discarded with killed warps (not counted as retired).
-    pub threads_killed: u64,
-    /// Times the watchdog stopped a run with
-    /// [`crate::RunOutcome::Deadlock`].
-    pub watchdog_deadlocks: u64,
-    /// Back-pressure / trap events forced by [`crate::Injector`].
-    pub injected_events: u64,
-    /// Divergence breakdown over time.
-    pub divergence: DivergenceTimeline,
+simt_isa::counters! {
+    /// Aggregate counters for one simulation run.
+    ///
+    /// During a run each SM accumulates into its own `SimStats` shard (phase A
+    /// touches SM-private state only); the GPU merges the shards into its base
+    /// stats with [`SimStats::merge`]. All counters are sums, so the merge is
+    /// exact regardless of SM count — the basis of the determinism regression
+    /// tests. `cycles` is owned by the GPU (set once per run), so shard cycles
+    /// (always 0) add nothing.
+    #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct SimStats {
+        /// Cycles simulated.
+        pub cycles: u64 = sum,
+        /// Committed thread-instructions (the paper's IPC numerator).
+        pub thread_instructions: u64 = sum,
+        /// Warp-instructions issued.
+        pub warp_issues: u64 = sum,
+        /// SM-cycles with no warp ready to issue.
+        pub idle_sm_cycles: u64 = sum,
+        /// Launch-time threads created.
+        pub threads_launched: u64 = sum,
+        /// Dynamically spawned threads.
+        pub threads_spawned: u64 = sum,
+        /// Threads retired (launch + dynamic).
+        pub threads_retired: u64 = sum,
+        /// Lineages completed: a thread retired without spawning a child. For
+        /// the ray-tracing kernels this equals *rays completed* under both the
+        /// traditional and the μ-kernel formulation.
+        pub lineages_completed: u64 = sum,
+        /// Spawn instructions that had to retry due to back-pressure.
+        pub spawn_stall_cycles: u64 = sum,
+        /// Spawns elided into in-place branches (`SpawnPolicy::OnDivergence`).
+        pub spawn_elisions: u64 = sum,
+        /// Runtime warp traps recorded (illegal accesses, exhausted spawn LUT,
+        /// injected faults) — under both fault policies.
+        pub faults: u64 = sum,
+        /// Warps killed under [`crate::FaultPolicy::KillWarp`].
+        pub warps_killed: u64 = sum,
+        /// Live threads discarded with killed warps (not counted as retired).
+        pub threads_killed: u64 = sum,
+        /// Times the watchdog stopped a run with
+        /// [`crate::RunOutcome::Deadlock`].
+        pub watchdog_deadlocks: u64 = sum,
+        /// Back-pressure / trap events forced by [`crate::Injector`].
+        pub injected_events: u64 = sum,
+    }
+    members {
+        /// Divergence breakdown over time, added window by window.
+        pub divergence: DivergenceTimeline,
+    }
 }
 
 impl SimStats {
     /// Creates zeroed statistics.
     pub fn new(divergence_window: u64, warp_size: u32) -> Self {
-        SimStats {
-            cycles: 0,
-            thread_instructions: 0,
-            warp_issues: 0,
-            idle_sm_cycles: 0,
-            threads_launched: 0,
-            threads_spawned: 0,
-            threads_retired: 0,
-            lineages_completed: 0,
-            spawn_stall_cycles: 0,
-            spawn_elisions: 0,
-            faults: 0,
-            warps_killed: 0,
-            threads_killed: 0,
-            watchdog_deadlocks: 0,
-            injected_events: 0,
-            divergence: DivergenceTimeline::new(divergence_window, warp_size),
-        }
-    }
-
-    /// Merges a per-SM shard into this aggregate: every counter is summed
-    /// and the divergence timelines are added window-by-window. `cycles`
-    /// is owned by the GPU (set once per run), so shard cycles (always 0)
-    /// add nothing.
-    pub fn merge(&mut self, other: &SimStats) {
-        self.cycles += other.cycles;
-        self.thread_instructions += other.thread_instructions;
-        self.warp_issues += other.warp_issues;
-        self.idle_sm_cycles += other.idle_sm_cycles;
-        self.threads_launched += other.threads_launched;
-        self.threads_spawned += other.threads_spawned;
-        self.threads_retired += other.threads_retired;
-        self.lineages_completed += other.lineages_completed;
-        self.spawn_stall_cycles += other.spawn_stall_cycles;
-        self.spawn_elisions += other.spawn_elisions;
-        self.faults += other.faults;
-        self.warps_killed += other.warps_killed;
-        self.threads_killed += other.threads_killed;
-        self.watchdog_deadlocks += other.watchdog_deadlocks;
-        self.injected_events += other.injected_events;
-        self.divergence.merge(&other.divergence);
-    }
-
-    /// Serializes every counter plus the divergence timeline for a
-    /// simulator checkpoint.
-    pub(crate) fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_u64(self.cycles);
-        enc.put_u64(self.thread_instructions);
-        enc.put_u64(self.warp_issues);
-        enc.put_u64(self.idle_sm_cycles);
-        enc.put_u64(self.threads_launched);
-        enc.put_u64(self.threads_spawned);
-        enc.put_u64(self.threads_retired);
-        enc.put_u64(self.lineages_completed);
-        enc.put_u64(self.spawn_stall_cycles);
-        enc.put_u64(self.spawn_elisions);
-        enc.put_u64(self.faults);
-        enc.put_u64(self.warps_killed);
-        enc.put_u64(self.threads_killed);
-        enc.put_u64(self.watchdog_deadlocks);
-        enc.put_u64(self.injected_events);
-        self.divergence.encode_state(enc);
-    }
-
-    /// Restores counters previously written by
-    /// [`SimStats::encode_state`] into stats built with the same
-    /// divergence geometry.
-    pub(crate) fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        self.cycles = dec.take_u64()?;
-        self.thread_instructions = dec.take_u64()?;
-        self.warp_issues = dec.take_u64()?;
-        self.idle_sm_cycles = dec.take_u64()?;
-        self.threads_launched = dec.take_u64()?;
-        self.threads_spawned = dec.take_u64()?;
-        self.threads_retired = dec.take_u64()?;
-        self.lineages_completed = dec.take_u64()?;
-        self.spawn_stall_cycles = dec.take_u64()?;
-        self.spawn_elisions = dec.take_u64()?;
-        self.faults = dec.take_u64()?;
-        self.warps_killed = dec.take_u64()?;
-        self.threads_killed = dec.take_u64()?;
-        self.watchdog_deadlocks = dec.take_u64()?;
-        self.injected_events = dec.take_u64()?;
-        self.divergence.restore_state(dec)
+        SimStats::with_members(DivergenceTimeline::new(divergence_window, warp_size))
     }
 
     /// Committed thread-instructions per cycle.
@@ -401,22 +323,10 @@ impl SimStats {
 
 impl fmt::Display for SimStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "cycles:               {}", self.cycles)?;
-        writeln!(f, "thread instructions:  {}", self.thread_instructions)?;
-        writeln!(f, "IPC:                  {:.1}", self.ipc())?;
-        writeln!(f, "warp issues:          {}", self.warp_issues)?;
-        writeln!(f, "idle SM-cycles:       {}", self.idle_sm_cycles)?;
-        writeln!(f, "threads launched:     {}", self.threads_launched)?;
-        writeln!(f, "threads spawned:      {}", self.threads_spawned)?;
-        writeln!(f, "threads retired:      {}", self.threads_retired)?;
-        writeln!(f, "lineages completed:   {}", self.lineages_completed)?;
-        writeln!(f, "spawn stall cycles:   {}", self.spawn_stall_cycles)?;
-        writeln!(f, "spawn elisions:       {}", self.spawn_elisions)?;
-        writeln!(f, "faults:               {}", self.faults)?;
-        writeln!(f, "warps killed:         {}", self.warps_killed)?;
-        writeln!(f, "threads killed:       {}", self.threads_killed)?;
-        writeln!(f, "watchdog deadlocks:   {}", self.watchdog_deadlocks)?;
-        write!(f, "injected events:      {}", self.injected_events)
+        for (name, v) in SimStats::NAMES.iter().zip(self.values()) {
+            writeln!(f, "{:<22}{v}", format!("{name}:"))?;
+        }
+        write!(f, "{:<22}{:.1}", "ipc:", self.ipc())
     }
 }
 
@@ -484,6 +394,67 @@ mod tests {
         s.lineages_completed = 1000;
         // 1000 rays in 1M cycles at 1 GHz = 1M rays/s.
         assert!((s.rays_per_second(1.0) - 1e6).abs() < 1.0);
+    }
+
+    #[test]
+    fn display_prints_every_counter_by_name_then_ipc() {
+        let mut s = SimStats::new(100, 32);
+        s.cycles = 10;
+        s.thread_instructions = 45;
+        let text = s.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), SimStats::NAMES.len() + 1);
+        assert_eq!(lines[0], "cycles:               10");
+        assert_eq!(lines[1], "thread_instructions:  45");
+        assert_eq!(lines.last(), Some(&"ipc:                  4.5"));
+    }
+
+    fn stats_from(bytes: &[u8]) -> Result<SimStats, CodecError> {
+        let mut s = SimStats::new(100, 32);
+        s.restore_state(&mut Decoder::new(bytes)).map(|()| s)
+    }
+
+    fn stats_bytes(s: &SimStats) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        s.encode_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    proptest::proptest! {
+        /// The declared codec and merge: restore of encode is the identity
+        /// (counter bytes with every high bit clear, so two of them never
+        /// overflow a sum, then one divergence window), a merge sums every
+        /// counter and adds the timelines, and a truncated payload is a
+        /// typed error.
+        #[test]
+        fn sim_stats_roundtrip_and_merge_field_by_field(
+            a in proptest::collection::vec(0u8..0x80, SimStats::ENCODED_BYTES..SimStats::ENCODED_BYTES + 1),
+            b in proptest::collection::vec(0u8..0x80, SimStats::ENCODED_BYTES..SimStats::ENCODED_BYTES + 1),
+            lanes in 0u32..33,
+        ) {
+            let with_window = |counters: &[u8]| {
+                let mut t = DivergenceTimeline::new(100, 32);
+                t.record_issue(0, lanes);
+                let mut enc = Encoder::new();
+                t.encode_state(&mut enc);
+                [counters, &enc.into_bytes()].concat()
+            };
+            let (a, b) = (with_window(&a), with_window(&b));
+            let (x, y) = (stats_from(&a).unwrap(), stats_from(&b).unwrap());
+            proptest::prop_assert_eq!(stats_bytes(&x), a.clone());
+            let mut m = x.clone();
+            m.merge(&y);
+            for ((s, p), q) in m.values().into_iter().zip(x.values()).zip(y.values()) {
+                proptest::prop_assert_eq!(s, p + q);
+            }
+            let mut twice = x.divergence.clone();
+            twice.merge(&y.divergence);
+            proptest::prop_assert_eq!(&m.divergence, &twice);
+            proptest::prop_assert_eq!(stats_from(&stats_bytes(&m)).unwrap(), m);
+            for len in [SimStats::ENCODED_BYTES - 1, a.len() - 1] {
+                proptest::prop_assert!(stats_from(&a[..len]).is_err(), "truncated to {}", len);
+            }
+        }
     }
 
     #[test]

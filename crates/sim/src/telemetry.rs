@@ -228,147 +228,47 @@ impl TraceEventKind {
     }
 }
 
-/// Per-window metric counters (one row of the metrics CSV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowCounters {
-    /// Warp-instructions committed.
-    pub issues: u64,
-    /// Thread-instructions committed.
-    pub thread_instructions: u64,
-    /// Warps admitted (launch + formation).
-    pub warps_born: u64,
-    /// Warps retired.
-    pub warps_retired: u64,
-    /// `spawn` instructions that deposited threads.
-    pub spawn_instructions: u64,
-    /// Threads deposited into the formation unit.
-    pub threads_spawned: u64,
-    /// `spawn` retries under formation back-pressure.
-    pub spawn_stalls: u64,
-    /// Spawns elided into in-place branches.
-    pub spawn_elisions: u64,
-    /// PDOM reconvergence-stack pushes observed at commit.
-    pub pdom_pushes: u64,
-    /// PDOM reconvergence-stack pops observed at commit.
-    pub pdom_pops: u64,
-    /// Off-chip warp accesses issued to the fabric.
-    pub offchip_requests: u64,
-    /// Coalesced DRAM segment requests those accesses split into.
-    pub offchip_segments: u64,
-    /// Read-only-cache (texture) warp accesses.
-    pub tex_accesses: u64,
-    /// Read-only-cache lines missed.
-    pub tex_miss_lines: u64,
-    /// L1 data-cache warp accesses (zero on the flat machine).
-    pub l1_accesses: u64,
-    /// L1 line-probes that hit.
-    pub l1_hits: u64,
-    /// L1 line-probes that missed (merges included).
-    pub l1_misses: u64,
-    /// L1 misses merged into an outstanding MSHR fill.
-    pub l1_mshr_merges: u64,
-}
-
-impl WindowCounters {
-    /// Bytes one row occupies in a checkpoint: every field is a `u64`.
-    const ENCODED_BYTES: usize = std::mem::size_of::<WindowCounters>();
-
-    /// CSV column names, matching [`WindowCounters::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "issues,thread_instructions,warps_born,warps_retired,spawn_instructions,\
-         threads_spawned,spawn_stalls,spawn_elisions,pdom_pushes,pdom_pops,\
-         offchip_requests,offchip_segments,tex_accesses,tex_miss_lines,\
-         l1_accesses,l1_hits,l1_misses,l1_mshr_merges"
-    }
-
-    /// One CSV row (no trailing newline).
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.issues,
-            self.thread_instructions,
-            self.warps_born,
-            self.warps_retired,
-            self.spawn_instructions,
-            self.threads_spawned,
-            self.spawn_stalls,
-            self.spawn_elisions,
-            self.pdom_pushes,
-            self.pdom_pops,
-            self.offchip_requests,
-            self.offchip_segments,
-            self.tex_accesses,
-            self.tex_miss_lines,
-            self.l1_accesses,
-            self.l1_hits,
-            self.l1_misses,
-            self.l1_mshr_merges
-        )
-    }
-
-    fn add(&mut self, other: &WindowCounters) {
-        self.issues += other.issues;
-        self.thread_instructions += other.thread_instructions;
-        self.warps_born += other.warps_born;
-        self.warps_retired += other.warps_retired;
-        self.spawn_instructions += other.spawn_instructions;
-        self.threads_spawned += other.threads_spawned;
-        self.spawn_stalls += other.spawn_stalls;
-        self.spawn_elisions += other.spawn_elisions;
-        self.pdom_pushes += other.pdom_pushes;
-        self.pdom_pops += other.pdom_pops;
-        self.offchip_requests += other.offchip_requests;
-        self.offchip_segments += other.offchip_segments;
-        self.tex_accesses += other.tex_accesses;
-        self.tex_miss_lines += other.tex_miss_lines;
-        self.l1_accesses += other.l1_accesses;
-        self.l1_hits += other.l1_hits;
-        self.l1_misses += other.l1_misses;
-        self.l1_mshr_merges += other.l1_mshr_merges;
-    }
-
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.issues);
-        enc.put_u64(self.thread_instructions);
-        enc.put_u64(self.warps_born);
-        enc.put_u64(self.warps_retired);
-        enc.put_u64(self.spawn_instructions);
-        enc.put_u64(self.threads_spawned);
-        enc.put_u64(self.spawn_stalls);
-        enc.put_u64(self.spawn_elisions);
-        enc.put_u64(self.pdom_pushes);
-        enc.put_u64(self.pdom_pops);
-        enc.put_u64(self.offchip_requests);
-        enc.put_u64(self.offchip_segments);
-        enc.put_u64(self.tex_accesses);
-        enc.put_u64(self.tex_miss_lines);
-        enc.put_u64(self.l1_accesses);
-        enc.put_u64(self.l1_hits);
-        enc.put_u64(self.l1_misses);
-        enc.put_u64(self.l1_mshr_merges);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<WindowCounters, CodecError> {
-        Ok(WindowCounters {
-            issues: dec.take_u64()?,
-            thread_instructions: dec.take_u64()?,
-            warps_born: dec.take_u64()?,
-            warps_retired: dec.take_u64()?,
-            spawn_instructions: dec.take_u64()?,
-            threads_spawned: dec.take_u64()?,
-            spawn_stalls: dec.take_u64()?,
-            spawn_elisions: dec.take_u64()?,
-            pdom_pushes: dec.take_u64()?,
-            pdom_pops: dec.take_u64()?,
-            offchip_requests: dec.take_u64()?,
-            offchip_segments: dec.take_u64()?,
-            tex_accesses: dec.take_u64()?,
-            tex_miss_lines: dec.take_u64()?,
-            l1_accesses: dec.take_u64()?,
-            l1_hits: dec.take_u64()?,
-            l1_misses: dec.take_u64()?,
-            l1_mshr_merges: dec.take_u64()?,
-        })
+simt_isa::counters! {
+    /// Per-window metric counters (one row of the metrics CSV, whose
+    /// columns are [`WindowCounters::NAMES`]).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct WindowCounters {
+        /// Warp-instructions committed.
+        pub issues: u64 = sum,
+        /// Thread-instructions committed.
+        pub thread_instructions: u64 = sum,
+        /// Warps admitted (launch + formation).
+        pub warps_born: u64 = sum,
+        /// Warps retired.
+        pub warps_retired: u64 = sum,
+        /// `spawn` instructions that deposited threads.
+        pub spawn_instructions: u64 = sum,
+        /// Threads deposited into the formation unit.
+        pub threads_spawned: u64 = sum,
+        /// `spawn` retries under formation back-pressure.
+        pub spawn_stalls: u64 = sum,
+        /// Spawns elided into in-place branches.
+        pub spawn_elisions: u64 = sum,
+        /// PDOM reconvergence-stack pushes observed at commit.
+        pub pdom_pushes: u64 = sum,
+        /// PDOM reconvergence-stack pops observed at commit.
+        pub pdom_pops: u64 = sum,
+        /// Off-chip warp accesses issued to the fabric.
+        pub offchip_requests: u64 = sum,
+        /// Coalesced DRAM segment requests those accesses split into.
+        pub offchip_segments: u64 = sum,
+        /// Read-only-cache (texture) warp accesses.
+        pub tex_accesses: u64 = sum,
+        /// Read-only-cache lines missed.
+        pub tex_miss_lines: u64 = sum,
+        /// L1 data-cache warp accesses (zero on the flat machine).
+        pub l1_accesses: u64 = sum,
+        /// L1 line-probes that hit.
+        pub l1_hits: u64 = sum,
+        /// L1 line-probes that missed (merges included).
+        pub l1_misses: u64 = sum,
+        /// L1 misses merged into an outstanding MSHR fill.
+        pub l1_mshr_merges: u64 = sum,
     }
 }
 
@@ -632,7 +532,7 @@ impl SmTelemetry {
                 .resize(self.windows.len(), WindowCounters::default());
         }
         for (dst, src) in report.windows.iter_mut().zip(&self.windows) {
-            dst.add(src);
+            dst.merge(src);
         }
         report.events.extend(self.events.iter().copied());
         report.dropped += self.dropped;
@@ -649,7 +549,7 @@ impl SmTelemetry {
         enc.put_usize(self.trace_capacity);
         enc.put_usize(self.windows.len());
         for w in &self.windows {
-            w.encode(enc);
+            w.encode_state(enc);
         }
         // Live entries only, in warp-id order: the same bytes the old
         // ordered-map representation produced.
@@ -670,7 +570,10 @@ impl SmTelemetry {
         self.trace_capacity = dec.take_usize()?.max(1);
         let n = dec.take_len(WindowCounters::ENCODED_BYTES)?;
         self.windows = (0..n)
-            .map(|_| WindowCounters::decode(dec))
+            .map(|_| {
+                let mut w = WindowCounters::default();
+                w.restore_state(dec).map(|()| w)
+            })
             .collect::<Result<_, _>>()?;
         let n = dec.take_len(9)?;
         self.depths.clear();
@@ -715,13 +618,6 @@ pub struct TelemetryReport {
     pub icnt_busy: Vec<u64>,
     /// Interconnect grants that queued behind another SM's flit.
     pub icnt_conflicts: u64,
-}
-
-impl TelemetryReport {
-    /// Total committed warp-instructions across all windows.
-    pub fn total_issues(&self) -> u64 {
-        self.windows.iter().map(|w| w.issues).sum()
-    }
 }
 
 /// Renders a [`TelemetryReport`] into one output document.
@@ -867,15 +763,14 @@ impl TraceSink for CsvMetricsSink {
         let mut out = format!(
             "# windowed counters (window = {} cycles)\ncycle_end,{}\n",
             report.metrics_window,
-            WindowCounters::csv_header()
+            WindowCounters::NAMES.join(",")
         );
         for (i, w) in report.windows.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{},{}",
-                (i as u64 + 1) * report.metrics_window,
-                w.csv_row()
-            );
+            let _ = write!(out, "{}", (i as u64 + 1) * report.metrics_window);
+            for v in w.values() {
+                let _ = write!(out, ",{v}");
+            }
+            out.push('\n');
         }
         out.push_str("# divergence timeline\n");
         out.push_str(&report.divergence.to_csv());
@@ -929,26 +824,18 @@ pub struct ProgressPulse {
 impl ProgressPulse {
     /// Builds a pulse from a full telemetry report at `cycle`.
     pub fn collect(cycle: u64, report: &TelemetryReport) -> Self {
-        let (born, retired, spawned, stalls) =
-            report
-                .windows
-                .iter()
-                .fold((0u64, 0u64, 0u64, 0u64), |(b, r, s, st), w| {
-                    (
-                        b + w.warps_born,
-                        r + w.warps_retired,
-                        s + w.threads_spawned,
-                        st + w.spawn_stalls,
-                    )
-                });
+        let mut total = WindowCounters::default();
+        for w in &report.windows {
+            total.merge(w);
+        }
         ProgressPulse {
             cycle,
-            issues: report.total_issues(),
+            issues: total.issues,
             mean_active_lanes: report.divergence.mean_active_lanes(),
-            warps_born: born,
-            warps_retired: retired,
-            threads_spawned: spawned,
-            spawn_stalls: stalls,
+            warps_born: total.warps_born,
+            warps_retired: total.warps_retired,
+            threads_spawned: total.threads_spawned,
+            spawn_stalls: total.spawn_stalls,
             dropped_events: report.dropped,
             telemetry: true,
         }
@@ -1113,6 +1000,59 @@ mod tests {
         let csv = CsvMetricsSink.render(&report);
         let section = "# divergence timeline\n".to_string() + &report.divergence.to_csv();
         assert!(csv.contains(&section), "{csv}");
+    }
+
+    #[test]
+    fn the_csv_columns_are_the_declared_counters_in_order() {
+        let mut t = shard();
+        t.on_issue(0, 1, 0, 32, 1);
+        t.on_spawn(1, 1, 99, 12);
+        let csv = CsvMetricsSink.render(&report_of(&[t]));
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(
+            lines[1],
+            "cycle_end,issues,thread_instructions,warps_born,warps_retired,spawn_instructions,\
+             threads_spawned,spawn_stalls,spawn_elisions,pdom_pushes,pdom_pops,\
+             offchip_requests,offchip_segments,tex_accesses,tex_miss_lines,\
+             l1_accesses,l1_hits,l1_misses,l1_mshr_merges"
+        );
+        assert_eq!(lines[2], "10,1,32,0,0,1,12,0,0,0,0,0,0,0,0,0,0,0,0");
+    }
+
+    fn window_from(bytes: &[u8]) -> Result<WindowCounters, CodecError> {
+        let mut w = WindowCounters::default();
+        w.restore_state(&mut Decoder::new(bytes)).map(|()| w)
+    }
+
+    fn window_bytes(w: &WindowCounters) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        w.encode_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    proptest::proptest! {
+        /// The declared codec and merge: restore of encode is the identity
+        /// (bytes with every high bit clear, so two of them never overflow
+        /// a sum), a merge sums field by field, and a truncated payload is
+        /// a typed error.
+        #[test]
+        fn window_counters_roundtrip_and_merge_field_by_field(
+            a in proptest::collection::vec(0u8..0x80, WindowCounters::ENCODED_BYTES..WindowCounters::ENCODED_BYTES + 1),
+            b in proptest::collection::vec(0u8..0x80, WindowCounters::ENCODED_BYTES..WindowCounters::ENCODED_BYTES + 1),
+        ) {
+            let (x, y) = (window_from(&a).unwrap(), window_from(&b).unwrap());
+            proptest::prop_assert_eq!(window_bytes(&x), a.clone());
+            let mut m = x;
+            m.merge(&y);
+            for ((s, p), q) in m.values().into_iter().zip(x.values()).zip(y.values()) {
+                proptest::prop_assert_eq!(s, p + q);
+            }
+            proptest::prop_assert_eq!(window_from(&window_bytes(&m)).unwrap(), m);
+            proptest::prop_assert!(matches!(
+                window_from(&a[..a.len() - 1]),
+                Err(CodecError::UnexpectedEof { .. })
+            ));
+        }
     }
 
     #[test]
