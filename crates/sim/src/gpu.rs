@@ -20,14 +20,15 @@
 //! snapshots and a fault's truncation of the cycle well-defined.
 //!
 //! The loop is **event-driven**, one SM at a time: an SM that finds
-//! nothing to issue sleeps until its earliest warp wake-up, and every
-//! phase passes over it with one compare until that cycle arrives or
+//! nothing to issue sleeps until its earliest warp wake-up, leaving the
+//! set of awake SMs that every phase walks until that cycle arrives or
 //! dispatch admits a warp into it; the idle cycles it slept through are
 //! recorded in bulk when it wakes — byte-identical to ticking through
 //! them (see DESIGN.md §13). With no SM awake, `now` jumps straight to
 //! `min(earliest wake, cycle limit, watchdog deadline)`.
 //! [`GpuBuilder::force_tick`] disables sleeping for differential testing.
 
+use crate::awake::{Awake, SmSet};
 use crate::checkpoint::{self, RestoreError, Snapshot};
 use crate::config::{GpuConfig, SchedulingModel};
 use crate::fault::{
@@ -132,6 +133,13 @@ pub struct Gpu {
     /// Reusable request buffer for phase B's batch (always empty between
     /// cycles; not serialized).
     batch_buf: Vec<simt_mem::BatchRequest>,
+    /// The SMs each cycle steps and drains, and when the others wake
+    /// (loop state, rebuilt every run; not serialized).
+    awake: Awake,
+    /// The SMs dispatch visits this cycle: dispatch-visible state changed
+    /// since their last call, or the block queue moved since (loop state,
+    /// refilled every run; not serialized).
+    to_dispatch: SmSet,
 }
 
 /// Fluent constructor for [`Gpu`]: configuration, fault policy, fault
@@ -249,6 +257,8 @@ impl Gpu {
             skipped_cycles: 0,
             skip_events: 0,
             batch_buf: Vec::new(),
+            awake: Awake::default(),
+            to_dispatch: SmSet::default(),
         }
     }
 
@@ -764,16 +774,22 @@ impl Gpu {
     /// fault-free cycle commits every SM; an aborting one only those at or
     /// before the faulting SM, and drops the others' queued work (under
     /// the serial model they never reached memory), so a faulting cycle
-    /// goes through the same machinery. Sleeping SMs issued nothing this
-    /// cycle and are passed over. Returns the warps reaped and the
-    /// forward-progress events collected from the SMs that were awake.
+    /// goes through the same machinery. Only the awake SMs are visited:
+    /// a sleeper issued nothing this cycle and holds no queued work.
+    /// Returns the warps reaped and the forward-progress events collected
+    /// from the SMs that were awake, and marks for dispatch each one whose
+    /// dispatch-visible state changed.
     fn drain(&mut self, now: u64, ctx: &ExecCtx<'_>, commit: usize) -> (usize, u64) {
-        for sm in &mut self.sms[commit..] {
-            sm.discard_pending();
-        }
-        for sm in &mut self.sms[..commit] {
-            if !sm.asleep(now) {
-                sm.stage_pending(now, &mut self.mem, &mut self.batch_buf);
+        // Split borrows keep the SM array and the set in registers across
+        // the inlined per-SM calls.
+        let (sms, awake) = (&mut self.sms[..], self.awake.set());
+        for w in 0..awake.words() {
+            for i in awake.members(w) {
+                if i < commit {
+                    sms[i].stage_pending(now, &mut self.mem, &mut self.batch_buf);
+                } else {
+                    sms[i].discard_pending();
+                }
             }
         }
         let ready = self.mem.service_batch(now, &self.batch_buf);
@@ -787,13 +803,17 @@ impl Gpu {
         }
         self.batch_buf.clear();
         let (mut reaped, mut progress) = (0, 0);
-        for sm in &mut self.sms[..commit] {
-            if sm.asleep(now) {
-                continue;
+        let (sms, awake) = (&mut self.sms[..], self.awake.set());
+        for w in 0..awake.words() {
+            for i in awake.members(w).take_while(|&i| i < commit) {
+                let sm = &mut sms[i];
+                sm.commit_staged();
+                reaped += sm.reap_finished(now, ctx);
+                progress += sm.take_progress();
+                if sm.dispatch_dirty() {
+                    self.to_dispatch.insert(i);
+                }
             }
-            sm.commit_staged();
-            reaped += sm.reap_finished(now, ctx);
-            progress += sm.take_progress();
         }
         debug_assert!(
             self.sms.iter().all(Sm::pending_is_empty),
@@ -824,9 +844,9 @@ impl Gpu {
     }
 
     /// The cycle loop: dispatch, phase A, fault handling, phase B,
-    /// watchdog — each passing over the SMs that are asleep — and, when
-    /// none is awake, a jump straight to the next cycle where anything can
-    /// happen.
+    /// watchdog — each walking only the SMs that need it (see
+    /// [`crate::awake`]) — and, when none is awake, a jump straight to the
+    /// next cycle where anything can happen.
     #[allow(clippy::expect_used)]
     fn cycle_loop(
         &mut self,
@@ -842,14 +862,10 @@ impl Gpu {
         for sm in &mut self.sms {
             sm.take_progress();
         }
-        // Launch-queue generation for the dispatch gate below: bumped
-        // whenever the block queue's observable front `(len, next_tid)`
-        // changes. An SM whose own state is clean *and* which already saw
-        // the current generation would get a provably no-op dispatch call,
-        // so the loop skips it. Both are loop-locals: the first cycle of
-        // every `run_cycles` call dispatches unconditionally.
-        let mut blocks_gen: u64 = 1;
-        let mut dispatch_seen: Vec<u64> = vec![0; self.sms.len()];
+        let n = self.sms.len();
+        self.awake.reset(self.sms.iter().map(Sm::wake_at), self.now);
+        // The first cycle of every `run_cycles` call dispatches every SM.
+        self.to_dispatch.fill(n);
         // All work can only drain in a cycle that dispatched (emptying the
         // block queue or the formation unit) or reaped a warp, so
         // `is_done` is re-evaluated only after such a cycle.
@@ -863,78 +879,89 @@ impl Gpu {
                     RunOutcome::CycleLimit
                 });
             }
+            self.awake.admit_due(self.now);
+            self.awake.check(&self.sms, self.now);
             // Dispatch is serial, rotated so SM 0 is not structurally
             // favored for launch work.
-            let n = self.sms.len();
             let mut dispatched = false;
             {
                 let launch = self.launch.as_mut().expect("is_done saw a launch");
                 // `dispatch_for_sm` runs to a fixpoint per call and reads
                 // only the block queue's front, the SM's own state, and
-                // the injector. With no injector, an SM that is clean
-                // (`!dispatch_dirty`) and has already seen the current
-                // block-queue generation would therefore get a no-op call
-                // returning `false` — skipping it leaves `dispatched` and
-                // all state exactly as the call would have. A sleeping SM
-                // is clean by construction, so it is called only when the
-                // queue moved; a call that admits a warp wakes it.
-                let gate = injector.is_none();
-                // The rotated index comes from the loop counter, not from a
-                // second loop-carried variable: on a mostly sleeping chip
-                // this scan is the cycle's cost, and a carried index that
-                // the compiler spills doubles it.
+                // the injector. With no injector, an SM whose own state is
+                // clean (`!dispatch_dirty`, collected by phase B) and which
+                // was called since the queue last moved would get a no-op
+                // call returning `false` — so only the SMs in
+                // `to_dispatch` are called, and a queue move puts every SM
+                // back in it. A sleeping SM is clean by construction, so it
+                // is called only when the queue moved; a call that admits
+                // a warp wakes it.
+                if injector.is_some() {
+                    self.to_dispatch.fill(n);
+                }
+                if cfg!(debug_assertions) {
+                    for (i, sm) in self.sms.iter().enumerate() {
+                        debug_assert!(
+                            !sm.dispatch_dirty() || self.to_dispatch.contains(i),
+                            "SM {i} changed unseen by dispatch"
+                        );
+                    }
+                }
+                // Rotation order: `rr_sm..n`, then `0..rr_sm`.
                 let first = self.rr_sm;
-                for k in 0..n {
-                    let i = if k < n - first {
-                        first + k
-                    } else {
-                        first + k - n
-                    };
-                    if gate && !self.sms[i].dispatch_dirty() && dispatch_seen[i] == blocks_gen {
-                        continue;
+                for (lo, hi) in [(first, n), (0, first)] {
+                    let mut at = lo;
+                    while let Some(i) = self.to_dispatch.next(at).filter(|&i| i < hi) {
+                        let before = (
+                            launch.blocks.len(),
+                            launch.blocks.front().map(|b| b.next_tid),
+                        );
+                        let admitted = Self::dispatch_for_sm(
+                            &mut self.sms[i],
+                            launch,
+                            &self.cfg,
+                            &mut self.stats,
+                            injector,
+                            self.now,
+                            ctx,
+                        );
+                        if admitted {
+                            dispatched = true;
+                            self.sms[i].wake(self.now);
+                            self.awake.note(i, 0, self.now);
+                        }
+                        let after = (
+                            launch.blocks.len(),
+                            launch.blocks.front().map(|b| b.next_tid),
+                        );
+                        if after != before {
+                            self.to_dispatch.fill(n);
+                        }
+                        self.sms[i].clear_dispatch_dirty();
+                        self.to_dispatch.remove(i);
+                        at = i + 1;
                     }
-                    let before = (
-                        launch.blocks.len(),
-                        launch.blocks.front().map(|b| b.next_tid),
-                    );
-                    let admitted = Self::dispatch_for_sm(
-                        &mut self.sms[i],
-                        launch,
-                        &self.cfg,
-                        &mut self.stats,
-                        injector,
-                        self.now,
-                        ctx,
-                    );
-                    if admitted {
-                        dispatched = true;
-                        self.sms[i].wake(self.now);
-                    }
-                    let after = (
-                        launch.blocks.len(),
-                        launch.blocks.front().map(|b| b.next_tid),
-                    );
-                    if after != before {
-                        blocks_gen = blocks_gen.wrapping_add(1);
-                    }
-                    self.sms[i].clear_dispatch_dirty();
-                    dispatch_seen[i] = blocks_gen;
                 }
             }
+            self.awake.check(&self.sms, self.now);
             // Phase A: every SM that is awake steps against private state
             // only, queueing off-chip work. Faults collect in SM-id order.
             let mut faults = Vec::new();
             let mut issued = 0u64;
-            for sm in &mut self.sms {
-                if sm.asleep(self.now) {
-                    continue;
-                }
-                match sm.step(self.now, ctx, view, injector) {
-                    Ok(true) => issued += 1,
-                    Ok(false) => {}
-                    Err(f) => faults.push(f),
+            let (now, sms, awake) = (self.now, &mut self.sms[..], &mut self.awake);
+            for w in 0..awake.set().words() {
+                // An SM that goes to sleep leaves the set behind the walk.
+                for i in awake.set().members(w) {
+                    let sm = &mut sms[i];
+                    match sm.step(now, ctx, view, injector) {
+                        Ok(true) => issued += 1,
+                        Ok(false) => {}
+                        Err(f) => faults.push(f),
+                    }
+                    awake.note(i, sm.wake_at(), now);
                 }
             }
+            self.awake.check(&self.sms, self.now);
             let had_faults = !faults.is_empty();
             let mut abort: Option<Fault> = None;
             for fault in faults {
@@ -982,11 +1009,12 @@ impl Gpu {
             // at service time, so it holds no in-flight state). Jump `now`
             // to the earliest of that wake cycle, the cycle limit, and the
             // watchdog deadline; the sleepers record the span when they
-            // wake. An SM kept awake by an owed reap reads `wake_at() ==
-            // 0`, which keeps the loop ticking.
+            // wake. An SM kept awake by an owed reap stays in the awake
+            // set, which keeps the loop ticking.
             if ctx.sleep && !dispatched && issued == 0 && !had_faults {
-                let wake = self.sms.iter().map(Sm::wake_at).min().unwrap_or(u64::MAX);
-                let target = wake
+                let target = self
+                    .awake
+                    .earliest()
                     .min(start + max_cycles)
                     .min(last_progress + self.cfg.watchdog_cycles);
                 if target > self.now {
@@ -1491,6 +1519,8 @@ mod tests {
         /// Whether every SM is asleep at once at some point, so the loop
         /// jumps — false only where one SM issues every cycle.
         jumps: bool,
+        /// How many distinct SMs a warp trapped on, at least.
+        fault_sms: usize,
     }
 
     /// Runs `case` in two legs — to `first_leg` cycles, then to the end —
@@ -1536,6 +1566,8 @@ mod tests {
     /// warp, with a trap that aborts the run while other SMs sleep, with
     /// a livelocked warp that trips the watchdog, and with partial dynamic
     /// warps that dispatch forces out of a sleeping SM's formation unit.
+    /// Two more run on 70 SMs — past one word of the loop's awake set —
+    /// with traps on several SMs, killed or aborting.
     #[test]
     fn skip_to_next_event_is_bit_identical_to_forced_tick() {
         const CHAIN: &str = r#"
@@ -1677,6 +1709,35 @@ mod tests {
                 st.global.u32 [r4+0], r7
                 exit
         "#;
+        // One to seven load-add-store round trips by thread id, then every
+        // thread whose id is 9 mod 64 loads from a misaligned address.
+        const TRAPPING_SPREAD: &str = r#"
+            .kernel main
+            main:
+                mov.u32 r1, %tid
+                mul.lo.s32 r2, r1, 4
+                rem.s32 r5, r1, 7
+                add.s32 r5, r5, 1
+            loop:
+                ld.global.u32 r3, [r2+0]
+                add.s32 r3, r3, 1
+                st.global.u32 [r2+0], r3
+                sub.s32 r5, r5, 1
+                setp.gt.s32 p0, r5, 0
+                @p0 bra loop
+                rem.s32 r6, r1, 64
+                setp.eq.s32 p1, r6, 9
+                @p1 ld.global.u32 r3, [r2+2]
+                exit
+        "#;
+        // More SMs than one word of the awake set holds, and more threads
+        // than they fit at once: the block queue refills SMs 64..69 too.
+        let seventy_sms = |fault_policy| GpuConfig {
+            num_sms: 70,
+            max_threads_per_sm: 8,
+            fault_policy,
+            ..GpuConfig::tiny()
+        };
         // Two warps per SM: 12 threads occupy SM 0 and half of SM 1.
         let four_sms = || GpuConfig {
             num_sms: 4,
@@ -1692,6 +1753,7 @@ mod tests {
                 first_leg: 37,
                 expect: "outcome: Completed",
                 jumps: true,
+                fault_sms: 0,
             },
             SleepCase {
                 name: "low-occupancy flat",
@@ -1701,6 +1763,7 @@ mod tests {
                 first_leg: 300,
                 expect: "outcome: Completed",
                 jumps: true,
+                fault_sms: 0,
             },
             SleepCase {
                 name: "low-occupancy cached",
@@ -1713,6 +1776,7 @@ mod tests {
                 first_leg: 120,
                 expect: "outcome: Completed",
                 jumps: true,
+                fault_sms: 0,
             },
             SleepCase {
                 name: "kill-warp",
@@ -1725,6 +1789,7 @@ mod tests {
                 first_leg: 300,
                 expect: "warps_killed: 1",
                 jumps: true,
+                fault_sms: 1,
             },
             SleepCase {
                 name: "abort while others sleep",
@@ -1734,6 +1799,7 @@ mod tests {
                 first_leg: 300,
                 expect: "Err(Fault(",
                 jumps: true,
+                fault_sms: 1,
             },
             SleepCase {
                 name: "watchdog deadlock",
@@ -1746,6 +1812,7 @@ mod tests {
                 first_leg: 150,
                 expect: "outcome: Deadlock",
                 jumps: false,
+                fault_sms: 0,
             },
             SleepCase {
                 name: "forced-out partial warps",
@@ -1761,6 +1828,7 @@ mod tests {
                 first_leg: 20,
                 expect: "partial_warps_forced: 1",
                 jumps: true,
+                fault_sms: 0,
             },
             SleepCase {
                 name: "dispatch wakes a sleeper",
@@ -1776,6 +1844,27 @@ mod tests {
                 first_leg: 100,
                 expect: "partial_warps_forced: 3",
                 jumps: true,
+                fault_sms: 0,
+            },
+            SleepCase {
+                name: "kill-warp on 70 SMs",
+                src: TRAPPING_SPREAD,
+                cfg: seventy_sms(FaultPolicy::KillWarp),
+                threads: 600,
+                first_leg: 150,
+                expect: "warps_killed: 10",
+                jumps: true,
+                fault_sms: 2,
+            },
+            SleepCase {
+                name: "abort on 70 SMs",
+                src: TRAPPING_SPREAD,
+                cfg: seventy_sms(FaultPolicy::Abort),
+                threads: 600,
+                first_leg: 150,
+                expect: "Err(Fault(",
+                jumps: true,
+                fault_sms: 1,
             },
         ];
         for case in &cases {
@@ -1800,6 +1889,12 @@ mod tests {
                 slept.skipped_cycles() > 0,
                 case.jumps,
                 "whole-machine jumps ({what})"
+            );
+            let fault_sms: std::collections::BTreeSet<usize> =
+                slept.faults().iter().map(|f| f.sm).collect();
+            assert!(
+                fault_sms.len() >= case.fault_sms,
+                "traps on SMs {fault_sms:?} ({what})"
             );
         }
     }

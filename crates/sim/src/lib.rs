@@ -80,6 +80,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+mod awake;
 mod checkpoint;
 mod config;
 mod fault;

@@ -3,6 +3,10 @@
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::{eval_alu, eval_cmp, AluOp, CmpOp, Operand, Pred, Reg, Special};
 
+/// Lanes in a full-warp row: the width of the Table I machine's warps,
+/// the only width whose full warps skip the per-lane loop.
+const ROW: usize = 32;
+
 /// An operand pre-resolved against the warp's register layout, so the
 /// warp-wide execution loops do the operand-kind match and the
 /// register-vs-stride bounds check once per instruction instead of once
@@ -353,12 +357,36 @@ impl LaneState {
         i as usize * self.warp_size as usize
     }
 
-    /// Whether `bits` covers every lane of the warp (full-warp issue, the
-    /// common case) so a warp op can run one contiguous pass over each
-    /// register plane instead of iterating mask bits.
+    /// Whether `bits` covers every lane of a [`ROW`]-lane warp — full-warp
+    /// issue, the common case — so a warp op can read each operand as one
+    /// fixed-width row and write its destination as one. A warp of
+    /// another width, or a partial one, takes the per-lane bit loop.
     #[inline]
-    fn is_full(&self, bits: u64) -> bool {
-        bits.count_ones() == self.warp_size
+    fn is_full_row(&self, bits: u64) -> bool {
+        self.warp_size as usize == ROW && bits == (1 << ROW) - 1
+    }
+
+    /// Operand `s` for every lane of a full [`ROW`]-lane warp: a
+    /// register's whole plane, an immediate splat, or zeros past the file.
+    #[inline(always)]
+    fn row(&self, s: Src) -> [u32; ROW] {
+        match s {
+            Src::Idx(plane) => match self.regs[plane..].first_chunk() {
+                Some(row) => *row,
+                None => unreachable!("an in-file register has a whole plane"),
+            },
+            Src::Imm(v) => [v; ROW],
+            Src::Zero => [0; ROW],
+        }
+    }
+
+    /// The register plane at `base` as one row, for a full warp's result.
+    #[inline(always)]
+    fn row_mut(&mut self, base: usize) -> &mut [u32; ROW] {
+        match self.regs[base..].first_chunk_mut() {
+            Some(row) => row,
+            None => unreachable!("`ensure_dst` brought the plane inside the file"),
+        }
     }
 
     /// Executes `mov d, a` on every populated lane in `mask`.
@@ -369,10 +397,8 @@ impl LaneState {
         }
         let db = self.ensure_dst(d);
         let src = self.resolve(a);
-        if self.is_full(bits) {
-            for lane in 0..self.warp_size as usize {
-                self.regs[db + lane] = self.load(lane, src);
-            }
+        if self.is_full_row(bits) {
+            *self.row_mut(db) = self.row(src);
             return;
         }
         while bits != 0 {
@@ -421,14 +447,14 @@ impl LaneState {
         }
         let db = self.ensure_dst(d);
         let (sa, sb, sc) = (self.resolve(a), self.resolve(b), self.resolve(c));
-        if self.is_full(bits) {
-            for lane in 0..self.warp_size as usize {
-                let r = f(
-                    self.load(lane, sa),
-                    self.load(lane, sb),
-                    self.load(lane, sc),
-                );
-                self.regs[db + lane] = r;
+        if self.is_full_row(bits) {
+            // Every source is read before the destination is written, so
+            // `d` naming a source changes nothing: a lane reads only its
+            // own column.
+            let (a, b, c) = (self.row(sa), self.row(sb), self.row(sc));
+            let out = self.row_mut(db);
+            for lane in 0..ROW {
+                out[lane] = f(a[lane], b[lane], c[lane]);
             }
             return;
         }
@@ -476,13 +502,13 @@ impl LaneState {
         let (sa, sb) = (self.resolve(a), self.resolve(b));
         let pi = p.0 as usize;
         let mut plane = self.pred_planes[pi];
-        if self.is_full(bits) {
-            // Full warp: rebuild the whole bit-plane from contiguous
-            // operand reads (no per-lane masking of the old plane needed).
+        if self.is_full_row(bits) {
+            // Full warp: rebuild the whole bit-plane (no per-lane masking
+            // of the old plane needed).
+            let (a, b) = (self.row(sa), self.row(sb));
             plane = 0;
-            for lane in 0..self.warp_size as usize {
-                let r = f(self.load(lane, sa), self.load(lane, sb));
-                plane |= u64::from(r) << lane;
+            for lane in 0..ROW {
+                plane |= u64::from(f(a[lane], b[lane])) << lane;
             }
             self.pred_planes[pi] = plane;
             return;
@@ -506,15 +532,15 @@ impl LaneState {
         let db = self.ensure_dst(d);
         let (sa, sb) = (self.resolve(a), self.resolve(b));
         let plane = self.pred_planes[p.0 as usize];
-        if self.is_full(bits) {
-            // Full warp: contiguous branchless select over the operand
-            // planes (the dominant instruction in the renderer's
-            // min/max-style inner loops).
-            for lane in 0..self.warp_size as usize {
-                let t = self.load(lane, sa);
-                let f = self.load(lane, sb);
+        if self.is_full_row(bits) {
+            // Full warp: a branchless select over the operand rows (the
+            // dominant instruction in the renderer's min/max-style inner
+            // loops).
+            let (t, f) = (self.row(sa), self.row(sb));
+            let out = self.row_mut(db);
+            for lane in 0..ROW {
                 let m = ((plane >> lane) & 1).wrapping_neg() as u32;
-                self.regs[db + lane] = (t & m) | (f & !m);
+                out[lane] = (t[lane] & m) | (f[lane] & !m);
             }
             return;
         }
@@ -728,6 +754,128 @@ mod tests {
             };
             check_register_run::<1>(first, [values.0]);
             check_register_run::<4>(first, [values.0, values.1, values.2, values.3]);
+        }
+    }
+
+    /// One warp instruction on every lane of a warp.
+    #[derive(Debug, Clone, Copy)]
+    enum WarpOp {
+        Alu(AluOp),
+        Setp(CmpOp),
+        Selp(Pred),
+        Mov,
+    }
+
+    const ALU_OPS: [AluOp; 31] = {
+        use AluOp::*;
+        [
+            IAdd, ISub, IMul, IMad, IMin, IMax, IDiv, IRem, And, Or, Xor, Not, Shl, ShrU, ShrS,
+            FAdd, FSub, FMul, FDiv, FMin, FMax, FFma, FSqrt, FRcp, FAbs, FNeg, FFloor, I2F, F2I,
+            U2F, F2U,
+        ]
+    };
+
+    const CMP_OPS: [CmpOp; 16] = {
+        use CmpOp::*;
+        [
+            EqS, NeS, LtS, LeS, GtS, GeS, LtU, LeU, GtU, GeU, EqF, NeF, LtF, LeF, GtF, GeF,
+        ]
+    };
+
+    /// A full warp of `warp_size` lanes over a 4-register file, every
+    /// register and predicate filled from `seed`.
+    fn seeded_full_warp(warp_size: u32, seed: u64) -> LaneState {
+        let mut x = seed | 1;
+        let mut next = || {
+            // xorshift64: small values and float bit patterns alike.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 16) as u32
+        };
+        let mut l = LaneState::admit(warp_size, 4, 0, warp_size);
+        for lane in 0..warp_size as usize {
+            for r in 0..4 {
+                let v = next();
+                l.set_reg(lane, Reg(r), if v & 3 == 0 { v % 40 } else { v });
+            }
+            for p in 0..8 {
+                l.set_pred(lane, Pred(p), next() & 1 == 1);
+            }
+        }
+        l
+    }
+
+    /// `op` through the warp path against the same instruction run one
+    /// lane at a time through `operand`/`set_reg`/`set_pred` — every
+    /// register plane, the file's width and every predicate plane.
+    fn check_warp_op(l: &LaneState, op: WarpOp, d: Reg, a: Operand, b: Operand, c: Operand) {
+        let full = l.populated_mask();
+        let mut warp = l.clone();
+        let mut lane_by_lane = l.clone();
+        let p = Pred(3);
+        match op {
+            WarpOp::Alu(f) => warp.alu_warp(full, f, d, a, b, c),
+            WarpOp::Setp(cmp) => warp.setp_warp(full, cmp, p, a, b),
+            WarpOp::Selp(q) => warp.selp_warp(full, d, a, b, q),
+            WarpOp::Mov => warp.mov_warp(full, d, a),
+        }
+        for lane in 0..l.warp_size() as usize {
+            let (x, y, z) = (l.operand(lane, a), l.operand(lane, b), l.operand(lane, c));
+            match op {
+                WarpOp::Alu(f) => lane_by_lane.set_reg(lane, d, eval_alu(f, x, y, z)),
+                WarpOp::Setp(cmp) => lane_by_lane.set_pred(lane, p, eval_cmp(cmp, x, y)),
+                WarpOp::Selp(q) => {
+                    lane_by_lane.set_reg(lane, d, if l.pred(lane, q) { x } else { y });
+                }
+                WarpOp::Mov => lane_by_lane.set_reg(lane, d, x),
+            }
+        }
+        let what = format!(
+            "{op:?} {d:?} <- {a:?} {b:?} {c:?} on {} lanes",
+            l.warp_size()
+        );
+        assert_eq!(warp.regs_stride, lane_by_lane.regs_stride, "{what}");
+        assert_eq!(warp.regs, lane_by_lane.regs, "{what}");
+        assert_eq!(warp.pred_planes, lane_by_lane.pred_planes, "{what}");
+    }
+
+    proptest! {
+        /// A full warp's row path (32 lanes) and bit loop (4 lanes) equal
+        /// the instruction run lane by lane, for every ALU operation and
+        /// comparison, `selp` and `mov`: operands an in-file register, an
+        /// immediate or a register past the file (reads 0), and a
+        /// destination past the file (widens it) or naming a source.
+        #[test]
+        fn a_full_warp_op_equals_the_same_op_lane_by_lane(
+            seed in any::<u64>(),
+            kinds in (0u8..6, 0u8..6, 0u8..6),
+            dst in 0u8..8,
+            imm in any::<u32>(),
+        ) {
+            let operand = |k: u8| match k {
+                0..=3 => Operand::Reg(Reg(k)),
+                4 => Operand::Reg(Reg(200)),
+                _ => Operand::Imm(imm),
+            };
+            let (a, b, c) = (operand(kinds.0), operand(kinds.1), operand(kinds.2));
+            let d = match (dst, [a, b, c].get(usize::from(dst).wrapping_sub(5))) {
+                (0..=3, _) => Reg(dst),
+                (4, _) => Reg(6),
+                (_, Some(Operand::Reg(r))) => *r,
+                _ => Reg(0),
+            };
+            let ops = ALU_OPS
+                .map(WarpOp::Alu)
+                .into_iter()
+                .chain(CMP_OPS.map(WarpOp::Setp))
+                .chain([WarpOp::Selp(Pred(seed as u8 & 7)), WarpOp::Mov]);
+            for warp_size in [4, 32] {
+                let l = seeded_full_warp(warp_size, seed);
+                for op in ops.clone() {
+                    check_warp_op(&l, op, d, a, b, c);
+                }
+            }
         }
     }
 
