@@ -90,14 +90,18 @@ fn start_heartbeat(path: PathBuf) {
 pub fn run_worker(args: &WorkerArgs, scale: Scale) -> ExitCode {
     if args.test_hang {
         // Deliberately wedge with no heartbeat: the coordinator must
-        // detect the stale heartbeat and SIGKILL this process.
+        // detect the stale heartbeat and SIGKILL this process. A
+        // coordinator that dies first (`kill -9`) never will, so once this
+        // process is handed to a new parent it gives up instead.
         eprintln!(
             "worker[{}]: test hook: hanging without heartbeat",
             args.artifact
         );
-        loop {
-            std::thread::sleep(Duration::from_secs(3600));
+        let parent = std::os::unix::process::parent_id();
+        while std::os::unix::process::parent_id() == parent {
+            std::thread::sleep(HEARTBEAT_INTERVAL);
         }
+        return ExitCode::FAILURE;
     }
     if let Some(hb) = &args.heartbeat {
         start_heartbeat(hb.clone());

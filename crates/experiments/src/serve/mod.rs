@@ -393,6 +393,19 @@ pub fn spec_from_request(
     Ok(spec)
 }
 
+/// Replaces a per-boot file through a `.tmp` sibling and a rename, so a
+/// reader sees the old contents or the new, never a torn file — without
+/// [`simt_sim::write_atomic`]'s `fsync`s. Only for what every boot
+/// rewrites: the endpoint names a port that dies with the process, and
+/// the incarnation only keys the chaos schedule, which a `kill -9` (the
+/// crash that schedule stages) cannot lose from the page cache.
+fn write_per_boot(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
+
 /// Reads, bumps, and persists the incarnation counter. Returns the
 /// 0-based incarnation this boot runs as.
 fn bump_incarnation(dir: &std::path::Path) -> u64 {
@@ -401,14 +414,14 @@ fn bump_incarnation(dir: &std::path::Path) -> u64 {
         .ok()
         .and_then(|s| s.trim().parse::<u64>().ok())
         .unwrap_or(0);
-    let _ = simt_sim::write_atomic(&path, format!("{}\n", current + 1).as_bytes());
+    let _ = write_per_boot(&path, format!("{}\n", current + 1).as_bytes());
     current
 }
 
-/// Runs the server until drain completes. Binds, replays the journal,
-/// starts the accept loop, and pumps the coordinator; on `--chaos-crash-every`
-/// schedules the process may abort mid-stream (the restart loop around
-/// it is the test harness's job).
+/// Runs the server until drain completes. Binds and advertises its
+/// endpoint, replays the journal, starts the accept loop, and pumps the
+/// coordinator; on `--chaos-crash-every` schedules the process may abort
+/// mid-stream (the restart loop around it is the test harness's job).
 ///
 /// # Errors
 ///
@@ -417,6 +430,19 @@ fn bump_incarnation(dir: &std::path::Path) -> u64 {
 pub fn run(cfg: ServeConfig) -> Result<(), String> {
     std::fs::create_dir_all(&cfg.serve_dir)
         .map_err(|e| format!("cannot create {}: {e}", cfg.serve_dir.display()))?;
+    // Bound and advertised before anything else, so a client finds the
+    // endpoint while the journal is still being opened. A connection made
+    // that early waits in the backlog: the accept loop, and with it
+    // `/readyz`, starts only after replay.
+    let listener = TcpListener::bind(&cfg.bind).map_err(|e| format!("bind {}: {e}", cfg.bind))?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| format!("local_addr: {e}"))?;
+    write_per_boot(
+        &cfg.serve_dir.join("endpoint"),
+        format!("{addr}\n").as_bytes(),
+    )
+    .map_err(|e| format!("cannot write endpoint file: {e}"))?;
     let drop_dir = cfg.serve_dir.join("drop");
     std::fs::create_dir_all(&drop_dir)
         .map_err(|e| format!("cannot create {}: {e}", drop_dir.display()))?;
@@ -432,15 +458,6 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
 
     let coord = Coordinator::new(cfg.exec.clone())?;
     let (journal, replay) = Journal::open(&cfg.serve_dir.join("journal"))?;
-    let listener = TcpListener::bind(&cfg.bind).map_err(|e| format!("bind {}: {e}", cfg.bind))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("local_addr: {e}"))?;
-    simt_sim::write_atomic(
-        &cfg.serve_dir.join("endpoint"),
-        format!("{addr}\n").as_bytes(),
-    )
-    .map_err(|e| format!("cannot write endpoint file: {e}"))?;
     eprintln!(
         "serve: incarnation {incarnation} listening on {addr} (queue capacity {}, rate {}/s burst {}, {} journaled job(s) to replay)",
         cfg.queue_capacity,

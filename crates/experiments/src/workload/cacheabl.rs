@@ -9,10 +9,10 @@
 //! * **ideal** — every access is a single-cycle hit (the paper's
 //!   "ideal memory" upper bound, Fig. 10 style);
 //! * **l1** — per-SM L1 with MSHRs in front of the flat DRAM modules
-//!   (the legacy serial phase-B drain path);
+//!   (the cycle's timing batch with no L2 in it);
 //! * **l1+l2** — the full hierarchy: L1 + MSHRs, the banked
-//!   SM↔partition interconnect, and the shared L2 slices (the batched
-//!   phase-B path).
+//!   SM↔partition interconnect, and the shared L2 slices (the same batch
+//!   through the interconnect).
 //!
 //! Every cell validates its functional results against the host
 //! reference — the memory model is a *timing* model, so any functional

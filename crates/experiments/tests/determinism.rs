@@ -1,4 +1,4 @@
-//! Determinism regression tests for the two-phase pipeline: the same
+//! Determinism regression tests for the cycle loop: the same
 //! launch, run twice, must produce bit-identical statistics, traffic,
 //! fault logs, telemetry artifacts, and output images.
 
@@ -124,7 +124,7 @@ fn traced_render() -> (String, String) {
     )
 }
 
-/// Telemetry is produced in per-SM shards during phase A and merged in
+/// Telemetry is produced in per-SM shards as the SMs step and merged in
 /// SM-id order, so the rendered artifacts — not just the aggregate
 /// statistics — must be byte-identical from run to run.
 #[test]

@@ -125,7 +125,7 @@ fn traditional_render_skip_vs_forced_tick() {
 /// The first leg stops mid-frame, while most of the chip is asleep: the
 /// snapshot there, and everything after resuming, must not depend on
 /// whether idle SMs slept or ticked — on the flat fabric and through the
-/// L1/L2 hierarchy, whose batched phase B also passes over sleepers.
+/// L1/L2 hierarchy, whose timing batch also passes over sleepers.
 #[test]
 fn mid_sleep_checkpoint_matches_forced_tick_flat_and_cached() {
     for (name, mem) in [

@@ -111,6 +111,28 @@ impl Drop for Server {
     }
 }
 
+/// Whether a `--worker-test-hang` worker whose arguments name a path
+/// under `dir` is still running (read from `/proc`; a zombie has an empty
+/// command line and no longer counts).
+fn hung_worker_alive(dir: &Path) -> bool {
+    let dir = dir.to_string_lossy();
+    std::fs::read_dir("/proc")
+        .into_iter()
+        .flatten()
+        .flatten()
+        .any(|entry| {
+            let Ok(cmdline) = std::fs::read(entry.path().join("cmdline")) else {
+                return false;
+            };
+            let args: Vec<_> = cmdline
+                .split(|&b| b == 0)
+                .map(String::from_utf8_lossy)
+                .collect();
+            args.iter().any(|a| a == "--worker-test-hang")
+                && args.iter().any(|a| a.starts_with(&*dir))
+        })
+}
+
 fn healthz(opts: &ClientOpts) -> std::collections::BTreeMap<String, json::Value> {
     let deadline = Instant::now() + Duration::from_secs(30);
     let resp = client::request_retry(opts, "GET", "/healthz", "", deadline).expect("healthz");
@@ -154,6 +176,16 @@ fn kill9_recovery_replays_journal_and_matches_serial_bytes() {
         .to_string();
     std::thread::sleep(Duration::from_millis(500));
     server.kill9();
+    // The hung worker's coordinator is gone and no one is left to
+    // SIGKILL it: orphaned, it exits by itself within a few heartbeats.
+    let orphan_deadline = Instant::now() + Duration::from_secs(2);
+    while hung_worker_alive(&dir) {
+        assert!(
+            Instant::now() < orphan_deadline,
+            "the hung worker outlived its killed server"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
     // Restart on the same serve dir — WITHOUT the hang hook, so the
     // replayed job can actually run. Journal replay must resubmit fig7

@@ -58,7 +58,7 @@ pub struct MemConfig {
     /// paper's Table I machine has none).
     ///
     /// The L1 is a timing-only model: functional values always flow
-    /// through the fabric backing stores in phase B, so the cache is
+    /// through the fabric backing stores at issue, so the cache is
     /// non-coherent exactly like a real GPU L1 (stores write through
     /// without allocating and never invalidate remote SMs' tags).
     #[serde(default)]

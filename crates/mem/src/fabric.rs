@@ -3,22 +3,22 @@
 //! and, when configured, the banked interconnect and the L2 in front of
 //! them.
 //!
-//! In the two-phase simulator pipeline the fabric is the *phase-B* side of
-//! the split: every SM's [`crate::SmMemFrontend`] coalesces and validates
-//! accesses privately during phase A, then the fabric applies the deferred
-//! stores ([`FunctionalOp`]), serves the deferred lane loads
-//! ([`MemoryFabric::read_n`]) and services the cycle's
-//! [`BatchRequest`]s through one entry, [`MemoryFabric::service_batch`], in
-//! deterministic SM-id order.
+//! The simulator steps its SMs one after another in SM-id order, and each
+//! memory instruction completes at issue: its words are validated and
+//! transferred through the fabric's checked accessors
+//! ([`MemoryFabric::check_load`] and [`MemoryFabric::read_n`] for a load,
+//! [`MemoryFabric::try_write_u32`] / [`MemoryFabric::try_write_local`] for
+//! a store), while the SM's [`crate::SmMemFrontend`] coalesces the access
+//! into [`FabricRequest`]s. The fabric then services the cycle's
+//! [`BatchRequest`]s through one timing entry,
+//! [`MemoryFabric::service_batch`], once the whole cycle has issued.
 
 use crate::backing::{LocalStore, WordStore};
 use crate::cache::ReadOnlyCache;
 use crate::config::MemConfig;
-use crate::frontend::FabricView;
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::Space;
 use std::fmt;
-use std::sync::Arc;
 
 /// A typed functional-memory fault.
 ///
@@ -90,8 +90,8 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
-/// A coalesced off-chip request emitted by an SM during phase A, serviced
-/// by the fabric's memory modules during phase B.
+/// A coalesced off-chip request emitted by an SM at issue, serviced by the
+/// fabric's memory modules with the rest of the cycle's batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricRequest {
     /// Address space accessed (global or local).
@@ -102,38 +102,19 @@ pub struct FabricRequest {
     pub segments: Vec<u32>,
 }
 
-/// One request of a cycle's phase-B batch: a [`FabricRequest`] tagged
-/// with its issuing SM (for round-robin arbitration) and the index of the
-/// pending access it belongs to within that SM (so the GPU can scatter
-/// per-request ready times back onto warp wake-ups).
+/// One request of a cycle's timing batch: a [`FabricRequest`] tagged with
+/// its issuing SM (for round-robin arbitration, and so the GPU can hand
+/// the SM its ready time).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchRequest {
     /// Issuing SM id.
     pub sm: usize,
-    /// Index of the owning access in the SM's pending queue this cycle.
+    /// Index of the owning access among the SM's accesses this cycle. An
+    /// SM issues at most one instruction a cycle, so the simulator always
+    /// writes 0.
     pub access: usize,
     /// The coalesced request.
     pub request: FabricRequest,
-}
-
-/// One deferred functional word store, applied by the fabric in phase B.
-///
-/// Global and local loads defer too, but as one run of words per lane
-/// ([`LaneLoad`](crate::LaneLoad)) that phase B reads through
-/// [`MemoryFabric::read_n`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FunctionalOp {
-    /// Word store to an off-chip space.
-    Store {
-        /// Address space (global or local).
-        space: Space,
-        /// Issuing thread id (local-space bank selection).
-        tid: u32,
-        /// Byte address (per-thread offset for local).
-        addr: u32,
-        /// The value stored.
-        value: u32,
-    },
 }
 
 /// The L2 tag-array space tag of an off-chip request: global (and the
@@ -154,16 +135,12 @@ fn l2_space_tag(space: Space) -> u8 {
 /// On-chip backing data (shared/spawn contents) is owned per-SM by the
 /// simulator, and per-SM timing (caches, coalescing, on-chip ports) lives
 /// in [`crate::SmMemFrontend`]. The fabric is the only cross-SM memory
-/// state, which is what lets the simulator's phase A step each SM without
-/// reference to any other.
+/// state, and the SMs reach it one after another, in SM-id order.
 #[derive(Debug, Clone)]
 pub struct MemoryFabric {
     config: MemConfig,
     global: WordStore,
-    /// Constant memory, shared copy-on-write with the views phase A
-    /// holds ([`MemoryFabric::view`]): the host writes it in place between
-    /// runs, when no view is alive, and taking a view copies nothing.
-    constant: Arc<WordStore>,
+    constant: WordStore,
     local: LocalStore,
     /// (Fractional) cycle at which each off-chip module becomes free.
     module_free: Vec<f64>,
@@ -214,7 +191,7 @@ impl MemoryFabric {
         MemoryFabric {
             config,
             global: WordStore::new(),
-            constant: Arc::new(WordStore::new()),
+            constant: WordStore::new(),
             local: LocalStore::new(0),
             module_free: vec![0.0; modules],
             module_busy: vec![0.0; modules],
@@ -237,30 +214,23 @@ impl MemoryFabric {
 
     /// Whether a global address falls inside a read-only (texture) region.
     pub fn is_read_only(&self, addr: u32) -> bool {
+        self.read_only_region(addr).is_some()
+    }
+
+    /// The bounds `[base, end)` of the first read-only (texture) region
+    /// holding global address `addr`, if any does: every address inside
+    /// them is read-only too, so a warp's lanes can be range-checked
+    /// against one lookup.
+    pub fn read_only_region(&self, addr: u32) -> Option<(u32, u32)> {
         self.read_only_regions
             .iter()
-            .any(|&(b, n)| addr >= b && addr < b.saturating_add(n))
+            .map(|&(b, n)| (b, b.saturating_add(n)))
+            .find(|&(base, end)| addr >= base && addr < end)
     }
 
     /// The active configuration.
     pub fn config(&self) -> &MemConfig {
         &self.config
-    }
-
-    /// An owned snapshot of what phase A needs: the metadata its
-    /// validation checks against, and constant memory (shared, not
-    /// copied). All of it is static while a launch runs (allocation, local
-    /// stride, texture bindings and constant memory only change from host
-    /// code between runs), so the view stays valid for a whole
-    /// [`crate::MemoryFabric`] run and is shared by every SM's step.
-    pub fn view(&self) -> FabricView {
-        FabricView::new(
-            self.config.clone(),
-            self.global.allocated_bytes(),
-            self.local.stride_bytes(),
-            self.read_only_regions.clone(),
-            Arc::clone(&self.constant),
-        )
     }
 
     /// Allocates a labeled region of global memory; returns the base address.
@@ -270,7 +240,7 @@ impl MemoryFabric {
 
     /// Allocates a labeled region of constant memory; returns the base address.
     pub fn alloc_const(&mut self, bytes: u32, label: &str) -> u32 {
-        Arc::make_mut(&mut self.constant).alloc(bytes, label)
+        self.constant.alloc(bytes, label)
     }
 
     /// Gives every thread `stride_bytes` of private local memory.
@@ -353,7 +323,7 @@ impl MemoryFabric {
 
     /// Host-side write to constant memory (kernel launch setup).
     pub fn host_write_const(&mut self, addr: u32, value: u32) {
-        Arc::make_mut(&mut self.constant).write(addr, value);
+        self.constant.write(addr, value);
     }
 
     /// Host-side bulk write to global memory.
@@ -379,6 +349,24 @@ impl MemoryFabric {
             return Err(MemFault::LocalOob { addr, stride });
         }
         Ok(())
+    }
+
+    /// Validates one word of an off-chip load exactly as
+    /// [`MemoryFabric::try_read_u32`] (global, constant) or
+    /// [`MemoryFabric::try_read_local`] (local) would — same checks, same
+    /// order — without reading it, so a lane can check all its words
+    /// before [`MemoryFabric::read_n`] reads them in one go.
+    pub fn check_load(&self, space: Space, addr: u32) -> Result<(), MemFault> {
+        if space == Space::Local {
+            return self.check_local(addr);
+        }
+        if !addr.is_multiple_of(4) {
+            return Err(MemFault::Misaligned { space, addr });
+        }
+        match space {
+            Space::Global | Space::Const => Ok(()),
+            _ => Err(MemFault::Unmapped { space }),
+        }
     }
 
     /// Checked functional read of thread `tid`'s local memory.
@@ -412,52 +400,27 @@ impl MemoryFabric {
         self.local.write(tid, addr, value)
     }
 
-    /// Applies one deferred store in phase B.
-    ///
-    /// Ops were validated against a [`FabricView`] at issue, so illegal
-    /// accesses cannot reach this point.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an op the frontend should have rejected (on-chip or const
-    /// space, misalignment).
-    pub fn apply(&mut self, op: &FunctionalOp) {
-        let FunctionalOp::Store {
-            space,
-            tid,
-            addr,
-            value,
-        } = *op;
-        match space {
-            Space::Global => self.write_u32(space, addr, value),
-            Space::Local => self.write_local(tid, addr, value),
-            _ => panic!("non-global/local store deferred to the fabric"),
-        }
-    }
-
-    /// Reads one lane's deferred load in phase B: `N` consecutive words of
-    /// `space` from byte address `base` (thread `tid`'s private offset for
-    /// local), word `i` at `base.wrapping_add(4 * i)` — what
+    /// Reads one lane of an off-chip load: `N` consecutive words of `space`
+    /// from byte address `base` (thread `tid`'s private offset for local),
+    /// word `i` at `base.wrapping_add(4 * i)` — what
     /// [`MemoryFabric::try_read_u32`] / [`MemoryFabric::try_read_local`]
-    /// return for each, one by one.
-    ///
-    /// Every word was validated against a [`FabricView`] at issue, so
-    /// illegal accesses cannot reach this point.
+    /// return for each, one by one. Every word must have passed
+    /// [`MemoryFabric::check_load`].
     ///
     /// # Panics
     ///
-    /// Panics on a transfer the frontend should have rejected or never
-    /// deferred (on-chip or constant space, misalignment, local offset
-    /// past the stride).
+    /// Panics on a word `check_load` rejects (an on-chip space,
+    /// misalignment, a local offset past the stride).
     #[inline]
     pub fn read_n<const N: usize>(&self, space: Space, tid: u32, base: u32) -> [u32; N] {
         match space {
             Space::Global => self.global.read_n(base),
+            Space::Const => self.constant.read_n(base),
             // Bounded by the stride word by word, and rare beside global.
             Space::Local => {
                 std::array::from_fn(|i| self.local.read(tid, base.wrapping_add(4 * i as u32)))
             }
-            _ => panic!("only global and local loads defer to the fabric"),
+            _ => panic!("only off-chip spaces are read through the fabric"),
         }
     }
 
@@ -487,13 +450,13 @@ impl MemoryFabric {
         (start + service).ceil() as u64 + u64::from(self.config.dram_latency)
     }
 
-    /// Phase B's one timing entry: services one cycle's worth of requests
+    /// The one timing entry: services one cycle's worth of requests
     /// and returns one ready cycle per batch request, in batch order (the
     /// slice is scratch owned by the fabric, valid until the next call).
     ///
     /// `batch` must be ordered by SM id (within an SM, by issue order) —
-    /// the order the GPU's phase B stages requests in — which is what
-    /// makes arbitration deterministic.
+    /// the order the GPU's SMs issue them in, one after another — which is
+    /// what makes arbitration deterministic.
     ///
     /// With an L2 configured, every segment traverses the banked
     /// SM↔partition interconnect (one bank per partition, round-robin
@@ -674,7 +637,7 @@ impl MemoryFabric {
     /// disagrees with this fabric's configuration.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         self.global.restore_state(dec)?;
-        Arc::make_mut(&mut self.constant).restore_state(dec)?;
+        self.constant.restore_state(dec)?;
         self.local.restore_state(dec)?;
         let modules = dec.take_len(8)?;
         if modules != self.module_free.len() {
@@ -787,37 +750,24 @@ mod tests {
     }
 
     #[test]
-    fn deferred_stores_apply_and_loads_read_them_back() {
+    fn checked_stores_land_and_lane_reads_see_them() {
         let mut m = MemoryFabric::new(MemConfig::fx5800());
         m.alloc_global(64, "t");
         let c = m.alloc_const(8, "c");
         m.host_write_const(c + 4, 77);
         m.configure_local(16);
-        m.apply(&FunctionalOp::Store {
-            space: Space::Global,
-            tid: 0,
-            addr: 8,
-            value: 123,
-        });
+        m.try_write_u32(Space::Global, 8, 123)
+            .expect("inside the heap");
         assert_eq!(m.read_n::<4>(Space::Global, 0, 4), [0, 123, 0, 0]);
-        m.apply(&FunctionalOp::Store {
-            space: Space::Local,
-            tid: 3,
-            addr: 4,
-            value: 9,
-        });
+        m.try_write_local(3, 4, 9).expect("inside the stride");
         assert_eq!(m.read_local(3, 4), 9);
         assert_eq!(
             m.read_n::<1>(Space::Local, 3, 4),
             [9],
             "thread 3's word, not thread 0's"
         );
-        // A view's constant words are the fabric's as it was taken: a
-        // later host write is seen by the next view, not by this one.
-        let before = m.view();
         m.host_write_const(c, 5);
-        assert_eq!(before.read_const_n::<4>(c), [0, 77, 0, 0]);
-        assert_eq!(m.view().read_const_n::<4>(c), [5, 77, 0, 0]);
+        assert_eq!(m.read_n::<4>(Space::Const, 0, c), [5, 77, 0, 0]);
     }
 
     /// A fabric with every off-chip space populated: 6 words of global
@@ -840,38 +790,32 @@ mod tests {
     }
 
     /// A read at width `N` against the checked word reads, for one base
-    /// every word of which is legal: phase B's `read_n` for a global or
-    /// local load, the view's `read_const_n` for a constant one.
+    /// every word of which is legal.
     fn check_read_n<const N: usize>(m: &MemoryFabric, space: Space, tid: u32, base: u32) {
         let want: [u32; N] = std::array::from_fn(|i| {
             let addr = base.wrapping_add(4 * i as u32);
+            m.check_load(space, addr).expect("a legal word");
             match space {
                 Space::Local => m.try_read_local(tid, addr),
                 _ => m.try_read_u32(space, addr),
             }
             .expect("a legal word")
         });
-        let got = match space {
-            Space::Const => m.view().read_const_n::<N>(base),
-            _ => m.read_n::<N>(space, tid, base),
-        };
-        assert_eq!(got, want, "{space} {base:#x}");
+        assert_eq!(m.read_n::<N>(space, tid, base), want, "{space} {base:#x}");
     }
 
-    /// No constant load reaches phase B, so the deferred read does not
-    /// serve constant memory.
+    /// On-chip contents belong to the SMs: the fabric reads none.
     #[test]
-    #[should_panic(expected = "only global and local loads defer")]
-    fn a_constant_load_is_never_deferred() {
-        populated().read_n::<1>(Space::Const, 0, 0);
+    #[should_panic(expected = "only off-chip spaces")]
+    fn an_on_chip_read_is_refused() {
+        populated().read_n::<1>(Space::Shared, 0, 0);
     }
 
     proptest! {
-        /// A fixed-width read — phase B's of a deferred global or local
-        /// load, phase A's of constant memory through the view — is its
-        /// words one by one through `try_read_u32` / `try_read_local`, at
-        /// both widths the ISA has: inside the image, running off its end
-        /// (uninitialised DRAM reads 0), far past it, and across
+        /// A fixed-width lane read of a global, constant or local load is
+        /// its words one by one through `try_read_u32` / `try_read_local`,
+        /// at both widths the ISA has: inside the image, running off its
+        /// end (uninitialised DRAM reads 0), far past it, and across
         /// `u32::MAX` back to word 0.
         #[test]
         fn fixed_width_reads_equal_checked_word_reads(
@@ -1103,23 +1047,40 @@ mod tests {
         }
     }
 
+    /// `check_load` refuses exactly what the checked reads refuse, with the
+    /// same fault, and a texture binding is found by its bounds.
     #[test]
-    fn view_snapshots_validation_metadata() {
+    fn load_checks_mirror_the_checked_reads() {
         let mut m = MemoryFabric::new(MemConfig::fx5800());
-        m.alloc_global(64, "t");
-        m.configure_local(32);
+        m.alloc_global(32, "t");
+        m.configure_local(16);
         m.mark_read_only(0, 16);
-        let v = m.view();
-        assert!(v.is_read_only(4));
-        assert!(!v.is_read_only(20));
-        assert_eq!(v.local_physical(2, 4), m.local_physical(2, 4));
-        assert!(v.check_store(Space::Global, 60).is_ok());
+        for (space, addr) in [
+            (Space::Global, 3u32),
+            (Space::Global, 4096),
+            (Space::Const, 6),
+            (Space::Const, 4),
+        ] {
+            assert_eq!(
+                m.check_load(space, addr),
+                m.try_read_u32(space, addr).map(|_| ()),
+                "{space} {addr}"
+            );
+        }
+        for addr in [2u32, 12, 16] {
+            assert_eq!(
+                m.check_load(Space::Local, addr),
+                m.try_read_local(0, addr).map(|_| ()),
+                "local {addr}"
+            );
+        }
         assert_eq!(
-            v.check_store(Space::Global, 64),
-            Err(MemFault::GlobalStoreOob {
-                addr: 64,
-                allocated: 64
+            m.check_load(Space::Spawn, 0),
+            Err(MemFault::Unmapped {
+                space: Space::Spawn
             })
         );
+        assert_eq!(m.read_only_region(4), Some((0, 16)));
+        assert!(m.is_read_only(12) && !m.is_read_only(16));
     }
 }

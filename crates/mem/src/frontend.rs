@@ -1,24 +1,21 @@
-//! The per-SM memory frontend and the phase-A validation view.
+//! The per-SM memory frontend.
 //!
-//! In the two-phase pipeline each SM owns an [`SmMemFrontend`]: the
-//! coalescer, the read-only (texture) cache, the on-chip load-store port,
-//! and a private traffic shard. During phase A an SM validates addresses
-//! against an immutable [`FabricView`] and turns off-chip accesses into
-//! [`FabricRequest`](crate::FabricRequest)s; no SM touches shared memory
-//! state until phase B, which applies every SM's work in SM-id order —
-//! the machine's memory ordering.
+//! Each SM owns an [`SmMemFrontend`]: the coalescer, the read-only
+//! (texture) cache, the L1 and its MSHRs, the on-chip load-store port, and
+//! a private traffic shard. When an SM issues an off-chip access the
+//! frontend times what it can privately and turns the rest into
+//! [`FabricRequest`]s, which the shared fabric services with the rest of
+//! the cycle's batch once every SM has stepped.
 
-use crate::backing::WordStore;
 use crate::banks::conflict_degree_span;
 use crate::cache::ReadOnlyCache;
 use crate::coalesce::coalesce_segments;
 use crate::config::MemConfig;
-use crate::fabric::{FabricRequest, FunctionalOp, MemFault};
+use crate::fabric::FabricRequest;
 use crate::mshr::MshrTable;
 use crate::traffic::TrafficStats;
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::Space;
-use std::sync::Arc;
 
 /// An order-preserving line-address set: lines come out in first-push
 /// order (what timing emission needs, bit-identical to the historical
@@ -63,194 +60,6 @@ impl LineSet {
         out.extend_from_slice(&self.order);
         self.clear();
     }
-}
-
-/// An immutable snapshot of what phase A needs of the fabric: the
-/// metadata its validation checks against, and the contents of constant
-/// memory.
-///
-/// Everything here is static while a launch runs (heap size, local stride,
-/// texture bindings and constant memory only change from host code
-/// between runs; a device store to constant memory traps), so one view
-/// serves every SM's step for a whole run.
-#[derive(Debug, Clone)]
-pub struct FabricView {
-    config: MemConfig,
-    global_allocated: u32,
-    local_stride: u32,
-    read_only_regions: Vec<(u32, u32)>,
-    /// Constant memory as the fabric held it when the view was taken,
-    /// shared with it rather than copied (a host write while a view is
-    /// alive would copy first, and leave the view what it was).
-    constant: Arc<WordStore>,
-}
-
-impl FabricView {
-    /// Creates a view; use [`crate::MemoryFabric::view`] rather than
-    /// calling this directly.
-    pub fn new(
-        config: MemConfig,
-        global_allocated: u32,
-        local_stride: u32,
-        read_only_regions: Vec<(u32, u32)>,
-        constant: Arc<WordStore>,
-    ) -> Self {
-        FabricView {
-            config,
-            global_allocated,
-            local_stride,
-            read_only_regions,
-            constant,
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &MemConfig {
-        &self.config
-    }
-
-    /// Whether a global address falls inside a read-only (texture) region.
-    pub fn is_read_only(&self, addr: u32) -> bool {
-        self.read_only_region(addr).is_some()
-    }
-
-    /// The bounds `[base, end)` of the first read-only (texture) region
-    /// holding global address `addr`, if any does: every address inside
-    /// them is read-only too, so a warp's lanes can be range-checked
-    /// against one lookup.
-    pub fn read_only_region(&self, addr: u32) -> Option<(u32, u32)> {
-        self.read_only_regions
-            .iter()
-            .map(|&(b, n)| (b, b.saturating_add(n)))
-            .find(|&(base, end)| addr >= base && addr < end)
-    }
-
-    /// Translates a per-thread local byte offset to a physical address used
-    /// for coalescing/timing.
-    pub fn local_physical(&self, tid: u32, addr: u32) -> u32 {
-        tid.wrapping_mul(self.local_stride).wrapping_add(addr)
-    }
-
-    /// `N` consecutive words of constant memory from byte address `addr`
-    /// — what [`crate::MemoryFabric::try_read_u32`] reads there, word by
-    /// word, for as long as this view is valid, which is what lets a
-    /// constant load complete at issue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is not 4-byte aligned
-    /// ([`FabricView::check_load`] first).
-    #[inline]
-    pub fn read_const_n<const N: usize>(&self, addr: u32) -> [u32; N] {
-        self.constant.read_n(addr)
-    }
-
-    fn check_local(&self, addr: u32) -> Result<(), MemFault> {
-        if addr >= self.local_stride.max(4) {
-            return Err(MemFault::LocalOob {
-                addr,
-                stride: self.local_stride,
-            });
-        }
-        Ok(())
-    }
-
-    /// Validates an off-chip word load exactly as
-    /// [`crate::MemoryFabric::try_read_u32`] /
-    /// [`crate::MemoryFabric::try_read_local`] would: same checks, same
-    /// order, so deferring the functional read to phase B cannot change
-    /// which accesses trap.
-    pub fn check_load(&self, space: Space, addr: u32) -> Result<(), MemFault> {
-        if !addr.is_multiple_of(4) {
-            return Err(MemFault::Misaligned { space, addr });
-        }
-        match space {
-            Space::Global | Space::Const => Ok(()),
-            Space::Local => self.check_local(addr),
-            _ => Err(MemFault::Unmapped { space }),
-        }
-    }
-
-    /// Validates an off-chip word store exactly as
-    /// [`crate::MemoryFabric::try_write_u32`] /
-    /// [`crate::MemoryFabric::try_write_local`] would.
-    pub fn check_store(&self, space: Space, addr: u32) -> Result<(), MemFault> {
-        if !addr.is_multiple_of(4) {
-            return Err(MemFault::Misaligned { space, addr });
-        }
-        match space {
-            Space::Global => {
-                if self.global_allocated > 0 && addr >= self.global_allocated {
-                    return Err(MemFault::GlobalStoreOob {
-                        addr,
-                        allocated: self.global_allocated,
-                    });
-                }
-                Ok(())
-            }
-            Space::Const => Err(MemFault::ConstStore { addr }),
-            Space::Local => self.check_local(addr),
-            _ => Err(MemFault::Unmapped { space }),
-        }
-    }
-}
-
-/// One lane's deferred off-chip load: `words` consecutive words from byte
-/// address `base` (word `i` at `base.wrapping_add(4 * i)`), every one of
-/// them validated at issue. A lane that trapped part-way through its
-/// vector carries only the words before the trap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneLoad {
-    /// Destination lane within the warp.
-    pub lane: u8,
-    /// Validated words to transfer (1..=4).
-    pub words: u8,
-    /// Issuing thread id (local-space bank selection).
-    pub tid: u32,
-    /// Byte address of the first word (per-thread offset for local).
-    pub base: u32,
-}
-
-/// One warp's deferred memory work for the cycle: functional transfers to
-/// perform and coalesced module requests to service, both in issue order.
-///
-/// Queued per-SM during phase A. Phase B stages it in place, in SM-id
-/// order: the stores are applied and the load spans read, the requests
-/// move into the cycle's batch, the batch's ready times come back into
-/// `ready`, and the commit stamps the fills and wakes the warp.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingAccess {
-    /// The issuing warp's SM-local id.
-    pub warp_id: usize,
-    /// The issuing warp's slot index in the SM's warp pool at issue time.
-    /// Valid for the drain that follows in the same cycle: slots never
-    /// shift between phase A and phase B (admission appends, reaping runs
-    /// after the drain, and kills only clear lanes). Consumers must still
-    /// confirm `warps[slot].id == warp_id` before writing through it.
-    pub slot: usize,
-    /// Whether the warp's `ready_at` must be raised to the service
-    /// completion time (loads wait; stores are fire-and-forget).
-    pub wait: bool,
-    /// Address space of the access.
-    pub space: Space,
-    /// First register of the access: lane load `l` fills `l.words`
-    /// registers from here (register numbers wrap at 255).
-    pub reg: simt_isa::Reg,
-    /// Deferred word stores, in lane/word issue order (empty for a load).
-    pub ops: Vec<FunctionalOp>,
-    /// Deferred lane loads, in lane issue order (empty for a store).
-    pub loads: Vec<LaneLoad>,
-    /// Coalesced off-chip requests for the modules.
-    pub requests: Vec<FabricRequest>,
-    /// L1 lines whose MSHR fill completes when this access's requests are
-    /// serviced (empty unless the L1 is enabled and this access missed).
-    pub fill_lines: Vec<u32>,
-    /// L1 lines this access merged into (outstanding MSHR fills it must
-    /// wait for on top of its own requests).
-    pub merge_lines: Vec<u32>,
-    /// Latest ready time among this access's serviced requests; set in
-    /// phase B, never read before.
-    pub ready: u64,
 }
 
 /// Per-probe summary of one warp access routed through the L1.
@@ -299,6 +108,8 @@ pub struct SmMemFrontend {
     /// data could have arrived), which the intra-access piggyback path
     /// must know so it skips the LRU refresh.
     stall_scratch: LineSet,
+    /// See [`SmMemFrontend::requests_emitted`].
+    requests_emitted: u64,
 }
 
 impl SmMemFrontend {
@@ -336,6 +147,7 @@ impl SmMemFrontend {
             line_scratch: LineSet::default(),
             merge_scratch: LineSet::default(),
             stall_scratch: LineSet::default(),
+            requests_emitted: 0,
         }
     }
 
@@ -390,7 +202,7 @@ impl SmMemFrontend {
     }
 
     /// Stamps the fill-completion cycle of the MSHR entries behind
-    /// `lines` (phase B, once the carrying request has been serviced).
+    /// `lines` (once the carrying request has been serviced).
     pub fn mshr_set_fill(&mut self, lines: &[u32], ready: u64) {
         self.mshr.set_fill(lines, ready);
     }
@@ -405,10 +217,11 @@ impl SmMemFrontend {
         self.mshr.all_resolved()
     }
 
-    /// Drops MSHR entries whose fill was never stamped (abort path: the
-    /// owning accesses were discarded).
-    pub fn mshr_discard_unresolved(&mut self) {
-        self.mshr.discard_unresolved();
+    /// Fabric requests [`SmMemFrontend::request_offchip`] has returned
+    /// since this frontend was built — what the fabric must have serviced
+    /// by the end of the cycle. Diagnostic, not serialized.
+    pub fn requests_emitted(&self) -> u64 {
+        self.requests_emitted
     }
 
     /// Times one on-chip (shared/spawn) warp access against this SM's
@@ -423,9 +236,8 @@ impl SmMemFrontend {
     /// computing the conflict degree (each lane touches four consecutive
     /// banks).
     ///
-    /// On-chip backing data is SM-private, so unlike off-chip accesses the
-    /// functional transfer happens immediately in phase A; only the shared
-    /// fabric is deferred.
+    /// The functional transfer is the caller's: on-chip backing data is
+    /// SM-private and never reaches the fabric.
     ///
     /// # Panics
     ///
@@ -466,13 +278,13 @@ impl SmMemFrontend {
     }
 
     /// Coalesces one off-chip warp access and records traffic. Returns the
-    /// phase-A completion estimate plus the request (if any) that phase B
-    /// batches into [`crate::MemoryFabric::service_batch`]:
+    /// at-issue completion estimate plus the request (if any) for the
+    /// cycle's batch ([`crate::MemoryFabric::service_batch`]):
     ///
     /// * empty access → next cycle, no request, no traffic;
     /// * `const` → served by the constant cache at hit latency, no request;
     /// * ideal memory → next cycle, no request (traffic still recorded);
-    /// * otherwise → next cycle as a floor; phase B raises the warp's
+    /// * otherwise → next cycle as a floor; the batch raises the warp's
     ///   wake-up to the request's ready time.
     pub fn request_offchip(
         &mut self,
@@ -499,6 +311,7 @@ impl SmMemFrontend {
         if self.config.ideal {
             return (now + 1, None);
         }
+        self.requests_emitted += 1;
         (
             now + 1,
             Some(FabricRequest {
@@ -550,7 +363,7 @@ impl SmMemFrontend {
     /// Routes one off-chip **global load** through the L1: probes every
     /// touched line, merges misses that hit an outstanding MSHR entry, and
     /// emits a single line-granular fabric request for the rest. Returns
-    /// the phase-A completion floor, the request (if any line must be
+    /// the at-issue completion floor, the request (if any line must be
     /// fetched), the fill lines (MSHR entries this access's request will
     /// complete), the merge lines (outstanding fills to wait for), and the
     /// probe summary for telemetry.
@@ -799,27 +612,6 @@ mod tests {
         // A second warp in the same cycle queues behind the port.
         let (t2, _) = fe.access_onchip(0, Space::Shared, false, 4, &conflicted);
         assert!(t2 > t1);
-    }
-
-    #[test]
-    fn view_checks_mirror_fabric_checks() {
-        let mut fab = MemoryFabric::new(MemConfig::fx5800());
-        fab.alloc_global(32, "t");
-        fab.configure_local(16);
-        let v = fab.view();
-        for (space, addr) in [(Space::Global, 3u32), (Space::Local, 20), (Space::Spawn, 0)] {
-            assert!(v.check_load(space, addr).is_err(), "{space} {addr}");
-        }
-        assert_eq!(
-            v.check_store(Space::Const, 4),
-            Err(MemFault::ConstStore { addr: 4 })
-        );
-        assert!(v.check_load(Space::Const, 4).is_ok());
-        assert!(v.check_store(Space::Local, 12).is_ok());
-        assert_eq!(
-            v.check_load(Space::Local, 16),
-            fab.try_read_local(0, 16).map(|_| ()),
-        );
     }
 
     #[test]

@@ -16,14 +16,15 @@
 //! * byte-accurate **traffic accounting** per address space (paper Table IV).
 //!
 //! Functional state and timing are deliberately separated, and the model is
-//! split along the chip's own boundary for the simulator's two-phase cycle:
-//! each SM owns an [`SmMemFrontend`] (coalescer, read-only cache, L1,
-//! on-chip port, traffic shard) it drives independently of other SMs,
-//! while the single shared [`MemoryFabric`] (off-chip backing, DRAM modules,
-//! L2 and interconnect) takes the resulting [`FabricRequest`]s serially, one
-//! cycle's batch at a time in SM-id order, through its one timing entry,
-//! [`MemoryFabric::service_batch`]. A machine without an L2 is that same
-//! path with nothing in it: the batch goes straight to the DRAM modules.
+//! split along the chip's own boundary: each SM owns an [`SmMemFrontend`]
+//! (coalescer, read-only cache, L1, on-chip port, traffic shard) it drives
+//! independently of other SMs, while the single shared [`MemoryFabric`]
+//! (off-chip backing, DRAM modules, L2 and interconnect) holds the
+//! off-chip contents every SM reads and writes at issue, and takes the
+//! resulting [`FabricRequest`]s one cycle's batch at a time, in SM-id
+//! order, through its one timing entry, [`MemoryFabric::service_batch`].
+//! A machine without an L2 is that same path with nothing in it: the batch
+//! goes straight to the DRAM modules.
 //!
 //! ## Example
 //!
@@ -55,7 +56,7 @@ pub use banks::{conflict_degree, conflict_degree_span, OnChipMemory};
 pub use cache::ReadOnlyCache;
 pub use coalesce::{coalesce_segments, CoalesceResult};
 pub use config::MemConfig;
-pub use fabric::{BatchRequest, FabricRequest, FunctionalOp, MemFault, MemoryFabric};
-pub use frontend::{FabricView, L1Probe, LaneLoad, PendingAccess, SmMemFrontend};
+pub use fabric::{BatchRequest, FabricRequest, MemFault, MemoryFabric};
+pub use frontend::{L1Probe, SmMemFrontend};
 pub use mshr::{MshrTable, FILL_UNRESOLVED};
 pub use traffic::{SpaceTraffic, TrafficStats};

@@ -8,19 +8,18 @@
 //! no access is ever lost — the bound only costs merge opportunities and
 //! models the back-pressure real MSHR files exert.
 //!
-//! Fill times are resolved in phase B: an entry is allocated during phase
-//! A with [`FILL_UNRESOLVED`], then stamped with the servicing request's
-//! ready time when the owning access commits. Entries whose fill has
-//! completed are purged lazily at the next probe. Merges always reference
-//! an entry allocated by an *earlier* access (earlier cycle, or earlier in
-//! issue order within the same cycle), so stamping every fill of the cycle
-//! before reading any merge floor guarantees every merge reads a concrete
-//! fill time — the same one stamping in issue order would give it.
+//! Fill times are resolved at the end of the cycle: an entry is allocated
+//! at issue with [`FILL_UNRESOLVED`], then stamped with the servicing
+//! request's ready time once the cycle's batch has been serviced. Entries
+//! whose fill has completed are purged lazily at the next probe. Merges
+//! always reference an entry allocated by an *earlier* access, and an SM
+//! issues at most one access a cycle, so that access was in an earlier
+//! cycle and every merge reads a concrete fill time at issue.
 
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 
 /// Fill time of an entry allocated this cycle, before its owning request
-/// has been serviced in phase B.
+/// has been serviced.
 pub const FILL_UNRESOLVED: u64 = u64::MAX;
 
 /// One outstanding L1 fill.
@@ -101,7 +100,7 @@ impl MshrTable {
     }
 
     /// Stamps the unresolved entries for `lines` with their fill
-    /// completion cycle (phase B, once the carrying request is serviced).
+    /// completion cycle (once the carrying request is serviced).
     /// Entries that already have a concrete time keep it: a line is filled
     /// by exactly one request.
     pub fn set_fill(&mut self, lines: &[u32], ready: u64) {
@@ -131,16 +130,10 @@ impl MshrTable {
         floor
     }
 
-    /// Whether every entry carries a concrete fill time — the state phase
-    /// B must leave the table in.
+    /// Whether every entry carries a concrete fill time — the state every
+    /// cycle must leave the table in.
     pub fn all_resolved(&self) -> bool {
         self.entries.iter().all(|e| e.fill_ready != FILL_UNRESOLVED)
-    }
-
-    /// Drops unresolved entries (abort path: the owning accesses were
-    /// discarded, so their fills will never be stamped).
-    pub fn discard_unresolved(&mut self) {
-        self.entries.retain(|e| e.fill_ready != FILL_UNRESOLVED);
     }
 
     /// Serializes the outstanding entries and counters for a simulator
@@ -231,17 +224,6 @@ mod tests {
         m.set_fill(&[0], 10);
         m.set_fill(&[0], 99);
         assert_eq!(m.lookup(0), Some(10));
-    }
-
-    #[test]
-    fn discard_unresolved_keeps_concrete_fills() {
-        let mut m = MshrTable::new(4);
-        m.alloc(0);
-        m.alloc(64);
-        m.set_fill(&[0], 10);
-        m.discard_unresolved();
-        assert_eq!(m.lookup(0), Some(10));
-        assert_eq!(m.lookup(64), None);
     }
 
     #[test]

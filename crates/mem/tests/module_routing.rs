@@ -1,7 +1,7 @@
 //! Property tests for the coalescer and address→module interleaving:
 //! every byte of a warp access maps to exactly one segment and exactly one
 //! module, and the bus bytes the modules move account for every requested
-//! byte (satellite of the two-phase pipeline refactor).
+//! byte.
 
 use proptest::prelude::*;
 use simt_mem::{coalesce_segments, FabricRequest, MemConfig, MemoryFabric};

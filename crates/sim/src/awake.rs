@@ -1,10 +1,9 @@
 //! The cycle loop's sets of SMs: which are awake, and which dispatch must
 //! visit (DESIGN.md §13).
 //!
-//! On a mostly sleeping chip the per-cycle passes — dispatch, phase A,
-//! phase B's staging and commit/reap — cost more in finding the SMs that
-//! have work than in doing it, when each pass loads a field from every
-//! [`Sm`]. The loop instead keeps, beside the SMs, a copy of each one's
+//! On a mostly sleeping chip the per-cycle passes — dispatch and the walk
+//! that steps the SMs — cost more in finding the SMs that have work than
+//! in doing it, when each pass loads a field from every [`Sm`]. The loop instead keeps, beside the SMs, a copy of each one's
 //! wake cycle and the set of SMs whose wake cycle has arrived, and walks
 //! that set in SM-id order. An SM's wake cycle changes at exactly three
 //! points, all in the loop: [`Sm::step`] (which ends a sleep and may start

@@ -11,8 +11,8 @@
 //! checkpointed.
 //!
 //! Snapshots may only be taken between cycles (the inter-`run` barrier):
-//! that is the one point where no phase-A work is queued, no fabric
-//! request is in flight (requests retire within the cycle that issues
+//! that is the one point where no access waits on a timing batch, no
+//! fabric request is in flight (requests retire within the cycle that issues
 //! them; only per-module `free`-time floats persist), and the statistics
 //! shards are self-consistent. [`crate::Gpu::checkpoint`] enforces this by
 //! construction — it can only be called between [`crate::Gpu::run`] calls.

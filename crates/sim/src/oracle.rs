@@ -44,7 +44,7 @@ const MAX_CYCLES: u64 = 5_000_000;
 const REF_SHARED_BYTES: u32 = 16 * 1024;
 
 /// The memory machine a variant times its accesses on. All of them share
-/// one phase-B path, so they may differ in cycles only.
+/// one timing batch, so they may differ in cycles only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemPreset {
     /// Paper Table I: DRAM modules only ([`MemConfig::fx5800`]).
@@ -130,7 +130,7 @@ pub const VARIANTS: [Variant; 9] = [
         ..BASE
     },
     // The other memory machines: functional results must not move when
-    // only the timing behind phase B's batch does.
+    // only the timing behind the cycle's batch does.
     Variant {
         bank_conflicts: true,
         mem: MemPreset::L1Only,

@@ -5,7 +5,7 @@
 //! few dozen warp slots (32 on the Table I machine), so the answer is one
 //! pass over a `u64` per slot — a cache line or four, no heap, no bitset,
 //! nothing to revalidate. Every writer of a warp's `ready_at` (commit, the
-//! spawn stall, phase B's wake-ups) writes the slot's entry too, so the
+//! spawn stall, the timing batch's wake-ups) writes the slot's entry too, so the
 //! array is always exact: entry `i` *is* warp `i`'s wake cycle, except that
 //! a warp the scan found finished is parked at `u64::MAX` so it is not
 //! looked at again before it is reaped.
@@ -107,8 +107,8 @@ mod tests {
         }
         assert_eq!(r.first_from(0, 9), None);
         assert_eq!(r.first_from(0, 10), Some(1));
-        // Issued at 4 with a floor of 5; phase B then found the data
-        // arrives at 8.
+        // Issued at 4 with a floor of 5; the timing batch then found the
+        // data arrives at 8.
         r.set(1, 5);
         r.set(1, 8);
         assert_eq!(r.first_from(2, 5), None, "woke too early");
@@ -131,7 +131,7 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Op {
-        /// A commit, a spawn stall or a phase-B wake-up.
+        /// A commit, a spawn stall or a timing-batch wake-up.
         Set { slot: usize, at: u64 },
         /// The scan found the slot's warp finished.
         Retire { slot: usize },

@@ -12,8 +12,7 @@ use dmk_core::{CompletedWarp, SpawnError, SpawnMemoryLayout, WarpFormation};
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::{Instr, Program, ReconvergenceTable, Space, Width};
 use simt_mem::{
-    BatchRequest, FabricRequest, FabricView, FunctionalOp, LaneLoad, MemFault, MemoryFabric,
-    OnChipMemory, PendingAccess, SmMemFrontend, TrafficStats,
+    BatchRequest, FabricRequest, MemFault, MemoryFabric, OnChipMemory, SmMemFrontend, TrafficStats,
 };
 use std::collections::HashMap;
 
@@ -51,6 +50,20 @@ struct MemAccess {
     is_store: bool,
 }
 
+/// The off-chip load an SM left waiting on the cycle's timing batch: an
+/// SM issues at most one instruction a cycle, so it holds at most one.
+#[derive(Debug)]
+struct TimedAccess {
+    /// The issuing warp's slot. No reap can shift it before the batch is
+    /// serviced: a warp finishes only by `exit`, which has no memory
+    /// access, or by a kill, whose trapped access queued no request.
+    slot: usize,
+    /// The issuing warp's id, which debug builds check the slot against.
+    warp_id: usize,
+    /// L1 lines whose MSHR fills this access's requests complete.
+    fill_lines: Vec<u32>,
+}
+
 /// One streaming multiprocessor.
 #[derive(Debug)]
 pub struct Sm {
@@ -80,23 +93,18 @@ pub struct Sm {
     /// instruction replays (GT200-style: a conflicting access re-issues
     /// once per extra pass, stealing issue slots from every warp).
     issue_blocked_until: u64,
-    /// This SM's statistics shard. Phase A touches SM-private state only,
-    /// so counters accumulate here and are merged by the GPU at run end.
+    /// This SM's statistics shard: counters accumulate here and are merged
+    /// by the GPU at run end.
     stats: SimStats,
-    /// Off-chip work emitted during phase A, staged and committed by the
-    /// GPU against the shared fabric in SM-id order during phase B.
-    /// Always empty between cycles.
-    pending: Vec<PendingAccess>,
-    /// This SM's telemetry shard, written like `stats` during phase A and
-    /// merged by the GPU in SM-id order (see [`crate::telemetry`]).
+    /// The load this cycle's timing batch must wake a warp for. Always
+    /// `None` between cycles.
+    timed: Option<TimedAccess>,
+    /// This SM's telemetry shard, written like `stats` and merged by the
+    /// GPU in SM-id order (see [`crate::telemetry`]).
     telemetry: SmTelemetry,
     /// Wake cycle of every warp slot, which the issue stage scans from the
     /// round-robin cursor (see [`crate::ready`]).
     ready: ReadySet,
-    /// Words of late load results dropped because the destination warp or
-    /// lane was dead by phase B (killed mid-flight). Diagnostic counter, not part
-    /// of [`SimStats`] and not serialized.
-    late_write_drops: u64,
     /// A warp may have finished since the last reap. Warps only finish
     /// through [`Sm::retire_lanes`] / [`Sm::kill_warp`] (the PDOM stack
     /// empties solely by lane-exit mask clears), so when this is clear the
@@ -112,12 +120,6 @@ pub struct Sm {
     /// every admission, exit, kill, reap, spawn, and formation-block
     /// release. Derived state: not serialized, set after restore.
     dispatch_dirty: bool,
-    /// Pooled store-op and lane-load buffers recycled between
-    /// [`Sm::exec_memory`] and [`Sm::stage_pending`], so the per-access
-    /// `Vec` churn of the off-chip path does not hit the allocator in
-    /// steady state.
-    op_pool: Vec<Vec<FunctionalOp>>,
-    load_pool: Vec<Vec<LaneLoad>>,
     /// Scratch address buffer for [`Sm::exec_memory`] (reused per access).
     addr_scratch: Vec<u32>,
     /// Scratch partitions of a texture access (cached / uncached lanes).
@@ -179,14 +181,11 @@ impl Sm {
             spawn_policy: cfg.spawn_policy,
             issue_blocked_until: 0,
             stats: SimStats::new(cfg.divergence_window, cfg.warp_size),
-            pending: Vec::new(),
+            timed: None,
             telemetry: SmTelemetry::new(id, &TelemetrySpec::off(), cfg.divergence_window),
             ready: ReadySet::default(),
-            late_write_drops: 0,
             reap_dirty: false,
             dispatch_dirty: true,
-            op_pool: Vec::new(),
-            load_pool: Vec::new(),
             addr_scratch: Vec::new(),
             tex_cached: Vec::new(),
             tex_uncached: Vec::new(),
@@ -399,13 +398,22 @@ impl Sm {
     }
 
     /// Pops finished warps, releasing their resources. Returns the number
-    /// of warps retired.
+    /// of warps retired. Called at the end of every step, where it is
+    /// nearly always a no-op: the guard inlines, the scan does not.
+    #[inline]
+    pub(crate) fn reap_finished(&mut self, now: u64, ctx: &ExecCtx<'_>) -> usize {
+        if self.reap_dirty {
+            self.reap(now, ctx)
+        } else {
+            0
+        }
+    }
+
+    /// The body of [`Sm::reap_finished`].
     // Block bookkeeping is kept in lockstep with warp admission.
     #[allow(clippy::expect_used)]
-    pub(crate) fn reap_finished(&mut self, now: u64, ctx: &ExecCtx<'_>) -> usize {
-        if !self.reap_dirty {
-            return 0;
-        }
+    #[inline(never)]
+    fn reap(&mut self, now: u64, ctx: &ExecCtx<'_>) -> usize {
         self.reap_dirty = false;
         let mut reaped = 0;
         // Single order-preserving compaction pass: side effects fire in
@@ -534,22 +542,25 @@ impl Sm {
         admitted
     }
 
-    /// Phase A: issues at most one warp-instruction against this SM's
-    /// private state, deferring off-chip work into the pending queue.
-    /// Returns `Ok(true)` if something issued (or productively stalled),
+    /// Issues at most one warp-instruction. A memory instruction completes
+    /// here: its words move between the registers and `mem`, and its
+    /// fabric requests go into the cycle's timing `batch`. Returns
+    /// `Ok(true)` if something issued (or productively stalled),
     /// `Ok(false)` on an idle cycle, and `Err` when the issuing warp
     /// trapped (the caller applies the configured [`crate::FaultPolicy`]).
     /// With nothing to issue the SM goes to sleep (see [`Sm::idle`]): the
     /// cycle loop then does not call this again while [`Sm::asleep`], and
     /// the first step after a sleep records the idle span slept through.
     ///
-    /// Takes only `&FabricView` — no shared mutable state — so no SM's
-    /// step can depend on another SM's step in the same cycle.
+    /// The cycle loop steps the SMs one after another in SM-id order, so
+    /// this step sees the stores of the SMs before this one in the same
+    /// cycle and none of the SMs after it — the machine's memory order.
     pub(crate) fn step(
         &mut self,
         now: u64,
         ctx: &ExecCtx<'_>,
-        view: &FabricView,
+        mem: &mut MemoryFabric,
+        batch: &mut Vec<BatchRequest>,
         injector: Option<&Injector>,
     ) -> Result<bool, Fault> {
         debug_assert!(!self.asleep(now), "the cycle loop passes over sleepers");
@@ -586,7 +597,7 @@ impl Sm {
                     return Err(self.fault(FaultKind::Injected, idx, entry.pc, now));
                 }
             }
-            self.exec_warp_instruction(idx, entry.pc, entry.mask, now, ctx, view, injector)?;
+            self.exec_warp_instruction(idx, entry.pc, entry.mask, now, ctx, mem, batch, injector)?;
             return Ok(true);
         }
     }
@@ -594,13 +605,12 @@ impl Sm {
     /// Cycle `now` found nothing to issue. Ticking, that is one idle
     /// SM-cycle recorded now. Sleeping, the SM instead notes where the
     /// idle span starts and when it can next issue, and records the whole
-    /// span when it wakes. A reap still owed (first cycle after a restore
-    /// or an abort) keeps the SM awake: phase B has work here this cycle.
+    /// span when it wakes.
     // Out of line: three call sites in `step`, whose issue path stays
     // compact without three copies of the wake-cycle scan.
     #[inline(never)]
     fn idle(&mut self, now: u64, ctx: &ExecCtx<'_>) {
-        if ctx.sleep && !self.reap_dirty {
+        if ctx.sleep {
             self.idle_from = now;
             self.wake_at = self.next_issue_at().unwrap_or(u64::MAX);
             debug_assert!(self.wake_at > now, "an issuable warp was passed over");
@@ -677,139 +687,35 @@ impl Sm {
         min.map(|m| m.max(self.issue_blocked_until))
     }
 
-    /// Phase B, pass 1: applies this SM's deferred stores, reads its
-    /// deferred lane loads into the waiting warps' registers, and
-    /// moves its requests into the chip-wide `batch`, tagged with this
-    /// SM's id and the access's index in the pending queue. The GPU calls
-    /// this in SM-id order, which reproduces exactly the memory
-    /// interleaving of a fully serial cycle loop and hands
-    /// [`simt_mem::MemoryFabric::service_batch`] a batch already sorted by
-    /// SM.
-    pub(crate) fn stage_pending(
-        &mut self,
-        now: u64,
-        fabric: &mut MemoryFabric,
-        batch: &mut Vec<BatchRequest>,
-    ) {
-        for (access, pa) in self.pending.iter_mut().enumerate() {
-            // Slots are stable between phase A and phase B (see
-            // `PendingAccess::slot`); the id check guards the impossible.
-            let slot = match self.warps.get(pa.slot) {
-                Some(w) if w.id == pa.warp_id => Some(pa.slot),
-                _ => None,
-            };
-            // The live-lane mask is invariant across this access's ops:
-            // nothing in phase B changes lane population or exit state.
-            let live = slot.map_or(0u64, |i| self.warps[i].lanes.live_mask());
-            for op in &pa.ops {
-                fabric.apply(op);
-            }
-            for ld in &pa.loads {
-                let (lane, words) = (usize::from(ld.lane), usize::from(ld.words));
-                // The warp is parked until at least `now + 1`, so this
-                // late register write is indistinguishable from an
-                // at-issue write — unless the warp died between issue
-                // and phase B (a KillWarp trap this cycle). A result
-                // for a dead warp or an exited lane is dropped
-                // explicitly and counted word by word, never applied
-                // blindly.
-                match slot {
-                    Some(i) if (live >> lane) & 1 == 1 => {
-                        let lanes = &mut self.warps[i].lanes;
-                        // (The `N = 4` arm is measured: serving a `v4`
-                        // as four word reads ran `fig7-flat` 1.7 % slower,
-                        // 0 of 10 pairs.)
-                        if words == 4 {
-                            let values = fabric.read_n::<4>(pa.space, ld.tid, ld.base);
-                            lanes.set_reg_n(lane, pa.reg, values);
-                        } else {
-                            // A scalar load, or the words a `v4` lane
-                            // validated before it trapped.
-                            for w in 0..ld.words {
-                                let addr = ld.base.wrapping_add(4 * u32::from(w));
-                                let reg = simt_isa::Reg(pa.reg.0.wrapping_add(w));
-                                let values = fabric.read_n::<1>(pa.space, ld.tid, addr);
-                                lanes.set_reg_n(lane, reg, values);
-                            }
-                        }
-                    }
-                    _ => self.late_write_drops += words as u64,
-                }
-            }
-            // Recycle the buffers for the next access instead of freeing
-            // them (bounded pools: one buffer per in-flight access).
-            pa.ops.clear();
-            if pa.ops.capacity() > 0 && self.op_pool.len() < 16 {
-                self.op_pool.push(std::mem::take(&mut pa.ops));
-            }
-            pa.loads.clear();
-            if pa.loads.capacity() > 0 && self.load_pool.len() < 16 {
-                self.load_pool.push(std::mem::take(&mut pa.loads));
-            }
-            batch.extend(pa.requests.drain(..).map(|request| BatchRequest {
-                sm: self.id,
-                access,
-                request,
-            }));
-            // A warp that is gone has nothing to wake.
-            pa.wait &= slot.is_some();
-            pa.ready = now + 1;
-        }
-    }
-
-    /// Phase B, pass 2 (scatter): raises pending access `access`'s ready
-    /// time to that of one of its serviced requests.
-    pub(crate) fn note_access_ready(&mut self, access: usize, ready: u64) {
-        let pa = &mut self.pending[access];
-        pa.ready = pa.ready.max(ready);
-    }
-
-    /// Phase B, pass 3: stamps MSHR fills and raises warp wake-ups (and
-    /// their wake-array entries) from the scattered ready times, leaving
-    /// the pending queue empty. Fills resolve for *all* accesses
-    /// before any merge floor is read: a merge only ever references a fill
-    /// allocated by an earlier access, so it reads the same time it would
-    /// if fills were stamped one access at a time in issue order.
-    pub(crate) fn commit_staged(&mut self) {
-        for pa in &self.pending {
-            self.frontend.mshr_set_fill(&pa.fill_lines, pa.ready);
-        }
-        debug_assert!(
-            self.frontend.mshr_all_resolved(),
-            "an MSHR entry left phase B without a fill time"
+    /// This SM's share of the cycle's timing batch, once it is serviced:
+    /// `ready` is the latest ready time of the requests it queued this
+    /// cycle. Stamps the MSHR fills those requests complete and raises the
+    /// waiting warp's wake-up (and its wake-array entry) to it. A store's
+    /// requests leave nothing to settle.
+    pub(crate) fn settle_access(&mut self, ready: u64) {
+        let Some(t) = self.timed.take() else {
+            return;
+        };
+        self.frontend.mshr_set_fill(&t.fill_lines, ready);
+        debug_assert_eq!(
+            self.warps[t.slot].id, t.warp_id,
+            "a reap moved the slot of a timed access"
         );
-        for pa in &self.pending {
-            // An access that had neither requests nor merges carries
-            // `now + 1`, which its warp's `ready_at` already is at least
-            // (see `Sm::commit`), so raising to it is a no-op.
-            if pa.wait {
-                let floor = self.frontend.mshr_wait_floor(&pa.merge_lines);
-                let w = &mut self.warps[pa.slot];
-                w.ready_at = w.ready_at.max(pa.ready).max(floor);
-                self.ready.set(pa.slot, w.ready_at);
-            }
-        }
-        self.pending.clear();
+        let w = &mut self.warps[t.slot];
+        w.ready_at = w.ready_at.max(ready);
+        self.ready.set(t.slot, w.ready_at);
     }
 
-    /// Whether phase B left nothing queued (it must, every cycle).
-    pub(crate) fn pending_is_empty(&self) -> bool {
-        self.pending.is_empty()
+    /// Whether this SM is as every cycle must leave it: no access waiting
+    /// on a timing batch and no MSHR entry without its fill time.
+    pub(crate) fn between_cycles(&self) -> bool {
+        self.timed.is_none() && self.frontend.mshr_all_resolved()
     }
 
-    /// Words of late load results dropped on dead warps/lanes (see
-    /// `Sm::stage_pending`); zero on any fault-free run.
-    pub fn late_write_drops(&self) -> u64 {
-        self.late_write_drops
-    }
-
-    /// Drops queued phase-A work without applying it (abort path: SMs past
-    /// the faulting one never reached memory in the serial model). MSHR
-    /// entries the discarded accesses allocated this cycle would never be
-    /// stamped, so they are dropped with the work.
-    pub(crate) fn discard_pending(&mut self) {
-        self.pending.clear();
-        self.frontend.mshr_discard_unresolved();
+    /// Fabric requests this SM's frontend has emitted (see
+    /// [`SmMemFrontend::requests_emitted`]).
+    pub(crate) fn requests_emitted(&self) -> u64 {
+        self.frontend.requests_emitted()
     }
 
     /// Builds a trap record for warp slot `widx`.
@@ -890,7 +796,8 @@ impl Sm {
         mask: u64,
         now: u64,
         ctx: &ExecCtx<'_>,
-        view: &FabricView,
+        mem: &mut MemoryFabric,
+        batch: &mut Vec<BatchRequest>,
         injector: Option<&Injector>,
     ) -> Result<(), Fault> {
         // A wild PC (corrupted stack, bad branch surviving KillWarp) traps
@@ -1093,8 +1000,17 @@ impl Sm {
                 offset,
                 width,
             } => {
+                let access = MemAccess {
+                    widx,
+                    pass,
+                    space,
+                    reg: d,
+                    addr_reg: addr,
+                    offset: offset as u32,
+                    is_store: false,
+                };
                 let ready = self
-                    .exec_memory(widx, pass, space, d, addr, offset, width, false, now, view)
+                    .exec_memory(&access, width, now, mem, batch)
                     .map_err(|m| self.fault(FaultKind::Memory(m), widx, pc, now))?;
                 self.commit(widx, pc, mask, now, ready);
                 self.warps[widx].set_pc(pc + 1);
@@ -1109,7 +1025,16 @@ impl Sm {
                 // Stores are fire-and-forget: bandwidth/queueing is charged
                 // by the timing model, but the warp does not wait for the
                 // write to land.
-                self.exec_memory(widx, pass, space, a, addr, offset, width, true, now, view)
+                let access = MemAccess {
+                    widx,
+                    pass,
+                    space,
+                    reg: a,
+                    addr_reg: addr,
+                    offset: offset as u32,
+                    is_store: true,
+                };
+                self.exec_memory(&access, width, now, mem, batch)
                     .map_err(|m| self.fault(FaultKind::Memory(m), widx, pc, now))?;
                 self.commit(widx, pc, mask, now, now + 1);
                 self.warps[widx].set_pc(pc + 1);
@@ -1163,50 +1088,29 @@ impl Sm {
         self.warps[widx].exit_lanes(lanes);
     }
 
-    /// Executes one warp memory instruction in phase A. On-chip accesses
-    /// (shared/spawn) transfer immediately — their backing is SM-private —
-    /// and so do constant loads, whose backing cannot change while a
-    /// launch runs. Other off-chip accesses are *validated* against the
-    /// fabric view, then deferred — word stores, lane loads, coalesced
-    /// module requests — for phase B; the returned data-ready cycle is a
-    /// floor that phase B may raise.
+    /// Executes one warp memory instruction: every access completes at
+    /// issue. On-chip accesses (shared/spawn) transfer against the SM's
+    /// own scratchpads; off-chip ones against `mem`, with their fabric
+    /// requests queued on the cycle's timing `batch`. The returned
+    /// data-ready cycle is a floor that the batch may raise.
     ///
     /// On a fault, the words already validated keep their effects
-    /// (imprecise trap): deferred ones are flushed to the pending queue
-    /// without a timing request, exactly as the serial model left partial
-    /// transfers applied.
-    #[allow(clippy::too_many_arguments)]
+    /// (imprecise trap) and nothing is timed.
     fn exec_memory(
         &mut self,
-        widx: usize,
-        pass: u64,
-        space: Space,
-        reg: simt_isa::Reg,
-        addr_reg: simt_isa::Reg,
-        offset: i32,
+        a: &MemAccess,
         width: Width,
-        is_store: bool,
         now: u64,
-        view: &FabricView,
+        mem: &mut MemoryFabric,
+        batch: &mut Vec<BatchRequest>,
     ) -> Result<u64, MemFault> {
         let mut addresses = std::mem::take(&mut self.addr_scratch);
         addresses.clear();
-        addresses.reserve(pass.count_ones() as usize);
-        let access = MemAccess {
-            widx,
-            pass,
-            space,
-            reg,
-            addr_reg,
-            offset: offset as u32,
-            is_store,
-        };
-        let ready = if space.is_on_chip() {
-            self.exec_onchip(&access, width, now, &mut addresses)
-        } else if space == Space::Const && !is_store {
-            self.exec_const_load(&access, width, now, view, &mut addresses)
+        addresses.reserve(a.pass.count_ones() as usize);
+        let ready = if a.space.is_on_chip() {
+            self.exec_onchip(a, width, now, &mut addresses)
         } else {
-            self.exec_offchip(&access, width, now, view, &mut addresses)
+            self.exec_offchip(a, width, now, mem, batch, &mut addresses)
         };
         // On every exit, a trap included: the next access reuses it.
         self.addr_scratch = addresses;
@@ -1288,71 +1192,21 @@ impl Sm {
         Ok(ready)
     }
 
-    /// The lane transfers of a constant load at the instruction's width,
-    /// served at issue from the constant memory the view holds.
-    fn const_lanes<const N: usize>(
-        &mut self,
-        a: &MemAccess,
-        view: &FabricView,
-        addresses: &mut Vec<u32>,
-    ) -> Result<(), MemFault> {
-        let lanes = &mut self.warps[a.widx].lanes;
-        let mut bits = a.pass;
-        while bits != 0 {
-            let lane = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let base = lanes.reg(lane, a.addr_reg).wrapping_add(a.offset);
-            // Alignment is all a constant load is checked for, and one
-            // check decides every word of the lane (see `onchip_lanes`).
-            view.check_load(Space::Const, base)?;
-            lanes.set_reg_n(lane, a.reg, view.read_const_n::<N>(base));
-            addresses.push(base);
-        }
-        Ok(())
-    }
-
-    /// A constant load completes in phase A: constant memory cannot
-    /// change while a launch runs — a device store to it traps, the host
-    /// writes it only between runs, and the view is rebuilt every run —
-    /// so the value phase B would read is the one the view holds now. It
-    /// queues nothing; a lane that traps leaves the lanes before it
-    /// loaded, as the flushed partial access used to.
-    fn exec_const_load(
-        &mut self,
-        a: &MemAccess,
-        width: Width,
-        now: u64,
-        view: &FabricView,
-        addresses: &mut Vec<u32>,
-    ) -> Result<u64, MemFault> {
-        match width {
-            Width::W1 => self.const_lanes::<1>(a, view, addresses),
-            Width::V4 => self.const_lanes::<4>(a, view, addresses),
-        }?;
-        let (ready, request) =
-            self.frontend
-                .request_offchip(now, Space::Const, false, width.bytes(), addresses);
-        debug_assert!(request.is_none(), "the constant cache has no misses");
-        Ok(ready)
-    }
-
-    /// Validates the lanes of a deferred off-chip access in lane order
-    /// (mirroring the order the serial model performed the transfers in)
-    /// at the instruction's width, capturing the deferred transfers: a
-    /// store per word, its value read from the register file *now*, at
-    /// issue, so phase B applies exactly what the lane held; one
-    /// [`LaneLoad`] per loading lane. Collects each lane's timing address.
-    /// On a trap the words validated so far stay captured.
+    /// The lane transfers of an off-chip access at the instruction's
+    /// width, in lane order, collecting each lane's timing address. Every
+    /// word is validated exactly as the fabric's checked accessors do and
+    /// then transferred: a store word is written when it validates, and a
+    /// loading lane reads the words it validated into its registers. On a
+    /// trap the lanes before the faulting one have moved all their words,
+    /// that one the words before the fault, and the rest nothing.
     fn offchip_lanes<const N: usize>(
-        &self,
+        &mut self,
         a: &MemAccess,
-        view: &FabricView,
-        ops: &mut Vec<FunctionalOp>,
-        loads: &mut Vec<LaneLoad>,
+        mem: &mut MemoryFabric,
         addresses: &mut Vec<u32>,
     ) -> Result<(), MemFault> {
         let space = a.space;
-        let lanes = &self.warps[a.widx].lanes;
+        let lanes = &mut self.warps[a.widx].lanes;
         let mut bits = a.pass;
         while bits != 0 {
             let lane = bits.trailing_zeros() as usize;
@@ -1365,38 +1219,37 @@ impl Sm {
                 let values = lanes.reg_n::<N>(lane, a.reg);
                 for (i, value) in values.into_iter().enumerate() {
                     let addr = base.wrapping_add(4 * i as u32);
-                    view.check_store(space, addr)?;
-                    ops.push(FunctionalOp::Store {
-                        space,
-                        tid,
-                        addr,
-                        value,
-                    });
+                    match space {
+                        Space::Local => mem.try_write_local(tid, addr, value),
+                        _ => mem.try_write_u32(space, addr, value),
+                    }?;
                 }
             } else {
                 // Word by word too: a local load's bound is per word, and
                 // a lane that runs past it keeps the words before. (A
-                // global load is checked for alignment alone, which its
-                // base decides for all its words; one check a lane for
-                // those measured no faster than this loop.)
+                // global or constant load is checked for alignment alone,
+                // which its base decides for all its words; one check a
+                // lane for those measured no faster than this loop.)
                 let (mut words, mut checked) = (0, Ok(()));
                 while words < N && checked.is_ok() {
-                    checked = view.check_load(space, base.wrapping_add(4 * words as u32));
+                    checked = mem.check_load(space, base.wrapping_add(4 * words as u32));
                     words += usize::from(checked.is_ok());
                 }
-                if words > 0 {
-                    loads.push(LaneLoad {
-                        lane: lane as u8,
-                        words: words as u8,
-                        tid,
-                        base,
-                    });
+                if words == N {
+                    lanes.set_reg_n(lane, a.reg, mem.read_n::<N>(space, tid, base));
+                } else {
+                    // The words a `v4` lane validated before it trapped.
+                    for w in 0..words as u8 {
+                        let addr = base.wrapping_add(4 * u32::from(w));
+                        let reg = simt_isa::Reg(a.reg.0.wrapping_add(w));
+                        lanes.set_reg_n(lane, reg, mem.read_n::<1>(space, tid, addr));
+                    }
                 }
                 checked?;
             }
             // Timing address: local uses the per-thread physical mapping.
             addresses.push(if space == Space::Local {
-                view.local_physical(tid, base)
+                mem.local_physical(tid, base)
             } else {
                 base
             });
@@ -1404,193 +1257,166 @@ impl Sm {
         Ok(())
     }
 
-    /// An off-chip access that phase B completes: global and local loads
-    /// and stores (and a constant store, which only ever traps).
+    /// An off-chip access: global and local loads and stores, constant
+    /// loads (served by the constant cache, which queues no request), and
+    /// a constant store, which only ever traps. The words move at issue;
+    /// the fabric requests join the cycle's timing `batch`, and a load
+    /// that queued one leaves its warp's wake-up for the batch to raise.
     fn exec_offchip(
         &mut self,
         a: &MemAccess,
         width: Width,
         now: u64,
-        view: &FabricView,
+        mem: &mut MemoryFabric,
+        batch: &mut Vec<BatchRequest>,
         addresses: &mut Vec<u32>,
     ) -> Result<u64, MemFault> {
-        let (widx, space, reg, is_store) = (a.widx, a.space, a.reg, a.is_store);
+        let (widx, space, is_store) = (a.widx, a.space, a.is_store);
+        match width {
+            Width::W1 => self.offchip_lanes::<1>(a, mem, addresses),
+            Width::V4 => self.offchip_lanes::<4>(a, mem, addresses),
+        }?;
         let warp_id = self.warps[widx].id;
-        let (mut ops, mut loads): (Vec<FunctionalOp>, Vec<LaneLoad>) = if is_store {
-            (self.op_pool.pop().unwrap_or_default(), Vec::new())
-        } else {
-            (Vec::new(), self.load_pool.pop().unwrap_or_default())
-        };
-        let validated = match width {
-            Width::W1 => self.offchip_lanes::<1>(a, view, &mut ops, &mut loads, addresses),
-            Width::V4 => self.offchip_lanes::<4>(a, view, &mut ops, &mut loads, addresses),
-        };
-        if let Err(fault) = validated {
-            // Imprecise trap: the lanes before the faulting one keep
-            // their whole transfers and that one the words that
-            // validated; they reach phase B without a timing request.
-            self.queue_pending(PendingAccess {
-                warp_id,
-                slot: widx,
-                wait: false,
-                space,
-                reg,
-                ops,
-                loads,
-                requests: Vec::new(),
-                fill_lines: Vec::new(),
-                merge_lines: Vec::new(),
-                ready: 0,
-            });
-            return Err(fault);
-        }
+        let queued = batch.len();
         let global_load = !is_store && space == Space::Global;
-        let mut requests = Vec::new();
-        let (ready, fill_lines, merge_lines) =
-            if global_load && !view.config().ideal && self.frontend.has_tex() {
-                // Texture-bound global loads go through the per-SM
-                // read-only cache; the rest of the warp's lanes take the
-                // plain global-load route below. Find the first lane's
-                // region and range-check the others against it, and split
-                // lane by lane only when that fails. Counted: 97 % of the
-                // fig-7 and fig-3 kernels' `ld.global` warps (80 % of the
-                // BVH tracer's) read one binding and take the first arm,
-                // the rest read none, and no warp mixes the two; timed
-                // alone against the lane-by-lane split it is 1.0-1.9 % of
-                // those workloads' wall-clock (DESIGN §16).
-                let mut cached = std::mem::take(&mut self.tex_cached);
-                let mut uncached = std::mem::take(&mut self.tex_uncached);
-                cached.clear();
-                uncached.clear();
-                let one_region = addresses
-                    .first()
-                    .and_then(|&first| view.read_only_region(first))
-                    .is_some_and(|(base, end)| addresses.iter().all(|&a| a >= base && a < end));
-                let (cached_addrs, uncached_addrs): (&[u32], &[u32]) = if one_region {
-                    (addresses, &[])
-                } else {
-                    for &a in addresses.iter() {
-                        if view.is_read_only(a) {
-                            cached.push(a);
-                        } else {
-                            uncached.push(a);
-                        }
-                    }
-                    (&cached, &uncached)
-                };
-                let miss_lines = self.frontend.tex_probe(cached_addrs, width.bytes());
-                let mut ready = now + u64::from(view.config().tex_hit_latency);
-                if !miss_lines.is_empty() {
-                    // Texture fills skip the L1 (separate tag array on the
-                    // real chip); they still cross the fabric in phase B.
-                    let line = view.config().tex_line_bytes;
-                    let (floor, req) =
-                        self.frontend
-                            .request_offchip(now, Space::Global, false, line, &miss_lines);
-                    ready = ready.max(floor);
-                    requests.extend(req);
-                }
-                let (fill_lines, merge_lines) = if uncached_addrs.is_empty() {
-                    (Vec::new(), Vec::new())
-                } else {
-                    let (floor, fills, merges) = self.global_load_request(
-                        now,
-                        warp_id,
-                        width.bytes(),
-                        uncached_addrs,
-                        &mut requests,
-                    );
-                    ready = ready.max(floor);
-                    (fills, merges)
-                };
-                if self.telemetry.is_on() && !cached_addrs.is_empty() {
-                    self.telemetry.on_tex(
-                        now,
-                        warp_id,
-                        cached_addrs.len() as u32,
-                        miss_lines.len() as u32,
-                    );
-                }
-                self.tex_cached = cached;
-                self.tex_uncached = uncached;
-                (ready, fill_lines, merge_lines)
-            } else if global_load {
-                self.global_load_request(now, warp_id, width.bytes(), addresses, &mut requests)
+        let (ready, fill_lines) = if global_load && !mem.config().ideal && self.frontend.has_tex() {
+            // Texture-bound global loads go through the per-SM read-only
+            // cache; the rest of the warp's lanes take the plain
+            // global-load route below. Find the first lane's region and
+            // range-check the others against it, and split lane by lane
+            // only when that fails. Counted: 97 % of the fig-7 and fig-3
+            // kernels' `ld.global` warps (80 % of the BVH tracer's) read
+            // one binding and take the first arm, the rest read none, and
+            // no warp mixes the two; timed alone against the lane-by-lane
+            // split it is 1.0-1.9 % of those workloads' wall-clock
+            // (DESIGN §16).
+            let mut cached = std::mem::take(&mut self.tex_cached);
+            let mut uncached = std::mem::take(&mut self.tex_uncached);
+            cached.clear();
+            uncached.clear();
+            let one_region = addresses
+                .first()
+                .and_then(|&first| mem.read_only_region(first))
+                .is_some_and(|(base, end)| addresses.iter().all(|&a| a >= base && a < end));
+            let (cached_addrs, uncached_addrs): (&[u32], &[u32]) = if one_region {
+                (addresses, &[])
             } else {
-                // Stores write through without allocating, and local
-                // bypasses the L1 (one tag array cannot alias local-physical
-                // and global addresses).
-                let (ready, req) =
-                    self.frontend
-                        .request_offchip(now, space, is_store, width.bytes(), addresses);
-                requests.extend(req);
-                (ready, Vec::new(), Vec::new())
+                for &a in addresses.iter() {
+                    if mem.is_read_only(a) {
+                        cached.push(a);
+                    } else {
+                        uncached.push(a);
+                    }
+                }
+                (&cached, &uncached)
             };
-        if self.telemetry.is_on() && !requests.is_empty() {
-            let segments = requests.iter().map(|r| r.segments.len() as u32).sum();
+            let miss_lines = self.frontend.tex_probe(cached_addrs, width.bytes());
+            let mut ready = now + u64::from(mem.config().tex_hit_latency);
+            if !miss_lines.is_empty() {
+                // Texture fills skip the L1 (separate tag array on the
+                // real chip); they still cross the fabric.
+                let line = mem.config().tex_line_bytes;
+                let (floor, req) =
+                    self.frontend
+                        .request_offchip(now, Space::Global, false, line, &miss_lines);
+                ready = ready.max(floor);
+                self.queue(batch, req);
+            }
+            let fill_lines = if uncached_addrs.is_empty() {
+                Vec::new()
+            } else {
+                let (floor, fills) =
+                    self.global_load_request(now, warp_id, width.bytes(), uncached_addrs, batch);
+                ready = ready.max(floor);
+                fills
+            };
+            if self.telemetry.is_on() && !cached_addrs.is_empty() {
+                self.telemetry.on_tex(
+                    now,
+                    warp_id,
+                    cached_addrs.len() as u32,
+                    miss_lines.len() as u32,
+                );
+            }
+            self.tex_cached = cached;
+            self.tex_uncached = uncached;
+            (ready, fill_lines)
+        } else if global_load {
+            self.global_load_request(now, warp_id, width.bytes(), addresses, batch)
+        } else {
+            // Stores write through without allocating, and local
+            // bypasses the L1 (one tag array cannot alias local-physical
+            // and global addresses).
+            let (ready, req) =
+                self.frontend
+                    .request_offchip(now, space, is_store, width.bytes(), addresses);
+            self.queue(batch, req);
+            (ready, Vec::new())
+        };
+        let requests = &batch[queued..];
+        if requests.is_empty() {
+            // Ideal memory: nothing to service, so the lines the L1
+            // allocated are filled by the next cycle.
+            if !fill_lines.is_empty() {
+                self.frontend.mshr_set_fill(&fill_lines, now + 1);
+            }
+            return Ok(ready);
+        }
+        if self.telemetry.is_on() {
+            let segments = requests
+                .iter()
+                .map(|b| b.request.segments.len() as u32)
+                .sum();
             self.telemetry
                 .on_offchip(now, warp_id, addresses.len() as u32, segments);
         }
-        self.queue_pending(PendingAccess {
-            warp_id,
-            slot: widx,
-            wait: !is_store,
-            space,
-            reg,
-            ops,
-            loads,
-            requests,
-            fill_lines,
-            merge_lines,
-            ready: 0,
-        });
+        if !is_store {
+            self.timed = Some(TimedAccess {
+                slot: widx,
+                warp_id,
+                fill_lines,
+            });
+        }
         Ok(ready)
     }
 
-    /// Queues one access's deferred work for phase B — or, when it
-    /// carries none (no lane passed its guard, ideal memory, a trap on the
-    /// first lane), hands its pooled buffer straight back.
-    fn queue_pending(&mut self, pa: PendingAccess) {
-        if !pa.ops.is_empty()
-            || !pa.loads.is_empty()
-            || !pa.requests.is_empty()
-            || !pa.merge_lines.is_empty()
-        {
-            self.pending.push(pa);
-        } else if pa.ops.capacity() > 0 {
-            self.op_pool.push(pa.ops);
-        } else if pa.loads.capacity() > 0 {
-            self.load_pool.push(pa.loads);
-        }
+    /// Queues `req`, if the access produced one, on the cycle's batch.
+    fn queue(&self, batch: &mut Vec<BatchRequest>, req: Option<FabricRequest>) {
+        batch.extend(req.map(|request| BatchRequest {
+            sm: self.id,
+            access: 0,
+            request,
+        }));
     }
 
     /// Routes the addresses of a global load that the read-only cache does
     /// not serve: through the L1 when one is modelled, else straight to
-    /// the coalescer. Appends the fabric request (if any) to `requests` and
-    /// returns the phase-A completion floor with the access's MSHR fill and
-    /// merge lines (both empty without an L1).
+    /// the coalescer. Queues the fabric request (if any) on `batch` and
+    /// returns the at-issue completion floor — raised to the fill times of
+    /// the in-flight lines it merged into, all stamped in earlier cycles —
+    /// with the access's MSHR fill lines (empty without an L1).
     fn global_load_request(
         &mut self,
         now: u64,
         warp_id: usize,
         width_bytes: u32,
         addresses: &[u32],
-        requests: &mut Vec<FabricRequest>,
-    ) -> (u64, Vec<u32>, Vec<u32>) {
+        batch: &mut Vec<BatchRequest>,
+    ) -> (u64, Vec<u32>) {
         if !self.frontend.has_l1() {
             let (ready, req) =
                 self.frontend
                     .request_offchip(now, Space::Global, false, width_bytes, addresses);
-            requests.extend(req);
-            return (ready, Vec::new(), Vec::new());
+            self.queue(batch, req);
+            return (ready, Vec::new());
         }
         let (ready, req, fills, merges, probe) =
             self.frontend.l1_request(now, width_bytes, addresses);
-        requests.extend(req);
+        self.queue(batch, req);
         if self.telemetry.is_on() {
             self.telemetry.on_l1(now, warp_id, &probe);
         }
-        (ready, fills, merges)
+        (ready.max(self.frontend.mshr_wait_floor(&merges)), fills)
     }
 
     /// Bank-conflict replays steal issue slots: a degree-`d` access
@@ -1620,12 +1446,9 @@ impl Sm {
 
     /// Serializes this SM's complete mutable state for a simulator
     /// checkpoint. Must only be called at the inter-cycle barrier, where
-    /// the phase-A pending queue is drained (it is every cycle).
+    /// no access waits on a timing batch (none does, every cycle).
     pub(crate) fn encode_state(&self, enc: &mut Encoder) {
-        debug_assert!(
-            self.pending.is_empty(),
-            "checkpoint only at the cycle barrier"
-        );
+        debug_assert!(self.timed.is_none(), "checkpoint only at the cycle barrier");
         enc.put_usize(self.warps.len());
         for w in &self.warps {
             w.encode_state(enc);
@@ -1698,10 +1521,8 @@ impl Sm {
         self.issue_blocked_until = dec.take_u64()?;
         self.stats.restore_state(dec)?;
         self.telemetry.restore_state(dec)?;
-        self.pending.clear();
         // Derived issue-stage structures are rebuilt, not stored.
         self.ready.rebuild(self.warps.iter().map(|w| w.ready_at));
-        self.late_write_drops = 0;
         // Conservative: force one reap scan after restore rather than
         // prove no restored warp is already finished.
         self.reap_dirty = true;
@@ -1726,11 +1547,13 @@ mod tests {
     use simt_isa::{assemble_named, Reg};
 
     /// One SM of the `tiny` machine holding one 4-lane warp of `src`,
-    /// stepped by hand: phase A through [`Sm::step`], phase B through
-    /// [`Rig::phase_b`] — so a test can look between the two.
+    /// stepped by hand: the step through [`Sm::step`], the cycle's timing
+    /// batch through [`Rig::end_cycle`] — so a test can look between the
+    /// two.
     struct Rig {
         sm: Sm,
         fabric: MemoryFabric,
+        batch: Vec<BatchRequest>,
         program: Program,
         rtab: ReconvergenceTable,
         now: u64,
@@ -1755,6 +1578,7 @@ mod tests {
         let mut rig = Rig {
             sm: Sm::new(0, &cfg),
             fabric,
+            batch: Vec::new(),
             program,
             rtab,
             now: 0,
@@ -1767,8 +1591,8 @@ mod tests {
 
     impl Rig {
         /// Runs whole cycles until the warp is about to issue its first
-        /// memory instruction, then runs that cycle's phase A only.
-        /// Returns the cycle and what the step returned.
+        /// memory instruction, then runs that cycle's step only. Returns
+        /// the cycle and what the step returned.
         fn issue_first_memory_instruction(&mut self) -> (u64, Result<bool, Fault>) {
             loop {
                 let now = self.now;
@@ -1784,25 +1608,25 @@ mod tests {
                     return (now, stepped);
                 }
                 stepped.expect("only the memory instruction may trap");
-                self.phase_b();
+                self.end_cycle();
             }
         }
 
         fn step(&mut self) -> Result<bool, Fault> {
             let ctx = ctx(&self.program, &self.rtab);
-            self.sm.step(self.now, &ctx, &self.fabric.view(), None)
+            self.sm
+                .step(self.now, &ctx, &mut self.fabric, &mut self.batch, None)
         }
 
-        /// The cycle's phase B for this one SM, as `Gpu::drain` runs it.
-        fn phase_b(&mut self) {
-            let mut batch = Vec::new();
-            self.sm
-                .stage_pending(self.now, &mut self.fabric, &mut batch);
-            let ready = self.fabric.service_batch(self.now, &batch).to_vec();
-            for (b, r) in batch.iter().zip(ready) {
-                self.sm.note_access_ready(b.access, r);
+        /// The cycle's timing batch for this one SM, as `Gpu::settle`
+        /// runs it.
+        fn end_cycle(&mut self) {
+            let ready = self.fabric.service_batch(self.now, &self.batch);
+            if let Some(&latest) = ready.iter().max() {
+                self.sm.settle_access(latest);
             }
-            self.sm.commit_staged();
+            self.batch.clear();
+            assert!(self.sm.between_cycles());
             self.now += 1;
         }
 
@@ -1820,10 +1644,9 @@ mod tests {
         }
     }
 
-    /// A constant load is complete when phase A returns: the registers
-    /// hold the words, the warp wakes at the constant cache's hit
-    /// latency, nothing is queued for phase B, and the traffic shard
-    /// reads what the deferred load recorded.
+    /// A constant load queues no request: the registers hold the words
+    /// when the step returns, the warp wakes at the constant cache's hit
+    /// latency, and the traffic shard reads what the load recorded.
     #[test]
     fn a_constant_load_is_served_at_issue() {
         for (load, bytes, want) in [
@@ -1842,7 +1665,7 @@ mod tests {
             let (now, issued) = rig.issue_first_memory_instruction();
             assert_eq!(issued, Ok(true), "{load}");
             assert_eq!([rig.regs(4), rig.regs(5)], want, "{load}");
-            assert!(rig.sm.pending.is_empty(), "{load}: queued for phase B");
+            assert!(rig.batch.is_empty() && rig.sm.timed.is_none(), "{load}");
             let hit = u64::from(GpuConfig::tiny().mem.tex_hit_latency);
             assert_eq!(rig.sm.warps[0].ready_at, now + hit, "{load}");
             let traffic = *rig.sm.traffic().space(Space::Const);
@@ -1851,17 +1674,41 @@ mod tests {
                 (1, 4 * bytes, 0),
                 "{load}"
             );
-            // Phase B finds nothing of it, and the wake cycle stands.
-            rig.phase_b();
+            // The batch finds nothing of it, and the wake cycle stands.
+            rig.end_cycle();
             assert_eq!(rig.sm.warps[0].ready_at, now + hit, "{load}");
-            assert_eq!(rig.sm.late_write_drops(), 0);
         }
     }
 
+    /// A global load's words are in the registers when the step returns;
+    /// what it leaves is its request on the batch and its warp's wake-up,
+    /// which the serviced batch raises to the DRAM round trip.
+    #[test]
+    fn a_global_load_completes_at_issue_and_waits_on_the_batch() {
+        let src = ".kernel main\nmain:\n mov.u32 r1, %tid\n mul.lo.s32 r2, r1, 4\n \
+                   ld.global.u32 r4, [r2+0]\n exit\n";
+        let mut rig = one_warp(src, |f: &mut MemoryFabric| {
+            let base = f.alloc_global(16, "buf");
+            f.host_write_global(base, &[7, 8, 9, 10]);
+        });
+        let (now, issued) = rig.issue_first_memory_instruction();
+        assert_eq!(issued, Ok(true));
+        assert_eq!(rig.regs(4), [7, 8, 9, 10]);
+        assert_eq!(rig.batch.len(), 1, "one segment's request");
+        let mem = GpuConfig::tiny().mem;
+        let serviced =
+            now + mem.segment_service_cycles().ceil() as u64 + u64::from(mem.dram_latency);
+        assert!(
+            rig.sm.warps[0].ready_at < serviced,
+            "only the at-issue floor"
+        );
+        rig.end_cycle();
+        assert_eq!(rig.sm.warps[0].ready_at, serviced);
+    }
+
     /// Lane 2 of a constant load is misaligned: the trap is lane 2's, the
-    /// lanes before it keep what they loaded (an imprecise trap, as when
-    /// their loads were flushed to phase B), the lanes from it on load
-    /// nothing, and nothing is queued.
+    /// lanes before it keep what they loaded (an imprecise trap), the
+    /// lanes from it on load nothing, and nothing is timed.
     #[test]
     fn a_misaligned_constant_lane_keeps_the_lanes_before_it() {
         let src = ".kernel main\nmain:\n mov.u32 r1, %tid\n mul.lo.s32 r2, r1, 4\n \
@@ -1879,14 +1726,47 @@ mod tests {
         );
         assert_eq!(fault.cycle, now);
         assert_eq!(rig.regs(4), [100, 101, 0, 0]);
-        assert!(rig.sm.pending.is_empty());
+        assert!(rig.batch.is_empty() && rig.sm.timed.is_none());
         assert_eq!(rig.sm.traffic().space(Space::Const).accesses, 0);
     }
 
-    /// Every exit of `exec_memory` hands its buffers back: after a trap
-    /// the address scratch is still the SM's, and a pooled lane-load
-    /// buffer that a trap on the first lane left empty is back in its
-    /// pool — under `KillWarp` the next access allocates neither.
+    /// What an imprecise trap leaves in the faulting warp, which an
+    /// aborting run keeps: lane 0's `v4` fits its 32-byte local stride and
+    /// loads four words, lane 1's (from offset 24) runs past it in its
+    /// third word and loads two, and lanes 2 and 3 are never looked at.
+    /// Nothing is timed and no traffic is recorded.
+    #[test]
+    fn a_partially_validated_vector_load_fills_exactly_its_validated_words() {
+        let src = ".kernel main\nmain:\n mov.u32 r1, %tid\n mul.lo.s32 r2, r1, 24\n \
+                   ld.local.v4 r8, [r2+0]\n exit\n";
+        let mut rig = one_warp(src, |f: &mut MemoryFabric| {
+            f.configure_local(32);
+            for tid in 0..4 {
+                for w in 0..8 {
+                    f.write_local(tid, 4 * w, 100 * tid + w + 1);
+                }
+            }
+        });
+        let (_, issued) = rig.issue_first_memory_instruction();
+        let fault = issued.expect_err("lane 1 runs past its stride");
+        assert_eq!(
+            fault.kind,
+            FaultKind::Memory(MemFault::LocalOob {
+                addr: 32,
+                stride: 32
+            })
+        );
+        let regs: Vec<[u32; 4]> = (8..12).map(|r| rig.regs(r)).collect();
+        assert_eq!(
+            regs,
+            [[1, 107, 0, 0], [2, 108, 0, 0], [3, 0, 0, 0], [4, 0, 0, 0]]
+        );
+        assert!(rig.batch.is_empty() && rig.sm.timed.is_none());
+        assert_eq!(rig.sm.traffic().space(Space::Local).accesses, 0);
+    }
+
+    /// Every exit of `exec_memory` hands the address scratch back, a trap
+    /// included — under `KillWarp` the next access does not allocate it.
     #[test]
     fn a_trapped_access_hands_its_buffers_back() {
         // On-chip: every lane misaligned.
@@ -1896,8 +1776,7 @@ mod tests {
         assert!(issued.is_err());
         assert!(rig.sm.addr_scratch.capacity() >= 4, "on-chip trap");
 
-        // Off-chip: a clean load puts a buffer in the pool, then every
-        // lane of the next load is misaligned.
+        // Off-chip: a clean load, then every lane of the next misaligned.
         let src = ".kernel main\nmain:\n mov.u32 r2, 0\n ld.global.u32 r4, [r2+0]\n \
                    ld.global.u32 r5, [r2+2]\n exit\n";
         let mut rig = one_warp(src, |f: &mut MemoryFabric| {
@@ -1905,16 +1784,13 @@ mod tests {
         });
         let (_, issued) = rig.issue_first_memory_instruction();
         assert_eq!(issued, Ok(true));
-        rig.phase_b();
-        assert_eq!(rig.sm.load_pool.len(), 1, "the clean load's buffer");
+        rig.end_cycle();
         let (_, issued) = rig.issue_first_memory_instruction();
         assert!(issued.is_err());
         assert!(
-            rig.sm.pending.is_empty(),
+            rig.batch.is_empty() && rig.sm.timed.is_none(),
             "lane 0 trapped: nothing validated"
         );
-        assert_eq!(rig.sm.load_pool.len(), 1, "off-chip trap: buffer dropped");
-        assert!(rig.sm.load_pool[0].capacity() >= 4);
         assert!(rig.sm.addr_scratch.capacity() >= 4, "off-chip trap");
     }
 }

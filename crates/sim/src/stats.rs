@@ -237,8 +237,8 @@ impl DivergenceTimeline {
 simt_isa::counters! {
     /// Aggregate counters for one simulation run.
     ///
-    /// During a run each SM accumulates into its own `SimStats` shard (phase A
-    /// touches SM-private state only); the GPU merges the shards into its base
+    /// During a run each SM accumulates into its own `SimStats` shard (only
+    /// the SM writes it); the GPU merges the shards into its base
     /// stats with [`SimStats::merge`]. All counters are sums, so the merge is
     /// exact regardless of SM count — the basis of the determinism regression
     /// tests. `cycles` is owned by the GPU (set once per run), so shard cycles

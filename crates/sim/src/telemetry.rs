@@ -12,7 +12,7 @@
 //! # Determinism
 //!
 //! Every probe writes into the *per-SM* telemetry shard owned by the SM
-//! that observed the event, during phase A — the same discipline
+//! that observed the event, as it steps — the same discipline
 //! as the [`crate::SimStats`] shards. [`crate::Gpu::telemetry_report`]
 //! merges the shards in SM-id order, so the merged event stream, the
 //! windowed counters, and the rendered sink output are the same bytes on
@@ -273,7 +273,7 @@ simt_isa::counters! {
 }
 
 /// Per-SM telemetry shard. Lives inside each [`crate::Sm`] next to its
-/// statistics shard and is written only by that SM during phase A, so
+/// statistics shard and is written only by that SM as it steps, so
 /// recording is race-free and deterministic.
 #[derive(Debug, Clone)]
 pub(crate) struct SmTelemetry {

@@ -3,8 +3,8 @@
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::{eval_alu, eval_cmp, AluOp, CmpOp, Operand, Pred, Reg, Special};
 
-/// Lanes in a full-warp row: the width of the Table I machine's warps,
-/// the only width whose full warps skip the per-lane loop.
+/// Lanes in an operand row: the width of the Table I machine's warps, the
+/// only width whose warp ops skip the per-lane loop.
 const ROW: usize = 32;
 
 /// An operand pre-resolved against the warp's register layout, so the
@@ -357,17 +357,19 @@ impl LaneState {
         i as usize * self.warp_size as usize
     }
 
-    /// Whether `bits` covers every lane of a [`ROW`]-lane warp — full-warp
-    /// issue, the common case — so a warp op can read each operand as one
-    /// fixed-width row and write its destination as one. A warp of
-    /// another width, or a partial one, takes the per-lane bit loop.
+    /// Whether this is a [`ROW`]-lane warp, so a warp op reads each operand
+    /// as one fixed-width row, computes every lane and blends the result
+    /// into its destination by the issue's lane bits ([`Self::blend_row`]).
+    /// That is exact for any issue mask because `eval_alu` and `eval_cmp`
+    /// are total and pure: an inactive lane's result is computed and
+    /// dropped. A warp of another width takes the per-lane bit loop.
     #[inline]
-    fn is_full_row(&self, bits: u64) -> bool {
-        self.warp_size as usize == ROW && bits == (1 << ROW) - 1
+    fn is_row(&self) -> bool {
+        self.warp_size as usize == ROW
     }
 
-    /// Operand `s` for every lane of a full [`ROW`]-lane warp: a
-    /// register's whole plane, an immediate splat, or zeros past the file.
+    /// Operand `s` for every lane of a [`ROW`]-lane warp: a register's
+    /// whole plane, an immediate splat, or zeros past the file.
     #[inline(always)]
     fn row(&self, s: Src) -> [u32; ROW] {
         match s {
@@ -380,12 +382,17 @@ impl LaneState {
         }
     }
 
-    /// The register plane at `base` as one row, for a full warp's result.
+    /// Writes `new(lane)` to every lane in `bits` of the register plane at
+    /// `base` and leaves the other lanes' words as they were.
     #[inline(always)]
-    fn row_mut(&mut self, base: usize) -> &mut [u32; ROW] {
-        match self.regs[base..].first_chunk_mut() {
+    fn blend_row(&mut self, base: usize, bits: u64, new: impl Fn(usize) -> u32) {
+        let out = match self.regs[base..].first_chunk_mut::<ROW>() {
             Some(row) => row,
             None => unreachable!("`ensure_dst` brought the plane inside the file"),
+        };
+        for (lane, word) in out.iter_mut().enumerate() {
+            let keep = ((bits >> lane) & 1).wrapping_sub(1) as u32;
+            *word = (new(lane) & !keep) | (*word & keep);
         }
     }
 
@@ -397,8 +404,9 @@ impl LaneState {
         }
         let db = self.ensure_dst(d);
         let src = self.resolve(a);
-        if self.is_full_row(bits) {
-            *self.row_mut(db) = self.row(src);
+        if self.is_row() {
+            let v = self.row(src);
+            self.blend_row(db, bits, |lane| v[lane]);
             return;
         }
         while bits != 0 {
@@ -447,15 +455,12 @@ impl LaneState {
         }
         let db = self.ensure_dst(d);
         let (sa, sb, sc) = (self.resolve(a), self.resolve(b), self.resolve(c));
-        if self.is_full_row(bits) {
+        if self.is_row() {
             // Every source is read before the destination is written, so
             // `d` naming a source changes nothing: a lane reads only its
             // own column.
             let (a, b, c) = (self.row(sa), self.row(sb), self.row(sc));
-            let out = self.row_mut(db);
-            for lane in 0..ROW {
-                out[lane] = f(a[lane], b[lane], c[lane]);
-            }
+            self.blend_row(db, bits, |lane| f(a[lane], b[lane], c[lane]));
             return;
         }
         while bits != 0 {
@@ -502,15 +507,15 @@ impl LaneState {
         let (sa, sb) = (self.resolve(a), self.resolve(b));
         let pi = p.0 as usize;
         let mut plane = self.pred_planes[pi];
-        if self.is_full_row(bits) {
-            // Full warp: rebuild the whole bit-plane (no per-lane masking
-            // of the old plane needed).
+        if self.is_row() {
+            // Rebuild the whole bit-plane, then keep the old bits of the
+            // lanes outside `bits`.
             let (a, b) = (self.row(sa), self.row(sb));
-            plane = 0;
+            let mut new = 0;
             for lane in 0..ROW {
-                plane |= u64::from(f(a[lane], b[lane])) << lane;
+                new |= u64::from(f(a[lane], b[lane])) << lane;
             }
-            self.pred_planes[pi] = plane;
+            self.pred_planes[pi] = (plane & !bits) | (new & bits);
             return;
         }
         while bits != 0 {
@@ -532,16 +537,14 @@ impl LaneState {
         let db = self.ensure_dst(d);
         let (sa, sb) = (self.resolve(a), self.resolve(b));
         let plane = self.pred_planes[p.0 as usize];
-        if self.is_full_row(bits) {
-            // Full warp: a branchless select over the operand rows (the
-            // dominant instruction in the renderer's min/max-style inner
-            // loops).
+        if self.is_row() {
+            // A branchless select over the operand rows (the dominant
+            // instruction in the renderer's min/max-style inner loops).
             let (t, f) = (self.row(sa), self.row(sb));
-            let out = self.row_mut(db);
-            for lane in 0..ROW {
+            self.blend_row(db, bits, |lane| {
                 let m = ((plane >> lane) & 1).wrapping_neg() as u32;
-                out[lane] = (t[lane] & m) | (f[lane] & !m);
-            }
+                (t[lane] & m) | (f[lane] & !m)
+            });
             return;
         }
         while bits != 0 {
@@ -782,9 +785,10 @@ mod tests {
         ]
     };
 
-    /// A full warp of `warp_size` lanes over a 4-register file, every
-    /// register and predicate filled from `seed`.
-    fn seeded_full_warp(warp_size: u32, seed: u64) -> LaneState {
+    /// A warp of `warp_size` lanes with its first `count` populated, over
+    /// a 4-register file; every lane's registers and predicates (the
+    /// unpopulated lanes' too) filled from `seed`.
+    fn seeded_warp(warp_size: u32, count: u32, seed: u64) -> LaneState {
         let mut x = seed | 1;
         let mut next = || {
             // xorshift64: small values and float bit patterns alike.
@@ -793,7 +797,7 @@ mod tests {
             x ^= x << 17;
             (x >> 16) as u32
         };
-        let mut l = LaneState::admit(warp_size, 4, 0, warp_size);
+        let mut l = LaneState::admit(warp_size, 4, 0, count);
         for lane in 0..warp_size as usize {
             for r in 0..4 {
                 let v = next();
@@ -806,21 +810,31 @@ mod tests {
         l
     }
 
-    /// `op` through the warp path against the same instruction run one
-    /// lane at a time through `operand`/`set_reg`/`set_pred` — every
-    /// register plane, the file's width and every predicate plane.
-    fn check_warp_op(l: &LaneState, op: WarpOp, d: Reg, a: Operand, b: Operand, c: Operand) {
-        let full = l.populated_mask();
+    /// `op` issued under `mask` through the warp path against the same
+    /// instruction run one active lane at a time through
+    /// `operand`/`set_reg`/`set_pred` — every register plane, the file's
+    /// width and every predicate plane — and every lane outside the issue
+    /// left as it was.
+    fn check_warp_op(
+        l: &LaneState,
+        mask: u64,
+        op: WarpOp,
+        d: Reg,
+        a: Operand,
+        b: Operand,
+        c: Operand,
+    ) {
+        let active = mask & l.populated_mask();
         let mut warp = l.clone();
         let mut lane_by_lane = l.clone();
         let p = Pred(3);
         match op {
-            WarpOp::Alu(f) => warp.alu_warp(full, f, d, a, b, c),
-            WarpOp::Setp(cmp) => warp.setp_warp(full, cmp, p, a, b),
-            WarpOp::Selp(q) => warp.selp_warp(full, d, a, b, q),
-            WarpOp::Mov => warp.mov_warp(full, d, a),
+            WarpOp::Alu(f) => warp.alu_warp(mask, f, d, a, b, c),
+            WarpOp::Setp(cmp) => warp.setp_warp(mask, cmp, p, a, b),
+            WarpOp::Selp(q) => warp.selp_warp(mask, d, a, b, q),
+            WarpOp::Mov => warp.mov_warp(mask, d, a),
         }
-        for lane in 0..l.warp_size() as usize {
+        for lane in (0..l.warp_size() as usize).filter(|&i| active >> i & 1 == 1) {
             let (x, y, z) = (l.operand(lane, a), l.operand(lane, b), l.operand(lane, c));
             match op {
                 WarpOp::Alu(f) => lane_by_lane.set_reg(lane, d, eval_alu(f, x, y, z)),
@@ -832,26 +846,50 @@ mod tests {
             }
         }
         let what = format!(
-            "{op:?} {d:?} <- {a:?} {b:?} {c:?} on {} lanes",
-            l.warp_size()
+            "{op:?} {d:?} <- {a:?} {b:?} {c:?} on lanes {active:#x} of {} ({:#x} populated)",
+            l.warp_size(),
+            l.populated_mask()
         );
+        for lane in (0..l.warp_size() as usize).filter(|&i| active >> i & 1 == 0) {
+            for r in 0..=255 {
+                assert_eq!(
+                    warp.reg(lane, Reg(r)),
+                    l.reg(lane, Reg(r)),
+                    "{what}: r{r} of idle lane {lane}"
+                );
+            }
+            for q in 0..8 {
+                assert_eq!(
+                    warp.pred(lane, Pred(q)),
+                    l.pred(lane, Pred(q)),
+                    "{what}: p{q} of idle lane {lane}"
+                );
+            }
+        }
         assert_eq!(warp.regs_stride, lane_by_lane.regs_stride, "{what}");
         assert_eq!(warp.regs, lane_by_lane.regs, "{what}");
         assert_eq!(warp.pred_planes, lane_by_lane.pred_planes, "{what}");
     }
 
     proptest! {
-        /// A full warp's row path (32 lanes) and bit loop (4 lanes) equal
-        /// the instruction run lane by lane, for every ALU operation and
-        /// comparison, `selp` and `mov`: operands an in-file register, an
-        /// immediate or a register past the file (reads 0), and a
-        /// destination past the file (widens it) or naming a source.
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// A warp op under any issue mask — none, one lane, a random set,
+        /// every lane — on a full or partially populated warp, through the
+        /// blended row path (32 lanes) and the bit loop (4 lanes), equals
+        /// the instruction run lane by lane over the active lanes, for
+        /// every ALU operation and comparison, `selp` and `mov`: operands
+        /// an in-file register, an immediate or a register past the file
+        /// (reads 0), and a destination past the file (widens it) or
+        /// naming a source.
         #[test]
-        fn a_full_warp_op_equals_the_same_op_lane_by_lane(
+        fn a_warp_op_under_any_lane_mask_equals_the_same_op_lane_by_lane(
             seed in any::<u64>(),
             kinds in (0u8..6, 0u8..6, 0u8..6),
             dst in 0u8..8,
             imm in any::<u32>(),
+            mask_kind in 0u8..4,
+            random_mask in any::<u64>(),
+            count in 1u32..=32,
         ) {
             let operand = |k: u8| match k {
                 0..=3 => Operand::Reg(Reg(k)),
@@ -870,10 +908,16 @@ mod tests {
                 .into_iter()
                 .chain(CMP_OPS.map(WarpOp::Setp))
                 .chain([WarpOp::Selp(Pred(seed as u8 & 7)), WarpOp::Mov]);
-            for warp_size in [4, 32] {
-                let l = seeded_full_warp(warp_size, seed);
+            for (warp_size, count) in [(4, 1 + count % 4), (32, count)] {
+                let mask = match mask_kind {
+                    0 => 0,
+                    1 => 1 << (random_mask % u64::from(warp_size)),
+                    2 => random_mask,
+                    _ => !0,
+                };
+                let l = seeded_warp(warp_size, count, seed);
                 for op in ops.clone() {
-                    check_warp_op(&l, op, d, a, b, c);
+                    check_warp_op(&l, mask, op, d, a, b, c);
                 }
             }
         }

@@ -167,20 +167,21 @@ fn cached_resume_from_an_in_memory_snapshot_is_bit_identical() {
     assert_eq!(words(&resumed), words(&reference));
 }
 
-/// On a faulting cycle under `FaultPolicy::Abort`, the committed SMs'
-/// phase-B work must still flow through the one batch path — DRAM modules
-/// on the flat and L1-only machines, the banked interconnect and the L2 in
-/// front of them on the cached one — and the discarded SMs' work must not.
-/// The witness is conservation: every coalesced global transaction the
-/// frontends recorded must have paid its DRAM service (stores bypass both
-/// caches) and, where an interconnect is modelled, its flit traversal on
-/// some bank, including the transactions issued on the very cycle the
-/// fault aborted the run. Debug builds also run the drain's own
-/// conservation asserts on that cycle.
+/// A faulting cycle under `FaultPolicy::Abort` completes for every SM,
+/// and its traffic flows through the one batch path — DRAM modules on the
+/// flat and L1-only machines, the banked interconnect and the L2 in front
+/// of them on the cached one — whichever side of the faulting SM it came
+/// from. The witness is conservation: every coalesced global transaction
+/// the frontends recorded must have paid its DRAM service (stores bypass
+/// both caches) and, where an interconnect is modelled, its flit
+/// traversal on some bank, including the transactions issued on the very
+/// cycle the fault aborted the run by SM 0, before the faulting SM 1, and
+/// by SM 2, after it. Debug builds also run the batch's own conservation
+/// asserts on that cycle.
 #[test]
 fn abort_cycle_commits_through_the_banked_interconnect() {
-    use simt_isa::Space;
-    use simt_sim::SimError;
+    use simt_isa::{Instr, Space};
+    use simt_sim::{SimError, TelemetrySpec, TraceEventKind};
 
     let flat = GpuConfig::tiny();
     let mut l1_only = GpuConfig::tiny();
@@ -190,11 +191,14 @@ fn abort_cycle_commits_through_the_banked_interconnect() {
         ("l1-only", l1_only),
         ("cached", cached_config()),
     ] {
-        // SM 0's warps store every issue slot; SM 1's warps spin `k`
-        // iterations, then issue a misaligned store (trapped at validation,
-        // so it records no traffic of its own). Sweeping `k` shifts the
-        // fault cycle across the store loop's phase, so at least one run
-        // aborts with an SM 0 store staged in that same cycle.
+        let cfg = GpuConfig { num_sms: 3, ..cfg };
+        // The warps of SMs 0 and 2 store every issue slot but one in four;
+        // SM 1's spin `k` iterations, then issue a misaligned store
+        // (trapped at validation, so it records no traffic of its own).
+        // Sweeping `k` shifts the fault cycle across the store loop's
+        // phase, so some run aborts with a store from SM 0 and one from
+        // SM 2 issued in that same cycle.
+        let mut stored_in_fault_cycle = [false; 3];
         for k in [4u32, 5, 6, 7] {
             let src = format!(
                 r#"
@@ -202,7 +206,8 @@ fn abort_cycle_commits_through_the_banked_interconnect() {
                 main:
                     mov.u32 r1, %tid
                     mov.u32 r2, 0
-                    setp.gt.s32 p0, r1, 31
+                    shr.u32 r7, r1, 5
+                    setp.eq.s32 p0, r7, 1
                     @p0 bra delay
                 store:
                     st.global.u32 [r2+0], r1
@@ -224,15 +229,21 @@ fn abort_cycle_commits_through_the_banked_interconnect() {
             let flit = u64::from(cfg.mem.icnt_flit_cycles.max(1));
             let service = cfg.mem.segment_service_cycles();
             let interconnect = cfg.mem.l2_enabled();
-            let mut gpu = Gpu::builder(cfg.clone()).build();
+            let program = assemble_named("abort-icnt", &src).unwrap();
+            let stores: Vec<usize> = (0..program.len())
+                .filter(|&pc| matches!(program.get(pc).map(|i| i.op), Some(Instr::St { .. })))
+                .collect();
+            let mut gpu = Gpu::builder(cfg.clone())
+                .telemetry(TelemetrySpec::trace())
+                .build();
             gpu.mem_mut().alloc_global(64, "buf");
             // `tiny` admits 32 threads per SM, so warp-granular dispatch
-            // fills SM 0 with the store-loop warps (tids 0..32) and SM 1
-            // with the delay warps (tids 32..64).
+            // gives SM 0 tids 0..32 (store loop), SM 1 tids 32..64 (delay)
+            // and SM 2 tids 64..96 (store loop).
             gpu.launch(Launch {
-                program: assemble_named("abort-icnt", &src).unwrap(),
+                program,
                 entry: "main".into(),
-                num_threads: 64,
+                num_threads: 96,
                 threads_per_block: 32,
             })
             .expect("launch accepted");
@@ -242,6 +253,13 @@ fn abort_cycle_commits_through_the_banked_interconnect() {
                 panic!("expected a fault, got {err}");
             };
             assert_eq!(fault.sm, 1, "delay warps should land on SM 1 ({what})");
+            for e in gpu.telemetry_report().events {
+                if let TraceEventKind::Issue { pc, .. } = e.kind {
+                    if e.cycle == fault.cycle && stores.contains(&pc) {
+                        stored_in_fault_cycle[e.sm] = true;
+                    }
+                }
+            }
 
             let transactions: u64 = gpu
                 .sms()
@@ -261,6 +279,11 @@ fn abort_cycle_commits_through_the_banked_interconnect() {
                 "every recorded transaction must traverse an icnt bank ({what})"
             );
         }
+        assert_eq!(
+            stored_in_fault_cycle,
+            [true, false, true],
+            "SMs 0 and 2 stored in some fault cycle ({machine})"
+        );
     }
 }
 

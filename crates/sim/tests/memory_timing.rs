@@ -1,7 +1,8 @@
 //! Timing-model behaviour visible at the pipeline level: texture-cache
 //! hits, constant-cache broadcasts, stack coalescing, sequential
-//! launches, and closed-form checks of the one phase-B path — wake-up
-//! cycles of hand-computable programs, derived from `MemConfig` fields.
+//! launches, closed-form checks of the one timing batch — wake-up cycles
+//! of hand-computable programs, derived from `MemConfig` fields — and the
+//! memory order of two SMs' accesses in one cycle.
 
 use simt_isa::{assemble_named, Instr};
 use simt_mem::MemConfig;
@@ -249,6 +250,52 @@ fn same_cycle_requests_to_one_module_queue_in_sm_order() {
         issued_at(&events, 1, 0, ld + 1) - issue,
         (2.0 * service).ceil() as u64 + latency
     );
+}
+
+/// The memory order within a cycle is SM-id order: SM 1's load sees SM
+/// 0's store from the same cycle, and SM 0's load does not see SM 1's —
+/// on the flat machine and through the cache hierarchy alike (the L1 and
+/// L2 time accesses; the words come from the backing store). One warp per
+/// SM: the storing warp branches to its store while the other falls
+/// through to its load, so both reach memory in the same cycle, and the
+/// loading warp writes what it read to word 1.
+#[test]
+fn a_same_cycle_store_is_seen_by_later_sms_only() {
+    for mem in [MemConfig::fx5800(), MemConfig::fx5800_cached()] {
+        for storer in [0usize, 1] {
+            let src = format!(
+                r#"
+                .kernel main
+                main:
+                    mov.u32 r1, %tid
+                    mov.u32 r2, 0
+                    mov.u32 r4, 7
+                    setp.{cmp}.s32 p0, r1, 4
+                    @p0 bra store
+                    ld.global.u32 r5, [r2+0]
+                    st.global.u32 [r2+4], r5
+                    exit
+                store:
+                    st.global.u32 [r2+0], r4
+                    exit
+                "#,
+                // Warp 0 (tids 0..4) runs on SM 0, warp 1 on SM 1.
+                cmp = if storer == 0 { "lt" } else { "ge" }
+            );
+            let (gpu, events, ld) = traced(&src, 8, 1, mem.clone());
+            let st = ld + 3;
+            let loader = 1 - storer;
+            let what = format!("SM {storer} stores, L2 {}", mem.l2_enabled());
+            assert_eq!(
+                issued_at(&events, storer, 0, st),
+                issued_at(&events, loader, 0, ld),
+                "one cycle ({what})"
+            );
+            let seen = gpu.mem().host_read_global(4, 1)[0];
+            let want = if storer < loader { 7 } else { 0 };
+            assert_eq!(seen, want, "{what}");
+        }
+    }
 }
 
 /// L1-only machine, two warps of one SM missing the same line in adjacent

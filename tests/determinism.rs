@@ -52,8 +52,8 @@ fn dynamic_runs_are_bit_identical() {
 /// timeline, the image, and the checkpoint bytes at a cycle limit that
 /// lands mid-frame — and a machine restored from that mid-sleep snapshot
 /// must finish the frame the same way. Every memory machine goes through
-/// the same phase B, so each is a row: the image must also not move from
-/// one row to the next.
+/// the same cycle loop, so each is a row: the image must also not move
+/// from one row to the next.
 #[test]
 fn sleeping_sms_are_bit_identical_to_forced_tick_through_a_checkpoint() {
     const FIRST_LEG: u64 = 1_500;

@@ -11,6 +11,12 @@ inlined into it is folded in) and once for its *innermost line under the
 repository* (where the time is spent in code we can change). Needs a
 binary with debug info: the workspace's release profile has `debug = true`.
 
+A stripped library has no line table, and for its addresses `addr2line`
+names the nearest exported symbol *below*, however far that is. A frame it
+cannot place on a line (`??:?`) is therefore named only when the address
+lies inside a symbol's extent (`nm -S`, then `nm -D -S`); otherwise it is
+counted under the library, as `[libc.so.6]`.
+
 `--diff` prints the outermost-symbol table of two sample files side by
 side — each symbol's share of its file's samples and, with `--wall` (the
 `wall_s` a rep of each side measured *without* the sampler), that share
@@ -61,6 +67,34 @@ def resolve(binary, offsets):
     return frames
 
 
+def extents(binary):
+    """Sorted (start, end, name) of every sized symbol `nm` lists in
+    `binary`, from its symbol table and its dynamic one."""
+    found = set()
+    for flags in (["-S"], ["-D", "-S"]):
+        out = subprocess.run(
+            ["nm", "-C", "--defined-only"] + flags + [binary],
+            capture_output=True,
+            text=True,
+        ).stdout
+        for line in out.splitlines():
+            parts = line.split(None, 3)
+            if len(parts) == 4:
+                try:
+                    start, size = int(parts[0], 16), int(parts[1], 16)
+                except ValueError:
+                    continue
+                if size:
+                    found.add((start, start + size, parts[3]))
+    return sorted(found)
+
+
+def enclosing(symbols, off):
+    """The innermost symbol whose extent holds `off`, if one does."""
+    inside = [(start, -end, name) for start, end, name in symbols if start <= off < end]
+    return max(inside)[2] if inside else None
+
+
 def attribute(samples, repo):
     """(samples, unmapped, outermost-symbol counts, innermost-line counts)."""
     addrs, maps = parse(samples)
@@ -93,9 +127,15 @@ def attribute(samples, repo):
         except (OSError, subprocess.CalledProcessError):
             outer[f"[{os.path.basename(binary)}]"] += sum(offsets.values())
             continue
+        symbols = None
         for off, n in offsets.items():
             stack = frames.get(off) or [("??", "??:0")]
             name = stack[-1][0]
+            if stack[-1][1].startswith("??:"):
+                # No line table here: trust a name only inside its symbol.
+                if symbols is None:
+                    symbols = extents(binary)
+                name = enclosing(symbols, off) or "??"
             outer[name if name != "??" else f"[{os.path.basename(binary)}]"] += n
             for _, where in stack:
                 src, _, line = where.rpartition(":")
