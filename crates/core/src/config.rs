@@ -2,24 +2,26 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Sizing parameters of the dynamic μ-kernel hardware on one SM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DmkConfig {
-    /// Threads per warp (32 in the paper's Table I).
-    pub warp_size: u32,
-    /// Maximum threads resident on one SM (1024 in Table I).
-    pub threads_per_sm: u32,
-    /// Bytes of the parent→child state record. The paper's ray-tracing
-    /// μ-kernels use 48 bytes moved by three 4-wide vector accesses.
-    ///
-    /// When μ-kernels need different amounts, the *largest* record sizes
-    /// the space (§IV-A1).
-    pub state_bytes: u32,
-    /// Number of distinct μ-kernels (spawn targets). Sizes the LUT and the
-    /// warp-formation area.
-    pub num_ukernels: u32,
-    /// Maximum depth of the new-warp FIFO before `spawn` stalls.
-    pub fifo_capacity: usize,
+simt_isa::record! {
+    /// Sizing parameters of the dynamic μ-kernel hardware on one SM.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct DmkConfig {
+        /// Threads per warp (32 in the paper's Table I).
+        pub warp_size: u32,
+        /// Maximum threads resident on one SM (1024 in Table I).
+        pub threads_per_sm: u32,
+        /// Bytes of the parent→child state record. The paper's ray-tracing
+        /// μ-kernels use 48 bytes moved by three 4-wide vector accesses.
+        ///
+        /// When μ-kernels need different amounts, the *largest* record sizes
+        /// the space (§IV-A1).
+        pub state_bytes: u32,
+        /// Number of distinct μ-kernels (spawn targets). Sizes the LUT and the
+        /// warp-formation area.
+        pub num_ukernels: u32,
+        /// Maximum depth of the new-warp FIFO before `spawn` stalls.
+        pub fifo_capacity: usize,
+    }
 }
 
 impl DmkConfig {

@@ -5,25 +5,27 @@ use crate::config::DmkConfig;
 use crate::layout::SpawnMemoryLayout;
 use crate::lut::SpawnLut;
 use serde::{Deserialize, Serialize};
-use simt_isa::codec::{CodecError, Decoder, Encoder};
+use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Sentinel marking a LUT overflow pointer that still needs a block.
 const UNALLOCATED: u32 = u32::MAX;
 
-/// A warp emitted by the formation unit, ready to be scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CompletedWarp {
-    /// μ-kernel entry PC all member threads begin at.
-    pub pc: usize,
-    /// Base spawn-memory address of the warp's formation block; lane `i`'s
-    /// metadata pointer lives at `base_addr + 4*i` (§IV-D computes this by
-    /// subtracting the thread id from the last stored address — same thing).
-    pub base_addr: u32,
-    /// Number of member threads (equals the warp size except for partial
-    /// warps forced out at the end of the application).
-    pub count: u32,
+simt_isa::record! {
+    /// A warp emitted by the formation unit, ready to be scheduled.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct CompletedWarp {
+        /// μ-kernel entry PC all member threads begin at.
+        pub pc: usize,
+        /// Base spawn-memory address of the warp's formation block; lane `i`'s
+        /// metadata pointer lives at `base_addr + 4*i` (§IV-D computes this by
+        /// subtracting the thread id from the last stored address — same thing).
+        pub base_addr: u32,
+        /// Number of member threads (equals the warp size except for partial
+        /// warps forced out at the end of the application).
+        pub count: u32,
+    }
 }
 
 /// Result of executing one warp-wide `spawn` instruction.
@@ -334,13 +336,8 @@ impl WarpFormation {
     /// layout and capacities are configuration, re-derived on restore.
     pub fn encode_state(&self, enc: &mut Encoder) {
         self.lut.encode_state(enc);
-        enc.put_u32_slice(&self.free_blocks);
-        enc.put_usize(self.fifo.len());
-        for w in &self.fifo {
-            enc.put_usize(w.pc);
-            enc.put_u32(w.base_addr);
-            enc.put_u32(w.count);
-        }
+        self.free_blocks.encode(enc);
+        self.fifo.encode(enc);
         self.stats.encode_state(enc);
     }
 
@@ -354,7 +351,7 @@ impl WarpFormation {
     /// FIFO depth exceeds this unit's configured capacity.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         self.lut.restore_state(dec)?;
-        let free_blocks = dec.take_u32_vec()?;
+        let free_blocks = Vec::<u32>::decode(dec)?;
         if free_blocks.len() as u32 > self.total_blocks
             || free_blocks.iter().any(|&b| b >= self.total_blocks)
         {
@@ -364,22 +361,14 @@ impl WarpFormation {
             });
         }
         self.free_blocks = free_blocks;
-        let n = dec.take_len(20)?;
-        if n > self.fifo_capacity {
+        let fifo = VecDeque::<CompletedWarp>::decode(dec)?;
+        if fifo.len() > self.fifo_capacity {
             return Err(CodecError::BadLength {
-                len: n as u64,
+                len: fifo.len() as u64,
                 remaining: self.fifo_capacity,
             });
         }
-        self.fifo = (0..n)
-            .map(|_| {
-                Ok(CompletedWarp {
-                    pc: dec.take_usize()?,
-                    base_addr: dec.take_u32()?,
-                    count: dec.take_u32()?,
-                })
-            })
-            .collect::<Result<_, CodecError>>()?;
+        self.fifo = fifo;
         self.stats.restore_state(dec)
     }
 }

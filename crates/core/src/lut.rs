@@ -8,19 +8,21 @@
 //! single spawn that overflows the current warp can keep going.
 
 use serde::{Deserialize, Serialize};
-use simt_isa::codec::{CodecError, Decoder, Encoder};
+use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
 
-/// One LUT line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LutLine {
-    /// μ-kernel entry PC this line tracks (the tag).
-    pub pc: usize,
-    /// Threads already collected into the forming warp.
-    pub count: u32,
-    /// Spawn-memory address where the next thread's metadata is stored.
-    pub fill_addr: u32,
-    /// Base address of the pre-allocated next block.
-    pub overflow_addr: u32,
+simt_isa::record! {
+    /// One LUT line.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct LutLine {
+        /// μ-kernel entry PC this line tracks (the tag).
+        pub pc: usize,
+        /// Threads already collected into the forming warp.
+        pub count: u32,
+        /// Spawn-memory address where the next thread's metadata is stored.
+        pub fill_addr: u32,
+        /// Base address of the pre-allocated next block.
+        pub overflow_addr: u32,
+    }
 }
 
 /// The PC-indexed spawn LUT.
@@ -112,13 +114,7 @@ impl SpawnLut {
     /// Serializes the allocated lines for a simulator checkpoint (the
     /// capacity is configuration, re-derived on restore).
     pub fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_usize(self.lines.len());
-        for l in &self.lines {
-            enc.put_usize(l.pc);
-            enc.put_u32(l.count);
-            enc.put_u32(l.fill_addr);
-            enc.put_u32(l.overflow_addr);
-        }
+        self.lines.encode(enc);
     }
 
     /// Restores lines previously written by [`SpawnLut::encode_state`]
@@ -129,23 +125,14 @@ impl SpawnLut {
     /// Returns a [`CodecError`] on truncated input or when the line count
     /// exceeds this LUT's capacity.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let n = dec.take_len(20)?;
-        if n > self.capacity {
+        let lines = Vec::<LutLine>::decode(dec)?;
+        if lines.len() > self.capacity {
             return Err(CodecError::BadLength {
-                len: n as u64,
+                len: lines.len() as u64,
                 remaining: self.capacity,
             });
         }
-        self.lines = (0..n)
-            .map(|_| {
-                Ok(LutLine {
-                    pc: dec.take_usize()?,
-                    count: dec.take_u32()?,
-                    fill_addr: dec.take_u32()?,
-                    overflow_addr: dec.take_u32()?,
-                })
-            })
-            .collect::<Result<_, CodecError>>()?;
+        self.lines = lines;
         Ok(())
     }
 }

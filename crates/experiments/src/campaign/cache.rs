@@ -17,7 +17,7 @@
 //! campaign is byte-identical whether its results came from this cache,
 //! a serial run, or sharded workers.
 
-use simt_isa::codec::{Decoder, Encoder};
+use simt_isa::codec::Codec;
 use simt_sim::{open_frame, seal_frame, write_atomic};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -29,29 +29,26 @@ pub const RESULT_MAGIC: [u8; 8] = *b"DMKRSLT\0";
 /// Result frame format version.
 pub const RESULT_VERSION: u32 = 1;
 
-/// Identity + verdict carried in a result frame's meta section.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResultMeta {
-    /// Artifact name (`fig8`, `table3`, ...).
-    pub artifact: String,
-    /// Job identity fingerprint the result was computed under.
-    pub fingerprint: u64,
-    /// True when the job rendered successfully; false carries a
-    /// job-level error message instead of output.
-    pub ok: bool,
-    /// Job-level error message (empty when `ok`).
-    pub error: String,
+simt_isa::record! {
+    /// Identity + verdict carried in a result frame's meta section.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ResultMeta {
+        /// Artifact name (`fig8`, `table3`, ...).
+        pub artifact: String,
+        /// Job identity fingerprint the result was computed under.
+        pub fingerprint: u64,
+        /// True when the job rendered successfully; false carries a
+        /// job-level error message instead of output.
+        pub ok: bool,
+        /// Job-level error message (empty when `ok`).
+        pub error: String,
+    }
 }
 
 /// Seals a job result (or job-level error) into the checksummed result
 /// frame.
 pub fn seal_result(meta: &ResultMeta, output: &[u8]) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_str(&meta.artifact);
-    enc.put_u64(meta.fingerprint);
-    enc.put_bool(meta.ok);
-    enc.put_str(&meta.error);
-    seal_frame(&RESULT_MAGIC, RESULT_VERSION, &enc.into_bytes(), output)
+    seal_frame(&RESULT_MAGIC, RESULT_VERSION, &meta.to_bytes(), output)
 }
 
 /// Opens a sealed result frame, verifying magic, version, and checksum,
@@ -64,17 +61,8 @@ pub fn seal_result(meta: &ResultMeta, output: &[u8]) -> Vec<u8> {
 pub fn open_result(bytes: &[u8]) -> Result<(ResultMeta, Vec<u8>), String> {
     let (meta_bytes, output) = open_frame(&RESULT_MAGIC, RESULT_VERSION, bytes)
         .map_err(|e| format!("unusable result frame: {e}"))?;
-    let mut dec = Decoder::new(&meta_bytes);
-    let meta = (|| -> Option<ResultMeta> {
-        let meta = ResultMeta {
-            artifact: dec.take_str().ok()?,
-            fingerprint: dec.take_u64().ok()?,
-            ok: dec.take_bool().ok()?,
-            error: dec.take_str().ok()?,
-        };
-        dec.is_finished().then_some(meta)
-    })()
-    .ok_or_else(|| "malformed result meta".to_string())?;
+    let meta =
+        ResultMeta::from_bytes(&meta_bytes).map_err(|_| "malformed result meta".to_string())?;
     Ok((meta, output))
 }
 

@@ -5,7 +5,7 @@ use crate::supervisor::{self, JobStatus};
 use raytrace::scenes::{Scene, SceneScale};
 use rt_kernels::render::RenderSetup;
 use serde::{Deserialize, Serialize};
-use simt_isa::codec::{fnv1a64, Decoder, Encoder};
+use simt_isa::codec::{fnv1a64, Codec, Encoder};
 use simt_sim::{ChromeTraceSink, CsvMetricsSink, Gpu, RunSummary, TelemetryReport, TraceSink};
 use std::fmt;
 use std::sync::OnceLock;
@@ -167,47 +167,25 @@ pub fn run_fingerprint_by_name(scene_name: &str, variant: Variant, scale: Scale)
     fnv1a64(&enc.into_bytes())
 }
 
-/// Phase bookkeeping stored in each snapshot's meta section so a resumed
-/// job can rebuild the warm-up/steady-state split of
-/// [`RenderRun::execute`] without re-running the warm-up. The
-/// [`run_fingerprint`] rides along so a resume rejects snapshots taken
-/// by a different job identity (other scene/variant/scale/config or
-/// changed kernel bytes) instead of silently continuing the wrong run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PhaseMeta {
-    /// Identity of the run this snapshot belongs to.
-    fingerprint: u64,
-    /// 0 = warm-up, 1 = steady-state measurement.
-    phase: u32,
-    /// Absolute end cycle of the current phase.
-    target: u64,
-    /// Cycle at the end of warm-up (meaningful once `phase == 1`).
-    warm_cycle: u64,
-    /// Rays completed at the end of warm-up (meaningful once `phase == 1`).
-    warm_rays: u64,
-}
-
-impl PhaseMeta {
-    fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_u64(self.fingerprint);
-        enc.put_u32(self.phase);
-        enc.put_u64(self.target);
-        enc.put_u64(self.warm_cycle);
-        enc.put_u64(self.warm_rays);
-        enc.into_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> Option<PhaseMeta> {
-        let mut dec = Decoder::new(bytes);
-        let meta = PhaseMeta {
-            fingerprint: dec.take_u64().ok()?,
-            phase: dec.take_u32().ok()?,
-            target: dec.take_u64().ok()?,
-            warm_cycle: dec.take_u64().ok()?,
-            warm_rays: dec.take_u64().ok()?,
-        };
-        dec.is_finished().then_some(meta)
+simt_isa::record! {
+    /// Phase bookkeeping stored in each snapshot's meta section so a resumed
+    /// job can rebuild the warm-up/steady-state split of
+    /// [`RenderRun::execute`] without re-running the warm-up. The
+    /// [`run_fingerprint`] rides along so a resume rejects snapshots taken
+    /// by a different job identity (other scene/variant/scale/config or
+    /// changed kernel bytes) instead of silently continuing the wrong run.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct PhaseMeta {
+        /// Identity of the run this snapshot belongs to.
+        fingerprint: u64,
+        /// 0 = warm-up, 1 = steady-state measurement.
+        phase: u32,
+        /// Absolute end cycle of the current phase.
+        target: u64,
+        /// Cycle at the end of warm-up (meaningful once `phase == 1`).
+        warm_cycle: u64,
+        /// Rays completed at the end of warm-up (meaningful once `phase == 1`).
+        warm_rays: u64,
     }
 }
 
@@ -217,7 +195,7 @@ impl PhaseMeta {
 /// fingerprint — are reported and discarded: the job restarts.
 fn resume_state(job: &str, fingerprint: u64) -> Option<(Gpu, PhaseMeta)> {
     let snap = supervisor::try_resume(job)?;
-    let Some(meta) = PhaseMeta::decode(snap.meta()) else {
+    let Ok(meta) = PhaseMeta::from_bytes(snap.meta()) else {
         eprintln!("warning: {job}: snapshot has unusable phase metadata; restarting");
         return None;
     };
@@ -323,7 +301,7 @@ impl RenderRun {
             }
         };
         if meta.phase == 0 {
-            let warm = supervisor::run_to_target(&mut gpu, meta.target, &job, &meta.encode());
+            let warm = supervisor::run_to_target(&mut gpu, meta.target, &job, &meta.to_bytes());
             interventions += warm.interventions;
             gave_up |= warm.gave_up;
             meta = PhaseMeta {
@@ -335,7 +313,7 @@ impl RenderRun {
             };
         }
         let (warm_cycle, warm_rays) = (meta.warm_cycle, meta.warm_rays);
-        let steady = supervisor::run_to_target(&mut gpu, meta.target, &job, &meta.encode());
+        let steady = supervisor::run_to_target(&mut gpu, meta.target, &job, &meta.to_bytes());
         interventions += steady.interventions;
         gave_up |= steady.gave_up;
         supervisor::clear(&job);
@@ -414,6 +392,26 @@ impl RenderRun {
 mod tests {
     use super::*;
     use raytrace::scenes;
+
+    /// The records this crate keeps in frame meta sections keep the codec
+    /// laws (`simt_isa::codec::check_codec_laws`) on a zeroed input with
+    /// any one byte overwritten: they round-trip, and every strict prefix
+    /// of an encoding is an error, never a panic.
+    #[test]
+    fn meta_records_round_trip_and_refuse_their_prefixes() {
+        use crate::campaign::cache::ResultMeta;
+        use crate::serve::journal::JournalEntry;
+        use simt_isa::codec::check_codec_laws;
+        for at in 0..48 {
+            for byte in [1, 2, b'q', 0xFF] {
+                let mut bytes = [0u8; 48];
+                bytes[at] = byte;
+                check_codec_laws::<PhaseMeta>(&bytes);
+                check_codec_laws::<JournalEntry>(&bytes);
+                check_codec_laws::<ResultMeta>(&bytes);
+            }
+        }
+    }
 
     #[test]
     fn scales_parse() {

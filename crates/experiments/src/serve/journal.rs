@@ -17,7 +17,7 @@
 //! aside with a `.quarantined` suffix and counted, never trusted and
 //! never silently dropped.
 
-use simt_isa::codec::{Decoder, Encoder};
+use simt_isa::codec::Codec;
 use simt_sim::{open_frame, seal_frame, write_atomic};
 use std::path::{Path, PathBuf};
 
@@ -27,36 +27,31 @@ pub const JOB_MAGIC: [u8; 8] = *b"DMKJOB\0\0";
 /// Journal entry format version.
 pub const JOB_VERSION: u32 = 1;
 
-/// One journaled job request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalEntry {
-    /// Admission sequence number (monotonic per serve directory).
-    pub seq: u64,
-    /// Artifact name.
-    pub artifact: String,
-    /// Scale name (`test` / `quick` / `paper`).
-    pub scale_name: String,
-    /// Render in `--json` mode.
-    pub json: bool,
-    /// Requested deadline in milliseconds (0 = none). Deadlines restart
-    /// from replay time on recovery: the contract is a *budget per
-    /// admission*, and a replayed entry is a fresh admission.
-    pub deadline_ms: u64,
-    /// Job identity fingerprint (also in the filename; cross-checked on
-    /// replay).
-    pub fingerprint: u64,
+simt_isa::record! {
+    /// One journaled job request.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct JournalEntry {
+        /// Admission sequence number (monotonic per serve directory).
+        pub seq: u64,
+        /// Artifact name.
+        pub artifact: String,
+        /// Scale name (`test` / `quick` / `paper`).
+        pub scale_name: String,
+        /// Render in `--json` mode.
+        pub json: bool,
+        /// Requested deadline in milliseconds (0 = none). Deadlines restart
+        /// from replay time on recovery: the contract is a *budget per
+        /// admission*, and a replayed entry is a fresh admission.
+        pub deadline_ms: u64,
+        /// Job identity fingerprint (also in the filename; cross-checked on
+        /// replay).
+        pub fingerprint: u64,
+    }
 }
 
 /// Seals one entry into its frame bytes.
 fn seal_entry(e: &JournalEntry) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u64(e.seq);
-    enc.put_str(&e.artifact);
-    enc.put_str(&e.scale_name);
-    enc.put_bool(e.json);
-    enc.put_u64(e.deadline_ms);
-    enc.put_u64(e.fingerprint);
-    seal_frame(&JOB_MAGIC, JOB_VERSION, &enc.into_bytes(), &[])
+    seal_frame(&JOB_MAGIC, JOB_VERSION, &e.to_bytes(), &[])
 }
 
 /// Opens one sealed entry.
@@ -67,19 +62,7 @@ fn seal_entry(e: &JournalEntry) -> Vec<u8> {
 pub fn open_entry(bytes: &[u8]) -> Result<JournalEntry, String> {
     let (meta, _) = open_frame(&JOB_MAGIC, JOB_VERSION, bytes)
         .map_err(|e| format!("unusable journal entry: {e}"))?;
-    let mut dec = Decoder::new(&meta);
-    (|| -> Option<JournalEntry> {
-        let e = JournalEntry {
-            seq: dec.take_u64().ok()?,
-            artifact: dec.take_str().ok()?,
-            scale_name: dec.take_str().ok()?,
-            json: dec.take_bool().ok()?,
-            deadline_ms: dec.take_u64().ok()?,
-            fingerprint: dec.take_u64().ok()?,
-        };
-        dec.is_finished().then_some(e)
-    })()
-    .ok_or_else(|| "malformed journal entry meta".to_string())
+    JournalEntry::from_bytes(&meta).map_err(|_| "malformed journal entry meta".to_string())
 }
 
 /// The on-disk journal.

@@ -8,25 +8,40 @@
 //! workspace already uses for image fingerprints, here reused as a snapshot
 //! checksum.
 //!
-//! Layout rules (shared by every `encode_state`/`restore_state` pair in the
-//! workspace):
+//! Layout rules. Every value with one layout implements [`Codec`]: its
+//! `encode` and `decode` are the only place that layout is written.
 //!
-//! - all integers are little-endian fixed width; `usize` travels as `u64`;
+//! - Integers are little-endian and fixed width (`u8`, `u32`, `u64`);
+//!   `usize` travels as `u64`; `bool` is one byte, 0 or 1.
 //! - `f64` travels as its IEEE-754 bit pattern (`to_bits`/`from_bits`), so
-//!   encode→decode is exactly identity, NaN payloads included;
-//! - collections are prefixed by a `u64` length;
-//! - `Option<T>` is a `bool` presence flag followed by the payload;
-//! - a large word array that is mostly unwritten travels *sparse*
+//!   encode→decode is exactly identity, NaN payloads included.
+//! - `String`, `Vec<T>` and `VecDeque<T>` are a `u64` length, then the
+//!   bytes or items. A decoder checks the length against the input left,
+//!   at [`Codec::MIN_BYTES`] an item, before it allocates anything.
+//! - `Option<T>` is a `bool` presence flag followed by the payload; a
+//!   tuple is its fields in order; a `BTreeMap<K, V>` is the `Vec` of its
+//!   `(key, value)` pairs, so map-like state is emitted sorted by key and
+//!   identical machine states produce identical bytes.
+//! - A record — a struct whose layout is its fields in order, or an enum
+//!   whose layout is a `u8` tag and then the variant's fields — is
+//!   declared with [`record!`](crate::record). That one declaration
+//!   generates its `Codec`, so a field added, removed or reordered moves
+//!   both halves at once.
+//! - Components whose restore checks its input against the state their
+//!   configuration built, or against an invariant of their own (caches,
+//!   MSHRs, memories, lane state), keep hand-written `encode_state` and
+//!   `restore_state` bodies for those checks, and read and write their
+//!   fields through `Codec`.
+//! - A large word array that is mostly unwritten travels *sparse*
 //!   ([`Encoder::put_u32_sparse`]): its length, then groups of
 //!   `(zero run, literal run, literal words…)` that cover it exactly, so
-//!   the bytes follow what was written, not what was allocated;
-//! - map-like state (e.g. per-block thread counts) is emitted sorted by key
-//!   so identical machine states always produce identical bytes.
+//!   the bytes follow what was written, not what was allocated.
 //!
 //! Counter sets — statistics that are zeroed, summed, snapshotted and
 //! printed — are declared once with [`counters!`](crate::counters), which
 //! generates all four from the field list.
 
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Error produced when decoding malformed, truncated, or corrupt bytes.
@@ -63,6 +78,12 @@ pub enum CodecError {
         /// Words of the declared length still uncovered before it.
         room: usize,
     },
+    /// Bytes were left over after a value that should fill its input
+    /// ([`Codec::from_bytes`]).
+    TrailingBytes {
+        /// Bytes left unread.
+        remaining: usize,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -82,6 +103,9 @@ impl fmt::Display for CodecError {
                 f,
                 "sparse array group covers {covers} words with {room} left to cover"
             ),
+            CodecError::TrailingBytes { remaining } => {
+                write!(f, "{remaining} bytes left over after the value")
+            }
         }
     }
 }
@@ -413,6 +437,319 @@ pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
 /// reused as the snapshot checksum.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_extend(FNV1A64_INIT, bytes)
+}
+
+/// A value with one snapshot layout: [`Codec::decode`] reads back exactly
+/// what [`Codec::encode`] wrote. Implemented here for the scalars,
+/// `String`, `Option`, `Vec`, `VecDeque`, `BTreeMap`, pairs and triples,
+/// and by [`record!`](crate::record) for every record declared with it.
+pub trait Codec: Sized {
+    /// The fewest bytes an encoding takes: what a collection's length
+    /// prefix is checked against ([`Decoder::take_len`]).
+    const MIN_BYTES: usize;
+
+    /// Appends the value.
+    fn encode(&self, enc: &mut Encoder);
+
+    /// Reads a value written by [`Codec::encode`].
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] on truncated or malformed input.
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError>;
+
+    /// The value's encoding on its own.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        self.encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Decodes a value that fills `bytes` exactly.
+    ///
+    /// # Errors
+    ///
+    /// As [`Codec::decode`], and [`CodecError::TrailingBytes`] when bytes
+    /// are left over.
+    fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut dec = Decoder::new(bytes);
+        let value = Self::decode(&mut dec)?;
+        match dec.remaining() {
+            0 => Ok(value),
+            remaining => Err(CodecError::TrailingBytes { remaining }),
+        }
+    }
+}
+
+macro_rules! scalar_codecs {
+    ($($t:ty: $put:ident, $take:ident, $bytes:expr;)*) => {$(
+        impl Codec for $t {
+            const MIN_BYTES: usize = $bytes;
+
+            fn encode(&self, enc: &mut Encoder) {
+                enc.$put(*self);
+            }
+
+            fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                dec.$take()
+            }
+        }
+    )*};
+}
+
+scalar_codecs! {
+    u8: put_u8, take_u8, 1;
+    u32: put_u32, take_u32, 4;
+    u64: put_u64, take_u64, 8;
+    usize: put_usize, take_usize, 8;
+    f64: put_f64, take_f64, 8;
+    bool: put_bool, take_bool, 1;
+}
+
+impl Codec for String {
+    const MIN_BYTES: usize = 8;
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_str(self);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        dec.take_str()
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    const MIN_BYTES: usize = 1;
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.encode(enc);
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(if dec.take_bool()? {
+            Some(T::decode(dec)?)
+        } else {
+            None
+        })
+    }
+}
+
+macro_rules! sequence_codecs {
+    ($($seq:ident)*) => {$(
+        impl<T: Codec> Codec for $seq<T> {
+            const MIN_BYTES: usize = 8;
+
+            fn encode(&self, enc: &mut Encoder) {
+                enc.put_usize(self.len());
+                for v in self {
+                    v.encode(enc);
+                }
+            }
+
+            fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                let len = dec.take_len(T::MIN_BYTES)?;
+                (0..len).map(|_| T::decode(dec)).collect()
+            }
+        }
+    )*};
+}
+
+sequence_codecs!(Vec VecDeque);
+
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    const MIN_BYTES: usize = 8;
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_usize(self.len());
+        for (k, v) in self {
+            k.encode(enc);
+            v.encode(enc);
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Vec::<(K, V)>::decode(dec).map(|pairs| pairs.into_iter().collect())
+    }
+}
+
+macro_rules! tuple_codecs {
+    ($(($($t:ident $i:tt),*))*) => {$(
+        impl<$($t: Codec),*> Codec for ($($t,)*) {
+            const MIN_BYTES: usize = 0 $(+ $t::MIN_BYTES)*;
+
+            fn encode(&self, enc: &mut Encoder) {
+                $(self.$i.encode(enc);)*
+            }
+
+            fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                Ok(($($t::decode(dec)?,)*))
+            }
+        }
+    )*};
+}
+
+tuple_codecs!((A 0, B 1) (A 0, B 1, C 2));
+
+/// Decodes a `T` from the front of `bytes` and, when one is there, holds
+/// it to the laws every [`Codec`] keeps: it re-encodes to exactly the
+/// bytes it was read from (so it round-trips), it takes at least
+/// [`Codec::MIN_BYTES`], and every strict prefix of its encoding decodes
+/// to a [`CodecError`]. Returns the bytes the value took, or `None` when
+/// `bytes` does not start with one. Property tests and fuzzers run it over
+/// arbitrary input, where decoding must never panic.
+///
+/// # Panics
+///
+/// When a law fails.
+pub fn check_codec_laws<T: Codec>(bytes: &[u8]) -> Option<usize> {
+    let what = std::any::type_name::<T>();
+    let mut dec = Decoder::new(bytes);
+    let value = T::decode(&mut dec).ok()?;
+    let used = bytes.len() - dec.remaining();
+    assert_eq!(value.to_bytes(), bytes[..used], "{what} re-encodes");
+    assert!(used >= T::MIN_BYTES, "{what} under MIN_BYTES");
+    for len in 0..used {
+        let prefix = T::decode(&mut Decoder::new(&bytes[..len]));
+        assert!(prefix.is_err(), "{what} from {len} bytes");
+    }
+    Some(used)
+}
+
+/// Declares a snapshot record once: a struct whose layout is its fields in
+/// declaration order, or an enum whose layout is a `u8` tag, written
+/// `= tag` after each variant, then that variant's fields. An enum names
+/// itself after a colon for the [`CodecError::BadTag`] an unknown tag
+/// reads as. Variants may be unit, struct-like, or tuples of one field.
+///
+/// From that one declaration it generates the type (attributes, docs and
+/// visibilities as written; the tags are not discriminants) and its
+/// [`Codec`], every field through its own `Codec`. Adding, removing or
+/// reordering a field is one edit here, and the two halves cannot
+/// disagree.
+///
+/// ```
+/// use simt_isa::codec::{Codec, CodecError};
+///
+/// simt_isa::record! {
+///     /// Why a unit stalled.
+///     #[derive(Debug, Clone, PartialEq, Eq)]
+///     pub enum Stall: "stall cause" {
+///         /// Nothing to do.
+///         Idle = 0,
+///         /// Waiting on one line.
+///         Miss { line: u32, since: u64 } = 1,
+///         /// Waiting on another unit.
+///         Blocked(Option<usize>) = 2,
+///     }
+/// }
+///
+/// simt_isa::record! {
+///     /// One unit's stall log.
+///     #[derive(Debug, Clone, PartialEq, Eq)]
+///     pub struct StallLog {
+///         pub unit: String,
+///         pub stalls: Vec<Stall>,
+///     }
+/// }
+///
+/// let log = StallLog {
+///     unit: "sm0".into(),
+///     stalls: vec![Stall::Idle, Stall::Miss { line: 7, since: 9 }, Stall::Blocked(None)],
+/// };
+/// let bytes = log.to_bytes();
+/// assert_eq!(bytes.len(), (8 + 3) + 8 + 1 + (1 + 4 + 8) + (1 + 1));
+/// assert_eq!(StallLog::from_bytes(&bytes)?, log);
+/// assert_eq!(
+///     Stall::from_bytes(&[3]),
+///     Err(CodecError::BadTag { what: "stall cause", tag: 3 })
+/// );
+/// # Ok::<(), CodecError>(())
+/// ```
+#[macro_export]
+macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $fty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $fty,)*
+        }
+
+        impl $crate::codec::Codec for $name {
+            const MIN_BYTES: usize = 0 $(+ <$fty as $crate::codec::Codec>::MIN_BYTES)*;
+
+            fn encode(&self, enc: &mut $crate::codec::Encoder) {
+                $($crate::codec::Codec::encode(&self.$field, enc);)*
+            }
+
+            fn decode(
+                dec: &mut $crate::codec::Decoder<'_>,
+            ) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                ::std::result::Result::Ok($name {
+                    $($field: $crate::codec::Codec::decode(dec)?,)*
+                })
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident: $what:literal {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident
+                $({ $($(#[$fmeta:meta])* $field:ident: $fty:ty),* $(,)? })?
+                $(($inner:ty))?
+                = $tag:literal
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $($(#[$fmeta])* $field: $fty),* })? $(($inner))?,
+            )*
+        }
+
+        impl $crate::codec::Codec for $name {
+            const MIN_BYTES: usize = 1;
+
+            fn encode(&self, enc: &mut $crate::codec::Encoder) {
+                match self {
+                    $(Self::$variant { $($($field,)*)? .. } => {
+                        enc.put_u8($tag);
+                        $($($crate::codec::Codec::encode($field, enc);)*)?
+                        $(if let Self::$variant(inner) = self {
+                            <$inner as $crate::codec::Codec>::encode(inner, enc);
+                        })?
+                    })*
+                }
+            }
+
+            fn decode(
+                dec: &mut $crate::codec::Decoder<'_>,
+            ) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                let tag = dec.take_u8()?;
+                ::std::result::Result::Ok(match tag {
+                    $($tag => Self::$variant
+                        $({ $($field: $crate::codec::Codec::decode(dec)?),* })?
+                        $((<$inner as $crate::codec::Codec>::decode(dec)?))?,)*
+                    _ => {
+                        return ::std::result::Result::Err($crate::codec::CodecError::BadTag {
+                            what: $what,
+                            tag: u64::from(tag),
+                        })
+                    }
+                })
+            }
+        }
+    };
 }
 
 /// Declares a counter set once: a struct of `u64`, `u32` or `usize`

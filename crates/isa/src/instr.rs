@@ -134,20 +134,22 @@ pub enum CmpOp {
     GeF,
 }
 
-/// Address spaces visible to device code (paper §IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Space {
-    /// Off-chip device memory, shared by all SMs (high latency, 8 modules).
-    Global,
-    /// On-chip per-SM scratchpad, banked.
-    Shared,
-    /// Per-thread off-chip memory (register spill, traversal stacks).
-    Local,
-    /// Read-only off-chip memory (broadcast-friendly).
-    Const,
-    /// The paper's new spawn-memory space: parent→child state records and
-    /// the warp-formation metadata area (on-chip, banked).
-    Spawn,
+crate::record! {
+    /// Address spaces visible to device code (paper §IV-A).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+    pub enum Space: "address space" {
+        /// Off-chip device memory, shared by all SMs (high latency, 8 modules).
+        Global = 0,
+        /// On-chip per-SM scratchpad, banked.
+        Shared = 1,
+        /// Per-thread off-chip memory (register spill, traversal stacks).
+        Local = 2,
+        /// Read-only off-chip memory (broadcast-friendly).
+        Const = 3,
+        /// The paper's new spawn-memory space: parent→child state records and
+        /// the warp-formation metadata area (on-chip, banked).
+        Spawn = 4,
+    }
 }
 
 impl Space {

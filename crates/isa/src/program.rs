@@ -6,31 +6,35 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A named entry point: either the launch kernel or a μ-kernel that
-/// [`Instr::Spawn`] may target.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EntryPoint {
-    /// The `.kernel` name.
-    pub name: String,
-    /// Instruction index of the first instruction.
-    pub pc: usize,
+crate::record! {
+    /// A named entry point: either the launch kernel or a μ-kernel that
+    /// [`Instr::Spawn`] may target.
+    #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct EntryPoint {
+        /// The `.kernel` name.
+        pub name: String,
+        /// Instruction index of the first instruction.
+        pub pc: usize,
+    }
 }
 
-/// Static per-thread resource requirements of a program (paper Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ResourceUsage {
-    /// General-purpose registers required per thread.
-    pub registers: u32,
-    /// Shared-memory bytes per thread.
-    pub shared_bytes: u32,
-    /// Global-memory bytes per thread (e.g. traversal stacks).
-    pub global_bytes: u32,
-    /// Constant-memory bytes (per launch, reported per thread as the paper does).
-    pub const_bytes: u32,
-    /// Local-memory bytes per thread.
-    pub local_bytes: u32,
-    /// Spawn-memory state-record bytes per thread (0 for traditional kernels).
-    pub spawn_state_bytes: u32,
+crate::record! {
+    /// Static per-thread resource requirements of a program (paper Table II).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+    pub struct ResourceUsage {
+        /// General-purpose registers required per thread.
+        pub registers: u32,
+        /// Shared-memory bytes per thread.
+        pub shared_bytes: u32,
+        /// Global-memory bytes per thread (e.g. traversal stacks).
+        pub global_bytes: u32,
+        /// Constant-memory bytes (per launch, reported per thread as the paper does).
+        pub const_bytes: u32,
+        /// Local-memory bytes per thread.
+        pub local_bytes: u32,
+        /// Spawn-memory state-record bytes per thread (0 for traditional kernels).
+        pub spawn_state_bytes: u32,
+    }
 }
 
 /// An assembled program: instructions plus metadata.

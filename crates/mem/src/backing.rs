@@ -1,7 +1,7 @@
 //! Functional backing stores: word-addressed memories with bump allocation.
 
 use serde::{Deserialize, Serialize};
-use simt_isa::codec::{CodecError, Decoder, Encoder, SPARSE_MAX_WORDS};
+use simt_isa::codec::{Codec, CodecError, Decoder, Encoder, SPARSE_MAX_WORDS};
 
 /// A flat, word-addressed memory image with a bump allocator.
 ///
@@ -115,12 +115,7 @@ impl WordStore {
     pub fn encode_state(&self, enc: &mut Encoder) {
         enc.put_u32_sparse(&self.words);
         enc.put_u32(self.next_free);
-        enc.put_usize(self.allocations.len());
-        for (label, base, size) in &self.allocations {
-            enc.put_str(label);
-            enc.put_u32(*base);
-            enc.put_u32(*size);
-        }
+        self.allocations.encode(enc);
     }
 
     /// Restores state previously written by [`WordStore::encode_state`].
@@ -131,10 +126,7 @@ impl WordStore {
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         self.words = dec.take_u32_sparse(SPARSE_MAX_WORDS)?;
         self.next_free = dec.take_u32()?;
-        let n = dec.take_len(9)?;
-        self.allocations = (0..n)
-            .map(|_| Ok((dec.take_str()?, dec.take_u32()?, dec.take_u32()?)))
-            .collect::<Result<_, CodecError>>()?;
+        self.allocations = Vec::decode(dec)?;
         Ok(())
     }
 }

@@ -2,101 +2,103 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the memory subsystem.
-///
-/// [`MemConfig::fx5800`] reproduces paper Table I: 8 memory modules at
-/// 8 bytes/cycle, no L1/L2 caching.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MemConfig {
-    /// Number of off-chip memory modules (DRAM channels).
-    pub num_modules: usize,
-    /// Peak bandwidth per module, bytes per cycle.
-    pub bytes_per_cycle: u32,
-    /// Fixed DRAM access latency in cycles (row access + interconnect).
-    pub dram_latency: u32,
-    /// DRAM-to-shader clock ratio: the modules move `bytes_per_cycle`
-    /// bytes per *DRAM* cycle (FX5800: ~1.6 GHz effective GDDR3 vs the
-    /// 1.3 GHz shader clock → 1.23, giving the card's real 78 B per
-    /// shader cycle).
-    pub dram_clock_ratio: f64,
-    /// Coalescing granularity in bytes (one transaction per touched segment).
-    pub segment_bytes: u32,
-    /// Number of banks in each on-chip scratchpad (shared/spawn).
-    pub shared_banks: usize,
-    /// Pipeline latency of an on-chip access in cycles.
-    pub shared_latency: u32,
-    /// Model bank conflicts on the spawn-memory space.
+simt_isa::record! {
+    /// Configuration of the memory subsystem.
     ///
-    /// The paper first evaluates with conflicts eliminated ("future
-    /// programming models or compiler optimization", §VII / Fig. 7) and then
-    /// with conflicts enabled (Fig. 9).
-    pub spawn_bank_conflicts: bool,
-    /// Ideal memory: every access completes next cycle and consumes no
-    /// bandwidth (paper Fig. 10 "theoretical" configurations).
-    pub ideal: bool,
-    /// Charge warp admission one spawn-space read per admitted lane (the
-    /// admission stage's state-pointer read-back, occupying the SM's
-    /// load-store port). Off by default on *every* preset so that the
-    /// paper's Table I machine keeps its legacy free admission and the
-    /// cache-ablation machines differ only in cache capacity; enable it
-    /// explicitly to study admission-stage pressure on its own.
-    #[serde(default)]
-    pub spawn_admission_reads: bool,
-    /// Per-SM read-only (texture) cache capacity in bytes; 0 disables.
-    ///
-    /// The benchmark binds scene data to textures; GT200-class texture
-    /// caches exist independently of the L1/L2 data caches Table I
-    /// disables.
-    pub tex_cache_bytes: u32,
-    /// Texture-cache line size in bytes.
-    pub tex_line_bytes: u32,
-    /// Texture-cache associativity.
-    pub tex_ways: usize,
-    /// Texture-cache hit latency in cycles.
-    pub tex_hit_latency: u32,
-    /// Per-SM L1 data-cache capacity in bytes; 0 disables the L1 (the
-    /// paper's Table I machine has none).
-    ///
-    /// The L1 is a timing-only model: functional values always flow
-    /// through the fabric backing stores at issue, so the cache is
-    /// non-coherent exactly like a real GPU L1 (stores write through
-    /// without allocating and never invalidate remote SMs' tags).
-    #[serde(default)]
-    pub l1_bytes: u32,
-    /// L1 line size in bytes (power of two).
-    #[serde(default = "default_l1_line_bytes")]
-    pub l1_line_bytes: u32,
-    /// L1 associativity.
-    #[serde(default = "default_l1_ways")]
-    pub l1_ways: usize,
-    /// L1 hit latency in cycles.
-    #[serde(default = "default_l1_hit_latency")]
-    pub l1_hit_latency: u32,
-    /// MSHR entries per SM: same-line misses merge into an outstanding
-    /// entry; when the table is full further misses bypass merging
-    /// (counted as `mshr_stalls`) but still issue their request.
-    #[serde(default = "default_l1_mshr_entries")]
-    pub l1_mshr_entries: usize,
-    /// Shared L2 capacity in bytes, sliced evenly across the memory
-    /// partitions (one slice per DRAM module); 0 disables the L2 and
-    /// the banked SM↔partition interconnect.
-    #[serde(default)]
-    pub l2_bytes: u32,
-    /// L2 line size in bytes (power of two).
-    #[serde(default = "default_l2_line_bytes")]
-    pub l2_line_bytes: u32,
-    /// L2 associativity.
-    #[serde(default = "default_l2_ways")]
-    pub l2_ways: usize,
-    /// L2 hit latency in cycles (from interconnect arrival).
-    #[serde(default = "default_l2_hit_latency")]
-    pub l2_hit_latency: u32,
-    /// SM↔partition interconnect traversal latency in cycles.
-    #[serde(default = "default_icnt_latency")]
-    pub icnt_latency: u32,
-    /// Cycles one coalesced segment occupies its interconnect bank.
-    #[serde(default = "default_icnt_flit_cycles")]
-    pub icnt_flit_cycles: u32,
+    /// [`MemConfig::fx5800`] reproduces paper Table I: 8 memory modules at
+    /// 8 bytes/cycle, no L1/L2 caching.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct MemConfig {
+        /// Number of off-chip memory modules (DRAM channels).
+        pub num_modules: usize,
+        /// Peak bandwidth per module, bytes per cycle.
+        pub bytes_per_cycle: u32,
+        /// Fixed DRAM access latency in cycles (row access + interconnect).
+        pub dram_latency: u32,
+        /// DRAM-to-shader clock ratio: the modules move `bytes_per_cycle`
+        /// bytes per *DRAM* cycle (FX5800: ~1.6 GHz effective GDDR3 vs the
+        /// 1.3 GHz shader clock → 1.23, giving the card's real 78 B per
+        /// shader cycle).
+        pub dram_clock_ratio: f64,
+        /// Coalescing granularity in bytes (one transaction per touched segment).
+        pub segment_bytes: u32,
+        /// Number of banks in each on-chip scratchpad (shared/spawn).
+        pub shared_banks: usize,
+        /// Pipeline latency of an on-chip access in cycles.
+        pub shared_latency: u32,
+        /// Model bank conflicts on the spawn-memory space.
+        ///
+        /// The paper first evaluates with conflicts eliminated ("future
+        /// programming models or compiler optimization", §VII / Fig. 7) and then
+        /// with conflicts enabled (Fig. 9).
+        pub spawn_bank_conflicts: bool,
+        /// Ideal memory: every access completes next cycle and consumes no
+        /// bandwidth (paper Fig. 10 "theoretical" configurations).
+        pub ideal: bool,
+        /// Charge warp admission one spawn-space read per admitted lane (the
+        /// admission stage's state-pointer read-back, occupying the SM's
+        /// load-store port). Off by default on *every* preset so that the
+        /// paper's Table I machine keeps its legacy free admission and the
+        /// cache-ablation machines differ only in cache capacity; enable it
+        /// explicitly to study admission-stage pressure on its own.
+        #[serde(default)]
+        pub spawn_admission_reads: bool,
+        /// Per-SM read-only (texture) cache capacity in bytes; 0 disables.
+        ///
+        /// The benchmark binds scene data to textures; GT200-class texture
+        /// caches exist independently of the L1/L2 data caches Table I
+        /// disables.
+        pub tex_cache_bytes: u32,
+        /// Texture-cache line size in bytes.
+        pub tex_line_bytes: u32,
+        /// Texture-cache associativity.
+        pub tex_ways: usize,
+        /// Texture-cache hit latency in cycles.
+        pub tex_hit_latency: u32,
+        /// Per-SM L1 data-cache capacity in bytes; 0 disables the L1 (the
+        /// paper's Table I machine has none).
+        ///
+        /// The L1 is a timing-only model: functional values always flow
+        /// through the fabric backing stores at issue, so the cache is
+        /// non-coherent exactly like a real GPU L1 (stores write through
+        /// without allocating and never invalidate remote SMs' tags).
+        #[serde(default)]
+        pub l1_bytes: u32,
+        /// L1 line size in bytes (power of two).
+        #[serde(default = "default_l1_line_bytes")]
+        pub l1_line_bytes: u32,
+        /// L1 associativity.
+        #[serde(default = "default_l1_ways")]
+        pub l1_ways: usize,
+        /// L1 hit latency in cycles.
+        #[serde(default = "default_l1_hit_latency")]
+        pub l1_hit_latency: u32,
+        /// MSHR entries per SM: same-line misses merge into an outstanding
+        /// entry; when the table is full further misses bypass merging
+        /// (counted as `mshr_stalls`) but still issue their request.
+        #[serde(default = "default_l1_mshr_entries")]
+        pub l1_mshr_entries: usize,
+        /// Shared L2 capacity in bytes, sliced evenly across the memory
+        /// partitions (one slice per DRAM module); 0 disables the L2 and
+        /// the banked SM↔partition interconnect.
+        #[serde(default)]
+        pub l2_bytes: u32,
+        /// L2 line size in bytes (power of two).
+        #[serde(default = "default_l2_line_bytes")]
+        pub l2_line_bytes: u32,
+        /// L2 associativity.
+        #[serde(default = "default_l2_ways")]
+        pub l2_ways: usize,
+        /// L2 hit latency in cycles (from interconnect arrival).
+        #[serde(default = "default_l2_hit_latency")]
+        pub l2_hit_latency: u32,
+        /// SM↔partition interconnect traversal latency in cycles.
+        #[serde(default = "default_icnt_latency")]
+        pub icnt_latency: u32,
+        /// Cycles one coalesced segment occupies its interconnect bank.
+        #[serde(default = "default_icnt_flit_cycles")]
+        pub icnt_flit_cycles: u32,
+    }
 }
 
 fn default_l1_line_bytes() -> u32 {

@@ -16,49 +16,51 @@
 use crate::backing::{LocalStore, WordStore};
 use crate::cache::ReadOnlyCache;
 use crate::config::MemConfig;
-use simt_isa::codec::{CodecError, Decoder, Encoder};
+use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
 use simt_isa::Space;
 use std::fmt;
 
-/// A typed functional-memory fault.
-///
-/// The simulator's SMs use the `try_*` accessors and turn these into warp
-/// traps; the panicking accessors remain for host-side and test code where
-/// an illegal access is a bug in the caller, not in the simulated program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemFault {
-    /// Word access whose byte address is not 4-byte aligned.
-    Misaligned {
-        /// Address space accessed.
-        space: Space,
-        /// The offending byte address.
-        addr: u32,
-    },
-    /// Store past the end of the allocated global heap.
-    GlobalStoreOob {
-        /// The offending byte address.
-        addr: u32,
-        /// Bytes of global memory allocated at the time of the access.
-        allocated: u32,
-    },
-    /// Device-side store to read-only constant memory.
-    ConstStore {
-        /// The offending byte address.
-        addr: u32,
-    },
-    /// Local access past the per-thread stride.
-    LocalOob {
-        /// The offending per-thread byte offset.
-        addr: u32,
-        /// The configured per-thread stride in bytes.
-        stride: u32,
-    },
-    /// Access to a space this component does not serve (e.g. a spawn-space
-    /// access on a machine without dynamic μ-kernel hardware).
-    Unmapped {
-        /// The address space that has no backing here.
-        space: Space,
-    },
+simt_isa::record! {
+    /// A typed functional-memory fault.
+    ///
+    /// The simulator's SMs use the `try_*` accessors and turn these into warp
+    /// traps; the panicking accessors remain for host-side and test code where
+    /// an illegal access is a bug in the caller, not in the simulated program.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum MemFault: "memory fault" {
+        /// Word access whose byte address is not 4-byte aligned.
+        Misaligned {
+            /// Address space accessed.
+            space: Space,
+            /// The offending byte address.
+            addr: u32,
+        } = 0,
+        /// Store past the end of the allocated global heap.
+        GlobalStoreOob {
+            /// The offending byte address.
+            addr: u32,
+            /// Bytes of global memory allocated at the time of the access.
+            allocated: u32,
+        } = 1,
+        /// Device-side store to read-only constant memory.
+        ConstStore {
+            /// The offending byte address.
+            addr: u32,
+        } = 2,
+        /// Local access past the per-thread stride.
+        LocalOob {
+            /// The offending per-thread byte offset.
+            addr: u32,
+            /// The configured per-thread stride in bytes.
+            stride: u32,
+        } = 3,
+        /// Access to a space this component does not serve (e.g. a spawn-space
+        /// access on a machine without dynamic μ-kernel hardware).
+        Unmapped {
+            /// The address space that has no backing here.
+            space: Space,
+        } = 4,
+    }
 }
 
 impl fmt::Display for MemFault {
@@ -606,11 +608,7 @@ impl MemoryFabric {
         for &m in &self.module_busy {
             enc.put_f64(m);
         }
-        enc.put_usize(self.read_only_regions.len());
-        for &(base, bytes) in &self.read_only_regions {
-            enc.put_u32(base);
-            enc.put_u32(bytes);
-        }
+        self.read_only_regions.encode(enc);
         enc.put_usize(self.l2.len());
         for slice in &self.l2 {
             slice.encode_state(enc);
@@ -652,10 +650,7 @@ impl MemoryFabric {
         for m in &mut self.module_busy {
             *m = dec.take_f64()?;
         }
-        let regions = dec.take_len(8)?;
-        self.read_only_regions = (0..regions)
-            .map(|_| Ok((dec.take_u32()?, dec.take_u32()?)))
-            .collect::<Result<_, CodecError>>()?;
+        self.read_only_regions = Vec::decode(dec)?;
         let slices = dec.take_len(1)?;
         if slices != self.l2.len() {
             // Snapshot from a different cache configuration (e.g. flat

@@ -16,19 +16,21 @@
 //! issues at most one access a cycle, so that access was in an earlier
 //! cycle and every merge reads a concrete fill time at issue.
 
-use simt_isa::codec::{CodecError, Decoder, Encoder};
+use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
 
 /// Fill time of an entry allocated this cycle, before its owning request
 /// has been serviced.
 pub const FILL_UNRESOLVED: u64 = u64::MAX;
 
-/// One outstanding L1 fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MshrEntry {
-    /// Base address of the missing L1 line.
-    line: u32,
-    /// Cycle the fill completes, or [`FILL_UNRESOLVED`].
-    fill_ready: u64,
+simt_isa::record! {
+    /// One outstanding L1 fill.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct MshrEntry {
+        /// Base address of the missing L1 line.
+        line: u32,
+        /// Cycle the fill completes, or [`FILL_UNRESOLVED`].
+        fill_ready: u64,
+    }
 }
 
 /// A bounded table of outstanding L1 misses (one entry per line).
@@ -139,11 +141,7 @@ impl MshrTable {
     /// Serializes the outstanding entries and counters for a simulator
     /// checkpoint. Capacity is configuration and is re-derived on restore.
     pub fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_usize(self.entries.len());
-        for e in &self.entries {
-            enc.put_u32(e.line);
-            enc.put_u64(e.fill_ready);
-        }
+        self.entries.encode(enc);
         enc.put_u64(self.merges);
         enc.put_u64(self.stalls);
     }
@@ -157,21 +155,14 @@ impl MshrTable {
     /// exceeds this table's capacity (a snapshot from a different
     /// configuration).
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let n = dec.take_len(12)?;
-        if n > self.capacity {
+        let entries = Vec::<MshrEntry>::decode(dec)?;
+        if entries.len() > self.capacity {
             return Err(CodecError::BadLength {
-                len: n as u64,
+                len: entries.len() as u64,
                 remaining: self.capacity,
             });
         }
-        self.entries = (0..n)
-            .map(|_| {
-                Ok(MshrEntry {
-                    line: dec.take_u32()?,
-                    fill_ready: dec.take_u64()?,
-                })
-            })
-            .collect::<Result<_, CodecError>>()?;
+        self.entries = entries;
         self.merges = dec.take_u64()?;
         self.stalls = dec.take_u64()?;
         Ok(())
@@ -181,6 +172,17 @@ impl MshrTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The entry record keeps the codec laws: any twelve bytes are an
+    /// entry that re-encodes to them, and no shorter input is one.
+    #[test]
+    fn mshr_entries_round_trip_and_refuse_their_prefixes() {
+        for byte in [0, 1, 0x80, 0xFF] {
+            let bytes = [byte; 12];
+            let used = simt_isa::codec::check_codec_laws::<MshrEntry>(&bytes);
+            assert_eq!(used, Some(12));
+        }
+    }
 
     #[test]
     fn alloc_lookup_purge_cycle() {

@@ -50,12 +50,9 @@
 //! `fsync`, so a process killed at any instant can never leave a
 //! torn-but-renamed file behind.
 
-use crate::config::{GpuConfig, SchedulingModel, SpawnPolicy};
-use crate::fault::FaultPolicy;
-use dmk_core::DmkConfig;
-use simt_isa::codec::{fnv1a64, fnv1a64_extend, CodecError, Decoder, Encoder, FNV1A64_INIT};
-use simt_isa::{EntryPoint, Program, ResourceUsage};
-use simt_mem::MemConfig;
+use crate::config::GpuConfig;
+use simt_isa::codec::{fnv1a64, fnv1a64_extend, Codec, CodecError, Decoder, Encoder, FNV1A64_INIT};
+use simt_isa::{Program, ResourceUsage};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -358,9 +355,7 @@ fn write_atomic_with(
 /// so any configuration change — memory timing, scheduling model, fault
 /// policy — lands in a different result-cache key.
 pub fn config_digest(cfg: &GpuConfig) -> u64 {
-    let mut enc = Encoder::new();
-    put_gpu_config(&mut enc, cfg);
-    fnv1a64(&enc.into_bytes())
+    fnv1a64(&cfg.to_bytes())
 }
 
 /// Deterministic FNV-1a-64 digest of a program — instruction words,
@@ -376,200 +371,15 @@ pub fn program_digest(p: &Program) -> Result<u64, simt_isa::EncodeError> {
     Ok(fnv1a64(&enc.into_bytes()))
 }
 
-fn put_mem_config(enc: &mut Encoder, m: &MemConfig) {
-    enc.put_usize(m.num_modules);
-    enc.put_u32(m.bytes_per_cycle);
-    enc.put_u32(m.dram_latency);
-    enc.put_f64(m.dram_clock_ratio);
-    enc.put_u32(m.segment_bytes);
-    enc.put_usize(m.shared_banks);
-    enc.put_u32(m.shared_latency);
-    enc.put_bool(m.spawn_bank_conflicts);
-    enc.put_bool(m.ideal);
-    enc.put_bool(m.spawn_admission_reads);
-    enc.put_u32(m.tex_cache_bytes);
-    enc.put_u32(m.tex_line_bytes);
-    enc.put_usize(m.tex_ways);
-    enc.put_u32(m.tex_hit_latency);
-    enc.put_u32(m.l1_bytes);
-    enc.put_u32(m.l1_line_bytes);
-    enc.put_usize(m.l1_ways);
-    enc.put_u32(m.l1_hit_latency);
-    enc.put_usize(m.l1_mshr_entries);
-    enc.put_u32(m.l2_bytes);
-    enc.put_u32(m.l2_line_bytes);
-    enc.put_usize(m.l2_ways);
-    enc.put_u32(m.l2_hit_latency);
-    enc.put_u32(m.icnt_latency);
-    enc.put_u32(m.icnt_flit_cycles);
-}
-
-fn take_mem_config(dec: &mut Decoder<'_>) -> Result<MemConfig, CodecError> {
-    Ok(MemConfig {
-        num_modules: dec.take_usize()?,
-        bytes_per_cycle: dec.take_u32()?,
-        dram_latency: dec.take_u32()?,
-        dram_clock_ratio: dec.take_f64()?,
-        segment_bytes: dec.take_u32()?,
-        shared_banks: dec.take_usize()?,
-        shared_latency: dec.take_u32()?,
-        spawn_bank_conflicts: dec.take_bool()?,
-        ideal: dec.take_bool()?,
-        spawn_admission_reads: dec.take_bool()?,
-        tex_cache_bytes: dec.take_u32()?,
-        tex_line_bytes: dec.take_u32()?,
-        tex_ways: dec.take_usize()?,
-        tex_hit_latency: dec.take_u32()?,
-        l1_bytes: dec.take_u32()?,
-        l1_line_bytes: dec.take_u32()?,
-        l1_ways: dec.take_usize()?,
-        l1_hit_latency: dec.take_u32()?,
-        l1_mshr_entries: dec.take_usize()?,
-        l2_bytes: dec.take_u32()?,
-        l2_line_bytes: dec.take_u32()?,
-        l2_ways: dec.take_usize()?,
-        l2_hit_latency: dec.take_u32()?,
-        icnt_latency: dec.take_u32()?,
-        icnt_flit_cycles: dec.take_u32()?,
-    })
-}
-
-/// Serializes the full machine configuration (the snapshot is
-/// self-describing: restore rebuilds the machine from this and then
-/// patches the mutable state in).
-pub(crate) fn put_gpu_config(enc: &mut Encoder, cfg: &GpuConfig) {
-    enc.put_usize(cfg.num_sms);
-    enc.put_u32(cfg.warp_size);
-    enc.put_u32(cfg.sps_per_sm);
-    enc.put_u32(cfg.max_threads_per_sm);
-    enc.put_u32(cfg.max_blocks_per_sm);
-    enc.put_u32(cfg.registers_per_sm);
-    enc.put_u32(cfg.shared_mem_per_sm);
-    enc.put_u8(match cfg.scheduling {
-        SchedulingModel::Block => 0,
-        SchedulingModel::Warp => 1,
-    });
-    enc.put_u32(cfg.long_op_latency);
-    enc.put_f64(cfg.clock_ghz);
-    put_mem_config(enc, &cfg.mem);
-    enc.put_bool(cfg.dmk.is_some());
-    if let Some(d) = &cfg.dmk {
-        enc.put_u32(d.warp_size);
-        enc.put_u32(d.threads_per_sm);
-        enc.put_u32(d.state_bytes);
-        enc.put_u32(d.num_ukernels);
-        enc.put_usize(d.fifo_capacity);
-    }
-    enc.put_u8(match cfg.spawn_policy {
-        SpawnPolicy::Always => 0,
-        SpawnPolicy::OnDivergence => 1,
-    });
-    enc.put_u64(cfg.divergence_window);
-    enc.put_u8(match cfg.fault_policy {
-        FaultPolicy::Abort => 0,
-        FaultPolicy::KillWarp => 1,
-    });
-    enc.put_u64(cfg.watchdog_cycles);
-}
-
-/// Decodes a configuration written by [`put_gpu_config`].
-pub(crate) fn take_gpu_config(dec: &mut Decoder<'_>) -> Result<GpuConfig, CodecError> {
-    let num_sms = dec.take_usize()?;
-    let warp_size = dec.take_u32()?;
-    let sps_per_sm = dec.take_u32()?;
-    let max_threads_per_sm = dec.take_u32()?;
-    let max_blocks_per_sm = dec.take_u32()?;
-    let registers_per_sm = dec.take_u32()?;
-    let shared_mem_per_sm = dec.take_u32()?;
-    let scheduling = match dec.take_u8()? {
-        0 => SchedulingModel::Block,
-        1 => SchedulingModel::Warp,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "scheduling model",
-                tag: tag as u64,
-            })
-        }
-    };
-    let long_op_latency = dec.take_u32()?;
-    let clock_ghz = dec.take_f64()?;
-    let mem = take_mem_config(dec)?;
-    let dmk = if dec.take_bool()? {
-        Some(DmkConfig {
-            warp_size: dec.take_u32()?,
-            threads_per_sm: dec.take_u32()?,
-            state_bytes: dec.take_u32()?,
-            num_ukernels: dec.take_u32()?,
-            fifo_capacity: dec.take_usize()?,
-        })
-    } else {
-        None
-    };
-    let spawn_policy = match dec.take_u8()? {
-        0 => SpawnPolicy::Always,
-        1 => SpawnPolicy::OnDivergence,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "spawn policy",
-                tag: tag as u64,
-            })
-        }
-    };
-    let divergence_window = dec.take_u64()?;
-    let fault_policy = match dec.take_u8()? {
-        0 => FaultPolicy::Abort,
-        1 => FaultPolicy::KillWarp,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "fault policy",
-                tag: tag as u64,
-            })
-        }
-    };
-    let watchdog_cycles = dec.take_u64()?;
-    Ok(GpuConfig {
-        num_sms,
-        warp_size,
-        sps_per_sm,
-        max_threads_per_sm,
-        max_blocks_per_sm,
-        registers_per_sm,
-        shared_mem_per_sm,
-        scheduling,
-        long_op_latency,
-        clock_ghz,
-        mem,
-        dmk,
-        spawn_policy,
-        divergence_window,
-        fault_policy,
-        watchdog_cycles,
-    })
-}
-
 /// Serializes a program: instructions through the lossless 96-bit ISA
 /// codec ([`simt_isa::encode_program`]) plus name, labels, entry points,
 /// and resource usage.
 pub(crate) fn put_program(enc: &mut Encoder, p: &Program) -> Result<(), simt_isa::EncodeError> {
     enc.put_str(p.name());
     enc.put_u32_slice(&simt_isa::encode_program(p)?);
-    enc.put_usize(p.labels().len());
-    for (label, pc) in p.labels() {
-        enc.put_str(label);
-        enc.put_usize(*pc);
-    }
-    enc.put_usize(p.entry_points().len());
-    for e in p.entry_points() {
-        enc.put_str(&e.name);
-        enc.put_usize(e.pc);
-    }
-    let r = p.resource_usage();
-    enc.put_u32(r.registers);
-    enc.put_u32(r.shared_bytes);
-    enc.put_u32(r.global_bytes);
-    enc.put_u32(r.const_bytes);
-    enc.put_u32(r.local_bytes);
-    enc.put_u32(r.spawn_state_bytes);
+    p.labels().encode(enc);
+    p.entry_points().to_vec().encode(enc);
+    p.resource_usage().encode(enc);
     Ok(())
 }
 
@@ -591,29 +401,9 @@ pub(crate) fn take_program(dec: &mut Decoder<'_>) -> Result<Program, RestoreErro
                 .map_err(|e| RestoreError::Invalid(format!("undecodable instruction: {e}")))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let nlabels = dec.take_len(9)?;
-    let mut labels = BTreeMap::new();
-    for _ in 0..nlabels {
-        let label = dec.take_str()?;
-        labels.insert(label, dec.take_usize()?);
-    }
-    let nentries = dec.take_len(9)?;
-    let entry_points = (0..nentries)
-        .map(|_| {
-            Ok(EntryPoint {
-                name: dec.take_str()?,
-                pc: dec.take_usize()?,
-            })
-        })
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    let resources = ResourceUsage {
-        registers: dec.take_u32()?,
-        shared_bytes: dec.take_u32()?,
-        global_bytes: dec.take_u32()?,
-        const_bytes: dec.take_u32()?,
-        local_bytes: dec.take_u32()?,
-        spawn_state_bytes: dec.take_u32()?,
-    };
+    let labels = BTreeMap::decode(dec)?;
+    let entry_points = Vec::decode(dec)?;
+    let resources = ResourceUsage::decode(dec)?;
     Program::new(name, instrs, labels, entry_points, resources)
         .map_err(|e| RestoreError::Invalid(format!("program failed revalidation: {e}")))
 }
@@ -621,7 +411,16 @@ pub(crate) fn take_program(dec: &mut Decoder<'_>) -> Result<Program, RestoreErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::GpuConfig;
+    use crate::config::{GpuConfig, SchedulingModel};
+
+    /// The configuration's halves, under the names its tests use.
+    fn put_gpu_config(enc: &mut Encoder, cfg: &GpuConfig) {
+        cfg.encode(enc);
+    }
+
+    fn take_gpu_config(dec: &mut Decoder<'_>) -> Result<GpuConfig, CodecError> {
+        GpuConfig::decode(dec)
+    }
 
     #[test]
     fn frame_roundtrip_preserves_payload_and_meta() {
@@ -824,7 +623,65 @@ mod tests {
 
     mod props {
         use super::super::*;
+        use crate::config::{SchedulingModel, SpawnPolicy};
+        use crate::fault::{Fault, FaultKind, FaultPolicy, InjectedFault, Injection, Injector};
+        use crate::gpu::PendingBlock;
+        use crate::warp::StackEntry;
+        use dmk_core::{CompletedWarp, DmkConfig, LutLine};
         use proptest::prelude::*;
+        use simt_isa::codec::check_codec_laws;
+        use simt_isa::{EntryPoint, Space};
+        use simt_mem::{MemConfig, MemFault};
+
+        /// Bytes each case decodes from: more than the largest record (a
+        /// `GpuConfig` with its `DmkConfig`, 221 bytes) takes.
+        const CASE_BYTES: usize = 256;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            /// Every record `simt_isa::record!` declares in the crates the
+            /// machine is built from keeps the codec laws: decoded from a
+            /// zeroed buffer with a few bytes overwritten (zeros decode as
+            /// every record's first variant, empty collections and absent
+            /// options, so most cases decode), it re-encodes to the bytes it
+            /// was read from, and every strict prefix is a `CodecError`,
+            /// never a panic.
+            #[test]
+            fn every_declared_record_round_trips_and_refuses_its_prefixes(
+                hits in proptest::collection::vec(
+                    (
+                        prop_oneof![0..24usize, 0..CASE_BYTES],
+                        prop_oneof![Just(1u8), Just(2u8), Just(3u8), any::<u8>()],
+                    ),
+                    0..6,
+                ),
+            ) {
+                let mut bytes = vec![0u8; CASE_BYTES];
+                for (at, byte) in hits {
+                    bytes[at] = byte;
+                }
+                check_codec_laws::<Space>(&bytes);
+                check_codec_laws::<EntryPoint>(&bytes);
+                check_codec_laws::<ResourceUsage>(&bytes);
+                check_codec_laws::<MemConfig>(&bytes);
+                check_codec_laws::<MemFault>(&bytes);
+                check_codec_laws::<DmkConfig>(&bytes);
+                check_codec_laws::<LutLine>(&bytes);
+                check_codec_laws::<CompletedWarp>(&bytes);
+                check_codec_laws::<GpuConfig>(&bytes);
+                check_codec_laws::<SchedulingModel>(&bytes);
+                check_codec_laws::<SpawnPolicy>(&bytes);
+                check_codec_laws::<FaultPolicy>(&bytes);
+                check_codec_laws::<FaultKind>(&bytes);
+                check_codec_laws::<Fault>(&bytes);
+                check_codec_laws::<InjectedFault>(&bytes);
+                check_codec_laws::<Injection>(&bytes);
+                check_codec_laws::<Injector>(&bytes);
+                check_codec_laws::<StackEntry>(&bytes);
+                check_codec_laws::<PendingBlock>(&bytes);
+            }
+        }
 
         proptest! {
             /// The snapshot frame is lossless for arbitrary payload and

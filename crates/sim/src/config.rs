@@ -6,35 +6,39 @@ use serde::{Deserialize, Serialize};
 use simt_mem::MemConfig;
 use std::fmt;
 
-/// When the `spawn` instruction actually creates threads.
-///
-/// The paper's evaluated implementation is [`SpawnPolicy::Always`] ("we
-/// implemented a naïve thread spawning method, where the entire store and
-/// restore operations ... are performed for every loop iteration", §VI-A).
-/// [`SpawnPolicy::OnDivergence`] implements the §IX future-work
-/// optimization: when *every* populated lane of the warp executes the same
-/// spawn, the hardware branches the warp to the target μ-kernel in place —
-/// no thread creation, no trip through the warp-formation unit — while
-/// still handing each lane its state pointer through spawn memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SpawnPolicy {
-    /// Every spawn creates threads (the paper's evaluated design).
-    Always,
-    /// Convergent warps branch instead of spawning (§IX optimization).
-    OnDivergence,
+simt_isa::record! {
+    /// When the `spawn` instruction actually creates threads.
+    ///
+    /// The paper's evaluated implementation is [`SpawnPolicy::Always`] ("we
+    /// implemented a naïve thread spawning method, where the entire store and
+    /// restore operations ... are performed for every loop iteration", §VI-A).
+    /// [`SpawnPolicy::OnDivergence`] implements the §IX future-work
+    /// optimization: when *every* populated lane of the warp executes the same
+    /// spawn, the hardware branches the warp to the target μ-kernel in place —
+    /// no thread creation, no trip through the warp-formation unit — while
+    /// still handing each lane its state pointer through spawn memory.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum SpawnPolicy: "spawn policy" {
+        /// Every spawn creates threads (the paper's evaluated design).
+        Always = 0,
+        /// Convergent warps branch instead of spawning (§IX optimization).
+        OnDivergence = 1,
+    }
 }
 
-/// How launch-time threads are assigned to SMs (paper §VI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedulingModel {
-    /// FX5800 behaviour: a thread block is dispatched only when the SM has
-    /// room for the *entire* block, and block slots are limited
-    /// (`max_blocks_per_sm`). Supports intra-block synchronization.
-    Block,
-    /// Warp-granular scheduling: individual warps are dispatched as long as
-    /// thread/register resources allow, ignoring block boundaries. This is
-    /// the model dynamic μ-kernels are designed for.
-    Warp,
+simt_isa::record! {
+    /// How launch-time threads are assigned to SMs (paper §VI).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum SchedulingModel: "scheduling model" {
+        /// FX5800 behaviour: a thread block is dispatched only when the SM has
+        /// room for the *entire* block, and block slots are limited
+        /// (`max_blocks_per_sm`). Supports intra-block synchronization.
+        Block = 0,
+        /// Warp-granular scheduling: individual warps are dispatched as long as
+        /// thread/register resources allow, ignoring block boundaries. This is
+        /// the model dynamic μ-kernels are designed for.
+        Warp = 1,
+    }
 }
 
 impl fmt::Display for SchedulingModel {
@@ -46,48 +50,50 @@ impl fmt::Display for SchedulingModel {
     }
 }
 
-/// Full machine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GpuConfig {
-    /// Streaming multiprocessors on the chip (Table I: 30).
-    pub num_sms: usize,
-    /// Threads per warp (Table I: 32).
-    pub warp_size: u32,
-    /// Stream processors per SM (Table I: 8). Documentation only — the
-    /// issue model is one warp-instruction per SM per cycle.
-    pub sps_per_sm: u32,
-    /// Maximum resident threads per SM (Table I: 1024).
-    pub max_threads_per_sm: u32,
-    /// Maximum resident thread blocks per SM (Table I: 8).
-    pub max_blocks_per_sm: u32,
-    /// Register file size per SM, in 32-bit registers (Table I: 16384).
-    pub registers_per_sm: u32,
-    /// On-chip memory per SM in bytes (Table I: 64 KB).
-    pub shared_mem_per_sm: u32,
-    /// Launch scheduling model.
-    pub scheduling: SchedulingModel,
-    /// Extra issue latency for long operations (div/sqrt/rcp), cycles.
-    pub long_op_latency: u32,
-    /// Shader clock in GHz, used only to convert cycles to wall time when
-    /// reporting rays/second (FX5800 shader clock ≈ 1.30 GHz).
-    pub clock_ghz: f64,
-    /// Memory-system configuration.
-    pub mem: MemConfig,
-    /// Dynamic μ-kernel hardware; `None` disables the spawn instruction
-    /// (baseline PDOM machine).
-    pub dmk: Option<DmkConfig>,
-    /// When `spawn` creates threads vs branches in place.
-    pub spawn_policy: SpawnPolicy,
-    /// Divergence-timeline window size in cycles (statistics granularity).
-    pub divergence_window: u64,
-    /// What the chip does when a warp traps (illegal access, exhausted
-    /// spawn LUT, injected fault): abort the run with a typed error, or
-    /// kill the warp and keep going.
-    pub fault_policy: FaultPolicy,
-    /// Watchdog threshold: if no thread retires, spawns, or is killed for
-    /// this many consecutive cycles while work remains, the run stops with
-    /// [`crate::RunOutcome::Deadlock`] and per-SM diagnostics.
-    pub watchdog_cycles: u64,
+simt_isa::record! {
+    /// Full machine configuration.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct GpuConfig {
+        /// Streaming multiprocessors on the chip (Table I: 30).
+        pub num_sms: usize,
+        /// Threads per warp (Table I: 32).
+        pub warp_size: u32,
+        /// Stream processors per SM (Table I: 8). Documentation only — the
+        /// issue model is one warp-instruction per SM per cycle.
+        pub sps_per_sm: u32,
+        /// Maximum resident threads per SM (Table I: 1024).
+        pub max_threads_per_sm: u32,
+        /// Maximum resident thread blocks per SM (Table I: 8).
+        pub max_blocks_per_sm: u32,
+        /// Register file size per SM, in 32-bit registers (Table I: 16384).
+        pub registers_per_sm: u32,
+        /// On-chip memory per SM in bytes (Table I: 64 KB).
+        pub shared_mem_per_sm: u32,
+        /// Launch scheduling model.
+        pub scheduling: SchedulingModel,
+        /// Extra issue latency for long operations (div/sqrt/rcp), cycles.
+        pub long_op_latency: u32,
+        /// Shader clock in GHz, used only to convert cycles to wall time when
+        /// reporting rays/second (FX5800 shader clock ≈ 1.30 GHz).
+        pub clock_ghz: f64,
+        /// Memory-system configuration.
+        pub mem: MemConfig,
+        /// Dynamic μ-kernel hardware; `None` disables the spawn instruction
+        /// (baseline PDOM machine).
+        pub dmk: Option<DmkConfig>,
+        /// When `spawn` creates threads vs branches in place.
+        pub spawn_policy: SpawnPolicy,
+        /// Divergence-timeline window size in cycles (statistics granularity).
+        pub divergence_window: u64,
+        /// What the chip does when a warp traps (illegal access, exhausted
+        /// spawn LUT, injected fault): abort the run with a typed error, or
+        /// kill the warp and keep going.
+        pub fault_policy: FaultPolicy,
+        /// Watchdog threshold: if no thread retires, spawns, or is killed for
+        /// this many consecutive cycles while work remains, the run stops with
+        /// [`crate::RunOutcome::Deadlock`] and per-SM diagnostics.
+        pub watchdog_cycles: u64,
+    }
 }
 
 impl GpuConfig {
@@ -167,30 +173,31 @@ impl GpuConfig {
 
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the warp size exceeds 64 lanes (mask width), is zero, or
-    /// the DMK warp size disagrees with the machine warp size.
-    pub fn validate(&self) {
-        assert!(
-            self.warp_size > 0 && self.warp_size <= 64,
-            "warp size must be 1..=64"
-        );
-        assert!(self.num_sms > 0, "need at least one SM");
-        assert!(
-            self.watchdog_cycles > 0,
-            "watchdog threshold must be positive"
-        );
-        if let Some(d) = &self.dmk {
-            assert_eq!(
-                d.warp_size, self.warp_size,
-                "DMK warp size must match machine"
-            );
-            assert_eq!(
-                d.threads_per_sm, self.max_threads_per_sm,
-                "DMK thread capacity must match machine"
-            );
+    /// Why the machine cannot be built: the warp size exceeds 64 lanes
+    /// (mask width) or is zero, there is no SM, the watchdog threshold is
+    /// zero, or the DMK warp size or thread capacity disagrees with the
+    /// machine's.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.warp_size == 0 || self.warp_size > 64 {
+            return Err("warp size must be 1..=64");
         }
+        if self.num_sms == 0 {
+            return Err("need at least one SM");
+        }
+        if self.watchdog_cycles == 0 {
+            return Err("watchdog threshold must be positive");
+        }
+        if let Some(d) = &self.dmk {
+            if d.warp_size != self.warp_size {
+                return Err("DMK warp size must match machine");
+            }
+            if d.threads_per_sm != self.max_threads_per_sm {
+                return Err("DMK thread capacity must match machine");
+            }
+        }
+        Ok(())
     }
 }
 
@@ -215,7 +222,7 @@ mod tests {
         assert_eq!(c.registers_per_sm, 16384);
         assert_eq!(c.shared_mem_per_sm, 64 * 1024);
         assert_eq!(c.peak_ipc(), 960);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -223,7 +230,7 @@ mod tests {
         let c = GpuConfig::fx5800_dmk(DmkConfig::paper());
         assert_eq!(c.scheduling, SchedulingModel::Warp);
         assert!(c.dmk.is_some());
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -234,10 +241,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must match machine")]
     fn mismatched_dmk_warp_size_rejected() {
         let mut c = GpuConfig::tiny();
         c.dmk = Some(DmkConfig::paper());
-        c.validate();
+        assert_eq!(c.validate(), Err("DMK warp size must match machine"));
     }
 }

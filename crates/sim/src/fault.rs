@@ -21,43 +21,43 @@
 //!   spawn-FIFO-full, formation-full, state-slot-exhaustion, and trap
 //!   events inside chosen cycle windows, for testing the recovery paths.
 
-use simt_isa::codec::{CodecError, Decoder, Encoder};
-use simt_isa::Space;
 use simt_mem::MemFault;
 use std::fmt;
 use std::ops::Range;
 
-/// What a warp trapped on.
-///
-/// Marked `#[non_exhaustive]`: richer hardware models will trap on new
-/// things, so downstream matches need a wildcard arm.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum FaultKind {
-    /// An illegal memory access (misaligned, out-of-bounds store, write to
-    /// a read-only space, …).
-    Memory(MemFault),
-    /// A `spawn` instruction (or spawn-space access) executed on a machine
-    /// whose dynamic μ-kernel hardware is disabled.
-    SpawnUnsupported,
-    /// A `spawn` needed a new LUT line but every line was in use: the
-    /// program uses more concurrent μ-kernel targets than the spawn LUT
-    /// supports.
-    LutExhausted {
-        /// The μ-kernel entry PC that could not be allocated a line.
-        target_pc: usize,
-        /// Number of LUT lines in the configured hardware.
-        capacity: usize,
-    },
-    /// The warp's PC left the program: an instruction fetch past the last
-    /// instruction (a wild branch, or a control-flow stack corrupted by an
-    /// earlier fault under [`FaultPolicy::KillWarp`]).
-    FetchOutOfRange {
-        /// Number of instructions in the running program.
-        len: usize,
-    },
-    /// A trap forced by the [`Injector`] (no architectural cause).
-    Injected,
+simt_isa::record! {
+    /// What a warp trapped on.
+    ///
+    /// Marked `#[non_exhaustive]`: richer hardware models will trap on new
+    /// things, so downstream matches need a wildcard arm.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub enum FaultKind: "fault kind" {
+        /// An illegal memory access (misaligned, out-of-bounds store, write to
+        /// a read-only space, …).
+        Memory(MemFault) = 0,
+        /// A `spawn` instruction (or spawn-space access) executed on a machine
+        /// whose dynamic μ-kernel hardware is disabled.
+        SpawnUnsupported = 1,
+        /// A `spawn` needed a new LUT line but every line was in use: the
+        /// program uses more concurrent μ-kernel targets than the spawn LUT
+        /// supports.
+        LutExhausted {
+            /// The μ-kernel entry PC that could not be allocated a line.
+            target_pc: usize,
+            /// Number of LUT lines in the configured hardware.
+            capacity: usize,
+        } = 2,
+        /// The warp's PC left the program: an instruction fetch past the last
+        /// instruction (a wild branch, or a control-flow stack corrupted by an
+        /// earlier fault under [`FaultPolicy::KillWarp`]).
+        FetchOutOfRange {
+            /// Number of instructions in the running program.
+            len: usize,
+        } = 3,
+        /// A trap forced by the [`Injector`] (no architectural cause).
+        Injected = 4,
+    }
 }
 
 impl fmt::Display for FaultKind {
@@ -88,19 +88,21 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// A runtime trap raised by one warp.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fault {
-    /// What the warp trapped on.
-    pub kind: FaultKind,
-    /// SM index where the trap was raised.
-    pub sm: usize,
-    /// Hardware warp id (unique per SM across the run).
-    pub warp: usize,
-    /// PC of the faulting instruction.
-    pub pc: usize,
-    /// Cycle at which the trap was raised.
-    pub cycle: u64,
+simt_isa::record! {
+    /// A runtime trap raised by one warp.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Fault {
+        /// What the warp trapped on.
+        pub kind: FaultKind,
+        /// SM index where the trap was raised.
+        pub sm: usize,
+        /// Hardware warp id (unique per SM across the run).
+        pub warp: usize,
+        /// PC of the faulting instruction.
+        pub pc: usize,
+        /// Cycle at which the trap was raised.
+        pub cycle: u64,
+    }
 }
 
 impl fmt::Display for Fault {
@@ -115,149 +117,18 @@ impl fmt::Display for Fault {
 
 impl std::error::Error for Fault {}
 
-fn put_space(enc: &mut Encoder, s: Space) {
-    enc.put_u8(s as u8);
-}
-
-fn take_space(dec: &mut Decoder<'_>) -> Result<Space, CodecError> {
-    let tag = dec.take_u8()?;
-    Space::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or(CodecError::BadTag {
-            what: "address space",
-            tag: tag as u64,
-        })
-}
-
-fn put_mem_fault(enc: &mut Encoder, m: &MemFault) {
-    match m {
-        MemFault::Misaligned { space, addr } => {
-            enc.put_u8(0);
-            put_space(enc, *space);
-            enc.put_u32(*addr);
-        }
-        MemFault::GlobalStoreOob { addr, allocated } => {
-            enc.put_u8(1);
-            enc.put_u32(*addr);
-            enc.put_u32(*allocated);
-        }
-        MemFault::ConstStore { addr } => {
-            enc.put_u8(2);
-            enc.put_u32(*addr);
-        }
-        MemFault::LocalOob { addr, stride } => {
-            enc.put_u8(3);
-            enc.put_u32(*addr);
-            enc.put_u32(*stride);
-        }
-        MemFault::Unmapped { space } => {
-            enc.put_u8(4);
-            put_space(enc, *space);
-        }
+simt_isa::record! {
+    /// What the chip does when a warp traps.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+    pub enum FaultPolicy: "fault policy" {
+        /// Stop the simulation: [`crate::Gpu::run`] returns the fault as
+        /// `Err(SimError::Fault(..))`.
+        #[default]
+        Abort = 0,
+        /// Kill the faulting warp (its live lanes are discarded, not retired),
+        /// record the fault in [`crate::stats::SimStats`], and keep running.
+        KillWarp = 1,
     }
-}
-
-fn take_mem_fault(dec: &mut Decoder<'_>) -> Result<MemFault, CodecError> {
-    let tag = dec.take_u8()?;
-    Ok(match tag {
-        0 => MemFault::Misaligned {
-            space: take_space(dec)?,
-            addr: dec.take_u32()?,
-        },
-        1 => MemFault::GlobalStoreOob {
-            addr: dec.take_u32()?,
-            allocated: dec.take_u32()?,
-        },
-        2 => MemFault::ConstStore {
-            addr: dec.take_u32()?,
-        },
-        3 => MemFault::LocalOob {
-            addr: dec.take_u32()?,
-            stride: dec.take_u32()?,
-        },
-        4 => MemFault::Unmapped {
-            space: take_space(dec)?,
-        },
-        _ => {
-            return Err(CodecError::BadTag {
-                what: "memory fault",
-                tag: tag as u64,
-            })
-        }
-    })
-}
-
-impl Fault {
-    /// Serializes the fault (kind + location) for a simulator checkpoint.
-    pub(crate) fn encode_state(&self, enc: &mut Encoder) {
-        match &self.kind {
-            FaultKind::Memory(m) => {
-                enc.put_u8(0);
-                put_mem_fault(enc, m);
-            }
-            FaultKind::SpawnUnsupported => enc.put_u8(1),
-            FaultKind::LutExhausted {
-                target_pc,
-                capacity,
-            } => {
-                enc.put_u8(2);
-                enc.put_usize(*target_pc);
-                enc.put_usize(*capacity);
-            }
-            FaultKind::FetchOutOfRange { len } => {
-                enc.put_u8(3);
-                enc.put_usize(*len);
-            }
-            FaultKind::Injected => enc.put_u8(4),
-        }
-        enc.put_usize(self.sm);
-        enc.put_usize(self.warp);
-        enc.put_usize(self.pc);
-        enc.put_u64(self.cycle);
-    }
-
-    /// Rebuilds a fault written by [`Fault::encode_state`].
-    pub(crate) fn restore_state(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let tag = dec.take_u8()?;
-        let kind = match tag {
-            0 => FaultKind::Memory(take_mem_fault(dec)?),
-            1 => FaultKind::SpawnUnsupported,
-            2 => FaultKind::LutExhausted {
-                target_pc: dec.take_usize()?,
-                capacity: dec.take_usize()?,
-            },
-            3 => FaultKind::FetchOutOfRange {
-                len: dec.take_usize()?,
-            },
-            4 => FaultKind::Injected,
-            _ => {
-                return Err(CodecError::BadTag {
-                    what: "fault kind",
-                    tag: tag as u64,
-                })
-            }
-        };
-        Ok(Fault {
-            kind,
-            sm: dec.take_usize()?,
-            warp: dec.take_usize()?,
-            pc: dec.take_usize()?,
-            cycle: dec.take_u64()?,
-        })
-    }
-}
-
-/// What the chip does when a warp traps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum FaultPolicy {
-    /// Stop the simulation: [`crate::Gpu::run`] returns the fault as
-    /// `Err(SimError::Fault(..))`.
-    #[default]
-    Abort,
-    /// Kill the faulting warp (its live lanes are discarded, not retired),
-    /// record the fault in [`crate::stats::SimStats`], and keep running.
-    KillWarp,
 }
 
 /// Why [`crate::Gpu::launch`] rejected a launch request.
@@ -418,48 +289,55 @@ impl fmt::Display for DeadlockDiagnostics {
     }
 }
 
-/// An event class the [`Injector`] can force.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectedFault {
-    /// The new-warp FIFO reports full on `spawn` (back-pressure: the
-    /// spawning warp stalls and retries).
-    SpawnFifoFull,
-    /// The formation area reports no free blocks on `spawn` (same
-    /// back-pressure path).
-    FormationFull,
-    /// The SM reports no free spawn-memory state records, starving
-    /// launch-warp admission for the cycle.
-    StateSlotsExhausted,
-    /// The next issuing warp traps with [`FaultKind::Injected`].
-    Trap,
+simt_isa::record! {
+    /// An event class the [`Injector`] can force.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum InjectedFault: "injected fault" {
+        /// The new-warp FIFO reports full on `spawn` (back-pressure: the
+        /// spawning warp stalls and retries).
+        SpawnFifoFull = 0,
+        /// The formation area reports no free blocks on `spawn` (same
+        /// back-pressure path).
+        FormationFull = 1,
+        /// The SM reports no free spawn-memory state records, starving
+        /// launch-warp admission for the cycle.
+        StateSlotsExhausted = 2,
+        /// The next issuing warp traps with [`FaultKind::Injected`].
+        Trap = 3,
+    }
 }
 
-#[derive(Debug, Clone)]
-struct Injection {
-    what: InjectedFault,
-    from: u64,
-    until: u64,
-    probability: f64,
+simt_isa::record! {
+    /// One event class the [`Injector`] forces inside a cycle window.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Injection {
+        what: InjectedFault,
+        from: u64,
+        until: u64,
+        probability: f64,
+    }
 }
 
-/// Seeded, deterministic fault injector.
-///
-/// Events are forced inside half-open cycle windows. With the default
-/// probability of 1 the injector is a pure function of the cycle number;
-/// with a fractional probability, firing is decided by a hash of the seed
-/// and the cycle, so a given seed always reproduces the same event stream.
-///
-/// ```
-/// use simt_sim::{InjectedFault, Injector};
-///
-/// let inj = Injector::new(42).force(InjectedFault::SpawnFifoFull, 100..200);
-/// assert!(inj.fires(InjectedFault::SpawnFifoFull, 150));
-/// assert!(!inj.fires(InjectedFault::SpawnFifoFull, 250));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Injector {
-    seed: u64,
-    events: Vec<Injection>,
+simt_isa::record! {
+    /// Seeded, deterministic fault injector.
+    ///
+    /// Events are forced inside half-open cycle windows. With the default
+    /// probability of 1 the injector is a pure function of the cycle number;
+    /// with a fractional probability, firing is decided by a hash of the seed
+    /// and the cycle, so a given seed always reproduces the same event stream.
+    ///
+    /// ```
+    /// use simt_sim::{InjectedFault, Injector};
+    ///
+    /// let inj = Injector::new(42).force(InjectedFault::SpawnFifoFull, 100..200);
+    /// assert!(inj.fires(InjectedFault::SpawnFifoFull, 150));
+    /// assert!(!inj.fires(InjectedFault::SpawnFifoFull, 250));
+    /// ```
+    #[derive(Debug, Clone)]
+    pub struct Injector {
+        seed: u64,
+        events: Vec<Injection>,
+    }
 }
 
 impl Injector {
@@ -503,50 +381,6 @@ impl Injector {
                 && cycle < e.until
                 && (e.probability >= 1.0 || self.draw(what, cycle) < e.probability)
         })
-    }
-
-    /// Serializes the injector (seed + scheduled events) for a simulator
-    /// checkpoint. Firing is a pure function of `(seed, events, cycle)`, so
-    /// this is the injector's complete state.
-    pub(crate) fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_u64(self.seed);
-        enc.put_usize(self.events.len());
-        for e in &self.events {
-            enc.put_u8(e.what as u8);
-            enc.put_u64(e.from);
-            enc.put_u64(e.until);
-            enc.put_f64(e.probability);
-        }
-    }
-
-    /// Rebuilds an injector written by [`Injector::encode_state`].
-    pub(crate) fn restore_state(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let seed = dec.take_u64()?;
-        let n = dec.take_len(25)?;
-        let events = (0..n)
-            .map(|_| {
-                let tag = dec.take_u8()?;
-                let what = match tag {
-                    0 => InjectedFault::SpawnFifoFull,
-                    1 => InjectedFault::FormationFull,
-                    2 => InjectedFault::StateSlotsExhausted,
-                    3 => InjectedFault::Trap,
-                    _ => {
-                        return Err(CodecError::BadTag {
-                            what: "injected fault",
-                            tag: tag as u64,
-                        })
-                    }
-                };
-                Ok(Injection {
-                    what,
-                    from: dec.take_u64()?,
-                    until: dec.take_u64()?,
-                    probability: dec.take_f64()?,
-                })
-            })
-            .collect::<Result<_, CodecError>>()?;
-        Ok(Injector { seed, events })
     }
 
     /// Deterministic uniform draw in `[0, 1)` keyed by seed, event, cycle.

@@ -39,7 +39,7 @@ use crate::sm::{ExecCtx, Sm};
 use crate::stats::SimStats;
 use crate::telemetry::{TelemetryReport, TelemetrySpec};
 use dmk_core::DmkStats;
-use simt_isa::codec::{CodecError, Decoder, Encoder};
+use simt_isa::codec::{Codec, Decoder, Encoder};
 use simt_isa::{EncodeError, Program, ReconvergenceTable};
 use simt_mem::{BatchRequest, MemoryFabric, TrafficStats};
 use std::collections::VecDeque;
@@ -93,11 +93,14 @@ pub struct RunSummary {
     pub faults: Vec<Fault>,
 }
 
-#[derive(Debug)]
-struct PendingBlock {
-    id: usize,
-    next_tid: u32,
-    end_tid: u32,
+simt_isa::record! {
+    /// A launch block no SM has taken yet: the threads `next_tid..end_tid`.
+    #[derive(Debug)]
+    pub(crate) struct PendingBlock {
+        id: usize,
+        next_tid: u32,
+        end_tid: u32,
+    }
 }
 
 #[derive(Debug)]
@@ -244,7 +247,9 @@ impl Gpu {
     }
 
     fn from_config(cfg: GpuConfig) -> Self {
-        cfg.validate();
+        if let Err(why) = cfg.validate() {
+            panic!("{why}");
+        }
         let sms = (0..cfg.num_sms).map(|i| Sm::new(i, &cfg)).collect();
         let stats = SimStats::new(cfg.divergence_window, cfg.warp_size);
         let mem = MemoryFabric::new(cfg.mem.clone());
@@ -405,7 +410,7 @@ impl Gpu {
     /// distinct non-zero immediate operand — assembler output never does).
     pub fn checkpoint(&self) -> Result<Snapshot, EncodeError> {
         let mut enc = Encoder::new();
-        checkpoint::put_gpu_config(&mut enc, &self.cfg);
+        self.cfg.encode(&mut enc);
         self.mem.encode_state(&mut enc);
         for sm in &self.sms {
             sm.encode_state(&mut enc);
@@ -416,25 +421,14 @@ impl Gpu {
             enc.put_usize(l.entry_pc);
             enc.put_u32(l.regs_per_thread);
             enc.put_u32(l.ntid);
-            enc.put_usize(l.blocks.len());
-            for b in &l.blocks {
-                enc.put_usize(b.id);
-                enc.put_u32(b.next_tid);
-                enc.put_u32(b.end_tid);
-            }
+            l.blocks.encode(&mut enc);
             enc.put_u32(l.next_dynamic_tid);
         }
         self.stats.encode_state(&mut enc);
         enc.put_u64(self.now);
         enc.put_usize(self.rr_sm);
-        enc.put_bool(self.injector.is_some());
-        if let Some(i) = &self.injector {
-            i.encode_state(&mut enc);
-        }
-        enc.put_usize(self.faults.len());
-        for f in &self.faults {
-            f.encode_state(&mut enc);
-        }
+        self.injector.encode(&mut enc);
+        self.faults.encode(&mut enc);
         Ok(Snapshot::from_payload(enc.into_bytes()))
     }
 
@@ -451,7 +445,9 @@ impl Gpu {
     /// is caught earlier, by [`Snapshot::from_bytes`]'s checksum.
     pub fn restore(snapshot: &Snapshot) -> Result<Gpu, RestoreError> {
         let mut dec = Decoder::new(snapshot.payload());
-        let cfg = checkpoint::take_gpu_config(&mut dec)?;
+        let cfg = GpuConfig::decode(&mut dec)?;
+        cfg.validate()
+            .map_err(|why| RestoreError::Invalid(format!("configuration: {why}")))?;
         let mut gpu = Gpu::from_config(cfg);
         gpu.mem.restore_state(&mut dec)?;
         for sm in &mut gpu.sms {
@@ -463,16 +459,7 @@ impl Gpu {
             let entry_pc = dec.take_usize()?;
             let regs_per_thread = dec.take_u32()?;
             let ntid = dec.take_u32()?;
-            let nblocks = dec.take_len(16)?;
-            let blocks = (0..nblocks)
-                .map(|_| {
-                    Ok(PendingBlock {
-                        id: dec.take_usize()?,
-                        next_tid: dec.take_u32()?,
-                        end_tid: dec.take_u32()?,
-                    })
-                })
-                .collect::<Result<VecDeque<_>, CodecError>>()?;
+            let blocks = VecDeque::decode(&mut dec)?;
             let next_dynamic_tid = dec.take_u32()?;
             gpu.launch = Some(ActiveLaunch {
                 program,
@@ -487,13 +474,8 @@ impl Gpu {
         gpu.stats.restore_state(&mut dec)?;
         gpu.now = dec.take_u64()?;
         gpu.rr_sm = dec.take_usize()?;
-        if dec.take_bool()? {
-            gpu.injector = Some(Injector::restore_state(&mut dec)?);
-        }
-        let nfaults = dec.take_len(25)?;
-        gpu.faults = (0..nfaults)
-            .map(|_| Fault::restore_state(&mut dec))
-            .collect::<Result<_, CodecError>>()?;
+        gpu.injector = Option::decode(&mut dec)?;
+        gpu.faults = Vec::decode(&mut dec)?;
         if !dec.is_finished() {
             return Err(RestoreError::Invalid(format!(
                 "{} trailing payload bytes",
@@ -609,7 +591,7 @@ impl Gpu {
             SchedulingModel::Block => {
                 while let Some(front) = launch.blocks.front() {
                     let block_threads = front.end_tid - front.next_tid;
-                    if !sm.fits_block(block_threads, launch.regs_per_thread, true) {
+                    if !sm.fits_block(block_threads, launch.regs_per_thread) {
                         break;
                     }
                     let Some(mut block) = launch.blocks.pop_front() else {
@@ -1454,6 +1436,29 @@ mod tests {
         assert_eq!(resumed.faults(), gpu.faults());
         assert!(!resumed.faults().is_empty(), "trap at cycle 4 recorded");
         assert_eq!(resumed.stats(), gpu.stats());
+    }
+
+    /// A snapshot whose configuration block no machine can be built from
+    /// is refused with the reason, before anything is allocated for it.
+    #[test]
+    fn a_snapshot_with_an_invalid_configuration_is_refused_not_a_panic() {
+        let payload = Gpu::builder(GpuConfig::tiny())
+            .build()
+            .checkpoint()
+            .expect("encodable")
+            .payload()
+            .to_vec();
+        // `warp_size` follows `num_sms`, the block's first field.
+        for (at, warp_size) in [(8, 0u32), (8, 65)] {
+            let mut bad = payload.clone();
+            bad[at..at + 4].copy_from_slice(&warp_size.to_le_bytes());
+            match Gpu::restore(&Snapshot::from_payload(bad)) {
+                Err(RestoreError::Invalid(why)) => {
+                    assert!(why.contains("warp size must be 1..=64"), "{why}");
+                }
+                other => panic!("warp size {warp_size}: {other:?}"),
+            }
+        }
     }
 
     /// Everything a run leaves behind that a caller can observe, rendered

@@ -9,12 +9,12 @@ use crate::telemetry::{SmTelemetry, TelemetrySpec};
 use crate::thread::LaneState;
 use crate::warp::Warp;
 use dmk_core::{CompletedWarp, SpawnError, SpawnMemoryLayout, WarpFormation};
-use simt_isa::codec::{CodecError, Decoder, Encoder};
+use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
 use simt_isa::{Instr, Program, ReconvergenceTable, Space, Width};
 use simt_mem::{
     BatchRequest, FabricRequest, MemFault, MemoryFabric, OnChipMemory, SmMemFrontend, TrafficStats,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Execution context shared by all SMs for the current launch.
 #[derive(Debug)]
@@ -271,29 +271,11 @@ impl Sm {
         true
     }
 
-    /// Whether a whole block of `block_threads` fits (block scheduling).
-    pub fn fits_block(
-        &self,
-        block_threads: u32,
-        regs_per_thread: u32,
-        needs_state_slots: bool,
-    ) -> bool {
-        if self.blocks.len() as u32 >= self.max_blocks {
-            return false;
-        }
-        if self.threads_used + block_threads > self.max_threads {
-            return false;
-        }
-        if self.regs_used + block_threads * regs_per_thread > self.max_regs {
-            return false;
-        }
-        if needs_state_slots
-            && self.formation.is_some()
-            && (self.free_state_slots.len() as u32) < block_threads
-        {
-            return false;
-        }
-        true
+    /// Whether a whole block of `block_threads` fits (block scheduling): a
+    /// free block slot, and room for its threads as for one warp of them.
+    pub fn fits_block(&self, block_threads: u32, regs_per_thread: u32) -> bool {
+        (self.blocks.len() as u32) < self.max_blocks
+            && self.fits_warp(block_threads, regs_per_thread, true)
     }
 
     /// Admits a launch-time warp of `count` threads with consecutive ids
@@ -1466,14 +1448,9 @@ impl Sm {
         }
         enc.put_u32(self.threads_used);
         enc.put_u32(self.regs_used);
-        let mut blocks: Vec<(usize, u32)> = self.blocks.iter().map(|(&b, &n)| (b, n)).collect();
-        blocks.sort_unstable();
-        enc.put_usize(blocks.len());
-        for (b, n) in blocks {
-            enc.put_usize(b);
-            enc.put_u32(n);
-        }
-        enc.put_u32_slice(&self.free_state_slots);
+        let blocks: BTreeMap<usize, u32> = self.blocks.iter().map(|(&b, &n)| (b, n)).collect();
+        blocks.encode(enc);
+        self.free_state_slots.encode(enc);
         self.frontend.encode_state(enc);
         enc.put_u64(self.issue_blocked_until);
         self.stats.encode_state(enc);
@@ -1512,11 +1489,8 @@ impl Sm {
         }
         self.threads_used = dec.take_u32()?;
         self.regs_used = dec.take_u32()?;
-        let nb = dec.take_len(12)?;
-        self.blocks = (0..nb)
-            .map(|_| Ok((dec.take_usize()?, dec.take_u32()?)))
-            .collect::<Result<_, CodecError>>()?;
-        self.free_state_slots = dec.take_u32_vec()?;
+        self.blocks = BTreeMap::<usize, u32>::decode(dec)?.into_iter().collect();
+        self.free_state_slots = Vec::decode(dec)?;
         self.frontend.restore_state(dec)?;
         self.issue_blocked_until = dec.take_u64()?;
         self.stats.restore_state(dec)?;

@@ -1,6 +1,6 @@
 //! Per-thread (lane) execution context.
 
-use simt_isa::codec::{CodecError, Decoder, Encoder};
+use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
 use simt_isa::{eval_alu, eval_cmp, AluOp, CmpOp, Operand, Pred, Reg, Special};
 
 /// Lanes in an operand row: the width of the Table I machine's warps, the
@@ -598,12 +598,12 @@ impl LaneState {
         enc.put_u64(self.exited);
         enc.put_u64(self.spawned);
         enc.put_u64(self.has_slot);
-        enc.put_u32_slice(&self.tid);
+        self.tid.encode(enc);
         for lane in 0..self.warp_size as usize {
             enc.put_u8(self.gather_preds(lane));
         }
-        enc.put_u32_slice(&self.spawn_mem_addr);
-        enc.put_u32_slice(&self.state_slot);
+        self.spawn_mem_addr.encode(enc);
+        self.state_slot.encode(enc);
         enc.put_u32_sparse(&self.regs);
     }
 
@@ -628,14 +628,24 @@ impl LaneState {
         let exited = dec.take_u64()?;
         let spawned = dec.take_u64()?;
         let has_slot = dec.take_u64()?;
+        // A lane bit at or past the warp size names a lane with no column.
+        let lanes = u64::MAX >> (64 - warp_size);
+        for mask in [populated, exited, spawned, has_slot] {
+            if mask & !lanes != 0 {
+                return Err(CodecError::BadTag {
+                    what: "lane-state lane mask",
+                    tag: mask,
+                });
+            }
+        }
         let n = warp_size as usize;
-        let tid = dec.take_u32_vec()?;
+        let tid = Vec::<u32>::decode(dec)?;
         let mut pred_bytes = Vec::with_capacity(n);
         for _ in 0..n {
             pred_bytes.push(dec.take_u8()?);
         }
-        let spawn_mem_addr = dec.take_u32_vec()?;
-        let state_slot = dec.take_u32_vec()?;
+        let spawn_mem_addr = Vec::<u32>::decode(dec)?;
+        let state_slot = Vec::<u32>::decode(dec)?;
         let regs = dec.take_u32_sparse(n * regs_stride as usize)?;
         for (what, len, want) in [
             ("lane-state tids", tid.len(), n),
@@ -1004,5 +1014,35 @@ mod tests {
         // Truncation is also an error, not a partial decode.
         let mut dec = Decoder::new(&good[..good.len() - 3]);
         assert!(LaneState::restore_state(&mut dec).is_err());
+    }
+
+    /// A lane bit at or past the warp size would index past every lane
+    /// array on the next warp op: each of the four masks refuses one.
+    #[test]
+    fn lane_state_codec_rejects_masks_wider_than_the_warp() {
+        let mut enc = Encoder::new();
+        partial_warp().encode_state(&mut enc);
+        let good = enc.into_bytes();
+        // The masks follow the warp size and the register stride.
+        for mask in 0..4 {
+            let at = 8 + 8 * mask;
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&0b1_0000_0111u64.to_le_bytes());
+            assert!(
+                matches!(
+                    LaneState::restore_state(&mut Decoder::new(&bad)),
+                    Err(CodecError::BadTag {
+                        what: "lane-state lane mask",
+                        tag: 0b1_0000_0111,
+                    })
+                ),
+                "mask {mask}"
+            );
+        }
+        // Every lane of a 64-lane warp is in range.
+        let mut enc = Encoder::new();
+        LaneState::admit(64, 1, 0, 64).encode_state(&mut enc);
+        let full = LaneState::restore_state(&mut Decoder::new(&enc.into_bytes()));
+        assert_eq!(full.expect("restores").populated_mask(), !0);
     }
 }

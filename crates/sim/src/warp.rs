@@ -1,19 +1,21 @@
 //! Warps and the PDOM reconvergence stack.
 
 use crate::thread::LaneState;
-use simt_isa::codec::{CodecError, Decoder, Encoder};
+use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
 use simt_isa::RECONVERGE_AT_EXIT;
 
-/// One entry of the PDOM reconvergence stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StackEntry {
-    /// Next PC for the lanes of this entry.
-    pub pc: usize,
-    /// Lane mask (bit `i` = lane `i` participates).
-    pub mask: u64,
-    /// PC at which this entry pops (merges into the entry below), or
-    /// [`RECONVERGE_AT_EXIT`].
-    pub rpc: usize,
+simt_isa::record! {
+    /// One entry of the PDOM reconvergence stack.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct StackEntry {
+        /// Next PC for the lanes of this entry.
+        pub pc: usize,
+        /// Lane mask (bit `i` = lane `i` participates).
+        pub mask: u64,
+        /// PC at which this entry pops (merges into the entry below), or
+        /// [`RECONVERGE_AT_EXIT`].
+        pub rpc: usize,
+    }
 }
 
 /// Lifecycle state of a warp.
@@ -218,23 +220,12 @@ impl Warp {
         // Bottom to top: the entries below, then the inline top.
         enc.put_usize(self.stack_depth());
         for e in self.below.iter().chain(&self.top) {
-            enc.put_usize(e.pc);
-            enc.put_u64(e.mask);
-            enc.put_usize(e.rpc);
+            e.encode(enc);
         }
         enc.put_u64(self.ready_at);
-        enc.put_bool(self.block_id.is_some());
-        if let Some(b) = self.block_id {
-            enc.put_usize(b);
-        }
-        enc.put_bool(self.formation_block.is_some());
-        if let Some(b) = self.formation_block {
-            enc.put_u32(b);
-        }
-        enc.put_bool(self.elision_block.is_some());
-        if let Some(b) = self.elision_block {
-            enc.put_u32(b);
-        }
+        self.block_id.encode(enc);
+        self.formation_block.encode(enc);
+        self.elision_block.encode(enc);
         enc.put_bool(self.is_dynamic);
     }
 
@@ -243,43 +234,17 @@ impl Warp {
         let id = dec.take_usize()?;
         let warp_size = dec.take_u32()?;
         let lanes = LaneState::restore_state(dec)?;
-        let depth = dec.take_len(24)?;
-        let mut below: Vec<StackEntry> = (0..depth)
-            .map(|_| {
-                Ok(StackEntry {
-                    pc: dec.take_usize()?,
-                    mask: dec.take_u64()?,
-                    rpc: dec.take_usize()?,
-                })
-            })
-            .collect::<Result<_, CodecError>>()?;
-        let top = below.pop();
-        let ready_at = dec.take_u64()?;
-        let block_id = if dec.take_bool()? {
-            Some(dec.take_usize()?)
-        } else {
-            None
-        };
-        let formation_block = if dec.take_bool()? {
-            Some(dec.take_u32()?)
-        } else {
-            None
-        };
-        let elision_block = if dec.take_bool()? {
-            Some(dec.take_u32()?)
-        } else {
-            None
-        };
+        let mut below = Vec::<StackEntry>::decode(dec)?;
         Ok(Warp {
             id,
             warp_size,
             lanes,
-            top,
+            top: below.pop(),
             below,
-            ready_at,
-            block_id,
-            formation_block,
-            elision_block,
+            ready_at: dec.take_u64()?,
+            block_id: Codec::decode(dec)?,
+            formation_block: Codec::decode(dec)?,
+            elision_block: Codec::decode(dec)?,
             is_dynamic: dec.take_bool()?,
         })
     }
