@@ -60,47 +60,268 @@
 //! re-invokes this binary for one job; it is not part of the public
 //! surface.
 
-use experiments::campaign::{self, worker, CampaignConfig};
+use experiments::campaign::{self, chaos::Chaos, worker, CampaignConfig};
 use experiments::runner::Scale;
-use experiments::serve::{self, client};
+use experiments::serve::{self, client, ServeConfig};
 use experiments::supervisor::{self, Policy};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
+const USAGE: &str = "usage: repro <workload[@variant]|all|list|campaign|serve|client> \
+     (`repro list` prints the workload catalog) \
+     [--scale paper|quick|test] [--json] \
+     [--trace] [--metrics-every N] \
+     [--checkpoint-every N] [--checkpoint-dir D] [--resume] \
+     [--max-retries N] [--kill-after-checkpoints N]\n\
+     campaign flags: [--workers N] [--campaign-dir D] [--cache-dir D] \
+     [--retries N] [--only a,b,c] [--job-timeout-secs N] \
+     [--heartbeat-timeout-secs N] [--chaos-kill-every K] [--seed S]\n\
+     serve flags: [--bind H:P] [--serve-dir D] [--queue-capacity N] \
+     [--rate N] [--burst N] [--chaos-crash-every K]\n\
+     client flags: [--server H:P | --endpoint-file F] [--artifacts a,b|all] \
+     [--deadline-ms N] [--concurrency N] [--client-out-dir D] \
+     [--client-timeout-secs N] [--flood N] [--healthz] [--drain]";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: repro <workload[@variant]|all|list|campaign|serve|client> \
-         (`repro list` prints the workload catalog) \
-         [--scale paper|quick|test] [--json] \
-         [--trace] [--metrics-every N] \
-         [--checkpoint-every N] [--checkpoint-dir D] [--resume] \
-         [--max-retries N] [--kill-after-checkpoints N]\n\
-         campaign flags: [--workers N] [--campaign-dir D] [--cache-dir D] \
-         [--retries N] [--only a,b,c] [--job-timeout-secs N] \
-         [--heartbeat-timeout-secs N] [--chaos-kill-every K] [--seed S]\n\
-         serve flags: [--bind H:P] [--serve-dir D] [--queue-capacity N] \
-         [--rate N] [--burst N] [--chaos-crash-every K]\n\
-         client flags: [--server H:P | --endpoint-file F] [--artifacts a,b|all] \
-         [--deadline-ms N] [--concurrency N] [--client-out-dir D] \
-         [--client-timeout-secs N] [--flood N] [--healthz] [--drain]"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
+}
+
+/// Everything the flags set, each in the field it sets. `campaign` and
+/// `serve` read the one engine configuration, `serve.engine`.
+#[derive(Debug)]
+struct Cli {
+    policy: Policy,
+    serve: ServeConfig,
+    /// `--cache-dir`: its default, `<dir>/cache`, follows `--campaign-dir`
+    /// under `campaign` and `--serve-dir` under `serve`.
+    cache_dir: Option<PathBuf>,
+    client: client::ClientOpts,
+    /// The `__worker` mode's arguments; its artifact is the mode's
+    /// operand, not a flag.
+    worker: worker::WorkerArgs,
+    trace: bool,
+    /// `0` keeps each machine's divergence window.
+    metrics_every: u64,
+    flood: Option<u64>,
+    healthz: bool,
+    drain: bool,
+}
+
+/// A flag's value as a `T`: `None` when it is missing or does not parse.
+fn parsed<T: FromStr>(value: Option<&String>) -> Option<T> {
+    value?.parse().ok()
+}
+
+/// [`parsed`], for a flag that must be at least 1.
+fn at_least_1<T: FromStr + PartialOrd + From<u8>>(value: Option<&String>) -> Option<T> {
+    parsed(value).filter(|n| *n >= T::from(1))
+}
+
+/// A comma-separated job list.
+fn list(value: &str) -> Vec<String> {
+    value.split(',').map(|s| s.trim().to_string()).collect()
+}
+
+fn all_artifacts() -> Vec<String> {
+    campaign::artifacts()
+        .iter()
+        .map(|s| s.to_string())
+        .collect()
+}
+
+impl Cli {
+    /// Reads `flags`; `None` for an unknown flag or a missing, unparsable
+    /// or out-of-bounds value.
+    fn parse(flags: &[String]) -> Option<Cli> {
+        let mut cli = Cli {
+            policy: Policy::default(),
+            serve: ServeConfig {
+                bind: "127.0.0.1:0".to_string(),
+                serve_dir: PathBuf::from("serve"),
+                engine: CampaignConfig::new(Scale::quick(), "quick"),
+                queue_capacity: 32,
+                rate_per_sec: 0,
+                burst: 8,
+                server_chaos: None,
+            },
+            cache_dir: None,
+            client: client::ClientOpts {
+                server: String::new(),
+                endpoint_file: None,
+                artifacts: all_artifacts(),
+                scale_name: "quick".to_string(),
+                json: false,
+                deadline_ms: None,
+                concurrency: 1,
+                out_dir: None,
+                timeout: Duration::from_secs(600),
+            },
+            worker: worker::WorkerArgs {
+                artifact: String::new(),
+                out: PathBuf::new(),
+                heartbeat: None,
+                fingerprint: 0,
+                json: false,
+                test_fail: false,
+                test_hang: false,
+            },
+            trace: false,
+            metrics_every: 0,
+            flood: None,
+            healthz: false,
+            drain: false,
+        };
+        let (policy, serve, client, worker) = (
+            &mut cli.policy,
+            &mut cli.serve,
+            &mut cli.client,
+            &mut cli.worker,
+        );
+        let engine = &mut serve.engine;
+        // `--seed` seeds both chaos schedules, in whichever order it comes.
+        let mut seed = 0;
+        let chaos = |kill_every| {
+            Some(Chaos {
+                kill_every,
+                seed: 0,
+            })
+        };
+        let mut it = flags.iter();
+        while let Some(flag) = it.next() {
+            let mut value = || it.next();
+            match flag.as_str() {
+                "--checkpoint-every" => {
+                    let n = at_least_1(value())?;
+                    policy.checkpoint_every = n;
+                    engine.checkpoint_every = n;
+                }
+                "--checkpoint-dir" => policy.checkpoint_dir = Some(value()?.into()),
+                "--resume" => policy.resume = true,
+                "--max-retries" => {
+                    let n: u32 = parsed(value())?;
+                    policy.max_retries = n;
+                    engine
+                        .passthrough
+                        .extend(["--max-retries".to_string(), n.to_string()]);
+                }
+                "--kill-after-checkpoints" => {
+                    policy.kill_after_checkpoints = Some(at_least_1(value())?);
+                }
+                "--chaos-abort" => policy.chaos_abort = true,
+                "--scale" => {
+                    let name = value()?;
+                    engine.scale = Scale::parse(name)?;
+                    engine.scale_name.clone_from(name);
+                    client.scale_name.clone_from(name);
+                }
+                "--json" => {
+                    engine.json = true;
+                    client.json = true;
+                    worker.json = true;
+                    engine.passthrough.push("--json".to_string());
+                }
+                "--trace" => {
+                    cli.trace = true;
+                    engine.passthrough.push("--trace".to_string());
+                }
+                "--metrics-every" => {
+                    cli.metrics_every = at_least_1(value())?;
+                    engine
+                        .passthrough
+                        .extend(["--metrics-every".to_string(), cli.metrics_every.to_string()]);
+                }
+                "--workers" => engine.workers = at_least_1(value())?,
+                "--campaign-dir" => engine.work_dir = value()?.into(),
+                "--cache-dir" => cli.cache_dir = Some(value()?.into()),
+                "--retries" => engine.max_retries = parsed(value())?,
+                "--only" => engine.artifacts = list(value()?),
+                "--job-timeout-secs" => {
+                    engine.job_timeout = Duration::from_secs(at_least_1(value())?);
+                }
+                "--heartbeat-timeout-secs" => {
+                    engine.heartbeat_timeout = Duration::from_secs(at_least_1(value())?);
+                }
+                "--chaos-kill-every" => engine.chaos = chaos(at_least_1(value())?),
+                "--seed" => seed = parsed(value())?,
+                "--chaos-fail-job" => engine.test_fail_job = Some(value()?.clone()),
+                "--chaos-hang-job" => engine.test_hang_job = Some(value()?.clone()),
+                "--worker-out" => worker.out = value()?.into(),
+                "--worker-heartbeat" => worker.heartbeat = Some(value()?.into()),
+                "--worker-fingerprint" => {
+                    worker.fingerprint = u64::from_str_radix(value()?, 16).ok()?;
+                }
+                "--worker-test-fail" => worker.test_fail = true,
+                "--worker-test-hang" => worker.test_hang = true,
+                "--bind" => serve.bind.clone_from(value()?),
+                "--serve-dir" => serve.serve_dir = value()?.into(),
+                "--queue-capacity" => serve.queue_capacity = at_least_1(value())?,
+                "--rate" => serve.rate_per_sec = parsed(value())?,
+                "--burst" => serve.burst = at_least_1(value())?,
+                "--chaos-crash-every" => serve.server_chaos = chaos(at_least_1(value())?),
+                "--server" => client.server.clone_from(value()?),
+                "--endpoint-file" => client.endpoint_file = Some(value()?.into()),
+                "--artifacts" => {
+                    client.artifacts = match value()?.as_str() {
+                        "all" => all_artifacts(),
+                        names => list(names),
+                    };
+                }
+                "--deadline-ms" => client.deadline_ms = Some(at_least_1(value())?),
+                "--concurrency" => client.concurrency = at_least_1(value())?,
+                "--client-out-dir" => client.out_dir = Some(value()?.into()),
+                "--client-timeout-secs" => {
+                    client.timeout = Duration::from_secs(at_least_1(value())?);
+                }
+                "--flood" => cli.flood = Some(at_least_1(value())?),
+                "--healthz" => cli.healthz = true,
+                "--drain" => cli.drain = true,
+                _ => return None,
+            }
+        }
+        for chaos in [&mut engine.chaos, &mut serve.server_chaos]
+            .into_iter()
+            .flatten()
+        {
+            chaos.seed = seed;
+        }
+        Some(cli)
+    }
+
+    /// The engine configuration `repro campaign` runs: results, heartbeats
+    /// and checkpoints under `--campaign-dir`.
+    fn campaign(&self) -> CampaignConfig {
+        let mut cfg = self.serve.engine.clone();
+        cfg.cache_dir = self
+            .cache_dir
+            .clone()
+            .unwrap_or_else(|| cfg.work_dir.join("cache"));
+        cfg
+    }
+
+    /// The configuration `repro serve` runs: the same engine, working
+    /// under `--serve-dir`.
+    fn serve(&self) -> ServeConfig {
+        let mut cfg = self.serve.clone();
+        cfg.engine.work_dir = cfg.serve_dir.join("work");
+        cfg.engine.cache_dir = self
+            .cache_dir
+            .clone()
+            .unwrap_or_else(|| cfg.serve_dir.join("cache"));
+        cfg
+    }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return usage();
-    }
-    let (mode, flag_start) = if args[0] == "__worker" {
-        match args.get(1) {
-            Some(_) => (args[0].as_str(), 2),
-            None => return usage(),
-        }
-    } else {
-        (args[0].as_str(), 1)
+    let (mode, flags) = match args.first().map(String::as_str) {
+        None => return usage(),
+        Some("__worker") if args.len() < 2 => return usage(),
+        Some("__worker") => ("__worker", &args[2..]),
+        Some(mode) => (mode, &args[1..]),
     };
     if mode == "list" {
         for w in experiments::workload::all() {
@@ -119,384 +340,25 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let mut scale = Scale::quick();
-    let mut scale_name = "quick".to_string();
-    let mut json = false;
-    let mut policy = Policy::default();
-    // Shared flags the campaign coordinator forwards verbatim to its
-    // workers (only when explicitly given, so worker defaults stay
-    // authoritative).
-    let mut passthrough: Vec<String> = Vec::new();
-    let mut checkpoint_every_flag: Option<u64> = None;
-    // Campaign flags.
-    let mut workers: usize = 2;
-    let mut campaign_dir: Option<PathBuf> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut retries: u32 = 3;
-    let mut only: Option<Vec<String>> = None;
-    let mut job_timeout_secs: Option<u64> = None;
-    let mut heartbeat_timeout_secs: Option<u64> = None;
-    let mut chaos_kill_every: u64 = 0;
-    let mut chaos_seed: u64 = 0;
-    let mut test_fail_job: Option<String> = None;
-    let mut test_hang_job: Option<String> = None;
-    // Worker flags.
-    let mut worker_out: Option<PathBuf> = None;
-    let mut worker_heartbeat: Option<PathBuf> = None;
-    let mut worker_fingerprint: u64 = 0;
-    let mut worker_test_fail = false;
-    let mut worker_test_hang = false;
-    // Serve flags.
-    let mut bind = "127.0.0.1:0".to_string();
-    let mut serve_dir = PathBuf::from("serve");
-    let mut queue_capacity: usize = 32;
-    let mut rate_per_sec: u64 = 0;
-    let mut burst: u64 = 8;
-    let mut chaos_crash_every: u64 = 0;
-    // Client flags.
-    let mut server: Option<String> = None;
-    let mut endpoint_file: Option<PathBuf> = None;
-    let mut client_artifacts: Vec<String> = Vec::new();
-    let mut deadline_ms: Option<u64> = None;
-    let mut concurrency: usize = 1;
-    let mut client_out_dir: Option<PathBuf> = None;
-    let mut client_timeout_secs: u64 = 600;
-    let mut flood_n: Option<u64> = None;
-    let mut do_healthz = false;
-    let mut do_drain = false;
-
-    let mut i = flag_start;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--checkpoint-every" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => {
-                        policy.checkpoint_every = n;
-                        checkpoint_every_flag = Some(n);
-                    }
-                    _ => return usage(),
-                }
-            }
-            "--checkpoint-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(d) => policy.checkpoint_dir = Some(d.into()),
-                    None => return usage(),
-                }
-            }
-            "--resume" => policy.resume = true,
-            "--max-retries" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(n) => {
-                        policy.max_retries = n;
-                        passthrough.extend(["--max-retries".to_string(), n.to_string()]);
-                    }
-                    None => return usage(),
-                }
-            }
-            "--kill-after-checkpoints" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => policy.kill_after_checkpoints = Some(n),
-                    _ => return usage(),
-                }
-            }
-            "--chaos-abort" => policy.chaos_abort = true,
-            "--scale" => {
-                i += 1;
-                let Some(s) = args.get(i).and_then(|s| Scale::parse(s)) else {
-                    return usage();
-                };
-                scale = s;
-                scale_name = args[i].clone();
-            }
-            "--json" => {
-                json = true;
-                passthrough.push("--json".to_string());
-            }
-            "--trace" => {
-                experiments::set_trace(true);
-                passthrough.push("--trace".to_string());
-            }
-            "--metrics-every" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => {
-                        experiments::set_metrics_every(n);
-                        passthrough.extend(["--metrics-every".to_string(), n.to_string()]);
-                    }
-                    _ => return usage(),
-                }
-            }
-            "--workers" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => workers = n,
-                    _ => return usage(),
-                }
-            }
-            "--campaign-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(d) => campaign_dir = Some(d.into()),
-                    None => return usage(),
-                }
-            }
-            "--cache-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(d) => cache_dir = Some(d.into()),
-                    None => return usage(),
-                }
-            }
-            "--retries" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(n) => retries = n,
-                    None => return usage(),
-                }
-            }
-            "--only" => {
-                i += 1;
-                match args.get(i) {
-                    Some(list) => {
-                        only = Some(list.split(',').map(|s| s.trim().to_string()).collect())
-                    }
-                    None => return usage(),
-                }
-            }
-            "--job-timeout-secs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => job_timeout_secs = Some(n),
-                    _ => return usage(),
-                }
-            }
-            "--heartbeat-timeout-secs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => heartbeat_timeout_secs = Some(n),
-                    _ => return usage(),
-                }
-            }
-            "--chaos-kill-every" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => chaos_kill_every = n,
-                    _ => return usage(),
-                }
-            }
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) => chaos_seed = n,
-                    None => return usage(),
-                }
-            }
-            "--chaos-fail-job" => {
-                i += 1;
-                match args.get(i) {
-                    Some(j) => test_fail_job = Some(j.clone()),
-                    None => return usage(),
-                }
-            }
-            "--chaos-hang-job" => {
-                i += 1;
-                match args.get(i) {
-                    Some(j) => test_hang_job = Some(j.clone()),
-                    None => return usage(),
-                }
-            }
-            "--worker-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => worker_out = Some(p.into()),
-                    None => return usage(),
-                }
-            }
-            "--worker-heartbeat" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => worker_heartbeat = Some(p.into()),
-                    None => return usage(),
-                }
-            }
-            "--worker-fingerprint" => {
-                i += 1;
-                match args.get(i).and_then(|s| u64::from_str_radix(s, 16).ok()) {
-                    Some(fp) => worker_fingerprint = fp,
-                    None => return usage(),
-                }
-            }
-            "--worker-test-fail" => worker_test_fail = true,
-            "--worker-test-hang" => worker_test_hang = true,
-            "--bind" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) => bind = a.clone(),
-                    None => return usage(),
-                }
-            }
-            "--serve-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(d) => serve_dir = d.into(),
-                    None => return usage(),
-                }
-            }
-            "--queue-capacity" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => queue_capacity = n,
-                    _ => return usage(),
-                }
-            }
-            "--rate" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) => rate_per_sec = n,
-                    None => return usage(),
-                }
-            }
-            "--burst" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => burst = n,
-                    _ => return usage(),
-                }
-            }
-            "--chaos-crash-every" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => chaos_crash_every = n,
-                    _ => return usage(),
-                }
-            }
-            "--server" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) => server = Some(a.clone()),
-                    None => return usage(),
-                }
-            }
-            "--endpoint-file" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => endpoint_file = Some(p.into()),
-                    None => return usage(),
-                }
-            }
-            "--artifacts" => {
-                i += 1;
-                match args.get(i) {
-                    Some(list) if list == "all" => {
-                        client_artifacts = campaign::artifacts()
-                            .iter()
-                            .map(|s| s.to_string())
-                            .collect();
-                    }
-                    Some(list) => {
-                        client_artifacts = list.split(',').map(|s| s.trim().to_string()).collect();
-                    }
-                    None => return usage(),
-                }
-            }
-            "--deadline-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => deadline_ms = Some(n),
-                    _ => return usage(),
-                }
-            }
-            "--concurrency" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => concurrency = n,
-                    _ => return usage(),
-                }
-            }
-            "--client-out-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(d) => client_out_dir = Some(d.into()),
-                    None => return usage(),
-                }
-            }
-            "--client-timeout-secs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => client_timeout_secs = n,
-                    _ => return usage(),
-                }
-            }
-            "--flood" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => flood_n = Some(n),
-                    _ => return usage(),
-                }
-            }
-            "--healthz" => do_healthz = true,
-            "--drain" => do_drain = true,
-            _ => return usage(),
-        }
-        i += 1;
-    }
-    supervisor::set_policy(policy.clone());
+    let Some(mut cli) = Cli::parse(flags) else {
+        return usage();
+    };
+    experiments::set_trace(cli.trace);
+    experiments::set_metrics_every(cli.metrics_every);
+    supervisor::set_policy(cli.policy.clone());
+    let (scale, json) = (cli.serve.engine.scale, cli.serve.engine.json);
 
     if mode == "__worker" {
-        let Some(out) = worker_out else {
+        if cli.worker.out.as_os_str().is_empty() {
             eprintln!("error: __worker requires --worker-out");
             return ExitCode::from(2);
-        };
-        let wargs = worker::WorkerArgs {
-            artifact: args[1].clone(),
-            out,
-            heartbeat: worker_heartbeat,
-            fingerprint: worker_fingerprint,
-            json,
-            test_fail: worker_test_fail,
-            test_hang: worker_test_hang,
-        };
-        return worker::run_worker(&wargs, scale);
+        }
+        cli.worker.artifact.clone_from(&args[1]);
+        return worker::run_worker(&cli.worker, scale);
     }
 
     if mode == "campaign" {
-        let mut cfg = CampaignConfig::new(scale, &scale_name);
-        cfg.json = json;
-        cfg.workers = workers;
-        if let Some(d) = campaign_dir {
-            cfg.cache_dir = d.join("cache");
-            cfg.work_dir = d;
-        }
-        if let Some(d) = cache_dir {
-            cfg.cache_dir = d;
-        }
-        if let Some(n) = checkpoint_every_flag {
-            cfg.checkpoint_every = n;
-        }
-        cfg.max_retries = retries;
-        if let Some(s) = job_timeout_secs {
-            cfg.job_timeout = Duration::from_secs(s);
-        }
-        if let Some(s) = heartbeat_timeout_secs {
-            cfg.heartbeat_timeout = Duration::from_secs(s);
-        }
-        if chaos_kill_every > 0 {
-            cfg.chaos = Some(campaign::chaos::Chaos {
-                kill_every: chaos_kill_every,
-                seed: chaos_seed,
-            });
-        }
-        if let Some(list) = only {
-            cfg.artifacts = list;
-        }
-        cfg.passthrough = passthrough;
-        cfg.test_fail_job = test_fail_job;
-        cfg.test_hang_job = test_hang_job;
-        let outcome = match campaign::run(&cfg) {
+        let outcome = match campaign::run(&cli.campaign()) {
             Ok(o) => o,
             Err(e) => {
                 eprintln!("error: campaign: {e}");
@@ -535,46 +397,7 @@ fn main() -> ExitCode {
     }
 
     if mode == "serve" {
-        // Reuse the campaign's execution defaults; the same flags tune
-        // worker supervision under serve.
-        let mut base = CampaignConfig::new(scale, &scale_name);
-        base.workers = workers;
-        base.max_retries = retries;
-        base.work_dir = serve_dir.join("work");
-        base.cache_dir = cache_dir.unwrap_or_else(|| serve_dir.join("cache"));
-        if let Some(n) = checkpoint_every_flag {
-            base.checkpoint_every = n;
-        }
-        if let Some(s) = job_timeout_secs {
-            base.job_timeout = Duration::from_secs(s);
-        }
-        if let Some(s) = heartbeat_timeout_secs {
-            base.heartbeat_timeout = Duration::from_secs(s);
-        }
-        if chaos_kill_every > 0 {
-            base.chaos = Some(campaign::chaos::Chaos {
-                kill_every: chaos_kill_every,
-                seed: chaos_seed,
-            });
-        }
-        base.passthrough = passthrough;
-        base.test_fail_job = test_fail_job;
-        base.test_hang_job = test_hang_job;
-        let cfg = serve::ServeConfig {
-            bind,
-            serve_dir,
-            exec: base.exec(),
-            default_scale: scale,
-            default_scale_name: scale_name,
-            queue_capacity,
-            rate_per_sec,
-            burst,
-            server_chaos: (chaos_crash_every > 0).then_some(campaign::chaos::Chaos {
-                kill_every: chaos_crash_every,
-                seed: chaos_seed,
-            }),
-        };
-        return match serve::run(cfg) {
+        return match serve::run(cli.serve()) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: serve: {e}");
@@ -584,23 +407,23 @@ fn main() -> ExitCode {
     }
 
     if mode == "client" {
-        let timeout = Duration::from_secs(client_timeout_secs);
-        let addr = match (server, &endpoint_file) {
-            (Some(a), _) => a,
-            (None, Some(f)) => match client::read_endpoint(f, Duration::from_secs(30)) {
-                Ok(a) => a,
+        let mut opts = cli.client;
+        if opts.server.is_empty() {
+            let Some(file) = &opts.endpoint_file else {
+                eprintln!("error: client needs --server or --endpoint-file");
+                return usage();
+            };
+            match client::read_endpoint(file, Duration::from_secs(30)) {
+                Ok(addr) => opts.server = addr,
                 Err(e) => {
                     eprintln!("error: client: {e}");
                     return ExitCode::from(2);
                 }
-            },
-            (None, None) => {
-                eprintln!("error: client needs --server or --endpoint-file");
-                return usage();
             }
-        };
-        if do_healthz {
-            return match client::request(&addr, "GET", "/healthz", "") {
+        }
+        let addr = &opts.server;
+        if cli.healthz {
+            return match client::request(addr, "GET", "/healthz", "") {
                 Ok(resp) => {
                     print!("{}", String::from_utf8_lossy(&resp.body));
                     ExitCode::SUCCESS
@@ -611,8 +434,8 @@ fn main() -> ExitCode {
                 }
             };
         }
-        if do_drain {
-            return match client::request(&addr, "POST", "/drain", "") {
+        if cli.drain {
+            return match client::request(addr, "POST", "/drain", "") {
                 Ok(resp) if resp.status == 200 => ExitCode::SUCCESS,
                 Ok(resp) => {
                     eprintln!("error: client: drain: HTTP {}", resp.status);
@@ -624,25 +447,7 @@ fn main() -> ExitCode {
                 }
             };
         }
-        let opts = client::ClientOpts {
-            server: addr,
-            endpoint_file,
-            artifacts: if client_artifacts.is_empty() {
-                campaign::artifacts()
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect()
-            } else {
-                client_artifacts
-            },
-            scale_name,
-            json,
-            deadline_ms,
-            concurrency,
-            out_dir: client_out_dir,
-            timeout,
-        };
-        if let Some(n) = flood_n {
+        if let Some(n) = cli.flood {
             let artifact = opts.artifacts.first().cloned().unwrap_or_default();
             return match client::flood(&opts, &artifact, n) {
                 Ok((accepted, shed)) => {
@@ -709,13 +514,247 @@ fn main() -> ExitCode {
             None => {
                 // The typed registry error: echo exactly what was asked
                 // for and point at the catalog.
-                let spec = experiments::workload::ScenarioSpec::new(mode, scale, &scale_name);
+                let spec = experiments::workload::ScenarioSpec::new(
+                    mode,
+                    scale,
+                    &cli.serve.engine.scale_name,
+                );
                 match spec.resolve() {
                     Err(e) => eprintln!("error: {e}"),
                     Ok(_) => unreachable!("render_artifact returned None for a known workload"),
                 }
                 ExitCode::from(2)
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    fn parse(flags: &[&str]) -> Option<Cli> {
+        Cli::parse(&flags.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    /// Every flag `USAGE` names: a value it takes (`None` for a switch),
+    /// whether it must be at least 1, and whether the value landed where it
+    /// belongs. Each is read after both chaos schedules are armed, so
+    /// `--seed` has somewhere to land.
+    #[test]
+    fn every_flag_lands_in_its_field_and_keeps_its_bounds() {
+        type Lands = fn(&Cli) -> bool;
+        let table: [(&str, Option<&str>, bool, Lands); 34] = [
+            ("--scale", Some("test"), false, |c| {
+                c.serve.engine.scale == Scale::test()
+                    && c.serve.engine.scale_name == "test"
+                    && c.client.scale_name == "test"
+            }),
+            ("--json", None, false, |c| {
+                c.serve.engine.json
+                    && c.client.json
+                    && c.worker.json
+                    && c.serve.engine.passthrough == ["--json"]
+            }),
+            ("--trace", None, false, |c| {
+                c.trace && c.serve.engine.passthrough == ["--trace"]
+            }),
+            ("--metrics-every", Some("7"), true, |c| {
+                c.metrics_every == 7 && c.serve.engine.passthrough == ["--metrics-every", "7"]
+            }),
+            ("--checkpoint-every", Some("7"), true, |c| {
+                c.policy.checkpoint_every == 7 && c.serve.engine.checkpoint_every == 7
+            }),
+            ("--checkpoint-dir", Some("D"), false, |c| {
+                c.policy.checkpoint_dir == Some(PathBuf::from("D"))
+            }),
+            ("--resume", None, false, |c| c.policy.resume),
+            ("--max-retries", Some("0"), false, |c| {
+                c.policy.max_retries == 0 && c.serve.engine.passthrough == ["--max-retries", "0"]
+            }),
+            ("--kill-after-checkpoints", Some("7"), true, |c| {
+                c.policy.kill_after_checkpoints == Some(7)
+            }),
+            ("--workers", Some("7"), true, |c| {
+                c.serve.engine.workers == 7
+            }),
+            ("--campaign-dir", Some("C"), false, |c| {
+                c.campaign().work_dir == Path::new("C")
+                    && c.campaign().cache_dir == Path::new("C/cache")
+            }),
+            ("--cache-dir", Some("X"), false, |c| {
+                c.campaign().cache_dir == Path::new("X")
+                    && c.serve().engine.cache_dir == Path::new("X")
+            }),
+            ("--retries", Some("0"), false, |c| {
+                c.serve.engine.max_retries == 0
+            }),
+            ("--only", Some("fig3, fig7"), false, |c| {
+                c.serve.engine.artifacts == ["fig3", "fig7"]
+            }),
+            ("--job-timeout-secs", Some("7"), true, |c| {
+                c.serve.engine.job_timeout == Duration::from_secs(7)
+            }),
+            ("--heartbeat-timeout-secs", Some("7"), true, |c| {
+                c.serve.engine.heartbeat_timeout == Duration::from_secs(7)
+            }),
+            ("--chaos-kill-every", Some("7"), true, |c| {
+                c.serve.engine.chaos.map(|k| k.kill_every) == Some(7)
+            }),
+            ("--seed", Some("7"), false, |c| {
+                c.serve.engine.chaos.map(|k| k.seed) == Some(7)
+                    && c.serve.server_chaos.map(|k| k.seed) == Some(7)
+            }),
+            ("--bind", Some("127.0.0.1:7"), false, |c| {
+                c.serve().bind == "127.0.0.1:7"
+            }),
+            ("--serve-dir", Some("S"), false, |c| {
+                let serve = c.serve();
+                serve.serve_dir == Path::new("S")
+                    && serve.engine.work_dir == Path::new("S/work")
+                    && serve.engine.cache_dir == Path::new("S/cache")
+            }),
+            ("--queue-capacity", Some("7"), true, |c| {
+                c.serve.queue_capacity == 7
+            }),
+            ("--rate", Some("7"), false, |c| c.serve.rate_per_sec == 7),
+            ("--burst", Some("7"), true, |c| c.serve.burst == 7),
+            ("--chaos-crash-every", Some("7"), true, |c| {
+                c.serve.server_chaos.map(|k| k.kill_every) == Some(7)
+            }),
+            ("--server", Some("h:7"), false, |c| c.client.server == "h:7"),
+            ("--endpoint-file", Some("F"), false, |c| {
+                c.client.endpoint_file == Some(PathBuf::from("F"))
+            }),
+            ("--artifacts", Some("fig3,fig7"), false, |c| {
+                c.client.artifacts == ["fig3", "fig7"]
+            }),
+            ("--deadline-ms", Some("7"), true, |c| {
+                c.client.deadline_ms == Some(7)
+            }),
+            ("--concurrency", Some("7"), true, |c| {
+                c.client.concurrency == 7
+            }),
+            ("--client-out-dir", Some("O"), false, |c| {
+                c.client.out_dir == Some(PathBuf::from("O"))
+            }),
+            ("--client-timeout-secs", Some("7"), true, |c| {
+                c.client.timeout == Duration::from_secs(7)
+            }),
+            ("--flood", Some("7"), true, |c| c.flood == Some(7)),
+            ("--healthz", None, false, |c| c.healthz),
+            ("--drain", None, false, |c| c.drain),
+        ];
+        let mut named: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        named.sort_unstable();
+        let mut tabled: Vec<&str> = table.iter().map(|row| row.0).collect();
+        tabled.sort_unstable();
+        assert_eq!(
+            tabled, named,
+            "the table covers exactly the flags USAGE names"
+        );
+        let armed = ["--chaos-kill-every", "3", "--chaos-crash-every", "4"];
+        for (flag, value, at_least_1, lands) in table {
+            let with = |value: &[&str]| parse(&[&armed[..], &[flag], value].concat());
+            match value {
+                Some(v) => {
+                    assert!(with(&[]).is_none(), "{flag} without its value");
+                    let cli = with(&[v]).unwrap_or_else(|| panic!("{flag} {v} parses"));
+                    assert!(lands(&cli), "{flag} {v} lands in its field");
+                    assert!(!at_least_1 || with(&["0"]).is_none(), "{flag} 0");
+                }
+                None => assert!(lands(&with(&[]).expect("a switch parses")), "{flag}"),
+            }
+        }
+        assert!(parse(&["--nope"]).is_none(), "an unknown flag");
+    }
+
+    #[test]
+    fn the_defaults_are_the_documented_ones() {
+        let cli = parse(&[]).expect("no flags parse");
+        let engine = cli.campaign();
+        assert_eq!((engine.scale_name.as_str(), engine.workers), ("quick", 2));
+        assert_eq!((engine.max_retries, engine.checkpoint_every), (3, 2000));
+        assert_eq!(engine.work_dir, PathBuf::from("campaign"));
+        assert_eq!(engine.cache_dir, PathBuf::from("campaign/cache"));
+        assert!(engine.chaos.is_none() && engine.passthrough.is_empty());
+        let serve = cli.serve();
+        assert_eq!(
+            (serve.bind.as_str(), serve.queue_capacity),
+            ("127.0.0.1:0", 32)
+        );
+        assert_eq!((serve.rate_per_sec, serve.burst), (0, 8));
+        assert_eq!(serve.engine.work_dir, PathBuf::from("serve/work"));
+        assert_eq!(serve.engine.cache_dir, PathBuf::from("serve/cache"));
+        assert_eq!(cli.client.artifacts, all_artifacts());
+        assert_eq!(cli.client.timeout, Duration::from_secs(600));
+        assert_eq!((cli.client.concurrency, cli.policy.max_retries), (1, 3));
+    }
+
+    /// `campaign` and `serve` given the same flags run the same engine,
+    /// each under its own directory.
+    #[test]
+    fn campaign_and_serve_build_one_engine_from_the_same_flags() {
+        let cli = parse(&[
+            "--scale",
+            "test",
+            "--json",
+            "--trace",
+            "--metrics-every",
+            "5",
+            "--checkpoint-every",
+            "9",
+            "--max-retries",
+            "2",
+            "--workers",
+            "3",
+            "--retries",
+            "4",
+            "--only",
+            "fig3",
+            "--job-timeout-secs",
+            "6",
+            "--heartbeat-timeout-secs",
+            "7",
+            "--chaos-kill-every",
+            "8",
+            "--seed",
+            "1",
+            "--chaos-fail-job",
+            "fig3",
+            "--chaos-hang-job",
+            "fig7",
+            "--campaign-dir",
+            "C",
+            "--serve-dir",
+            "S",
+        ])
+        .expect("parses");
+        let campaign = cli.campaign();
+        let mut serve = cli.serve().engine;
+        assert_eq!(campaign.work_dir, PathBuf::from("C"));
+        assert_eq!(campaign.cache_dir, PathBuf::from("C/cache"));
+        assert_eq!(serve.work_dir, PathBuf::from("S/work"));
+        assert_eq!(serve.cache_dir, PathBuf::from("S/cache"));
+        serve.work_dir.clone_from(&campaign.work_dir);
+        serve.cache_dir.clone_from(&campaign.cache_dir);
+        assert_eq!(format!("{serve:?}"), format!("{campaign:?}"));
+    }
+
+    #[test]
+    fn cache_dir_overrides_the_campaign_dir_default_in_either_order() {
+        for flags in [
+            ["--campaign-dir", "C", "--cache-dir", "X"],
+            ["--cache-dir", "X", "--campaign-dir", "C"],
+        ] {
+            let cli = parse(&flags).expect("parses");
+            assert_eq!(cli.campaign().work_dir, PathBuf::from("C"));
+            assert_eq!(cli.campaign().cache_dir, PathBuf::from("X"));
+            assert_eq!(cli.serve().engine.cache_dir, PathBuf::from("X"));
         }
     }
 }

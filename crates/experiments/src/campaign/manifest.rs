@@ -8,6 +8,7 @@
 //! (canonical job order, no timings) so fixed-seed chaos campaigns can
 //! be diffed in CI.
 
+use crate::serve::json::escape;
 use std::fmt;
 
 /// How one campaign job reached its final state.
@@ -281,23 +282,6 @@ impl fmt::Display for Manifest {
             self.timeouts_total()
         )
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -127,8 +127,13 @@ pub fn job_fingerprint(artifact: &str, scale: Scale, json: bool) -> u64 {
     scenario_fingerprint(&ScenarioSpec::new(artifact, scale, ""), json)
 }
 
-/// Campaign configuration, built by the `repro campaign` argument
-/// parser (or directly by tests and the benchmark harness).
+/// The job engine's one configuration: what a batch [`run`] renders and
+/// how the [`Coordinator`] supervises workers, for `repro campaign` and
+/// `repro serve` alike. Built by the `repro` argument parser (or directly
+/// by tests and the benchmark harness). A [`Coordinator`] reads only the
+/// supervision fields: the artifact list, scale and output mode are what
+/// [`run`] submits, and `repro serve` gives a request that names no scale
+/// this `scale`.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Experiment scale every job runs at.
@@ -202,50 +207,6 @@ impl CampaignConfig {
             test_hang_job: None,
         }
     }
-
-    /// The execution-engine half of this configuration (everything the
-    /// [`Coordinator`] needs; the artifact list and per-job scale live in
-    /// the [`JobSpec`]s submitted to it).
-    pub fn exec(&self) -> ExecConfig {
-        ExecConfig {
-            workers: self.workers,
-            work_dir: self.work_dir.clone(),
-            cache_dir: self.cache_dir.clone(),
-            worker_exe: self.worker_exe.clone(),
-            checkpoint_every: self.checkpoint_every,
-            max_retries: self.max_retries,
-            job_timeout: self.job_timeout,
-            heartbeat_timeout: self.heartbeat_timeout,
-            backoff_base: self.backoff_base,
-            backoff_cap: self.backoff_cap,
-            chaos: self.chaos,
-            passthrough: self.passthrough.clone(),
-            test_fail_job: self.test_fail_job.clone(),
-            test_hang_job: self.test_hang_job.clone(),
-        }
-    }
-}
-
-/// Configuration of the job-execution engine itself, shared by batch
-/// campaigns and the `repro serve` front-end. Field meanings match
-/// [`CampaignConfig`].
-#[derive(Debug, Clone)]
-#[allow(missing_docs)]
-pub struct ExecConfig {
-    pub workers: usize,
-    pub work_dir: PathBuf,
-    pub cache_dir: PathBuf,
-    pub worker_exe: PathBuf,
-    pub checkpoint_every: u64,
-    pub max_retries: u32,
-    pub job_timeout: Duration,
-    pub heartbeat_timeout: Duration,
-    pub backoff_base: Duration,
-    pub backoff_cap: Duration,
-    pub chaos: Option<Chaos>,
-    pub passthrough: Vec<String>,
-    pub test_fail_job: Option<String>,
-    pub test_hang_job: Option<String>,
 }
 
 /// One job submission: which scenario, in which output mode, and under
@@ -524,7 +485,7 @@ fn describe_exit(status: ExitStatus) -> String {
 /// batch campaigns; `repro serve` pumps it continuously while admitting
 /// new work.
 pub struct Coordinator {
-    cfg: ExecConfig,
+    cfg: CampaignConfig,
     out_dir: PathBuf,
     hb_dir: PathBuf,
     ckpt_root: PathBuf,
@@ -544,7 +505,7 @@ impl Coordinator {
     /// # Errors
     ///
     /// Misconfiguration only: zero workers or unusable directories.
-    pub fn new(cfg: ExecConfig) -> Result<Self, String> {
+    pub fn new(cfg: CampaignConfig) -> Result<Self, String> {
         if cfg.workers == 0 {
             return Err("campaign needs at least one worker".to_string());
         }
@@ -882,7 +843,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
         spec.resolve().map_err(|e| e.to_string())?;
         requested.push(spec);
     }
-    let mut coord = Coordinator::new(cfg.exec())?;
+    let mut coord = Coordinator::new(cfg.clone())?;
     // Canonical registry order; duplicates collapse (requests for the
     // same workload keep their relative request order, so a narrowed
     // `id@variant` job sorts with its workload).
@@ -941,7 +902,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
 /// carrying a job-level error finishes the job as `Failed` without
 /// burning retries — the error is deterministic.
 fn complete_from_frame(
-    cfg: &ExecConfig,
+    cfg: &CampaignConfig,
     counters: &mut ExecCounters,
     job: &mut Job,
     out_path: &std::path::Path,
@@ -1016,7 +977,7 @@ fn expire_deadline(counters: &mut ExecCounters, job: &mut Job) {
 /// exponential backoff under the retry budget, or finishes the job as
 /// `GaveUp` — the campaign itself keeps going either way.
 fn worker_died(
-    cfg: &ExecConfig,
+    cfg: &CampaignConfig,
     counters: &mut ExecCounters,
     job: &mut Job,
     reason: &str,
@@ -1056,7 +1017,7 @@ fn worker_died(
 /// Spawns one worker attempt for `job`, wiring its heartbeat, result
 /// shard, checkpoint directory, chaos plan, and test hooks.
 fn spawn_attempt(
-    cfg: &ExecConfig,
+    cfg: &CampaignConfig,
     job: &mut Job,
     idx: usize,
     out_dir: &std::path::Path,
@@ -1260,7 +1221,7 @@ mod tests {
         let mut cfg = CampaignConfig::new(Scale::test(), "test");
         cfg.artifacts = vec!["bogus".to_string()];
         assert!(run(&cfg).is_err());
-        let mut coord = Coordinator::new(cfg.exec()).expect("engine builds");
+        let mut coord = Coordinator::new(cfg).expect("engine builds");
         assert!(coord
             .submit(JobSpec::new("bogus", Scale::test(), "test", false))
             .is_err());
@@ -1274,7 +1235,7 @@ mod tests {
         let mut cfg = CampaignConfig::new(Scale::test(), "test");
         cfg.cache_dir = dir.join("cache");
         cfg.work_dir = dir.clone();
-        let mut coord = Coordinator::new(cfg.exec()).expect("engine builds");
+        let mut coord = Coordinator::new(cfg).expect("engine builds");
         let idx = coord
             .submit(JobSpec::new("table3", Scale::test(), "test", false))
             .expect("submits");
@@ -1291,7 +1252,7 @@ mod tests {
         let mut cfg = CampaignConfig::new(Scale::test(), "test");
         cfg.cache_dir = dir.join("cache");
         cfg.work_dir = dir.clone();
-        let mut coord = Coordinator::new(cfg.exec()).expect("engine builds");
+        let mut coord = Coordinator::new(cfg).expect("engine builds");
         let a = coord
             .submit(JobSpec::new("table3", Scale::test(), "test", false))
             .expect("submits");

@@ -150,8 +150,10 @@ pub struct JobResult {
 /// The request body for one artifact under `opts`.
 fn body_for(opts: &ClientOpts, artifact: &str) -> String {
     let mut body = format!(
-        "{{\"artifact\": \"{artifact}\", \"scale\": \"{}\", \"json\": {}",
-        opts.scale_name, opts.json
+        "{{\"artifact\": \"{}\", \"scale\": \"{}\", \"json\": {}",
+        json::escape(artifact),
+        json::escape(&opts.scale_name),
+        opts.json
     );
     if let Some(ms) = opts.deadline_ms {
         body.push_str(&format!(", \"deadline_ms\": {ms}"));
@@ -364,4 +366,30 @@ pub fn flood(opts: &ClientOpts, artifact: &str, n: u64) -> Result<(u64, u64), St
         }
     }
     Ok((accepted, shed))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_request_body_carries_any_artifact_name_intact() {
+        let opts = ClientOpts {
+            server: String::new(),
+            endpoint_file: None,
+            artifacts: Vec::new(),
+            scale_name: "test".to_string(),
+            json: true,
+            deadline_ms: Some(5),
+            concurrency: 1,
+            out_dir: None,
+            timeout: Duration::from_secs(1),
+        };
+        let name = "a\"b\\c\nd";
+        let body = json::parse_flat(&body_for(&opts, name)).expect("the body is JSON");
+        assert_eq!(json::get_str(&body, "artifact"), Some(name));
+        assert_eq!(json::get_str(&body, "scale"), Some("test"));
+        assert_eq!(json::get_bool(&body, "json"), Some(true));
+        assert_eq!(json::get_num(&body, "deadline_ms"), Some(5));
+    }
 }

@@ -14,8 +14,8 @@
 //! cache.
 
 use super::admission::ShedReason;
+use super::json::escape;
 use super::{admit, http, json, spec_from_request, Admission, JobState, Shared};
-use crate::campaign::manifest::escape;
 use crate::campaign::{ExecCounters, Job};
 use std::io::{BufReader, Read};
 use std::net::TcpStream;

@@ -1,8 +1,9 @@
-//! A tiny flat-JSON reader for serve request bodies. The offline serde
-//! shim has no deserializer, so — mirroring the hand-rolled writers in
-//! `campaign::manifest` — requests are parsed with a small tokenizer
-//! that understands exactly what the job API needs: one flat object of
-//! string / number / bool / null fields. Nested values are rejected.
+//! A tiny flat-JSON reader for serve request bodies, and [`escape`], the
+//! string half of every hand-rolled JSON writer in the crate. The offline
+//! serde shim has no deserializer, so requests are parsed with a small
+//! tokenizer that understands exactly what the job API needs: one flat
+//! object of string / number / bool / null fields. Nested values are
+//! rejected.
 
 use std::collections::BTreeMap;
 
@@ -185,6 +186,23 @@ impl Parser<'_> {
             Err(format!("bad literal at byte {}", self.pos))
         }
     }
+}
+
+/// Escapes a string for embedding in a JSON string literal.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 8);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// String field accessor.

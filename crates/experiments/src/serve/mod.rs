@@ -1,12 +1,10 @@
 //! `repro serve` — a crash-tolerant job-queue front door for the
 //! campaign execution engine (`DESIGN.md` §14).
 //!
-//! The service accepts render/experiment requests over a hand-rolled
-//! HTTP/1.1 layer ([`http`], loopback `TcpListener`, no new deps) and —
-//! for headless use — a filesystem job-drop directory
-//! (`<serve_dir>/drop/*.json`, same JSON body as `POST /jobs`). A
-//! request names an artifact, scale, output mode, and optional deadline;
-//! it passes through [`admission`] control (bounded queue +
+//! The service accepts render/experiment requests over one door, a
+//! hand-rolled HTTP/1.1 layer ([`http`], loopback `TcpListener`, no new
+//! deps). A request names an artifact, scale, output mode, and optional
+//! deadline; it passes through [`admission`] control (bounded queue +
 //! token-bucket rate limit, typed 429 sheds with retry-after hints), is
 //! made durable in the write-ahead [`journal`] *before* the 202
 //! acknowledgment, and is then submitted to the shared
@@ -25,9 +23,8 @@
 //!   result frames and checkpoints are written atomically and the
 //!   simulation is deterministic, so an orphan and its replacement can
 //!   only ever write identical bytes.
-//! - **Drain**: `POST /drain` (or a `drain` sentinel file in the drop
-//!   directory) stops admission — new submissions shed typed
-//!   `draining` responses — finishes or checkpoints in-flight work,
+//! - **Drain**: `POST /drain` stops admission — new submissions shed
+//!   typed `draining` responses — finishes or checkpoints in-flight work,
 //!   writes a final manifest, and exits 0. This is the graceful-stop
 //!   path; the experiments crate forbids `unsafe` and links no libc, so
 //!   a SIGTERM handler is deliberately out of reach — and unnecessary,
@@ -65,7 +62,7 @@ pub mod json;
 
 use crate::campaign::chaos::Chaos;
 use crate::campaign::manifest::Manifest;
-use crate::campaign::{Coordinator, ExecConfig, Job, JobSpec};
+use crate::campaign::{CampaignConfig, Coordinator, Job, JobSpec};
 use crate::runner::Scale;
 use admission::{ShedCounters, ShedReason, TokenBucket};
 use journal::{Journal, JournalEntry};
@@ -78,9 +75,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Longest the pump parks between passes: the bound on noticing what it
-/// can only learn by looking — a file in the drop directory, a stale
-/// heartbeat, a wall-clock or deadline expiry, a back-off run out.
-/// Admission, drain and a worker's exit wake it at once.
+/// can only learn by looking — a stale heartbeat, a wall-clock or
+/// deadline expiry, a back-off run out. Admission, drain and a worker's
+/// exit wake it at once.
 const PUMP_TICK: Duration = Duration::from_millis(10);
 
 /// How long the accept thread stays away from `accept()` after it failed
@@ -94,15 +91,12 @@ pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` = loopback, ephemeral port; the
     /// resolved address is written to `<serve_dir>/endpoint`).
     pub bind: String,
-    /// Service state directory: journal, drop-dir ingress, endpoint
-    /// file, incarnation counter, final manifest.
+    /// Service state directory: journal, endpoint file, incarnation
+    /// counter, final manifest.
     pub serve_dir: PathBuf,
-    /// Worker-supervision configuration for the backing coordinator.
-    pub exec: ExecConfig,
-    /// Default scale for requests that don't name one.
-    pub default_scale: Scale,
-    /// Name of the default scale.
-    pub default_scale_name: String,
+    /// The backing coordinator's configuration; its `scale` and
+    /// `scale_name` are the default for requests that don't name one.
+    pub engine: CampaignConfig,
     /// Bounded-queue capacity: accepted-but-not-terminal jobs never
     /// exceed this; excess submissions shed `queue-full`.
     pub queue_capacity: usize,
@@ -169,9 +163,6 @@ pub struct Inner {
     pub incarnation: u64,
     /// Requests admitted (journaled + acked) this incarnation.
     pub admitted: u64,
-    /// Set with [`Shared::pump`] signaled: the pump has work and must not
-    /// park before its next pass.
-    pub pump_due: bool,
 }
 
 /// Traffic of one route since boot: requests handled and the time their
@@ -226,9 +217,8 @@ pub struct Shared {
     /// Signaled whenever a job reaches a terminal state (long-poll
     /// wake-up) and on drain.
     pub cv: Condvar,
-    /// Signaled, with [`Inner::pump_due`] set, when the pump has work
-    /// that should not wait out `PUMP_TICK`: a cold job admitted, a
-    /// worker exited, a drain begun.
+    /// Signaled when the pump has work that should not wait out
+    /// `PUMP_TICK`: a cold job admitted, a worker exited, a drain begun.
     pub pump: Condvar,
     /// Per-route traffic, reported by `/healthz`.
     pub routes: RouteStats,
@@ -244,9 +234,10 @@ impl Shared {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Has the pump run a pass now instead of at its next tick.
-    fn wake_pump(&self, inner: &mut Inner) {
-        inner.pump_due = true;
+    /// Has the pump run a pass now instead of at its next tick. The
+    /// caller holds the lock (`_locked`), and the pump holds it from the
+    /// start of a pass until it parks, so the signal cannot fall between.
+    fn wake_pump(&self, _locked: &mut Inner) {
         self.pump.notify_one();
     }
 
@@ -372,7 +363,7 @@ pub fn spec_from_request(
 ) -> Result<JobSpec, String> {
     let artifact = json::get_str(body, "artifact").ok_or("missing \"artifact\"")?;
     let (scale, scale_name) = match json::get_str(body, "scale") {
-        None => (cfg.default_scale, cfg.default_scale_name.clone()),
+        None => (cfg.engine.scale, cfg.engine.scale_name.clone()),
         Some(name) => (
             Scale::parse(name).ok_or_else(|| format!("unknown scale: {name}"))?,
             name.to_string(),
@@ -443,9 +434,6 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
         format!("{addr}\n").as_bytes(),
     )
     .map_err(|e| format!("cannot write endpoint file: {e}"))?;
-    let drop_dir = cfg.serve_dir.join("drop");
-    std::fs::create_dir_all(&drop_dir)
-        .map_err(|e| format!("cannot create {}: {e}", drop_dir.display()))?;
     let incarnation = bump_incarnation(&cfg.serve_dir);
     let crash_plan = cfg
         .server_chaos
@@ -456,7 +444,7 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
         );
     }
 
-    let coord = Coordinator::new(cfg.exec.clone())?;
+    let coord = Coordinator::new(cfg.engine.clone())?;
     let (journal, replay) = Journal::open(&cfg.serve_dir.join("journal"))?;
     eprintln!(
         "serve: incarnation {incarnation} listening on {addr} (queue capacity {}, rate {}/s burst {}, {} journaled job(s) to replay)",
@@ -478,7 +466,6 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
             stop: false,
             incarnation,
             admitted: 0,
-            pump_due: false,
         }),
         cv: Condvar::new(),
         pump: Condvar::new(),
@@ -570,65 +557,57 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
     });
 
     // Pump loop: drive the coordinator, retire journal entries for
-    // terminal jobs, honor the chaos crash plan, ingest the drop
-    // directory, and complete drains.
+    // terminal jobs, honor the chaos crash plan, and complete drains.
     loop {
-        {
-            let mut inner = shared.lock();
-            inner.pump_due = false;
-            let finished = inner.coord.poll()?;
-            // Retire journal entries whose jobs reached a terminal state
-            // (their results are banked in the cache or recorded as typed
-            // failures).
-            let terminal: Vec<u64> = inner
-                .pending
-                .keys()
-                .copied()
-                .filter(|fp| {
-                    inner
-                        .coord
-                        .job_by_fingerprint(*fp)
-                        .is_some_and(Job::is_done)
-                })
-                .collect();
-            for fp in terminal {
-                if let Some(entry) = inner.pending.remove(&fp) {
-                    inner.journal.retire(&entry);
-                }
-            }
-            if finished > 0 {
-                shared.cv.notify_all();
-            }
-            if let Some(after) = crash_plan {
-                if u64::from(inner.coord.counters().fresh_completions) >= after {
-                    eprintln!(
-                        "serve: chaos: aborting incarnation {} after {} fresh completion(s)",
-                        inner.incarnation,
-                        inner.coord.counters().fresh_completions
-                    );
-                    // A real crash: no drain, no worker cleanup, no
-                    // destructors — the journal and cache are the only
-                    // survivors, which is the point.
-                    std::process::abort();
-                }
-            }
-            if inner.draining && inner.coord.all_done() {
-                inner.stop = true;
-                shared.cv.notify_all();
-                write_final_manifest(&shared.cfg, &inner);
-                break;
+        let mut inner = shared.lock();
+        let finished = inner.coord.poll()?;
+        // Retire journal entries whose jobs reached a terminal state
+        // (their results are banked in the cache or recorded as typed
+        // failures).
+        let terminal: Vec<u64> = inner
+            .pending
+            .keys()
+            .copied()
+            .filter(|fp| {
+                inner
+                    .coord
+                    .job_by_fingerprint(*fp)
+                    .is_some_and(Job::is_done)
+            })
+            .collect();
+        for fp in terminal {
+            if let Some(entry) = inner.pending.remove(&fp) {
+                inner.journal.retire(&entry);
             }
         }
-        ingest_drop_dir(&shared, &drop_dir);
-        let inner = shared.lock();
-        if !inner.pump_due {
-            drop(
-                shared
-                    .pump
-                    .wait_timeout(inner, PUMP_TICK)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            );
+        if finished > 0 {
+            shared.cv.notify_all();
         }
+        if let Some(after) = crash_plan {
+            if u64::from(inner.coord.counters().fresh_completions) >= after {
+                eprintln!(
+                    "serve: chaos: aborting incarnation {} after {} fresh completion(s)",
+                    inner.incarnation,
+                    inner.coord.counters().fresh_completions
+                );
+                // A real crash: no drain, no worker cleanup, no
+                // destructors — the journal and cache are the only
+                // survivors, which is the point.
+                std::process::abort();
+            }
+        }
+        if inner.draining && inner.coord.all_done() {
+            inner.stop = true;
+            shared.cv.notify_all();
+            write_final_manifest(&shared.cfg, &inner);
+            break;
+        }
+        drop(
+            shared
+                .pump
+                .wait_timeout(inner, PUMP_TICK)
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        );
     }
     // The accept thread is blocked in `accept()`: hand it one connection
     // to see `stop` by. (A client's connection may have got there first,
@@ -662,9 +641,9 @@ fn loopback(bound: SocketAddr) -> SocketAddr {
 fn write_final_manifest(cfg: &ServeConfig, inner: &Inner) {
     let manifest = Manifest {
         scale: "serve".to_string(),
-        workers: cfg.exec.workers,
-        chaos_kill_every: cfg.exec.chaos.map(|c| c.kill_every),
-        seed: cfg.exec.chaos.map(|c| c.seed).unwrap_or(0),
+        workers: cfg.engine.workers,
+        chaos_kill_every: cfg.engine.chaos.map(|c| c.kill_every),
+        seed: cfg.engine.chaos.map(|c| c.seed).unwrap_or(0),
         jobs: inner.coord.jobs().iter().map(Job::record).collect(),
     };
     let path = cfg.serve_dir.join("manifest.json");
@@ -673,56 +652,4 @@ fn write_final_manifest(cfg: &ServeConfig, inner: &Inner) {
         Err(e) => eprintln!("warning: serve: cannot write {}: {e}", path.display()),
     }
     eprintln!("{manifest}");
-}
-
-/// Scans the drop directory once: `<name>.json` files are admitted like
-/// `POST /jobs` bodies (the response JSON is written to `<name>.resp`
-/// and the request file removed); a file named `drain` triggers
-/// graceful drain.
-fn ingest_drop_dir(shared: &Shared, drop_dir: &std::path::Path) {
-    let Ok(listing) = std::fs::read_dir(drop_dir) else {
-        return;
-    };
-    for item in listing.flatten() {
-        let path = item.path();
-        if path.file_name().and_then(|n| n.to_str()) == Some("drain") {
-            let _ = std::fs::remove_file(&path);
-            eprintln!("serve: drain requested via drop directory");
-            shared.begin_drain();
-            continue;
-        }
-        if path.extension().and_then(|e| e.to_str()) != Some("json") {
-            continue;
-        }
-        let body = match std::fs::read_to_string(&path) {
-            Ok(b) => b,
-            Err(_) => continue, // racing a partial write; next scan gets it
-        };
-        let response = match json::parse_flat(&body)
-            .and_then(|map| spec_from_request(&shared.cfg, &map))
-        {
-            Ok(spec) => match admit(shared, spec, Instant::now()) {
-                Admission::Accepted { fingerprint, warm } => format!(
-                    "{{\"accepted\": true, \"job\": \"{fingerprint:016x}\", \"warm\": {warm}}}\n"
-                ),
-                Admission::Shed {
-                    reason,
-                    retry_after_ms,
-                } => format!(
-                    "{{\"accepted\": false, \"shed\": \"{}\", \"retry_after_ms\": {retry_after_ms}}}\n",
-                    reason.tag()
-                ),
-                Admission::Rejected(e) => format!(
-                    "{{\"accepted\": false, \"error\": \"{}\"}}\n",
-                    crate::campaign::manifest::escape(&e)
-                ),
-            },
-            Err(e) => format!(
-                "{{\"accepted\": false, \"error\": \"{}\"}}\n",
-                crate::campaign::manifest::escape(&e)
-            ),
-        };
-        let _ = simt_sim::write_atomic(&path.with_extension("resp"), response.as_bytes());
-        let _ = std::fs::remove_file(&path);
-    }
 }

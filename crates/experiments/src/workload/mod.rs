@@ -301,8 +301,8 @@ pub(crate) fn page<T: fmt::Display>(artifact: &str, value: &T, json: bool) -> St
     if json {
         format!(
             "{{\"artifact\":\"{}\",\"data\":\"{}\"}}\n",
-            crate::campaign::manifest::escape(artifact),
-            crate::campaign::manifest::escape(&value.to_string())
+            crate::serve::json::escape(artifact),
+            crate::serve::json::escape(&value.to_string())
         )
     } else {
         format!("{value}\n\n")

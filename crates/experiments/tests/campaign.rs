@@ -353,7 +353,7 @@ fn woken_engine(dir: &Path, tune: impl FnOnce(&mut CampaignConfig)) -> (Coordina
     cfg.worker_exe = PathBuf::from(REPRO);
     cfg.workers = 1;
     tune(&mut cfg);
-    let mut coord = Coordinator::new(cfg.exec()).expect("engine builds");
+    let mut coord = Coordinator::new(cfg).expect("engine builds");
     let (wake, woken) = channel();
     coord.set_waker(Arc::new(move || {
         let _ = wake.send(());

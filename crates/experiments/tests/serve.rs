@@ -393,54 +393,6 @@ fn token_bucket_sheds_rate_limited() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The drop-directory ingress accepts the same JSON bodies as `POST
-/// /jobs` and answers through `.resp` files.
-#[test]
-fn drop_directory_ingress_accepts_and_responds() {
-    let dir = temp_dir("drop");
-    let server = Server::start(&dir, &[]);
-    let opts = server.opts(&[]);
-    // Wait for boot (endpoint visible), then drop a request file in.
-    let drop_dir = dir.join("drop");
-    std::fs::write(
-        drop_dir.join("req1.json"),
-        "{\"artifact\": \"table3\", \"scale\": \"test\"}",
-    )
-    .expect("drop request");
-    let resp_path = drop_dir.join("req1.resp");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let body = loop {
-        if let Ok(text) = std::fs::read_to_string(&resp_path) {
-            break text;
-        }
-        assert!(Instant::now() < deadline, "drop response appears");
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    let map = json::parse_flat(&body).expect("drop response is flat JSON");
-    assert_eq!(json::get_bool(&map, "accepted"), Some(true), "{body}");
-    let job = json::get_str(&map, "job").expect("job id").to_string();
-
-    // The dropped job is a normal job: poll it over HTTP to done.
-    let wait_deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let resp = client::request_retry(
-            &opts,
-            "GET",
-            &format!("/jobs/{job}?wait_ms=2000"),
-            "",
-            wait_deadline,
-        )
-        .expect("status");
-        let map = json::parse_flat(&String::from_utf8_lossy(&resp.body)).expect("status JSON");
-        if json::get_str(&map, "state") == Some("done") {
-            break;
-        }
-        assert!(Instant::now() < wait_deadline, "dropped job finishes");
-    }
-    server.drain();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Result-cache entries written by the binary of the commit before job
 /// fingerprints were computed from constants (`repro campaign --scale
 /// test --only table3,fig2,fig7`), copied into a fresh server's cache.

@@ -176,9 +176,9 @@ impl GpuConfig {
     /// # Errors
     ///
     /// Why the machine cannot be built: the warp size exceeds 64 lanes
-    /// (mask width) or is zero, there is no SM, the watchdog threshold is
-    /// zero, or the DMK warp size or thread capacity disagrees with the
-    /// machine's.
+    /// (mask width) or is zero, there is no SM, the watchdog threshold or
+    /// the divergence window is zero, or the DMK warp size or thread
+    /// capacity disagrees with the machine's.
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.warp_size == 0 || self.warp_size > 64 {
             return Err("warp size must be 1..=64");
@@ -188,6 +188,9 @@ impl GpuConfig {
         }
         if self.watchdog_cycles == 0 {
             return Err("watchdog threshold must be positive");
+        }
+        if self.divergence_window == 0 {
+            return Err("divergence window must be positive");
         }
         if let Some(d) = &self.dmk {
             if d.warp_size != self.warp_size {

@@ -1448,15 +1448,28 @@ mod tests {
             .expect("encodable")
             .payload()
             .to_vec();
-        // `warp_size` follows `num_sms`, the block's first field.
-        for (at, warp_size) in [(8, 0u32), (8, 65)] {
-            let mut bad = payload.clone();
-            bad[at..at + 4].copy_from_slice(&warp_size.to_le_bytes());
-            match Gpu::restore(&Snapshot::from_payload(bad)) {
-                Err(RestoreError::Invalid(why)) => {
-                    assert!(why.contains("warp size must be 1..=64"), "{why}");
-                }
-                other => panic!("warp size {warp_size}: {other:?}"),
+        let mut dec = Decoder::new(&payload);
+        let cfg = GpuConfig::decode(&mut dec).expect("decodes");
+        let rest = &payload[payload.len() - dec.remaining()..];
+        type Mutation = fn(&mut GpuConfig);
+        let cases: [(Mutation, &str); 3] = [
+            (|c| c.warp_size = 0, "warp size must be 1..=64"),
+            (|c| c.warp_size = 65, "warp size must be 1..=64"),
+            (
+                |c| c.divergence_window = 0,
+                "divergence window must be positive",
+            ),
+        ];
+        for (mutate, reason) in cases {
+            let mut bad = cfg.clone();
+            mutate(&mut bad);
+            let mut enc = Encoder::new();
+            bad.encode(&mut enc);
+            let mut bytes = enc.into_bytes();
+            bytes.extend_from_slice(rest);
+            match Gpu::restore(&Snapshot::from_payload(bytes)) {
+                Err(RestoreError::Invalid(why)) => assert!(why.contains(reason), "{why}"),
+                other => panic!("{reason}: {other:?}"),
             }
         }
     }

@@ -1494,7 +1494,7 @@ impl Sm {
         self.frontend.restore_state(dec)?;
         self.issue_blocked_until = dec.take_u64()?;
         self.stats.restore_state(dec)?;
-        self.telemetry.restore_state(dec)?;
+        self.telemetry.restore_state(dec, self.next_warp_id)?;
         // Derived issue-stage structures are rebuilt, not stored.
         self.ready.rebuild(self.warps.iter().map(|w| w.ready_at));
         // Conservative: force one reap scan after restore rather than
@@ -1766,5 +1766,39 @@ mod tests {
             "lane 0 trapped: nothing validated"
         );
         assert!(rig.sm.addr_scratch.capacity() >= 4, "off-chip trap");
+    }
+
+    /// A telemetry state no run leaves — a zero metrics window, or a depth
+    /// entry for a warp id the SM has not handed out — is refused on
+    /// restore, not restored into a later divide by zero or a depth table
+    /// sized from a corrupt id.
+    #[test]
+    fn an_sm_state_with_impossible_telemetry_is_refused() {
+        let cfg = GpuConfig::tiny();
+        let metrics = TelemetrySpec {
+            metrics: true,
+            ..TelemetrySpec::off()
+        };
+        let restore = |sm: &Sm| {
+            let mut enc = Encoder::new();
+            sm.encode_state(&mut enc);
+            let bytes = enc.into_bytes();
+            Sm::new(0, &cfg).restore_state(&mut Decoder::new(&bytes))
+        };
+        let mut sm = Sm::new(0, &cfg);
+        sm.set_telemetry(&metrics, cfg.divergence_window);
+        sm.next_warp_id = 2;
+        sm.telemetry.on_warp_birth(0, 1, false, 4);
+        assert!(restore(&sm).is_ok(), "warp 1 of 2 has a depth");
+        sm.telemetry.on_warp_birth(0, 2, false, 4);
+        assert!(matches!(
+            restore(&sm),
+            Err(CodecError::BadTag { tag: 2, .. })
+        ));
+        sm.set_telemetry(&metrics, 0);
+        assert!(matches!(
+            restore(&sm),
+            Err(CodecError::BadTag { tag: 0, .. })
+        ));
     }
 }

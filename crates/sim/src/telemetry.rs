@@ -562,11 +562,25 @@ impl SmTelemetry {
         }
     }
 
-    /// Restores state written by [`SmTelemetry::encode_state`].
-    pub(crate) fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
+    /// Restores state written by [`SmTelemetry::encode_state`] for an SM
+    /// that has handed out warp ids below `next_warp_id`. A zero window,
+    /// or depth entries out of warp-id order or naming an id not yet
+    /// handed out, are refused: no run leaves them, and they would divide
+    /// by zero or size the depth table from a corrupt number.
+    pub(crate) fn restore_state(
+        &mut self,
+        dec: &mut Decoder<'_>,
+        next_warp_id: usize,
+    ) -> Result<(), CodecError> {
         self.metrics = dec.take_bool()?;
         self.trace = dec.take_bool()?;
         self.window = dec.take_u64()?;
+        if self.window == 0 {
+            return Err(CodecError::BadTag {
+                what: "telemetry window",
+                tag: 0,
+            });
+        }
         self.trace_capacity = dec.take_usize()?.max(1);
         let n = dec.take_len(WindowCounters::ENCODED_BYTES)?;
         self.windows = (0..n)
@@ -580,9 +594,13 @@ impl SmTelemetry {
         for _ in 0..n {
             let warp = dec.take_usize()?;
             let depth = dec.take_u32()?;
-            if self.depths.len() <= warp {
-                self.depths.resize(warp + 1, 0);
+            if warp < self.depths.len() || warp >= next_warp_id {
+                return Err(CodecError::BadTag {
+                    what: "telemetry depth entry's warp id",
+                    tag: warp as u64,
+                });
             }
+            self.depths.resize(warp + 1, 0);
             self.depths[warp] = depth;
         }
         self.events.clear();
@@ -1079,7 +1097,7 @@ mod tests {
         let bytes = enc.into_bytes();
         let mut back = SmTelemetry::new(0, &TelemetrySpec::off(), 10);
         let mut dec = Decoder::new(&bytes);
-        back.restore_state(&mut dec).expect("restores");
+        back.restore_state(&mut dec, 5).expect("restores");
         assert!(dec.is_finished());
         assert_eq!(back.windows, t.windows);
         assert_eq!(back.depths, t.depths);
@@ -1102,11 +1120,39 @@ mod tests {
         bytes.extend([0u8; 130]);
         let mut back = SmTelemetry::new(0, &TelemetrySpec::off(), 10);
         assert_eq!(
-            back.restore_state(&mut Decoder::new(&bytes)),
+            back.restore_state(&mut Decoder::new(&bytes), 0),
             Err(CodecError::BadLength {
                 len: 1,
                 remaining: 130
             })
         );
+    }
+
+    /// Depth entries restore only in rising warp-id order and below the
+    /// SM's next warp id.
+    #[test]
+    fn depth_entries_rise_below_the_next_warp_id() {
+        let state = |warps: &[usize]| {
+            let mut enc = Encoder::new();
+            enc.put_bool(true);
+            enc.put_bool(false);
+            enc.put_u64(10);
+            enc.put_usize(1);
+            enc.put_usize(0);
+            enc.put_usize(warps.len());
+            for &warp in warps {
+                enc.put_usize(warp);
+                enc.put_u32(1);
+            }
+            enc.into_bytes()
+        };
+        let restore = |warps: &[usize]| {
+            SmTelemetry::new(0, &TelemetrySpec::off(), 10)
+                .restore_state(&mut Decoder::new(&state(warps)), 4)
+        };
+        assert!(restore(&[0, 3]).is_ok());
+        for bad in [&[2, 2][..], &[3, 1], &[4]] {
+            assert!(restore(bad).is_err(), "{bad:?}");
+        }
     }
 }
