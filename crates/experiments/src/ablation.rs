@@ -48,7 +48,7 @@ impl SpawnPolicyAblation {
     }
 }
 
-fn run_policy(policy: SpawnPolicy, scale: Scale) -> PolicyRun {
+fn run_policy(policy: SpawnPolicy, scale: Scale) -> Result<PolicyRun, String> {
     let scene = scenes::conference(scale.scene);
     let mut gpu = gpu_for(Variant::Dynamic);
     let mut cfg = gpu.config().clone();
@@ -56,22 +56,23 @@ fn run_policy(policy: SpawnPolicy, scale: Scale) -> PolicyRun {
     gpu = simt_sim::Gpu::builder(cfg).build();
     let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
     setup.launch_ukernel(&mut gpu, scale.threads_per_block);
-    let s = gpu.run(scale.cycles).expect("fault-free run");
-    PolicyRun {
+    let job = format!("ablation under {policy:?}");
+    let s = crate::supervisor::run_checked(&mut gpu, scale.cycles, &job, false)?;
+    Ok(PolicyRun {
         policy: format!("{policy:?}"),
         ipc: s.stats.ipc(),
         rays_completed: s.stats.lineages_completed,
         threads_spawned: s.stats.threads_spawned,
         spawn_elisions: s.stats.spawn_elisions,
-    }
+    })
 }
 
 /// Runs the ablation on the conference benchmark.
-pub fn run(scale: Scale) -> SpawnPolicyAblation {
-    SpawnPolicyAblation {
-        naive: run_policy(SpawnPolicy::Always, scale),
-        on_divergence: run_policy(SpawnPolicy::OnDivergence, scale),
-    }
+pub fn run(scale: Scale) -> Result<SpawnPolicyAblation, String> {
+    Ok(SpawnPolicyAblation {
+        naive: run_policy(SpawnPolicy::Always, scale)?,
+        on_divergence: run_policy(SpawnPolicy::OnDivergence, scale)?,
+    })
 }
 
 impl fmt::Display for SpawnPolicyAblation {
@@ -103,7 +104,7 @@ mod tests {
 
     #[test]
     fn elision_reduces_thread_creation_without_breaking_rays() {
-        let a = run(Scale::test());
+        let a = run(Scale::test()).expect("clean run");
         assert_eq!(a.naive.spawn_elisions, 0);
         assert!(a.on_divergence.spawn_elisions > 0);
         assert!(a.on_divergence.threads_spawned < a.naive.threads_spawned);

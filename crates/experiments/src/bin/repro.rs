@@ -4,7 +4,7 @@
 //! repro <artifact> [--scale paper|quick|test] [--json]
 //!                  [--trace] [--metrics-every N]
 //!                  [--checkpoint-every N] [--checkpoint-dir D] [--resume]
-//!                  [--max-retries N] [--kill-after-checkpoints N]
+//!                  [--kill-after-checkpoints N]
 //!
 //! repro campaign   [shared flags above] [--workers N] [--campaign-dir D]
 //!                  [--cache-dir D] [--retries N] [--only a,b,c]
@@ -42,12 +42,12 @@
 //! changes any reported number.
 //!
 //! The checkpoint flags drive the supervised runner (`DESIGN.md` §9):
-//! `--checkpoint-every N` snapshots every N simulated cycles,
-//! `--checkpoint-dir D` persists the snapshots that hold progress to
-//! `D/<job>.ckpt` (not the one taken at launch, nor a just-resumed
-//! state), and `--resume` restores each job from its last on-disk
-//! snapshot before running — bit-identical to an uninterrupted run.
-//! `--max-retries` bounds fault/deadlock rollback retries per phase.
+//! `--checkpoint-every N` slices each run every N simulated cycles,
+//! `--checkpoint-dir D` persists the slice boundaries that hold progress
+//! to `D/<job>.ckpt` (not the launch, nor a just-resumed state), and
+//! `--resume` restores each job from its last on-disk snapshot before
+//! running — bit-identical to an uninterrupted run. A run that faults or
+//! stalls is a job-level error: reported, and the other jobs go on.
 //! `--kill-after-checkpoints N` is a deterministic test hook that exits
 //! the process (code 42) after N snapshot writes, so CI can rehearse a
 //! mid-campaign kill without timing races.
@@ -75,7 +75,7 @@ const USAGE: &str = "usage: repro <workload[@variant]|all|list|campaign|serve|cl
      [--scale paper|quick|test] [--json] \
      [--trace] [--metrics-every N] \
      [--checkpoint-every N] [--checkpoint-dir D] [--resume] \
-     [--max-retries N] [--kill-after-checkpoints N]\n\
+     [--kill-after-checkpoints N]\n\
      campaign flags: [--workers N] [--campaign-dir D] [--cache-dir D] \
      [--retries N] [--only a,b,c] [--job-timeout-secs N] \
      [--heartbeat-timeout-secs N] [--chaos-kill-every K] [--seed S]\n\
@@ -201,13 +201,6 @@ impl Cli {
                 }
                 "--checkpoint-dir" => policy.checkpoint_dir = Some(value()?.into()),
                 "--resume" => policy.resume = true,
-                "--max-retries" => {
-                    let n: u32 = parsed(value())?;
-                    policy.max_retries = n;
-                    engine
-                        .passthrough
-                        .extend(["--max-retries".to_string(), n.to_string()]);
-                }
                 "--kill-after-checkpoints" => {
                     policy.kill_after_checkpoints = Some(at_least_1(value())?);
                 }
@@ -545,7 +538,7 @@ mod tests {
     #[test]
     fn every_flag_lands_in_its_field_and_keeps_its_bounds() {
         type Lands = fn(&Cli) -> bool;
-        let table: [(&str, Option<&str>, bool, Lands); 34] = [
+        let table: [(&str, Option<&str>, bool, Lands); 33] = [
             ("--scale", Some("test"), false, |c| {
                 c.serve.engine.scale == Scale::test()
                     && c.serve.engine.scale_name == "test"
@@ -570,9 +563,6 @@ mod tests {
                 c.policy.checkpoint_dir == Some(PathBuf::from("D"))
             }),
             ("--resume", None, false, |c| c.policy.resume),
-            ("--max-retries", Some("0"), false, |c| {
-                c.policy.max_retries == 0 && c.serve.engine.passthrough == ["--max-retries", "0"]
-            }),
             ("--kill-after-checkpoints", Some("7"), true, |c| {
                 c.policy.kill_after_checkpoints == Some(7)
             }),
@@ -692,7 +682,7 @@ mod tests {
         assert_eq!(serve.engine.cache_dir, PathBuf::from("serve/cache"));
         assert_eq!(cli.client.artifacts, all_artifacts());
         assert_eq!(cli.client.timeout, Duration::from_secs(600));
-        assert_eq!((cli.client.concurrency, cli.policy.max_retries), (1, 3));
+        assert_eq!(cli.client.concurrency, 1);
     }
 
     /// `campaign` and `serve` given the same flags run the same engine,
@@ -708,8 +698,6 @@ mod tests {
             "5",
             "--checkpoint-every",
             "9",
-            "--max-retries",
-            "2",
             "--workers",
             "3",
             "--retries",

@@ -1148,6 +1148,53 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn a_job_level_error_fails_the_job_with_no_retry_and_nothing_cached() {
+        // The worker commits a frame carrying a run's job-level error, as a
+        // render that faulted does: the job ends Failed on its first
+        // attempt, and the cache stays empty.
+        use std::os::unix::fs::PermissionsExt;
+        let dir = std::env::temp_dir().join(format!("coord-failed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let fingerprint = job_fingerprint("table1", Scale::test(), false);
+        let frame = dir.join("failed.result");
+        let meta = cache::ResultMeta {
+            artifact: "table1".to_string(),
+            fingerprint,
+            ok: false,
+            error: "table1: fault at cycle 3".to_string(),
+        };
+        std::fs::write(&frame, cache::seal_result(&meta, &[])).expect("frame written");
+        let worker = dir.join("worker.sh");
+        std::fs::write(
+            &worker,
+            format!(
+                "#!/bin/sh\nwhile [ \"$1\" != --worker-out ]; do shift; done\ncp '{}' \"$2\"\n",
+                frame.display()
+            ),
+        )
+        .expect("worker written");
+        std::fs::set_permissions(&worker, std::fs::Permissions::from_mode(0o755))
+            .expect("worker executable");
+        let mut cfg = CampaignConfig::new(Scale::test(), "test");
+        cfg.cache_dir = dir.join("cache");
+        cfg.work_dir = dir.clone();
+        cfg.worker_exe = worker;
+        cfg.artifacts = vec!["table1".to_string()];
+        cfg.workers = 1;
+        let outcome = run(&cfg).expect("campaign runs");
+        let record = &outcome.manifest.jobs[0];
+        assert_eq!(record.outcome, JobOutcome::Failed);
+        assert_eq!((record.attempts, record.kills), (0, 0), "no retry");
+        assert_eq!(record.error.as_deref(), Some("table1: fault at cycle 3"));
+        assert!(matches!(
+            cache::probe(&cfg.cache_dir, "table1", fingerprint),
+            cache::Probe::Miss
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The declared codec and merge of [`ExecCounters`], over 1000 seeded
     /// draws of bytes with every high bit clear (so two never overflow a
     /// sum): restore of encode is the identity, a merge sums field by

@@ -44,7 +44,7 @@ impl Fig10 {
 }
 
 /// Runs the four simulated configurations plus the MIMD model.
-pub fn run(scale: Scale) -> Fig10 {
+pub fn run(scale: Scale) -> Result<Fig10, String> {
     let scene = scenes::conference(scale.scene);
 
     // MIMD theoretical: run the traditional kernel functionally.
@@ -63,7 +63,7 @@ pub fn run(scale: Scale) -> Fig10 {
         Variant::Dynamic,
         Variant::DynamicIdeal,
     ] {
-        let r = RenderRun::execute(&scene, variant, scale);
+        let r = RenderRun::execute(&scene, variant, scale)?;
         points.push(BranchingPoint {
             label: variant.to_string(),
             ipc: r.ipc(),
@@ -75,10 +75,10 @@ pub fn run(scale: Scale) -> Fig10 {
         ipc: mimd.ipc,
         fraction_of_mimd: 1.0,
     });
-    Fig10 {
+    Ok(Fig10 {
         points,
         mimd_ipc: mimd.ipc,
-    }
+    })
 }
 
 impl fmt::Display for Fig10 {
@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn five_bars_with_mimd_at_unity() {
-        let fig = run(Scale::test());
+        let fig = run(Scale::test()).expect("clean run");
         assert_eq!(fig.points.len(), 5);
         assert!((fig.points.last().unwrap().fraction_of_mimd - 1.0).abs() < 1e-9);
         for p in &fig.points {
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn dynamic_ideal_beats_dynamic_real() {
-        let fig = run(Scale::test());
+        let fig = run(Scale::test()).expect("clean run");
         let real = fig.fraction("Dynamic").unwrap();
         let ideal = fig.fraction("Dynamic (ideal mem)").unwrap();
         assert!(ideal >= real, "ideal {ideal} < real {real}");
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn no_simulated_config_exceeds_mimd_substantially() {
-        let fig = run(Scale::test());
+        let fig = run(Scale::test()).expect("clean run");
         for p in &fig.points {
             assert!(
                 p.fraction_of_mimd <= 1.05,

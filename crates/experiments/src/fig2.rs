@@ -8,7 +8,7 @@
 //! resulting SIMT efficiency.
 
 use serde::Serialize;
-use simt_isa::{assemble_named, AsmError};
+use simt_isa::assemble_named;
 use simt_sim::{Gpu, GpuConfig, Launch};
 use std::fmt;
 
@@ -46,10 +46,12 @@ pub fn loop_kernel_source() -> &'static str {
 
 /// Runs one 32-thread warp on one SM and records the divergence trace.
 ///
-/// Returns the assembler's typed error if the embedded kernel fails to
-/// assemble, so `repro` can report it as a job-level failure instead of
-/// aborting the campaign.
-pub fn run() -> Result<Fig2, AsmError> {
+/// # Errors
+///
+/// A job-level error when the embedded kernel fails to assemble or the
+/// run faults or stalls, so `repro` reports it instead of aborting the
+/// campaign.
+pub fn run() -> Result<Fig2, String> {
     let mut cfg = GpuConfig::fx5800_warp_sched();
     cfg.num_sms = 1;
     cfg.mem.ideal = true; // isolate branching behaviour, like the figure
@@ -58,7 +60,8 @@ pub fn run() -> Result<Fig2, AsmError> {
         .telemetry(crate::configs::telemetry_spec())
         .build();
     gpu.mem_mut().alloc_global(32 * 4, "out");
-    let program = assemble_named("fig2-loop", loop_kernel_source())?;
+    let program = assemble_named("fig2-loop", loop_kernel_source())
+        .map_err(|e| format!("kernel assembly failed: {e}"))?;
     gpu.launch(Launch {
         program,
         entry: "main".into(),
@@ -66,7 +69,7 @@ pub fn run() -> Result<Fig2, AsmError> {
         threads_per_block: 32,
     })
     .expect("launch accepted");
-    let summary = gpu.run(100_000).expect("fault-free run");
+    let summary = crate::supervisor::run_checked(&mut gpu, 100_000, "fig2", true)?;
     let report = gpu.telemetry_report();
     if crate::configs::trace() {
         crate::runner::write_trace_artifacts("fig2", &report);

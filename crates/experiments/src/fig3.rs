@@ -37,11 +37,11 @@ pub struct DivergenceFigure {
 /// The timeline comes from the run's telemetry report; its divergence
 /// mirror is defined to be bit-identical to `SimStats::divergence`, so
 /// switching the figures onto telemetry changed no published number.
-pub fn divergence_figure(variant: Variant, scale: Scale) -> DivergenceFigure {
+pub fn divergence_figure(variant: Variant, scale: Scale) -> Result<DivergenceFigure, String> {
     let scene = scenes::conference(scale.scene);
-    let run = RenderRun::execute(&scene, variant, scale);
+    let run = RenderRun::execute(&scene, variant, scale)?;
     let d = &run.telemetry.divergence;
-    DivergenceFigure {
+    Ok(DivergenceFigure {
         variant: variant.to_string(),
         labels: d.labels(),
         windows: d.windows().iter().map(|w| w.to_vec()).collect(),
@@ -50,11 +50,11 @@ pub fn divergence_figure(variant: Variant, scale: Scale) -> DivergenceFigure {
         mean_active_lanes: d.mean_active_lanes(),
         rays_completed: run.summary.stats.lineages_completed,
         health: run.fault_health(),
-    }
+    })
 }
 
 /// Fig. 3: the traditional-branching breakdown.
-pub fn run(scale: Scale) -> DivergenceFigure {
+pub fn run(scale: Scale) -> Result<DivergenceFigure, String> {
     divergence_figure(Variant::PdomWarp, scale)
 }
 
@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn traditional_breakdown_shows_divergence() {
-        let fig = run(Scale::test());
+        let fig = run(Scale::test()).expect("clean run");
         assert!(!fig.windows.is_empty());
         assert!(fig.ipc > 0.0);
         // Some issues must fall below full occupancy.
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn labels_match_window_width() {
-        let fig = run(Scale::test());
+        let fig = run(Scale::test()).expect("clean run");
         assert_eq!(fig.labels.len(), fig.windows[0].len());
         assert_eq!(fig.labels[0], "idle");
     }

@@ -33,11 +33,11 @@ impl Fig7 {
 }
 
 /// Runs both configurations on the conference benchmark.
-pub fn run(scale: Scale) -> Fig7 {
-    Fig7 {
-        dynamic: divergence_figure(Variant::Dynamic, scale),
-        traditional: fig3::run(scale),
-    }
+pub fn run(scale: Scale) -> Result<Fig7, String> {
+    Ok(Fig7 {
+        dynamic: divergence_figure(Variant::Dynamic, scale)?,
+        traditional: fig3::run(scale)?,
+    })
 }
 
 impl fmt::Display for Fig7 {
@@ -59,7 +59,7 @@ mod tests {
 
     #[test]
     fn dynamic_keeps_more_lanes_active() {
-        let fig = run(Scale::test());
+        let fig = run(Scale::test()).expect("clean run");
         assert!(
             fig.dynamic.mean_active_lanes > fig.traditional.mean_active_lanes,
             "dynamic {:.1} !> traditional {:.1}",
@@ -70,7 +70,7 @@ mod tests {
 
     #[test]
     fn ipc_ratio_is_positive() {
-        let fig = run(Scale::test());
+        let fig = run(Scale::test()).expect("clean run");
         assert!(fig.ipc_ratio() > 0.0);
     }
 }

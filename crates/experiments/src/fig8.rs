@@ -75,11 +75,11 @@ impl Fig8 {
 }
 
 /// Measures every scene × variant combination.
-pub fn run(scale: Scale) -> Fig8 {
+pub fn run(scale: Scale) -> Result<Fig8, String> {
     let mut points = Vec::new();
     for scene in scenes::all(scale.scene) {
         for variant in FIG8_VARIANTS {
-            let r = RenderRun::execute(&scene, variant, scale);
+            let r = RenderRun::execute(&scene, variant, scale)?;
             points.push(PerfPoint {
                 scene: scene.name,
                 variant: variant.to_string(),
@@ -89,7 +89,7 @@ pub fn run(scale: Scale) -> Fig8 {
             });
         }
     }
-    Fig8 { points }
+    Ok(Fig8 { points })
 }
 
 impl fmt::Display for Fig8 {
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn produces_nine_points() {
-        let fig = run(Scale::test());
+        let fig = run(Scale::test()).expect("clean run");
         assert_eq!(fig.points.len(), 9);
         for p in &fig.points {
             assert!(p.ipc > 0.0, "{} {}", p.scene, p.variant);
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn speedup_metric_is_finite() {
-        let fig = run(Scale::test());
+        let fig = run(Scale::test()).expect("clean run");
         let s = fig.mean_dynamic_speedup();
         assert!(s.is_finite());
     }

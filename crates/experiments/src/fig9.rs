@@ -36,9 +36,9 @@ impl Fig9 {
 }
 
 /// Runs the three configurations on the conference benchmark.
-pub fn run(scale: Scale) -> Fig9 {
+pub fn run(scale: Scale) -> Result<Fig9, String> {
     let scene = raytrace::scenes::conference(scale.scene);
-    let with_run = crate::runner::RenderRun::execute(&scene, Variant::DynamicConflicts, scale);
+    let with_run = crate::runner::RenderRun::execute(&scene, Variant::DynamicConflicts, scale)?;
     let conflict_passes = with_run
         .summary
         .traffic
@@ -55,12 +55,12 @@ pub fn run(scale: Scale) -> Fig9 {
         rays_completed: with_run.summary.stats.lineages_completed,
         health: with_run.fault_health(),
     };
-    Fig9 {
+    Ok(Fig9 {
         with_conflicts,
-        without_conflicts: divergence_figure(Variant::Dynamic, scale),
-        traditional: fig3::run(scale),
+        without_conflicts: divergence_figure(Variant::Dynamic, scale)?,
+        traditional: fig3::run(scale)?,
         conflict_passes,
-    }
+    })
 }
 
 impl fmt::Display for Fig9 {
@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn conflicts_cost_performance_but_stay_ahead_of_zero() {
-        let fig = run(Scale::test());
+        let fig = run(Scale::test()).expect("clean run");
         assert!(fig.conflict_passes > 0, "conflicts must actually occur");
         assert!(
             fig.with_conflicts.ipc <= fig.without_conflicts.ipc,

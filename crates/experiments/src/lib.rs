@@ -57,5 +57,5 @@ pub use configs::{
     trace, Variant,
 };
 pub use runner::{run_fingerprint, RenderRun, Scale};
-pub use supervisor::{JobStatus, Policy};
+pub use supervisor::Policy;
 pub use workload::{ScenarioSpec, UnknownWorkload, Workload};

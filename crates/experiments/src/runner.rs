@@ -1,7 +1,7 @@
 //! Shared run machinery: scales and the standard render-run wrapper.
 
 use crate::configs::{self, gpu_for, Variant};
-use crate::supervisor::{self, JobStatus};
+use crate::supervisor;
 use raytrace::scenes::{Scene, SceneScale};
 use rt_kernels::render::RenderSetup;
 use serde::{Deserialize, Serialize};
@@ -257,8 +257,6 @@ pub struct RenderRun {
     pub steady_rays: u64,
     /// Cycles in the steady-state window.
     pub steady_cycles: u64,
-    /// Supervision verdict: completed, resumed `n` times, or gave up.
-    pub status: JobStatus,
 }
 
 impl RenderRun {
@@ -270,16 +268,18 @@ impl RenderRun {
     /// range, so this skips the pipeline-fill transient at frame start.
     ///
     /// Both halves run under the [`supervisor`]: the run is checkpointed
-    /// at the configured interval, rolled back and retried on a fault or
-    /// deadlock, and — with `--resume` — restored from the job's last
-    /// on-disk snapshot, bit-identical to an uninterrupted run.
-    pub fn execute(scene: &Scene, variant: Variant, scale: Scale) -> RenderRun {
+    /// at the configured interval and — with `--resume` — restored from
+    /// the job's last on-disk snapshot, bit-identical to an uninterrupted
+    /// run.
+    ///
+    /// # Errors
+    ///
+    /// A fault or a watchdog deadlock in either half, as the job-level
+    /// error of [`supervisor::run_checked`].
+    pub fn execute(scene: &Scene, variant: Variant, scale: Scale) -> Result<RenderRun, String> {
         let job = format!("{}-{:?}-{}", scene.name, variant, scale.resolution);
         let fingerprint = run_fingerprint(scene, variant, scale);
-        let resumed = resume_state(&job, fingerprint);
-        let mut interventions = u32::from(resumed.is_some());
-        let mut gave_up = false;
-        let (mut gpu, mut meta) = match resumed {
+        let (mut gpu, mut meta) = match resume_state(&job, fingerprint) {
             Some(state) => state,
             None => {
                 let mut gpu = gpu_for(variant);
@@ -301,9 +301,7 @@ impl RenderRun {
             }
         };
         if meta.phase == 0 {
-            let warm = supervisor::run_to_target(&mut gpu, meta.target, &job, &meta.to_bytes());
-            interventions += warm.interventions;
-            gave_up |= warm.gave_up;
+            supervisor::run_to_target(&mut gpu, meta.target, &job, &meta.to_bytes())?;
             meta = PhaseMeta {
                 fingerprint,
                 phase: 1,
@@ -313,25 +311,12 @@ impl RenderRun {
             };
         }
         let (warm_cycle, warm_rays) = (meta.warm_cycle, meta.warm_rays);
-        let steady = supervisor::run_to_target(&mut gpu, meta.target, &job, &meta.to_bytes());
-        interventions += steady.interventions;
-        gave_up |= steady.gave_up;
+        let summary = supervisor::run_to_target(&mut gpu, meta.target, &job, &meta.to_bytes())?;
         supervisor::clear(&job);
-        let status = if gave_up {
-            JobStatus::GaveUp
-        } else if interventions > 0 {
-            JobStatus::Resumed(interventions)
-        } else {
-            JobStatus::Completed
-        };
-        if supervisor::policy().is_active() || status != JobStatus::Completed {
-            eprintln!("job {job}: {status}");
-        }
         let telemetry = gpu.telemetry_report();
         if configs::trace() {
             write_trace_artifacts(&job, &telemetry);
         }
-        let summary = steady.summary;
         let end_cycle = summary.stats.cycles;
         let (steady_rays, steady_cycles) = if end_cycle > warm_cycle {
             (
@@ -350,7 +335,6 @@ impl RenderRun {
             telemetry,
             steady_rays,
             steady_cycles,
-            status,
         };
         let health = run.fault_health();
         if !health.is_clean() {
@@ -359,7 +343,7 @@ impl RenderRun {
                 run.scene, run.variant
             );
         }
-        run
+        Ok(run)
     }
 
     /// The run's fault-model counters; a clean reproduction is all zeros.
@@ -452,9 +436,9 @@ mod tests {
     fn render_run_executes_both_kernel_families() {
         let scene = scenes::conference(SceneScale::Tiny);
         let scale = Scale::test();
-        let pdom = RenderRun::execute(&scene, Variant::PdomWarp, scale);
+        let pdom = RenderRun::execute(&scene, Variant::PdomWarp, scale).expect("clean run");
         assert!(pdom.summary.stats.thread_instructions > 0);
-        let dmk = RenderRun::execute(&scene, Variant::Dynamic, scale);
+        let dmk = RenderRun::execute(&scene, Variant::Dynamic, scale).expect("clean run");
         assert!(dmk.summary.stats.threads_spawned > 0);
     }
 }

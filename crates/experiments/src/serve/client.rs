@@ -14,7 +14,7 @@
 
 use super::http::{read_response, Response};
 use super::json;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -90,7 +90,7 @@ pub fn request(addr: &str, method: &str, path: &str, body: &str) -> Result<Respo
     stream
         .write_all(message.as_bytes())
         .map_err(|e| format!("send: {e}"))?;
-    read_response(&mut stream)
+    read_response(&mut BufReader::new(stream))
 }
 
 /// Like [`request`], but rides out connection failures (server

@@ -4,12 +4,14 @@
 //! (`Connection: close`). No new dependencies; everything else in the
 //! serve stack sits above this.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::TcpStream;
 
 /// Upper bound on a request body (a job submission is a few hundred
 /// bytes; anything bigger is garbage or abuse).
 pub const MAX_BODY: usize = 64 * 1024;
+/// Upper bound on a response body (a rendered paper-scale artifact).
+pub const MAX_RESPONSE_BODY: usize = 16 * 1024 * 1024;
 /// Upper bound on one header line.
 const MAX_LINE: usize = 8 * 1024;
 /// Upper bound on header count.
@@ -66,6 +68,47 @@ fn read_line(r: &mut impl BufRead) -> Result<String, String> {
     String::from_utf8(line).map_err(|_| "non-UTF-8 header line".to_string())
 }
 
+/// Reads one message off `reader`: its start line, its header lines, and
+/// the body its `Content-Length` announces — refused above `max_body`
+/// before any of it is allocated.
+fn read_message(
+    reader: &mut impl BufRead,
+    max_body: usize,
+) -> Result<(String, Vec<String>, Vec<u8>), String> {
+    let start = read_line(reader)?;
+    let mut headers = Vec::new();
+    let mut content_length = 0usize;
+    loop {
+        let line = read_line(reader)?;
+        if line.is_empty() {
+            break;
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err("too many headers".to_string());
+        }
+        if let Some(v) = header_value(&line, "content-length") {
+            content_length = v
+                .parse::<usize>()
+                .map_err(|_| "bad Content-Length".to_string())?;
+            if content_length > max_body {
+                return Err("body too large".to_string());
+            }
+        }
+        headers.push(line);
+    }
+    let mut body = vec![0u8; content_length];
+    reader
+        .read_exact(&mut body)
+        .map_err(|e| format!("body read: {e}"))?;
+    Ok((start, headers, body))
+}
+
+/// The trimmed value of `line` when it is a `name:` header (any case).
+fn header_value<'l>(line: &'l str, name: &str) -> Option<&'l str> {
+    let (k, v) = line.split_once(':')?;
+    k.eq_ignore_ascii_case(name).then(|| v.trim())
+}
+
 /// Parses one request off `reader`: a connection's buffered read half, or
 /// bytes already read from one (an `Err` then also means "not all here
 /// yet").
@@ -75,7 +118,7 @@ fn read_line(r: &mut impl BufRead) -> Result<String, String> {
 /// Malformed or truncated framing, over-limit sizes, or I/O trouble — the
 /// caller answers 400 and closes.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Request, String> {
-    let start = read_line(reader)?;
+    let (start, _, body) = read_message(reader, MAX_BODY)?;
     let mut parts = start.split_ascii_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
     let target = parts.next().ok_or("request line missing target")?;
@@ -83,36 +126,12 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, String> {
         Some((p, q)) => (p.to_string(), q.to_string()),
         None => (target.to_string(), String::new()),
     };
-    let mut content_length = 0usize;
-    for _ in 0..MAX_HEADERS {
-        let line = read_line(reader)?;
-        if line.is_empty() {
-            let mut body = vec![0u8; content_length];
-            if content_length > 0 {
-                reader
-                    .read_exact(&mut body)
-                    .map_err(|e| format!("body read: {e}"))?;
-            }
-            return Ok(Request {
-                method,
-                path,
-                query,
-                body,
-            });
-        }
-        if let Some((k, v)) = line.split_once(':') {
-            if k.eq_ignore_ascii_case("content-length") {
-                content_length = v
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|_| "bad Content-Length".to_string())?;
-                if content_length > MAX_BODY {
-                    return Err("body too large".to_string());
-                }
-            }
-        }
-    }
-    Err("too many headers".to_string())
+    Ok(Request {
+        method,
+        path,
+        query,
+        body,
+    })
 }
 
 /// Reason phrase for the status codes this API uses.
@@ -167,56 +186,33 @@ pub struct Response {
     pub body: Vec<u8>,
 }
 
-/// Reads one response off the stream (client side).
+/// Reads one response off `reader` (client side).
 ///
 /// # Errors
 ///
-/// Malformed framing or I/O trouble.
-pub fn read_response(stream: &mut TcpStream) -> Result<Response, String> {
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
-    let start = read_line(&mut reader)?;
+/// Malformed or truncated framing, an over-limit body, or I/O trouble.
+pub fn read_response(reader: &mut impl BufRead) -> Result<Response, String> {
+    let (start, headers, body) = read_message(reader, MAX_RESPONSE_BODY)?;
     let status = start
         .split_ascii_whitespace()
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| format!("bad status line: {start}"))?;
-    let mut content_length = 0usize;
-    let mut retry_after_ms = None;
-    for _ in 0..MAX_HEADERS {
-        let line = read_line(&mut reader)?;
-        if line.is_empty() {
-            let mut body = vec![0u8; content_length];
-            if content_length > 0 {
-                reader
-                    .read_exact(&mut body)
-                    .map_err(|e| format!("body read: {e}"))?;
-            }
-            return Ok(Response {
-                status,
-                retry_after_ms,
-                body,
-            });
-        }
-        if let Some((k, v)) = line.split_once(':') {
-            if k.eq_ignore_ascii_case("content-length") {
-                content_length = v
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|_| "bad Content-Length".to_string())?;
-                if content_length > 16 * 1024 * 1024 {
-                    return Err("response body too large".to_string());
-                }
-            } else if k.eq_ignore_ascii_case("retry-after-ms") {
-                retry_after_ms = v.trim().parse::<u64>().ok();
-            }
-        }
-    }
-    Err("too many headers".to_string())
+    let retry_after_ms = headers
+        .iter()
+        .find_map(|line| header_value(line, "retry-after-ms"))
+        .and_then(|v| v.parse::<u64>().ok());
+    Ok(Response {
+        status,
+        retry_after_ms,
+        body,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
     use std::net::{TcpListener, TcpStream};
 
     #[test]
@@ -248,7 +244,7 @@ mod tests {
         );
         std::io::Write::write_all(&mut c, req.as_bytes()).expect("send head");
         std::io::Write::write_all(&mut c, body).expect("send body");
-        let resp = read_response(&mut c).expect("parse response");
+        let resp = read_response(&mut BufReader::new(c)).expect("parse response");
         assert_eq!(resp.status, 429);
         assert_eq!(resp.retry_after_ms, Some(50));
         assert_eq!(resp.body, b"{\"shed\":true}");

@@ -43,8 +43,9 @@ simt_isa::record! {
         /// from replay time on recovery: the contract is a *budget per
         /// admission*, and a replayed entry is a fresh admission.
         pub deadline_ms: u64,
-        /// Job identity fingerprint (also in the filename; cross-checked on
-        /// replay).
+        /// Job identity fingerprint at admission (also in the filename).
+        /// Replay resubmits the job and keys it by the fingerprint its
+        /// inputs have then, which differs after an input change.
         pub fingerprint: u64,
     }
 }

@@ -502,8 +502,19 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
                 spec.deadline = Some(Duration::from_millis(entry.deadline_ms));
             }
             match inner.coord.submit(spec) {
-                Ok(_) => {
-                    inner.pending.insert(entry.fingerprint, entry);
+                Ok(idx) => {
+                    // The job is filed under the fingerprint its inputs
+                    // have now; one journaled before a kernel, machine or
+                    // telemetry change carries the old one. Key the entry
+                    // by the job's, or it is never retired.
+                    let fingerprint = inner.coord.jobs()[idx].fingerprint();
+                    if fingerprint != entry.fingerprint {
+                        eprintln!(
+                            "serve: journal: entry {} ({}) re-keyed {:016x} -> {fingerprint:016x}",
+                            entry.seq, entry.artifact, entry.fingerprint
+                        );
+                    }
+                    inner.pending.insert(fingerprint, entry);
                 }
                 Err(e) => {
                     eprintln!(

@@ -8,6 +8,7 @@
 
 use crate::configs::{gpu_for, Variant};
 use crate::runner::Scale;
+use crate::supervisor::run_checked;
 use raytrace::scenes;
 use raytrace::Vec3;
 use rt_kernels::render::RenderSetup;
@@ -49,7 +50,7 @@ impl ShadowStudy {
     }
 }
 
-fn run_variant(variant: Variant, scale: Scale) -> ShadowRun {
+fn run_variant(variant: Variant, scale: Scale) -> Result<ShadowRun, String> {
     let scene = scenes::conference(scale.scene);
     let light = Vec3::new(0.0, 4.7, 0.0);
     let mut gpu = gpu_for(variant);
@@ -60,8 +61,8 @@ fn run_variant(variant: Variant, scale: Scale) -> ShadowRun {
         setup.launch_traditional(&mut gpu, scale.threads_per_block);
     }
     // Run each pass to completion so the shadow rays are well-defined.
-    let s1 = gpu.run(u64::MAX / 4).expect("fault-free run");
-    assert_eq!(s1.outcome, simt_sim::RunOutcome::Completed, "primary pass");
+    let pass = |name: &str| format!("shadow {name} pass under {variant}");
+    let s1 = run_checked(&mut gpu, u64::MAX / 4, &pass("primary"), true)?;
     let primary_instr = s1.stats.thread_instructions;
     let primary_cycles = s1.stats.cycles;
 
@@ -71,26 +72,25 @@ fn run_variant(variant: Variant, scale: Scale) -> ShadowRun {
         variant.is_dynamic(),
         scale.threads_per_block,
     );
-    let s2 = gpu.run(u64::MAX / 4).expect("fault-free run");
-    assert_eq!(s2.outcome, simt_sim::RunOutcome::Completed, "shadow pass");
+    let s2 = run_checked(&mut gpu, u64::MAX / 4, &pass("shadow"), true)?;
     let shadow_instr = s2.stats.thread_instructions - primary_instr;
     let shadow_cycles = s2.stats.cycles - primary_cycles;
     let occluded = dev2.read_results(gpu.mem()).iter().flatten().count();
-    ShadowRun {
+    Ok(ShadowRun {
         variant: variant.to_string(),
         primary_ipc: primary_instr as f64 / primary_cycles.max(1) as f64,
         shadow_ipc: shadow_instr as f64 / shadow_cycles.max(1) as f64,
         mean_active_lanes: s2.stats.divergence.mean_active_lanes(),
         occluded,
-    }
+    })
 }
 
 /// Runs the two-pass study on the conference benchmark.
-pub fn run(scale: Scale) -> ShadowStudy {
-    ShadowStudy {
-        pdom: run_variant(Variant::PdomWarp, scale),
-        dynamic: run_variant(Variant::Dynamic, scale),
-    }
+pub fn run(scale: Scale) -> Result<ShadowStudy, String> {
+    Ok(ShadowStudy {
+        pdom: run_variant(Variant::PdomWarp, scale)?,
+        dynamic: run_variant(Variant::Dynamic, scale)?,
+    })
 }
 
 impl fmt::Display for ShadowStudy {
@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn shadow_study_runs_and_agrees_on_occlusion() {
-        let s = run(Scale::test());
+        let s = run(Scale::test()).expect("clean run");
         assert_eq!(s.pdom.occluded, s.dynamic.occluded, "occlusion must agree");
         assert!(s.pdom.shadow_ipc > 0.0);
         assert!(s.dynamic.shadow_ipc > 0.0);

@@ -1,31 +1,25 @@
-//! Supervised, retry-capable execution of simulator jobs.
+//! Supervised execution of simulator jobs.
 //!
 //! The experiment drivers run every render through [`run_to_target`],
-//! which slices the simulation at a configurable checkpoint interval and
-//! keeps the last good [`Snapshot`] (in memory always; on disk, when a
-//! checkpoint directory is configured, each one that holds progress over
-//! what the directory already has for the job). When a run raises a typed
-//! [`simt_sim::Fault`] under `FaultPolicy::Abort` or the watchdog reports
-//! [`RunOutcome::Deadlock`], the supervisor rolls the machine back to the
-//! last good snapshot and retries with an exponentially grown slice
-//! budget; after [`Policy::max_retries`] interventions it gives up and
-//! reports the job's figures from the last good state instead of
-//! aborting the whole campaign.
+//! which slices the simulation at a configurable checkpoint interval and,
+//! when a checkpoint directory is configured, writes a [`Snapshot`] at
+//! each slice boundary that holds progress over what the directory
+//! already has for the job.
 //!
-//! Because the simulator is deterministic, a retry only changes the
-//! outcome when the grown cycle budget lets a slice run past a spurious
-//! slice-boundary watchdog window; a genuinely wedged or faulting run
-//! deterministically exhausts its retries and lands on
-//! [`JobStatus::GaveUp`] — which is exactly the point: the campaign
-//! keeps going and the per-job status says what happened.
+//! [`run_checked`] owns the one decision of what a failed run is: a typed
+//! [`simt_sim::Fault`] under `FaultPolicy::Abort` or a watchdog
+//! [`RunOutcome::Deadlock`] is a job-level error naming the job, the
+//! cycle and the failure. The simulator is deterministic, so running the
+//! job again from any earlier state would meet the same failure:
+//! `repro all` reports the error and goes on, and a campaign finishes the
+//! job as `Failed`, with no retry and nothing cached.
 //!
-//! On-disk snapshots double as crash/kill recovery: `repro --resume`
-//! restores each job from its last snapshot and continues, bit-identical
-//! to an uninterrupted run (see `DESIGN.md` §9).
+//! On-disk snapshots are crash/kill recovery: `repro --resume` restores
+//! each job from its last snapshot and continues, bit-identical to an
+//! uninterrupted run (see `DESIGN.md` §9).
 
 use simt_sim::{Gpu, ProgressPulse, RunOutcome, RunSummary, Snapshot};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -39,17 +33,14 @@ pub const KILL_EXIT_CODE: u8 = 42;
 /// every job. Like the trace switch in [`crate::configs`], this is a
 /// process-global: it never changes simulated results (checkpointing at
 /// a slice boundary is transparent), only how runs are supervised.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Policy {
-    /// Cycles between snapshots. 0 disables periodic checkpoints; a
-    /// rollback snapshot is still taken at each phase entry.
+    /// Cycles between slice boundaries. 0 runs each phase in one slice.
     pub checkpoint_every: u64,
-    /// Directory for on-disk snapshots (`None` = in-memory only).
+    /// Directory for on-disk snapshots (`None` = no snapshots).
     pub checkpoint_dir: Option<PathBuf>,
     /// Restore jobs from their last on-disk snapshot when present.
     pub resume: bool,
-    /// Rollback/retry interventions allowed per phase before giving up.
-    pub max_retries: u32,
     /// Test hook: exit the process with [`KILL_EXIT_CODE`] after this
     /// many on-disk snapshot writes — each one progress a resume keeps —
     /// simulating a mid-campaign kill at a deterministic point.
@@ -59,26 +50,6 @@ pub struct Policy {
     /// instead of the orderly exit-42, so the campaign coordinator's
     /// worker supervision sees a genuine process kill mid-job.
     pub chaos_abort: bool,
-}
-
-impl Default for Policy {
-    fn default() -> Self {
-        Policy {
-            checkpoint_every: 0,
-            checkpoint_dir: None,
-            resume: false,
-            max_retries: 3,
-            kill_after_checkpoints: None,
-            chaos_abort: false,
-        }
-    }
-}
-
-impl Policy {
-    /// Whether any supervision feature beyond plain fault rollback is on.
-    pub fn is_active(&self) -> bool {
-        self.checkpoint_every > 0 || self.checkpoint_dir.is_some() || self.resume
-    }
 }
 
 static POLICY: Mutex<Option<Policy>> = Mutex::new(None);
@@ -142,40 +113,6 @@ pub fn policy() -> Policy {
     policy_slot().clone().unwrap_or_default()
 }
 
-/// Final supervision status of one job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Ran to its cycle target with no intervention.
-    Completed,
-    /// Finished after `n` rollback or resume interventions.
-    Resumed(u32),
-    /// Exhausted the retry budget; reported figures come from the last
-    /// good snapshot.
-    GaveUp,
-}
-
-impl fmt::Display for JobStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JobStatus::Completed => f.write_str("completed"),
-            JobStatus::Resumed(n) => write!(f, "completed after {n} intervention(s)"),
-            JobStatus::GaveUp => f.write_str("gave up (results from last good snapshot)"),
-        }
-    }
-}
-
-/// Result of one supervised phase.
-#[derive(Debug)]
-pub struct Supervised {
-    /// Summary at the end of the phase (cumulative machine statistics).
-    pub summary: RunSummary,
-    /// Rollback interventions performed during the phase.
-    pub interventions: u32,
-    /// True when the retry budget ran out and the phase stopped at the
-    /// last good snapshot instead of its cycle target.
-    pub gave_up: bool,
-}
-
 /// Path of the on-disk snapshot for `job` under `dir`.
 fn snapshot_path(dir: &std::path::Path, job: &str) -> PathBuf {
     let safe: String = job
@@ -191,24 +128,35 @@ fn snapshot_path(dir: &std::path::Path, job: &str) -> PathBuf {
     dir.join(format!("{safe}.ckpt"))
 }
 
-/// Persists `snap`, taken at `cycle`, for `job` when a checkpoint
-/// directory is configured and the snapshot holds progress: its cycle is
-/// past the newest one [`PERSISTED`] has for the job. The first snapshot
-/// of a job therefore never reaches the disk — it is the launch, or the
-/// very state `--resume` restored — and neither does the first of a run
-/// that starts over behind what an earlier run of the same job persisted.
-/// Write failures are reported and tolerated: losing a checkpoint must
-/// never fail the job it protects. Honours the deterministic kill hook.
-fn persist(job: &str, snap: &Snapshot, cycle: u64, pol: &Policy) {
+/// Writes a snapshot of `gpu`, tagged with `meta`, for `job` when a
+/// checkpoint directory is configured and the machine holds progress: its
+/// cycle is past the newest one [`PERSISTED`] has for the job. The machine
+/// is encoded only to be written. The first state seen of a job therefore
+/// never reaches the disk — it is the launch, or the very state
+/// `--resume` restored — and neither does the first of a run that starts
+/// over behind what an earlier run of the same job persisted. Snapshot
+/// and write failures are reported and tolerated: losing a checkpoint
+/// must never fail the job it protects. Honours the deterministic kill
+/// hook.
+fn persist(gpu: &Gpu, job: &str, meta: &[u8], pol: &Policy) {
     let Some(dir) = &pol.checkpoint_dir else {
         return;
     };
+    let cycle = gpu.now();
     let mut persisted = persisted_cycles();
     let newest = persisted.entry(job.to_string()).or_insert(cycle);
     if cycle <= *newest {
         *newest = cycle;
         return;
     }
+    let mut snap = match gpu.checkpoint() {
+        Ok(snap) => snap,
+        Err(e) => {
+            eprintln!("warning: {job}: checkpoint failed: {e}");
+            return;
+        }
+    };
+    snap.set_meta(meta.to_vec());
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: {job}: cannot create {}: {e}", dir.display());
         return;
@@ -285,158 +233,80 @@ pub fn clear(job: &str) {
     }
 }
 
-/// Takes a snapshot tagged with `meta`, remembers it as the last good
-/// state, and persists it when configured and it holds progress (see
-/// [`persist`]). Snapshot failures are reported and tolerated (the phase
-/// simply loses rollback coverage).
-fn take_snapshot(
-    gpu: &Gpu,
+/// Runs `gpu` for at most `cycles` more cycles: the one place a run's
+/// failure becomes a job-level error, for the supervised slices of
+/// [`run_to_target`] and the unsupervised runs alike. A fault, a watchdog
+/// deadlock, an outcome newer than this crate, or — when `complete` is
+/// set — stopping at the budget with work left is an error naming `job`,
+/// the cycle and the failure.
+///
+/// # Errors
+///
+/// The failure, as the job's one-line report.
+pub fn run_checked(
+    gpu: &mut Gpu,
+    cycles: u64,
     job: &str,
-    meta: &[u8],
-    pol: &Policy,
-    last_good: &mut Option<Snapshot>,
-) {
-    match gpu.checkpoint() {
-        Ok(mut snap) => {
-            snap.set_meta(meta.to_vec());
-            persist(job, &snap, gpu.now(), pol);
-            *last_good = Some(snap);
-        }
-        Err(e) => eprintln!("warning: {job}: checkpoint failed: {e}"),
-    }
-}
-
-/// Rolls `gpu` back to `last_good`. Returns false when no usable
-/// snapshot exists (the caller must give up).
-fn rollback(gpu: &mut Gpu, job: &str, last_good: &Option<Snapshot>) -> bool {
-    let Some(snap) = last_good else {
-        eprintln!("warning: {job}: no good snapshot to roll back to");
-        return false;
+    complete: bool,
+) -> Result<RunSummary, String> {
+    let summary = gpu.run(cycles).map_err(|e| format!("{job}: {e}"))?;
+    let failure = match summary.outcome {
+        RunOutcome::Completed => return Ok(summary),
+        RunOutcome::CycleLimit if !complete => return Ok(summary),
+        RunOutcome::CycleLimit => format!("did not complete within {cycles} cycles"),
+        RunOutcome::Deadlock { .. } => "watchdog deadlock".to_string(),
+        other => format!("unexpected outcome {other:?}"),
     };
-    match Gpu::restore(snap) {
-        Ok(restored) => {
-            *gpu = restored;
-            true
-        }
-        Err(e) => {
-            eprintln!("warning: {job}: rollback restore failed: {e}");
-            false
-        }
-    }
-}
-
-/// Produces a consistent [`RunSummary`] for the machine's current state
-/// without advancing it (a zero-cycle run merges statistics only).
-fn summarize(gpu: &mut Gpu, job: &str) -> RunSummary {
-    match gpu.run(0) {
-        Ok(s) => s,
-        Err(e) => {
-            // A zero-cycle run issues no work; a fault here means the
-            // machine was left mid-fault with no snapshot to return to.
-            unreachable!("{job}: zero-cycle summary run faulted: {e}")
-        }
-    }
+    Err(format!("{job}: {failure} at cycle {}", gpu.now()))
 }
 
 /// Runs `gpu` forward to the absolute cycle `target` under supervision.
 ///
-/// The run is sliced at [`Policy::checkpoint_every`] cycles; each slice
-/// boundary snapshots the machine (the only safe point — see
-/// `DESIGN.md` §9). On a [`simt_sim::SimError::Fault`] or a watchdog
-/// [`RunOutcome::Deadlock`] the machine rolls back to the last good
-/// snapshot and the slice budget doubles (`checkpoint_every << retries`)
-/// so a retry is not re-interrupted at the same boundary; after
-/// [`Policy::max_retries`] interventions the phase gives up and reports
-/// the last good state.
+/// The run is sliced at [`Policy::checkpoint_every`] cycles. The phase
+/// entry and each slice boundary — the only safe points, see `DESIGN.md`
+/// §9 — are written to the checkpoint directory when they hold progress,
+/// and each boundary publishes a progress pulse. A slice that fails ends
+/// the phase with the job-level error of [`run_checked`], and the job's
+/// snapshot is [`clear`]ed as it is once a job finishes.
 ///
 /// `job` names the on-disk snapshot; `meta` is stored verbatim in every
 /// snapshot so the caller can rebuild its own phase bookkeeping on
 /// resume (see [`crate::runner::RenderRun::execute`]).
-pub fn run_to_target(gpu: &mut Gpu, target: u64, job: &str, meta: &[u8]) -> Supervised {
+///
+/// # Errors
+///
+/// The failed slice's job-level error.
+pub fn run_to_target(
+    gpu: &mut Gpu,
+    target: u64,
+    job: &str,
+    meta: &[u8],
+) -> Result<RunSummary, String> {
     let pol = policy();
-    let mut interventions = 0u32;
-    let mut last_good: Option<Snapshot> = None;
-    take_snapshot(gpu, job, meta, &pol, &mut last_good);
+    persist(gpu, job, meta, &pol);
     loop {
-        let now = gpu.now();
-        if now >= target {
-            return Supervised {
-                summary: summarize(gpu, job),
-                interventions,
-                gave_up: false,
-            };
+        let left = target.saturating_sub(gpu.now());
+        let slice = match pol.checkpoint_every {
+            0 => left,
+            every => every.min(left),
+        };
+        let summary = run_checked(gpu, slice, job, false).inspect_err(|_| clear(job))?;
+        if summary.outcome == RunOutcome::Completed || gpu.now() >= target {
+            return Ok(summary);
         }
-        let slice = if pol.checkpoint_every > 0 {
-            // Exponential budget growth on retries, saturating.
-            let grown = pol
-                .checkpoint_every
-                .saturating_mul(1u64.checked_shl(interventions).unwrap_or(u64::MAX));
-            grown.min(target - now)
+        // Healthy slice boundary: persist the new state and publish a
+        // one-line pulse of the machine's vitals (campaign workers relay
+        // it to their heartbeat for live status reporting).
+        persist(gpu, job, meta, &pol);
+        let pulse = if gpu.telemetry_enabled() {
+            ProgressPulse::collect(gpu.now(), &gpu.telemetry_report())
         } else {
-            target - now
+            ProgressPulse::at_cycle(gpu.now())
         };
-        let failure = match gpu.run(slice) {
-            Ok(summary) => match summary.outcome {
-                RunOutcome::Completed => {
-                    return Supervised {
-                        summary,
-                        interventions,
-                        gave_up: false,
-                    };
-                }
-                RunOutcome::CycleLimit => {
-                    if gpu.now() >= target {
-                        return Supervised {
-                            summary,
-                            interventions,
-                            gave_up: false,
-                        };
-                    }
-                    // Healthy slice boundary: record the new good state
-                    // and publish a one-line pulse of the machine's
-                    // vitals (campaign workers relay it to their
-                    // heartbeat for live status reporting).
-                    take_snapshot(gpu, job, meta, &pol, &mut last_good);
-                    let pulse = if gpu.telemetry_enabled() {
-                        ProgressPulse::collect(gpu.now(), &gpu.telemetry_report())
-                    } else {
-                        ProgressPulse::at_cycle(gpu.now())
-                    };
-                    if pulse.telemetry {
-                        eprintln!("supervisor: {job}: {pulse}");
-                    }
-                    publish_pulse(&pulse);
-                    continue;
-                }
-                RunOutcome::Deadlock { .. } => "watchdog deadlock".to_string(),
-                // `RunOutcome` is non-exhaustive: treat anything newer
-                // than this crate as a failed slice and retry.
-                other => format!("unexpected outcome: {other:?}"),
-            },
-            Err(e) => e.to_string(),
-        };
-        // Roll back to the last good snapshot; when that fails (or the
-        // retry budget is spent) the phase gives up, reporting whatever
-        // consistent state it could recover.
-        let rolled = rollback(gpu, job, &last_good);
-        if !rolled || interventions >= pol.max_retries {
-            eprintln!(
-                "warning: {job}: giving up after {interventions} intervention(s) ({failure})"
-            );
-            return Supervised {
-                summary: summarize(gpu, job),
-                interventions,
-                gave_up: true,
-            };
+        if pulse.telemetry {
+            eprintln!("supervisor: {job}: {pulse}");
         }
-        interventions += 1;
-        eprintln!(
-            "supervisor: {job}: {failure} at cycle {}; rolled back to cycle {} \
-             (retry {interventions}/{})",
-            now,
-            gpu.now(),
-            pol.max_retries
-        );
+        publish_pulse(&pulse);
     }
 }
 
@@ -495,17 +365,18 @@ mod tests {
         })
         .join();
         set_policy(Policy::default());
-        assert_eq!(policy().max_retries, Policy::default().max_retries);
+        assert_eq!(
+            policy().checkpoint_every,
+            Policy::default().checkpoint_every
+        );
     }
 
     #[test]
     fn clean_run_needs_no_intervention() {
         let _policy = policy_in_use();
         let mut gpu = small_gpu();
-        let s = run_to_target(&mut gpu, 10_000, "test-clean", &[]);
-        assert_eq!(s.interventions, 0);
-        assert!(!s.gave_up);
-        assert_eq!(s.summary.outcome, RunOutcome::Completed);
+        let s = run_to_target(&mut gpu, 10_000, "test-clean", &[]).expect("clean run");
+        assert_eq!(s.outcome, RunOutcome::Completed);
     }
 
     #[test]
@@ -523,10 +394,11 @@ mod tests {
         let mut gpu = small_gpu();
         let got = run_to_target(&mut gpu, 10_000, "test-sliced", &[]);
         set_policy(Policy::default());
+        let got = got.expect("clean run");
 
-        assert_eq!(got.summary.outcome, want.outcome);
-        assert_eq!(got.summary.stats, want.stats);
-        assert_eq!(got.summary.traffic, want.traffic);
+        assert_eq!(got.outcome, want.outcome);
+        assert_eq!(got.stats, want.stats);
+        assert_eq!(got.traffic, want.traffic);
         for addr in (0..128).step_by(4) {
             assert_eq!(
                 gpu.mem().read_u32(simt_isa::Space::Global, addr),
@@ -536,11 +408,13 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_fault_exhausts_retries_and_gives_up() {
+    fn an_injected_trap_is_a_job_level_error_after_one_attempt() {
         let _policy = policy_in_use();
-        // An injected trap under Abort recurs on every deterministic
-        // retry; the supervisor must bound the retries and give up with
-        // figures from the last good snapshot instead of panicking.
+        // A deterministic run meets an injected trap under Abort on every
+        // attempt, so the first one ends the phase: a typed error naming
+        // the job and the cycle, the machine left on the faulting cycle,
+        // and the job's snapshot gone from the checkpoint directory.
+        const JOB: &str = "test-trap";
         let mut cfg = GpuConfig::tiny();
         cfg.fault_policy = FaultPolicy::Abort;
         let mut gpu = Gpu::builder(cfg).build();
@@ -565,18 +439,51 @@ mod tests {
         .expect("launch accepted");
         gpu.set_injector(Injector::new(7).force(InjectedFault::Trap, 3..4));
 
+        let dir = std::env::temp_dir().join(format!("sup-trap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         set_policy(Policy {
             checkpoint_every: 2,
-            max_retries: 2,
+            checkpoint_dir: Some(dir.clone()),
             ..Policy::default()
         });
-        let s = run_to_target(&mut gpu, 10_000, "test-gaveup", &[]);
+        let got = run_to_target(&mut gpu, 10_000, JOB, &[]);
         set_policy(Policy::default());
+        let _ = std::fs::remove_dir_all(&dir);
 
-        assert!(s.gave_up);
-        assert_eq!(s.interventions, 2);
-        // The machine sits at the last good snapshot, before the trap.
-        assert!(gpu.now() < 4);
+        let err = got.expect_err("the trap fails the phase");
+        assert!(err.starts_with("test-trap: "), "{err}");
+        assert!(err.contains("at cycle 3"), "{err}");
+        assert_eq!(gpu.now(), 3, "the machine stays on the faulting cycle");
+        assert_eq!(persisted_cycle(&dir, JOB), None);
+        assert!(!persisted_cycles().contains_key(JOB));
+    }
+
+    #[test]
+    fn a_watchdog_deadlock_is_a_job_level_error() {
+        let mut cfg = GpuConfig::tiny();
+        cfg.watchdog_cycles = 50;
+        let mut gpu = Gpu::builder(cfg).build();
+        let program = simt_isa::assemble(
+            r#"
+            .kernel main
+            main:
+            spin:
+                bra spin
+            "#,
+        )
+        .expect("assembles");
+        gpu.launch(Launch {
+            program,
+            entry: "main".into(),
+            num_threads: 32,
+            threads_per_block: 32,
+        })
+        .expect("launch accepted");
+        let err = run_checked(&mut gpu, 10_000, "test-spin", false).expect_err("stalls");
+        assert!(
+            err.starts_with("test-spin: watchdog deadlock at cycle "),
+            "{err}"
+        );
     }
 
     /// File state of `job`'s checkpoint under `dir`: the cycle it restores

@@ -16,13 +16,13 @@
 //! tolerance warning. The reported image hash is the FNV-1a-64 of the
 //! per-pixel radiance bits, the value CI pins.
 
-use super::{page, Group, Workload};
+use super::{divergence_totals, page, Group, Workload};
 use crate::configs::{gpu_for, Variant};
 use crate::runner::Scale;
+use crate::supervisor::run_checked;
 use rt_kernels::pt_render::{image_hash, PtSetup};
 use rt_kernels::{pt_traditional, pt_ukernel};
 use simt_isa::codec::Encoder;
-use simt_sim::RunOutcome;
 use std::fmt;
 
 /// Machine variants the workload runs standalone.
@@ -85,28 +85,15 @@ fn run_variant(scale: Scale, variant: Variant) -> Result<PtVariantRun, String> {
     } else {
         setup.launch_traditional(&mut gpu, scale.threads_per_block);
     }
-    let summary = gpu
-        .run(CYCLE_BUDGET)
-        .map_err(|e| format!("bvh under {variant} faulted: {e:?}"))?;
-    if summary.outcome != RunOutcome::Completed {
-        return Err(format!(
-            "bvh under {variant} did not complete within {CYCLE_BUDGET} cycles: {:?}",
-            summary.outcome
-        ));
-    }
+    let summary = run_checked(
+        &mut gpu,
+        CYCLE_BUDGET,
+        &format!("bvh under {variant}"),
+        true,
+    )?;
     let host = setup.host_reference();
     let device = setup.device_results(&gpu);
     let mismatches = rt_kernels::pt_render::exact_mismatches(&host, &device);
-    let report = gpu.telemetry_report();
-    let mut buckets = Vec::new();
-    for window in report.divergence.windows() {
-        if buckets.len() < window.len() {
-            buckets.resize(window.len(), 0u64);
-        }
-        for (b, n) in window.iter().enumerate() {
-            buckets[b] += n;
-        }
-    }
     Ok(PtVariantRun {
         variant,
         cycles: summary.stats.cycles,
@@ -114,7 +101,7 @@ fn run_variant(scale: Scale, variant: Variant) -> Result<PtVariantRun, String> {
         threads_spawned: summary.stats.threads_spawned,
         image_hash: image_hash(&device),
         mismatches,
-        buckets,
+        buckets: divergence_totals(&gpu.telemetry_report().divergence),
     })
 }
 

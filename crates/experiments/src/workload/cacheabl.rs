@@ -23,12 +23,13 @@
 
 use super::{microdiv, page, Group, Workload};
 use crate::runner::Scale;
+use crate::supervisor::run_checked;
 use rt_kernels::pt_render::{exact_mismatches, image_hash, PtSetup};
 use rt_kernels::render::{compare, RenderSetup};
 use simt_isa::assemble_named;
 use simt_isa::codec::Encoder;
 use simt_mem::MemConfig;
-use simt_sim::{Gpu, GpuConfig, Launch, RunOutcome};
+use simt_sim::{Gpu, GpuConfig, Launch};
 use std::fmt;
 
 /// Cycle budget per cell; every run goes to completion (a budget hit is
@@ -143,21 +144,6 @@ fn cell_of(level: MemLevel, gpu: &Gpu, cycles: u64) -> Cell {
     }
 }
 
-/// Runs the run-to-completion budget, mapping faults and budget hits to
-/// job-level errors.
-fn complete(gpu: &mut Gpu, what: &str) -> Result<u64, String> {
-    let summary = gpu
-        .run(CYCLE_BUDGET)
-        .map_err(|e| format!("cacheabl {what} faulted: {e:?}"))?;
-    if summary.outcome != RunOutcome::Completed {
-        return Err(format!(
-            "cacheabl {what} did not complete within {CYCLE_BUDGET} cycles: {:?}",
-            summary.outcome
-        ));
-    }
-    Ok(summary.stats.cycles)
-}
-
 /// The kd-tree primary-ray cell: traditional kernel, host-oracle
 /// validated per ray.
 fn run_kd(scale: Scale, level: MemLevel) -> Result<Cell, String> {
@@ -166,7 +152,10 @@ fn run_kd(scale: Scale, level: MemLevel) -> Result<Cell, String> {
     let mut gpu = machine(level);
     let setup = RenderSetup::upload(&mut gpu, &scene, edge, edge);
     setup.launch_traditional(&mut gpu, scale.threads_per_block);
-    let cycles = complete(&mut gpu, &format!("kdtree under {}", level.label()))?;
+    let job = format!("cacheabl kdtree under {}", level.label());
+    let cycles = run_checked(&mut gpu, CYCLE_BUDGET, &job, true)?
+        .stats
+        .cycles;
     let report = compare(&setup.host_reference(), &setup.device_results(&gpu));
     if report.mismatches > 0 {
         return Err(format!(
@@ -188,7 +177,10 @@ fn run_bvh(scale: Scale, level: MemLevel) -> Result<Cell, String> {
     let mut gpu = machine(level);
     let setup = PtSetup::upload(&mut gpu, &scene, edge, edge);
     setup.launch_traditional(&mut gpu, scale.threads_per_block);
-    let cycles = complete(&mut gpu, &format!("bvh under {}", level.label()))?;
+    let job = format!("cacheabl bvh under {}", level.label());
+    let cycles = run_checked(&mut gpu, CYCLE_BUDGET, &job, true)?
+        .stats
+        .cycles;
     let host = setup.host_reference();
     let device = setup.device_results(&gpu);
     let mismatches = exact_mismatches(&host, &device);
@@ -219,7 +211,10 @@ fn run_microdiv(scale: Scale, level: MemLevel) -> Result<Cell, String> {
         threads_per_block: 64.min(n),
     })
     .map_err(|e| format!("cacheabl microdiv launch rejected: {e:?}"))?;
-    let cycles = complete(&mut gpu, &format!("microdiv under {}", level.label()))?;
+    let job = format!("cacheabl microdiv under {}", level.label());
+    let cycles = run_checked(&mut gpu, CYCLE_BUDGET, &job, true)?
+        .stats
+        .cycles;
     for tid in 0..n {
         let got = gpu
             .mem()

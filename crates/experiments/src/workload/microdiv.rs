@@ -21,14 +21,15 @@
 //! instructions all issue at full or partial occupancy too), but track
 //! their ordering — which is exactly what the figure shows.
 
-use super::{page, Group, Workload};
+use super::{divergence_totals, page, Group, Workload};
 use crate::configs::{telemetry_spec, Variant};
 use crate::runner::Scale;
+use crate::supervisor::run_checked;
 use dmk_core::DmkConfig;
 use raytrace::scenes::SceneScale;
 use simt_isa::assemble_named;
 use simt_isa::codec::Encoder;
-use simt_sim::{Gpu, GpuConfig, Launch, RunOutcome};
+use simt_sim::{Gpu, GpuConfig, Launch};
 use std::fmt;
 
 /// Warp width of every machine the family runs on.
@@ -290,25 +291,7 @@ fn run_cell(pattern: &str, variant: Variant, n: u32, cap: u32) -> Result<Measure
         threads_per_block: 64.min(n),
     })
     .map_err(|e| format!("microdiv {pattern} launch rejected: {e:?}"))?;
-    let summary = gpu
-        .run(10_000_000)
-        .map_err(|e| format!("microdiv {pattern} faulted: {e:?}"))?;
-    if summary.outcome != RunOutcome::Completed {
-        return Err(format!(
-            "microdiv {pattern} did not complete: {:?}",
-            summary.outcome
-        ));
-    }
-    let report = gpu.telemetry_report();
-    let mut buckets = Vec::new();
-    for window in report.divergence.windows() {
-        if buckets.len() < window.len() {
-            buckets.resize(window.len(), 0u64);
-        }
-        for (b, n) in window.iter().enumerate() {
-            buckets[b] += n;
-        }
-    }
+    let summary = run_checked(&mut gpu, 10_000_000, &format!("microdiv {pattern}"), true)?;
     let host_ok = (0..n).all(|tid| {
         gpu.mem()
             .read_u32(simt_isa::Space::Global, out_base + tid * 4)
@@ -317,7 +300,7 @@ fn run_cell(pattern: &str, variant: Variant, n: u32, cap: u32) -> Result<Measure
     Ok(Measured {
         variant,
         efficiency: summary.stats.simt_efficiency(WARP),
-        buckets,
+        buckets: divergence_totals(&gpu.telemetry_report().divergence),
         host_ok,
     })
 }

@@ -31,6 +31,7 @@ mod paper;
 use crate::configs::Variant;
 use crate::runner::Scale;
 use simt_isa::codec::Encoder;
+use simt_sim::{DivergenceTimeline, OCCUPANCY_BUCKETS};
 use std::fmt;
 
 /// One registered scenario family.
@@ -291,6 +292,18 @@ impl fmt::Display for RenderError {
 }
 
 impl std::error::Error for RenderError {}
+
+/// Issues per occupancy bucket, summed over every divergence window of a
+/// run (empty when the run recorded no window).
+fn divergence_totals(timeline: &DivergenceTimeline) -> Vec<u64> {
+    let windows = timeline.windows();
+    if windows.is_empty() {
+        return Vec::new();
+    }
+    (0..OCCUPANCY_BUCKETS)
+        .map(|b| windows.iter().map(|w| w[b]).sum())
+        .collect()
+}
 
 /// Renders a value to the exact bytes `repro` prints for one artifact:
 /// `Display` text plus the trailing blank line, or the one-line JSON

@@ -5,7 +5,9 @@
 //! [`super::page`] unchanged, so `repro all` output stays byte-identical
 //! to the pre-registry stringly-typed dispatch. The
 //! `paper_workload!` macro is the boilerplate these twelve arms used to
-//! duplicate in `render_artifact`'s match.
+//! duplicate in `render_artifact`'s match. A runner that simulates
+//! returns a `Result`: a run that faults or stalls is the job-level
+//! error of [`crate::supervisor::run_checked`].
 
 use super::{page, Group, Workload};
 use crate::configs::Variant;
@@ -16,7 +18,7 @@ use crate::{
 
 /// Defines one paper-group workload: unit struct, frozen id, one-line
 /// description, and a closure from [`Scale`] to the `Display` value the
-/// figure/table module produces.
+/// figure/table module produces, or its job-level error.
 macro_rules! paper_workload {
     ($ty:ident, $id:literal, $desc:literal, |$scale:ident| $run:expr) => {
         /// Paper artifact (see the module-level docs).
@@ -41,7 +43,8 @@ macro_rules! paper_workload {
                 _variant: Option<Variant>,
                 json: bool,
             ) -> Result<String, String> {
-                Ok(page($id, &$run, json))
+                let figure: Result<_, String> = $run;
+                Ok(page($id, &figure?, json))
             }
         }
     };
@@ -51,25 +54,31 @@ paper_workload!(
     Table1,
     "table1",
     "Table I — the simulated FX5800-class machine configuration",
-    |_scale| table1::run()
+    |_scale| Ok(table1::run())
 );
 paper_workload!(
     Table2,
     "table2",
     "Table II — per-thread memory footprint of the kd-tree tracer",
-    |_scale| table2::run()
+    |_scale| Ok(table2::run())
 );
 paper_workload!(
     Table3,
     "table3",
     "Table III — scene statistics and host-reference validation",
-    |scale| table3::run(scale)
+    |scale| Ok(table3::run(scale))
 );
 paper_workload!(
     Table4,
     "table4",
     "Table IV — instruction overhead of the μ-kernel decomposition",
-    |scale| table4::run(scale)
+    |scale| Ok(table4::run(scale))
+);
+paper_workload!(
+    Fig2,
+    "fig2",
+    "Fig. 2 — PDOM lane-occupancy decay of one data-dependent loop",
+    |_scale| fig2::run()
 );
 paper_workload!(
     Fig3,
@@ -113,34 +122,3 @@ paper_workload!(
     "Shadow — secondary-ray workload on both architectures",
     |scale| shadow::run(scale)
 );
-
-/// Fig. 2 is the one paper artifact whose runner returns a `Result`
-/// (its kernel assembles at run time), so it implements the trait by
-/// hand instead of through the macro.
-pub(super) struct Fig2;
-
-impl Workload for Fig2 {
-    fn id(&self) -> &'static str {
-        "fig2"
-    }
-
-    fn description(&self) -> &'static str {
-        "Fig. 2 — PDOM lane-occupancy decay of one data-dependent loop"
-    }
-
-    fn group(&self) -> Group {
-        Group::Paper
-    }
-
-    fn render(
-        &self,
-        _scale: Scale,
-        _variant: Option<Variant>,
-        json: bool,
-    ) -> Result<String, String> {
-        match fig2::run() {
-            Ok(f) => Ok(page("fig2", &f, json)),
-            Err(e) => Err(format!("kernel assembly failed: {e}")),
-        }
-    }
-}

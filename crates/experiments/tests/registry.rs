@@ -4,7 +4,7 @@
 //! through the campaign engine with ground-truth validation,
 //! variant-qualified job names, the usage path for a flag `repro` does
 //! not have, and replay of journal entries written in the pre-registry
-//! bare-name format.
+//! bare-name format or under a fingerprint that has since gone stale.
 
 use experiments::campaign;
 use experiments::serve::client::{self, ClientOpts};
@@ -341,5 +341,62 @@ fn pre_registry_journal_entries_replay_after_restart() {
     );
 
     server.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal entry whose fingerprint went stale — its job's inputs
+/// changed between admission and replay — completes under the job's
+/// current id, and its entry is retired: the drained journal is empty
+/// instead of replaying the entry on every boot.
+#[test]
+fn a_stale_journal_entry_is_retired_under_its_current_id() {
+    let dir = temp_dir("journal-stale");
+    let fingerprint = campaign::job_fingerprint("table1", Scale::test(), false);
+    let stale = fingerprint ^ 1;
+    let journal_dir = dir.join("journal");
+    {
+        let (mut journal, _) = Journal::open(&journal_dir).expect("fresh journal opens");
+        journal
+            .append("table1", "test", false, 0, stale)
+            .expect("entry journaled");
+    }
+
+    let server = Server::start(&dir);
+    let opts = server.opts();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let resp = client::request_retry(
+            &opts,
+            "GET",
+            &format!("/jobs/{fingerprint:016x}?wait_ms=2000"),
+            "",
+            deadline,
+        )
+        .expect("status reachable");
+        assert_eq!(
+            resp.status, 200,
+            "the replayed job runs under its current id"
+        );
+        let map = json::parse_flat(&String::from_utf8_lossy(&resp.body)).expect("status JSON");
+        if json::get_str(&map, "state") == Some("done") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "replayed job must finish in time"
+        );
+    }
+    let old = client::request_retry(&opts, "GET", &format!("/jobs/{stale:016x}"), "", deadline)
+        .expect("status reachable");
+    assert_eq!(old.status, 404, "the stale id names no job");
+    server.drain();
+
+    let left: Vec<PathBuf> = std::fs::read_dir(&journal_dir)
+        .expect("journal dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "job"))
+        .collect();
+    assert!(left.is_empty(), "entries left to replay: {left:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

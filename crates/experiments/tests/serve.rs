@@ -603,7 +603,7 @@ fn a_request_in_pieces_and_a_parked_poll_leave_the_accept_thread_free() {
     peer.write_all(front.as_bytes()).expect("front sent");
     std::thread::sleep(Duration::from_millis(50));
     peer.write_all(back.as_bytes()).expect("back sent");
-    let resp = http::read_response(&mut peer).expect("answered");
+    let resp = http::read_response(&mut std::io::BufReader::new(peer)).expect("answered");
     let text = String::from_utf8_lossy(&resp.body).into_owned();
     assert_eq!(resp.status, 202, "{text}");
     let accepted = json::parse_flat(&text).expect("202 body parses");

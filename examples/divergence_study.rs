@@ -33,7 +33,7 @@ fn main() {
     // --- Part 2: full-render divergence over time (Figs. 3 vs 7) --------
     let scale = Scale::quick();
     for variant in [Variant::PdomWarp, Variant::Dynamic] {
-        let fig = divergence_figure(variant, scale);
+        let fig = divergence_figure(variant, scale).expect("clean run");
         println!("divergence over time — {variant} (conference):");
         for (wi, w) in fig.windows.iter().enumerate() {
             let total: u64 = w.iter().sum();

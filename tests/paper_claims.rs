@@ -21,8 +21,8 @@ fn scale() -> Scale {
 
 #[test]
 fn dynamic_ukernels_keep_more_lanes_active_than_pdom() {
-    let pdom = divergence_figure(Variant::PdomWarp, scale());
-    let dmk = divergence_figure(Variant::Dynamic, scale());
+    let pdom = divergence_figure(Variant::PdomWarp, scale()).expect("clean run");
+    let dmk = divergence_figure(Variant::Dynamic, scale()).expect("clean run");
     assert!(
         dmk.mean_active_lanes > pdom.mean_active_lanes,
         "dynamic {:.1} lanes !> PDOM {:.1} lanes",
@@ -33,8 +33,8 @@ fn dynamic_ukernels_keep_more_lanes_active_than_pdom() {
 
 #[test]
 fn dynamic_ukernels_raise_ipc_over_pdom() {
-    let pdom = divergence_figure(Variant::PdomWarp, scale());
-    let dmk = divergence_figure(Variant::Dynamic, scale());
+    let pdom = divergence_figure(Variant::PdomWarp, scale()).expect("clean run");
+    let dmk = divergence_figure(Variant::Dynamic, scale()).expect("clean run");
     assert!(
         dmk.ipc > pdom.ipc,
         "dynamic IPC {:.0} !> PDOM IPC {:.0}",
@@ -47,8 +47,8 @@ fn dynamic_ukernels_raise_ipc_over_pdom() {
 fn pdom_is_branch_bound_not_memory_bound() {
     // Paper Fig. 10: PDOM shows (almost) no gain from an ideal memory
     // system. Allow a modest margin at this small scale.
-    let real = divergence_figure(Variant::PdomWarp, scale());
-    let ideal = divergence_figure(Variant::PdomWarpIdeal, scale());
+    let real = divergence_figure(Variant::PdomWarp, scale()).expect("clean run");
+    let ideal = divergence_figure(Variant::PdomWarpIdeal, scale()).expect("clean run");
     assert!(
         ideal.ipc < real.ipc * 1.6,
         "PDOM must be branch-bound: ideal {:.0} vs real {:.0}",
@@ -59,8 +59,8 @@ fn pdom_is_branch_bound_not_memory_bound() {
 
 #[test]
 fn bank_conflicts_slow_dynamic_execution_but_not_fatally() {
-    let clean = divergence_figure(Variant::Dynamic, scale());
-    let conflicted = divergence_figure(Variant::DynamicConflicts, scale());
+    let clean = divergence_figure(Variant::Dynamic, scale()).expect("clean run");
+    let conflicted = divergence_figure(Variant::DynamicConflicts, scale()).expect("clean run");
     assert!(conflicted.ipc <= clean.ipc);
     assert!(
         conflicted.ipc > clean.ipc * 0.5,
