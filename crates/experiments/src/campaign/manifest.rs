@@ -46,14 +46,6 @@ impl JobOutcome {
             JobOutcome::DeadlineExceeded => "deadline-exceeded",
         }
     }
-
-    /// True for the terminal states that carry no output bytes.
-    pub fn is_degraded(&self) -> bool {
-        matches!(
-            self,
-            JobOutcome::GaveUp | JobOutcome::Failed | JobOutcome::DeadlineExceeded
-        )
-    }
 }
 
 impl fmt::Display for JobOutcome {

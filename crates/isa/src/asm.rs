@@ -921,6 +921,25 @@ mod tests {
         assert_eq!(p.entry("uk").unwrap().pc, 1);
     }
 
+    /// A predicate past `p7` has no bit-plane: every place one is named
+    /// (`setp` destination, `selp` selector, guard) is refused.
+    #[test]
+    fn predicates_past_p7_are_refused() {
+        for (src, pc, p) in [
+            ("setp.eq.s32 p8, r1, 0\nexit", 0, 8),
+            ("selp.b32 r1, r2, r3, p9\nexit", 0, 9),
+            ("nop\n@!p8 bra end\nend: exit", 1, 8),
+        ] {
+            let pred = Pred(p);
+            assert_eq!(
+                assemble(src).unwrap_err(),
+                AsmError::Invalid(ValidateError::PredicateOutOfRange { pc, pred }),
+                "{src}"
+            );
+        }
+        assert!(assemble("setp.eq.s32 p7, r1, 0\n@p7 exit\nexit").is_ok());
+    }
+
     #[test]
     fn comments_are_stripped() {
         let p = assemble("nop ; trailing\n# whole line\nnop // also\nexit").unwrap();

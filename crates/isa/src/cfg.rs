@@ -139,25 +139,10 @@ impl Cfg {
         &self.blocks
     }
 
-    /// Index of the block containing `pc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pc` is out of range.
-    pub fn block_of(&self, pc: usize) -> usize {
-        self.block_of_pc[pc]
-    }
-
     /// Successor block indices of block `b` ([`RECONVERGE_AT_EXIT`] marks
     /// the virtual exit).
     pub fn successors(&self, b: usize) -> &[usize] {
         &self.succs[b]
-    }
-
-    /// Immediate post-dominator block of block `b`, or `None` when it is
-    /// the virtual exit.
-    pub fn immediate_postdominator(&self, b: usize) -> Option<usize> {
-        self.ipdom[b]
     }
 
     /// Computes the PDOM reconvergence PC for the branch at `pc`: the first

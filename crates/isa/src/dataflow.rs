@@ -32,11 +32,6 @@ pub struct LiveSet {
 }
 
 impl LiveSet {
-    /// Number of live registers.
-    pub fn reg_count(&self) -> u32 {
-        self.regs.count_ones()
-    }
-
     /// Registers in this set, ascending.
     pub fn reg_list(&self) -> Vec<u8> {
         (0..64).filter(|r| self.regs & (1 << r) != 0).collect()

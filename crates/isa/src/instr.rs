@@ -344,18 +344,6 @@ impl Instruction {
         matches!(self.op, Instr::Spawn { .. })
     }
 
-    /// Number of immediate operands this instruction carries (relevant to
-    /// the binary encoding, which holds at most one).
-    pub fn op_immediate_count(&self) -> usize {
-        let count = |ops: &[Operand]| ops.iter().filter(|o| matches!(o, Operand::Imm(_))).count();
-        match &self.op {
-            Instr::Alu { a, b, c, .. } => count(&[*a, *b, *c]),
-            Instr::Setp { a, b, .. } | Instr::Selp { a, b, .. } => count(&[*a, *b]),
-            Instr::Mov { a, .. } => count(&[*a]),
-            _ => 0,
-        }
-    }
-
     /// Registers read by this instruction (upper bound; used by hazard
     /// checks and resource accounting).
     pub fn reads(&self) -> Vec<Reg> {

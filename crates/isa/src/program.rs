@@ -1,7 +1,7 @@
 //! Assembled program representation and static resource accounting.
 
 use crate::instr::{Instr, Instruction};
-use crate::reg::{Reg, MAX_REGS};
+use crate::reg::{Pred, Reg, MAX_PREDS, MAX_REGS};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -74,6 +74,14 @@ pub enum ValidateError {
         /// The offending register.
         reg: Reg,
     },
+    /// An instruction's guard, `setp` destination or `selp` selector
+    /// names a predicate above the architectural limit.
+    PredicateOutOfRange {
+        /// PC of the offending instruction.
+        pc: usize,
+        /// The offending predicate.
+        pred: Pred,
+    },
     /// The program has no instructions.
     Empty,
     /// Control can fall off the end of the program (last instruction is not
@@ -99,6 +107,12 @@ impl fmt::Display for ValidateError {
                     "instruction {pc}: register {reg} exceeds the architectural limit"
                 )
             }
+            ValidateError::PredicateOutOfRange { pc, pred } => {
+                write!(
+                    f,
+                    "instruction {pc}: predicate {pred} exceeds the architectural limit"
+                )
+            }
             ValidateError::Empty => write!(f, "program contains no instructions"),
             ValidateError::FallsOffEnd => {
                 write!(f, "control flow can fall off the end of the program")
@@ -115,9 +129,9 @@ impl Program {
     /// # Errors
     ///
     /// Returns a [`ValidateError`] when branch/spawn targets are out of
-    /// range, a spawn targets a non-entry PC, a register exceeds the
-    /// architectural file size, the program is empty, or control can fall
-    /// off the end.
+    /// range, a spawn targets a non-entry PC, a register or predicate
+    /// exceeds the architectural file size, the program is empty, or
+    /// control can fall off the end.
     pub fn new(
         name: impl Into<String>,
         instrs: Vec<Instruction>,
@@ -170,6 +184,15 @@ impl Program {
             for r in i.reads().into_iter().chain(i.writes()) {
                 if (r.0 as usize) >= MAX_REGS {
                     return Err(ValidateError::RegisterOutOfRange { pc, reg: r });
+                }
+            }
+            let named = match i.op {
+                Instr::Setp { p, .. } | Instr::Selp { p, .. } => Some(p),
+                _ => None,
+            };
+            for pred in i.guard.map(|g| g.pred).into_iter().chain(named) {
+                if (pred.0 as usize) >= MAX_PREDS {
+                    return Err(ValidateError::PredicateOutOfRange { pc, pred });
                 }
             }
         }

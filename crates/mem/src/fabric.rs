@@ -586,11 +586,6 @@ impl MemoryFabric {
         &self.module_busy
     }
 
-    /// Bytes of global memory allocated so far.
-    pub fn global_allocated(&self) -> u32 {
-        self.global.allocated_bytes()
-    }
-
     /// Serializes the fabric's complete mutable state — backing stores,
     /// per-module timing, L2 and interconnect state, and texture bindings —
     /// for a simulator checkpoint. Requests never persist across cycles

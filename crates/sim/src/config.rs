@@ -175,13 +175,14 @@ impl GpuConfig {
     ///
     /// # Errors
     ///
-    /// Why the machine cannot be built: the warp size exceeds 64 lanes
-    /// (mask width) or is zero, there is no SM, the watchdog threshold or
+    /// Why the machine cannot be built: the warp size exceeds 32 lanes
+    /// (the width of a register plane, see [`crate::LaneState`]) or is
+    /// zero, there is no SM, the watchdog threshold or
     /// the divergence window is zero, or the DMK warp size or thread
     /// capacity disagrees with the machine's.
     pub fn validate(&self) -> Result<(), &'static str> {
-        if self.warp_size == 0 || self.warp_size > 64 {
-            return Err("warp size must be 1..=64");
+        if self.warp_size == 0 || self.warp_size > 32 {
+            return Err("warp size must be 1..=32");
         }
         if self.num_sms == 0 {
             return Err("need at least one SM");

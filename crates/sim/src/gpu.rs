@@ -187,13 +187,6 @@ impl GpuBuilder {
         self
     }
 
-    /// What a warp trap does: abort the run or kill the warp and keep
-    /// going. Overrides [`GpuConfig::fault_policy`].
-    pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.cfg.fault_policy = policy;
-        self
-    }
-
     /// Installs a deterministic fault injector (testing hook).
     pub fn injector(mut self, injector: Injector) -> Self {
         self.injector = Some(injector);
@@ -409,6 +402,13 @@ impl Gpu {
     /// instruction the 96-bit ISA codec cannot represent (more than one
     /// distinct non-zero immediate operand — assembler output never does).
     pub fn checkpoint(&self) -> Result<Snapshot, EncodeError> {
+        debug_assert!(
+            self.clock_is_accounted(),
+            "clock {} against {} cycles in {} windows",
+            self.now,
+            self.stats.cycles,
+            self.stats.divergence.windows().len()
+        );
         let mut enc = Encoder::new();
         self.cfg.encode(&mut enc);
         self.mem.encode_state(&mut enc);
@@ -457,7 +457,15 @@ impl Gpu {
             let program = checkpoint::take_program(&mut dec)?;
             let rtab = ReconvergenceTable::build(&program);
             let entry_pc = dec.take_usize()?;
+            // Derived from the program at launch, it sizes every warp's
+            // register file: a restored one must be the derived one.
             let regs_per_thread = dec.take_u32()?;
+            let derived = program.resource_usage().registers.max(1);
+            if regs_per_thread != derived {
+                return Err(RestoreError::Invalid(format!(
+                    "{regs_per_thread} registers per thread, not the program's {derived}"
+                )));
+            }
             let ntid = dec.take_u32()?;
             let blocks = VecDeque::decode(&mut dec)?;
             let next_dynamic_tid = dec.take_u32()?;
@@ -473,6 +481,15 @@ impl Gpu {
         }
         gpu.stats.restore_state(&mut dec)?;
         gpu.now = dec.take_u64()?;
+        // The clock sizes the divergence timeline on the next issue.
+        if !gpu.clock_is_accounted() {
+            return Err(RestoreError::Invalid(format!(
+                "clock {} is not the statistics' {} cycles in {} windows",
+                gpu.now,
+                gpu.stats.cycles,
+                gpu.stats.divergence.windows().len()
+            )));
+        }
         gpu.rr_sm = dec.take_usize()?;
         gpu.injector = Option::decode(&mut dec)?;
         gpu.faults = Vec::decode(&mut dec)?;
@@ -483,6 +500,19 @@ impl Gpu {
             )));
         }
         Ok(gpu)
+    }
+
+    /// Whether the statistics account for the clock, as every run leaves
+    /// them: [`Gpu::finish_run`] sets `stats.cycles` to it, and the `n`
+    /// windows of `w` cycles in the divergence timeline cover the cycles
+    /// below it, `(n - 1)·w ≤ now ≤ n·w` (the lower bound is not strict
+    /// because an aborting cycle is recorded while the clock stays on it).
+    fn clock_is_accounted(&self) -> bool {
+        let w = self.stats.divergence.window();
+        let n = self.stats.divergence.windows().len() as u64;
+        self.now == self.stats.cycles
+            && self.now <= n.saturating_mul(w)
+            && n.saturating_sub(1).saturating_mul(w) <= self.now
     }
 
     /// Registers a kernel launch. Threads are dispatched to SMs over the
@@ -1453,8 +1483,8 @@ mod tests {
         let rest = &payload[payload.len() - dec.remaining()..];
         type Mutation = fn(&mut GpuConfig);
         let cases: [(Mutation, &str); 3] = [
-            (|c| c.warp_size = 0, "warp size must be 1..=64"),
-            (|c| c.warp_size = 65, "warp size must be 1..=64"),
+            (|c| c.warp_size = 0, "warp size must be 1..=32"),
+            (|c| c.warp_size = 33, "warp size must be 1..=32"),
             (
                 |c| c.divergence_window = 0,
                 "divergence window must be positive",

@@ -239,11 +239,6 @@ impl Sm {
         self.id
     }
 
-    /// Resident warps.
-    pub fn warp_count(&self) -> usize {
-        self.warps.len()
-    }
-
     /// Resident threads.
     pub fn threads_used(&self) -> u32 {
         self.threads_used
@@ -1462,7 +1457,7 @@ impl Sm {
     pub(crate) fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         let n = dec.take_len(30)?;
         self.warps = (0..n)
-            .map(|_| Warp::restore_state(dec))
+            .map(|_| Warp::restore_state(dec, self.warp_size))
             .collect::<Result<_, CodecError>>()?;
         self.next_warp_id = dec.take_usize()?;
         self.rr = dec.take_usize()?;
@@ -1502,11 +1497,6 @@ impl Sm {
         self.reap_dirty = true;
         self.dispatch_dirty = true;
         Ok(())
-    }
-
-    /// Test/diagnostic access to shared memory contents.
-    pub fn shared_mem(&self) -> &OnChipMemory {
-        &self.shared
     }
 
     /// Test/diagnostic access to spawn memory contents.

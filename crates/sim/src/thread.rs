@@ -3,23 +3,10 @@
 use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
 use simt_isa::{eval_alu, eval_cmp, AluOp, CmpOp, Operand, Pred, Reg, Special};
 
-/// Lanes in an operand row: the width of the Table I machine's warps, the
-/// only width whose warp ops skip the per-lane loop.
+/// Lanes in a register plane: the width of the Table I machine's warps
+/// and the widest warp a machine may have. A narrower warp's plane keeps
+/// its lanes first and never writes the rest.
 const ROW: usize = 32;
-
-/// An operand pre-resolved against the warp's register layout, so the
-/// warp-wide execution loops do the operand-kind match and the
-/// register-vs-stride bounds check once per instruction instead of once
-/// per lane.
-#[derive(Clone, Copy)]
-enum Src {
-    /// In-file register: offset within a lane's register block.
-    Idx(usize),
-    /// Immediate value.
-    Imm(u32),
-    /// Register beyond the file: reads 0 (see [`LaneState::reg`]).
-    Zero,
-}
 
 /// Struct-of-arrays per-lane thread state for one warp.
 ///
@@ -31,10 +18,10 @@ enum Src {
 /// with populated/exited/spawned lane *sets* kept as bitmasks so the
 /// inner loops iterate set bits instead of testing discriminants.
 ///
-/// Registers are a single flat `lanes × stride` array. The stride starts
+/// Registers are a single flat `stride × ROW` array. The stride starts
 /// at the program's declared register count; a write beyond it (programs
-/// may under-declare) re-packs the block to a larger stride for the whole
-/// warp. Reads beyond the stride return 0.
+/// may under-declare) widens the file for the whole warp. Reads beyond
+/// the stride return 0.
 #[derive(Debug, Clone)]
 pub struct LaneState {
     warp_size: u32,
@@ -57,12 +44,14 @@ pub struct LaneState {
     spawn_mem_addr: Vec<u32>,
     state_slot: Vec<u32>,
     /// Flat register file in *register-major* order: register `r` of lane
-    /// `i` lives at `regs[r * warp_size + i]`. A warp-wide operation then
-    /// reads each operand from one contiguous `warp_size`-word plane
-    /// (cache-dense, auto-vectorizable) instead of striding `stride`
+    /// `i` lives at `regs[r * ROW + i]`, whatever the warp's width. A
+    /// warp-wide operation then reads each operand as one fixed-width
+    /// row (cache-dense, auto-vectorizable) instead of striding `stride`
     /// words between lanes, and growing the stride appends fresh planes
-    /// without re-packing. The checkpoint codec writes the planes in this
-    /// order, zero runs elided: a never-written register is one run.
+    /// without re-packing. Lanes `warp_size..ROW` of every plane stay 0.
+    /// The checkpoint codec writes each plane's first `warp_size` words
+    /// in this order, zero runs elided: a never-written register is one
+    /// run.
     regs: Vec<u32>,
 }
 
@@ -79,9 +68,13 @@ impl LaneState {
     ///
     /// # Panics
     ///
-    /// Panics if `count` exceeds `warp_size`.
+    /// Panics if `count` exceeds `warp_size` or `warp_size` exceeds 32.
     pub fn admit(warp_size: u32, regs_per_thread: u32, first_tid: u32, count: u32) -> Self {
         assert!(count <= warp_size, "more threads than lanes");
+        assert!(
+            warp_size as usize <= ROW,
+            "a warp wider than a register plane"
+        );
         let n = warp_size as usize;
         let mut tid = vec![0; n];
         for (lane, t) in tid[..count as usize].iter_mut().enumerate() {
@@ -90,7 +83,7 @@ impl LaneState {
         LaneState {
             warp_size,
             regs_stride: regs_per_thread,
-            populated: if count == 64 { !0 } else { (1u64 << count) - 1 },
+            populated: (1u64 << count) - 1,
             exited: 0,
             spawned: 0,
             has_slot: 0,
@@ -98,7 +91,7 @@ impl LaneState {
             pred_planes: [0; 8],
             spawn_mem_addr: vec![0; n],
             state_slot: vec![0; n],
-            regs: vec![0; n * regs_per_thread as usize],
+            regs: vec![0; ROW * regs_per_thread as usize],
         }
     }
 
@@ -181,7 +174,7 @@ impl LaneState {
         if i >= self.regs_stride {
             return 0;
         }
-        self.regs[i as usize * self.warp_size as usize + lane]
+        self.regs[i as usize * ROW + lane]
     }
 
     /// Writes register `r` of lane `lane`, widening the file if the
@@ -191,7 +184,7 @@ impl LaneState {
         if i >= self.regs_stride {
             self.grow_stride(i + 1);
         }
-        self.regs[i as usize * self.warp_size as usize + lane] = v;
+        self.regs[i as usize * ROW + lane] = v;
     }
 
     /// Reads `N` consecutive registers of lane `lane` starting at `first`:
@@ -202,15 +195,14 @@ impl LaneState {
     // stack, word by word on one side and as a vector on the other.
     #[inline(always)]
     pub fn reg_n<const N: usize>(&self, lane: usize, first: Reg) -> [u32; N] {
-        let ws = self.warp_size as usize;
         // (Plain loops, and both arms in line: a result that `from_fn` or
         // a called function builds in memory is read back from there as
         // one vector, which stalls on the word stores that wrote it.)
         let mut run = [0; N];
         if first.0 as usize + N <= self.regs_stride as usize {
-            let at = first.0 as usize * ws + lane;
+            let at = first.0 as usize * ROW + lane;
             for (i, v) in run.iter_mut().enumerate() {
-                *v = self.regs[at + i * ws];
+                *v = self.regs[at + i * ROW];
             }
         } else {
             for (i, v) in run.iter_mut().enumerate() {
@@ -226,11 +218,10 @@ impl LaneState {
     /// widening as `set_reg` widens it.
     #[inline(always)]
     pub fn set_reg_n<const N: usize>(&mut self, lane: usize, first: Reg, values: [u32; N]) {
-        let ws = self.warp_size as usize;
         if first.0 as usize + N <= self.regs_stride as usize {
-            let at = first.0 as usize * ws + lane;
+            let at = first.0 as usize * ROW + lane;
             for (i, v) in values.into_iter().enumerate() {
-                self.regs[at + i * ws] = v;
+                self.regs[at + i * ROW] = v;
             }
         } else {
             self.set_reg_n_past_the_file(lane, first, values);
@@ -254,8 +245,7 @@ impl LaneState {
     /// register it never declared). Register-major layout makes this an
     /// append of fresh zeroed planes; existing planes stay in place.
     fn grow_stride(&mut self, stride: u32) {
-        self.regs
-            .resize(stride as usize * self.warp_size as usize, 0);
+        self.regs.resize(stride as usize * ROW, 0);
         self.regs_stride = stride;
     }
 
@@ -320,31 +310,10 @@ impl LaneState {
         }
     }
 
-    #[inline]
-    fn resolve(&self, o: Operand) -> Src {
-        match o {
-            Operand::Imm(v) => Src::Imm(v),
-            Operand::Reg(r) if (r.0 as u32) < self.regs_stride => {
-                // Base of the operand's register plane.
-                Src::Idx(r.0 as usize * self.warp_size as usize)
-            }
-            Operand::Reg(_) => Src::Zero,
-        }
-    }
-
-    #[inline]
-    fn load(&self, lane: usize, s: Src) -> u32 {
-        match s {
-            Src::Idx(plane) => self.regs[plane + lane],
-            Src::Imm(v) => v,
-            Src::Zero => 0,
-        }
-    }
-
     /// Brings destination register `d` inside the file, growing the
-    /// stride up-front so a per-lane loop can write unchecked. Growing
-    /// before the loop (rather than at the first lane's `set_reg`, as
-    /// the scalar path does) is equivalent: lanes only read their own
+    /// stride up-front so a warp op can write its row unchecked. Growing
+    /// before the op (rather than at the first lane's `set_reg`, as the
+    /// scalar path does) is equivalent: lanes only read their own
     /// registers, and a read beyond the old stride returned 0 exactly
     /// as the grown block's fresh zeros do. Returns the base of `d`'s
     /// register plane.
@@ -354,31 +323,29 @@ impl LaneState {
         if i >= self.regs_stride {
             self.grow_stride(i + 1);
         }
-        i as usize * self.warp_size as usize
+        i as usize * ROW
     }
 
-    /// Whether this is a [`ROW`]-lane warp, so a warp op reads each operand
-    /// as one fixed-width row, computes every lane and blends the result
-    /// into its destination by the issue's lane bits ([`Self::blend_row`]).
-    /// That is exact for any issue mask because `eval_alu` and `eval_cmp`
-    /// are total and pure: an inactive lane's result is computed and
-    /// dropped. A warp of another width takes the per-lane bit loop.
-    #[inline]
-    fn is_row(&self) -> bool {
-        self.warp_size as usize == ROW
-    }
-
-    /// Operand `s` for every lane of a [`ROW`]-lane warp: a register's
-    /// whole plane, an immediate splat, or zeros past the file.
+    /// Operand `o` for every lane of a register plane, its kind matched
+    /// and its register bounds-checked once per instruction: the
+    /// register's whole row, an immediate splat, or zeros for a register
+    /// past the file (see [`LaneState::reg`]). A warp op reads each
+    /// operand this way, computes every lane and blends the result into
+    /// its destination by the issue's lane bits ([`Self::blend_row`]).
+    /// That is exact for any issue mask and any warp width because
+    /// `eval_alu` and `eval_cmp` are total and pure: an inactive or
+    /// padding lane's result is computed and dropped.
     #[inline(always)]
-    fn row(&self, s: Src) -> [u32; ROW] {
-        match s {
-            Src::Idx(plane) => match self.regs[plane..].first_chunk() {
-                Some(row) => *row,
-                None => unreachable!("an in-file register has a whole plane"),
-            },
-            Src::Imm(v) => [v; ROW],
-            Src::Zero => [0; ROW],
+    fn row(&self, o: Operand) -> [u32; ROW] {
+        match o {
+            Operand::Reg(r) if u32::from(r.0) < self.regs_stride => {
+                match self.regs[usize::from(r.0) * ROW..].first_chunk() {
+                    Some(row) => *row,
+                    None => unreachable!("an in-file register has a whole plane"),
+                }
+            }
+            Operand::Reg(_) => [0; ROW],
+            Operand::Imm(v) => [v; ROW],
         }
     }
 
@@ -398,27 +365,18 @@ impl LaneState {
 
     /// Executes `mov d, a` on every populated lane in `mask`.
     pub fn mov_warp(&mut self, mask: u64, d: Reg, a: Operand) {
-        let mut bits = mask & self.populated;
+        let bits = mask & self.populated;
         if bits == 0 {
             return;
         }
         let db = self.ensure_dst(d);
-        let src = self.resolve(a);
-        if self.is_row() {
-            let v = self.row(src);
-            self.blend_row(db, bits, |lane| v[lane]);
-            return;
-        }
-        while bits != 0 {
-            let lane = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.regs[db + lane] = self.load(lane, src);
-        }
+        let v = self.row(a);
+        self.blend_row(db, bits, |lane| v[lane]);
     }
 
     /// Executes `op d, a, b, c` on every populated lane in `mask`.
     pub fn alu_warp(&mut self, mask: u64, op: AluOp, d: Reg, a: Operand, b: Operand, c: Operand) {
-        // One dispatch per warp instruction: each arm's lane loop is
+        // One dispatch per warp instruction: each arm's row op is
         // compiled for its own operation, so `eval_alu` with a constant
         // `op` folds to the operation itself instead of re-entering its
         // jump table once per lane.
@@ -438,7 +396,7 @@ impl LaneState {
         );
     }
 
-    /// The lane loop of [`LaneState::alu_warp`] for one operation `f`.
+    /// The row op of [`LaneState::alu_warp`] for one operation `f`.
     #[inline]
     fn alu_lanes(
         &mut self,
@@ -449,35 +407,21 @@ impl LaneState {
         c: Operand,
         f: impl Fn(u32, u32, u32) -> u32,
     ) {
-        let mut bits = mask & self.populated;
+        let bits = mask & self.populated;
         if bits == 0 {
             return;
         }
         let db = self.ensure_dst(d);
-        let (sa, sb, sc) = (self.resolve(a), self.resolve(b), self.resolve(c));
-        if self.is_row() {
-            // Every source is read before the destination is written, so
-            // `d` naming a source changes nothing: a lane reads only its
-            // own column.
-            let (a, b, c) = (self.row(sa), self.row(sb), self.row(sc));
-            self.blend_row(db, bits, |lane| f(a[lane], b[lane], c[lane]));
-            return;
-        }
-        while bits != 0 {
-            let lane = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let r = f(
-                self.load(lane, sa),
-                self.load(lane, sb),
-                self.load(lane, sc),
-            );
-            self.regs[db + lane] = r;
-        }
+        // Every source is read before the destination is written, so `d`
+        // naming a source changes nothing: a lane reads only its own
+        // column.
+        let (a, b, c) = (self.row(a), self.row(b), self.row(c));
+        self.blend_row(db, bits, |lane| f(a[lane], b[lane], c[lane]));
     }
 
     /// Executes `setp.cmp p, a, b` on every populated lane in `mask`.
     pub fn setp_warp(&mut self, mask: u64, cmp: CmpOp, p: Pred, a: Operand, b: Operand) {
-        // As in `alu_warp`: one lane loop per comparison.
+        // As in `alu_warp`: one row op per comparison.
         macro_rules! lanes_of {
             ($($v:ident)*) => {
                 match cmp {
@@ -490,7 +434,7 @@ impl LaneState {
         lanes_of!(EqS NeS LtS LeS GtS GeS LtU LeU GtU GeU EqF NeF LtF LeF GtF GeF);
     }
 
-    /// The lane loop of [`LaneState::setp_warp`] for one comparison `f`.
+    /// The row op of [`LaneState::setp_warp`] for one comparison `f`.
     #[inline]
     fn setp_lanes(
         &mut self,
@@ -500,63 +444,36 @@ impl LaneState {
         b: Operand,
         f: impl Fn(u32, u32) -> bool,
     ) {
-        let mut bits = mask & self.populated;
+        let bits = mask & self.populated;
         if bits == 0 {
             return;
         }
-        let (sa, sb) = (self.resolve(a), self.resolve(b));
-        let pi = p.0 as usize;
-        let mut plane = self.pred_planes[pi];
-        if self.is_row() {
-            // Rebuild the whole bit-plane, then keep the old bits of the
-            // lanes outside `bits`.
-            let (a, b) = (self.row(sa), self.row(sb));
-            let mut new = 0;
-            for lane in 0..ROW {
-                new |= u64::from(f(a[lane], b[lane])) << lane;
-            }
-            self.pred_planes[pi] = (plane & !bits) | (new & bits);
-            return;
+        // Rebuild the whole bit-plane, then keep the old bits of the lanes
+        // outside `bits`.
+        let (a, b) = (self.row(a), self.row(b));
+        let mut new = 0;
+        for lane in 0..ROW {
+            new |= u64::from(f(a[lane], b[lane])) << lane;
         }
-        while bits != 0 {
-            let lane = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let r = f(self.load(lane, sa), self.load(lane, sb));
-            let bit = Self::bit(lane);
-            plane = (plane & !bit) | (u64::from(r) << lane);
-        }
-        self.pred_planes[pi] = plane;
+        let plane = &mut self.pred_planes[p.0 as usize];
+        *plane = (*plane & !bits) | (new & bits);
     }
 
     /// Executes `selp d, a, b, p` on every populated lane in `mask`.
     pub fn selp_warp(&mut self, mask: u64, d: Reg, a: Operand, b: Operand, p: Pred) {
-        let mut bits = mask & self.populated;
+        let bits = mask & self.populated;
         if bits == 0 {
             return;
         }
         let db = self.ensure_dst(d);
-        let (sa, sb) = (self.resolve(a), self.resolve(b));
         let plane = self.pred_planes[p.0 as usize];
-        if self.is_row() {
-            // A branchless select over the operand rows (the dominant
-            // instruction in the renderer's min/max-style inner loops).
-            let (t, f) = (self.row(sa), self.row(sb));
-            self.blend_row(db, bits, |lane| {
-                let m = ((plane >> lane) & 1).wrapping_neg() as u32;
-                (t[lane] & m) | (f[lane] & !m)
-            });
-            return;
-        }
-        while bits != 0 {
-            let lane = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let v = if (plane >> lane) & 1 == 1 {
-                self.load(lane, sa)
-            } else {
-                self.load(lane, sb)
-            };
-            self.regs[db + lane] = v;
-        }
+        // A branchless select over the operand rows (the dominant
+        // instruction in the renderer's min/max-style inner loops).
+        let (t, f) = (self.row(a), self.row(b));
+        self.blend_row(db, bits, |lane| {
+            let m = ((plane >> lane) & 1).wrapping_neg() as u32;
+            (t[lane] & m) | (f[lane] & !m)
+        });
     }
 
     /// Executes `mov d, %special` on every populated lane in `mask`.
@@ -590,8 +507,10 @@ impl LaneState {
     }
 
     /// Serializes the lane arrays for a simulator checkpoint: one SoA
-    /// block per warp, the register file register-major as it is held.
+    /// block per warp, the register file register-major as it is held,
+    /// each plane cut to its first `warp_size` words.
     pub(crate) fn encode_state(&self, enc: &mut Encoder) {
+        let n = self.warp_size as usize;
         enc.put_u32(self.warp_size);
         enc.put_u32(self.regs_stride);
         enc.put_u64(self.populated);
@@ -599,18 +518,24 @@ impl LaneState {
         enc.put_u64(self.spawned);
         enc.put_u64(self.has_slot);
         self.tid.encode(enc);
-        for lane in 0..self.warp_size as usize {
+        for lane in 0..n {
             enc.put_u8(self.gather_preds(lane));
         }
         self.spawn_mem_addr.encode(enc);
         self.state_slot.encode(enc);
-        enc.put_u32_sparse(&self.regs);
+        let regs: Vec<u32> = self
+            .regs
+            .chunks_exact(ROW)
+            .flat_map(|plane| &plane[..n])
+            .copied()
+            .collect();
+        enc.put_u32_sparse(&regs);
     }
 
     /// Rebuilds lane state written by [`LaneState::encode_state`].
     pub(crate) fn restore_state(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let warp_size = dec.take_u32()?;
-        if warp_size == 0 || warp_size > 64 {
+        if warp_size == 0 || warp_size as usize > ROW {
             return Err(CodecError::BadTag {
                 what: "lane-state warp size",
                 tag: u64::from(warp_size),
@@ -646,14 +571,14 @@ impl LaneState {
         }
         let spawn_mem_addr = Vec::<u32>::decode(dec)?;
         let state_slot = Vec::<u32>::decode(dec)?;
-        let regs = dec.take_u32_sparse(n * regs_stride as usize)?;
+        let packed = dec.take_u32_sparse(n * regs_stride as usize)?;
         for (what, len, want) in [
             ("lane-state tids", tid.len(), n),
             ("lane-state spawn addrs", spawn_mem_addr.len(), n),
             ("lane-state slots", state_slot.len(), n),
             (
                 "lane-state register block",
-                regs.len(),
+                packed.len(),
                 n * regs_stride as usize,
             ),
         ] {
@@ -663,6 +588,10 @@ impl LaneState {
                     tag: len as u64,
                 });
             }
+        }
+        let mut regs = vec![0; ROW * regs_stride as usize];
+        for (plane, words) in regs.chunks_exact_mut(ROW).zip(packed.chunks_exact(n)) {
+            plane[..n].copy_from_slice(words);
         }
         let mut s = LaneState {
             warp_size,
@@ -884,8 +813,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
         /// A warp op under any issue mask — none, one lane, a random set,
-        /// every lane — on a full or partially populated warp, through the
-        /// blended row path (32 lanes) and the bit loop (4 lanes), equals
+        /// every lane — on a full or partially populated warp of 1, 4, 17
+        /// or 32 lanes (the padding lanes of a narrow warp's rows read and
+        /// dropped), equals
         /// the instruction run lane by lane over the active lanes, for
         /// every ALU operation and comparison, `selp` and `mov`: operands
         /// an in-file register, an immediate or a register past the file
@@ -918,7 +848,8 @@ mod tests {
                 .into_iter()
                 .chain(CMP_OPS.map(WarpOp::Setp))
                 .chain([WarpOp::Selp(Pred(seed as u8 & 7)), WarpOp::Mov]);
-            for (warp_size, count) in [(4, 1 + count % 4), (32, count)] {
+            for warp_size in [1, 4, 17, 32] {
+                let count = 1 + (count - 1) % warp_size;
                 let mask = match mask_kind {
                     0 => 0,
                     1 => 1 << (random_mask % u64::from(warp_size)),
@@ -944,9 +875,9 @@ mod tests {
 
     #[test]
     fn admit_builds_fresh_lanes_with_consecutive_tids() {
-        for (warp_size, count) in [(4u32, 3u32), (4, 4), (64, 64)] {
+        for (warp_size, count) in [(4u32, 3u32), (4, 4), (32, 32)] {
             let l = LaneState::admit(warp_size, 5, 100, count);
-            let populated = if count == 64 { !0 } else { (1u64 << count) - 1 };
+            let populated = (1u64 << count) - 1;
             assert_eq!(l.populated_mask(), populated, "{count} of {warp_size}");
             assert_eq!(l.live_mask(), populated);
             for lane in 0..count as usize {
@@ -1039,10 +970,13 @@ mod tests {
                 "mask {mask}"
             );
         }
-        // Every lane of a 64-lane warp is in range.
+        // Every lane of a 32-lane warp is in range.
         let mut enc = Encoder::new();
-        LaneState::admit(64, 1, 0, 64).encode_state(&mut enc);
+        LaneState::admit(32, 1, 0, 32).encode_state(&mut enc);
         let full = LaneState::restore_state(&mut Decoder::new(&enc.into_bytes()));
-        assert_eq!(full.expect("restores").populated_mask(), !0);
+        assert_eq!(
+            full.expect("restores").populated_mask(),
+            u64::from(u32::MAX)
+        );
     }
 }

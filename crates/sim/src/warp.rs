@@ -27,14 +27,12 @@ pub enum WarpState {
     Finished,
 }
 
-/// A warp: up to `warp_size` threads executing in lockstep under a PDOM
-/// reconvergence stack.
+/// A warp: up to the machine's warp width of threads executing in
+/// lockstep under a PDOM reconvergence stack.
 #[derive(Debug, Clone)]
 pub struct Warp {
     /// Warp id within its SM.
     pub id: usize,
-    /// Machine warp width.
-    pub warp_size: u32,
     /// Per-lane thread state, struct-of-arrays (unpopulated lanes of
     /// partial warps are absent from the populated mask).
     pub lanes: LaneState,
@@ -70,10 +68,8 @@ impl Warp {
     pub fn from_lanes(id: usize, entry_pc: usize, lanes: LaneState) -> Self {
         let mask = lanes.populated_mask();
         assert!(mask != 0, "a warp needs at least one thread");
-        let warp_size = lanes.warp_size();
         Warp {
             id,
-            warp_size,
             lanes,
             top: Some(StackEntry {
                 pc: entry_pc,
@@ -215,7 +211,8 @@ impl Warp {
     /// book-keeping — for a simulator checkpoint.
     pub(crate) fn encode_state(&self, enc: &mut Encoder) {
         enc.put_usize(self.id);
-        enc.put_u32(self.warp_size);
+        // The width again, ahead of the lane block that carries it.
+        enc.put_u32(self.lanes.warp_size());
         self.lanes.encode_state(enc);
         // Bottom to top: the entries below, then the inline top.
         enc.put_usize(self.stack_depth());
@@ -229,15 +226,23 @@ impl Warp {
         enc.put_bool(self.is_dynamic);
     }
 
-    /// Rebuilds a warp from bytes written by [`Warp::encode_state`].
-    pub(crate) fn restore_state(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+    /// Rebuilds a warp from bytes written by [`Warp::encode_state`],
+    /// refusing one whose width is not `warp_size`, the machine's.
+    pub(crate) fn restore_state(dec: &mut Decoder<'_>, warp_size: u32) -> Result<Self, CodecError> {
         let id = dec.take_usize()?;
-        let warp_size = dec.take_u32()?;
+        let width = dec.take_u32()?;
         let lanes = LaneState::restore_state(dec)?;
+        for tag in [width, lanes.warp_size()] {
+            if tag != warp_size {
+                return Err(CodecError::BadTag {
+                    what: "warp width",
+                    tag: u64::from(tag),
+                });
+            }
+        }
         let mut below = Vec::<StackEntry>::decode(dec)?;
         Ok(Warp {
             id,
-            warp_size,
             lanes,
             top: below.pop(),
             below,
@@ -507,7 +512,7 @@ mod tests {
         fn encoded(&self, w: &Warp) -> Vec<u8> {
             let mut enc = Encoder::new();
             enc.put_usize(w.id);
-            enc.put_u32(w.warp_size);
+            enc.put_u32(w.lanes.warp_size());
             w.lanes.encode_state(&mut enc);
             enc.put_usize(self.0.len());
             for e in &self.0 {
@@ -540,7 +545,7 @@ mod tests {
             assert_eq!(w.stack_depth(), depth);
             let bytes = encoded(w);
             assert_eq!(bytes, model.encoded(w), "depth {depth}");
-            let mut restored = Warp::restore_state(&mut Decoder::new(&bytes)).unwrap();
+            let mut restored = Warp::restore_state(&mut Decoder::new(&bytes), 4).unwrap();
             assert_eq!(encoded(&restored), bytes, "depth {depth} round-trips");
             assert_eq!(restored.current(), w.clone().current());
         };
