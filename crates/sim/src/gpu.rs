@@ -484,7 +484,7 @@ impl Gpu {
         // The clock sizes the divergence timeline on the next issue.
         if !gpu.clock_is_accounted() {
             return Err(RestoreError::Invalid(format!(
-                "clock {} is not the statistics' {} cycles in {} windows",
+                "clock {} is not accounted for by the statistics' {} cycles in {} windows",
                 gpu.now,
                 gpu.stats.cycles,
                 gpu.stats.divergence.windows().len()
@@ -504,15 +504,20 @@ impl Gpu {
 
     /// Whether the statistics account for the clock, as every run leaves
     /// them: [`Gpu::finish_run`] sets `stats.cycles` to it, and the `n`
-    /// windows of `w` cycles in the divergence timeline cover the cycles
-    /// below it, `(n - 1)·w ≤ now ≤ n·w` (the lower bound is not strict
-    /// because an aborting cycle is recorded while the clock stays on it).
+    /// windows of `w` cycles in the divergence timeline reach no further
+    /// than it, `(n - 1)·w ≤ now` (not strict: an aborting cycle is
+    /// recorded while the clock stays on it). Every SM-cycle issues, idles,
+    /// stalls on a spawn or faults, and only the first two are recorded in
+    /// the timeline, so a cycle past its last window had every SM stall or
+    /// fault: `now ≤ n·w + spawn_stall_cycles + faults`.
     fn clock_is_accounted(&self) -> bool {
-        let w = self.stats.divergence.window();
-        let n = self.stats.divergence.windows().len() as u64;
-        self.now == self.stats.cycles
-            && self.now <= n.saturating_mul(w)
+        let s = &self.stats;
+        let w = s.divergence.window();
+        let n = s.divergence.windows().len() as u64;
+        let unrecorded = s.spawn_stall_cycles.saturating_add(s.faults);
+        self.now == s.cycles
             && n.saturating_sub(1).saturating_mul(w) <= self.now
+            && self.now <= n.saturating_mul(w).saturating_add(unrecorded)
     }
 
     /// Registers a kernel launch. Threads are dispatched to SMs over the

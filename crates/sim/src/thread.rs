@@ -523,13 +523,19 @@ impl LaneState {
         }
         self.spawn_mem_addr.encode(enc);
         self.state_slot.encode(enc);
-        let regs: Vec<u32> = self
-            .regs
-            .chunks_exact(ROW)
-            .flat_map(|plane| &plane[..n])
-            .copied()
-            .collect();
-        enc.put_u32_sparse(&regs);
+        // A full-width warp's planes are the register file as it stands;
+        // a narrower warp's are cut to their first `n` lanes.
+        if n == ROW {
+            enc.put_u32_sparse(&self.regs);
+        } else {
+            let planes: Vec<u32> = self
+                .regs
+                .chunks_exact(ROW)
+                .flat_map(|plane| &plane[..n])
+                .copied()
+                .collect();
+            enc.put_u32_sparse(&planes);
+        }
     }
 
     /// Rebuilds lane state written by [`LaneState::encode_state`].

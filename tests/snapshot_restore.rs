@@ -10,8 +10,8 @@ use usimt::isa::codec::{fnv1a64, Codec, Decoder, Encoder, SPARSE_MAX_WORDS};
 use usimt::kernels::render::RenderSetup;
 use usimt::raytrace::scenes::{self, SceneScale};
 use usimt::sim::{
-    seal_frame, Gpu, GpuConfig, RestoreError, RunOutcome, Snapshot, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    seal_frame, Gpu, GpuConfig, InjectedFault, Injector, RestoreError, RunOutcome, Snapshot,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 
 /// The system allocator, noting the largest single request each thread
@@ -76,6 +76,14 @@ impl Rng {
 /// The 4-lane `tiny` machine 3000 cycles into an 8×8 `conference` frame,
 /// traditional or as μ-kernels on 4-lane DMK hardware.
 fn four_lane_mid_run(dynamic: bool) -> Gpu {
+    let mut gpu = four_lane_frame(dynamic);
+    let summary = gpu.run(3000).expect("fault-free run");
+    assert_eq!(summary.outcome, RunOutcome::CycleLimit, "stopped mid-frame");
+    gpu
+}
+
+/// The 4-lane `tiny` machine with an 8×8 `conference` frame launched.
+fn four_lane_frame(dynamic: bool) -> Gpu {
     let cfg = GpuConfig {
         dmk: dynamic.then_some(DmkConfig {
             warp_size: 4,
@@ -93,8 +101,6 @@ fn four_lane_mid_run(dynamic: bool) -> Gpu {
     } else {
         setup.launch_traditional(&mut gpu, 8);
     }
-    let summary = gpu.run(3000).expect("fault-free run");
-    assert_eq!(summary.outcome, RunOutcome::CycleLimit, "stopped mid-frame");
     gpu
 }
 
@@ -156,6 +162,27 @@ fn a_warp_narrower_than_its_machine_is_refused() {
         Err(RestoreError::Codec(e)) => assert!(e.to_string().contains("warp width"), "{e}"),
         other => panic!("8-lane machine of 4-lane warps: {:?}", other.map(|_| ())),
     }
+}
+
+/// A machine whose every warp stalls on a full spawn FIFO issues a stall
+/// each cycle and records nothing in its divergence timeline, so its clock
+/// runs whole windows past the timeline: that snapshot is still taken and
+/// restored, to the same machine.
+#[test]
+fn a_snapshot_taken_mid_spawn_stall_restores() {
+    let mut gpu = four_lane_frame(true);
+    gpu.set_injector(Injector::new(7).force(InjectedFault::SpawnFifoFull, 0..5000));
+    let summary = gpu.run(2500).expect("stalls are not faults");
+    assert_eq!(summary.outcome, RunOutcome::CycleLimit, "stopped mid-stall");
+    let stats = gpu.stats();
+    let covered = stats.divergence.windows().len() as u64 * stats.divergence.window();
+    assert!(stats.cycles > covered, "the clock ran past the timeline");
+    let snapshot = gpu.checkpoint().expect("encodable");
+    let restored = Gpu::restore(&snapshot).expect("a mid-stall snapshot restores");
+    assert_eq!(
+        restored.checkpoint().expect("encodable").to_bytes(),
+        snapshot.to_bytes()
+    );
 }
 
 /// Largest single allocation a mutant may make: the sparse codec's
