@@ -3,14 +3,11 @@
 
 use crate::config::DmkConfig;
 use crate::layout::SpawnMemoryLayout;
-use crate::lut::SpawnLut;
+use crate::lut::{SpawnLut, UNALLOCATED};
 use serde::{Deserialize, Serialize};
 use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
 use std::collections::VecDeque;
 use std::fmt;
-
-/// Sentinel marking a LUT overflow pointer that still needs a block.
-const UNALLOCATED: u32 = u32::MAX;
 
 simt_isa::record! {
     /// A warp emitted by the formation unit, ready to be scheduled.
@@ -347,10 +344,13 @@ impl WarpFormation {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncated input or when a block index /
-    /// FIFO depth exceeds this unit's configured capacity.
+    /// Returns a [`CodecError`] on truncated input, when a block index /
+    /// FIFO depth exceeds this unit's configured capacity, for a LUT line
+    /// [`SpawnLut::restore_state`] refuses, or for a queued warp that is
+    /// not on a formation block's base or holds no threads or more than a
+    /// warp's worth.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        self.lut.restore_state(dec)?;
+        self.lut.restore_state(dec, &self.layout)?;
         let free_blocks = Vec::<u32>::decode(dec)?;
         if free_blocks.len() as u32 > self.total_blocks
             || free_blocks.iter().any(|&b| b >= self.total_blocks)
@@ -368,6 +368,20 @@ impl WarpFormation {
                 remaining: self.fifo_capacity,
             });
         }
+        let bad = |what, tag: u32| {
+            Err(CodecError::BadTag {
+                what,
+                tag: u64::from(tag),
+            })
+        };
+        for w in &fifo {
+            if !self.layout.is_block_base(w.base_addr) {
+                return bad("queued warp's formation block", w.base_addr);
+            }
+            if !(1..=self.warp_size).contains(&w.count) {
+                return bad("queued warp's thread count", w.count);
+            }
+        }
         self.fifo = fifo;
         self.stats.restore_state(dec)
     }
@@ -376,6 +390,7 @@ impl WarpFormation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lut::LutLine;
 
     fn small_cfg() -> DmkConfig {
         DmkConfig {
@@ -593,6 +608,82 @@ mod tests {
                 stats_from(&a[..a.len() - 1]),
                 Err(CodecError::UnexpectedEof { .. })
             ));
+        }
+    }
+
+    /// Restores a 4-lane unit that spawned five threads toward PC 10 —
+    /// one warp queued at `0x600`, one thread filling the block at
+    /// `0x610` — after `edit` rewrote its LUT lines and FIFO entries.
+    fn restore_edited(
+        edit: impl FnOnce(&mut Vec<LutLine>, &mut VecDeque<CompletedWarp>),
+    ) -> Result<(), CodecError> {
+        let mut wf = WarpFormation::new(&small_cfg());
+        wf.spawn(10, 5).unwrap();
+        let mut enc = Encoder::new();
+        wf.encode_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        let mut lines = Vec::<LutLine>::decode(&mut dec).unwrap();
+        let free = Vec::<u32>::decode(&mut dec).unwrap();
+        let mut fifo = VecDeque::<CompletedWarp>::decode(&mut dec).unwrap();
+        let stats = &bytes[bytes.len() - dec.remaining()..];
+        edit(&mut lines, &mut fifo);
+        let mut enc = Encoder::new();
+        lines.encode(&mut enc);
+        free.encode(&mut enc);
+        fifo.encode(&mut enc);
+        let mut edited = enc.into_bytes();
+        edited.extend_from_slice(stats);
+        WarpFormation::new(&small_cfg()).restore_state(&mut Decoder::new(&edited))
+    }
+
+    /// A LUT line restores only with fewer threads than a warp, filling a
+    /// formation block from its base, and with its overflow pointer on a
+    /// block base or unallocated: a fill address two bytes off its slot
+    /// once restored, then handed out an unaligned spawn-memory slot.
+    #[test]
+    fn a_lut_line_off_its_formation_block_is_refused() {
+        assert_eq!(restore_edited(|_, _| {}), Ok(()));
+        assert_eq!(
+            restore_edited(|l, _| l[0].overflow_addr = UNALLOCATED),
+            Ok(())
+        );
+        let bad: [fn(&mut LutLine); 5] = [
+            |l| l.fill_addr += 2,
+            |l| l.count = 4,
+            |l| l.fill_addr = 0x5f4,
+            |l| l.fill_addr = 0x744,
+            |l| l.overflow_addr += 4,
+        ];
+        for (i, edit) in bad.into_iter().enumerate() {
+            assert!(
+                matches!(
+                    restore_edited(|l, _| edit(&mut l[0])),
+                    Err(CodecError::BadTag { .. })
+                ),
+                "edit {i}"
+            );
+        }
+    }
+
+    /// A queued warp restores only on a formation block's base and with
+    /// one to a warp's worth of threads.
+    #[test]
+    fn a_fifo_entry_off_a_formation_block_or_beyond_a_warp_is_refused() {
+        let bad: [fn(&mut CompletedWarp); 4] = [
+            |w| w.base_addr += 4,
+            |w| w.base_addr = 0,
+            |w| w.count = 0,
+            |w| w.count = 5,
+        ];
+        for (i, edit) in bad.into_iter().enumerate() {
+            assert!(
+                matches!(
+                    restore_edited(|_, f| edit(&mut f[0])),
+                    Err(CodecError::BadTag { .. })
+                ),
+                "edit {i}"
+            );
         }
     }
 

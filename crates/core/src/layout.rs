@@ -110,6 +110,13 @@ impl SpawnMemoryLayout {
         b
     }
 
+    /// Whether `addr` is the base address of a formation block.
+    pub fn is_block_base(&self, addr: u32) -> bool {
+        let block_bytes = self.warp_size * 4;
+        addr.checked_sub(self.formation_base)
+            .is_some_and(|off| off % block_bytes == 0 && off / block_bytes < self.formation_blocks)
+    }
+
     /// The formation-slot address of `lane` within the block at `base`.
     pub fn slot_addr(&self, block_base: u32, lane: u32) -> u32 {
         block_base + lane * 4

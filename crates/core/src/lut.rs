@@ -7,8 +7,12 @@
 //! and the pre-allocated block for the *next* warp (`overflow_addr`) so a
 //! single spawn that overflows the current warp can keep going.
 
+use crate::layout::SpawnMemoryLayout;
 use serde::{Deserialize, Serialize};
 use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
+
+/// Sentinel marking a LUT overflow pointer that still needs a block.
+pub(crate) const UNALLOCATED: u32 = u32::MAX;
 
 simt_isa::record! {
     /// One LUT line.
@@ -118,19 +122,44 @@ impl SpawnLut {
     }
 
     /// Restores lines previously written by [`SpawnLut::encode_state`]
-    /// into a LUT of identical capacity.
+    /// into a LUT of identical capacity over spawn memory laid out as
+    /// `layout`.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncated input or when the line count
-    /// exceeds this LUT's capacity.
-    pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
+    /// Returns a [`CodecError`] on truncated input, when the line count
+    /// exceeds this LUT's capacity, or for a line no spawn leaves: a warp's
+    /// worth of threads or more, a fill address that is not its count of
+    /// slots past a formation block's base, or an overflow pointer that is
+    /// neither a block base nor unallocated.
+    pub fn restore_state(
+        &mut self,
+        dec: &mut Decoder<'_>,
+        layout: &SpawnMemoryLayout,
+    ) -> Result<(), CodecError> {
         let lines = Vec::<LutLine>::decode(dec)?;
         if lines.len() > self.capacity {
             return Err(CodecError::BadLength {
                 len: lines.len() as u64,
                 remaining: self.capacity,
             });
+        }
+        let bad = |what, tag: u32| {
+            Err(CodecError::BadTag {
+                what,
+                tag: u64::from(tag),
+            })
+        };
+        for l in &lines {
+            if l.count >= layout.warp_size() {
+                return bad("spawn LUT line's count", l.count);
+            }
+            if !layout.is_block_base(l.fill_addr.wrapping_sub(4 * l.count)) {
+                return bad("spawn LUT line's fill address", l.fill_addr);
+            }
+            if l.overflow_addr != UNALLOCATED && !layout.is_block_base(l.overflow_addr) {
+                return bad("spawn LUT line's overflow address", l.overflow_addr);
+            }
         }
         self.lines = lines;
         Ok(())

@@ -103,9 +103,6 @@ struct Cli {
     /// The `__worker` mode's arguments; its artifact is the mode's
     /// operand, not a flag.
     worker: worker::WorkerArgs,
-    trace: bool,
-    /// `0` keeps each machine's divergence window.
-    metrics_every: u64,
     flood: Option<u64>,
     healthz: bool,
     drain: bool,
@@ -169,8 +166,6 @@ impl Cli {
                 test_fail: false,
                 test_hang: false,
             },
-            trace: false,
-            metrics_every: 0,
             flood: None,
             healthz: false,
             drain: false,
@@ -218,14 +213,15 @@ impl Cli {
                     engine.passthrough.push("--json".to_string());
                 }
                 "--trace" => {
-                    cli.trace = true;
+                    policy.telemetry.trace = true;
                     engine.passthrough.push("--trace".to_string());
                 }
                 "--metrics-every" => {
-                    cli.metrics_every = at_least_1(value())?;
+                    let n = at_least_1(value())?;
+                    policy.telemetry.metrics_window = n;
                     engine
                         .passthrough
-                        .extend(["--metrics-every".to_string(), cli.metrics_every.to_string()]);
+                        .extend(["--metrics-every".to_string(), n.to_string()]);
                 }
                 "--workers" => engine.workers = at_least_1(value())?,
                 "--campaign-dir" => engine.work_dir = value()?.into(),
@@ -336,8 +332,6 @@ fn main() -> ExitCode {
     let Some(mut cli) = Cli::parse(flags) else {
         return usage();
     };
-    experiments::set_trace(cli.trace);
-    experiments::set_metrics_every(cli.metrics_every);
     supervisor::set_policy(cli.policy.clone());
     let (scale, json) = (cli.serve.engine.scale, cli.serve.engine.json);
 
@@ -525,6 +519,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simt_sim::TelemetrySpec;
     use std::path::Path;
 
     fn parse(flags: &[&str]) -> Option<Cli> {
@@ -551,10 +546,12 @@ mod tests {
                     && c.serve.engine.passthrough == ["--json"]
             }),
             ("--trace", None, false, |c| {
-                c.trace && c.serve.engine.passthrough == ["--trace"]
+                c.policy.telemetry == TelemetrySpec::trace()
+                    && c.serve.engine.passthrough == ["--trace"]
             }),
             ("--metrics-every", Some("7"), true, |c| {
-                c.metrics_every == 7 && c.serve.engine.passthrough == ["--metrics-every", "7"]
+                c.policy.telemetry == TelemetrySpec::metrics().with_window(7)
+                    && c.serve.engine.passthrough == ["--metrics-every", "7"]
             }),
             ("--checkpoint-every", Some("7"), true, |c| {
                 c.policy.checkpoint_every == 7 && c.serve.engine.checkpoint_every == 7

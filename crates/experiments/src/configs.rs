@@ -3,47 +3,13 @@
 use dmk_core::DmkConfig;
 use simt_sim::{Gpu, GpuConfig, TelemetrySpec};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Process-wide trace switch (`repro --trace`): machines built by
-/// [`gpu_for`] additionally fill per-SM event rings, and the drivers
-/// write Chrome-trace/metrics-CSV files next to their normal output.
-static TRACE: AtomicBool = AtomicBool::new(false);
-
-/// Process-wide metrics window override in cycles (`repro
-/// --metrics-every N`); 0 means the machine's divergence window.
-static METRICS_EVERY: AtomicU64 = AtomicU64::new(0);
-
-/// Enables event tracing on every GPU built by [`gpu_for`].
-pub fn set_trace(on: bool) {
-    TRACE.store(on, Ordering::Relaxed);
-}
-
-/// Whether event tracing is on.
-pub fn trace() -> bool {
-    TRACE.load(Ordering::Relaxed)
-}
-
-/// Overrides the telemetry metrics window (0 = divergence window).
-pub fn set_metrics_every(cycles: u64) {
-    METRICS_EVERY.store(cycles, Ordering::Relaxed);
-}
-
-/// The telemetry metrics-window override (0 = divergence window).
-pub fn metrics_every() -> u64 {
-    METRICS_EVERY.load(Ordering::Relaxed)
-}
-
-/// The telemetry configuration the experiment drivers run with: windowed
-/// metrics always (they cost a few counters and feed the figure
-/// timelines), per-event rings only under `--trace`.
+/// The telemetry configuration the experiment drivers run with, the
+/// process-wide [`crate::Policy::telemetry`]: windowed metrics always
+/// (they cost a few counters and feed the figure timelines), per-event
+/// rings only under `--trace`.
 pub fn telemetry_spec() -> TelemetrySpec {
-    let base = if trace() {
-        TelemetrySpec::trace()
-    } else {
-        TelemetrySpec::metrics()
-    };
-    base.with_window(metrics_every())
+    crate::supervisor::policy().telemetry
 }
 
 /// One evaluated machine configuration (paper §VI/§VII).

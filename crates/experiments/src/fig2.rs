@@ -71,7 +71,7 @@ pub fn run() -> Result<Fig2, String> {
     .expect("launch accepted");
     let summary = crate::supervisor::run_checked(&mut gpu, 100_000, "fig2", true)?;
     let report = gpu.telemetry_report();
-    if crate::configs::trace() {
+    if crate::supervisor::policy().telemetry.trace {
         crate::runner::write_trace_artifacts("fig2", &report);
     }
     // Rebuild the per-issue lane counts from the telemetry divergence

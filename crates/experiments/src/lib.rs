@@ -52,10 +52,7 @@ pub mod table3;
 pub mod table4;
 pub mod workload;
 
-pub use configs::{
-    config_for, gpu_for, gpu_for_with, metrics_every, set_metrics_every, set_trace, telemetry_spec,
-    trace, Variant,
-};
+pub use configs::{config_for, gpu_for, gpu_for_with, telemetry_spec, Variant};
 pub use runner::{run_fingerprint, RenderRun, Scale};
 pub use supervisor::Policy;
 pub use workload::{ScenarioSpec, UnknownWorkload, Workload};

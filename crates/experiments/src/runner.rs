@@ -6,7 +6,7 @@ use raytrace::scenes::{Scene, SceneScale};
 use rt_kernels::render::RenderSetup;
 use serde::{Deserialize, Serialize};
 use simt_isa::codec::{fnv1a64, Codec, Encoder};
-use simt_sim::{ChromeTraceSink, CsvMetricsSink, Gpu, RunSummary, TelemetryReport, TraceSink};
+use simt_sim::{Gpu, RunSummary, TelemetryReport};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -228,8 +228,8 @@ fn resume_state(job: &str, fingerprint: u64) -> Option<(Gpu, PhaseMeta)> {
 /// continue — trace artifacts must never sink a campaign.
 pub fn write_trace_artifacts(job: &str, report: &TelemetryReport) {
     for (suffix, rendered) in [
-        ("trace.json", ChromeTraceSink.render(report)),
-        ("metrics.csv", CsvMetricsSink.render(report)),
+        ("trace.json", report.chrome_trace()),
+        ("metrics.csv", report.metrics_csv()),
     ] {
         let path = format!("{job}.{suffix}");
         match std::fs::write(&path, rendered) {
@@ -314,7 +314,7 @@ impl RenderRun {
         let summary = supervisor::run_to_target(&mut gpu, meta.target, &job, &meta.to_bytes())?;
         supervisor::clear(&job);
         let telemetry = gpu.telemetry_report();
-        if configs::trace() {
+        if supervisor::policy().telemetry.trace {
             write_trace_artifacts(&job, &telemetry);
         }
         let end_cycle = summary.stats.cycles;

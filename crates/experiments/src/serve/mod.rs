@@ -41,7 +41,7 @@
 //! (quarantines, retries, SIGKILLs), and per-route request counts and
 //! handler time; `/readyz` flips unready the moment
 //! draining starts. Long-poll job status (`GET /jobs/<id>?wait_ms=N`)
-//! carries the worker's latest `ProgressPulse`.
+//! carries the worker's latest progress pulse (`cycle N: <vitals>`).
 //!
 //! No request waits on a timer: the accept thread blocks in `accept()`
 //! (and is woken for shutdown by one loopback connect), the pump parks

@@ -18,7 +18,7 @@
 //! each job from its last snapshot and continues, bit-identical to an
 //! uninterrupted run (see `DESIGN.md` §9).
 
-use simt_sim::{Gpu, ProgressPulse, RunOutcome, RunSummary, Snapshot};
+use simt_sim::{Gpu, RunOutcome, RunSummary, Snapshot, TelemetrySpec};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,10 +30,10 @@ use std::sync::Mutex;
 pub const KILL_EXIT_CODE: u8 = 42;
 
 /// Supervisor policy, set once from the `repro` command line and read by
-/// every job. Like the trace switch in [`crate::configs`], this is a
-/// process-global: it never changes simulated results (checkpointing at
-/// a slice boundary is transparent), only how runs are supervised.
-#[derive(Debug, Clone, Default)]
+/// every job. It is a process-global that never changes simulated results
+/// (checkpointing at a slice boundary is transparent): it says how runs
+/// are supervised and what telemetry they record.
+#[derive(Debug, Clone)]
 pub struct Policy {
     /// Cycles between slice boundaries. 0 runs each phase in one slice.
     pub checkpoint_every: u64,
@@ -50,6 +50,24 @@ pub struct Policy {
     /// instead of the orderly exit-42, so the campaign coordinator's
     /// worker supervision sees a genuine process kill mid-job.
     pub chaos_abort: bool,
+    /// Telemetry of every machine [`crate::gpu_for`] builds: windowed
+    /// metrics by default; `--trace` adds per-event rings, and the drivers
+    /// write Chrome-trace/metrics-CSV files next to their normal output;
+    /// `--metrics-every N` sets the metrics window.
+    pub telemetry: TelemetrySpec,
+}
+
+impl Default for Policy {
+    fn default() -> Self {
+        Policy {
+            checkpoint_every: 0,
+            checkpoint_dir: None,
+            resume: false,
+            kill_after_checkpoints: None,
+            chaos_abort: false,
+            telemetry: TelemetrySpec::metrics(),
+        }
+    }
 }
 
 static POLICY: Mutex<Option<Policy>> = Mutex::new(None);
@@ -72,17 +90,10 @@ fn persisted_cycles() -> std::sync::MutexGuard<'static, BTreeMap<String, u64>> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Latest progress pulse published by `run_to_target`, rendered to its
-/// one-line form. Campaign workers poll this to relay live progress in
-/// their heartbeat files.
+/// Latest progress pulse published by `run_to_target`: `cycle N`, or
+/// `cycle N: <vitals>` with telemetry on. Campaign workers poll this to
+/// relay live progress in their heartbeat files.
 static LAST_PULSE: Mutex<Option<String>> = Mutex::new(None);
-
-/// Publishes a slice-boundary progress pulse for heartbeat relaying.
-fn publish_pulse(pulse: &ProgressPulse) {
-    *LAST_PULSE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(pulse.to_string());
-}
 
 /// The latest slice-boundary progress pulse ("cycle N" or
 /// "cycle N: issues ..."), if any run has reached a boundary yet.
@@ -298,15 +309,14 @@ pub fn run_to_target(
         // one-line pulse of the machine's vitals (campaign workers relay
         // it to their heartbeat for live status reporting).
         persist(gpu, job, meta, &pol);
-        let pulse = if gpu.telemetry_enabled() {
-            ProgressPulse::collect(gpu.now(), &gpu.telemetry_report())
-        } else {
-            ProgressPulse::at_cycle(gpu.now())
-        };
-        if pulse.telemetry {
+        let mut pulse = format!("cycle {}", gpu.now());
+        if gpu.telemetry_enabled() {
+            pulse = format!("{pulse}: {}", gpu.telemetry_report().vitals());
             eprintln!("supervisor: {job}: {pulse}");
         }
-        publish_pulse(&pulse);
+        *LAST_PULSE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(pulse);
     }
 }
 

@@ -13,7 +13,7 @@ use raytrace::scenes::{self, SceneScale};
 use rt_kernels::render::RenderSetup;
 use rt_kernels::RESULT_RECORD_BYTES;
 use simt_isa::codec::fnv1a64;
-use simt_sim::{seal_frame, CsvMetricsSink, Gpu, Snapshot, TraceSink, SNAPSHOT_MAGIC};
+use simt_sim::{seal_frame, Gpu, Snapshot, SNAPSHOT_MAGIC};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -86,8 +86,8 @@ fn assert_resume_matches(variant: Variant, interrupt_at: u64) {
         "{tag}: telemetry config survives restore"
     );
     assert_eq!(
-        CsvMetricsSink.render(&restored.telemetry_report()),
-        CsvMetricsSink.render(&reference.telemetry_report()),
+        restored.telemetry_report().metrics_csv(),
+        reference.telemetry_report().metrics_csv(),
         "{tag}: windowed telemetry metrics"
     );
 }

@@ -7,8 +7,7 @@ use experiments::{gpu_for, gpu_for_with, Scale, Variant};
 use raytrace::scenes::{self, SceneScale};
 use rt_kernels::render::RenderSetup;
 use simt_sim::{
-    ChromeTraceSink, CsvMetricsSink, FaultPolicy, Gpu, GpuConfig, InjectedFault, Injector,
-    RunSummary, SimStats, TelemetrySpec, TraceSink,
+    FaultPolicy, Gpu, GpuConfig, InjectedFault, Injector, RunSummary, SimStats, TelemetrySpec,
 };
 
 /// FNV-1a 64 over the rendered hit buffer (t bits + triangle id per ray).
@@ -118,10 +117,7 @@ fn traced_render() -> (String, String) {
     setup.launch_ukernel(&mut gpu, scale.threads_per_block);
     gpu.run(1_000_000).expect("fault-free run");
     let report = gpu.telemetry_report();
-    (
-        ChromeTraceSink.render(&report),
-        CsvMetricsSink.render(&report),
-    )
+    (report.chrome_trace(), report.metrics_csv())
 }
 
 /// Telemetry is produced in per-SM shards as the SMs step and merged in

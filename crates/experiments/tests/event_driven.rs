@@ -11,7 +11,7 @@ use experiments::{config_for, Scale, Variant};
 use raytrace::scenes::{self, SceneScale};
 use rt_kernels::render::RenderSetup;
 use simt_mem::MemConfig;
-use simt_sim::{CsvMetricsSink, Gpu, RunSummary, SimStats, TelemetrySpec, TraceSink};
+use simt_sim::{Gpu, RunSummary, SimStats, TelemetrySpec};
 
 /// FNV-1a 64 over the rendered hit buffer (t bits + triangle id per ray).
 fn image_hash(results: &[Option<raytrace::Hit>]) -> u64 {
@@ -71,7 +71,7 @@ fn render_on(variant: Variant, mem: MemConfig, force_tick: bool, first_leg: u64)
     let summary = gpu.run(1_000_000).expect("fault-free run");
     Frame {
         image: image_hash(&setup.device_results(&gpu)),
-        metrics_csv: CsvMetricsSink.render(&gpu.telemetry_report()),
+        metrics_csv: gpu.telemetry_report().metrics_csv(),
         stats: gpu.stats().clone(),
         skipped_cycles: gpu.skipped_cycles(),
         slept_sm_cycles: gpu.slept_sm_cycles(),

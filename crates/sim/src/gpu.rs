@@ -221,7 +221,9 @@ impl GpuBuilder {
         gpu.injector = self.injector;
         gpu.force_tick = self.force_tick;
         if self.telemetry.metrics {
-            gpu.set_telemetry(&self.telemetry);
+            for sm in &mut gpu.sms {
+                sm.set_telemetry(&self.telemetry, gpu.cfg.divergence_window);
+            }
         }
         gpu
     }
@@ -272,15 +274,6 @@ impl Gpu {
         self.injector = Some(injector);
     }
 
-    /// Reconfigures telemetry, replacing every SM's shard with a fresh
-    /// one (recordings so far are discarded). Prefer setting telemetry
-    /// once, through [`GpuBuilder::telemetry`].
-    pub fn set_telemetry(&mut self, spec: &TelemetrySpec) {
-        for sm in &mut self.sms {
-            sm.set_telemetry(spec, self.cfg.divergence_window);
-        }
-    }
-
     /// Whether telemetry is recording.
     pub fn telemetry_enabled(&self) -> bool {
         self.sms.first().is_some_and(|sm| sm.telemetry().is_on())
@@ -298,7 +291,6 @@ impl Gpu {
             sm.telemetry().metrics_window()
         });
         let mut report = TelemetryReport {
-            warp_size: self.cfg.warp_size,
             metrics_window,
             divergence: self.stats.divergence.clone(),
             windows: Vec::new(),
@@ -1526,11 +1518,10 @@ mod tests {
     }
 
     fn observe(gpu: &Gpu, result: &Result<RunSummary, SimError>, words: u32) -> Observed {
-        use crate::telemetry::{CsvMetricsSink, TraceSink};
         Observed {
             result: format!("{result:?}"),
             stats: format!("{:?}", gpu.stats()),
-            metrics_csv: CsvMetricsSink.render(&gpu.telemetry_report()),
+            metrics_csv: gpu.telemetry_report().metrics_csv(),
             now: gpu.now(),
             words: (0..words)
                 .map(|t| gpu.mem().read_u32(simt_isa::Space::Global, t * 4))

@@ -110,9 +110,6 @@ pub use mimd::{mimd_theoretical, MimdReport};
 pub use oracle::{run_case, shrink, CaseReport, Mismatch};
 pub use sm::Sm;
 pub use stats::{DivergenceTimeline, SimStats, OCCUPANCY_BUCKETS};
-pub use telemetry::{
-    ChromeTraceSink, CsvMetricsSink, ProgressPulse, TelemetryReport, TelemetrySpec, TraceEvent,
-    TraceEventKind, TraceSink, WindowCounters,
-};
+pub use telemetry::{TelemetryReport, TelemetrySpec, TraceEvent, TraceEventKind, WindowCounters};
 pub use thread::LaneState;
 pub use warp::{StackEntry, Warp, WarpState};

@@ -6,8 +6,8 @@
 //! load. This module threads light-weight probes through the machine (SM
 //! issue/commit, PDOM push/pop, spawn/formation events, warp birth and
 //! retirement, coalescer splits, read-only-cache hits, per-DRAM-module
-//! busy time) and exposes the recordings through pluggable
-//! [`TraceSink`]s.
+//! busy time) and exports the recordings through
+//! [`TelemetryReport::chrome_trace`] and [`TelemetryReport::metrics_csv`].
 //!
 //! # Determinism
 //!
@@ -15,7 +15,7 @@
 //! that observed the event, as it steps — the same discipline
 //! as the [`crate::SimStats`] shards. [`crate::Gpu::telemetry_report`]
 //! merges the shards in SM-id order, so the merged event stream, the
-//! windowed counters, and the rendered sink output are the same bytes on
+//! windowed counters, and the rendered exports are the same bytes on
 //! every run. Events within one SM are recorded in program order; across SMs the merged stream is ordered by SM id (sort
 //! by `cycle` downstream if a global timeline is wanted — Perfetto does).
 //!
@@ -33,8 +33,7 @@
 use crate::stats::DivergenceTimeline;
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use std::collections::VecDeque;
-use std::fmt;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Default per-SM trace ring capacity (events kept per SM).
 pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
@@ -102,100 +101,134 @@ impl TelemetrySpec {
     }
 }
 
-/// What happened, attached to a [`TraceEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TraceEventKind {
-    /// A warp-instruction committed with `active` live lanes.
-    Issue {
-        /// Warp id within the SM.
-        warp: usize,
-        /// Program counter of the committed instruction.
-        pc: usize,
-        /// Active lanes at commit.
-        active: u32,
-    },
-    /// The warp's PDOM reconvergence stack grew to `depth`.
-    PdomPush {
-        /// Warp id within the SM.
-        warp: usize,
-        /// Stack depth after the push.
-        depth: u32,
-    },
-    /// The warp's PDOM reconvergence stack shrank to `depth`.
-    PdomPop {
-        /// Warp id within the SM.
-        warp: usize,
-        /// Stack depth after the pop.
-        depth: u32,
-    },
-    /// A warp entered the SM (launch admission or formation output).
-    WarpBirth {
-        /// Warp id within the SM.
-        warp: usize,
-        /// True for formation-unit (dynamic μ-kernel) warps.
-        dynamic: bool,
-        /// Threads populating the new warp.
-        population: u32,
-    },
-    /// A warp retired and released its resources.
-    WarpRetire {
-        /// Warp id within the SM.
-        warp: usize,
-    },
-    /// A `spawn` instruction deposited `threads` into the formation unit.
-    Spawn {
-        /// Warp id within the SM.
-        warp: usize,
-        /// μ-kernel entry PC spawned to.
-        target_pc: usize,
-        /// Active lanes that spawned.
-        threads: u32,
-    },
-    /// A `spawn` retried because the formation unit pushed back
-    /// (partial-warp pool or new-warp FIFO full).
-    SpawnStall {
-        /// Warp id within the SM.
-        warp: usize,
-    },
-    /// A `spawn` was elided into an in-place branch
-    /// (`SpawnPolicy::OnDivergence`, fully converged warp).
-    SpawnElided {
-        /// Warp id within the SM.
-        warp: usize,
-    },
-    /// An off-chip warp access was split by the coalescer into
-    /// `segments` DRAM segment requests.
-    CoalescerSplit {
-        /// Warp id within the SM.
-        warp: usize,
-        /// Lanes participating in the access.
-        lanes: u32,
-        /// Coalesced segment requests issued.
-        segments: u32,
-    },
-    /// A read-only (texture/kd-tree cache) access: `lanes` lanes probed,
-    /// `miss_lines` cache lines missed and went to DRAM.
-    TexAccess {
-        /// Warp id within the SM.
-        warp: usize,
-        /// Lanes participating in the access.
-        lanes: u32,
-        /// Cache lines that missed.
-        miss_lines: u32,
-    },
-    /// An L1 data-cache access: `lines` lines probed, `misses` missed
-    /// (of which `merges` rode an outstanding MSHR fill).
-    L1Access {
-        /// Warp id within the SM.
-        warp: usize,
-        /// L1 lines probed.
-        lines: u32,
-        /// Lines that missed.
-        misses: u32,
-        /// Misses merged into an outstanding MSHR entry.
-        merges: u32,
-    },
+/// Declares the trace-event kinds once: each variant with its docs, the
+/// stable name exporters print, and its fields. From that one declaration
+/// it generates the enum (attributes and docs as written), `name()`, and
+/// the Chrome-trace `args` object, the fields in declaration order. Adding
+/// a kind is one entry here.
+macro_rules! trace_events {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $enum:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $name:literal {
+                    $($(#[$fmeta:meta])* $field:ident: $fty:ty),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $enum {
+            $($(#[$vmeta])* $variant { $($(#[$fmeta])* $field: $fty),* },)*
+        }
+
+        impl $enum {
+            /// Short stable name for exporters.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($enum::$variant { .. } => $name,)*
+                }
+            }
+
+            /// Appends the Chrome-trace `args` object: every field, in
+            /// declaration order.
+            fn write_args(&self, out: &mut String) {
+                match self {
+                    $($enum::$variant { $($field),* } => write_object(
+                        out,
+                        [$((stringify!($field), $field as &dyn fmt::Display)),*],
+                    ),)*
+                }
+            }
+        }
+    };
+}
+
+/// Appends the JSON object `{"name":value,…}` of `fields`, in order.
+fn write_object<'a>(
+    out: &mut String,
+    fields: impl IntoIterator<Item = (&'a str, &'a dyn fmt::Display)>,
+) {
+    out.push('{');
+    for (i, (name, value)) in fields.into_iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{sep}\"{name}\":{value}");
+    }
+    out.push('}');
+}
+
+trace_events! {
+    /// What happened, attached to a [`TraceEvent`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub enum TraceEventKind {
+        /// A warp-instruction committed with `active` live lanes.
+        Issue = "issue" {
+            /// Program counter of the committed instruction.
+            pc: usize,
+            /// Active lanes at commit.
+            active: u32,
+        },
+        /// The warp's PDOM reconvergence stack grew to `depth`.
+        PdomPush = "pdom_push" {
+            /// Stack depth after the push.
+            depth: u32,
+        },
+        /// The warp's PDOM reconvergence stack shrank to `depth`.
+        PdomPop = "pdom_pop" {
+            /// Stack depth after the pop.
+            depth: u32,
+        },
+        /// A warp entered the SM (launch admission or formation output).
+        WarpBirth = "warp_birth" {
+            /// True for formation-unit (dynamic μ-kernel) warps.
+            dynamic: bool,
+            /// Threads populating the new warp.
+            population: u32,
+        },
+        /// A warp retired and released its resources.
+        WarpRetire = "warp_retire" {},
+        /// A `spawn` instruction deposited `threads` into the formation unit.
+        Spawn = "spawn" {
+            /// μ-kernel entry PC spawned to.
+            target_pc: usize,
+            /// Active lanes that spawned.
+            threads: u32,
+        },
+        /// A `spawn` retried because the formation unit pushed back
+        /// (partial-warp pool or new-warp FIFO full).
+        SpawnStall = "spawn_stall" {},
+        /// A `spawn` was elided into an in-place branch
+        /// (`SpawnPolicy::OnDivergence`, fully converged warp).
+        SpawnElided = "spawn_elided" {},
+        /// An off-chip warp access was split by the coalescer into
+        /// `segments` DRAM segment requests.
+        CoalescerSplit = "coalescer_split" {
+            /// Lanes participating in the access.
+            lanes: u32,
+            /// Coalesced segment requests issued.
+            segments: u32,
+        },
+        /// A read-only (texture/kd-tree cache) access: `lanes` lanes probed,
+        /// `miss_lines` cache lines missed and went to DRAM.
+        TexAccess = "tex_access" {
+            /// Lanes participating in the access.
+            lanes: u32,
+            /// Cache lines that missed.
+            miss_lines: u32,
+        },
+        /// An L1 data-cache access: `lines` lines probed, `misses` missed
+        /// (of which `merges` rode an outstanding MSHR fill).
+        L1Access = "l1_access" {
+            /// L1 lines probed.
+            lines: u32,
+            /// Lines that missed.
+            misses: u32,
+            /// Misses merged into an outstanding MSHR entry.
+            merges: u32,
+        },
+    }
 }
 
 /// One timestamped telemetry event, recorded by the SM that observed it.
@@ -205,27 +238,10 @@ pub struct TraceEvent {
     pub cycle: u64,
     /// SM that recorded the event.
     pub sm: usize,
+    /// Warp id within the SM.
+    pub warp: usize,
     /// What happened.
     pub kind: TraceEventKind,
-}
-
-impl TraceEventKind {
-    /// Short stable name for exporters.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEventKind::Issue { .. } => "issue",
-            TraceEventKind::PdomPush { .. } => "pdom_push",
-            TraceEventKind::PdomPop { .. } => "pdom_pop",
-            TraceEventKind::WarpBirth { .. } => "warp_birth",
-            TraceEventKind::WarpRetire { .. } => "warp_retire",
-            TraceEventKind::Spawn { .. } => "spawn",
-            TraceEventKind::SpawnStall { .. } => "spawn_stall",
-            TraceEventKind::SpawnElided { .. } => "spawn_elided",
-            TraceEventKind::CoalescerSplit { .. } => "coalescer_split",
-            TraceEventKind::TexAccess { .. } => "tex_access",
-            TraceEventKind::L1Access { .. } => "l1_access",
-        }
-    }
 }
 
 simt_isa::counters! {
@@ -339,9 +355,13 @@ impl SmTelemetry {
         idx
     }
 
-    fn slot(&mut self, cycle: u64) -> &mut WindowCounters {
+    /// The window counting `cycle`, or `None` with telemetry off.
+    fn slot(&mut self, cycle: u64) -> Option<&mut WindowCounters> {
+        if !self.is_on() {
+            return None;
+        }
         let idx = self.slot_idx(cycle);
-        &mut self.windows[idx]
+        Some(&mut self.windows[idx])
     }
 
     /// Reads and replaces the last-seen stack depth for `warp`,
@@ -354,7 +374,7 @@ impl SmTelemetry {
         std::mem::replace(&mut self.depths[warp], depth)
     }
 
-    fn push_event(&mut self, cycle: u64, kind: TraceEventKind) {
+    fn push_event(&mut self, cycle: u64, warp: usize, kind: TraceEventKind) {
         if !self.trace {
             return;
         }
@@ -365,6 +385,7 @@ impl SmTelemetry {
         self.events.push_back(TraceEvent {
             cycle,
             sm: self.sm,
+            warp,
             kind,
         });
     }
@@ -386,25 +407,23 @@ impl SmTelemetry {
         };
         if depth > prev {
             self.windows[idx].pdom_pushes += u64::from(depth - prev);
-            self.push_event(now, TraceEventKind::PdomPush { warp, depth });
+            self.push_event(now, warp, TraceEventKind::PdomPush { depth });
         } else if depth < prev {
             self.windows[idx].pdom_pops += u64::from(prev - depth);
-            self.push_event(now, TraceEventKind::PdomPop { warp, depth });
+            self.push_event(now, warp, TraceEventKind::PdomPop { depth });
         }
-        self.push_event(now, TraceEventKind::Issue { warp, pc, active });
+        self.push_event(now, warp, TraceEventKind::Issue { pc, active });
     }
 
     /// A warp was admitted (launch or formation output).
     pub(crate) fn on_warp_birth(&mut self, now: u64, warp: usize, dynamic: bool, population: u32) {
-        if !self.is_on() {
-            return;
-        }
-        self.slot(now).warps_born += 1;
+        let Some(w) = self.slot(now) else { return };
+        w.warps_born += 1;
         self.swap_depth(warp, 1);
         self.push_event(
             now,
+            warp,
             TraceEventKind::WarpBirth {
-                warp,
                 dynamic,
                 population,
             },
@@ -413,68 +432,46 @@ impl SmTelemetry {
 
     /// A warp retired.
     pub(crate) fn on_warp_retire(&mut self, now: u64, warp: usize) {
-        if !self.is_on() {
-            return;
-        }
-        self.slot(now).warps_retired += 1;
+        let Some(w) = self.slot(now) else { return };
+        w.warps_retired += 1;
         if let Some(d) = self.depths.get_mut(warp) {
             *d = 0;
         }
-        self.push_event(now, TraceEventKind::WarpRetire { warp });
+        self.push_event(now, warp, TraceEventKind::WarpRetire {});
     }
 
     /// A `spawn` deposited `threads` into the formation unit.
     pub(crate) fn on_spawn(&mut self, now: u64, warp: usize, target_pc: usize, threads: u32) {
-        if !self.is_on() {
-            return;
-        }
-        let w = self.slot(now);
+        let Some(w) = self.slot(now) else { return };
         w.spawn_instructions += 1;
         w.threads_spawned += u64::from(threads);
-        self.push_event(
-            now,
-            TraceEventKind::Spawn {
-                warp,
-                target_pc,
-                threads,
-            },
-        );
+        self.push_event(now, warp, TraceEventKind::Spawn { target_pc, threads });
     }
 
     /// A `spawn` retried under formation back-pressure.
     pub(crate) fn on_spawn_stall(&mut self, now: u64, warp: usize) {
-        if !self.is_on() {
-            return;
-        }
-        self.slot(now).spawn_stalls += 1;
-        self.push_event(now, TraceEventKind::SpawnStall { warp });
+        let Some(w) = self.slot(now) else { return };
+        w.spawn_stalls += 1;
+        self.push_event(now, warp, TraceEventKind::SpawnStall {});
     }
 
     /// A `spawn` was elided into an in-place branch.
     pub(crate) fn on_spawn_elided(&mut self, now: u64, warp: usize) {
-        if !self.is_on() {
-            return;
-        }
-        self.slot(now).spawn_elisions += 1;
-        self.push_event(now, TraceEventKind::SpawnElided { warp });
+        let Some(w) = self.slot(now) else { return };
+        w.spawn_elisions += 1;
+        self.push_event(now, warp, TraceEventKind::SpawnElided {});
     }
 
     /// An off-chip warp access issued `segments` coalesced requests.
     pub(crate) fn on_offchip(&mut self, now: u64, warp: usize, lanes: u32, segments: u32) {
-        if !self.is_on() {
-            return;
-        }
-        let w = self.slot(now);
+        let Some(w) = self.slot(now) else { return };
         w.offchip_requests += 1;
         w.offchip_segments += u64::from(segments);
         if segments > 1 {
             self.push_event(
                 now,
-                TraceEventKind::CoalescerSplit {
-                    warp,
-                    lanes,
-                    segments,
-                },
+                warp,
+                TraceEventKind::CoalescerSplit { lanes, segments },
             );
         }
     }
@@ -482,36 +479,23 @@ impl SmTelemetry {
     /// A read-only-cache access probed `lanes` lanes, missing
     /// `miss_lines` lines.
     pub(crate) fn on_tex(&mut self, now: u64, warp: usize, lanes: u32, miss_lines: u32) {
-        if !self.is_on() {
-            return;
-        }
-        let w = self.slot(now);
+        let Some(w) = self.slot(now) else { return };
         w.tex_accesses += 1;
         w.tex_miss_lines += u64::from(miss_lines);
-        self.push_event(
-            now,
-            TraceEventKind::TexAccess {
-                warp,
-                lanes,
-                miss_lines,
-            },
-        );
+        self.push_event(now, warp, TraceEventKind::TexAccess { lanes, miss_lines });
     }
 
     /// An L1 data-cache probe (see [`simt_mem::L1Probe`]).
     pub(crate) fn on_l1(&mut self, now: u64, warp: usize, probe: &simt_mem::L1Probe) {
-        if !self.is_on() {
-            return;
-        }
-        let w = self.slot(now);
+        let Some(w) = self.slot(now) else { return };
         w.l1_accesses += 1;
         w.l1_hits += u64::from(probe.hits);
         w.l1_misses += u64::from(probe.misses);
         w.l1_mshr_merges += u64::from(probe.merges);
         self.push_event(
             now,
+            warp,
             TraceEventKind::L1Access {
-                warp,
                 lines: probe.lines,
                 misses: probe.misses,
                 merges: probe.merges,
@@ -613,8 +597,6 @@ impl SmTelemetry {
 /// [`crate::Gpu::telemetry_report`]. Shards merge in SM-id order.
 #[derive(Debug, Clone)]
 pub struct TelemetryReport {
-    /// Machine warp size (for labelling).
-    pub warp_size: u32,
     /// Metrics window width in cycles.
     pub metrics_window: u64,
     /// The machine's divergence timeline: [`crate::SimStats::divergence`]
@@ -638,266 +620,128 @@ pub struct TelemetryReport {
     pub icnt_conflicts: u64,
 }
 
-/// Renders a [`TelemetryReport`] into one output document.
-pub trait TraceSink {
-    /// Renders the report (the caller decides where the bytes go).
-    fn render(&self, report: &TelemetryReport) -> String;
-}
+/// The [`WindowCounters`] the Chrome trace's `metrics` counter track
+/// plots, in [`WindowCounters::NAMES`] order.
+const TRACKED: [&str; 7] = [
+    "issues",
+    "thread_instructions",
+    "warps_born",
+    "warps_retired",
+    "threads_spawned",
+    "spawn_stalls",
+    "offchip_segments",
+];
 
-/// Chrome trace-event JSON (the `chrome://tracing` / Perfetto format):
-/// instant events per trace ring entry (`pid` = SM, `tid` = warp) and
-/// counter events per metrics window.
-pub struct ChromeTraceSink;
-
-impl ChromeTraceSink {
-    fn event_args(kind: &TraceEventKind, out: &mut String) {
-        match kind {
-            TraceEventKind::Issue { pc, active, .. } => {
-                let _ = write!(out, "{{\"pc\":{pc},\"active\":{active}}}");
-            }
-            TraceEventKind::PdomPush { depth, .. } | TraceEventKind::PdomPop { depth, .. } => {
-                let _ = write!(out, "{{\"depth\":{depth}}}");
-            }
-            TraceEventKind::WarpBirth {
-                dynamic,
-                population,
-                ..
-            } => {
-                let _ = write!(out, "{{\"dynamic\":{dynamic},\"population\":{population}}}");
-            }
-            TraceEventKind::WarpRetire { .. }
-            | TraceEventKind::SpawnStall { .. }
-            | TraceEventKind::SpawnElided { .. } => out.push_str("{}"),
-            TraceEventKind::Spawn {
-                target_pc, threads, ..
-            } => {
-                let _ = write!(out, "{{\"target_pc\":{target_pc},\"threads\":{threads}}}");
-            }
-            TraceEventKind::CoalescerSplit {
-                lanes, segments, ..
-            } => {
-                let _ = write!(out, "{{\"lanes\":{lanes},\"segments\":{segments}}}");
-            }
-            TraceEventKind::TexAccess {
-                lanes, miss_lines, ..
-            } => {
-                let _ = write!(out, "{{\"lanes\":{lanes},\"miss_lines\":{miss_lines}}}");
-            }
-            TraceEventKind::L1Access {
-                lines,
-                misses,
-                merges,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"lines\":{lines},\"misses\":{misses},\"merges\":{merges}}}"
-                );
-            }
-        }
-    }
-
-    fn warp_of(kind: &TraceEventKind) -> usize {
-        match kind {
-            TraceEventKind::Issue { warp, .. }
-            | TraceEventKind::PdomPush { warp, .. }
-            | TraceEventKind::PdomPop { warp, .. }
-            | TraceEventKind::WarpBirth { warp, .. }
-            | TraceEventKind::WarpRetire { warp }
-            | TraceEventKind::Spawn { warp, .. }
-            | TraceEventKind::SpawnStall { warp }
-            | TraceEventKind::SpawnElided { warp }
-            | TraceEventKind::CoalescerSplit { warp, .. }
-            | TraceEventKind::TexAccess { warp, .. }
-            | TraceEventKind::L1Access { warp, .. } => *warp,
-        }
-    }
-}
-
-impl TraceSink for ChromeTraceSink {
-    fn render(&self, report: &TelemetryReport) -> String {
+impl TelemetryReport {
+    /// Chrome trace-event JSON (the `chrome://tracing` / Perfetto format):
+    /// an instant event per trace ring entry (`pid` = SM, `tid` = warp)
+    /// and a `metrics` counter event per window.
+    pub fn chrome_trace(&self) -> String {
         let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        for e in &report.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
+        for e in &self.events {
             let _ = write!(
                 out,
                 "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":",
                 e.kind.name(),
                 e.cycle,
                 e.sm,
-                Self::warp_of(&e.kind)
+                e.warp
             );
-            Self::event_args(&e.kind, &mut out);
-            out.push('}');
+            e.kind.write_args(&mut out);
+            out.push_str("},");
         }
-        for (i, w) in report.windows.iter().enumerate() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let ts = (i as u64 + 1) * report.metrics_window;
+        for (i, w) in self.windows.iter().enumerate() {
+            let ts = (i as u64 + 1) * self.metrics_window;
             let _ = write!(
                 out,
-                "{{\"name\":\"metrics\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\"tid\":0,\"args\":\
-                 {{\"issues\":{},\"thread_instructions\":{},\"warps_born\":{},\"warps_retired\":{},\
-                 \"threads_spawned\":{},\"spawn_stalls\":{},\"offchip_segments\":{}}}}}",
-                w.issues,
-                w.thread_instructions,
-                w.warps_born,
-                w.warps_retired,
-                w.threads_spawned,
-                w.spawn_stalls,
-                w.offchip_segments
+                "{{\"name\":\"metrics\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\"tid\":0,\"args\":"
             );
+            let values = w.values();
+            let tracked = WindowCounters::NAMES
+                .iter()
+                .zip(&values)
+                .filter(|(name, _)| TRACKED.contains(name));
+            write_object(
+                &mut out,
+                tracked.map(|(name, v)| (*name, v as &dyn fmt::Display)),
+            );
+            out.push_str("},");
+        }
+        if out.ends_with(',') {
+            out.pop();
         }
         let _ = write!(
             out,
             "],\"displayTimeUnit\":\"ns\",\"otherData\":{{\"dropped_events\":{}",
-            report.dropped
+            self.dropped
         );
-        if let Some((hits, misses)) = report.l2 {
+        if let Some((hits, misses)) = self.l2 {
             let _ = write!(
                 out,
                 ",\"l2_hits\":{hits},\"l2_misses\":{misses},\"icnt_conflicts\":{}",
-                report.icnt_conflicts
+                self.icnt_conflicts
             );
         }
         out.push_str("}}");
         out
     }
-}
 
-/// Windowed-metrics CSV: a counters section, the divergence timeline
-/// (`SimStats::divergence.to_csv()`), and per-module DRAM busy time.
-/// Sections are separated by `# `-prefixed headers.
-pub struct CsvMetricsSink;
-
-impl TraceSink for CsvMetricsSink {
-    fn render(&self, report: &TelemetryReport) -> String {
+    /// Windowed-metrics CSV: a counters section, the divergence timeline
+    /// (`SimStats::divergence.to_csv()`), and per-module DRAM busy time.
+    /// Sections are separated by `# `-prefixed headers.
+    pub fn metrics_csv(&self) -> String {
         let mut out = format!(
             "# windowed counters (window = {} cycles)\ncycle_end,{}\n",
-            report.metrics_window,
+            self.metrics_window,
             WindowCounters::NAMES.join(",")
         );
-        for (i, w) in report.windows.iter().enumerate() {
-            let _ = write!(out, "{}", (i as u64 + 1) * report.metrics_window);
+        for (i, w) in self.windows.iter().enumerate() {
+            let _ = write!(out, "{}", (i as u64 + 1) * self.metrics_window);
             for v in w.values() {
                 let _ = write!(out, ",{v}");
             }
             out.push('\n');
         }
         out.push_str("# divergence timeline\n");
-        out.push_str(&report.divergence.to_csv());
+        out.push_str(&self.divergence.to_csv());
         out.push_str("# dram module busy (fractional dram cycles)\nmodule,busy\n");
-        for (m, busy) in report.module_busy.iter().enumerate() {
+        for (m, busy) in self.module_busy.iter().enumerate() {
             let _ = writeln!(out, "{m},{busy:.3}");
         }
         // Hierarchy sections only exist on a cached machine, so flat-run
         // CSVs stay byte-identical to the pre-hierarchy format.
-        if let Some((hits, misses)) = report.l2 {
+        if let Some((hits, misses)) = self.l2 {
             out.push_str("# l2\nl2_hits,l2_misses,icnt_conflicts\n");
-            let _ = writeln!(out, "{hits},{misses},{}", report.icnt_conflicts);
+            let _ = writeln!(out, "{hits},{misses},{}", self.icnt_conflicts);
             out.push_str("# interconnect bank busy (cycles)\nbank,busy\n");
-            for (b, busy) in report.icnt_busy.iter().enumerate() {
+            for (b, busy) in self.icnt_busy.iter().enumerate() {
                 let _ = writeln!(out, "{b},{busy}");
             }
         }
         out
     }
-}
 
-/// A point-in-time machine-vitals snapshot of a running simulation: the
-/// cycle counter plus the report's aggregates. The supervisor
-/// publishes one at every healthy slice boundary; campaign workers relay
-/// the latest pulse in their heartbeat files so the coordinator — and
-/// the `repro serve` status endpoint above it — can report live per-job
-/// progress without touching the simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgressPulse {
-    /// Simulated cycle the pulse was taken at.
-    pub cycle: u64,
-    /// Total instructions issued so far.
-    pub issues: u64,
-    /// Mean active lanes per issue (SIMT efficiency proxy).
-    pub mean_active_lanes: f64,
-    /// Warps born across all windows.
-    pub warps_born: u64,
-    /// Warps retired across all windows.
-    pub warps_retired: u64,
-    /// μ-kernel threads spawned.
-    pub threads_spawned: u64,
-    /// Spawn-unit stall events.
-    pub spawn_stalls: u64,
-    /// Telemetry events dropped under backpressure.
-    pub dropped_events: u64,
-    /// False when the run had telemetry off and only the cycle counter
-    /// is meaningful.
-    pub telemetry: bool,
-}
-
-impl ProgressPulse {
-    /// Builds a pulse from a full telemetry report at `cycle`.
-    pub fn collect(cycle: u64, report: &TelemetryReport) -> Self {
+    /// The machine's vitals on one line (downstream log parsers depend on
+    /// this format). The supervisor publishes `cycle N: <vitals>` at every
+    /// healthy slice boundary of a run with telemetry on; campaign workers
+    /// relay it in their heartbeat files, so the coordinator and the
+    /// `repro serve` status endpoint report live per-job progress.
+    pub fn vitals(&self) -> String {
         let mut total = WindowCounters::default();
-        for w in &report.windows {
+        for w in &self.windows {
             total.merge(w);
         }
-        ProgressPulse {
-            cycle,
-            issues: total.issues,
-            mean_active_lanes: report.divergence.mean_active_lanes(),
-            warps_born: total.warps_born,
-            warps_retired: total.warps_retired,
-            threads_spawned: total.threads_spawned,
-            spawn_stalls: total.spawn_stalls,
-            dropped_events: report.dropped,
-            telemetry: true,
-        }
-    }
-
-    /// A cycle-only pulse for runs with telemetry disabled.
-    pub fn at_cycle(cycle: u64) -> Self {
-        ProgressPulse {
-            cycle,
-            issues: 0,
-            mean_active_lanes: 0.0,
-            warps_born: 0,
-            warps_retired: 0,
-            threads_spawned: 0,
-            spawn_stalls: 0,
-            dropped_events: 0,
-            telemetry: false,
-        }
-    }
-
-    /// The vitals tail, one line (downstream log parsers depend on this
-    /// format).
-    pub fn vitals(&self) -> String {
         format!(
             "issues {}, mean active lanes {:.1}, warps born {} / retired {}, \
              threads spawned {}, spawn stalls {}, dropped events {}",
-            self.issues,
-            self.mean_active_lanes,
-            self.warps_born,
-            self.warps_retired,
-            self.threads_spawned,
-            self.spawn_stalls,
-            self.dropped_events
+            total.issues,
+            self.divergence.mean_active_lanes(),
+            total.warps_born,
+            total.warps_retired,
+            total.threads_spawned,
+            total.spawn_stalls,
+            self.dropped
         )
-    }
-}
-
-impl fmt::Display for ProgressPulse {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.telemetry {
-            write!(f, "cycle {}: {}", self.cycle, self.vitals())
-        } else {
-            write!(f, "cycle {}", self.cycle)
-        }
     }
 }
 
@@ -911,7 +755,6 @@ mod tests {
 
     fn report_of(shards: &[SmTelemetry]) -> TelemetryReport {
         let mut report = TelemetryReport {
-            warp_size: 32,
             metrics_window: shards[0].metrics_window(),
             divergence: DivergenceTimeline::new(10, 32),
             windows: Vec::new(),
@@ -984,7 +827,7 @@ mod tests {
         let r2 = report_of(&[a, b]);
         assert_eq!(r1.events, r2.events);
         assert_eq!(r1.windows, r2.windows);
-        assert_eq!(ChromeTraceSink.render(&r1), ChromeTraceSink.render(&r2));
+        assert_eq!(r1.chrome_trace(), r2.chrome_trace());
     }
 
     #[test]
@@ -995,7 +838,7 @@ mod tests {
         t.on_spawn(1, 1, 99, 12);
         t.on_offchip(2, 1, 32, 5);
         t.on_tex(3, 1, 32, 2);
-        let json = ChromeTraceSink.render(&report_of(&[t]));
+        let json = report_of(&[t]).chrome_trace();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"C\""));
         let depth_check = json.chars().fold((0i64, 0i64), |(c, s), ch| match ch {
@@ -1008,6 +851,57 @@ mod tests {
         assert_eq!(depth_check, (0, 0), "unbalanced JSON: {json}");
     }
 
+    /// One event of every kind, and a cached machine's `otherData`,
+    /// rendered to the exact Chrome-trace bytes.
+    #[test]
+    fn every_trace_kind_renders_to_pinned_chrome_json() {
+        let mut t = shard();
+        t.on_warp_birth(0, 1, true, 3);
+        t.on_issue(1, 1, 8, 3, 2);
+        t.on_issue(2, 1, 9, 2, 1);
+        t.on_spawn(3, 1, 40, 2);
+        t.on_spawn_stall(4, 1);
+        t.on_spawn_elided(5, 1);
+        t.on_offchip(6, 1, 3, 2);
+        t.on_tex(7, 1, 3, 1);
+        let probe = simt_mem::L1Probe {
+            lines: 4,
+            hits: 1,
+            misses: 3,
+            merges: 2,
+            mshr_stalls: 0,
+        };
+        t.on_l1(8, 1, &probe);
+        t.on_warp_retire(9, 1);
+        let mut report = report_of(&[t]);
+        report.l2 = Some((5, 6));
+        report.icnt_conflicts = 7;
+        let events: Vec<String> = [
+            r#""warp_birth","ph":"i","s":"t","ts":0,"pid":0,"tid":1,"args":{"dynamic":true,"population":3}"#,
+            r#""pdom_push","ph":"i","s":"t","ts":1,"pid":0,"tid":1,"args":{"depth":2}"#,
+            r#""issue","ph":"i","s":"t","ts":1,"pid":0,"tid":1,"args":{"pc":8,"active":3}"#,
+            r#""pdom_pop","ph":"i","s":"t","ts":2,"pid":0,"tid":1,"args":{"depth":1}"#,
+            r#""issue","ph":"i","s":"t","ts":2,"pid":0,"tid":1,"args":{"pc":9,"active":2}"#,
+            r#""spawn","ph":"i","s":"t","ts":3,"pid":0,"tid":1,"args":{"target_pc":40,"threads":2}"#,
+            r#""spawn_stall","ph":"i","s":"t","ts":4,"pid":0,"tid":1,"args":{}"#,
+            r#""spawn_elided","ph":"i","s":"t","ts":5,"pid":0,"tid":1,"args":{}"#,
+            r#""coalescer_split","ph":"i","s":"t","ts":6,"pid":0,"tid":1,"args":{"lanes":3,"segments":2}"#,
+            r#""tex_access","ph":"i","s":"t","ts":7,"pid":0,"tid":1,"args":{"lanes":3,"miss_lines":1}"#,
+            r#""l1_access","ph":"i","s":"t","ts":8,"pid":0,"tid":1,"args":{"lines":4,"misses":3,"merges":2}"#,
+            r#""warp_retire","ph":"i","s":"t","ts":9,"pid":0,"tid":1,"args":{}"#,
+        ]
+        .iter()
+        .map(|e| format!("{{\"name\":{e}}}"))
+        .collect();
+        let want = format!(
+            "{{\"traceEvents\":[{},{}],\"displayTimeUnit\":\"ns\",\"otherData\":\
+             {{\"dropped_events\":0,\"l2_hits\":5,\"l2_misses\":6,\"icnt_conflicts\":7}}}}",
+            events.join(","),
+            r#"{"name":"metrics","ph":"C","ts":10,"pid":0,"tid":0,"args":{"issues":2,"thread_instructions":5,"warps_born":1,"warps_retired":1,"threads_spawned":2,"spawn_stalls":1,"offchip_segments":2}}"#
+        );
+        assert_eq!(report.chrome_trace(), want);
+    }
+
     #[test]
     fn csv_divergence_section_is_verbatim_timeline() {
         let mut t = shard();
@@ -1015,7 +909,7 @@ mod tests {
         let mut report = report_of(&[t]);
         report.divergence.record_issue(0, 32);
         report.divergence.record_idle(12);
-        let csv = CsvMetricsSink.render(&report);
+        let csv = report.metrics_csv();
         let section = "# divergence timeline\n".to_string() + &report.divergence.to_csv();
         assert!(csv.contains(&section), "{csv}");
     }
@@ -1025,7 +919,7 @@ mod tests {
         let mut t = shard();
         t.on_issue(0, 1, 0, 32, 1);
         t.on_spawn(1, 1, 99, 12);
-        let csv = CsvMetricsSink.render(&report_of(&[t]));
+        let csv = report_of(&[t]).metrics_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(
             lines[1],
@@ -1080,7 +974,7 @@ mod tests {
         let mut report = report_of(&[t]);
         report.divergence.record_issue(0, 32);
         assert_eq!(
-            ProgressPulse::collect(0, &report).vitals(),
+            report.vitals(),
             "issues 1, mean active lanes 30.5, warps born 0 / retired 0, \
              threads spawned 0, spawn stalls 0, dropped events 0"
         );

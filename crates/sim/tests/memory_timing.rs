@@ -200,7 +200,9 @@ fn traced(
 /// `pc` (each is issued once in these kernels).
 fn issued_at(events: &[TraceEvent], sm: usize, warp: usize, pc: usize) -> u64 {
     let mut hits = events.iter().filter(|e| {
-        e.sm == sm && matches!(e.kind, TraceEventKind::Issue { warp: w, pc: p, .. } if w == warp && p == pc)
+        e.sm == sm
+            && e.warp == warp
+            && matches!(e.kind, TraceEventKind::Issue { pc: p, .. } if p == pc)
     });
     let cycle = hits.next().expect("the instruction issued").cycle;
     assert!(hits.next().is_none(), "issued more than once");

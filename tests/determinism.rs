@@ -5,7 +5,7 @@ use usimt::dmk::DmkConfig;
 use usimt::kernels::render::RenderSetup;
 use usimt::mem::MemConfig;
 use usimt::raytrace::scenes::{self, SceneScale};
-use usimt::sim::{CsvMetricsSink, Gpu, GpuConfig, RunSummary, Snapshot, TelemetrySpec, TraceSink};
+use usimt::sim::{Gpu, GpuConfig, RunSummary, Snapshot, TelemetrySpec};
 
 fn run_once(dynamic: bool) -> (RunSummary, Vec<Option<usimt::raytrace::Hit>>) {
     let scene = scenes::fairyforest(SceneScale::Tiny);
@@ -62,7 +62,7 @@ fn sleeping_sms_are_bit_identical_to_forced_tick_through_a_checkpoint() {
         let summary = gpu.run(100_000_000).expect("fault-free run");
         (
             format!("{summary:?}"),
-            CsvMetricsSink.render(&gpu.telemetry_report()),
+            gpu.telemetry_report().metrics_csv(),
             setup.device_results(&gpu),
         )
     };
