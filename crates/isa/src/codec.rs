@@ -35,7 +35,10 @@
 //! - A large word array that is mostly unwritten travels *sparse*
 //!   ([`Encoder::put_u32_sparse`]): its length, then groups of
 //!   `(zero run, literal run, literal words…)` that cover it exactly, so
-//!   the bytes follow what was written, not what was allocated.
+//!   the bytes follow what was written, not what was allocated. An array
+//!   not held in one slice (a paged memory image, a register file's
+//!   planes) goes through the same rule a piece at a time
+//!   ([`Encoder::put_u32_sparse_pieces`], [`Decoder::take_u32_sparse_into`]).
 //!
 //! Counter sets — statistics that are zeroed, summed, snapshotted and
 //! printed — are declared once with [`counters!`](crate::counters), which
@@ -216,40 +219,44 @@ impl Encoder {
     /// Panics if `words` is longer than [`SPARSE_MAX_WORDS`], which no
     /// decoder would accept back.
     pub fn put_u32_sparse(&mut self, words: &[u32]) {
+        self.put_u32_sparse_pieces(words.len(), [SparsePiece::Words(words)]);
+    }
+
+    /// [`Encoder::put_u32_sparse`] of the `len`-word array that `pieces`
+    /// make in order — the same bytes however the array is cut — for an
+    /// array not held in one slice. A [`SparsePiece::Zeros`] is counted,
+    /// never scanned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is over [`SPARSE_MAX_WORDS`] or the pieces do not
+    /// add up to `len` words.
+    pub fn put_u32_sparse_pieces<'a>(
+        &mut self,
+        len: usize,
+        pieces: impl IntoIterator<Item = SparsePiece<'a>>,
+    ) {
         assert!(
-            words.len() <= SPARSE_MAX_WORDS,
-            "word array of {} exceeds the sparse codec's ceiling",
-            words.len()
+            len <= SPARSE_MAX_WORDS,
+            "word array of {len} exceeds the sparse codec's ceiling"
         );
-        self.put_usize(words.len());
-        let mut at = 0;
-        while at < words.len() {
-            let rest = &words[at..];
-            let zeros = rest.iter().position(|&w| w != 0).unwrap_or(rest.len());
-            let rest = &rest[zeros..];
-            // The literal run stops after the last non-zero word that a
-            // long zero run follows; with no such run it takes the rest.
-            let mut literals = rest.len();
-            let mut gap = 0;
-            for (i, &w) in rest.iter().enumerate() {
-                if w != 0 {
-                    gap = 0;
-                    continue;
+        self.put_usize(len);
+        let mut runs = SparseRuns::default();
+        let mut covered = 0;
+        for piece in pieces {
+            match piece {
+                SparsePiece::Zeros(n) => {
+                    covered += n;
+                    runs.zeros(self, n);
                 }
-                gap += 1;
-                if gap == SPARSE_MIN_ZERO_RUN {
-                    literals = i + 1 - gap;
-                    break;
+                SparsePiece::Words(words) => {
+                    covered += words.len();
+                    runs.words(self, words);
                 }
             }
-            self.put_u32(zeros as u32);
-            self.put_u32(literals as u32);
-            self.buf.reserve(4 * literals);
-            for &w in &rest[..literals] {
-                self.put_u32(w);
-            }
-            at += zeros + literals;
         }
+        assert_eq!(covered, len, "sparse pieces cover {covered} of {len} words");
+        runs.finish(self);
     }
 
     /// Appends a length-prefixed slice of `u64` values.
@@ -257,6 +264,138 @@ impl Encoder {
         self.put_usize(values.len());
         for &v in values {
             self.put_u64(v);
+        }
+    }
+}
+
+/// A stretch of the word array [`Encoder::put_u32_sparse_pieces`] encodes.
+#[derive(Debug, Clone, Copy)]
+pub enum SparsePiece<'a> {
+    /// This many words, all zero.
+    Zeros(usize),
+    /// These words.
+    Words(&'a [u32]),
+}
+
+/// The group rule of [`Encoder::put_u32_sparse`], fed a piece at a time.
+#[derive(Default)]
+struct SparseRuns {
+    /// Where the open group's literal count sits in the buffer, written
+    /// when the group closes; `None` between groups.
+    open: Option<usize>,
+    /// Literal words the open group has written.
+    literals: usize,
+    /// Zero words seen and not yet written: the next group's zero run
+    /// between groups, or, in an open group, a gap still shorter than
+    /// [`SPARSE_MIN_ZERO_RUN`] that becomes literal if a non-zero word
+    /// follows.
+    zeros: usize,
+}
+
+impl SparseRuns {
+    fn zeros(&mut self, enc: &mut Encoder, n: usize) {
+        self.zeros += n;
+        if self.open.is_some() && self.zeros >= SPARSE_MIN_ZERO_RUN {
+            self.close(enc);
+        }
+    }
+
+    fn words(&mut self, enc: &mut Encoder, mut words: &[u32]) {
+        while !words.is_empty() {
+            if self.open.is_none() {
+                let zeros = words.iter().position(|&w| w != 0).unwrap_or(words.len());
+                self.zeros += zeros;
+                words = &words[zeros..];
+                if words.is_empty() {
+                    return;
+                }
+                enc.put_u32(self.zeros as u32);
+                self.open = Some(enc.buf.len());
+                enc.put_u32(0);
+                self.zeros = 0;
+            }
+            // The open literal run reaches the last non-zero word before
+            // the gap (carried in from the last piece) grows long enough.
+            let mut gap = self.zeros;
+            let mut end = words.len();
+            let mut last = None;
+            for (i, &w) in words.iter().enumerate() {
+                if w != 0 {
+                    gap = 0;
+                    last = Some(i);
+                    continue;
+                }
+                gap += 1;
+                if gap == SPARSE_MIN_ZERO_RUN {
+                    end = i + 1;
+                    break;
+                }
+            }
+            if let Some(last) = last {
+                self.put_literals(enc, &words[..=last]);
+            }
+            self.zeros = gap;
+            words = &words[end..];
+            if gap == SPARSE_MIN_ZERO_RUN {
+                self.close(enc);
+            }
+        }
+    }
+
+    /// Writes the pending gap, then `words`, into the open group.
+    fn put_literals(&mut self, enc: &mut Encoder, words: &[u32]) {
+        enc.buf.reserve(4 * (self.zeros + words.len()));
+        for _ in 0..self.zeros {
+            enc.put_u32(0);
+        }
+        for &w in words {
+            enc.put_u32(w);
+        }
+        self.literals += self.zeros + words.len();
+        self.zeros = 0;
+    }
+
+    fn close(&mut self, enc: &mut Encoder) {
+        if let Some(at) = self.open.take() {
+            enc.buf[at..at + 4].copy_from_slice(&(self.literals as u32).to_le_bytes());
+            self.literals = 0;
+        }
+    }
+
+    /// Ends the array: a short gap at its end stays literal, and a zero
+    /// run with no group open is a group of its own.
+    fn finish(mut self, enc: &mut Encoder) {
+        if self.open.is_some() {
+            self.put_literals(enc, &[]);
+            self.close(enc);
+        } else if self.zeros > 0 {
+            enc.put_u32(self.zeros as u32);
+            enc.put_u32(0);
+        }
+    }
+}
+
+/// Where [`Decoder::take_u32_sparse_into`] puts a sparse word array.
+pub trait SparseSink {
+    /// Starts the array afresh as `len` zero words, before any literal
+    /// run: every word no run covers stays zero.
+    fn reset(&mut self, len: usize);
+
+    /// Stores a literal run whose first word is word `at`; the run lies
+    /// within the declared length.
+    fn put_run(&mut self, at: usize, words: impl ExactSizeIterator<Item = u32>);
+}
+
+/// A flat array, allocated zeroed once: memory touched follows the
+/// literal words.
+impl SparseSink for Vec<u32> {
+    fn reset(&mut self, len: usize) {
+        *self = vec![0; len];
+    }
+
+    fn put_run(&mut self, at: usize, words: impl ExactSizeIterator<Item = u32>) {
+        for (w, v) in self[at..].iter_mut().zip(words) {
+            *w = v;
         }
     }
 }
@@ -370,20 +509,36 @@ impl<'a> Decoder<'a> {
         (0..len).map(|_| self.take_u32()).collect()
     }
 
-    /// Reads a word array written by [`Encoder::put_u32_sparse`]. The
-    /// declared length is checked against `max_words` (and
-    /// [`SPARSE_MAX_WORDS`]) before anything is allocated — a caller whose
-    /// configuration fixes the size passes that size — and the array is
-    /// allocated zeroed once, so memory touched follows the literal words
-    /// present in the input, never a zero run's claim.
+    /// Reads a word array written by [`Encoder::put_u32_sparse`] into a
+    /// `Vec` ([`Decoder::take_u32_sparse_into`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Decoder::take_u32_sparse_into`].
+    pub fn take_u32_sparse(&mut self, max_words: usize) -> Result<Vec<u32>, CodecError> {
+        let mut words = Vec::new();
+        self.take_u32_sparse_into(max_words, &mut words)?;
+        Ok(words)
+    }
+
+    /// Reads a word array written by [`Encoder::put_u32_sparse`] into
+    /// `sink`. The declared length is checked against `max_words` (and
+    /// [`SPARSE_MAX_WORDS`]) before the sink sees it — a caller whose
+    /// configuration fixes the size passes that size — and the sink is
+    /// handed only the literal runs, so memory touched follows the
+    /// literal words present in the input, never a zero run's claim.
     ///
     /// # Errors
     ///
     /// [`CodecError::BadLength`] for a declared length over the limit,
     /// [`CodecError::BadSparseGroup`] for an empty group or one that runs
     /// past the declared length, [`CodecError::UnexpectedEof`] on
-    /// truncation.
-    pub fn take_u32_sparse(&mut self, max_words: usize) -> Result<Vec<u32>, CodecError> {
+    /// truncation. The sink may hold part of the array by then.
+    pub fn take_u32_sparse_into(
+        &mut self,
+        max_words: usize,
+        sink: &mut impl SparseSink,
+    ) -> Result<(), CodecError> {
         let len = self.take_u64()?;
         if len > max_words.min(SPARSE_MAX_WORDS) as u64 {
             return Err(CodecError::BadLength {
@@ -391,12 +546,13 @@ impl<'a> Decoder<'a> {
                 remaining: self.remaining(),
             });
         }
-        let mut words = vec![0u32; len as usize];
+        let len = len as usize;
+        sink.reset(len);
         let mut at = 0;
-        while at < words.len() {
+        while at < len {
             let zeros = self.take_u32()?;
             let literals = self.take_u32()?;
-            let room = words.len() - at;
+            let room = len - at;
             let covers = u64::from(zeros) + u64::from(literals);
             if covers == 0 || covers > room as u64 {
                 return Err(CodecError::BadSparseGroup { covers, room });
@@ -404,12 +560,17 @@ impl<'a> Decoder<'a> {
             // Both runs now fit the array, hence `usize`.
             let bytes = self.take(4 * literals as usize)?;
             at += zeros as usize;
-            for (w, b) in words[at..].iter_mut().zip(bytes.chunks_exact(4)) {
-                *w = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            if literals > 0 {
+                sink.put_run(
+                    at,
+                    bytes
+                        .chunks_exact(4)
+                        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+                );
             }
             at += literals as usize;
         }
-        Ok(words)
+        Ok(())
     }
 
     /// Reads a length-prefixed slice of `u64` values.
@@ -1244,6 +1405,49 @@ mod tests {
             prop_assert!(d.is_finished());
             // Never more than one group header over the dense bytes.
             prop_assert!(sparse.len() <= dense.len() + 8);
+        }
+
+        /// However an array is cut into pieces, and whichever all-zero
+        /// pieces are handed over as a count, the bytes are those of the
+        /// whole array in one slice.
+        #[test]
+        fn sparse_pieces_encode_as_the_whole_array(
+            segments in proptest::collection::vec(
+                (0usize..12, proptest::collection::vec(1u32.., 0..5)),
+                0..10,
+            ),
+            tail in 0usize..10,
+            cuts in proptest::collection::vec(any::<u16>(), 0..12),
+            counted: bool,
+        ) {
+            let mut words = Vec::new();
+            for (gap, literals) in &segments {
+                words.extend(std::iter::repeat_n(0u32, *gap));
+                words.extend(literals);
+            }
+            words.extend(std::iter::repeat_n(0u32, tail));
+            let mut ends: Vec<usize> = cuts
+                .iter()
+                .map(|&at| at as usize % (words.len() + 1))
+                .chain([words.len()])
+                .collect();
+            ends.sort_unstable();
+            let mut from = 0;
+            let mut pieces = Vec::new();
+            for (i, end) in ends.into_iter().enumerate() {
+                let piece = &words[from..end];
+                // Alternate pieces count their zeros, starting with the
+                // first or the second.
+                pieces.push(if (i % 2 == 0) == counted && piece.iter().all(|&w| w == 0) {
+                    SparsePiece::Zeros(piece.len())
+                } else {
+                    SparsePiece::Words(piece)
+                });
+                from = end;
+            }
+            let mut e = Encoder::new();
+            e.put_u32_sparse_pieces(words.len(), pieces);
+            prop_assert_eq!(e.into_bytes(), sparse_bytes(&words));
         }
 
         #[test]

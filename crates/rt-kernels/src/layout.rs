@@ -28,6 +28,29 @@ use simt_mem::MemoryFabric;
 /// Node-word tag marking a leaf.
 pub const LEAF_TAG: u32 = 3;
 
+/// Allocates global memory for `count` records of `record_bytes` each,
+/// labelled `label`; returns the base address.
+///
+/// # Panics
+///
+/// Panics, naming `label`, if the region is larger than the 32-bit
+/// address space (or than the memory image, in
+/// [`MemoryFabric::alloc_global`]).
+pub(crate) fn alloc_records(
+    mem: &mut MemoryFabric,
+    count: usize,
+    record_bytes: u32,
+    label: &str,
+) -> u32 {
+    let bytes = u32::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(record_bytes))
+        .unwrap_or_else(|| {
+            panic!("{label}: {count} records of {record_bytes} bytes pass the address space")
+        });
+    mem.alloc_global(bytes, label)
+}
+
 /// Addresses of a scene uploaded to device memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceScene {
@@ -53,7 +76,7 @@ impl DeviceScene {
     pub fn upload(tree: &KdTree, rays: &[Ray], mem: &mut MemoryFabric) -> DeviceScene {
         // --- nodes ---
         let nodes = tree.nodes();
-        let nodes_base = mem.alloc_global(nodes.len() as u32 * NODE_RECORD_BYTES, "kd-nodes");
+        let nodes_base = alloc_records(mem, nodes.len(), NODE_RECORD_BYTES, "kd-nodes");
         for (i, n) in nodes.iter().enumerate() {
             let words = match *n {
                 KdNode::Inner {
@@ -68,16 +91,16 @@ impl DeviceScene {
         }
         // --- triangle references ---
         let refs = tree.tri_indices();
-        let tri_idx_base = mem.alloc_global((refs.len().max(1) as u32) * 4, "kd-tri-refs");
+        let tri_idx_base = alloc_records(mem, refs.len().max(1), 4, "kd-tri-refs");
         mem.host_write_global(tri_idx_base, refs);
         // --- Wald triangles ---
         let wald = tree.wald_triangles();
-        let wald_base = mem.alloc_global((wald.len().max(1) as u32) * 48, "wald-tris");
+        let wald_base = alloc_records(mem, wald.len().max(1), 48, "wald-tris");
         for (i, w) in wald.iter().enumerate() {
             mem.host_write_global(wald_base + i as u32 * 48, &w.to_words());
         }
         // --- rays ---
-        let rays_base = mem.alloc_global(rays.len() as u32 * RAY_RECORD_BYTES, "rays");
+        let rays_base = alloc_records(mem, rays.len(), RAY_RECORD_BYTES, "rays");
         for (i, r) in rays.iter().enumerate() {
             let words = [
                 r.origin.x.to_bits(),
@@ -92,7 +115,7 @@ impl DeviceScene {
             mem.host_write_global(rays_base + i as u32 * RAY_RECORD_BYTES, &words);
         }
         // --- results (pre-filled with misses) ---
-        let results_base = mem.alloc_global(rays.len() as u32 * RESULT_RECORD_BYTES, "results");
+        let results_base = alloc_records(mem, rays.len(), RESULT_RECORD_BYTES, "results");
         for i in 0..rays.len() as u32 {
             mem.host_write_global(
                 results_base + i * RESULT_RECORD_BYTES,
@@ -100,7 +123,7 @@ impl DeviceScene {
             );
         }
         // --- per-ray stacks ---
-        let stacks_base = mem.alloc_global(rays.len() as u32 * STACK_BYTES_PER_RAY, "stacks");
+        let stacks_base = alloc_records(mem, rays.len(), STACK_BYTES_PER_RAY, "stacks");
 
         // Bind the scene data as textures: read-only, per-SM cacheable.
         mem.mark_read_only(nodes_base, nodes.len() as u32 * NODE_RECORD_BYTES);
@@ -126,7 +149,7 @@ impl DeviceScene {
     /// multi-pass rendering (e.g. a shadow-ray pass after the primary
     /// pass, paper §III-A).
     pub fn upload_rays(&self, rays: &[raytrace::Ray], mem: &mut MemoryFabric) -> DeviceScene {
-        let rays_base = mem.alloc_global(rays.len() as u32 * RAY_RECORD_BYTES, "rays-pass2");
+        let rays_base = alloc_records(mem, rays.len(), RAY_RECORD_BYTES, "rays-pass2");
         for (i, r) in rays.iter().enumerate() {
             let words = [
                 r.origin.x.to_bits(),
@@ -140,15 +163,14 @@ impl DeviceScene {
             ];
             mem.host_write_global(rays_base + i as u32 * RAY_RECORD_BYTES, &words);
         }
-        let results_base =
-            mem.alloc_global(rays.len() as u32 * RESULT_RECORD_BYTES, "results-pass2");
+        let results_base = alloc_records(mem, rays.len(), RESULT_RECORD_BYTES, "results-pass2");
         for i in 0..rays.len() as u32 {
             mem.host_write_global(
                 results_base + i * RESULT_RECORD_BYTES,
                 &[f32::MAX.to_bits(), MISS],
             );
         }
-        let stacks_base = mem.alloc_global(rays.len() as u32 * STACK_BYTES_PER_RAY, "stacks-pass2");
+        let stacks_base = alloc_records(mem, rays.len(), STACK_BYTES_PER_RAY, "stacks-pass2");
         let scene = DeviceScene {
             rays_base,
             results_base,
@@ -201,6 +223,14 @@ mod tests {
     use super::*;
     use raytrace::{scenes, Camera};
     use simt_mem::MemConfig;
+
+    #[test]
+    #[should_panic(expected = "stacks")]
+    fn a_stack_region_past_the_address_space_panics_naming_it() {
+        // 11.2 M rays × 384 B is past 2^32 bytes.
+        let mut mem = MemoryFabric::new(MemConfig::fx5800());
+        alloc_records(&mut mem, 11_200_000, STACK_BYTES_PER_RAY, "stacks");
+    }
 
     #[test]
     fn upload_roundtrips_header_and_nodes() {

@@ -26,6 +26,7 @@
 //! no triangle-reference table, and the Wald *slot* doubles as the
 //! device-side triangle id.
 
+use crate::layout::alloc_records;
 use crate::{PT_PATH_RECORD_BYTES, PT_STACK_BYTES_PER_RAY, RAY_RECORD_BYTES, RESULT_RECORD_BYTES};
 use raytrace::{Bvh, BvhNode, Ray};
 use simt_mem::MemoryFabric;
@@ -89,16 +90,16 @@ impl PtDeviceScene {
     /// header. Returns the region addresses.
     pub fn upload(bvh: &Bvh, rays: &[Ray], mem: &mut MemoryFabric) -> PtDeviceScene {
         let nodes = bvh.nodes();
-        let nodes_base = mem.alloc_global(nodes.len() as u32 * PT_NODE_RECORD_BYTES, "bvh-nodes");
+        let nodes_base = alloc_records(mem, nodes.len(), PT_NODE_RECORD_BYTES, "bvh-nodes");
         for (i, n) in nodes.iter().enumerate() {
             mem.host_write_global(nodes_base + i as u32 * PT_NODE_RECORD_BYTES, &node_words(n));
         }
         let wald = bvh.wald_triangles();
-        let wald_base = mem.alloc_global((wald.len().max(1) as u32) * 48, "bvh-wald-tris");
+        let wald_base = alloc_records(mem, wald.len().max(1), 48, "bvh-wald-tris");
         for (i, w) in wald.iter().enumerate() {
             mem.host_write_global(wald_base + i as u32 * 48, &w.to_words());
         }
-        let rays_base = mem.alloc_global(rays.len() as u32 * RAY_RECORD_BYTES, "pt-rays");
+        let rays_base = alloc_records(mem, rays.len(), RAY_RECORD_BYTES, "pt-rays");
         for (i, r) in rays.iter().enumerate() {
             let words = [
                 r.origin.x.to_bits(),
@@ -112,12 +113,12 @@ impl PtDeviceScene {
             ];
             mem.host_write_global(rays_base + i as u32 * RAY_RECORD_BYTES, &words);
         }
-        let results_base = mem.alloc_global(rays.len() as u32 * RESULT_RECORD_BYTES, "pt-results");
+        let results_base = alloc_records(mem, rays.len(), RESULT_RECORD_BYTES, "pt-results");
         for i in 0..rays.len() as u32 {
             mem.host_write_global(results_base + i * RESULT_RECORD_BYTES, &[0, 0]);
         }
-        let stacks_base = mem.alloc_global(rays.len() as u32 * PT_STACK_BYTES_PER_RAY, "pt-stacks");
-        let paths_base = mem.alloc_global(rays.len() as u32 * PT_PATH_RECORD_BYTES, "pt-paths");
+        let stacks_base = alloc_records(mem, rays.len(), PT_STACK_BYTES_PER_RAY, "pt-stacks");
+        let paths_base = alloc_records(mem, rays.len(), PT_PATH_RECORD_BYTES, "pt-paths");
 
         mem.mark_read_only(nodes_base, nodes.len() as u32 * PT_NODE_RECORD_BYTES);
         mem.mark_read_only(wald_base, wald.len().max(1) as u32 * 48);

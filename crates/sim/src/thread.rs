@@ -1,6 +1,6 @@
 //! Per-thread (lane) execution context.
 
-use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
+use simt_isa::codec::{Codec, CodecError, Decoder, Encoder, SparsePiece};
 use simt_isa::{eval_alu, eval_cmp, AluOp, CmpOp, Operand, Pred, Reg, Special};
 
 /// Lanes in a register plane: the width of the Table I machine's warps
@@ -523,19 +523,11 @@ impl LaneState {
         }
         self.spawn_mem_addr.encode(enc);
         self.state_slot.encode(enc);
-        // A full-width warp's planes are the register file as it stands;
-        // a narrower warp's are cut to their first `n` lanes.
-        if n == ROW {
-            enc.put_u32_sparse(&self.regs);
-        } else {
-            let planes: Vec<u32> = self
-                .regs
-                .chunks_exact(ROW)
-                .flat_map(|plane| &plane[..n])
-                .copied()
-                .collect();
-            enc.put_u32_sparse(&planes);
-        }
+        let planes = self.regs.chunks_exact(ROW);
+        enc.put_u32_sparse_pieces(
+            n * planes.len(),
+            planes.map(|plane| SparsePiece::Words(&plane[..n])),
+        );
     }
 
     /// Rebuilds lane state written by [`LaneState::encode_state`].
