@@ -6,7 +6,7 @@
 //! claim on the conference benchmark by running the μ-kernel tracer under
 //! both spawn policies.
 
-use crate::configs::{gpu_for, Variant};
+use crate::configs::{config_for, Variant};
 use crate::runner::Scale;
 use raytrace::scenes;
 use rt_kernels::render::RenderSetup;
@@ -50,10 +50,9 @@ impl SpawnPolicyAblation {
 
 fn run_policy(policy: SpawnPolicy, scale: Scale) -> Result<PolicyRun, String> {
     let scene = scenes::conference(scale.scene);
-    let mut gpu = gpu_for(Variant::Dynamic);
-    let mut cfg = gpu.config().clone();
+    let mut cfg = config_for(Variant::Dynamic);
     cfg.spawn_policy = policy;
-    gpu = simt_sim::Gpu::builder(cfg).build();
+    let mut gpu = simt_sim::Gpu::builder(cfg).build();
     let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
     setup.launch_ukernel(&mut gpu, scale.threads_per_block);
     let job = format!("ablation under {policy:?}");

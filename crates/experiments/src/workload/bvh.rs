@@ -74,38 +74,9 @@ pub struct PtFigure {
     pub runs: Vec<PtVariantRun>,
 }
 
-/// Renders one variant and validates it against the host mirror.
-fn run_variant(scale: Scale, variant: Variant) -> Result<PtVariantRun, String> {
-    let scene = raytrace::scenes::conference(scale.scene);
-    let edge = resolution(scale);
-    let mut gpu = gpu_for(variant);
-    let setup = PtSetup::upload(&mut gpu, &scene, edge, edge);
-    if variant.is_dynamic() {
-        setup.launch_ukernel(&mut gpu, scale.threads_per_block);
-    } else {
-        setup.launch_traditional(&mut gpu, scale.threads_per_block);
-    }
-    let summary = run_checked(
-        &mut gpu,
-        CYCLE_BUDGET,
-        &format!("bvh under {variant}"),
-        true,
-    )?;
-    let host = setup.host_reference();
-    let device = setup.device_results(&gpu);
-    let mismatches = rt_kernels::pt_render::exact_mismatches(&host, &device);
-    Ok(PtVariantRun {
-        variant,
-        cycles: summary.stats.cycles,
-        efficiency: summary.stats.simt_efficiency(32),
-        threads_spawned: summary.stats.threads_spawned,
-        image_hash: image_hash(&device),
-        mismatches,
-        buckets: divergence_totals(&gpu.telemetry_report().divergence),
-    })
-}
-
-/// Runs the workload at `scale`, optionally narrowed to one variant.
+/// Runs the workload at `scale`, optionally narrowed to one variant:
+/// each variant's machine is built and loaded once, and the host image,
+/// which no variant changes, is traced once, from the first upload.
 ///
 /// # Errors
 ///
@@ -118,34 +89,45 @@ pub fn run(scale: Scale, only: Option<Variant>) -> Result<PtFigure, String> {
         Some(v) => vec![v],
         None => VARIANTS.to_vec(),
     };
-    // The host reference is variant-independent; compute it once.
-    let setup = {
-        let mut probe = gpu_for(Variant::PdomWarp);
-        PtSetup::upload(&mut probe, &scene, edge, edge)
-    };
-    let host = setup.host_reference();
-    let host_hash = image_hash(&host);
+    let mut host = None;
     let mut labels = Vec::new();
     let mut runs = Vec::new();
     for &variant in &variants {
-        let r = run_variant(scale, variant)?;
-        if r.mismatches > 0 || r.image_hash != host_hash {
+        let mut gpu = gpu_for(variant);
+        let setup = PtSetup::upload(&mut gpu, &scene, edge, edge);
+        let host = host.get_or_insert_with(|| setup.host_reference());
+        if variant.is_dynamic() {
+            setup.launch_ukernel(&mut gpu, scale.threads_per_block);
+        } else {
+            setup.launch_traditional(&mut gpu, scale.threads_per_block);
+        }
+        let job = format!("bvh under {variant}");
+        let summary = run_checked(&mut gpu, CYCLE_BUDGET, &job, true)?;
+        let device = setup.device_results(&gpu);
+        let mismatches = rt_kernels::pt_render::exact_mismatches(host, &device);
+        let (host_hash, device_hash) = (image_hash(host), image_hash(&device));
+        if mismatches > 0 || device_hash != host_hash {
             return Err(format!(
-                "bvh under {variant}: device image diverged from the host \
-                 reference ({} exact mismatches, hash {:016x} vs {:016x})",
-                r.mismatches, r.image_hash, host_hash
+                "{job}: device image diverged from the host \
+                 reference ({mismatches} exact mismatches, hash {device_hash:016x} vs {host_hash:016x})"
             ));
         }
-        runs.push(r);
-    }
-    if labels.is_empty() {
-        let gpu = gpu_for(Variant::PdomWarp);
-        labels = gpu.telemetry_report().divergence.labels();
+        let divergence = gpu.telemetry_report().divergence;
+        labels = divergence.labels();
+        runs.push(PtVariantRun {
+            variant,
+            cycles: summary.stats.cycles,
+            efficiency: summary.stats.simt_efficiency(32),
+            threads_spawned: summary.stats.threads_spawned,
+            image_hash: device_hash,
+            mismatches,
+            buckets: divergence_totals(&divergence),
+        });
     }
     Ok(PtFigure {
         scene: scene.name.to_string(),
         resolution: edge,
-        host_hash,
+        host_hash: host.as_ref().map_or(0, |h| image_hash(h)),
         labels,
         runs,
     })

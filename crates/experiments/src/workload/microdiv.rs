@@ -29,7 +29,7 @@ use dmk_core::DmkConfig;
 use raytrace::scenes::SceneScale;
 use simt_isa::assemble_named;
 use simt_isa::codec::Encoder;
-use simt_sim::{Gpu, GpuConfig, Launch};
+use simt_sim::{DivergenceTimeline, Gpu, GpuConfig, Launch};
 use std::fmt;
 
 /// Warp width of every machine the family runs on.
@@ -318,7 +318,6 @@ pub fn run(scale: Scale, only: Option<Variant>) -> Result<MicrodivFigure, String
         Some(v) => vec![v],
         None => VARIANTS.to_vec(),
     };
-    let mut labels = Vec::new();
     let mut rows = Vec::new();
     for pattern in PATTERNS {
         let mut measured = Vec::new();
@@ -332,12 +331,6 @@ pub fn run(scale: Scale, only: Option<Variant>) -> Result<MicrodivFigure, String
             }
             measured.push(cell);
         }
-        if labels.is_empty() {
-            // Bucket labels are machine-wide; borrow them from a probe
-            // machine's telemetry shape via the first run instead of
-            // re-deriving the format.
-            labels = divergence_labels();
-        }
         rows.push(PatternRow {
             pattern,
             total_trips: (0..n).map(|t| u64::from(trips(pattern, t, cap))).sum(),
@@ -349,15 +342,10 @@ pub fn run(scale: Scale, only: Option<Variant>) -> Result<MicrodivFigure, String
     Ok(MicrodivFigure {
         threads: n,
         cap,
-        labels,
+        // The bucket labels depend on the warp size alone.
+        labels: DivergenceTimeline::new(1, WARP).labels(),
         rows,
     })
-}
-
-/// Occupancy bucket labels, matching the divergence mirror's layout.
-fn divergence_labels() -> Vec<String> {
-    let gpu = machine(Variant::PdomWarp);
-    gpu.telemetry_report().divergence.labels()
 }
 
 impl fmt::Display for MicrodivFigure {

@@ -214,16 +214,11 @@ impl MemoryFabric {
         self.read_only_regions.push((base, bytes));
     }
 
-    /// Whether a global address falls inside a read-only (texture) region.
-    pub fn is_read_only(&self, addr: u32) -> bool {
-        self.read_only_region(addr).is_some()
-    }
-
     /// The bounds `[base, end)` of the first read-only (texture) region
     /// holding global address `addr`, if any does: every address inside
     /// them is read-only too, so a warp's lanes can be range-checked
     /// against one lookup.
-    pub fn read_only_region(&self, addr: u32) -> Option<(u32, u32)> {
+    pub(crate) fn read_only_region(&self, addr: u32) -> Option<(u32, u32)> {
         self.read_only_regions
             .iter()
             .map(|&(b, n)| (b, b.saturating_add(n)))
@@ -1071,6 +1066,6 @@ mod tests {
             })
         );
         assert_eq!(m.read_only_region(4), Some((0, 16)));
-        assert!(m.is_read_only(12) && !m.is_read_only(16));
+        assert!(m.read_only_region(12).is_some() && m.read_only_region(16).is_none());
     }
 }

@@ -57,6 +57,6 @@ pub use cache::ReadOnlyCache;
 pub use coalesce::{coalesce_segments, CoalesceResult};
 pub use config::MemConfig;
 pub use fabric::{BatchRequest, FabricRequest, MemFault, MemoryFabric};
-pub use frontend::{L1Probe, SmMemFrontend};
+pub use frontend::{L1Probe, OffchipRoute, SmMemFrontend};
 pub use mshr::{MshrTable, FILL_UNRESOLVED};
 pub use traffic::{SpaceTraffic, TrafficStats};

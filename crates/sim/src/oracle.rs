@@ -5,7 +5,8 @@
 //! under a matrix of timing variants — spawn-bank-conflict modelling on
 //! and off, both spawn policies, sleeping SMs vs. forced per-cycle
 //! ticking, every memory machine (flat, L1-only, L1+L2 behind the
-//! interconnect, ideal), and a run cut at a mid-run cycle and carried
+//! interconnect, ideal, each with a texture binding over half the
+//! scratch region), and a run cut at a mid-run cycle and carried
 //! through the snapshot format. Timing knobs must never change functional results, and neither may a
 //! checkpoint, so every variant is compared against the *same*
 //! reference run:
@@ -339,7 +340,14 @@ fn run_variant(
     let mut gpu = Gpu::builder(gpu_config(&gp.cfg, v))
         .force_tick(v.force_tick)
         .build();
-    gpu.mem_mut().alloc_global(gp.cfg.global_bytes(), "oracle");
+    let global = gp.cfg.global_bytes();
+    let base = gpu.mem_mut().alloc_global(global, "oracle");
+    // A texture binding over the first half of the scratch region, the
+    // part of global memory loads read, changes only timing (stores still
+    // land): warps hit, miss and split across it on every variant,
+    // against the same reference run.
+    let out = gp.cfg.out_bytes();
+    gpu.mem_mut().mark_read_only(base + out, (global - out) / 2);
     setup_const(gpu.mem_mut(), &gp.cfg);
     gpu.launch(Launch {
         program: gp.program.clone(),
@@ -358,10 +366,8 @@ fn run_variant(
             outcome: format!("{:?}", summary.outcome),
         });
     }
-    let global = gpu
-        .mem()
-        .host_read_global(0, gp.cfg.global_bytes() as usize / 4);
-    for (word, (&g, &r)) in global.iter().zip(reference.global.iter()).enumerate() {
+    let image = gpu.mem().host_read_global(0, global as usize / 4);
+    for (word, (&g, &r)) in image.iter().zip(reference.global.iter()).enumerate() {
         if g != r {
             return Err(Mismatch::Global {
                 variant: v,

@@ -10,11 +10,13 @@ use crate::thread::LaneState;
 use crate::warp::Warp;
 use dmk_core::{CompletedWarp, SpawnError, SpawnMemoryLayout, WarpFormation};
 use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
-use simt_isa::{Instr, Program, ReconvergenceTable, Space, Width};
-use simt_mem::{
-    BatchRequest, FabricRequest, MemFault, MemoryFabric, OnChipMemory, SmMemFrontend, TrafficStats,
-};
+use simt_isa::{Instr, Program, ReconvergenceTable, Space};
+use simt_mem::{BatchRequest, MemoryFabric, OnChipMemory, SmMemFrontend, TrafficStats};
 use std::collections::{BTreeMap, HashMap};
+
+mod memory;
+
+use memory::MemAccess;
 
 /// Execution context shared by all SMs for the current launch.
 #[derive(Debug)]
@@ -31,23 +33,6 @@ pub(crate) struct ExecCtx<'a> {
     /// cycle (off under `force_tick` or an installed injector, which need
     /// every SM stepped every cycle).
     pub sleep: bool,
-}
-
-/// The operands of one warp memory instruction, as decoded: everything
-/// about the access except its width, which selects the instantiation of
-/// the lane loops that take this.
-struct MemAccess {
-    /// The issuing warp's slot.
-    widx: usize,
-    /// Lanes that passed the guard.
-    pass: u64,
-    space: Space,
-    /// First data register (destination of a load, source of a store).
-    reg: simt_isa::Reg,
-    addr_reg: simt_isa::Reg,
-    /// The instruction's signed byte offset, as the wrapping addend.
-    offset: u32,
-    is_store: bool,
 }
 
 /// The off-chip load an SM left waiting on the cycle's timing batch: an
@@ -122,9 +107,6 @@ pub struct Sm {
     dispatch_dirty: bool,
     /// Scratch address buffer for [`Sm::exec_memory`] (reused per access).
     addr_scratch: Vec<u32>,
-    /// Scratch partitions of a texture access (cached / uncached lanes).
-    tex_cached: Vec<u32>,
-    tex_uncached: Vec<u32>,
     /// Sleep state (DESIGN.md §13). `0` while awake. Otherwise the SM
     /// found nothing issuable at cycle `idle_from` and nothing on it can
     /// change before cycle `wake_at` — the earliest live `ready_at`,
@@ -187,8 +169,6 @@ impl Sm {
             reap_dirty: false,
             dispatch_dirty: true,
             addr_scratch: Vec::new(),
-            tex_cached: Vec::new(),
-            tex_uncached: Vec::new(),
             wake_at: 0,
             idle_from: 0,
             slept_cycles: 0,
@@ -1065,337 +1045,6 @@ impl Sm {
         self.warps[widx].exit_lanes(lanes);
     }
 
-    /// Executes one warp memory instruction: every access completes at
-    /// issue. On-chip accesses (shared/spawn) transfer against the SM's
-    /// own scratchpads; off-chip ones against `mem`, with their fabric
-    /// requests queued on the cycle's timing `batch`. The returned
-    /// data-ready cycle is a floor that the batch may raise.
-    ///
-    /// On a fault, the words already validated keep their effects
-    /// (imprecise trap) and nothing is timed.
-    fn exec_memory(
-        &mut self,
-        a: &MemAccess,
-        width: Width,
-        now: u64,
-        mem: &mut MemoryFabric,
-        batch: &mut Vec<BatchRequest>,
-    ) -> Result<u64, MemFault> {
-        let mut addresses = std::mem::take(&mut self.addr_scratch);
-        addresses.clear();
-        addresses.reserve(a.pass.count_ones() as usize);
-        let ready = if a.space.is_on_chip() {
-            self.exec_onchip(a, width, now, &mut addresses)
-        } else {
-            self.exec_offchip(a, width, now, mem, batch, &mut addresses)
-        };
-        // On every exit, a trap included: the next access reuses it.
-        self.addr_scratch = addresses;
-        ready
-    }
-
-    /// The lane transfers of an on-chip access at the instruction's width,
-    /// collecting each active lane's byte address.
-    ///
-    /// On-chip spaces wrap modulo capacity like the banked hardware, but
-    /// misalignment is still a trap, and a spawn-space access without
-    /// μ-kernel hardware has no backing at all. Both checks sit outside
-    /// the word transfer: every word of a stride-4 run shares the base's
-    /// alignment (so word 0 is always the first misaligned word), and the
-    /// backing store cannot change mid-instruction — so once a lane's
-    /// checks pass, no word of that lane can fault, exactly like the
-    /// per-word order.
-    fn onchip_lanes<const N: usize>(
-        &mut self,
-        a: &MemAccess,
-        addresses: &mut Vec<u32>,
-    ) -> Result<(), MemFault> {
-        let space = a.space;
-        let mut backing = match space {
-            Space::Shared => Some(&mut self.shared),
-            _ => self.spawn_mem.as_mut(),
-        };
-        let lanes = &mut self.warps[a.widx].lanes;
-        let mut bits = a.pass;
-        while bits != 0 {
-            let lane = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let base = lanes.reg(lane, a.addr_reg).wrapping_add(a.offset);
-            if !base.is_multiple_of(4) {
-                return Err(MemFault::Misaligned { space, addr: base });
-            }
-            let Some(mem) = backing.as_deref_mut() else {
-                return Err(MemFault::Unmapped { space });
-            };
-            // Stores stay lane-major: where lanes overlap, the last
-            // writer wins.
-            if a.is_store {
-                mem.write_n(base, lanes.reg_n::<N>(lane, a.reg));
-            } else {
-                lanes.set_reg_n(lane, a.reg, mem.read_n::<N>(base));
-            }
-            addresses.push(base);
-        }
-        Ok(())
-    }
-
-    /// An on-chip (shared/spawn) access: transfers now, then times the
-    /// access against this SM's load-store port.
-    fn exec_onchip(
-        &mut self,
-        a: &MemAccess,
-        width: Width,
-        now: u64,
-        addresses: &mut Vec<u32>,
-    ) -> Result<u64, MemFault> {
-        match width {
-            Width::W1 => self.onchip_lanes::<1>(a, addresses),
-            Width::V4 => self.onchip_lanes::<4>(a, addresses),
-        }?;
-        // A dynamic warp's first spawn-space load consumes its
-        // formation metadata; the block can be recycled afterwards.
-        if a.space == Space::Spawn && !a.is_store {
-            if let Some(base) = self.warps[a.widx].formation_block.take() {
-                if let Some(f) = self.formation.as_mut() {
-                    f.release_block(base);
-                    self.dispatch_dirty = true;
-                }
-            }
-        }
-        let (ready, degree) =
-            self.frontend
-                .access_onchip(now, a.space, a.is_store, width.bytes(), addresses);
-        self.block_issue_for_replays(now, degree);
-        Ok(ready)
-    }
-
-    /// The lane transfers of an off-chip access at the instruction's
-    /// width, in lane order, collecting each lane's timing address. Every
-    /// word is validated exactly as the fabric's checked accessors do and
-    /// then transferred: a store word is written when it validates, and a
-    /// loading lane reads the words it validated into its registers. On a
-    /// trap the lanes before the faulting one have moved all their words,
-    /// that one the words before the fault, and the rest nothing.
-    fn offchip_lanes<const N: usize>(
-        &mut self,
-        a: &MemAccess,
-        mem: &mut MemoryFabric,
-        addresses: &mut Vec<u32>,
-    ) -> Result<(), MemFault> {
-        let space = a.space;
-        let lanes = &mut self.warps[a.widx].lanes;
-        let mut bits = a.pass;
-        while bits != 0 {
-            let lane = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let tid = lanes.tid(lane);
-            let base = lanes.reg(lane, a.addr_reg).wrapping_add(a.offset);
-            if a.is_store {
-                // A store's bound is per word (the end of the heap, the
-                // local stride): word by word.
-                let values = lanes.reg_n::<N>(lane, a.reg);
-                for (i, value) in values.into_iter().enumerate() {
-                    let addr = base.wrapping_add(4 * i as u32);
-                    match space {
-                        Space::Local => mem.try_write_local(tid, addr, value),
-                        _ => mem.try_write_u32(space, addr, value),
-                    }?;
-                }
-            } else {
-                // Word by word too: a local load's bound is per word, and
-                // a lane that runs past it keeps the words before. (A
-                // global or constant load is checked for alignment alone,
-                // which its base decides for all its words; one check a
-                // lane for those measured no faster than this loop.)
-                let (mut words, mut checked) = (0, Ok(()));
-                while words < N && checked.is_ok() {
-                    checked = mem.check_load(space, base.wrapping_add(4 * words as u32));
-                    words += usize::from(checked.is_ok());
-                }
-                if words == N {
-                    lanes.set_reg_n(lane, a.reg, mem.read_n::<N>(space, tid, base));
-                } else {
-                    // The words a `v4` lane validated before it trapped.
-                    for w in 0..words as u8 {
-                        let addr = base.wrapping_add(4 * u32::from(w));
-                        let reg = simt_isa::Reg(a.reg.0.wrapping_add(w));
-                        lanes.set_reg_n(lane, reg, mem.read_n::<1>(space, tid, addr));
-                    }
-                }
-                checked?;
-            }
-            // Timing address: local uses the per-thread physical mapping.
-            addresses.push(if space == Space::Local {
-                mem.local_physical(tid, base)
-            } else {
-                base
-            });
-        }
-        Ok(())
-    }
-
-    /// An off-chip access: global and local loads and stores, constant
-    /// loads (served by the constant cache, which queues no request), and
-    /// a constant store, which only ever traps. The words move at issue;
-    /// the fabric requests join the cycle's timing `batch`, and a load
-    /// that queued one leaves its warp's wake-up for the batch to raise.
-    fn exec_offchip(
-        &mut self,
-        a: &MemAccess,
-        width: Width,
-        now: u64,
-        mem: &mut MemoryFabric,
-        batch: &mut Vec<BatchRequest>,
-        addresses: &mut Vec<u32>,
-    ) -> Result<u64, MemFault> {
-        let (widx, space, is_store) = (a.widx, a.space, a.is_store);
-        match width {
-            Width::W1 => self.offchip_lanes::<1>(a, mem, addresses),
-            Width::V4 => self.offchip_lanes::<4>(a, mem, addresses),
-        }?;
-        let warp_id = self.warps[widx].id;
-        let queued = batch.len();
-        let global_load = !is_store && space == Space::Global;
-        let (ready, fill_lines) = if global_load && !mem.config().ideal && self.frontend.has_tex() {
-            // Texture-bound global loads go through the per-SM read-only
-            // cache; the rest of the warp's lanes take the plain
-            // global-load route below. Find the first lane's region and
-            // range-check the others against it, and split lane by lane
-            // only when that fails. Counted: 97 % of the fig-7 and fig-3
-            // kernels' `ld.global` warps (80 % of the BVH tracer's) read
-            // one binding and take the first arm, the rest read none, and
-            // no warp mixes the two; timed alone against the lane-by-lane
-            // split it is 1.0-1.9 % of those workloads' wall-clock
-            // (DESIGN §16).
-            let mut cached = std::mem::take(&mut self.tex_cached);
-            let mut uncached = std::mem::take(&mut self.tex_uncached);
-            cached.clear();
-            uncached.clear();
-            let one_region = addresses
-                .first()
-                .and_then(|&first| mem.read_only_region(first))
-                .is_some_and(|(base, end)| addresses.iter().all(|&a| a >= base && a < end));
-            let (cached_addrs, uncached_addrs): (&[u32], &[u32]) = if one_region {
-                (addresses, &[])
-            } else {
-                for &a in addresses.iter() {
-                    if mem.is_read_only(a) {
-                        cached.push(a);
-                    } else {
-                        uncached.push(a);
-                    }
-                }
-                (&cached, &uncached)
-            };
-            let miss_lines = self.frontend.tex_probe(cached_addrs, width.bytes());
-            let mut ready = now + u64::from(mem.config().tex_hit_latency);
-            if !miss_lines.is_empty() {
-                // Texture fills skip the L1 (separate tag array on the
-                // real chip); they still cross the fabric.
-                let line = mem.config().tex_line_bytes;
-                let (floor, req) =
-                    self.frontend
-                        .request_offchip(now, Space::Global, false, line, &miss_lines);
-                ready = ready.max(floor);
-                self.queue(batch, req);
-            }
-            let fill_lines = if uncached_addrs.is_empty() {
-                Vec::new()
-            } else {
-                let (floor, fills) =
-                    self.global_load_request(now, warp_id, width.bytes(), uncached_addrs, batch);
-                ready = ready.max(floor);
-                fills
-            };
-            if self.telemetry.is_on() && !cached_addrs.is_empty() {
-                self.telemetry.on_tex(
-                    now,
-                    warp_id,
-                    cached_addrs.len() as u32,
-                    miss_lines.len() as u32,
-                );
-            }
-            self.tex_cached = cached;
-            self.tex_uncached = uncached;
-            (ready, fill_lines)
-        } else if global_load {
-            self.global_load_request(now, warp_id, width.bytes(), addresses, batch)
-        } else {
-            // Stores write through without allocating, and local
-            // bypasses the L1 (one tag array cannot alias local-physical
-            // and global addresses).
-            let (ready, req) =
-                self.frontend
-                    .request_offchip(now, space, is_store, width.bytes(), addresses);
-            self.queue(batch, req);
-            (ready, Vec::new())
-        };
-        let requests = &batch[queued..];
-        if requests.is_empty() {
-            // Ideal memory: nothing to service, so the lines the L1
-            // allocated are filled by the next cycle.
-            if !fill_lines.is_empty() {
-                self.frontend.mshr_set_fill(&fill_lines, now + 1);
-            }
-            return Ok(ready);
-        }
-        if self.telemetry.is_on() {
-            let segments = requests
-                .iter()
-                .map(|b| b.request.segments.len() as u32)
-                .sum();
-            self.telemetry
-                .on_offchip(now, warp_id, addresses.len() as u32, segments);
-        }
-        if !is_store {
-            self.timed = Some(TimedAccess {
-                slot: widx,
-                warp_id,
-                fill_lines,
-            });
-        }
-        Ok(ready)
-    }
-
-    /// Queues `req`, if the access produced one, on the cycle's batch.
-    fn queue(&self, batch: &mut Vec<BatchRequest>, req: Option<FabricRequest>) {
-        batch.extend(req.map(|request| BatchRequest {
-            sm: self.id,
-            access: 0,
-            request,
-        }));
-    }
-
-    /// Routes the addresses of a global load that the read-only cache does
-    /// not serve: through the L1 when one is modelled, else straight to
-    /// the coalescer. Queues the fabric request (if any) on `batch` and
-    /// returns the at-issue completion floor — raised to the fill times of
-    /// the in-flight lines it merged into, all stamped in earlier cycles —
-    /// with the access's MSHR fill lines (empty without an L1).
-    fn global_load_request(
-        &mut self,
-        now: u64,
-        warp_id: usize,
-        width_bytes: u32,
-        addresses: &[u32],
-        batch: &mut Vec<BatchRequest>,
-    ) -> (u64, Vec<u32>) {
-        if !self.frontend.has_l1() {
-            let (ready, req) =
-                self.frontend
-                    .request_offchip(now, Space::Global, false, width_bytes, addresses);
-            self.queue(batch, req);
-            return (ready, Vec::new());
-        }
-        let (ready, req, fills, merges, probe) =
-            self.frontend.l1_request(now, width_bytes, addresses);
-        self.queue(batch, req);
-        if self.telemetry.is_on() {
-            self.telemetry.on_l1(now, warp_id, &probe);
-        }
-        (ready.max(self.frontend.mshr_wait_floor(&merges)), fills)
-    }
-
     /// Bank-conflict replays steal issue slots: a degree-`d` access
     /// re-issues `d - 1` times, blocking the SM's issue port meanwhile.
     fn block_issue_for_replays(&mut self, now: u64, degree: u32) {
@@ -1509,6 +1158,7 @@ impl Sm {
 mod tests {
     use super::*;
     use simt_isa::{assemble_named, Reg};
+    use simt_mem::MemFault;
 
     /// One SM of the `tiny` machine holding one 4-lane warp of `src`,
     /// stepped by hand: the step through [`Sm::step`], the cycle's timing

@@ -336,6 +336,93 @@ fn second_miss_to_an_in_flight_line_merges_and_wakes_at_the_same_fill() {
     );
 }
 
+/// L1-only machine, one warp: its first load splits across a texture
+/// binding — lanes 0 and 1 read texture line 0, lanes 2 and 3 the plain
+/// L1 line at 256 — and its second reads line 0 from every lane. The
+/// split load's texture fill (segment 0) and L1 miss (segments 256 and
+/// 288) reach the idle flat fabric in one batch, and segments 0 and 256
+/// share DRAM module 0, so its data is there two service times after the
+/// issue cycle plus `dram_latency`. The telemetry records the L1 probe,
+/// then the texture probe, then the three segments. The second load hits
+/// the line the first filled and wakes `tex_hit_latency` after it issues.
+#[test]
+fn a_warp_split_across_a_binding_queues_fill_and_miss_on_one_module() {
+    const SRC: &str = r#"
+        .kernel main
+        main:
+            mov.u32 r1, %tid
+            mul.lo.s32 r2, r1, 4
+            setp.ge.s32 p0, r1, 2
+            @p0 add.s32 r2, r2, 248
+            mov.u32 r5, 0
+            ld.global.u32 r3, [r2+0]
+            ld.global.u32 r4, [r5+0]
+            exit
+    "#;
+    let mem = MemConfig::fx5800().with_l1(16 * 1024);
+    assert_eq!((mem.module_of(0), mem.module_of(256)), (0, 0));
+    let program = assemble_named("t", SRC).unwrap();
+    let split = program
+        .instrs()
+        .iter()
+        .position(|i| matches!(i.op, Instr::Ld { .. }))
+        .expect("the kernel loads");
+    let cfg = GpuConfig {
+        mem: mem.clone(),
+        ..GpuConfig::tiny()
+    };
+    let mut gpu = Gpu::builder(cfg).telemetry(TelemetrySpec::trace()).build();
+    gpu.mem_mut().alloc_global(1 << 12, "buf");
+    gpu.mem_mut().mark_read_only(0, mem.tex_line_bytes);
+    gpu.launch(Launch {
+        program,
+        entry: "main".into(),
+        num_threads: 4,
+        threads_per_block: 4,
+    })
+    .expect("launch accepted");
+    let s = gpu.run(1_000_000).expect("fault-free");
+    assert_eq!(s.outcome, RunOutcome::Completed);
+    let events = gpu.telemetry_report().events;
+
+    let issue = issued_at(&events, 0, 0, split);
+    let hit = issued_at(&events, 0, 0, split + 1);
+    let service = mem.segment_service_cycles();
+    assert_eq!(
+        hit - issue,
+        (2.0 * service).ceil() as u64 + u64::from(mem.dram_latency)
+    );
+    assert_eq!(
+        issued_at(&events, 0, 0, split + 2) - hit,
+        u64::from(mem.tex_hit_latency)
+    );
+    let memory: Vec<TraceEventKind> = events
+        .iter()
+        .filter(|e| e.cycle == issue && !matches!(e.kind, TraceEventKind::Issue { .. }))
+        .map(|e| e.kind)
+        .collect();
+    assert_eq!(
+        memory,
+        [
+            TraceEventKind::L1Access {
+                lines: 2,
+                misses: 1,
+                merges: 0
+            },
+            TraceEventKind::TexAccess {
+                lanes: 2,
+                miss_lines: 1
+            },
+            TraceEventKind::CoalescerSplit {
+                lanes: 4,
+                segments: 3
+            },
+        ]
+    );
+    assert_eq!(gpu.sms()[0].tex_stats(), Some((5, 1)));
+    assert_eq!(gpu.l1_stats(), Some((1, 1, 0, 0)));
+}
+
 /// `fx5800_cached`: SM 0 misses a line all the way to DRAM, which leaves
 /// it in the L2; SM 1 loads it once that round trip is long over. Its own
 /// L1 misses, each segment crosses an idle interconnect bank (one flit,
