@@ -306,6 +306,40 @@ impl WarpFormation {
         })
     }
 
+    /// Threads in the partial warp [`WarpFormation::force_out_partial`]
+    /// takes next: the lowest-PC partial line's count.
+    pub fn next_partial_count(&self) -> Option<u32> {
+        let partial = self.lut.iter().filter(|l| l.count > 0);
+        partial.min_by_key(|l| l.pc).map(|l| l.count)
+    }
+
+    /// Checks the formation-block ownership law, given the blocks the SM's
+    /// `resident` warps hold: every block is owned exactly once — by the
+    /// free pool, a LUT line (its fill block, `fill_addr − 4·count`, and its
+    /// allocated overflow block), a FIFO entry or a resident warp — and
+    /// every owner names a block's base; else a [`CodecError::BadTag`].
+    pub fn check_ownership(&self, resident: impl Iterator<Item = u32>) -> Result<(), CodecError> {
+        let bad = |what, tag| Err(CodecError::BadTag { what, tag });
+        let free = self.free_blocks.iter().map(|&b| self.layout.block_addr(b));
+        let lines = self.lut.iter().flat_map(|l| {
+            let overflow = (l.overflow_addr != UNALLOCATED).then_some(l.overflow_addr);
+            [Some(l.fill_addr.wrapping_sub(4 * l.count)), overflow]
+        });
+        let fifo = self.fifo.iter().map(|w| w.base_addr);
+        let mut owned = vec![false; self.total_blocks as usize];
+        for addr in free.chain(lines.flatten()).chain(fifo).chain(resident) {
+            if !self.layout.is_block_base(addr) {
+                return bad("formation block off a block base", addr.into());
+            }
+            if std::mem::replace(&mut owned[self.layout.block_of_addr(addr) as usize], true) {
+                return bad("formation block owned twice", addr.into());
+            }
+        }
+        let unowned = owned.iter().position(|&o| !o);
+        let addr = unowned.map(|b| self.layout.block_addr(b as u32));
+        addr.map_or(Ok(()), |a| bad("unowned formation block", a.into()))
+    }
+
     /// Returns a warp's formation block to the free pool. Called by the SM
     /// once the issued warp has consumed its metadata (the paper's doubled
     /// allocation exists to make this reuse safe).
@@ -346,9 +380,9 @@ impl WarpFormation {
     ///
     /// Returns a [`CodecError`] on truncated input, when a block index /
     /// FIFO depth exceeds this unit's configured capacity, for a LUT line
-    /// [`SpawnLut::restore_state`] refuses, or for a queued warp that is
-    /// not on a formation block's base or holds no threads or more than a
-    /// warp's worth.
+    /// [`SpawnLut::restore_state`] refuses, or for a queued warp that holds
+    /// no threads or more than a warp's worth. Block addresses are left to
+    /// [`WarpFormation::check_ownership`], which needs the SM's warps.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         self.lut.restore_state(dec, &self.layout)?;
         let free_blocks = Vec::<u32>::decode(dec)?;
@@ -368,19 +402,14 @@ impl WarpFormation {
                 remaining: self.fifo_capacity,
             });
         }
-        let bad = |what, tag: u32| {
-            Err(CodecError::BadTag {
-                what,
-                tag: u64::from(tag),
-            })
-        };
-        for w in &fifo {
-            if !self.layout.is_block_base(w.base_addr) {
-                return bad("queued warp's formation block", w.base_addr);
-            }
-            if !(1..=self.warp_size).contains(&w.count) {
-                return bad("queued warp's thread count", w.count);
-            }
+        if let Some(w) = fifo
+            .iter()
+            .find(|w| !(1..=self.warp_size).contains(&w.count))
+        {
+            return Err(CodecError::BadTag {
+                what: "queued warp's thread count",
+                tag: w.count.into(),
+            });
         }
         self.fifo = fifo;
         self.stats.restore_state(dec)
@@ -471,11 +500,14 @@ mod tests {
         let mut wf = WarpFormation::new(&small_cfg());
         wf.spawn(30, 1).unwrap();
         wf.spawn(10, 2).unwrap();
+        assert_eq!(wf.next_partial_count(), Some(2));
         let w = wf.force_out_partial().unwrap();
         assert_eq!(w.pc, 10);
         assert_eq!(w.count, 2);
+        assert_eq!(wf.next_partial_count(), Some(1));
         let w = wf.force_out_partial().unwrap();
         assert_eq!(w.pc, 30);
+        assert_eq!(wf.next_partial_count(), None);
         assert!(wf.force_out_partial().is_none());
         assert!(wf.is_idle());
     }
@@ -613,9 +645,10 @@ mod tests {
 
     /// Restores a 4-lane unit that spawned five threads toward PC 10 —
     /// one warp queued at `0x600`, one thread filling the block at
-    /// `0x610` — after `edit` rewrote its LUT lines and FIFO entries.
+    /// `0x610` — after `edit` rewrote its LUT lines, free blocks and FIFO
+    /// entries, and checks its block ownership with no resident warps.
     fn restore_edited(
-        edit: impl FnOnce(&mut Vec<LutLine>, &mut VecDeque<CompletedWarp>),
+        edit: impl FnOnce(&mut Vec<LutLine>, &mut Vec<u32>, &mut VecDeque<CompletedWarp>),
     ) -> Result<(), CodecError> {
         let mut wf = WarpFormation::new(&small_cfg());
         wf.spawn(10, 5).unwrap();
@@ -624,30 +657,40 @@ mod tests {
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
         let mut lines = Vec::<LutLine>::decode(&mut dec).unwrap();
-        let free = Vec::<u32>::decode(&mut dec).unwrap();
+        let mut free = Vec::<u32>::decode(&mut dec).unwrap();
         let mut fifo = VecDeque::<CompletedWarp>::decode(&mut dec).unwrap();
         let stats = &bytes[bytes.len() - dec.remaining()..];
-        edit(&mut lines, &mut fifo);
+        edit(&mut lines, &mut free, &mut fifo);
         let mut enc = Encoder::new();
         lines.encode(&mut enc);
         free.encode(&mut enc);
         fifo.encode(&mut enc);
         let mut edited = enc.into_bytes();
         edited.extend_from_slice(stats);
-        WarpFormation::new(&small_cfg()).restore_state(&mut Decoder::new(&edited))
+        let mut wf = WarpFormation::new(&small_cfg());
+        wf.restore_state(&mut Decoder::new(&edited))?;
+        wf.check_ownership(std::iter::empty())
     }
 
     /// A LUT line restores only with fewer threads than a warp, filling a
     /// formation block from its base, and with its overflow pointer on a
-    /// block base or unallocated: a fill address two bytes off its slot
-    /// once restored, then handed out an unaligned spawn-memory slot.
+    /// block base or unallocated, its block then free: a fill address two
+    /// bytes off its slot once restored, then handed out an unaligned
+    /// spawn-memory slot.
     #[test]
     fn a_lut_line_off_its_formation_block_is_refused() {
-        assert_eq!(restore_edited(|_, _| {}), Ok(()));
-        assert_eq!(
-            restore_edited(|l, _| l[0].overflow_addr = UNALLOCATED),
-            Ok(())
-        );
+        assert_eq!(restore_edited(|_, _, _| {}), Ok(()));
+        let unallocate = |l: &mut Vec<LutLine>, free: &mut Vec<u32>, freed: bool| {
+            if freed {
+                free.push((l[0].overflow_addr - 0x600) / 16);
+            }
+            l[0].overflow_addr = UNALLOCATED;
+        };
+        assert_eq!(restore_edited(|l, f, _| unallocate(l, f, true)), Ok(()));
+        assert!(matches!(
+            restore_edited(|l, f, _| unallocate(l, f, false)),
+            Err(CodecError::BadTag { tag: 0x620, .. })
+        ));
         let bad: [fn(&mut LutLine); 5] = [
             |l| l.fill_addr += 2,
             |l| l.count = 4,
@@ -658,7 +701,7 @@ mod tests {
         for (i, edit) in bad.into_iter().enumerate() {
             assert!(
                 matches!(
-                    restore_edited(|l, _| edit(&mut l[0])),
+                    restore_edited(|l, _, _| edit(&mut l[0])),
                     Err(CodecError::BadTag { .. })
                 ),
                 "edit {i}"
@@ -679,7 +722,7 @@ mod tests {
         for (i, edit) in bad.into_iter().enumerate() {
             assert!(
                 matches!(
-                    restore_edited(|_, f| edit(&mut f[0])),
+                    restore_edited(|_, _, f| edit(&mut f[0])),
                     Err(CodecError::BadTag { .. })
                 ),
                 "edit {i}"
@@ -697,7 +740,10 @@ mod tests {
                 .unwrap_or_else(|e| panic!("round {round}: {e}"));
             assert_eq!(out.warps_completed, 1);
             let w = wf.pop_ready().unwrap();
+            assert_eq!(wf.check_ownership([w.base_addr].into_iter()), Ok(()));
+            assert!(wf.check_ownership(std::iter::empty()).is_err(), "leaked");
             wf.release_block(w.base_addr);
+            assert_eq!(wf.check_ownership(std::iter::empty()), Ok(()));
         }
     }
 }

@@ -93,16 +93,8 @@ impl SpawnLut {
         self.lines.last_mut()
     }
 
-    /// All lines currently holding a partial warp (`count > 0`), sorted by
-    /// ascending PC — the order in which the scheduler forces partial warps
-    /// out (§IV-D: "starting with the lowest PC address").
-    pub fn partial_lines(&self) -> Vec<&LutLine> {
-        let mut v: Vec<&LutLine> = self.lines.iter().filter(|l| l.count > 0).collect();
-        v.sort_by_key(|l| l.pc);
-        v
-    }
-
-    /// Mutable access to the partial line with the lowest PC, if any.
+    /// Mutable access to the partial line with the lowest PC, if any: the
+    /// one forced out first (§IV-D: "starting with the lowest PC address").
     pub fn lowest_partial_mut(&mut self) -> Option<&mut LutLine> {
         self.lines
             .iter_mut()
@@ -128,10 +120,9 @@ impl SpawnLut {
     /// # Errors
     ///
     /// Returns a [`CodecError`] on truncated input, when the line count
-    /// exceeds this LUT's capacity, or for a line no spawn leaves: a warp's
-    /// worth of threads or more, a fill address that is not its count of
-    /// slots past a formation block's base, or an overflow pointer that is
-    /// neither a block base nor unallocated.
+    /// exceeds this LUT's capacity, or for a line holding a warp's worth of
+    /// threads or more. Its block addresses are left to
+    /// [`crate::WarpFormation::check_ownership`].
     pub fn restore_state(
         &mut self,
         dec: &mut Decoder<'_>,
@@ -144,22 +135,11 @@ impl SpawnLut {
                 remaining: self.capacity,
             });
         }
-        let bad = |what, tag: u32| {
-            Err(CodecError::BadTag {
-                what,
-                tag: u64::from(tag),
-            })
-        };
-        for l in &lines {
-            if l.count >= layout.warp_size() {
-                return bad("spawn LUT line's count", l.count);
-            }
-            if !layout.is_block_base(l.fill_addr.wrapping_sub(4 * l.count)) {
-                return bad("spawn LUT line's fill address", l.fill_addr);
-            }
-            if l.overflow_addr != UNALLOCATED && !layout.is_block_base(l.overflow_addr) {
-                return bad("spawn LUT line's overflow address", l.overflow_addr);
-            }
+        if let Some(l) = lines.iter().find(|l| l.count >= layout.warp_size()) {
+            return Err(CodecError::BadTag {
+                what: "spawn LUT line's count",
+                tag: l.count.into(),
+            });
         }
         self.lines = lines;
         Ok(())
@@ -196,8 +176,6 @@ mod tests {
         lut.line_mut(30, || (0, 0)).unwrap().count = 1;
         lut.line_mut(10, || (0, 0)).unwrap().count = 2;
         lut.line_mut(20, || (0, 0)).unwrap().count = 0; // full/empty: excluded
-        let pcs: Vec<usize> = lut.partial_lines().iter().map(|l| l.pc).collect();
-        assert_eq!(pcs, vec![10, 30]);
         assert_eq!(lut.lowest_partial_mut().unwrap().pc, 10);
     }
 }

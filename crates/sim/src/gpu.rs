@@ -401,6 +401,9 @@ impl Gpu {
             self.stats.cycles,
             self.stats.divergence.windows().len()
         );
+        for sm in &self.sms {
+            debug_assert_eq!(sm.check_block_ownership(), Ok(()), "SM {}", sm.id());
+        }
         let mut enc = Encoder::new();
         self.cfg.encode(&mut enc);
         self.mem.encode_state(&mut enc);
@@ -603,7 +606,7 @@ impl Gpu {
         ctx: &ExecCtx<'_>,
     ) -> bool {
         // 1. Dynamic warps have scheduling priority (§IV-D).
-        let mut active = sm.drain_dynamic(&mut launch.next_dynamic_tid, now, ctx) > 0;
+        let mut active = sm.admit_dynamic(false, &mut launch.next_dynamic_tid, now, ctx);
 
         // Injected state-slot exhaustion: pretend the spawn-memory state
         // records are all taken, starving launch admission this cycle
@@ -662,11 +665,7 @@ impl Gpu {
         // 3. End-of-application: force partial warps out when this SM can
         //    never receive more work (§IV-D).
         if launch.blocks.is_empty() && !sm.has_live_warps() {
-            if let Some(f) = sm.formation() {
-                if f.fifo_len() == 0 && f.partial_threads() > 0 {
-                    active |= sm.force_out_partials(&mut launch.next_dynamic_tid, now, ctx) > 0;
-                }
-            }
+            active |= sm.admit_dynamic(true, &mut launch.next_dynamic_tid, now, ctx);
         }
         active
     }
@@ -679,17 +678,9 @@ impl Gpu {
         if !launch.blocks.is_empty() {
             return false;
         }
-        for sm in &mut self.sms {
-            if sm.has_live_warps() {
-                return false;
-            }
-            if let Some(f) = sm.formation() {
-                if !f.is_idle() {
-                    return false;
-                }
-            }
-        }
-        true
+        self.sms
+            .iter_mut()
+            .all(|sm| !sm.has_live_warps() && sm.spawn_drained())
     }
 
     /// Merges every SM's statistics shard into the base stats and

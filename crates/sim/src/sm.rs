@@ -1,5 +1,6 @@
 //! One streaming multiprocessor: warp pool, issue logic, PDOM branching,
-//! the spawn datapath, and per-SM resource accounting.
+//! and per-SM resource accounting. The memory-instruction path is
+//! `sm/memory.rs`, the μ-kernel datapath `sm/spawn.rs`.
 
 use crate::config::{GpuConfig, SpawnPolicy};
 use crate::fault::{Fault, FaultKind, InjectedFault, Injector, SmSnapshot, WarpSnapshot};
@@ -8,15 +9,17 @@ use crate::stats::SimStats;
 use crate::telemetry::{SmTelemetry, TelemetrySpec};
 use crate::thread::LaneState;
 use crate::warp::Warp;
-use dmk_core::{CompletedWarp, SpawnError, SpawnMemoryLayout, WarpFormation};
+use dmk_core::WarpFormation;
 use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
-use simt_isa::{Instr, Program, ReconvergenceTable, Space};
+use simt_isa::{Instr, Program, ReconvergenceTable};
 use simt_mem::{BatchRequest, MemoryFabric, OnChipMemory, SmMemFrontend, TrafficStats};
 use std::collections::{BTreeMap, HashMap};
 
 mod memory;
+mod spawn;
 
 use memory::MemAccess;
+use spawn::SpawnUnit;
 
 /// Execution context shared by all SMs for the current launch.
 #[derive(Debug)]
@@ -62,14 +65,12 @@ pub struct Sm {
     next_warp_id: usize,
     rr: usize,
     shared: OnChipMemory,
-    spawn_mem: Option<OnChipMemory>,
-    formation: Option<WarpFormation>,
+    /// The μ-kernel datapath, present exactly with μ-kernel hardware.
+    spawn: Option<SpawnUnit>,
     threads_used: u32,
     regs_used: u32,
     /// Live warps per resident block (block scheduling).
     blocks: HashMap<usize, u32>,
-    /// Free spawn-memory state records (dmk only).
-    free_state_slots: Vec<u32>,
     /// Per-SM memory frontend: coalescer, read-only (texture) cache,
     /// on-chip load-store port, and this SM's traffic shard.
     frontend: SmMemFrontend,
@@ -130,18 +131,6 @@ pub struct Sm {
 impl Sm {
     /// Creates an SM for the given machine configuration.
     pub fn new(id: usize, cfg: &GpuConfig) -> Self {
-        let (spawn_mem, formation, free_state_slots) = match &cfg.dmk {
-            Some(d) => {
-                let layout = SpawnMemoryLayout::new(d);
-                let mem = OnChipMemory::new(layout.total_bytes(), cfg.mem.shared_banks);
-                let slots = (0..d.threads_per_sm)
-                    .rev()
-                    .map(|i| layout.launch_state_addr(i))
-                    .collect();
-                (Some(mem), Some(WarpFormation::new(d)), slots)
-            }
-            None => (None, None, Vec::new()),
-        };
         Sm {
             id,
             warp_size: cfg.warp_size,
@@ -153,12 +142,10 @@ impl Sm {
             next_warp_id: 0,
             rr: 0,
             shared: OnChipMemory::new(cfg.shared_mem_per_sm, cfg.mem.shared_banks),
-            spawn_mem,
-            formation,
+            spawn: cfg.dmk.map(|d| SpawnUnit::new(&d, cfg.mem.shared_banks)),
             threads_used: 0,
             regs_used: 0,
             blocks: HashMap::new(),
-            free_state_slots,
             frontend: SmMemFrontend::new(cfg.mem.clone()),
             spawn_policy: cfg.spawn_policy,
             issue_blocked_until: 0,
@@ -226,7 +213,7 @@ impl Sm {
 
     /// The warp-formation unit, if dynamic μ-kernels are enabled.
     pub fn formation(&self) -> Option<&WarpFormation> {
-        self.formation.as_ref()
+        self.spawn.as_ref().map(|u| &u.formation)
     }
 
     /// Whether a warp of `threads` lanes fits the SM right now.
@@ -237,13 +224,8 @@ impl Sm {
         if self.regs_used + threads * regs_per_thread > self.max_regs {
             return false;
         }
-        if needs_state_slots
-            && self.formation.is_some()
-            && (self.free_state_slots.len() as u32) < threads
-        {
-            return false;
-        }
-        true
+        let records = self.spawn.as_ref().map(|u| u.free_state_slots.len() as u32);
+        !needs_state_slots || records.is_none_or(|free| free >= threads)
     }
 
     /// Whether a whole block of `block_threads` fits (block scheduling): a
@@ -259,8 +241,6 @@ impl Sm {
     /// # Panics
     ///
     /// Panics if resources were not checked first.
-    // Expects are backed by the fits_warp assertion at function entry.
-    #[allow(clippy::expect_used)]
     pub(crate) fn admit_launch_warp(
         &mut self,
         first_tid: u32,
@@ -272,18 +252,7 @@ impl Sm {
     ) {
         assert!(self.fits_warp(count, ctx.regs_per_thread, true));
         let mut lanes = LaneState::admit(self.warp_size, ctx.regs_per_thread, first_tid, count);
-        if self.formation.is_some() {
-            for lane in 0..count as usize {
-                let slot = self
-                    .free_state_slots
-                    .pop()
-                    .expect("state slots checked in fits_warp");
-                // Launch threads address their state record directly
-                // (paper §IV-A1).
-                lanes.set_spawn_mem_addr(lane, slot);
-                lanes.set_state_slot(lane, slot);
-            }
-        }
+        self.hand_out_state_records(&mut lanes, count);
         let wid = self.next_warp_id;
         let mut w = Warp::from_lanes(wid, entry_pc, lanes);
         self.next_warp_id += 1;
@@ -295,60 +264,6 @@ impl Sm {
         self.regs_used += count * ctx.regs_per_thread;
         self.stats.threads_launched += u64::from(count);
         self.telemetry.on_warp_birth(now, wid, false, count);
-        self.dispatch_dirty = true;
-        self.ready.push(w.ready_at);
-        self.warps.push(w);
-    }
-
-    /// Admits a dynamically created warp popped from the new-warp FIFO.
-    ///
-    /// Reads each lane's state pointer from the formation block (hardware:
-    /// computed from the LUT address minus the lane id, §IV-D) and sets
-    /// `%spawnmem` to the lane's formation-slot address (Fig. 6).
-    ///
-    /// # Panics
-    ///
-    /// Panics if resources were not checked first or DMK is disabled.
-    // Expects are backed by the fits_warp assertion and the DMK-only call sites.
-    #[allow(clippy::expect_used)]
-    pub(crate) fn admit_dynamic_warp(
-        &mut self,
-        cw: CompletedWarp,
-        next_tid: &mut u32,
-        now: u64,
-        ctx: &ExecCtx<'_>,
-    ) {
-        assert!(self.fits_warp(cw.count, ctx.regs_per_thread, false));
-        let spawn_mem = self.spawn_mem.as_ref().expect("dmk enabled");
-        let mut lanes = LaneState::admit(self.warp_size, ctx.regs_per_thread, *next_tid, cw.count);
-        *next_tid += cw.count;
-        for lane in 0..cw.count {
-            let slot_addr = cw.base_addr + 4 * lane;
-            lanes.set_spawn_mem_addr(lane as usize, slot_addr);
-            lanes.set_state_slot(lane as usize, spawn_mem.read(slot_addr));
-        }
-        // Optionally charge the admission stage's state-pointer read-back
-        // like any other spawn-space access (one word per admitted lane,
-        // occupying the load-store port). Gated on its own knob — never on
-        // the cache configuration — so cache ablations compare caches only
-        // and the default machines keep the legacy free admission.
-        if self.frontend.config().spawn_admission_reads {
-            let slots: Vec<u32> = (0..cw.count).map(|l| cw.base_addr + 4 * l).collect();
-            self.frontend
-                .access_onchip(now, Space::Spawn, false, 4, &slots);
-            if let Some(f) = self.formation.as_mut() {
-                f.note_admission_reads(cw.count);
-            }
-        }
-        let n = cw.count;
-        let wid = self.next_warp_id;
-        let mut w = Warp::from_lanes(wid, cw.pc, lanes);
-        self.next_warp_id += 1;
-        w.is_dynamic = true;
-        w.formation_block = Some(cw.base_addr);
-        self.threads_used += n;
-        self.regs_used += n * ctx.regs_per_thread;
-        self.telemetry.on_warp_birth(now, wid, true, n);
         self.dispatch_dirty = true;
         self.ready.push(w.ready_at);
         self.warps.push(w);
@@ -391,16 +306,7 @@ impl Sm {
                         self.blocks.remove(&b);
                     }
                 }
-                if let Some(base) = self.warps[i].formation_block.take() {
-                    if let Some(f) = self.formation.as_mut() {
-                        f.release_block(base);
-                    }
-                }
-                if let Some(base) = self.warps[i].elision_block.take() {
-                    if let Some(f) = self.formation.as_mut() {
-                        f.release_block(base);
-                    }
-                }
+                self.release_blocks(i, true);
                 reaped += 1;
             } else {
                 if keep != i {
@@ -437,66 +343,6 @@ impl Sm {
     /// (or a launch-queue change) dispatch is a provable no-op here.
     pub(crate) fn clear_dispatch_dirty(&mut self) {
         self.dispatch_dirty = false;
-    }
-
-    /// Drains ready dynamic warps from the FIFO into the warp pool, with
-    /// priority over launch work (paper §IV-D). Returns warps admitted.
-    pub(crate) fn drain_dynamic(
-        &mut self,
-        next_tid: &mut u32,
-        now: u64,
-        ctx: &ExecCtx<'_>,
-    ) -> usize {
-        let mut admitted = 0;
-        while let Some(cw) = self
-            .formation
-            .as_ref()
-            .and_then(|f| f.peek_ready().copied())
-        {
-            if !self.fits_warp(cw.count, ctx.regs_per_thread, false) {
-                break;
-            }
-            if let Some(f) = self.formation.as_mut() {
-                f.pop_ready();
-            }
-            self.admit_dynamic_warp(cw, next_tid, now, ctx);
-            admitted += 1;
-        }
-        admitted
-    }
-
-    /// Forces partial warps out of the formation pool when nothing else is
-    /// schedulable (paper §IV-D). Returns warps admitted.
-    pub(crate) fn force_out_partials(
-        &mut self,
-        next_tid: &mut u32,
-        now: u64,
-        ctx: &ExecCtx<'_>,
-    ) -> usize {
-        let mut admitted = 0;
-        loop {
-            // Peek the candidate size via the LUT before committing.
-            let count = self.formation.as_ref().map_or(0, |f| {
-                if f.partial_threads() == 0 {
-                    0
-                } else {
-                    f.lut().partial_lines().first().map_or(0, |l| l.count)
-                }
-            });
-            if count == 0 || !self.fits_warp(count, ctx.regs_per_thread, false) {
-                break;
-            }
-            let Some(cw) = self
-                .formation
-                .as_mut()
-                .and_then(WarpFormation::force_out_partial)
-            else {
-                break;
-            };
-            self.admit_dynamic_warp(cw, next_tid, now, ctx);
-            admitted += 1;
-        }
-        admitted
     }
 
     /// Issues at most one warp-instruction. A memory instruction completes
@@ -698,19 +544,7 @@ impl Sm {
             return;
         };
         let mask = self.warps[widx].lanes.live_mask();
-        let mut bits = mask;
-        while bits != 0 {
-            let lane = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            // A lane that already spawned a child has handed its state
-            // record to that lineage; only childless lanes give the
-            // slot back here.
-            if !self.warps[widx].lanes.spawned_child(lane) {
-                if let Some(s) = self.warps[widx].lanes.take_state_slot(lane) {
-                    self.free_state_slots.push(s);
-                }
-            }
-        }
+        self.end_lineages(widx, mask);
         self.stats.warps_killed += 1;
         self.stats.threads_killed += u64::from(mask.count_ones());
         self.progress += u64::from(mask.count_ones());
@@ -722,8 +556,9 @@ impl Sm {
     /// Snapshot of this SM's warp state for deadlock diagnostics.
     pub(crate) fn snapshot(&mut self) -> SmSnapshot {
         let sm = self.id;
-        let free_state_slots = self.free_state_slots.len();
-        let fifo_depth = self.formation.as_ref().map_or(0, |f| f.fifo_len());
+        let (free_state_slots, fifo_depth) = self.spawn.as_ref().map_or((0, 0), |u| {
+            (u.free_state_slots.len(), u.formation.fifo_len())
+        });
         let warps = self
             .warps
             .iter_mut()
@@ -776,134 +611,6 @@ impl Sm {
             None => active,
             Some(g) => active & lanes.guard_mask(g.pred, g.negate),
         };
-
-        // A stalled spawn consumes the issue slot without committing.
-        if let Instr::Spawn { target, ptr } = instr.op {
-            // Dispatch-dirty marking: a spawn changes what dispatch sees
-            // only when it *completes* a warp into the formation FIFO
-            // (marked below on `warps_completed > 0`). Partial-line growth
-            // matters to dispatch only via force-out, which requires every
-            // live warp to have exited first — and lane exits mark dirty
-            // themselves. Elision and stall outcomes touch no
-            // dispatch-visible state at all.
-            // §IX optimization: when every live lane of the warp executes
-            // this same spawn, branch the warp to the μ-kernel in place
-            // instead of creating threads. Each lane's state pointer is
-            // still published through a (resident) spawn-memory scratch
-            // block so the μ-kernel's restore sequence works unchanged.
-            if self.spawn_policy == SpawnPolicy::OnDivergence {
-                let live: u64 = self.warps[widx].lanes.live_mask();
-                if pass == live && pass != 0 {
-                    if self.warps[widx].elision_block.is_none() {
-                        self.warps[widx].elision_block =
-                            self.formation.as_mut().and_then(|f| f.try_alloc_block());
-                    }
-                    if let Some(block) = self.warps[widx].elision_block {
-                        let spawn_mem = self.spawn_mem.as_mut().expect("dmk enabled");
-                        let mut slots = std::mem::take(&mut self.addr_scratch);
-                        slots.clear();
-                        let mut idx = 0u32;
-                        let mut bits = pass;
-                        while bits != 0 {
-                            let lane = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let slot = block + 4 * idx;
-                            idx += 1;
-                            let w = &mut self.warps[widx];
-                            spawn_mem.write(slot, w.lanes.reg(lane, ptr));
-                            w.lanes.set_spawn_mem_addr(lane, slot);
-                            slots.push(slot);
-                        }
-                        let (_, degree) =
-                            self.frontend
-                                .access_onchip(now, Space::Spawn, true, 4, &slots);
-                        self.addr_scratch = slots;
-                        self.block_issue_for_replays(now, degree);
-                        self.stats.spawn_elisions += 1;
-                        let wid = self.warps[widx].id;
-                        self.telemetry.on_spawn_elided(now, wid);
-                        self.commit(widx, pc, mask, now, now + 1);
-                        self.warps[widx].set_pc(target);
-                        return Ok(());
-                    }
-                    // No scratch block available: fall through to a real
-                    // spawn, which applies its own back-pressure.
-                }
-            }
-            let n_active = pass.count_ones();
-            // Injected back-pressure: the FIFO or formation area reports
-            // full even though it is not, exercising the stall-and-retry
-            // recovery path.
-            let injected_stall = injector.is_some_and(|i| {
-                i.fires(InjectedFault::SpawnFifoFull, now)
-                    || i.fires(InjectedFault::FormationFull, now)
-            });
-            let outcome = if injected_stall {
-                self.stats.injected_events += 1;
-                Err(SpawnError::FifoFull)
-            } else {
-                match self.formation.as_mut() {
-                    Some(f) => f.spawn(target, n_active),
-                    None => return Err(self.fault(FaultKind::SpawnUnsupported, widx, pc, now)),
-                }
-            };
-            match outcome {
-                Ok(out) => {
-                    if out.warps_completed > 0 {
-                        // New FIFO entries: dispatch must get a chance to
-                        // admit them (with priority over launch work).
-                        self.dispatch_dirty = true;
-                    }
-                    // Store each spawning lane's state pointer into its
-                    // formation slot (the §IV-C memory transaction).
-                    let spawn_mem = self.spawn_mem.as_mut().expect("dmk enabled");
-                    let mut slot_iter = out.thread_slots.iter();
-                    let mut bits = pass;
-                    while bits != 0 {
-                        let lane = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let slot = *slot_iter.next().expect("one slot per spawning lane");
-                        let w = &mut self.warps[widx];
-                        spawn_mem.write(slot, w.lanes.reg(lane, ptr));
-                        w.lanes.set_spawned_child(lane);
-                    }
-                    self.stats.threads_spawned += u64::from(n_active);
-                    self.progress += u64::from(n_active);
-                    let wid = self.warps[widx].id;
-                    self.telemetry.on_spawn(now, wid, target, n_active);
-                    // The metadata write is a store: charged, not waited on.
-                    let (_, degree) =
-                        self.frontend
-                            .access_onchip(now, Space::Spawn, true, 4, &out.thread_slots);
-                    self.block_issue_for_replays(now, degree);
-                    self.commit(widx, pc, mask, now, now + 1);
-                    self.warps[widx].set_pc(pc + 1);
-                }
-                Err(SpawnError::LutFull) => {
-                    // Permanent: no LUT line will ever free up for this
-                    // target while the program keeps all lines occupied.
-                    let capacity = self.formation.as_ref().map_or(0, |f| f.lut().capacity());
-                    return Err(self.fault(
-                        FaultKind::LutExhausted {
-                            target_pc: target,
-                            capacity,
-                        },
-                        widx,
-                        pc,
-                        now,
-                    ));
-                }
-                Err(SpawnError::FormationFull) | Err(SpawnError::FifoFull) => {
-                    // Transient back-pressure: retry shortly, no commit.
-                    self.stats.spawn_stall_cycles += 1;
-                    let wid = self.warps[widx].id;
-                    self.telemetry.on_spawn_stall(now, wid);
-                    self.warps[widx].ready_at = now + 4;
-                    self.ready.set(widx, now + 4);
-                }
-            }
-            return Ok(());
-        }
 
         match instr.op {
             Instr::Alu { op, d, a, b, c } => {
@@ -1016,7 +723,9 @@ impl Sm {
                 self.warps[widx].set_pc(pc + 1);
                 self.retire_lanes(widx, pass);
             }
-            Instr::Spawn { .. } => unreachable!("handled above"),
+            Instr::Spawn { target, ptr } => {
+                return self.exec_spawn(widx, pc, mask, pass, target, ptr, now, injector);
+            }
         }
         Ok(())
     }
@@ -1028,20 +737,10 @@ impl Sm {
         // Exits change the live-warp census the end-of-application
         // force-out condition reads.
         self.dispatch_dirty = true;
-        let mut bits = lanes & self.warps[widx].lanes.populated_mask();
-        while bits != 0 {
-            let lane = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.stats.threads_retired += 1;
-            self.progress += 1;
-            let w = &mut self.warps[widx];
-            if !w.lanes.spawned_child(lane) {
-                self.stats.lineages_completed += 1;
-                if let Some(slot) = w.lanes.take_state_slot(lane) {
-                    self.free_state_slots.push(slot);
-                }
-            }
-        }
+        let retired = lanes & self.warps[widx].lanes.populated_mask();
+        self.stats.threads_retired += u64::from(retired.count_ones());
+        self.progress += u64::from(retired.count_ones());
+        self.stats.lineages_completed += self.end_lineages(widx, retired);
         self.warps[widx].exit_lanes(lanes);
     }
 
@@ -1082,19 +781,22 @@ impl Sm {
         enc.put_usize(self.next_warp_id);
         enc.put_usize(self.rr);
         self.shared.encode_state(enc);
-        enc.put_bool(self.spawn_mem.is_some());
-        if let Some(m) = &self.spawn_mem {
-            m.encode_state(enc);
+        // Spawn memory and the formation unit are written apart, each
+        // behind its own presence flag, with the state records later.
+        enc.put_bool(self.spawn.is_some());
+        if let Some(u) = &self.spawn {
+            u.mem.encode_state(enc);
         }
-        enc.put_bool(self.formation.is_some());
-        if let Some(f) = &self.formation {
-            f.encode_state(enc);
+        enc.put_bool(self.spawn.is_some());
+        if let Some(u) = &self.spawn {
+            u.formation.encode_state(enc);
         }
         enc.put_u32(self.threads_used);
         enc.put_u32(self.regs_used);
         let blocks: BTreeMap<usize, u32> = self.blocks.iter().map(|(&b, &n)| (b, n)).collect();
         blocks.encode(enc);
-        self.free_state_slots.encode(enc);
+        let none = Vec::new();
+        (self.spawn.as_ref().map_or(&none, |u| &u.free_state_slots)).encode(enc);
         self.frontend.encode_state(enc);
         enc.put_u64(self.issue_blocked_until);
         self.stats.encode_state(enc);
@@ -1111,30 +813,30 @@ impl Sm {
         self.next_warp_id = dec.take_usize()?;
         self.rr = dec.take_usize()?;
         self.shared.restore_state(dec)?;
-        let has_spawn_mem = dec.take_bool()?;
-        if has_spawn_mem != self.spawn_mem.is_some() {
-            return Err(CodecError::BadTag {
-                what: "spawn memory presence",
-                tag: has_spawn_mem as u64,
-            });
+        let bad = |what, tag| Err(CodecError::BadTag { what, tag });
+        let absent = self.spawn.is_none();
+        if dec.take_bool()? == absent {
+            return bad("spawn memory presence", u64::from(absent));
         }
-        if let Some(m) = self.spawn_mem.as_mut() {
-            m.restore_state(dec)?;
+        if let Some(u) = self.spawn.as_mut() {
+            u.mem.restore_state(dec)?;
         }
-        let has_formation = dec.take_bool()?;
-        if has_formation != self.formation.is_some() {
-            return Err(CodecError::BadTag {
-                what: "formation unit presence",
-                tag: has_formation as u64,
-            });
+        if dec.take_bool()? == absent {
+            return bad("formation unit presence", u64::from(absent));
         }
-        if let Some(f) = self.formation.as_mut() {
-            f.restore_state(dec)?;
+        if let Some(u) = self.spawn.as_mut() {
+            u.formation.restore_state(dec)?;
         }
+        self.check_block_ownership()?;
         self.threads_used = dec.take_u32()?;
         self.regs_used = dec.take_u32()?;
         self.blocks = BTreeMap::<usize, u32>::decode(dec)?.into_iter().collect();
-        self.free_state_slots = Vec::decode(dec)?;
+        let free_state_slots = Vec::decode(dec)?;
+        match (self.spawn.as_mut(), free_state_slots.len()) {
+            (Some(u), _) => u.free_state_slots = free_state_slots,
+            (None, 0) => {}
+            (None, n) => return bad("state records without spawn memory", n as u64),
+        }
         self.frontend.restore_state(dec)?;
         self.issue_blocked_until = dec.take_u64()?;
         self.stats.restore_state(dec)?;
@@ -1147,17 +849,13 @@ impl Sm {
         self.dispatch_dirty = true;
         Ok(())
     }
-
-    /// Test/diagnostic access to spawn memory contents.
-    pub fn spawn_mem(&self) -> Option<&OnChipMemory> {
-        self.spawn_mem.as_ref()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simt_isa::{assemble_named, Reg};
+    use dmk_core::{DmkConfig, SpawnMemoryLayout};
+    use simt_isa::{assemble_named, Reg, Space};
     use simt_mem::MemFault;
 
     /// One SM of the `tiny` machine holding one 4-lane warp of `src`,
@@ -1406,6 +1104,89 @@ mod tests {
             "lane 0 trapped: nothing validated"
         );
         assert!(rig.sm.addr_scratch.capacity() >= 4, "off-chip trap");
+    }
+
+    /// A 4-lane SM with μ-kernel hardware holding one launch warp, its
+    /// configuration, and its spawn-memory layout.
+    fn dmk_sm_with_a_warp() -> (Sm, GpuConfig, SpawnMemoryLayout) {
+        let dmk = DmkConfig {
+            warp_size: 4,
+            threads_per_sm: 32,
+            state_bytes: 48,
+            num_ukernels: 4,
+            fifo_capacity: 64,
+        };
+        let cfg = GpuConfig {
+            dmk: Some(dmk),
+            ..GpuConfig::tiny()
+        };
+        let program = assemble_named("t", ".kernel main\nmain:\n exit\n").expect("assembles");
+        let rtab = ReconvergenceTable::build(&program);
+        let mut sm = Sm::new(0, &cfg);
+        sm.admit_launch_warp(0, 4, 0, None, 0, &ctx(&program, &rtab));
+        (sm, cfg, SpawnMemoryLayout::new(&dmk))
+    }
+
+    /// `sm`'s state, encoded and restored into a fresh SM of `cfg`.
+    fn restore_into_fresh(sm: &Sm, cfg: &GpuConfig) -> Result<(), CodecError> {
+        let mut enc = Encoder::new();
+        sm.encode_state(&mut enc);
+        let bytes = enc.into_bytes();
+        Sm::new(0, cfg).restore_state(&mut Decoder::new(&bytes))
+    }
+
+    fn refused_at(restored: Result<(), CodecError>, addr: u32) -> bool {
+        matches!(restored, Err(CodecError::BadTag { tag, .. }) if tag == u64::from(addr))
+    }
+
+    /// A warp holding an elision block outside the formation area (a
+    /// state record's address) is refused on restore, not handed to the
+    /// free pool at its reap, where finding its block panics.
+    #[test]
+    fn a_warp_block_outside_the_formation_area_is_refused() {
+        let (mut sm, cfg, _) = dmk_sm_with_a_warp();
+        assert_eq!(restore_into_fresh(&sm, &cfg), Ok(()), "as admitted");
+        sm.warps[0].elision_block = Some(0);
+        assert!(refused_at(restore_into_fresh(&sm, &cfg), 0));
+    }
+
+    /// A warp holding one block as both its formation and its elision
+    /// block (which the free pool holds too) is refused, not released
+    /// twice at its reap.
+    #[test]
+    fn a_block_held_twice_is_refused() {
+        let (mut sm, cfg, layout) = dmk_sm_with_a_warp();
+        let block = layout.block_addr(0);
+        sm.warps[0].formation_block = Some(block);
+        sm.warps[0].elision_block = Some(block);
+        assert!(refused_at(restore_into_fresh(&sm, &cfg), block));
+    }
+
+    /// A formation block 4 bytes past its base is refused: the warp would
+    /// read its lanes' state pointers one slot off, and nothing else
+    /// notices.
+    #[test]
+    fn a_warp_block_off_its_base_is_refused() {
+        let (mut sm, cfg, layout) = dmk_sm_with_a_warp();
+        let block = layout.block_addr(1) + 4;
+        sm.warps[0].formation_block = Some(block);
+        assert!(refused_at(restore_into_fresh(&sm, &cfg), block));
+    }
+
+    /// A block taken from the free pool restores while a warp holds it,
+    /// and is refused once nothing does.
+    #[test]
+    fn a_block_held_by_none_is_refused() {
+        let (mut sm, cfg, _) = dmk_sm_with_a_warp();
+        let block = sm
+            .spawn
+            .as_mut()
+            .and_then(|u| u.formation.try_alloc_block())
+            .expect("a free block");
+        sm.warps[0].elision_block = Some(block);
+        assert_eq!(restore_into_fresh(&sm, &cfg), Ok(()));
+        sm.warps[0].elision_block = None;
+        assert!(refused_at(restore_into_fresh(&sm, &cfg), block));
     }
 
     /// A telemetry state no run leaves — a zero metrics window, or a depth

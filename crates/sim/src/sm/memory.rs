@@ -72,7 +72,7 @@ impl Sm {
         let space = a.space;
         let mut backing = match space {
             Space::Shared => Some(&mut self.shared),
-            _ => self.spawn_mem.as_mut(),
+            _ => self.spawn.as_mut().map(|u| &mut u.mem),
         };
         let lanes = &mut self.warps[a.widx].lanes;
         let mut bits = a.pass;
@@ -114,12 +114,7 @@ impl Sm {
         // A dynamic warp's first spawn-space load consumes its
         // formation metadata; the block can be recycled afterwards.
         if a.space == Space::Spawn && !a.is_store {
-            if let Some(base) = self.warps[a.widx].formation_block.take() {
-                if let Some(f) = self.formation.as_mut() {
-                    f.release_block(base);
-                    self.dispatch_dirty = true;
-                }
-            }
+            self.release_blocks(a.widx, false);
         }
         let (ready, degree) =
             self.frontend

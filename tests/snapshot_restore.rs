@@ -220,30 +220,30 @@ fn mutant(rng: &mut Rng, config: &[u8], rest: &[u8]) -> Vec<u8> {
     [config, &bytes].concat()
 }
 
-/// A resealed snapshot of the traditional machine mutated past its
-/// configuration block restores and runs 50 cycles, or is refused with a
-/// typed error: never a panic, never an allocation above
-/// [`ALLOCATION_CAP`]. (The DMK machine's formation state — LUT
-/// addresses, formation-block ownership — is not yet checked on
-/// restore, so it is not fuzzed here.)
+/// A resealed snapshot of the traditional or the DMK machine mutated past
+/// its configuration block restores and runs 50 cycles, or is refused
+/// with a typed error: never a panic, never an allocation above
+/// [`ALLOCATION_CAP`].
 #[test]
 fn a_mutated_snapshot_restores_and_runs_or_is_refused() {
-    let payload = payload(&four_lane_mid_run(false));
-    let (_, rest) = split_config(&payload);
-    let config = &payload[..payload.len() - rest.len()];
-    for seed in [0x5eed_0101, 0x5eed_0202] {
-        let mut rng = Rng(seed);
-        for i in 0..MUTANTS {
-            let bytes = mutant(&mut rng, config, rest);
-            let (_, largest) = largest_allocation(|| {
-                if let Ok(mut gpu) = Gpu::restore(&reseal(&bytes)) {
-                    let _ = gpu.run(50);
-                }
-            });
-            assert!(
-                largest <= ALLOCATION_CAP,
-                "seed {seed:#x} mutant {i}: allocated {largest} bytes"
-            );
+    for dynamic in [false, true] {
+        let payload = payload(&four_lane_mid_run(dynamic));
+        let (_, rest) = split_config(&payload);
+        let config = &payload[..payload.len() - rest.len()];
+        for seed in [0x5eed_0101, 0x5eed_0202] {
+            let mut rng = Rng(seed);
+            for i in 0..MUTANTS {
+                let bytes = mutant(&mut rng, config, rest);
+                let (_, largest) = largest_allocation(|| {
+                    if let Ok(mut gpu) = Gpu::restore(&reseal(&bytes)) {
+                        let _ = gpu.run(50);
+                    }
+                });
+                assert!(
+                    largest <= ALLOCATION_CAP,
+                    "dynamic {dynamic} seed {seed:#x} mutant {i}: allocated {largest} bytes"
+                );
+            }
         }
     }
 }
