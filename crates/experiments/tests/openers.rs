@@ -1,15 +1,18 @@
 //! Seeded fuzzing of the hand-rolled openers that read bytes from outside
 //! the process: HTTP requests and responses, flat JSON request bodies,
-//! journal entries, and result frames. Valid inputs are mutated with a
-//! fixed-seed generator — bytes flipped or repeated, tails truncated, two
-//! inputs spliced — and every opener must answer each mutant with a value or an
-//! error: never a panic, and never an allocation above its cap. A sealed
-//! frame that was mutated never opens.
+//! journal entries, result frames and assembly source. Valid inputs are
+//! mutated with a fixed-seed generator — bytes flipped or repeated, tails
+//! truncated, two inputs spliced — and every opener must answer each mutant
+//! with a value or an error: never a panic, and never an allocation above
+//! its cap. A sealed frame that was mutated never opens; source that
+//! assembles prints as source that assembles to the same program.
 
 use experiments::campaign::cache::{open_result, seal_result, ResultMeta};
 use experiments::serve::http::{read_request, read_response, MAX_BODY, MAX_RESPONSE_BODY};
 use experiments::serve::journal::{open_entry, Journal};
 use experiments::serve::json::parse_flat;
+use simt_isa::codec::fnv1a64;
+use simt_isa::{assemble, Program};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -243,4 +246,79 @@ fn mutated_result_frames_never_open() {
         seal_result(&meta(false, "fig7: fault at cycle 3"), b""),
     ];
     assert_mutants_never_open(0x5eed_0005, &corpus, open_result);
+}
+
+/// The four embedded kernels' source: the assembler fuzz's corpus.
+fn kernel_sources() -> [String; 4] {
+    [
+        rt_kernels::traditional::source(),
+        rt_kernels::ukernel::source(),
+        rt_kernels::pt_traditional::source(),
+        rt_kernels::pt_ukernel::source(),
+    ]
+}
+
+/// `to_source` of each embedded kernel is the text it printed when the
+/// instruction set's vocabulary moved into one declaration: the print
+/// side of the fixed point whose byte side the pinned fingerprints hold.
+#[test]
+fn the_embedded_kernels_print_the_same_source() {
+    let digests = kernel_sources().map(|src| {
+        let program = assemble(&src).expect("an embedded kernel assembles");
+        fnv1a64(program.to_source().as_bytes())
+    });
+    assert_eq!(
+        digests,
+        [
+            0xa4d5_c7fb_5e17_a861,
+            0x6282_ae71_90ae_5384,
+            0x6e5c_a7ad_6ff9_03f1,
+            0xaba8_06a7_4a3e_ebe2
+        ],
+        "{digests:#018x?}"
+    );
+}
+
+/// What a program is made of: instructions, labels, entries (sorted) and
+/// resources.
+fn parts(p: &Program) -> impl PartialEq + std::fmt::Debug + '_ {
+    let mut entries: Vec<_> = p.entry_points().iter().map(|e| (&e.name, e.pc)).collect();
+    entries.sort();
+    (p.instrs(), p.labels(), entries, p.resource_usage())
+}
+
+/// The largest single allocation assembling `len` bytes of source may
+/// make. The assembler's allocations are copies of the input or of one of
+/// its lines, error messages that quote one, and tables with one entry per
+/// line: the pending lines (32 bytes each, doubled as the table grows) and
+/// the instructions. A line takes at least two bytes, so no table exceeds
+/// 32 bytes per input byte; the constant covers the fixed-size maps of a
+/// small program.
+fn assembler_cap(len: usize) -> usize {
+    32 * len + 4096
+}
+
+#[test]
+fn assembler_input_assembles_or_fails_within_its_cap() {
+    let corpus: Vec<Vec<u8>> = kernel_sources().map(String::into_bytes).into();
+    let mut rng = Rng(0x5eed_0006);
+    let mut assembled = 0;
+    for _ in 0..MUTANTS {
+        let bytes = mutant(&mut rng, &corpus);
+        let src = String::from_utf8_lossy(&bytes);
+        let (got, largest) = largest_allocation(|| assemble(&src));
+        assert!(
+            largest <= assembler_cap(src.len()),
+            "{largest}-byte allocation for {} bytes",
+            src.len()
+        );
+        let Ok(program) = got else { continue };
+        assembled += 1;
+        let printed = program.to_source();
+        let again = assemble(&printed)
+            .unwrap_or_else(|e| panic!("printed source does not assemble: {e}\n{printed}"));
+        assert_eq!(parts(&program), parts(&again), "{printed}");
+    }
+    // Enough mutants assemble that the round trip is exercised.
+    assert!(assembled >= MUTANTS / 10, "{assembled} mutants assembled");
 }

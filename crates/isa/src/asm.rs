@@ -29,9 +29,9 @@
 //! are parsed as floats, everything else as integers (decimal, `0x` hex, or
 //! negative decimal).
 
-use crate::instr::{AluOp, CmpOp, Instr, Instruction, Space, Width};
+use crate::instr::{AluOp, CmpOp, Instr, Instruction, Pick, Space, Special, Width};
 use crate::program::{EntryPoint, Program, ResourceUsage, ValidateError};
-use crate::reg::{Operand, Pred, Reg, Special};
+use crate::reg::{Operand, Pred, Reg};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -279,18 +279,6 @@ fn parse_pred(line: usize, tok: &str) -> Result<Pred, AsmError> {
         })
 }
 
-fn parse_special(tok: &str) -> Option<Special> {
-    match tok {
-        "%tid" => Some(Special::Tid),
-        "%laneid" => Some(Special::LaneId),
-        "%warpid" => Some(Special::WarpId),
-        "%smid" => Some(Special::SmId),
-        "%ntid" => Some(Special::NTid),
-        "%spawnmem" => Some(Special::SpawnMem),
-        _ => None,
-    }
-}
-
 fn parse_int(tok: &str) -> Option<u32> {
     let tok = tok.trim();
     if let Some(hex) = tok.strip_prefix("0x").or_else(|| tok.strip_prefix("0X")) {
@@ -356,26 +344,15 @@ fn parse_addr(line: usize, tok: &str) -> Result<(Reg, i32), AsmError> {
             line,
             msg: format!("bad offset in `{tok}`"),
         })? as i32;
-        (&inner[..minus], -off)
+        (&inner[..minus], off.wrapping_neg())
     } else {
         (inner, 0)
     };
     Ok((parse_reg(line, reg_s)?, off))
 }
 
-fn parse_space(line: usize, tok: &str) -> Result<Space, AsmError> {
-    match tok {
-        "global" => Ok(Space::Global),
-        "shared" => Ok(Space::Shared),
-        "local" => Ok(Space::Local),
-        "const" => Ok(Space::Const),
-        "spawn" | "spawnmem" => Ok(Space::Spawn),
-        _ => Err(AsmError::Parse {
-            line,
-            msg: format!("unknown address space `{tok}`"),
-        }),
-    }
-}
+/// The dotted parts a `cvt` reads as its destination and source types.
+const CVT_TYPES: [&str; 3] = ["f32", "s32", "u32"];
 
 fn split_args(s: &str) -> Vec<&str> {
     s.split(',')
@@ -384,79 +361,23 @@ fn split_args(s: &str) -> Vec<&str> {
         .collect()
 }
 
-fn alu_for(line: usize, base: &str, parts: &[&str]) -> Result<(AluOp, bool), AsmError> {
-    // Returns (op, float_context_for_immediates).
-    let has = |t: &str| parts.contains(&t);
-    let fl = has("f32");
-    let op = match (base, fl) {
-        ("add", false) => AluOp::IAdd,
-        ("add", true) => AluOp::FAdd,
-        ("sub", false) => AluOp::ISub,
-        ("sub", true) => AluOp::FSub,
-        ("mul", false) => AluOp::IMul,
-        ("mul", true) => AluOp::FMul,
-        ("mad", false) => AluOp::IMad,
-        ("fma", true) => AluOp::FFma,
-        ("min", false) => AluOp::IMin,
-        ("min", true) => AluOp::FMin,
-        ("max", false) => AluOp::IMax,
-        ("max", true) => AluOp::FMax,
-        ("div", false) => AluOp::IDiv,
-        ("div", true) => AluOp::FDiv,
-        ("rem", false) => AluOp::IRem,
-        ("and", _) => AluOp::And,
-        ("or", _) => AluOp::Or,
-        ("xor", _) => AluOp::Xor,
-        ("not", _) => AluOp::Not,
-        ("shl", _) => AluOp::Shl,
-        ("shr", _) => {
-            if has("s32") {
-                AluOp::ShrS
-            } else {
-                AluOp::ShrU
+/// The ALU operation whose spelling starts with `base` and whose type rule
+/// admits the dotted `parts` after it; at most one does.
+fn pick_alu(base: &str, parts: &[&str]) -> Option<AluOp> {
+    AluOp::ALL.into_iter().find(|op| {
+        let mut spelling = op.spelling().split('.');
+        spelling.next() == Some(base)
+            && match op.pick() {
+                Pick::Any => true,
+                Pick::With(part) => parts.contains(&part),
+                Pick::Without(part) => !parts.contains(&part),
+                Pick::Convert => parts
+                    .iter()
+                    .copied()
+                    .filter(|p| CVT_TYPES.contains(p))
+                    .eq(spelling),
             }
-        }
-        ("sqrt", true) => AluOp::FSqrt,
-        ("rcp", true) => AluOp::FRcp,
-        ("abs", true) => AluOp::FAbs,
-        ("neg", true) => AluOp::FNeg,
-        ("floor", true) => AluOp::FFloor,
-        _ => {
-            return Err(AsmError::Parse {
-                line,
-                msg: format!("unknown instruction `{base}.{}`", parts.join(".")),
-            })
-        }
-    };
-    Ok((op, fl))
-}
-
-fn parse_cmp(line: usize, cmp: &str, ty: &str) -> Result<CmpOp, AsmError> {
-    let op = match (cmp, ty) {
-        ("eq", "f32") => CmpOp::EqF,
-        ("ne", "f32") => CmpOp::NeF,
-        ("lt", "f32") => CmpOp::LtF,
-        ("le", "f32") => CmpOp::LeF,
-        ("gt", "f32") => CmpOp::GtF,
-        ("ge", "f32") => CmpOp::GeF,
-        ("eq", _) => CmpOp::EqS,
-        ("ne", _) => CmpOp::NeS,
-        ("lt", "u32") => CmpOp::LtU,
-        ("le", "u32") => CmpOp::LeU,
-        ("gt", "u32") => CmpOp::GtU,
-        ("ge", "u32") => CmpOp::GeU,
-        ("lt", _) => CmpOp::LtS,
-        ("le", _) => CmpOp::LeS,
-        ("gt", _) => CmpOp::GtS,
-        ("ge", _) => CmpOp::GeS,
-        _ => {
-            return Err(AsmError::Parse {
-                line,
-                msg: format!("unknown comparison `setp.{cmp}.{ty}`"),
-            })
-        }
-    };
-    Ok(op)
+    })
 }
 
 fn parse_instruction(
@@ -537,7 +458,7 @@ fn parse_instruction(
                 });
             }
             let d = parse_reg(line, args[0])?;
-            if let Some(s) = parse_special(args[1]) {
+            if let Some(s) = Special::from_spelling(args[1]) {
                 Instr::ReadSpecial { d, s }
             } else {
                 let fl = parts.contains(&"f32");
@@ -554,7 +475,14 @@ fn parse_instruction(
                     msg: "setp expects `setp.<cmp>.<type>`".into(),
                 });
             }
-            let cmp = parse_cmp(line, parts[0], parts[1])?;
+            // A type a comparison is not declared at compares signed.
+            let (cmp, ty) = (parts[0], parts[1]);
+            let cmp = CmpOp::from_spelling(&format!("{cmp}.{ty}"))
+                .or_else(|| CmpOp::from_spelling(&format!("{cmp}.s32")))
+                .ok_or_else(|| AsmError::Parse {
+                    line,
+                    msg: format!("unknown comparison `setp.{cmp}.{ty}`"),
+                })?;
             let fl = parts[1] == "f32";
             let args = split_args(rest);
             if args.len() != 3 {
@@ -593,8 +521,11 @@ fn parse_instruction(
                     msg: format!("`{base}` needs an address space"),
                 });
             }
-            let space = parse_space(line, parts[0])?;
-            let width = if parts.contains(&"v4") {
+            let space = Space::from_spelling(parts[0]).ok_or_else(|| AsmError::Parse {
+                line,
+                msg: format!("unknown address space `{}`", parts[0]),
+            })?;
+            let width = if parts.contains(&Width::V4.spelling()) {
                 Width::V4
             } else {
                 Width::W1
@@ -633,26 +564,18 @@ fn parse_instruction(
             let tys: Vec<&str> = parts
                 .iter()
                 .copied()
-                .filter(|p| matches!(*p, "f32" | "s32" | "u32"))
+                .filter(|p| CVT_TYPES.contains(p))
                 .collect();
-            if tys.len() != 2 {
+            let [dst, src] = tys[..] else {
                 return Err(AsmError::Parse {
                     line,
                     msg: "cvt expects `cvt.<dst>.<src>`".into(),
                 });
-            }
-            let op = match (tys[0], tys[1]) {
-                ("f32", "s32") => AluOp::I2F,
-                ("s32", "f32") => AluOp::F2I,
-                ("f32", "u32") => AluOp::U2F,
-                ("u32", "f32") => AluOp::F2U,
-                (d, s) => {
-                    return Err(AsmError::Parse {
-                        line,
-                        msg: format!("unsupported conversion `{s}` -> `{d}`"),
-                    })
-                }
             };
+            let op = pick_alu(base, &parts).ok_or_else(|| AsmError::Parse {
+                line,
+                msg: format!("unsupported conversion `{src}` -> `{dst}`"),
+            })?;
             let args = split_args(rest);
             if args.len() != 2 {
                 return Err(AsmError::Parse {
@@ -669,15 +592,13 @@ fn parse_instruction(
             }
         }
         _ => {
-            let (op, fl) = alu_for(line, base, &parts)?;
+            let op = pick_alu(base, &parts).ok_or_else(|| AsmError::Parse {
+                line,
+                msg: format!("unknown instruction `{base}.{}`", parts.join(".")),
+            })?;
+            let fl = parts.contains(&"f32");
             let args = split_args(rest);
-            let need = if op.is_unary() {
-                2
-            } else if op.is_ternary() {
-                4
-            } else {
-                3
-            };
+            let need = op.arity() + 1;
             if args.len() != need {
                 return Err(AsmError::Parse {
                     line,
@@ -685,17 +606,11 @@ fn parse_instruction(
                 });
             }
             let d = parse_reg(line, args[0])?;
-            let a = parse_operand(line, args[1], fl)?;
-            let b = if op.is_unary() {
-                Operand::Imm(0)
-            } else {
-                parse_operand(line, args[2], fl)?
-            };
-            let c = if op.is_ternary() {
-                parse_operand(line, args[3], fl)?
-            } else {
-                Operand::Imm(0)
-            };
+            let mut srcs = [Operand::Imm(0); 3];
+            for (src, tok) in srcs.iter_mut().zip(&args[1..]) {
+                *src = parse_operand(line, tok, fl)?;
+            }
+            let [a, b, c] = srcs;
             Instr::Alu { op, d, a, b, c }
         }
     };
@@ -705,8 +620,8 @@ fn parse_instruction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::{AluOp, Instr, Space, Width};
-    use crate::reg::{Operand, Pred, Reg, Special};
+    use crate::instr::{AluOp, Instr, Space, Special, Width};
+    use crate::reg::{Operand, Pred, Reg};
 
     #[test]
     fn assembles_basic_program() {

@@ -1,83 +1,18 @@
 //! Disassembly: `Display` implementations for instructions and programs.
 
-use crate::instr::{AluOp, CmpOp, Instr, Instruction, Space, Width};
+use crate::instr::{Instr, Instruction, Space, Special};
 use crate::program::Program;
 use std::fmt;
 
 impl fmt::Display for Space {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Space::Global => "global",
-            Space::Shared => "shared",
-            Space::Local => "local",
-            Space::Const => "const",
-            Space::Spawn => "spawn",
-        };
-        f.write_str(s)
+        f.write_str(self.spelling())
     }
 }
 
-fn alu_mnemonic(op: AluOp) -> &'static str {
-    match op {
-        AluOp::IAdd => "add.s32",
-        AluOp::ISub => "sub.s32",
-        AluOp::IMul => "mul.lo.s32",
-        AluOp::IMad => "mad.lo.s32",
-        AluOp::IMin => "min.s32",
-        AluOp::IMax => "max.s32",
-        AluOp::IDiv => "div.s32",
-        AluOp::IRem => "rem.s32",
-        AluOp::And => "and.b32",
-        AluOp::Or => "or.b32",
-        AluOp::Xor => "xor.b32",
-        AluOp::Not => "not.b32",
-        AluOp::Shl => "shl.b32",
-        AluOp::ShrU => "shr.u32",
-        AluOp::ShrS => "shr.s32",
-        AluOp::FAdd => "add.f32",
-        AluOp::FSub => "sub.f32",
-        AluOp::FMul => "mul.f32",
-        AluOp::FDiv => "div.f32",
-        AluOp::FMin => "min.f32",
-        AluOp::FMax => "max.f32",
-        AluOp::FFma => "fma.f32",
-        AluOp::FSqrt => "sqrt.f32",
-        AluOp::FRcp => "rcp.f32",
-        AluOp::FAbs => "abs.f32",
-        AluOp::FNeg => "neg.f32",
-        AluOp::FFloor => "floor.f32",
-        AluOp::I2F => "cvt.f32.s32",
-        AluOp::F2I => "cvt.s32.f32",
-        AluOp::U2F => "cvt.f32.u32",
-        AluOp::F2U => "cvt.u32.f32",
-    }
-}
-
-fn cmp_mnemonic(cmp: CmpOp) -> &'static str {
-    match cmp {
-        CmpOp::EqS => "setp.eq.s32",
-        CmpOp::NeS => "setp.ne.s32",
-        CmpOp::LtS => "setp.lt.s32",
-        CmpOp::LeS => "setp.le.s32",
-        CmpOp::GtS => "setp.gt.s32",
-        CmpOp::GeS => "setp.ge.s32",
-        CmpOp::LtU => "setp.lt.u32",
-        CmpOp::LeU => "setp.le.u32",
-        CmpOp::GtU => "setp.gt.u32",
-        CmpOp::GeU => "setp.ge.u32",
-        CmpOp::EqF => "setp.eq.f32",
-        CmpOp::NeF => "setp.ne.f32",
-        CmpOp::LtF => "setp.lt.f32",
-        CmpOp::LeF => "setp.le.f32",
-        CmpOp::GtF => "setp.gt.f32",
-        CmpOp::GeF => "setp.ge.f32",
-    }
-}
-
-fn width_suffix(w: Width) -> &'static str {
-    match w {
-        Width::W1 => "u32",
-        Width::V4 => "v4",
+impl fmt::Display for Special {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.spelling())
     }
 }
 
@@ -85,15 +20,13 @@ impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Instr::Alu { op, d, a, b, c } => {
-                if op.is_unary() {
-                    write!(f, "{} {d}, {a}", alu_mnemonic(*op))
-                } else if op.is_ternary() {
-                    write!(f, "{} {d}, {a}, {b}, {c}", alu_mnemonic(*op))
-                } else {
-                    write!(f, "{} {d}, {a}, {b}", alu_mnemonic(*op))
+                write!(f, "{} {d}", op.spelling())?;
+                for src in [a, b, c].iter().take(op.arity()) {
+                    write!(f, ", {src}")?;
                 }
+                Ok(())
             }
-            Instr::Setp { cmp, p, a, b } => write!(f, "{} {p}, {a}, {b}", cmp_mnemonic(*cmp)),
+            Instr::Setp { cmp, p, a, b } => write!(f, "setp.{} {p}, {a}, {b}", cmp.spelling()),
             Instr::Selp { d, a, b, p } => write!(f, "selp.b32 {d}, {a}, {b}, {p}"),
             Instr::Mov { d, a } => write!(f, "mov.b32 {d}, {a}"),
             Instr::ReadSpecial { d, s } => write!(f, "mov.u32 {d}, {s}"),
@@ -103,22 +36,14 @@ impl fmt::Display for Instr {
                 addr,
                 offset,
                 width,
-            } => write!(
-                f,
-                "ld.{space}.{} {d}, [{addr}{offset:+}]",
-                width_suffix(*width)
-            ),
+            } => write!(f, "ld.{space}.{} {d}, [{addr}{offset:+}]", width.spelling()),
             Instr::St {
                 space,
                 a,
                 addr,
                 offset,
                 width,
-            } => write!(
-                f,
-                "st.{space}.{} [{addr}{offset:+}], {a}",
-                width_suffix(*width)
-            ),
+            } => write!(f, "st.{space}.{} [{addr}{offset:+}], {a}", width.spelling()),
             Instr::Bra { target } => write!(f, "bra {target}"),
             Instr::Exit => f.write_str("exit"),
             Instr::Spawn { target, ptr } => write!(f, "spawn {target}, {ptr}"),
@@ -229,6 +154,7 @@ impl fmt::Display for Program {
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use crate::instr::AluOp;
     use crate::reg::{Operand, Pred, Reg};
 
     #[test]

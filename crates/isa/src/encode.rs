@@ -24,8 +24,8 @@
 //!   immediate ([`EncodeError::TooManyImmediates`] otherwise — the
 //!   assembler never produces such instructions).
 
-use crate::instr::{AluOp, CmpOp, Guard, Instr, Instruction, Space, Width};
-use crate::reg::{Operand, Pred, Reg, Special};
+use crate::instr::{AluOp, CmpOp, Guard, Instr, Instruction, Space, Special, Width};
+use crate::reg::{Operand, Pred, Reg};
 use std::fmt;
 
 /// Encoded instruction: three words.
@@ -74,8 +74,8 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-const OP_ALU_BASE: u8 = 0x00; // + AluOp index
-const OP_SETP_BASE: u8 = 0x40; // + CmpOp index
+const OP_ALU_BASE: u8 = 0x00; // + AluOp encoding
+const OP_SETP_BASE: u8 = 0x40; // + CmpOp encoding
 const OP_SELP: u8 = 0x60;
 const OP_MOV: u8 = 0x61;
 const OP_SPECIAL: u8 = 0x62;
@@ -85,76 +85,6 @@ const OP_BRA: u8 = 0x65;
 const OP_EXIT: u8 = 0x66;
 const OP_SPAWN: u8 = 0x67;
 const OP_NOP: u8 = 0x68;
-
-const ALU_OPS: [AluOp; 31] = [
-    AluOp::IAdd,
-    AluOp::ISub,
-    AluOp::IMul,
-    AluOp::IMad,
-    AluOp::IMin,
-    AluOp::IMax,
-    AluOp::IDiv,
-    AluOp::IRem,
-    AluOp::And,
-    AluOp::Or,
-    AluOp::Xor,
-    AluOp::Not,
-    AluOp::Shl,
-    AluOp::ShrU,
-    AluOp::ShrS,
-    AluOp::FAdd,
-    AluOp::FSub,
-    AluOp::FMul,
-    AluOp::FDiv,
-    AluOp::FMin,
-    AluOp::FMax,
-    AluOp::FFma,
-    AluOp::FSqrt,
-    AluOp::FRcp,
-    AluOp::FAbs,
-    AluOp::FNeg,
-    AluOp::FFloor,
-    AluOp::I2F,
-    AluOp::F2I,
-    AluOp::U2F,
-    AluOp::F2U,
-];
-
-const CMP_OPS: [CmpOp; 16] = [
-    CmpOp::EqS,
-    CmpOp::NeS,
-    CmpOp::LtS,
-    CmpOp::LeS,
-    CmpOp::GtS,
-    CmpOp::GeS,
-    CmpOp::LtU,
-    CmpOp::LeU,
-    CmpOp::GtU,
-    CmpOp::GeU,
-    CmpOp::EqF,
-    CmpOp::NeF,
-    CmpOp::LtF,
-    CmpOp::LeF,
-    CmpOp::GtF,
-    CmpOp::GeF,
-];
-
-const SPECIALS: [Special; 6] = [
-    Special::Tid,
-    Special::LaneId,
-    Special::WarpId,
-    Special::SmId,
-    Special::NTid,
-    Special::SpawnMem,
-];
-
-const SPACES: [Space; 5] = [
-    Space::Global,
-    Space::Shared,
-    Space::Local,
-    Space::Const,
-    Space::Spawn,
-];
 
 const IMM_MARK: u8 = 0x80;
 /// Marker for a literal zero immediate (does not consume the imm word, so
@@ -238,11 +168,10 @@ pub fn encode(i: &Instruction) -> Result<EncodedInstr, EncodeError> {
     let g = guard_byte(i.guard);
     Ok(match i.op {
         Instr::Alu { op, d, a, b, c } => {
-            let idx = ALU_OPS.iter().position(|&x| x == op).expect("listed") as u8;
             let mut p = Packer::new();
             let (pa, pb, pc) = (p.pack(a)?, p.pack(b)?, p.pack(c)?);
             words(
-                OP_ALU_BASE + idx,
+                OP_ALU_BASE + op as u8,
                 d.0,
                 0,
                 g,
@@ -251,11 +180,10 @@ pub fn encode(i: &Instruction) -> Result<EncodedInstr, EncodeError> {
             )
         }
         Instr::Setp { cmp, p, a, b } => {
-            let idx = CMP_OPS.iter().position(|&x| x == cmp).expect("listed") as u8;
             let mut pk = Packer::new();
             let (pa, pb) = (pk.pack(a)?, pk.pack(b)?);
             words(
-                OP_SETP_BASE + idx,
+                OP_SETP_BASE + cmp as u8,
                 p.0,
                 0,
                 g,
@@ -280,52 +208,35 @@ pub fn encode(i: &Instruction) -> Result<EncodedInstr, EncodeError> {
             let pa = pk.pack(a)?;
             words(OP_MOV, d.0, 0, g, u32::from(pa), pk.imm.unwrap_or(0))
         }
-        Instr::ReadSpecial { d, s } => {
-            let idx = SPECIALS.iter().position(|&x| x == s).expect("listed") as u8;
-            words(OP_SPECIAL, d.0, idx, g, 0, 0)
-        }
+        Instr::ReadSpecial { d, s } => words(OP_SPECIAL, d.0, s as u8, g, 0, 0),
         Instr::Ld {
             space,
             d,
             addr,
             offset,
             width,
-        } => {
-            let sp = SPACES.iter().position(|&x| x == space).expect("listed") as u8;
-            let wv = match width {
-                Width::W1 => 0u8,
-                Width::V4 => 1,
-            };
-            words(
-                OP_LD,
-                d.0,
-                sp | wv << 3,
-                g,
-                u32::from(addr.0) << 24,
-                offset as u32,
-            )
-        }
+        } => words(
+            OP_LD,
+            d.0,
+            space as u8 | (width as u8) << 3,
+            g,
+            u32::from(addr.0) << 24,
+            offset as u32,
+        ),
         Instr::St {
             space,
             a,
             addr,
             offset,
             width,
-        } => {
-            let sp = SPACES.iter().position(|&x| x == space).expect("listed") as u8;
-            let wv = match width {
-                Width::W1 => 0u8,
-                Width::V4 => 1,
-            };
-            words(
-                OP_ST,
-                a.0,
-                sp | wv << 3,
-                g,
-                u32::from(addr.0) << 24,
-                offset as u32,
-            )
-        }
+        } => words(
+            OP_ST,
+            a.0,
+            space as u8 | (width as u8) << 3,
+            g,
+            u32::from(addr.0) << 24,
+            offset as u32,
+        ),
         Instr::Bra { target } => words(OP_BRA, 0, 0, g, 0, target as u32),
         Instr::Exit => words(OP_EXIT, 0, 0, g, 0, 0),
         Instr::Spawn { target, ptr } => words(OP_SPAWN, ptr.0, 0, g, 0, target as u32),
@@ -352,18 +263,18 @@ pub fn decode(w: EncodedInstr) -> Result<Instruction, DecodeError> {
     let imm = w[2];
     let make = |op: Instr| Instruction { guard, op };
 
-    if (opc as usize) < ALU_OPS.len() {
+    if let Some(&op) = AluOp::ALL.get(usize::from(opc.wrapping_sub(OP_ALU_BASE))) {
         return Ok(make(Instr::Alu {
-            op: ALU_OPS[opc as usize],
+            op,
             d: Reg(dst),
             a: unpack(pa, imm),
             b: unpack(pb, imm),
             c: unpack(pc, imm),
         }));
     }
-    if (OP_SETP_BASE..OP_SETP_BASE + CMP_OPS.len() as u8).contains(&opc) {
+    if let Some(&cmp) = CmpOp::ALL.get(usize::from(opc.wrapping_sub(OP_SETP_BASE))) {
         return Ok(make(Instr::Setp {
-            cmp: CMP_OPS[(opc - OP_SETP_BASE) as usize],
+            cmp,
             p: Pred(dst),
             a: unpack(pa, imm),
             b: unpack(pb, imm),
@@ -382,13 +293,17 @@ pub fn decode(w: EncodedInstr) -> Result<Instruction, DecodeError> {
         })),
         OP_SPECIAL => Ok(make(Instr::ReadSpecial {
             d: Reg(dst),
-            s: *SPECIALS.get(aux as usize).ok_or(DecodeError::BadFields)?,
+            s: *Special::ALL
+                .get(usize::from(aux))
+                .ok_or(DecodeError::BadFields)?,
         })),
         OP_LD | OP_ST => {
-            let space = *SPACES
-                .get((aux & 0x7) as usize)
+            let space = *Space::ALL
+                .get(usize::from(aux & 0x7))
                 .ok_or(DecodeError::BadFields)?;
-            let width = if aux & 0x8 != 0 { Width::V4 } else { Width::W1 };
+            let width = *Width::ALL
+                .get(usize::from(aux >> 3 & 1))
+                .ok_or(DecodeError::BadFields)?;
             let op = if opc == OP_LD {
                 Instr::Ld {
                     space,
@@ -445,8 +360,8 @@ mod tests {
     use proptest::prelude::*;
 
     fn roundtrip(i: &Instruction) {
-        let enc = encode(i).expect("encodable");
-        let dec = decode(enc).expect("decodable");
+        let enc = encode(i).unwrap();
+        let dec = decode(enc).unwrap();
         assert_eq!(*i, dec, "encoded as {enc:?}");
     }
 
@@ -525,39 +440,37 @@ mod tests {
     }
 
     fn arb_space() -> impl Strategy<Value = Space> {
-        prop_oneof![
-            Just(Space::Global),
-            Just(Space::Shared),
-            Just(Space::Local),
-            Just(Space::Const),
-            Just(Space::Spawn),
-        ]
+        (0usize..Space::ALL.len()).prop_map(|s| Space::ALL[s])
     }
 
     fn arb_instr() -> impl Strategy<Value = Instr> {
         prop_oneof![
             (
-                0usize..ALU_OPS.len(),
+                0usize..AluOp::ALL.len(),
                 0u8..64,
                 arb_operand(),
                 arb_operand(),
                 arb_operand()
             )
                 .prop_map(|(op, d, a, b, c)| Instr::Alu {
-                    op: ALU_OPS[op],
+                    op: AluOp::ALL[op],
                     d: Reg(d),
                     a,
                     b,
                     c
                 }),
-            (0usize..CMP_OPS.len(), 0u8..8, arb_operand(), arb_operand()).prop_map(
-                |(c, p, a, b)| Instr::Setp {
-                    cmp: CMP_OPS[c],
+            (
+                0usize..CmpOp::ALL.len(),
+                0u8..8,
+                arb_operand(),
+                arb_operand()
+            )
+                .prop_map(|(c, p, a, b)| Instr::Setp {
+                    cmp: CmpOp::ALL[c],
                     p: Pred(p),
                     a,
                     b
-                }
-            ),
+                }),
             (0u8..64, arb_operand(), arb_operand(), 0u8..8).prop_map(|(d, a, b, p)| {
                 Instr::Selp {
                     d: Reg(d),
@@ -567,9 +480,9 @@ mod tests {
                 }
             }),
             (0u8..64, arb_operand()).prop_map(|(d, a)| Instr::Mov { d: Reg(d), a }),
-            (0u8..64, 0usize..SPECIALS.len()).prop_map(|(d, s)| Instr::ReadSpecial {
+            (0u8..64, 0usize..Special::ALL.len()).prop_map(|(d, s)| Instr::ReadSpecial {
                 d: Reg(d),
-                s: SPECIALS[s]
+                s: Special::ALL[s]
             }),
             (arb_space(), 0u8..64, 0u8..64, any::<i32>(), any::<bool>()).prop_map(
                 |(space, d, addr, offset, v4)| Instr::Ld {
@@ -606,7 +519,7 @@ mod tests {
             let i = Instruction { guard, op };
             match encode(&i) {
                 Ok(enc) => {
-                    let dec = decode(enc).expect("decodable");
+                    let dec = decode(enc).unwrap();
                     prop_assert_eq!(i, dec);
                 }
                 Err(EncodeError::TooManyImmediates) => {

@@ -3,195 +3,340 @@
 use crate::reg::{Operand, Pred, Reg};
 use serde::{Deserialize, Serialize};
 
-/// Arithmetic/logic operations evaluated per lane.
+/// Declares one part of the instruction set's vocabulary once. Each
+/// variant is one line, `Variant = index [spelling | alias…, column…]`,
+/// under its doc:
 ///
-/// Unary operations ignore operand `b`; only [`AluOp::FFma`] and
-/// [`AluOp::IMad`] use operand `c`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AluOp {
-    /// 32-bit integer add (wrapping).
-    IAdd,
-    /// 32-bit integer subtract (wrapping).
-    ISub,
-    /// 32-bit integer multiply, low 32 bits (wrapping).
-    IMul,
-    /// Integer multiply-add: `a * b + c` (wrapping).
-    IMad,
-    /// Signed integer minimum.
-    IMin,
-    /// Signed integer maximum.
-    IMax,
-    /// Signed division; division by zero yields `0` (simulator convention).
-    IDiv,
-    /// Signed remainder; remainder by zero yields `0`.
-    IRem,
-    /// Bitwise and.
-    And,
-    /// Bitwise or.
-    Or,
-    /// Bitwise xor.
-    Xor,
-    /// Bitwise not (unary).
-    Not,
-    /// Logical shift left (amounts ≥ 32 clamp to 0, like PTX `shl.b32`).
-    Shl,
-    /// Logical shift right (amounts ≥ 32 clamp to 0, like PTX `shr.u32`).
-    ShrU,
-    /// Arithmetic shift right (amounts ≥ 32 saturate to the sign fill).
-    ShrS,
-    /// IEEE-754 single add.
-    FAdd,
-    /// IEEE-754 single subtract.
-    FSub,
-    /// IEEE-754 single multiply.
-    FMul,
-    /// IEEE-754 single divide.
-    FDiv,
-    /// Floating minimum (NaN-propagating like PTX `min.f32`).
-    FMin,
-    /// Floating maximum.
-    FMax,
-    /// Fused multiply-add: `a * b + c`.
-    FFma,
-    /// Square root (unary).
-    FSqrt,
-    /// Reciprocal `1/a` (unary).
-    FRcp,
-    /// Absolute value (unary).
-    FAbs,
-    /// Negate (unary).
-    FNeg,
-    /// Floor (unary).
-    FFloor,
-    /// Convert signed int to float (unary).
-    I2F,
-    /// Convert float to signed int, truncating (unary).
-    F2I,
-    /// Convert unsigned int to float (unary).
-    U2F,
-    /// Convert float to unsigned int, truncating (unary).
-    F2U,
+/// - `index` is its encoding (`ALL[index]` is the variant; a const check
+///   holds the lines in encoding order);
+/// - `spelling` is how it is written in assembly, and the assembler also
+///   reads it as any `alias`;
+/// - each column named in the header, in order, is a `const fn` of that
+///   name returning the line's value.
+///
+/// It also generates the [`Codec`](crate::codec::Codec): the index as one
+/// byte, an unknown one a `BadTag` naming the `what` after the enum's name.
+macro_rules! vocabulary {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident: $what:literal ($($columns:tt)*) {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $index:literal [$spelling:literal $(| $alias:literal)* $(, $value:expr)*]
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[repr(u8)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant = $index,)*
+        }
+
+        impl $name {
+            /// Every variant, in encoding order.
+            pub const ALL: [$name; [$($index),*].len()] = [$($name::$variant),*];
+
+            /// How the variant is written in assembly.
+            pub const fn spelling(self) -> &'static str {
+                match self {
+                    $($name::$variant => $spelling,)*
+                }
+            }
+
+            /// The variant written `text` (its spelling or an alias).
+            pub fn from_spelling(text: &str) -> Option<$name> {
+                match text {
+                    $($spelling $(| $alias)* => Some($name::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+
+        const _: () = {
+            let mut i = 0;
+            while i < $name::ALL.len() {
+                assert!($name::ALL[i] as usize == i, concat!($what, "s out of encoding order"));
+                i += 1;
+            }
+        };
+
+        impl $crate::codec::Codec for $name {
+            const MIN_BYTES: usize = 1;
+
+            fn encode(&self, enc: &mut $crate::codec::Encoder) {
+                enc.put_u8(*self as u8);
+            }
+
+            fn decode(
+                dec: &mut $crate::codec::Decoder<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                let tag = dec.take_u8()?;
+                $name::ALL.get(usize::from(tag)).copied().ok_or(
+                    $crate::codec::CodecError::BadTag { what: $what, tag: u64::from(tag) },
+                )
+            }
+        }
+
+        vocabulary!(@columns $name ($($columns)*) $($variant ($($value),*))*);
+    };
+    (@columns $name:ident () $($variant:ident ())*) => {};
+    (
+        @columns $name:ident
+        ($(#[$cmeta:meta])* $vis:vis $column:ident: $ty:ty $(, $($columns:tt)*)?)
+        $($variant:ident ($value:expr $(, $rest:expr)*))*
+    ) => {
+        impl $name {
+            $(#[$cmeta])*
+            $vis const fn $column(self) -> $ty {
+                match self {
+                    $($name::$variant => $value,)*
+                }
+            }
+        }
+
+        vocabulary!(@columns $name ($($($columns)*)?) $($variant ($($rest),*))*);
+    };
 }
 
-impl AluOp {
-    /// Returns `true` for single-operand operations (operand `b` unused).
-    pub fn is_unary(self) -> bool {
-        matches!(
-            self,
-            AluOp::Not
-                | AluOp::FSqrt
-                | AluOp::FRcp
-                | AluOp::FAbs
-                | AluOp::FNeg
-                | AluOp::FFloor
-                | AluOp::I2F
-                | AluOp::F2I
-                | AluOp::U2F
-                | AluOp::F2U
-        )
+/// The ALU operations, one line each: `Variant = encoding [spelling,
+/// arity, pick, latency]` (see [`AluOp`]'s columns). Expands to
+/// `$then! { header… { lines } }`, so the enum and the simulator's lane
+/// dispatch are generated from these lines alone.
+#[macro_export]
+macro_rules! alu_ops {
+    ($then:ident $($header:tt)*) => {
+        $then! {
+            $($header)* {
+                /// 32-bit integer add (wrapping).
+                IAdd = 0 ["add.s32", 2, Pick::Without("f32"), Latency::Short],
+                /// 32-bit integer subtract (wrapping).
+                ISub = 1 ["sub.s32", 2, Pick::Without("f32"), Latency::Short],
+                /// 32-bit integer multiply, low 32 bits (wrapping).
+                IMul = 2 ["mul.lo.s32", 2, Pick::Without("f32"), Latency::Short],
+                /// Integer multiply-add: `a * b + c` (wrapping).
+                IMad = 3 ["mad.lo.s32", 3, Pick::Without("f32"), Latency::Short],
+                /// Signed integer minimum.
+                IMin = 4 ["min.s32", 2, Pick::Without("f32"), Latency::Short],
+                /// Signed integer maximum.
+                IMax = 5 ["max.s32", 2, Pick::Without("f32"), Latency::Short],
+                /// Signed division; division by zero yields `0` (simulator convention).
+                IDiv = 6 ["div.s32", 2, Pick::Without("f32"), Latency::Long],
+                /// Signed remainder; remainder by zero yields `0`.
+                IRem = 7 ["rem.s32", 2, Pick::Without("f32"), Latency::Long],
+                /// Bitwise and.
+                And = 8 ["and.b32", 2, Pick::Any, Latency::Short],
+                /// Bitwise or.
+                Or = 9 ["or.b32", 2, Pick::Any, Latency::Short],
+                /// Bitwise xor.
+                Xor = 10 ["xor.b32", 2, Pick::Any, Latency::Short],
+                /// Bitwise not (unary).
+                Not = 11 ["not.b32", 1, Pick::Any, Latency::Short],
+                /// Logical shift left (amounts ≥ 32 clamp to 0, like PTX `shl.b32`).
+                Shl = 12 ["shl.b32", 2, Pick::Any, Latency::Short],
+                /// Logical shift right (amounts ≥ 32 clamp to 0, like PTX `shr.u32`).
+                ShrU = 13 ["shr.u32", 2, Pick::Without("s32"), Latency::Short],
+                /// Arithmetic shift right (amounts ≥ 32 saturate to the sign fill).
+                ShrS = 14 ["shr.s32", 2, Pick::With("s32"), Latency::Short],
+                /// IEEE-754 single add.
+                FAdd = 15 ["add.f32", 2, Pick::With("f32"), Latency::Short],
+                /// IEEE-754 single subtract.
+                FSub = 16 ["sub.f32", 2, Pick::With("f32"), Latency::Short],
+                /// IEEE-754 single multiply.
+                FMul = 17 ["mul.f32", 2, Pick::With("f32"), Latency::Short],
+                /// IEEE-754 single divide.
+                FDiv = 18 ["div.f32", 2, Pick::With("f32"), Latency::Long],
+                /// Floating minimum (NaN-propagating like PTX `min.f32`).
+                FMin = 19 ["min.f32", 2, Pick::With("f32"), Latency::Short],
+                /// Floating maximum.
+                FMax = 20 ["max.f32", 2, Pick::With("f32"), Latency::Short],
+                /// Fused multiply-add: `a * b + c`.
+                FFma = 21 ["fma.f32", 3, Pick::With("f32"), Latency::Short],
+                /// Square root (unary).
+                FSqrt = 22 ["sqrt.f32", 1, Pick::With("f32"), Latency::Long],
+                /// Reciprocal `1/a` (unary).
+                FRcp = 23 ["rcp.f32", 1, Pick::With("f32"), Latency::Long],
+                /// Absolute value (unary).
+                FAbs = 24 ["abs.f32", 1, Pick::With("f32"), Latency::Short],
+                /// Negate (unary).
+                FNeg = 25 ["neg.f32", 1, Pick::With("f32"), Latency::Short],
+                /// Floor (unary).
+                FFloor = 26 ["floor.f32", 1, Pick::With("f32"), Latency::Short],
+                /// Convert signed int to float (unary).
+                I2F = 27 ["cvt.f32.s32", 1, Pick::Convert, Latency::Short],
+                /// Convert float to signed int, truncating (unary).
+                F2I = 28 ["cvt.s32.f32", 1, Pick::Convert, Latency::Short],
+                /// Convert unsigned int to float (unary).
+                U2F = 29 ["cvt.f32.u32", 1, Pick::Convert, Latency::Short],
+                /// Convert float to unsigned int, truncating (unary).
+                F2U = 30 ["cvt.u32.f32", 1, Pick::Convert, Latency::Short],
+            }
+        }
+    };
+}
+
+/// The comparisons of [`Instr::Setp`], one line each: `Variant = encoding
+/// [spelling]`, printed after `setp.`. Expands like [`alu_ops!`].
+#[macro_export]
+macro_rules! cmp_ops {
+    ($then:ident $($header:tt)*) => {
+        $then! {
+            $($header)* {
+                /// Equal (signed int compare).
+                EqS = 0 ["eq.s32"],
+                /// Not equal (signed).
+                NeS = 1 ["ne.s32"],
+                /// Less-than (signed).
+                LtS = 2 ["lt.s32"],
+                /// Less-or-equal (signed).
+                LeS = 3 ["le.s32"],
+                /// Greater-than (signed).
+                GtS = 4 ["gt.s32"],
+                /// Greater-or-equal (signed).
+                GeS = 5 ["ge.s32"],
+                /// Less-than (unsigned).
+                LtU = 6 ["lt.u32"],
+                /// Less-or-equal (unsigned).
+                LeU = 7 ["le.u32"],
+                /// Greater-than (unsigned).
+                GtU = 8 ["gt.u32"],
+                /// Greater-or-equal (unsigned).
+                GeU = 9 ["ge.u32"],
+                /// Equal (float).
+                EqF = 10 ["eq.f32"],
+                /// Not equal (float).
+                NeF = 11 ["ne.f32"],
+                /// Less-than (float).
+                LtF = 12 ["lt.f32"],
+                /// Less-or-equal (float).
+                LeF = 13 ["le.f32"],
+                /// Greater-than (float).
+                GtF = 14 ["gt.f32"],
+                /// Greater-or-equal (float).
+                GeF = 15 ["ge.f32"],
+            }
+        }
+    };
+}
+
+/// How the assembler picks an ALU operation among those that share a base
+/// word (`add` is [`AluOp::IAdd`] or [`AluOp::FAdd`]) from the dotted
+/// parts that follow it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pick {
+    /// Whatever the parts are.
+    Any,
+    /// Only when this part is among them.
+    With(&'static str),
+    /// Only when this part is not among them.
+    Without(&'static str),
+    /// `cvt.<dst>.<src>`: the parts that are types, in order, are the
+    /// spelling's last two.
+    Convert,
+}
+
+/// How long an ALU operation keeps its warp from issuing again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Latency {
+    /// One cycle.
+    Short,
+    /// The machine's long-operation latency: divide, remainder, square
+    /// root and reciprocal.
+    Long,
+}
+
+alu_ops! {
+    vocabulary
+    /// Arithmetic/logic operations evaluated per lane.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum AluOp: "ALU operation" (
+        /// Source operands read: 1 (`b` and `c` unused), 2 (`c` unused)
+        /// or 3.
+        pub arity: usize,
+        /// The assembler's type rule.
+        pub(crate) pick: Pick,
+        /// How long the operation keeps its warp.
+        pub latency: Latency,
+    )
+}
+
+cmp_ops! {
+    vocabulary
+    /// Comparison operators for [`Instr::Setp`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum CmpOp: "comparison" ()
+}
+
+vocabulary! {
+    /// Special (read-only) registers exposed to device code.
+    ///
+    /// Mirrors the CUDA/PTX special registers used by the paper's kernels, plus
+    /// the paper's new `%spawnmem` (`spawnMemAddr`, §IV-A1) register through
+    /// which dynamically created threads locate their parent's state record.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum Special: "special register" () {
+        /// Global thread id (unique across the launch, including respawns).
+        Tid = 0 ["%tid"],
+        /// Lane index within the warp (`0 .. warp_size`).
+        LaneId = 1 ["%laneid"],
+        /// Warp id within the SM.
+        WarpId = 2 ["%warpid"],
+        /// SM (streaming multiprocessor) index.
+        SmId = 3 ["%smid"],
+        /// Total number of threads in the launch grid.
+        NTid = 4 ["%ntid"],
+        /// The spawn-memory address register (`spawnMemAddr` in the paper).
+        ///
+        /// For launch-time threads this is initialized by hardware to
+        /// `SpawnMemoryBase + tid * state_size`; for dynamically created threads
+        /// it points into the warp-formation half of spawn memory, where the
+        /// parent-provided state pointer was stored (paper Fig. 6).
+        SpawnMem = 5 ["%spawnmem"],
     }
-
-    /// Returns `true` for three-operand operations (operand `c` used).
-    pub fn is_ternary(self) -> bool {
-        matches!(self, AluOp::FFma | AluOp::IMad)
-    }
 }
 
-/// Comparison operators for [`Instr::Setp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CmpOp {
-    /// Equal (signed int compare).
-    EqS,
-    /// Not equal (signed).
-    NeS,
-    /// Less-than (signed).
-    LtS,
-    /// Less-or-equal (signed).
-    LeS,
-    /// Greater-than (signed).
-    GtS,
-    /// Greater-or-equal (signed).
-    GeS,
-    /// Less-than (unsigned).
-    LtU,
-    /// Less-or-equal (unsigned).
-    LeU,
-    /// Greater-than (unsigned).
-    GtU,
-    /// Greater-or-equal (unsigned).
-    GeU,
-    /// Equal (float).
-    EqF,
-    /// Not equal (float).
-    NeF,
-    /// Less-than (float).
-    LtF,
-    /// Less-or-equal (float).
-    LeF,
-    /// Greater-than (float).
-    GtF,
-    /// Greater-or-equal (float).
-    GeF,
-}
-
-crate::record! {
+vocabulary! {
     /// Address spaces visible to device code (paper §IV-A).
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-    pub enum Space: "address space" {
+    pub enum Space: "address space" () {
         /// Off-chip device memory, shared by all SMs (high latency, 8 modules).
-        Global = 0,
+        Global = 0 ["global"],
         /// On-chip per-SM scratchpad, banked.
-        Shared = 1,
+        Shared = 1 ["shared"],
         /// Per-thread off-chip memory (register spill, traversal stacks).
-        Local = 2,
+        Local = 2 ["local"],
         /// Read-only off-chip memory (broadcast-friendly).
-        Const = 3,
+        Const = 3 ["const"],
         /// The paper's new spawn-memory space: parent→child state records and
         /// the warp-formation metadata area (on-chip, banked).
-        Spawn = 4,
+        Spawn = 4 ["spawn" | "spawnmem"],
     }
 }
 
 impl Space {
-    /// All address spaces, in a stable order.
-    pub const ALL: [Space; 5] = [
-        Space::Global,
-        Space::Shared,
-        Space::Local,
-        Space::Const,
-        Space::Spawn,
-    ];
-
     /// Whether this space lives on-chip (no off-chip bandwidth consumed).
     pub fn is_on_chip(self) -> bool {
         matches!(self, Space::Shared | Space::Spawn)
     }
 }
 
-/// Access width of a memory instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Width {
-    /// One 32-bit word.
-    W1,
-    /// A `v4` vector access: four consecutive words / registers (16 bytes).
-    V4,
+vocabulary! {
+    /// Access width of a memory instruction.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum Width: "access width" (
+        /// The number of consecutive registers read/written.
+        pub regs: u8,
+    ) {
+        /// One 32-bit word.
+        W1 = 0 ["u32", 1],
+        /// A `v4` vector access: four consecutive words / registers (16 bytes).
+        V4 = 1 ["v4", 4],
+    }
 }
 
 impl Width {
     /// The number of bytes transferred per lane.
     pub fn bytes(self) -> u32 {
-        match self {
-            Width::W1 => 4,
-            Width::V4 => 16,
-        }
-    }
-
-    /// The number of consecutive registers read/written.
-    pub fn regs(self) -> u8 {
-        match self {
-            Width::W1 => 1,
-            Width::V4 => 4,
-        }
+        u32::from(self.regs()) * crate::WORD_BYTES
     }
 }
 
@@ -255,7 +400,7 @@ pub enum Instr {
         /// Destination register.
         d: Reg,
         /// The special register read.
-        s: crate::reg::Special,
+        s: Special,
     },
     /// Memory load: `d[..w] = space[addr + offset]`.
     Ld {
@@ -329,16 +474,6 @@ impl Instruction {
         }
     }
 
-    /// Whether this instruction may change control flow.
-    pub fn is_control(&self) -> bool {
-        matches!(self.op, Instr::Bra { .. } | Instr::Exit)
-    }
-
-    /// Whether this instruction accesses memory (and thus carries latency).
-    pub fn is_memory(&self) -> bool {
-        matches!(self.op, Instr::Ld { .. } | Instr::St { .. })
-    }
-
     /// Whether this is the dynamic thread-creation instruction.
     pub fn is_spawn(&self) -> bool {
         matches!(self.op, Instr::Spawn { .. })
@@ -400,15 +535,14 @@ impl Instruction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reg::Special;
 
     #[test]
-    fn unary_and_ternary_classification() {
-        assert!(AluOp::FSqrt.is_unary());
-        assert!(!AluOp::FAdd.is_unary());
-        assert!(AluOp::FFma.is_ternary());
-        assert!(AluOp::IMad.is_ternary());
-        assert!(!AluOp::IAdd.is_ternary());
+    fn arity_classification() {
+        assert_eq!(AluOp::FSqrt.arity(), 1);
+        assert_eq!(AluOp::FAdd.arity(), 2);
+        assert_eq!(AluOp::FFma.arity(), 3);
+        assert_eq!(AluOp::IMad.arity(), 3);
+        assert_eq!(AluOp::IAdd.arity(), 2);
     }
 
     #[test]
@@ -428,22 +562,13 @@ mod tests {
     }
 
     #[test]
-    fn instruction_classification() {
-        let bra = Instruction::new(Instr::Bra { target: 0 });
-        assert!(bra.is_control());
-        let ld = Instruction::new(Instr::Ld {
-            space: Space::Global,
-            d: Reg(1),
-            addr: Reg(2),
-            offset: 0,
-            width: Width::W1,
-        });
-        assert!(ld.is_memory());
+    fn spawn_classification() {
         let spawn = Instruction::new(Instr::Spawn {
             target: 0,
             ptr: Reg(1),
         });
         assert!(spawn.is_spawn());
+        assert!(!Instruction::new(Instr::Exit).is_spawn());
     }
 
     #[test]

@@ -58,9 +58,9 @@ pub use encode::{
 };
 pub use eval::{eval_alu, eval_cmp};
 pub use gen::{generate, GenConfig, GenProgram};
-pub use instr::{AluOp, CmpOp, Guard, Instr, Instruction, Space, Width};
+pub use instr::{AluOp, CmpOp, Guard, Instr, Instruction, Latency, Space, Special, Width};
 pub use program::{EntryPoint, Program, ResourceUsage, ValidateError};
-pub use reg::{Operand, Pred, Reg, Special, MAX_PREDS, MAX_REGS};
+pub use reg::{Operand, Pred, Reg, MAX_PREDS, MAX_REGS};
 
 /// Number of bytes in one machine word (all registers are 32-bit).
 pub const WORD_BYTES: u32 = 4;

@@ -1,4 +1,4 @@
-//! Register, predicate-register, operand and special-register types.
+//! Register, predicate-register and operand types.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -67,32 +67,6 @@ impl From<u32> for Operand {
     }
 }
 
-/// Special (read-only) registers exposed to device code.
-///
-/// Mirrors the CUDA/PTX special registers used by the paper's kernels, plus
-/// the paper's new `%spawnmem` (`spawnMemAddr`, §IV-A1) register through
-/// which dynamically created threads locate their parent's state record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Special {
-    /// Global thread id (unique across the launch, including respawns).
-    Tid,
-    /// Lane index within the warp (`0 .. warp_size`).
-    LaneId,
-    /// Warp id within the SM.
-    WarpId,
-    /// SM (streaming multiprocessor) index.
-    SmId,
-    /// Total number of threads in the launch grid.
-    NTid,
-    /// The spawn-memory address register (`spawnMemAddr` in the paper).
-    ///
-    /// For launch-time threads this is initialized by hardware to
-    /// `SpawnMemoryBase + tid * state_size`; for dynamically created threads
-    /// it points into the warp-formation half of spawn memory, where the
-    /// parent-provided state pointer was stored (paper Fig. 6).
-    SpawnMem,
-}
-
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "r{}", self.0)
@@ -114,23 +88,10 @@ impl fmt::Display for Operand {
     }
 }
 
-impl fmt::Display for Special {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Special::Tid => "%tid",
-            Special::LaneId => "%laneid",
-            Special::WarpId => "%warpid",
-            Special::SmId => "%smid",
-            Special::NTid => "%ntid",
-            Special::SpawnMem => "%spawnmem",
-        };
-        f.write_str(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instr::Special;
 
     #[test]
     fn operand_float_roundtrip() {

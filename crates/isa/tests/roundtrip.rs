@@ -11,7 +11,10 @@
 
 use proptest::prelude::*;
 use simt_isa::gen::{generate, GenConfig};
-use simt_isa::{assemble_named, Program};
+use simt_isa::{
+    assemble_named, AluOp, CmpOp, Instr, Instruction, Operand, Pred, Program, Reg, Space, Special,
+    Width,
+};
 
 fn roundtrip(p: &Program) {
     let src = p.to_source();
@@ -96,4 +99,85 @@ fn negative_offsets_and_hex_immediates_round_trip() {
     "#;
     let p = assemble_named("h", src).unwrap();
     roundtrip(&p);
+}
+
+/// The most negative offset is written `[r2-2147483648]` and, equally,
+/// `[r2+2147483648]`; the disassembler prints the first.
+#[test]
+fn the_most_negative_offset_assembles_in_both_spellings() {
+    let minus = assemble_named("m", "ld.global.u32 r1, [r2-2147483648]\nexit").unwrap();
+    let plus = assemble_named("p", "ld.global.u32 r1, [r2+2147483648]\nexit").unwrap();
+    assert_eq!(minus.instrs(), plus.instrs());
+    assert!(matches!(
+        plus.instrs()[0].op,
+        Instr::Ld {
+            offset: i32::MIN,
+            ..
+        }
+    ));
+    roundtrip(&plus);
+}
+
+/// Every variant of the vocabulary, the ones the generated corpus never
+/// draws included, prints as text that assembles back to itself: each ALU
+/// operation at its arity with its last source a register and then an
+/// immediate, each comparison both ways, each special register, and a
+/// load and a store of each width in each space.
+#[test]
+fn every_variant_prints_and_reassembles_to_itself() {
+    let lasts = [Operand::Reg(Reg(3)), Operand::Imm(0xdead_beef)];
+    let mut cases = Vec::new();
+    for op in AluOp::ALL {
+        for last in lasts {
+            let mut srcs = [Operand::Imm(0); 3];
+            srcs[..op.arity()].fill(Operand::Reg(Reg(2)));
+            srcs[op.arity() - 1] = last;
+            let [a, b, c] = srcs;
+            cases.push(Instr::Alu {
+                op,
+                d: Reg(1),
+                a,
+                b,
+                c,
+            });
+        }
+    }
+    for cmp in CmpOp::ALL {
+        for b in lasts {
+            cases.push(Instr::Setp {
+                cmp,
+                p: Pred(1),
+                a: Operand::Reg(Reg(2)),
+                b,
+            });
+        }
+    }
+    for s in Special::ALL {
+        cases.push(Instr::ReadSpecial { d: Reg(1), s });
+    }
+    for space in Space::ALL {
+        for width in Width::ALL {
+            cases.push(Instr::Ld {
+                space,
+                d: Reg(4),
+                addr: Reg(2),
+                offset: -8,
+                width,
+            });
+            cases.push(Instr::St {
+                space,
+                a: Reg(4),
+                addr: Reg(2),
+                offset: 16,
+                width,
+            });
+        }
+    }
+    assert_eq!(cases.len(), 2 * 31 + 2 * 16 + 6 + 2 * 5 * 2);
+    for op in cases {
+        let text = Instruction::new(op).to_string();
+        let p = assemble_named("v", &format!("{text}\nexit"))
+            .unwrap_or_else(|e| panic!("`{text}` does not assemble: {e}"));
+        assert_eq!(p.instrs()[0], Instruction::new(op), "{text}");
+    }
 }

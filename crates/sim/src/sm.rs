@@ -11,7 +11,7 @@ use crate::thread::LaneState;
 use crate::warp::Warp;
 use dmk_core::WarpFormation;
 use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
-use simt_isa::{Instr, Program, ReconvergenceTable};
+use simt_isa::{Instr, Latency, Program, ReconvergenceTable};
 use simt_mem::{BatchRequest, MemoryFabric, OnChipMemory, SmMemFrontend, TrafficStats};
 use std::collections::{BTreeMap, HashMap};
 
@@ -614,17 +614,10 @@ impl Sm {
 
         match instr.op {
             Instr::Alu { op, d, a, b, c } => {
-                let mut latency = 1;
-                if matches!(
-                    op,
-                    simt_isa::AluOp::FDiv
-                        | simt_isa::AluOp::FSqrt
-                        | simt_isa::AluOp::FRcp
-                        | simt_isa::AluOp::IDiv
-                        | simt_isa::AluOp::IRem
-                ) {
-                    latency = self.long_op_latency;
-                }
+                let latency = match op.latency() {
+                    Latency::Short => 1,
+                    Latency::Long => self.long_op_latency,
+                };
                 self.warps[widx].lanes.alu_warp(pass, op, d, a, b, c);
                 self.commit(widx, pc, mask, now, now + u64::from(latency));
                 self.warps[widx].set_pc(pc + 1);

@@ -298,18 +298,6 @@ impl LaneState {
         }
     }
 
-    /// Evaluates a special register for lane `lane`.
-    pub fn special(&self, lane: usize, s: Special, warp_id: u32, sm_id: u32, ntid: u32) -> u32 {
-        match s {
-            Special::Tid => self.tid[lane],
-            Special::LaneId => lane as u32,
-            Special::WarpId => warp_id,
-            Special::SmId => sm_id,
-            Special::NTid => ntid,
-            Special::SpawnMem => self.spawn_mem_addr[lane],
-        }
-    }
-
     /// Brings destination register `d` inside the file, growing the
     /// stride up-front so a warp op can write its row unchecked. Growing
     /// before the op (rather than at the first lane's `set_reg`, as the
@@ -381,7 +369,7 @@ impl LaneState {
         // `op` folds to the operation itself instead of re-entering its
         // jump table once per lane.
         macro_rules! lanes_of {
-            ($($v:ident)*) => {
+            ({ $($(#[$doc:meta])* $v:ident = $index:literal $line:tt),* $(,)? }) => {
                 match op {
                     $(AluOp::$v => self.alu_lanes(mask, d, a, b, c, |x, y, z| {
                         eval_alu(AluOp::$v, x, y, z)
@@ -389,11 +377,7 @@ impl LaneState {
                 }
             };
         }
-        lanes_of!(
-            IAdd ISub IMul IMad IMin IMax IDiv IRem And Or Xor Not Shl ShrU ShrS
-            FAdd FSub FMul FDiv FMin FMax FFma FSqrt FRcp FAbs FNeg FFloor
-            I2F F2I U2F F2U
-        );
+        simt_isa::alu_ops!(lanes_of);
     }
 
     /// The row op of [`LaneState::alu_warp`] for one operation `f`.
@@ -423,7 +407,7 @@ impl LaneState {
     pub fn setp_warp(&mut self, mask: u64, cmp: CmpOp, p: Pred, a: Operand, b: Operand) {
         // As in `alu_warp`: one row op per comparison.
         macro_rules! lanes_of {
-            ($($v:ident)*) => {
+            ({ $($(#[$doc:meta])* $v:ident = $index:literal $line:tt),* $(,)? }) => {
                 match cmp {
                     $(CmpOp::$v => {
                         self.setp_lanes(mask, p, a, b, |x, y| eval_cmp(CmpOp::$v, x, y))
@@ -431,7 +415,7 @@ impl LaneState {
                 }
             };
         }
-        lanes_of!(EqS NeS LtS LeS GtS GeS LtU LeU GtU GeU EqF NeF LtF LeF GtF GeF);
+        simt_isa::cmp_ops!(lanes_of);
     }
 
     /// The row op of [`LaneState::setp_warp`] for one comparison `f`.
@@ -706,22 +690,6 @@ mod tests {
         Mov,
     }
 
-    const ALU_OPS: [AluOp; 31] = {
-        use AluOp::*;
-        [
-            IAdd, ISub, IMul, IMad, IMin, IMax, IDiv, IRem, And, Or, Xor, Not, Shl, ShrU, ShrS,
-            FAdd, FSub, FMul, FDiv, FMin, FMax, FFma, FSqrt, FRcp, FAbs, FNeg, FFloor, I2F, F2I,
-            U2F, F2U,
-        ]
-    };
-
-    const CMP_OPS: [CmpOp; 16] = {
-        use CmpOp::*;
-        [
-            EqS, NeS, LtS, LeS, GtS, GeS, LtU, LeU, GtU, GeU, EqF, NeF, LtF, LeF, GtF, GeF,
-        ]
-    };
-
     /// A warp of `warp_size` lanes with its first `count` populated, over
     /// a 4-register file; every lane's registers and predicates (the
     /// unpopulated lanes' too) filled from `seed`.
@@ -841,10 +809,10 @@ mod tests {
                 (_, Some(Operand::Reg(r))) => *r,
                 _ => Reg(0),
             };
-            let ops = ALU_OPS
+            let ops = AluOp::ALL
                 .map(WarpOp::Alu)
                 .into_iter()
-                .chain(CMP_OPS.map(WarpOp::Setp))
+                .chain(CmpOp::ALL.map(WarpOp::Setp))
                 .chain([WarpOp::Selp(Pred(seed as u8 & 7)), WarpOp::Mov]);
             for warp_size in [1, 4, 17, 32] {
                 let count = 1 + (count - 1) % warp_size;

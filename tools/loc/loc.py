@@ -9,6 +9,9 @@ line through the `;` or matching closing brace that ends it.
     python3 tools/loc/loc.py REV              # one revision
     python3 tools/loc/loc.py REV_A REV_B      # per-file deltas, A -> B
     python3 tools/loc/loc.py REV_A .          # A -> the working tree
+    python3 tools/loc/loc.py -h               # this text
+
+A revision git does not know is reported on one line, with exit status 2.
 """
 
 import re
@@ -95,11 +98,19 @@ def counts(rev):
     if rev == ".":
         paths = [str(p) for p in Path(".").glob("crates/*/src/**/*.rs")]
         return {p: non_test_lines(Path(p).read_text()) for p in paths}
-    paths = [p for p in git("ls-tree", "-r", "--name-only", rev, "crates").split() if SOURCE.fullmatch(p)]
+    try:
+        listing = git("ls-tree", "-r", "--name-only", rev, "crates")
+    except subprocess.CalledProcessError:
+        print(f"loc.py: unknown revision `{rev}`", file=sys.stderr)
+        sys.exit(2)
+    paths = [p for p in listing.split() if SOURCE.fullmatch(p)]
     return {p: non_test_lines(git("show", f"{rev}:{p}")) for p in paths}
 
 
 def main(argv):
+    if "-h" in argv or "--help" in argv:
+        print(__doc__)
+        return
     if len(argv) > 2:
         sys.exit(__doc__)
     if len(argv) < 2:
