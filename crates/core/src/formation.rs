@@ -143,6 +143,12 @@ impl WarpFormation {
         self.lut.iter().map(|l| l.count).sum()
     }
 
+    /// Threads spawned here that no warp holds yet: queued in the new-warp
+    /// FIFO or in partial warps.
+    pub fn queued_threads(&self) -> u32 {
+        self.fifo.iter().map(|w| w.count).sum::<u32>() + self.partial_threads()
+    }
+
     /// Read-only view of the LUT.
     pub fn lut(&self) -> &SpawnLut {
         &self.lut

@@ -59,7 +59,7 @@ paper_workload!(
 paper_workload!(
     Table2,
     "table2",
-    "Table II — per-thread memory footprint of the kd-tree tracer",
+    "Table II — registers, shared and global bytes per thread of each kernel",
     |_scale| Ok(table2::run())
 );
 paper_workload!(
@@ -71,7 +71,7 @@ paper_workload!(
 paper_workload!(
     Table4,
     "table4",
-    "Table IV — instruction overhead of the μ-kernel decomposition",
+    "Table IV — memory bandwidth required to draw one image",
     |scale| Ok(table4::run(scale))
 );
 paper_workload!(
@@ -107,13 +107,13 @@ paper_workload!(
 paper_workload!(
     Fig10,
     "fig10",
-    "Fig. 10 — ideal-memory limit study of both architectures",
+    "Fig. 10 — branching performance against the MIMD theoretical ideal",
     |scale| fig10::run(scale)
 );
 paper_workload!(
     Ablation,
     "ablation",
-    "Ablation — μ-kernel features toggled one at a time",
+    "Ablation — §IX spawn policy: spawn always vs branch when the warp agrees",
     |scale| ablation::run(scale)
 );
 paper_workload!(

@@ -2,7 +2,8 @@
 //! (the nine arms of `oracle::VARIANTS`: spawn-bank conflicts on and off,
 //! both spawn policies, sleeping SMs and forced ticking, four memory
 //! machines, a mid-run restore) versus the functional `RefMachine`,
-//! comparing final global memory and thread-lifecycle counters.
+//! comparing final global memory and thread-lifecycle counters, and
+//! holding every arm's machine to `Gpu::audit`'s laws.
 //!
 //! ```text
 //! fuzz_diff [--iterations N] [--seed S] [--time-budget-secs T]
@@ -125,7 +126,7 @@ fn main() -> ExitCode {
     }
 
     let start = Instant::now();
-    let mut failures: u64 = 0;
+    let (mut failures, mut audits): (u64, u64) = (0, 0);
     let mut ran: u64 = 0;
     let mut with_spawns: u64 = 0;
     let mut with_loops: u64 = 0;
@@ -147,23 +148,24 @@ fn main() -> ExitCode {
             with_loops += 1;
         }
         children += report.ref_spawned;
-        if failed {
-            failures += 1;
+        match report.mismatch {
+            Some(oracle::Mismatch::Audit { .. }) => audits += 1,
+            _ => failures += u64::from(failed),
         }
         if ran.is_multiple_of(100) {
             println!(
                 "{ran} programs: {with_spawns} spawning ({children} children), \
-                 {with_loops} looping, {failures} mismatches, {:.1}s",
+                 {with_loops} looping, {failures} mismatches, {audits} audit failures, {:.1}s",
                 start.elapsed().as_secs_f64()
             );
         }
     }
     println!(
         "done: {ran} programs, {with_spawns} spawning ({children} children spawned), \
-         {with_loops} looping, {failures} mismatches in {:.1}s",
+         {with_loops} looping, {failures} mismatches, {audits} audit failures in {:.1}s",
         start.elapsed().as_secs_f64()
     );
-    if failures == 0 {
+    if failures + audits == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -394,16 +394,7 @@ impl Gpu {
     /// instruction the 96-bit ISA codec cannot represent (more than one
     /// distinct non-zero immediate operand — assembler output never does).
     pub fn checkpoint(&self) -> Result<Snapshot, EncodeError> {
-        debug_assert!(
-            self.clock_is_accounted(),
-            "clock {} against {} cycles in {} windows",
-            self.now,
-            self.stats.cycles,
-            self.stats.divergence.windows().len()
-        );
-        for sm in &self.sms {
-            debug_assert_eq!(sm.check_block_ownership(), Ok(()), "SM {}", sm.id());
-        }
+        debug_assert_eq!(self.audit(), Ok(()), "checkpoint of a lawless machine");
         let mut enc = Encoder::new();
         self.cfg.encode(&mut enc);
         self.mem.encode_state(&mut enc);
@@ -435,9 +426,10 @@ impl Gpu {
     /// # Errors
     ///
     /// Returns a [`RestoreError`] when the payload is truncated, carries a
-    /// tag or length inconsistent with the captured configuration, or
-    /// describes a program that fails revalidation. File-level corruption
-    /// is caught earlier, by [`Snapshot::from_bytes`]'s checksum.
+    /// tag or length inconsistent with the captured configuration,
+    /// describes a program that fails revalidation, or describes a machine
+    /// that breaks a law of [`Gpu::audit`]. File-level corruption is caught
+    /// earlier, by [`Snapshot::from_bytes`]'s checksum.
     pub fn restore(snapshot: &Snapshot) -> Result<Gpu, RestoreError> {
         let mut dec = Decoder::new(snapshot.payload());
         let cfg = GpuConfig::decode(&mut dec)?;
@@ -452,15 +444,7 @@ impl Gpu {
             let program = checkpoint::take_program(&mut dec)?;
             let rtab = ReconvergenceTable::build(&program);
             let entry_pc = dec.take_usize()?;
-            // Derived from the program at launch, it sizes every warp's
-            // register file: a restored one must be the derived one.
             let regs_per_thread = dec.take_u32()?;
-            let derived = program.resource_usage().registers.max(1);
-            if regs_per_thread != derived {
-                return Err(RestoreError::Invalid(format!(
-                    "{regs_per_thread} registers per thread, not the program's {derived}"
-                )));
-            }
             let ntid = dec.take_u32()?;
             let blocks = VecDeque::decode(&mut dec)?;
             let next_dynamic_tid = dec.take_u32()?;
@@ -476,15 +460,6 @@ impl Gpu {
         }
         gpu.stats.restore_state(&mut dec)?;
         gpu.now = dec.take_u64()?;
-        // The clock sizes the divergence timeline on the next issue.
-        if !gpu.clock_is_accounted() {
-            return Err(RestoreError::Invalid(format!(
-                "clock {} is not accounted for by the statistics' {} cycles in {} windows",
-                gpu.now,
-                gpu.stats.cycles,
-                gpu.stats.divergence.windows().len()
-            )));
-        }
         gpu.rr_sm = dec.take_usize()?;
         gpu.injector = Option::decode(&mut dec)?;
         gpu.faults = Vec::decode(&mut dec)?;
@@ -494,25 +469,59 @@ impl Gpu {
                 dec.remaining()
             )));
         }
-        Ok(gpu)
+        gpu.audit().map(|()| gpu).map_err(RestoreError::Invalid)
     }
 
-    /// Whether the statistics account for the clock, as every run leaves
-    /// them: [`Gpu::finish_run`] sets `stats.cycles` to it, and the `n`
-    /// windows of `w` cycles in the divergence timeline reach no further
-    /// than it, `(n - 1)·w ≤ now` (not strict: an aborting cycle is
-    /// recorded while the clock stays on it). Every SM-cycle issues, idles,
-    /// stalls on a spawn or faults, and only the first two are recorded in
-    /// the timeline, so a cycle past its last window had every SM stall or
-    /// fault: `now ≤ n·w + spawn_stall_cycles + faults`.
-    fn clock_is_accounted(&self) -> bool {
-        let s = &self.stats;
-        let w = s.divergence.window();
-        let n = s.divergence.windows().len() as u64;
-        let unrecorded = s.spawn_stall_cycles.saturating_add(s.faults);
-        self.now == s.cycles
-            && n.saturating_sub(1).saturating_mul(w) <= self.now
-            && self.now <= n.saturating_mul(w).saturating_add(unrecorded)
+    /// Checks the laws the machine keeps between cycles — the one place
+    /// they are written — and names the first one broken. Counters are
+    /// merged over the SMs' shards and summed in `u128`, which no forged
+    /// value overflows. [`Gpu::restore`] ends with it; [`Gpu::checkpoint`]
+    /// and every return of [`Gpu::run`] assert it in debug builds.
+    ///
+    /// # Errors
+    ///
+    /// The broken law.
+    pub fn audit(&self) -> Result<(), String> {
+        let mut s = self.stats.clone();
+        for sm in &self.sms {
+            s.merge(sm.stats());
+        }
+        let u = u128::from;
+        let windows = s.divergence.windows().iter();
+        let windows: Vec<u128> = windows.map(|c| c.iter().copied().map(u).sum()).collect();
+        let recorded: u128 = windows.iter().sum();
+        let fullest = windows.iter().copied().max().unwrap_or(0);
+        let (now, w) = (u(self.now), u(s.divergence.window()));
+        let sms = u(self.sms.len() as u64);
+        let (issued, idle) = (u(s.warp_issues), u(s.idle_sm_cycles));
+        let spent = issued + idle + u(s.spawn_stall_cycles) + u(s.faults);
+        // An aborting trap leaves the clock on its cycle, which every SM ran.
+        let aborted = self.faults.last().is_some_and(|f| f.cycle == self.now);
+        let ran = sms * (now + u128::from(aborted));
+        let last_window = w * (windows.len().max(1) as u128 - 1);
+        let regs = (self.launch.as_ref()).map(|l| l.regs_per_thread);
+        let derived = (self.launch.as_ref()).map(|l| l.program.resource_usage().registers.max(1));
+        let rpt = regs.unwrap_or(0);
+        let held = self.sms.iter().map(|sm| sm.audit(rpt));
+        let held: u64 = held.sum::<Result<_, _>>()?;
+        let created = u(s.threads_launched) + u(s.threads_spawned);
+        let ended = u(s.threads_retired) + u(s.threads_killed) + u(held);
+        let laws = [
+            (u(s.cycles) == now, "stats.cycles == now"),
+            (recorded == issued + idle, "timeline == issued + idle"),
+            (spent == ran, "SM-cycles == num_sms × cycles"),
+            (last_window <= now, "no window starts past the clock"),
+            (fullest <= sms * w, "window ≤ num_sms × w"),
+            (regs == derived, "registers per thread == the program's"),
+            (
+                created == ended,
+                "threads launched + spawned == retired + killed + live + queued",
+            ),
+        ];
+        match laws.iter().find(|(holds, _)| !holds) {
+            Some((_, law)) => Err(format!("{law} at cycle {now}")),
+            None => Ok(()),
+        }
     }
 
     /// Registers a kernel launch. Threads are dispatched to SMs over the
@@ -750,6 +759,7 @@ impl Gpu {
             }
         };
         self.finish_run();
+        debug_assert_eq!(self.audit(), Ok(()), "a run broke a law");
         let outcome = result?;
         let mut dmk = DmkStats::default();
         let mut traffic = TrafficStats::new();

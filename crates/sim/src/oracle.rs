@@ -19,7 +19,9 @@
 //!   machine-assigned tids);
 //! * under [`SpawnPolicy::OnDivergence`], global memory only — spawn
 //!   elision legitimately converts spawned children into continued
-//!   parents, changing the counters but never the data.
+//!   parents, changing the counters but never the data;
+//! * on every variant, the laws of [`Gpu::audit`] after the run, so they
+//!   hold in release builds too.
 //!
 //! A failing case is shrunk greedily over the generator's config knobs
 //! and dumped as a self-contained `.s` repro (source plus a
@@ -182,6 +184,13 @@ pub enum Mismatch {
         /// Reference value.
         reference: u32,
     },
+    /// A variant's machine broke a law of [`Gpu::audit`] after its run.
+    Audit {
+        /// The failing variant.
+        variant: Variant,
+        /// The broken law.
+        law: String,
+    },
     /// A lifecycle counter differs.
     Counter {
         /// The failing variant.
@@ -200,6 +209,7 @@ impl fmt::Display for Mismatch {
         match self {
             Mismatch::ReferenceError { detail } => write!(f, "reference machine: {detail}"),
             Mismatch::GpuError { variant, detail } => write!(f, "[{variant}] gpu: {detail}"),
+            Mismatch::Audit { variant, law } => write!(f, "[{variant}] audit: {law}"),
             Mismatch::NotCompleted { variant, outcome } => {
                 write!(f, "[{variant}] did not complete: {outcome}")
             }
@@ -360,6 +370,8 @@ fn run_variant(
         gpu = cut_and_restore(gpu, gp.cfg.seed, base_cycles).map_err(gpu_error)?;
     }
     let summary = gpu.run(MAX_CYCLES).map_err(|e| gpu_error(e.to_string()))?;
+    gpu.audit()
+        .map_err(|law| Mismatch::Audit { variant: v, law })?;
     if summary.outcome != RunOutcome::Completed {
         return Err(Mismatch::NotCompleted {
             variant: v,

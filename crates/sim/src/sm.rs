@@ -764,9 +764,8 @@ impl Sm {
 
     /// Serializes this SM's complete mutable state for a simulator
     /// checkpoint. Must only be called at the inter-cycle barrier, where
-    /// no access waits on a timing batch (none does, every cycle).
+    /// no access waits on a timing batch (the audit's law).
     pub(crate) fn encode_state(&self, enc: &mut Encoder) {
-        debug_assert!(self.timed.is_none(), "checkpoint only at the cycle barrier");
         enc.put_usize(self.warps.len());
         for w in &self.warps {
             w.encode_state(enc);
@@ -796,6 +795,41 @@ impl Sm {
         self.telemetry.encode_state(enc);
     }
 
+    /// This SM's laws in [`crate::Gpu::audit`], under a launch of
+    /// `regs_per_thread`: awake, between cycles, every formation block
+    /// owned once by an owner naming its base (see
+    /// [`WarpFormation::check_ownership`]; without μ-kernel hardware,
+    /// none), and the threads, registers and blocks it counts those its
+    /// warps hold. `Ok` carries the threads it holds, live or queued.
+    pub(crate) fn audit(&self, regs_per_thread: u32) -> Result<u64, String> {
+        let id = self.id;
+        if self.wake_at != 0 || !self.between_cycles() {
+            return Err(format!("SM {id} is not awake and between cycles"));
+        }
+        let blocks = |w: &Warp| [w.formation_block, w.elision_block];
+        let mut held = self.warps.iter().flat_map(blocks).flatten();
+        match &self.spawn {
+            Some(u) => u.formation.check_ownership(held).map_err(|e| e.to_string()),
+            None if held.next().is_some() => Err("held without spawn memory".into()),
+            None => Ok(()),
+        }
+        .map_err(|e| format!("SM {id}: formation blocks: {e}"))?;
+        let mut blocks = HashMap::new();
+        for b in self.warps.iter().filter_map(|w| w.block_id) {
+            *blocks.entry(b).or_insert(0) += 1;
+        }
+        let threads: u64 = self.warps.iter().map(|w| u64::from(w.population())).sum();
+        let counted = (u64::from(self.threads_used), u64::from(self.regs_used));
+        if counted != (threads, threads * u64::from(regs_per_thread)) || blocks != self.blocks {
+            return Err(format!(
+                "SM {id}: threads, registers or blocks not its warps'"
+            ));
+        }
+        let live = self.warps.iter().map(|w| w.lanes.live_mask().count_ones());
+        let queued = self.formation().map_or(0, WarpFormation::queued_threads);
+        Ok(live.chain([queued]).map(u64::from).sum())
+    }
+
     /// Restores state written by [`Sm::encode_state`] into an SM freshly
     /// built with [`Sm::new`] from the same configuration.
     pub(crate) fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
@@ -820,7 +854,6 @@ impl Sm {
         if let Some(u) = self.spawn.as_mut() {
             u.formation.restore_state(dec)?;
         }
-        self.check_block_ownership()?;
         self.threads_used = dec.take_u32()?;
         self.regs_used = dec.take_u32()?;
         self.blocks = BTreeMap::<usize, u32>::decode(dec)?.into_iter().collect();
@@ -847,6 +880,7 @@ impl Sm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SchedulingModel;
     use dmk_core::{DmkConfig, SpawnMemoryLayout};
     use simt_isa::{assemble_named, Reg, Space};
     use simt_mem::MemFault;
@@ -1120,16 +1154,22 @@ mod tests {
         (sm, cfg, SpawnMemoryLayout::new(&dmk))
     }
 
-    /// `sm`'s state, encoded and restored into a fresh SM of `cfg`.
-    fn restore_into_fresh(sm: &Sm, cfg: &GpuConfig) -> Result<(), CodecError> {
+    /// `sm`'s state, encoded and restored into a fresh SM of `cfg`, then
+    /// held to the SM's laws under a launch of one register a thread, as
+    /// `Gpu::restore` holds it.
+    fn restore_into_fresh(sm: &Sm, cfg: &GpuConfig) -> Result<(), String> {
         let mut enc = Encoder::new();
         sm.encode_state(&mut enc);
         let bytes = enc.into_bytes();
-        Sm::new(0, cfg).restore_state(&mut Decoder::new(&bytes))
+        let mut fresh = Sm::new(0, cfg);
+        let restored = fresh.restore_state(&mut Decoder::new(&bytes));
+        restored.map_err(|e| e.to_string())?;
+        fresh.audit(1).map(|_| ())
     }
 
-    fn refused_at(restored: Result<(), CodecError>, addr: u32) -> bool {
-        matches!(restored, Err(CodecError::BadTag { tag, .. }) if tag == u64::from(addr))
+    /// Whether `restored` is a refusal naming `tag` (a block address).
+    fn refused_at(restored: Result<(), String>, tag: u32) -> bool {
+        matches!(restored, Err(e) if e.contains(&format!("invalid tag {tag} for")))
     }
 
     /// A warp holding an elision block outside the formation area (a
@@ -1193,26 +1233,69 @@ mod tests {
             metrics: true,
             ..TelemetrySpec::off()
         };
-        let restore = |sm: &Sm| {
-            let mut enc = Encoder::new();
-            sm.encode_state(&mut enc);
-            let bytes = enc.into_bytes();
-            Sm::new(0, &cfg).restore_state(&mut Decoder::new(&bytes))
-        };
         let mut sm = Sm::new(0, &cfg);
         sm.set_telemetry(&metrics, cfg.divergence_window);
         sm.next_warp_id = 2;
         sm.telemetry.on_warp_birth(0, 1, false, 4);
-        assert!(restore(&sm).is_ok(), "warp 1 of 2 has a depth");
+        let restored = restore_into_fresh(&sm, &cfg);
+        assert_eq!(restored, Ok(()), "warp 1 of 2 has a depth");
         sm.telemetry.on_warp_birth(0, 2, false, 4);
-        assert!(matches!(
-            restore(&sm),
-            Err(CodecError::BadTag { tag: 2, .. })
-        ));
+        assert!(refused_at(restore_into_fresh(&sm, &cfg), 2));
         sm.set_telemetry(&metrics, 0);
-        assert!(matches!(
-            restore(&sm),
-            Err(CodecError::BadTag { tag: 0, .. })
-        ));
+        assert!(refused_at(restore_into_fresh(&sm, &cfg), 0));
+    }
+
+    /// The counters an SM keeps of what its warps hold — threads and
+    /// registers in use, live warps per block — are refused on restore
+    /// when the warps say otherwise, not restored into an underflow or a
+    /// missing block at the first reap. Each forgery is a good snapshot
+    /// with SM 0's bytes swapped for a forged copy: checkpointing a forged
+    /// machine would trip the audit's assert.
+    #[test]
+    fn resource_counters_its_warps_contradict_are_refused_on_restore() {
+        let cfg = GpuConfig {
+            scheduling: SchedulingModel::Block,
+            ..GpuConfig::tiny()
+        };
+        let src = ".kernel main\nmain:\n mov.u32 r1, %tid\n add.s32 r1, r1, 1\n exit\n";
+        let mut gpu = crate::Gpu::builder(cfg.clone()).build();
+        let launch = crate::Launch {
+            program: assemble_named("t", src).expect("assembles"),
+            entry: "main".into(),
+            num_threads: 128,
+            threads_per_block: 8,
+        };
+        gpu.launch(launch).expect("launches");
+        gpu.run(3).expect("runs");
+        let payload = gpu.checkpoint().expect("encodes").payload().to_vec();
+        let encoded = |sm: &Sm| {
+            let mut enc = Encoder::new();
+            sm.encode_state(&mut enc);
+            enc.into_bytes()
+        };
+        let good = encoded(&gpu.sms()[0]);
+        let at = payload.windows(good.len()).position(|w| w == good);
+        let at = at.expect("SM 0's state is in the payload");
+        let forgeries: [fn(&mut Sm); 3] = [
+            |sm| sm.threads_used = 0,
+            |sm| sm.regs_used = 0,
+            |sm| sm.blocks.clear(),
+        ];
+        for (i, forge) in forgeries.into_iter().enumerate() {
+            let mut sm = Sm::new(0, &cfg);
+            sm.restore_state(&mut Decoder::new(&good))
+                .expect("restores");
+            forge(&mut sm);
+            let mut forged = payload.clone();
+            forged.splice(at..at + good.len(), encoded(&sm));
+            match crate::Gpu::restore(&crate::Snapshot::from_payload(forged)) {
+                Err(crate::RestoreError::Invalid(law)) => assert!(law.contains("SM 0"), "{law}"),
+                Err(e) => panic!("forgery {i}: {e}"),
+                Ok(mut restored) => {
+                    let ran = restored.run(100);
+                    panic!("forgery {i} restored and ran: {:?}", ran.map(|s| s.outcome));
+                }
+            }
+        }
     }
 }

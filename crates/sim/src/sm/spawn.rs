@@ -11,7 +11,6 @@ use crate::fault::{Fault, FaultKind, InjectedFault, Injector};
 use crate::thread::LaneState;
 use crate::warp::Warp;
 use dmk_core::{DmkConfig, SpawnError, SpawnMemoryLayout, WarpFormation};
-use simt_isa::codec::CodecError;
 use simt_isa::{Reg, Space};
 use simt_mem::OnChipMemory;
 
@@ -279,23 +278,5 @@ impl Sm {
             .frontend
             .access_onchip(now, Space::Spawn, true, 4, slots);
         self.block_issue_for_replays(now, degree);
-    }
-
-    /// Whether every formation block is owned exactly once and each owner
-    /// names a block's base (see [`WarpFormation::check_ownership`]); a
-    /// machine without μ-kernel hardware has no block for a warp to hold.
-    pub(crate) fn check_block_ownership(&self) -> Result<(), CodecError> {
-        let held = |w: &Warp| [w.formation_block, w.elision_block];
-        let mut resident = self.warps.iter().flat_map(held).flatten();
-        match (&self.spawn, resident.next()) {
-            (Some(u), first) => u
-                .formation
-                .check_ownership(first.into_iter().chain(resident)),
-            (None, None) => Ok(()),
-            (None, Some(b)) => Err(CodecError::BadTag {
-                what: "formation block without spawn memory",
-                tag: b.into(),
-            }),
-        }
     }
 }

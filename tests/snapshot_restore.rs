@@ -1,7 +1,8 @@
 //! Snapshots of 4-lane machines: their bytes are pinned, a lane block
 //! whose width is not the machine's is refused, and a payload mutated past
-//! its configuration block restores to a machine that runs or is refused
-//! with a typed error — never a panic, never an allocation above a cap.
+//! its configuration block restores to a machine that runs and keeps its
+//! laws, or is refused with a typed error — never a panic, never an
+//! allocation above a cap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -221,9 +222,9 @@ fn mutant(rng: &mut Rng, config: &[u8], rest: &[u8]) -> Vec<u8> {
 }
 
 /// A resealed snapshot of the traditional or the DMK machine mutated past
-/// its configuration block restores and runs 50 cycles, or is refused
-/// with a typed error: never a panic, never an allocation above
-/// [`ALLOCATION_CAP`].
+/// its configuration block restores, runs 50 cycles and still keeps the
+/// laws of `Gpu::audit`, or is refused with a typed error: never a panic,
+/// never an allocation above [`ALLOCATION_CAP`].
 #[test]
 fn a_mutated_snapshot_restores_and_runs_or_is_refused() {
     for dynamic in [false, true] {
@@ -234,11 +235,16 @@ fn a_mutated_snapshot_restores_and_runs_or_is_refused() {
             let mut rng = Rng(seed);
             for i in 0..MUTANTS {
                 let bytes = mutant(&mut rng, config, rest);
-                let (_, largest) = largest_allocation(|| {
-                    if let Ok(mut gpu) = Gpu::restore(&reseal(&bytes)) {
-                        let _ = gpu.run(50);
-                    }
+                let (audit, largest) = largest_allocation(|| {
+                    let mut gpu = Gpu::restore(&reseal(&bytes)).ok()?;
+                    let _ = gpu.run(50);
+                    Some(gpu.audit())
                 });
+                if let Some(Err(law)) = audit {
+                    panic!(
+                        "dynamic {dynamic} seed {seed:#x} mutant {i} restored, ran, broke {law}"
+                    );
+                }
                 assert!(
                     largest <= ALLOCATION_CAP,
                     "dynamic {dynamic} seed {seed:#x} mutant {i}: allocated {largest} bytes"
