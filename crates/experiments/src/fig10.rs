@@ -47,14 +47,17 @@ impl Fig10 {
 pub fn run(scale: Scale) -> Result<Fig10, String> {
     let scene = scenes::conference(scale.scene);
 
-    // MIMD theoretical: run the traditional kernel functionally.
-    let cfg = GpuConfig::fx5800_warp_sched();
-    let mut gpu = Gpu::builder(cfg.clone()).build();
-    let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
-    let program = rt_kernels::traditional::program();
-    let entry = program.entry("main").expect("main entry").pc;
-    let mimd = mimd_theoretical(&program, entry, setup.dev.num_rays, &cfg, gpu.mem_mut())
-        .expect("traditional kernel is spawn-free");
+    // MIMD theoretical: run the traditional kernel functionally. Its
+    // machine and upload drop here, before the four renders.
+    let mimd = {
+        let cfg = GpuConfig::fx5800_warp_sched();
+        let mut gpu = Gpu::builder(cfg.clone()).build();
+        let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
+        let program = rt_kernels::traditional::program();
+        let entry = program.entry("main").expect("main entry").pc;
+        mimd_theoretical(&program, entry, setup.dev.num_rays, &cfg, gpu.mem_mut())
+            .expect("traditional kernel is spawn-free")
+    };
 
     let mut points = Vec::new();
     for variant in [

@@ -118,6 +118,28 @@ impl SparseSink for Pages {
     }
 }
 
+/// The first `left` words of `words`, as an [`ExactSizeIterator`]: how
+/// a flattened run of records reaches [`SparseSink::put_run`].
+struct Counted<I> {
+    words: I,
+    left: usize,
+}
+
+impl<I: Iterator<Item = u32>> Iterator for Counted<I> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        self.left = self.left.checked_sub(1)?;
+        self.words.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<I: Iterator<Item = u32>> ExactSizeIterator for Counted<I> {}
+
 /// A word-addressed memory image with a bump allocator.
 ///
 /// Addresses are byte addresses but must be 4-byte aligned (the ISA is
@@ -211,15 +233,44 @@ impl WordStore {
         self.words.set(addr as usize / 4, value);
     }
 
-    /// Bulk-writes a slice of words starting at `addr`.
+    /// Bulk-writes a slice of words starting at `addr`, page by page.
     ///
     /// # Panics
     ///
-    /// Panics if `addr` is not 4-byte aligned.
+    /// Panics if `addr` is not 4-byte aligned, or if the words pass the
+    /// top of the 32-bit address space.
     pub fn write_words(&mut self, addr: u32, values: &[u32]) {
-        for (i, v) in values.iter().enumerate() {
-            self.write(addr + 4 * i as u32, *v);
+        self.write_records(addr, values.iter().map(|&v| [v]));
+    }
+
+    /// Writes `records` back to back from `addr`, page by page: one call
+    /// fills a region of `K`-word records without staging its words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not 4-byte aligned, or if the records pass the
+    /// top of the 32-bit address space.
+    pub fn write_records<const K: usize>(
+        &mut self,
+        addr: u32,
+        records: impl ExactSizeIterator<Item = [u32; K]>,
+    ) {
+        assert!(addr.is_multiple_of(4), "unaligned word write at {addr:#x}");
+        let at = addr as usize / 4;
+        let n = records.len() * K;
+        if n == 0 {
+            return;
         }
+        assert!(
+            at + n <= 1 << 30,
+            "{n} words written at {addr:#x} pass the top of the address space"
+        );
+        let words = Counted {
+            words: records.flatten(),
+            left: n,
+        };
+        self.words.put_run(at, words);
+        self.words.len = self.words.len.max(at + n);
     }
 
     /// Reads `n` consecutive words starting at `addr`.

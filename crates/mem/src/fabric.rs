@@ -328,6 +328,16 @@ impl MemoryFabric {
         self.global.write_words(addr, values);
     }
 
+    /// Host-side write of a region of `K`-word records to global memory,
+    /// back to back from `addr` (see [`WordStore::write_records`]).
+    pub fn host_write_records<const K: usize>(
+        &mut self,
+        addr: u32,
+        records: impl ExactSizeIterator<Item = [u32; K]>,
+    ) {
+        self.global.write_records(addr, records);
+    }
+
     /// Host-side bulk read from global memory.
     pub fn host_read_global(&self, addr: u32, words: usize) -> Vec<u32> {
         self.global.read_words(addr, words)

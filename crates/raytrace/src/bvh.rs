@@ -11,10 +11,30 @@
 //! ([`Bvh::intersect`]) is the sanity oracle for the tree itself; the
 //! bit-exact device mirror lives in `rt-kernels` next to the kernels it
 //! mirrors.
+//!
+//! ## Split order, leaf order and cost
+//!
+//! - **Split order.** A node's *split order* is on the longest axis of
+//!   its centroid bounds: centroid coordinate (compared with
+//!   `partial_cmp`, so `-0.0 == 0.0`), ties by input index. The first
+//!   `n / 2` records under it go left, the rest right.
+//! - **Finite input only.** That order is total only over finite
+//!   centroids; a NaN would compare equal to everything. A triangle with
+//!   a non-finite vertex is refused like a degenerate one
+//!   ([`WaldTriangle::new`] gives it no record), so it is in no leaf.
+//! - **Leaf order.** A leaf's records are in its parent's split order; a
+//!   root that is a leaf keeps input order. Wald slots, and so the
+//!   device's triangle ids, follow it.
+//! - **Cost.** The build permutes one `u32` item array in place, with the
+//!   centroids and boxes read beside it. A node finds its halves by
+//!   selection (`select_nth_unstable_by`, linear) rather than a sort, and
+//!   a leaf sorts at most [`BVH_MAX_LEAF`] records. Each of the
+//!   O(log n) levels costs O(n), so a build is O(n log n).
 
 use crate::aabb::Aabb;
 use crate::tri::{Hit, Triangle, WaldTriangle};
 use crate::Ray;
+use std::cmp::Ordering;
 
 /// One flattened BVH node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,41 +99,39 @@ pub struct Bvh {
 pub const BVH_MAX_LEAF: usize = 4;
 
 impl Bvh {
-    /// Builds the hierarchy. Degenerate triangles are dropped (they have
-    /// no Wald record), matching the kd-tree builder's behaviour.
+    /// Builds the hierarchy. Degenerate and non-finite triangles are
+    /// dropped (they have no Wald record), matching the kd-tree builder.
     pub fn build(triangles: &[Triangle]) -> Self {
-        // Items: (original index, wald record, centroid, bounds).
-        let mut items: Vec<(u32, WaldTriangle, crate::Vec3, Aabb)> = triangles
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| {
-                let w = WaldTriangle::new(t)?;
-                Some((i as u32, w, t.centroid(), t.bounds()))
-            })
-            .collect();
-        let mut nodes = Vec::new();
-        let mut wald = Vec::new();
-        let mut original = Vec::new();
-        if items.is_empty() {
-            nodes.push(BvhNode::Leaf {
-                bounds: Aabb::EMPTY,
-                first: 0,
-                count: 0,
-            });
+        let mut b = Builder::default();
+        for (i, t) in triangles.iter().enumerate() {
+            if let Some(w) = WaldTriangle::new(t) {
+                b.records.push(w);
+                b.inputs.push(i as u32);
+                b.centroids.push(t.centroid());
+                b.boxes.push(t.bounds());
+            }
+        }
+        if b.records.is_empty() {
             return Bvh {
-                nodes,
-                wald,
-                original,
+                nodes: vec![BvhNode::Leaf {
+                    bounds: Aabb::EMPTY,
+                    first: 0,
+                    count: 0,
+                }],
+                wald: Vec::new(),
+                original: Vec::new(),
                 bounds: Aabb::EMPTY,
             };
         }
-        let n = items.len();
-        build_node(&mut items[..n], &mut nodes, &mut wald, &mut original);
-        let bounds = nodes[0].bounds();
+        // Item `i` is the `i`-th surviving triangle, so ordering items by
+        // index orders them by input index.
+        let mut items: Vec<u32> = (0..b.records.len() as u32).collect();
+        b.node(&mut items, None);
+        let bounds = b.nodes[0].bounds();
         Bvh {
-            nodes,
-            wald,
-            original,
+            nodes: b.nodes,
+            wald: b.wald,
+            original: b.original,
             bounds,
         }
     }
@@ -199,59 +217,83 @@ impl Bvh {
     }
 }
 
-/// Recursively builds the subtree for `items`, returning its node index.
-fn build_node(
-    items: &mut [(u32, WaldTriangle, crate::Vec3, Aabb)],
-    nodes: &mut Vec<BvhNode>,
-    wald: &mut Vec<WaldTriangle>,
-    original: &mut Vec<u32>,
-) -> u32 {
-    let mut bounds = Aabb::EMPTY;
-    let mut cbounds = Aabb::EMPTY;
-    for (_, _, c, b) in items.iter() {
-        bounds = bounds.union(*b);
-        cbounds.grow(*c);
-    }
-    let idx = nodes.len() as u32;
-    // Flat centroid cloud (or tiny leaf): stop splitting.
-    if items.len() <= BVH_MAX_LEAF || cbounds.extent()[cbounds.longest_axis()] <= 0.0 {
-        let first = wald.len() as u32;
-        for (orig, w, _, _) in items.iter() {
-            wald.push(*w);
-            original.push(*orig);
+/// The build's inputs, one entry per surviving triangle, and the
+/// flattened output.
+#[derive(Default)]
+struct Builder {
+    records: Vec<WaldTriangle>,
+    /// Input index of each record.
+    inputs: Vec<u32>,
+    centroids: Vec<crate::Vec3>,
+    boxes: Vec<Aabb>,
+    nodes: Vec<BvhNode>,
+    wald: Vec<WaldTriangle>,
+    original: Vec<u32>,
+}
+
+impl Builder {
+    /// The split order on `axis`: centroid coordinate, ties by item
+    /// (so by input index). Total because every centroid is finite.
+    fn order(&self, axis: usize) -> impl Fn(&u32, &u32) -> Ordering + '_ {
+        move |&a, &b| {
+            let (ca, cb) = (
+                self.centroids[a as usize][axis],
+                self.centroids[b as usize][axis],
+            );
+            ca.partial_cmp(&cb)
+                .unwrap_or(Ordering::Equal)
+                .then(a.cmp(&b))
         }
-        nodes.push(BvhNode::Leaf {
-            bounds,
-            first,
-            count: items.len() as u32,
-        });
-        return idx;
     }
-    let axis = cbounds.longest_axis();
-    // Deterministic median split: order by centroid, ties by original
-    // index so equal centroids never depend on sort stability.
-    let mid = items.len() / 2;
-    items.sort_by(|a, b| {
-        a.2[axis]
-            .partial_cmp(&b.2[axis])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    nodes.push(BvhNode::Leaf {
+
+    /// Builds the subtree over `items`, returning its node index.
+    /// `parent_axis` is the split axis of the node that made this slice
+    /// (`None` at the root).
+    fn node(&mut self, items: &mut [u32], parent_axis: Option<usize>) -> u32 {
+        let mut bounds = Aabb::EMPTY;
+        let mut cbounds = Aabb::EMPTY;
+        for &i in items.iter() {
+            bounds = bounds.union(self.boxes[i as usize]);
+            cbounds.grow(self.centroids[i as usize]);
+        }
+        let idx = self.nodes.len() as u32;
+        // Flat centroid cloud (or tiny leaf): stop splitting.
+        if items.len() <= BVH_MAX_LEAF || cbounds.extent()[cbounds.longest_axis()] <= 0.0 {
+            if let Some(axis) = parent_axis {
+                items.sort_unstable_by(self.order(axis));
+            }
+            let first = self.wald.len() as u32;
+            for &i in items.iter() {
+                self.wald.push(self.records[i as usize]);
+                self.original.push(self.inputs[i as usize]);
+            }
+            self.nodes.push(BvhNode::Leaf {
+                bounds,
+                first,
+                count: items.len() as u32,
+            });
+            return idx;
+        }
+        // Median split: the lower half under the split order goes left.
+        let axis = cbounds.longest_axis();
+        let mid = items.len() / 2;
+        items.select_nth_unstable_by(mid, self.order(axis));
         // Placeholder; patched below once the children exist.
-        bounds,
-        first: 0,
-        count: 0,
-    });
-    let (lo, hi) = items.split_at_mut(mid);
-    let left = build_node(lo, nodes, wald, original);
-    let right = build_node(hi, nodes, wald, original);
-    nodes[idx as usize] = BvhNode::Inner {
-        bounds,
-        left,
-        right,
-    };
-    idx
+        self.nodes.push(BvhNode::Leaf {
+            bounds,
+            first: 0,
+            count: 0,
+        });
+        let (lo, hi) = items.split_at_mut(mid);
+        let left = self.node(lo, Some(axis));
+        let right = self.node(hi, Some(axis));
+        self.nodes[idx as usize] = BvhNode::Inner {
+            bounds,
+            left,
+            right,
+        };
+        idx
+    }
 }
 
 #[cfg(test)]
@@ -314,6 +356,94 @@ mod tests {
             }
         }
         assert!(hits > 10, "camera should see geometry, hits={hits}");
+    }
+
+    /// Wald slots under the subtree at `idx`.
+    fn slots(bvh: &Bvh, idx: u32) -> std::ops::Range<u32> {
+        match bvh.nodes[idx as usize] {
+            BvhNode::Leaf { first, count, .. } => first..first + count,
+            BvhNode::Inner { left, right, .. } => {
+                let (l, r) = (slots(bvh, left), slots(bvh, right));
+                assert_eq!(l.end, r.start, "a subtree's slots are contiguous");
+                l.start..r.end
+            }
+        }
+    }
+
+    /// Triangles on a coarse grid, so centroids tie on every axis, and
+    /// half of them copies of earlier ones, so some leaves are clouds of
+    /// one centroid larger than [`BVH_MAX_LEAF`].
+    fn grid_scene(n: usize, seed: u64) -> Vec<Triangle> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tris: Vec<Triangle> = Vec::with_capacity(n);
+        for _ in 0..n {
+            if !tris.is_empty() && rng.gen_bool(0.5) {
+                let copy = tris[rng.gen_range(0..tris.len())];
+                tris.push(copy);
+                continue;
+            }
+            let mut p = |scale: f32| {
+                let mut q = || (rng.gen_range(0u32..6) as f32 - 2.0) * scale;
+                crate::Vec3::new(q(), q(), q())
+            };
+            let base = p(1.0);
+            tris.push(Triangle::new(base, base + p(0.25), base + p(0.25)));
+        }
+        tris
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+        #[test]
+        fn every_left_record_precedes_every_right_one(n in 0usize..300, seed in 0u64..1000) {
+            let tris = grid_scene(n, seed);
+            let bvh = Bvh::build(&tris);
+            let centroid = |slot: u32| tris[bvh.original[slot as usize] as usize].centroid();
+            let before = |axis: usize, a: u32, b: u32| {
+                let (ca, cb) = (centroid(a)[axis], centroid(b)[axis]);
+                let order = ca.partial_cmp(&cb).expect("finite centroids");
+                order.then(bvh.original[a as usize].cmp(&bvh.original[b as usize])).is_lt()
+            };
+            for node in bvh.nodes() {
+                let BvhNode::Inner { left, right, .. } = *node else { continue };
+                let (l, r) = (slots(&bvh, left), slots(&bvh, right));
+                let mut cbounds = Aabb::EMPTY;
+                for slot in l.start..r.end {
+                    cbounds.grow(centroid(slot));
+                }
+                let axis = cbounds.longest_axis();
+                for a in l.clone() {
+                    for b in r.clone() {
+                        proptest::prop_assert!(before(axis, a, b), "slot {a} after slot {b}");
+                    }
+                }
+                // A leaf child keeps its parent's split order.
+                for child in [left, right] {
+                    if let BvhNode::Leaf { first, count, .. } = bvh.nodes[child as usize] {
+                        for s in first + 1..first + count {
+                            proptest::prop_assert!(before(axis, s - 1, s), "leaf out of order at {s}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_triangles_are_refused() {
+        let ok = Triangle::new(
+            crate::Vec3::ZERO,
+            crate::Vec3::new(1.0, 0.0, 0.0),
+            crate::Vec3::new(0.0, 1.0, 0.0),
+        );
+        let mut nan = ok;
+        nan.b.y = f32::NAN;
+        let mut inf = ok;
+        inf.c.z = f32::INFINITY;
+        let bvh = Bvh::build(&[nan, ok, inf, ok]);
+        assert_eq!(bvh.original, [1, 3]);
     }
 
     #[test]

@@ -5,12 +5,34 @@
 //! down-traversal loop, leaf object-test loop). This module is the host
 //! reference: the same tree is serialized to device memory and traversed by
 //! the assembly kernels in `rt-kernels`.
+//!
+//! ## Build order and cost
+//!
+//! - **Splits.** A node weighs [`BuildOptions::candidates`] evenly spaced
+//!   planes on its longest axis. One pass over its references counts them
+//!   all: one read of a reference's box tells, for every plane, whether
+//!   it starts below (goes left) and whether it ends above (goes right).
+//!   The planes are then evaluated in order. One that sends every
+//!   reference both ways is skipped, and a later plane wins only at a
+//!   strictly lower cost.
+//! - **Finite input only.** A triangle with a non-finite vertex is
+//!   refused like a degenerate one ([`WaldTriangle::new`] gives it no
+//!   record), so every box compares.
+//! - **Leaf order.** The root's references are the Wald records in input
+//!   order, and a split keeps each child's list in its parent's order, so
+//!   each leaf's slice of [`KdTree::tri_indices`] is ascending.
+//! - **Cost.** A node costs O(r·k) for r references and k candidates. The
+//!   children's lists are written into one buffer that holds the lists of
+//!   the path from the root to the node being built, so a node allocates
+//!   nothing. A build is O(R·k), with R the references summed over all
+//!   nodes: each of at most `max_depth` levels holds the `n` triangles
+//!   once, plus a copy of each one a split above it straddled.
 
 use crate::aabb::Aabb;
 use crate::tri::{Hit, Triangle, WaldTriangle};
-use crate::vec3::Vec3;
 use crate::Ray;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// One kd-tree node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -119,135 +141,30 @@ impl KdTree {
                 boxes.push(bb);
             }
         }
-        let mut tree = KdTree {
+        let mut b = Builder {
+            boxes: &boxes,
+            opt,
+            refs: (0..wald.len() as u32).collect(),
+            splits: Vec::with_capacity(opt.candidates),
+            below: Vec::with_capacity(opt.candidates),
+            above: Vec::with_capacity(opt.candidates),
             nodes: Vec::new(),
             tri_indices: Vec::new(),
+            max_depth_seen: 0,
+        };
+        if wald.is_empty() {
+            b.nodes.push(KdNode::Leaf { first: 0, count: 0 });
+        } else {
+            b.node(0..wald.len(), bounds, 0);
+        }
+        KdTree {
+            nodes: b.nodes,
+            tri_indices: b.tri_indices,
             wald,
             original,
             bounds,
-            max_depth_seen: 0,
-        };
-        let all: Vec<u32> = (0..tree.wald.len() as u32).collect();
-        if all.is_empty() {
-            tree.nodes.push(KdNode::Leaf { first: 0, count: 0 });
-        } else {
-            tree.build_node(all, bounds, 0, &boxes, &opt);
+            max_depth_seen: b.max_depth_seen,
         }
-        tree
-    }
-
-    fn build_node(
-        &mut self,
-        tris: Vec<u32>,
-        bounds: Aabb,
-        depth: u32,
-        boxes: &[Aabb],
-        opt: &BuildOptions,
-    ) -> u32 {
-        self.max_depth_seen = self.max_depth_seen.max(depth);
-        let make_leaf = |tree: &mut KdTree, tris: Vec<u32>| -> u32 {
-            let first = tree.tri_indices.len() as u32;
-            let count = tris.len() as u32;
-            tree.tri_indices.extend(tris);
-            let idx = tree.nodes.len() as u32;
-            tree.nodes.push(KdNode::Leaf { first, count });
-            idx
-        };
-        if tris.len() <= opt.max_leaf_size || depth >= opt.max_depth {
-            return make_leaf(self, tris);
-        }
-        let axis = bounds.longest_axis();
-        let lo = bounds.min[axis];
-        let hi = bounds.max[axis];
-        // NaN-aware: a degenerate or non-finite extent also becomes a leaf.
-        if hi.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) {
-            return make_leaf(self, tris);
-        }
-        // Evaluate evenly spaced SAH candidates.
-        let leaf_cost = tris.len() as f32 * bounds.surface_area();
-        let mut best: Option<(f32, f32)> = None; // (cost, split)
-        for c in 1..=opt.candidates {
-            let split = lo + (hi - lo) * c as f32 / (opt.candidates + 1) as f32;
-            let mut nl = 0usize;
-            let mut nr = 0usize;
-            for &t in &tris {
-                let bb = &boxes[t as usize];
-                if bb.min[axis] < split {
-                    nl += 1;
-                }
-                if bb.max[axis] > split {
-                    nr += 1;
-                }
-            }
-            let mut lbox = bounds;
-            lbox.max = match axis {
-                0 => Vec3::new(split, bounds.max.y, bounds.max.z),
-                1 => Vec3::new(bounds.max.x, split, bounds.max.z),
-                _ => Vec3::new(bounds.max.x, bounds.max.y, split),
-            };
-            let mut rbox = bounds;
-            rbox.min = match axis {
-                0 => Vec3::new(split, bounds.min.y, bounds.min.z),
-                1 => Vec3::new(bounds.min.x, split, bounds.min.z),
-                _ => Vec3::new(bounds.min.x, bounds.min.y, split),
-            };
-            let cost = 1.0 + nl as f32 * lbox.surface_area() + nr as f32 * rbox.surface_area();
-            // Reject useless splits that put everything on both sides.
-            if nl == tris.len() && nr == tris.len() {
-                continue;
-            }
-            if best.is_none_or(|(bc, _)| cost < bc) {
-                best = Some((cost, split));
-            }
-        }
-        let Some((cost, split)) = best else {
-            return make_leaf(self, tris);
-        };
-        if cost >= leaf_cost && tris.len() <= 4 * opt.max_leaf_size {
-            return make_leaf(self, tris);
-        }
-        let mut left_tris = Vec::new();
-        let mut right_tris = Vec::new();
-        for &t in &tris {
-            let bb = &boxes[t as usize];
-            if bb.min[axis] < split {
-                left_tris.push(t);
-            }
-            if bb.max[axis] > split {
-                right_tris.push(t);
-            }
-        }
-        // Degenerate partition: fall back to a leaf.
-        if left_tris.is_empty() || right_tris.is_empty() {
-            return make_leaf(self, tris);
-        }
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(KdNode::Leaf { first: 0, count: 0 }); // placeholder
-        let mut lbox = bounds;
-        let mut rbox = bounds;
-        match axis {
-            0 => {
-                lbox.max.x = split;
-                rbox.min.x = split;
-            }
-            1 => {
-                lbox.max.y = split;
-                rbox.min.y = split;
-            }
-            _ => {
-                lbox.max.z = split;
-                rbox.min.z = split;
-            }
-        }
-        let left = self.build_node(left_tris, lbox, depth + 1, boxes, opt);
-        let right = self.build_node(right_tris, rbox, depth + 1, boxes, opt);
-        self.nodes[idx as usize] = KdNode::Inner {
-            axis: axis as u8,
-            split,
-            left,
-            right,
-        };
-        idx
     }
 
     /// Scene bounds.
@@ -384,9 +301,158 @@ impl KdTree {
     }
 }
 
+/// The build's shared state and its flattened output.
+struct Builder<'a> {
+    /// Bounds of each Wald record's triangle.
+    boxes: &'a [Aabb],
+    opt: BuildOptions,
+    /// The reference lists of the nodes on the path from the root to the
+    /// node being built, one after another: a node's list is a range of
+    /// this buffer, and its children's lists are pushed past its end and
+    /// dropped when both children are built.
+    refs: Vec<u32>,
+    /// The node's SAH candidate planes, in evaluation order.
+    splits: Vec<f32>,
+    /// Per candidate, the references whose box starts below the plane
+    /// (they go left).
+    below: Vec<usize>,
+    /// Per candidate, the references whose box ends above the plane
+    /// (they go right).
+    above: Vec<usize>,
+    nodes: Vec<KdNode>,
+    tri_indices: Vec<u32>,
+    max_depth_seen: u32,
+}
+
+impl Builder<'_> {
+    /// Builds the subtree over the references `refs[range]`, returning its
+    /// node index.
+    fn node(&mut self, range: Range<usize>, bounds: Aabb, depth: u32) -> u32 {
+        self.max_depth_seen = self.max_depth_seen.max(depth);
+        let n = range.len();
+        if n <= self.opt.max_leaf_size || depth >= self.opt.max_depth {
+            return self.leaf(range);
+        }
+        let axis = bounds.longest_axis();
+        let lo = bounds.min[axis];
+        let hi = bounds.max[axis];
+        // NaN-aware: a degenerate or non-finite extent also becomes a leaf.
+        if hi.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) {
+            return self.leaf(range);
+        }
+        // Evenly spaced SAH candidates, all counted in one pass over the
+        // references.
+        let k = self.opt.candidates;
+        self.splits.clear();
+        self.splits
+            .extend((1..=k).map(|c| lo + (hi - lo) * c as f32 / (k + 1) as f32));
+        self.below.clear();
+        self.below.resize(k, 0);
+        self.above.clear();
+        self.above.resize(k, 0);
+        for &t in &self.refs[range.clone()] {
+            let bb = &self.boxes[t as usize];
+            let (min, max) = (bb.min[axis], bb.max[axis]);
+            let counts = self.below.iter_mut().zip(self.above.iter_mut());
+            for (&split, (nl, nr)) in self.splits.iter().zip(counts) {
+                *nl += usize::from(min < split);
+                *nr += usize::from(max > split);
+            }
+        }
+        let leaf_cost = n as f32 * bounds.surface_area();
+        let mut best: Option<(f32, usize)> = None; // (cost, candidate)
+        for c in 0..k {
+            let (nl, nr) = (self.below[c], self.above[c]);
+            // Reject useless splits that put everything on both sides.
+            if nl == n && nr == n {
+                continue;
+            }
+            let (lbox, rbox) = halves(bounds, axis, self.splits[c]);
+            let cost = 1.0 + nl as f32 * lbox.surface_area() + nr as f32 * rbox.surface_area();
+            if best.is_none_or(|(bc, _)| cost < bc) {
+                best = Some((cost, c));
+            }
+        }
+        let Some((cost, c)) = best else {
+            return self.leaf(range);
+        };
+        if cost >= leaf_cost && n <= 4 * self.opt.max_leaf_size {
+            return self.leaf(range);
+        }
+        let (split, nl, nr) = (self.splits[c], self.below[c], self.above[c]);
+        // Degenerate partition: fall back to a leaf.
+        if nl == 0 || nr == 0 {
+            return self.leaf(range);
+        }
+        // The children's lists, left then right, each in the parent's
+        // order, written in one pass: the counts place the right list.
+        let base = self.refs.len();
+        let (mid, end) = (base + nl, base + nl + nr);
+        self.refs.resize(end, 0);
+        let (mut l, mut r) = (base, mid);
+        for i in range {
+            let t = self.refs[i];
+            let bb = &self.boxes[t as usize];
+            if bb.min[axis] < split {
+                self.refs[l] = t;
+                l += 1;
+            }
+            if bb.max[axis] > split {
+                self.refs[r] = t;
+                r += 1;
+            }
+        }
+        debug_assert_eq!((l, r), (mid, end), "the partition matches the counts");
+        let idx = self.nodes.len() as u32;
+        self.nodes.push(KdNode::Leaf { first: 0, count: 0 }); // placeholder
+        let (lbox, rbox) = halves(bounds, axis, split);
+        let left = self.node(base..mid, lbox, depth + 1);
+        let right = self.node(mid..end, rbox, depth + 1);
+        self.refs.truncate(base);
+        self.nodes[idx as usize] = KdNode::Inner {
+            axis: axis as u8,
+            split,
+            left,
+            right,
+        };
+        idx
+    }
+
+    /// Emits a leaf over the references `refs[range]`, in their order.
+    fn leaf(&mut self, range: Range<usize>) -> u32 {
+        let first = self.tri_indices.len() as u32;
+        let count = range.len() as u32;
+        self.tri_indices.extend_from_slice(&self.refs[range]);
+        let idx = self.nodes.len() as u32;
+        self.nodes.push(KdNode::Leaf { first, count });
+        idx
+    }
+}
+
+/// `bounds` cut at `split` on `axis`: the boxes below and above the plane.
+fn halves(bounds: Aabb, axis: usize, split: f32) -> (Aabb, Aabb) {
+    let (mut lbox, mut rbox) = (bounds, bounds);
+    match axis {
+        0 => {
+            lbox.max.x = split;
+            rbox.min.x = split;
+        }
+        1 => {
+            lbox.max.y = split;
+            rbox.min.y = split;
+        }
+        _ => {
+            lbox.max.z = split;
+            rbox.min.z = split;
+        }
+    }
+    (lbox, rbox)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vec3::Vec3;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

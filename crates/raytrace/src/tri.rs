@@ -128,8 +128,16 @@ pub struct WaldTriangle {
 pub const WALD_TRI_BYTES: u32 = 48;
 
 impl WaldTriangle {
-    /// Precomputes the record. Returns `None` for degenerate triangles.
+    /// Precomputes the record. Returns `None` for degenerate triangles
+    /// and for triangles with a non-finite vertex coordinate, which have
+    /// no meaningful plane and no place in a tree's split order.
     pub fn new(tri: &Triangle) -> Option<Self> {
+        let finite = [tri.a, tri.b, tri.c]
+            .iter()
+            .all(|v| v.x.is_finite() && v.y.is_finite() && v.z.is_finite());
+        if !finite {
+            return None;
+        }
         let n = tri.normal();
         if n.length() < 1e-12 {
             return None;

@@ -22,7 +22,7 @@
 //! | 3    | right child | 0 |
 
 use crate::{MISS, NODE_RECORD_BYTES, RAY_RECORD_BYTES, RESULT_RECORD_BYTES, STACK_BYTES_PER_RAY};
-use raytrace::{Hit, KdNode, KdTree, Ray};
+use raytrace::{Hit, KdNode, KdTree, Ray, WaldTriangle};
 use simt_mem::MemoryFabric;
 
 /// Node-word tag marking a leaf.
@@ -51,6 +51,23 @@ pub(crate) fn alloc_records(
     mem.alloc_global(bytes, label)
 }
 
+/// A ray's 8-word device record: origin, `tmin`, direction, `tmax`.
+pub(crate) fn ray_words(r: &Ray) -> [u32; 8] {
+    [
+        r.origin.x.to_bits(),
+        r.origin.y.to_bits(),
+        r.origin.z.to_bits(),
+        r.tmin.to_bits(),
+        r.dir.x.to_bits(),
+        r.dir.y.to_bits(),
+        r.dir.z.to_bits(),
+        r.tmax.to_bits(),
+    ]
+}
+
+/// A result record before the kernel writes it: a miss.
+const MISS_RECORD: [u32; 2] = [f32::MAX.to_bits(), MISS];
+
 /// Addresses of a scene uploaded to device memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceScene {
@@ -77,8 +94,9 @@ impl DeviceScene {
         // --- nodes ---
         let nodes = tree.nodes();
         let nodes_base = alloc_records(mem, nodes.len(), NODE_RECORD_BYTES, "kd-nodes");
-        for (i, n) in nodes.iter().enumerate() {
-            let words = match *n {
+        mem.host_write_records(
+            nodes_base,
+            nodes.iter().map(|n| match *n {
                 KdNode::Inner {
                     axis,
                     split,
@@ -86,9 +104,8 @@ impl DeviceScene {
                     right,
                 } => [u32::from(axis), split.to_bits(), left, right],
                 KdNode::Leaf { first, count } => [LEAF_TAG, first, count, 0],
-            };
-            mem.host_write_global(nodes_base + i as u32 * NODE_RECORD_BYTES, &words);
-        }
+            }),
+        );
         // --- triangle references ---
         let refs = tree.tri_indices();
         let tri_idx_base = alloc_records(mem, refs.len().max(1), 4, "kd-tri-refs");
@@ -96,32 +113,13 @@ impl DeviceScene {
         // --- Wald triangles ---
         let wald = tree.wald_triangles();
         let wald_base = alloc_records(mem, wald.len().max(1), 48, "wald-tris");
-        for (i, w) in wald.iter().enumerate() {
-            mem.host_write_global(wald_base + i as u32 * 48, &w.to_words());
-        }
+        mem.host_write_records(wald_base, wald.iter().map(WaldTriangle::to_words));
         // --- rays ---
         let rays_base = alloc_records(mem, rays.len(), RAY_RECORD_BYTES, "rays");
-        for (i, r) in rays.iter().enumerate() {
-            let words = [
-                r.origin.x.to_bits(),
-                r.origin.y.to_bits(),
-                r.origin.z.to_bits(),
-                r.tmin.to_bits(),
-                r.dir.x.to_bits(),
-                r.dir.y.to_bits(),
-                r.dir.z.to_bits(),
-                r.tmax.to_bits(),
-            ];
-            mem.host_write_global(rays_base + i as u32 * RAY_RECORD_BYTES, &words);
-        }
+        mem.host_write_records(rays_base, rays.iter().map(ray_words));
         // --- results (pre-filled with misses) ---
         let results_base = alloc_records(mem, rays.len(), RESULT_RECORD_BYTES, "results");
-        for i in 0..rays.len() as u32 {
-            mem.host_write_global(
-                results_base + i * RESULT_RECORD_BYTES,
-                &[f32::MAX.to_bits(), MISS],
-            );
-        }
+        mem.host_write_records(results_base, std::iter::repeat_n(MISS_RECORD, rays.len()));
         // --- per-ray stacks ---
         let stacks_base = alloc_records(mem, rays.len(), STACK_BYTES_PER_RAY, "stacks");
 
@@ -150,26 +148,9 @@ impl DeviceScene {
     /// pass, paper §III-A).
     pub fn upload_rays(&self, rays: &[raytrace::Ray], mem: &mut MemoryFabric) -> DeviceScene {
         let rays_base = alloc_records(mem, rays.len(), RAY_RECORD_BYTES, "rays-pass2");
-        for (i, r) in rays.iter().enumerate() {
-            let words = [
-                r.origin.x.to_bits(),
-                r.origin.y.to_bits(),
-                r.origin.z.to_bits(),
-                r.tmin.to_bits(),
-                r.dir.x.to_bits(),
-                r.dir.y.to_bits(),
-                r.dir.z.to_bits(),
-                r.tmax.to_bits(),
-            ];
-            mem.host_write_global(rays_base + i as u32 * RAY_RECORD_BYTES, &words);
-        }
+        mem.host_write_records(rays_base, rays.iter().map(ray_words));
         let results_base = alloc_records(mem, rays.len(), RESULT_RECORD_BYTES, "results-pass2");
-        for i in 0..rays.len() as u32 {
-            mem.host_write_global(
-                results_base + i * RESULT_RECORD_BYTES,
-                &[f32::MAX.to_bits(), MISS],
-            );
-        }
+        mem.host_write_records(results_base, std::iter::repeat_n(MISS_RECORD, rays.len()));
         let stacks_base = alloc_records(mem, rays.len(), STACK_BYTES_PER_RAY, "stacks-pass2");
         let scene = DeviceScene {
             rays_base,

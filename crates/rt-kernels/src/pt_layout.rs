@@ -26,9 +26,9 @@
 //! no triangle-reference table, and the Wald *slot* doubles as the
 //! device-side triangle id.
 
-use crate::layout::alloc_records;
+use crate::layout::{alloc_records, ray_words};
 use crate::{PT_PATH_RECORD_BYTES, PT_STACK_BYTES_PER_RAY, RAY_RECORD_BYTES, RESULT_RECORD_BYTES};
-use raytrace::{Bvh, BvhNode, Ray};
+use raytrace::{Bvh, BvhNode, Ray, WaldTriangle};
 use simt_mem::MemoryFabric;
 
 /// Bytes of one serialized BVH node.
@@ -91,32 +91,14 @@ impl PtDeviceScene {
     pub fn upload(bvh: &Bvh, rays: &[Ray], mem: &mut MemoryFabric) -> PtDeviceScene {
         let nodes = bvh.nodes();
         let nodes_base = alloc_records(mem, nodes.len(), PT_NODE_RECORD_BYTES, "bvh-nodes");
-        for (i, n) in nodes.iter().enumerate() {
-            mem.host_write_global(nodes_base + i as u32 * PT_NODE_RECORD_BYTES, &node_words(n));
-        }
+        mem.host_write_records(nodes_base, nodes.iter().map(node_words));
         let wald = bvh.wald_triangles();
         let wald_base = alloc_records(mem, wald.len().max(1), 48, "bvh-wald-tris");
-        for (i, w) in wald.iter().enumerate() {
-            mem.host_write_global(wald_base + i as u32 * 48, &w.to_words());
-        }
+        mem.host_write_records(wald_base, wald.iter().map(WaldTriangle::to_words));
         let rays_base = alloc_records(mem, rays.len(), RAY_RECORD_BYTES, "pt-rays");
-        for (i, r) in rays.iter().enumerate() {
-            let words = [
-                r.origin.x.to_bits(),
-                r.origin.y.to_bits(),
-                r.origin.z.to_bits(),
-                r.tmin.to_bits(),
-                r.dir.x.to_bits(),
-                r.dir.y.to_bits(),
-                r.dir.z.to_bits(),
-                r.tmax.to_bits(),
-            ];
-            mem.host_write_global(rays_base + i as u32 * RAY_RECORD_BYTES, &words);
-        }
+        mem.host_write_records(rays_base, rays.iter().map(ray_words));
         let results_base = alloc_records(mem, rays.len(), RESULT_RECORD_BYTES, "pt-results");
-        for i in 0..rays.len() as u32 {
-            mem.host_write_global(results_base + i * RESULT_RECORD_BYTES, &[0, 0]);
-        }
+        mem.host_write_records(results_base, std::iter::repeat_n([0, 0], rays.len()));
         let stacks_base = alloc_records(mem, rays.len(), PT_STACK_BYTES_PER_RAY, "pt-stacks");
         let paths_base = alloc_records(mem, rays.len(), PT_PATH_RECORD_BYTES, "pt-paths");
 

@@ -731,8 +731,17 @@ impl Gpu {
     /// [`SimError::Fault`] once the faulting cycle has completed for every
     /// SM; it carries the cycle's first trap in SM order, and every trap
     /// of the cycle is in [`Gpu::faults`]. The clock is left on the
-    /// faulting cycle for inspection.
+    /// faulting cycle for inspection, and a later `run` refuses to step
+    /// it again: it changes nothing and returns the same error.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, SimError> {
+        // Only an abort leaves a recorded trap on the clock: every other
+        // cycle that traps is followed by a clock tick.
+        if let Some(last) = self.faults.last().filter(|f| f.cycle == self.now) {
+            // The aborted run returned the cycle's first trap in SM order.
+            let on_clock = self.faults.iter().rev().take_while(|f| f.cycle == self.now);
+            let first = on_clock.last().unwrap_or(last);
+            return Err(SimError::Fault(first.clone()));
+        }
         // Clone the immutable per-launch context out of `self` so `ExecCtx`
         // can borrow it while the cycle loop mutates the rest of the
         // machine (dispatch pops blocks off `self.launch`). A `Program` is

@@ -128,6 +128,42 @@ fn const_store_trap_aborts_under_default_policy() {
 }
 
 #[test]
+fn a_run_after_an_abort_steps_nothing_and_returns_the_same_fault() {
+    let mut gpu = Gpu::builder(GpuConfig::tiny()).build();
+    gpu.launch(Launch {
+        program: assemble_named(
+            "early-trap",
+            r#"
+            .kernel main
+            main:
+                mov.u32 r1, %tid
+                st.const.u32 [r1+0], r1
+                exit
+            "#,
+        )
+        .unwrap(),
+        entry: "main".into(),
+        num_threads: 8,
+        threads_per_block: 8,
+    })
+    .expect("launch accepted");
+    let first = gpu.run(100).expect_err("const store must trap");
+    let SimError::Fault(fault) = &first else {
+        panic!("expected a fault, got {first}");
+    };
+    assert_eq!(fault.cycle, 2, "the store issues on the third cycle");
+    let (stats, faults) = (gpu.stats().clone(), gpu.faults().to_vec());
+    // The clock is still on the faulting cycle; running again must not
+    // step it a second time.
+    let again = gpu.run(100).expect_err("the abort still stands");
+    assert_eq!(again, first);
+    assert_eq!(gpu.now(), fault.cycle);
+    assert_eq!(gpu.stats(), &stats, "a refused run changes no counter");
+    assert_eq!(gpu.faults(), &faults[..]);
+    assert_eq!(gpu.audit(), Ok(()));
+}
+
+#[test]
 fn kill_warp_policy_retires_faulting_warp_and_completes() {
     let mut cfg = GpuConfig::tiny();
     cfg.fault_policy = FaultPolicy::KillWarp;
