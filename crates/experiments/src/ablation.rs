@@ -6,10 +6,9 @@
 //! claim on the conference benchmark by running the μ-kernel tracer under
 //! both spawn policies.
 
-use crate::configs::{config_for, Variant};
-use crate::runner::Scale;
+use crate::configs::Variant;
+use crate::runner::{RenderRun, RenderSpec, Scale, Stop};
 use raytrace::scenes;
-use rt_kernels::render::RenderSetup;
 use serde::Serialize;
 use simt_sim::SpawnPolicy;
 use std::fmt;
@@ -50,19 +49,21 @@ impl SpawnPolicyAblation {
 
 fn run_policy(policy: SpawnPolicy, scale: Scale) -> Result<PolicyRun, String> {
     let scene = scenes::conference(scale.scene);
-    let mut cfg = config_for(Variant::Dynamic);
-    cfg.spawn_policy = policy;
-    let mut gpu = simt_sim::Gpu::builder(cfg).build();
-    let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
-    setup.launch_ukernel(&mut gpu, scale.threads_per_block);
-    let job = format!("ablation under {policy:?}");
-    let s = crate::supervisor::run_checked(&mut gpu, scale.cycles, &job, false)?;
+    let run = RenderRun::execute(&RenderSpec {
+        spawn_policy: Some(policy),
+        stop: Stop::Window {
+            warm: 0,
+            measure: scale.cycles,
+        },
+        ..RenderSpec::window(&scene, Variant::Dynamic, scale)
+    })?;
+    let s = &run.summary.stats;
     Ok(PolicyRun {
         policy: format!("{policy:?}"),
-        ipc: s.stats.ipc(),
-        rays_completed: s.stats.lineages_completed,
-        threads_spawned: s.stats.threads_spawned,
-        spawn_elisions: s.stats.spawn_elisions,
+        ipc: s.ipc(),
+        rays_completed: s.lineages_completed,
+        threads_spawned: s.threads_spawned,
+        spawn_elisions: s.spawn_elisions,
     })
 }
 

@@ -1,6 +1,7 @@
 //! The machine variants compared in the paper's evaluation.
 
 use dmk_core::DmkConfig;
+use simt_mem::MemPreset;
 use simt_sim::{Gpu, GpuConfig, TelemetrySpec};
 use std::fmt;
 
@@ -87,6 +88,12 @@ impl fmt::Display for Variant {
 /// Separated from [`gpu_for`] so job-identity fingerprints can digest
 /// the configuration without building a machine.
 pub fn config_for(variant: Variant) -> GpuConfig {
+    config_on(variant, None)
+}
+
+/// `variant`'s machine on the memory machine `mem` in place of its own
+/// (ideal for the `*Ideal` variants, the Table I flat fabric otherwise).
+pub(crate) fn config_on(variant: Variant, mem: Option<MemPreset>) -> GpuConfig {
     let mut cfg = match variant {
         Variant::PdomBlock => GpuConfig::fx5800(),
         Variant::PdomWarp | Variant::PdomWarpIdeal => GpuConfig::fx5800_warp_sched(),
@@ -94,18 +101,22 @@ pub fn config_for(variant: Variant) -> GpuConfig {
             GpuConfig::fx5800_dmk(DmkConfig::paper())
         }
     };
-    match variant {
-        Variant::PdomWarpIdeal | Variant::DynamicIdeal => cfg.mem.ideal = true,
-        Variant::DynamicConflicts => cfg.mem.spawn_bank_conflicts = true,
-        _ => {}
-    }
+    let own = match variant {
+        Variant::PdomWarpIdeal | Variant::DynamicIdeal => MemPreset::Ideal,
+        _ => MemPreset::Flat,
+    };
+    let conflicts = variant == Variant::DynamicConflicts;
+    cfg.mem = mem
+        .unwrap_or(own)
+        .config()
+        .with_spawn_bank_conflicts(conflicts);
     cfg
 }
 
 /// Builds the simulated GPU for a variant (paper Table I machine), with
 /// the process-wide telemetry settings applied.
 pub fn gpu_for(variant: Variant) -> Gpu {
-    gpu_for_with(variant, telemetry_spec())
+    machine(config_for(variant))
 }
 
 /// [`gpu_for`] with an explicit telemetry configuration (the benchmark
@@ -114,6 +125,12 @@ pub fn gpu_for_with(variant: Variant, telemetry: TelemetrySpec) -> Gpu {
     Gpu::builder(config_for(variant))
         .telemetry(telemetry)
         .build()
+}
+
+/// The one machine builder of the experiments: `cfg` with the process-wide
+/// telemetry settings applied.
+pub(crate) fn machine(cfg: GpuConfig) -> Gpu {
+    Gpu::builder(cfg).telemetry(telemetry_spec()).build()
 }
 
 #[cfg(test)]

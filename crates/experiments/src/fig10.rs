@@ -6,11 +6,11 @@
 //! theoretical with real memory and ~60% with ideal memory.
 
 use crate::configs::Variant;
-use crate::runner::{RenderRun, Scale};
+use crate::runner::{RenderRun, RenderSpec, Scale};
 use raytrace::scenes;
 use rt_kernels::render::RenderSetup;
 use serde::Serialize;
-use simt_sim::{mimd_theoretical, Gpu, GpuConfig};
+use simt_sim::{mimd_theoretical, GpuConfig};
 use std::fmt;
 
 /// One bar of the figure.
@@ -51,7 +51,7 @@ pub fn run(scale: Scale) -> Result<Fig10, String> {
     // machine and upload drop here, before the four renders.
     let mimd = {
         let cfg = GpuConfig::fx5800_warp_sched();
-        let mut gpu = Gpu::builder(cfg.clone()).build();
+        let mut gpu = crate::configs::machine(cfg.clone());
         let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
         let program = rt_kernels::traditional::program();
         let entry = program.entry("main").expect("main entry").pc;
@@ -66,7 +66,7 @@ pub fn run(scale: Scale) -> Result<Fig10, String> {
         Variant::Dynamic,
         Variant::DynamicIdeal,
     ] {
-        let r = RenderRun::execute(&scene, variant, scale)?;
+        let r = RenderRun::execute(&RenderSpec::window(&scene, variant, scale))?;
         points.push(BranchingPoint {
             label: variant.to_string(),
             ipc: r.ipc(),

@@ -9,7 +9,7 @@
 
 use serde::Serialize;
 use simt_isa::assemble_named;
-use simt_sim::{Gpu, GpuConfig, Launch};
+use simt_sim::{GpuConfig, Launch};
 use std::fmt;
 
 /// Result of the single-warp loop demonstration.
@@ -56,9 +56,7 @@ pub fn run() -> Result<Fig2, String> {
     cfg.num_sms = 1;
     cfg.mem.ideal = true; // isolate branching behaviour, like the figure
     cfg.divergence_window = 1;
-    let mut gpu = Gpu::builder(cfg)
-        .telemetry(crate::configs::telemetry_spec())
-        .build();
+    let mut gpu = crate::configs::machine(cfg);
     gpu.mem_mut().alloc_global(32 * 4, "out");
     let program = assemble_named("fig2-loop", loop_kernel_source())
         .map_err(|e| format!("kernel assembly failed: {e}"))?;

@@ -6,7 +6,7 @@
 //! dynamic μ-kernel machine without/with spawn-memory bank conflicts.
 
 use crate::configs::Variant;
-use crate::runner::{RenderRun, Scale};
+use crate::runner::{RenderRun, RenderSpec, Scale};
 use raytrace::scenes;
 use serde::Serialize;
 use std::fmt;
@@ -32,25 +32,33 @@ pub struct DivergenceFigure {
     pub health: crate::runner::FaultHealth,
 }
 
-/// Runs `variant` on the conference benchmark and extracts the breakdown.
-///
-/// The timeline comes from the run's telemetry report; its divergence
-/// mirror is defined to be bit-identical to `SimStats::divergence`, so
-/// switching the figures onto telemetry changed no published number.
+/// Runs `variant`'s standard window on the conference benchmark and
+/// extracts the breakdown.
 pub fn divergence_figure(variant: Variant, scale: Scale) -> Result<DivergenceFigure, String> {
     let scene = scenes::conference(scale.scene);
-    let run = RenderRun::execute(&scene, variant, scale)?;
-    let d = &run.telemetry.divergence;
-    Ok(DivergenceFigure {
-        variant: variant.to_string(),
-        labels: d.labels(),
-        windows: d.windows().iter().map(|w| w.to_vec()).collect(),
-        window_cycles: d.window(),
-        ipc: run.ipc(),
-        mean_active_lanes: d.mean_active_lanes(),
-        rays_completed: run.summary.stats.lineages_completed,
-        health: run.fault_health(),
-    })
+    let run = RenderRun::execute(&RenderSpec::window(&scene, variant, scale))?;
+    Ok(DivergenceFigure::of(&run))
+}
+
+impl DivergenceFigure {
+    /// The breakdown of a finished render.
+    ///
+    /// The timeline comes from the run's telemetry report; its divergence
+    /// mirror is defined to be bit-identical to `SimStats::divergence`, so
+    /// switching the figures onto telemetry changed no published number.
+    pub(crate) fn of(run: &RenderRun) -> DivergenceFigure {
+        let d = &run.telemetry.divergence;
+        DivergenceFigure {
+            variant: run.variant.to_string(),
+            labels: d.labels(),
+            windows: d.windows().iter().map(|w| w.to_vec()).collect(),
+            window_cycles: d.window(),
+            ipc: run.ipc(),
+            mean_active_lanes: d.mean_active_lanes(),
+            rays_completed: run.summary.stats.lineages_completed,
+            health: run.fault_health(),
+        }
+    }
 }
 
 /// Fig. 3: the traditional-branching breakdown.

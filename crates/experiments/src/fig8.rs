@@ -5,7 +5,7 @@
 //! dynamic averaging 1.4× the traditional hardware.
 
 use crate::configs::Variant;
-use crate::runner::{RenderRun, Scale};
+use crate::runner::{RenderRun, RenderSpec, Scale};
 use raytrace::scenes;
 use serde::Serialize;
 use std::fmt;
@@ -79,7 +79,7 @@ pub fn run(scale: Scale) -> Result<Fig8, String> {
     let mut points = Vec::new();
     for scene in scenes::all(scale.scene) {
         for variant in FIG8_VARIANTS {
-            let r = RenderRun::execute(&scene, variant, scale)?;
+            let r = RenderRun::execute(&RenderSpec::window(&scene, variant, scale))?;
             points.push(PerfPoint {
                 scene: scene.name,
                 variant: variant.to_string(),

@@ -7,7 +7,7 @@
 
 use crate::configs::Variant;
 use crate::fig3::{self, divergence_figure, DivergenceFigure};
-use crate::runner::Scale;
+use crate::runner::{RenderRun, RenderSpec, Scale};
 use serde::Serialize;
 use std::fmt;
 
@@ -38,25 +38,18 @@ impl Fig9 {
 /// Runs the three configurations on the conference benchmark.
 pub fn run(scale: Scale) -> Result<Fig9, String> {
     let scene = raytrace::scenes::conference(scale.scene);
-    let with_run = crate::runner::RenderRun::execute(&scene, Variant::DynamicConflicts, scale)?;
+    let with_run = RenderRun::execute(&RenderSpec::window(
+        &scene,
+        Variant::DynamicConflicts,
+        scale,
+    ))?;
     let conflict_passes = with_run
         .summary
         .traffic
         .space(simt_isa::Space::Spawn)
         .bank_conflict_passes;
-    let d = &with_run.summary.stats.divergence;
-    let with_conflicts = DivergenceFigure {
-        variant: Variant::DynamicConflicts.to_string(),
-        labels: d.labels(),
-        windows: d.windows().iter().map(|w| w.to_vec()).collect(),
-        window_cycles: d.window(),
-        ipc: with_run.ipc(),
-        mean_active_lanes: d.mean_active_lanes(),
-        rays_completed: with_run.summary.stats.lineages_completed,
-        health: with_run.fault_health(),
-    };
     Ok(Fig9 {
-        with_conflicts,
+        with_conflicts: DivergenceFigure::of(&with_run),
         without_conflicts: divergence_figure(Variant::Dynamic, scale)?,
         traditional: fig3::run(scale)?,
         conflict_passes,

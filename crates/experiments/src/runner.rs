@@ -1,13 +1,20 @@
-//! Shared run machinery: scales and the standard render-run wrapper.
+//! Shared run machinery: scales and the one render path, which takes
+//! every scene render as one [`RenderSpec`] through [`RenderRun::execute`].
 
-use crate::configs::{self, gpu_for, Variant};
+use crate::configs::{self, Variant};
 use crate::supervisor;
 use raytrace::scenes::{Scene, SceneScale};
-use rt_kernels::render::RenderSetup;
+use raytrace::Hit;
+use rt_kernels::pt_layout::PtResult;
+use rt_kernels::pt_render::{exact_mismatches, image_hash, PtSetup};
+use rt_kernels::render::{compare, RenderSetup};
 use serde::{Deserialize, Serialize};
 use simt_isa::codec::{fnv1a64, Codec, Encoder};
-use simt_sim::{Gpu, RunSummary, TelemetryReport};
+use simt_mem::MemPreset;
+use simt_sim::{Gpu, GpuConfig, RunSummary, SpawnPolicy, TelemetryReport};
+use std::cell::RefCell;
 use std::fmt;
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 /// Experiment scale: resolution, simulated-cycle budget, scene size.
@@ -111,41 +118,169 @@ impl fmt::Display for FaultHealth {
     }
 }
 
-/// Digest of the embedded kernel a variant runs (μ-kernel or traditional
-/// program). The sources are compile-time constants, so each is assembled
-/// and digested once per process.
-fn kernel_digest(variant: Variant) -> u64 {
-    static UKERNEL: OnceLock<u64> = OnceLock::new();
-    static TRADITIONAL: OnceLock<u64> = OnceLock::new();
-    let digest = |program: simt_isa::Program| {
-        simt_sim::program_digest(&program).expect("embedded kernels encode losslessly")
-    };
-    if variant.is_dynamic() {
-        *UKERNEL.get_or_init(|| digest(rt_kernels::ukernel::program()))
-    } else {
-        *TRADITIONAL.get_or_init(|| digest(rt_kernels::traditional::program()))
+/// Which tracer a render runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tracer {
+    /// The paper's kd-tree primary-ray tracer.
+    Kd,
+    /// The BVH diffuse path tracer.
+    Bvh,
+}
+
+/// When a render stops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// Warm-up, then measurement; sliced and resumable.
+    Window {
+        /// Warm-up cycles.
+        warm: u64,
+        /// Measured cycles.
+        measure: u64,
+    },
+    /// Completion, in one call, checked against the host image.
+    Frame,
+}
+
+/// Cycle budget of a [`Stop::Frame`]: hitting it is a job-level error.
+pub(crate) const FRAME_BUDGET: u64 = 4_000_000_000;
+
+/// One scene render: everything that decides what is simulated.
+#[derive(Debug, Clone, Copy)]
+pub struct RenderSpec<'a> {
+    /// The scene, generated at `scale.scene`.
+    pub scene: &'a Scene,
+    /// The tracer.
+    pub tracer: Tracer,
+    /// The machine variant.
+    pub variant: Variant,
+    /// A memory machine in place of the variant's own.
+    pub mem: Option<MemPreset>,
+    /// A spawn policy in place of the variant's own.
+    pub spawn_policy: Option<SpawnPolicy>,
+    /// Square image edge in pixels.
+    pub edge: u32,
+    /// The stop rule.
+    pub stop: Stop,
+    /// Launch geometry and job identity.
+    pub scale: Scale,
+}
+
+impl<'a> RenderSpec<'a> {
+    /// The figures' standard window: the kd tracer on the variant's own
+    /// machine at `scale.resolution`, warmed and measured `scale.cycles`.
+    pub fn window(scene: &'a Scene, variant: Variant, scale: Scale) -> Self {
+        RenderSpec {
+            scene,
+            tracer: Tracer::Kd,
+            variant,
+            mem: None,
+            spawn_policy: None,
+            edge: scale.resolution,
+            stop: Stop::Window {
+                warm: scale.cycles,
+                measure: scale.cycles,
+            },
+            scale,
+        }
+    }
+
+    /// This spec's scene as a whole frame through `tracer` at `edge`.
+    pub fn frame(self, tracer: Tracer, edge: u32) -> Self {
+        RenderSpec {
+            tracer,
+            edge,
+            stop: Stop::Frame,
+            ..self
+        }
+    }
+
+    /// What sets this spec apart from the standard window — its tracer,
+    /// overrides and stop rule — or `None` for that window, whose job
+    /// name and fingerprint are the historical ones.
+    fn suffix(&self) -> Option<String> {
+        let std = RenderSpec::window(self.scene, self.variant, self.scale);
+        let knobs = |s: &RenderSpec| (s.tracer, s.mem, s.spawn_policy, s.edge, s.stop);
+        if knobs(self) == knobs(&std) {
+            return None;
+        }
+        let mut suffix = format!("-{:?}", self.tracer);
+        if let Some(mem) = self.mem {
+            let _ = write!(suffix, "-{mem:?}");
+        }
+        if let Some(policy) = self.spawn_policy {
+            let _ = write!(suffix, "-{policy:?}");
+        }
+        let _ = match self.stop {
+            Stop::Window { warm, measure } => write!(suffix, "-w{warm}-{measure}"),
+            Stop::Frame => write!(suffix, "-frame"),
+        };
+        Some(suffix)
+    }
+
+    /// The machine configuration the render runs on.
+    fn config(&self) -> GpuConfig {
+        let mut cfg = configs::config_on(self.variant, self.mem);
+        cfg.spawn_policy = self.spawn_policy.unwrap_or(cfg.spawn_policy);
+        cfg
+    }
+
+    /// `{scene}-{Variant:?}-{edge}`; any spec but the standard window
+    /// appends its tracer, overrides and stop rule.
+    pub fn job(&self) -> String {
+        let job = format!("{}-{:?}-{}", self.scene.name, self.variant, self.edge);
+        job + &self.suffix().unwrap_or_default()
+    }
+
+    /// [`run_fingerprint`] for the standard window; any other spec
+    /// appends the digests of the configuration and program it really
+    /// runs, its edge and its suffix.
+    pub fn fingerprint(&self) -> u64 {
+        let mut enc = identity(self.scene.name, self.variant, self.scale);
+        if let Some(suffix) = self.suffix() {
+            let cfg = self.config();
+            enc.put_u64(simt_sim::config_digest(&cfg));
+            enc.put_u64(program_digest(self.tracer, cfg.dmk.is_some()));
+            enc.put_u32(self.edge);
+            enc.put_str(&suffix);
+        }
+        fnv1a64(&enc.into_bytes())
     }
 }
 
-/// Deterministic identity of one render-run, for checkpoint/result-cache
-/// keying: FNV-1a-64 over the kernel program bytes, the scene (name and
-/// triangle-count scale), the full [`simt_sim::GpuConfig`], the
-/// [`Scale`], and the active telemetry spec. Two runs share a
-/// fingerprint exactly when they are guaranteed to produce bit-identical
-/// results, so a checkpoint or cached result stamped with a different
-/// fingerprint must never be trusted for this run.
+/// Digest of the embedded program a tracer runs, μ-kernel or looped,
+/// assembled and digested once per process.
+pub(crate) fn program_digest(tracer: Tracer, dynamic: bool) -> u64 {
+    static DIGESTS: [OnceLock<u64>; 4] = [const { OnceLock::new() }; 4];
+    *DIGESTS[2 * tracer as usize + usize::from(dynamic)].get_or_init(|| {
+        let program = match (tracer, dynamic) {
+            (Tracer::Kd, false) => rt_kernels::traditional::program(),
+            (Tracer::Kd, true) => rt_kernels::ukernel::program(),
+            (Tracer::Bvh, false) => rt_kernels::pt_traditional::program(),
+            (Tracer::Bvh, true) => rt_kernels::pt_ukernel::program(),
+        };
+        simt_sim::program_digest(&program).expect("embedded kernels encode losslessly")
+    })
+}
+
+/// Deterministic identity of a standard render window
+/// ([`RenderSpec::window`]), for checkpoint/result-cache keying: FNV-1a-64
+/// over the kernel program bytes, the scene (name and triangle-count
+/// scale), the full [`simt_sim::GpuConfig`], the [`Scale`], and the
+/// active telemetry spec. A checkpoint or cached result stamped with
+/// another fingerprint must never be trusted for this run.
 pub fn run_fingerprint(scene: &Scene, variant: Variant, scale: Scale) -> u64 {
     run_fingerprint_by_name(scene.name, variant, scale)
 }
 
 /// [`run_fingerprint`] from the scene's name alone (one of
-/// [`raytrace::scenes::NAMES`]): the name is all of a scene the identity
-/// reads — its geometry is a pure function of name and [`Scale::scene`]
-/// — so job identities are computed without generating any. The
-/// telemetry spec and the variant's configuration are process state
-/// (`--trace`, `--metrics-every`) or cheap, and are read on every call;
-/// only the digests of the embedded kernels are kept between calls.
+/// [`raytrace::scenes::NAMES`]): a scene's geometry is a pure function of
+/// its name and [`Scale::scene`], so no scene need be generated.
 pub fn run_fingerprint_by_name(scene_name: &str, variant: Variant, scale: Scale) -> u64 {
+    fnv1a64(&identity(scene_name, variant, scale).into_bytes())
+}
+
+/// The encoding [`run_fingerprint_by_name`] hashes.
+fn identity(scene_name: &str, variant: Variant, scale: Scale) -> Encoder {
     let mut enc = Encoder::new();
     enc.put_str("usimt-run-fp-v1");
     enc.put_str(scene_name);
@@ -163,17 +298,14 @@ pub fn run_fingerprint_by_name(scene_name: &str, variant: Variant, scale: Scale)
     enc.put_bool(spec.trace);
     enc.put_u64(spec.metrics_window);
     enc.put_u64(simt_sim::config_digest(&configs::config_for(variant)));
-    enc.put_u64(kernel_digest(variant));
-    fnv1a64(&enc.into_bytes())
+    enc.put_u64(program_digest(Tracer::Kd, variant.is_dynamic()));
+    enc
 }
 
 simt_isa::record! {
-    /// Phase bookkeeping stored in each snapshot's meta section so a resumed
-    /// job can rebuild the warm-up/steady-state split of
-    /// [`RenderRun::execute`] without re-running the warm-up. The
-    /// [`run_fingerprint`] rides along so a resume rejects snapshots taken
-    /// by a different job identity (other scene/variant/scale/config or
-    /// changed kernel bytes) instead of silently continuing the wrong run.
+    /// Phase bookkeeping in each snapshot's meta section, so a resumed
+    /// [`Stop::Window`] keeps its warm-up/measurement split, and a resume
+    /// refuses a snapshot of another [`RenderSpec::fingerprint`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct PhaseMeta {
         /// Identity of the run this snapshot belongs to.
@@ -239,7 +371,141 @@ pub fn write_trace_artifacts(job: &str, report: &TelemetryReport) {
     }
 }
 
-/// The result of one standard render run.
+/// What a tracer's upload placed in device memory.
+#[derive(Debug)]
+pub(crate) enum Setup {
+    /// The kd tracer's.
+    Kd(RenderSetup),
+    /// The path tracer's.
+    Bvh(PtSetup),
+}
+
+/// Builds `spec`'s machine with [`configs::machine`], uploads its scene
+/// for its tracer, and launches the μ-kernel program on a DMK machine,
+/// the looped one otherwise.
+pub(crate) fn prepare(spec: &RenderSpec) -> (Gpu, Setup) {
+    let cfg = spec.config();
+    let dynamic = cfg.dmk.is_some();
+    let mut gpu = configs::machine(cfg);
+    let (edge, tpb) = (spec.edge, spec.scale.threads_per_block);
+    let setup = match spec.tracer {
+        Tracer::Kd => Setup::Kd(RenderSetup::upload(&mut gpu, spec.scene, edge, edge)),
+        Tracer::Bvh => Setup::Bvh(PtSetup::upload(&mut gpu, spec.scene, edge, edge)),
+    };
+    match (&setup, dynamic) {
+        (Setup::Kd(setup), true) => setup.launch_ukernel(&mut gpu, tpb),
+        (Setup::Kd(setup), false) => setup.launch_traditional(&mut gpu, tpb),
+        (Setup::Bvh(setup), true) => setup.launch_ukernel(&mut gpu, tpb),
+        (Setup::Bvh(setup), false) => setup.launch_traditional(&mut gpu, tpb),
+    }
+    (gpu, setup)
+}
+
+/// A host tracer's image of one frame.
+enum HostImage {
+    Kd(Vec<Option<Hit>>),
+    Bvh(Vec<PtResult>),
+}
+
+/// What a host image depends on: scene name and scale (a scene is a pure
+/// function of the two), tracer and edge.
+type HostKey = (&'static str, SceneScale, Tracer, u32);
+
+thread_local! {
+    /// The last host image traced on this thread. An artifact renders its
+    /// frames one after another on one thread, so each image is traced
+    /// once however many machines render it.
+    static HOST: RefCell<Option<(HostKey, HostImage)>> = const { RefCell::new(None) };
+}
+
+/// Checks a finished frame against the host tracer's image: no kd ray
+/// may differ, and the path tracer must match bit for bit, with an equal
+/// hash, which it returns.
+fn check_frame(
+    spec: &RenderSpec,
+    job: &str,
+    gpu: &Gpu,
+    setup: &Setup,
+) -> Result<Option<u64>, String> {
+    HOST.with_borrow_mut(|slot| {
+        let key = (spec.scene.name, spec.scale.scene, spec.tracer, spec.edge);
+        if slot.as_ref().is_none_or(|(k, _)| *k != key) {
+            let image = match setup {
+                Setup::Kd(setup) => HostImage::Kd(setup.host_reference()),
+                Setup::Bvh(setup) => HostImage::Bvh(setup.host_reference()),
+            };
+            *slot = Some((key, image));
+        }
+        match (setup, slot.as_ref().map(|(_, image)| image)) {
+            (Setup::Kd(setup), Some(HostImage::Kd(host))) => {
+                let report = compare(host, &setup.device_results(gpu));
+                if report.mismatches > 0 {
+                    return Err(format!(
+                        "{job}: {} of {} rays diverged from the host oracle",
+                        report.mismatches, report.total
+                    ));
+                }
+                Ok(None)
+            }
+            (Setup::Bvh(setup), Some(HostImage::Bvh(host))) => {
+                let device = setup.device_results(gpu);
+                let mismatches = exact_mismatches(host, &device);
+                let (host_hash, hash) = (image_hash(host), image_hash(&device));
+                if mismatches > 0 || hash != host_hash {
+                    return Err(format!(
+                        "{job}: device image diverged from the host reference ({mismatches} \
+                         exact mismatches, hash {hash:016x} vs {host_hash:016x})"
+                    ));
+                }
+                Ok(Some(hash))
+            }
+            _ => unreachable!("the key names the tracer"),
+        }
+    })
+}
+
+/// Runs a [`Stop::Window`], each phase sliced by
+/// [`supervisor::run_to_target`] and resumed from the job's snapshot when
+/// `--resume` finds a usable one.
+fn run_window(
+    spec: &RenderSpec,
+    job: &str,
+    warm: u64,
+    measure: u64,
+) -> Result<(Gpu, RunSummary, PhaseMeta), String> {
+    let fingerprint = spec.fingerprint();
+    let (mut gpu, mut meta) = match resume_state(job, fingerprint) {
+        Some(state) => state,
+        None => {
+            let gpu = prepare(spec).0;
+            let meta = PhaseMeta {
+                fingerprint,
+                phase: 0,
+                target: gpu.now() + warm,
+                warm_cycle: 0,
+                warm_rays: 0,
+            };
+            (gpu, meta)
+        }
+    };
+    if meta.phase == 0 {
+        if warm > 0 {
+            supervisor::run_to_target(&mut gpu, meta.target, job, &meta.to_bytes())?;
+        }
+        meta = PhaseMeta {
+            fingerprint,
+            phase: 1,
+            target: gpu.now() + measure,
+            warm_cycle: gpu.now(),
+            warm_rays: gpu.stats().lineages_completed,
+        };
+    }
+    let summary = supervisor::run_to_target(&mut gpu, meta.target, job, &meta.to_bytes())?;
+    supervisor::clear(job);
+    Ok((gpu, summary, meta))
+}
+
+/// The result of one render.
 #[derive(Debug)]
 pub struct RenderRun {
     /// Scene name.
@@ -248,71 +514,45 @@ pub struct RenderRun {
     pub variant: Variant,
     /// Full simulator summary (whole run, including warm-up).
     pub summary: RunSummary,
-    /// Cumulative telemetry over the whole run (windowed counters, the
-    /// divergence mirror, and — under `--trace` — per-event rings).
+    /// Cumulative telemetry over the whole run.
     pub telemetry: TelemetryReport,
+    /// Aggregate L1 `(hits, misses, mshr_merges, mshr_stalls)`, if any.
+    pub l1: Option<(u64, u64, u64, u64)>,
+    /// A BVH frame's image hash, equal to the host's.
+    pub image_hash: Option<u64>,
     /// Shader clock used for rays/s conversion.
     pub clock_ghz: f64,
-    /// Rays completed during the steady-state half of the window.
+    /// Rays completed after warm-up (the whole run for a frame).
     pub steady_rays: u64,
-    /// Cycles in the steady-state window.
+    /// Cycles after warm-up (the whole run for a frame).
     pub steady_cycles: u64,
 }
 
 impl RenderRun {
-    /// Runs `variant` over `scene` at `scale` for the configured cycle
-    /// budget.
-    ///
-    /// Rays/second is measured over the second half of the window — the
-    /// paper observes that behaviour is steady over the 150k–300k-cycle
-    /// range, so this skips the pipeline-fill transient at frame start.
-    ///
-    /// Both halves run under the [`supervisor`]: the run is checkpointed
-    /// at the configured interval and — with `--resume` — restored from
-    /// the job's last on-disk snapshot, bit-identical to an uninterrupted
-    /// run.
+    /// Renders `spec` on the machine `prepare` builds, under its stop
+    /// rule, and writes its trace artifacts under `--trace`. Rays/second
+    /// is measured after the warm-up, which skips the pipeline-fill
+    /// transient at frame start (the paper finds 150k–300k steady).
     ///
     /// # Errors
     ///
-    /// A fault or a watchdog deadlock in either half, as the job-level
-    /// error of [`supervisor::run_checked`].
-    pub fn execute(scene: &Scene, variant: Variant, scale: Scale) -> Result<RenderRun, String> {
-        let job = format!("{}-{:?}-{}", scene.name, variant, scale.resolution);
-        let fingerprint = run_fingerprint(scene, variant, scale);
-        let (mut gpu, mut meta) = match resume_state(&job, fingerprint) {
-            Some(state) => state,
-            None => {
-                let mut gpu = gpu_for(variant);
-                let setup =
-                    RenderSetup::upload(&mut gpu, scene, scale.resolution, scale.resolution);
-                if variant.is_dynamic() {
-                    setup.launch_ukernel(&mut gpu, scale.threads_per_block);
-                } else {
-                    setup.launch_traditional(&mut gpu, scale.threads_per_block);
-                }
-                let meta = PhaseMeta {
-                    fingerprint,
-                    phase: 0,
-                    target: gpu.now() + scale.cycles,
-                    warm_cycle: 0,
-                    warm_rays: 0,
-                };
-                (gpu, meta)
+    /// A fault or a watchdog deadlock, as the job-level error of
+    /// [`supervisor::run_checked`]; for a frame, also a blown
+    /// frame budget or an image that differs from the host's.
+    pub fn execute(spec: &RenderSpec) -> Result<RenderRun, String> {
+        let job = spec.job();
+        let (gpu, summary, warm_cycle, warm_rays, image_hash) = match spec.stop {
+            Stop::Window { warm, measure } => {
+                let (gpu, summary, meta) = run_window(spec, &job, warm, measure)?;
+                (gpu, summary, meta.warm_cycle, meta.warm_rays, None)
+            }
+            Stop::Frame => {
+                let (mut gpu, setup) = prepare(spec);
+                let summary = supervisor::run_checked(&mut gpu, FRAME_BUDGET, &job, true)?;
+                let hash = check_frame(spec, &job, &gpu, &setup)?;
+                (gpu, summary, 0, 0, hash)
             }
         };
-        if meta.phase == 0 {
-            supervisor::run_to_target(&mut gpu, meta.target, &job, &meta.to_bytes())?;
-            meta = PhaseMeta {
-                fingerprint,
-                phase: 1,
-                target: gpu.now() + scale.cycles,
-                warm_cycle: gpu.now(),
-                warm_rays: gpu.stats().lineages_completed,
-            };
-        }
-        let (warm_cycle, warm_rays) = (meta.warm_cycle, meta.warm_rays);
-        let summary = supervisor::run_to_target(&mut gpu, meta.target, &job, &meta.to_bytes())?;
-        supervisor::clear(&job);
         let telemetry = gpu.telemetry_report();
         if supervisor::policy().telemetry.trace {
             write_trace_artifacts(&job, &telemetry);
@@ -328,9 +568,11 @@ impl RenderRun {
             (summary.stats.lineages_completed, end_cycle.max(1))
         };
         let run = RenderRun {
-            scene: scene.name,
-            variant,
+            scene: spec.scene.name,
+            variant: spec.variant,
             clock_ghz: gpu.config().clock_ghz,
+            l1: gpu.l1_stats(),
+            image_hash,
             summary,
             telemetry,
             steady_rays,
@@ -433,12 +675,51 @@ mod tests {
     }
 
     #[test]
+    fn every_other_spec_gets_its_own_name_and_identity() {
+        let scene = scenes::conference(SceneScale::Tiny);
+        let scale = Scale::test();
+        let std = RenderSpec::window(&scene, Variant::Dynamic, scale);
+        let ablation = RenderSpec {
+            spawn_policy: Some(SpawnPolicy::Always),
+            stop: Stop::Window {
+                warm: 0,
+                measure: scale.cycles,
+            },
+            ..std
+        };
+        let specs = [
+            std,
+            ablation,
+            RenderSpec {
+                spawn_policy: Some(SpawnPolicy::OnDivergence),
+                ..ablation
+            },
+            RenderSpec {
+                mem: Some(MemPreset::Cached),
+                ..std
+            },
+            RenderSpec { edge: 8, ..std },
+            std.frame(Tracer::Kd, 16),
+            std.frame(Tracer::Bvh, 16),
+        ];
+        let mut names: Vec<String> = specs.iter().map(RenderSpec::job).collect();
+        let mut ids: Vec<u64> = specs.iter().map(RenderSpec::fingerprint).collect();
+        names.sort();
+        names.dedup();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!((names.len(), ids.len()), (specs.len(), specs.len()));
+    }
+
+    #[test]
     fn render_run_executes_both_kernel_families() {
         let scene = scenes::conference(SceneScale::Tiny);
         let scale = Scale::test();
-        let pdom = RenderRun::execute(&scene, Variant::PdomWarp, scale).expect("clean run");
+        let pdom = RenderRun::execute(&RenderSpec::window(&scene, Variant::PdomWarp, scale))
+            .expect("clean run");
         assert!(pdom.summary.stats.thread_instructions > 0);
-        let dmk = RenderRun::execute(&scene, Variant::Dynamic, scale).expect("clean run");
+        let dmk = RenderRun::execute(&RenderSpec::window(&scene, Variant::Dynamic, scale))
+            .expect("clean run");
         assert!(dmk.summary.stats.threads_spawned > 0);
     }
 }

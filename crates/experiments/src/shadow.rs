@@ -6,12 +6,11 @@
 //! rays start on scattered surfaces and are therefore less coherent —
 //! under both branching models.
 
-use crate::configs::{gpu_for, Variant};
-use crate::runner::Scale;
+use crate::configs::Variant;
+use crate::runner::{prepare, RenderSpec, Scale, Setup, Tracer, FRAME_BUDGET};
 use crate::supervisor::run_checked;
 use raytrace::scenes;
 use raytrace::Vec3;
-use rt_kernels::render::RenderSetup;
 use serde::Serialize;
 use std::fmt;
 
@@ -53,16 +52,13 @@ impl ShadowStudy {
 fn run_variant(variant: Variant, scale: Scale) -> Result<ShadowRun, String> {
     let scene = scenes::conference(scale.scene);
     let light = Vec3::new(0.0, 4.7, 0.0);
-    let mut gpu = gpu_for(variant);
-    let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
-    if variant.is_dynamic() {
-        setup.launch_ukernel(&mut gpu, scale.threads_per_block);
-    } else {
-        setup.launch_traditional(&mut gpu, scale.threads_per_block);
-    }
+    let spec = RenderSpec::window(&scene, variant, scale).frame(Tracer::Kd, scale.resolution);
+    let (mut gpu, Setup::Kd(setup)) = prepare(&spec) else {
+        unreachable!("a kd spec uploads the kd tracer")
+    };
     // Run each pass to completion so the shadow rays are well-defined.
     let pass = |name: &str| format!("shadow {name} pass under {variant}");
-    let s1 = run_checked(&mut gpu, u64::MAX / 4, &pass("primary"), true)?;
+    let s1 = run_checked(&mut gpu, FRAME_BUDGET, &pass("primary"), true)?;
     let primary_instr = s1.stats.thread_instructions;
     let primary_cycles = s1.stats.cycles;
 
@@ -72,7 +68,7 @@ fn run_variant(variant: Variant, scale: Scale) -> Result<ShadowRun, String> {
         variant.is_dynamic(),
         scale.threads_per_block,
     );
-    let s2 = run_checked(&mut gpu, u64::MAX / 4, &pass("shadow"), true)?;
+    let s2 = run_checked(&mut gpu, FRAME_BUDGET, &pass("shadow"), true)?;
     let shadow_instr = s2.stats.thread_instructions - primary_instr;
     let shadow_cycles = s2.stats.cycles - primary_cycles;
     let occluded = dev2.read_results(gpu.mem()).iter().flatten().count();

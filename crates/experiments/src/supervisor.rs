@@ -1,10 +1,18 @@
 //! Supervised execution of simulator jobs.
 //!
-//! The experiment drivers run every render through [`run_to_target`],
-//! which slices the simulation at a configurable checkpoint interval and,
-//! when a checkpoint directory is configured, writes a [`Snapshot`] at
-//! each slice boundary that holds progress over what the directory
-//! already has for the job.
+//! Every scene render is one [`RenderSpec`](crate::runner::RenderSpec)
+//! through [`RenderRun::execute`](crate::runner::RenderRun::execute), the
+//! render path, and its stop rule says how it runs:
+//!
+//! * a window is sliced and resumable: [`run_to_target`] slices the
+//!   simulation at a configurable checkpoint interval and, when a
+//!   checkpoint directory is configured, writes a [`Snapshot`] at each
+//!   slice boundary that holds progress over what the directory already
+//!   has for the job;
+//! * a frame runs to completion in one [`run_checked`] call;
+//! * the custom-kernel runs of fig. 2 and `microdiv` go through
+//!   [`run_checked`] too, on a machine from the one builder,
+//!   `configs::machine`.
 //!
 //! [`run_checked`] owns the one decision of what a failed run is: a typed
 //! [`simt_sim::Fault`] under `FaultPolicy::Abort` or a watchdog
@@ -50,7 +58,7 @@ pub struct Policy {
     /// instead of the orderly exit-42, so the campaign coordinator's
     /// worker supervision sees a genuine process kill mid-job.
     pub chaos_abort: bool,
-    /// Telemetry of every machine [`crate::gpu_for`] builds: windowed
+    /// Telemetry of every machine `configs::machine` builds: windowed
     /// metrics by default; `--trace` adds per-event rings, and the drivers
     /// write Chrome-trace/metrics-CSV files next to their normal output;
     /// `--metrics-every N` sets the metrics window.

@@ -17,20 +17,13 @@
 //! per-pixel radiance bits, the value CI pins.
 
 use super::{divergence_totals, page, Group, Workload};
-use crate::configs::{gpu_for, Variant};
-use crate::runner::Scale;
-use crate::supervisor::run_checked;
-use rt_kernels::pt_render::{image_hash, PtSetup};
-use rt_kernels::{pt_traditional, pt_ukernel};
+use crate::configs::Variant;
+use crate::runner::{program_digest, RenderRun, RenderSpec, Scale, Tracer};
 use simt_isa::codec::Encoder;
 use std::fmt;
 
 /// Machine variants the workload runs standalone.
 pub const VARIANTS: [Variant; 2] = [Variant::PdomWarp, Variant::Dynamic];
-
-/// Cycle budget per render; generous — both kernels run to completion
-/// (a budget hit is a job-level error, never a silent truncation).
-const CYCLE_BUDGET: u64 = 4_000_000_000;
 
 /// Square image edge at `scale`: a quarter of the kd workloads'
 /// resolution (path tracing traces up to four segments per pixel), with
@@ -50,10 +43,8 @@ pub struct PtVariantRun {
     pub efficiency: f64,
     /// Dynamically spawned threads (0 under PDOM).
     pub threads_spawned: u64,
-    /// FNV-1a-64 of the device image.
+    /// FNV-1a-64 of the device image, equal to the host mirror's.
     pub image_hash: u64,
-    /// Exact per-pixel mismatches against the host mirror (must be 0).
-    pub mismatches: usize,
     /// Aggregate occupancy-bucket totals (idle bucket first) over the
     /// run's divergence windows, Figs. 3/7/9 style.
     pub buckets: Vec<u64>,
@@ -75,8 +66,8 @@ pub struct PtFigure {
 }
 
 /// Runs the workload at `scale`, optionally narrowed to one variant:
-/// each variant's machine is built and loaded once, and the host image,
-/// which no variant changes, is traced once, from the first upload.
+/// one whole frame per variant, each checked bit-exactly against the host
+/// image, which the runner traces once for all of them.
 ///
 /// # Errors
 ///
@@ -89,45 +80,26 @@ pub fn run(scale: Scale, only: Option<Variant>) -> Result<PtFigure, String> {
         Some(v) => vec![v],
         None => VARIANTS.to_vec(),
     };
-    let mut host = None;
     let mut labels = Vec::new();
     let mut runs = Vec::new();
     for &variant in &variants {
-        let mut gpu = gpu_for(variant);
-        let setup = PtSetup::upload(&mut gpu, &scene, edge, edge);
-        let host = host.get_or_insert_with(|| setup.host_reference());
-        if variant.is_dynamic() {
-            setup.launch_ukernel(&mut gpu, scale.threads_per_block);
-        } else {
-            setup.launch_traditional(&mut gpu, scale.threads_per_block);
-        }
-        let job = format!("bvh under {variant}");
-        let summary = run_checked(&mut gpu, CYCLE_BUDGET, &job, true)?;
-        let device = setup.device_results(&gpu);
-        let mismatches = rt_kernels::pt_render::exact_mismatches(host, &device);
-        let (host_hash, device_hash) = (image_hash(host), image_hash(&device));
-        if mismatches > 0 || device_hash != host_hash {
-            return Err(format!(
-                "{job}: device image diverged from the host \
-                 reference ({mismatches} exact mismatches, hash {device_hash:016x} vs {host_hash:016x})"
-            ));
-        }
-        let divergence = gpu.telemetry_report().divergence;
+        let spec = RenderSpec::window(&scene, variant, scale).frame(Tracer::Bvh, edge);
+        let run = RenderRun::execute(&spec)?;
+        let (stats, divergence) = (&run.summary.stats, &run.telemetry.divergence);
         labels = divergence.labels();
         runs.push(PtVariantRun {
             variant,
-            cycles: summary.stats.cycles,
-            efficiency: summary.stats.simt_efficiency(32),
-            threads_spawned: summary.stats.threads_spawned,
-            image_hash: device_hash,
-            mismatches,
-            buckets: divergence_totals(&divergence),
+            cycles: stats.cycles,
+            efficiency: stats.simt_efficiency(32),
+            threads_spawned: stats.threads_spawned,
+            image_hash: run.image_hash.expect("a BVH frame reports its image hash"),
+            buckets: divergence_totals(divergence),
         });
     }
     Ok(PtFigure {
         scene: scene.name.to_string(),
         resolution: edge,
-        host_hash: host.as_ref().map_or(0, |h| image_hash(h)),
+        host_hash: runs.first().map_or(0, |r| r.image_hash),
         labels,
         runs,
     })
@@ -204,10 +176,8 @@ impl Workload for BvhPathTracer {
     fn extend_fingerprint(&self, enc: &mut Encoder, scale: Scale) {
         enc.put_str("bvh-pt-v1");
         enc.put_u32(resolution(scale));
-        for program in [pt_traditional::program(), pt_ukernel::program()] {
-            enc.put_u64(
-                simt_sim::program_digest(&program).expect("embedded kernels encode losslessly"),
-            );
+        for dynamic in [false, true] {
+            enc.put_u64(program_digest(Tracer::Bvh, dynamic));
         }
     }
 }
@@ -221,8 +191,7 @@ mod tests {
         let fig = run(Scale::test(), None).expect("bvh workload runs");
         assert_eq!(fig.runs.len(), 2);
         for r in &fig.runs {
-            assert_eq!(r.mismatches, 0, "{} diverged", r.variant);
-            assert_eq!(r.image_hash, fig.host_hash);
+            assert_eq!(r.image_hash, fig.host_hash, "{} diverged", r.variant);
             assert!(!r.buckets.is_empty(), "divergence buckets missing");
         }
         // The μ-kernel run actually spawns; the looped run never does.

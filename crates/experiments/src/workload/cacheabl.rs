@@ -22,61 +22,29 @@
 //! CI `cmp`s it against `results/cacheabl_quick.txt`.
 
 use super::{microdiv, page, Group, Workload};
-use crate::runner::Scale;
-use crate::supervisor::run_checked;
-use rt_kernels::pt_render::{exact_mismatches, image_hash, PtSetup};
-use rt_kernels::render::{compare, RenderSetup};
-use simt_isa::assemble_named;
+use crate::configs::{self, Variant};
+use crate::runner::{program_digest, RenderRun, RenderSpec, Scale, Tracer};
 use simt_isa::codec::Encoder;
-use simt_mem::MemConfig;
-use simt_sim::{Gpu, GpuConfig, Launch};
+use simt_mem::MemPreset;
 use std::fmt;
 
-/// Cycle budget per cell; every run goes to completion (a budget hit is
-/// a job-level error, never a silent truncation).
-const CYCLE_BUDGET: u64 = 4_000_000_000;
+/// The ablated memory machines, in presentation order. Every cell runs
+/// the warp-scheduled PDOM baseline (all three workloads run their
+/// traditional kernels), so the ablation isolates the memory hierarchy,
+/// not branching or spawning.
+pub const LEVELS: [MemPreset; 3] = [MemPreset::Ideal, MemPreset::L1, MemPreset::Cached];
 
-/// The ablated memory models, in presentation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemLevel {
-    /// Single-cycle ideal memory.
-    Ideal,
-    /// Per-SM L1 + MSHRs over the flat DRAM modules.
-    L1Only,
-    /// L1 + banked interconnect + shared L2 slices.
-    L1L2,
-}
+/// The machine every cell runs on.
+const VARIANT: Variant = Variant::PdomWarp;
 
-/// Presentation order of the memory models.
-pub const LEVELS: [MemLevel; 3] = [MemLevel::Ideal, MemLevel::L1Only, MemLevel::L1L2];
-
-impl MemLevel {
-    /// Short column label.
-    pub fn label(self) -> &'static str {
-        match self {
-            MemLevel::Ideal => "ideal",
-            MemLevel::L1Only => "l1",
-            MemLevel::L1L2 => "l1+l2",
-        }
+/// A memory machine's column label.
+pub fn label(level: MemPreset) -> &'static str {
+    match level {
+        MemPreset::Flat => "flat",
+        MemPreset::L1 => "l1",
+        MemPreset::Cached => "l1+l2",
+        MemPreset::Ideal => "ideal",
     }
-
-    /// The memory configuration this level ablates to.
-    pub fn mem_config(self) -> MemConfig {
-        match self {
-            MemLevel::Ideal => MemConfig::fx5800().with_ideal(true),
-            MemLevel::L1Only => MemConfig::fx5800_cached().with_l2(0),
-            MemLevel::L1L2 => MemConfig::fx5800_cached(),
-        }
-    }
-}
-
-/// Builds the machine for one level: the warp-scheduled PDOM baseline
-/// (all three workloads run their traditional kernels, so the ablation
-/// isolates the memory hierarchy, not branching or spawning).
-fn machine(level: MemLevel) -> Gpu {
-    let mut cfg = GpuConfig::fx5800_warp_sched();
-    cfg.mem = level.mem_config();
-    Gpu::builder(cfg).build()
 }
 
 /// kd-tree image edge at `scale`: half the paper figures' resolution —
@@ -88,8 +56,8 @@ pub fn kd_resolution(scale: Scale) -> u32 {
 /// One (workload × level) measurement.
 #[derive(Debug, Clone)]
 pub struct Cell {
-    /// The memory model.
-    pub level: MemLevel,
+    /// The memory machine.
+    pub level: MemPreset,
     /// Cycles to completion.
     pub cycles: u64,
     /// (hits, misses, MSHR merges, MSHR stalls) — `None` on ideal.
@@ -133,101 +101,49 @@ pub struct CacheAblationFigure {
     pub rows: Vec<AblationRow>,
 }
 
-/// Extracts the cell counters after a completed run.
-fn cell_of(level: MemLevel, gpu: &Gpu, cycles: u64) -> Cell {
-    Cell {
+/// A traced frame's cell: the traditional kernel on `level`, checked
+/// against the host tracer by the runner — the memory model is a timing
+/// model, so a functional deviation is a bug in the cache layer.
+fn run_frame(scale: Scale, tracer: Tracer, edge: u32, level: MemPreset) -> Result<Cell, String> {
+    let scene = raytrace::scenes::conference(scale.scene);
+    let run = RenderRun::execute(&RenderSpec {
+        mem: Some(level),
+        ..RenderSpec::window(&scene, VARIANT, scale).frame(tracer, edge)
+    })?;
+    Ok(Cell {
         level,
-        cycles,
-        l1: gpu.l1_stats(),
-        l2: gpu.mem().l2_stats(),
-        icnt_conflicts: gpu.mem().icnt_conflicts(),
-    }
+        cycles: run.summary.stats.cycles,
+        l1: run.l1,
+        l2: run.telemetry.l2,
+        icnt_conflicts: run.telemetry.icnt_conflicts,
+    })
 }
 
-/// The kd-tree primary-ray cell: traditional kernel, host-oracle
-/// validated per ray.
-fn run_kd(scale: Scale, level: MemLevel) -> Result<Cell, String> {
-    let scene = raytrace::scenes::conference(scale.scene);
-    let edge = kd_resolution(scale);
-    let mut gpu = machine(level);
-    let setup = RenderSetup::upload(&mut gpu, &scene, edge, edge);
-    setup.launch_traditional(&mut gpu, scale.threads_per_block);
-    let job = format!("cacheabl kdtree under {}", level.label());
-    let cycles = run_checked(&mut gpu, CYCLE_BUDGET, &job, true)?
-        .stats
-        .cycles;
-    let report = compare(&setup.host_reference(), &setup.device_results(&gpu));
-    if report.mismatches > 0 {
-        return Err(format!(
-            "cacheabl kdtree under {}: {} of {} rays diverged from the host \
-             oracle — the memory model altered functional results",
-            level.label(),
-            report.mismatches,
-            report.total
-        ));
-    }
-    Ok(cell_of(level, &gpu, cycles))
+/// The kd-tree primary-ray cell.
+fn run_kd(scale: Scale, level: MemPreset) -> Result<Cell, String> {
+    run_frame(scale, Tracer::Kd, kd_resolution(scale), level)
 }
 
-/// The BVH path-tracer cell: traditional kernel, bit-exact against the
-/// host mirror.
-fn run_bvh(scale: Scale, level: MemLevel) -> Result<Cell, String> {
-    let scene = raytrace::scenes::conference(scale.scene);
-    let edge = super::bvh::resolution(scale);
-    let mut gpu = machine(level);
-    let setup = PtSetup::upload(&mut gpu, &scene, edge, edge);
-    setup.launch_traditional(&mut gpu, scale.threads_per_block);
-    let job = format!("cacheabl bvh under {}", level.label());
-    let cycles = run_checked(&mut gpu, CYCLE_BUDGET, &job, true)?
-        .stats
-        .cycles;
-    let host = setup.host_reference();
-    let device = setup.device_results(&gpu);
-    let mismatches = exact_mismatches(&host, &device);
-    if mismatches > 0 || image_hash(&device) != image_hash(&host) {
-        return Err(format!(
-            "cacheabl bvh under {}: device image diverged from the host \
-             mirror ({mismatches} exact mismatches)",
-            level.label()
-        ));
-    }
-    Ok(cell_of(level, &gpu, cycles))
+/// The BVH path-tracer cell.
+fn run_bvh(scale: Scale, level: MemPreset) -> Result<Cell, String> {
+    run_frame(scale, Tracer::Bvh, super::bvh::resolution(scale), level)
 }
 
 /// The microdiv ramp cell: compute-bound, LCG-validated — the negative
 /// control (no load traffic, so every level's L1 stays silent).
-fn run_microdiv(scale: Scale, level: MemLevel) -> Result<Cell, String> {
+fn run_microdiv(scale: Scale, level: MemPreset) -> Result<Cell, String> {
     let n = microdiv::threads(scale.scene);
     let cap = microdiv::trip_cap(scale.scene);
-    let mut gpu = machine(level);
-    let out_base = gpu.mem_mut().alloc_global(n * 4, "out");
-    let source = microdiv::loop_source("ramp", cap, out_base);
-    let program = assemble_named("cacheabl-microdiv", &source)
-        .map_err(|e| format!("cacheabl microdiv kernel assembly failed: {e}"))?;
-    gpu.launch(Launch {
-        program,
-        entry: "main".into(),
-        num_threads: n,
-        threads_per_block: 64.min(n),
+    let job = format!("cacheabl microdiv under {}", label(level));
+    let cfg = configs::config_on(VARIANT, Some(level));
+    let (summary, gpu) = microdiv::run_pattern(cfg, "ramp", n, cap, &job)?;
+    Ok(Cell {
+        level,
+        cycles: summary.stats.cycles,
+        l1: gpu.l1_stats(),
+        l2: gpu.mem().l2_stats(),
+        icnt_conflicts: gpu.mem().icnt_conflicts(),
     })
-    .map_err(|e| format!("cacheabl microdiv launch rejected: {e:?}"))?;
-    let job = format!("cacheabl microdiv under {}", level.label());
-    let cycles = run_checked(&mut gpu, CYCLE_BUDGET, &job, true)?
-        .stats
-        .cycles;
-    for tid in 0..n {
-        let got = gpu
-            .mem()
-            .read_u32(simt_isa::Space::Global, out_base + tid * 4);
-        if got != microdiv::host_acc("ramp", tid, cap) {
-            return Err(format!(
-                "cacheabl microdiv under {}: accumulator of thread {tid} \
-                 diverged from the host LCG",
-                level.label()
-            ));
-        }
-    }
-    Ok(cell_of(level, &gpu, cycles))
 }
 
 /// Runs the full ablation matrix at `scale`.
@@ -237,7 +153,7 @@ fn run_microdiv(scale: Scale, level: MemLevel) -> Result<Cell, String> {
 /// Simulator faults, blown cycle budgets, or any functional deviation
 /// from the host references are deterministic job-level errors.
 pub fn run(scale: Scale) -> Result<CacheAblationFigure, String> {
-    type Runner = fn(Scale, MemLevel) -> Result<Cell, String>;
+    type Runner = fn(Scale, MemPreset) -> Result<Cell, String>;
     let mut rows = Vec::new();
     let kd_edge = kd_resolution(scale);
     let bvh_edge = super::bvh::resolution(scale);
@@ -290,7 +206,7 @@ impl fmt::Display for CacheAblationFigure {
                     f,
                     "  {:<10} {:<8} {:>12} {} {:>8} {} {:>10}",
                     row.workload,
-                    cell.level.label(),
+                    label(cell.level),
                     cell.cycles,
                     pct(cell.l1_hit_rate()),
                     cell.l1.map_or(0, |(_, _, mg, _)| mg),
@@ -343,17 +259,12 @@ impl Workload for CacheAblation {
         enc.put_u32(super::bvh::resolution(scale));
         enc.put_u32(microdiv::threads(scale.scene));
         enc.put_u32(microdiv::trip_cap(scale.scene));
-        for program in [
-            rt_kernels::traditional::program(),
-            rt_kernels::pt_traditional::program(),
-        ] {
-            enc.put_u64(
-                simt_sim::program_digest(&program).expect("embedded kernels encode losslessly"),
-            );
+        for tracer in [Tracer::Kd, Tracer::Bvh] {
+            enc.put_u64(program_digest(tracer, false));
         }
         // The ablated memory knobs are part of the figure's identity.
         for level in LEVELS {
-            let m = level.mem_config();
+            let m = level.config();
             enc.put_u32(m.l1_bytes);
             enc.put_u32(m.l1_line_bytes);
             enc.put_u32(m.l1_ways as u32);
@@ -373,16 +284,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn levels_configure_the_expected_hierarchies() {
-        assert!(MemLevel::Ideal.mem_config().ideal);
-        assert!(!MemLevel::Ideal.mem_config().l1_enabled());
-        let l1 = MemLevel::L1Only.mem_config();
-        assert!(l1.l1_enabled() && !l1.l2_enabled());
-        let full = MemLevel::L1L2.mem_config();
-        assert!(full.l1_enabled() && full.l2_enabled());
-    }
-
-    #[test]
     fn figure_runs_validates_and_orders_the_levels() {
         let fig = run(Scale::test()).expect("cache ablation runs");
         assert_eq!(fig.rows.len(), 3);
@@ -395,7 +296,7 @@ mod tests {
                     cell.cycles >= ideal,
                     "{} under {} beat ideal memory: {} < {ideal}",
                     row.workload,
-                    cell.level.label(),
+                    label(cell.level),
                     cell.cycles
                 );
             }

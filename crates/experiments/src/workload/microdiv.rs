@@ -22,14 +22,14 @@
 //! their ordering — which is exactly what the figure shows.
 
 use super::{divergence_totals, page, Group, Workload};
-use crate::configs::{telemetry_spec, Variant};
-use crate::runner::Scale;
+use crate::configs::Variant;
+use crate::runner::{Scale, FRAME_BUDGET};
 use crate::supervisor::run_checked;
 use dmk_core::DmkConfig;
 use raytrace::scenes::SceneScale;
-use simt_isa::assemble_named;
 use simt_isa::codec::Encoder;
-use simt_sim::{DivergenceTimeline, Gpu, GpuConfig, Launch};
+use simt_isa::{assemble_named, Space};
+use simt_sim::{DivergenceTimeline, Gpu, GpuConfig, Launch, RunSummary};
 use std::fmt;
 
 /// Warp width of every machine the family runs on.
@@ -224,8 +224,6 @@ pub struct Measured {
     /// over the run's divergence windows — the same buckets Figs. 3/7/9
     /// histogram.
     pub buckets: Vec<u64>,
-    /// Device accumulators matched the host LCG reference exactly.
-    pub host_ok: bool,
 }
 
 /// One trip-count pattern's row of the figure.
@@ -256,10 +254,10 @@ pub struct MicrodivFigure {
     pub rows: Vec<PatternRow>,
 }
 
-/// Builds the machine for one variant: one SM, ideal memory (the study
+/// The machine for one variant: one SM, ideal memory (the study
 /// isolates branching, like Fig. 2), warp-granular scheduling; the
 /// dynamic variant adds DMK hardware with the family's 16-byte state.
-fn machine(variant: Variant) -> Gpu {
+fn config(variant: Variant) -> GpuConfig {
     let mut cfg = match variant {
         Variant::Dynamic => {
             let mut dmk = DmkConfig::paper();
@@ -270,39 +268,47 @@ fn machine(variant: Variant) -> Gpu {
     };
     cfg.num_sms = 1;
     cfg.mem.ideal = true;
-    Gpu::builder(cfg).telemetry(telemetry_spec()).build()
+    cfg
 }
 
-/// Runs one (pattern × variant) cell and measures it.
-fn run_cell(pattern: &str, variant: Variant, n: u32, cap: u32) -> Result<Measured, String> {
-    let mut gpu = machine(variant);
+/// Runs `pattern` over `n` threads to completion on a machine built from
+/// `cfg` — the spawning form on DMK hardware, the looped one otherwise —
+/// and checks every accumulator against the host LCG.
+///
+/// # Errors
+///
+/// An assembly, launch, run or host-check failure, as `job`'s error.
+pub(crate) fn run_pattern(
+    cfg: GpuConfig,
+    pattern: &str,
+    n: u32,
+    cap: u32,
+    job: &str,
+) -> Result<(RunSummary, Gpu), String> {
+    let mut gpu = crate::configs::machine(cfg);
     let out_base = gpu.mem_mut().alloc_global(n * 4, "out");
-    let source = if variant.is_dynamic() {
+    let source = if gpu.config().dmk.is_some() {
         spawn_source(pattern, cap, out_base)
     } else {
         loop_source(pattern, cap, out_base)
     };
     let program = assemble_named(&format!("microdiv-{pattern}"), &source)
-        .map_err(|e| format!("microdiv {pattern} kernel assembly failed: {e}"))?;
+        .map_err(|e| format!("{job}: kernel assembly failed: {e}"))?;
     gpu.launch(Launch {
         program,
         entry: "main".into(),
         num_threads: n,
         threads_per_block: 64.min(n),
     })
-    .map_err(|e| format!("microdiv {pattern} launch rejected: {e:?}"))?;
-    let summary = run_checked(&mut gpu, 10_000_000, &format!("microdiv {pattern}"), true)?;
-    let host_ok = (0..n).all(|tid| {
-        gpu.mem()
-            .read_u32(simt_isa::Space::Global, out_base + tid * 4)
-            == host_acc(pattern, tid, cap)
-    });
-    Ok(Measured {
-        variant,
-        efficiency: summary.stats.simt_efficiency(WARP),
-        buckets: divergence_totals(&gpu.telemetry_report().divergence),
-        host_ok,
-    })
+    .map_err(|e| format!("{job}: launch rejected: {e:?}"))?;
+    let summary = run_checked(&mut gpu, FRAME_BUDGET, job, true)?;
+    let acc = |tid: u32| gpu.mem().read_u32(Space::Global, out_base + tid * 4);
+    if (0..n).any(|tid| acc(tid) != host_acc(pattern, tid, cap)) {
+        return Err(format!(
+            "{job}: device LCG accumulators diverged from the host reference"
+        ));
+    }
+    Ok((summary, gpu))
 }
 
 /// Runs the family at `scale`, optionally narrowed to one variant.
@@ -322,14 +328,13 @@ pub fn run(scale: Scale, only: Option<Variant>) -> Result<MicrodivFigure, String
     for pattern in PATTERNS {
         let mut measured = Vec::new();
         for &variant in &variants {
-            let cell = run_cell(pattern, variant, n, cap)?;
-            if !cell.host_ok {
-                return Err(format!(
-                    "microdiv {pattern} under {variant}: device LCG accumulators \
-                     diverged from the host reference"
-                ));
-            }
-            measured.push(cell);
+            let job = format!("microdiv {pattern} under {variant}");
+            let (summary, gpu) = run_pattern(config(variant), pattern, n, cap, &job)?;
+            measured.push(Measured {
+                variant,
+                efficiency: summary.stats.simt_efficiency(WARP),
+                buckets: divergence_totals(&gpu.telemetry_report().divergence),
+            });
         }
         rows.push(PatternRow {
             pattern,
@@ -469,7 +474,6 @@ mod tests {
         for row in &fig.rows {
             assert_eq!(row.measured.len(), VARIANTS.len());
             for m in &row.measured {
-                assert!(m.host_ok, "{} under {} diverged", row.pattern, m.variant);
                 assert!(m.efficiency > 0.0 && m.efficiency <= 1.0);
                 assert!(!m.buckets.is_empty(), "divergence buckets missing");
             }

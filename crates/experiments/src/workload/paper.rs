@@ -65,7 +65,7 @@ paper_workload!(
 paper_workload!(
     Table3,
     "table3",
-    "Table III — scene statistics and host-reference validation",
+    "Table III — benchmark scenes and kd-tree parameters",
     |scale| Ok(table3::run(scale))
 );
 paper_workload!(

@@ -8,7 +8,8 @@
 //! and what it persists is progress only — nothing at launch, never the
 //! same cycle twice.
 
-use experiments::{gpu_for, Variant};
+use experiments::runner::RenderSpec;
+use experiments::{gpu_for, run_fingerprint, Scale, Variant};
 use raytrace::scenes::{self, SceneScale};
 use rt_kernels::render::RenderSetup;
 use rt_kernels::RESULT_RECORD_BYTES;
@@ -215,4 +216,69 @@ fn a_v5_checkpoint_is_refused_by_version_and_the_job_restarts() {
     assert!(out.status.success());
     assert_eq!(out.stdout, fig3_uninterrupted());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `repro ablation --scale test` with `extra` flags.
+fn ablation(extra: &[&str]) -> Output {
+    Command::new(REPRO)
+        .args(["ablation", "--scale", "test"])
+        .args(extra)
+        .output()
+        .expect("repro binary runs")
+}
+
+#[test]
+fn ablation_windows_slice_and_resume_transparently() {
+    let plain = ablation(&[]);
+    assert!(plain.status.success());
+    let sliced = ablation(&["--checkpoint-every", "2000"]);
+    assert!(sliced.status.success());
+    assert_eq!(sliced.stdout, plain.stdout, "slicing is transparent");
+    // Killed at its third snapshot (cycle 6 000 of the first policy's
+    // window), then resumed: the same bytes as the uninterrupted run.
+    let dir = temp_dir("ablation");
+    let sliced_into_dir = |extra: &[&str]| {
+        let mut args = vec!["--checkpoint-every", "2000", "--checkpoint-dir"];
+        args.push(dir.to_str().expect("utf-8 temp dir"));
+        args.extend_from_slice(extra);
+        ablation(&args)
+    };
+    let killed = sliced_into_dir(&["--kill-after-checkpoints", "3"]);
+    assert_eq!(killed.status.code(), Some(42), "kill hook fired");
+    let resumed = sliced_into_dir(&["--resume"]);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(
+        stderr.contains("resuming from checkpoint at cycle 6000"),
+        "{stderr}"
+    );
+    assert!(resumed.status.success());
+    assert_eq!(resumed.stdout, plain.stdout);
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("dir").collect();
+    assert!(
+        left.is_empty(),
+        "finished jobs clear their snapshots: {left:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_standard_window_keeps_its_historical_identity() {
+    for scale in [Scale::test(), Scale::quick(), Scale::paper()] {
+        // Geometry never enters the identity, so the cheapest scenes do.
+        for scene in scenes::all(SceneScale::Tiny) {
+            for variant in Variant::ALL {
+                let spec = RenderSpec::window(&scene, variant, scale);
+                assert_eq!(
+                    spec.fingerprint(),
+                    run_fingerprint(&scene, variant, scale),
+                    "{} / {variant:?}",
+                    scene.name
+                );
+                assert_eq!(
+                    spec.job(),
+                    format!("{}-{variant:?}-{}", scene.name, scale.resolution)
+                );
+            }
+        }
+    }
 }

@@ -129,6 +129,32 @@ fn default_icnt_flit_cycles() -> u32 {
     2
 }
 
+/// The named memory machines. They share one timing batch, so a program
+/// may differ between them in cycles only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemPreset {
+    /// Paper Table I: DRAM modules only ([`MemConfig::fx5800`]).
+    Flat,
+    /// [`MemPreset::Cached`]'s per-SM L1 and MSHRs alone.
+    L1,
+    /// L1, banked interconnect and L2 ([`MemConfig::fx5800_cached`]).
+    Cached,
+    /// Every access completes next cycle.
+    Ideal,
+}
+
+impl MemPreset {
+    /// The memory configuration this preset names.
+    pub fn config(self) -> MemConfig {
+        match self {
+            MemPreset::Flat => MemConfig::fx5800(),
+            MemPreset::L1 => MemConfig::fx5800_cached().with_l2(0),
+            MemPreset::Cached => MemConfig::fx5800_cached(),
+            MemPreset::Ideal => MemConfig::fx5800().with_ideal(true),
+        }
+    }
+}
+
 impl MemConfig {
     /// The paper's simulated configuration (Table I): 8 modules ×
     /// 8 bytes/cycle, 16-bank on-chip memory, no caches.
@@ -288,6 +314,18 @@ mod tests {
     }
 
     #[test]
+    fn presets_configure_the_expected_hierarchies() {
+        let levels = |p: MemPreset| {
+            let c = p.config();
+            (c.ideal, c.l1_enabled(), c.l2_enabled())
+        };
+        assert_eq!(levels(MemPreset::Flat), (false, false, false));
+        assert_eq!(levels(MemPreset::L1), (false, true, false));
+        assert_eq!(levels(MemPreset::Cached), (false, true, true));
+        assert_eq!(levels(MemPreset::Ideal), (true, false, false));
+    }
+
+    #[test]
     fn cached_preset_only_adds_capacity() {
         // The cached preset differs from the flat Table I machine only in
         // the two capacity knobs: geometry/latency defaults are shared, so
@@ -301,6 +339,11 @@ mod tests {
         // In particular the admission-read charge must not ride along with
         // the cache knobs: it has its own toggle.
         assert!(!cached.spawn_admission_reads);
+        // So the L1 preset is the flat machine with the cached L1 alone.
+        assert_eq!(
+            MemPreset::L1.config(),
+            MemConfig::fx5800().with_l1(cached.l1_bytes)
+        );
         assert!(
             MemConfig::fx5800()
                 .with_spawn_admission_reads(true)

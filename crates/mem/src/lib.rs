@@ -55,7 +55,7 @@ pub use backing::{LocalStore, WordStore};
 pub use banks::{conflict_degree, conflict_degree_span, OnChipMemory};
 pub use cache::ReadOnlyCache;
 pub use coalesce::{coalesce_segments, CoalesceResult};
-pub use config::MemConfig;
+pub use config::{MemConfig, MemPreset};
 pub use fabric::{BatchRequest, FabricRequest, MemFault, MemoryFabric};
 pub use frontend::{L1Probe, OffchipRoute, SmMemFrontend};
 pub use mshr::{MshrTable, FILL_UNRESOLVED};

@@ -8,7 +8,7 @@
 //!
 //! ## Build order and cost
 //!
-//! - **Splits.** A node weighs [`BuildOptions::candidates`] evenly spaced
+//! - **Splits.** A node weighs `CANDIDATES` (8) evenly spaced
 //!   planes on its longest axis. One pass over its references counts them
 //!   all: one read of a reference's box tells, for every plane, whether
 //!   it starts below (goes left) and whether it ends above (goes right).
@@ -25,7 +25,7 @@
 //!   children's lists are written into one buffer that holds the lists of
 //!   the path from the root to the node being built, so a node allocates
 //!   nothing. A build is O(R·k), with R the references summed over all
-//!   nodes: each of at most `max_depth` levels holds the `n` triangles
+//!   nodes: each of at most `MAX_DEPTH` (24) levels holds the `n` triangles
 //!   once, plus a copy of each one a split above it straddled.
 
 use crate::aabb::Aabb;
@@ -99,35 +99,16 @@ pub struct KdTree {
     max_depth_seen: u32,
 }
 
-/// Build parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BuildOptions {
-    /// Stop splitting below this many triangles.
-    pub max_leaf_size: usize,
-    /// Hard depth limit.
-    pub max_depth: u32,
-    /// SAH split candidates per node.
-    pub candidates: usize,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions {
-            max_leaf_size: 16,
-            max_depth: 24,
-            candidates: 8,
-        }
-    }
-}
+/// Stop splitting at or below this many triangles.
+const MAX_LEAF_SIZE: usize = 16;
+/// Hard depth limit.
+const MAX_DEPTH: u32 = 24;
+/// SAH split candidates per node.
+const CANDIDATES: usize = 8;
 
 impl KdTree {
-    /// Builds a tree over `triangles` with default options.
+    /// Builds a tree over `triangles`.
     pub fn build(triangles: &[Triangle]) -> Self {
-        Self::build_with(triangles, BuildOptions::default())
-    }
-
-    /// Builds a tree with explicit options.
-    pub fn build_with(triangles: &[Triangle], opt: BuildOptions) -> Self {
         let mut wald = Vec::with_capacity(triangles.len());
         let mut original = Vec::with_capacity(triangles.len());
         let mut boxes = Vec::with_capacity(triangles.len());
@@ -143,11 +124,10 @@ impl KdTree {
         }
         let mut b = Builder {
             boxes: &boxes,
-            opt,
             refs: (0..wald.len() as u32).collect(),
-            splits: Vec::with_capacity(opt.candidates),
-            below: Vec::with_capacity(opt.candidates),
-            above: Vec::with_capacity(opt.candidates),
+            splits: Vec::with_capacity(CANDIDATES),
+            below: Vec::with_capacity(CANDIDATES),
+            above: Vec::with_capacity(CANDIDATES),
             nodes: Vec::new(),
             tri_indices: Vec::new(),
             max_depth_seen: 0,
@@ -305,7 +285,6 @@ impl KdTree {
 struct Builder<'a> {
     /// Bounds of each Wald record's triangle.
     boxes: &'a [Aabb],
-    opt: BuildOptions,
     /// The reference lists of the nodes on the path from the root to the
     /// node being built, one after another: a node's list is a range of
     /// this buffer, and its children's lists are pushed past its end and
@@ -330,7 +309,7 @@ impl Builder<'_> {
     fn node(&mut self, range: Range<usize>, bounds: Aabb, depth: u32) -> u32 {
         self.max_depth_seen = self.max_depth_seen.max(depth);
         let n = range.len();
-        if n <= self.opt.max_leaf_size || depth >= self.opt.max_depth {
+        if n <= MAX_LEAF_SIZE || depth >= MAX_DEPTH {
             return self.leaf(range);
         }
         let axis = bounds.longest_axis();
@@ -342,7 +321,7 @@ impl Builder<'_> {
         }
         // Evenly spaced SAH candidates, all counted in one pass over the
         // references.
-        let k = self.opt.candidates;
+        let k = CANDIDATES;
         self.splits.clear();
         self.splits
             .extend((1..=k).map(|c| lo + (hi - lo) * c as f32 / (k + 1) as f32));
@@ -376,7 +355,7 @@ impl Builder<'_> {
         let Some((cost, c)) = best else {
             return self.leaf(range);
         };
-        if cost >= leaf_cost && n <= 4 * self.opt.max_leaf_size {
+        if cost >= leaf_cost && n <= 4 * MAX_LEAF_SIZE {
             return self.leaf(range);
         }
         let (split, nl, nr) = (self.splits[c], self.below[c], self.above[c]);

@@ -33,7 +33,7 @@ use crate::gpu::{Gpu, Launch, RunOutcome};
 use crate::interp::RefMachine;
 use dmk_core::DmkConfig;
 use simt_isa::gen::{generate, GenConfig, GenProgram, CONST_WORDS, STATE_BYTES};
-use simt_mem::{MemConfig, MemoryFabric};
+use simt_mem::{MemPreset, MemoryFabric};
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -45,20 +45,6 @@ const MAX_CYCLES: u64 = 5_000_000;
 /// Shared-memory capacity visible to the reference machine, matching the
 /// per-SM scratchpad the generator's addresses wrap inside.
 const REF_SHARED_BYTES: u32 = 16 * 1024;
-
-/// The memory machine a variant times its accesses on. All of them share
-/// one timing batch, so they may differ in cycles only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemPreset {
-    /// Paper Table I: DRAM modules only ([`MemConfig::fx5800`]).
-    Flat,
-    /// A per-SM L1 with MSHRs in front of the flat fabric.
-    L1Only,
-    /// L1, banked interconnect and L2 ([`MemConfig::fx5800_cached`]).
-    Cached,
-    /// Every access completes next cycle.
-    Ideal,
-}
 
 /// One timing variant of the cycle-level machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,7 +122,7 @@ pub const VARIANTS: [Variant; 9] = [
     // only the timing behind the cycle's batch does.
     Variant {
         bank_conflicts: true,
-        mem: MemPreset::L1Only,
+        mem: MemPreset::L1,
         ..BASE
     },
     Variant {
@@ -265,7 +251,7 @@ struct RefRun {
 }
 
 fn run_reference(gp: &GenProgram) -> Result<RefRun, String> {
-    let mut mem = MemoryFabric::new(MemConfig::fx5800());
+    let mut mem = MemoryFabric::new(MemPreset::Flat.config());
     mem.alloc_global(gp.cfg.global_bytes(), "oracle");
     setup_const(&mut mem, &gp.cfg);
     mem.configure_local(gp.program.resource_usage().local_bytes);
@@ -300,14 +286,8 @@ fn entry_pc(gp: &GenProgram, name: &str) -> Result<usize, String> {
 }
 
 fn gpu_config(cfg: &GenConfig, v: Variant) -> GpuConfig {
-    let mem = match v.mem {
-        MemPreset::Flat => MemConfig::fx5800(),
-        MemPreset::L1Only => MemConfig::fx5800().with_l1(16 * 1024),
-        MemPreset::Cached => MemConfig::fx5800_cached(),
-        MemPreset::Ideal => MemConfig::fx5800().with_ideal(true),
-    };
     GpuConfig {
-        mem: mem.with_spawn_bank_conflicts(v.bank_conflicts),
+        mem: v.mem.config().with_spawn_bank_conflicts(v.bank_conflicts),
         spawn_policy: v.policy,
         dmk: if cfg.spawn_levels > 0 {
             Some(DmkConfig {
