@@ -58,7 +58,8 @@
 //! (`DESIGN.md` §12). Its stdout is byte-identical to `repro all` at the
 //! same scale. The internal `__worker` mode is how the coordinator
 //! re-invokes this binary for one job; it is not part of the public
-//! surface.
+//! surface, and its stdout is not the artifact's text but its report to
+//! the coordinator: beat and progress lines, then the sealed result frame.
 
 use experiments::campaign::{self, chaos::Chaos, worker, CampaignConfig};
 use experiments::runner::Scale;
@@ -159,8 +160,6 @@ impl Cli {
             },
             worker: worker::WorkerArgs {
                 artifact: String::new(),
-                out: PathBuf::new(),
-                heartbeat: None,
                 fingerprint: 0,
                 json: false,
                 test_fail: false,
@@ -238,8 +237,6 @@ impl Cli {
                 "--seed" => seed = parsed(value())?,
                 "--chaos-fail-job" => engine.test_fail_job = Some(value()?.clone()),
                 "--chaos-hang-job" => engine.test_hang_job = Some(value()?.clone()),
-                "--worker-out" => worker.out = value()?.into(),
-                "--worker-heartbeat" => worker.heartbeat = Some(value()?.into()),
                 "--worker-fingerprint" => {
                     worker.fingerprint = u64::from_str_radix(value()?, 16).ok()?;
                 }
@@ -280,8 +277,8 @@ impl Cli {
         Some(cli)
     }
 
-    /// The engine configuration `repro campaign` runs: results, heartbeats
-    /// and checkpoints under `--campaign-dir`.
+    /// The engine configuration `repro campaign` runs: checkpoints and the
+    /// manifest under `--campaign-dir`.
     fn campaign(&self) -> CampaignConfig {
         let mut cfg = self.serve.engine.clone();
         cfg.cache_dir = self
@@ -336,10 +333,6 @@ fn main() -> ExitCode {
     let (scale, json) = (cli.serve.engine.scale, cli.serve.engine.json);
 
     if mode == "__worker" {
-        if cli.worker.out.as_os_str().is_empty() {
-            eprintln!("error: __worker requires --worker-out");
-            return ExitCode::from(2);
-        }
         cli.worker.artifact.clone_from(&args[1]);
         return worker::run_worker(&cli.worker, scale);
     }
@@ -658,6 +651,10 @@ mod tests {
             }
         }
         assert!(parse(&["--nope"]).is_none(), "an unknown flag");
+        // A worker reports on its stdout, to no file.
+        for gone in ["--worker-out", "--worker-heartbeat"] {
+            assert!(parse(&[gone, "F"]).is_none(), "{gone}");
+        }
     }
 
     #[test]

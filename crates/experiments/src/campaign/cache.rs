@@ -22,8 +22,8 @@ use simt_sim::{open_frame, seal_frame, write_atomic};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Magic bytes of a sealed campaign result entry (cache entries and
-/// worker result shards share the format).
+/// Magic bytes of a sealed campaign result entry (cache entries and the
+/// frames workers send share the format).
 pub const RESULT_MAGIC: [u8; 8] = *b"DMKRSLT\0";
 
 /// Result frame format version.

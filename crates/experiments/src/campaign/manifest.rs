@@ -77,7 +77,7 @@ pub struct JobRecord {
     /// coordinator kills alike).
     pub kills: u32,
     /// Subset of `kills` delivered by the coordinator for a wall-clock
-    /// timeout or a stale heartbeat.
+    /// timeout or a worker gone silent.
     pub timeouts: u32,
     /// True when a rescheduled attempt found an on-disk checkpoint from
     /// the killed attempt to resume from.
@@ -158,8 +158,8 @@ impl Manifest {
         self.jobs.iter().map(|j| j.attempts).sum()
     }
 
-    /// Coordinator-delivered SIGKILLs (wall-clock timeouts and stale
-    /// heartbeats) across all jobs.
+    /// Coordinator-delivered SIGKILLs (wall-clock timeouts and workers
+    /// gone silent) across all jobs.
     pub fn timeouts_total(&self) -> u32 {
         self.jobs.iter().map(|j| j.timeouts).sum()
     }

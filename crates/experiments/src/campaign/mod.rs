@@ -6,8 +6,8 @@
 //! `repro` binary re-invoked in a single-job `__worker` mode, see
 //! [`worker`]), supervised by a [`Coordinator`] that:
 //!
-//! - tracks per-worker liveness via heartbeat files and imposes per-job
-//!   wall-clock timeouts, SIGKILLing wedged workers;
+//! - tracks per-worker liveness by the lines on its stdout and imposes
+//!   per-job wall-clock timeouts, SIGKILLing wedged workers;
 //! - reschedules dead or hung jobs with exponential backoff under a
 //!   bounded retry budget, each retry resuming from the worker's last
 //!   good `.ckpt` through the existing `supervisor::try_resume` path
@@ -26,14 +26,13 @@
 //! performs one non-blocking supervision pass (reap, liveness, deadline,
 //! spawn), so the batch [`run`] loop and the long-running `repro serve`
 //! front-end (`crate::serve`) drive the identical scheduling code —
-//! serve just keeps submitting while it pumps. A worker's exit is an
-//! event, not something a pass has to come round to: each worker's stdout
-//! is a pipe nobody writes to, a watcher thread blocks on it until
-//! end-of-file — which is the process going, however it went — and calls
-//! the [`Waker`] the coordinator's owner installed, so the owner runs the
-//! pass that reaps it at once. What only looking can find (a heartbeat
-//! gone stale, a wall-clock or deadline expiry, a back-off run out) is
-//! still found by the owner's periodic pass.
+//! serve just keeps submitting while it pumps. A worker's stdout pipe is
+//! its whole report (beats, progress, then the result frame: [`worker`]).
+//! A watcher thread reads it to end-of-file — which is the process going,
+//! however it went — and calls the [`Waker`] the coordinator's owner
+//! installed, so the owner runs the pass that reaps it at once. What only
+//! looking can find (a silent worker, a wall-clock or deadline expiry, a
+//! back-off run out) is still found by the owner's periodic pass.
 //!
 //! Because each job's simulation is deterministic and checkpoint resume
 //! is bit-identical, a completed campaign's artifact bytes are the same
@@ -53,19 +52,21 @@ use chaos::Chaos;
 use manifest::{JobOutcome, JobRecord, Manifest};
 use simt_isa::codec::{fnv1a64, Encoder};
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Longest the batch [`run`] loop waits between supervision passes, and
-/// how long after a worker's stdout closed a pass will wait for it to
-/// become reapable.
+/// how long a pass that finds one half of a worker's end (its stdout
+/// closed, its status waitable) waits for the other.
 const TICK: Duration = Duration::from_millis(10);
 
 /// Called from a worker's watcher thread the moment that worker's stdout
-/// reaches end-of-file; has the coordinator's owner run a
-/// [`Coordinator::poll`] now. It must not wait on that pass.
+/// reaches end-of-file, after the watcher has recorded all it heard; has
+/// the coordinator's owner run a [`Coordinator::poll`] now. It must not
+/// wait on that pass.
 pub type Waker = Arc<dyn Fn() + Send + Sync>;
 
 /// The paper-group artifacts of a full campaign, in canonical
@@ -147,8 +148,7 @@ pub struct CampaignConfig {
     pub artifacts: Vec<String>,
     /// Worker process count.
     pub workers: usize,
-    /// Coordinator working directory (result shards, heartbeats,
-    /// checkpoints, manifest).
+    /// Coordinator working directory (checkpoints, manifest).
     pub work_dir: PathBuf,
     /// Content-addressed result cache directory.
     pub cache_dir: PathBuf,
@@ -162,8 +162,8 @@ pub struct CampaignConfig {
     pub max_retries: u32,
     /// Per-job wall-clock timeout; a worker past it is SIGKILLed.
     pub job_timeout: Duration,
-    /// Heartbeat staleness bound; a worker whose heartbeat file stops
-    /// changing for this long is SIGKILLed as wedged.
+    /// Heartbeat staleness bound; a worker that writes no line to its
+    /// stdout for this long is SIGKILLed as wedged.
     pub heartbeat_timeout: Duration,
     /// Base reschedule delay; doubles per consumed attempt.
     pub backoff_base: Duration,
@@ -274,8 +274,8 @@ impl CampaignOutcome {
 pub struct Job {
     spec: JobSpec,
     /// Unique file-system key: `<artifact>-<fingerprint>` — two jobs for
-    /// the same artifact at different scales must not share result-shard,
-    /// heartbeat, or checkpoint paths.
+    /// the same artifact at different scales must not share a checkpoint
+    /// directory.
     key: String,
     fingerprint: u64,
     attempts: u32,
@@ -287,8 +287,8 @@ pub struct Job {
     deadline_at: Option<Instant>,
     ready_at: Instant,
     in_flight: bool,
-    /// Latest worker progress pulse (cycle + machine vitals), parsed from
-    /// the heartbeat file.
+    /// Latest worker progress pulse (cycle + machine vitals), relayed
+    /// from the worker's stdout.
     progress: Option<String>,
     last_failure: Option<String>,
     done: Option<(JobOutcome, Option<Vec<u8>>, Option<String>)>,
@@ -420,14 +420,29 @@ struct Running {
     child: Child,
     job: usize,
     started: Instant,
-    hb_path: PathBuf,
-    out_path: PathBuf,
-    last_hb: Vec<u8>,
-    last_hb_change: Instant,
-    /// When the watcher thread saw the worker's stdout close. Stays empty
-    /// if no watcher could be started; the owner's periodic pass finds
-    /// the exit then.
-    exit_seen: Arc<OnceLock<Instant>>,
+    /// When a pass first found the worker's status waitable.
+    exited: Option<Instant>,
+    /// What the watcher has heard on the worker's stdout.
+    heard: Arc<Mutex<Heard>>,
+}
+
+/// A worker's report as its watcher thread records it.
+#[derive(Default)]
+struct Heard {
+    /// When the latest line arrived.
+    last_line: Option<Instant>,
+    /// The latest progress pulse not yet handed to the job.
+    pulse: Option<String>,
+    /// Everything after the `frame` line, once the pipe is at end-of-file.
+    frame: Option<Vec<u8>>,
+    /// When the pipe reached end-of-file.
+    closed: Option<Instant>,
+}
+
+/// Locks a worker's [`Heard`], recovering from poison: each field stands
+/// alone, so a panic under the lock leaves nothing half-done.
+fn lock(heard: &Mutex<Heard>) -> MutexGuard<'_, Heard> {
+    heard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// How a supervision pass found a worker it is about to remove.
@@ -440,32 +455,43 @@ enum Fate {
     },
 }
 
-/// Starts the thread that turns a worker's exit into an event: it drains
-/// the worker's stdout to end-of-file, stamps `exit_seen` and calls
-/// `waker`. The worker holds the only write end and never writes to it
-/// (see [`worker::run_worker`]), so the read returns exactly when the
-/// process is gone — exit, `abort()` or SIGKILL alike — and the thread
-/// ends with its worker. It is not joined: `poll` may run under a lock
-/// the waker takes. If the thread cannot be started the pipe closes here,
-/// and the exit is found by the owner's next periodic pass.
-fn watch_exit(
+/// Starts the thread that reads a worker's report into `into`, and once
+/// the pipe is at end-of-file calls `waker`. The worker holds the only
+/// write end, so end-of-file comes exactly when the process is gone —
+/// exit, `abort()` or SIGKILL alike — and the thread ends with its worker.
+/// It is not joined, and holds `into` only to record: `poll` may run under
+/// a lock the waker takes.
+fn watch(
     name: &str,
-    mut stdout: ChildStdout,
-    exit_seen: Arc<OnceLock<Instant>>,
+    stdout: ChildStdout,
+    into: Arc<Mutex<Heard>>,
     waker: Option<Waker>,
-) {
-    let watcher = std::thread::Builder::new()
-        .name(format!("exit-watch-{name}"))
-        .spawn(move || {
-            let _ = std::io::copy(&mut stdout, &mut std::io::sink());
-            let _ = exit_seen.set(Instant::now());
-            if let Some(wake) = waker {
-                wake();
+) -> std::io::Result<()> {
+    let watcher = move || {
+        let mut pipe = BufReader::new(stdout);
+        let mut line = Vec::new();
+        while matches!(pipe.read_until(b'\n', &mut line), Ok(1..)) && line != worker::FRAME {
+            let mut h = lock(&into);
+            h.last_line = Some(Instant::now());
+            if let Some(pulse) = line.strip_prefix(worker::PULSE) {
+                h.pulse = Some(String::from_utf8_lossy(pulse).trim_end().to_string());
             }
-        });
-    if let Err(e) = watcher {
-        eprintln!("warning: campaign: {name}: no exit watcher ({e}); exit found by polling");
-    }
+            drop(h);
+            line.clear();
+        }
+        let mut frame = Vec::new();
+        let framed = line == worker::FRAME && pipe.read_to_end(&mut frame).is_ok();
+        let mut h = lock(&into);
+        (h.frame, h.closed) = (framed.then_some(frame), Some(Instant::now()));
+        drop(h);
+        if let Some(wake) = waker {
+            wake();
+        }
+    };
+    std::thread::Builder::new()
+        .name(format!("watch-{name}"))
+        .spawn(watcher)
+        .map(drop)
 }
 
 /// Human description of a worker exit status.
@@ -486,8 +512,6 @@ fn describe_exit(status: ExitStatus) -> String {
 /// new work.
 pub struct Coordinator {
     cfg: CampaignConfig,
-    out_dir: PathBuf,
-    hb_dir: PathBuf,
     ckpt_root: PathBuf,
     jobs: Vec<Job>,
     /// Index in `jobs` of the latest job submitted under each
@@ -509,17 +533,13 @@ impl Coordinator {
         if cfg.workers == 0 {
             return Err("campaign needs at least one worker".to_string());
         }
-        let out_dir = cfg.work_dir.join("out");
-        let hb_dir = cfg.work_dir.join("hb");
         let ckpt_root = cfg.work_dir.join("ckpt");
-        for d in [&cfg.work_dir, &out_dir, &hb_dir, &ckpt_root, &cfg.cache_dir] {
+        for d in [&cfg.work_dir, &ckpt_root, &cfg.cache_dir] {
             std::fs::create_dir_all(d)
                 .map_err(|e| format!("cannot create {}: {e}", d.display()))?;
         }
         Ok(Coordinator {
             cfg,
-            out_dir,
-            hb_dir,
             ckpt_root,
             jobs: Vec::new(),
             by_fingerprint: HashMap::new(),
@@ -633,11 +653,12 @@ impl Coordinator {
         self.jobs.iter().filter(|j| !j.is_done()).count()
     }
 
-    /// One supervision pass: reap exited workers, police heartbeat
-    /// liveness, wall-clock timeouts, and per-job deadlines, then fill
-    /// free worker slots with ready jobs in submission order. It waits on
-    /// nothing but a worker that is already on its way out: one whose
-    /// stdout has just closed and whose status is microseconds behind.
+    /// One supervision pass: relay progress pulses, reap exited workers,
+    /// police liveness, wall-clock timeouts, and per-job deadlines, then
+    /// fill free worker slots with ready jobs in submission order. It
+    /// waits on nothing but a worker that is already on its way out: one
+    /// whose stdout has just closed and whose status is microseconds
+    /// behind, or the other way round.
     /// Returns how many jobs reached a terminal state during the pass.
     ///
     /// # Errors
@@ -659,21 +680,21 @@ impl Coordinator {
                 let _ = r.child.wait();
             }
             let reaped = Instant::now();
-            // A worker reaped or killed before its watcher got to stamp
-            // the exit waited for nobody.
-            let seen = r.exit_seen.get().copied().unwrap_or(reaped).min(reaped);
+            let (closed, frame) = {
+                let mut h = lock(&r.heard);
+                (h.closed, h.frame.take())
+            };
+            // A worker killed before its watcher heard the pipe close
+            // waited for nobody.
+            let seen = closed.unwrap_or(reaped).min(reaped);
             self.counters.worker_run_us += (seen - r.started).as_micros() as u64;
             self.counters.exit_seen_lag_us += (reaped - seen).as_micros() as u64;
             let job = &mut self.jobs[r.job];
             job.in_flight = false;
             match fate {
-                Fate::Exited(status) if status.success() => complete_from_frame(
-                    &self.cfg,
-                    &mut self.counters,
-                    job,
-                    &r.out_path,
-                    &self.ckpt_root,
-                ),
+                Fate::Exited(status) if status.success() => {
+                    complete_from_frame(&self.cfg, &mut self.counters, job, frame, &self.ckpt_root)
+                }
                 Fate::Exited(status) => worker_died(
                     &self.cfg,
                     &mut self.counters,
@@ -729,8 +750,6 @@ impl Coordinator {
                 &self.cfg,
                 &mut self.jobs[idx],
                 idx,
-                &self.out_dir,
-                &self.hb_dir,
                 &self.ckpt_root,
                 self.waker.clone(),
             )?;
@@ -743,50 +762,45 @@ impl Coordinator {
     }
 
     /// Looks at live worker `i` once: has it exited, and if not, is it
-    /// still within its heartbeat, wall-clock and deadline bounds? `None`
+    /// still within its liveness, wall-clock and deadline bounds? `None`
     /// for a worker that stays.
     fn fate(&mut self, i: usize) -> Option<Fate> {
-        let now = Instant::now();
         let r = &mut self.running[i];
-        let mut status = r.child.try_wait();
-        if let Some(&seen) = r.exit_seen.get() {
-            // The kernel closes an exiting process's descriptors a moment
-            // before it makes the process waitable, and the watcher can
-            // get this pass started inside that moment. The exit belongs
-            // to this pass, not to the next tick, so look again until it
-            // shows — microseconds. The bound is for a worker that closed
-            // its stdout and lives on: it holds its owner up for one tick
-            // after the close, once, and is policed like any other.
-            while matches!(status, Ok(None)) && seen.elapsed() < TICK {
-                std::thread::yield_now();
-                status = r.child.try_wait();
+        let job = &mut self.jobs[r.job];
+        let last_line = {
+            let mut h = lock(&r.heard);
+            job.progress = h.pulse.take().or(job.progress.take());
+            h.last_line.unwrap_or(r.started)
+        };
+        // A worker is gone once its stdout is at end-of-file, frame read,
+        // *and* its status is waitable. The two show microseconds apart in
+        // either order (descriptors close a moment before the process is
+        // waitable; the watcher may still be reading the frame when it is),
+        // so look again for the other. The bound is for a worker that
+        // closed its stdout and lives on, or died leaving the pipe to a
+        // process of its own: it holds its owner up for one tick, once.
+        let now = loop {
+            let status = match r.child.try_wait() {
+                Ok(status) => status,
+                Err(e) => return Some(Fate::WaitFailed(e)),
+            };
+            let closed = lock(&r.heard).closed;
+            let now = Instant::now();
+            if status.is_some() {
+                r.exited.get_or_insert(now);
             }
-        }
-        match status {
-            Ok(Some(status)) => return Some(Fate::Exited(status)),
-            Err(e) => return Some(Fate::WaitFailed(e)),
-            Ok(None) => {}
-        }
-        if let Ok(hb) = std::fs::read(&r.hb_path) {
-            if !hb.is_empty() && hb != r.last_hb {
-                r.last_hb = hb;
-                r.last_hb_change = now;
-                // Heartbeat line 2 (when present) is the worker's latest
-                // progress pulse.
-                if let Some(pulse) = std::str::from_utf8(&r.last_hb)
-                    .ok()
-                    .and_then(|s| s.lines().nth(1))
-                {
-                    self.jobs[r.job].progress = Some(pulse.to_string());
-                }
+            match (status, closed.or(r.exited)) {
+                (Some(status), _) if closed.is_some() => return Some(Fate::Exited(status)),
+                (_, Some(first)) if now - first < TICK => std::thread::yield_now(),
+                _ => break now,
             }
-        }
-        let deadline_hit = self.jobs[r.job].deadline_at.is_some_and(|d| now >= d);
+        };
+        let deadline_hit = job.deadline_at.is_some_and(|d| now >= d);
         let why = if deadline_hit {
             "deadline expired"
         } else if now.duration_since(r.started) > self.cfg.job_timeout {
             "wall-clock timeout"
-        } else if now.duration_since(r.last_hb_change) > self.cfg.heartbeat_timeout {
+        } else if now.duration_since(last_line) > self.cfg.heartbeat_timeout {
             "stale heartbeat"
         } else {
             return None;
@@ -857,7 +871,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
         }
     }
     // A worker's exit arrives as a message; the timeout is for what a
-    // pass can only find by looking (heartbeats, timeouts, back-offs).
+    // pass can only find by looking (silence, timeouts, back-offs).
     let (wake, woken) = std::sync::mpsc::channel();
     coord.set_waker(Arc::new(move || {
         let _ = wake.send(());
@@ -896,20 +910,20 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
     Ok(CampaignOutcome { manifest, outputs })
 }
 
-/// Finishes a job from the result frame its worker committed. A frame
-/// that is unreadable, corrupt, or stamped with the wrong identity is
-/// treated as a worker failure (the attempt is retried); a frame
-/// carrying a job-level error finishes the job as `Failed` without
-/// burning retries — the error is deterministic.
+/// Finishes a job from the result frame its worker sent, as its watcher
+/// captured it. A frame that is missing, truncated, corrupt, or stamped
+/// with the wrong identity is treated as a worker failure (the attempt is
+/// retried); a frame carrying a job-level error finishes the job as
+/// `Failed` without burning retries — the error is deterministic.
 fn complete_from_frame(
     cfg: &CampaignConfig,
     counters: &mut ExecCounters,
     job: &mut Job,
-    out_path: &std::path::Path,
+    frame: Option<Vec<u8>>,
     ckpt_root: &std::path::Path,
 ) {
-    let verdict = std::fs::read(out_path)
-        .map_err(|e| format!("result frame unreadable: {e}"))
+    let verdict = frame
+        .ok_or_else(|| "sent no result frame".to_string())
         .and_then(|bytes| cache::open_result(&bytes));
     match verdict {
         Ok((meta, output))
@@ -1014,22 +1028,17 @@ fn worker_died(
     );
 }
 
-/// Spawns one worker attempt for `job`, wiring its heartbeat, result
-/// shard, checkpoint directory, chaos plan, and test hooks.
+/// Spawns one worker attempt for `job`, wiring its checkpoint directory,
+/// chaos plan, and test hooks, and starts the thread that reads its
+/// report.
 fn spawn_attempt(
     cfg: &CampaignConfig,
     job: &mut Job,
     idx: usize,
-    out_dir: &std::path::Path,
-    hb_dir: &std::path::Path,
     ckpt_root: &std::path::Path,
     waker: Option<Waker>,
 ) -> Result<Running, String> {
-    let out_path = out_dir.join(format!("{}.result", job.key));
-    let hb_path = hb_dir.join(format!("{}.hb", job.key));
     let ckpt_dir = ckpt_root.join(&job.key);
-    let _ = std::fs::remove_file(&out_path);
-    let _ = std::fs::remove_file(&hb_path);
     if job.attempts > 0 {
         // A checkpoint left by the killed attempt means the retry resumes
         // mid-job instead of restarting from cycle 0.
@@ -1048,10 +1057,6 @@ fn spawn_attempt(
     let mut cmd = Command::new(&cfg.worker_exe);
     cmd.arg("__worker")
         .arg(job.spec.name())
-        .arg("--worker-out")
-        .arg(&out_path)
-        .arg("--worker-heartbeat")
-        .arg(&hb_path)
         .arg("--worker-fingerprint")
         .arg(format!("{:016x}", job.fingerprint))
         .arg("--checkpoint-every")
@@ -1063,8 +1068,7 @@ fn spawn_attempt(
         .arg(&job.spec.scenario.scale_name)
         .args(&cfg.passthrough)
         .stdin(Stdio::null())
-        // Nothing is written to it: it is how the exit is heard (see
-        // `watch_exit`).
+        // The worker's report, and how its exit is heard (see `watch`).
         .stdout(Stdio::piped());
     if job.spec.json && !cfg.passthrough.iter().any(|f| f == "--json") {
         cmd.arg("--json");
@@ -1100,20 +1104,24 @@ fn spawn_attempt(
         job.attempts + 1,
         child.id()
     );
-    let now = Instant::now();
-    let exit_seen = Arc::new(OnceLock::new());
-    if let Some(stdout) = child.stdout.take() {
-        watch_exit(job.spec.name(), stdout, Arc::clone(&exit_seen), waker);
+    let heard = Arc::default();
+    let stdout = child.stdout.take().expect("stdout is piped");
+    if let Err(e) = watch(job.spec.name(), stdout, Arc::clone(&heard), waker) {
+        // Its frame would have no reader: the attempt is a dead worker,
+        // found by the next pass and retried like any other.
+        eprintln!(
+            "warning: campaign: {}: no watcher ({e}); killing it",
+            job.spec.name()
+        );
+        let _ = child.kill();
+        lock(&heard).closed = Some(Instant::now());
     }
     Ok(Running {
         child,
         job: idx,
-        started: now,
-        hb_path,
-        out_path,
-        last_hb: Vec::new(),
-        last_hb_change: now,
-        exit_seen,
+        started: Instant::now(),
+        exited: None,
+        heard,
     })
 }
 
@@ -1129,7 +1137,7 @@ mod tests {
 
     #[test]
     fn run_returns_from_the_pass_that_finished_the_last_job() {
-        // `true` stands in for the worker: it exits 0 having written no
+        // `true` stands in for the worker: it exits 0 having sent no
         // result frame, which with no retries left finishes the job as
         // GaveUp in the pass that reaps it.
         let dir = std::env::temp_dir().join(format!("coord-run-{}", std::process::id()));
@@ -1148,51 +1156,102 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn a_job_level_error_fails_the_job_with_no_retry_and_nothing_cached() {
-        // The worker commits a frame carrying a run's job-level error, as a
-        // render that faulted does: the job ends Failed on its first
-        // attempt, and the cache stays empty.
+    /// Runs a one-job `table1` campaign under `dir` whose every worker is
+    /// a shell script that sends a `frame` line and then `frame` on its
+    /// stdout, as a real worker does, and exits 0.
+    fn run_with_frame(dir: &std::path::Path, frame: &[u8], max_retries: u32) -> CampaignOutcome {
         use std::os::unix::fs::PermissionsExt;
-        let dir = std::env::temp_dir().join(format!("coord-failed-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let fingerprint = job_fingerprint("table1", Scale::test(), false);
-        let frame = dir.join("failed.result");
-        let meta = cache::ResultMeta {
-            artifact: "table1".to_string(),
-            fingerprint,
-            ok: false,
-            error: "table1: fault at cycle 3".to_string(),
-        };
-        std::fs::write(&frame, cache::seal_result(&meta, &[])).expect("frame written");
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).expect("temp dir");
+        let sealed = dir.join("sealed");
+        std::fs::write(&sealed, frame).expect("frame written");
         let worker = dir.join("worker.sh");
-        std::fs::write(
-            &worker,
-            format!(
-                "#!/bin/sh\nwhile [ \"$1\" != --worker-out ]; do shift; done\ncp '{}' \"$2\"\n",
-                frame.display()
-            ),
-        )
-        .expect("worker written");
+        let script = format!("#!/bin/sh\necho frame\ncat '{}'\n", sealed.display());
+        std::fs::write(&worker, script).expect("worker written");
         std::fs::set_permissions(&worker, std::fs::Permissions::from_mode(0o755))
             .expect("worker executable");
         let mut cfg = CampaignConfig::new(Scale::test(), "test");
         cfg.cache_dir = dir.join("cache");
-        cfg.work_dir = dir.clone();
+        cfg.work_dir = dir.to_path_buf();
         cfg.worker_exe = worker;
         cfg.artifacts = vec!["table1".to_string()];
         cfg.workers = 1;
-        let outcome = run(&cfg).expect("campaign runs");
+        cfg.max_retries = max_retries;
+        cfg.backoff_base = Duration::from_millis(1);
+        run(&cfg).expect("campaign runs")
+    }
+
+    /// `table1`'s result meta at test scale, in text mode.
+    fn table1_meta(ok: bool, error: &str) -> cache::ResultMeta {
+        cache::ResultMeta {
+            artifact: "table1".to_string(),
+            fingerprint: job_fingerprint("table1", Scale::test(), false),
+            ok,
+            error: error.to_string(),
+        }
+    }
+
+    #[test]
+    fn a_job_level_error_fails_the_job_with_no_retry_and_nothing_cached() {
+        // The worker sends a frame carrying a run's job-level error, as a
+        // render that faulted does: the job ends Failed on its first
+        // attempt, and the cache stays empty.
+        let dir = std::env::temp_dir().join(format!("coord-failed-{}", std::process::id()));
+        let meta = table1_meta(false, "table1: fault at cycle 3");
+        let outcome = run_with_frame(&dir, &cache::seal_result(&meta, &[]), 3);
         let record = &outcome.manifest.jobs[0];
         assert_eq!(record.outcome, JobOutcome::Failed);
         assert_eq!((record.attempts, record.kills), (0, 0), "no retry");
         assert_eq!(record.error.as_deref(), Some("table1: fault at cycle 3"));
         assert!(matches!(
-            cache::probe(&cfg.cache_dir, "table1", fingerprint),
+            cache::probe(&dir.join("cache"), "table1", meta.fingerprint),
             cache::Probe::Miss
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A worker that exits 0 with a frame `open_result` refuses, or one
+    /// stamped for another job, is a dead worker: each attempt is retried,
+    /// the job gives up, and nothing reaches the cache.
+    #[test]
+    fn a_truncated_or_foreign_frame_is_retried_and_never_cached() {
+        let good = table1_meta(true, "");
+        let sealed = cache::seal_result(&good, b"table1 bytes\n");
+        let mut foreign = good.clone();
+        foreign.fingerprint ^= 1;
+        let cases = [
+            (
+                "truncated",
+                sealed[..sealed.len() - 3].to_vec(),
+                "unusable result frame",
+            ),
+            (
+                "foreign",
+                cache::seal_result(&foreign, b"table1 bytes\n"),
+                "result frame stamped",
+            ),
+        ];
+        for (tag, frame, why) in cases {
+            let dir = std::env::temp_dir().join(format!("coord-{tag}-{}", std::process::id()));
+            let outcome = run_with_frame(&dir, &frame, 1);
+            let record = &outcome.manifest.jobs[0];
+            assert_eq!(record.outcome, JobOutcome::GaveUp, "{tag}");
+            assert_eq!(
+                (record.attempts, record.kills),
+                (2, 2),
+                "{tag}: retried once"
+            );
+            let error = record.error.as_deref().unwrap_or("");
+            assert!(error.contains(why), "{tag}: {error}");
+            assert!(
+                matches!(
+                    cache::probe(&dir.join("cache"), "table1", good.fingerprint),
+                    cache::Probe::Miss
+                ),
+                "{tag}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// The declared codec and merge of [`ExecCounters`], over 1000 seeded

@@ -1,30 +1,32 @@
 //! Worker-process side of the campaign protocol.
 //!
 //! The coordinator re-invokes the `repro` binary as `repro __worker
-//! <artifact> ...` for each scheduled attempt. The worker:
+//! <artifact> ...` for each scheduled attempt. The worker's stdout is a
+//! pipe to the coordinator, and everything it reports goes down it:
 //!
-//! 1. starts a heartbeat thread that rewrites its heartbeat file with an
-//!    incrementing counter (~10 Hz) so the coordinator can tell a
-//!    wedged worker from a slow one,
-//! 2. renders the single artifact under the normal supervised runner
-//!    (checkpointing on, `--resume` restoring any checkpoint a killed
-//!    predecessor attempt left behind), and
-//! 3. seals the rendered bytes — or the job-level error — into a
-//!    checksummed result frame and writes it atomically to the
-//!    agreed-on shard path, then exits 0.
+//! 1. every [`HEARTBEAT_INTERVAL`] a `beat` line, so the coordinator can
+//!    tell a wedged worker from a slow one — or, when the supervisor has
+//!    published a progress pulse since the last line, a `pulse <text>`
+//!    line in its place, which the coordinator relays to status readers;
+//! 2. once the single artifact is rendered under the normal supervised
+//!    runner (checkpointing on, `--resume` restoring any checkpoint a
+//!    killed predecessor attempt left behind), a `frame` line followed by
+//!    the rendered bytes — or the job-level error — sealed into a
+//!    checksummed result frame, to end-of-file. Then it exits 0.
 //!
-//! Any other exit (chaos abort inside the supervisor's kill hook, a
-//! crash, a coordinator SIGKILL after a timeout) leaves no result frame,
-//! which is exactly how the coordinator knows to reschedule. However it
-//! exits, the coordinator hears of it at once: the worker's stdout is a
-//! pipe it never writes to, and its closing is the exit.
+//! The frame checks itself: a worker killed while writing it leaves a
+//! truncated frame that [`super::cache::open_result`] refuses, and one
+//! killed before it (chaos abort inside the supervisor's kill hook, a
+//! crash, a coordinator SIGKILL after a timeout) leaves none; either way
+//! the coordinator reschedules. However it exits, the coordinator hears of
+//! it at once: the pipe reaching end-of-file is the exit.
 
 use super::cache::{seal_result, ResultMeta};
 use super::render_artifact;
 use crate::runner::Scale;
-use simt_sim::write_atomic;
-use std::path::PathBuf;
+use std::io::{self, Write};
 use std::process::ExitCode;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Parsed `__worker` command-line surface (beyond the shared repro
@@ -33,11 +35,6 @@ use std::time::Duration;
 pub struct WorkerArgs {
     /// Artifact to render.
     pub artifact: String,
-    /// Where to write the sealed result frame.
-    pub out: PathBuf,
-    /// Heartbeat file to keep fresh (optional: absent in direct
-    /// debugging invocations).
-    pub heartbeat: Option<PathBuf>,
     /// Job identity fingerprint to stamp into the result frame.
     pub fingerprint: u64,
     /// Render in `--json` mode.
@@ -50,49 +47,74 @@ pub struct WorkerArgs {
     pub test_hang: bool,
 }
 
-/// Heartbeat rewrite interval.
+/// Interval between the lines of a running worker.
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
 
-/// Spawns the detached heartbeat thread. The thread dies with the
-/// process; failures to write are ignored (a missing heartbeat reads as
-/// a wedged worker, which kills this attempt — the safe direction).
-///
-/// Heartbeat format: line 1 is `<pid> <beat>`, line 2 (once the
-/// supervisor has reached a slice boundary) is the latest
-/// [`crate::supervisor::last_progress_pulse`] — the coordinator relays
-/// it so status endpoints can show live per-job progress.
-fn start_heartbeat(path: PathBuf) {
-    std::thread::spawn(move || {
-        let mut beat: u64 = 0;
+/// The line a worker sends when it has nothing new to say.
+pub(super) const BEAT: &[u8] = b"beat\n";
+
+/// Prefix of the line that carries a progress pulse.
+pub(super) const PULSE: &[u8] = b"pulse ";
+
+/// The line after which the result frame runs to end-of-file.
+pub(super) const FRAME: &[u8] = b"frame\n";
+
+/// Set by the frame, under the lock every line is sent under: nothing
+/// follows the frame.
+static SEALED: Mutex<bool> = Mutex::new(false);
+
+/// Writes `parts` to stdout unless the frame has gone; `frame` says they
+/// are the frame.
+fn send(parts: &[&[u8]], frame: bool) -> io::Result<()> {
+    let mut sealed = SEALED.lock().unwrap_or_else(PoisonError::into_inner);
+    if *sealed {
+        return Ok(());
+    }
+    *sealed = frame;
+    let mut out = io::stdout().lock();
+    parts.iter().try_for_each(|part| out.write_all(part))?;
+    out.flush()
+}
+
+/// Spawns the detached thread that sends a line every
+/// [`HEARTBEAT_INTERVAL`]: the latest
+/// [`crate::supervisor::last_progress_pulse`] when it is new, else a beat.
+/// The thread dies with the process. It stops at the first line that
+/// cannot be written — the coordinator is gone — and the render goes on
+/// without it, to the checkpoints a successor resumes from.
+fn start_heartbeat() {
+    std::thread::spawn(|| {
+        let mut sent = None;
         loop {
-            beat += 1;
-            let mut body = format!("{} {beat}\n", std::process::id());
-            if let Some(pulse) = crate::supervisor::last_progress_pulse() {
-                body.push_str(&pulse);
-                body.push('\n');
+            let pulse = crate::supervisor::last_progress_pulse();
+            let line = match &pulse {
+                Some(p) if pulse != sent => send(&[PULSE, p.as_bytes(), b"\n"], false),
+                _ => send(&[BEAT], false),
+            };
+            if line.is_err() {
+                return;
             }
-            let _ = std::fs::write(&path, body);
+            sent = pulse;
             std::thread::sleep(HEARTBEAT_INTERVAL);
         }
     });
 }
 
-/// Runs one campaign job to a sealed result frame. The process-wide
-/// supervisor policy, scale, and trace switches must already be
-/// installed by the caller (the `repro` argument parser).
+/// Runs one campaign job to a sealed result frame on stdout. The
+/// process-wide supervisor policy, scale, and trace switches must already
+/// be installed by the caller (the `repro` argument parser).
 ///
-/// Nothing under here may write to stdout — diagnostics go to stderr, the
-/// result to its frame. Stdout is a pipe the coordinator only listens on
-/// for end-of-file (`campaign::watch_exit`), and once the coordinator has
-/// been `kill -9`ed it has no reader: a `println!` would then panic this
-/// orphan on `EPIPE` halfway through a job the restarted server expects
-/// to find finished or checkpointed.
+/// Nothing under here may print to stdout — diagnostics go to stderr —
+/// and nothing here panics on a write to it: once the coordinator has
+/// been `kill -9`ed the pipe has no reader, and this orphan still has a
+/// job to finish whose checkpoints the restarted server resumes from. It
+/// ends saying on stderr that its result could not be delivered.
 pub fn run_worker(args: &WorkerArgs, scale: Scale) -> ExitCode {
     if args.test_hang {
-        // Deliberately wedge with no heartbeat: the coordinator must
-        // detect the stale heartbeat and SIGKILL this process. A
-        // coordinator that dies first (`kill -9`) never will, so once this
-        // process is handed to a new parent it gives up instead.
+        // Deliberately wedge with no line: the coordinator must find the
+        // silence and SIGKILL this process. A coordinator that dies first
+        // (`kill -9`) never will, so once this process is handed to a new
+        // parent it gives up instead.
         eprintln!(
             "worker[{}]: test hook: hanging without heartbeat",
             args.artifact
@@ -103,57 +125,31 @@ pub fn run_worker(args: &WorkerArgs, scale: Scale) -> ExitCode {
         }
         return ExitCode::FAILURE;
     }
-    if let Some(hb) = &args.heartbeat {
-        start_heartbeat(hb.clone());
-    }
+    start_heartbeat();
     if args.test_fail {
         eprintln!("worker[{}]: test hook: aborting", args.artifact);
         std::process::abort();
     }
-    let meta = match render_artifact(&args.artifact, scale, args.json) {
+    let (ok, output, error) = match render_artifact(&args.artifact, scale, args.json) {
         None => {
             eprintln!("worker[{}]: unknown workload", args.artifact);
             return ExitCode::from(2);
         }
-        Some(Ok(rendered)) => {
-            let meta = ResultMeta {
-                artifact: args.artifact.clone(),
-                fingerprint: args.fingerprint,
-                ok: true,
-                error: String::new(),
-            };
-            return write_frame(args, &meta, rendered.as_bytes());
-        }
-        Some(Err(e)) => ResultMeta {
-            artifact: args.artifact.clone(),
-            fingerprint: args.fingerprint,
-            ok: false,
-            error: e,
-        },
+        Some(Ok(rendered)) => (true, rendered, String::new()),
+        Some(Err(e)) => (false, String::new(), e),
     };
-    write_frame(args, &meta, &[])
-}
-
-/// Seals and atomically writes the result frame; the frame write is the
-/// worker's commit point.
-fn write_frame(args: &WorkerArgs, meta: &ResultMeta, output: &[u8]) -> ExitCode {
-    if let Some(dir) = args.out.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!(
-                "worker[{}]: cannot create {}: {e}",
-                args.artifact,
-                dir.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    match write_atomic(&args.out, &seal_result(meta, output)) {
+    let meta = ResultMeta {
+        artifact: args.artifact.clone(),
+        fingerprint: args.fingerprint,
+        ok,
+        error,
+    };
+    match send(&[FRAME, &seal_result(&meta, output.as_bytes())], true) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!(
-                "worker[{}]: cannot write result {}: {e}",
-                args.artifact,
-                args.out.display()
+                "worker[{}]: result could not be delivered: {e}",
+                args.artifact
             );
             ExitCode::FAILURE
         }

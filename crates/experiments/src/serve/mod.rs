@@ -20,9 +20,9 @@
 //!   accepted-but-unfinished request in admission order, warm results
 //!   come straight from the cache, and interrupted jobs resume from
 //!   their checkpoints. Workers orphaned by the crash are harmless:
-//!   result frames and checkpoints are written atomically and the
-//!   simulation is deterministic, so an orphan and its replacement can
-//!   only ever write identical bytes.
+//!   checkpoints are written atomically and the simulation is
+//!   deterministic, so an orphan and its replacement can only ever write
+//!   identical bytes; the orphan's result frame finds no reader.
 //! - **Drain**: `POST /drain` stops admission — new submissions shed
 //!   typed `draining` responses — finishes or checkpoints in-flight work,
 //!   writes a final manifest, and exits 0. This is the graceful-stop
@@ -75,9 +75,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Longest the pump parks between passes: the bound on noticing what it
-/// can only learn by looking — a stale heartbeat, a wall-clock or
-/// deadline expiry, a back-off run out. Admission, drain and a worker's
-/// exit wake it at once.
+/// can only learn by looking — a silent worker, a wall-clock or deadline
+/// expiry, a back-off run out, a new progress pulse. Admission, drain and
+/// a worker's exit wake it at once.
 const PUMP_TICK: Duration = Duration::from_millis(10);
 
 /// How long the accept thread stays away from `accept()` after it failed

@@ -100,11 +100,12 @@ fn persisted_cycles() -> std::sync::MutexGuard<'static, BTreeMap<String, u64>> {
 
 /// Latest progress pulse published by `run_to_target`: `cycle N`, or
 /// `cycle N: <vitals>` with telemetry on. Campaign workers poll this to
-/// relay live progress in their heartbeat files.
+/// relay live progress as `pulse` lines on their stdout.
 static LAST_PULSE: Mutex<Option<String>> = Mutex::new(None);
 
 /// The latest slice-boundary progress pulse ("cycle N" or
-/// "cycle N: issues ..."), if any run has reached a boundary yet.
+/// "cycle N: issues ..."), if any run has reached a boundary yet; what
+/// `Job::progress` and `GET /jobs/<id>` show of a campaign worker's job.
 pub fn last_progress_pulse() -> Option<String> {
     LAST_PULSE
         .lock()
@@ -315,7 +316,7 @@ pub fn run_to_target(
         }
         // Healthy slice boundary: persist the new state and publish a
         // one-line pulse of the machine's vitals (campaign workers relay
-        // it to their heartbeat for live status reporting).
+        // it on their stdout for live status reporting).
         persist(gpu, job, meta, &pol);
         let mut pulse = format!("cycle {}", gpu.now());
         if gpu.telemetry_enabled() {

@@ -7,7 +7,7 @@
 //! without taking the rest of the campaign down.
 
 use experiments::campaign::manifest::JobOutcome;
-use experiments::campaign::{cache, CampaignConfig, Coordinator, JobSpec};
+use experiments::campaign::{CampaignConfig, Coordinator, JobSpec};
 use experiments::Scale;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -235,8 +235,8 @@ fn hung_worker_is_killed_by_liveness_and_rescheduled() {
     let dir_s = dir.to_str().expect("utf-8 temp path");
     let want = serial_bytes(&["table3"]);
 
-    // The first attempt wedges without heartbeating; the coordinator
-    // must SIGKILL it on heartbeat staleness and the retry must finish.
+    // The first attempt wedges without writing a line; the coordinator
+    // must SIGKILL it for the silence and the retry must finish.
     let out = repro(&[
         "campaign",
         "--scale",
@@ -315,31 +315,37 @@ fn exhausted_retries_gave_up_without_aborting_the_campaign() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A worker's stdout is the pipe its coordinator hears the exit on. When
-/// the coordinator has been `kill -9`ed the read end is gone, and a worker
-/// that printed anything would die of `EPIPE` instead of finishing the
-/// job its successor's replay is waiting for: it must not write there.
+/// A worker's stdout is its report to its coordinator. When the
+/// coordinator has been `kill -9`ed the read end is gone, and a worker that
+/// panicked on `EPIPE` would die instead of finishing the job whose
+/// checkpoints its successor resumes from: it must run the render to the
+/// end, and say on stderr that its result could not be delivered.
 #[test]
 fn an_orphaned_worker_finishes_without_a_reader_on_its_stdout() {
+    use std::os::unix::process::ExitStatusExt;
     let dir = temp_dir("orphan");
-    let out = dir.join("fig3.result");
+    let ckpt = dir.join("ckpt");
     let mut child = Command::new(REPRO)
-        .args(["__worker", "fig3", "--scale", "test", "--worker-out"])
-        .arg(&out)
+        .args(["__worker", "fig3", "--scale", "test"])
         .args(["--worker-fingerprint", "00000000000000aa"])
         .args(["--checkpoint-every", "2000", "--checkpoint-dir"])
-        .arg(dir.join("ckpt"))
+        .arg(&ckpt)
         .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("worker spawns");
     drop(child.stdout.take());
-    let status = child.wait().expect("worker waitable");
-    assert!(status.success(), "orphaned worker exits 0, got {status}");
-    let frame = std::fs::read(&out).expect("result frame written");
-    let (meta, output) = cache::open_result(&frame).expect("frame opens");
-    assert!(meta.ok, "{}", meta.error);
-    assert_eq!((meta.artifact.as_str(), meta.fingerprint), ("fig3", 0xaa));
-    assert_eq!(output, serial_bytes(&["fig3"]));
+    let out = child.wait_with_output().expect("worker waitable");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.signal(), None, "no signal: {stderr}");
+    assert_eq!(out.status.code(), Some(1), "no panic, no success: {stderr}");
+    assert!(
+        stderr.contains("worker[fig3]: result could not be delivered"),
+        "{stderr}"
+    );
+    // The directory is made for the first snapshot written; the finished
+    // job's own snapshot is cleared with it done.
+    assert!(ckpt.is_dir(), "checkpoints written on the way");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -461,5 +467,39 @@ fn coordinator_kills_still_work_with_a_watcher_on_the_worker() {
     woken
         .recv_timeout(NEVER)
         .expect("the kill is heard: the watcher ended with its worker");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker's slice-boundary pulses reach `Job::progress` while the
+/// worker runs: fig7 sliced every 200 cycles crosses dozens of slice
+/// boundaries in each of its renders and outlasts several beat intervals,
+/// so more than one pulse is relayed, and each reads `cycle N: <vitals>`.
+#[test]
+fn a_workers_progress_pulses_reach_the_job_while_it_runs() {
+    let dir = temp_dir("progress");
+    let (mut coord, woken) = woken_engine(&dir, |cfg| cfg.checkpoint_every = 200);
+    let spec = JobSpec::new("fig7", Scale::test(), "test", false);
+    let idx = coord.submit(spec).expect("submits");
+    let mut relayed: Vec<String> = Vec::new();
+    while !coord.all_done() {
+        coord.poll().expect("pass");
+        let job = &coord.jobs()[idx];
+        if let (true, Some(pulse)) = (job.is_running(), job.progress()) {
+            if relayed.last().map(String::as_str) != Some(pulse) {
+                relayed.push(pulse.to_string());
+            }
+        }
+        let _ = woken.recv_timeout(Duration::from_millis(10));
+    }
+    assert_eq!(coord.jobs()[idx].outcome(), Some(&JobOutcome::Completed));
+    assert!(relayed.len() >= 2, "pulses relayed live: {relayed:?}");
+    for pulse in &relayed {
+        let (cycle, vitals) = pulse
+            .strip_prefix("cycle ")
+            .and_then(|rest| rest.split_once(": "))
+            .unwrap_or_else(|| panic!("{pulse}"));
+        assert!(cycle.parse::<u64>().is_ok_and(|n| n > 0), "{pulse}");
+        assert!(vitals.starts_with("issues "), "{pulse}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

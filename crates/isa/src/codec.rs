@@ -1348,9 +1348,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4000))]
 
-        /// Seeded byte fuzzer (ROADMAP 4e), arbitrary input: random bytes
-        /// behind a declared length on either side of the limit, so the
-        /// group parser sees them and not only the length gate.
+        /// Seeded byte fuzzer, arbitrary input, because a snapshot read
+        /// from disk is untrusted: random bytes behind a declared length
+        /// on either side of the limit, so the group parser sees them and
+        /// not only the length gate.
         #[test]
         fn sparse_decoder_survives_arbitrary_bytes(
             declared in 0u64..(2 * FUZZ_LIMIT as u64),

@@ -1023,8 +1023,8 @@ mod tests {
         );
     }
 
-    /// ROADMAP 4(e): the same for an L2 slice (see the frontend's
-    /// `restore_refuses_a_tex_or_l1_set_the_geometry_cannot_hold`).
+    /// A snapshot is untrusted input: the same for an L2 slice (see the
+    /// frontend's `restore_refuses_a_tex_or_l1_set_the_geometry_cannot_hold`).
     #[test]
     fn restore_refuses_an_l2_set_the_geometry_cannot_hold() {
         use crate::cache::tests::{edited_sets, with_set};

@@ -869,8 +869,8 @@ mod tests {
         assert!(flat.restore_state(&mut Decoder::new(&bytes)).is_err());
     }
 
-    /// ROADMAP 4(e): a resealed, edited snapshot must not hand the texture
-    /// cache or the L1 a set their geometry cannot hold.
+    /// A snapshot is untrusted input: a resealed, edited snapshot must not
+    /// hand the texture cache or the L1 a set their geometry cannot hold.
     #[test]
     fn restore_refuses_a_tex_or_l1_set_the_geometry_cannot_hold() {
         use crate::cache::tests::{edited_sets, with_set};

@@ -702,9 +702,10 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(4000))]
 
-            /// Seeded byte fuzzer (ROADMAP 4e), arbitrary input: random
-            /// bytes, bare and behind a genuine magic + version so the
-            /// section lengths are what gets fuzzed. The opener returns;
+            /// Seeded byte fuzzer, arbitrary input, because a frame read
+            /// from disk is untrusted: random bytes, bare and behind a
+            /// genuine magic + version so the section lengths are what
+            /// gets fuzzed. The opener returns;
             /// a panic or a hang fails the test by itself.
             #[test]
             fn frame_opener_survives_arbitrary_bytes(

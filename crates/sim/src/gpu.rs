@@ -174,7 +174,7 @@ pub struct GpuBuilder {
 impl GpuBuilder {
     /// Accepted and ignored: SMs are stepped on the calling thread, one
     /// after another. The method remains only because the benchmark under
-    /// `ledger/` calls it, and leaves with that call (ROADMAP 3e).
+    /// `ledger/` calls it, and leaves with that call.
     ///
     /// ```
     /// use simt_sim::{Gpu, GpuConfig};

@@ -724,8 +724,8 @@ impl TelemetryReport {
     /// The machine's vitals on one line (downstream log parsers depend on
     /// this format). The supervisor publishes `cycle N: <vitals>` at every
     /// healthy slice boundary of a run with telemetry on; campaign workers
-    /// relay it in their heartbeat files, so the coordinator and the
-    /// `repro serve` status endpoint report live per-job progress.
+    /// relay it as a `pulse` line on their stdout, so the coordinator and
+    /// the `repro serve` status endpoint report live per-job progress.
     pub fn vitals(&self) -> String {
         let mut total = WindowCounters::default();
         for w in &self.windows {

@@ -1,4 +1,4 @@
-//! The lockstep oracle's corpus, in tier-1 (ROADMAP 4f): the first 200
+//! The lockstep oracle's corpus, in tier-1: the first 200
 //! generated programs of `fuzz_diff --iterations 1000 --seed 0` — spawn
 //! chains, guarded spawns, loops, every memory space, vectors — each run
 //! on the independent reference machine and on every variant of the
@@ -10,9 +10,10 @@
 //! file is what puts the corpus in front of a plain `cargo test`. Every
 //! variant's machine is held to `Gpu::audit`'s laws as well.
 //!
-//! Beside it, the cross-layer smoke (ROADMAP 2e): one μ-kernel render at
-//! test scale through the whole cached memory path, which must match the
-//! host and end with the machine's laws intact.
+//! Beside it, the cross-layer smoke: one μ-kernel render at test scale
+//! through the whole cached memory path, which must match the host and
+//! end with the machine's laws intact, so a break between the memory
+//! hierarchy and the kernels shows in a plain `cargo test`.
 
 use usimt::dmk::DmkConfig;
 use usimt::isa::gen::GenConfig;
