@@ -6,9 +6,12 @@ use simt_isa::codec::{
 };
 
 /// Words in a page of [`Pages`]: 16 KiB.
-const PAGE_WORDS: usize = 4096;
+pub(crate) const PAGE_WORDS: usize = 4096;
 
 type Page = [u32; PAGE_WORDS];
+
+/// What every unmade page reads as.
+static ZERO_PAGE: Page = [0; PAGE_WORDS];
 
 /// Largest memory image [`WordStore::alloc`] hands out: what the sparse
 /// codec carries back ([`SPARSE_MAX_WORDS`] words, 1 GiB), which is also
@@ -20,7 +23,7 @@ const MAX_IMAGE_BYTES: u64 = 4 * SPARSE_MAX_WORDS as u64;
 /// unwritten word returns 0 and makes nothing; growing the array moves
 /// its length and nothing else.
 #[derive(Debug, Clone, Default)]
-struct Pages {
+pub(crate) struct Pages {
     /// Page `p` holds words `p * PAGE_WORDS ..`, `None` until one of them
     /// is written.
     table: Vec<Option<Box<Page>>>,
@@ -31,53 +34,65 @@ struct Pages {
 
 impl Pages {
     #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
     fn page(&self, p: usize) -> Option<&Page> {
         self.table.get(p)?.as_deref()
     }
 
     #[inline]
-    fn get(&self, i: usize) -> u32 {
+    pub(crate) fn get(&self, i: usize) -> u32 {
         self.page(i / PAGE_WORDS)
             .map_or(0, |page| page[i % PAGE_WORDS])
     }
 
     /// Words `i .. i + N`, if they lie in one page.
     #[inline]
-    fn get_n<const N: usize>(&self, i: usize) -> Option<[u32; N]> {
-        let at = i % PAGE_WORDS;
-        match self.page(i / PAGE_WORDS) {
-            Some(page) => page[at..].first_chunk().copied(),
-            None => (at + N <= PAGE_WORDS).then_some([0; N]),
-        }
+    pub(crate) fn get_n<const N: usize>(&self, i: usize) -> Option<&[u32; N]> {
+        let page = self.page(i / PAGE_WORDS).unwrap_or(&ZERO_PAGE);
+        page[i % PAGE_WORDS..].first_chunk()
     }
 
+    /// Page `p`, made on first use: the lookup is in line, the making not.
+    #[inline]
     fn page_mut(&mut self, p: usize) -> &mut Page {
-        if self.table.len() <= p {
-            self.table.resize(p + 1, None);
+        if self.page(p).is_none() {
+            self.make_page(p);
         }
-        self.table[p].get_or_insert_with(|| {
-            vec![0; PAGE_WORDS]
-                .into_boxed_slice()
-                .try_into()
-                .expect("a page is PAGE_WORDS words")
-        })
+        self.table[p].as_deref_mut().expect("made above")
+    }
+
+    #[cold]
+    fn make_page(&mut self, p: usize) {
+        self.table.resize(self.table.len().max(p + 1), None);
+        let page = vec![0; PAGE_WORDS].into_boxed_slice().try_into();
+        self.table[p] = Some(page.expect("a page is PAGE_WORDS words"));
     }
 
     #[inline]
-    fn set(&mut self, i: usize, value: u32) {
+    pub(crate) fn set(&mut self, i: usize, value: u32) {
         self.page_mut(i / PAGE_WORDS)[i % PAGE_WORDS] = value;
         self.len = self.len.max(i + 1);
     }
 
+    /// Words `i .. i + N` to write, if inside the array and one page.
+    #[inline]
+    pub(crate) fn get_n_mut<const N: usize>(&mut self, i: usize) -> Option<&mut [u32; N]> {
+        let p = (i + N <= self.len).then_some(i / PAGE_WORDS)?;
+        self.page_mut(p)[i % PAGE_WORDS..].first_chunk_mut()
+    }
+
     /// Pages made so far.
-    #[cfg(test)]
-    fn resident(&self) -> usize {
+    pub(crate) fn resident(&self) -> usize {
         self.table.iter().flatten().count()
     }
 
     /// The array through [`Encoder::put_u32_sparse`], page by page: an
     /// unmade page is a zero run, counted without being read.
-    fn encode(&self, enc: &mut Encoder) {
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
         let pieces = (0..self.len.div_ceil(PAGE_WORDS)).map(|p| {
             let n = PAGE_WORDS.min(self.len - p * PAGE_WORDS);
             match self.page(p) {
@@ -88,11 +103,11 @@ impl Pages {
         enc.put_u32_sparse_pieces(self.len, pieces);
     }
 
-    /// Reads an array written by [`Pages::encode`]: only the pages that
-    /// literal words land in are made.
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+    /// Reads an array of at most `max_words` written by [`Pages::encode`]:
+    /// only the pages that literal words land in are made.
+    pub(crate) fn decode(dec: &mut Decoder<'_>, max_words: usize) -> Result<Self, CodecError> {
         let mut pages = Pages::default();
-        dec.take_u32_sparse_into(SPARSE_MAX_WORDS, &mut pages)?;
+        dec.take_u32_sparse_into(max_words, &mut pages)?;
         Ok(pages)
     }
 }
@@ -215,7 +230,7 @@ impl WordStore {
     pub fn read_n<const N: usize>(&self, addr: u32) -> [u32; N] {
         assert!(addr.is_multiple_of(4), "unaligned word read at {addr:#x}");
         match self.words.get_n::<N>(addr as usize / 4) {
-            Some(run) => run,
+            Some(run) => *run,
             // Across a page boundary, or across the top of the address
             // space (also a page boundary): word by word.
             None => std::array::from_fn(|i| self.read(addr.wrapping_add(4 * i as u32))),
@@ -296,7 +311,7 @@ impl WordStore {
     ///
     /// Returns a [`CodecError`] on truncated or malformed input.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        self.words = Pages::decode(dec)?;
+        self.words = Pages::decode(dec, SPARSE_MAX_WORDS)?;
         self.next_free = dec.take_u32()?;
         self.allocations = Vec::decode(dec)?;
         Ok(())
@@ -376,7 +391,7 @@ impl LocalStore {
     /// Returns a [`CodecError`] on truncated or malformed input.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         self.stride_bytes = dec.take_u32()?;
-        self.words = Pages::decode(dec)?;
+        self.words = Pages::decode(dec, SPARSE_MAX_WORDS)?;
         Ok(())
     }
 }

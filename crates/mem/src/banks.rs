@@ -6,8 +6,9 @@
 //! (paper §VII: "serialization of all conflicting bank memory operations to
 //! the spawn memory space").
 
+use crate::backing::Pages;
 use serde::{Deserialize, Serialize};
-use simt_isa::codec::{CodecError, Decoder, Encoder};
+use simt_isa::codec::{CodecError, Decoder, Encoder, SparseSink};
 
 /// Computes the bank-conflict degree of a warp access: the maximum number
 /// of distinct words mapped to any single bank (≥ 1 for a non-empty
@@ -91,10 +92,11 @@ pub fn conflict_degree_span(addresses: &[u32], words_per_lane: u32, banks: usize
 /// An on-chip word-addressed scratchpad with banking metadata.
 ///
 /// One instance backs each SM's shared memory; the spawn-memory space
-/// (managed by `dmk-core`) wraps another instance.
+/// (managed by `dmk-core`) wraps another instance. Its words sit in the
+/// off-chip images' page array: a scratchpad costs the pages written.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnChipMemory {
-    words: Vec<u32>,
+    words: Pages,
     banks: usize,
 }
 
@@ -106,10 +108,9 @@ impl OnChipMemory {
     /// Panics if `banks` is zero.
     pub fn new(bytes: u32, banks: usize) -> Self {
         assert!(banks > 0, "bank count must be positive");
-        OnChipMemory {
-            words: vec![0; (bytes as usize).div_ceil(4)],
-            banks,
-        }
+        let mut words = Pages::default();
+        words.reset((bytes as usize).div_ceil(4));
+        OnChipMemory { words, banks }
     }
 
     /// Capacity in bytes.
@@ -122,66 +123,55 @@ impl OnChipMemory {
         self.banks
     }
 
-    /// Reads the word at byte address `addr` (wraps modulo capacity, like
-    /// real scratchpads whose address decoders ignore high bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics on unaligned access.
-    pub fn read(&self, addr: u32) -> u32 {
-        assert!(
-            addr.is_multiple_of(4),
-            "unaligned on-chip read at {addr:#x}"
-        );
-        self.words[self.wrap(addr as usize / 4)]
+    /// Pages made so far: those holding a written word.
+    pub fn resident_pages(&self) -> usize {
+        self.words.resident()
     }
 
-    /// Word-index wraparound. An index inside the scratchpad — every
-    /// access of a well-behaved kernel — needs no reduction at all, which
-    /// matters because this sits under every word of every on-chip access
-    /// and spawn memory is not a power of two.
+    /// The word byte address `addr` names, modulo the capacity, like real
+    /// scratchpads whose address decoders ignore high bits. Every access
+    /// of a well-behaved kernel is inside and needs no reduction (spawn
+    /// memory is not a power of two). Panics on unaligned access.
     #[inline]
-    fn wrap(&self, idx: usize) -> usize {
-        let n = self.words.len();
-        if idx < n {
-            idx
+    fn index(&self, addr: u32) -> usize {
+        assert!(
+            addr.is_multiple_of(4),
+            "unaligned on-chip access at {addr:#x}"
+        );
+        let (i, n) = (addr as usize / 4, self.words.len());
+        if i < n {
+            i
         } else {
-            idx % n
+            i % n
         }
     }
 
-    /// Writes the word at byte address `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unaligned access.
+    /// Reads the word at byte address `addr` ([`OnChipMemory::index`]).
+    #[inline]
+    pub fn read(&self, addr: u32) -> u32 {
+        self.words.get(self.index(addr))
+    }
+
+    /// Writes the word at byte address `addr` ([`OnChipMemory::index`]).
+    #[inline]
     pub fn write(&mut self, addr: u32, value: u32) {
-        assert!(
-            addr.is_multiple_of(4),
-            "unaligned on-chip write at {addr:#x}"
-        );
-        let i = self.wrap(addr as usize / 4);
-        self.words[i] = value;
+        let i = self.index(addr);
+        self.words.set(i, value);
     }
 
     /// Reads `N` consecutive words starting at byte address `addr`: word
     /// `i` is [`OnChipMemory::read`] of `addr.wrapping_add(4 * i)`, so a
     /// transfer wraps at the capacity and at the top of the address space
     /// exactly as its words would one by one. `N` is the instruction's
-    /// width, fixed where the instruction is decoded, so the common case —
-    /// the whole transfer inside the scratchpad — is one bounds check and
-    /// `N` register moves.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unaligned access.
+    /// width, so a transfer inside the scratchpad and one page is one page
+    /// lookup and `N` register moves. Panics on unaligned access.
     #[inline]
     pub fn read_n<const N: usize>(&self, addr: u32) -> [u32; N] {
-        let inside = self.words.get(addr as usize / 4..);
-        match inside.and_then(<[u32]>::first_chunk::<N>) {
-            Some(words) if addr.is_multiple_of(4) => *words,
-            // A transfer that wraps, or an unaligned one on its way to
-            // the panic: word by word.
+        let at = addr as usize / 4;
+        match self.words.get_n::<N>(at) {
+            Some(words) if at + N <= self.words.len() && addr.is_multiple_of(4) => *words,
+            // A transfer that wraps or crosses a page, or an unaligned one
+            // on its way to the panic: word by word.
             _ => std::array::from_fn(|i| self.read(addr.wrapping_add(4 * i as u32))),
         }
     }
@@ -189,15 +179,11 @@ impl OnChipMemory {
     /// Writes `values` to consecutive words starting at byte address
     /// `addr`, in order: word `i` is [`OnChipMemory::write`] at
     /// `addr.wrapping_add(4 * i)` (when a transfer laps a tiny scratchpad
-    /// the last writer of a word wins, as it does word by word).
-    ///
-    /// # Panics
-    ///
-    /// Panics on unaligned access.
+    /// the last writer of a word wins, as it does word by word). Panics on
+    /// unaligned access.
     #[inline]
     pub fn write_n<const N: usize>(&mut self, addr: u32, values: [u32; N]) {
-        let inside = self.words.get_mut(addr as usize / 4..);
-        match inside.and_then(<[u32]>::first_chunk_mut::<N>) {
+        match self.words.get_n_mut::<N>(addr as usize / 4) {
             // (Word by word: the run arrives in registers, and copying it
             // as a block would round-trip it through the stack first.)
             Some(words) if addr.is_multiple_of(4) => {
@@ -222,26 +208,24 @@ impl OnChipMemory {
     /// simulator checkpoint (the bank count is configuration, re-derived
     /// on restore).
     pub fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_u32_sparse(&self.words);
+        self.words.encode(enc);
     }
 
     /// Restores contents previously written by
     /// [`OnChipMemory::encode_state`] into a scratchpad of identical
-    /// geometry.
+    /// geometry, making only the pages literal words land in.
     ///
     /// # Errors
     ///
     /// Returns a [`CodecError`] on truncated input or a
     /// [`CodecError::BadLength`] when the word count disagrees with this
-    /// scratchpad's capacity (a larger one is refused before it is
-    /// allocated).
+    /// scratchpad's capacity (a larger one is refused before anything is
+    /// made).
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let words = dec.take_u32_sparse(self.words.len())?;
+        let words = Pages::decode(dec, self.words.len())?;
         if words.len() != self.words.len() {
-            return Err(CodecError::BadLength {
-                len: words.len() as u64,
-                remaining: self.words.len(),
-            });
+            let (len, remaining) = (words.len() as u64, self.words.len());
+            return Err(CodecError::BadLength { len, remaining });
         }
         self.words = words;
         Ok(())
@@ -251,6 +235,7 @@ impl OnChipMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backing::PAGE_WORDS;
     use proptest::prelude::*;
 
     #[test]
@@ -292,19 +277,28 @@ mod tests {
         assert_eq!(m.read(100 * 4), 7);
     }
 
+    /// Every word of `m`, read one by one.
+    fn words(m: &OnChipMemory) -> Vec<u32> {
+        (0..m.capacity_bytes())
+            .step_by(4)
+            .map(|a| m.read(a))
+            .collect()
+    }
+
     #[test]
     fn transfers_wrap_at_capacity_and_at_the_top_of_the_address_space() {
         // 12 words: not a power of two, like spawn memory.
         let mut m = OnChipMemory::new(48, 16);
         m.write_n(40, [1, 2, 3, 4]);
-        assert_eq!(m.words, [3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2]);
+        assert_eq!(words(&m), [3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2]);
         // 0xfffffff8 is word 0x3ffffffe = 10 mod 13, the next 11 mod 13;
         // the transfer's third word is address 0 — word 0, where an index
         // that kept counting (0x40000000 = 12 mod 13) would not land.
         let mut m = OnChipMemory::new(52, 16);
         m.write_n(0xffff_fff8, [5, 6, 7, 8]);
-        assert_eq!(m.words, [7, 8, 0, 0, 0, 0, 0, 0, 0, 0, 5, 6, 0]);
+        assert_eq!(words(&m), [7, 8, 0, 0, 0, 0, 0, 0, 0, 0, 5, 6, 0]);
         assert_eq!(m.read_n::<4>(0xffff_fff8), [5, 6, 7, 8]);
+        assert_eq!(m.resident_pages(), 1);
     }
 
     #[test]
@@ -314,10 +308,10 @@ mod tests {
     }
 
     /// `read_n`/`write_n` at width `N` against `read`/`write` word by
-    /// word on a scratchpad of `words` words holding 1, 2, 3, ….
-    fn check_width<const N: usize>(words: u32, addr: u32, values: [u32; N]) {
-        let mut wide = OnChipMemory::new(words * 4, 16);
-        for i in 0..words {
+    /// word on a scratchpad of `n` words holding 1, 2, 3, ….
+    fn check_width<const N: usize>(n: u32, addr: u32, values: [u32; N]) {
+        let mut wide = OnChipMemory::new(n * 4, 16);
+        for i in 0..n {
             wide.write(i * 4, i + 1);
         }
         let mut worded = wide.clone();
@@ -330,11 +324,186 @@ mod tests {
         for (i, &v) in values.iter().enumerate() {
             worded.write(at(i), v);
         }
-        assert_eq!(wide.words, worded.words);
+        assert_eq!(words(&wide), words(&worded));
         assert_eq!(
             wide.read_n::<N>(addr),
             std::array::from_fn(|i| worded.read(at(i)))
         );
+    }
+
+    /// A scratchpad that is never touched, or only read, holds no page;
+    /// a write makes the one page it lands in.
+    #[test]
+    fn a_scratchpad_costs_the_pages_written() {
+        let mut m = OnChipMemory::new(64 * 1024, 16);
+        for addr in (0..64 * 1024).step_by(1024) {
+            assert_eq!(m.read(addr) + m.read_n::<4>(addr)[3], 0);
+        }
+        assert_eq!(m.resident_pages(), 0);
+        m.write_n(PAGE_BYTES + 8, [1, 2, 3, 4]);
+        m.write(PAGE_BYTES + 64, 5);
+        assert_eq!(m.resident_pages(), 1);
+    }
+
+    /// Restore takes only the capacity's own length, and refuses a longer
+    /// one before anything is made.
+    #[test]
+    fn a_restore_of_another_capacity_is_refused() {
+        let encoded = |bytes: u32| {
+            let mut m = OnChipMemory::new(bytes, 16);
+            m.write(4, 9);
+            let mut e = Encoder::new();
+            m.encode_state(&mut e);
+            e.into_bytes()
+        };
+        let mut small = OnChipMemory::new(48, 16);
+        let longer = small.restore_state(&mut Decoder::new(&encoded(64 * 1024)));
+        assert!(matches!(
+            longer,
+            Err(CodecError::BadLength { len: 16384, .. })
+        ));
+        let mut big = OnChipMemory::new(64 * 1024, 16);
+        let shorter = big.restore_state(&mut Decoder::new(&encoded(48)));
+        assert!(matches!(
+            shorter,
+            Err(CodecError::BadLength { len: 12, .. })
+        ));
+        assert_eq!(small.resident_pages() + big.resident_pages(), 0);
+    }
+
+    /// A declared capacity that is one zero run but for its last word
+    /// restores to the one page that word lands in.
+    #[test]
+    fn a_long_zero_run_restores_to_one_page() {
+        let mut e = Encoder::new();
+        e.put_u64(58_112 / 4);
+        e.put_u32(58_112 / 4 - 1);
+        e.put_u32(1);
+        e.put_u32(7);
+        let bytes = e.into_bytes();
+        let mut m = OnChipMemory::new(58_112, 16);
+        m.restore_state(&mut Decoder::new(&bytes)).unwrap();
+        assert_eq!((m.resident_pages(), m.read(58_108)), (1, 7));
+        let mut again = Encoder::new();
+        m.encode_state(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+    }
+
+    /// Bytes in a page of the backing store.
+    const PAGE_BYTES: u32 = 4 * PAGE_WORDS as u32;
+
+    /// Where an address for [`OnChipOp`] lands on a scratchpad of
+    /// `bytes`: anywhere in it, a few words either side of a page boundary,
+    /// of its end or of the top of the address space, or anywhere at all.
+    #[derive(Debug, Clone)]
+    struct Near {
+        kind: u8,
+        k: u32,
+        page: u32,
+        raw: u32,
+    }
+
+    impl Near {
+        fn addr(&self, bytes: u32) -> u32 {
+            match self.kind {
+                0 => self.raw % (bytes / 4) * 4,
+                1 => self.page * PAGE_BYTES - 16 + 4 * self.k,
+                2 => bytes - 16 + 4 * self.k,
+                3 => 0u32.wrapping_sub(16).wrapping_add(4 * self.k),
+                _ => self.raw & !3,
+            }
+        }
+    }
+
+    /// An access: `read`, `read_n::<1>`, `read_n::<4>`, `write`,
+    /// `write_n::<1>` or `write_n::<4>` by `kind`, and the values stored.
+    #[derive(Debug, Clone)]
+    struct OnChipOp {
+        kind: u8,
+        at: Near,
+        values: (u32, u32, u32, u32),
+    }
+
+    fn onchip_op() -> impl Strategy<Value = OnChipOp> {
+        let value = || prop_oneof![Just(0u32), any::<u32>()];
+        let near = (0u8..5, 0u32..8, 1u32..5, any::<u32>()).prop_map(|(kind, k, page, raw)| Near {
+            kind,
+            k,
+            page,
+            raw,
+        });
+        (0u8..6, near, (value(), value(), value(), value()))
+            .prop_map(|(kind, at, values)| OnChipOp { kind, at, values })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The paged scratchpad against the flat one it replaced, at the
+        /// geometry's three sizes (smaller than a page, spawn memory's 14 528
+        /// words, shared memory's four pages): every read agrees, the pages
+        /// made are those written, the snapshot bytes are the flat image's,
+        /// and a restore makes no page the original lacks.
+        #[test]
+        fn paged_scratchpads_equal_dense_ones(
+            size in 0usize..3,
+            ops in proptest::collection::vec(onchip_op(), 1..48),
+        ) {
+            let bytes = [48, 58_112, 65_536][size];
+            let mut m = OnChipMemory::new(bytes, 16);
+            let mut dense = vec![0u32; bytes as usize / 4];
+            let mut written = std::collections::BTreeSet::new();
+            let n = dense.len();
+            let at = |addr: u32, k: usize| (addr.wrapping_add(4 * k as u32) / 4) as usize % n;
+            let read = |dense: &[u32], addr: u32, n: usize| (0..n).map(|k| dense[at(addr, k)]).collect::<Vec<_>>();
+            for op in ops {
+                let a = op.at.addr(bytes);
+                let (v0, v1, v2, v3) = op.values;
+                let values = match op.kind {
+                    0 => {
+                        prop_assert_eq!(vec![m.read(a)], read(&dense, a, 1));
+                        continue;
+                    }
+                    1 => {
+                        prop_assert_eq!(m.read_n::<1>(a).to_vec(), read(&dense, a, 1));
+                        continue;
+                    }
+                    2 => {
+                        prop_assert_eq!(m.read_n::<4>(a).to_vec(), read(&dense, a, 4));
+                        continue;
+                    }
+                    3 => {
+                        m.write(a, v0);
+                        vec![v0]
+                    }
+                    4 => {
+                        m.write_n(a, [v0]);
+                        vec![v0]
+                    }
+                    _ => {
+                        m.write_n(a, [v0, v1, v2, v3]);
+                        vec![v0, v1, v2, v3]
+                    }
+                };
+                for (k, v) in values.into_iter().enumerate() {
+                    dense[at(a, k)] = v;
+                    written.insert(at(a, k) / PAGE_WORDS);
+                }
+            }
+            prop_assert_eq!(words(&m), dense.clone());
+            prop_assert_eq!(m.resident_pages(), written.len());
+            let mut e = Encoder::new();
+            m.encode_state(&mut e);
+            let bytes_out = e.into_bytes();
+            let mut flat = Encoder::new();
+            flat.put_u32_sparse(&dense);
+            prop_assert_eq!(&bytes_out, &flat.into_bytes());
+            let mut back = OnChipMemory::new(bytes, 16);
+            back.restore_state(&mut Decoder::new(&bytes_out)).unwrap();
+            prop_assert_eq!(words(&back), dense);
+            let nonzero = dense.chunks(PAGE_WORDS).filter(|p| p.iter().any(|&w| w != 0)).count();
+            prop_assert!((nonzero..=m.resident_pages()).contains(&back.resident_pages()));
+        }
     }
 
     proptest! {

@@ -1298,4 +1298,92 @@ mod tests {
             }
         }
     }
+
+    /// Threads 0..n each run a spawn chain of depth `tid % 4` through their
+    /// spawn-memory state record, then store the depth to `global[tid]`.
+    const CHAIN_SRC: &str = r#"
+        .kernel main
+        .kernel step
+        .spawnstate 48
+        main:
+            mov.u32 r1, %tid
+            and.b32 r2, r1, 3
+            mov.u32 r3, 0
+            mov.u32 r7, %spawnmem
+            st.spawn.v4.u32 [r7+0], r1
+            spawn $step, r7
+            exit
+        step:
+            mov.u32 r7, %spawnmem
+            ld.spawn.u32 r7, [r7+0]
+            ld.spawn.v4.u32 r1, [r7+0]
+            setp.le.s32 p0, r2, 0
+            @p0 bra done
+            sub.s32 r2, r2, 1
+            add.s32 r3, r3, 1
+            st.spawn.v4.u32 [r7+0], r1
+            spawn $step, r7
+            exit
+        done:
+            mul.lo.s32 r4, r1, 4
+            st.global.u32 [r4+0], r3
+            exit
+    "#;
+
+    /// On-chip memory costs the pages written. A μ-kernel window on the
+    /// paper's 30 SMs writes spawn memory and leaves every SM's 64 KiB of
+    /// shared memory unmade; a checkpoint restores into no page more than
+    /// the machine held; one `st.shared` then makes exactly one page.
+    #[test]
+    fn on_chip_memory_costs_only_the_pages_written() {
+        let pages = |gpu: &crate::Gpu| -> Vec<[usize; 2]> {
+            let spawn = |sm: &Sm| sm.spawn.as_ref().map_or(0, |u| u.mem.resident_pages());
+            gpu.sms()
+                .iter()
+                .map(|sm| [sm.shared.resident_pages(), spawn(sm)])
+                .collect()
+        };
+        let launch = |gpu: &mut crate::Gpu, src: &str, num_threads: u32| {
+            let program = assemble_named("t", src).expect("assembles");
+            let entry = "main".into();
+            let launch = crate::Launch {
+                program,
+                entry,
+                num_threads,
+                threads_per_block: 256,
+            };
+            gpu.launch(launch).expect("launch accepted");
+        };
+        let n = 30 * 1024;
+        let mut gpu = crate::Gpu::builder(GpuConfig::fx5800_dmk(DmkConfig::paper())).build();
+        gpu.mem_mut().alloc_global(n * 4, "out");
+        launch(&mut gpu, CHAIN_SRC, n);
+        let ran = gpu.run(600).expect("fault-free window");
+        assert_eq!(ran.outcome, crate::RunOutcome::CycleLimit);
+        let window = pages(&gpu);
+        assert!(
+            window
+                .iter()
+                .all(|&[shared, spawn]| shared == 0 && spawn > 0),
+            "{window:?}"
+        );
+        let snapshot = gpu.checkpoint().expect("encodable");
+        let restored = pages(&crate::Gpu::restore(&snapshot).expect("restores"));
+        for (sm, (was, now)) in window.iter().zip(&restored).enumerate() {
+            assert!(
+                now[0] <= was[0] && now[1] <= was[1],
+                "SM {sm}: {was:?} -> {now:?}"
+            );
+        }
+        let summary = gpu.run(10_000_000).expect("fault-free frame");
+        assert_eq!(summary.outcome, crate::RunOutcome::Completed);
+        for tid in (0..n).step_by(997) {
+            assert_eq!(gpu.mem().read_u32(Space::Global, tid * 4), tid & 3);
+        }
+        let store = ".kernel main\nmain:\n mov.u32 r1, 4096\n st.shared.u32 [r1+0], r1\n exit\n";
+        launch(&mut gpu, store, 1);
+        gpu.run(10_000).expect("fault-free store");
+        let shared: usize = pages(&gpu).iter().map(|&[shared, _]| shared).sum();
+        assert_eq!(shared, 1);
+    }
 }
