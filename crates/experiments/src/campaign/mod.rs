@@ -63,6 +63,10 @@ use std::time::{Duration, Instant};
 /// closed, its status waitable) waits for the other.
 const TICK: Duration = Duration::from_millis(10);
 
+/// Longest a dead or hung job waits before its retry, however many
+/// attempts it has consumed.
+const BACKOFF_CAP: Duration = Duration::from_secs(5);
+
 /// Called from a worker's watcher thread the moment that worker's stdout
 /// reaches end-of-file, after the watcher has recorded all it heard; has
 /// the coordinator's owner run a [`Coordinator::poll`] now. It must not
@@ -165,10 +169,9 @@ pub struct CampaignConfig {
     /// Heartbeat staleness bound; a worker that writes no line to its
     /// stdout for this long is SIGKILLed as wedged.
     pub heartbeat_timeout: Duration,
-    /// Base reschedule delay; doubles per consumed attempt.
+    /// Base reschedule delay; doubles per consumed attempt, up to
+    /// five seconds.
     pub backoff_base: Duration,
-    /// Reschedule delay cap.
-    pub backoff_cap: Duration,
     /// Deterministic process-level chaos (kill rate + seed).
     pub chaos: Option<Chaos>,
     /// Extra `repro` flags forwarded verbatim to every worker
@@ -200,7 +203,6 @@ impl CampaignConfig {
             job_timeout: Duration::from_secs(3600),
             heartbeat_timeout: Duration::from_secs(120),
             backoff_base: Duration::from_millis(100),
-            backoff_cap: Duration::from_secs(5),
             chaos: None,
             passthrough: Vec::new(),
             test_fail_job: None,
@@ -1016,8 +1018,8 @@ fn worker_died(
     let backoff = cfg
         .backoff_base
         .checked_mul(1u32.checked_shl(job.attempts - 1).unwrap_or(u32::MAX))
-        .unwrap_or(cfg.backoff_cap)
-        .min(cfg.backoff_cap);
+        .unwrap_or(BACKOFF_CAP)
+        .min(BACKOFF_CAP);
     job.ready_at = Instant::now() + backoff;
     eprintln!(
         "campaign: {}: worker died ({reason}); retry {}/{} in {:?}",
@@ -1324,13 +1326,17 @@ mod tests {
 
     #[test]
     fn unknown_artifact_fails_fast() {
+        let dir = std::env::temp_dir().join(format!("coord-unknown-{}", std::process::id()));
         let mut cfg = CampaignConfig::new(Scale::test(), "test");
+        cfg.cache_dir = dir.join("cache");
+        cfg.work_dir = dir.clone();
         cfg.artifacts = vec!["bogus".to_string()];
         assert!(run(&cfg).is_err());
         let mut coord = Coordinator::new(cfg).expect("engine builds");
         assert!(coord
             .submit(JobSpec::new("bogus", Scale::test(), "test", false))
             .is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

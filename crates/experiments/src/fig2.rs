@@ -72,11 +72,9 @@ pub fn run() -> Result<Fig2, String> {
     if crate::supervisor::policy().telemetry.trace {
         crate::runner::write_trace_artifacts("fig2", &report);
     }
-    // Rebuild the per-issue lane counts from the telemetry divergence
-    // mirror's 1-cycle windows: with one SM and one warp, each window has
-    // at most one issue. The mirror is bit-identical to
-    // `summary.stats.divergence`, so this is the same trace the figure
-    // always printed.
+    // Rebuild the per-issue lane counts from the divergence timeline's
+    // 1-cycle windows: with one SM and one warp, each window has at most
+    // one issue.
     let lane_trace: Vec<u32> = report
         .divergence
         .windows()

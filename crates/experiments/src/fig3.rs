@@ -43,9 +43,8 @@ pub fn divergence_figure(variant: Variant, scale: Scale) -> Result<DivergenceFig
 impl DivergenceFigure {
     /// The breakdown of a finished render.
     ///
-    /// The timeline comes from the run's telemetry report; its divergence
-    /// mirror is defined to be bit-identical to `SimStats::divergence`, so
-    /// switching the figures onto telemetry changed no published number.
+    /// The timeline comes from the run's telemetry report, whose divergence
+    /// is a copy of `SimStats::divergence`.
     pub(crate) fn of(run: &RenderRun) -> DivergenceFigure {
         let d = &run.telemetry.divergence;
         DivergenceFigure {

@@ -16,7 +16,7 @@
 //! tolerance warning. The reported image hash is the FNV-1a-64 of the
 //! per-pixel radiance bits, the value CI pins.
 
-use super::{divergence_totals, page, Group, Workload};
+use super::{page, Group, Workload};
 use crate::configs::Variant;
 use crate::runner::{program_digest, RenderRun, RenderSpec, Scale, Tracer};
 use simt_isa::codec::Encoder;
@@ -93,7 +93,7 @@ pub fn run(scale: Scale, only: Option<Variant>) -> Result<PtFigure, String> {
             efficiency: stats.simt_efficiency(32),
             threads_spawned: stats.threads_spawned,
             image_hash: run.image_hash.expect("a BVH frame reports its image hash"),
-            buckets: divergence_totals(divergence),
+            buckets: divergence.total().to_vec(),
         });
     }
     Ok(PtFigure {

@@ -21,7 +21,7 @@
 //! instructions all issue at full or partial occupancy too), but track
 //! their ordering — which is exactly what the figure shows.
 
-use super::{divergence_totals, page, Group, Workload};
+use super::{page, Group, Workload};
 use crate::configs::Variant;
 use crate::runner::{Scale, FRAME_BUDGET};
 use crate::supervisor::run_checked;
@@ -333,7 +333,7 @@ pub fn run(scale: Scale, only: Option<Variant>) -> Result<MicrodivFigure, String
             measured.push(Measured {
                 variant,
                 efficiency: summary.stats.simt_efficiency(WARP),
-                buckets: divergence_totals(&gpu.telemetry_report().divergence),
+                buckets: gpu.telemetry_report().divergence.total().to_vec(),
             });
         }
         rows.push(PatternRow {

@@ -89,38 +89,24 @@ pub fn conflict_degree_span(addresses: &[u32], words_per_lane: u32, banks: usize
         .max(1)
 }
 
-/// An on-chip word-addressed scratchpad with banking metadata.
+/// An on-chip word-addressed scratchpad.
 ///
 /// One instance backs each SM's shared memory; the spawn-memory space
 /// (managed by `dmk-core`) wraps another instance. Its words sit in the
 /// off-chip images' page array: a scratchpad costs the pages written.
+/// Its bank conflicts are the memory frontend's to count
+/// ([`conflict_degree_span`] over `MemConfig::shared_banks`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnChipMemory {
     words: Pages,
-    banks: usize,
 }
 
 impl OnChipMemory {
-    /// Creates a scratchpad of `bytes` capacity with `banks` banks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `banks` is zero.
-    pub fn new(bytes: u32, banks: usize) -> Self {
-        assert!(banks > 0, "bank count must be positive");
+    /// Creates a scratchpad of `bytes` capacity.
+    pub fn new(bytes: u32) -> Self {
         let mut words = Pages::default();
         words.reset((bytes as usize).div_ceil(4));
-        OnChipMemory { words, banks }
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u32 {
-        (self.words.len() * 4) as u32
-    }
-
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.banks
+        OnChipMemory { words }
     }
 
     /// Pages made so far: those holding a written word.
@@ -146,13 +132,15 @@ impl OnChipMemory {
         }
     }
 
-    /// Reads the word at byte address `addr` ([`OnChipMemory::index`]).
+    /// Reads the word at byte address `addr`, modulo the capacity. Panics
+    /// on unaligned access.
     #[inline]
     pub fn read(&self, addr: u32) -> u32 {
         self.words.get(self.index(addr))
     }
 
-    /// Writes the word at byte address `addr` ([`OnChipMemory::index`]).
+    /// Writes the word at byte address `addr`, modulo the capacity.
+    /// Panics on unaligned access.
     #[inline]
     pub fn write(&mut self, addr: u32, value: u32) {
         let i = self.index(addr);
@@ -199,14 +187,8 @@ impl OnChipMemory {
         }
     }
 
-    /// Conflict degree of a warp access to this memory.
-    pub fn conflict_degree(&self, addresses: &[u32]) -> u32 {
-        conflict_degree(addresses, self.banks)
-    }
-
     /// Serializes the scratchpad contents, zero runs elided, for a
-    /// simulator checkpoint (the bank count is configuration, re-derived
-    /// on restore).
+    /// simulator checkpoint.
     pub fn encode_state(&self, enc: &mut Encoder) {
         self.words.encode(enc);
     }
@@ -271,30 +253,27 @@ mod tests {
 
     #[test]
     fn onchip_read_write() {
-        let mut m = OnChipMemory::new(64 * 1024, 16);
-        assert_eq!(m.capacity_bytes(), 64 * 1024);
+        let mut m = OnChipMemory::new(64 * 1024);
+        assert_eq!(m.words.len(), 16 * 1024);
         m.write(100 * 4, 7);
         assert_eq!(m.read(100 * 4), 7);
     }
 
     /// Every word of `m`, read one by one.
     fn words(m: &OnChipMemory) -> Vec<u32> {
-        (0..m.capacity_bytes())
-            .step_by(4)
-            .map(|a| m.read(a))
-            .collect()
+        (0..m.words.len() as u32).map(|i| m.read(4 * i)).collect()
     }
 
     #[test]
     fn transfers_wrap_at_capacity_and_at_the_top_of_the_address_space() {
         // 12 words: not a power of two, like spawn memory.
-        let mut m = OnChipMemory::new(48, 16);
+        let mut m = OnChipMemory::new(48);
         m.write_n(40, [1, 2, 3, 4]);
         assert_eq!(words(&m), [3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2]);
         // 0xfffffff8 is word 0x3ffffffe = 10 mod 13, the next 11 mod 13;
         // the transfer's third word is address 0 — word 0, where an index
         // that kept counting (0x40000000 = 12 mod 13) would not land.
-        let mut m = OnChipMemory::new(52, 16);
+        let mut m = OnChipMemory::new(52);
         m.write_n(0xffff_fff8, [5, 6, 7, 8]);
         assert_eq!(words(&m), [7, 8, 0, 0, 0, 0, 0, 0, 0, 0, 5, 6, 0]);
         assert_eq!(m.read_n::<4>(0xffff_fff8), [5, 6, 7, 8]);
@@ -304,13 +283,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "unaligned")]
     fn an_unaligned_transfer_panics_like_an_unaligned_word() {
-        OnChipMemory::new(64, 16).read_n::<4>(2);
+        OnChipMemory::new(64).read_n::<4>(2);
     }
 
     /// `read_n`/`write_n` at width `N` against `read`/`write` word by
     /// word on a scratchpad of `n` words holding 1, 2, 3, ….
     fn check_width<const N: usize>(n: u32, addr: u32, values: [u32; N]) {
-        let mut wide = OnChipMemory::new(n * 4, 16);
+        let mut wide = OnChipMemory::new(n * 4);
         for i in 0..n {
             wide.write(i * 4, i + 1);
         }
@@ -335,7 +314,7 @@ mod tests {
     /// a write makes the one page it lands in.
     #[test]
     fn a_scratchpad_costs_the_pages_written() {
-        let mut m = OnChipMemory::new(64 * 1024, 16);
+        let mut m = OnChipMemory::new(64 * 1024);
         for addr in (0..64 * 1024).step_by(1024) {
             assert_eq!(m.read(addr) + m.read_n::<4>(addr)[3], 0);
         }
@@ -350,19 +329,19 @@ mod tests {
     #[test]
     fn a_restore_of_another_capacity_is_refused() {
         let encoded = |bytes: u32| {
-            let mut m = OnChipMemory::new(bytes, 16);
+            let mut m = OnChipMemory::new(bytes);
             m.write(4, 9);
             let mut e = Encoder::new();
             m.encode_state(&mut e);
             e.into_bytes()
         };
-        let mut small = OnChipMemory::new(48, 16);
+        let mut small = OnChipMemory::new(48);
         let longer = small.restore_state(&mut Decoder::new(&encoded(64 * 1024)));
         assert!(matches!(
             longer,
             Err(CodecError::BadLength { len: 16384, .. })
         ));
-        let mut big = OnChipMemory::new(64 * 1024, 16);
+        let mut big = OnChipMemory::new(64 * 1024);
         let shorter = big.restore_state(&mut Decoder::new(&encoded(48)));
         assert!(matches!(
             shorter,
@@ -381,7 +360,7 @@ mod tests {
         e.put_u32(1);
         e.put_u32(7);
         let bytes = e.into_bytes();
-        let mut m = OnChipMemory::new(58_112, 16);
+        let mut m = OnChipMemory::new(58_112);
         m.restore_state(&mut Decoder::new(&bytes)).unwrap();
         assert_eq!((m.resident_pages(), m.read(58_108)), (1, 7));
         let mut again = Encoder::new();
@@ -450,7 +429,7 @@ mod tests {
             ops in proptest::collection::vec(onchip_op(), 1..48),
         ) {
             let bytes = [48, 58_112, 65_536][size];
-            let mut m = OnChipMemory::new(bytes, 16);
+            let mut m = OnChipMemory::new(bytes);
             let mut dense = vec![0u32; bytes as usize / 4];
             let mut written = std::collections::BTreeSet::new();
             let n = dense.len();
@@ -498,7 +477,7 @@ mod tests {
             let mut flat = Encoder::new();
             flat.put_u32_sparse(&dense);
             prop_assert_eq!(&bytes_out, &flat.into_bytes());
-            let mut back = OnChipMemory::new(bytes, 16);
+            let mut back = OnChipMemory::new(bytes);
             back.restore_state(&mut Decoder::new(&bytes_out)).unwrap();
             prop_assert_eq!(words(&back), dense);
             let nonzero = dense.chunks(PAGE_WORDS).filter(|p| p.iter().any(|&w| w != 0)).count();

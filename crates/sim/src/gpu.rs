@@ -38,6 +38,7 @@ use crate::fault::{
 use crate::sm::{ExecCtx, Sm};
 use crate::stats::SimStats;
 use crate::telemetry::{TelemetryReport, TelemetrySpec};
+use crate::windowed::Windowed;
 use dmk_core::DmkStats;
 use simt_isa::codec::{Codec, Decoder, Encoder};
 use simt_isa::{EncodeError, Program, ReconvergenceTable};
@@ -287,13 +288,12 @@ impl Gpu {
     /// the report is cumulative over the machine's lifetime and taking it
     /// does not reset anything.
     pub fn telemetry_report(&self) -> TelemetryReport {
-        let metrics_window = self.sms.first().map_or(self.cfg.divergence_window, |sm| {
-            sm.telemetry().metrics_window()
+        let width = (self.sms.first()).map_or(self.cfg.divergence_window, |sm| {
+            sm.telemetry().windows().width()
         });
         let mut report = TelemetryReport {
-            metrics_window,
             divergence: self.stats.divergence.clone(),
-            windows: Vec::new(),
+            windows: Windowed::new(width),
             events: Vec::new(),
             dropped: 0,
             module_busy: self.mem.module_busy().to_vec(),
@@ -506,6 +506,8 @@ impl Gpu {
         let held: u64 = held.sum::<Result<_, _>>()?;
         let created = u(s.threads_launched) + u(s.threads_spawned);
         let ended = u(s.threads_retired) + u(s.threads_killed) + u(held);
+        let mut widths = self.sms.iter().map(|sm| sm.telemetry().windows().width());
+        let one_width = widths.next().is_none_or(|w| widths.all(|v| v == w));
         let laws = [
             (u(s.cycles) == now, "stats.cycles == now"),
             (recorded == issued + idle, "timeline == issued + idle"),
@@ -517,6 +519,7 @@ impl Gpu {
                 created == ended,
                 "threads launched + spawned == retired + killed + live + queued",
             ),
+            (one_width, "every SM's metrics window == SM 0's"),
         ];
         match laws.iter().find(|(holds, _)| !holds) {
             Some((_, law)) => Err(format!("{law} at cycle {now}")),

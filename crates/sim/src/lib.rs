@@ -94,6 +94,7 @@ mod stats;
 pub mod telemetry;
 mod thread;
 mod warp;
+mod windowed;
 
 pub use checkpoint::{
     config_digest, open_frame, program_digest, seal_frame, write_atomic, RestoreError, Snapshot,
@@ -113,3 +114,4 @@ pub use stats::{DivergenceTimeline, SimStats, OCCUPANCY_BUCKETS};
 pub use telemetry::{TelemetryReport, TelemetrySpec, TraceEvent, TraceEventKind, WindowCounters};
 pub use thread::LaneState;
 pub use warp::{StackEntry, Warp, WarpState};
+pub use windowed::{WindowRow, Windowed};

@@ -141,8 +141,8 @@ impl Sm {
             warps: Vec::new(),
             next_warp_id: 0,
             rr: 0,
-            shared: OnChipMemory::new(cfg.shared_mem_per_sm, cfg.mem.shared_banks),
-            spawn: cfg.dmk.map(|d| SpawnUnit::new(&d, cfg.mem.shared_banks)),
+            shared: OnChipMemory::new(cfg.shared_mem_per_sm),
+            spawn: cfg.dmk.map(|d| SpawnUnit::new(&d)),
             threads_used: 0,
             regs_used: 0,
             blocks: HashMap::new(),
@@ -1241,8 +1241,48 @@ mod tests {
         assert_eq!(restored, Ok(()), "warp 1 of 2 has a depth");
         sm.telemetry.on_warp_birth(0, 2, false, 4);
         assert!(refused_at(restore_into_fresh(&sm, &cfg), 2));
-        sm.set_telemetry(&metrics, 0);
-        assert!(refused_at(restore_into_fresh(&sm, &cfg), 0));
+        // No table has a zero window, so forge one into the bytes.
+        let marker = 0x5eed_0000_5eed_u64;
+        sm.set_telemetry(&metrics.with_window(marker), cfg.divergence_window);
+        let mut enc = Encoder::new();
+        sm.encode_state(&mut enc);
+        let mut bytes = enc.into_bytes();
+        let at = bytes.windows(8).position(|w| w == marker.to_le_bytes());
+        let at = at.expect("the window is in the state");
+        bytes[at..at + 8].fill(0);
+        let restored = Sm::new(0, &cfg).restore_state(&mut Decoder::new(&bytes));
+        assert!(refused_at(restored.map_err(|e| e.to_string()), 0));
+    }
+
+    /// SMs whose metrics windows differ — which no spec builds — are
+    /// refused on restore, not merged into a report whose window table
+    /// cannot add their rows.
+    #[test]
+    fn sms_with_two_metrics_windows_are_refused_on_restore() {
+        let cfg = GpuConfig::tiny();
+        let metrics = TelemetrySpec::metrics();
+        let gpu = crate::Gpu::builder(cfg.clone())
+            .telemetry(metrics.clone())
+            .build();
+        let payload = gpu.checkpoint().expect("encodes").payload().to_vec();
+        let encoded = |sm: &Sm| {
+            let mut enc = Encoder::new();
+            sm.encode_state(&mut enc);
+            enc.into_bytes()
+        };
+        let good = encoded(&gpu.sms()[0]);
+        let at = payload.windows(good.len()).position(|w| w == good);
+        let at = at.expect("SM 0's state is in the payload");
+        let mut sm = Sm::new(0, &cfg);
+        sm.set_telemetry(&metrics.with_window(7), cfg.divergence_window);
+        let mut forged = payload;
+        forged.splice(at..at + good.len(), encoded(&sm));
+        match crate::Gpu::restore(&crate::Snapshot::from_payload(forged)) {
+            Err(crate::RestoreError::Invalid(law)) => {
+                assert!(law.contains("metrics window"), "{law}")
+            }
+            other => panic!("restored: {:?}", other.map(|_| ())),
+        }
     }
 
     /// The counters an SM keeps of what its warps hold — threads and

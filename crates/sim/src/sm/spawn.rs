@@ -26,11 +26,11 @@ pub(super) struct SpawnUnit {
 }
 
 impl SpawnUnit {
-    /// The unit `d` sizes, its spawn memory in `banks` banks.
-    pub(super) fn new(d: &DmkConfig, banks: usize) -> Self {
+    /// The unit `d` sizes.
+    pub(super) fn new(d: &DmkConfig) -> Self {
         let layout = SpawnMemoryLayout::new(d);
         SpawnUnit {
-            mem: OnChipMemory::new(layout.total_bytes(), banks),
+            mem: OnChipMemory::new(layout.total_bytes()),
             formation: WarpFormation::new(d),
             free_state_slots: (0..d.threads_per_sm)
                 .rev()

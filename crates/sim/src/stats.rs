@@ -1,5 +1,6 @@
 //! Simulation statistics: IPC, divergence timelines, completion counters.
 
+use crate::windowed::Windowed;
 use serde::{Deserialize, Serialize};
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use std::fmt;
@@ -13,31 +14,11 @@ pub const OCCUPANCY_BUCKETS: usize = 9;
 
 /// Divergence breakdown over time: per window, how many SM-cycles issued a
 /// warp with each occupancy level (the data behind paper Figs. 3, 7, 9).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DivergenceTimeline {
-    window: u64,
+    counts: Windowed<[u64; OCCUPANCY_BUCKETS]>,
     warp_size: u32,
-    counts: Vec<[u64; OCCUPANCY_BUCKETS]>,
-    /// Cached index of the window most recently written (the issue path
-    /// hits the same window millions of times in a row; this avoids a
-    /// 64-bit division per recorded cycle). Pure cache: excluded from
-    /// equality, serialization, and the checkpoint codec.
-    #[serde(skip)]
-    cur_idx: usize,
-    /// First cycle of the cached window.
-    #[serde(skip)]
-    cur_start: u64,
 }
-
-impl PartialEq for DivergenceTimeline {
-    fn eq(&self, other: &Self) -> bool {
-        self.window == other.window
-            && self.warp_size == other.warp_size
-            && self.counts == other.counts
-    }
-}
-
-impl Eq for DivergenceTimeline {}
 
 impl DivergenceTimeline {
     /// Creates a timeline with `window`-cycle buckets.
@@ -46,13 +27,9 @@ impl DivergenceTimeline {
     ///
     /// Panics if `window` is zero.
     pub fn new(window: u64, warp_size: u32) -> Self {
-        assert!(window > 0, "window must be positive");
         DivergenceTimeline {
-            window,
+            counts: Windowed::new(window),
             warp_size,
-            counts: Vec::new(),
-            cur_idx: 0,
-            cur_start: 0,
         }
     }
 
@@ -75,55 +52,37 @@ impl DivergenceTimeline {
         (scaled + 1).min(OCCUPANCY_BUCKETS - 1)
     }
 
-    #[inline]
-    fn slot(&mut self, cycle: u64) -> &mut [u64; OCCUPANCY_BUCKETS] {
-        // Fast path: same window as the previous record (a default-reset
-        // cache of `(0, 0)` is itself valid for window 0 once it exists).
-        if cycle.wrapping_sub(self.cur_start) < self.window && self.cur_idx < self.counts.len() {
-            return &mut self.counts[self.cur_idx];
-        }
-        let idx = (cycle / self.window) as usize;
-        if self.counts.len() <= idx {
-            self.counts.resize(idx + 1, [0; OCCUPANCY_BUCKETS]);
-        }
-        self.cur_idx = idx;
-        self.cur_start = idx as u64 * self.window;
-        &mut self.counts[idx]
-    }
-
     /// Records one SM-cycle that issued a warp with `active_lanes` lanes.
     pub fn record_issue(&mut self, cycle: u64, active_lanes: u32) {
         let b = self.bucket_for(active_lanes);
-        self.slot(cycle)[b] += 1;
+        self.counts.slot(cycle)[b] += 1;
     }
 
     /// Records one idle SM-cycle (no warp ready).
     pub fn record_idle(&mut self, cycle: u64) {
-        self.slot(cycle)[0] += 1;
+        self.counts.slot(cycle)[0] += 1;
     }
 
-    /// Records `count` consecutive idle SM-cycles starting at `from`,
-    /// chunked across window boundaries — identical to calling
-    /// [`DivergenceTimeline::record_idle`] once per cycle.
+    /// Records `count` consecutive idle SM-cycles starting at `from` —
+    /// identical to calling [`DivergenceTimeline::record_idle`] once per
+    /// cycle.
     pub fn record_idle_span(&mut self, from: u64, count: u64) {
-        let end = from + count;
-        let mut c = from;
-        while c < end {
-            let win_end = (c / self.window + 1) * self.window;
-            let n = win_end.min(end) - c;
-            self.slot(c)[0] += n;
-            c += n;
-        }
+        self.counts.add_span(from, count, |w, n| w[0] += n);
     }
 
     /// The window width in cycles.
     pub fn window(&self) -> u64 {
-        self.window
+        self.counts.width()
     }
 
     /// Raw per-window counts (`[idle, W1:4, W5:8, …]`).
     pub fn windows(&self) -> &[[u64; OCCUPANCY_BUCKETS]] {
-        &self.counts
+        self.counts.rows()
+    }
+
+    /// Per-bucket counts summed over every window.
+    pub fn total(&self) -> [u64; OCCUPANCY_BUCKETS] {
+        self.counts.total()
     }
 
     /// Bucket labels matching [`DivergenceTimeline::windows`] columns.
@@ -143,20 +102,8 @@ impl DivergenceTimeline {
     /// Renders the timeline as AerialVision-style CSV: one row per window,
     /// one column per occupancy bucket.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("cycle_end");
-        for l in self.labels() {
-            out.push(',');
-            out.push_str(&l);
-        }
-        out.push('\n');
-        for (i, w) in self.counts.iter().enumerate() {
-            out.push_str(&((i as u64 + 1) * self.window).to_string());
-            for v in w {
-                out.push(',');
-                out.push_str(&v.to_string());
-            }
-            out.push('\n');
-        }
+        let mut out = String::new();
+        self.counts.write_csv(&mut out, &self.labels());
         out
     }
 
@@ -170,44 +117,20 @@ impl DivergenceTimeline {
     ///
     /// Panics if the timelines have different window widths or warp sizes.
     pub fn merge(&mut self, other: &DivergenceTimeline) {
-        assert_eq!(self.window, other.window, "merging mismatched windows");
         assert_eq!(self.warp_size, other.warp_size, "merging mismatched warps");
-        if self.counts.len() < other.counts.len() {
-            self.counts
-                .resize(other.counts.len(), [0; OCCUPANCY_BUCKETS]);
-        }
-        for (dst, src) in self.counts.iter_mut().zip(&other.counts) {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
+        self.counts.merge(&other.counts);
     }
 
     /// Serializes the timeline's counts for a simulator checkpoint (window
     /// width and warp size are configuration, re-derived on restore).
     pub(crate) fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_usize(self.counts.len());
-        for w in &self.counts {
-            for &v in w {
-                enc.put_u64(v);
-            }
-        }
+        self.counts.encode_state(enc);
     }
 
     /// Restores counts previously written by
     /// [`DivergenceTimeline::encode_state`].
     pub(crate) fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let n = dec.take_len(8 * OCCUPANCY_BUCKETS)?;
-        let mut counts = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut w = [0u64; OCCUPANCY_BUCKETS];
-            for v in &mut w {
-                *v = dec.take_u64()?;
-            }
-            counts.push(w);
-        }
-        self.counts = counts;
-        Ok(())
+        self.counts.restore_state(dec)
     }
 
     /// Average active lanes per *issue* over the whole run (idle excluded).
@@ -217,7 +140,7 @@ impl DivergenceTimeline {
             .max(1);
         let mut issues = 0u64;
         let mut weighted = 0f64;
-        for w in &self.counts {
+        for w in self.counts.rows() {
             for (b, &n) in w.iter().enumerate().skip(1) {
                 issues += n;
                 // Midpoint of the bucket's lane range.

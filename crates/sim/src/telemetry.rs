@@ -31,6 +31,7 @@
 //! on every run, and [`TelemetryReport::divergence`] is that timeline.
 
 use crate::stats::DivergenceTimeline;
+use crate::windowed::Windowed;
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
@@ -296,9 +297,8 @@ pub(crate) struct SmTelemetry {
     sm: usize,
     metrics: bool,
     trace: bool,
-    window: u64,
     trace_capacity: usize,
-    windows: Vec<WindowCounters>,
+    windows: Windowed<WindowCounters>,
     events: VecDeque<TraceEvent>,
     dropped: u64,
     /// Last PDOM stack depth seen per warp id, to turn depth deltas into
@@ -308,10 +308,6 @@ pub(crate) struct SmTelemetry {
     /// final commit never issues again), which keeps the per-commit hot
     /// path a flat array access instead of a map lookup.
     depths: Vec<u32>,
-    /// Cached `(index, first cycle)` of the window most recently written —
-    /// pure cache, not serialized (see [`DivergenceTimeline`]'s twin).
-    cur_idx: usize,
-    cur_start: u64,
 }
 
 impl SmTelemetry {
@@ -320,18 +316,15 @@ impl SmTelemetry {
             sm,
             metrics: spec.metrics,
             trace: spec.metrics && spec.trace,
-            window: if spec.metrics_window == 0 {
+            trace_capacity: spec.trace_capacity.max(1),
+            windows: Windowed::new(if spec.metrics_window == 0 {
                 divergence_window
             } else {
                 spec.metrics_window
-            },
-            trace_capacity: spec.trace_capacity.max(1),
-            windows: Vec::new(),
+            }),
             events: VecDeque::new(),
             dropped: 0,
             depths: Vec::new(),
-            cur_idx: 0,
-            cur_start: 0,
         }
     }
 
@@ -341,27 +334,12 @@ impl SmTelemetry {
         self.metrics
     }
 
-    #[inline]
-    fn slot_idx(&mut self, cycle: u64) -> usize {
-        if cycle.wrapping_sub(self.cur_start) < self.window && self.cur_idx < self.windows.len() {
-            return self.cur_idx;
-        }
-        let idx = (cycle / self.window) as usize;
-        if self.windows.len() <= idx {
-            self.windows.resize(idx + 1, WindowCounters::default());
-        }
-        self.cur_idx = idx;
-        self.cur_start = idx as u64 * self.window;
-        idx
-    }
-
     /// The window counting `cycle`, or `None` with telemetry off.
     fn slot(&mut self, cycle: u64) -> Option<&mut WindowCounters> {
         if !self.is_on() {
             return None;
         }
-        let idx = self.slot_idx(cycle);
-        Some(&mut self.windows[idx])
+        Some(self.windows.slot(cycle))
     }
 
     /// Reads and replaces the last-seen stack depth for `warp`,
@@ -397,19 +375,18 @@ impl SmTelemetry {
         if !self.is_on() {
             return;
         }
-        let idx = self.slot_idx(now);
-        let w = &mut self.windows[idx];
-        w.issues += 1;
-        w.thread_instructions += u64::from(active);
         let prev = match self.swap_depth(warp, depth) {
             0 => depth,
             d => d,
         };
+        let w = self.windows.slot(now);
+        w.issues += 1;
+        w.thread_instructions += u64::from(active);
         if depth > prev {
-            self.windows[idx].pdom_pushes += u64::from(depth - prev);
+            w.pdom_pushes += u64::from(depth - prev);
             self.push_event(now, warp, TraceEventKind::PdomPush { depth });
         } else if depth < prev {
-            self.windows[idx].pdom_pops += u64::from(prev - depth);
+            w.pdom_pops += u64::from(prev - depth);
             self.push_event(now, warp, TraceEventKind::PdomPop { depth });
         }
         self.push_event(now, warp, TraceEventKind::Issue { pc, active });
@@ -503,21 +480,15 @@ impl SmTelemetry {
         );
     }
 
-    pub(crate) fn metrics_window(&self) -> u64 {
-        self.window
+    /// The windowed counters.
+    pub(crate) fn windows(&self) -> &Windowed<WindowCounters> {
+        &self.windows
     }
 
     /// Merges this shard into an accumulating report (SM-id order is the
     /// caller's responsibility).
     pub(crate) fn merge_into(&self, report: &mut TelemetryReport) {
-        if report.windows.len() < self.windows.len() {
-            report
-                .windows
-                .resize(self.windows.len(), WindowCounters::default());
-        }
-        for (dst, src) in report.windows.iter_mut().zip(&self.windows) {
-            dst.merge(src);
-        }
+        report.windows.merge(&self.windows);
         report.events.extend(self.events.iter().copied());
         report.dropped += self.dropped;
     }
@@ -529,12 +500,9 @@ impl SmTelemetry {
     pub(crate) fn encode_state(&self, enc: &mut Encoder) {
         enc.put_bool(self.metrics);
         enc.put_bool(self.trace);
-        enc.put_u64(self.window);
+        enc.put_u64(self.windows.width());
         enc.put_usize(self.trace_capacity);
-        enc.put_usize(self.windows.len());
-        for w in &self.windows {
-            w.encode_state(enc);
-        }
+        self.windows.encode_state(enc);
         // Live entries only, in warp-id order: the same bytes the old
         // ordered-map representation produced.
         enc.put_usize(self.depths.iter().filter(|&&d| d != 0).count());
@@ -558,21 +526,16 @@ impl SmTelemetry {
     ) -> Result<(), CodecError> {
         self.metrics = dec.take_bool()?;
         self.trace = dec.take_bool()?;
-        self.window = dec.take_u64()?;
-        if self.window == 0 {
+        let width = dec.take_u64()?;
+        if width == 0 {
             return Err(CodecError::BadTag {
                 what: "telemetry window",
                 tag: 0,
             });
         }
         self.trace_capacity = dec.take_usize()?.max(1);
-        let n = dec.take_len(WindowCounters::ENCODED_BYTES)?;
-        self.windows = (0..n)
-            .map(|_| {
-                let mut w = WindowCounters::default();
-                w.restore_state(dec).map(|()| w)
-            })
-            .collect::<Result<_, _>>()?;
+        self.windows = Windowed::new(width);
+        self.windows.restore_state(dec)?;
         let n = dec.take_len(9)?;
         self.depths.clear();
         for _ in 0..n {
@@ -597,13 +560,11 @@ impl SmTelemetry {
 /// [`crate::Gpu::telemetry_report`]. Shards merge in SM-id order.
 #[derive(Debug, Clone)]
 pub struct TelemetryReport {
-    /// Metrics window width in cycles.
-    pub metrics_window: u64,
     /// The machine's divergence timeline: [`crate::SimStats::divergence`]
     /// at the time of the report, whether or not telemetry is on.
     pub divergence: DivergenceTimeline,
-    /// Windowed counters indexed by `cycle / metrics_window`.
-    pub windows: Vec<WindowCounters>,
+    /// Windowed counters, the SMs' shards added together.
+    pub windows: Windowed<WindowCounters>,
     /// Merged event stream: SM-id-major, per-SM program order.
     pub events: Vec<TraceEvent>,
     /// Events dropped by full per-SM rings.
@@ -650,8 +611,7 @@ impl TelemetryReport {
             e.kind.write_args(&mut out);
             out.push_str("},");
         }
-        for (i, w) in self.windows.iter().enumerate() {
-            let ts = (i as u64 + 1) * self.metrics_window;
+        for (ts, w) in self.windows.ends() {
             let _ = write!(
                 out,
                 "{{\"name\":\"metrics\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\"tid\":0,\"args\":"
@@ -690,18 +650,9 @@ impl TelemetryReport {
     /// (`SimStats::divergence.to_csv()`), and per-module DRAM busy time.
     /// Sections are separated by `# `-prefixed headers.
     pub fn metrics_csv(&self) -> String {
-        let mut out = format!(
-            "# windowed counters (window = {} cycles)\ncycle_end,{}\n",
-            self.metrics_window,
-            WindowCounters::NAMES.join(",")
-        );
-        for (i, w) in self.windows.iter().enumerate() {
-            let _ = write!(out, "{}", (i as u64 + 1) * self.metrics_window);
-            for v in w.values() {
-                let _ = write!(out, ",{v}");
-            }
-            out.push('\n');
-        }
+        let width = self.windows.width();
+        let mut out = format!("# windowed counters (window = {width} cycles)\n");
+        self.windows.write_csv(&mut out, WindowCounters::NAMES);
         out.push_str("# divergence timeline\n");
         out.push_str(&self.divergence.to_csv());
         out.push_str("# dram module busy (fractional dram cycles)\nmodule,busy\n");
@@ -727,10 +678,7 @@ impl TelemetryReport {
     /// relay it as a `pulse` line on their stdout, so the coordinator and
     /// the `repro serve` status endpoint report live per-job progress.
     pub fn vitals(&self) -> String {
-        let mut total = WindowCounters::default();
-        for w in &self.windows {
-            total.merge(w);
-        }
+        let total = self.windows.total();
         format!(
             "issues {}, mean active lanes {:.1}, warps born {} / retired {}, \
              threads spawned {}, spawn stalls {}, dropped events {}",
@@ -755,9 +703,8 @@ mod tests {
 
     fn report_of(shards: &[SmTelemetry]) -> TelemetryReport {
         let mut report = TelemetryReport {
-            metrics_window: shards[0].metrics_window(),
             divergence: DivergenceTimeline::new(10, 32),
-            windows: Vec::new(),
+            windows: Windowed::new(shards[0].windows.width()),
             events: Vec::new(),
             dropped: 0,
             module_busy: Vec::new(),
@@ -776,7 +723,7 @@ mod tests {
         let mut t = SmTelemetry::new(0, &TelemetrySpec::off(), 10);
         t.on_issue(5, 1, 0, 32, 1);
         t.on_warp_birth(7, 1, false, 32);
-        assert!(t.windows.is_empty());
+        assert!(t.windows.rows().is_empty());
         assert!(t.events.is_empty());
     }
 
@@ -784,8 +731,8 @@ mod tests {
     fn metrics_mode_keeps_counters_but_no_events() {
         let mut t = SmTelemetry::new(0, &TelemetrySpec::metrics(), 10);
         t.on_issue(5, 1, 0, 32, 1);
-        assert_eq!(t.windows[0].issues, 1);
-        assert_eq!(t.windows[0].thread_instructions, 32);
+        assert_eq!(t.windows.rows()[0].issues, 1);
+        assert_eq!(t.windows.rows()[0].thread_instructions, 32);
         assert!(t.events.is_empty());
     }
 
@@ -796,8 +743,8 @@ mod tests {
         t.on_issue(1, 1, 11, 16, 2); // push
         t.on_issue(2, 1, 12, 16, 2); // steady
         t.on_issue(3, 1, 13, 32, 1); // pop
-        assert_eq!(t.windows[0].pdom_pushes, 1);
-        assert_eq!(t.windows[0].pdom_pops, 1);
+        assert_eq!(t.windows.rows()[0].pdom_pushes, 1);
+        assert_eq!(t.windows.rows()[0].pdom_pops, 1);
         let kinds: Vec<&'static str> = t.events.iter().map(|e| e.kind.name()).collect();
         assert!(kinds.contains(&"pdom_push"));
         assert!(kinds.contains(&"pdom_pop"));
@@ -814,7 +761,7 @@ mod tests {
         assert_eq!(t.dropped, 6);
         assert_eq!(t.events.front().map(|e| e.cycle), Some(6));
         // Metrics are unaffected by ring pressure.
-        assert_eq!(t.windows[0].issues, 10);
+        assert_eq!(t.windows.rows()[0].issues, 10);
     }
 
     #[test]
