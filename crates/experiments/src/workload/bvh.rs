@@ -192,7 +192,10 @@ mod tests {
         assert_eq!(fig.runs.len(), 2);
         for r in &fig.runs {
             assert_eq!(r.image_hash, fig.host_hash, "{} diverged", r.variant);
-            assert!(!r.buckets.is_empty(), "divergence buckets missing");
+            assert!(
+                r.buckets.iter().sum::<u64>() > 0,
+                "divergence buckets missing"
+            );
         }
         // The μ-kernel run actually spawns; the looped run never does.
         assert_eq!(fig.runs[0].threads_spawned, 0);

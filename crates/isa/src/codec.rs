@@ -913,6 +913,55 @@ macro_rules! record {
     };
 }
 
+/// A fixed-size set of counters that add, encode and restore as a unit:
+/// what [`counters!`](crate::counters) generates for a set without
+/// members, and `[u64; N]` of summed counters. A windowed timeline keeps
+/// one per window.
+pub trait CounterSet: Default {
+    /// Bytes [`CounterSet::encode_state`] writes.
+    const ENCODED_BYTES: usize;
+    /// Adds `other` in, counter by counter.
+    fn merge(&mut self, other: &Self);
+    /// Writes the counters.
+    fn encode_state(&self, enc: &mut Encoder);
+    /// Restores what [`CounterSet::encode_state`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEof`] on truncated input.
+    fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError>;
+    /// The counters as `u64`, in column order.
+    fn values(&self) -> impl AsRef<[u64]>;
+}
+
+impl<const N: usize> CounterSet for [u64; N]
+where
+    [u64; N]: Default,
+{
+    const ENCODED_BYTES: usize = 8 * N;
+
+    fn merge(&mut self, other: &Self) {
+        for (d, s) in self.iter_mut().zip(other) {
+            *d += s;
+        }
+    }
+
+    fn encode_state(&self, enc: &mut Encoder) {
+        self.iter().for_each(|&v| enc.put_u64(v));
+    }
+
+    fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
+        for v in self {
+            *v = dec.take_u64()?;
+        }
+        Ok(())
+    }
+
+    fn values(&self) -> impl AsRef<[u64]> {
+        *self
+    }
+}
+
 /// Declares a counter set once: a struct of `u64`, `u32` or `usize`
 /// fields, each tagged `= sum` or `= max` for how two sets combine.
 ///
@@ -927,14 +976,15 @@ macro_rules! record {
 ///   (`u64`, `u32` and `usize` as [`Encoder::put_u64`],
 ///   [`Encoder::put_u32`] and [`Encoder::put_usize`]), and
 ///   `ENCODED_BYTES`, what they occupy;
-/// - `Default`, all zeros.
+/// - `Default`, all zeros, and [`CounterSet`], forwarding to the above.
 ///
 /// A set that also owns non-counter state declares it after the struct in
 /// a `members { … }` block. Each member must have `merge(&mut self, &T)`,
 /// `encode_state` and `restore_state` of its own: `merge` and the codec
 /// run it after the counters, `NAMES`/`values` leave it out, and in place
 /// of `Default` the set gets `with_members(…)`, zeroed counters around the
-/// members given. Adding a counter is one line here; nothing else names it.
+/// members given. Such a set is no [`CounterSet`]: its size is not fixed.
+/// Adding a counter is one line here; nothing else names it.
 ///
 /// ```
 /// simt_isa::counters! {
@@ -1034,6 +1084,29 @@ macro_rules! counters {
         impl Default for $name {
             fn default() -> Self {
                 $name { $($field: 0),* }
+            }
+        }
+
+        impl $crate::codec::CounterSet for $name {
+            const ENCODED_BYTES: usize = $name::ENCODED_BYTES;
+
+            fn merge(&mut self, other: &Self) {
+                $name::merge(self, other);
+            }
+
+            fn encode_state(&self, enc: &mut $crate::codec::Encoder) {
+                $name::encode_state(self, enc);
+            }
+
+            fn restore_state(
+                &mut self,
+                dec: &mut $crate::codec::Decoder<'_>,
+            ) -> Result<(), $crate::codec::CodecError> {
+                $name::restore_state(self, dec)
+            }
+
+            fn values(&self) -> impl AsRef<[u64]> {
+                $name::values(self)
             }
         }
 

@@ -114,4 +114,4 @@ pub use stats::{DivergenceTimeline, SimStats, OCCUPANCY_BUCKETS};
 pub use telemetry::{TelemetryReport, TelemetrySpec, TraceEvent, TraceEventKind, WindowCounters};
 pub use thread::LaneState;
 pub use warp::{StackEntry, Warp, WarpState};
-pub use windowed::{WindowRow, Windowed};
+pub use windowed::Windowed;

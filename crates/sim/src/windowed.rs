@@ -3,73 +3,10 @@
 //! *absolute* `cycle / width`, so per-SM shards merge row by row into
 //! exactly the table one serial recorder would have built.
 //! [`crate::DivergenceTimeline`] keeps occupancy buckets in one, the
-//! telemetry keeps [`WindowCounters`] in another.
+//! telemetry keeps [`crate::WindowCounters`] in another.
 
-use crate::stats::OCCUPANCY_BUCKETS;
-use crate::telemetry::WindowCounters;
-use simt_isa::codec::{CodecError, Decoder, Encoder};
+use simt_isa::codec::{CodecError, CounterSet, Decoder, Encoder};
 use std::fmt::Write as _;
-
-/// One row of a [`Windowed`] table: counters that add, encode and restore
-/// as a unit.
-pub trait WindowRow: Clone + Default {
-    /// Bytes one row occupies in a snapshot.
-    const ENCODED_BYTES: usize;
-    /// Adds `other` in, counter by counter.
-    fn merge(&mut self, other: &Self);
-    /// Writes the counters.
-    fn encode_state(&self, enc: &mut Encoder);
-    /// Restores what [`WindowRow::encode_state`] wrote.
-    fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError>;
-    /// The counters, in column order.
-    fn values(&self) -> impl AsRef<[u64]>;
-}
-
-impl WindowRow for [u64; OCCUPANCY_BUCKETS] {
-    const ENCODED_BYTES: usize = 8 * OCCUPANCY_BUCKETS;
-
-    fn merge(&mut self, other: &Self) {
-        for (d, s) in self.iter_mut().zip(other) {
-            *d += s;
-        }
-    }
-
-    fn encode_state(&self, enc: &mut Encoder) {
-        self.iter().for_each(|&v| enc.put_u64(v));
-    }
-
-    fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        for v in self {
-            *v = dec.take_u64()?;
-        }
-        Ok(())
-    }
-
-    fn values(&self) -> impl AsRef<[u64]> {
-        *self
-    }
-}
-
-/// What `counters!` generated, as a row.
-impl WindowRow for WindowCounters {
-    const ENCODED_BYTES: usize = WindowCounters::ENCODED_BYTES;
-
-    fn merge(&mut self, other: &Self) {
-        WindowCounters::merge(self, other);
-    }
-
-    fn encode_state(&self, enc: &mut Encoder) {
-        WindowCounters::encode_state(self, enc);
-    }
-
-    fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        WindowCounters::restore_state(self, dec)
-    }
-
-    fn values(&self) -> impl AsRef<[u64]> {
-        WindowCounters::values(self)
-    }
-}
 
 /// Rows of counters over fixed-width windows of cycles.
 #[derive(Debug, Clone)]
@@ -91,7 +28,7 @@ impl<R: PartialEq> PartialEq for Windowed<R> {
 
 impl<R: Eq> Eq for Windowed<R> {}
 
-impl<R: WindowRow> Windowed<R> {
+impl<R: CounterSet + Clone> Windowed<R> {
     /// An empty table of `width`-cycle windows.
     ///
     /// # Panics
@@ -151,7 +88,7 @@ impl<R: WindowRow> Windowed<R> {
     /// # Panics
     ///
     /// Panics if the tables have different window widths.
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         assert_eq!(self.width, other.width, "merging mismatched windows");
         if self.rows.len() < other.rows.len() {
             self.rows.resize(other.rows.len(), R::default());
@@ -210,6 +147,8 @@ impl<R: WindowRow> Windowed<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::OCCUPANCY_BUCKETS;
+    use crate::telemetry::WindowCounters;
     use proptest::prelude::*;
     use std::fmt::Debug;
 
@@ -220,7 +159,7 @@ mod tests {
     /// the payload cannot hold.
     fn laws<R>(width: u64, spans: &[(u64, u64)], shards: usize, bump: impl Fn(&mut R, u64))
     where
-        R: WindowRow + PartialEq + Debug,
+        R: CounterSet + Clone + PartialEq + Debug,
     {
         let mut cycles = Windowed::new(width);
         let mut spanned = Windowed::new(width);
