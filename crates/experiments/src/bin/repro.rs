@@ -22,6 +22,7 @@
 //!                  [--healthz] [--drain]
 //!
 //! repro list       # print the workload catalog
+//! repro fidelity <file>   # the paper's numbers beside a `repro all` output
 //!
 //! artifacts: table1 table2 table3 table4 fig2 fig3 fig7 fig8 fig9 fig10
 //!            ablation shadow bvh microdiv all campaign serve client
@@ -72,7 +73,8 @@ use std::str::FromStr;
 use std::time::Duration;
 
 const USAGE: &str = "usage: repro <workload[@variant]|all|list|campaign|serve|client> \
-     (`repro list` prints the workload catalog) \
+     (`repro list` prints the workload catalog; \
+     `repro fidelity <file>` sets a `repro all` output beside the paper) \
      [--scale paper|quick|test] [--json] \
      [--trace] [--metrics-every N] \
      [--checkpoint-every N] [--checkpoint-dir D] [--resume] \
@@ -325,6 +327,24 @@ fn main() -> ExitCode {
             );
         }
         return ExitCode::SUCCESS;
+    }
+    if mode == "fidelity" {
+        let [file] = flags else {
+            return usage();
+        };
+        let table = std::fs::read_to_string(file)
+            .map_err(|e| format!("{file}: {e}"))
+            .and_then(|text| experiments::fidelity::render(&text));
+        return match table {
+            Ok(table) => {
+                print!("{table}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("error: fidelity: {e}");
+                ExitCode::from(2)
+            }
+        };
     }
     let Some(mut cli) = Cli::parse(flags) else {
         return usage();

@@ -2,10 +2,12 @@
 //! the MIMD theoretical ideal.
 //!
 //! The paper's observations: PDOM gains nothing from an ideal memory
-//! system (it is branch-bound); dynamic μ-kernels reach ~45% of the MIMD
-//! theoretical with real memory and ~60% with ideal memory.
+//! system (it is branch-bound); dynamic μ-kernels reach a larger fraction
+//! of the MIMD theoretical, larger still with ideal memory (`fidelity`
+//! claims `fig10.dyn` and `fig10.dyn.ideal`).
 
 use crate::configs::Variant;
+use crate::fidelity::paper;
 use crate::runner::{RenderRun, RenderSpec, Scale};
 use raytrace::scenes;
 use rt_kernels::render::RenderSetup;
@@ -106,7 +108,9 @@ impl fmt::Display for Fig10 {
         }
         write!(
             f,
-            "  paper shape: PDOM flat under ideal memory; dynamic ~45% of MIMD, ~60% potential"
+            "  paper shape: PDOM flat under ideal memory; dynamic ~{:.0}% of MIMD, ~{:.0}% potential",
+            paper("fig10.dyn"),
+            paper("fig10.dyn.ideal")
         )
     }
 }

@@ -21,7 +21,8 @@
 //! | [`shadow::run`] | shadow-ray pass study (beyond the paper) |
 //!
 //! All runners take a [`Scale`] so tests can run them at toy sizes while
-//! the recorded numbers use [`Scale::paper`].
+//! the recorded numbers use [`Scale::paper`]. [`fidelity`] holds the
+//! paper's own numbers and sets them beside a `repro all` output.
 //!
 //! Artifact dispatch goes through the [`workload`] registry: every
 //! runnable scenario — the twelve paper artifacts above plus the
@@ -36,6 +37,7 @@
 pub mod ablation;
 pub mod campaign;
 pub mod configs;
+pub mod fidelity;
 pub mod fig10;
 pub mod fig2;
 pub mod fig3;

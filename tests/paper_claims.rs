@@ -1,13 +1,68 @@
-//! Shape-level assertions of the paper's headline claims, at a reduced
-//! scale so they run in CI. The full-scale numbers are recorded in
-//! EXPERIMENTS.md.
+//! The paper's headline claims. The paper-vs-measured table,
+//! `results/fidelity_paper.txt`, is `repro fidelity` of the paper-scale
+//! golden `results/paper_scale.txt`; the tests below check it and its
+//! verdicts without simulating anything. The live tests after them assert
+//! the claims' shape at a reduced scale (48×48 rays) so they run in CI.
 
+use usimt::experiments::fidelity;
 use usimt::experiments::fig3::divergence_figure;
 use usimt::experiments::runner::Scale;
 use usimt::experiments::Variant;
 use usimt::kernels::render::RenderSetup;
 use usimt::raytrace::scenes;
 use usimt::sim::{mimd_theoretical, Gpu, GpuConfig};
+
+fn golden(name: &str) -> String {
+    let path = format!("{}/results/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+#[test]
+fn fidelity_table_of_the_paper_scale_golden_is_recorded() {
+    let table = fidelity::render(&golden("paper_scale.txt")).expect("every section present");
+    assert_eq!(
+        table,
+        golden("fidelity_paper.txt"),
+        "re-record with `repro fidelity results/paper_scale.txt`"
+    );
+}
+
+/// Two directions the paper states do not reproduce, and EXPERIMENTS.md
+/// says why: with bank conflicts the μ-kernels fall below the (stronger)
+/// PDOM baseline, and eliding convergent spawns (§IX) costs IPC here. They
+/// are named so that each must keep failing until a change means to move
+/// it; every other direction must hold.
+const DIRECTIONS_NOT_REPRODUCED: [&str; 2] = ["fig9.ratio", "ablation.ipc"];
+
+#[test]
+fn every_direction_row_holds_at_paper_scale() {
+    let rows = fidelity::rows(&golden("paper_scale.txt")).expect("every section present");
+    assert!(rows.iter().any(|r| r.holds.is_some()));
+    for row in rows {
+        if let Some(holds) = row.holds {
+            let expected = !DIRECTIONS_NOT_REPRODUCED.contains(&row.claim.id);
+            assert_eq!(
+                holds, expected,
+                "{}: measured {}",
+                row.claim.id, row.measured
+            );
+        }
+    }
+}
+
+#[test]
+fn quick_scale_golden_measures_every_row() {
+    let rows = fidelity::rows(&golden("quick_scale.txt")).expect("every section present");
+    assert_eq!(rows.len(), fidelity::CLAIMS.len());
+    for row in rows {
+        assert!(
+            row.measured.is_finite() && row.measured > 0.0,
+            "{}: {}",
+            row.claim.id,
+            row.measured
+        );
+    }
+}
 
 fn scale() -> Scale {
     // Small-but-meaningful: 48x48 rays on the full 30-SM machine.
