@@ -25,13 +25,40 @@ simt_isa::record! {
     }
 }
 
+/// The most lanes one `spawn` carries: the widest warp a machine has.
+const MAX_SPAWN_LANES: usize = 32;
+
+/// The formation-slot addresses of one `spawn`'s lanes, held inline (at
+/// most a 32-lane warp's), so a `spawn` allocates nothing. Reads as a
+/// slice.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ThreadSlots {
+    addrs: [u32; MAX_SPAWN_LANES],
+    len: u8,
+}
+
+impl ThreadSlots {
+    fn push(&mut self, addr: u32) {
+        self.addrs[usize::from(self.len)] = addr;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for ThreadSlots {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.addrs[..usize::from(self.len)]
+    }
+}
+
 /// Result of executing one warp-wide `spawn` instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpawnOutcome {
     /// Formation-slot address assigned to each spawning lane, in lane
     /// order. The SM issues one store per slot writing the lane's state
     /// pointer — the memory transaction of §IV-C.
-    pub thread_slots: Vec<u32>,
+    pub thread_slots: ThreadSlots,
     /// Warps completed by this spawn (already enqueued in the FIFO).
     pub warps_completed: u32,
 }
@@ -176,13 +203,21 @@ impl WarpFormation {
     ///
     /// [`SpawnError::FormationFull`]/[`SpawnError::FifoFull`] are transient
     /// stalls; [`SpawnError::LutFull`] is a configuration error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_active` exceeds 32, the widest warp.
     // The commit phase's expects are backed by the transactional capacity
     // pre-check above them: every allocation was counted before mutating.
     #[allow(clippy::expect_used)]
     pub fn spawn(&mut self, pc: usize, n_active: u32) -> Result<SpawnOutcome, SpawnError> {
+        assert!(
+            n_active as usize <= MAX_SPAWN_LANES,
+            "{n_active} spawning lanes: a warp has at most {MAX_SPAWN_LANES}"
+        );
         if n_active == 0 {
             return Ok(SpawnOutcome {
-                thread_slots: Vec::new(),
+                thread_slots: ThreadSlots::default(),
                 warps_completed: 0,
             });
         }
@@ -227,7 +262,7 @@ impl WarpFormation {
             line.overflow_addr = Self::alloc_block(free, &layout).expect("pre-checked");
         }
 
-        let mut thread_slots = Vec::with_capacity(n_active as usize);
+        let mut thread_slots = ThreadSlots::default();
         let mut completed = 0u32;
         for _ in 0..n_active {
             thread_slots.push(line.fill_addr);

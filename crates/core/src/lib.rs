@@ -54,6 +54,8 @@ mod lut;
 
 pub use compile::{can_extract, extract_loop, ExtractError, ExtractOptions};
 pub use config::DmkConfig;
-pub use formation::{CompletedWarp, DmkStats, SpawnError, SpawnOutcome, WarpFormation};
+pub use formation::{
+    CompletedWarp, DmkStats, SpawnError, SpawnOutcome, ThreadSlots, WarpFormation,
+};
 pub use layout::SpawnMemoryLayout;
 pub use lut::{LutLine, SpawnLut};

@@ -963,7 +963,9 @@ where
 }
 
 /// Declares a counter set once: a struct of `u64`, `u32` or `usize`
-/// fields, each tagged `= sum` or `= max` for how two sets combine.
+/// fields, each tagged `= sum` or `= max` for how two sets combine, or
+/// `= derived` for a value its owner sets from other state: listed and
+/// printed with the rest, but neither merged nor stored.
 ///
 /// From that one declaration it generates the struct (attributes, field
 /// docs and visibilities as written) and, in declaration order:
@@ -972,8 +974,8 @@ where
 ///   `u64` — what every printer (CSV header and rows, `/healthz`, a stats
 ///   block) reads;
 /// - `merge(&other)`: `+=` for `sum` fields, `max` for `max` fields;
-/// - `encode_state`/`restore_state`, one fixed-width put/take per field
-///   (`u64`, `u32` and `usize` as [`Encoder::put_u64`],
+/// - `encode_state`/`restore_state`, one fixed-width put/take per stored
+///   field (`u64`, `u32` and `usize` as [`Encoder::put_u64`],
 ///   [`Encoder::put_u32`] and [`Encoder::put_usize`]), and
 ///   `ENCODED_BYTES`, what they occupy;
 /// - `Default`, all zeros, and [`CounterSet`], forwarding to the above.
@@ -1016,15 +1018,19 @@ where
 macro_rules! counters {
     (@merge sum, $a:expr, $b:expr) => { $a += $b };
     (@merge max, $a:expr, $b:expr) => { $a = $a.max($b) };
-    (@put $enc:ident, u64, $v:expr) => { $enc.put_u64($v) };
-    (@put $enc:ident, u32, $v:expr) => { $enc.put_u32($v) };
-    (@put $enc:ident, usize, $v:expr) => { $enc.put_usize($v) };
-    (@take $dec:ident, u64) => { $dec.take_u64()? };
-    (@take $dec:ident, u32) => { $dec.take_u32()? };
-    (@take $dec:ident, usize) => { $dec.take_usize()? };
-    (@bytes u64) => { 8 };
-    (@bytes u32) => { 4 };
-    (@bytes usize) => { 8 };
+    (@merge derived, $a:expr, $b:expr) => {};
+    (@put $enc:ident, derived, $fty:ident, $v:expr) => {};
+    (@put $enc:ident, $m:ident, u64, $v:expr) => { $enc.put_u64($v) };
+    (@put $enc:ident, $m:ident, u32, $v:expr) => { $enc.put_u32($v) };
+    (@put $enc:ident, $m:ident, usize, $v:expr) => { $enc.put_usize($v) };
+    (@take $dec:ident, derived, $fty:ident, $f:expr) => {};
+    (@take $dec:ident, $m:ident, u64, $f:expr) => { $f = $dec.take_u64()? };
+    (@take $dec:ident, $m:ident, u32, $f:expr) => { $f = $dec.take_u32()? };
+    (@take $dec:ident, $m:ident, usize, $f:expr) => { $f = $dec.take_usize()? };
+    (@bytes derived, $fty:ident) => { 0 };
+    (@bytes $m:ident, u64) => { 8 };
+    (@bytes $m:ident, u32) => { 4 };
+    (@bytes $m:ident, usize) => { 8 };
     (@wide u64, $v:expr) => { $v };
     (@wide u32, $v:expr) => { u64::from($v) };
     (@wide usize, $v:expr) => { $v as u64 };
@@ -1034,7 +1040,7 @@ macro_rules! counters {
             pub const NAMES: &'static [&'static str] = &[$(stringify!($field)),*];
 
             /// Bytes the counters occupy in a snapshot (members excluded).
-            pub const ENCODED_BYTES: usize = 0 $(+ $crate::counters!(@bytes $fty))*;
+            pub const ENCODED_BYTES: usize = 0 $(+ $crate::counters!(@bytes $merge, $fty))*;
 
             /// Counter values as `u64`, in [`Self::NAMES`] order.
             pub fn values(&self) -> [u64; Self::NAMES.len()] {
@@ -1042,15 +1048,17 @@ macro_rules! counters {
             }
 
             /// Adds `other` in, field by field: sums add, high-water marks
-            /// keep the larger; then merges each member.
+            /// keep the larger, derived values stay; then merges each
+            /// member.
             pub fn merge(&mut self, other: &Self) {
                 $($crate::counters!(@merge $merge, self.$field, other.$field);)*
                 $(self.$member.merge(&other.$member);)*
             }
 
-            /// Writes every counter in declaration order, then each member.
+            /// Writes every stored counter in declaration order, then each
+            /// member.
             pub fn encode_state(&self, enc: &mut $crate::codec::Encoder) {
-                $($crate::counters!(@put enc, $fty, self.$field);)*
+                $($crate::counters!(@put enc, $merge, $fty, self.$field);)*
                 $(self.$member.encode_state(enc);)*
             }
 
@@ -1064,7 +1072,7 @@ macro_rules! counters {
                 &mut self,
                 dec: &mut $crate::codec::Decoder<'_>,
             ) -> Result<(), $crate::codec::CodecError> {
-                $(self.$field = $crate::counters!(@take dec, $fty);)*
+                $($crate::counters!(@take dec, $merge, $fty, self.$field);)*
                 $(self.$member.restore_state(dec)?;)*
                 Ok(())
             }

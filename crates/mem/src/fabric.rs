@@ -16,6 +16,7 @@
 use crate::backing::{LocalStore, WordStore};
 use crate::cache::ReadOnlyCache;
 use crate::config::MemConfig;
+use crate::traffic::SegmentsServiced;
 use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
 use simt_isa::Space;
 use std::fmt;
@@ -165,6 +166,8 @@ pub struct MemoryFabric {
     icnt_rr: Vec<u32>,
     /// Grants that queued behind another SM's flit in the same cycle.
     icnt_conflicts: u64,
+    /// Segments [`MemoryFabric::service_batch`] serviced.
+    segments: SegmentsServiced,
     /// Scratch of [`MemoryFabric::service_batch`], kept across calls so the
     /// per-cycle batch does not allocate: the ready times it returns, and
     /// the per-bank grant queues of `(batch index, segment)`.
@@ -203,6 +206,7 @@ impl MemoryFabric {
             icnt_busy: vec![0; partitions],
             icnt_rr: vec![0; partitions],
             icnt_conflicts: 0,
+            segments: SegmentsServiced::default(),
             ready: Vec::new(),
             queues: vec![Vec::new(); partitions],
         }
@@ -481,6 +485,14 @@ impl MemoryFabric {
     /// rotation, no interconnect accounting.
     pub fn service_batch(&mut self, now: u64, batch: &[BatchRequest]) -> &[u64] {
         self.ready.clear();
+        for b in batch {
+            let n = b.request.segments.len() as u64;
+            *(if b.request.is_store {
+                &mut self.segments.stores
+            } else {
+                &mut self.segments.loads
+            }) += n;
+        }
         if batch.is_empty() {
             return &self.ready;
         }
@@ -578,6 +590,11 @@ impl MemoryFabric {
         &self.icnt_busy
     }
 
+    /// Segments the timing batch has serviced, loads and stores.
+    pub fn segments_serviced(&self) -> &SegmentsServiced {
+        &self.segments
+    }
+
     /// Interconnect grants that queued behind another SM's flit within a
     /// single arbitration cycle.
     pub fn icnt_conflicts(&self) -> u64 {
@@ -623,6 +640,7 @@ impl MemoryFabric {
             enc.put_u32(b);
         }
         enc.put_u64(self.icnt_conflicts);
+        self.segments.encode_state(enc);
     }
 
     /// Restores state previously written by
@@ -673,7 +691,7 @@ impl MemoryFabric {
             *b = dec.take_u32()?;
         }
         self.icnt_conflicts = dec.take_u64()?;
-        Ok(())
+        self.segments.restore_state(dec)
     }
 }
 

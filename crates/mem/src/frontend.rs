@@ -14,7 +14,7 @@ use crate::coalesce::coalesce_segments;
 use crate::config::MemConfig;
 use crate::fabric::{FabricRequest, MemoryFabric};
 use crate::mshr::MshrTable;
-use crate::traffic::TrafficStats;
+use crate::traffic::{SegmentsSent, TrafficStats};
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use simt_isa::Space;
 
@@ -131,6 +131,8 @@ pub struct SmMemFrontend {
     tex_unbound: Vec<u32>,
     /// See [`SmMemFrontend::requests_emitted`].
     requests_emitted: u64,
+    /// Segments sent to the fabric, by kind.
+    segments: SegmentsSent,
 }
 
 impl SmMemFrontend {
@@ -171,6 +173,7 @@ impl SmMemFrontend {
             tex_bound: Vec::new(),
             tex_unbound: Vec::new(),
             requests_emitted: 0,
+            segments: SegmentsSent::default(),
         }
     }
 
@@ -218,6 +221,11 @@ impl SmMemFrontend {
     /// Whether no MSHR entry is still waiting for its fill time.
     pub fn mshr_all_resolved(&self) -> bool {
         self.mshr.all_resolved()
+    }
+
+    /// Segments this frontend's routes have sent to the fabric, by kind.
+    pub fn segments_sent(&self) -> &SegmentsSent {
+        &self.segments
     }
 
     /// Fabric requests [`SmMemFrontend::request_offchip`] has returned
@@ -383,11 +391,14 @@ impl SmMemFrontend {
             // chip); they still cross the fabric.
             let line = self.config.tex_line_bytes;
             let (floor, fill) = self.request_offchip(now, Space::Global, false, line, &miss_lines);
+            self.segments.tex_fills += fill.as_ref().map_or(0, |f| f.segments.len() as u64);
             route.ready = route.ready.max(floor);
             route.requests[0] = fill;
         }
         if !bound_addrs.is_empty() {
             route.tex = Some((bound_addrs.len() as u32, miss_lines.len() as u32));
+            let served = bound_addrs.len() as u64 * u64::from(width_bytes);
+            self.traffic.record_tex(served);
         }
         self.tex_bound = bound;
         self.tex_unbound = unbound;
@@ -410,6 +421,12 @@ impl SmMemFrontend {
     ) -> OffchipRoute {
         if is_store || space != Space::Global || self.l1.is_none() {
             let (ready, req) = self.request_offchip(now, space, is_store, width_bytes, addresses);
+            let sent = req.as_ref().map_or(0, |r| r.segments.len() as u64);
+            *(if is_store {
+                &mut self.segments.stores
+            } else {
+                &mut self.segments.loads
+            }) += sent;
             return OffchipRoute {
                 ready,
                 requests: [None, req],
@@ -418,6 +435,7 @@ impl SmMemFrontend {
         }
         let (ready, req, mut fill_lines, merges, probe) =
             self.l1_request(now, width_bytes, addresses);
+        self.segments.l1_fills += req.as_ref().map_or(0, |r| r.segments.len() as u64);
         if req.is_none() && !fill_lines.is_empty() {
             // Ideal memory: nothing to service, so the lines the L1
             // allocated are filled by the next cycle.
@@ -526,6 +544,12 @@ impl SmMemFrontend {
                     self.mshr.note_merge();
                     self.merge_scratch.insert(l);
                 } else if l1.probe(l) {
+                    // No line hits before its fill lands: an in-flight
+                    // line merged above.
+                    debug_assert!(
+                        self.mshr.lookup(l).is_none_or(|fill| fill <= now),
+                        "L1 line {l:#x} hit before its fill"
+                    );
                     probe.hits += 1;
                 } else if self.mshr.has_room() {
                     // Tracked miss: install the tag and let the MSHR entry
@@ -586,6 +610,7 @@ impl SmMemFrontend {
             enc.put_u64(self.l1_hits);
             enc.put_u64(self.l1_misses);
         }
+        self.segments.encode_state(enc);
     }
 
     /// Restores state previously written by
@@ -626,7 +651,7 @@ impl SmMemFrontend {
                 })
             }
         }
-        Ok(())
+        self.segments.restore_state(dec)
     }
 }
 

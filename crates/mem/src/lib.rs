@@ -59,4 +59,4 @@ pub use config::{MemConfig, MemPreset};
 pub use fabric::{BatchRequest, FabricRequest, MemFault, MemoryFabric};
 pub use frontend::{L1Probe, OffchipRoute, SmMemFrontend};
 pub use mshr::{MshrTable, FILL_UNRESOLVED};
-pub use traffic::{SpaceTraffic, TrafficStats};
+pub use traffic::{SegmentsSent, SegmentsServiced, SpaceTraffic, TrafficStats};

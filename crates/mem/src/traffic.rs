@@ -22,6 +22,34 @@ simt_isa::counters! {
     }
 }
 
+simt_isa::counters! {
+    /// Coalesced segments one SM's frontend sent to the fabric, by kind.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct SegmentsSent {
+        /// Line fills of global loads that missed the L1.
+        pub l1_fills: u64 = sum,
+        /// Line fills of the texture cache.
+        pub tex_fills: u64 = sum,
+        /// Loads no cache serves (global without an L1, local).
+        pub loads: u64 = sum,
+        /// Stores, which write through.
+        pub stores: u64 = sum,
+    }
+}
+
+simt_isa::counters! {
+    /// Coalesced segments the fabric serviced, by what a request shows of
+    /// its source: loads (each probes the L2, when one is modelled) and
+    /// stores.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct SegmentsServiced {
+        /// Load segments: L1 and texture fills and uncached loads.
+        pub loads: u64 = sum,
+        /// Store segments.
+        pub stores: u64 = sum,
+    }
+}
+
 impl SpaceTraffic {
     /// Total bytes moved (read + written).
     pub fn total_bytes(&self) -> u64 {
@@ -29,7 +57,8 @@ impl SpaceTraffic {
     }
 }
 
-/// Traffic statistics for all address spaces.
+/// Traffic statistics for all address spaces, and the bytes the texture
+/// path served to lanes.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrafficStats {
     global: SpaceTraffic,
@@ -37,6 +66,10 @@ pub struct TrafficStats {
     local: SpaceTraffic,
     constant: SpaceTraffic,
     spawn: SpaceTraffic,
+    /// Bytes texture-bound lanes of global loads read through the texture
+    /// cache, hits and misses alike. Apart from the per-space counters: a
+    /// texture miss's line fill is global traffic, a hit none.
+    tex_bytes: u64,
 }
 
 impl TrafficStats {
@@ -79,6 +112,16 @@ impl TrafficStats {
         }
     }
 
+    /// Records `bytes` served to lanes by the texture path.
+    pub(crate) fn record_tex(&mut self, bytes: u64) {
+        self.tex_bytes += bytes;
+    }
+
+    /// Bytes the texture path served to lanes (see [`TrafficStats`]).
+    pub fn tex_bytes(&self) -> u64 {
+        self.tex_bytes
+    }
+
     /// Records bank-conflict serialization passes.
     pub fn record_conflicts(&mut self, space: Space, extra_passes: u64) {
         self.space_mut(space).bank_conflict_passes += extra_passes;
@@ -98,11 +141,12 @@ impl TrafficStats {
     }
 
     /// Serializes every space's counters for a simulator checkpoint, in
-    /// [`Space::ALL`] order.
+    /// [`Space::ALL`] order, then the texture bytes.
     pub fn encode_state(&self, enc: &mut Encoder) {
         for s in Space::ALL {
             self.space(s).encode_state(enc);
         }
+        enc.put_u64(self.tex_bytes);
     }
 
     /// Restores counters previously written by
@@ -115,6 +159,7 @@ impl TrafficStats {
         for s in Space::ALL {
             self.space_mut(s).restore_state(dec)?;
         }
+        self.tex_bytes = dec.take_u64()?;
         Ok(())
     }
 
@@ -123,6 +168,7 @@ impl TrafficStats {
         for s in Space::ALL {
             self.space_mut(s).merge(other.space(s));
         }
+        self.tex_bytes += other.tex_bytes;
     }
 }
 
@@ -174,9 +220,11 @@ mod tests {
         let mut b = TrafficStats::new();
         b.record(Space::Shared, false, 8, 0);
         b.record_conflicts(Space::Spawn, 3);
+        b.record_tex(96);
         a.merge(&b);
         assert_eq!(a.space(Space::Shared).bytes_read, 12);
         assert_eq!(a.space(Space::Spawn).bank_conflict_passes, 3);
+        assert_eq!((a.tex_bytes(), a.bytes_read()), (96, 12));
     }
 
     fn traffic_from(bytes: &[u8]) -> Result<SpaceTraffic, CodecError> {

@@ -77,8 +77,14 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DMKSNAP\0";
 /// register-major as they are held; the fabric's always-zero traffic
 /// block and the per-lane instruction counts nothing read are gone;
 /// 6 — the per-SM telemetry shard no longer carries a second copy of the
-/// divergence timeline (the statistics block holds the only one).
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// divergence timeline (the statistics block holds the only one);
+/// 7 — the statistics carry the SM-cycle ledger (stall rows by window)
+/// and each warp what it waits on; the fabric and each SM's frontend
+/// count the segments they serviced and sent, and the traffic block the
+/// bytes the texture path served; what the rest implies is gone: each
+/// SM's resource counts and empty statistics shard, the second spawn
+/// presence flag, and the derived counters (`cycles`, `idle_sm_cycles`).
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Why a snapshot could not be restored.
 ///
@@ -478,7 +484,7 @@ mod tests {
     fn other_versions_are_rejected_by_version_not_checksum() {
         // Re-frame under the previous and the next version with a correct
         // checksum: the version gate must fire. There is no reader for a
-        // v4 file; whoever finds one restarts the job.
+        // v6 file; whoever finds one restarts the job.
         let s = Snapshot::from_payload(vec![1, 2, 3]);
         for version in [SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
             let bytes = seal_frame(&SNAPSHOT_MAGIC, version, &[], &s.payload);

@@ -41,8 +41,9 @@ use crate::telemetry::{TelemetryReport, TelemetrySpec};
 use crate::windowed::Windowed;
 use dmk_core::DmkStats;
 use simt_isa::codec::{Codec, Decoder, Encoder};
+use simt_isa::Space;
 use simt_isa::{EncodeError, Program, ReconvergenceTable};
-use simt_mem::{BatchRequest, MemoryFabric, TrafficStats};
+use simt_mem::{BatchRequest, MemoryFabric, SegmentsSent, TrafficStats};
 use std::collections::VecDeque;
 
 /// A kernel launch request.
@@ -282,9 +283,9 @@ impl Gpu {
 
     /// Merges every SM's telemetry shard — in SM-id order, like the
     /// statistics shards — into one [`TelemetryReport`], and attaches the
-    /// machine's divergence timeline (statistics shards are merged
-    /// whenever [`Gpu::run`] returns, so it is complete) and the fabric's
-    /// per-DRAM-module busy time. Unlike stats, telemetry stays resident:
+    /// machine's divergence timeline and stall ledger (statistics shards
+    /// are merged whenever [`Gpu::run`] returns, so both are complete)
+    /// and the fabric's per-DRAM-module busy time. Unlike stats, telemetry stays resident:
     /// the report is cumulative over the machine's lifetime and taking it
     /// does not reset anything.
     pub fn telemetry_report(&self) -> TelemetryReport {
@@ -293,6 +294,7 @@ impl Gpu {
         });
         let mut report = TelemetryReport {
             divergence: self.stats.divergence.clone(),
+            stalls: self.stats.stalls.clone(),
             windows: Windowed::new(width),
             events: Vec::new(),
             dropped: 0,
@@ -374,9 +376,10 @@ impl Gpu {
     /// Captures the complete architectural state of the machine as a
     /// [`Snapshot`]: configuration, device memory (backing stores and DRAM
     /// module timing), every SM (warps, thread contexts, formation unit,
-    /// memory frontend, statistics shard), the active launch (program,
-    /// pending blocks, dynamic-tid counter), the fault log, and the fault
-    /// injector.
+    /// memory frontend), the active launch (program, pending blocks,
+    /// dynamic-tid counter), the statistics, the fault log, and the fault
+    /// injector. What the rest implies is not stored: each SM's resource
+    /// counts and empty statistics shard, and the derived counters.
     ///
     /// Checkpoints are only possible between [`Gpu::run`] calls — the
     /// inter-cycle barrier where no access waits on a timing batch and no
@@ -421,7 +424,8 @@ impl Gpu {
     /// Rebuilds a machine from a [`Snapshot`] taken by
     /// [`Gpu::checkpoint`]. The restored machine continues bit-identically
     /// to the one that was checkpointed. Derived state (reconvergence
-    /// table, memory geometry) is recomputed, not stored.
+    /// table, memory geometry, each SM's resource counts, the derived
+    /// counters) is recomputed, not stored.
     ///
     /// # Errors
     ///
@@ -460,6 +464,7 @@ impl Gpu {
         }
         gpu.stats.restore_state(&mut dec)?;
         gpu.now = dec.take_u64()?;
+        gpu.stats.derive(gpu.now);
         gpu.rr_sm = dec.take_usize()?;
         gpu.injector = Option::decode(&mut dec)?;
         gpu.faults = Vec::decode(&mut dec)?;
@@ -474,44 +479,78 @@ impl Gpu {
 
     /// Checks the laws the machine keeps between cycles — the one place
     /// they are written — and names the first one broken. Counters are
-    /// merged over the SMs' shards and summed in `u128`, which no forged
-    /// value overflows. [`Gpu::restore`] ends with it; [`Gpu::checkpoint`]
-    /// and every return of [`Gpu::run`] assert it in debug builds.
+    /// summed in `u128`, which no forged value overflows. [`Gpu::restore`]
+    /// ends with it; [`Gpu::checkpoint`] and every return of [`Gpu::run`]
+    /// assert it in debug builds. Between runs every SM's statistics shard
+    /// is merged and empty, so the laws read the machine's statistics.
     ///
     /// # Errors
     ///
     /// The broken law.
     pub fn audit(&self) -> Result<(), String> {
-        let mut s = self.stats.clone();
-        for sm in &self.sms {
-            s.merge(sm.stats());
-        }
+        let s = &self.stats;
         let u = u128::from;
-        let windows = s.divergence.windows().iter();
-        let windows: Vec<u128> = windows.map(|c| c.iter().copied().map(u).sum()).collect();
-        let recorded: u128 = windows.iter().sum();
-        let fullest = windows.iter().copied().max().unwrap_or(0);
         let (now, w) = (u(self.now), u(s.divergence.window()));
         let sms = u(self.sms.len() as u64);
-        let (issued, idle) = (u(s.warp_issues), u(s.idle_sm_cycles));
-        let spent = issued + idle + u(s.spawn_stall_cycles) + u(s.faults);
+        let (buckets, rows) = (s.divergence.windows(), s.stalls.rows());
+        let window = |i: usize| {
+            let b = buckets.get(i).copied().unwrap_or_default();
+            let r = rows.get(i).copied().unwrap_or_default();
+            let issued: u128 = b[1..].iter().copied().map(u).sum();
+            (issued, u(b[0]), r.idle(), u(r.spawn_stalls))
+        };
+        let windows: Vec<_> = (0..buckets.len().max(rows.len())).map(window).collect();
+        let issued: u128 = windows.iter().map(|w| w.0).sum();
+        let charged: u128 = windows.iter().map(|w| w.2 + w.3).sum();
+        let fullest = windows.iter().map(|w| w.0 + w.2 + w.3).max().unwrap_or(0);
         // An aborting trap leaves the clock on its cycle, which every SM ran.
         let aborted = self.faults.last().is_some_and(|f| f.cycle == self.now);
         let ran = sms * (now + u128::from(aborted));
         let last_window = w * (windows.len().max(1) as u128 - 1);
         let regs = (self.launch.as_ref()).map(|l| l.regs_per_thread);
         let derived = (self.launch.as_ref()).map(|l| l.program.resource_usage().registers.max(1));
-        let rpt = regs.unwrap_or(0);
-        let held = self.sms.iter().map(|sm| sm.audit(rpt));
+        let held = self.sms.iter().map(Sm::audit);
         let held: u64 = held.sum::<Result<_, _>>()?;
         let created = u(s.threads_launched) + u(s.threads_spawned);
         let ended = u(s.threads_retired) + u(s.threads_killed) + u(held);
         let mut widths = self.sms.iter().map(|sm| sm.telemetry().windows().width());
         let one_width = widths.next().is_none_or(|w| widths.all(|v| v == w));
+        let (sent, traffic) = self.sms.iter().fold(
+            (SegmentsSent::default(), TrafficStats::new()),
+            |(mut sent, mut traffic), sm| {
+                sent.merge(sm.segments_sent());
+                traffic.merge(sm.traffic());
+                (sent, traffic)
+            },
+        );
+        let serviced = self.mem.segments_serviced();
+        let sent_loads = u(sent.l1_fills) + u(sent.tex_fills) + u(sent.loads);
+        let mem = self.mem.config();
+        // An L1 miss that merged into an in-flight fill fetches nothing;
+        // every other one fetches its line, a whole number of segments.
+        let per_line = mem.l1_line_bytes.checked_div(mem.segment_bytes);
+        let per_line = per_line.filter(|_| mem.l1_line_bytes.is_multiple_of(mem.segment_bytes));
+        let l1_fills = self.l1_stats().map_or(Some(0), |(_, misses, merges, _)| {
+            let fetched = u(misses).checked_sub(u(merges))?;
+            per_line.map(|n| fetched * u(u64::from(n)))
+        });
+        let probes = self
+            .mem
+            .l2_stats()
+            .map(|(hits, misses)| u(hits) + u(misses));
+        let flit = u(u64::from(mem.icnt_flit_cycles.max(1)));
+        let busy: u128 = self.mem.icnt_busy().iter().copied().map(u).sum();
+        let offchip = [Space::Global, Space::Local].map(|s| u(traffic.space(s).transactions));
         let laws = [
-            (u(s.cycles) == now, "stats.cycles == now"),
-            (recorded == issued + idle, "timeline == issued + idle"),
-            (spent == ran, "SM-cycles == num_sms × cycles"),
+            (issued == u(s.warp_issues), "issue buckets == warp_issues"),
+            (
+                issued + u(s.faults) + charged == ran,
+                "issues + traps + Σ stall rows == num_sms × cycles",
+            ),
+            (
+                windows.iter().all(|w| w.1 == w.2),
+                "divergence bucket 0 == Σ idle rows, window by window",
+            ),
             (last_window <= now, "no window starts past the clock"),
             (fullest <= sms * w, "window ≤ num_sms × w"),
             (regs == derived, "registers per thread == the program's"),
@@ -520,6 +559,22 @@ impl Gpu {
                 "threads launched + spawned == retired + killed + live + queued",
             ),
             (one_width, "every SM's metrics window == SM 0's"),
+            (
+                (u(serviced.loads), u(serviced.stores)) == (sent_loads, u(sent.stores)),
+                "segments serviced == segments sent, loads and stores",
+            ),
+            (
+                per_line.is_none() || l1_fills == Some(u(sent.l1_fills)),
+                "L1 fill segments == (L1 misses − MSHR merges) × segments a line",
+            ),
+            (
+                probes.is_none_or(|p| p == u(serviced.loads)),
+                "L2 probes == L1 and texture fills + uncached loads",
+            ),
+            (
+                probes.is_none() || busy == flit * (offchip[0] + offchip[1]),
+                "interconnect flits == off-chip transactions",
+            ),
         ];
         match laws.iter().find(|(holds, _)| !holds) {
             Some((_, law)) => Err(format!("{law} at cycle {now}")),
@@ -695,9 +750,8 @@ impl Gpu {
             .all(|sm| !sm.has_live_warps() && sm.spawn_drained())
     }
 
-    /// Merges every SM's statistics shard into the base stats and
-    /// consolidates the cycle count — the single place `stats.cycles` is
-    /// written.
+    /// Merges every SM's statistics shard into the base stats, leaving
+    /// each empty, and sets the derived counters.
     fn finish_run(&mut self) {
         for sm in &mut self.sms {
             let shard = sm.take_stats(SimStats::new(
@@ -706,7 +760,7 @@ impl Gpu {
             ));
             self.stats.merge(&shard);
         }
-        self.stats.cycles = self.now;
+        self.stats.derive(self.now);
     }
 
     /// Snapshot of every SM for the watchdog's deadlock report.
@@ -973,7 +1027,7 @@ impl Gpu {
                             faults.push(f);
                         }
                     }
-                    reaped += sm.reap_finished(now, ctx);
+                    reaped += sm.reap_finished(now);
                     progress += sm.take_progress();
                     if sm.dispatch_dirty() {
                         to_dispatch.insert(i);
@@ -1042,6 +1096,7 @@ impl Gpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::StallRows;
     use dmk_core::DmkConfig;
     use simt_isa::assemble_named;
     use simt_mem::MemConfig;
@@ -2177,6 +2232,83 @@ mod tests {
         assert_eq!(local[1], [0, 0, 0, 0, 0, 0, 17, 18]);
         assert_eq!(local[2], [0; 8]);
         assert_eq!(local[3], [0; 8]);
+    }
+
+    /// Runs `src` over one warp of four threads on `cfg` to completion,
+    /// with 16 bytes of global memory, returning its summary.
+    fn one_warp_run(cfg: GpuConfig, src: &str) -> RunSummary {
+        let mut gpu = Gpu::builder(cfg).build();
+        gpu.mem_mut().alloc_global(16, "buf");
+        gpu.launch(Launch {
+            program: assemble_named("ledger", src).unwrap(),
+            entry: "main".into(),
+            num_threads: 4,
+            threads_per_block: 4,
+        })
+        .expect("launch accepted");
+        let summary = gpu.run(1_000_000).expect("fault-free");
+        assert_eq!(summary.outcome, RunOutcome::Completed);
+        summary
+    }
+
+    /// The SM-cycle ledger of hand-computable runs, exactly. A lone warp
+    /// on a one-SM machine issues at cycles 0 and 1, sends its load at
+    /// cycle 2 and exits the cycle the DRAM round trip returns: every
+    /// cycle between waits off-chip. A 4-way bank conflict on a shared
+    /// store holds the issue port for the next two cycles. On the
+    /// two-SM machine the SM given no warp idles every cycle with nothing
+    /// held. Each run's issues and rows add up to its SM-cycles.
+    #[test]
+    fn hand_built_runs_charge_each_idle_cycle_to_its_cause() {
+        let one_sm = || GpuConfig {
+            num_sms: 1,
+            ..GpuConfig::tiny()
+        };
+        let mem = GpuConfig::tiny().mem;
+        let load_ready =
+            2 + mem.segment_service_cycles().ceil() as u64 + u64::from(mem.dram_latency);
+        let cases = [
+            (
+                one_sm(),
+                ".kernel main\nmain:\n mov.u32 r1, %tid\n mul.lo.s32 r2, r1, 4\n \
+                 ld.global.u32 r3, [r2+0]\n exit\n",
+                load_ready + 1,
+                StallRows {
+                    offchip: load_ready - 3,
+                    ..StallRows::default()
+                },
+            ),
+            (
+                one_sm(),
+                ".kernel main\nmain:\n mov.u32 r1, %tid\n mul.lo.s32 r2, r1, 64\n \
+                 st.shared.u32 [r2+0], r1\n exit\n",
+                6,
+                StallRows {
+                    bank_replay: 2,
+                    ..StallRows::default()
+                },
+            ),
+            (
+                GpuConfig::tiny(),
+                DOUBLE_SRC,
+                5,
+                StallRows {
+                    no_warp: 5,
+                    ..StallRows::default()
+                },
+            ),
+        ];
+        for (cfg, src, cycles, rows) in cases {
+            let sms = cfg.num_sms as u64;
+            let s = one_warp_run(cfg, src).stats;
+            assert_eq!((s.cycles, s.stalls.total()), (cycles, rows), "{src}");
+            assert_eq!(u128::from(s.idle_sm_cycles), rows.idle(), "{src}");
+            assert_eq!(
+                u128::from(s.warp_issues) + rows.idle(),
+                u128::from(sms * cycles),
+                "{src}"
+            );
+        }
     }
 
     /// Running the same launch twice is reproducible: nothing in the

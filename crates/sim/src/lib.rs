@@ -110,7 +110,7 @@ pub use interp::{InterpError, RefMachine};
 pub use mimd::{mimd_theoretical, MimdReport};
 pub use oracle::{run_case, shrink, CaseReport, Mismatch};
 pub use sm::Sm;
-pub use stats::{DivergenceTimeline, SimStats, OCCUPANCY_BUCKETS};
+pub use stats::{DivergenceTimeline, SimStats, Stall, StallRows, OCCUPANCY_BUCKETS};
 pub use telemetry::{TelemetryReport, TelemetrySpec, TraceEvent, TraceEventKind, WindowCounters};
 pub use thread::LaneState;
 pub use warp::{StackEntry, Warp, WarpState};

@@ -21,7 +21,11 @@
 //!   elision legitimately converts spawned children into continued
 //!   parents, changing the counters but never the data;
 //! * on every variant, the laws of [`Gpu::audit`] after the run, so they
-//!   hold in release builds too.
+//!   hold in release builds too;
+//! * on each forced-ticking arm, its cycles and every stall row's total
+//!   against the sleeping arm that differs from it in `force_tick` alone:
+//!   sleeping must charge every slept SM-cycle as ticking through it
+//!   would.
 //!
 //! A failing case is shrunk greedily over the generator's config knobs
 //! and dumped as a self-contained `.s` repro (source plus a
@@ -31,6 +35,7 @@ use crate::checkpoint::Snapshot;
 use crate::config::{GpuConfig, SpawnPolicy};
 use crate::gpu::{Gpu, Launch, RunOutcome};
 use crate::interp::RefMachine;
+use crate::stats::StallRows;
 use dmk_core::DmkConfig;
 use simt_isa::gen::{generate, GenConfig, GenProgram, CONST_WORDS, STATE_BYTES};
 use simt_mem::{MemPreset, MemoryFabric};
@@ -177,6 +182,18 @@ pub enum Mismatch {
         /// The broken law.
         law: String,
     },
+    /// A forced-ticking arm's cycles or a stall row's total differs from
+    /// the sleeping arm's.
+    Timing {
+        /// The failing (ticking) variant.
+        variant: Variant,
+        /// `cycles`, or the stall row.
+        what: &'static str,
+        /// The ticking arm's value.
+        ticked: u64,
+        /// The sleeping arm's value.
+        slept: u64,
+    },
     /// A lifecycle counter differs.
     Counter {
         /// The failing variant.
@@ -209,6 +226,12 @@ impl fmt::Display for Mismatch {
                 "[{variant}] global word {word} (addr {:#x}): gpu {gpu:#010x} != ref {reference:#010x}",
                 word * 4
             ),
+            Mismatch::Timing {
+                variant,
+                what,
+                ticked,
+                slept,
+            } => write!(f, "[{variant}] {what}: ticked {ticked} != slept {slept}"),
             Mismatch::Counter {
                 variant,
                 counter,
@@ -317,15 +340,18 @@ fn cut_and_restore(mut gpu: Gpu, seed: u64, base_cycles: u64) -> Result<Gpu, Str
     Gpu::restore(&snapshot).map_err(|e| e.to_string())
 }
 
+/// What a variant's run took: its cycles, then every stall row's total.
+type Timing = Vec<(&'static str, u64)>;
+
 /// Runs `gp` under `v` and compares it with `reference`; `Ok` carries the
-/// cycles the run took (`base_cycles` is what [`BASE`] returned, for the
-/// restore arm's cut).
+/// run's [`Timing`] (`base_cycles` is what [`BASE`] took, for the restore
+/// arm's cut).
 fn run_variant(
     gp: &GenProgram,
     v: Variant,
     reference: &RefRun,
     base_cycles: u64,
-) -> Result<u64, Mismatch> {
+) -> Result<Timing, Mismatch> {
     let gpu_error = |detail: String| Mismatch::GpuError { variant: v, detail };
     let mut gpu = Gpu::builder(gpu_config(&gp.cfg, v))
         .force_tick(v.force_tick)
@@ -392,7 +418,21 @@ fn run_variant(
             }
         }
     }
-    Ok(gpu.now())
+    let rows = StallRows::NAMES.iter().copied();
+    let rows = rows.zip(gpu.stats().stalls.total().values());
+    Ok([("cycles", gpu.now())].into_iter().chain(rows).collect())
+}
+
+/// The first place `ticked`, the timing of forced-ticking arm `v`,
+/// differs from `slept`, its sleeping twin's.
+fn compare_timing(v: Variant, ticked: &Timing, slept: &Timing) -> Option<Mismatch> {
+    let (&(what, t), &(_, s)) = ticked.iter().zip(slept).find(|(t, s)| t.1 != s.1)?;
+    Some(Mismatch::Timing {
+        variant: v,
+        what,
+        ticked: t,
+        slept: s,
+    })
 }
 
 /// Runs one differential case: the reference once, then every variant in
@@ -414,18 +454,24 @@ pub fn run_case(cfg: &GenConfig) -> CaseReport {
         }
     };
     let mut base_cycles = 0;
-    let mismatch =
-        VARIANTS
-            .iter()
-            .find_map(|&v| match run_variant(&gp, v, &reference, base_cycles) {
-                Ok(cycles) => {
-                    if v == BASE {
-                        base_cycles = cycles;
-                    }
-                    None
-                }
-                Err(mismatch) => Some(mismatch),
-            });
+    let mut timings: Vec<(Variant, Timing)> = Vec::new();
+    let mismatch = VARIANTS.iter().find_map(|&v| {
+        let timing = match run_variant(&gp, v, &reference, base_cycles) {
+            Ok(timing) => timing,
+            Err(mismatch) => return Some(mismatch),
+        };
+        if v == BASE {
+            base_cycles = timing[0].1;
+        }
+        let twin = Variant {
+            force_tick: false,
+            ..v
+        };
+        let slept = timings.iter().find(|(w, _)| v.force_tick && *w == twin);
+        let mismatch = slept.and_then(|(_, slept)| compare_timing(v, &timing, slept));
+        timings.push((v, timing));
+        mismatch
+    });
     CaseReport {
         cfg: cfg.clone(),
         mismatch,
@@ -543,6 +589,38 @@ mod tests {
         let report = run_case(&cfg);
         assert!(report.passed(), "{:?}", report.mismatch);
         assert!(report.ref_spawned > 0, "expected spawns to occur");
+    }
+
+    /// Each forced-ticking arm runs after the sleeping arm that differs
+    /// from it in `force_tick` alone, so every case compares the two.
+    #[test]
+    fn every_ticking_arm_follows_its_sleeping_twin() {
+        let ticking = VARIANTS.iter().enumerate().filter(|(_, v)| v.force_tick);
+        for (i, v) in ticking {
+            let twin = Variant {
+                force_tick: false,
+                ..*v
+            };
+            assert!(VARIANTS[..i].contains(&twin), "{v}");
+        }
+        assert_eq!(VARIANTS.iter().filter(|v| v.force_tick).count(), 2);
+    }
+
+    /// A slept span charged to another row than ticking charges is the
+    /// first difference named, cycles first.
+    #[test]
+    fn a_row_the_sleeping_arm_charged_otherwise_is_a_mismatch() {
+        let slept = vec![("cycles", 10), ("offchip", 4), ("latency", 1)];
+        let ticked = vec![("cycles", 10), ("offchip", 3), ("latency", 2)];
+        let v = VARIANTS[4];
+        let want = Mismatch::Timing {
+            variant: v,
+            what: "offchip",
+            ticked: 3,
+            slept: 4,
+        };
+        assert_eq!(compare_timing(v, &ticked, &slept), Some(want));
+        assert_eq!(compare_timing(v, &slept, &slept), None);
     }
 
     #[test]

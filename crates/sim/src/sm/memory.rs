@@ -3,6 +3,7 @@
 //! the SM's memory frontend, which decides its route.
 
 use super::{Sm, TimedAccess};
+use crate::stats::Stall;
 use simt_isa::{Space, Width};
 use simt_mem::{BatchRequest, MemFault, MemoryFabric};
 
@@ -27,8 +28,9 @@ impl Sm {
     /// Executes one warp memory instruction: every access completes at
     /// issue. On-chip accesses (shared/spawn) transfer against the SM's
     /// own scratchpads; off-chip ones against `mem`, with their fabric
-    /// requests queued on the cycle's timing `batch`. The returned
-    /// data-ready cycle is a floor that the batch may raise.
+    /// requests queued on the cycle's timing `batch`. Returns the
+    /// data-ready cycle, a floor that the batch may raise, and what a
+    /// loading warp waits on until then.
     ///
     /// On a fault, the words already validated keep their effects
     /// (imprecise trap) and nothing is timed.
@@ -39,12 +41,13 @@ impl Sm {
         now: u64,
         mem: &mut MemoryFabric,
         batch: &mut Vec<BatchRequest>,
-    ) -> Result<u64, MemFault> {
+    ) -> Result<(u64, Stall), MemFault> {
         let mut addresses = std::mem::take(&mut self.addr_scratch);
         addresses.clear();
         addresses.reserve(a.pass.count_ones() as usize);
         let ready = if a.space.is_on_chip() {
             self.exec_onchip(a, width, now, &mut addresses)
+                .map(|ready| (ready, Stall::Latency))
         } else {
             self.exec_offchip(a, width, now, mem, batch, &mut addresses)
         };
@@ -202,7 +205,7 @@ impl Sm {
         mem: &mut MemoryFabric,
         batch: &mut Vec<BatchRequest>,
         addresses: &mut Vec<u32>,
-    ) -> Result<u64, MemFault> {
+    ) -> Result<(u64, Stall), MemFault> {
         match width {
             Width::W1 => self.offchip_lanes::<1>(a, mem, addresses),
             Width::V4 => self.offchip_lanes::<4>(a, mem, addresses),
@@ -227,9 +230,19 @@ impl Sm {
                 request,
             });
         }
+        // What a load waits on: a full MSHR table, anything from beyond
+        // the SM, or else its own hit latency.
+        let l1 = route.l1.unwrap_or_default();
         let requests = &batch[queued..];
+        let wait = if l1.mshr_stalls > 0 {
+            Stall::MshrFull
+        } else if !requests.is_empty() || l1.merges > 0 {
+            Stall::Offchip
+        } else {
+            Stall::Latency
+        };
         if requests.is_empty() {
-            return Ok(route.ready);
+            return Ok((route.ready, wait));
         }
         if self.telemetry.is_on() {
             let segments = requests
@@ -246,6 +259,6 @@ impl Sm {
                 fill_lines: route.fill_lines,
             });
         }
-        Ok(route.ready)
+        Ok((route.ready, wait))
     }
 }

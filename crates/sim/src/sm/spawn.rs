@@ -8,6 +8,7 @@
 use super::{ExecCtx, Sm};
 use crate::config::SpawnPolicy;
 use crate::fault::{Fault, FaultKind, InjectedFault, Injector};
+use crate::stats::Stall;
 use crate::thread::LaneState;
 use crate::warp::Warp;
 use dmk_core::{DmkConfig, SpawnError, SpawnMemoryLayout, WarpFormation};
@@ -148,7 +149,6 @@ impl Sm {
             w.is_dynamic = true;
             w.formation_block = Some(cw.base_addr);
             self.threads_used += count;
-            self.regs_used += count * ctx.regs_per_thread;
             self.telemetry.on_warp_birth(now, wid, true, count);
             self.dispatch_dirty = true;
             self.ready.push(w.ready_at);
@@ -244,11 +244,10 @@ impl Sm {
             }
             Err(SpawnError::FormationFull) | Err(SpawnError::FifoFull) => {
                 // Transient back-pressure: retry shortly, no commit.
-                self.stats.spawn_stall_cycles += 1;
+                self.stats.stalls.slot(now).spawn_stalls += 1;
                 let wid = self.warps[widx].id;
                 self.telemetry.on_spawn_stall(now, wid);
-                self.warps[widx].ready_at = now + 4;
-                self.ready.set(widx, now + 4);
+                self.raise_ready(widx, now + 4, Stall::SpawnBackoff);
             }
         }
         Ok(())

@@ -164,18 +164,20 @@ simt_isa::counters! {
     /// the SM writes it); the GPU merges the shards into its base
     /// stats with [`SimStats::merge`]. All counters are sums, so the merge is
     /// exact regardless of SM count — the basis of the determinism regression
-    /// tests. `cycles` is owned by the GPU (set once per run), so shard cycles
-    /// (always 0) add nothing.
+    /// tests. The GPU sets the two derived counters from its clock and the
+    /// stall ledger whenever a run returns or a snapshot restores, and a
+    /// snapshot stores neither.
     #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
     pub struct SimStats {
-        /// Cycles simulated.
-        pub cycles: u64 = sum,
+        /// Cycles simulated: the machine's clock.
+        pub cycles: u64 = derived,
         /// Committed thread-instructions (the paper's IPC numerator).
         pub thread_instructions: u64 = sum,
         /// Warp-instructions issued.
         pub warp_issues: u64 = sum,
-        /// SM-cycles with no warp ready to issue.
-        pub idle_sm_cycles: u64 = sum,
+        /// SM-cycles with no warp ready to issue: the idle rows of
+        /// [`SimStats::stalls`] added up.
+        pub idle_sm_cycles: u64 = derived,
         /// Launch-time threads created.
         pub threads_launched: u64 = sum,
         /// Dynamically spawned threads.
@@ -186,8 +188,6 @@ simt_isa::counters! {
         /// the ray-tracing kernels this equals *rays completed* under both the
         /// traditional and the μ-kernel formulation.
         pub lineages_completed: u64 = sum,
-        /// Spawn instructions that had to retry due to back-pressure.
-        pub spawn_stall_cycles: u64 = sum,
         /// Spawns elided into in-place branches (`SpawnPolicy::OnDivergence`).
         pub spawn_elisions: u64 = sum,
         /// Runtime warp traps recorded (illegal accesses, exhausted spawn LUT,
@@ -206,13 +206,106 @@ simt_isa::counters! {
     members {
         /// Divergence breakdown over time, added window by window.
         pub divergence: DivergenceTimeline,
+        /// The SM-cycle ledger over time: every SM-cycle that neither
+        /// issued nor trapped, by cause, added window by window.
+        pub stalls: Windowed<StallRows>,
+    }
+}
+
+simt_isa::counters! {
+    /// One window of the SM-cycle ledger. An SM-cycle issues a warp
+    /// (counted by `warp_issues` and the divergence buckets), traps
+    /// (`faults`), or lands in exactly one row here: a `spawn` pushed back
+    /// by the formation unit, or an idle cycle, charged to what the SM was
+    /// waiting for. An idle SM's cause is read from its own state, which
+    /// does not change while it sleeps.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct StallRows {
+        /// A `spawn` retried under formation back-pressure.
+        pub spawn_stalls: u64 = sum,
+        /// Idle: no resident warp, and nothing held in formation.
+        pub no_warp: u64 = sum,
+        /// Idle: no resident warp, with threads held in the formation unit.
+        pub formation: u64 = sum,
+        /// Idle: the first-waking warp waits on a load from beyond the SM
+        /// (its own fabric request, or an in-flight L1 fill it merged into).
+        pub offchip: u64 = sum,
+        /// Idle: the first-waking warp waits on a load that found the L1's
+        /// MSHR table full.
+        pub mshr_full: u64 = sum,
+        /// Idle: the issue port is held by bank-conflict replays.
+        pub bank_replay: u64 = sum,
+        /// Idle: the first-waking warp waits on its own instruction's
+        /// on-chip or ALU latency (cache hits included).
+        pub latency: u64 = sum,
+        /// Idle: the first-waking warp backs off a pushed-back `spawn`.
+        pub spawn_backoff: u64 = sum,
+    }
+}
+
+/// What an SM-cycle that neither issued nor trapped was spent on: one row
+/// of [`StallRows`]. A warp's [`crate::Warp::wait`] is one of the four
+/// causes a warp can wait on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stall {
+    /// See [`StallRows::spawn_stalls`].
+    SpawnStall,
+    /// See [`StallRows::no_warp`].
+    NoWarp,
+    /// See [`StallRows::formation`].
+    Formation,
+    /// See [`StallRows::offchip`].
+    Offchip,
+    /// See [`StallRows::mshr_full`].
+    MshrFull,
+    /// See [`StallRows::bank_replay`].
+    BankReplay,
+    /// See [`StallRows::latency`].
+    Latency,
+    /// See [`StallRows::spawn_backoff`].
+    SpawnBackoff,
+}
+
+impl StallRows {
+    /// The row `cause` is charged to.
+    #[inline]
+    pub fn row(&mut self, cause: Stall) -> &mut u64 {
+        match cause {
+            Stall::SpawnStall => &mut self.spawn_stalls,
+            Stall::NoWarp => &mut self.no_warp,
+            Stall::Formation => &mut self.formation,
+            Stall::Offchip => &mut self.offchip,
+            Stall::MshrFull => &mut self.mshr_full,
+            Stall::BankReplay => &mut self.bank_replay,
+            Stall::Latency => &mut self.latency,
+            Stall::SpawnBackoff => &mut self.spawn_backoff,
+        }
+    }
+
+    /// The idle rows added up — every row but `spawn_stalls` — in
+    /// `u128`, which no forged row overflows.
+    pub fn idle(&self) -> u128 {
+        self.values()[1..].iter().map(|&v| u128::from(v)).sum()
     }
 }
 
 impl SimStats {
-    /// Creates zeroed statistics.
+    /// Creates zeroed statistics; the divergence timeline and the stall
+    /// ledger share `divergence_window`.
     pub fn new(divergence_window: u64, warp_size: u32) -> Self {
-        SimStats::with_members(DivergenceTimeline::new(divergence_window, warp_size))
+        SimStats::with_members(
+            DivergenceTimeline::new(divergence_window, warp_size),
+            Windowed::new(divergence_window),
+        )
+    }
+
+    /// Sets the derived counters: `cycles` from the clock `now`, and
+    /// `idle_sm_cycles` from the stall ledger (saturating: a restored
+    /// ledger has not met the audit yet).
+    pub(crate) fn derive(&mut self, now: u64) {
+        self.cycles = now;
+        let idle: u128 = self.stalls.rows().iter().map(StallRows::idle).sum();
+        self.idle_sm_cycles = u64::try_from(idle).unwrap_or(u64::MAX);
     }
 
     /// Committed thread-instructions per cycle.
@@ -345,10 +438,10 @@ mod tests {
 
     proptest::proptest! {
         /// The declared codec and merge: restore of encode is the identity
-        /// (counter bytes with every high bit clear, so two of them never
-        /// overflow a sum, then one divergence window), a merge sums every
-        /// counter and adds the timelines, and a truncated payload is a
-        /// typed error.
+        /// (stored counter bytes with every high bit clear, so two of them
+        /// never overflow a sum, then one divergence window and one stall
+        /// window), a merge sums every counter and adds the timelines, and
+        /// a truncated payload is a typed error.
         #[test]
         fn sim_stats_roundtrip_and_merge_field_by_field(
             a in proptest::collection::vec(0u8..0x80, SimStats::ENCODED_BYTES..SimStats::ENCODED_BYTES + 1),
@@ -358,8 +451,11 @@ mod tests {
             let with_window = |counters: &[u8]| {
                 let mut t = DivergenceTimeline::new(100, 32);
                 t.record_issue(0, lanes);
+                let mut stalls = Windowed::<StallRows>::new(100);
+                stalls.add_span(0, u64::from(lanes), |r, n| r.latency += n);
                 let mut enc = Encoder::new();
                 t.encode_state(&mut enc);
+                stalls.encode_state(&mut enc);
                 [counters, &enc.into_bytes()].concat()
             };
             let (a, b) = (with_window(&a), with_window(&b));
@@ -373,6 +469,7 @@ mod tests {
             let mut twice = x.divergence.clone();
             twice.merge(&y.divergence);
             proptest::prop_assert_eq!(&m.divergence, &twice);
+            proptest::prop_assert_eq!(m.stalls.total().latency, 2 * u64::from(lanes));
             proptest::prop_assert_eq!(stats_from(&stats_bytes(&m)).unwrap(), m);
             for len in [SimStats::ENCODED_BYTES - 1, a.len() - 1] {
                 proptest::prop_assert!(stats_from(&a[..len]).is_err(), "truncated to {}", len);

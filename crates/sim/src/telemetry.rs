@@ -27,10 +27,12 @@
 //! additionally fills a fixed-capacity ring buffer per SM (oldest events
 //! drop first, counted in [`TelemetryReport::dropped`]).
 //!
-//! The divergence breakdown is not a probe: [`crate::SimStats`] records it
-//! on every run, and [`TelemetryReport::divergence`] is that timeline.
+//! The divergence breakdown and the SM-cycle ledger are not probes:
+//! [`crate::SimStats`] records both on every run, and
+//! [`TelemetryReport::divergence`] and [`TelemetryReport::stalls`] are
+//! those tables.
 
-use crate::stats::DivergenceTimeline;
+use crate::stats::{DivergenceTimeline, StallRows};
 use crate::windowed::Windowed;
 use simt_isa::codec::{CodecError, Decoder, Encoder};
 use std::collections::VecDeque;
@@ -262,8 +264,6 @@ simt_isa::counters! {
         pub spawn_instructions: u64 = sum,
         /// Threads deposited into the formation unit.
         pub threads_spawned: u64 = sum,
-        /// `spawn` retries under formation back-pressure.
-        pub spawn_stalls: u64 = sum,
         /// Spawns elided into in-place branches.
         pub spawn_elisions: u64 = sum,
         /// PDOM reconvergence-stack pushes observed at commit.
@@ -425,10 +425,9 @@ impl SmTelemetry {
         self.push_event(now, warp, TraceEventKind::Spawn { target_pc, threads });
     }
 
-    /// A `spawn` retried under formation back-pressure.
+    /// A `spawn` retried under formation back-pressure (the stall ledger
+    /// counts it; this records its trace event).
     pub(crate) fn on_spawn_stall(&mut self, now: u64, warp: usize) {
-        let Some(w) = self.slot(now) else { return };
-        w.spawn_stalls += 1;
         self.push_event(now, warp, TraceEventKind::SpawnStall {});
     }
 
@@ -563,6 +562,9 @@ pub struct TelemetryReport {
     /// The machine's divergence timeline: [`crate::SimStats::divergence`]
     /// at the time of the report, whether or not telemetry is on.
     pub divergence: DivergenceTimeline,
+    /// The machine's SM-cycle ledger: [`crate::SimStats::stalls`] at the
+    /// time of the report, whether or not telemetry is on.
+    pub stalls: Windowed<StallRows>,
     /// Windowed counters, the SMs' shards added together.
     pub windows: Windowed<WindowCounters>,
     /// Merged event stream: SM-id-major, per-SM program order.
@@ -583,20 +585,20 @@ pub struct TelemetryReport {
 
 /// The [`WindowCounters`] the Chrome trace's `metrics` counter track
 /// plots, in [`WindowCounters::NAMES`] order.
-const TRACKED: [&str; 7] = [
+const TRACKED: [&str; 6] = [
     "issues",
     "thread_instructions",
     "warps_born",
     "warps_retired",
     "threads_spawned",
-    "spawn_stalls",
     "offchip_segments",
 ];
 
 impl TelemetryReport {
     /// Chrome trace-event JSON (the `chrome://tracing` / Perfetto format):
-    /// an instant event per trace ring entry (`pid` = SM, `tid` = warp)
-    /// and a `metrics` counter event per window.
+    /// an instant event per trace ring entry (`pid` = SM, `tid` = warp),
+    /// a `metrics` counter event per metrics window, and an `sm_cycles`
+    /// counter event, every stall row, per ledger window.
     pub fn chrome_trace(&self) -> String {
         let mut out = String::from("{\"traceEvents\":[");
         for e in &self.events {
@@ -627,6 +629,19 @@ impl TelemetryReport {
             );
             out.push_str("},");
         }
+        for (ts, r) in self.stalls.ends() {
+            let _ = write!(
+                out,
+                "{{\"name\":\"sm_cycles\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\"tid\":0,\"args\":"
+            );
+            let values = r.values();
+            let rows = StallRows::NAMES.iter().zip(&values);
+            write_object(
+                &mut out,
+                rows.map(|(name, v)| (*name, v as &dyn fmt::Display)),
+            );
+            out.push_str("},");
+        }
         if out.ends_with(',') {
             out.pop();
         }
@@ -647,14 +662,18 @@ impl TelemetryReport {
     }
 
     /// Windowed-metrics CSV: a counters section, the divergence timeline
-    /// (`SimStats::divergence.to_csv()`), and per-module DRAM busy time.
-    /// Sections are separated by `# `-prefixed headers.
+    /// (`SimStats::divergence.to_csv()`), the SM-cycle ledger's stall
+    /// rows, and per-module DRAM busy time. Sections are separated by
+    /// `# `-prefixed headers.
     pub fn metrics_csv(&self) -> String {
         let width = self.windows.width();
         let mut out = format!("# windowed counters (window = {width} cycles)\n");
         self.windows.write_csv(&mut out, WindowCounters::NAMES);
         out.push_str("# divergence timeline\n");
         out.push_str(&self.divergence.to_csv());
+        let width = self.stalls.width();
+        let _ = writeln!(out, "# sm-cycle stall rows (window = {width} cycles)");
+        self.stalls.write_csv(&mut out, StallRows::NAMES);
         out.push_str("# dram module busy (fractional dram cycles)\nmodule,busy\n");
         for (m, busy) in self.module_busy.iter().enumerate() {
             let _ = writeln!(out, "{m},{busy:.3}");
@@ -687,7 +706,7 @@ impl TelemetryReport {
             total.warps_born,
             total.warps_retired,
             total.threads_spawned,
-            total.spawn_stalls,
+            self.stalls.total().spawn_stalls,
             self.dropped
         )
     }
@@ -704,6 +723,7 @@ mod tests {
     fn report_of(shards: &[SmTelemetry]) -> TelemetryReport {
         let mut report = TelemetryReport {
             divergence: DivergenceTimeline::new(10, 32),
+            stalls: Windowed::new(10),
             windows: Windowed::new(shards[0].windows.width()),
             events: Vec::new(),
             dropped: 0,
@@ -821,6 +841,8 @@ mod tests {
         t.on_l1(8, 1, &probe);
         t.on_warp_retire(9, 1);
         let mut report = report_of(&[t]);
+        report.stalls.add_span(4, 1, |r, n| r.spawn_stalls += n);
+        report.stalls.add_span(12, 2, |r, n| r.offchip += n);
         report.l2 = Some((5, 6));
         report.icnt_conflicts = 7;
         let events: Vec<String> = [
@@ -841,10 +863,12 @@ mod tests {
         .map(|e| format!("{{\"name\":{e}}}"))
         .collect();
         let want = format!(
-            "{{\"traceEvents\":[{},{}],\"displayTimeUnit\":\"ns\",\"otherData\":\
+            "{{\"traceEvents\":[{},{},{},{}],\"displayTimeUnit\":\"ns\",\"otherData\":\
              {{\"dropped_events\":0,\"l2_hits\":5,\"l2_misses\":6,\"icnt_conflicts\":7}}}}",
             events.join(","),
-            r#"{"name":"metrics","ph":"C","ts":10,"pid":0,"tid":0,"args":{"issues":2,"thread_instructions":5,"warps_born":1,"warps_retired":1,"threads_spawned":2,"spawn_stalls":1,"offchip_segments":2}}"#
+            r#"{"name":"metrics","ph":"C","ts":10,"pid":0,"tid":0,"args":{"issues":2,"thread_instructions":5,"warps_born":1,"warps_retired":1,"threads_spawned":2,"offchip_segments":2}}"#,
+            r#"{"name":"sm_cycles","ph":"C","ts":10,"pid":0,"tid":0,"args":{"spawn_stalls":1,"no_warp":0,"formation":0,"offchip":0,"mshr_full":0,"bank_replay":0,"latency":0,"spawn_backoff":0}}"#,
+            r#"{"name":"sm_cycles","ph":"C","ts":20,"pid":0,"tid":0,"args":{"spawn_stalls":0,"no_warp":0,"formation":0,"offchip":2,"mshr_full":0,"bank_replay":0,"latency":0,"spawn_backoff":0}}"#
         );
         assert_eq!(report.chrome_trace(), want);
     }
@@ -871,11 +895,11 @@ mod tests {
         assert_eq!(
             lines[1],
             "cycle_end,issues,thread_instructions,warps_born,warps_retired,spawn_instructions,\
-             threads_spawned,spawn_stalls,spawn_elisions,pdom_pushes,pdom_pops,\
+             threads_spawned,spawn_elisions,pdom_pushes,pdom_pops,\
              offchip_requests,offchip_segments,tex_accesses,tex_miss_lines,\
              l1_accesses,l1_hits,l1_misses,l1_mshr_merges"
         );
-        assert_eq!(lines[2], "10,1,32,0,0,1,12,0,0,0,0,0,0,0,0,0,0,0,0");
+        assert_eq!(lines[2], "10,1,32,0,0,1,12,0,0,0,0,0,0,0,0,0,0,0");
     }
 
     fn window_from(bytes: &[u8]) -> Result<WindowCounters, CodecError> {
@@ -955,7 +979,7 @@ mod tests {
         enc.put_u64(10);
         enc.put_usize(DEFAULT_TRACE_CAPACITY);
         // One window claimed, 130 bytes behind the claim: room for a row
-        // of 14 counters (112 bytes), not for one of 18 (144).
+        // of 14 counters (112 bytes), not for one of 17 (136).
         enc.put_usize(1);
         let mut bytes = enc.into_bytes();
         bytes.extend([0u8; 130]);

@@ -1,5 +1,6 @@
 //! Warps and the PDOM reconvergence stack.
 
+use crate::stats::Stall;
 use crate::thread::LaneState;
 use simt_isa::codec::{Codec, CodecError, Decoder, Encoder};
 use simt_isa::RECONVERGE_AT_EXIT;
@@ -45,6 +46,11 @@ pub struct Warp {
     below: Vec<StackEntry>,
     /// Earliest cycle at which this warp may issue again.
     pub ready_at: u64,
+    /// What the warp waits on until `ready_at` — off-chip memory, a full
+    /// MSHR table, its own latency, or a `spawn` back-off — set where
+    /// `ready_at` is, and charged with an idle SM's cycles while this warp
+    /// is the first to wake.
+    pub wait: Stall,
     /// Thread block this warp belongs to (launch warps under block
     /// scheduling).
     pub block_id: Option<usize>,
@@ -59,6 +65,14 @@ pub struct Warp {
 }
 
 impl Warp {
+    /// The causes a warp can wait on, in the order a snapshot tags them.
+    const WAITS: [Stall; 4] = [
+        Stall::Offchip,
+        Stall::MshrFull,
+        Stall::Latency,
+        Stall::SpawnBackoff,
+    ];
+
     /// Creates a warp over prebuilt lane state, its populated lanes
     /// starting at `entry_pc`.
     ///
@@ -78,6 +92,7 @@ impl Warp {
             }),
             below: Vec::new(),
             ready_at: 0,
+            wait: Stall::Latency,
             block_id: None,
             formation_block: None,
             elision_block: None,
@@ -220,6 +235,8 @@ impl Warp {
             e.encode(enc);
         }
         enc.put_u64(self.ready_at);
+        let wait = Warp::WAITS.iter().position(|&w| w == self.wait);
+        enc.put_u8(wait.unwrap_or(Warp::WAITS.len()) as u8);
         self.block_id.encode(enc);
         self.formation_block.encode(enc);
         self.elision_block.encode(enc);
@@ -241,12 +258,21 @@ impl Warp {
             }
         }
         let mut below = Vec::<StackEntry>::decode(dec)?;
+        let ready_at = dec.take_u64()?;
+        let tag = dec.take_u8()?;
+        let Some(&wait) = Warp::WAITS.get(usize::from(tag)) else {
+            return Err(CodecError::BadTag {
+                what: "warp wait cause",
+                tag: u64::from(tag),
+            });
+        };
         Ok(Warp {
             id,
             lanes,
             top: below.pop(),
             below,
-            ready_at: dec.take_u64()?,
+            ready_at,
+            wait,
             block_id: Codec::decode(dec)?,
             formation_block: Codec::decode(dec)?,
             elision_block: Codec::decode(dec)?,
@@ -521,6 +547,7 @@ mod tests {
                 enc.put_usize(e.rpc);
             }
             enc.put_u64(w.ready_at);
+            enc.put_u8(2);
             for _ in 0..3 {
                 enc.put_bool(false);
             }

@@ -341,7 +341,7 @@ fn injector_forced_fifo_full_recovers_and_completes_the_render() {
     assert_eq!(s.outcome, RunOutcome::Completed);
     assert!(s.stats.injected_events > 0, "injection window must be hit");
     assert!(
-        s.stats.spawn_stall_cycles > 0,
+        s.stats.stalls.total().spawn_stalls > 0,
         "forced FIFO-full must stall spawns"
     );
     assert!(

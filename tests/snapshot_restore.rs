@@ -129,8 +129,8 @@ fn split_config(payload: &[u8]) -> (GpuConfig, &[u8]) {
 #[test]
 fn four_lane_snapshots_keep_their_bytes() {
     for (dynamic, hash, len) in [
-        (false, 0x1da6_9b55_a8eb_c16e_u64, 49_962),
-        (true, 0xb965_4323_1bf3_1886, 53_010),
+        (false, 0x937f_a400_c5a6_6c40_u64, 49_816),
+        (true, 0xff53_dd39_2c31_80a0, 53_008),
     ] {
         let bytes = four_lane_mid_run(dynamic)
             .checkpoint()
