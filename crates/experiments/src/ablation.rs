@@ -7,7 +7,7 @@
 //! both spawn policies.
 
 use crate::configs::Variant;
-use crate::runner::{RenderRun, RenderSpec, Scale, Stop};
+use crate::runner::{Plan, RenderSpec, Scale, Stop};
 use raytrace::scenes;
 use serde::Serialize;
 use simt_sim::SpawnPolicy;
@@ -47,9 +47,9 @@ impl SpawnPolicyAblation {
     }
 }
 
-fn run_policy(policy: SpawnPolicy, scale: Scale) -> Result<PolicyRun, String> {
+fn run_policy(plan: &mut Plan, policy: SpawnPolicy, scale: Scale) -> Result<PolicyRun, String> {
     let scene = scenes::conference(scale.scene);
-    let run = RenderRun::execute(&RenderSpec {
+    let run = plan.render(&RenderSpec {
         spawn_policy: Some(policy),
         stop: Stop::Window {
             warm: 0,
@@ -68,10 +68,10 @@ fn run_policy(policy: SpawnPolicy, scale: Scale) -> Result<PolicyRun, String> {
 }
 
 /// Runs the ablation on the conference benchmark.
-pub fn run(scale: Scale) -> Result<SpawnPolicyAblation, String> {
+pub fn run(plan: &mut Plan, scale: Scale) -> Result<SpawnPolicyAblation, String> {
     Ok(SpawnPolicyAblation {
-        naive: run_policy(SpawnPolicy::Always, scale)?,
-        on_divergence: run_policy(SpawnPolicy::OnDivergence, scale)?,
+        naive: run_policy(plan, SpawnPolicy::Always, scale)?,
+        on_divergence: run_policy(plan, SpawnPolicy::OnDivergence, scale)?,
     })
 }
 
@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn elision_reduces_thread_creation_without_breaking_rays() {
-        let a = run(Scale::test()).expect("clean run");
+        let a = run(&mut Plan::default(), Scale::test()).expect("clean run");
         assert_eq!(a.naive.spawn_elisions, 0);
         assert!(a.on_divergence.spawn_elisions > 0);
         assert!(a.on_divergence.threads_spawned < a.naive.threads_spawned);

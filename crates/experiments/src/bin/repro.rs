@@ -63,9 +63,10 @@
 //! the coordinator: beat and progress lines, then the sealed result frame.
 
 use experiments::campaign::{self, chaos::Chaos, worker, CampaignConfig};
-use experiments::runner::Scale;
+use experiments::runner::{Plan, Scale};
 use experiments::serve::{self, client, ServeConfig};
 use experiments::supervisor::{self, Policy};
+use experiments::workload::{RenderError, ScenarioSpec};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -476,24 +477,21 @@ fn main() -> ExitCode {
     }
 
     // Serial path: render through the same definition campaign workers
-    // use, so bytes agree by construction.
-    // `None` = unknown artifact; `Some(Err)` = the job itself failed (a
-    // job-level error is reported and the run continues).
-    let run_one = |name: &str| -> Option<Result<(), String>> {
-        match campaign::render_artifact(name, scale, json)? {
-            Ok(rendered) => {
-                print!("{rendered}");
-                Some(Ok(()))
-            }
-            Err(e) => Some(Err(e)),
-        }
+    // use, so bytes agree by construction, in one plan for the whole
+    // invocation, so `all` runs each window its artifacts share once. A
+    // job-level error is reported and `all` goes on.
+    let mut plan = Plan::default();
+    let mut run_one = |name: &str| -> Result<(), RenderError> {
+        let spec = ScenarioSpec::new(name, scale, &cli.serve.engine.scale_name);
+        print!("{}", spec.render(&mut plan, json)?);
+        Ok(())
     };
 
     if mode == "all" {
         let mut failed = 0u32;
         for name in campaign::artifacts() {
             eprintln!("== {name} ==");
-            if let Some(Err(e)) = run_one(name) {
+            if let Err(e) = run_one(name) {
                 eprintln!("error: {name}: {e}");
                 failed += 1;
             }
@@ -506,23 +504,15 @@ fn main() -> ExitCode {
         }
     } else {
         match run_one(mode) {
-            Some(Ok(())) => ExitCode::SUCCESS,
-            Some(Err(e)) => {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(RenderError::Job(e)) => {
                 eprintln!("error: {mode}: {e}");
                 ExitCode::FAILURE
             }
-            None => {
+            Err(RenderError::Unknown(e)) => {
                 // The typed registry error: echo exactly what was asked
                 // for and point at the catalog.
-                let spec = experiments::workload::ScenarioSpec::new(
-                    mode,
-                    scale,
-                    &cli.serve.engine.scale_name,
-                );
-                match spec.resolve() {
-                    Err(e) => eprintln!("error: {e}"),
-                    Ok(_) => unreachable!("render_artifact returned None for a known workload"),
-                }
+                eprintln!("error: {e}");
                 ExitCode::from(2)
             }
         }

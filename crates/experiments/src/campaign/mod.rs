@@ -46,7 +46,7 @@ pub mod chaos;
 pub mod manifest;
 pub mod worker;
 
-use crate::runner::{run_fingerprint_by_name, Scale};
+use crate::runner::{run_fingerprint_by_name, Plan, Scale};
 use crate::workload::{RenderError, ScenarioSpec};
 use chaos::Chaos;
 use manifest::{JobOutcome, JobRecord, Manifest};
@@ -91,8 +91,11 @@ pub fn artifacts() -> Vec<&'static str> {
 /// Returns `None` for a name no registered workload covers, `Some(Err)`
 /// when the job itself failed (a deterministic job-level error the
 /// campaign reports without retrying).
+///
+/// Each call renders in a fresh [`Plan`], so it runs every window it
+/// needs: a worker's one job, or one pass of a timed loop, starts cold.
 pub fn render_artifact(name: &str, scale: Scale, json: bool) -> Option<Result<String, String>> {
-    match ScenarioSpec::new(name, scale, "").render(json) {
+    match ScenarioSpec::new(name, scale, "").render(&mut Plan::default(), json) {
         Ok(rendered) => Some(Ok(rendered)),
         Err(RenderError::Unknown(_)) => None,
         Err(RenderError::Job(e)) => Some(Err(e)),
@@ -853,6 +856,12 @@ impl Drop for Coordinator {
 /// deterministic job errors — is supervised and reported per job in the
 /// manifest instead.
 pub fn run(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
+    run_counted(cfg).map(|(outcome, _)| outcome)
+}
+
+/// [`run`], also returning `(passes, waits)`: how many supervision passes
+/// its loop made and how many times it waited between two of them.
+fn run_counted(cfg: &CampaignConfig) -> Result<(CampaignOutcome, (u32, u32)), String> {
     let mut requested = Vec::new();
     for name in &cfg.artifacts {
         let spec = ScenarioSpec::new(name, cfg.scale, &cfg.scale_name);
@@ -878,16 +887,15 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
     coord.set_waker(Arc::new(move || {
         let _ = wake.send(());
     }));
+    let (mut passes, mut waits) = (0, 0);
     loop {
         coord.poll()?;
-        #[cfg(test)]
-        tests::RUN_LOOP.with(|c| c.set((c.get().0 + 1, c.get().1)));
+        passes += 1;
         if coord.all_done() {
             break;
         }
         let _ = woken.recv_timeout(TICK);
-        #[cfg(test)]
-        tests::RUN_LOOP.with(|c| c.set((c.get().0, c.get().1 + 1)));
+        waits += 1;
     }
 
     let jobs = coord.into_jobs();
@@ -909,7 +917,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
         eprintln!("campaign: manifest written to {}", manifest_path.display());
     }
     let outputs = jobs.into_iter().map(Job::into_output).collect();
-    Ok(CampaignOutcome { manifest, outputs })
+    Ok((CampaignOutcome { manifest, outputs }, (passes, waits)))
 }
 
 /// Finishes a job from the result frame its worker sent, as its watcher
@@ -1131,12 +1139,6 @@ fn spawn_attempt(
 mod tests {
     use super::*;
 
-    thread_local! {
-        /// `(passes, waits)` of the [`run`] loop on this thread.
-        pub(super) static RUN_LOOP: std::cell::Cell<(u32, u32)> =
-            const { std::cell::Cell::new((0, 0)) };
-    }
-
     #[test]
     fn run_returns_from_the_pass_that_finished_the_last_job() {
         // `true` stands in for the worker: it exits 0 having sent no
@@ -1150,9 +1152,8 @@ mod tests {
         cfg.artifacts = vec!["table1".to_string()];
         cfg.workers = 1;
         cfg.max_retries = 0;
-        let outcome = run(&cfg).expect("campaign runs");
+        let (outcome, (passes, waits)) = run_counted(&cfg).expect("campaign runs");
         assert_eq!(outcome.manifest.gave_up(), 1);
-        let (passes, waits) = RUN_LOOP.with(std::cell::Cell::get);
         assert!(passes >= 2, "one pass spawns, a later one reaps");
         assert_eq!(waits, passes - 1, "no wait follows the last pass");
         let _ = std::fs::remove_dir_all(&dir);

@@ -8,7 +8,7 @@
 
 use crate::configs::Variant;
 use crate::fidelity::paper;
-use crate::runner::{RenderRun, RenderSpec, Scale};
+use crate::runner::{Plan, RenderSpec, Scale};
 use raytrace::scenes;
 use rt_kernels::render::RenderSetup;
 use serde::Serialize;
@@ -46,7 +46,7 @@ impl Fig10 {
 }
 
 /// Runs the four simulated configurations plus the MIMD model.
-pub fn run(scale: Scale) -> Result<Fig10, String> {
+pub fn run(plan: &mut Plan, scale: Scale) -> Result<Fig10, String> {
     let scene = scenes::conference(scale.scene);
 
     // MIMD theoretical: run the traditional kernel functionally. Its
@@ -68,7 +68,7 @@ pub fn run(scale: Scale) -> Result<Fig10, String> {
         Variant::Dynamic,
         Variant::DynamicIdeal,
     ] {
-        let r = RenderRun::execute(&RenderSpec::window(&scene, variant, scale))?;
+        let r = plan.render(&RenderSpec::window(&scene, variant, scale))?;
         points.push(BranchingPoint {
             label: variant.to_string(),
             ipc: r.ipc(),
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn five_bars_with_mimd_at_unity() {
-        let fig = run(Scale::test()).expect("clean run");
+        let fig = run(&mut Plan::default(), Scale::test()).expect("clean run");
         assert_eq!(fig.points.len(), 5);
         assert!((fig.points.last().unwrap().fraction_of_mimd - 1.0).abs() < 1e-9);
         for p in &fig.points {
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn dynamic_ideal_beats_dynamic_real() {
-        let fig = run(Scale::test()).expect("clean run");
+        let fig = run(&mut Plan::default(), Scale::test()).expect("clean run");
         let real = fig.fraction("Dynamic").unwrap();
         let ideal = fig.fraction("Dynamic (ideal mem)").unwrap();
         assert!(ideal >= real, "ideal {ideal} < real {real}");
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn no_simulated_config_exceeds_mimd_substantially() {
-        let fig = run(Scale::test()).expect("clean run");
+        let fig = run(&mut Plan::default(), Scale::test()).expect("clean run");
         for p in &fig.points {
             assert!(
                 p.fraction_of_mimd <= 1.05,

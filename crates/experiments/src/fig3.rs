@@ -6,7 +6,7 @@
 //! dynamic μ-kernel machine without/with spawn-memory bank conflicts.
 
 use crate::configs::Variant;
-use crate::runner::{RenderRun, RenderSpec, Scale};
+use crate::runner::{Plan, RenderRun, RenderSpec, Scale};
 use raytrace::scenes;
 use serde::Serialize;
 use std::fmt;
@@ -32,12 +32,16 @@ pub struct DivergenceFigure {
     pub health: crate::runner::FaultHealth,
 }
 
-/// Runs `variant`'s standard window on the conference benchmark and
-/// extracts the breakdown.
-pub fn divergence_figure(variant: Variant, scale: Scale) -> Result<DivergenceFigure, String> {
+/// Runs `variant`'s standard window on the conference benchmark through
+/// `plan` and extracts the breakdown.
+pub fn divergence_figure(
+    plan: &mut Plan,
+    variant: Variant,
+    scale: Scale,
+) -> Result<DivergenceFigure, String> {
     let scene = scenes::conference(scale.scene);
-    let run = RenderRun::execute(&RenderSpec::window(&scene, variant, scale))?;
-    Ok(DivergenceFigure::of(&run))
+    let run = plan.render(&RenderSpec::window(&scene, variant, scale))?;
+    Ok(DivergenceFigure::of(run))
 }
 
 impl DivergenceFigure {
@@ -61,8 +65,8 @@ impl DivergenceFigure {
 }
 
 /// Fig. 3: the traditional-branching breakdown.
-pub fn run(scale: Scale) -> Result<DivergenceFigure, String> {
-    divergence_figure(Variant::PdomWarp, scale)
+pub fn run(plan: &mut Plan, scale: Scale) -> Result<DivergenceFigure, String> {
+    divergence_figure(plan, Variant::PdomWarp, scale)
 }
 
 impl fmt::Display for DivergenceFigure {
@@ -105,7 +109,7 @@ mod tests {
 
     #[test]
     fn traditional_breakdown_shows_divergence() {
-        let fig = run(Scale::test()).expect("clean run");
+        let fig = run(&mut Plan::default(), Scale::test()).expect("clean run");
         assert!(!fig.windows.is_empty());
         assert!(fig.ipc > 0.0);
         // Some issues must fall below full occupancy.
@@ -119,7 +123,7 @@ mod tests {
 
     #[test]
     fn labels_match_window_width() {
-        let fig = run(Scale::test()).expect("clean run");
+        let fig = run(&mut Plan::default(), Scale::test()).expect("clean run");
         assert_eq!(fig.labels.len(), fig.windows[0].len());
         assert_eq!(fig.labels[0], "idle");
     }

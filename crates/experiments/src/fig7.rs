@@ -8,7 +8,7 @@
 use crate::configs::Variant;
 use crate::fidelity::paper;
 use crate::fig3::{self, divergence_figure, DivergenceFigure};
-use crate::runner::Scale;
+use crate::runner::{Plan, Scale};
 use serde::Serialize;
 use std::fmt;
 
@@ -33,10 +33,10 @@ impl Fig7 {
 }
 
 /// Runs both configurations on the conference benchmark.
-pub fn run(scale: Scale) -> Result<Fig7, String> {
+pub fn run(plan: &mut Plan, scale: Scale) -> Result<Fig7, String> {
     Ok(Fig7 {
-        dynamic: divergence_figure(Variant::Dynamic, scale)?,
-        traditional: fig3::run(scale)?,
+        dynamic: divergence_figure(plan, Variant::Dynamic, scale)?,
+        traditional: fig3::run(plan, scale)?,
     })
 }
 
@@ -62,7 +62,7 @@ mod tests {
 
     #[test]
     fn dynamic_keeps_more_lanes_active() {
-        let fig = run(Scale::test()).expect("clean run");
+        let fig = run(&mut Plan::default(), Scale::test()).expect("clean run");
         assert!(
             fig.dynamic.mean_active_lanes > fig.traditional.mean_active_lanes,
             "dynamic {:.1} !> traditional {:.1}",
@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn ipc_ratio_is_positive() {
-        let fig = run(Scale::test()).expect("clean run");
+        let fig = run(&mut Plan::default(), Scale::test()).expect("clean run");
         assert!(fig.ipc_ratio() > 0.0);
     }
 }

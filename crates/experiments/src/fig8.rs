@@ -7,7 +7,7 @@
 
 use crate::configs::Variant;
 use crate::fidelity::paper;
-use crate::runner::{RenderRun, RenderSpec, Scale};
+use crate::runner::{Plan, RenderSpec, Scale};
 use raytrace::scenes;
 use serde::Serialize;
 use std::fmt;
@@ -77,11 +77,11 @@ impl Fig8 {
 }
 
 /// Measures every scene × variant combination.
-pub fn run(scale: Scale) -> Result<Fig8, String> {
+pub fn run(plan: &mut Plan, scale: Scale) -> Result<Fig8, String> {
     let mut points = Vec::new();
     for scene in scenes::all(scale.scene) {
         for variant in FIG8_VARIANTS {
-            let r = RenderRun::execute(&RenderSpec::window(&scene, variant, scale))?;
+            let r = plan.render(&RenderSpec::window(&scene, variant, scale))?;
             points.push(PerfPoint {
                 scene: scene.name,
                 variant: variant.to_string(),
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn produces_nine_points() {
-        let fig = run(Scale::test()).expect("clean run");
+        let fig = run(&mut Plan::default(), Scale::test()).expect("clean run");
         assert_eq!(fig.points.len(), 9);
         for p in &fig.points {
             assert!(p.ipc > 0.0, "{} {}", p.scene, p.variant);
@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn speedup_metric_is_finite() {
-        let fig = run(Scale::test()).expect("clean run");
+        let fig = run(&mut Plan::default(), Scale::test()).expect("clean run");
         let s = fig.mean_dynamic_speedup();
         assert!(s.is_finite());
     }

@@ -8,7 +8,7 @@
 use crate::configs::Variant;
 use crate::fidelity::paper;
 use crate::fig3::{self, divergence_figure, DivergenceFigure};
-use crate::runner::{RenderRun, RenderSpec, Scale};
+use crate::runner::{Plan, RenderSpec, Scale};
 use serde::Serialize;
 use std::fmt;
 
@@ -37,9 +37,9 @@ impl Fig9 {
 }
 
 /// Runs the three configurations on the conference benchmark.
-pub fn run(scale: Scale) -> Result<Fig9, String> {
+pub fn run(plan: &mut Plan, scale: Scale) -> Result<Fig9, String> {
     let scene = raytrace::scenes::conference(scale.scene);
-    let with_run = RenderRun::execute(&RenderSpec::window(
+    let with_run = plan.render(&RenderSpec::window(
         &scene,
         Variant::DynamicConflicts,
         scale,
@@ -50,9 +50,9 @@ pub fn run(scale: Scale) -> Result<Fig9, String> {
         .space(simt_isa::Space::Spawn)
         .bank_conflict_passes;
     Ok(Fig9 {
-        with_conflicts: DivergenceFigure::of(&with_run),
-        without_conflicts: divergence_figure(Variant::Dynamic, scale)?,
-        traditional: fig3::run(scale)?,
+        with_conflicts: DivergenceFigure::of(with_run),
+        without_conflicts: divergence_figure(plan, Variant::Dynamic, scale)?,
+        traditional: fig3::run(plan, scale)?,
         conflict_passes,
     })
 }
@@ -87,7 +87,7 @@ mod tests {
 
     #[test]
     fn conflicts_cost_performance_but_stay_ahead_of_zero() {
-        let fig = run(Scale::test()).expect("clean run");
+        let fig = run(&mut Plan::default(), Scale::test()).expect("clean run");
         assert!(fig.conflict_passes > 0, "conflicts must actually occur");
         assert!(
             fig.with_conflicts.ipc <= fig.without_conflicts.ipc,

@@ -21,7 +21,9 @@
 //! | [`shadow::run`] | shadow-ray pass study (beyond the paper) |
 //!
 //! All runners take a [`Scale`] so tests can run them at toy sizes while
-//! the recorded numbers use [`Scale::paper`]. [`fidelity`] holds the
+//! the recorded numbers use [`Scale::paper`]; those that render scene
+//! windows take them from a [`Plan`], which renders each window once per
+//! invocation. [`fidelity`] holds the
 //! paper's own numbers and sets them beside a `repro all` output.
 //!
 //! Artifact dispatch goes through the [`workload`] registry: every
@@ -55,6 +57,6 @@ pub mod table4;
 pub mod workload;
 
 pub use configs::{config_for, gpu_for, gpu_for_with, telemetry_spec, Variant};
-pub use runner::{run_fingerprint, RenderRun, Scale};
+pub use runner::{run_fingerprint, Plan, RenderRun, Scale};
 pub use supervisor::Policy;
 pub use workload::{ScenarioSpec, UnknownWorkload, Workload};

@@ -1,5 +1,13 @@
 //! Shared run machinery: scales and the one render path, which takes
-//! every scene render as one [`RenderSpec`] through [`RenderRun::execute`].
+//! every scene render as one [`RenderSpec`] through a [`Plan`].
+//!
+//! A plan owns one invocation's renders: `repro all` builds one for its
+//! whole loop, and every other caller one per artifact. It runs each
+//! fingerprint once, the first time it is asked for, and hands the same
+//! [`RenderRun`] (or the same job-level error) to every later request, so
+//! each snapshot, kill point, trace file and stderr note comes from that
+//! one run. It also holds the host images frame checks compare against,
+//! so no render state outlives the invocation or hides in a thread.
 
 use crate::configs::{self, Variant};
 use crate::supervisor;
@@ -12,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use simt_isa::codec::{fnv1a64, Codec, Encoder};
 use simt_mem::MemPreset;
 use simt_sim::{Gpu, GpuConfig, RunSummary, SpawnPolicy, TelemetryReport};
-use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -119,7 +127,7 @@ impl fmt::Display for FaultHealth {
 }
 
 /// Which tracer a render runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tracer {
     /// The paper's kd-tree primary-ray tracer.
     Kd,
@@ -411,57 +419,48 @@ enum HostImage {
 /// function of the two), tracer and edge.
 type HostKey = (&'static str, SceneScale, Tracer, u32);
 
-thread_local! {
-    /// The last host image traced on this thread. An artifact renders its
-    /// frames one after another on one thread, so each image is traced
-    /// once however many machines render it.
-    static HOST: RefCell<Option<(HostKey, HostImage)>> = const { RefCell::new(None) };
-}
-
 /// Checks a finished frame against the host tracer's image: no kd ray
 /// may differ, and the path tracer must match bit for bit, with an equal
-/// hash, which it returns.
+/// hash, which it returns. The image is traced into `hosts` the first
+/// time its key is asked for, so each is traced once per [`Plan`]
+/// however many machines render it.
 fn check_frame(
     spec: &RenderSpec,
     job: &str,
     gpu: &Gpu,
     setup: &Setup,
+    hosts: &mut HashMap<HostKey, HostImage>,
 ) -> Result<Option<u64>, String> {
-    HOST.with_borrow_mut(|slot| {
-        let key = (spec.scene.name, spec.scale.scene, spec.tracer, spec.edge);
-        if slot.as_ref().is_none_or(|(k, _)| *k != key) {
-            let image = match setup {
-                Setup::Kd(setup) => HostImage::Kd(setup.host_reference()),
-                Setup::Bvh(setup) => HostImage::Bvh(setup.host_reference()),
-            };
-            *slot = Some((key, image));
-        }
-        match (setup, slot.as_ref().map(|(_, image)| image)) {
-            (Setup::Kd(setup), Some(HostImage::Kd(host))) => {
-                let report = compare(host, &setup.device_results(gpu));
-                if report.mismatches > 0 {
-                    return Err(format!(
-                        "{job}: {} of {} rays diverged from the host oracle",
-                        report.mismatches, report.total
-                    ));
-                }
-                Ok(None)
+    let key = (spec.scene.name, spec.scale.scene, spec.tracer, spec.edge);
+    let host = hosts.entry(key).or_insert_with(|| match setup {
+        Setup::Kd(setup) => HostImage::Kd(setup.host_reference()),
+        Setup::Bvh(setup) => HostImage::Bvh(setup.host_reference()),
+    });
+    match (setup, host) {
+        (Setup::Kd(setup), HostImage::Kd(host)) => {
+            let report = compare(host, &setup.device_results(gpu));
+            if report.mismatches > 0 {
+                return Err(format!(
+                    "{job}: {} of {} rays diverged from the host oracle",
+                    report.mismatches, report.total
+                ));
             }
-            (Setup::Bvh(setup), Some(HostImage::Bvh(host))) => {
-                let device = setup.device_results(gpu);
-                let mismatches = exact_mismatches(host, &device);
-                let (host_hash, hash) = (image_hash(host), image_hash(&device));
-                if mismatches > 0 || hash != host_hash {
-                    return Err(format!(
-                        "{job}: device image diverged from the host reference ({mismatches} \
-                         exact mismatches, hash {hash:016x} vs {host_hash:016x})"
-                    ));
-                }
-                Ok(Some(hash))
-            }
-            _ => unreachable!("the key names the tracer"),
+            Ok(None)
         }
-    })
+        (Setup::Bvh(setup), HostImage::Bvh(host)) => {
+            let device = setup.device_results(gpu);
+            let mismatches = exact_mismatches(host, &device);
+            let (host_hash, hash) = (image_hash(host), image_hash(&device));
+            if mismatches > 0 || hash != host_hash {
+                return Err(format!(
+                    "{job}: device image diverged from the host reference ({mismatches} \
+                     exact mismatches, hash {hash:016x} vs {host_hash:016x})"
+                ));
+            }
+            Ok(Some(hash))
+        }
+        _ => unreachable!("the key names the tracer"),
+    }
 }
 
 /// Runs a [`Stop::Window`], each phase sliced by
@@ -514,7 +513,8 @@ pub struct RenderRun {
     pub variant: Variant,
     /// Full simulator summary (whole run, including warm-up).
     pub summary: RunSummary,
-    /// Cumulative telemetry over the whole run.
+    /// Cumulative telemetry over the whole run, less its trace-event
+    /// stream, which goes to the trace file under `--trace` and no further.
     pub telemetry: TelemetryReport,
     /// Aggregate L1 `(hits, misses, mshr_merges, mshr_stalls)`, if any.
     pub l1: Option<(u64, u64, u64, u64)>,
@@ -528,18 +528,53 @@ pub struct RenderRun {
     pub steady_cycles: u64,
 }
 
+/// One invocation's renders (see the module docs): each [`RenderSpec`]
+/// fingerprint is rendered once and held, with its job-level error if it
+/// failed, together with the host images its frames were checked against.
+/// Nothing outlives the plan.
+#[derive(Default)]
+pub struct Plan {
+    /// Each rendered fingerprint's run or job-level error.
+    runs: HashMap<u64, Result<RenderRun, String>>,
+    /// The host images frames were checked against.
+    hosts: HashMap<HostKey, HostImage>,
+}
+
+impl Plan {
+    /// The run this plan holds under `spec`'s fingerprint, rendered now
+    /// if this is the first time the fingerprint is asked for.
+    ///
+    /// # Errors
+    ///
+    /// The render's job-level error (a fault, a watchdog deadlock, a blown
+    /// frame budget or an image that differs from the host's), the same
+    /// one every time the fingerprint is asked for.
+    pub fn render(&mut self, spec: &RenderSpec) -> Result<&RenderRun, String> {
+        let hosts = &mut self.hosts;
+        self.runs
+            .entry(spec.fingerprint())
+            .or_insert_with(|| RenderRun::execute(spec, hosts))
+            .as_ref()
+            .map_err(String::clone)
+    }
+}
+
 impl RenderRun {
     /// Renders `spec` on the machine `prepare` builds, under its stop
-    /// rule, and writes its trace artifacts under `--trace`. Rays/second
-    /// is measured after the warm-up, which skips the pipeline-fill
-    /// transient at frame start (the paper finds 150k–300k steady).
+    /// rule, and writes its trace artifacts under `--trace`, after which
+    /// the run drops its trace-event stream. Rays/second is measured after
+    /// the warm-up, which skips the pipeline-fill transient at frame start
+    /// (the paper finds 150k–300k steady).
     ///
     /// # Errors
     ///
     /// A fault or a watchdog deadlock, as the job-level error of
     /// [`supervisor::run_checked`]; for a frame, also a blown
     /// frame budget or an image that differs from the host's.
-    pub fn execute(spec: &RenderSpec) -> Result<RenderRun, String> {
+    fn execute(
+        spec: &RenderSpec,
+        hosts: &mut HashMap<HostKey, HostImage>,
+    ) -> Result<RenderRun, String> {
         let job = spec.job();
         let (gpu, summary, warm_cycle, warm_rays, image_hash) = match spec.stop {
             Stop::Window { warm, measure } => {
@@ -549,13 +584,14 @@ impl RenderRun {
             Stop::Frame => {
                 let (mut gpu, setup) = prepare(spec);
                 let summary = supervisor::run_checked(&mut gpu, FRAME_BUDGET, &job, true)?;
-                let hash = check_frame(spec, &job, &gpu, &setup)?;
+                let hash = check_frame(spec, &job, &gpu, &setup, hosts)?;
                 (gpu, summary, 0, 0, hash)
             }
         };
-        let telemetry = gpu.telemetry_report();
+        let mut telemetry = gpu.telemetry_report();
         if supervisor::policy().telemetry.trace {
             write_trace_artifacts(&job, &telemetry);
+            telemetry.events = Vec::new();
         }
         let end_cycle = summary.stats.cycles;
         let (steady_rays, steady_cycles) = if end_cycle > warm_cycle {
@@ -674,11 +710,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn every_other_spec_gets_its_own_name_and_identity() {
-        let scene = scenes::conference(SceneScale::Tiny);
+    /// The standard window and six specs that each differ from it, or
+    /// from one another, in one knob: spawn policy, stop rule, memory
+    /// preset, edge or tracer.
+    fn distinct_specs(scene: &Scene) -> [RenderSpec<'_>; 7] {
         let scale = Scale::test();
-        let std = RenderSpec::window(&scene, Variant::Dynamic, scale);
+        let std = RenderSpec::window(scene, Variant::Dynamic, scale);
         let ablation = RenderSpec {
             spawn_policy: Some(SpawnPolicy::Always),
             stop: Stop::Window {
@@ -687,7 +724,7 @@ mod tests {
             },
             ..std
         };
-        let specs = [
+        [
             std,
             ablation,
             RenderSpec {
@@ -701,7 +738,13 @@ mod tests {
             RenderSpec { edge: 8, ..std },
             std.frame(Tracer::Kd, 16),
             std.frame(Tracer::Bvh, 16),
-        ];
+        ]
+    }
+
+    #[test]
+    fn every_other_spec_gets_its_own_name_and_identity() {
+        let scene = scenes::conference(SceneScale::Tiny);
+        let specs = distinct_specs(&scene);
         let mut names: Vec<String> = specs.iter().map(RenderSpec::job).collect();
         let mut ids: Vec<u64> = specs.iter().map(RenderSpec::fingerprint).collect();
         names.sort();
@@ -712,13 +755,67 @@ mod tests {
     }
 
     #[test]
+    fn a_spec_asked_for_twice_runs_once() {
+        let scene = scenes::conference(SceneScale::Tiny);
+        let spec = RenderSpec::window(&scene, Variant::PdomWarp, Scale::test());
+        let mut plan = Plan::default();
+        let first = plan.render(&spec).expect("clean run").steady_rays;
+        // Mark the held run: a second render would not carry the mark.
+        let held = plan.runs.get_mut(&spec.fingerprint()).expect("held");
+        held.as_mut().expect("clean run").steady_rays = first + 1;
+        let again = plan.render(&spec).expect("the held run");
+        assert_eq!(
+            again.steady_rays,
+            first + 1,
+            "the second answer is the held run"
+        );
+        assert_eq!(plan.runs.len(), 1);
+    }
+
+    #[test]
+    fn each_distinct_spec_runs_separately() {
+        let scene = scenes::conference(SceneScale::Tiny);
+        let specs = distinct_specs(&scene);
+        let mut plan = Plan::default();
+        for spec in &specs {
+            let run = plan.render(spec).expect("clean run");
+            assert!(run.summary.stats.thread_instructions > 0, "{}", spec.job());
+        }
+        assert_eq!(plan.runs.len(), specs.len());
+        // The two frames traced one host image each.
+        assert_eq!(plan.hosts.len(), 2);
+    }
+
+    #[test]
+    fn a_failed_spec_gives_the_same_error_again_without_rerunning() {
+        let scene = scenes::conference(SceneScale::Tiny);
+        let spec =
+            RenderSpec::window(&scene, Variant::Dynamic, Scale::test()).frame(Tracer::Kd, 16);
+        let mut plan = Plan::default();
+        // A host image in which every ray misses: the frame check fails.
+        let key = (scene.name, SceneScale::Tiny, Tracer::Kd, 16);
+        plan.hosts.insert(key, HostImage::Kd(vec![None; 16 * 16]));
+        let error = plan
+            .render(&spec)
+            .expect_err("no device ray missed everything");
+        assert!(error.contains("diverged from the host oracle"), "{error}");
+        // Re-run, the frame would trace the true image and pass.
+        plan.hosts.clear();
+        assert_eq!(plan.render(&spec).expect_err("the held error"), error);
+        assert!(plan.hosts.is_empty(), "nothing ran");
+    }
+
+    #[test]
     fn render_run_executes_both_kernel_families() {
         let scene = scenes::conference(SceneScale::Tiny);
         let scale = Scale::test();
-        let pdom = RenderRun::execute(&RenderSpec::window(&scene, Variant::PdomWarp, scale))
+        let mut plan = Plan::default();
+        let pdom = plan
+            .render(&RenderSpec::window(&scene, Variant::PdomWarp, scale))
             .expect("clean run");
         assert!(pdom.summary.stats.thread_instructions > 0);
-        let dmk = RenderRun::execute(&RenderSpec::window(&scene, Variant::Dynamic, scale))
+        let dmk = plan
+            .render(&RenderSpec::window(&scene, Variant::Dynamic, scale))
             .expect("clean run");
         assert!(dmk.summary.stats.threads_spawned > 0);
     }

@@ -1,8 +1,8 @@
 //! Supervised execution of simulator jobs.
 //!
 //! Every scene render is one [`RenderSpec`](crate::runner::RenderSpec)
-//! through [`RenderRun::execute`](crate::runner::RenderRun::execute), the
-//! render path, and its stop rule says how it runs:
+//! taken from a [`Plan`](crate::runner::Plan), which runs each
+//! fingerprint once per invocation, and its stop rule says how it runs:
 //!
 //! * a window is sliced and resumable: [`run_to_target`] slices the
 //!   simulation at a configurable checkpoint interval and, when a
@@ -24,7 +24,10 @@
 //!
 //! On-disk snapshots are crash/kill recovery: `repro --resume` restores
 //! each job from its last snapshot and continues, bit-identical to an
-//! uninterrupted run (see `DESIGN.md` §9).
+//! uninterrupted run (see `DESIGN.md` §9). The kill hook counts the
+//! process's snapshot writes, not a job's: a plan renders its windows one
+//! after another, so "the N-th write" names one point of a whole
+//! `repro all`, inside whichever artifact first renders that window.
 
 use simt_sim::{Gpu, RunOutcome, RunSummary, Snapshot, TelemetrySpec};
 use std::collections::BTreeMap;
@@ -80,7 +83,9 @@ impl Default for Policy {
 
 static POLICY: Mutex<Option<Policy>> = Mutex::new(None);
 
-/// Count of on-disk snapshot writes, for the kill test hook.
+/// Count of the process's on-disk snapshot writes, for the kill test hook:
+/// one count across every job, so the hook can stop `repro all` inside a
+/// later artifact.
 static DISK_WRITES: AtomicU64 = AtomicU64::new(0);
 
 /// Per job in flight, the cycle of the newest snapshot the checkpoint
@@ -291,7 +296,7 @@ pub fn run_checked(
 ///
 /// `job` names the on-disk snapshot; `meta` is stored verbatim in every
 /// snapshot so the caller can rebuild its own phase bookkeeping on
-/// resume (see [`crate::runner::RenderRun::execute`]).
+/// resume (see [`crate::runner::Plan::render`]).
 ///
 /// # Errors
 ///

@@ -18,7 +18,7 @@
 
 use super::{page, Group, Workload};
 use crate::configs::Variant;
-use crate::runner::{program_digest, RenderRun, RenderSpec, Scale, Tracer};
+use crate::runner::{program_digest, Plan, RenderSpec, Scale, Tracer};
 use simt_isa::codec::Encoder;
 use std::fmt;
 
@@ -73,7 +73,7 @@ pub struct PtFigure {
 ///
 /// Simulator faults, a blown cycle budget, or any bit-level deviation
 /// from the host reference image.
-pub fn run(scale: Scale, only: Option<Variant>) -> Result<PtFigure, String> {
+pub fn run(plan: &mut Plan, scale: Scale, only: Option<Variant>) -> Result<PtFigure, String> {
     let scene = raytrace::scenes::conference(scale.scene);
     let edge = resolution(scale);
     let variants: Vec<Variant> = match only {
@@ -84,7 +84,7 @@ pub fn run(scale: Scale, only: Option<Variant>) -> Result<PtFigure, String> {
     let mut runs = Vec::new();
     for &variant in &variants {
         let spec = RenderSpec::window(&scene, variant, scale).frame(Tracer::Bvh, edge);
-        let run = RenderRun::execute(&spec)?;
+        let run = plan.render(&spec)?;
         let (stats, divergence) = (&run.summary.stats, &run.telemetry.divergence);
         labels = divergence.labels();
         runs.push(PtVariantRun {
@@ -165,12 +165,18 @@ impl Workload for BvhPathTracer {
         &VARIANTS
     }
 
-    fn render(&self, scale: Scale, variant: Option<Variant>, json: bool) -> Result<String, String> {
+    fn render(
+        &self,
+        plan: &mut Plan,
+        scale: Scale,
+        variant: Option<Variant>,
+        json: bool,
+    ) -> Result<String, String> {
         let name = match variant {
             Some(v) => format!("{}@{}", self.id(), v.wire_name()),
             None => self.id().to_string(),
         };
-        Ok(page(&name, &run(scale, variant)?, json))
+        Ok(page(&name, &run(plan, scale, variant)?, json))
     }
 
     fn extend_fingerprint(&self, enc: &mut Encoder, scale: Scale) {
@@ -188,7 +194,7 @@ mod tests {
 
     #[test]
     fn both_variants_match_the_host_image_at_test_scale() {
-        let fig = run(Scale::test(), None).expect("bvh workload runs");
+        let fig = run(&mut Plan::default(), Scale::test(), None).expect("bvh workload runs");
         assert_eq!(fig.runs.len(), 2);
         for r in &fig.runs {
             assert_eq!(r.image_hash, fig.host_hash, "{} diverged", r.variant);
@@ -206,7 +212,8 @@ mod tests {
 
     #[test]
     fn variant_narrowing_runs_a_single_column() {
-        let fig = run(Scale::test(), Some(Variant::Dynamic)).expect("narrowed run");
+        let fig =
+            run(&mut Plan::default(), Scale::test(), Some(Variant::Dynamic)).expect("narrowed run");
         assert_eq!(fig.runs.len(), 1);
         assert_eq!(fig.runs[0].variant, Variant::Dynamic);
     }

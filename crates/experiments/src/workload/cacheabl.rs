@@ -23,7 +23,7 @@
 
 use super::{microdiv, page, Group, Workload};
 use crate::configs::{self, Variant};
-use crate::runner::{program_digest, RenderRun, RenderSpec, Scale, Tracer};
+use crate::runner::{program_digest, Plan, RenderSpec, Scale, Tracer};
 use simt_isa::codec::Encoder;
 use simt_mem::MemPreset;
 use std::fmt;
@@ -104,9 +104,15 @@ pub struct CacheAblationFigure {
 /// A traced frame's cell: the traditional kernel on `level`, checked
 /// against the host tracer by the runner — the memory model is a timing
 /// model, so a functional deviation is a bug in the cache layer.
-fn run_frame(scale: Scale, tracer: Tracer, edge: u32, level: MemPreset) -> Result<Cell, String> {
+fn run_frame(
+    plan: &mut Plan,
+    scale: Scale,
+    tracer: Tracer,
+    edge: u32,
+    level: MemPreset,
+) -> Result<Cell, String> {
     let scene = raytrace::scenes::conference(scale.scene);
-    let run = RenderRun::execute(&RenderSpec {
+    let run = plan.render(&RenderSpec {
         mem: Some(level),
         ..RenderSpec::window(&scene, VARIANT, scale).frame(tracer, edge)
     })?;
@@ -117,16 +123,6 @@ fn run_frame(scale: Scale, tracer: Tracer, edge: u32, level: MemPreset) -> Resul
         l2: run.telemetry.l2,
         icnt_conflicts: run.telemetry.icnt_conflicts,
     })
-}
-
-/// The kd-tree primary-ray cell.
-fn run_kd(scale: Scale, level: MemPreset) -> Result<Cell, String> {
-    run_frame(scale, Tracer::Kd, kd_resolution(scale), level)
-}
-
-/// The BVH path-tracer cell.
-fn run_bvh(scale: Scale, level: MemPreset) -> Result<Cell, String> {
-    run_frame(scale, Tracer::Bvh, super::bvh::resolution(scale), level)
 }
 
 /// The microdiv ramp cell: compute-bound, LCG-validated — the negative
@@ -152,25 +148,32 @@ fn run_microdiv(scale: Scale, level: MemPreset) -> Result<Cell, String> {
 ///
 /// Simulator faults, blown cycle budgets, or any functional deviation
 /// from the host references are deterministic job-level errors.
-pub fn run(scale: Scale) -> Result<CacheAblationFigure, String> {
-    type Runner = fn(Scale, MemPreset) -> Result<Cell, String>;
-    let mut rows = Vec::new();
+pub fn run(plan: &mut Plan, scale: Scale) -> Result<CacheAblationFigure, String> {
     let kd_edge = kd_resolution(scale);
     let bvh_edge = super::bvh::resolution(scale);
     let n = microdiv::threads(scale.scene);
-    let runners: [(&'static str, String, Runner); 3] = [
+    // Each row's traced frame, or `None` for the microdiv row.
+    let specs = [
         (
             "kdtree",
             format!("{kd_edge}x{kd_edge} primary rays"),
-            run_kd,
+            Some((Tracer::Kd, kd_edge)),
         ),
-        ("bvh", format!("{bvh_edge}x{bvh_edge} path traced"), run_bvh),
-        ("microdiv", format!("{n} threads, ramp"), run_microdiv),
+        (
+            "bvh",
+            format!("{bvh_edge}x{bvh_edge} path traced"),
+            Some((Tracer::Bvh, bvh_edge)),
+        ),
+        ("microdiv", format!("{n} threads, ramp"), None),
     ];
-    for (workload, size, runner) in runners {
+    let mut rows = Vec::new();
+    for (workload, size, frame) in specs {
         let mut cells = Vec::new();
         for level in LEVELS {
-            cells.push(runner(scale, level)?);
+            cells.push(match frame {
+                Some((tracer, edge)) => run_frame(plan, scale, tracer, edge, level)?,
+                None => run_microdiv(scale, level)?,
+            });
         }
         rows.push(AblationRow {
             workload,
@@ -246,11 +249,12 @@ impl Workload for CacheAblation {
 
     fn render(
         &self,
+        plan: &mut Plan,
         scale: Scale,
         _variant: Option<crate::configs::Variant>,
         json: bool,
     ) -> Result<String, String> {
-        Ok(page(self.id(), &run(scale)?, json))
+        Ok(page(self.id(), &run(plan, scale)?, json))
     }
 
     fn extend_fingerprint(&self, enc: &mut Encoder, scale: Scale) {
@@ -285,7 +289,7 @@ mod tests {
 
     #[test]
     fn figure_runs_validates_and_orders_the_levels() {
-        let fig = run(Scale::test()).expect("cache ablation runs");
+        let fig = run(&mut Plan::default(), Scale::test()).expect("cache ablation runs");
         assert_eq!(fig.rows.len(), 3);
         for row in &fig.rows {
             assert_eq!(row.cells.len(), LEVELS.len());
@@ -319,8 +323,12 @@ mod tests {
 
     #[test]
     fn figure_is_deterministic() {
-        let a = run(Scale::test()).expect("first render").to_string();
-        let b = run(Scale::test()).expect("second render").to_string();
+        let a = run(&mut Plan::default(), Scale::test())
+            .expect("first render")
+            .to_string();
+        let b = run(&mut Plan::default(), Scale::test())
+            .expect("second render")
+            .to_string();
         assert_eq!(a, b, "cache ablation must render identically");
     }
 }

@@ -23,7 +23,7 @@
 
 use super::{page, Group, Workload};
 use crate::configs::Variant;
-use crate::runner::{Scale, FRAME_BUDGET};
+use crate::runner::{Plan, Scale, FRAME_BUDGET};
 use crate::supervisor::run_checked;
 use dmk_core::DmkConfig;
 use raytrace::scenes::SceneScale;
@@ -425,7 +425,13 @@ impl Workload for Microdiv {
         &VARIANTS
     }
 
-    fn render(&self, scale: Scale, variant: Option<Variant>, json: bool) -> Result<String, String> {
+    fn render(
+        &self,
+        _plan: &mut Plan,
+        scale: Scale,
+        variant: Option<Variant>,
+        json: bool,
+    ) -> Result<String, String> {
         let name = match variant {
             Some(v) => format!("{}@{}", self.id(), v.wire_name()),
             None => self.id().to_string(),

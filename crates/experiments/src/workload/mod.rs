@@ -29,7 +29,7 @@ pub mod microdiv;
 mod paper;
 
 use crate::configs::Variant;
-use crate::runner::Scale;
+use crate::runner::{Plan, Scale};
 use simt_isa::codec::Encoder;
 use std::fmt;
 
@@ -58,17 +58,24 @@ pub trait Workload: Sync {
         &[]
     }
 
-    /// Renders the workload to the exact bytes `repro` prints for it.
-    /// `variant` narrows extended workloads to one machine variant
-    /// (`None` renders the workload's full default matrix); it is
-    /// always `None` for paper artifacts ([`ScenarioSpec::resolve`]
-    /// rejects the combination first).
+    /// Renders the workload to the exact bytes `repro` prints for it,
+    /// taking each scene render from `plan`, which runs it unless the
+    /// plan already holds it. `variant` narrows extended workloads to one
+    /// machine variant (`None` renders the workload's full default
+    /// matrix); it is always `None` for paper artifacts
+    /// ([`ScenarioSpec::resolve`] rejects the combination first).
     ///
     /// # Errors
     ///
     /// A deterministic job-level failure (assembly error, ground-truth
     /// mismatch, simulator fault) the campaign reports without retry.
-    fn render(&self, scale: Scale, variant: Option<Variant>, json: bool) -> Result<String, String>;
+    fn render(
+        &self,
+        plan: &mut Plan,
+        scale: Scale,
+        variant: Option<Variant>,
+        json: bool,
+    ) -> Result<String, String>;
 
     /// Folds workload-specific identity (extra kernel programs, private
     /// configuration) into a job fingerprint. The default is a no-op,
@@ -259,15 +266,16 @@ impl ScenarioSpec {
         Ok(w)
     }
 
-    /// Renders the scenario to the exact bytes `repro` prints for it.
+    /// Renders the scenario to the exact bytes `repro` prints for it,
+    /// its scene renders taken from `plan`.
     ///
     /// # Errors
     ///
     /// [`RenderError::Unknown`] for an unresolvable scenario,
     /// [`RenderError::Job`] for a deterministic job-level failure.
-    pub fn render(&self, json: bool) -> Result<String, RenderError> {
+    pub fn render(&self, plan: &mut Plan, json: bool) -> Result<String, RenderError> {
         let w = self.resolve().map_err(RenderError::Unknown)?;
-        w.render(self.scale, self.variant, json)
+        w.render(plan, self.scale, self.variant, json)
             .map_err(RenderError::Job)
     }
 }

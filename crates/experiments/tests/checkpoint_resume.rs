@@ -261,6 +261,52 @@ fn ablation_windows_slice_and_resume_transparently() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `repro all --scale test` checkpointing into `dir` every 2 000 cycles,
+/// plus `extra` flags.
+fn all(dir: &Path, extra: &[&str]) -> Output {
+    Command::new(REPRO)
+        .args(["all", "--scale", "test", "--checkpoint-every", "2000"])
+        .arg("--checkpoint-dir")
+        .arg(dir)
+        .args(extra)
+        .output()
+        .expect("repro binary runs")
+}
+
+#[test]
+fn a_killed_repro_all_resumes_to_the_uninterrupted_bytes() {
+    let dir = temp_dir("all");
+    // Fig. 3's window writes 19 snapshots; the 22nd is the one at cycle
+    // 6 000 of fig. 7's μ-kernel window, the first window `all` renders
+    // after fig. 3 has finished.
+    let killed = all(&dir, &["--kill-after-checkpoints", "22"]);
+    assert_eq!(killed.status.code(), Some(42), "kill hook fired");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("dir")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    assert_eq!(left, ["conference-Dynamic-16.ckpt"]);
+    let resumed = all(&dir, &["--resume"]);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(
+        stderr.contains("conference-Dynamic-16: resuming from checkpoint at cycle 6000"),
+        "{stderr}"
+    );
+    assert!(resumed.status.success());
+    let plain = Command::new(REPRO)
+        .args(["all", "--scale", "test"])
+        .output()
+        .expect("repro binary runs");
+    assert!(plain.status.success());
+    assert_eq!(resumed.stdout, plain.stdout);
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("dir").collect();
+    assert!(
+        left.is_empty(),
+        "finished jobs clear their snapshots: {left:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn the_standard_window_keeps_its_historical_identity() {
     for scale in [Scale::test(), Scale::quick(), Scale::paper()] {

@@ -134,3 +134,71 @@ fn telemetry_artifacts_are_reproducible() {
     assert_eq!(trace_a, trace_b, "Chrome trace diverged between runs");
     assert_eq!(csv_a, csv_b, "metrics CSV diverged between runs");
 }
+
+/// The jobs `repro all --scale test --trace` traces: fig. 2's kernel and
+/// the fourteen distinct scene windows of the paper artifacts.
+const TRACED_JOBS: [&str; 15] = [
+    "atrium-Dynamic-16",
+    "atrium-PdomBlock-16",
+    "atrium-PdomWarp-16",
+    "conference-Dynamic-16",
+    "conference-Dynamic-16-Kd-Always-w0-20000",
+    "conference-Dynamic-16-Kd-OnDivergence-w0-20000",
+    "conference-DynamicConflicts-16",
+    "conference-DynamicIdeal-16",
+    "conference-PdomBlock-16",
+    "conference-PdomWarp-16",
+    "conference-PdomWarpIdeal-16",
+    "fairyforest-Dynamic-16",
+    "fairyforest-PdomBlock-16",
+    "fairyforest-PdomWarp-16",
+    "fig2",
+];
+
+/// `repro all` shares one plan across its artifacts, so a window that
+/// figs. 3, 7, 8, 9 and 10 all read is rendered, and its trace written,
+/// once; and tracing changes no byte of the output.
+#[test]
+fn repro_all_traces_each_distinct_window_once() {
+    let dir = std::env::temp_dir().join(format!("all-trace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let repro = |extra: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["all", "--scale", "test"])
+            .args(extra)
+            .current_dir(&dir)
+            .output()
+            .expect("repro binary runs")
+    };
+    let traced = repro(&["--trace"]);
+    assert!(traced.status.success());
+    let stderr = String::from_utf8_lossy(&traced.stderr);
+    let mut wrote: Vec<&str> = stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix("trace: wrote "))
+        .collect();
+    let lines = wrote.len();
+    wrote.sort_unstable();
+    wrote.dedup();
+    assert_eq!(lines, wrote.len(), "a trace file was written twice");
+    let mut want: Vec<String> = TRACED_JOBS
+        .iter()
+        .flat_map(|job| [format!("{job}.metrics.csv"), format!("{job}.trace.json")])
+        .collect();
+    want.sort_unstable();
+    assert_eq!(wrote, want);
+    let mut left: Vec<String> = std::fs::read_dir(&dir)
+        .expect("dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort_unstable();
+    assert_eq!(left, want);
+    let plain = repro(&[]);
+    assert!(plain.status.success());
+    assert_eq!(
+        traced.stdout, plain.stdout,
+        "tracing changes no output byte"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -9,7 +9,7 @@
 
 use usimt::experiments::fig2;
 use usimt::experiments::fig3::divergence_figure;
-use usimt::experiments::runner::Scale;
+use usimt::experiments::runner::{Plan, Scale};
 use usimt::experiments::Variant;
 
 fn bar(frac: f64, width: usize) -> String {
@@ -32,8 +32,9 @@ fn main() {
 
     // --- Part 2: full-render divergence over time (Figs. 3 vs 7) --------
     let scale = Scale::quick();
+    let mut plan = Plan::default();
     for variant in [Variant::PdomWarp, Variant::Dynamic] {
-        let fig = divergence_figure(variant, scale).expect("clean run");
+        let fig = divergence_figure(&mut plan, variant, scale).expect("clean run");
         println!("divergence over time — {variant} (conference):");
         for (wi, w) in fig.windows.iter().enumerate() {
             let total: u64 = w.iter().sum();

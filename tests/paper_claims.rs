@@ -6,7 +6,7 @@
 
 use usimt::experiments::fidelity;
 use usimt::experiments::fig3::divergence_figure;
-use usimt::experiments::runner::Scale;
+use usimt::experiments::runner::{Plan, Scale};
 use usimt::experiments::Variant;
 use usimt::kernels::render::RenderSetup;
 use usimt::raytrace::scenes;
@@ -76,8 +76,9 @@ fn scale() -> Scale {
 
 #[test]
 fn dynamic_ukernels_keep_more_lanes_active_than_pdom() {
-    let pdom = divergence_figure(Variant::PdomWarp, scale()).expect("clean run");
-    let dmk = divergence_figure(Variant::Dynamic, scale()).expect("clean run");
+    let mut plan = Plan::default();
+    let pdom = divergence_figure(&mut plan, Variant::PdomWarp, scale()).expect("clean run");
+    let dmk = divergence_figure(&mut plan, Variant::Dynamic, scale()).expect("clean run");
     assert!(
         dmk.mean_active_lanes > pdom.mean_active_lanes,
         "dynamic {:.1} lanes !> PDOM {:.1} lanes",
@@ -88,8 +89,9 @@ fn dynamic_ukernels_keep_more_lanes_active_than_pdom() {
 
 #[test]
 fn dynamic_ukernels_raise_ipc_over_pdom() {
-    let pdom = divergence_figure(Variant::PdomWarp, scale()).expect("clean run");
-    let dmk = divergence_figure(Variant::Dynamic, scale()).expect("clean run");
+    let mut plan = Plan::default();
+    let pdom = divergence_figure(&mut plan, Variant::PdomWarp, scale()).expect("clean run");
+    let dmk = divergence_figure(&mut plan, Variant::Dynamic, scale()).expect("clean run");
     assert!(
         dmk.ipc > pdom.ipc,
         "dynamic IPC {:.0} !> PDOM IPC {:.0}",
@@ -102,8 +104,9 @@ fn dynamic_ukernels_raise_ipc_over_pdom() {
 fn pdom_is_branch_bound_not_memory_bound() {
     // Paper Fig. 10: PDOM shows (almost) no gain from an ideal memory
     // system. Allow a modest margin at this small scale.
-    let real = divergence_figure(Variant::PdomWarp, scale()).expect("clean run");
-    let ideal = divergence_figure(Variant::PdomWarpIdeal, scale()).expect("clean run");
+    let mut plan = Plan::default();
+    let real = divergence_figure(&mut plan, Variant::PdomWarp, scale()).expect("clean run");
+    let ideal = divergence_figure(&mut plan, Variant::PdomWarpIdeal, scale()).expect("clean run");
     assert!(
         ideal.ipc < real.ipc * 1.6,
         "PDOM must be branch-bound: ideal {:.0} vs real {:.0}",
@@ -114,8 +117,10 @@ fn pdom_is_branch_bound_not_memory_bound() {
 
 #[test]
 fn bank_conflicts_slow_dynamic_execution_but_not_fatally() {
-    let clean = divergence_figure(Variant::Dynamic, scale()).expect("clean run");
-    let conflicted = divergence_figure(Variant::DynamicConflicts, scale()).expect("clean run");
+    let mut plan = Plan::default();
+    let clean = divergence_figure(&mut plan, Variant::Dynamic, scale()).expect("clean run");
+    let conflicted =
+        divergence_figure(&mut plan, Variant::DynamicConflicts, scale()).expect("clean run");
     assert!(conflicted.ipc <= clean.ipc);
     assert!(
         conflicted.ipc > clean.ipc * 0.5,
