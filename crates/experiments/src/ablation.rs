@@ -8,7 +8,6 @@
 
 use crate::configs::Variant;
 use crate::runner::{Plan, RenderSpec, Scale, Stop};
-use raytrace::scenes;
 use serde::Serialize;
 use simt_sim::SpawnPolicy;
 use std::fmt;
@@ -48,14 +47,13 @@ impl SpawnPolicyAblation {
 }
 
 fn run_policy(plan: &mut Plan, policy: SpawnPolicy, scale: Scale) -> Result<PolicyRun, String> {
-    let scene = scenes::conference(scale.scene);
     let run = plan.render(&RenderSpec {
         spawn_policy: Some(policy),
         stop: Stop::Window {
             warm: 0,
             measure: scale.cycles,
         },
-        ..RenderSpec::window(&scene, Variant::Dynamic, scale)
+        ..RenderSpec::window("conference", Variant::Dynamic, scale)
     })?;
     let s = &run.summary.stats;
     Ok(PolicyRun {

@@ -212,19 +212,9 @@ impl Cli {
                     engine.json = true;
                     client.json = true;
                     worker.json = true;
-                    engine.passthrough.push("--json".to_string());
                 }
-                "--trace" => {
-                    policy.telemetry.trace = true;
-                    engine.passthrough.push("--trace".to_string());
-                }
-                "--metrics-every" => {
-                    let n = at_least_1(value())?;
-                    policy.telemetry.metrics_window = n;
-                    engine
-                        .passthrough
-                        .extend(["--metrics-every".to_string(), n.to_string()]);
-                }
+                "--trace" => policy.telemetry.trace = true,
+                "--metrics-every" => policy.telemetry.metrics_window = at_least_1(value())?,
                 "--workers" => engine.workers = at_least_1(value())?,
                 "--campaign-dir" => engine.work_dir = value()?.into(),
                 "--cache-dir" => cli.cache_dir = Some(value()?.into()),
@@ -314,17 +304,17 @@ fn main() -> ExitCode {
     };
     if mode == "list" {
         for w in experiments::workload::all() {
-            let variants = if w.variants().is_empty() {
+            let variants = if w.variants.is_empty() {
                 String::new()
             } else {
-                let names: Vec<&str> = w.variants().iter().map(|v| v.wire_name()).collect();
+                let names: Vec<&str> = w.variants.iter().map(|v| v.wire_name()).collect();
                 format!("  [variants: {}]", names.join(", "))
             };
             println!(
                 "{:<10} {:<9} {}{variants}",
-                w.id(),
-                w.group().to_string(),
-                w.description()
+                w.id,
+                w.group.to_string(),
+                w.description
             );
         }
         return ExitCode::SUCCESS;
@@ -543,18 +533,13 @@ mod tests {
                     && c.client.scale_name == "test"
             }),
             ("--json", None, false, |c| {
-                c.serve.engine.json
-                    && c.client.json
-                    && c.worker.json
-                    && c.serve.engine.passthrough == ["--json"]
+                c.serve.engine.json && c.client.json && c.worker.json
             }),
             ("--trace", None, false, |c| {
                 c.policy.telemetry == TelemetrySpec::trace()
-                    && c.serve.engine.passthrough == ["--trace"]
             }),
             ("--metrics-every", Some("7"), true, |c| {
                 c.policy.telemetry == TelemetrySpec::metrics().with_window(7)
-                    && c.serve.engine.passthrough == ["--metrics-every", "7"]
             }),
             ("--checkpoint-every", Some("7"), true, |c| {
                 c.policy.checkpoint_every == 7 && c.serve.engine.checkpoint_every == 7
@@ -675,7 +660,7 @@ mod tests {
         assert_eq!((engine.max_retries, engine.checkpoint_every), (3, 2000));
         assert_eq!(engine.work_dir, PathBuf::from("campaign"));
         assert_eq!(engine.cache_dir, PathBuf::from("campaign/cache"));
-        assert!(engine.chaos.is_none() && engine.passthrough.is_empty());
+        assert!(engine.chaos.is_none());
         let serve = cli.serve();
         assert_eq!(
             (serve.bind.as_str(), serve.queue_capacity),

@@ -46,7 +46,7 @@ pub mod chaos;
 pub mod manifest;
 pub mod worker;
 
-use crate::runner::{run_fingerprint_by_name, Plan, Scale};
+use crate::runner::{Plan, RenderSpec, Scale};
 use crate::workload::{RenderError, ScenarioSpec};
 use chaos::Chaos;
 use manifest::{JobOutcome, JobRecord, Manifest};
@@ -104,11 +104,11 @@ pub fn render_artifact(name: &str, scale: Scale, json: bool) -> Option<Result<St
 
 /// Identity fingerprint of one campaign job: FNV-1a-64 over the
 /// scenario's canonical job name, output mode, and the
-/// [`crate::run_fingerprint`] of every (scene × variant) render the matrix can
-/// touch at this scale — which folds in the kernel program bytes, the
-/// full `GpuConfig` per variant, the scene identities, the [`Scale`],
-/// and the telemetry spec. Workloads with private inputs (extra kernel
-/// programs, their own configuration) extend the encoding through
+/// [`RenderSpec::fingerprint`] of every (scene × variant) standard window
+/// the matrix can touch at this scale — which folds in the kernel program
+/// bytes, the full `GpuConfig` per variant, the scene identities, the
+/// [`Scale`], and the telemetry spec. Workloads with private inputs (extra
+/// kernel programs, their own configuration) extend the encoding through
 /// [`crate::workload::Workload::extend_fingerprint`]; the hook appends
 /// *after* the historical encoding and is a no-op for the paper
 /// artifacts, so their fingerprints — and every existing cache entry and
@@ -121,7 +121,7 @@ pub fn scenario_fingerprint(spec: &ScenarioSpec, json: bool) -> u64 {
     enc.put_bool(json);
     for scene in raytrace::scenes::NAMES {
         for variant in crate::configs::Variant::ALL {
-            enc.put_u64(run_fingerprint_by_name(scene, variant, spec.scale));
+            enc.put_u64(RenderSpec::window(scene, variant, spec.scale).fingerprint());
         }
     }
     if let Ok(w) = spec.resolve() {
@@ -177,9 +177,6 @@ pub struct CampaignConfig {
     pub backoff_base: Duration,
     /// Deterministic process-level chaos (kill rate + seed).
     pub chaos: Option<Chaos>,
-    /// Extra `repro` flags forwarded verbatim to every worker
-    /// (`--json`, `--trace`, `--metrics-every`, ...).
-    pub passthrough: Vec<String>,
     /// Test hook: this job's workers abort on every attempt (drives the
     /// job to `GaveUp` while the rest of the campaign completes).
     pub test_fail_job: Option<String>,
@@ -207,7 +204,6 @@ impl CampaignConfig {
             heartbeat_timeout: Duration::from_secs(120),
             backoff_base: Duration::from_millis(100),
             chaos: None,
-            passthrough: Vec::new(),
             test_fail_job: None,
             test_hang_job: None,
         }
@@ -873,7 +869,7 @@ fn run_counted(cfg: &CampaignConfig) -> Result<(CampaignOutcome, (u32, u32)), St
     // same workload keep their relative request order, so a narrowed
     // `id@variant` job sorts with its workload).
     for w in crate::workload::all() {
-        for spec in requested.iter().filter(|s| s.workload_id == w.id()) {
+        for spec in requested.iter().filter(|s| s.workload_id == w.id) {
             coord.submit(JobSpec {
                 scenario: spec.clone(),
                 json: cfg.json,
@@ -1076,12 +1072,20 @@ fn spawn_attempt(
         .arg("--resume")
         .arg("--scale")
         .arg(&job.spec.scenario.scale_name)
-        .args(&cfg.passthrough)
         .stdin(Stdio::null())
         // The worker's report, and how its exit is heard (see `watch`).
         .stdout(Stdio::piped());
-    if job.spec.json && !cfg.passthrough.iter().any(|f| f == "--json") {
+    if job.spec.json {
         cmd.arg("--json");
+    }
+    // The telemetry the job's fingerprint hashed: the coordinator's own.
+    let telemetry = crate::supervisor::policy().telemetry;
+    if telemetry.trace {
+        cmd.arg("--trace");
+    }
+    if telemetry.metrics_window != 0 {
+        cmd.arg("--metrics-every")
+            .arg(telemetry.metrics_window.to_string());
     }
     if let Some(chaos) = cfg.chaos {
         if let Some(after) = chaos.kill_plan(job.spec.name(), job.attempts, cfg.max_retries) {

@@ -47,11 +47,10 @@ impl Fig10 {
 
 /// Runs the four simulated configurations plus the MIMD model.
 pub fn run(plan: &mut Plan, scale: Scale) -> Result<Fig10, String> {
-    let scene = scenes::conference(scale.scene);
-
     // MIMD theoretical: run the traditional kernel functionally. Its
-    // machine and upload drop here, before the four renders.
+    // scene, machine and upload drop here, before the four renders.
     let mimd = {
+        let scene = scenes::conference(scale.scene);
         let cfg = GpuConfig::fx5800_warp_sched();
         let mut gpu = crate::configs::machine(cfg.clone());
         let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
@@ -68,7 +67,7 @@ pub fn run(plan: &mut Plan, scale: Scale) -> Result<Fig10, String> {
         Variant::Dynamic,
         Variant::DynamicIdeal,
     ] {
-        let r = plan.render(&RenderSpec::window(&scene, variant, scale))?;
+        let r = plan.render(&RenderSpec::window("conference", variant, scale))?;
         points.push(BranchingPoint {
             label: variant.to_string(),
             ipc: r.ipc(),

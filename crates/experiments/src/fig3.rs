@@ -7,7 +7,6 @@
 
 use crate::configs::Variant;
 use crate::runner::{Plan, RenderRun, RenderSpec, Scale};
-use raytrace::scenes;
 use serde::Serialize;
 use std::fmt;
 
@@ -39,8 +38,7 @@ pub fn divergence_figure(
     variant: Variant,
     scale: Scale,
 ) -> Result<DivergenceFigure, String> {
-    let scene = scenes::conference(scale.scene);
-    let run = plan.render(&RenderSpec::window(&scene, variant, scale))?;
+    let run = plan.render(&RenderSpec::window("conference", variant, scale))?;
     Ok(DivergenceFigure::of(run))
 }
 
@@ -101,6 +99,22 @@ impl fmt::Display for DivergenceFigure {
         writeln!(f, "  rays completed:     {}", self.rays_completed)?;
         write!(f, "  fault health:       {}", self.health)
     }
+}
+
+/// Ends a row with `buckets` as shares of their sum, one ` {:>5.1}`
+/// percentage each (all zero for an empty run): the occupancy-bucket
+/// rows of the `bvh` and `microdiv` figures.
+pub(crate) fn write_bucket_shares(f: &mut fmt::Formatter<'_>, buckets: &[u64]) -> fmt::Result {
+    let total: u64 = buckets.iter().sum();
+    for b in buckets {
+        let pct = if total > 0 {
+            *b as f64 * 100.0 / total as f64
+        } else {
+            0.0
+        };
+        write!(f, " {pct:>5.1}")?;
+    }
+    writeln!(f)
 }
 
 #[cfg(test)]

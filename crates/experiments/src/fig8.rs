@@ -79,11 +79,11 @@ impl Fig8 {
 /// Measures every scene × variant combination.
 pub fn run(plan: &mut Plan, scale: Scale) -> Result<Fig8, String> {
     let mut points = Vec::new();
-    for scene in scenes::all(scale.scene) {
+    for scene in scenes::NAMES {
         for variant in FIG8_VARIANTS {
-            let r = plan.render(&RenderSpec::window(&scene, variant, scale))?;
+            let r = plan.render(&RenderSpec::window(scene, variant, scale))?;
             points.push(PerfPoint {
-                scene: scene.name,
+                scene,
                 variant: variant.to_string(),
                 mrays_per_second: r.mrays_per_second(),
                 rays_completed: r.summary.stats.lineages_completed,

@@ -38,9 +38,8 @@ impl Fig9 {
 
 /// Runs the three configurations on the conference benchmark.
 pub fn run(plan: &mut Plan, scale: Scale) -> Result<Fig9, String> {
-    let scene = raytrace::scenes::conference(scale.scene);
     let with_run = plan.render(&RenderSpec::window(
-        &scene,
+        "conference",
         Variant::DynamicConflicts,
         scale,
     ))?;

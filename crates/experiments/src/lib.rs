@@ -26,12 +26,17 @@
 //! invocation. [`fidelity`] holds the
 //! paper's own numbers and sets them beside a `repro all` output.
 //!
+//! Every scene render is a [`RenderSpec`]: plain data that names its
+//! scene, and whose [`RenderSpec::fingerprint`] is the one render
+//! identity that plans, checkpoints and job fingerprints key on.
+//!
 //! Artifact dispatch goes through the [`workload`] registry: every
 //! runnable scenario — the twelve paper artifacts above plus the
-//! extended [`workload::bvh`] path tracer and [`workload::microdiv`]
-//! divergence microbenchmarks — registers a typed [`workload::Workload`]
-//! there, and `repro`, the campaign engine, and the serve front-end all
-//! enumerate it instead of keeping their own name lists.
+//! extended [`workload::bvh`] path tracer, [`workload::microdiv`]
+//! divergence microbenchmarks and [`workload::cacheabl`] cache ablation
+//! — is one [`workload::Workload`] row of its one table, and `repro`,
+//! the campaign engine, and the serve front-end all enumerate it instead
+//! of keeping their own name lists.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,6 +62,6 @@ pub mod table4;
 pub mod workload;
 
 pub use configs::{config_for, gpu_for, gpu_for_with, telemetry_spec, Variant};
-pub use runner::{run_fingerprint, Plan, RenderRun, Scale};
+pub use runner::{Plan, RenderRun, RenderSpec, Scale};
 pub use supervisor::Policy;
 pub use workload::{ScenarioSpec, UnknownWorkload, Workload};

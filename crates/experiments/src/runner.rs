@@ -11,7 +11,7 @@
 
 use crate::configs::{self, Variant};
 use crate::supervisor;
-use raytrace::scenes::{Scene, SceneScale};
+use raytrace::scenes::{self, SceneScale};
 use raytrace::Hit;
 use rt_kernels::pt_layout::PtResult;
 use rt_kernels::pt_render::{exact_mismatches, image_hash, PtSetup};
@@ -152,11 +152,13 @@ pub enum Stop {
 /// Cycle budget of a [`Stop::Frame`]: hitting it is a job-level error.
 pub(crate) const FRAME_BUDGET: u64 = 4_000_000_000;
 
-/// One scene render: everything that decides what is simulated.
+/// One scene render: everything that decides what is simulated, as plain
+/// data — no scene is generated until the render path prepares it.
 #[derive(Debug, Clone, Copy)]
-pub struct RenderSpec<'a> {
-    /// The scene, generated at `scale.scene`.
-    pub scene: &'a Scene,
+pub struct RenderSpec {
+    /// The scene's name, one of [`raytrace::scenes::NAMES`]; it is
+    /// generated at `scale.scene`, a pure function of the two.
+    pub scene: &'static str,
     /// The tracer.
     pub tracer: Tracer,
     /// The machine variant.
@@ -173,10 +175,11 @@ pub struct RenderSpec<'a> {
     pub scale: Scale,
 }
 
-impl<'a> RenderSpec<'a> {
-    /// The figures' standard window: the kd tracer on the variant's own
-    /// machine at `scale.resolution`, warmed and measured `scale.cycles`.
-    pub fn window(scene: &'a Scene, variant: Variant, scale: Scale) -> Self {
+impl RenderSpec {
+    /// The figures' standard window of the scene named `scene`: the kd
+    /// tracer on the variant's own machine at `scale.resolution`, warmed
+    /// and measured `scale.cycles`.
+    pub fn window(scene: &'static str, variant: Variant, scale: Scale) -> Self {
         RenderSpec {
             scene,
             tracer: Tracer::Kd,
@@ -235,15 +238,38 @@ impl<'a> RenderSpec<'a> {
     /// `{scene}-{Variant:?}-{edge}`; any spec but the standard window
     /// appends its tracer, overrides and stop rule.
     pub fn job(&self) -> String {
-        let job = format!("{}-{:?}-{}", self.scene.name, self.variant, self.edge);
+        let job = format!("{}-{:?}-{}", self.scene, self.variant, self.edge);
         job + &self.suffix().unwrap_or_default()
     }
 
-    /// [`run_fingerprint`] for the standard window; any other spec
-    /// appends the digests of the configuration and program it really
-    /// runs, its edge and its suffix.
+    /// The render's identity, for checkpoint, result-cache and plan
+    /// keying: FNV-1a-64 over the scene's name and the [`Scale`] (a
+    /// scene's geometry is a pure function of the two), the variant, the
+    /// active telemetry spec, the digest of the variant's full
+    /// [`simt_sim::GpuConfig`] and of the kd program it launches. Any spec
+    /// but the standard window appends the digests of the configuration
+    /// and program it really runs, its edge and its suffix. A checkpoint
+    /// or cached result stamped with another fingerprint must never be
+    /// trusted for this render.
     pub fn fingerprint(&self) -> u64 {
-        let mut enc = identity(self.scene.name, self.variant, self.scale);
+        let mut enc = Encoder::new();
+        enc.put_str("usimt-run-fp-v1");
+        enc.put_str(self.scene);
+        enc.put_str(&format!("{:?}", self.variant));
+        enc.put_u32(self.scale.resolution);
+        enc.put_u64(self.scale.cycles);
+        enc.put_u32(self.scale.threads_per_block);
+        enc.put_u8(match self.scale.scene {
+            SceneScale::Tiny => 0,
+            SceneScale::Small => 1,
+            SceneScale::Full => 2,
+        });
+        let telemetry = configs::telemetry_spec();
+        enc.put_bool(telemetry.metrics);
+        enc.put_bool(telemetry.trace);
+        enc.put_u64(telemetry.metrics_window);
+        enc.put_u64(simt_sim::config_digest(&configs::config_for(self.variant)));
+        enc.put_u64(program_digest(Tracer::Kd, self.variant.is_dynamic()));
         if let Some(suffix) = self.suffix() {
             let cfg = self.config();
             enc.put_u64(simt_sim::config_digest(&cfg));
@@ -268,46 +294,6 @@ pub(crate) fn program_digest(tracer: Tracer, dynamic: bool) -> u64 {
         };
         simt_sim::program_digest(&program).expect("embedded kernels encode losslessly")
     })
-}
-
-/// Deterministic identity of a standard render window
-/// ([`RenderSpec::window`]), for checkpoint/result-cache keying: FNV-1a-64
-/// over the kernel program bytes, the scene (name and triangle-count
-/// scale), the full [`simt_sim::GpuConfig`], the [`Scale`], and the
-/// active telemetry spec. A checkpoint or cached result stamped with
-/// another fingerprint must never be trusted for this run.
-pub fn run_fingerprint(scene: &Scene, variant: Variant, scale: Scale) -> u64 {
-    run_fingerprint_by_name(scene.name, variant, scale)
-}
-
-/// [`run_fingerprint`] from the scene's name alone (one of
-/// [`raytrace::scenes::NAMES`]): a scene's geometry is a pure function of
-/// its name and [`Scale::scene`], so no scene need be generated.
-pub fn run_fingerprint_by_name(scene_name: &str, variant: Variant, scale: Scale) -> u64 {
-    fnv1a64(&identity(scene_name, variant, scale).into_bytes())
-}
-
-/// The encoding [`run_fingerprint_by_name`] hashes.
-fn identity(scene_name: &str, variant: Variant, scale: Scale) -> Encoder {
-    let mut enc = Encoder::new();
-    enc.put_str("usimt-run-fp-v1");
-    enc.put_str(scene_name);
-    enc.put_str(&format!("{variant:?}"));
-    enc.put_u32(scale.resolution);
-    enc.put_u64(scale.cycles);
-    enc.put_u32(scale.threads_per_block);
-    enc.put_u8(match scale.scene {
-        SceneScale::Tiny => 0,
-        SceneScale::Small => 1,
-        SceneScale::Full => 2,
-    });
-    let spec = configs::telemetry_spec();
-    enc.put_bool(spec.metrics);
-    enc.put_bool(spec.trace);
-    enc.put_u64(spec.metrics_window);
-    enc.put_u64(simt_sim::config_digest(&configs::config_for(variant)));
-    enc.put_u64(program_digest(Tracer::Kd, variant.is_dynamic()));
-    enc
 }
 
 simt_isa::record! {
@@ -388,17 +374,20 @@ pub(crate) enum Setup {
     Bvh(PtSetup),
 }
 
-/// Builds `spec`'s machine with [`configs::machine`], uploads its scene
-/// for its tracer, and launches the μ-kernel program on a DMK machine,
-/// the looped one otherwise.
+/// Builds `spec`'s machine with [`configs::machine`], generates its scene
+/// and uploads it for its tracer, and launches the μ-kernel program on a
+/// DMK machine, the looped one otherwise. The one place a render's scene
+/// is generated; it is dropped once uploaded.
 pub(crate) fn prepare(spec: &RenderSpec) -> (Gpu, Setup) {
     let cfg = spec.config();
     let dynamic = cfg.dmk.is_some();
     let mut gpu = configs::machine(cfg);
+    let scene =
+        scenes::by_name(spec.scene, spec.scale.scene).expect("a spec names one of scenes::NAMES");
     let (edge, tpb) = (spec.edge, spec.scale.threads_per_block);
     let setup = match spec.tracer {
-        Tracer::Kd => Setup::Kd(RenderSetup::upload(&mut gpu, spec.scene, edge, edge)),
-        Tracer::Bvh => Setup::Bvh(PtSetup::upload(&mut gpu, spec.scene, edge, edge)),
+        Tracer::Kd => Setup::Kd(RenderSetup::upload(&mut gpu, &scene, edge, edge)),
+        Tracer::Bvh => Setup::Bvh(PtSetup::upload(&mut gpu, &scene, edge, edge)),
     };
     match (&setup, dynamic) {
         (Setup::Kd(setup), true) => setup.launch_ukernel(&mut gpu, tpb),
@@ -431,7 +420,7 @@ fn check_frame(
     setup: &Setup,
     hosts: &mut HashMap<HostKey, HostImage>,
 ) -> Result<Option<u64>, String> {
-    let key = (spec.scene.name, spec.scale.scene, spec.tracer, spec.edge);
+    let key = (spec.scene, spec.scale.scene, spec.tracer, spec.edge);
     let host = hosts.entry(key).or_insert_with(|| match setup {
         Setup::Kd(setup) => HostImage::Kd(setup.host_reference()),
         Setup::Bvh(setup) => HostImage::Bvh(setup.host_reference()),
@@ -604,7 +593,7 @@ impl RenderRun {
             (summary.stats.lineages_completed, end_cycle.max(1))
         };
         let run = RenderRun {
-            scene: spec.scene.name,
+            scene: spec.scene,
             variant: spec.variant,
             clock_ghz: gpu.config().clock_ghz,
             l1: gpu.l1_stats(),
@@ -653,7 +642,6 @@ impl RenderRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raytrace::scenes;
 
     /// The records this crate keeps in frame meta sections keep the codec
     /// laws (`simt_isa::codec::check_codec_laws`) on a zeroed input with
@@ -684,28 +672,27 @@ mod tests {
     }
 
     #[test]
-    fn run_fingerprint_separates_job_identities() {
-        let conference = scenes::conference(SceneScale::Tiny);
-        let atrium = scenes::atrium(SceneScale::Tiny);
-        let base = run_fingerprint(&conference, Variant::Dynamic, Scale::test());
+    fn the_standard_windows_fingerprint_separates_job_identities() {
+        let fp = |scene, variant, scale| RenderSpec::window(scene, variant, scale).fingerprint();
+        let base = fp("conference", Variant::Dynamic, Scale::test());
         assert_eq!(
             base,
-            run_fingerprint(&conference, Variant::Dynamic, Scale::test()),
+            fp("conference", Variant::Dynamic, Scale::test()),
             "fingerprint is deterministic"
         );
         assert_ne!(
             base,
-            run_fingerprint(&atrium, Variant::Dynamic, Scale::test()),
+            fp("atrium", Variant::Dynamic, Scale::test()),
             "scene must re-key"
         );
         assert_ne!(
             base,
-            run_fingerprint(&conference, Variant::PdomWarp, Scale::test()),
+            fp("conference", Variant::PdomWarp, Scale::test()),
             "variant (config + program family) must re-key"
         );
         assert_ne!(
             base,
-            run_fingerprint(&conference, Variant::Dynamic, Scale::quick()),
+            fp("conference", Variant::Dynamic, Scale::quick()),
             "scale must re-key"
         );
     }
@@ -713,9 +700,9 @@ mod tests {
     /// The standard window and six specs that each differ from it, or
     /// from one another, in one knob: spawn policy, stop rule, memory
     /// preset, edge or tracer.
-    fn distinct_specs(scene: &Scene) -> [RenderSpec<'_>; 7] {
+    fn distinct_specs() -> [RenderSpec; 7] {
         let scale = Scale::test();
-        let std = RenderSpec::window(scene, Variant::Dynamic, scale);
+        let std = RenderSpec::window("conference", Variant::Dynamic, scale);
         let ablation = RenderSpec {
             spawn_policy: Some(SpawnPolicy::Always),
             stop: Stop::Window {
@@ -743,8 +730,7 @@ mod tests {
 
     #[test]
     fn every_other_spec_gets_its_own_name_and_identity() {
-        let scene = scenes::conference(SceneScale::Tiny);
-        let specs = distinct_specs(&scene);
+        let specs = distinct_specs();
         let mut names: Vec<String> = specs.iter().map(RenderSpec::job).collect();
         let mut ids: Vec<u64> = specs.iter().map(RenderSpec::fingerprint).collect();
         names.sort();
@@ -756,8 +742,7 @@ mod tests {
 
     #[test]
     fn a_spec_asked_for_twice_runs_once() {
-        let scene = scenes::conference(SceneScale::Tiny);
-        let spec = RenderSpec::window(&scene, Variant::PdomWarp, Scale::test());
+        let spec = RenderSpec::window("conference", Variant::PdomWarp, Scale::test());
         let mut plan = Plan::default();
         let first = plan.render(&spec).expect("clean run").steady_rays;
         // Mark the held run: a second render would not carry the mark.
@@ -774,8 +759,7 @@ mod tests {
 
     #[test]
     fn each_distinct_spec_runs_separately() {
-        let scene = scenes::conference(SceneScale::Tiny);
-        let specs = distinct_specs(&scene);
+        let specs = distinct_specs();
         let mut plan = Plan::default();
         for spec in &specs {
             let run = plan.render(spec).expect("clean run");
@@ -788,12 +772,11 @@ mod tests {
 
     #[test]
     fn a_failed_spec_gives_the_same_error_again_without_rerunning() {
-        let scene = scenes::conference(SceneScale::Tiny);
         let spec =
-            RenderSpec::window(&scene, Variant::Dynamic, Scale::test()).frame(Tracer::Kd, 16);
+            RenderSpec::window("conference", Variant::Dynamic, Scale::test()).frame(Tracer::Kd, 16);
         let mut plan = Plan::default();
         // A host image in which every ray misses: the frame check fails.
-        let key = (scene.name, SceneScale::Tiny, Tracer::Kd, 16);
+        let key = ("conference", SceneScale::Tiny, Tracer::Kd, 16);
         plan.hosts.insert(key, HostImage::Kd(vec![None; 16 * 16]));
         let error = plan
             .render(&spec)
@@ -807,15 +790,14 @@ mod tests {
 
     #[test]
     fn render_run_executes_both_kernel_families() {
-        let scene = scenes::conference(SceneScale::Tiny);
         let scale = Scale::test();
         let mut plan = Plan::default();
         let pdom = plan
-            .render(&RenderSpec::window(&scene, Variant::PdomWarp, scale))
+            .render(&RenderSpec::window("conference", Variant::PdomWarp, scale))
             .expect("clean run");
         assert!(pdom.summary.stats.thread_instructions > 0);
         let dmk = plan
-            .render(&RenderSpec::window(&scene, Variant::Dynamic, scale))
+            .render(&RenderSpec::window("conference", Variant::Dynamic, scale))
             .expect("clean run");
         assert!(dmk.summary.stats.threads_spawned > 0);
     }

@@ -9,7 +9,6 @@
 use crate::configs::Variant;
 use crate::runner::{prepare, RenderSpec, Scale, Setup, Tracer, FRAME_BUDGET};
 use crate::supervisor::run_checked;
-use raytrace::scenes;
 use raytrace::Vec3;
 use serde::Serialize;
 use std::fmt;
@@ -50,9 +49,8 @@ impl ShadowStudy {
 }
 
 fn run_variant(variant: Variant, scale: Scale) -> Result<ShadowRun, String> {
-    let scene = scenes::conference(scale.scene);
     let light = Vec3::new(0.0, 4.7, 0.0);
-    let spec = RenderSpec::window(&scene, variant, scale).frame(Tracer::Kd, scale.resolution);
+    let spec = RenderSpec::window("conference", variant, scale).frame(Tracer::Kd, scale.resolution);
     let (mut gpu, Setup::Kd(setup)) = prepare(&spec) else {
         unreachable!("a kd spec uploads the kd tracer")
     };

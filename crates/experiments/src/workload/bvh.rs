@@ -16,8 +16,9 @@
 //! tolerance warning. The reported image hash is the FNV-1a-64 of the
 //! per-pixel radiance bits, the value CI pins.
 
-use super::{page, Group, Workload};
+use super::{text, Group, Workload};
 use crate::configs::Variant;
+use crate::fig3::write_bucket_shares;
 use crate::runner::{program_digest, Plan, RenderSpec, Scale, Tracer};
 use simt_isa::codec::Encoder;
 use std::fmt;
@@ -74,7 +75,7 @@ pub struct PtFigure {
 /// Simulator faults, a blown cycle budget, or any bit-level deviation
 /// from the host reference image.
 pub fn run(plan: &mut Plan, scale: Scale, only: Option<Variant>) -> Result<PtFigure, String> {
-    let scene = raytrace::scenes::conference(scale.scene);
+    let scene = "conference";
     let edge = resolution(scale);
     let variants: Vec<Variant> = match only {
         Some(v) => vec![v],
@@ -83,7 +84,7 @@ pub fn run(plan: &mut Plan, scale: Scale, only: Option<Variant>) -> Result<PtFig
     let mut labels = Vec::new();
     let mut runs = Vec::new();
     for &variant in &variants {
-        let spec = RenderSpec::window(&scene, variant, scale).frame(Tracer::Bvh, edge);
+        let spec = RenderSpec::window(scene, variant, scale).frame(Tracer::Bvh, edge);
         let run = plan.render(&spec)?;
         let (stats, divergence) = (&run.summary.stats, &run.telemetry.divergence);
         labels = divergence.labels();
@@ -97,7 +98,7 @@ pub fn run(plan: &mut Plan, scale: Scale, only: Option<Variant>) -> Result<PtFig
         });
     }
     Ok(PtFigure {
-        scene: scene.name.to_string(),
+        scene: scene.to_string(),
         resolution: edge,
         host_hash: runs.first().map_or(0, |r| r.image_hash),
         labels,
@@ -129,62 +130,29 @@ impl fmt::Display for PtFigure {
         }
         writeln!(f, "  occupancy buckets ({}):", self.labels.join(", "))?;
         for r in &self.runs {
-            let total: u64 = r.buckets.iter().sum();
             write!(f, "    {:<18}", r.variant.wire_name())?;
-            for b in &r.buckets {
-                let pct = if total > 0 {
-                    *b as f64 * 100.0 / total as f64
-                } else {
-                    0.0
-                };
-                write!(f, " {pct:>5.1}")?;
-            }
-            writeln!(f)?;
+            write_bucket_shares(f, &r.buckets)?;
         }
         Ok(())
     }
 }
 
-/// The registry entry.
-pub struct BvhPathTracer;
+/// The registry row.
+pub(super) const WORKLOAD: Workload = Workload {
+    id: "bvh",
+    description: "BVH path tracer — multi-bounce diffuse GI, bit-exact against the host mirror",
+    group: Group::Extended,
+    variants: &VARIANTS,
+    render: |plan, scale, variant| text(run(plan, scale, variant)),
+    extend_fingerprint: Some(extend_fingerprint),
+};
 
-impl Workload for BvhPathTracer {
-    fn id(&self) -> &'static str {
-        "bvh"
-    }
-
-    fn description(&self) -> &'static str {
-        "BVH path tracer — multi-bounce diffuse GI, bit-exact against the host mirror"
-    }
-
-    fn group(&self) -> Group {
-        Group::Extended
-    }
-
-    fn variants(&self) -> &'static [Variant] {
-        &VARIANTS
-    }
-
-    fn render(
-        &self,
-        plan: &mut Plan,
-        scale: Scale,
-        variant: Option<Variant>,
-        json: bool,
-    ) -> Result<String, String> {
-        let name = match variant {
-            Some(v) => format!("{}@{}", self.id(), v.wire_name()),
-            None => self.id().to_string(),
-        };
-        Ok(page(&name, &run(plan, scale, variant)?, json))
-    }
-
-    fn extend_fingerprint(&self, enc: &mut Encoder, scale: Scale) {
-        enc.put_str("bvh-pt-v1");
-        enc.put_u32(resolution(scale));
-        for dynamic in [false, true] {
-            enc.put_u64(program_digest(Tracer::Bvh, dynamic));
-        }
+/// The path tracer's own identity: its edge and both kernels.
+fn extend_fingerprint(enc: &mut Encoder, scale: Scale) {
+    enc.put_str("bvh-pt-v1");
+    enc.put_u32(resolution(scale));
+    for dynamic in [false, true] {
+        enc.put_u64(program_digest(Tracer::Bvh, dynamic));
     }
 }
 

@@ -21,7 +21,7 @@
 //! MSHR merges, and interconnect bank conflicts, and is deterministic:
 //! CI `cmp`s it against `results/cacheabl_quick.txt`.
 
-use super::{microdiv, page, Group, Workload};
+use super::{microdiv, text, Group, Workload};
 use crate::configs::{self, Variant};
 use crate::runner::{program_digest, Plan, RenderSpec, Scale, Tracer};
 use simt_isa::codec::Encoder;
@@ -111,10 +111,9 @@ fn run_frame(
     edge: u32,
     level: MemPreset,
 ) -> Result<Cell, String> {
-    let scene = raytrace::scenes::conference(scale.scene);
     let run = plan.render(&RenderSpec {
         mem: Some(level),
-        ..RenderSpec::window(&scene, VARIANT, scale).frame(tracer, edge)
+        ..RenderSpec::window("conference", VARIANT, scale).frame(tracer, edge)
     })?;
     Ok(Cell {
         level,
@@ -231,55 +230,39 @@ impl fmt::Display for CacheAblationFigure {
     }
 }
 
-/// The registry entry.
-pub struct CacheAblation;
+/// The registry row.
+pub(super) const WORKLOAD: Workload = Workload {
+    id: "cacheabl",
+    description: "Cache ablation — ideal vs L1-only vs L1+L2 across kd-tree, BVH, and microdiv",
+    group: Group::Extended,
+    variants: &[],
+    render: |plan, scale, _| text(run(plan, scale)),
+    extend_fingerprint: Some(extend_fingerprint),
+};
 
-impl Workload for CacheAblation {
-    fn id(&self) -> &'static str {
-        "cacheabl"
+/// The figure's own identity: its sizes, kernels and memory machines.
+fn extend_fingerprint(enc: &mut Encoder, scale: Scale) {
+    enc.put_str("cacheabl-v1");
+    enc.put_u32(kd_resolution(scale));
+    enc.put_u32(super::bvh::resolution(scale));
+    enc.put_u32(microdiv::threads(scale.scene));
+    enc.put_u32(microdiv::trip_cap(scale.scene));
+    for tracer in [Tracer::Kd, Tracer::Bvh] {
+        enc.put_u64(program_digest(tracer, false));
     }
-
-    fn description(&self) -> &'static str {
-        "Cache ablation — ideal vs L1-only vs L1+L2 across kd-tree, BVH, and microdiv"
-    }
-
-    fn group(&self) -> Group {
-        Group::Extended
-    }
-
-    fn render(
-        &self,
-        plan: &mut Plan,
-        scale: Scale,
-        _variant: Option<crate::configs::Variant>,
-        json: bool,
-    ) -> Result<String, String> {
-        Ok(page(self.id(), &run(plan, scale)?, json))
-    }
-
-    fn extend_fingerprint(&self, enc: &mut Encoder, scale: Scale) {
-        enc.put_str("cacheabl-v1");
-        enc.put_u32(kd_resolution(scale));
-        enc.put_u32(super::bvh::resolution(scale));
-        enc.put_u32(microdiv::threads(scale.scene));
-        enc.put_u32(microdiv::trip_cap(scale.scene));
-        for tracer in [Tracer::Kd, Tracer::Bvh] {
-            enc.put_u64(program_digest(tracer, false));
-        }
-        // The ablated memory knobs are part of the figure's identity.
-        for level in LEVELS {
-            let m = level.config();
-            enc.put_u32(m.l1_bytes);
-            enc.put_u32(m.l1_line_bytes);
-            enc.put_u32(m.l1_ways as u32);
-            enc.put_u32(m.l1_mshr_entries as u32);
-            enc.put_u32(m.l2_bytes);
-            enc.put_u32(m.l2_line_bytes);
-            enc.put_u32(m.l2_ways as u32);
-            enc.put_u32(m.icnt_latency);
-            enc.put_u32(m.icnt_flit_cycles);
-            enc.put_u32(u32::from(m.ideal));
-        }
+    // The ablated memory knobs are part of the figure's identity.
+    for level in LEVELS {
+        let m = level.config();
+        enc.put_u32(m.l1_bytes);
+        enc.put_u32(m.l1_line_bytes);
+        enc.put_u32(m.l1_ways as u32);
+        enc.put_u32(m.l1_mshr_entries as u32);
+        enc.put_u32(m.l2_bytes);
+        enc.put_u32(m.l2_line_bytes);
+        enc.put_u32(m.l2_ways as u32);
+        enc.put_u32(m.icnt_latency);
+        enc.put_u32(m.icnt_flit_cycles);
+        enc.put_u32(u32::from(m.ideal));
     }
 }
 

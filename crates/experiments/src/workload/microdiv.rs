@@ -21,9 +21,10 @@
 //! instructions all issue at full or partial occupancy too), but track
 //! their ordering — which is exactly what the figure shows.
 
-use super::{page, Group, Workload};
+use super::{text, Group, Workload};
 use crate::configs::Variant;
-use crate::runner::{Plan, Scale, FRAME_BUDGET};
+use crate::fig3::write_bucket_shares;
+use crate::runner::{Scale, FRAME_BUDGET};
 use crate::supervisor::run_checked;
 use dmk_core::DmkConfig;
 use raytrace::scenes::SceneScale;
@@ -388,69 +389,37 @@ impl fmt::Display for MicrodivFigure {
         writeln!(f, "  occupancy buckets ({}):", self.labels.join(", "))?;
         for row in &self.rows {
             for m in &row.measured {
-                let total: u64 = m.buckets.iter().sum();
                 write!(f, "    {:<8} {:<18}", row.pattern, m.variant.wire_name())?;
-                for b in &m.buckets {
-                    let pct = if total > 0 {
-                        *b as f64 * 100.0 / total as f64
-                    } else {
-                        0.0
-                    };
-                    write!(f, " {pct:>5.1}")?;
-                }
-                writeln!(f)?;
+                write_bucket_shares(f, &m.buckets)?;
             }
         }
         Ok(())
     }
 }
 
-/// The registry entry.
-pub struct Microdiv;
+/// The registry row.
+pub(super) const WORKLOAD: Workload = Workload {
+    id: "microdiv",
+    description:
+        "Divergence microbenchmarks — loop-imbalance patterns with analytic efficiency bounds",
+    group: Group::Extended,
+    variants: &VARIANTS,
+    render: |_, scale, variant| text(run(scale, variant)),
+    extend_fingerprint: Some(extend_fingerprint),
+};
 
-impl Workload for Microdiv {
-    fn id(&self) -> &'static str {
-        "microdiv"
-    }
-
-    fn description(&self) -> &'static str {
-        "Divergence microbenchmarks — loop-imbalance patterns with analytic efficiency bounds"
-    }
-
-    fn group(&self) -> Group {
-        Group::Extended
-    }
-
-    fn variants(&self) -> &'static [Variant] {
-        &VARIANTS
-    }
-
-    fn render(
-        &self,
-        _plan: &mut Plan,
-        scale: Scale,
-        variant: Option<Variant>,
-        json: bool,
-    ) -> Result<String, String> {
-        let name = match variant {
-            Some(v) => format!("{}@{}", self.id(), v.wire_name()),
-            None => self.id().to_string(),
-        };
-        Ok(page(&name, &run(scale, variant)?, json))
-    }
-
-    fn extend_fingerprint(&self, enc: &mut Encoder, scale: Scale) {
-        enc.put_str("microdiv-v1");
-        let n = threads(scale.scene);
-        let cap = trip_cap(scale.scene);
-        enc.put_u32(n);
-        enc.put_u32(cap);
-        for pattern in PATTERNS {
-            // Fingerprint the kernel *sources* (base address aside): any
-            // change to the generated programs re-keys the job.
-            enc.put_str(&loop_source(pattern, cap, 0));
-            enc.put_str(&spawn_source(pattern, cap, 0));
-        }
+/// The family's own identity: its size and every generated kernel.
+fn extend_fingerprint(enc: &mut Encoder, scale: Scale) {
+    enc.put_str("microdiv-v1");
+    let n = threads(scale.scene);
+    let cap = trip_cap(scale.scene);
+    enc.put_u32(n);
+    enc.put_u32(cap);
+    for pattern in PATTERNS {
+        // Fingerprint the kernel *sources* (base address aside): any
+        // change to the generated programs re-keys the job.
+        enc.put_str(&loop_source(pattern, cap, 0));
+        enc.put_str(&spawn_source(pattern, cap, 0));
     }
 }
 

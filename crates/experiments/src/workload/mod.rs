@@ -3,12 +3,13 @@
 //! Historically `repro`, the campaign engine, and the serve front-end
 //! each kept their own stringly-typed idea of what an "artifact" was: a
 //! `match` over names here, a `const` list there, a `contains` check in
-//! a third place. This module retires that. A [`Workload`] is a typed
-//! description of one runnable scenario family — how to render it at a
-//! [`Scale`], which machine [`Variant`]s it supports standalone, how to
-//! extend its job-identity fingerprint, and (when it has one) its
-//! per-variant SIMD-efficiency summary — and [`all`] is the single
-//! source of truth every front-end enumerates.
+//! a third place. This module retires that. A [`Workload`] is one row
+//! of plain data describing a runnable scenario family — its id and
+//! description, which machine [`Variant`]s it supports standalone, the
+//! function that renders its text at a [`Scale`], and (when it has one)
+//! the function that extends its job-identity fingerprint — and [`all`]
+//! is the single table every front-end enumerates. Adding a workload is
+//! adding a row.
 //!
 //! Two groups exist:
 //!
@@ -30,64 +31,58 @@ mod paper;
 
 use crate::configs::Variant;
 use crate::runner::{Plan, Scale};
+use crate::{
+    ablation, fig10, fig2, fig3, fig7, fig8, fig9, shadow, table1, table2, table3, table4,
+};
 use simt_isa::codec::Encoder;
 use std::fmt;
 
-/// One registered scenario family.
-///
-/// Implementations are zero-sized unit structs registered in the static
-/// tables below; everything a front-end needs — enumeration, dispatch,
-/// fingerprinting, reporting — goes through this trait instead of
-/// string matching.
-pub trait Workload: Sync {
+/// One registered scenario family: a row of the registry. Everything a
+/// front-end needs — enumeration, dispatch, fingerprinting, reporting —
+/// reads these fields instead of matching on strings.
+#[derive(Debug)]
+pub struct Workload {
     /// Stable identifier (the job name, the cache key prefix, the
     /// `repro <id>` command). Never rename: journals, cached results,
     /// and CI scripts key on it.
-    fn id(&self) -> &'static str;
-
+    pub id: &'static str,
     /// One-line human description for `repro list`.
-    fn description(&self) -> &'static str;
-
+    pub description: &'static str,
     /// Which group the workload belongs to.
-    fn group(&self) -> Group;
-
+    pub group: Group,
     /// Machine variants this workload can run standalone (as
     /// `id@variant`). Empty for the paper artifacts, whose variant
     /// matrix is fixed by the figure they reproduce.
-    fn variants(&self) -> &'static [Variant] {
-        &[]
-    }
-
-    /// Renders the workload to the exact bytes `repro` prints for it,
-    /// taking each scene render from `plan`, which runs it unless the
-    /// plan already holds it. `variant` narrows extended workloads to one
-    /// machine variant (`None` renders the workload's full default
-    /// matrix); it is always `None` for paper artifacts
-    /// ([`ScenarioSpec::resolve`] rejects the combination first).
-    ///
-    /// # Errors
-    ///
-    /// A deterministic job-level failure (assembly error, ground-truth
-    /// mismatch, simulator fault) the campaign reports without retry.
-    fn render(
-        &self,
-        plan: &mut Plan,
-        scale: Scale,
-        variant: Option<Variant>,
-        json: bool,
-    ) -> Result<String, String>;
-
+    pub variants: &'static [Variant],
+    /// Renders the figure's text, taking each scene render from the
+    /// plan, which runs it unless it already holds it. The variant
+    /// narrows an extended workload to one machine variant (`None` renders
+    /// its full default matrix); it is always `None` for a paper artifact
+    /// ([`ScenarioSpec::resolve`] rejects the combination first). The
+    /// error is a deterministic job-level failure (assembly error,
+    /// ground-truth mismatch, simulator fault) a campaign reports without
+    /// retry.
+    render: fn(&mut Plan, Scale, Option<Variant>) -> Result<String, String>,
     /// Folds workload-specific identity (extra kernel programs, private
-    /// configuration) into a job fingerprint. The default is a no-op,
-    /// which keeps the paper artifacts' fingerprints — and therefore
-    /// every existing cache entry and journal id — byte-identical.
-    fn extend_fingerprint(&self, _enc: &mut Encoder, _scale: Scale) {}
+    /// configuration) into a job fingerprint; `None` for the paper
+    /// artifacts, which keeps their fingerprints — and therefore every
+    /// existing cache entry and journal id — byte-identical.
+    extend_fingerprint: Option<fn(&mut Encoder, Scale)>,
 }
 
-impl fmt::Debug for dyn Workload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Workload").field("id", &self.id()).finish()
+impl Workload {
+    /// Appends this workload's own identity, if it has any, to a job
+    /// fingerprint's encoding.
+    pub fn extend_fingerprint(&self, enc: &mut Encoder, scale: Scale) {
+        if let Some(extend) = self.extend_fingerprint {
+            extend(enc, scale);
+        }
     }
+}
+
+/// A figure's text: its `Display` rendering, or its job-level error.
+fn text<T: fmt::Display>(figure: Result<T, String>) -> Result<String, String> {
+    figure.map(|figure| figure.to_string())
 }
 
 /// Registry group of a workload.
@@ -110,27 +105,75 @@ impl fmt::Display for Group {
 
 /// The registry, in canonical presentation order: the twelve paper
 /// artifacts first (the exact order `repro all` has always used), then
-/// the extended workloads.
-static REGISTRY: [&dyn Workload; 15] = [
-    &paper::Table1,
-    &paper::Table2,
-    &paper::Table3,
-    &paper::Table4,
-    &paper::Fig2,
-    &paper::Fig3,
-    &paper::Fig7,
-    &paper::Fig8,
-    &paper::Fig9,
-    &paper::Fig10,
-    &paper::Ablation,
-    &paper::Shadow,
-    &bvh::BvhPathTracer,
-    &microdiv::Microdiv,
-    &cacheabl::CacheAblation,
+/// the extended workloads. Adding a workload is adding a row.
+static REGISTRY: [Workload; 15] = [
+    paper::row(
+        "table1",
+        "Table I — the simulated FX5800-class machine configuration",
+        |_, _, _| text(Ok(table1::run())),
+    ),
+    paper::row(
+        "table2",
+        "Table II — registers, shared and global bytes per thread of each kernel",
+        |_, _, _| text(Ok(table2::run())),
+    ),
+    paper::row(
+        "table3",
+        "Table III — benchmark scenes and kd-tree parameters",
+        |_, scale, _| text(Ok(table3::run(scale))),
+    ),
+    paper::row(
+        "table4",
+        "Table IV — memory bandwidth required to draw one image",
+        |_, scale, _| text(Ok(table4::run(scale))),
+    ),
+    paper::row(
+        "fig2",
+        "Fig. 2 — PDOM lane-occupancy decay of one data-dependent loop",
+        |_, _, _| text(fig2::run()),
+    ),
+    paper::row(
+        "fig3",
+        "Fig. 3 — warp-occupancy distribution of the traditional tracer",
+        |plan, scale, _| text(fig3::run(plan, scale)),
+    ),
+    paper::row(
+        "fig7",
+        "Fig. 7 — occupancy distribution under dynamic μ-kernels",
+        |plan, scale, _| text(fig7::run(plan, scale)),
+    ),
+    paper::row(
+        "fig8",
+        "Fig. 8 — speedup of dynamic μ-kernels over the PDOM baselines",
+        |plan, scale, _| text(fig8::run(plan, scale)),
+    ),
+    paper::row(
+        "fig9",
+        "Fig. 9 — occupancy with spawn-memory bank conflicts modelled",
+        |plan, scale, _| text(fig9::run(plan, scale)),
+    ),
+    paper::row(
+        "fig10",
+        "Fig. 10 — branching performance against the MIMD theoretical ideal",
+        |plan, scale, _| text(fig10::run(plan, scale)),
+    ),
+    paper::row(
+        "ablation",
+        "Ablation — §IX spawn policy: spawn always vs branch when the warp agrees",
+        |plan, scale, _| text(ablation::run(plan, scale)),
+    ),
+    paper::row(
+        "shadow",
+        "Shadow — secondary-ray workload on both architectures",
+        |_, scale, _| text(shadow::run(scale)),
+    ),
+    bvh::WORKLOAD,
+    microdiv::WORKLOAD,
+    cacheabl::WORKLOAD,
 ];
 
 /// Every registered workload, in canonical order.
-pub fn all() -> &'static [&'static dyn Workload] {
+pub fn all() -> &'static [Workload] {
     &REGISTRY
 }
 
@@ -139,8 +182,8 @@ pub fn all() -> &'static [&'static dyn Workload] {
 pub fn paper_ids() -> Vec<&'static str> {
     REGISTRY
         .iter()
-        .filter(|w| w.group() == Group::Paper)
-        .map(|w| w.id())
+        .filter(|w| w.group == Group::Paper)
+        .map(|w| w.id)
         .collect()
 }
 
@@ -150,11 +193,10 @@ pub fn paper_ids() -> Vec<&'static str> {
 ///
 /// [`UnknownWorkload`] for an unregistered id — the typed error every
 /// front-end reports (`repro` exits with it, serve sheds it as 400).
-pub fn find(id: &str) -> Result<&'static dyn Workload, UnknownWorkload> {
+pub fn find(id: &str) -> Result<&'static Workload, UnknownWorkload> {
     REGISTRY
         .iter()
-        .find(|w| w.id() == id)
-        .copied()
+        .find(|w| w.id == id)
         .ok_or_else(|| UnknownWorkload::Id(id.to_string()))
 }
 
@@ -198,8 +240,8 @@ impl std::error::Error for UnknownWorkload {}
 ///
 /// The canonical name is the bare workload id when no variant is
 /// pinned — byte-identical to the pre-registry job names, so old
-/// journals, drop-dir requests, and cached results replay unchanged —
-/// and `id@variant` (with [`Variant::wire_name`]) otherwise.
+/// journals and cached results replay unchanged — and `id@variant`
+/// (with [`Variant::wire_name`]) otherwise.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Registered workload id (or the unparsed request string, when the
@@ -253,10 +295,10 @@ impl ScenarioSpec {
     ///
     /// [`UnknownWorkload`] when the id is unregistered or the variant
     /// narrowing is unsupported.
-    pub fn resolve(&self) -> Result<&'static dyn Workload, UnknownWorkload> {
+    pub fn resolve(&self) -> Result<&'static Workload, UnknownWorkload> {
         let w = find(&self.workload_id)?;
         if let Some(v) = self.variant {
-            if !w.variants().contains(&v) {
+            if !w.variants.contains(&v) {
                 return Err(UnknownWorkload::Variant {
                     workload: self.workload_id.clone(),
                     variant: v,
@@ -267,7 +309,8 @@ impl ScenarioSpec {
     }
 
     /// Renders the scenario to the exact bytes `repro` prints for it,
-    /// its scene renders taken from `plan`.
+    /// its scene renders taken from `plan`: the workload's text under
+    /// [`Self::name`].
     ///
     /// # Errors
     ///
@@ -275,8 +318,8 @@ impl ScenarioSpec {
     /// [`RenderError::Job`] for a deterministic job-level failure.
     pub fn render(&self, plan: &mut Plan, json: bool) -> Result<String, RenderError> {
         let w = self.resolve().map_err(RenderError::Unknown)?;
-        w.render(plan, self.scale, self.variant, json)
-            .map_err(RenderError::Job)
+        let text = (w.render)(plan, self.scale, self.variant).map_err(RenderError::Job)?;
+        Ok(page(self.name(), &text, json))
     }
 }
 
@@ -300,20 +343,20 @@ impl fmt::Display for RenderError {
 
 impl std::error::Error for RenderError {}
 
-/// Renders a value to the exact bytes `repro` prints for one artifact:
-/// `Display` text plus the trailing blank line, or the one-line JSON
-/// envelope under `--json`. Shared by every workload so "byte-identical
+/// A figure's text as the exact bytes `repro` prints for one artifact:
+/// the text plus the trailing blank line, or the one-line JSON envelope
+/// under `--json`. Every scenario renders through it, so "byte-identical
 /// however computed" stays checkable; the byte format predates the
 /// registry and must not change.
-pub(crate) fn page<T: fmt::Display>(artifact: &str, value: &T, json: bool) -> String {
+fn page(artifact: &str, text: &str, json: bool) -> String {
     if json {
         format!(
             "{{\"artifact\":\"{}\",\"data\":\"{}\"}}\n",
             crate::serve::json::escape(artifact),
-            crate::serve::json::escape(&value.to_string())
+            crate::serve::json::escape(text)
         )
     } else {
-        format!("{value}\n\n")
+        format!("{text}\n\n")
     }
 }
 
@@ -339,16 +382,12 @@ mod tests {
     fn registry_ids_are_unique_and_describe_themselves() {
         let mut seen = std::collections::HashSet::new();
         for w in all() {
-            assert!(seen.insert(w.id()), "duplicate workload id {}", w.id());
+            assert!(seen.insert(w.id), "duplicate workload id {}", w.id);
+            assert!(!w.description.is_empty(), "{} lacks a description", w.id);
             assert!(
-                !w.description().is_empty(),
-                "{} lacks a description",
-                w.id()
-            );
-            assert!(
-                !w.id().contains('@') && !w.id().contains(char::is_whitespace),
+                !w.id.contains('@') && !w.id.contains(char::is_whitespace),
                 "{} id collides with scenario syntax",
-                w.id()
+                w.id
             );
         }
         assert!(seen.len() >= 12, "registry shrank below the paper matrix");
@@ -356,8 +395,13 @@ mod tests {
 
     #[test]
     fn paper_artifacts_have_no_standalone_variants() {
-        for w in all().iter().filter(|w| w.group() == Group::Paper) {
-            assert!(w.variants().is_empty(), "{} grew variants", w.id());
+        for w in all().iter().filter(|w| w.group == Group::Paper) {
+            assert!(w.variants.is_empty(), "{} grew variants", w.id);
+            assert!(
+                w.extend_fingerprint.is_none(),
+                "{} extends its fingerprint",
+                w.id
+            );
         }
     }
 
@@ -374,6 +418,18 @@ mod tests {
         assert_eq!(narrowed.workload_id, "bvh");
         assert_eq!(narrowed.variant, Some(Variant::Dynamic));
         assert!(narrowed.resolve().is_ok());
+    }
+
+    #[test]
+    fn a_page_is_wrapped_under_its_scenario_name() {
+        let mut plan = Plan::default();
+        for name in ["bvh@dynamic", "bvh"] {
+            let rendered = ScenarioSpec::new(name, Scale::test(), "test")
+                .render(&mut plan, true)
+                .expect("bvh renders");
+            let head = format!("{{\"artifact\":\"{name}\",\"data\":\"BVH path tracer");
+            assert!(rendered.starts_with(&head), "{rendered}");
+        }
     }
 
     #[test]

@@ -349,6 +349,39 @@ fn an_orphaned_worker_finishes_without_a_reader_on_its_stdout() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A campaign's workers trace under the coordinator's telemetry: a
+/// `--trace` campaign leaves the trace and metrics files a serial
+/// `--trace` run writes, byte for byte, and prints the same stdout.
+#[test]
+fn campaign_workers_get_the_coordinators_telemetry() {
+    let dir = temp_dir("telemetry");
+    let (serial_dir, campaign_dir) = (dir.join("serial"), dir.join("campaign"));
+    let run = |cwd: &Path, args: &str| {
+        std::fs::create_dir_all(cwd).expect("work dir");
+        let out = Command::new(REPRO)
+            .args(args.split(' '))
+            .current_dir(cwd)
+            .output()
+            .expect("repro binary runs");
+        assert!(out.status.success(), "{args}");
+        out.stdout
+    };
+    let serial = run(&serial_dir, "fig3 --scale test --trace");
+    let campaign = run(
+        &campaign_dir,
+        "campaign --scale test --workers 1 --only fig3 --trace",
+    );
+    assert_eq!(campaign, serial, "campaign stdout == serial stdout");
+    for file in [
+        "conference-PdomWarp-16.trace.json",
+        "conference-PdomWarp-16.metrics.csv",
+    ] {
+        let read = |d: &Path| std::fs::read(d.join(file)).expect("trace artifact written");
+        assert!(read(&campaign_dir) == read(&serial_dir), "{file} differs");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A one-worker engine over `dir` whose waker sends on the returned
 /// channel, so a test can block until a worker's exit has been heard
 /// instead of sleeping and looking.

@@ -7,7 +7,7 @@
 //! means to re-key jobs — new kernel bytes, a new `GpuConfig` field —
 //! re-records it, and `tests/fixtures/parent_cache`, in the same commit.
 
-use experiments::{campaign, run_fingerprint, runner, Scale, Variant};
+use experiments::{campaign, Scale};
 use raytrace::scenes::{self, SceneScale};
 
 /// `(workload, [test, test+json, quick, quick+json, paper, paper+json])`.
@@ -207,23 +207,6 @@ fn job_fingerprints_are_the_recorded_ones() {
                 assert_eq!(
                     got, want,
                     "{name} at {scale_name}, json {json}: {got:#018x}, recorded {want:#018x}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn a_built_scene_and_its_name_give_the_same_run_fingerprint() {
-    for (_, scale) in scales() {
-        // Geometry never enters the identity, so the cheapest scenes do.
-        for scene in scenes::all(SceneScale::Tiny) {
-            for variant in Variant::ALL {
-                assert_eq!(
-                    run_fingerprint(&scene, variant, scale),
-                    runner::run_fingerprint_by_name(scene.name, variant, scale),
-                    "{} / {variant:?}",
-                    scene.name
                 );
             }
         }

@@ -57,12 +57,12 @@ fn repro_list_prints_the_full_catalog() {
     for w in experiments::workload::all() {
         let line = lines
             .iter()
-            .find(|l| l.starts_with(w.id()))
-            .unwrap_or_else(|| panic!("{} missing from `repro list`", w.id()));
+            .find(|l| l.starts_with(w.id))
+            .unwrap_or_else(|| panic!("{} missing from `repro list`", w.id));
         assert!(
-            line.contains(&w.group().to_string()),
+            line.contains(&w.group.to_string()),
             "{} line carries its group: {line}",
-            w.id()
+            w.id
         );
     }
     // Extended workloads advertise their standalone variants.

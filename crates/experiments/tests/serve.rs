@@ -468,6 +468,31 @@ fn a_cache_written_by_the_parent_binary_is_served_as_hits() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A server's own `--json` is no request's output mode: a server started
+/// with it answers a text request with the serial text bytes, and a JSON
+/// request with the serial JSON bytes.
+#[test]
+fn each_request_gets_its_own_output_mode_from_a_json_server() {
+    let dir = temp_dir("json-server");
+    let server = Server::start(&dir, &["--json"]);
+    let mut opts = server.opts(&[]);
+    let text = client::run_job(&opts, "table1").expect("text trip completes");
+    assert_eq!(
+        text.output.as_deref(),
+        Some(serial_bytes("table1").as_slice())
+    );
+    opts.json = true;
+    let json = client::run_job(&opts, "table1").expect("json trip completes");
+    let serial = Command::new(REPRO)
+        .args(["table1", "--scale", "test", "--json"])
+        .output()
+        .expect("repro binary runs");
+    assert!(serial.status.success());
+    assert_eq!(json.output.as_deref(), Some(serial.stdout.as_slice()));
+    server.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Warm hits wait on no timer: the median of 50 POST → status → output
 /// trips stays under 5 ms — a third of what three exchanges cost when
 /// each waited out a 5 ms accept tick, ten times what they cost now, so
